@@ -2,20 +2,19 @@
 //!
 //! Setup (paper §4.3): Berkeley-Earth-like gridded data, basic window B=120,
 //! query window 960; the number of time-series is swept. Computation workers
-//! sketch pair partitions while one database worker persists the records;
-//! the figure separates sketch-computation time from database-write time.
+//! sketch pair partitions while one database worker appends the window-major
+//! rows to the pile; the figure separates sketch-computation time from
+//! database-write time.
 //!
 //! Expected shape (paper): TSUBASA's sketch computation is cheaper than the
 //! DFT comparator's (linear vs quadratic in B per window); for TSUBASA a
 //! large share of the total is the database write; both grow quadratically
 //! with the number of series.
 
-use std::sync::Arc;
-
 use tsubasa_bench::{fmt_ms, millis, scaled, workers, Table};
 use tsubasa_data::prelude::*;
 use tsubasa_parallel::{ParallelConfig, ParallelEngine, SketchMethod};
-use tsubasa_storage::{DiskSketchStore, PileWriter, SketchStore};
+use tsubasa_storage::PileWriter;
 
 fn main() {
     let basic_window = 120;
@@ -39,7 +38,6 @@ fn main() {
             ..BerkeleyLikeConfig::default()
         })
         .expect("generate dataset");
-        let layout = ParallelEngine::layout_for(&collection, basic_window).unwrap();
 
         for (label, method) in [
             ("TSUBASA", SketchMethod::Exact),
@@ -50,18 +48,19 @@ fn main() {
                 },
             ),
         ] {
-            let dir = std::env::temp_dir()
-                .join(format!("tsubasa-fig6a-{}-{n}-{label}", std::process::id()));
-            let store: Arc<dyn SketchStore> =
-                Arc::new(DiskSketchStore::create(&dir, layout).unwrap());
+            let path = std::env::temp_dir().join(format!(
+                "tsubasa-fig6a-{}-{n}-{label}.pile",
+                std::process::id()
+            ));
             let engine = ParallelEngine::new(ParallelConfig {
                 workers,
                 batch_pairs: tsubasa_storage::default_batch_pairs(),
                 sketch_method: method,
                 audit_pruned_chunks: false,
             });
-            let report = engine
-                .sketch_to_store(&collection, basic_window, store.clone())
+            let writer = PileWriter::create(&path, n, basic_window).unwrap();
+            let (report, _pile) = engine
+                .sketch_to_pile(&collection, basic_window, writer)
                 .unwrap();
             table.row(vec![
                 n.to_string(),
@@ -78,41 +77,8 @@ fn main() {
                 "wall_ms": millis(report.wall_time),
                 "pairs": report.pairs,
             }));
-            std::fs::remove_dir_all(&dir).ok();
+            std::fs::remove_file(&path).ok();
         }
-
-        // Pile backend: identical exact sketch computation, but the database
-        // worker appends coalesced window-major slabs to the single-file
-        // pile instead of per-record batches (see `fig_pile` for the query
-        // side).
-        let path =
-            std::env::temp_dir().join(format!("tsubasa-fig6a-pile-{}-{n}", std::process::id()));
-        let engine = ParallelEngine::new(ParallelConfig {
-            workers,
-            batch_pairs: tsubasa_storage::default_batch_pairs(),
-            sketch_method: SketchMethod::Exact,
-            audit_pruned_chunks: false,
-        });
-        let writer = PileWriter::create(&path, n, basic_window).unwrap();
-        let (report, _pile) = engine
-            .sketch_to_pile(&collection, basic_window, writer)
-            .unwrap();
-        table.row(vec![
-            n.to_string(),
-            "TSUBASA pile".to_string(),
-            fmt_ms(millis(report.compute_time)),
-            fmt_ms(millis(report.write_time)),
-            fmt_ms(millis(report.wall_time)),
-        ]);
-        json_rows.push(serde_json::json!({
-            "series": n,
-            "method": "TSUBASA pile",
-            "compute_ms": millis(report.compute_time),
-            "write_ms": millis(report.write_time),
-            "wall_ms": millis(report.wall_time),
-            "pairs": report.pairs,
-        }));
-        std::fs::remove_file(&path).ok();
     }
 
     table.print("Figure 6a: sketch-time breakdown vs number of series");

@@ -1,20 +1,18 @@
 //! Figure 6b — Parallel & disk-based query-time breakdown.
 //!
 //! Setup (paper §4.3): same configuration as Figure 6a (B=120, query window
-//! 960, 63+1 workers in the paper); after sketching into the disk store, the
-//! correlation matrix is rebuilt from stored sketches. The figure separates
+//! 960, 63+1 workers in the paper); after sketching into the pile, the
+//! correlation matrix is rebuilt from the mapped sketches. The figure separates
 //! database-read time from matrix-calculation time.
 //!
 //! Expected shape (paper): read time is a small fraction of matrix
 //! calculation; TSUBASA and the approximation have on-par query time; both
 //! grow quadratically with the number of series.
 
-use std::sync::Arc;
-
 use tsubasa_bench::{fmt_ms, millis, scaled, workers, Table};
 use tsubasa_data::prelude::*;
 use tsubasa_parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
-use tsubasa_storage::{DiskSketchStore, SketchStore};
+use tsubasa_storage::PileWriter;
 
 fn main() {
     let basic_window = 120;
@@ -38,7 +36,6 @@ fn main() {
             ..BerkeleyLikeConfig::default()
         })
         .expect("generate dataset");
-        let layout = ParallelEngine::layout_for(&collection, basic_window).unwrap();
 
         for (label, sketch_method, query_method) in [
             ("TSUBASA", SketchMethod::Exact, QueryMethod::Exact),
@@ -50,21 +47,22 @@ fn main() {
                 QueryMethod::Approximate,
             ),
         ] {
-            let dir = std::env::temp_dir()
-                .join(format!("tsubasa-fig6b-{}-{n}-{label}", std::process::id()));
-            let store: Arc<dyn SketchStore> =
-                Arc::new(DiskSketchStore::create(&dir, layout).unwrap());
+            let path = std::env::temp_dir().join(format!(
+                "tsubasa-fig6b-{}-{n}-{label}.pile",
+                std::process::id()
+            ));
             let engine = ParallelEngine::new(ParallelConfig {
                 workers,
                 batch_pairs: 128,
                 sketch_method,
                 audit_pruned_chunks: false,
             });
-            engine
-                .sketch_to_store(&collection, basic_window, store.clone())
+            let writer = PileWriter::create(&path, n, basic_window).unwrap();
+            let (_, pile) = engine
+                .sketch_to_pile(&collection, basic_window, writer)
                 .unwrap();
             let (_, report) = engine
-                .query_from_store(store, 0..layout.n_windows, query_method)
+                .query(&pile, 0..points / basic_window, query_method)
                 .unwrap();
             table.row(vec![
                 n.to_string(),
@@ -80,7 +78,7 @@ fn main() {
                 "compute_ms": millis(report.compute_time),
                 "wall_ms": millis(report.wall_time),
             }));
-            std::fs::remove_dir_all(&dir).ok();
+            std::fs::remove_file(&path).ok();
         }
     }
 

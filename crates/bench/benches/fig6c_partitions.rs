@@ -7,12 +7,10 @@
 //! Expected shape (paper): both wall times fall as the partition count grows,
 //! with diminishing returns once the machine's cores are saturated.
 
-use std::sync::Arc;
-
 use tsubasa_bench::{fmt_ms, millis, scaled, Table};
 use tsubasa_data::prelude::*;
 use tsubasa_parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
-use tsubasa_storage::{DiskSketchStore, SketchStore};
+use tsubasa_storage::PileWriter;
 
 fn main() {
     let basic_window = 120;
@@ -31,26 +29,27 @@ fn main() {
         ..BerkeleyLikeConfig::default()
     })
     .expect("generate dataset");
-    let layout = ParallelEngine::layout_for(&collection, basic_window).unwrap();
 
     let mut table = Table::new(&["partitions", "sketch wall", "query wall"]);
     let mut json_rows = Vec::new();
 
     for partitions in [1usize, 2, 4, 8, 16] {
-        let dir =
-            std::env::temp_dir().join(format!("tsubasa-fig6c-{}-{partitions}", std::process::id()));
-        let store: Arc<dyn SketchStore> = Arc::new(DiskSketchStore::create(&dir, layout).unwrap());
+        let path = std::env::temp_dir().join(format!(
+            "tsubasa-fig6c-{}-{partitions}.pile",
+            std::process::id()
+        ));
         let engine = ParallelEngine::new(ParallelConfig {
             workers: partitions,
             batch_pairs: 128,
             sketch_method: SketchMethod::Exact,
             audit_pruned_chunks: false,
         });
-        let sketch_report = engine
-            .sketch_to_store(&collection, basic_window, store.clone())
+        let writer = PileWriter::create(&path, n, basic_window).unwrap();
+        let (sketch_report, pile) = engine
+            .sketch_to_pile(&collection, basic_window, writer)
             .unwrap();
         let (_, query_report) = engine
-            .query_from_store(store, 0..layout.n_windows, QueryMethod::Exact)
+            .query(&pile, 0..points / basic_window, QueryMethod::Exact)
             .unwrap();
 
         table.row(vec![
@@ -63,7 +62,7 @@ fn main() {
             "sketch_wall_ms": millis(sketch_report.wall_time),
             "query_wall_ms": millis(query_report.wall_time),
         }));
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&path).ok();
     }
 
     table.print("Figure 6c: impact of the number of partitions");

@@ -4,20 +4,22 @@
 //! of 3,652 points; the size of the sketch database is reported as the basic
 //! window size grows, for TSUBASA and for the DFT approximation.
 //!
-//! Expected shape (paper): both algorithms store records of the same size per
+//! Expected shape (paper): both algorithms store rows of the same size per
 //! basic window, so their space overhead is identical and shrinks inversely
 //! with B (fewer windows to store).
 
 use tsubasa_bench::{scaled, Table};
 use tsubasa_data::prelude::*;
-use tsubasa_parallel::ParallelEngine;
-use tsubasa_storage::{
-    DiskSketchStore, PairWindowRecord, SeriesWindowRecord, SketchStore, StoreLayout,
-};
+use tsubasa_parallel::{ParallelConfig, ParallelEngine};
+use tsubasa_storage::PileWriter;
 
-fn analytic_bytes(layout: StoreLayout) -> u64 {
-    (layout.series_records() * SeriesWindowRecord::SIZE
-        + layout.pair_records() * PairWindowRecord::SIZE) as u64
+/// Payload bytes of a pile holding `windows` basic windows of `n` series:
+/// per window one `f64` per pair (the correlation, or the Equation 3
+/// estimate — same size for both algorithms, the paper's observation) and a
+/// `(len, mean, std)` triple per series. The 64-byte file and segment headers
+/// come on top.
+fn payload_bytes(n: usize, windows: usize) -> u64 {
+    (windows * (n * (n - 1) / 2 + 3 * n) * 8) as u64
 }
 
 fn main() {
@@ -25,56 +27,47 @@ fn main() {
     let points = 3_652;
     println!("Figure 6d: sketch space overhead | {n} series x {points} points");
 
-    let mut table = Table::new(&["B", "windows", "TSUBASA store (MiB)", "DFT store (MiB)"]);
+    let mut table = Table::new(&["B", "windows", "TSUBASA pile (MiB)", "DFT pile (MiB)"]);
     let mut json_rows = Vec::new();
 
     for basic_window in [60usize, 120, 240, 480, 960] {
-        let layout = StoreLayout {
-            n_series: n,
-            n_windows: points / basic_window,
-            basic_window,
-        };
-        // Both algorithms store one fixed-size record per pair per basic
-        // window plus two statistics per series per basic window, so the
-        // formula is the same for both (the paper's observation).
-        let bytes = analytic_bytes(layout);
+        let windows = points / basic_window;
+        let bytes = payload_bytes(n, windows);
         let mib = bytes as f64 / (1024.0 * 1024.0);
         table.row(vec![
             basic_window.to_string(),
-            layout.n_windows.to_string(),
+            windows.to_string(),
             format!("{mib:.1}"),
             format!("{mib:.1}"),
         ]);
         json_rows.push(serde_json::json!({
             "basic_window": basic_window,
-            "windows": layout.n_windows,
+            "windows": windows,
             "bytes": bytes,
             "mib": mib,
         }));
     }
 
-    // Validate the analytic formula against an actual on-disk store at a
-    // small scale (the big layouts above would needlessly allocate gigabytes
-    // of sparse files).
+    // Validate the analytic formula against an actual on-disk pile at a
+    // small scale (the big layouts above would needlessly write gigabytes).
     let small = generate_berkeley_like(&BerkeleyLikeConfig {
         cells: 40,
         points: 720,
         ..BerkeleyLikeConfig::default()
     })
     .unwrap();
-    let layout = ParallelEngine::layout_for(&small, 120).unwrap();
-    let dir = std::env::temp_dir().join(format!("tsubasa-fig6d-{}", std::process::id()));
-    let store = DiskSketchStore::create(&dir, layout).unwrap();
-    let actual = store.space_bytes();
-    let predicted = analytic_bytes(layout);
-    println!(
-        "validation on a 40-series store: predicted {predicted} bytes, on-disk {actual} bytes"
-    );
+    let path = std::env::temp_dir().join(format!("tsubasa-fig6d-{}.pile", std::process::id()));
+    let engine = ParallelEngine::new(ParallelConfig::default());
+    let writer = PileWriter::create(&path, small.len(), 120).unwrap();
+    let (_, pile) = engine.sketch_to_pile(&small, 120, writer).unwrap();
+    let actual = pile.space_bytes();
+    let predicted = payload_bytes(small.len(), 720 / 120) + 64 * (1 + pile.segment_count() as u64);
+    println!("validation on a 40-series pile: predicted {predicted} bytes, on-disk {actual} bytes");
     assert_eq!(
         actual, predicted,
-        "analytic space formula must match the real store"
+        "analytic space formula must match the real pile"
     );
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&path).ok();
 
     table.print("Figure 6d: sketch-store size vs basic-window size");
     tsubasa_bench::write_json(

@@ -1,13 +1,11 @@
-//! Backend benchmark — one query pipeline, three sketch backends.
+//! Backend benchmark — one query pipeline, two sketch backends.
 //!
 //! The engine's `query`/`network`/`top_k` are written once against the
 //! `CorrSource` trait; this bench times the identical query against each
-//! backend — the in-memory dual sketch, the disk record store, and the
-//! memory-mapped pile — under both query methods, and asserts the answers
-//! agree bit-for-bit while reporting what each backend's serving path costs
-//! (full-table zero-copy sweeps vs chunked record reads).
+//! backend — the in-memory dual sketch and the memory-mapped pile — under
+//! both query methods, and asserts the answers agree bit-for-bit while
+//! reporting what each backend's serving path costs.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tsubasa_bench::{fmt_ms, millis, scaled, workers, Table};
@@ -17,8 +15,7 @@ use tsubasa_data::prelude::*;
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
 use tsubasa_parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
 use tsubasa_serve::mirror_sketches_to_pile;
-use tsubasa_storage::store::persist_sketchset;
-use tsubasa_storage::{DiskSketchStore, PileWriter, SketchStore};
+use tsubasa_storage::PileWriter;
 
 fn time_queries<S: CorrSource + ?Sized>(
     engine: &ParallelEngine,
@@ -48,7 +45,7 @@ fn main() {
     let sweep: Vec<usize> = [100usize, 200].iter().map(|&n| scaled(n, 24)).collect();
 
     println!(
-        "Backend benchmark: one CorrSource pipeline over memory / record store / pile | \
+        "Backend benchmark: one CorrSource pipeline over memory / pile | \
          B={basic_window} | {points} points | theta={theta} | k={k} | {workers} workers"
     );
 
@@ -72,19 +69,6 @@ fn main() {
         let dft =
             DftSketchSet::build(&collection, basic_window, coefficients, Transform::Naive).unwrap();
 
-        // Record store, with both method fields persisted.
-        let layout = ParallelEngine::layout_for(&collection, basic_window).unwrap();
-        let dir =
-            std::env::temp_dir().join(format!("tsubasa-figbackend-{}-{n}", std::process::id()));
-        let store: Arc<dyn SketchStore> = Arc::new(DiskSketchStore::create(&dir, layout).unwrap());
-        let mut dists: Vec<Vec<f64>> = Vec::with_capacity(n * (n - 1) / 2);
-        for a in 0..n {
-            for b in a + 1..n {
-                dists.push(dft.pair_distances(a, b).unwrap().to_vec());
-            }
-        }
-        persist_sketchset(&*store, dft.base(), Some(&dists)).unwrap();
-
         // Pile with correlation and estimate rows mirrored per window.
         let path = std::env::temp_dir().join(format!(
             "tsubasa-figbackend-{}-{n}.pile",
@@ -97,19 +81,14 @@ fn main() {
         for method in [QueryMethod::Exact, QueryMethod::Approximate] {
             let (mem_net_w, mem_top_w, mem_net, mem_top) =
                 time_queries(&engine, &dft, windows, method, theta, k);
-            let (store_net_w, store_top_w, store_net, store_top) =
-                time_queries(&engine, &*store, windows, method, theta, k);
             let (pile_net_w, pile_top_w, pile_net, pile_top) =
                 time_queries(&engine, &pile, windows, method, theta, k);
 
-            assert_eq!(mem_net.edges(), store_net.edges(), "store net {method:?}");
             assert_eq!(mem_net.edges(), pile_net.edges(), "pile net {method:?}");
-            assert_eq!(mem_top.edges, store_top.edges, "store top-k {method:?}");
             assert_eq!(mem_top.edges, pile_top.edges, "pile top-k {method:?}");
 
             for (backend, net_w, top_w) in [
                 ("memory", mem_net_w, mem_top_w),
-                ("record", store_net_w, store_top_w),
                 ("pile", pile_net_w, pile_top_w),
             ] {
                 table.row(vec![
@@ -130,7 +109,6 @@ fn main() {
             }
         }
 
-        std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_file(&path).ok();
     }
 

@@ -3,8 +3,9 @@
 //! Every `benches/figNx_*.rs` target is a stand-alone binary (`harness =
 //! false`) that generates its workload, runs the sweep the corresponding
 //! paper figure reports, prints the series as an aligned text table, and
-//! drops a machine-readable JSON copy under `target/bench-results/` (the
-//! numbers quoted in `EXPERIMENTS.md` come from those files).
+//! drops a machine-readable JSON copy under `target/bench-results/`. (The
+//! repo's regression benchmark is `crates/ledger`, declared in
+//! `BENCHMARK.json`; these binaries reproduce the paper's figures.)
 //!
 //! Scale knobs:
 //!
@@ -118,8 +119,7 @@ impl Table {
     }
 }
 
-/// Write a JSON result blob under `target/bench-results/<name>.json` so that
-/// EXPERIMENTS.md can quote exact numbers.
+/// Write a JSON result blob under `target/bench-results/<name>.json`.
 pub fn write_json(name: &str, value: &serde_json::Value) {
     let dir = results_dir();
     if std::fs::create_dir_all(&dir).is_err() {

@@ -1,5 +1,5 @@
 //! The backend-agnostic sketch **source** abstraction: one query pipeline
-//! over in-memory sketches, record stores, and mapped piles.
+//! over in-memory sketches and mapped piles.
 //!
 //! The paper's query algebra — Lemma 1 exact recombination and the Equation 5
 //! approximate recombination over Equation 3 estimates — only ever needs two
@@ -16,26 +16,26 @@
 //! [`CorrSource`] is exactly that contract. A backend serves the table either
 //! **whole** ([`CorrSource::full_table`] — zero-copy for mapped piles and
 //! in-memory sketches) or **chunk at a time** ([`CorrSource::chunk_table`] —
-//! the record store's batched ranged reads), and declares its capabilities
-//! per [`PlanMethod`] through [`CorrSource::window_count`]. The engines are
-//! written once against this trait; growing a new backend (tiered storage,
-//! replicas, remote piles) means implementing it, not forking the pipeline.
+//! what a DFT sketch falls back to when its estimate table would exceed the
+//! dense budget), and declares its capabilities per [`PlanMethod`] through
+//! [`CorrSource::window_count`]. The engines are written once against this
+//! trait; growing a new backend (tiered storage, replicas, remote piles)
+//! means implementing it, not forking the pipeline.
 //!
 //! # The NaN audit
 //!
 //! Every backend shares one audit convention, implemented in exactly one
 //! place ([`audit_nan_chunk`]): the recombination kernel clamps NaN window
-//! values to the `0.0` convention, so a NaN in the method's table — the
-//! signature of a method-mismatched sketch — would silently produce a
-//! plausible-looking correlation. The audit scans the chunk's table columns
-//! and reports each affected pair to the sink as a one-slot NaN tile, which
-//! the sinks count (never rank or threshold). A NaN table value and a NaN
-//! stored record field are equivalent observations: the exact table *is* the
-//! stored correlation, and the Equation 3 map `1 − d²/2` is NaN iff the
-//! stored distance is. Chunks skipped by Equation 4 pruning are audited only
-//! under the engines' opt-in `audit_pruned_chunks` policy — pruning decides
-//! from per-series statistics alone, so the skipped columns are otherwise
-//! never touched (and, on a mapped pile, never faulted in).
+//! values to the `0.0` convention, so a NaN in the method's table would
+//! silently produce a plausible-looking correlation. The audit scans the
+//! chunk's table columns and reports each affected pair to the sink as a
+//! one-slot NaN tile, which the sinks count (never rank or threshold). (The
+//! Equation 3 map `1 − d²/2` is NaN iff the distance is, so auditing the
+//! estimate table audits the distances.) Chunks skipped by Equation 4
+//! pruning are audited only under the engines' opt-in `audit_pruned_chunks`
+//! policy — pruning decides from per-series statistics alone, so the skipped
+//! columns are otherwise never touched (and, on a mapped pile, never faulted
+//! in).
 
 use std::ops::Range;
 
@@ -47,8 +47,8 @@ use crate::sweep::TileSink;
 
 /// A window-major pair table served by a [`CorrSource`]: either a zero-copy
 /// borrow of the backend's own storage (a mapped pile segment, an in-memory
-/// sketch's flat table) or an owned gathered buffer (spanning pile segments,
-/// or assembled from decoded records). Both present the same [`CorrView`].
+/// sketch's flat table) or an owned buffer (gathered across pile segments,
+/// or mapped from a distance table). Both present the same [`CorrView`].
 pub enum PairTable<'a> {
     /// Zero-copy view straight into the backend's storage.
     Borrowed(CorrView<'a>),
@@ -74,8 +74,8 @@ impl PairTable<'_> {
 /// A sketch backend the unified query pipeline can recombine from.
 ///
 /// Implementations: [`SketchSet`] (exact, in memory), `DftSketchSet` (both
-/// methods, in memory — in `tsubasa-dft`), `dyn SketchStore` (record store)
-/// and `SketchPile` (mapped pile) in `tsubasa-storage`.
+/// methods, in memory — in `tsubasa-dft`) and `SketchPile` (mapped pile, in
+/// `tsubasa-storage`).
 ///
 /// The trait is object-safe: serving layers hold `Arc<dyn CorrSource>`
 /// payloads and the engines take `&S where S: CorrSource + ?Sized`.
@@ -84,10 +84,8 @@ pub trait CorrSource: Send + Sync {
     fn series_count(&self) -> usize;
 
     /// Basic windows answerable under `method` — the capability declaration.
-    /// A backend that cannot distinguish methods (the record store holds one
-    /// record layout for both) reports its full coverage for either; the
-    /// mismatch then surfaces through the NaN audit instead of a typed
-    /// rejection.
+    /// Asking for more (or for a method the backend does not cover at all)
+    /// is a typed [`Error::SketchMismatch`] from [`check_source_windows`].
     fn window_count(&self, method: PlanMethod) -> usize;
 
     /// Whether [`CorrSource::full_table`] can borrow storage directly
@@ -112,9 +110,10 @@ pub trait CorrSource: Send + Sync {
     fn series_stats(&self, windows: Range<usize>) -> Result<Vec<Vec<WindowStats>>>;
 
     /// The full-width pair table for `windows` under `method`, when the
-    /// backend can serve one without per-pair reads — `Ok(None)` for
-    /// backends that only serve chunked reads (the record store), which
-    /// callers answer by streaming [`CorrSource::chunk_table`] instead.
+    /// backend can serve one — `Ok(None)` when it can only serve chunked
+    /// reads (a DFT sketch whose estimate table would exceed the dense
+    /// budget), which callers answer by streaming
+    /// [`CorrSource::chunk_table`] instead.
     fn full_table(
         &self,
         windows: Range<usize>,
@@ -123,8 +122,8 @@ pub trait CorrSource: Send + Sync {
 
     /// The window-major table of one contiguous chunk of packed pairs
     /// (column `p` of the result is `chunk[p]`). The default gathers columns
-    /// from [`CorrSource::full_table`]; backends with batched ranged reads
-    /// (the record store) override it.
+    /// from [`CorrSource::full_table`]; backends that may decline the full
+    /// table override it.
     fn chunk_table(
         &self,
         chunk: &[(usize, usize)],

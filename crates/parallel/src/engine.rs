@@ -2,21 +2,22 @@
 //!
 //! Both phases follow the same shape: the unordered pairs are partitioned
 //! across computation workers ([`crate::partition::partition_pairs`]) that
-//! run on the engine's reusable [`WorkerPool`] (no per-call thread spawning);
-//! during sketching the workers stream [`WriteBatch`]es to the single
-//! database worker, and during querying they read sketch batches back from
-//! the store and write correlations straight into their disjoint slices of
-//! the packed result matrix.
+//! run on the engine's reusable [`WorkerPool`] (no per-call thread spawning).
+//! The engine has one sketch entry point, [`ParallelEngine::sketch_to_pile`]
+//! — the workers fill window-major rows that stream to the single database
+//! worker ([`PileBatchWriter`]) — and one entry point per query
+//! ([`ParallelEngine::query`] / [`ParallelEngine::network`] /
+//! [`ParallelEngine::top_k`]) over any [`CorrSource`]: the mapped pile or an
+//! in-memory sketch. Query workers write correlations straight into their
+//! disjoint slices of the packed result matrix, or drive per-worker sinks.
 //!
 //! Both hot loops are tiled batch kernels over window-major data: the sketch
 //! phase z-normalizes every basic window once and evaluates each pair-window
 //! correlation as a dot product over contiguous rows
-//! ([`tsubasa_core::stats::normalized_dot_corr`]), and the exact query phase
-//! transposes each read batch into a window-major correlation table and
-//! sweeps it with [`QueryPlan::block_kernel`].
+//! ([`tsubasa_core::stats::normalized_dot_corr`]), and the query phase sweeps
+//! the source's window-major table with [`QueryPlan::block_kernel`].
 
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tsubasa_core::capacity::check_dense_budget;
@@ -33,9 +34,6 @@ use tsubasa_core::SeriesCollection;
 use tsubasa_dft::dft::{coefficient_distance, DftPlanner};
 use tsubasa_dft::normalize::normalize_unit_with_stats;
 use tsubasa_storage::pile::{PileBatchWriter, PileSlab, PileWriter, SegmentKind, SketchPile};
-use tsubasa_storage::{
-    BatchWriter, PairWindowRecord, SeriesWindowRecord, SketchStore, StoreLayout, WriteBatch,
-};
 
 use crate::partition::partition_pairs;
 use crate::pool::WorkerPool;
@@ -55,12 +53,13 @@ pub enum SketchMethod {
     },
 }
 
-/// How the query phase turns stored records into correlations.
+/// How the query phase turns stored sketches into correlations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryMethod {
     /// Exact recombination (Lemma 1) from stored per-window correlations.
     Exact,
-    /// Approximate recombination (Equation 5) from stored DFT distances.
+    /// Approximate recombination (Equation 5) from stored Equation 3
+    /// estimates of DFT distances.
     Approximate,
 }
 
@@ -70,18 +69,18 @@ pub struct ParallelConfig {
     /// Number of computation workers (the paper uses 63 plus one database
     /// worker).
     pub workers: usize,
-    /// Number of pairs whose records are grouped into one write batch / one
-    /// ranged read.
+    /// Number of pairs per query chunk (one pruning decision, one sink tile,
+    /// one [`CorrSource::chunk_table`] read); also the slab queue depth of
+    /// the sketch phase's database worker.
     pub batch_pairs: usize,
     /// What the sketch phase computes.
     pub sketch_method: SketchMethod,
-    /// Audit chunks skipped by Equation 4 pruning for NaN records. Pruning
-    /// decides from per-series statistics alone, so a method-mismatched
-    /// record (NaN in the recombined field) hiding in a skippable chunk is
-    /// never read and its pair goes uncounted. With this set, skipped chunks
-    /// are still read and NaN-audited — the tiles stay skipped (no
-    /// recombination work), only the accounting becomes exhaustive, at the
-    /// cost of the store reads pruning would have saved.
+    /// Audit chunks skipped by Equation 4 pruning for NaN table values.
+    /// Pruning decides from per-series statistics alone, so a NaN hiding in
+    /// a skippable chunk is never read and its pair goes uncounted. With
+    /// this set, skipped chunks are still read and NaN-audited — the tiles
+    /// stay skipped (no recombination work), only the accounting becomes
+    /// exhaustive, at the cost of the reads pruning would have saved.
     pub audit_pruned_chunks: bool,
 }
 
@@ -102,8 +101,8 @@ impl Default for ParallelConfig {
 /// The parallel, disk-based TSUBASA engine.
 ///
 /// The engine owns a reusable [`WorkerPool`] sized to its configured worker
-/// count: every [`ParallelEngine::sketch_to_store`] and
-/// [`ParallelEngine::query_from_store`] call runs its computation workers on
+/// count: every [`ParallelEngine::sketch_to_pile`] and
+/// [`ParallelEngine::query`] call runs its computation workers on
 /// those long-lived threads, so back-to-back phases (and repeated queries)
 /// pay thread startup once per engine instead of once per call.
 #[derive(Debug)]
@@ -131,66 +130,77 @@ impl ParallelEngine {
         &self.pool
     }
 
-    /// The store layout required to hold the sketch of `collection` at the
-    /// given basic-window size.
-    pub fn layout_for(collection: &SeriesCollection, basic_window: usize) -> Result<StoreLayout> {
-        let windowing = BasicWindowing::new(basic_window)?;
-        Ok(StoreLayout {
-            n_series: collection.len(),
-            n_windows: windowing.complete_windows(collection.series_len()),
-            basic_window,
-        })
-    }
-
-    /// Sketch `collection` into `store` using the configured number of
-    /// computation workers plus one database worker, and report the timing
-    /// breakdown (Figure 6a).
-    pub fn sketch_to_store(
+    /// Sketch `collection` into a fresh pile using the configured number of
+    /// computation workers plus one database worker, and return the mapped
+    /// result alongside the timing breakdown (Figure 6a).
+    ///
+    /// The per-series pass computes every window's statistics (and, per
+    /// method, its z-normalized rows or DFT coefficients) once; the pair pass
+    /// proceeds one window at a time, with the computation workers filling
+    /// disjoint carved slices of the full-width window row, which is then
+    /// streamed (in window order) to the pile's database worker as one
+    /// coalescable slab. Under [`SketchMethod::Dft`] the pile stores the
+    /// Equation 3 estimates `1 − d²/2` rather than the distances, which is
+    /// what makes approximate queries zero-copy too.
+    pub fn sketch_to_pile(
         &self,
         collection: &SeriesCollection,
         basic_window: usize,
-        store: Arc<dyn SketchStore>,
-    ) -> Result<SketchReport> {
+        writer: PileWriter,
+    ) -> Result<(SketchReport, SketchPile)> {
         let wall_start = Instant::now();
-        let layout = store.layout();
-        let expected = Self::layout_for(collection, basic_window)?;
-        if layout != expected {
+        let windowing = BasicWindowing::new(basic_window)?;
+        let n = collection.len();
+        let ns = windowing.complete_windows(collection.series_len());
+        let fresh = SegmentKind::ALL.iter().all(|&k| writer.coverage(k) == 0);
+        if writer.n_series() != n || writer.basic_window() != basic_window || !fresh {
             return Err(Error::SketchMismatch {
-                requested: format!("{expected:?}"),
-                available: format!("{layout:?}"),
+                requested: format!(
+                    "fresh pile(n_series={n}, basic_window={basic_window}) for {ns} windows"
+                ),
+                available: format!(
+                    "pile(n_series={}, basic_window={}, windows appended={})",
+                    writer.n_series(),
+                    writer.basic_window(),
+                    !fresh
+                ),
             });
         }
-        let windowing = BasicWindowing::new(basic_window)?;
-        let ns = layout.n_windows;
-        let n = collection.len();
         if ns == 0 {
             return Err(Error::InvalidBasicWindow {
                 window: basic_window,
                 series_len: collection.series_len(),
             });
         }
-
-        let writer = BatchWriter::spawn(store, self.config.batch_pairs.max(1));
-        let mut compute_time = Duration::ZERO;
         let bw = basic_window;
         let exact = matches!(self.config.sketch_method, SketchMethod::Exact);
 
-        // Per-series pass: window statistics, the window-major z-normalized
-        // copy of the data for the exact tiled kernel, and (for the DFT
-        // comparator) the coefficients of every normalized window. All of it
-        // is shared read-only with the pair workers below.
+        let batch = PileBatchWriter::spawn(writer, self.config.batch_pairs.max(1));
+        let mut compute_time = Duration::ZERO;
+
+        // Per-series pass: window statistics as one window-major slab for
+        // the pile, the window-major z-normalized copy of the data for the
+        // exact tiled kernel (`z[(w·n + i)·B ..]` is basic window `w` of
+        // series `i`, so a pair's window correlation is one dot product over
+        // two contiguous rows), and (for the DFT comparator) the
+        // coefficients of every normalized window. All of it is shared
+        // read-only with the pair workers below.
         let per_series_start = Instant::now();
         let mut series_coeffs: Vec<Vec<Vec<tsubasa_dft::dft::Complex>>> = Vec::new();
-        // z[(w·n + i)·B ..] is basic window `w` of series `i`, z-scored; a
-        // pair's window correlation is then one dot product over two
-        // contiguous rows instead of a centered cross-product over raw data.
         let mut z = vec![0.0f64; if exact { ns * n * bw } else { 0 }];
+        let mut stats_rows = vec![0.0f64; ns * n * 3];
         let planner = DftPlanner::new(bw);
         for (id, series) in collection.iter_with_ids() {
             let values = series.values();
             let stats: Vec<WindowStats> = (0..ns)
                 .map(|w| WindowStats::from_values(windowing.window_span(w).slice(values)))
                 .collect();
+            for (w, st) in stats.iter().enumerate() {
+                let base = (w * n + id) * 3;
+                stats_rows[base] = st.len as f64;
+                stats_rows[base + 1] = st.mean;
+                stats_rows[base + 2] = st.std;
+            }
             if exact {
                 for (w, st) in stats.iter().enumerate() {
                     let span = windowing.window_span(w);
@@ -207,109 +217,92 @@ impl ParallelEngine {
                     .collect();
                 series_coeffs.push(coeffs);
             }
-            // Stream the per-series records to the database worker.
-            let records: Vec<SeriesWindowRecord> = stats
-                .iter()
-                .enumerate()
-                .map(|(w, st)| SeriesWindowRecord::from_stats(id, w, st))
-                .collect();
-            writer
-                .sender()
-                .send(WriteBatch {
-                    series: records,
-                    pairs: vec![],
-                })
-                .map_err(|_| Error::Storage("database worker hung up".into()))?;
         }
         compute_time += per_series_start.elapsed();
+        batch
+            .sender()
+            .send(PileSlab::Stats(stats_rows))
+            .map_err(|_| Error::Storage("pile writer hung up".into()))?;
 
-        // Pair pass: partitioned across the pool's computation workers.
+        // Pair pass, window at a time: workers fill disjoint carved slices of
+        // the full-width packed row, preserving the strict window order the
+        // pile's append discipline requires.
         let partitions = partition_pairs(n, self.config.workers.max(1));
         let pair_count: usize = partitions.iter().map(|p| p.len()).sum();
-        let batch_pairs = self.config.batch_pairs.max(1);
         let method = self.config.sketch_method;
         let z_ref = &z;
-        let series_coeffs = &series_coeffs;
-
-        let live: Vec<_> = partitions.iter().filter(|p| !p.is_empty()).collect();
-        let mut outcomes: Vec<Result<Duration>> =
-            (0..live.len()).map(|_| Ok(Duration::ZERO)).collect();
-        let jobs: Vec<Job<'_>> = live
-            .iter()
-            .zip(outcomes.iter_mut())
-            .map(|(part, outcome)| {
-                let sender = writer.sender();
-                let part = *part;
-                Box::new(move || {
-                    *outcome = (|| -> Result<Duration> {
-                        let mut busy = Duration::ZERO;
-                        let mut batch = WriteBatch::default();
-                        for &(a, b) in &part.pairs {
+        let coeffs_ref = &series_coeffs;
+        for w in 0..ns {
+            if pair_count == 0 {
+                break;
+            }
+            let mut row = vec![0.0f64; pair_count];
+            {
+                let slices = tsubasa_core::plan::carve_packed_slices(
+                    &mut row,
+                    partitions.iter().map(|p| p.len()),
+                );
+                let live: Vec<_> = partitions
+                    .iter()
+                    .zip(slices)
+                    .filter(|(p, _)| !p.is_empty())
+                    .collect();
+                let mut outcomes: Vec<Duration> = vec![Duration::ZERO; live.len()];
+                let jobs: Vec<Job<'_>> = live
+                    .into_iter()
+                    .zip(outcomes.iter_mut())
+                    .map(|((part, slice), busy)| {
+                        Box::new(move || {
                             let start = Instant::now();
-                            for w in 0..ns {
-                                let record = match method {
+                            for (slot, &(a, b)) in slice.iter_mut().zip(&part.pairs) {
+                                *slot = match method {
                                     SketchMethod::Exact => {
-                                        // Tiled kernel: both rows of the pair
-                                        // are contiguous z-scored slices of
-                                        // the shared window-major buffer.
                                         let za = &z_ref[(w * n + a) * bw..(w * n + a + 1) * bw];
                                         let zb = &z_ref[(w * n + b) * bw..(w * n + b + 1) * bw];
-                                        PairWindowRecord {
-                                            a: a as u32,
-                                            b: b as u32,
-                                            window: w as u32,
-                                            corr: normalized_dot_corr(za, zb),
-                                            dft_dist: f64::NAN,
-                                        }
+                                        normalized_dot_corr(za, zb)
                                     }
                                     SketchMethod::Dft { coefficients } => {
                                         let d = coefficient_distance(
-                                            &series_coeffs[a][w],
-                                            &series_coeffs[b][w],
+                                            &coeffs_ref[a][w],
+                                            &coeffs_ref[b][w],
                                             coefficients,
                                         );
-                                        PairWindowRecord {
-                                            a: a as u32,
-                                            b: b as u32,
-                                            window: w as u32,
-                                            corr: f64::NAN,
-                                            dft_dist: d,
-                                        }
+                                        1.0 - d * d / 2.0
                                     }
                                 };
-                                batch.pairs.push(record);
                             }
-                            busy += start.elapsed();
-                            if batch.pairs.len() >= batch_pairs * ns {
-                                let full = std::mem::take(&mut batch);
-                                sender.send(full).map_err(|_| {
-                                    Error::Storage("database worker hung up".into())
-                                })?;
-                            }
-                        }
-                        if !batch.is_empty() {
-                            sender
-                                .send(batch)
-                                .map_err(|_| Error::Storage("database worker hung up".into()))?;
-                        }
-                        Ok(busy)
-                    })();
-                }) as Job<'_>
-            })
-            .collect();
-        self.pool.run_jobs(jobs);
-        for outcome in outcomes {
-            compute_time += outcome?;
+                            *busy = start.elapsed();
+                        }) as Job<'_>
+                    })
+                    .collect();
+                self.pool.run_jobs(jobs);
+                for busy in outcomes {
+                    compute_time += busy;
+                }
+            }
+            let slab = if exact {
+                PileSlab::Corrs(row)
+            } else {
+                PileSlab::Ests(row)
+            };
+            batch
+                .sender()
+                .send(slab)
+                .map_err(|_| Error::Storage("pile writer hung up".into()))?;
         }
-        let writer_stats = writer.finish()?;
 
-        Ok(SketchReport {
-            workers: self.config.workers.max(1),
-            pairs: pair_count,
-            compute_time,
-            write_time: writer_stats.write_time,
-            wall_time: wall_start.elapsed(),
-        })
+        let (writer_stats, writer) = batch.finish()?;
+        let pile = writer.into_pile()?;
+        Ok((
+            SketchReport {
+                workers: self.config.workers.max(1),
+                pairs: pair_count,
+                compute_time,
+                write_time: writer_stats.write_time,
+                wall_time: wall_start.elapsed(),
+            },
+            pile,
+        ))
     }
 
     /// The plan-level method a query method recombines with.
@@ -321,9 +314,8 @@ impl ParallelEngine {
     }
 
     /// Build the all-pair correlation matrix for an aligned range of basic
-    /// windows from **any** [`CorrSource`] — in-memory sketches, the record
-    /// store, or a mapped pile — and report the read/compute breakdown
-    /// (Figure 6b).
+    /// windows from **any** [`CorrSource`] — in-memory sketches or a mapped
+    /// pile — and report the read/compute breakdown (Figure 6b).
     ///
     /// The per-series statistics are fetched once and folded into a single
     /// read-only [`QueryPlan`] shared by every worker; each worker owns a
@@ -332,9 +324,10 @@ impl ParallelEngine {
     /// assembled without any merge step. Sources that serve a full-width
     /// window-major table ([`CorrSource::full_table`]: in-memory sketches,
     /// mapped piles) are swept in place with global pair offsets; chunked
-    /// sources (the record store) are read batch by batch through
-    /// [`CorrSource::chunk_table`]. The kernel's per-pair accumulation is
-    /// independent of tiling, so the two shapes are bit-identical.
+    /// sources (a DFT sketch whose estimate table exceeds the dense budget)
+    /// are read batch by batch through [`CorrSource::chunk_table`]. The
+    /// kernel's per-pair accumulation is independent of tiling, so the two
+    /// shapes are bit-identical.
     pub fn query<S: CorrSource + ?Sized>(
         &self,
         source: &S,
@@ -428,11 +421,10 @@ impl ParallelEngine {
                             }
                             out.compute += t1.elapsed();
                         } else {
-                            // Chunked source: consecutive pairs of a
-                            // partition are contiguous on disk, so the store
-                            // serves a batch with a single ranged read; the
-                            // chunk table arrives already window-major for
-                            // the batch kernel.
+                            // Chunked source: one `chunk_table` read per
+                            // batch of consecutive pairs; the chunk table
+                            // arrives already window-major for the batch
+                            // kernel.
                             let mut cursor = 0;
                             for chunk in part.pairs.chunks(batch_pairs) {
                                 let t0 = Instant::now();
@@ -497,8 +489,8 @@ impl ParallelEngine {
     /// *before* their table columns are touched when their Equation 4
     /// per-tile correlation upper bound cannot reach θ — the paper's pruning
     /// radius applied at I/O granularity (a pruned chunk is neither read
-    /// from a store nor faulted in from a mapping). The exact path observes
-    /// every pair, so its NaN audit (method-mismatched sketches, counted per
+    /// from a chunked source nor faulted in from a mapping). The exact path
+    /// observes every pair, so its NaN audit (NaN table values, counted per
     /// pair and exposed through [`EdgeList::nan_pair_count`]) is exhaustive;
     /// pruned approximate chunks are audited only under
     /// [`ParallelConfig::audit_pruned_chunks`].
@@ -659,257 +651,6 @@ impl ParallelEngine {
             },
         ))
     }
-
-    /// [`ParallelEngine::query`] against a record store — a thin wrapper
-    /// over the unified source pipeline.
-    pub fn query_from_store(
-        &self,
-        store: Arc<dyn SketchStore>,
-        windows: Range<usize>,
-        method: QueryMethod,
-    ) -> Result<(CorrelationMatrix, QueryReport)> {
-        self.query(&*store, windows, method)
-    }
-
-    /// [`ParallelEngine::network`] against a record store — a thin wrapper
-    /// over the unified source pipeline.
-    pub fn network_from_store(
-        &self,
-        store: Arc<dyn SketchStore>,
-        windows: Range<usize>,
-        method: QueryMethod,
-        theta: f64,
-    ) -> Result<(EdgeList, QueryReport)> {
-        self.network(&*store, windows, method, theta)
-    }
-
-    /// [`ParallelEngine::top_k`] against a record store — a thin wrapper
-    /// over the unified source pipeline.
-    pub fn top_k_from_store(
-        &self,
-        store: Arc<dyn SketchStore>,
-        windows: Range<usize>,
-        method: QueryMethod,
-        k: usize,
-    ) -> Result<(TopK, QueryReport)> {
-        self.top_k(&*store, windows, method, k)
-    }
-
-    /// [`ParallelEngine::query`] against a mapped pile — a thin wrapper over
-    /// the unified source pipeline (the pile serves its full-width table
-    /// zero-copy, so the sweep never deserializes a record).
-    pub fn query_from_pile(
-        &self,
-        pile: &SketchPile,
-        windows: Range<usize>,
-        method: QueryMethod,
-    ) -> Result<(CorrelationMatrix, QueryReport)> {
-        self.query(pile, windows, method)
-    }
-
-    /// [`ParallelEngine::network`] against a mapped pile — a thin wrapper
-    /// over the unified source pipeline.
-    pub fn network_from_pile(
-        &self,
-        pile: &SketchPile,
-        windows: Range<usize>,
-        method: QueryMethod,
-        theta: f64,
-    ) -> Result<(EdgeList, QueryReport)> {
-        self.network(pile, windows, method, theta)
-    }
-
-    /// [`ParallelEngine::top_k`] against a mapped pile — a thin wrapper over
-    /// the unified source pipeline.
-    pub fn top_k_from_pile(
-        &self,
-        pile: &SketchPile,
-        windows: Range<usize>,
-        method: QueryMethod,
-        k: usize,
-    ) -> Result<(TopK, QueryReport)> {
-        self.top_k(pile, windows, method, k)
-    }
-}
-
-/// The pile-bound sketch phase: the same partitioned computation as
-/// [`ParallelEngine::sketch_to_store`], streaming window-major slabs to the
-/// pile's database worker instead of record batches. (Pile *queries* go
-/// through the unified [`CorrSource`] pipeline above — the pile serves
-/// zero-copy full-width tables, so no pile-specific query code survives.)
-impl ParallelEngine {
-    /// Sketch `collection` into a fresh pile through the threaded pile
-    /// writer, and return the mapped result alongside the timing breakdown.
-    ///
-    /// The per-series pass is identical to [`ParallelEngine::sketch_to_store`];
-    /// the pair pass proceeds one window at a time, with the computation
-    /// workers filling disjoint carved slices of the full-width window row,
-    /// which is then streamed (in window order) to the pile's database
-    /// worker as one coalescable slab — window-major slabs instead of
-    /// random-offset records. Under [`SketchMethod::Dft`] the pile stores the
-    /// Equation 3 estimates `1 − d²/2` (computed here with the exact
-    /// expression the record-store query path applies to stored distances, so
-    /// the two paths stay bit-identical), which is what makes approximate
-    /// queries zero-copy too.
-    pub fn sketch_to_pile(
-        &self,
-        collection: &SeriesCollection,
-        basic_window: usize,
-        writer: PileWriter,
-    ) -> Result<(SketchReport, SketchPile)> {
-        let wall_start = Instant::now();
-        let expected = Self::layout_for(collection, basic_window)?;
-        let fresh = SegmentKind::ALL.iter().all(|&k| writer.coverage(k) == 0);
-        if writer.n_series() != expected.n_series
-            || writer.basic_window() != expected.basic_window
-            || !fresh
-        {
-            return Err(Error::SketchMismatch {
-                requested: format!("fresh pile for {expected:?}"),
-                available: format!(
-                    "pile(n_series={}, basic_window={}, windows appended={})",
-                    writer.n_series(),
-                    writer.basic_window(),
-                    !fresh
-                ),
-            });
-        }
-        let windowing = BasicWindowing::new(basic_window)?;
-        let ns = expected.n_windows;
-        let n = collection.len();
-        if ns == 0 {
-            return Err(Error::InvalidBasicWindow {
-                window: basic_window,
-                series_len: collection.series_len(),
-            });
-        }
-        let bw = basic_window;
-        let exact = matches!(self.config.sketch_method, SketchMethod::Exact);
-
-        let batch = PileBatchWriter::spawn(writer, self.config.batch_pairs.max(1));
-        let mut compute_time = Duration::ZERO;
-
-        // Per-series pass: same statistics / z-rows / coefficients as the
-        // record path, plus one window-major stats slab for the pile.
-        let per_series_start = Instant::now();
-        let mut series_coeffs: Vec<Vec<Vec<tsubasa_dft::dft::Complex>>> = Vec::new();
-        let mut z = vec![0.0f64; if exact { ns * n * bw } else { 0 }];
-        let mut stats_rows = vec![0.0f64; ns * n * 3];
-        let planner = DftPlanner::new(bw);
-        for (id, series) in collection.iter_with_ids() {
-            let values = series.values();
-            let stats: Vec<WindowStats> = (0..ns)
-                .map(|w| WindowStats::from_values(windowing.window_span(w).slice(values)))
-                .collect();
-            for (w, st) in stats.iter().enumerate() {
-                let base = (w * n + id) * 3;
-                stats_rows[base] = st.len as f64;
-                stats_rows[base + 1] = st.mean;
-                stats_rows[base + 2] = st.std;
-            }
-            if exact {
-                for (w, st) in stats.iter().enumerate() {
-                    let span = windowing.window_span(w);
-                    let row = &mut z[(w * n + id) * bw..(w * n + id + 1) * bw];
-                    normalize_into(span.slice(values), st, row);
-                }
-            }
-            if let SketchMethod::Dft { coefficients: _ } = self.config.sketch_method {
-                let coeffs = (0..ns)
-                    .map(|w| {
-                        let span = windowing.window_span(w);
-                        planner.transform(&normalize_unit_with_stats(span.slice(values), &stats[w]))
-                    })
-                    .collect();
-                series_coeffs.push(coeffs);
-            }
-        }
-        compute_time += per_series_start.elapsed();
-        batch
-            .sender()
-            .send(PileSlab::Stats(stats_rows))
-            .map_err(|_| Error::Storage("pile writer hung up".into()))?;
-
-        // Pair pass, window at a time: workers fill disjoint carved slices of
-        // the full-width packed row, preserving the strict window order the
-        // pile's append discipline requires.
-        let partitions = partition_pairs(n, self.config.workers.max(1));
-        let pair_count: usize = partitions.iter().map(|p| p.len()).sum();
-        let method = self.config.sketch_method;
-        let z_ref = &z;
-        let coeffs_ref = &series_coeffs;
-        for w in 0..ns {
-            if pair_count == 0 {
-                break;
-            }
-            let mut row = vec![0.0f64; pair_count];
-            {
-                let slices = tsubasa_core::plan::carve_packed_slices(
-                    &mut row,
-                    partitions.iter().map(|p| p.len()),
-                );
-                let live: Vec<_> = partitions
-                    .iter()
-                    .zip(slices)
-                    .filter(|(p, _)| !p.is_empty())
-                    .collect();
-                let mut outcomes: Vec<Duration> = vec![Duration::ZERO; live.len()];
-                let jobs: Vec<Job<'_>> = live
-                    .into_iter()
-                    .zip(outcomes.iter_mut())
-                    .map(|((part, slice), busy)| {
-                        Box::new(move || {
-                            let start = Instant::now();
-                            for (slot, &(a, b)) in slice.iter_mut().zip(&part.pairs) {
-                                *slot = match method {
-                                    SketchMethod::Exact => {
-                                        let za = &z_ref[(w * n + a) * bw..(w * n + a + 1) * bw];
-                                        let zb = &z_ref[(w * n + b) * bw..(w * n + b + 1) * bw];
-                                        normalized_dot_corr(za, zb)
-                                    }
-                                    SketchMethod::Dft { coefficients } => {
-                                        let d = coefficient_distance(
-                                            &coeffs_ref[a][w],
-                                            &coeffs_ref[b][w],
-                                            coefficients,
-                                        );
-                                        1.0 - d * d / 2.0
-                                    }
-                                };
-                            }
-                            *busy = start.elapsed();
-                        }) as Job<'_>
-                    })
-                    .collect();
-                self.pool.run_jobs(jobs);
-                for busy in outcomes {
-                    compute_time += busy;
-                }
-            }
-            let slab = if exact {
-                PileSlab::Corrs(row)
-            } else {
-                PileSlab::Ests(row)
-            };
-            batch
-                .sender()
-                .send(slab)
-                .map_err(|_| Error::Storage("pile writer hung up".into()))?;
-        }
-
-        let (writer_stats, writer) = batch.finish()?;
-        let pile = writer.into_pile()?;
-        Ok((
-            SketchReport {
-                workers: self.config.workers.max(1),
-                pairs: pair_count,
-                compute_time,
-                write_time: writer_stats.write_time,
-                wall_time: wall_start.elapsed(),
-            },
-            pile,
-        ))
-    }
 }
 
 /// Per-worker timing of one streamed partition sweep.
@@ -923,15 +664,14 @@ struct StreamedOut {
 /// single body behind every streamed backend. With a full-width table
 /// (`full` is `Some`: in-memory sketches, mapped piles) the chunks are swept
 /// in place with global pair offsets and nothing is ever copied; without one
-/// (the record store) each chunk is fetched through
-/// [`CorrSource::chunk_table`] — one ranged read — and swept with
-/// chunk-local offsets. Working memory is one chunk's table (chunked shape
+/// (a DFT sketch past the dense budget) each chunk is fetched through
+/// [`CorrSource::chunk_table`] and swept with chunk-local offsets. Working memory is one chunk's table (chunked shape
 /// only) plus one `batch_pairs`-sized output tile — never the partition's
 /// (let alone the triangle's) full size.
 ///
 /// Equation 4 chunk pruning is decided from per-series statistics alone: a
 /// skipped chunk's columns are never dereferenced (no page faults on a
-/// mapping) or read (no store I/O). Under `audit_pruned` the skipped chunk
+/// mapping) or read (no chunk fetch). Under `audit_pruned` the skipped chunk
 /// is still NaN-audited through the shared hook — the tiles stay skipped,
 /// only the accounting becomes exhaustive, at the cost of the reads pruning
 /// would have saved.
@@ -1016,10 +756,9 @@ fn sweep_source_partition<S: CorrSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsubasa_core::{baseline, QueryWindow};
+    use tsubasa_core::{baseline, QueryWindow, SketchSet};
     use tsubasa_data::station::{generate_ncea_like, NceaLikeConfig};
     use tsubasa_dft::sketch::{DftSketchSet, Transform};
-    use tsubasa_storage::{DiskSketchStore, MemorySketchStore};
 
     fn small_collection() -> SeriesCollection {
         generate_ncea_like(&NceaLikeConfig {
@@ -1042,19 +781,38 @@ mod tests {
         })
     }
 
+    fn temp_pile(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!(
+            "tsubasa-engine-pile-{}-{tag}.pile",
+            std::process::id()
+        ))
+    }
+
+    /// Sketch `c` into a fresh pile at a per-test temp path (unlinked right
+    /// away: the returned mapping keeps the file alive).
+    fn sketch(
+        eng: &ParallelEngine,
+        c: &SeriesCollection,
+        b: usize,
+        tag: &str,
+    ) -> (SketchReport, SketchPile) {
+        let path = temp_pile(tag);
+        let writer = PileWriter::create(&path, c.len(), b).unwrap();
+        let out = eng.sketch_to_pile(c, b, writer).unwrap();
+        std::fs::remove_file(&path).ok();
+        out
+    }
+
     #[test]
-    fn parallel_exact_matches_baseline_via_memory_store() {
+    fn parallel_exact_matches_baseline_via_pile() {
         let c = small_collection();
-        let b = 50;
-        let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
-        let eng = engine(4, SketchMethod::Exact);
-        let report = eng.sketch_to_store(&c, b, store.clone()).unwrap();
+        let eng = engine(3, SketchMethod::Exact);
+        let (report, pile) = sketch(&eng, &c, 60, "baseline");
         assert_eq!(report.pairs, c.pair_count());
         assert!(report.wall_time > Duration::ZERO);
 
         let (matrix, qreport) = eng
-            .query_from_store(store, 0..layout.n_windows, QueryMethod::Exact)
+            .query(&pile, 0..pile.exact_query_windows(), QueryMethod::Exact)
             .unwrap();
         assert_eq!(qreport.pairs, c.pair_count());
         let query = QueryWindow::new(599, 600).unwrap();
@@ -1067,22 +825,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_exact_matches_baseline_via_disk_store() {
+    fn parallel_exact_matches_baseline_via_memory_sketch() {
         let c = small_collection();
-        let b = 60;
-        let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("tsubasa-parallel-test-{}", std::process::id()));
-        let store = Arc::new(DiskSketchStore::create(&dir, layout).unwrap());
-        let eng = engine(3, SketchMethod::Exact);
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
-        let (matrix, _) = eng
-            .query_from_store(store, 0..layout.n_windows, QueryMethod::Exact)
+        let sk = SketchSet::build(&c, 50).unwrap();
+        let eng = engine(4, SketchMethod::Exact);
+        let (matrix, qreport) = eng
+            .query(&sk, 0..sk.window_count(), QueryMethod::Exact)
             .unwrap();
+        assert_eq!(qreport.pairs, c.pair_count());
         let query = QueryWindow::new(599, 600).unwrap();
         let direct = baseline::correlation_matrix(&c, query).unwrap();
         assert!(matrix.max_abs_diff(&direct) < 1e-9);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1090,34 +843,35 @@ mod tests {
         let c = small_collection();
         let b = 50;
         let coeff = 20;
-        let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
         let eng = engine(
             4,
             SketchMethod::Dft {
                 coefficients: coeff,
             },
         );
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
+        let (_, pile) = sketch(&eng, &c, b, "dft-serial");
+        let ns = pile.approx_query_windows();
+        assert_eq!(ns, 600 / b);
+        assert_eq!(pile.exact_query_windows(), 0);
 
+        // The stored rows are the Equation 3 estimates of the serial
+        // sketch's distances.
         let serial = DftSketchSet::build(&c, b, coeff, Transform::Naive).unwrap();
+        let table = pile.pair_table(0..ns, SegmentKind::PairEsts).unwrap();
         for (i, j) in c.pairs() {
-            let stored = store.read_pair(i, j, 0..layout.n_windows).unwrap();
             let expected = serial.pair_distances(i, j).unwrap();
-            for (r, e) in stored.iter().zip(expected) {
-                assert!((r.dft_dist - e).abs() < 1e-9);
-                assert!(r.corr.is_nan());
+            for (w, d) in expected.iter().enumerate() {
+                let stored = table.view().window_row(w)[pair_index(i, j, c.len())];
+                assert!((stored - (1.0 - d * d / 2.0)).abs() < 1e-9);
             }
         }
 
-        // Approximate query over the stored distances equals the serial
+        // Approximate query over the stored estimates equals the serial
         // Equation 5 path.
-        let (matrix, _) = eng
-            .query_from_store(store, 0..layout.n_windows, QueryMethod::Approximate)
-            .unwrap();
+        let (matrix, _) = eng.query(&pile, 0..ns, QueryMethod::Approximate).unwrap();
         let serial_matrix = tsubasa_dft::approx::approximate_correlation_matrix(
             &serial,
-            0..layout.n_windows,
+            0..ns,
             tsubasa_dft::approx::ApproxStrategy::Equation5,
         )
         .unwrap();
@@ -1127,64 +881,42 @@ mod tests {
     #[test]
     fn worker_count_does_not_change_the_result() {
         let c = small_collection();
-        let b = 100;
-        let layout = ParallelEngine::layout_for(&c, b).unwrap();
         let mut matrices = Vec::new();
         for workers in [1, 2, 5] {
-            let store = Arc::new(MemorySketchStore::new(layout));
             let eng = engine(workers, SketchMethod::Exact);
-            eng.sketch_to_store(&c, b, store.clone()).unwrap();
-            let (m, report) = eng
-                .query_from_store(store, 0..layout.n_windows, QueryMethod::Exact)
-                .unwrap();
+            let (_, pile) = sketch(&eng, &c, 100, &format!("workers-{workers}"));
+            let (m, report) = eng.query(&pile, 0..6, QueryMethod::Exact).unwrap();
             assert_eq!(report.workers, workers);
             matrices.push(m);
         }
-        assert!(matrices[0].max_abs_diff(&matrices[1]) < 1e-12);
-        assert!(matrices[1].max_abs_diff(&matrices[2]) < 1e-12);
+        assert_eq!(matrices[0], matrices[1]);
+        assert_eq!(matrices[1], matrices[2]);
     }
 
     #[test]
     fn engine_pool_is_reused_across_repeated_queries() {
         let c = small_collection();
-        let b = 100;
-        let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
         let eng = engine(3, SketchMethod::Exact);
         assert_eq!(eng.pool().size(), 3);
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
+        let (_, pile) = sketch(&eng, &c, 100, "reuse");
         // Repeated queries run on the same pool threads and agree exactly.
-        let (first, _) = eng
-            .query_from_store(store.clone(), 0..layout.n_windows, QueryMethod::Exact)
-            .unwrap();
+        let (first, _) = eng.query(&pile, 0..6, QueryMethod::Exact).unwrap();
         for _ in 0..3 {
-            let (again, report) = eng
-                .query_from_store(store.clone(), 0..layout.n_windows, QueryMethod::Exact)
-                .unwrap();
+            let (again, report) = eng.query(&pile, 0..6, QueryMethod::Exact).unwrap();
             assert_eq!(first, again);
             assert_eq!(report.workers, 3);
         }
     }
 
     #[test]
-    fn network_from_store_matches_dense_threshold() {
+    fn network_matches_dense_threshold() {
         let c = small_collection();
-        let b = 50;
-        let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
         let eng = engine(3, SketchMethod::Exact);
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
-        let (dense, _) = eng
-            .query_from_store(store.clone(), 0..layout.n_windows, QueryMethod::Exact)
-            .unwrap();
+        let (_, pile) = sketch(&eng, &c, 50, "network");
+        let (dense, _) = eng.query(&pile, 0..12, QueryMethod::Exact).unwrap();
         for theta in [-0.2, 0.0, 0.4, 0.85] {
             let (streamed, report) = eng
-                .network_from_store(
-                    store.clone(),
-                    0..layout.n_windows,
-                    QueryMethod::Exact,
-                    theta,
-                )
+                .network(&pile, 0..12, QueryMethod::Exact, theta)
                 .unwrap();
             assert_eq!(report.pairs, c.pair_count());
             assert_eq!(
@@ -1194,30 +926,18 @@ mod tests {
             );
             assert_eq!(streamed.nan_pair_count(), 0);
         }
-        assert!(eng
-            .network_from_store(store, 0..layout.n_windows, QueryMethod::Exact, 1.5)
-            .is_err());
+        assert!(eng.network(&pile, 0..12, QueryMethod::Exact, 1.5).is_err());
     }
 
     #[test]
-    fn approximate_network_from_store_matches_dense_and_prunes_reads() {
+    fn approximate_network_matches_dense_and_prunes_reads() {
         let c = small_collection();
-        let b = 60;
-        let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
         let eng = engine(2, SketchMethod::Dft { coefficients: 10 });
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
-        let (dense, _) = eng
-            .query_from_store(store.clone(), 0..layout.n_windows, QueryMethod::Approximate)
-            .unwrap();
+        let (_, pile) = sketch(&eng, &c, 60, "approx-network");
+        let (dense, _) = eng.query(&pile, 0..10, QueryMethod::Approximate).unwrap();
         for theta in [0.0, 0.5, 0.99] {
             let (streamed, _) = eng
-                .network_from_store(
-                    store.clone(),
-                    0..layout.n_windows,
-                    QueryMethod::Approximate,
-                    theta,
-                )
+                .network(&pile, 0..10, QueryMethod::Approximate, theta)
                 .unwrap();
             // Chunk pruning may skip reads, never edges: the edge set equals
             // the dense strict threshold exactly.
@@ -1230,26 +950,19 @@ mod tests {
     }
 
     #[test]
-    fn top_k_from_store_matches_sorted_dense() {
+    fn top_k_matches_sorted_dense() {
         let c = small_collection();
-        let b = 50;
         let n = c.len();
-        let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
         let eng = engine(4, SketchMethod::Exact);
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
-        let (dense, _) = eng
-            .query_from_store(store.clone(), 0..layout.n_windows, QueryMethod::Exact)
-            .unwrap();
+        let (_, pile) = sketch(&eng, &c, 50, "top-k");
+        let (dense, _) = eng.query(&pile, 0..12, QueryMethod::Exact).unwrap();
         let mut all: Vec<(usize, usize, f64)> = dense.iter_pairs().collect();
         all.sort_by(|x, y| {
             y.2.total_cmp(&x.2)
                 .then_with(|| pair_index(x.0, x.1, n).cmp(&pair_index(y.0, y.1, n)))
         });
         for k in [0, 1, 7, 45, 100] {
-            let (top, _) = eng
-                .top_k_from_store(store.clone(), 0..layout.n_windows, QueryMethod::Exact, k)
-                .unwrap();
+            let (top, _) = eng.top_k(&pile, 0..12, QueryMethod::Exact, k).unwrap();
             assert_eq!(top.edges.len(), k.min(all.len()), "k={k}");
             for (got, want) in top.edges.iter().zip(&all) {
                 assert_eq!((got.i, got.j), (want.0, want.1), "k={k}");
@@ -1259,40 +972,16 @@ mod tests {
     }
 
     #[test]
-    fn method_mismatched_store_is_audited_not_silent() {
-        // Sketch with the DFT method, query with Exact: every stored `corr`
-        // field is NaN, the kernel clamps them to 0.0 (so the edge set is the
-        // degenerate empty/full one), and the streamed path reports every
-        // pair in the NaN audit instead of silently producing a
-        // plausible-looking network.
-        let c = small_collection();
-        let b = 60;
-        let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
-        let eng = engine(2, SketchMethod::Dft { coefficients: 10 });
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
-        let (streamed, _) = eng
-            .network_from_store(store.clone(), 0..layout.n_windows, QueryMethod::Exact, 0.5)
-            .unwrap();
-        assert_eq!(streamed.nan_pair_count(), c.pair_count());
-        assert_eq!(streamed.edge_count(), 0);
-        // The matched method on the same store is clean.
-        let (ok, _) = eng
-            .network_from_store(store, 0..layout.n_windows, QueryMethod::Approximate, 0.5)
-            .unwrap();
-        assert_eq!(ok.nan_pair_count(), 0);
-    }
-
-    #[test]
     fn pruned_chunk_nan_audit_is_opt_in() {
         // Two groups: series 0–1 put all their variance *within* windows
         // (zero-mean oscillation, `s ≈ 1, t ≈ 0`), series 2–3 put it
         // *between* windows (staircase, `s ≈ 0, t ≈ 1`). A cross-group pair
         // then has Equation 4 bound `s_i s_j + t_i t_j ≈ 0`, so its chunk is
-        // pruned before the store is read — and a NaN planted there is
+        // pruned before its columns are read — and a NaN planted there is
         // invisible to the default audit.
         let len = 120;
         let b = 20;
+        let ns = len / b;
         let c = SeriesCollection::from_rows(
             (0..4usize)
                 .map(|s| {
@@ -1309,35 +998,26 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
         let eng = ParallelEngine::new(ParallelConfig {
             workers: 2,
             batch_pairs: 1, // isolate every pair in its own chunk
             sketch_method: SketchMethod::Dft { coefficients: 10 },
             audit_pruned_chunks: false,
         });
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
 
-        // Plant NaN in the recombined field of cross-group pair (0, 3).
-        let poison: Vec<PairWindowRecord> = (0..layout.n_windows)
-            .map(|w| PairWindowRecord {
-                a: 0,
-                b: 3,
-                window: w as u32,
-                corr: f64::NAN,
-                dft_dist: f64::NAN,
-            })
+        // Plant NaN in every window of cross-group pair (0, 3).
+        let dft = DftSketchSet::build(&c, b, 10, Transform::Naive).unwrap();
+        let pairs = c.pair_count();
+        let mut dists: Vec<f64> = (0..ns)
+            .flat_map(|w| dft.window_dists_view(w..w + 1).window_row(0).to_vec())
             .collect();
-        store.write_pairs(&poison).unwrap();
+        for w in 0..ns {
+            dists[w * pairs + pair_index(0, 3, 4)] = f64::NAN;
+        }
+        let poisoned = DftSketchSet::from_parts(dft.base().clone(), 10, dists).unwrap();
 
         let (silent, _) = eng
-            .network_from_store(
-                store.clone(),
-                0..layout.n_windows,
-                QueryMethod::Approximate,
-                0.5,
-            )
+            .network(&poisoned, 0..ns, QueryMethod::Approximate, 0.5)
             .unwrap();
         // The poisoned chunk was pruned before being read: the NaN goes
         // uncounted by default.
@@ -1348,7 +1028,7 @@ mod tests {
             ..eng.config()
         });
         let (audited, _) = auditor
-            .network_from_store(store, 0..layout.n_windows, QueryMethod::Approximate, 0.5)
+            .network(&poisoned, 0..ns, QueryMethod::Approximate, 0.5)
             .unwrap();
         assert_eq!(audited.nan_pair_count(), 1);
         // The audit changes accounting only, never the edge set.
@@ -1356,116 +1036,12 @@ mod tests {
     }
 
     #[test]
-    fn sketch_rejects_mismatched_store_layout() {
-        let c = small_collection();
-        let wrong = StoreLayout {
-            n_series: 3,
-            n_windows: 2,
-            basic_window: 10,
-        };
-        let store = Arc::new(MemorySketchStore::new(wrong));
-        let eng = engine(2, SketchMethod::Exact);
-        assert!(eng.sketch_to_store(&c, 50, store).is_err());
-    }
-
-    #[test]
     fn query_rejects_bad_window_range() {
         let c = small_collection();
-        let b = 100;
-        let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
         let eng = engine(2, SketchMethod::Exact);
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
-        assert!(eng
-            .query_from_store(store.clone(), 0..0, QueryMethod::Exact)
-            .is_err());
-        assert!(eng
-            .query_from_store(store, 0..99, QueryMethod::Exact)
-            .is_err());
-    }
-
-    fn temp_pile(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!(
-            "tsubasa-engine-pile-{}-{tag}.pile",
-            std::process::id()
-        ))
-    }
-
-    #[test]
-    fn pile_query_is_bit_identical_to_record_store_query() {
-        let c = small_collection();
-        let b = 50;
-        let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
-        let eng = engine(3, SketchMethod::Exact);
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
-
-        let path = temp_pile("agree-exact");
-        let writer = PileWriter::create(&path, c.len(), b).unwrap();
-        let (sreport, pile) = eng.sketch_to_pile(&c, b, writer).unwrap();
-        assert_eq!(sreport.pairs, c.pair_count());
-        assert_eq!(pile.exact_query_windows(), layout.n_windows);
-
-        let (from_store, _) = eng
-            .query_from_store(store, 0..layout.n_windows, QueryMethod::Exact)
-            .unwrap();
-        let (from_pile, qreport) = eng
-            .query_from_pile(&pile, 0..layout.n_windows, QueryMethod::Exact)
-            .unwrap();
-        assert_eq!(from_store, from_pile);
-        assert_eq!(qreport.pairs, c.pair_count());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn pile_network_and_top_k_match_store_paths() {
-        let c = small_collection();
-        let b = 60;
-        let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
-        let eng = engine(2, SketchMethod::Dft { coefficients: 10 });
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
-
-        let path = temp_pile("agree-approx");
-        let writer = PileWriter::create(&path, c.len(), b).unwrap();
-        let (_, pile) = eng.sketch_to_pile(&c, b, writer).unwrap();
-        assert_eq!(pile.approx_query_windows(), layout.n_windows);
-        assert_eq!(pile.exact_query_windows(), 0);
-
-        for theta in [0.0, 0.5, 0.99] {
-            let (from_store, _) = eng
-                .network_from_store(
-                    store.clone(),
-                    0..layout.n_windows,
-                    QueryMethod::Approximate,
-                    theta,
-                )
-                .unwrap();
-            let (from_pile, _) = eng
-                .network_from_pile(&pile, 0..layout.n_windows, QueryMethod::Approximate, theta)
-                .unwrap();
-            assert_eq!(from_pile.edges(), from_store.edges(), "theta={theta}");
-        }
-        for k in [0, 3, 17] {
-            let (from_store, _) = eng
-                .top_k_from_store(
-                    store.clone(),
-                    0..layout.n_windows,
-                    QueryMethod::Approximate,
-                    k,
-                )
-                .unwrap();
-            let (from_pile, _) = eng
-                .top_k_from_pile(&pile, 0..layout.n_windows, QueryMethod::Approximate, k)
-                .unwrap();
-            assert_eq!(from_pile.edges, from_store.edges, "k={k}");
-        }
-        // The pile has no correlation table under the DFT sketch method:
-        // exact queries are a typed mismatch, not silent NaNs.
-        assert!(eng
-            .query_from_pile(&pile, 0..layout.n_windows, QueryMethod::Exact)
-            .is_err());
-        std::fs::remove_file(&path).ok();
+        let (_, pile) = sketch(&eng, &c, 100, "bad-range");
+        assert!(eng.query(&pile, 0..0, QueryMethod::Exact).is_err());
+        assert!(eng.query(&pile, 0..99, QueryMethod::Exact).is_err());
     }
 
     #[test]
@@ -1475,6 +1051,8 @@ mod tests {
         // Wrong shape.
         let writer = PileWriter::create(&path, 3, 50).unwrap();
         let eng = engine(2, SketchMethod::Exact);
+        assert!(eng.sketch_to_pile(&c, 50, writer).is_err());
+        let writer = PileWriter::create(&path, c.len(), 60).unwrap();
         assert!(eng.sketch_to_pile(&c, 50, writer).is_err());
         // Non-empty writer.
         let mut writer = PileWriter::create(&path, c.len(), 50).unwrap();

@@ -5,12 +5,12 @@
 //! The all-pair workload is embarrassingly parallel: the `N(N−1)/2` unordered
 //! pairs are split into partitions processed by independent computation
 //! workers, while a single dedicated database worker persists sketches (see
-//! [`tsubasa_storage::BatchWriter`]). At query time the per-series statistics
-//! are folded into one read-only [`tsubasa_core::plan::QueryPlan`] shared by
-//! every worker; each worker reads its partition's sketches from the store in
-//! batches and writes correlations straight into its disjoint contiguous
-//! slice of the packed result matrix (partitions are contiguous in row-major
-//! pair order, so no merge step exists).
+//! [`tsubasa_storage::PileBatchWriter`]). At query time the per-series
+//! statistics are folded into one read-only [`tsubasa_core::plan::QueryPlan`]
+//! shared by every worker; each worker sweeps its partition's columns of the
+//! source's window-major table and writes correlations straight into its
+//! disjoint contiguous slice of the packed result matrix (partitions are
+//! contiguous in row-major pair order, so no merge step exists).
 //!
 //! Both phases report the timing breakdowns the paper's Figure 6a/6b plot:
 //! sketch-computation vs database-write time, and database-read vs

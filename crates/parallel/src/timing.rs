@@ -12,7 +12,7 @@ pub struct SketchReport {
     pub pairs: usize,
     /// Total CPU time spent computing sketches, summed over workers.
     pub compute_time: Duration,
-    /// Time the database worker spent inside store writes.
+    /// Time the database worker spent inside pile writes.
     pub write_time: Duration,
     /// End-to-end wall-clock time of the sketch phase.
     pub wall_time: Duration,
@@ -37,7 +37,8 @@ pub struct QueryReport {
     pub workers: usize,
     /// Number of unordered pairs evaluated.
     pub pairs: usize,
-    /// Total time spent reading sketches from the store, summed over workers.
+    /// Total time spent fetching statistics and pair tables from the source,
+    /// summed over workers.
     pub read_time: Duration,
     /// Total time spent combining sketches into correlations, summed over
     /// workers.

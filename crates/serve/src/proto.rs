@@ -177,9 +177,6 @@ pub enum ErrorCode {
     UnknownOpcode,
     /// The query itself was rejected (bad θ, window out of range, …).
     Query,
-    /// The server cannot answer yet, for an unspecified reason (legacy
-    /// catch-all; current servers emit one of the structured codes below).
-    Unavailable,
     /// Unexpected internal failure.
     Internal,
     /// No epoch has been published yet.
@@ -196,7 +193,6 @@ impl ErrorCode {
             ErrorCode::Malformed => 1,
             ErrorCode::UnknownOpcode => 2,
             ErrorCode::Query => 3,
-            ErrorCode::Unavailable => 4,
             ErrorCode::Internal => 5,
             ErrorCode::UnavailableNoEpoch => 6,
             ErrorCode::UnavailableNoExact => 7,
@@ -209,7 +205,6 @@ impl ErrorCode {
             1 => Ok(ErrorCode::Malformed),
             2 => Ok(ErrorCode::UnknownOpcode),
             3 => Ok(ErrorCode::Query),
-            4 => Ok(ErrorCode::Unavailable),
             5 => Ok(ErrorCode::Internal),
             6 => Ok(ErrorCode::UnavailableNoEpoch),
             7 => Ok(ErrorCode::UnavailableNoExact),
@@ -807,6 +802,16 @@ mod tests {
         bad[1] = 9;
         assert!(matches!(
             decode_request(&bad),
+            Err(ProtoError::BadPayload(_))
+        ));
+        // Wire error code 4 is retired (no server emits it): unknown code.
+        let mut retired = encode_response(&Response::Error {
+            code: ErrorCode::Query,
+            message: String::new(),
+        });
+        retired[1] = 4;
+        assert!(matches!(
+            decode_response(&retired),
             Err(ProtoError::BadPayload(_))
         ));
     }

@@ -4,40 +4,29 @@
 //!
 //! The paper stores basic-window sketches in PostgreSQL, written by a single
 //! dedicated database worker and read back in batches at query time. This
-//! crate substitutes a purpose-built store with the same contract:
+//! crate substitutes one purpose-built store with the same contract — the
+//! sketch **pile** ([`pile`]):
 //!
-//! * fixed-size binary records, one per `(series, basic window)` and one per
-//!   `(pair, basic window)` (see [`record`]);
-//! * a [`SketchStore`] trait with an in-memory implementation
-//!   ([`MemorySketchStore`]) for the paper's in-memory experiments and a
-//!   paged, disk-backed implementation ([`DiskSketchStore`]) for the
-//!   scalability experiments;
-//! * a [`writer::BatchWriter`] that runs on its own thread and drains write
-//!   batches from a channel — the "database worker" of the parallel engine;
-//! * space accounting ([`SketchStore::space_bytes`]) used by the Figure 6d
-//!   experiment;
-//! * a single-file, append-only, memory-mapped sketch **pile** ([`pile`])
-//!   whose segments store window-major `f64` tables in the exact layout the
-//!   query kernel consumes, so out-of-core queries read zero-copy views off
-//!   the map instead of decoding records.
+//! * a single-file, append-only log of checksummed segments whose payloads
+//!   are window-major `f64` tables in the exact layout the query kernel
+//!   consumes ([`PileWriter`] appends, [`SketchPile`] maps and validates);
+//! * a [`PileBatchWriter`] that runs on its own thread and drains
+//!   window-major slabs from a bounded channel — the "database worker" of
+//!   the parallel engine, with an explicit durability knob ([`SyncPolicy`]);
+//! * out-of-core reads: a [`SketchPile`] is a
+//!   [`CorrSource`](tsubasa_core::source::CorrSource), so every query of the
+//!   unified pipeline sweeps zero-copy views of the mapping instead of
+//!   decoding records;
+//! * space accounting ([`SketchPile::space_bytes`]) used by the Figure 6d
+//!   experiment.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_code)]
 
-pub mod disk;
-pub mod memory;
 pub mod pile;
-pub mod record;
-pub mod store;
-pub mod writer;
 
-pub use disk::DiskSketchStore;
-pub use memory::MemorySketchStore;
 pub use pile::{
-    CompactStats, PileBatchWriter, PileCorrs, PileSlab, PileWriter, PileWriterStats, SegmentKind,
-    SketchPile,
+    default_batch_pairs, CompactStats, PileBatchWriter, PileCorrs, PileSlab, PileWriter,
+    PileWriterStats, SegmentKind, SketchPile, SyncPolicy,
 };
-pub use record::{PairWindowRecord, SeriesWindowRecord};
-pub use store::{SketchStore, StoreLayout};
-pub use writer::{default_batch_pairs, BatchWriter, SyncPolicy, WriteBatch, WriterStats};

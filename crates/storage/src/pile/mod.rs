@@ -1,14 +1,11 @@
-//! The memory-mapped, append-only sketch **pile** (ROADMAP item 4).
+//! The memory-mapped, append-only sketch **pile**.
 //!
-//! [`crate::DiskSketchStore`] pays a seek per window range and a per-record
-//! `bytes` decode into [`crate::PairWindowRecord`] vecs before the query
-//! engine can transpose them into kernel tiles. The pile removes both costs
-//! by storing sketches *in the exact in-memory layout the query kernel
+//! The pile stores sketches *in the exact in-memory layout the query kernel
 //! consumes*: window-major `f64` tables (`row[k][p]` is window `k` of packed
 //! pair `p` — the `window_corrs` flat-table layout), so a reader maps the
 //! file and hands out zero-copy `CorrView`-style borrows straight into the
-//! tiled sweep. No deserialize, no intermediate record vecs, and sketch sets
-//! are no longer capped at RAM.
+//! tiled sweep. No seek per window range, no per-record decode, no
+//! intermediate vecs, and sketch sets are not capped at RAM.
 //!
 //! # File format
 //!
@@ -51,8 +48,8 @@
 //! from the first invalid segment on, while [`PileWriter::open_append`]
 //! additionally truncates the torn tail on disk before appending.
 //! [`SketchPile::compact`] rewrites live segments coalesced (one segment per
-//! kind) through a temp file and an atomic rename — existing mappings stay
-//! valid because the old inode lives until unmapped.
+//! ≤ 1 MiB run of windows of a kind) through a temp file and an atomic rename
+//! — existing mappings stay valid because the old inode lives until unmapped.
 
 #[allow(unsafe_code)]
 mod map;
@@ -70,9 +67,6 @@ use tsubasa_core::error::{Error, Result};
 use tsubasa_core::plan::{CorrView, PlanMethod, TransposedCorrs};
 use tsubasa_core::source::{CorrSource, PairTable};
 use tsubasa_core::stats::WindowStats;
-
-use crate::store::StoreLayout;
-use crate::writer::SyncPolicy;
 
 pub use map::PileMap;
 
@@ -258,7 +252,8 @@ fn walk(bytes: &[u8]) -> Result<PileIndex> {
 pub struct CompactStats {
     /// Segments in the pile before compaction.
     pub segments_before: usize,
-    /// Segments after (at most one per [`SegmentKind`]).
+    /// Segments after: one per ≤ 1 MiB run of windows of each covered
+    /// [`SegmentKind`] — what reopening the compacted pile counts.
     pub segments_after: usize,
     /// Valid bytes before compaction.
     pub bytes_before: u64,
@@ -561,16 +556,6 @@ impl SketchPile {
         self.exact_query_windows().max(self.approx_query_windows())
     }
 
-    /// The equivalent record-store layout (using [`SketchPile::window_count`]
-    /// as the window count).
-    pub fn layout(&self) -> StoreLayout {
-        StoreLayout {
-            n_series: self.index.n_series,
-            n_windows: self.window_count(),
-            basic_window: self.index.basic_window,
-        }
-    }
-
     /// Number of valid segments.
     pub fn segment_count(&self) -> usize {
         self.index.segs.len()
@@ -684,13 +669,16 @@ impl SketchPile {
         )))
     }
 
-    /// Rewrite the pile at `path` with live segments coalesced into at most
-    /// one segment per kind (dropping per-segment header/padding overhead and
-    /// restoring zero-copy contiguity for full-range reads). The rewrite goes
-    /// through a temp file in the same directory and replaces the original
-    /// with an atomic rename, so readers that already mapped the old file
-    /// keep a valid (old) view and a crash leaves either the old or the new
-    /// pile intact.
+    /// Rewrite the pile at `path` with live segments coalesced: each kind's
+    /// rows are rewritten in chunks of whole windows of at most 1 MiB (the
+    /// copy buffer's bound), one segment per chunk — so a kind under 1 MiB
+    /// becomes a single segment and its full-range reads are zero-copy again,
+    /// while a larger kind still spans segments (fewer, larger ones; ranges
+    /// crossing them are gathered). Per-segment header overhead drops
+    /// accordingly. The rewrite goes through a temp file in the same
+    /// directory and replaces the original with an atomic rename, so readers
+    /// that already mapped the old file keep a valid (old) view and a crash
+    /// leaves either the old or the new pile intact.
     pub fn compact(path: &Path) -> Result<CompactStats> {
         let src = SketchPile::open(path)?;
         let before = CompactStats {
@@ -707,7 +695,6 @@ impl SketchPile {
             if total == 0 {
                 continue;
             }
-            segments_after += 1;
             let row_values = kind.row_values(src.n_series());
             // Bound the copy buffer: rewrite in chunks of whole windows.
             let chunk_windows = (1usize << 20) / (row_values * 8).max(1);
@@ -721,6 +708,7 @@ impl SketchPile {
                     buf.extend_from_slice(src.map.f64s(off, n_windows * row_values)?);
                 }
                 writer.append(kind, &buf)?;
+                segments_after += 1;
                 start = end;
             }
         }
@@ -820,6 +808,36 @@ impl PileSlab {
     }
 }
 
+/// The default `ParallelConfig::batch_pairs` of the parallel engine — pairs
+/// per query chunk, and the slab queue depth of its [`PileBatchWriter`]: the
+/// `TSUBASA_DB_BATCH` environment variable when set to a positive integer,
+/// otherwise 256.
+pub fn default_batch_pairs() -> usize {
+    std::env::var("TSUBASA_DB_BATCH")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|v| *v > 0)
+        .unwrap_or(256)
+}
+
+/// When the database worker forces written data down to the device.
+///
+/// Syncing only once, after the channel closes, means a crash mid-sketch can
+/// lose every slab reported as "written". The knob makes the trade explicit:
+/// [`SyncPolicy::OnSwap`] bounds the loss window to one coalesced append at
+/// the cost of an `fdatasync` each; the default syncs once at shutdown.
+/// Either way the number of syncs actually issued is surfaced in
+/// [`PileWriterStats::syncs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SyncPolicy {
+    /// Sync once, when the writer drains the channel and shuts down.
+    #[default]
+    OnShutdown,
+    /// Sync after every coalesced segment append, plus the final one at
+    /// shutdown.
+    OnSwap,
+}
+
 /// Default coalescing limit of the threaded pile writer, in `f64` values per
 /// segment append (64 Ki values = 512 KiB payloads).
 pub const DEFAULT_PILE_COALESCE_VALUES: usize = 1 << 16;
@@ -840,11 +858,12 @@ pub struct PileWriterStats {
     pub syncs: usize,
 }
 
-/// The pile backend of the database worker: a thread draining window-major
-/// [`PileSlab`]s from a bounded channel, coalescing consecutive same-kind
-/// slabs, and appending them as pile segments — the pile-flavored sibling of
-/// [`crate::BatchWriter`]. Slabs must be sent in window order per kind
-/// (single producer or externally ordered); the channel preserves that order.
+/// The database worker (paper §3.4, Figure 6): a thread draining
+/// window-major [`PileSlab`]s from a bounded channel — so computation
+/// workers back off instead of buffering the whole sketch — coalescing
+/// consecutive same-kind slabs, and appending them as pile segments. Slabs
+/// must be sent in window order per kind (single producer or externally
+/// ordered); the channel preserves that order.
 pub struct PileBatchWriter {
     sender: Option<Sender<PileSlab>>,
     handle: Option<JoinHandle<Result<(PileWriterStats, PileWriter)>>>,
@@ -1200,6 +1219,39 @@ mod tests {
         assert!(table.is_zero_copy());
         for (w, row) in corrs_before.iter().enumerate() {
             assert_eq!(table.view().window_row(w), &row[..]);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn compaction_reports_the_segments_it_wrote_for_a_kind_over_one_mib() {
+        let path = temp_pile("compact-large");
+        // 120 series: 7,140 pairs = 57,120 B per correlation row, so the
+        // 1 MiB copy buffer holds 18 windows and 40 windows (2.2 MiB) are
+        // rewritten as 18 + 18 + 4.
+        let n = 120;
+        let pairs = pair_count(n);
+        let windows = 40;
+        let mut writer = PileWriter::create(&path, n, 8).unwrap();
+        for w in 0..windows {
+            writer
+                .append(SegmentKind::PairCorrs, &corr_row(pairs, w))
+                .unwrap();
+        }
+        writer.finish().unwrap();
+
+        let report = SketchPile::compact(&path).unwrap();
+        assert_eq!(report.segments_before, windows);
+        let after = SketchPile::open(&path).unwrap();
+        assert_eq!(report.segments_after, 3);
+        assert_eq!(report.segments_after, after.segment_count());
+        assert_eq!(report.bytes_after, after.space_bytes());
+        let table = after
+            .pair_table(0..windows, SegmentKind::PairCorrs)
+            .unwrap();
+        assert!(!table.is_zero_copy(), "the range spans three segments");
+        for w in 0..windows {
+            assert_eq!(table.view().window_row(w), &corr_row(pairs, w)[..]);
         }
         std::fs::remove_file(&path).ok();
     }

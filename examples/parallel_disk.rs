@@ -1,18 +1,16 @@
 //! Parallel, disk-based TSUBASA: sketch a gridded dataset into an on-disk
-//! sketch store with many computation workers plus one database worker, then
-//! rebuild the correlation matrix from the store — the configuration of the
-//! paper's scalability experiments (Figure 6).
+//! sketch pile with many computation workers plus one database worker, then
+//! rebuild the correlation matrix from the mapped file — the configuration
+//! of the paper's scalability experiments (Figure 6).
 //!
 //! ```bash
 //! cargo run --release --example parallel_disk
 //! ```
 
-use std::sync::Arc;
-
 use tsubasa::core::prelude::*;
 use tsubasa::data::prelude::*;
 use tsubasa::parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
-use tsubasa::storage::{DiskSketchStore, SketchStore};
+use tsubasa::storage::PileWriter;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Berkeley-Earth-like grid, scaled to laptop size.
@@ -28,9 +26,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         collection.series_len()
     );
 
-    let layout = ParallelEngine::layout_for(&collection, basic_window)?;
-    let dir = std::env::temp_dir().join(format!("tsubasa-parallel-example-{}", std::process::id()));
-    let store: Arc<dyn SketchStore> = Arc::new(DiskSketchStore::create(&dir, layout)?);
+    let path = std::env::temp_dir().join(format!(
+        "tsubasa-parallel-example-{}.pile",
+        std::process::id()
+    ));
+    let writer = PileWriter::create(&path, collection.len(), basic_window)?;
 
     let workers = std::thread::available_parallelism()?
         .get()
@@ -44,19 +44,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
 
     // --- Sketch phase: computation workers + one database writer -----------
-    let report = engine.sketch_to_store(&collection, basic_window, store.clone())?;
+    let (report, pile) = engine.sketch_to_pile(&collection, basic_window, writer)?;
     println!(
         "sketch: {} pairs on {} workers | compute {:?} (sum) | db write {:?} | wall {:?}",
         report.pairs, report.workers, report.compute_time, report.write_time, report.wall_time
     );
     println!(
-        "sketch store size on disk: {} KiB",
-        store.space_bytes() / 1024
+        "sketch pile size on disk: {} KiB in {} segments",
+        pile.space_bytes() / 1024,
+        pile.segment_count()
     );
 
-    // --- Query phase: read sketches back and build the matrix --------------
-    let (matrix, qreport) =
-        engine.query_from_store(store, 0..layout.n_windows, QueryMethod::Exact)?;
+    // --- Query phase: sweep the mapped sketches into the matrix ------------
+    let windows = pile.exact_query_windows();
+    let (matrix, qreport) = engine.query(&pile, 0..windows, QueryMethod::Exact)?;
     println!(
         "query:  db read {:?} (sum) | matrix calc {:?} (sum) | wall {:?}",
         qreport.read_time, qreport.compute_time, qreport.wall_time
@@ -69,16 +70,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Spot-check against the brute-force baseline on the aligned window.
-    let query = QueryWindow::new(
-        layout.n_windows * basic_window - 1,
-        layout.n_windows * basic_window,
-    )?;
+    let query = QueryWindow::new(windows * basic_window - 1, windows * basic_window)?;
     let direct = baseline::correlation_matrix(&collection, query)?;
     println!(
         "max |parallel - baseline| = {:.2e}",
         matrix.max_abs_diff(&direct)
     );
 
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&path).ok();
     Ok(())
 }

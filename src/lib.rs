@@ -10,7 +10,7 @@
 //! * [`core`] — exact basic-window sketching, Lemma 1/2, networks.
 //! * [`dft`] — the DFT-based approximate comparator (StatStream-style).
 //! * [`data`] — synthetic climate data generators and dataset utilities.
-//! * [`storage`] — in-memory and disk-backed sketch stores.
+//! * [`storage`] — the memory-mapped, append-only sketch pile.
 //! * [`parallel`] — the partitioned parallel sketch/query engine.
 //! * [`stream`] — chunked real-time ingestion and incremental updates.
 //! * [`network`] — climate-network graph analysis and export.
@@ -44,8 +44,6 @@ pub mod prelude {
     pub use tsubasa_serve::{
         EpochIngest, EpochStore, PlanCache, QueryEngine, ServeClient, UnavailableReason,
     };
-    pub use tsubasa_storage::{
-        DiskSketchStore, MemorySketchStore, PileWriter, SketchPile, SketchStore,
-    };
+    pub use tsubasa_storage::{PileWriter, SketchPile};
     pub use tsubasa_stream::{RealTimeNetwork, StreamBuffer};
 }

@@ -1,17 +1,12 @@
 //! Workspace integration tests: the parallel + disk-based configuration —
-//! partitioned sketching through the database-writer worker, sketch
-//! persistence and re-hydration, and the space accounting used by the
-//! Figure 6d experiment.
-
-use std::sync::Arc;
+//! partitioned sketching through the database-writer worker into the pile,
+//! queries off the mapped (and reopened) file, and the space accounting used
+//! by the Figure 6d experiment.
 
 use tsubasa::core::prelude::*;
 use tsubasa::data::prelude::*;
 use tsubasa::parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
-use tsubasa::storage::{
-    DiskSketchStore, MemorySketchStore, PairWindowRecord, SeriesWindowRecord, SketchStore,
-};
-use tsubasa_storage::store::{load_sketchset, persist_sketchset};
+use tsubasa::storage::{PileWriter, SketchPile};
 
 fn grid(cells: usize, points: usize) -> SeriesCollection {
     generate_berkeley_like(&BerkeleyLikeConfig {
@@ -24,161 +19,119 @@ fn grid(cells: usize, points: usize) -> SeriesCollection {
     .unwrap()
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("tsubasa-it-{}-{tag}", std::process::id()))
+fn temp_pile(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("tsubasa-it-{}-{tag}.pile", std::process::id()))
+}
+
+fn engine(workers: usize, batch_pairs: usize) -> ParallelEngine {
+    ParallelEngine::new(ParallelConfig {
+        workers,
+        batch_pairs,
+        sketch_method: SketchMethod::Exact,
+        audit_pruned_chunks: false,
+    })
 }
 
 #[test]
 fn parallel_disk_pipeline_matches_serial_exact_path() {
     let collection = grid(24, 720);
     let b = 120;
-    let layout = ParallelEngine::layout_for(&collection, b).unwrap();
-    let dir = temp_dir("pipeline");
-    let store: Arc<dyn SketchStore> = Arc::new(DiskSketchStore::create(&dir, layout).unwrap());
+    let ns = 720 / b;
+    let path = temp_pile("pipeline");
+    let engine = engine(4, 16);
 
-    let engine = ParallelEngine::new(ParallelConfig {
-        workers: 4,
-        batch_pairs: 16,
-        sketch_method: SketchMethod::Exact,
-        audit_pruned_chunks: false,
-    });
-    let sketch_report = engine
-        .sketch_to_store(&collection, b, store.clone())
-        .unwrap();
+    let writer = PileWriter::create(&path, collection.len(), b).unwrap();
+    let (sketch_report, pile) = engine.sketch_to_pile(&collection, b, writer).unwrap();
     assert_eq!(sketch_report.pairs, collection.pair_count());
+    assert_eq!(pile.exact_query_windows(), ns);
 
-    let (parallel_matrix, query_report) = engine
-        .query_from_store(store.clone(), 0..layout.n_windows, QueryMethod::Exact)
-        .unwrap();
+    let (parallel_matrix, query_report) = engine.query(&pile, 0..ns, QueryMethod::Exact).unwrap();
     assert_eq!(query_report.pairs, collection.pair_count());
 
     // Serial reference on the same aligned window.
     let builder =
         HistoricalBuilder::new(collection.clone(), NetworkConfig::new(b, 0.75).unwrap()).unwrap();
-    let query = QueryWindow::new(layout.n_windows * b - 1, layout.n_windows * b).unwrap();
+    let query = QueryWindow::new(ns * b - 1, ns * b).unwrap();
     let serial_matrix = builder.correlation_matrix(query).unwrap();
     assert!(parallel_matrix.max_abs_diff(&serial_matrix) < 1e-9);
 
-    // The store can also re-hydrate a SketchSet that reproduces the same
-    // result without raw data.
-    let rehydrated = load_sketchset(store.as_ref()).unwrap();
-    let from_store = exact::correlation_matrix_aligned(&rehydrated, 0..layout.n_windows).unwrap();
-    assert!(from_store.max_abs_diff(&serial_matrix) < 1e-9);
+    // The file alone reproduces the same result without raw data.
+    drop(pile);
+    let reopened = SketchPile::open(&path).unwrap();
+    assert_eq!(reopened.truncated_bytes(), 0);
+    let (from_file, _) = engine.query(&reopened, 0..ns, QueryMethod::Exact).unwrap();
+    assert_eq!(from_file, parallel_matrix);
 
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
-fn disk_and_memory_stores_are_interchangeable() {
+fn pile_and_memory_sketch_are_interchangeable() {
     let collection = grid(12, 600);
     let b = 100;
-    let layout = ParallelEngine::layout_for(&collection, b).unwrap();
-    let engine = ParallelEngine::new(ParallelConfig {
-        workers: 3,
-        batch_pairs: 8,
-        sketch_method: SketchMethod::Exact,
-        audit_pruned_chunks: false,
-    });
+    let engine = engine(3, 8);
 
-    let mem: Arc<dyn SketchStore> = Arc::new(MemorySketchStore::new(layout));
-    engine.sketch_to_store(&collection, b, mem.clone()).unwrap();
-    let (mem_matrix, _) = engine
-        .query_from_store(mem.clone(), 0..layout.n_windows, QueryMethod::Exact)
-        .unwrap();
+    let memory = SketchSet::build(&collection, b).unwrap();
+    let (mem_matrix, _) = engine.query(&memory, 0..6, QueryMethod::Exact).unwrap();
 
-    let dir = temp_dir("interchange");
-    let disk: Arc<dyn SketchStore> = Arc::new(DiskSketchStore::create(&dir, layout).unwrap());
-    engine
-        .sketch_to_store(&collection, b, disk.clone())
-        .unwrap();
-    let (disk_matrix, _) = engine
-        .query_from_store(disk.clone(), 0..layout.n_windows, QueryMethod::Exact)
-        .unwrap();
+    let path = temp_pile("interchange");
+    let writer = PileWriter::create(&path, collection.len(), b).unwrap();
+    let (_, pile) = engine.sketch_to_pile(&collection, b, writer).unwrap();
+    let (pile_matrix, _) = engine.query(&pile, 0..6, QueryMethod::Exact).unwrap();
 
-    assert!(mem_matrix.max_abs_diff(&disk_matrix) < 1e-12);
-    // Identical layouts → identical space accounting (the paper's point that
-    // both algorithms store same-size sketches holds per window).
-    assert_eq!(mem.space_bytes(), disk.space_bytes());
-    std::fs::remove_dir_all(&dir).ok();
+    // Two sketch kernels, one query pipeline: same statistics bit for bit,
+    // correlations within the kernels' summation-order tolerance.
+    assert_eq!(
+        pile.series_stats(0..6).unwrap(),
+        CorrSource::series_stats(&memory, 0..6).unwrap()
+    );
+    assert!(mem_matrix.max_abs_diff(&pile_matrix) < 1e-10);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn space_overhead_shrinks_as_basic_window_grows() {
     // The Figure 6d relationship: fewer, larger basic windows → fewer stored
-    // records → smaller store.
+    // rows → smaller pile.
     let collection = grid(16, 960);
+    let n = collection.len();
+    let engine = engine(2, 8);
     let mut previous: Option<u64> = None;
     for b in [60usize, 120, 240, 480] {
-        let layout = ParallelEngine::layout_for(&collection, b).unwrap();
-        let store = MemorySketchStore::new(layout);
-        let expected_bytes = (layout.series_records() * SeriesWindowRecord::SIZE
-            + layout.pair_records() * PairWindowRecord::SIZE) as u64;
-        assert_eq!(store.space_bytes(), expected_bytes);
+        let path = temp_pile(&format!("space-{b}"));
+        let writer = PileWriter::create(&path, n, b).unwrap();
+        let (_, pile) = engine.sketch_to_pile(&collection, b, writer).unwrap();
+        // One `f64` per pair and three per series per window, plus a 64-byte
+        // header for the file and for each segment.
+        let payload = (960 / b * (collection.pair_count() + 3 * n) * 8) as u64;
+        assert_eq!(
+            pile.space_bytes(),
+            payload + 64 * (1 + pile.segment_count() as u64)
+        );
         if let Some(prev) = previous {
-            assert!(store.space_bytes() < prev, "space must shrink as B grows");
+            assert!(pile.space_bytes() < prev, "space must shrink as B grows");
         }
-        previous = Some(store.space_bytes());
+        previous = Some(pile.space_bytes());
+        std::fs::remove_file(&path).ok();
     }
-}
-
-#[test]
-fn persisted_sketchset_roundtrips_with_dft_distances() {
-    let collection = grid(8, 480);
-    let b = 120;
-    let sketch = SketchSet::build(&collection, b).unwrap();
-    let dft = tsubasa::dft::sketch::DftSketchSet::build(
-        &collection,
-        b,
-        b / 2,
-        tsubasa::dft::sketch::Transform::Naive,
-    )
-    .unwrap();
-    let dists: Vec<Vec<f64>> = collection
-        .pairs()
-        .map(|(i, j)| dft.pair_distances(i, j).unwrap().to_vec())
-        .collect();
-
-    let layout = ParallelEngine::layout_for(&collection, b).unwrap();
-    let dir = temp_dir("dft-roundtrip");
-    let store = DiskSketchStore::create(&dir, layout).unwrap();
-    persist_sketchset(&store, &sketch, Some(&dists)).unwrap();
-
-    // Correlations and distances both survive the roundtrip.
-    let loaded = load_sketchset(&store).unwrap();
-    assert_eq!(loaded, sketch);
-    for (idx, (i, j)) in collection.pairs().enumerate() {
-        let records = store.read_pair(i, j, 0..layout.n_windows).unwrap();
-        for (w, r) in records.iter().enumerate() {
-            assert!((r.dft_dist - dists[idx][w]).abs() < 1e-12);
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn partition_count_changes_throughput_not_results() {
     let collection = grid(20, 600);
     let b = 120;
-    let layout = ParallelEngine::layout_for(&collection, b).unwrap();
     let mut reference: Option<CorrelationMatrix> = None;
     for workers in [1usize, 2, 6, 12] {
-        let store: Arc<dyn SketchStore> = Arc::new(MemorySketchStore::new(layout));
-        let engine = ParallelEngine::new(ParallelConfig {
-            workers,
-            batch_pairs: 4,
-            sketch_method: SketchMethod::Exact,
-            audit_pruned_chunks: false,
-        });
-        engine
-            .sketch_to_store(&collection, b, store.clone())
-            .unwrap();
-        let (matrix, report) = engine
-            .query_from_store(store, 0..layout.n_windows, QueryMethod::Exact)
-            .unwrap();
+        let engine = engine(workers, 4);
+        let path = temp_pile(&format!("partitions-{workers}"));
+        let writer = PileWriter::create(&path, collection.len(), b).unwrap();
+        let (_, pile) = engine.sketch_to_pile(&collection, b, writer).unwrap();
+        let (matrix, report) = engine.query(&pile, 0..5, QueryMethod::Exact).unwrap();
         assert_eq!(report.workers, workers);
         match &reference {
             None => reference = Some(matrix),
-            Some(r) => assert!(r.max_abs_diff(&matrix) < 1e-12),
+            Some(r) => assert_eq!(r, &matrix),
         }
+        std::fs::remove_file(&path).ok();
     }
 }

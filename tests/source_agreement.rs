@@ -1,24 +1,24 @@
 //! Cross-backend [`CorrSource`] agreement grid.
 //!
 //! The tentpole invariant of the unified query pipeline: every backend —
-//! in-memory sketches, the record store, the mapped pile, and the pile with
-//! mmap disabled (`TSUBASA_PILE_NO_MMAP=1`) — answers matrix, network, and
-//! top-k queries **bit-identically** under both query methods, at any worker
-//! count. The engine's `query`/`network`/`top_k` are written once against
-//! the trait, so this grid is the proof that the per-backend adapters feed
-//! the kernel the same window-major values: ≥64 cases of
-//! `{backend} × {exact, approximate} × {matrix, network(θ), top_k} ×
-//! {1, 2, 8 workers}`.
+//! in-memory sketches, the same sketches served chunk by chunk only, the
+//! mapped pile, and the pile with mmap disabled (`TSUBASA_PILE_NO_MMAP=1`) —
+//! answers matrix, network, and top-k queries **bit-identically** under both
+//! query methods, at any worker count. The engine's `query`/`network`/`top_k`
+//! are written once against the trait, so this grid is the proof that the
+//! per-backend adapters (and both sweep arms: full-width table and chunked
+//! reads) feed the kernel the same window-major values: 144 cases of
+//! `{memory, chunked, pile, pile-no-mmap} × {exact, approximate} ×
+//! {matrix, network(θ), top_k} × {1, 2, 8 workers}` over two window ranges.
 
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::Arc;
 
+use tsubasa::core::plan::TransposedCorrs;
 use tsubasa::core::prelude::*;
 use tsubasa::parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
 use tsubasa::serve::mirror_sketches_to_pile;
-use tsubasa::storage::store::persist_sketchset;
-use tsubasa::storage::{MemorySketchStore, PileWriter, SketchPile, SketchStore};
+use tsubasa::storage::{PileWriter, SegmentKind, SketchPile};
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
 
 const WINDOWS: usize = 4;
@@ -63,6 +63,38 @@ fn engine(workers: usize) -> ParallelEngine {
     })
 }
 
+/// A source that declines the full-width table, so the engine sweeps it
+/// through the chunked arm (`chunk_table` per batch of pairs) — the arm a
+/// `DftSketchSet` takes by itself only past the dense budget.
+struct ChunkedOnly<S: CorrSource>(S);
+
+impl<S: CorrSource> CorrSource for ChunkedOnly<S> {
+    fn series_count(&self) -> usize {
+        self.0.series_count()
+    }
+
+    fn window_count(&self, method: PlanMethod) -> usize {
+        self.0.window_count(method)
+    }
+
+    fn series_stats(&self, windows: Range<usize>) -> Result<Vec<Vec<WindowStats>>> {
+        self.0.series_stats(windows)
+    }
+
+    fn full_table(&self, _: Range<usize>, _: PlanMethod) -> Result<Option<PairTable<'_>>> {
+        Ok(None)
+    }
+
+    fn chunk_table(
+        &self,
+        chunk: &[(usize, usize)],
+        windows: Range<usize>,
+        method: PlanMethod,
+    ) -> Result<TransposedCorrs> {
+        self.0.chunk_table(chunk, windows, method)
+    }
+}
+
 /// Run all three query kinds on `source` and compare each against the
 /// single-worker in-memory reference. Returns the number of cases covered.
 fn assert_source_matches<S: CorrSource + ?Sized>(
@@ -97,15 +129,14 @@ fn assert_source_matches<S: CorrSource + ?Sized>(
     3
 }
 
-/// `ParallelConfig::audit_pruned_chunks` must behave identically on every
-/// backend: a NaN planted in an Equation-4-prunable chunk is silently
+/// `ParallelConfig::audit_pruned_chunks` must behave identically on both
+/// sweep arms: a NaN planted in an Equation-4-prunable chunk is silently
 /// skipped with the default config and counted when the audit is on, with
-/// the **same** counts from the record store and the pile — the policy lives
-/// in the one shared audit hook, not per backend.
+/// the **same** counts from the pile (full-width table) and from the same
+/// pile served chunk by chunk — the policy lives in the one shared audit
+/// hook, not per backend.
 #[test]
-fn pruned_chunk_nan_audit_is_identical_on_store_and_pile() {
-    use tsubasa::storage::SegmentKind;
-
+fn pruned_chunk_nan_audit_is_identical_on_chunked_and_pile() {
     let n = 6;
     let b = 25;
     // Engineer the Equation 4 bound (`s_i s_j + t_i t_j` with
@@ -130,21 +161,8 @@ fn pruned_chunk_nan_audit_is_identical_on_store_and_pile() {
     let c = SeriesCollection::from_rows(rows).unwrap();
     let dft = DftSketchSet::build(&c, b, 8, Transform::Naive).unwrap();
 
-    // Store with a NaN distance planted for the last pair in window 2.
-    let layout = ParallelEngine::layout_for(&c, b).unwrap();
-    let store = Arc::new(MemorySketchStore::new(layout));
-    let mut dists: Vec<Vec<f64>> = Vec::new();
-    for a in 0..n {
-        for bb in a + 1..n {
-            dists.push(dft.pair_distances(a, bb).unwrap().to_vec());
-        }
-    }
-    let planted_pair = dists.len() - 1; // pair (n-2, n-1)
-    dists[planted_pair][2] = f64::NAN;
-    persist_sketchset(&*store, dft.base(), Some(&dists)).unwrap();
-    let store_src: &dyn SketchStore = &*store;
-
-    // Pile with the same NaN planted in the window-2 estimates row.
+    // Pile with a NaN estimate planted for the last pair, (n-2, n-1), in
+    // window 2.
     let path = temp_path("pruned-nan");
     let mut writer = PileWriter::create(&path, n, b).unwrap();
     let base = dft.base();
@@ -161,16 +179,19 @@ fn pruned_chunk_nan_audit_is_identical_on_store_and_pile() {
                 base.window_corrs_view(w..w + 1).window_row(0),
             )
             .unwrap();
-        let ests: Vec<f64> = dists
+        let mut ests: Vec<f64> = dft
+            .window_dists_view(w..w + 1)
+            .window_row(0)
             .iter()
-            .map(|d| {
-                let d = d[w];
-                1.0 - d * d / 2.0
-            })
+            .map(|d| 1.0 - d * d / 2.0)
             .collect();
+        if w == 2 {
+            *ests.last_mut().unwrap() = f64::NAN;
+        }
         writer.append(SegmentKind::PairEsts, &ests).unwrap();
     }
     let pile = writer.into_pile().unwrap();
+    let chunked = ChunkedOnly(SketchPile::open(&path).unwrap());
 
     let theta = 0.9;
     let mut counts = Vec::new();
@@ -181,19 +202,19 @@ fn pruned_chunk_nan_audit_is_identical_on_store_and_pile() {
             sketch_method: SketchMethod::Dft { coefficients: 8 },
             audit_pruned_chunks: audit,
         });
-        let (e_store, _) = eng
-            .network(store_src, 0..WINDOWS, QueryMethod::Approximate, theta)
+        let (e_chunked, _) = eng
+            .network(&chunked, 0..WINDOWS, QueryMethod::Approximate, theta)
             .unwrap();
         let (e_pile, _) = eng
             .network(&pile, 0..WINDOWS, QueryMethod::Approximate, theta)
             .unwrap();
         assert_eq!(
-            e_store.nan_pair_count(),
+            e_chunked.nan_pair_count(),
             e_pile.nan_pair_count(),
-            "audit={audit}: store and pile must count identically"
+            "audit={audit}: chunked and pile must count identically"
         );
-        assert_eq!(e_store.edges(), e_pile.edges(), "audit={audit}");
-        counts.push(e_store.nan_pair_count());
+        assert_eq!(e_chunked.edges(), e_pile.edges(), "audit={audit}");
+        counts.push(e_chunked.nan_pair_count());
     }
     // The planted chunk really was pruned: silent mode misses exactly the
     // planted pair, the audit observes it — and only the accounting differs.
@@ -209,21 +230,10 @@ fn all_backends_agree_bit_for_bit_across_the_grid() {
     let c = collection(n, b);
 
     // One in-memory dual sketch is the root of every backend, so the grid
-    // isolates the *serving* path: the store and pile carry the exact same
-    // window values the sketch does.
+    // isolates the *serving* path: the chunked adapter and the pile carry
+    // the exact same window values the sketch does.
     let dft = DftSketchSet::build(&c, b, 8, Transform::Naive).unwrap();
-
-    // Record store, with both method fields persisted.
-    let layout = ParallelEngine::layout_for(&c, b).unwrap();
-    let store = Arc::new(MemorySketchStore::new(layout));
-    let mut dists: Vec<Vec<f64>> = Vec::new();
-    for a in 0..n {
-        for bb in a + 1..n {
-            dists.push(dft.pair_distances(a, bb).unwrap().to_vec());
-        }
-    }
-    persist_sketchset(&*store, dft.base(), Some(&dists)).unwrap();
-    let store_src: &dyn SketchStore = &*store;
+    let chunked = ChunkedOnly(dft.clone());
 
     // Mapped pile with correlation and estimate rows mirrored per window.
     let path = temp_path("grid");
@@ -274,11 +284,11 @@ fn all_backends_agree_bit_for_bit_across_the_grid() {
                 );
                 cases += assert_source_matches(
                     &eng,
-                    store_src,
+                    &chunked,
                     windows.clone(),
                     qm,
                     &reference,
-                    &tag("store"),
+                    &tag("chunked"),
                 );
                 cases += assert_source_matches(
                     &eng,
@@ -301,7 +311,7 @@ fn all_backends_agree_bit_for_bit_across_the_grid() {
     }
     std::fs::remove_file(&path).ok();
     assert!(
-        cases >= 64,
-        "agreement grid must cover >= 64 cases, ran {cases}"
+        cases >= 144,
+        "agreement grid must cover >= 144 cases, ran {cases}"
     );
 }
