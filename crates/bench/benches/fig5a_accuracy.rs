@@ -98,8 +98,8 @@ fn main() {
             .expect("dft sketch");
         let builder = ApproxNetworkBuilder::from_sketch(sketch);
         // Tiled batched path (ApproxPlan + Equation 4 pruning) vs the scalar
-        // per-pair reference recombination — the same-binary speedup the
-        // pr5_approx_kernels harness isolates, here at the Figure 5a shape.
+        // per-pair reference recombination — the same-binary speedup, at
+        // the Figure 5a shape.
         // Best-of-3: single-shot sub-ms timings swing ~2× on a busy box.
         let approx_net = builder.network(0..n_windows, theta).unwrap();
         let t_tiled = (0..3)

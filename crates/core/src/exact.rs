@@ -196,8 +196,10 @@ fn gather_contributions(
 /// from the sketch (Lemma 1). Arbitrary query windows are supported; the
 /// partial head/tail, if any, are sketched from the raw data in `collection`.
 ///
-/// This is the *reference* per-pair path: it materializes the
-/// [`WindowContribution`]s of the pair and recombines them with [`combine`].
+/// This is the *reference* per-pair path: it reads the pair's strided column
+/// of the sketch's window-major table ([`SketchSet::pair_sketch`]),
+/// materializes the [`WindowContribution`]s of the pair and recombines them
+/// with [`combine`].
 /// The all-pairs entry points ([`correlation_matrix`],
 /// [`correlation_matrix_parallel`]) instead share a precomputed
 /// [`crate::plan::QueryPlan`] across pairs and produce bit-identical values;

@@ -356,7 +356,13 @@ impl SlidingNetwork {
             });
         }
         let first_window = available - ns;
-        let n = collection.len();
+        let n = sketch.series_count();
+        if collection.len() != n {
+            return Err(Error::SketchMismatch {
+                requested: format!("{} series", collection.len()),
+                available: format!("{n} sketched series"),
+            });
+        }
 
         let series: Vec<SlidingSeriesState> = (0..n)
             .map(|i| {
@@ -367,23 +373,25 @@ impl SlidingNetwork {
             })
             .collect::<Result<_>>()?;
 
-        let mut pair_windows = VecDeque::with_capacity(ns);
-        for w in first_window..available {
-            let mut per_pair = Vec::with_capacity(n * (n - 1) / 2);
-            for (i, j) in collection.pairs() {
-                per_pair.push(sketch.pair_sketch(i, j)?.corrs[w]);
-            }
-            pair_windows.push_back(per_pair);
-        }
+        // Each basic window's packed per-pair correlations are one contiguous
+        // row of the sketch's window-major table.
+        let table = sketch.window_corrs_view(first_window..available);
+        let pair_windows: VecDeque<Vec<f64>> =
+            (0..ns).map(|k| table.window_row(k).to_vec()).collect();
 
-        // One shared QueryPlan replaces the per-pair contribution vectors of
-        // the old initialization: the per-series half of Lemma 1 is computed
-        // once and the per-pair kernel is allocation-free (bit-identical to
-        // `exact::pair_correlation_aligned`).
+        // One shared QueryPlan computes the per-series half of Lemma 1 once;
+        // the scalar per-pair kernel then runs over each pair's column of the
+        // table (bit-identical to `exact::pair_correlation_aligned`). Pairs
+        // are walked in packed order through one reused column buffer, so the
+        // `ns` strided row streams advance sequentially and stay
+        // cache-resident.
         let plan = QueryPlan::build_aligned(sketch, first_window..available)?;
-        let mut corrs = Vec::with_capacity(n * (n - 1) / 2);
-        for (i, j) in collection.pairs() {
-            corrs.push(plan.pair_correlation_aligned(sketch, i, j)?);
+        let mut column = Vec::with_capacity(ns);
+        let mut corrs = Vec::with_capacity(table.pair_count());
+        for (p, (i, j)) in collection.pairs().enumerate() {
+            column.clear();
+            column.extend(table.pair_column(p));
+            corrs.push(plan.pair_kernel(i, j, &column, None));
         }
 
         Ok(Self {
@@ -592,22 +600,12 @@ impl SlidingNetwork {
             })
             .collect();
         // `pair_windows` is already window-major (one packed row per basic
-        // window, oldest first); flatten it and gather into the pair-major
-        // vectors `SketchSet::from_parts` expects.
+        // window, oldest first): flattened, it is the sketch's table.
         let mut flat = Vec::with_capacity(ns * n_pairs);
         for row in &self.pair_windows {
             flat.extend_from_slice(row);
         }
-        let per_pair = crate::sketch::gather_pair_rows(&flat, n_pairs, ns);
-        let pairs: Vec<crate::sketch::PairSketch> = per_pair
-            .into_iter()
-            .enumerate()
-            .map(|(p, corrs)| {
-                let (a, b) = crate::sketch::unpack_pair_index(p, self.n);
-                crate::sketch::PairSketch { a, b, corrs }
-            })
-            .collect();
-        SketchSet::from_parts(self.basic_window, self.n, series, pairs)
+        SketchSet::from_window_major(self.basic_window, self.n, series, flat)
     }
 }
 

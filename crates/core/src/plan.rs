@@ -424,9 +424,9 @@ impl QueryPlan {
         clamp_corr(num / (den_x.sqrt() * den_y.sqrt()))
     }
 
-    /// Correlation of one pair through the plan, fetching the pair's
-    /// per-window correlation slice from `sketch` and (for unaligned plans)
-    /// the raw values from `collection`.
+    /// Correlation of one pair through the plan, gathering the pair's
+    /// per-window correlations (a strided column of the sketch's table) from
+    /// `sketch` and (for unaligned plans) the raw values from `collection`.
     pub fn pair_correlation(
         &self,
         collection: &SeriesCollection,
@@ -586,13 +586,13 @@ fn transpose(src: &[f64], rows: usize, cols: usize) -> Vec<f64> {
 /// `row k` holds `c_k` of every covered pair, contiguous in packed pair
 /// order.
 ///
-/// The pair-major layout (one `Vec` per [`crate::sketch::PairSketch`])
-/// strides across `N(N−1)/2` separate allocations when a tile of pairs is
-/// evaluated; this view is what [`QueryPlan::block_kernel`] streams instead.
-/// The in-memory query paths borrow it straight from the sketch's own
-/// window-major table ([`SketchSet::window_corrs_view`], zero copies per
-/// query); the disk engine materializes an owned [`TransposedCorrs`] per
-/// read batch and takes its [`TransposedCorrs::view`].
+/// A tile of pairs reads one contiguous run of each row, which is what
+/// [`QueryPlan::block_kernel`] streams. This is the layout the sketch itself
+/// is stored in: the in-memory query paths borrow the view straight from the
+/// sketch's table ([`SketchSet::window_corrs_view`], zero copies per query),
+/// and one pair's per-window values (a [`crate::sketch::PairSketch`]) are a
+/// strided column of it. The disk engine materializes an owned
+/// [`TransposedCorrs`] per read batch and takes its [`TransposedCorrs::view`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorrView<'a> {
     pairs: usize,
@@ -633,6 +633,13 @@ impl<'a> CorrView<'a> {
     /// The contiguous correlations of all pairs in window `k`.
     pub fn window_row(&self, k: usize) -> &'a [f64] {
         &self.data[k * self.pairs..(k + 1) * self.pairs]
+    }
+
+    /// The values of pair `p` in every covered window, oldest first: a
+    /// strided read of column `p`, one element per row.
+    pub fn pair_column(&self, p: usize) -> impl Iterator<Item = f64> + 'a {
+        let (data, pairs) = (self.data, self.pairs);
+        (0..self.windows).map(move |k| data[k * pairs + p])
     }
 }
 
@@ -1042,16 +1049,41 @@ mod tests {
 
     #[test]
     fn corr_views_mirror_pair_sketches() {
-        let c = test_collection(4, 120);
-        let sketch = SketchSet::build(&c, 20).unwrap();
-        let t = sketch.window_corrs_view(2..6);
-        assert_eq!(t.pair_count(), 6);
-        assert_eq!(t.window_count(), 4);
-        for (p, pair) in sketch.pair_sketches().enumerate() {
-            for kk in 0..4 {
-                assert_eq!(t.window_row(kk)[p], pair.corrs[2 + kk]);
+        // The on-demand pair view is a column of the one table, whichever way
+        // the sketch came to be: built, assembled from parts, or grown.
+        fn assert_mirrors(sketch: &SketchSet, c: &SeriesCollection) {
+            let ns = sketch.window_count();
+            let t = sketch.window_corrs_view(2..ns);
+            assert_eq!(t.pair_count(), 6);
+            assert_eq!(t.window_count(), ns - 2);
+            for (p, (i, j)) in c.pairs().enumerate() {
+                let pair = sketch.pair_sketch(i, j).unwrap();
+                assert_eq!((pair.a, pair.b, pair.corrs.len()), (i, j, ns));
+                for kk in 0..ns - 2 {
+                    assert_eq!(t.window_row(kk)[p], pair.corrs[2 + kk]);
+                }
+                assert!(t.pair_column(p).eq(pair.corrs[2..].iter().copied()));
             }
         }
+        let c = test_collection(4, 120);
+        let built = SketchSet::build(&c, 20).unwrap();
+        assert_mirrors(&built, &c);
+
+        let pairs = c
+            .pairs()
+            .map(|(i, j)| built.pair_sketch(i, j).unwrap())
+            .collect();
+        let series = built.series_sketches().cloned().collect();
+        let mut assembled = SketchSet::from_parts(20, 4, series, pairs).unwrap();
+        assert_eq!(assembled, built);
+        assert_mirrors(&assembled, &c);
+
+        let stats = (0..4).map(|i| built.series_sketch(i).unwrap().window(0));
+        let row = (0..6).map(|p| 0.1 * p as f64 - 0.2).collect::<Vec<_>>();
+        assembled.push_window(stats.collect(), row.clone()).unwrap();
+        assert_mirrors(&assembled, &c);
+        assert_eq!(assembled.window_corrs_view(6..7).window_row(0), &row[..]);
+
         let f = TransposedCorrs::from_fn(3, 2, |p, k| (p * 10 + k) as f64);
         assert_eq!(f.view().window_row(1), &[1.0, 11.0, 21.0]);
         assert_eq!(f.view().pair_count(), 3);

@@ -5,11 +5,14 @@
 //! * per series, per basic window: mean and population standard deviation
 //!   ([`SeriesSketch`]), and
 //! * per unordered pair of series, per basic window: the Pearson correlation
-//!   of the two aligned windows ([`PairSketch`]).
+//!   of the two aligned windows (`c_j`; one pair's run of them is a
+//!   [`PairSketch`]).
 //!
 //! Both are computed in a single pass over the raw data and are all that
 //! Lemma 1 needs to recombine the exact correlation of any query window. The
-//! space cost matches the paper's analysis: `L/B · (2N + N(N-1)/2)` floats.
+//! space cost matches the paper's analysis — `L/B · (2N + N(N-1)/2)` floats —
+//! because every `c_j` is stored exactly once, in the window-major table the
+//! batch kernel below writes and the query kernel streams.
 //!
 //! # The tiled batch kernel
 //!
@@ -114,85 +117,54 @@ pub fn unpack_pair_index(p: usize, n: usize) -> (usize, usize) {
     }
 }
 
-/// The complete sketch of a collection: every [`SeriesSketch`] plus every
-/// [`PairSketch`], produced by one pass over the raw data (Algorithm 1).
+/// The complete sketch of a collection: every [`SeriesSketch`] plus the
+/// per-window correlation of every pair, produced by one pass over the raw
+/// data (Algorithm 1).
 ///
-/// Pair correlations are held in **both** layouts: the pair-major
-/// [`PairSketch`] vectors (the per-pair API every scalar path slices) and a
-/// window-major flat table (`window_corrs[w·P + p]`, packed pair order) that
-/// the tiled query kernel streams without any per-query transposition —
-/// [`SketchSet::window_corrs_view`] hands out a zero-copy view. The two are
-/// maintained together by every constructor and by
-/// [`SketchSet::push_window`].
+/// Pair correlations are stored once, in a window-major flat table
+/// (`window_corrs[w·P + p]`, packed pair order): the layout the tiled query
+/// kernel streams without any per-query transposition
+/// ([`SketchSet::window_corrs_view`] hands out a zero-copy view) and the
+/// layout an arriving basic window extends by one contiguous row
+/// ([`SketchSet::push_window`]). The per-pair [`PairSketch`] the scalar
+/// reference paths slice is a strided read of that table, gathered on demand
+/// by [`SketchSet::pair_sketch`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SketchSet {
     basic_window: usize,
     n_series: usize,
     series: Vec<SeriesSketch>,
-    pairs: Vec<PairSketch>,
-    /// Window-major copy of all pair correlations (`ns × P`, row `w` holds
-    /// `c_w` of every pair in packed order).
-    ///
-    /// Derived redundantly from `pairs`. The serde derives above are
-    /// workspace-local marker traits (nothing serializes a `SketchSet`
-    /// through them today); if the real serde crate is ever swapped in,
-    /// exclude this field (`#[serde(skip)]`) and rebuild it from `pairs` via
-    /// `scatter_pair_rows` after deserialization — both so old payloads stay
-    /// readable and so a hand-edited payload cannot desynchronize the two
-    /// layouts.
+    /// All pair correlations, window-major (`ns × P`, row `w` holds `c_w` of
+    /// every pair in packed order).
     window_corrs: Vec<f64>,
 }
 
-/// Pair-block size of the cache-blocked layout conversions: one tile reads a
-/// contiguous 512-byte run of a window row while keeping 64 per-pair write
-/// streams open, instead of striding the whole `ns × P` table per pair.
-const LAYOUT_TILE: usize = 64;
-
-/// Cache-blocked gather of a window-major flat table (`flat[w·P + p]`) into
-/// per-pair vectors (`out[p][w]`). Shared by every sketch that keeps its
-/// per-pair values in both layouts (this crate's correlations, the DFT
-/// comparator's distances).
-pub fn gather_pair_rows(flat: &[f64], n_pairs: usize, ns: usize) -> Vec<Vec<f64>> {
-    debug_assert_eq!(flat.len(), n_pairs * ns);
-    let mut out: Vec<Vec<f64>> = (0..n_pairs).map(|_| vec![0.0f64; ns]).collect();
-    for p0 in (0..n_pairs).step_by(LAYOUT_TILE) {
-        let p1 = (p0 + LAYOUT_TILE).min(n_pairs);
-        for w in 0..ns {
-            let row = &flat[w * n_pairs..(w + 1) * n_pairs];
-            for p in p0..p1 {
-                out[p][w] = row[p];
-            }
-        }
-    }
-    out
+/// Number of unordered pairs of `n` series (`0` for `n < 2`).
+fn packed_pairs(n: usize) -> usize {
+    n * n.saturating_sub(1) / 2
 }
 
-/// Cache-blocked scatter of pair-major values into a window-major flat table
-/// — the inverse of [`gather_pair_rows`], generalized over an accessor
-/// `f(p, w)` so callers with different pair-major containers share the one
-/// blocking scheme. Used when a sketch is assembled from pair-major parts
-/// (store rehydration, partition merges, the scalar reference builders).
-pub fn scatter_pair_rows_with(
-    n_pairs: usize,
-    ns: usize,
-    mut f: impl FnMut(usize, usize) -> f64,
-) -> Vec<f64> {
+/// Pair-block size of the cache-blocked scatter: one tile fills a contiguous
+/// 512-byte run of a window row while keeping 64 per-pair read streams open,
+/// instead of striding the whole `ns × P` table per pair.
+const LAYOUT_TILE: usize = 64;
+
+/// Cache-blocked scatter of pair-major [`PairSketch`] vectors into a
+/// window-major flat table (`flat[w·P + p] = pairs[p].corrs[w]`) — the one
+/// pair-major → window-major conversion, behind [`SketchSet::from_parts`].
+fn scatter_pair_rows(pairs: &[PairSketch], ns: usize) -> Vec<f64> {
+    let n_pairs = pairs.len();
     let mut flat = vec![0.0f64; n_pairs * ns];
     for p0 in (0..n_pairs).step_by(LAYOUT_TILE) {
         let p1 = (p0 + LAYOUT_TILE).min(n_pairs);
         for w in 0..ns {
             let row = &mut flat[w * n_pairs..(w + 1) * n_pairs];
-            for (slot, p) in row[p0..p1].iter_mut().zip(p0..p1) {
-                *slot = f(p, w);
+            for (slot, pair) in row[p0..p1].iter_mut().zip(&pairs[p0..p1]) {
+                *slot = pair.corrs[w];
             }
         }
     }
     flat
-}
-
-/// [`scatter_pair_rows_with`] over [`PairSketch`] vectors.
-fn scatter_pair_rows(pairs: &[PairSketch], ns: usize) -> Vec<f64> {
-    scatter_pair_rows_with(pairs.len(), ns, |p, w| pairs[p].corrs[w])
 }
 
 impl SketchSet {
@@ -221,7 +193,7 @@ impl SketchSet {
         let windowing = BasicWindowing::new(basic_window)?;
         let ns = windowing.complete_windows(series_len);
         let n = collection.len();
-        let n_pairs = n * n.saturating_sub(1) / 2;
+        let n_pairs = packed_pairs(n);
         crate::capacity::check_dense_budget(n_pairs, ns)?;
         let b = basic_window;
 
@@ -250,21 +222,11 @@ impl SketchSet {
             }
             tiled_pair_corrs_into(&z, n, b, &mut flat[w * n_pairs..(w + 1) * n_pairs]);
         }
-        drop(z);
-
-        // Pair-major vectors via a cache-blocked gather; the window-major
-        // flat table is kept as-is for the query kernel.
-        let rows = gather_pair_rows(&flat, n_pairs, ns);
-        let mut pairs = Vec::with_capacity(n_pairs);
-        for ((i, j), corrs) in collection.pairs().zip(rows) {
-            pairs.push(PairSketch { a: i, b: j, corrs });
-        }
 
         Ok(Self {
             basic_window,
             n_series: n,
             series,
-            pairs,
             window_corrs: flat,
         })
     }
@@ -294,7 +256,7 @@ impl SketchSet {
             .map(|(id, s)| SeriesSketch::build(id, s.values(), windowing))
             .collect();
 
-        let mut pairs = Vec::with_capacity(n * (n - 1) / 2);
+        let mut pairs = Vec::with_capacity(packed_pairs(n));
         for (i, j) in collection.pairs() {
             let x = collection.get(i)?.values();
             let y = collection.get(j)?.values();
@@ -311,40 +273,23 @@ impl SketchSet {
             }
             pairs.push(PairSketch { a: i, b: j, corrs });
         }
-
-        let ns = series.first().map_or(0, |s| s.windows.len());
-        let window_corrs = scatter_pair_rows(&pairs, ns);
-        Ok(Self {
-            basic_window,
-            n_series: n,
-            series,
-            pairs,
-            window_corrs,
-        })
+        Self::from_parts(basic_window, n, series, pairs)
     }
 
-    /// Construct a sketch set from already-computed parts. Used by the
-    /// storage layer when re-hydrating sketches from disk and by the parallel
-    /// sketcher when merging partition outputs. The window-major correlation
-    /// table is rebuilt from the pair-major parts.
+    /// Construct a sketch set from pair-major parts (one [`PairSketch`] per
+    /// pair, packed order). Used when re-hydrating a sketch from pile rows
+    /// and by the scalar reference builder; the pair vectors are scattered
+    /// once into the window-major table and dropped.
     pub fn from_parts(
         basic_window: usize,
         n_series: usize,
         series: Vec<SeriesSketch>,
         pairs: Vec<PairSketch>,
     ) -> Result<Self> {
-        if basic_window == 0 {
-            return Err(Error::InvalidBasicWindow {
-                window: 0,
-                series_len: 0,
-            });
-        }
-        if series.len() != n_series || pairs.len() != n_series * n_series.saturating_sub(1) / 2 {
+        let n_pairs = packed_pairs(n_series);
+        if pairs.len() != n_pairs {
             return Err(Error::SketchMismatch {
-                requested: format!(
-                    "{n_series} series / {} pairs",
-                    n_series * (n_series - 1) / 2
-                ),
+                requested: format!("{n_series} series / {n_pairs} pairs"),
                 available: format!("{} series / {} pairs", series.len(), pairs.len()),
             });
         }
@@ -361,11 +306,45 @@ impl SketchSet {
             });
         }
         let window_corrs = scatter_pair_rows(&pairs, ns);
+        Self::from_window_major(basic_window, n_series, series, window_corrs)
+    }
+
+    /// Construct a sketch set from per-series statistics plus the
+    /// window-major pair-correlation table itself (`window_corrs[w·P + p]`,
+    /// packed pair order, one row per window of `series`), taking ownership
+    /// of both — no layout conversion. Snapshot paths that already hold
+    /// window-major rows (`SlidingNetwork::snapshot_sketch`) use this.
+    pub fn from_window_major(
+        basic_window: usize,
+        n_series: usize,
+        series: Vec<SeriesSketch>,
+        window_corrs: Vec<f64>,
+    ) -> Result<Self> {
+        if basic_window == 0 {
+            return Err(Error::InvalidBasicWindow {
+                window: 0,
+                series_len: 0,
+            });
+        }
+        let n_pairs = packed_pairs(n_series);
+        let ns = series.first().map_or(0, |s| s.windows.len());
+        if series.len() != n_series || window_corrs.len() != ns * n_pairs {
+            return Err(Error::SketchMismatch {
+                requested: format!(
+                    "{n_series} series / {} pair correlations ({ns} windows × {n_pairs} pairs)",
+                    ns * n_pairs
+                ),
+                available: format!(
+                    "{} series / {} pair correlations",
+                    series.len(),
+                    window_corrs.len()
+                ),
+            });
+        }
         Ok(Self {
             basic_window,
             n_series,
             series,
-            pairs,
             window_corrs,
         })
     }
@@ -398,18 +377,19 @@ impl SketchSet {
     }
 
     /// Per-window correlations of one unordered pair (order of the arguments
-    /// does not matter).
-    pub fn pair_sketch(&self, i: SeriesId, j: SeriesId) -> Result<&PairSketch> {
+    /// does not matter): column `p` of the window-major table, gathered into
+    /// an owned [`PairSketch`] on every call — `O(ns)` strided reads, nothing
+    /// cached.
+    pub fn pair_sketch(&self, i: SeriesId, j: SeriesId) -> Result<PairSketch> {
         if i == j || i >= self.n_series || j >= self.n_series {
             return Err(Error::UnknownSeries(i.max(j)));
         }
         let (a, b) = if i < j { (i, j) } else { (j, i) };
-        Ok(&self.pairs[pair_index(a, b, self.n_series)])
-    }
-
-    /// Iterate over all pair sketches.
-    pub fn pair_sketches(&self) -> impl Iterator<Item = &PairSketch> {
-        self.pairs.iter()
+        let corrs = self
+            .window_corrs_view(0..self.window_count())
+            .pair_column(pair_index(a, b, self.n_series))
+            .collect();
+        Ok(PairSketch { a, b, corrs })
     }
 
     /// Iterate over all series sketches.
@@ -425,27 +405,19 @@ impl SketchSet {
         series_stats: Vec<WindowStats>,
         pair_corrs: Vec<f64>,
     ) -> Result<()> {
-        if series_stats.len() != self.n_series
-            || pair_corrs.len() != self.n_series * (self.n_series - 1) / 2
-        {
+        let n_pairs = packed_pairs(self.n_series);
+        if series_stats.len() != self.n_series || pair_corrs.len() != n_pairs {
             return Err(Error::SketchMismatch {
                 requested: format!("{} series / {} pairs", series_stats.len(), pair_corrs.len()),
-                available: format!(
-                    "{} series / {} pairs",
-                    self.n_series,
-                    self.n_series * (self.n_series - 1) / 2
-                ),
+                available: format!("{} series / {n_pairs} pairs", self.n_series),
             });
         }
         for (sketch, stats) in self.series.iter_mut().zip(series_stats) {
             sketch.push_window(stats);
         }
         // The packed order of `pair_corrs` is exactly one new window-major
-        // row, so the flat table grows by a contiguous append.
+        // row, so the table grows by a contiguous append.
         self.window_corrs.extend_from_slice(&pair_corrs);
-        for (sketch, c) in self.pairs.iter_mut().zip(pair_corrs) {
-            sketch.corrs.push(c);
-        }
         Ok(())
     }
 
@@ -458,7 +430,7 @@ impl SketchSet {
     ///
     /// Panics when `full` exceeds the sketched window range.
     pub fn window_corrs_view(&self, full: std::ops::Range<usize>) -> crate::plan::CorrView<'_> {
-        let n_pairs = self.n_series * self.n_series.saturating_sub(1) / 2;
+        let n_pairs = packed_pairs(self.n_series);
         crate::plan::CorrView::new(
             &self.window_corrs[full.start * n_pairs..full.end * n_pairs],
             n_pairs,
@@ -470,7 +442,7 @@ impl SketchSet {
     /// quantity ψ = L/B · (2N + N(N-1)/2). Used by the Figure 6d experiment.
     pub fn stored_floats(&self) -> usize {
         let ns = self.window_count();
-        ns * (2 * self.n_series + self.n_series * (self.n_series - 1) / 2)
+        ns * (2 * self.n_series + packed_pairs(self.n_series))
     }
 }
 
@@ -509,7 +481,7 @@ mod tests {
         assert_eq!(sketch.basic_window(), 4);
         assert_eq!(sketch.series_count(), 3);
         assert_eq!(sketch.window_count(), 2);
-        assert_eq!(sketch.pair_sketches().count(), 3);
+        assert_eq!(sketch.window_corrs_view(0..2).pair_count(), 3);
         assert_eq!(sketch.stored_floats(), 2 * (2 * 3 + 3));
     }
 
@@ -567,14 +539,14 @@ mod tests {
             let reference = SketchSet::build_reference(&c, b).unwrap();
             // Per-series statistics share the same code path: identical.
             assert_eq!(tiled.series, reference.series);
-            for (t, r) in tiled.pairs.iter().zip(&reference.pairs) {
-                assert_eq!((t.a, t.b), (r.a, r.b));
+            for (i, j) in c.pairs() {
+                let t = tiled.pair_sketch(i, j).unwrap();
+                let r = reference.pair_sketch(i, j).unwrap();
+                assert_eq!((t.a, t.b, t.corrs.len()), (i, j, r.corrs.len()));
                 for (ct, cr) in t.corrs.iter().zip(&r.corrs) {
                     assert!(
                         (ct - cr).abs() <= 1e-10,
-                        "pair ({},{}) B={b}: {ct} vs {cr}",
-                        t.a,
-                        t.b
+                        "pair ({i},{j}) B={b}: {ct} vs {cr}"
                     );
                 }
             }
@@ -634,8 +606,29 @@ mod tests {
         let c = collection();
         let sketch = SketchSet::build(&c, 4).unwrap();
         let series: Vec<_> = sketch.series_sketches().cloned().collect();
-        let pairs: Vec<_> = sketch.pair_sketches().cloned().collect();
-        assert!(SketchSet::from_parts(4, 3, series.clone(), pairs.clone()).is_ok());
+        let pairs: Vec<_> = c
+            .pairs()
+            .map(|(i, j)| sketch.pair_sketch(i, j).unwrap())
+            .collect();
+        assert_eq!(
+            SketchSet::from_parts(4, 3, series.clone(), pairs.clone()).unwrap(),
+            sketch
+        );
         assert!(SketchSet::from_parts(4, 4, series, pairs).is_err());
+    }
+
+    #[test]
+    fn empty_series_sets_are_typed_errors_not_underflows() {
+        // One series sketch declared as zero series: a mismatch, not `0 - 1`.
+        let one = SeriesSketch {
+            series: 0,
+            windows: Vec::new(),
+        };
+        let err = SketchSet::from_parts(4, 0, vec![one], vec![]).unwrap_err();
+        assert!(matches!(err, Error::SketchMismatch { .. }));
+        // The empty sketch is accepted and stays appendable.
+        let mut empty = SketchSet::from_parts(4, 0, vec![], vec![]).unwrap();
+        empty.push_window(vec![], vec![]).unwrap();
+        assert_eq!((empty.window_count(), empty.stored_floats()), (0, 0));
     }
 }

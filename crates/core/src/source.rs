@@ -13,14 +13,17 @@
 //!   [`QueryPlan::block_kernel`](crate::plan::QueryPlan::block_kernel)
 //!   streams.
 //!
-//! [`CorrSource`] is exactly that contract. A backend serves the table either
-//! **whole** ([`CorrSource::full_table`] — zero-copy for mapped piles and
-//! in-memory sketches) or **chunk at a time** ([`CorrSource::chunk_table`] —
-//! what a DFT sketch falls back to when its estimate table would exceed the
-//! dense budget), and declares its capabilities per [`PlanMethod`] through
-//! [`CorrSource::window_count`]. The engines are written once against this
-//! trait; growing a new backend (tiered storage, replicas, remote piles)
-//! means implementing it, not forking the pipeline.
+//! [`CorrSource`] is exactly that contract, and the table is every backend's
+//! stored layout — a [`SketchSet`]'s only copy of its pair correlations, a
+//! pile's on-disk rows — so serving it converts nothing. A backend serves the
+//! table either **whole** ([`CorrSource::full_table`] — zero-copy for mapped
+//! piles and in-memory sketches) or **chunk at a time**
+//! ([`CorrSource::chunk_table`] — what a DFT sketch falls back to when its
+//! estimate table would exceed the dense budget), and declares its
+//! capabilities per [`PlanMethod`] through [`CorrSource::window_count`]. The
+//! engines are written once against this trait; growing a new backend (tiered
+//! storage, replicas, remote piles) means implementing it, not forking the
+//! pipeline.
 //!
 //! # The NaN audit
 //!

@@ -215,8 +215,8 @@ pub fn approximate_correlation_matrix(
 
 /// The scalar reference all-pairs matrix: [`approximate_pair_correlation`]
 /// looped pair by pair — exactly the pre-plan evaluation path. Kept as the
-/// arithmetic yardstick for the `approx_plan_agreement` property suite and
-/// the `pr5_approx_kernels` speedup measurement, not for speed.
+/// arithmetic yardstick for the `approx_plan_agreement` property suite, not
+/// for speed.
 pub fn approximate_correlation_matrix_reference(
     sketch: &DftSketchSet,
     windows: std::ops::Range<usize>,

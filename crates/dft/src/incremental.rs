@@ -31,7 +31,7 @@ use tsubasa_core::error::{Error, Result};
 use tsubasa_core::incremental::SlidingSeriesState;
 use tsubasa_core::matrix::{AdjacencyMatrix, CorrelationMatrix};
 use tsubasa_core::runner::{JobRunner, SerialRunner};
-use tsubasa_core::sketch::{pair_index, unpack_pair_index, PairSketch, SeriesSketch};
+use tsubasa_core::sketch::{pair_index, SeriesSketch};
 use tsubasa_core::stats::{tiled_pair_dist_sq_into, WindowStats};
 use tsubasa_core::SketchSet;
 
@@ -339,17 +339,12 @@ impl SlidingApproxNetwork {
                 windows: state.window_stats().collect(),
             })
             .collect();
-        let pairs: Vec<PairSketch> = (0..n_pairs)
-            .map(|p| {
-                let (a, b) = unpack_pair_index(p, self.n);
-                PairSketch {
-                    a,
-                    b,
-                    corrs: vec![f64::NAN; ns],
-                }
-            })
-            .collect();
-        let base = SketchSet::from_parts(self.basic_window, self.n, series, pairs)?;
+        let base = SketchSet::from_window_major(
+            self.basic_window,
+            self.n,
+            series,
+            vec![f64::NAN; ns * n_pairs],
+        )?;
         let mut window_dists = Vec::with_capacity(ns * n_pairs);
         for row in &self.pair_windows {
             window_dists.extend_from_slice(row);

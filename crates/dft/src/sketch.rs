@@ -15,19 +15,20 @@
 //! (`[re₀, im₀, re₁, im₁, …]`), after which every pair's squared coefficient
 //! distance is a cache-blocked difference-square sweep over contiguous rows
 //! ([`tsubasa_core::stats::tiled_pair_dist_sq_into`], the distance sibling of
-//! the exact sketch's `Z·Zᵀ` kernel). Distances are kept in **both** layouts:
-//! the pair-major per-pair vectors (the [`DftSketchSet::pair_distances`] API)
-//! and a window-major flat table the approximate query plan streams
-//! ([`DftSketchSet::window_dists_view`], zero-copy). The scalar per-pair path
-//! survives as [`DftSketchSet::build_reference`]; every accumulated term of
-//! the tiled sweep is non-negative, so the two agree far inside the `1e-10`
-//! tolerance contract pinned by `tests/approx_plan_agreement.rs`.
+//! the exact sketch's `Z·Zᵀ` kernel). Distances are stored once, in the
+//! window-major flat table the approximate query plan streams
+//! ([`DftSketchSet::window_dists_view`], zero-copy);
+//! [`DftSketchSet::pair_distances`] gathers one pair's column of it on
+//! demand. The scalar per-pair path survives as
+//! [`DftSketchSet::build_reference`]; every accumulated term of the tiled
+//! sweep is non-negative, so the two agree far inside the `1e-10` tolerance
+//! contract pinned by `tests/approx_plan_agreement.rs`.
 
 use serde::{Deserialize, Serialize};
 use tsubasa_core::capacity::check_dense_budget;
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::plan::{CorrView, PlanMethod, TransposedCorrs};
-use tsubasa_core::sketch::{gather_pair_rows, pair_index, scatter_pair_rows_with};
+use tsubasa_core::sketch::pair_index;
 use tsubasa_core::source::{check_source_windows, CorrSource, PairTable};
 use tsubasa_core::stats::{
     normalize_into, tiled_pair_corrs_into, tiled_pair_dist_sq_into, WindowStats,
@@ -50,20 +51,16 @@ pub enum Transform {
 }
 
 /// The comparator's sketch: the core statistics plus per-pair per-window DFT
-/// coefficient distances, kept in both pair-major and window-major layouts
-/// (see the [module docs](self) for the tiled sweep that produces them).
+/// coefficient distances in one window-major table (see the
+/// [module docs](self) for the tiled sweep that produces them).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DftSketchSet {
     base: SketchSet,
     /// Number of DFT coefficients used when computing distances.
     coefficients: usize,
-    /// Packed per-pair vectors of per-window distances `d_j`.
-    pair_distances: Vec<Vec<f64>>,
-    /// Window-major copy of all pair distances (`ns × P`, row `w` holds `d_w`
-    /// of every pair in packed order) — the table
-    /// [`crate::plan::ApproxPlan`] streams. Maintained alongside
-    /// `pair_distances` by both constructors, mirroring the dual layout of
-    /// [`SketchSet`]'s pair correlations.
+    /// All pair distances, window-major (`ns × P`, row `w` holds `d_w` of
+    /// every pair in packed order) — the table [`crate::plan::ApproxPlan`]
+    /// streams, same layout as [`SketchSet`]'s pair correlations.
     window_dists: Vec<f64>,
 }
 
@@ -132,11 +129,9 @@ impl DftSketchSet {
             }
         }
 
-        let pair_distances = gather_pair_rows(&window_dists, n_pairs, ns);
         Ok(Self {
             base,
             coefficients: n_coeff,
-            pair_distances,
             window_dists,
         })
     }
@@ -146,8 +141,7 @@ impl DftSketchSet {
     /// the per-pair [`coefficient_distance`] pass over per-series coefficient
     /// vectors. This path is the arithmetic yardstick the tiled sweep is
     /// tested against (`tests/approx_plan_agreement.rs`); it is kept for that
-    /// role and for the `pr5_approx_kernels` speedup measurement, not for
-    /// speed.
+    /// role, not for speed.
     pub fn build_reference(
         collection: &SeriesCollection,
         basic_window: usize,
@@ -159,48 +153,37 @@ impl DftSketchSet {
         let ns = base.window_count();
         let n = collection.len();
 
-        // DFT coefficients of every normalized basic window of every series.
-        let mut coeffs: Vec<Vec<Vec<Complex>>> = Vec::with_capacity(n);
         let planner = DftPlanner::new(basic_window);
-        for (id, series) in collection.iter_with_ids() {
-            let sketch = base.series_sketch(id)?;
-            let mut per_window = Vec::with_capacity(ns);
-            for w in 0..ns {
-                let span = base.windowing().window_span(w);
-                let normalized =
-                    normalize_unit_with_stats(span.slice(series.values()), &sketch.window(w));
-                let c = match transform {
+        let mut window_dists = Vec::with_capacity(ns * n * n.saturating_sub(1) / 2);
+        for w in 0..ns {
+            let span = base.windowing().window_span(w);
+            // DFT coefficients of every series' normalized window `w`.
+            let mut coeffs: Vec<Vec<Complex>> = Vec::with_capacity(n);
+            for (id, series) in collection.iter_with_ids() {
+                let stats = base.series_sketch(id)?.window(w);
+                let normalized = normalize_unit_with_stats(span.slice(series.values()), &stats);
+                coeffs.push(match transform {
                     Transform::Naive => naive_dft(&normalized),
                     Transform::Fft => planner.transform(&normalized),
-                };
-                per_window.push(c);
+                });
             }
-            coeffs.push(per_window);
+            for (i, j) in collection.pairs() {
+                window_dists.push(coefficient_distance(&coeffs[i], &coeffs[j], n_coeff));
+            }
         }
 
-        let mut pair_distances = Vec::with_capacity(n * n.saturating_sub(1) / 2);
-        for (i, j) in collection.pairs() {
-            let dists: Vec<f64> = (0..ns)
-                .map(|w| coefficient_distance(&coeffs[i][w], &coeffs[j][w], n_coeff))
-                .collect();
-            pair_distances.push(dists);
-        }
-
-        let window_dists =
-            scatter_pair_rows_with(pair_distances.len(), ns, |p, w| pair_distances[p][w]);
         Ok(Self {
             base,
             coefficients: n_coeff,
-            pair_distances,
             window_dists,
         })
     }
 
     /// Construct a comparator sketch from already-computed parts: the core
     /// statistics sketch plus a window-major flat table of pair distances
-    /// (`window_dists[w·P + p]`, same packed pair order as `base`). The
-    /// pair-major layout is rebuilt from the flat table. Used by snapshot
-    /// paths that maintain distances incrementally
+    /// (`window_dists[w·P + p]`, same packed pair order as `base`), which
+    /// becomes the sketch's table as is. Used by snapshot paths that maintain
+    /// distances incrementally
     /// (`SlidingApproxNetwork::snapshot_sketch`) and by any epoch-publication
     /// layer that freezes a growing comparator sketch.
     pub fn from_parts(
@@ -221,11 +204,9 @@ impl DftSketchSet {
             });
         }
         let n_coeff = coefficients.clamp(1, base.basic_window());
-        let pair_distances = gather_pair_rows(&window_dists, n_pairs, ns);
         Ok(Self {
             base,
             coefficients: n_coeff,
-            pair_distances,
             window_dists,
         })
     }
@@ -234,7 +215,7 @@ impl DftSketchSet {
     /// points (`chunk[i]` holds the `B` new values of series `i`): per-series
     /// statistics, per-pair correlations (both into the core `base` sketch,
     /// through the same tiled `Z·Zᵀ` kernel as [`SketchSet::push_window`]'s
-    /// callers), and per-pair DFT coefficient distances in both layouts.
+    /// callers), and per-pair DFT coefficient distances.
     /// This is the real-time ingestion path of the comparator; arithmetic is
     /// identical to rebuilding with [`DftSketchSet::build`] over the extended
     /// data, so a grown sketch stays bit-equal to a rebuilt one.
@@ -296,9 +277,6 @@ impl DftSketchSet {
 
         self.base.push_window(stats, pair_corrs)?;
         self.window_dists.extend_from_slice(&dists);
-        for (per_pair, d) in self.pair_distances.iter_mut().zip(dists) {
-            per_pair.push(d);
-        }
         Ok(())
     }
 
@@ -327,14 +305,19 @@ impl DftSketchSet {
         self.base.window_count()
     }
 
-    /// Per-window DFT distances of one unordered pair.
-    pub fn pair_distances(&self, i: usize, j: usize) -> Result<&[f64]> {
+    /// Per-window DFT distances of one unordered pair: column `p` of the
+    /// window-major table, gathered on every call (`O(ns)` strided reads,
+    /// nothing cached).
+    pub fn pair_distances(&self, i: usize, j: usize) -> Result<Vec<f64>> {
         let n = self.series_count();
         if i == j || i >= n || j >= n {
             return Err(Error::UnknownSeries(i.max(j)));
         }
         let (a, b) = if i < j { (i, j) } else { (j, i) };
-        Ok(&self.pair_distances[pair_index(a, b, n)])
+        Ok(self
+            .window_dists_view(0..self.window_count())
+            .pair_column(pair_index(a, b, n))
+            .collect())
     }
 
     /// Zero-copy window-major view of the pair distances over the basic
@@ -515,7 +498,7 @@ mod tests {
         let few = DftSketchSet::build(&c, 50, 5, Transform::Naive).unwrap();
         let d_full = full.pair_distances(0, 1).unwrap();
         let d_few = few.pair_distances(0, 1).unwrap();
-        for (a, b) in d_full.iter().zip(d_few) {
+        for (a, b) in d_full.iter().zip(&d_few) {
             assert!(
                 b <= &(a + 1e-12),
                 "partial distance must not exceed full distance"
@@ -557,17 +540,41 @@ mod tests {
 
     #[test]
     fn window_dists_view_mirrors_pair_distances() {
-        let c = collection(4, 120);
-        let sk = DftSketchSet::build(&c, 20, 10, Transform::Naive).unwrap();
-        let view = sk.window_dists_view(1..5);
-        assert_eq!(view.pair_count(), 6);
-        assert_eq!(view.window_count(), 4);
-        for (p, (i, j)) in c.pairs().enumerate() {
-            let dists = sk.pair_distances(i, j).unwrap();
-            for k in 0..4 {
-                assert_eq!(view.window_row(k)[p], dists[1 + k]);
+        // The on-demand pair view is a column of the one table, whichever way
+        // the sketch came to be: built, assembled from parts, or grown.
+        fn assert_mirrors(sk: &DftSketchSet, c: &SeriesCollection) {
+            let ns = sk.window_count();
+            let view = sk.window_dists_view(1..ns);
+            assert_eq!(view.pair_count(), 6);
+            assert_eq!(view.window_count(), ns - 1);
+            for (p, (i, j)) in c.pairs().enumerate() {
+                let dists = sk.pair_distances(i, j).unwrap();
+                assert_eq!(dists, sk.pair_distances(j, i).unwrap());
+                assert_eq!(dists.len(), ns);
+                for k in 0..ns - 1 {
+                    assert_eq!(view.window_row(k)[p], dists[1 + k]);
+                }
             }
         }
+        let full = collection(4, 120);
+        let c = full.truncate_length(100).unwrap();
+        let built = DftSketchSet::build(&c, 20, 10, Transform::Naive).unwrap();
+        assert_mirrors(&built, &c);
+
+        let table: Vec<f64> = (0..5)
+            .flat_map(|w| built.window_dists_view(w..w + 1).window_row(0).to_vec())
+            .collect();
+        let mut assembled = DftSketchSet::from_parts(built.base().clone(), 10, table).unwrap();
+        assert_eq!(assembled, built);
+        assert_mirrors(&assembled, &c);
+
+        let chunk: Vec<Vec<f64>> = full.iter().map(|s| s.values()[100..].to_vec()).collect();
+        assembled.push_window(&chunk, Transform::Naive).unwrap();
+        assert_mirrors(&assembled, &full);
+        assert_eq!(
+            assembled,
+            DftSketchSet::build(&full, 20, 10, Transform::Naive).unwrap()
+        );
     }
 
     #[test]

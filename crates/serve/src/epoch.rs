@@ -42,7 +42,10 @@ use tsubasa_stream::{EpochSketches, StreamBuffer};
 /// window completed up to its publication, identified by a 1-based id.
 ///
 /// An epoch may carry an exact [`SketchSet`], a [`DftSketchSet`], both, or a
-/// memory-mapped [`SketchPile`] snapshot. At publication each payload is
+/// memory-mapped [`SketchPile`] snapshot. A **dual** epoch
+/// ([`EpochIngest::dual`]) carries one [`DftSketchSet`] whose base holds the
+/// real exact correlations, and answers both methods from it — the exact
+/// table is published once, not once per method. At publication each payload is
 /// also bound as a per-method [`CorrSource`] ([`Epoch::source`]) — the query
 /// engine answers through that trait alone, so a pile whose `PairEsts`
 /// segments are on disk answers approximate queries exactly like an
@@ -53,6 +56,10 @@ pub struct Epoch {
     id: u64,
     exact: Option<Arc<SketchSet>>,
     approx: Option<Arc<DftSketchSet>>,
+    /// The comparator's base sketch holds real exact correlations, so
+    /// `approx` answers exact queries too. (A comparator snapshot of an
+    /// approximate-only sliding network has a NaN-filled base and does not.)
+    dual: bool,
     pile: Option<Arc<SketchPile>>,
     exact_src: Option<Arc<dyn CorrSource>>,
     approx_src: Option<Arc<dyn CorrSource>>,
@@ -64,6 +71,7 @@ impl std::fmt::Debug for Epoch {
             .field("id", &self.id)
             .field("exact", &self.exact)
             .field("approx", &self.approx)
+            .field("dual", &self.dual)
             .field("pile", &self.pile)
             .field("exact_capable", &self.exact_src.is_some())
             .field("approx_capable", &self.approx_src.is_some())
@@ -77,9 +85,14 @@ impl Epoch {
         self.id
     }
 
-    /// The exact sketch snapshot, when this epoch carries one.
-    pub fn exact(&self) -> Option<&Arc<SketchSet>> {
-        self.exact.as_ref()
+    /// The exact sketch snapshot, when this epoch carries one — its own, or
+    /// the base of a dual epoch's comparator.
+    pub fn exact(&self) -> Option<&SketchSet> {
+        match (&self.exact, &self.approx) {
+            (Some(s), _) => Some(s),
+            (None, Some(a)) if self.dual => Some(a.base()),
+            _ => None,
+        }
     }
 
     /// The DFT comparator snapshot, when this epoch carries one.
@@ -163,7 +176,13 @@ impl EpochStore {
         if exact.is_none() && approx.is_none() {
             return Err(Error::EmptyInput("an epoch needs at least one sketch"));
         }
-        self.publish_epoch(exact.map(Arc::new), approx.map(Arc::new), None)
+        self.publish_epoch(exact.map(Arc::new), approx.map(Arc::new), false, None)
+    }
+
+    /// Publish a comparator sketch whose base holds real exact correlations
+    /// as the single payload of a dual epoch, answering both methods.
+    fn publish_dual(&self, sketch: DftSketchSet) -> Result<Arc<Epoch>> {
+        self.publish_epoch(None, Some(Arc::new(sketch)), true, None)
     }
 
     /// Publish the next epoch from a memory-mapped pile snapshot. The pile
@@ -176,22 +195,25 @@ impl EpochStore {
                 "a pile epoch needs at least one queryable window",
             ));
         }
-        self.publish_epoch(None, None, Some(Arc::new(pile)))
+        self.publish_epoch(None, None, false, Some(Arc::new(pile)))
     }
 
     fn publish_epoch(
         &self,
         exact: Option<Arc<SketchSet>>,
         approx: Option<Arc<DftSketchSet>>,
+        dual: bool,
         pile: Option<Arc<SketchPile>>,
     ) -> Result<Arc<Epoch>> {
         let id = self.published.fetch_add(1, Ordering::SeqCst) + 1;
         // Bind each method to its answering source at publication: a carried
-        // in-memory sketch wins, else the pile when its per-kind segment
-        // coverage supports the method.
-        let exact_src: Option<Arc<dyn CorrSource>> = match (&exact, &pile) {
-            (Some(s), _) => Some(Arc::clone(s) as Arc<dyn CorrSource>),
-            (None, Some(p)) if p.exact_query_windows() > 0 => {
+        // in-memory sketch wins (a dual comparator answers exact queries
+        // through its base), else the pile when its per-kind segment coverage
+        // supports the method.
+        let exact_src: Option<Arc<dyn CorrSource>> = match (&exact, &approx, &pile) {
+            (Some(s), _, _) => Some(Arc::clone(s) as Arc<dyn CorrSource>),
+            (None, Some(a), _) if dual => Some(Arc::clone(a) as Arc<dyn CorrSource>),
+            (None, _, Some(p)) if p.exact_query_windows() > 0 => {
                 Some(Arc::clone(p) as Arc<dyn CorrSource>)
             }
             _ => None,
@@ -207,6 +229,7 @@ impl EpochStore {
             id,
             exact,
             approx,
+            dual,
             pile,
             exact_src,
             approx_src,
@@ -272,7 +295,7 @@ enum IngestSketch {
 /// * [`EpochIngest::dual`] grows a [`DftSketchSet`], whose
 ///   [`push_window`](DftSketchSet::push_window) maintains the exact base
 ///   correlations alongside the coefficient distances — so every epoch
-///   carries **both** sketches and answers both query methods.
+///   carries that one sketch and answers both query methods from it.
 /// * [`EpochIngest::pile`] appends each completed window to an on-disk
 ///   [`SketchPile`] instead of growing an owned sketch; epochs carry a
 ///   memory-mapped snapshot of the pile, so the served set can exceed RAM.
@@ -315,7 +338,7 @@ impl EpochIngest {
         transform: Transform,
     ) -> Result<(Self, Arc<Epoch>)> {
         let sketch = DftSketchSet::build(historical, basic_window, coefficients, transform)?;
-        let first = store.publish(Some(sketch.base().clone()), Some(sketch.clone()))?;
+        let first = store.publish_dual(sketch.clone())?;
         Ok((
             Self {
                 store,
@@ -378,10 +401,7 @@ impl EpochIngest {
                 }
                 IngestSketch::Dual { sketch, transform } => {
                     sketch.push_window(&chunk, *transform)?;
-                    published.push(
-                        self.store
-                            .publish(Some(sketch.base().clone()), Some(sketch.clone()))?,
-                    );
+                    published.push(self.store.publish_dual(sketch.clone())?);
                 }
                 IngestSketch::Pile(writer) => {
                     append_window_to_pile(writer, &chunk)?;
@@ -546,7 +566,7 @@ mod tests {
 
         // The grown sketch is bit-identical to a from-scratch build.
         let rebuilt = SketchSet::build(&full, 20).unwrap();
-        assert_eq!(published[1].exact().unwrap().as_ref(), &rebuilt);
+        assert_eq!(published[1].exact().unwrap(), &rebuilt);
     }
 
     #[test]
@@ -613,6 +633,19 @@ mod tests {
 
         let rebuilt = DftSketchSet::build(&full, 20, 20, Transform::Naive).unwrap();
         assert_eq!(last.approx().unwrap().as_ref(), &rebuilt);
-        assert_eq!(last.exact().unwrap().as_ref(), rebuilt.base());
+        assert_eq!(last.exact().unwrap(), rebuilt.base());
+
+        // One payload: both methods are bound to the same comparator sketch.
+        let exact_src = last.source(PlanMethod::Exact).unwrap();
+        let approx_src = last.source(PlanMethod::Approximate).unwrap();
+        assert!(std::ptr::addr_eq(
+            Arc::as_ptr(exact_src),
+            Arc::as_ptr(approx_src)
+        ));
+        // A comparator published on its own is not a dual epoch: its base is
+        // not vouched for, so exact queries stay unanswerable.
+        let approx_only = store.publish(None, Some(rebuilt)).unwrap();
+        assert!(approx_only.exact().is_none());
+        assert!(approx_only.source(PlanMethod::Exact).is_none());
     }
 }

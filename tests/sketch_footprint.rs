@@ -1,0 +1,142 @@
+//! "Stored once": the window-major table is the sketch, there is no second
+//! per-pair copy of it.
+//!
+//! Measured with a counting allocator local to this test binary: a built
+//! `SketchSet` holds ψ = ns·(3N + P) eight-byte values (per series and window
+//! a `WindowStats` of three words, per pair and window one `c_j`), a
+//! `DftSketchSet` adds one `ns × P` distance table on top of its base, and an
+//! arriving window extends them with O(N) allocations — one per series'
+//! statistics vector plus one per table — never one per pair.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use tsubasa_core::prelude::*;
+use tsubasa_core::stats::{normalize_into, tiled_pair_corrs_into, WindowStats};
+use tsubasa_dft::sketch::{DftSketchSet, Transform};
+
+/// The system allocator with per-thread counters in front of it, so the test
+/// harness's own threads do not disturb a measurement.
+struct CountingAlloc;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(delta: isize, call: bool) {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down, when there is nothing left to count into.
+    let _ = LIVE.try_with(|l| l.set(l.get() + delta));
+    if call {
+        let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters are const-initialized `Cell`s without
+// destructors, so touching them never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as isize, true);
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(-(layout.size() as isize), false);
+        // SAFETY: `ptr` was returned by `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size as isize - layout.size() as isize, true);
+        // SAFETY: `ptr`/`layout` come from this allocator, `new_size` from
+        // the caller, exactly as `System.realloc` requires.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Run `f` on this thread; return its value, the heap bytes it left
+/// allocated, and the number of `alloc`/`realloc` calls it made.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let (live, calls) = (LIVE.get(), CALLS.get());
+    let value = f();
+    let held = usize::try_from(LIVE.get() - live).expect("the measured closure frees nothing");
+    (value, held, CALLS.get() - calls)
+}
+
+const N: usize = 64;
+const PAIRS: usize = N * (N - 1) / 2;
+const B: usize = 16;
+const WINDOWS: usize = 20;
+
+fn rows(len: usize) -> Vec<Vec<f64>> {
+    (0..N)
+        .map(|s| {
+            (0..len)
+                .map(|i| (i as f64 * 0.19 + s as f64).sin() + ((i * (s + 5)) % 11) as f64 * 0.05)
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn sketches_store_every_value_once() {
+    let c = SeriesCollection::from_rows(rows(WINDOWS * B)).unwrap();
+    let table = 8 * WINDOWS * PAIRS;
+    let psi = 8 * WINDOWS * 3 * N + table;
+
+    let (exact, held, _) = measured(|| SketchSet::build(&c, B).unwrap());
+    assert_eq!(exact.window_count(), WINDOWS);
+    assert!(
+        held as f64 <= 1.05 * psi as f64,
+        "a built SketchSet holds {held} bytes for ψ = {psi} bytes of sketch"
+    );
+
+    let (dft, held_dft, _) = measured(|| DftSketchSet::build(&c, B, 8, Transform::Fft).unwrap());
+    assert_eq!(dft.base(), &exact);
+    assert!(
+        (held_dft - held) as f64 <= 1.05 * table as f64,
+        "a DftSketchSet holds {} bytes beyond its base for one {table}-byte table",
+        held_dft - held
+    );
+}
+
+#[test]
+fn an_arriving_window_costs_allocations_per_series_not_per_pair() {
+    let c = SeriesCollection::from_rows(rows(WINDOWS * B)).unwrap();
+    let chunk: Vec<Vec<f64>> = rows((WINDOWS + 1) * B)
+        .into_iter()
+        .map(|r| r[WINDOWS * B..].to_vec())
+        .collect();
+
+    // The first append after a build is the expensive one: every vector the
+    // sketch owns is at exact capacity and has to grow.
+    let mut exact = SketchSet::build(&c, B).unwrap();
+    let stats: Vec<WindowStats> = chunk.iter().map(|p| WindowStats::from_values(p)).collect();
+    let mut z = vec![0.0f64; N * B];
+    for (i, points) in chunk.iter().enumerate() {
+        normalize_into(points, &stats[i], &mut z[i * B..(i + 1) * B]);
+    }
+    let mut corrs = vec![0.0f64; PAIRS];
+    tiled_pair_corrs_into(&z, N, B, &mut corrs);
+    let ((), _, calls) = measured(|| exact.push_window(stats, corrs).unwrap());
+    assert!(
+        calls <= N + 1,
+        "SketchSet::push_window made {calls} allocations for {N} series / {PAIRS} pairs"
+    );
+
+    // The comparator's append also computes the window (statistics, z rows,
+    // DFT coefficients per series), still a per-series count.
+    let mut dft = DftSketchSet::build(&c, B, 8, Transform::Fft).unwrap();
+    let ((), _, calls) = measured(|| dft.push_window(&chunk, Transform::Fft).unwrap());
+    assert!(
+        calls <= 8 * N,
+        "DftSketchSet::push_window made {calls} allocations for {N} series / {PAIRS} pairs"
+    );
+    assert_eq!(dft.base(), &exact);
+}
