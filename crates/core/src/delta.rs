@@ -1,107 +1,19 @@
-//! Delta-maintained climate networks: per-tick edge subscriptions over the
-//! sliding updaters (semi-naive evaluation of the thresholded network).
+//! Edge subscriptions over the sliding updaters: the per-tick change of the
+//! θ-thresholded network.
 //!
-//! [`crate::incremental::SlidingNetwork`] keeps every pair's correlation
-//! exact under Lemma 2, but a consumer that wants the *network* still paid
-//! `O(N²)` per tick: clone the matrix, re-threshold all pairs, diff the two
-//! snapshots. This module turns that recompute-and-diff loop into an
-//! incremental one: an [`EdgeWatch`] pinned to a threshold θ rides along with
-//! the per-pair slide sweep and emits an [`EdgeDelta`] — exactly the edges
-//! that appeared and vanished this tick — with no materialized matrix, no
-//! re-threshold pass, and no allocation proportional to the unchanged pairs.
-//!
-//! # The per-pair change bound
-//!
-//! Write the Lemma 2 numerator for pair `(x, y)` as computed by
-//! [`lemma2_update`]:
-//!
-//! ```text
-//! N = T·σx·σy·c_old + Bn(σxn·σyn·c_n + dxn·dyn) − B1(σx1·σy1·c_1 + dx1·dy1)
-//!     − T'·αx·αy
-//! ```
-//!
-//! and split it into a *center* that uses only the pair-local correlations
-//!
-//! ```text
-//! C = T·σx·σy·c_old + Bn·σxn·σyn·c_n − B1·σx1·σy1·c_1
-//!   = g_x·g_y·c_old + a_x·a_y·c_n − e_x·e_y·c_1
-//! ```
-//!
-//! with the per-series factors `g_i = √T·σ_i`, `e_i = √B1·σ_i,evicted`,
-//! `a_i = √Bn·σ_i,arriving`. By Lemma 1's covariance decomposition,
-//! `T·σx·σy·c_old = Σ_{k∈old} B_k·σxk·σyk·c_k + Σ_{k∈old} B_k·δxk·δyk` with
-//! `δik = μ_ik − μ_i` (offset of window `k`'s mean from the old query mean),
-//! so the remainder is the *difference of the two mean-shift sums*:
-//!
-//! ```text
-//! N − C = Σ_{k∈new} B_k·δ'xk·δ'yk − Σ_{k∈old} B_k·δxk·δyk
-//! ```
-//!
-//! (`δ'ik = μ_ik − μ'_i` offsets against the new query mean). A naive bound
-//! here (Cauchy–Schwarz on each sum separately) is hopeless on climate-like
-//! data — between-window mean variance is a large fraction of total
-//! variance, so the radius swallows θ. But the difference collapses: on the
-//! `W = T − B1` points shared by both windows, the quadratic `μ_xk·μ_yk`
-//! terms cancel,
-//!
-//! ```text
-//! δ'xk·δ'yk − δxk·δyk = μ_xk(μ_y − μ'_y) + μ_yk(μ_x − μ'_x)
-//!                       + (μ'_x·μ'_y − μ_x·μ_y)
-//! ```
-//!
-//! leaving sums *linear* in the window means, which reduce to per-series
-//! aggregates (`S_i = Σ_{k∈shared} B_k·μ_ik`, i.e. the shared points' sum).
-//! With `Δμ_i = μ_i − μ'_i`, `u_i = μ_i1 − μ_i`, `v_i = μ_i,arr − μ'_i`:
-//!
-//! ```text
-//! N − C = Δμ_y·S_x + Δμ_x·S_y + W·(μ'_x·μ'_y − μ_x·μ_y)
-//!         + Bn·v_x·v_y − B1·u_x·u_y
-//! ```
-//!
-//! — exact in real arithmetic, `O(1)` per pair from per-series tables. The
-//! Lemma 2 denominator factors per series as well (`√(var term)` depends
-//! only on one series), so with `D = den'_x·den'_y` and `V = C + (N − C)`
-//! the certification only needs a pad `R` covering same-tick floating-point
-//! rounding between this factored arithmetic and [`lemma2_update`]'s (the
-//! identity is algebra on the very values the update reads). Since clamping
-//! to `[−1, 1]` never moves a value across a threshold `θ ∈ [−1, 1)` from
-//! the side these comparisons place it on:
-//!
-//! * `V + R ≤ θ·D` certifies **no edge** (and a finite, non-NaN pair);
-//! * `V − R > θ·D` (with `θ < 1`) certifies **edge**;
-//! * anything else — including any NaN, a degenerate (non-positive) variance
-//!   term, an underflowed denominator, or a correlation within `R/D` of θ —
-//!   falls through to a *re-check* against the freshly computed correlation
-//!   with the exact `threshold_lenient` semantics (NaN pairs are counted,
-//!   never dropped).
-//!
-//! Every quantity in the test is per-series (`O(N·ns)` per tick to build the
-//! [`DeltaBoundTables`]) except the three correlations `c_old`, `c_1`, `c_n`,
-//! which the sweep already holds. The pad is scaled by a per-series
-//! magnitude envelope whose product dominates the absolute sum of the
-//! recombination's terms, so a pair only re-checks when its correlation sits
-//! within relative rounding distance of θ. The `delta_agreement` suite
-//! pins the resulting guarantee: previous snapshot + emitted delta equals a
-//! full re-threshold bit-for-bit, with zero false negatives from the pruning
-//! bound.
-//!
-//! The DFT engine reuses the same machinery verbatim: Equation 6 is Lemma 2
-//! over distance-derived window correlations `ĉ = 1 − d²/2`, so certifying
-//! `ĉ` against θ is the correlation-domain mirror of Equation 4's radius
-//! predicate `d ≶ √(2(1 − θ))`.
+//! A sliding tick ([`crate::incremental::SlidingState::slide_in`]) is one
+//! Lemma 2 sweep that leaves every pair's post-tick correlation in the packed
+//! `corrs` triangle. A subscribed engine then hands that triangle to
+//! [`EdgeWatch::observe`]: one pass that re-thresholds every pair against the
+//! edge bit the watch holds and records the pairs that flipped as an
+//! [`EdgeDelta`]. The consumer never clones a matrix or diffs two snapshots,
+//! and what reaches it is proportional to the edges that changed. The tick
+//! itself stays `O(N²)`: the sweep must compute every `c_new` (it feeds the
+//! next tick's recursion), and once it has, `c_new > θ` answers the edge
+//! question in one compare.
 
 use crate::error::{Error, Result};
-use crate::exact::WindowContribution;
-use crate::incremental::{lemma2_update, SlidingSeriesState};
 use crate::matrix::AdjacencyMatrix;
-use crate::plan::{even_sizes, row_segments};
-use crate::runner::{Job, JobRunner};
-use crate::stats::WindowStats;
-
-/// Pad applied to the certification interval, scaled by the magnitudes
-/// involved, to cover same-tick floating-point rounding between the bound's
-/// factored arithmetic and [`lemma2_update`]'s.
-const DELTA_BOUND_PAD: f64 = 1e-9;
 
 /// The edge-level change of one ingest tick, as emitted by a subscribed
 /// sliding updater: applying `appeared`/`vanished` to the previous snapshot
@@ -121,8 +33,7 @@ pub struct EdgeDelta {
     /// skipped) — the `nan_pair_count` a full lenient re-threshold would
     /// report.
     pub nan_pairs: usize,
-    /// Pairs the bound could not certify on one side of θ, re-checked
-    /// against the computed correlation.
+    /// Always 0: no bound, nothing re-checked; kept for the benchmark crate.
     pub rechecked_pairs: usize,
     /// Total pairs swept this tick (`N(N−1)/2`).
     pub total_pairs: usize,
@@ -131,7 +42,9 @@ pub struct EdgeDelta {
 impl EdgeDelta {
     /// Apply this delta to the snapshot it was emitted against, advancing it
     /// to the post-tick network (edge bits and NaN audit count). Returns
-    /// [`Error::Mismatch`] when the snapshot covers a different node set.
+    /// [`Error::Mismatch`] and leaves `snapshot` unchanged when it covers a
+    /// different node set or the delta's pairs do not fit its edges (see
+    /// [`EdgeDelta::check_pairs`]).
     pub fn apply_to(&self, snapshot: &mut AdjacencyMatrix) -> Result<()> {
         if snapshot.len() != self.nodes {
             return Err(Error::Mismatch {
@@ -139,6 +52,7 @@ impl EdgeDelta {
                 found: snapshot.len(),
             });
         }
+        self.check_pairs(|i, j| snapshot.has_edge(i, j))?;
         for &(i, j) in &self.appeared {
             snapshot.set_edge(i, j, true);
         }
@@ -146,6 +60,29 @@ impl EdgeDelta {
             snapshot.set_edge(i, j, false);
         }
         snapshot.set_nan_pair_count(self.nan_pairs);
+        Ok(())
+    }
+
+    /// Check this delta's pairs against a target over the same `nodes` whose
+    /// current edge bits `has_edge` reports: both lists hold pairs
+    /// `i < j < nodes` in strictly ascending order (so none repeats), every
+    /// `appeared` pair is absent and every `vanished` pair present. Appliers
+    /// call this before touching their state, so a delta that does not fit —
+    /// replayed twice, say — is a typed [`Error::Mismatch`] rather than a
+    /// panic or a wrapped edge count.
+    pub fn check_pairs(&self, has_edge: impl Fn(usize, usize) -> bool) -> Result<()> {
+        for (pairs, present) in [(&self.appeared, false), (&self.vanished, true)] {
+            for (k, &(i, j)) in pairs.iter().enumerate() {
+                let in_range = i < j && j < self.nodes;
+                let ascending = k == 0 || pairs[k - 1] < (i, j);
+                if !(in_range && ascending && has_edge(i, j) == present) {
+                    return Err(Error::Mismatch {
+                        expected: self.nodes,
+                        found: i.max(j),
+                    });
+                }
+            }
+        }
         Ok(())
     }
 
@@ -157,8 +94,8 @@ impl EdgeDelta {
 }
 
 /// A θ-pinned subscription over a sliding updater's edge set: holds the
-/// current edge bits and, after every ingest tick, the [`EdgeDelta`] the
-/// watched slide sweep emitted.
+/// current edge bits and, after every ingest tick, the [`EdgeDelta`] that
+/// [`EdgeWatch::observe`] found.
 #[derive(Debug, Clone)]
 pub struct EdgeWatch {
     theta: f64,
@@ -168,34 +105,62 @@ pub struct EdgeWatch {
 }
 
 impl EdgeWatch {
-    /// Subscribe at threshold `theta` over the current packed correlations.
-    /// Returns the watch plus the baseline snapshot (identical to a lenient
-    /// re-threshold of `corrs`, NaN audit included) that subsequent deltas
-    /// advance.
+    /// Subscribe at threshold `theta` over the current packed correlations:
+    /// an empty watch that observes `corrs` once. Returns the watch plus the
+    /// baseline snapshot (identical to a lenient re-threshold of `corrs`, NaN
+    /// audit included) that subsequent deltas advance.
     pub fn new(theta: f64, nodes: usize, corrs: &[f64]) -> Result<(Self, AdjacencyMatrix)> {
         if !(-1.0..=1.0).contains(&theta) {
             return Err(Error::InvalidThreshold(theta));
         }
-        let mut edges = vec![false; corrs.len()];
-        let mut nan_pairs = 0usize;
-        for (slot, &c) in edges.iter_mut().zip(corrs) {
-            if c.is_nan() {
-                nan_pairs += 1;
-            } else {
-                *slot = c > theta;
+        let mut watch = Self {
+            theta,
+            nodes,
+            edges: vec![false; corrs.len()],
+            last: None,
+        };
+        let nan_pairs = watch.observe(corrs).nan_pairs;
+        watch.last = None;
+        let mut baseline = AdjacencyMatrix::from_upper_triangle(nodes, watch.edges.clone());
+        baseline.set_nan_pair_count(nan_pairs);
+        Ok((watch, baseline))
+    }
+
+    /// Re-threshold the post-tick packed correlations against the held edge
+    /// bits, with the lenient semantics of
+    /// [`CorrelationMatrix::threshold_lenient`](crate::matrix::CorrelationMatrix::threshold_lenient):
+    /// a NaN pair is counted in `nan_pairs` and is never an edge, any other
+    /// pair is an edge iff `c > θ`. Pairs whose bit flipped are recorded in
+    /// ascending packed order; the resulting delta is returned and kept as
+    /// [`EdgeWatch::last`].
+    ///
+    /// # Panics
+    ///
+    /// If `corrs` is not the packed triangle the watch was created over.
+    pub fn observe(&mut self, corrs: &[f64]) -> &EdgeDelta {
+        assert_eq!(corrs.len(), self.edges.len(), "packed triangle size");
+        let mut delta = EdgeDelta {
+            nodes: self.nodes,
+            total_pairs: corrs.len(),
+            ..EdgeDelta::default()
+        };
+        let mut slots = self.edges.iter_mut().zip(corrs);
+        for i in 0..self.nodes {
+            for (j, (edge, &c)) in (i + 1..self.nodes).zip(&mut slots) {
+                delta.nan_pairs += usize::from(c.is_nan());
+                // NaN compares false: a NaN pair is never an edge.
+                let now = c > self.theta;
+                if now != *edge {
+                    *edge = now;
+                    if now {
+                        delta.appeared.push((i, j));
+                    } else {
+                        delta.vanished.push((i, j));
+                    }
+                }
             }
         }
-        let mut baseline = AdjacencyMatrix::from_upper_triangle(nodes, edges.clone());
-        baseline.set_nan_pair_count(nan_pairs);
-        Ok((
-            Self {
-                theta,
-                nodes,
-                edges,
-                last: None,
-            },
-            baseline,
-        ))
+        self.last.insert(delta)
     }
 
     /// The subscribed threshold θ.
@@ -203,369 +168,10 @@ impl EdgeWatch {
         self.theta
     }
 
-    /// The delta emitted by the most recent ingest tick (`None` before the
+    /// The delta of the most recent [`EdgeWatch::observe`] (`None` before the
     /// first tick after subscribing).
     pub fn last(&self) -> Option<&EdgeDelta> {
         self.last.as_ref()
-    }
-}
-
-/// Per-series certification tables for one ingest tick, `O(N·ns)` to build:
-/// every per-pair bound in the watched sweep is a product of two entries.
-/// See the module docs for the derivation.
-#[derive(Debug, Clone)]
-pub struct DeltaBoundTables {
-    /// `√T·σ_i` over the old query window (`g_x·g_y·c_old` is the old
-    /// covariance term of the Lemma 2 numerator).
-    g: Vec<f64>,
-    /// `√B1·σ` of the evicted basic window.
-    e: Vec<f64>,
-    /// `√Bn·σ` of the arriving basic window.
-    a: Vec<f64>,
-    /// Query-window mean before the slide (`μ_i`).
-    mu_old: Vec<f64>,
-    /// Query-window mean after the slide (`μ'_i`).
-    mu_new: Vec<f64>,
-    /// Weighted shared-window mean sum `S_i = Σ_{k∈shared} B_k·μ_ik` — the
-    /// raw sum of the points both windows share.
-    s: Vec<f64>,
-    /// Evicted window's mean offset from the old query mean
-    /// (`u_i = μ_i1 − μ_i`).
-    u: Vec<f64>,
-    /// Arriving window's mean offset from the new query mean
-    /// (`v_i = μ_i,arr − μ'_i`).
-    v: Vec<f64>,
-    /// Shared point count `W = T − B1` (per series; equal across aligned
-    /// series).
-    w: Vec<f64>,
-    /// Evicted basic-window length `B1`.
-    b1: Vec<f64>,
-    /// Arriving basic-window length `Bn`.
-    bn: Vec<f64>,
-    /// Per-series magnitude envelope: `pad_i·pad_j` upper-bounds (within a
-    /// small constant) the absolute sum of every term in the pair's
-    /// recombination, so one multiply scales the rounding pad.
-    pad: Vec<f64>,
-    /// `√(var term)` of the slid window — the per-series factor of the
-    /// Lemma 2 denominator. NaN when the variance term is non-positive or
-    /// NaN, which forces every pair of the series into the re-check path
-    /// (mirroring `lemma2_update`'s degenerate 0.0 return).
-    den_new: Vec<f64>,
-}
-
-impl DeltaBoundTables {
-    /// Build the tables for the tick that evicts `fronts[i]` and appends
-    /// `arriving[i]`, from the same pre-slide snapshots the sweep reads.
-    pub fn build(
-        series: &[SlidingSeriesState],
-        fronts: &[WindowStats],
-        totals: &[f64],
-        means: &[f64],
-        stds: &[f64],
-        arriving: &[WindowStats],
-    ) -> Self {
-        let n = series.len();
-        let mut tables = Self {
-            g: Vec::with_capacity(n),
-            e: Vec::with_capacity(n),
-            a: Vec::with_capacity(n),
-            mu_old: Vec::with_capacity(n),
-            mu_new: Vec::with_capacity(n),
-            s: Vec::with_capacity(n),
-            u: Vec::with_capacity(n),
-            v: Vec::with_capacity(n),
-            w: Vec::with_capacity(n),
-            b1: Vec::with_capacity(n),
-            bn: Vec::with_capacity(n),
-            pad: Vec::with_capacity(n),
-            den_new: Vec::with_capacity(n),
-        };
-        for i in 0..n {
-            let (t, mu, sd) = (totals[i], means[i], stds[i]);
-            let (ev, ar) = (fronts[i], arriving[i]);
-            let (b1, bn) = (ev.len as f64, ar.len as f64);
-            let t_new = t - b1 + bn;
-
-            // The variance term exactly as `lemma2_update` computes it, so
-            // the certified interval brackets the value the sweep divides by.
-            let d1 = ev.mean - mu;
-            let dn = ar.mean - mu;
-            let alpha = (bn * dn - b1 * d1) / t_new;
-            let vt = t * sd * sd + bn * (ar.std.powi(2) + dn * dn)
-                - b1 * (ev.std.powi(2) + d1 * d1)
-                - t_new * alpha * alpha;
-            tables
-                .den_new
-                .push(if vt > 0.0 { vt.sqrt() } else { f64::NAN });
-
-            tables.g.push(t.sqrt() * sd);
-            tables.e.push(b1.sqrt() * ev.std);
-            tables.a.push(bn.sqrt() * ar.std);
-
-            // The shared points' raw sum, accumulated window by window (every
-            // basic window except the evicted front survives the slide).
-            let mut shared_sum = 0.0;
-            for w in series[i].window_stats().skip(1) {
-                shared_sum += w.sum();
-            }
-            let mu_new = (shared_sum + ar.sum()) / t_new;
-            let v = ar.mean - mu_new;
-            let w = t - b1;
-            tables.mu_old.push(mu);
-            tables.mu_new.push(mu_new);
-            tables.s.push(shared_sum);
-            tables.u.push(d1);
-            tables.v.push(v);
-            tables.w.push(w);
-            tables.b1.push(b1);
-            tables.bn.push(bn);
-
-            // Every per-pair term is a product of one entry of this series'
-            // envelope and one of the partner's (|c| ≤ 1 for the three
-            // correlation factors), so `pad_i·pad_j` dominates the absolute
-            // sum of the recombination up to a small constant — folded into
-            // `DELTA_BOUND_PAD`'s slack.
-            let den = *tables.den_new.last().expect("pushed above");
-            tables.pad.push(
-                tables.g[i]
-                    + tables.e[i]
-                    + tables.a[i]
-                    + shared_sum.abs()
-                    + (mu - mu_new).abs()
-                    + w.sqrt() * (mu.abs() + mu_new.abs())
-                    + b1.sqrt() * d1.abs()
-                    + bn.sqrt() * v.abs()
-                    + den,
-            );
-        }
-        tables
-    }
-}
-
-/// The flat pre-slide snapshots both sliding engines feed to the per-pair
-/// sweep: per-series aggregates of the old query window, the evicted and
-/// arriving basic-window statistics, and the packed per-pair correlations of
-/// the evicted and arriving windows (the DFT engine converts its coefficient
-/// distances with `ĉ = 1 − d²/2` first — Equation 6 is Lemma 2 over those).
-#[derive(Debug)]
-pub struct SlideSweepInputs<'a> {
-    /// Number of series.
-    pub n: usize,
-    /// Packed per-pair correlations of the evicted basic window (`c_1`).
-    pub evicted_corrs: &'a [f64],
-    /// Packed per-pair correlations of the arriving basic window (`c_{ns+1}`).
-    pub arriving_corrs: &'a [f64],
-    /// Statistics of each series' evicted (front) basic window.
-    pub fronts: &'a [WindowStats],
-    /// `T` per series (raw length of the old query window).
-    pub totals: &'a [f64],
-    /// Mean per series over the old query window.
-    pub means: &'a [f64],
-    /// Standard deviation per series over the old query window.
-    pub stds: &'a [f64],
-    /// Statistics of each series' arriving basic window.
-    pub arriving_stats: &'a [WindowStats],
-}
-
-impl SlideSweepInputs<'_> {
-    #[inline]
-    fn update_pair(&self, i: usize, j: usize, idx: usize, corr_t: f64) -> f64 {
-        let evicted = WindowContribution {
-            x: self.fronts[i],
-            y: self.fronts[j],
-            corr: self.evicted_corrs[idx],
-        };
-        let arriving = WindowContribution {
-            x: self.arriving_stats[i],
-            y: self.arriving_stats[j],
-            corr: self.arriving_corrs[idx],
-        };
-        lemma2_update(
-            self.totals[i],
-            self.means[i],
-            self.means[j],
-            self.stds[i],
-            self.stds[j],
-            corr_t,
-            &evicted,
-            &arriving,
-        )
-    }
-}
-
-/// Per-worker change accumulator for the watched sweep. Workers own disjoint
-/// ascending pair ranges, so concatenating the scratches in worker order
-/// yields the delta's ascending pair order without a sort.
-#[derive(Debug, Default)]
-struct DeltaScratch {
-    appeared: Vec<(usize, usize)>,
-    vanished: Vec<(usize, usize)>,
-    nan_pairs: usize,
-    rechecked: usize,
-}
-
-/// Carve a buffer into disjoint contiguous mutable slices of `sizes`, in
-/// order (the generic twin of [`crate::plan::carve_packed_slices`], needed
-/// here for the watch's edge bits).
-fn carve_mut<'a, T>(mut values: &'a mut [T], sizes: &[usize]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(sizes.len());
-    for &size in sizes {
-        let (chunk, rest) = values.split_at_mut(size);
-        out.push(chunk);
-        values = rest;
-    }
-    out
-}
-
-/// Apply the per-pair sliding update (Lemma 2 / Equation 6) to every pair of
-/// `corrs`, one disjoint contiguous slice of the packed triangle per worker
-/// of `runner` — the sweep shared by
-/// [`SlidingNetwork::ingest_in`](crate::incremental::SlidingNetwork::ingest_in)
-/// and `SlidingApproxNetwork::ingest_in`. Identical to a serial sweep for
-/// any worker count: each pair reads only the shared snapshots and writes
-/// its own slot.
-///
-/// With a `watch`, the same sweep additionally maintains the subscribed edge
-/// set: each pair is first certified against the watch's θ through the
-/// per-series change bound (see the module docs), falling back to a re-check
-/// of the freshly computed correlation only when the bound straddles θ; the
-/// resulting [`EdgeDelta`] lands in [`EdgeWatch::last`].
-pub fn slide_pair_sweep(
-    runner: &dyn JobRunner,
-    inputs: &SlideSweepInputs<'_>,
-    corrs: &mut [f64],
-    watch: Option<(&mut EdgeWatch, &DeltaBoundTables)>,
-) {
-    let n = inputs.n;
-    let total = corrs.len();
-    let workers = runner.worker_count().max(1).min(total.max(1));
-    let sizes: Vec<usize> = even_sizes(total, workers)
-        .into_iter()
-        .filter(|&s| s > 0)
-        .collect();
-    let starts: Vec<usize> = sizes
-        .iter()
-        .scan(0usize, |acc, s| {
-            let start = *acc;
-            *acc += s;
-            Some(start)
-        })
-        .collect();
-    let corr_slices = carve_mut(corrs, &sizes);
-
-    match watch {
-        None => {
-            let jobs: Vec<Job<'_>> = starts
-                .iter()
-                .zip(corr_slices)
-                .map(|(&start, slice)| {
-                    Box::new(move || {
-                        let mut cursor = 0;
-                        for (i, j0, len) in row_segments(start, slice.len(), n) {
-                            for p in 0..len {
-                                let j = j0 + p;
-                                slice[cursor] =
-                                    inputs.update_pair(i, j, start + cursor, slice[cursor]);
-                                cursor += 1;
-                            }
-                        }
-                    }) as Job<'_>
-                })
-                .collect();
-            runner.run(jobs);
-        }
-        Some((watch, tables)) => {
-            let theta = watch.theta;
-            let edge_slices = carve_mut(&mut watch.edges, &sizes);
-            let mut scratches: Vec<DeltaScratch> =
-                (0..sizes.len()).map(|_| DeltaScratch::default()).collect();
-            let jobs: Vec<Job<'_>> = starts
-                .iter()
-                .zip(corr_slices)
-                .zip(edge_slices)
-                .zip(scratches.iter_mut())
-                .map(|(((&start, slice), edges), scratch)| {
-                    Box::new(move || {
-                        let mut cursor = 0;
-                        for (i, j0, len) in row_segments(start, slice.len(), n) {
-                            for p in 0..len {
-                                let j = j0 + p;
-                                let idx = start + cursor;
-                                let c_new = inputs.update_pair(i, j, idx, slice[cursor]);
-                                let c_old = std::mem::replace(&mut slice[cursor], c_new);
-
-                                // Certify the slid correlation against θ from
-                                // per-series tables; multiply the interval
-                                // test through by the (positive) denominator
-                                // so no division happens per pair. See the
-                                // module docs: `value` recombines the Lemma 2
-                                // numerator exactly (in real arithmetic), so
-                                // the radius is the rounding pad alone,
-                                // scaled by the terms' absolute sum to cover
-                                // their cancellation.
-                                let d = tables.den_new[i] * tables.den_new[j];
-                                let cg = c_old * tables.g[i] * tables.g[j];
-                                let ca = tables.a[i] * tables.a[j] * inputs.arriving_corrs[idx];
-                                let ce = tables.e[i] * tables.e[j] * inputs.evicted_corrs[idx];
-                                let t1 = (tables.mu_old[j] - tables.mu_new[j]) * tables.s[i];
-                                let t2 = (tables.mu_old[i] - tables.mu_new[i]) * tables.s[j];
-                                let cross_new = tables.mu_new[i] * tables.mu_new[j];
-                                let cross_old = tables.mu_old[i] * tables.mu_old[j];
-                                let t3 = tables.w[i] * (cross_new - cross_old);
-                                let t4 = tables.bn[i] * tables.v[i] * tables.v[j];
-                                let t5 = tables.b1[i] * tables.u[i] * tables.u[j];
-                                let value = cg + ca - ce + t1 + t2 + t3 + t4 - t5;
-                                let pad = DELTA_BOUND_PAD * tables.pad[i] * tables.pad[j];
-                                let theta_d = theta * d;
-                                // NaN anywhere makes both certifications
-                                // false, so NaN pairs always re-check (and
-                                // are counted, never skipped).
-                                let (bit, is_nan) =
-                                    if d > f64::MIN_POSITIVE && value + pad <= theta_d {
-                                        (false, false)
-                                    } else if d > f64::MIN_POSITIVE
-                                        && theta < 1.0
-                                        && value - pad > theta_d
-                                    {
-                                        (true, false)
-                                    } else {
-                                        scratch.rechecked += 1;
-                                        if c_new.is_nan() {
-                                            (false, true)
-                                        } else {
-                                            (c_new > theta, false)
-                                        }
-                                    };
-                                scratch.nan_pairs += usize::from(is_nan);
-                                if bit != edges[cursor] {
-                                    edges[cursor] = bit;
-                                    if bit {
-                                        scratch.appeared.push((i, j));
-                                    } else {
-                                        scratch.vanished.push((i, j));
-                                    }
-                                }
-                                cursor += 1;
-                            }
-                        }
-                    }) as Job<'_>
-                })
-                .collect();
-            runner.run(jobs);
-
-            let mut delta = EdgeDelta {
-                nodes: watch.nodes,
-                total_pairs: total,
-                ..EdgeDelta::default()
-            };
-            for scratch in scratches {
-                delta.appeared.extend(scratch.appeared);
-                delta.vanished.extend(scratch.vanished);
-                delta.nan_pairs += scratch.nan_pairs;
-                delta.rechecked_pairs += scratch.rechecked;
-            }
-            watch.last = Some(delta);
-        }
     }
 }
 
@@ -577,12 +183,62 @@ mod tests {
     #[test]
     fn watch_baseline_matches_lenient_threshold() {
         let corrs = vec![0.9, -0.2, f64::NAN, 0.31, 0.3, 0.8];
-        let (watch, baseline) = EdgeWatch::new(0.3, 4, &corrs).unwrap();
-        let expected = CorrelationMatrix::from_upper_triangle(4, corrs).threshold_lenient(0.3);
-        assert_eq!(baseline, expected);
-        assert_eq!(baseline.nan_pair_count(), expected.nan_pair_count());
-        assert_eq!(watch.theta(), 0.3);
-        assert!(watch.last().is_none());
+        for theta in [0.3, -1.0, 1.0] {
+            let (watch, baseline) = EdgeWatch::new(theta, 4, &corrs).unwrap();
+            let expected =
+                CorrelationMatrix::from_upper_triangle(4, corrs.clone()).threshold_lenient(theta);
+            assert_eq!(baseline, expected);
+            assert_eq!(baseline.nan_pair_count(), expected.nan_pair_count());
+            assert_eq!(watch.theta(), theta);
+            assert!(watch.last().is_none());
+        }
+    }
+
+    #[test]
+    fn observe_reports_flips_in_packed_order_with_lenient_nan_semantics() {
+        // Packed order over 4 nodes: (0,1) (0,2) (0,3) (1,2) (1,3) (2,3).
+        let before = [0.9, 0.1, f64::NAN, 0.8, 0.2, 0.7];
+        let (mut watch, mut snapshot) = EdgeWatch::new(0.5, 4, &before).unwrap();
+        // (0,1): edge turns NaN; (0,2): appears; (0,3): NaN turns finite above
+        // θ; (1,2): stays an edge; (1,3): stays absent; (2,3): vanishes.
+        let after = [f64::NAN, 0.6, 0.9, 0.8, f64::NAN, 0.5];
+        let delta = watch.observe(&after).clone();
+        assert_eq!(
+            delta,
+            EdgeDelta {
+                nodes: 4,
+                appeared: vec![(0, 2), (0, 3)],
+                vanished: vec![(0, 1), (2, 3)],
+                nan_pairs: 2,
+                rechecked_pairs: 0,
+                total_pairs: 6,
+            }
+        );
+        assert_eq!(watch.last(), Some(&delta));
+        delta.apply_to(&mut snapshot).unwrap();
+        let full = CorrelationMatrix::from_upper_triangle(4, after.to_vec()).threshold_lenient(0.5);
+        assert_eq!(snapshot, full);
+        assert_eq!(snapshot.nan_pair_count(), 2);
+
+        // An unchanged triangle is an empty delta that keeps the NaN audit.
+        let quiet = watch.observe(&after);
+        assert!(quiet.is_empty());
+        assert_eq!(quiet.nan_pairs, 2);
+    }
+
+    #[test]
+    fn observe_threshold_boundaries() {
+        // θ = 1.0: `c > θ` never holds, not even for a perfect correlation.
+        let (mut top, baseline) = EdgeWatch::new(1.0, 3, &[1.0, 0.99, -1.0]).unwrap();
+        assert_eq!(baseline.edge_count(), 0);
+        assert!(top.observe(&[1.0, 1.0, 1.0]).is_empty());
+        // θ = −1.0: everything but an exact −1.0 (and NaN) is an edge.
+        let (mut bottom, baseline) = EdgeWatch::new(-1.0, 3, &[-1.0, -0.99, 1.0]).unwrap();
+        assert_eq!(baseline.iter_edges().collect::<Vec<_>>(), [(0, 2), (1, 2)]);
+        let delta = bottom.observe(&[-0.5, -1.0, f64::NAN]);
+        assert_eq!(delta.appeared, [(0, 1)]);
+        assert_eq!(delta.vanished, [(0, 2), (1, 2)]);
+        assert_eq!(delta.nan_pairs, 1);
     }
 
     #[test]
@@ -614,6 +270,50 @@ mod tests {
     }
 
     #[test]
+    fn apply_to_rejects_a_delta_that_does_not_fit_and_leaves_the_snapshot() {
+        let mut snapshot = AdjacencyMatrix::empty(3);
+        snapshot.set_edge(0, 1, true);
+        snapshot.set_nan_pair_count(1);
+        let before = snapshot.clone();
+        let delta = |appeared: &[(usize, usize)], vanished: &[(usize, usize)]| EdgeDelta {
+            nodes: 3,
+            appeared: appeared.to_vec(),
+            vanished: vanished.to_vec(),
+            nan_pairs: 0,
+            rechecked_pairs: 0,
+            total_pairs: 3,
+        };
+        let misfits = [
+            delta(&[(1, 3)], &[]),               // node out of range
+            delta(&[(2, 2)], &[]),               // self-loop
+            delta(&[(2, 1)], &[]),               // not i < j
+            delta(&[(0, 1)], &[]),               // appeared, but already present
+            delta(&[], &[(1, 2)]),               // vanished, but absent
+            delta(&[(1, 2), (0, 2)], &[]),       // not ascending
+            delta(&[(0, 2), (0, 2)], &[]),       // repeated pair
+            delta(&[(0, 2)], &[(0, 2)]),         // both appeared and vanished
+            delta(&[(1, 2)], &[(0, 1), (0, 2)]), // valid prefix, then a misfit
+        ];
+        for misfit in &misfits {
+            assert!(
+                matches!(misfit.apply_to(&mut snapshot), Err(Error::Mismatch { .. })),
+                "{misfit:?}"
+            );
+            assert_eq!(snapshot, before, "{misfit:?}");
+            assert_eq!(snapshot.nan_pair_count(), 1, "{misfit:?}");
+        }
+        // The same delta replayed: fits once, not twice.
+        let fits = delta(&[(1, 2)], &[(0, 1)]);
+        fits.apply_to(&mut snapshot).unwrap();
+        let applied = snapshot.clone();
+        assert!(matches!(
+            fits.apply_to(&mut snapshot),
+            Err(Error::Mismatch { .. })
+        ));
+        assert_eq!(snapshot, applied);
+    }
+
+    #[test]
     fn apply_to_advances_edges_and_nan_audit() {
         let mut snapshot = AdjacencyMatrix::empty(3);
         snapshot.set_edge(0, 1, true);
@@ -622,7 +322,7 @@ mod tests {
             appeared: vec![(1, 2)],
             vanished: vec![(0, 1)],
             nan_pairs: 2,
-            rechecked_pairs: 3,
+            rechecked_pairs: 0,
             total_pairs: 3,
         };
         delta.apply_to(&mut snapshot).unwrap();

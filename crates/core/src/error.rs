@@ -92,11 +92,15 @@ pub enum Error {
     /// Two network snapshots (or a snapshot and the delta/tracker state it is
     /// applied to) cover different node sets, so edge-level comparison or
     /// delta application is undefined. Earlier versions panicked here; the
-    /// dynamics path now surfaces the mismatch as a typed error.
+    /// dynamics path now surfaces the mismatch as a typed error. A delta whose
+    /// pairs do not fit the edge set it is applied to (out of range, out of
+    /// order, appearing while present or vanishing while absent) is the same
+    /// error.
     Mismatch {
         /// Node count expected by the receiving side.
         expected: usize,
-        /// Node count actually supplied.
+        /// Node count actually supplied; for a delta pair that does not fit,
+        /// the higher node of the first such pair.
         found: usize,
     },
     /// Catch-all for storage-layer and I/O failures surfaced through the core

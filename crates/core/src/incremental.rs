@@ -22,14 +22,15 @@
 //! windows have different lengths.
 
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 
-use crate::delta::{DeltaBoundTables, EdgeDelta, EdgeWatch, SlideSweepInputs};
+use crate::delta::{EdgeDelta, EdgeWatch};
 use crate::error::{Error, Result};
 use crate::exact::{self, WindowContribution};
 use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
-use crate::plan::QueryPlan;
-use crate::runner::{JobRunner, SerialRunner};
-use crate::sketch::SketchSet;
+use crate::plan::{carve_for_workers, row_segments, QueryPlan};
+use crate::runner::{Job, JobRunner, SerialRunner};
+use crate::sketch::{pair_index, SeriesSketch, SketchSet};
 use crate::stats::{clamp_corr, normalize_into, tiled_pair_corrs_into, WindowStats};
 use crate::timeseries::SeriesCollection;
 
@@ -124,9 +125,8 @@ impl SlidingSeriesState {
     }
 
     /// Statistics of every basic window currently inside the query window,
-    /// oldest first. Snapshot paths ([`SlidingNetwork::snapshot_sketch`])
-    /// use this to rebuild a [`SeriesSketch`](crate::sketch::SeriesSketch)
-    /// from the live sliding state.
+    /// oldest first. Snapshot paths ([`SlidingState::series_sketches`]) use
+    /// this to rebuild a [`SeriesSketch`] from the live sliding state.
     pub fn window_stats(&self) -> impl Iterator<Item = WindowStats> + '_ {
         self.windows.iter().copied()
     }
@@ -288,12 +288,310 @@ impl SlidingPair {
     }
 }
 
+/// The flat pre-slide snapshots the per-pair sweep reads: per-series
+/// aggregates of the old query window, the evicted and arriving basic-window
+/// statistics, and the two windows' packed per-pair rows with the map that
+/// turns a stored value into a correlation.
+struct SlideSweepInputs<'a, F> {
+    n: usize,
+    /// Stored per-pair row of the evicted basic window (`c_1` after `row_corr`).
+    evicted_row: &'a [f64],
+    /// Stored per-pair row of the arriving basic window (`c_{ns+1}` after
+    /// `row_corr`).
+    arriving_row: &'a [f64],
+    /// Stored value → window correlation: identity for the exact engine,
+    /// `ĉ = 1 − d²/2` for the DFT engine (Equation 6 is Lemma 2 over those).
+    row_corr: F,
+    fronts: &'a [WindowStats],
+    /// `T` per series (raw length of the old query window).
+    totals: &'a [f64],
+    means: &'a [f64],
+    stds: &'a [f64],
+    arriving_stats: &'a [WindowStats],
+}
+
+impl<F: Fn(f64) -> f64> SlideSweepInputs<'_, F> {
+    #[inline]
+    fn update_pair(&self, i: usize, j: usize, idx: usize, corr_t: f64) -> f64 {
+        let evicted = WindowContribution {
+            x: self.fronts[i],
+            y: self.fronts[j],
+            corr: (self.row_corr)(self.evicted_row[idx]),
+        };
+        let arriving = WindowContribution {
+            x: self.arriving_stats[i],
+            y: self.arriving_stats[j],
+            corr: (self.row_corr)(self.arriving_row[idx]),
+        };
+        lemma2_update(
+            self.totals[i],
+            self.means[i],
+            self.means[j],
+            self.stds[i],
+            self.stds[j],
+            corr_t,
+            &evicted,
+            &arriving,
+        )
+    }
+}
+
+/// Apply the per-pair sliding update (Lemma 2 / Equation 6) to every pair of
+/// `corrs`, one disjoint contiguous slice of the packed triangle per worker
+/// of `runner`. Identical to a serial sweep for any worker count: each pair
+/// reads only the shared snapshots and writes its own slot.
+fn slide_pair_sweep<F: Fn(f64) -> f64 + Sync>(
+    runner: &dyn JobRunner,
+    inputs: &SlideSweepInputs<'_, F>,
+    corrs: &mut [f64],
+) {
+    let jobs: Vec<Job<'_>> = carve_for_workers(corrs, runner.worker_count())
+        .into_iter()
+        .map(|(start, slice)| {
+            Box::new(move || {
+                let mut cursor = 0;
+                for (i, j0, len) in row_segments(start, slice.len(), inputs.n) {
+                    for j in j0..j0 + len {
+                        slice[cursor] = inputs.update_pair(i, j, start + cursor, slice[cursor]);
+                        cursor += 1;
+                    }
+                }
+            }) as Job<'_>
+        })
+        .collect();
+    runner.run(jobs);
+}
+
+/// The state and the tick both sliding engines share: per-series sliding
+/// aggregates, one stored per-pair row per basic window inside the query
+/// window, the current packed correlations and the optional edge
+/// subscription. [`SlidingNetwork`] (exact, Lemma 2) and
+/// `tsubasa_dft::SlidingApproxNetwork` (Equation 6) each hold one and
+/// dereference to it; they differ only in how a row is computed from an
+/// arriving chunk and in what a stored row value means.
+///
+/// A tick ([`SlidingState::slide_in`]) is three steps: the arriving window's
+/// row, one Lemma 2 sweep over every pair, and — only with a subscription —
+/// one [`EdgeWatch::observe`] pass over the swept correlations.
+#[derive(Debug, Clone)]
+pub struct SlidingState {
+    basic_window: usize,
+    series: Vec<SlidingSeriesState>,
+    /// Per basic window inside the query window: the packed per-pair row the
+    /// engine stores (correlations or DFT distances), oldest window first.
+    pair_windows: VecDeque<Vec<f64>>,
+    /// Current packed per-pair correlations over the sliding window.
+    corrs: Vec<f64>,
+    /// Active edge subscription ([`SlidingState::subscribe_edges`]).
+    watch: Option<EdgeWatch>,
+}
+
+impl SlidingState {
+    /// Assemble the state over basic windows `windows` of `sketch`: the
+    /// per-series statistics come from the sketch, `pair_windows` holds the
+    /// engine's stored row of each of those windows (oldest first) and
+    /// `corrs` the initial packed correlations over them.
+    pub fn new(
+        sketch: &SketchSet,
+        windows: std::ops::Range<usize>,
+        pair_windows: VecDeque<Vec<f64>>,
+        corrs: Vec<f64>,
+    ) -> Result<Self> {
+        let series = (0..sketch.series_count())
+            .map(|i| {
+                let sk = sketch.series_sketch(i)?;
+                Ok(SlidingSeriesState::new(
+                    windows.clone().map(|w| sk.window(w)).collect(),
+                ))
+            })
+            .collect::<Result<_>>()?;
+        Ok(Self {
+            basic_window: sketch.basic_window(),
+            series,
+            pair_windows,
+            corrs,
+            watch: None,
+        })
+    }
+
+    /// Number of series.
+    pub fn series_count(&self) -> usize {
+        self.series.len()
+    }
+
+    /// The basic-window (chunk) size every ingest expects.
+    pub fn basic_window(&self) -> usize {
+        self.basic_window
+    }
+
+    /// Number of basic windows in the sliding query window.
+    pub fn window_count(&self) -> usize {
+        self.pair_windows.len()
+    }
+
+    /// Slide forward by one basic window; `chunk[i]` holds the `B` newly
+    /// observed points of series `i`. The engine supplies its two
+    /// differences: `arriving_row` fills the arriving window's stored
+    /// packed per-pair row from the chunk's per-series statistics, and
+    /// `row_corr` maps a stored row value to that window's pair correlation.
+    /// The update is identical for any worker count of `runner`.
+    pub fn slide_in(
+        &mut self,
+        runner: &dyn JobRunner,
+        chunk: &[Vec<f64>],
+        arriving_row: impl FnOnce(&[WindowStats], &mut [f64]),
+        row_corr: impl Fn(f64) -> f64 + Sync,
+    ) -> Result<()> {
+        let n = self.series.len();
+        if chunk.len() != n {
+            return Err(Error::UnalignedSeries {
+                expected: n,
+                found: chunk.len(),
+                index: 0,
+            });
+        }
+        for points in chunk {
+            if points.len() != self.basic_window {
+                return Err(Error::ChunkSizeMismatch {
+                    expected: self.basic_window,
+                    found: points.len(),
+                });
+            }
+        }
+
+        // Sketch the arriving basic window: per-series statistics, then the
+        // engine's per-pair row.
+        let arriving_stats: Vec<WindowStats> = chunk
+            .iter()
+            .map(|points| WindowStats::from_values(points))
+            .collect();
+        let mut arriving = vec![0.0f64; self.corrs.len()];
+        arriving_row(&arriving_stats, &mut arriving);
+
+        // Snapshot the per-series sliding state into flat arrays once — the
+        // same precompute-then-sweep shape as the QueryPlan kernel — instead
+        // of re-reading deque fronts and aggregates `n − 1` times per series
+        // inside the pair loop.
+        let fronts: Vec<WindowStats> = self
+            .series
+            .iter()
+            .map(|s| s.front().expect("non-empty"))
+            .collect();
+        let totals: Vec<f64> = self.series.iter().map(|s| s.total_len() as f64).collect();
+        let means: Vec<f64> = self.series.iter().map(|s| s.mean()).collect();
+        let stds: Vec<f64> = self.series.iter().map(|s| s.std()).collect();
+
+        // Apply Lemma 2 to every pair before mutating any per-series state.
+        // The evicted window's row is moved out up front so the sweep can
+        // borrow `self.corrs` mutably alongside it.
+        let evicted = self.pair_windows.pop_front().expect("non-empty window");
+        let inputs = SlideSweepInputs {
+            n,
+            evicted_row: &evicted,
+            arriving_row: &arriving,
+            row_corr,
+            fronts: &fronts,
+            totals: &totals,
+            means: &means,
+            stds: &stds,
+            arriving_stats: &arriving_stats,
+        };
+        slide_pair_sweep(runner, &inputs, &mut self.corrs);
+        if let Some(watch) = &mut self.watch {
+            watch.observe(&self.corrs);
+        }
+
+        for (state, stats) in self.series.iter_mut().zip(&arriving_stats) {
+            state.slide(*stats);
+        }
+        self.pair_windows.push_back(arriving);
+        Ok(())
+    }
+
+    /// Current correlation of one pair.
+    pub fn correlation(&self, i: usize, j: usize) -> f64 {
+        if i == j {
+            return 1.0;
+        }
+        let (a, b) = if i < j { (i, j) } else { (j, i) };
+        self.corrs[pair_index(a, b, self.series.len())]
+    }
+
+    /// Snapshot of the current correlation matrix.
+    pub fn correlation_matrix(&self) -> CorrelationMatrix {
+        CorrelationMatrix::from_upper_triangle(self.series.len(), self.corrs.clone())
+    }
+
+    /// Snapshot of the current climate network at threshold `theta`. The
+    /// lenient thresholding keeps this path infallible: NaN correlations
+    /// (possible once NaN observations are ingested — the sliding
+    /// recombination deliberately keeps them NaN instead of fabricating a
+    /// value) are counted on the returned matrix's
+    /// [`nan_pair_count`](AdjacencyMatrix::nan_pair_count), never silently
+    /// dropped.
+    pub fn network(&self, theta: f64) -> AdjacencyMatrix {
+        AdjacencyMatrix::threshold_packed(self.series.len(), &self.corrs, theta, false)
+    }
+
+    /// Subscribe to edge-level changes of the θ-thresholded network: returns
+    /// the baseline snapshot (identical to [`SlidingState::network`] at
+    /// `theta`, NaN audit included), and from the next ingest on,
+    /// [`SlidingState::changed_edges`] carries the [`EdgeDelta`] of the
+    /// latest tick — the pairs one re-threshold pass over the swept
+    /// correlations found flipped. Applying each delta to the previous
+    /// snapshot reproduces a full re-threshold bit for bit. Re-subscribing
+    /// replaces any previous subscription.
+    pub fn subscribe_edges(&mut self, theta: f64) -> Result<AdjacencyMatrix> {
+        let (watch, baseline) = EdgeWatch::new(theta, self.series.len(), &self.corrs)?;
+        self.watch = Some(watch);
+        Ok(baseline)
+    }
+
+    /// The [`EdgeDelta`] emitted by the most recent ingest tick, or `None`
+    /// when there is no active subscription or no tick has happened since
+    /// subscribing.
+    pub fn changed_edges(&self) -> Option<&EdgeDelta> {
+        self.watch.as_ref().and_then(|w| w.last())
+    }
+
+    /// Drop the active edge subscription, if any, so subsequent ingests skip
+    /// the re-threshold pass.
+    pub fn unsubscribe_edges(&mut self) {
+        self.watch = None;
+    }
+
+    /// Per-series statistics of every basic window inside the query window
+    /// (oldest first, series ids re-indexed from 0) — the series half of a
+    /// snapshot sketch.
+    pub fn series_sketches(&self) -> Vec<SeriesSketch> {
+        self.series
+            .iter()
+            .enumerate()
+            .map(|(series, state)| SeriesSketch {
+                series,
+                windows: state.window_stats().collect(),
+            })
+            .collect()
+    }
+
+    /// The stored per-pair rows flattened window-major (oldest window
+    /// first): the pair table of a snapshot sketch, copied as is.
+    pub fn window_major_rows(&self) -> Vec<f64> {
+        let mut flat = Vec::with_capacity(self.pair_windows.len() * self.corrs.len());
+        for row in &self.pair_windows {
+            flat.extend_from_slice(row);
+        }
+        flat
+    }
+}
+
 /// Incrementally maintained all-pair correlation matrix and climate network
 /// over a sliding real-time query window (Algorithm 3's update step).
 ///
 /// Initialization reuses the flat [`QueryPlan`] kernel over the historical
 /// sketch; every [`SlidingNetwork::ingest`] then applies Lemma 2 to all
-/// pairs from a flat snapshot of the per-series sliding state.
+/// pairs. Everything but the arriving-window kernel lives in the shared
+/// [`SlidingState`], which this type dereferences to.
 ///
 /// ```
 /// use tsubasa_core::prelude::*;
@@ -315,18 +613,21 @@ impl SlidingPair {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SlidingNetwork {
-    basic_window: usize,
-    n: usize,
-    series: Vec<SlidingSeriesState>,
-    /// Per basic window inside the query window: packed per-pair
-    /// correlations, oldest window first.
-    pair_windows: VecDeque<Vec<f64>>,
-    /// Current packed per-pair correlations over the sliding window.
-    corrs: Vec<f64>,
-    /// Active edge subscription ([`SlidingNetwork::subscribe_edges`]): when
-    /// set, every ingest also maintains the θ-thresholded edge set and emits
-    /// an [`EdgeDelta`].
-    watch: Option<EdgeWatch>,
+    state: SlidingState,
+}
+
+impl Deref for SlidingNetwork {
+    type Target = SlidingState;
+
+    fn deref(&self) -> &SlidingState {
+        &self.state
+    }
+}
+
+impl DerefMut for SlidingNetwork {
+    fn deref_mut(&mut self) -> &mut SlidingState {
+        &mut self.state
+    }
 }
 
 impl SlidingNetwork {
@@ -364,15 +665,6 @@ impl SlidingNetwork {
             });
         }
 
-        let series: Vec<SlidingSeriesState> = (0..n)
-            .map(|i| {
-                let sk = sketch.series_sketch(i)?;
-                Ok(SlidingSeriesState::new(
-                    (first_window..available).map(|w| sk.window(w)).collect(),
-                ))
-            })
-            .collect::<Result<_>>()?;
-
         // Each basic window's packed per-pair correlations are one contiguous
         // row of the sketch's window-major table.
         let table = sketch.window_corrs_view(first_window..available);
@@ -394,29 +686,8 @@ impl SlidingNetwork {
             corrs.push(plan.pair_kernel(i, j, &column, None));
         }
 
-        Ok(Self {
-            basic_window: b,
-            n,
-            series,
-            pair_windows,
-            corrs,
-            watch: None,
-        })
-    }
-
-    /// Number of series.
-    pub fn series_count(&self) -> usize {
-        self.n
-    }
-
-    /// The basic-window (chunk) size expected by [`SlidingNetwork::ingest`].
-    pub fn basic_window(&self) -> usize {
-        self.basic_window
-    }
-
-    /// Number of basic windows in the sliding query window.
-    pub fn window_count(&self) -> usize {
-        self.pair_windows.len()
+        let state = SlidingState::new(sketch, first_window..available, pair_windows, corrs)?;
+        Ok(Self { state })
     }
 
     /// Slide the network forward by one basic window. `chunk[i]` holds the
@@ -436,147 +707,19 @@ impl SlidingNetwork {
     /// [`SlidingNetwork::ingest`] for any worker count (each pair's update
     /// reads only shared snapshots and its own slot).
     pub fn ingest_in(&mut self, runner: &dyn JobRunner, chunk: &[Vec<f64>]) -> Result<()> {
-        if chunk.len() != self.n {
-            return Err(Error::UnalignedSeries {
-                expected: self.n,
-                found: chunk.len(),
-                index: 0,
-            });
-        }
-        for points in chunk {
-            if points.len() != self.basic_window {
-                return Err(Error::ChunkSizeMismatch {
-                    expected: self.basic_window,
-                    found: points.len(),
-                });
+        let (n, b) = (self.series_count(), self.basic_window());
+        // The arriving window's pair correlations come from the tiled batch
+        // kernel: the chunk is z-normalized once (structure-of-arrays, one
+        // contiguous row per series) and every pair collapses to a dot
+        // product. A stored row value is the correlation itself.
+        let arriving_corrs = |stats: &[WindowStats], row: &mut [f64]| {
+            let mut z = vec![0.0f64; n * b];
+            for (i, points) in chunk.iter().enumerate() {
+                normalize_into(points, &stats[i], &mut z[i * b..(i + 1) * b]);
             }
-        }
-        let n = self.n;
-        let b = self.basic_window;
-
-        // Sketch the arriving basic window: per-series statistics...
-        let arriving_stats: Vec<WindowStats> = chunk
-            .iter()
-            .map(|points| WindowStats::from_values(points))
-            .collect();
-        // ...and per-pair correlations through the tiled batch kernel: the
-        // chunk is z-normalized once (structure-of-arrays, one contiguous row
-        // per series) and every pair collapses to a dot product.
-        let mut z = vec![0.0f64; n * b];
-        for (i, points) in chunk.iter().enumerate() {
-            normalize_into(points, &arriving_stats[i], &mut z[i * b..(i + 1) * b]);
-        }
-        let mut arriving_corrs = vec![0.0f64; self.corrs.len()];
-        tiled_pair_corrs_into(&z, n, b, &mut arriving_corrs);
-        drop(z);
-
-        // Snapshot the per-series sliding state into flat arrays once — the
-        // same precompute-then-sweep shape as the QueryPlan kernel — instead
-        // of re-reading deque fronts and aggregates `n − 1` times per series
-        // inside the pair loop.
-        let fronts: Vec<WindowStats> = self
-            .series
-            .iter()
-            .map(|s| s.front().expect("non-empty"))
-            .collect();
-        let totals: Vec<f64> = self.series.iter().map(|s| s.total_len() as f64).collect();
-        let means: Vec<f64> = self.series.iter().map(|s| s.mean()).collect();
-        let stds: Vec<f64> = self.series.iter().map(|s| s.std()).collect();
-
-        // Apply Lemma 2 to every pair before mutating any per-series state,
-        // one disjoint contiguous slice of the packed triangle per worker.
-        // The evicted window's correlations are moved out up front so the
-        // sweep can borrow `self.corrs` mutably alongside them. With an
-        // active subscription the same sweep also maintains the θ edge set
-        // through the per-series change bound (see [`crate::delta`]).
-        let evicted_corrs = self.pair_windows.pop_front().expect("non-empty window");
-        let tables = self.watch.as_ref().map(|_| {
-            DeltaBoundTables::build(
-                &self.series,
-                &fronts,
-                &totals,
-                &means,
-                &stds,
-                &arriving_stats,
-            )
-        });
-        let inputs = SlideSweepInputs {
-            n,
-            evicted_corrs: &evicted_corrs,
-            arriving_corrs: &arriving_corrs,
-            fronts: &fronts,
-            totals: &totals,
-            means: &means,
-            stds: &stds,
-            arriving_stats: &arriving_stats,
+            tiled_pair_corrs_into(&z, n, b, row);
         };
-        crate::delta::slide_pair_sweep(
-            runner,
-            &inputs,
-            &mut self.corrs,
-            self.watch.as_mut().zip(tables.as_ref()),
-        );
-
-        // Now slide the per-series and per-window state (the evicted pair
-        // correlations were already popped above).
-        for (state, stats) in self.series.iter_mut().zip(&arriving_stats) {
-            state.slide(*stats);
-        }
-        self.pair_windows.push_back(arriving_corrs);
-        Ok(())
-    }
-
-    /// Current correlation of one pair.
-    pub fn correlation(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            return 1.0;
-        }
-        let (a, b) = if i < j { (i, j) } else { (j, i) };
-        self.corrs[crate::sketch::pair_index(a, b, self.n)]
-    }
-
-    /// Snapshot of the current correlation matrix.
-    pub fn correlation_matrix(&self) -> CorrelationMatrix {
-        CorrelationMatrix::from_upper_triangle(self.n, self.corrs.clone())
-    }
-
-    /// Snapshot of the current climate network at threshold `theta`. The
-    /// lenient thresholding keeps this path infallible: NaN correlations
-    /// (possible once NaN observations are ingested — the sliding
-    /// recombination deliberately keeps them NaN instead of fabricating a
-    /// value) are counted on the returned matrix's
-    /// [`nan_pair_count`](AdjacencyMatrix::nan_pair_count), never silently
-    /// dropped.
-    pub fn network(&self, theta: f64) -> AdjacencyMatrix {
-        self.correlation_matrix().threshold_lenient(theta)
-    }
-
-    /// Subscribe to edge-level changes of the θ-thresholded network: returns
-    /// the baseline snapshot (identical to [`SlidingNetwork::network`] at
-    /// `theta`, NaN audit included), and from the next
-    /// [`SlidingNetwork::ingest`] on, [`SlidingNetwork::changed_edges`]
-    /// carries the [`EdgeDelta`] of the latest tick. Only pairs whose
-    /// per-pair change bound straddles θ are re-checked against their
-    /// computed correlation (see [`crate::delta`]); applying each delta to
-    /// the previous snapshot reproduces a full re-threshold bit-for-bit.
-    /// Re-subscribing replaces any previous subscription.
-    pub fn subscribe_edges(&mut self, theta: f64) -> Result<AdjacencyMatrix> {
-        let (watch, baseline) = EdgeWatch::new(theta, self.n, &self.corrs)?;
-        self.watch = Some(watch);
-        Ok(baseline)
-    }
-
-    /// The [`EdgeDelta`] emitted by the most recent ingest tick, or `None`
-    /// when there is no active subscription or no tick has happened since
-    /// subscribing.
-    pub fn changed_edges(&self) -> Option<&EdgeDelta> {
-        self.watch.as_ref().and_then(|w| w.last())
-    }
-
-    /// Drop the active edge subscription, if any, so subsequent ingests stop
-    /// paying the (small) per-pair certification cost.
-    pub fn unsubscribe_edges(&mut self) {
-        self.watch = None;
+        self.state.slide_in(runner, chunk, arriving_corrs, |c| c)
     }
 
     /// Freeze the sliding state into an immutable [`SketchSet`] covering
@@ -588,24 +731,12 @@ impl SlidingNetwork {
     /// over the same windows: per-window statistics and correlations are
     /// copied, never recomputed.
     pub fn snapshot_sketch(&self) -> Result<SketchSet> {
-        let ns = self.pair_windows.len();
-        let n_pairs = self.corrs.len();
-        let series: Vec<crate::sketch::SeriesSketch> = self
-            .series
-            .iter()
-            .enumerate()
-            .map(|(id, state)| crate::sketch::SeriesSketch {
-                series: id,
-                windows: state.window_stats().collect(),
-            })
-            .collect();
-        // `pair_windows` is already window-major (one packed row per basic
-        // window, oldest first): flattened, it is the sketch's table.
-        let mut flat = Vec::with_capacity(ns * n_pairs);
-        for row in &self.pair_windows {
-            flat.extend_from_slice(row);
-        }
-        SketchSet::from_window_major(self.basic_window, self.n, series, flat)
+        SketchSet::from_window_major(
+            self.basic_window(),
+            self.series_count(),
+            self.series_sketches(),
+            self.window_major_rows(),
+        )
     }
 }
 

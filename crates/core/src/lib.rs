@@ -103,7 +103,7 @@ pub mod prelude {
     pub use crate::delta::{EdgeDelta, EdgeWatch};
     pub use crate::error::{Error, Result};
     pub use crate::exact;
-    pub use crate::incremental::{SlidingNetwork, SlidingPair};
+    pub use crate::incremental::{SlidingNetwork, SlidingPair, SlidingState};
     pub use crate::inference;
     pub use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
     pub use crate::plan::{PlanKey, PlanMethod, QueryPlan};

@@ -124,26 +124,7 @@ impl CorrelationMatrix {
     }
 
     fn apply_threshold(&self, theta: f64, abs: bool) -> AdjacencyMatrix {
-        let mut nan_pairs = 0usize;
-        let edges = self
-            .values
-            .iter()
-            .map(|&c| {
-                if c.is_nan() {
-                    nan_pairs += 1;
-                    false
-                } else if abs {
-                    c.abs() > theta
-                } else {
-                    c > theta
-                }
-            })
-            .collect();
-        AdjacencyMatrix {
-            n: self.n,
-            edges,
-            nan_pairs,
-        }
+        AdjacencyMatrix::threshold_packed(self.n, &self.values, theta, abs)
     }
 
     /// Maximum absolute difference to another matrix of the same size —
@@ -221,6 +202,32 @@ impl AdjacencyMatrix {
             n,
             edges,
             nan_pairs: 0,
+        }
+    }
+
+    /// Lenient threshold of a packed strict upper triangle of correlations
+    /// (`|c| > θ` when `abs`, else `c > θ`): NaN entries get no edge and are
+    /// counted. The one thresholding loop behind every
+    /// `CorrelationMatrix::threshold*` and the sliding engines' `network`.
+    pub(crate) fn threshold_packed(n: usize, values: &[f64], theta: f64, abs: bool) -> Self {
+        let mut nan_pairs = 0usize;
+        let edges = values
+            .iter()
+            .map(|&c| {
+                if c.is_nan() {
+                    nan_pairs += 1;
+                    false
+                } else if abs {
+                    c.abs() > theta
+                } else {
+                    c > theta
+                }
+            })
+            .collect();
+        Self {
+            n,
+            edges,
+            nan_pairs,
         }
     }
 

@@ -1,9 +1,13 @@
 //! Incremental approximate correlation maintenance for real-time data
 //! (paper §3.2.2, Equation 6).
 //!
-//! [`SlidingApproxNetwork`] mirrors
-//! [`tsubasa_core::incremental::SlidingNetwork`] but uses the DFT comparator:
-//! when a new basic window arrives it
+//! [`SlidingApproxNetwork`] is the DFT comparator of
+//! [`tsubasa_core::incremental::SlidingNetwork`]. Both hold the same
+//! [`SlidingState`] and run the same tick — arriving-window row, one Lemma 2
+//! sweep over every pair, one re-threshold pass if subscribed — so the
+//! accessors, the chunk checks, the sweep and the edge subscription are the
+//! shared type's. This engine supplies the two things that differ. When a new
+//! basic window arrives it
 //!
 //! 1. normalizes the window of every series and computes its DFT coefficients
 //!    (the `O(B²)` step that makes this updater slower than TSUBASA's —
@@ -12,26 +16,22 @@
 //!    window as one tiled difference-square sweep over a coefficient-major
 //!    structure-of-arrays block
 //!    ([`tsubasa_core::stats::tiled_pair_dist_sq_into`], the same kernel the
-//!    batch sketcher uses),
-//! 3. folds `c_{ns+1} ≈ 1 − d_{ns+1}²/2` into the sliding recombination using
-//!    the Lemma 2 update — the algebraic content of Equation 6 — applied to
-//!    every pair from a flat snapshot of per-series state, optionally fanned
-//!    out over a [`JobRunner`] ([`SlidingApproxNetwork::ingest_in`]).
+//!    batch sketcher uses) and stores that row,
+//!
+//! and it reads a stored distance as the window correlation
+//! `c ≈ 1 − d²/2`, which makes the shared Lemma 2 sweep the algebraic content
+//! of Equation 6.
 //!
 //! Initialization goes through the batched [`ApproxPlan`] sweep instead of
 //! per-pair contribution gathering, mirroring the exact updater's plan-based
 //! bootstrap.
 
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 
-use tsubasa_core::delta::{
-    slide_pair_sweep, DeltaBoundTables, EdgeDelta, EdgeWatch, SlideSweepInputs,
-};
 use tsubasa_core::error::{Error, Result};
-use tsubasa_core::incremental::SlidingSeriesState;
-use tsubasa_core::matrix::{AdjacencyMatrix, CorrelationMatrix};
+use tsubasa_core::incremental::SlidingState;
 use tsubasa_core::runner::{JobRunner, SerialRunner};
-use tsubasa_core::sketch::{pair_index, SeriesSketch};
 use tsubasa_core::stats::{tiled_pair_dist_sq_into, WindowStats};
 use tsubasa_core::SketchSet;
 
@@ -42,25 +42,31 @@ use crate::plan::ApproxPlan;
 use crate::sketch::{flatten_coeffs_into, DftSketchSet};
 
 /// Incrementally maintained approximate all-pair correlation matrix over a
-/// sliding real-time query window.
+/// sliding real-time query window. The shared [`SlidingState`] (which this
+/// type dereferences to) stores one packed row of per-pair DFT *distances*
+/// per basic window; only the arriving-window kernel and the
+/// distance → correlation map are this engine's own.
 #[derive(Debug, Clone)]
 pub struct SlidingApproxNetwork {
-    basic_window: usize,
+    state: SlidingState,
     coefficients: usize,
-    n: usize,
-    series: Vec<SlidingSeriesState>,
-    /// Per basic window inside the query window: packed per-pair DFT
-    /// distances, oldest first.
-    pair_windows: VecDeque<Vec<f64>>,
-    /// Current packed per-pair approximate correlations.
-    corrs: Vec<f64>,
     /// Reusable transform plan for the arriving windows (radix-2 FFT for
     /// power-of-two basic windows, naive fallback otherwise).
     planner: DftPlanner,
-    /// Active edge subscription
-    /// ([`SlidingApproxNetwork::subscribe_edges`]): when set, every ingest
-    /// also maintains the θ-thresholded edge set and emits an [`EdgeDelta`].
-    watch: Option<EdgeWatch>,
+}
+
+impl Deref for SlidingApproxNetwork {
+    type Target = SlidingState;
+
+    fn deref(&self) -> &SlidingState {
+        &self.state
+    }
+}
+
+impl DerefMut for SlidingApproxNetwork {
+    fn deref_mut(&mut self) -> &mut SlidingState {
+        &mut self.state
+    }
 }
 
 impl SlidingApproxNetwork {
@@ -91,16 +97,6 @@ impl SlidingApproxNetwork {
         }
         let first = available - ns;
         let n = sketch.series_count();
-        let base = sketch.base();
-
-        let series: Vec<SlidingSeriesState> = (0..n)
-            .map(|i| {
-                let sk = base.series_sketch(i)?;
-                Ok(SlidingSeriesState::new(
-                    (first..available).map(|w| sk.window(w)).collect(),
-                ))
-            })
-            .collect::<Result<_>>()?;
 
         // Each stored window's packed per-pair distances are one contiguous
         // row of the sketch's window-major table.
@@ -114,30 +110,10 @@ impl SlidingApproxNetwork {
         plan.correlations_into(0, &mut corrs);
 
         Ok(Self {
-            basic_window: b,
+            state: SlidingState::new(sketch.base(), first..available, pair_windows, corrs)?,
             coefficients: sketch.coefficients(),
-            n,
-            series,
-            pair_windows,
-            corrs,
             planner: DftPlanner::new(b),
-            watch: None,
         })
-    }
-
-    /// Number of series.
-    pub fn series_count(&self) -> usize {
-        self.n
-    }
-
-    /// The chunk size expected by [`SlidingApproxNetwork::ingest`].
-    pub fn basic_window(&self) -> usize {
-        self.basic_window
-    }
-
-    /// Number of basic windows in the sliding query window.
-    pub fn window_count(&self) -> usize {
-        self.pair_windows.len()
     }
 
     /// Slide forward by one basic window given the newly arrived chunk
@@ -151,167 +127,39 @@ impl SlidingApproxNetwork {
 
     /// [`SlidingApproxNetwork::ingest`] with the per-pair Equation 6 sweep
     /// split into disjoint contiguous slices of the packed correlation
-    /// triangle, one per worker of `runner` — the same shape as the exact
+    /// triangle, one per worker of `runner` — the very sweep of the exact
     /// updater's [`tsubasa_core::incremental::SlidingNetwork::ingest_in`].
     /// Hand the same reusable pool (`tsubasa_parallel::WorkerPool`) to every
     /// call so repeated slides stop paying thread startup; the result is
     /// identical to the serial path for any worker count (each pair reads
     /// only shared snapshots and its own slot).
     pub fn ingest_in(&mut self, runner: &dyn JobRunner, chunk: &[Vec<f64>]) -> Result<()> {
-        if chunk.len() != self.n {
-            return Err(Error::UnalignedSeries {
-                expected: self.n,
-                found: chunk.len(),
-                index: 0,
-            });
-        }
-        for points in chunk {
-            if points.len() != self.basic_window {
-                return Err(Error::ChunkSizeMismatch {
-                    expected: self.basic_window,
-                    found: points.len(),
-                });
-            }
-        }
-        let n = self.n;
-
-        // Per-series statistics of the arriving window, plus its DFT
-        // coefficients flattened into a coefficient-major structure-of-arrays
-        // block (one contiguous row per series)...
-        let arriving_stats: Vec<WindowStats> =
-            chunk.iter().map(|p| WindowStats::from_values(p)).collect();
+        let n = self.state.series_count();
         let row_len = 2 * self.coefficients;
-        let mut rows = vec![0.0f64; n * row_len];
-        for (i, (points, stats)) in chunk.iter().zip(&arriving_stats).enumerate() {
-            let coeffs = self
-                .planner
-                .transform(&normalize_unit_with_stats(points, stats));
-            flatten_coeffs_into(
-                &coeffs,
-                self.coefficients,
-                &mut rows[i * row_len..(i + 1) * row_len],
-            );
-        }
-        // ...so all of the window's pair distances come from one tiled
+        let (coefficients, planner) = (self.coefficients, &self.planner);
+        // The arriving window's DFT coefficients are flattened into a
+        // coefficient-major structure-of-arrays block (one contiguous row per
+        // series), so all of its pair distances come from one tiled
         // difference-square sweep instead of a per-pair coefficient loop.
-        let mut sq = vec![0.0f64; self.corrs.len()];
-        tiled_pair_dist_sq_into(&rows, n, row_len, &mut sq);
-        drop(rows);
-        let arriving_dists: Vec<f64> = sq.iter().map(|&s| s.max(0.0).sqrt()).collect();
-        drop(sq);
-
-        // Snapshot the per-series sliding state into flat arrays once (the
-        // precompute-then-sweep shape of the plan kernels) instead of
-        // re-reading deque fronts and aggregates `n − 1` times per series
-        // inside the pair loop.
-        let fronts: Vec<WindowStats> = self
-            .series
-            .iter()
-            .map(|s| s.front().expect("non-empty"))
-            .collect();
-        let totals: Vec<f64> = self.series.iter().map(|s| s.total_len() as f64).collect();
-        let means: Vec<f64> = self.series.iter().map(|s| s.mean()).collect();
-        let stds: Vec<f64> = self.series.iter().map(|s| s.std()).collect();
-
-        // Apply Equation 6 (Lemma 2 over distance-derived correlations) to
-        // every pair before mutating any per-series state, through the sweep
-        // shared with the exact updater: both windows' distances are folded
-        // to correlations (`c = 1 − d²/2`, Equation 4's correspondence) up
-        // front, so the per-pair kernel — and, with an active subscription,
-        // the θ change-bound certification — is byte-for-byte the same code.
-        let evicted_dists = self.pair_windows.pop_front().expect("non-empty window");
-        let evicted_corrs: Vec<f64> = evicted_dists
-            .iter()
-            .map(|&d| corr_from_distance(d))
-            .collect();
-        let arriving_corrs: Vec<f64> = arriving_dists
-            .iter()
-            .map(|&d| corr_from_distance(d))
-            .collect();
-        let tables = self.watch.as_ref().map(|_| {
-            DeltaBoundTables::build(
-                &self.series,
-                &fronts,
-                &totals,
-                &means,
-                &stds,
-                &arriving_stats,
-            )
-        });
-        let inputs = SlideSweepInputs {
-            n,
-            evicted_corrs: &evicted_corrs,
-            arriving_corrs: &arriving_corrs,
-            fronts: &fronts,
-            totals: &totals,
-            means: &means,
-            stds: &stds,
-            arriving_stats: &arriving_stats,
+        let arriving_dists = |stats: &[WindowStats], row: &mut [f64]| {
+            let mut rows = vec![0.0f64; n * row_len];
+            for (i, (points, stats)) in chunk.iter().zip(stats).enumerate() {
+                let coeffs = planner.transform(&normalize_unit_with_stats(points, stats));
+                flatten_coeffs_into(
+                    &coeffs,
+                    coefficients,
+                    &mut rows[i * row_len..(i + 1) * row_len],
+                );
+            }
+            tiled_pair_dist_sq_into(&rows, n, row_len, row);
+            for sq in row {
+                *sq = sq.max(0.0).sqrt();
+            }
         };
-        slide_pair_sweep(
-            runner,
-            &inputs,
-            &mut self.corrs,
-            self.watch.as_mut().zip(tables.as_ref()),
-        );
-
-        for (state, stats) in self.series.iter_mut().zip(&arriving_stats) {
-            state.slide(*stats);
-        }
-        self.pair_windows.push_back(arriving_dists);
-        Ok(())
-    }
-
-    /// Current approximate correlation of one pair.
-    pub fn correlation(&self, i: usize, j: usize) -> f64 {
-        if i == j {
-            return 1.0;
-        }
-        let (a, b) = if i < j { (i, j) } else { (j, i) };
-        self.corrs[pair_index(a, b, self.n)]
-    }
-
-    /// Snapshot of the approximate correlation matrix.
-    pub fn correlation_matrix(&self) -> CorrelationMatrix {
-        CorrelationMatrix::from_upper_triangle(self.n, self.corrs.clone())
-    }
-
-    /// Snapshot of the approximate climate network at threshold `theta`.
-    /// The lenient thresholding keeps this path infallible: NaN correlations
-    /// (possible once NaN observations are ingested — the sliding
-    /// recombination deliberately keeps them NaN instead of fabricating a
-    /// value) are counted on the returned matrix's
-    /// [`nan_pair_count`](AdjacencyMatrix::nan_pair_count), never silently
-    /// dropped.
-    pub fn network(&self, theta: f64) -> AdjacencyMatrix {
-        self.correlation_matrix().threshold_lenient(theta)
-    }
-
-    /// Subscribe to edge-level changes of the θ-thresholded approximate
-    /// network: returns the baseline snapshot (identical to
-    /// [`SlidingApproxNetwork::network`] at `theta`, NaN audit included),
-    /// and from the next [`SlidingApproxNetwork::ingest`] on,
-    /// [`SlidingApproxNetwork::changed_edges`] carries the [`EdgeDelta`] of
-    /// the latest tick. Only pairs whose per-pair change bound straddles θ
-    /// are re-checked — the correlation-domain mirror of the Equation 4
-    /// pruning radius (see [`tsubasa_core::delta`]). Re-subscribing replaces
-    /// any previous subscription.
-    pub fn subscribe_edges(&mut self, theta: f64) -> Result<AdjacencyMatrix> {
-        let (watch, baseline) = EdgeWatch::new(theta, self.n, &self.corrs)?;
-        self.watch = Some(watch);
-        Ok(baseline)
-    }
-
-    /// The [`EdgeDelta`] emitted by the most recent ingest tick, or `None`
-    /// when there is no active subscription or no tick has happened since
-    /// subscribing.
-    pub fn changed_edges(&self) -> Option<&EdgeDelta> {
-        self.watch.as_ref().and_then(|w| w.last())
-    }
-
-    /// Drop the active edge subscription, if any.
-    pub fn unsubscribe_edges(&mut self) {
-        self.watch = None;
+        // Equation 6 is Lemma 2 over distance-derived window correlations
+        // (`c = 1 − d²/2`, Equation 4's correspondence).
+        self.state
+            .slide_in(runner, chunk, arriving_dists, corr_from_distance)
     }
 
     /// Freeze the sliding state into an immutable [`DftSketchSet`] covering
@@ -328,27 +176,13 @@ impl SlidingApproxNetwork {
     /// built sketch; exact (Lemma 1) queries against its base are answerable
     /// only through the NaN-auditing sinks and will report every pair.
     pub fn snapshot_sketch(&self) -> Result<DftSketchSet> {
-        let ns = self.pair_windows.len();
-        let n_pairs = self.corrs.len();
-        let series: Vec<SeriesSketch> = self
-            .series
-            .iter()
-            .enumerate()
-            .map(|(id, state)| SeriesSketch {
-                series: id,
-                windows: state.window_stats().collect(),
-            })
-            .collect();
+        let window_dists = self.window_major_rows();
         let base = SketchSet::from_window_major(
-            self.basic_window,
-            self.n,
-            series,
-            vec![f64::NAN; ns * n_pairs],
+            self.basic_window(),
+            self.series_count(),
+            self.series_sketches(),
+            vec![f64::NAN; window_dists.len()],
         )?;
-        let mut window_dists = Vec::with_capacity(ns * n_pairs);
-        for row in &self.pair_windows {
-            window_dists.extend_from_slice(row);
-        }
         DftSketchSet::from_parts(base, self.coefficients, window_dists)
     }
 }

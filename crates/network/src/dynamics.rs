@@ -244,11 +244,11 @@ pub struct DynamicsBuilder {
 
 impl DynamicsBuilder {
     /// Start from the baseline snapshot a subscription returned (e.g.
-    /// [`SlidingNetwork::subscribe_edges`]). The baseline counts as the
-    /// first observed snapshot.
+    /// [`SlidingState::subscribe_edges`] of either sliding engine). The
+    /// baseline counts as the first observed snapshot.
     ///
-    /// [`SlidingNetwork::subscribe_edges`]:
-    ///     tsubasa_core::incremental::SlidingNetwork::subscribe_edges
+    /// [`SlidingState::subscribe_edges`]:
+    ///     tsubasa_core::incremental::SlidingState::subscribe_edges
     pub fn new(initial: &AdjacencyMatrix) -> Self {
         let nodes = initial.len();
         let edges: Vec<bool> = initial.upper_triangle().to_vec();
@@ -269,8 +269,10 @@ impl DynamicsBuilder {
     }
 
     /// Fold in the delta of one ingest tick. Returns [`Error::Mismatch`]
-    /// when the delta covers a different node set, leaving the builder
-    /// untouched.
+    /// when the delta covers a different node set or its pairs do not fit
+    /// the builder's current edges (an edge appearing while present or
+    /// vanishing while absent, as when a delta is replayed twice; see
+    /// [`EdgeDelta::check_pairs`]), leaving the builder untouched.
     pub fn push_delta(&mut self, delta: &EdgeDelta) -> Result<()> {
         if delta.nodes != self.nodes {
             return Err(Error::Mismatch {
@@ -278,18 +280,17 @@ impl DynamicsBuilder {
                 found: delta.nodes,
             });
         }
+        delta.check_pairs(|i, j| self.edges[pair_index(i, j, self.nodes)])?;
         let s = self.snapshots; // index of the snapshot this delta produces
         let prev_edges = *self.edge_counts.last().expect("baseline always present");
         for &(i, j) in &delta.appeared {
             let p = pair_index(i, j, self.nodes);
-            debug_assert!(!self.edges[p], "appeared edge was already present");
             self.edges[p] = true;
             self.run_start[p] = s;
             self.flip_counts[p] += 1;
         }
         for &(i, j) in &delta.vanished {
             let p = pair_index(i, j, self.nodes);
-            debug_assert!(self.edges[p], "vanished edge was already absent");
             self.edges[p] = false;
             self.edge_presence[p] += s - self.run_start[p];
             self.flip_counts[p] += 1;
@@ -491,5 +492,36 @@ mod tests {
             }
         );
         assert_eq!(builder.snapshots(), 1);
+    }
+
+    #[test]
+    fn builder_rejects_a_delta_that_does_not_fit_and_stays_untouched() {
+        let delta = |appeared: &[(usize, usize)], vanished: &[(usize, usize)]| EdgeDelta {
+            nodes: 3,
+            appeared: appeared.to_vec(),
+            vanished: vanished.to_vec(),
+            ..EdgeDelta::default()
+        };
+        let mut builder = DynamicsBuilder::new(&adjacency(3, &[(0, 1)]));
+        let step = delta(&[(1, 2)], &[(0, 1)]);
+        builder.push_delta(&step).unwrap();
+        let expected = builder.clone().summarize();
+
+        // Replayed: (1,2) is already present, (0,1) already absent. In the
+        // last case the edge count would otherwise go 1 − 2.
+        let misfits = [
+            step,
+            delta(&[], &[(0, 1)]),
+            delta(&[(1, 3)], &[]),
+            delta(&[(2, 2)], &[]),
+            delta(&[], &[(1, 2), (1, 2)]),
+        ];
+        for misfit in &misfits {
+            assert!(
+                matches!(builder.push_delta(misfit), Err(Error::Mismatch { .. })),
+                "{misfit:?}"
+            );
+            assert_eq!(builder.clone().summarize(), expected, "{misfit:?}");
+        }
     }
 }

@@ -13,9 +13,11 @@
 //! 4. expose the current correlation matrix / thresholded network at any
 //!    time.
 
+use std::ops::{Deref, DerefMut};
+
 use tsubasa_core::delta::EdgeDelta;
 use tsubasa_core::error::Result;
-use tsubasa_core::incremental::SlidingNetwork;
+use tsubasa_core::incremental::{SlidingNetwork, SlidingState};
 use tsubasa_core::matrix::{AdjacencyMatrix, CorrelationMatrix};
 use tsubasa_core::runner::{JobRunner, SerialRunner};
 use tsubasa_core::{SeriesCollection, SketchSet};
@@ -40,6 +42,28 @@ pub enum UpdateEngine {
 enum Updater {
     Exact(SlidingNetwork),
     Approx(SlidingApproxNetwork),
+}
+
+/// Everything but the arriving-window kernel and the epoch snapshot is the
+/// engines' shared [`SlidingState`].
+impl Deref for Updater {
+    type Target = SlidingState;
+
+    fn deref(&self) -> &SlidingState {
+        match self {
+            Updater::Exact(net) => net,
+            Updater::Approx(net) => net,
+        }
+    }
+}
+
+impl DerefMut for Updater {
+    fn deref_mut(&mut self) -> &mut SlidingState {
+        match self {
+            Updater::Exact(net) => net,
+            Updater::Approx(net) => net,
+        }
+    }
 }
 
 /// The sketches frozen from the current sliding query window by
@@ -74,7 +98,6 @@ pub struct RealTimeNetwork {
     /// [`RealTimeNetwork::take_deltas`], oldest first (one per applied basic
     /// window; a burst push contributes several).
     pending_deltas: Vec<EdgeDelta>,
-    subscribed: bool,
 }
 
 impl RealTimeNetwork {
@@ -110,7 +133,6 @@ impl RealTimeNetwork {
             observed: historical.series_len(),
             updates_applied: 0,
             pending_deltas: Vec::new(),
-            subscribed: false,
         })
     }
 
@@ -141,14 +163,9 @@ impl RealTimeNetwork {
                 Updater::Exact(net) => net.ingest_in(runner, &chunk)?,
                 Updater::Approx(net) => net.ingest_in(runner, &chunk)?,
             }
-            if self.subscribed {
-                let delta = match &self.updater {
-                    Updater::Exact(net) => net.changed_edges(),
-                    Updater::Approx(net) => net.changed_edges(),
-                };
-                self.pending_deltas
-                    .push(delta.expect("subscribed engine emits per tick").clone());
-            }
+            // A subscribed engine emits one delta per tick.
+            self.pending_deltas
+                .extend(self.updater.changed_edges().cloned());
         }
         self.observed += new_points;
         self.updates_applied += applied;
@@ -172,10 +189,7 @@ impl RealTimeNetwork {
 
     /// The current correlation matrix over the sliding query window.
     pub fn correlation_matrix(&self) -> CorrelationMatrix {
-        match &self.updater {
-            Updater::Exact(net) => net.correlation_matrix(),
-            Updater::Approx(net) => net.correlation_matrix(),
-        }
+        self.updater.correlation_matrix()
     }
 
     /// The current climate network at the configured threshold. The lenient
@@ -185,12 +199,12 @@ impl RealTimeNetwork {
     /// matrix's [`nan_pair_count`](AdjacencyMatrix::nan_pair_count), never
     /// silently dropped.
     pub fn network(&self) -> AdjacencyMatrix {
-        self.correlation_matrix().threshold_lenient(self.threshold)
+        self.updater.network(self.threshold)
     }
 
     /// The current climate network at an ad-hoc threshold.
     pub fn network_with_threshold(&self, theta: f64) -> AdjacencyMatrix {
-        self.correlation_matrix().threshold_lenient(theta)
+        self.updater.network(theta)
     }
 
     /// Subscribe to edge-level changes of the θ-thresholded network: returns
@@ -202,11 +216,7 @@ impl RealTimeNetwork {
     /// oldest first. Re-subscribing replaces any previous subscription and
     /// discards undrained deltas.
     pub fn subscribe_edges(&mut self, theta: f64) -> Result<AdjacencyMatrix> {
-        let baseline = match &mut self.updater {
-            Updater::Exact(net) => net.subscribe_edges(theta)?,
-            Updater::Approx(net) => net.subscribe_edges(theta)?,
-        };
-        self.subscribed = true;
+        let baseline = self.updater.subscribe_edges(theta)?;
         self.pending_deltas.clear();
         Ok(baseline)
     }
@@ -219,21 +229,14 @@ impl RealTimeNetwork {
 
     /// Drop the active edge subscription, discarding undrained deltas.
     pub fn unsubscribe_edges(&mut self) {
-        match &mut self.updater {
-            Updater::Exact(net) => net.unsubscribe_edges(),
-            Updater::Approx(net) => net.unsubscribe_edges(),
-        }
-        self.subscribed = false;
+        self.updater.unsubscribe_edges();
         self.pending_deltas.clear();
     }
 
     /// Number of basic windows inside the sliding query window — the window
     /// count of every sketch [`RealTimeNetwork::publish_epoch`] freezes.
     pub fn window_count(&self) -> usize {
-        match &self.updater {
-            Updater::Exact(net) => net.window_count(),
-            Updater::Approx(net) => net.window_count(),
-        }
+        self.updater.window_count()
     }
 
     /// Freeze the current sliding query window into an immutable
