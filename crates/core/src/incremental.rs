@@ -668,8 +668,8 @@ impl SlidingNetwork {
         // Each basic window's packed per-pair correlations are one contiguous
         // row of the sketch's window-major table.
         let table = sketch.window_corrs_view(first_window..available);
-        let pair_windows: VecDeque<Vec<f64>> =
-            (0..ns).map(|k| table.window_row(k).to_vec()).collect();
+        let rows: Vec<&[f64]> = (0..ns).map(|k| table.window_row(k)).collect();
+        let pair_windows: VecDeque<Vec<f64>> = rows.iter().map(|row| row.to_vec()).collect();
 
         // One shared QueryPlan computes the per-series half of Lemma 1 once;
         // the scalar per-pair kernel then runs over each pair's column of the
@@ -682,7 +682,7 @@ impl SlidingNetwork {
         let mut corrs = Vec::with_capacity(table.pair_count());
         for (p, (i, j)) in collection.pairs().enumerate() {
             column.clear();
-            column.extend(table.pair_column(p));
+            column.extend(rows.iter().map(|row| row[p]));
             corrs.push(plan.pair_kernel(i, j, &column, None));
         }
 

@@ -62,6 +62,7 @@
 //! ```
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::sketch::SketchSet;
@@ -587,18 +588,31 @@ fn transpose(src: &[f64], rows: usize, cols: usize) -> Vec<f64> {
 /// order.
 ///
 /// A tile of pairs reads one contiguous run of each row, which is what
-/// [`QueryPlan::block_kernel`] streams. This is the layout the sketch itself
-/// is stored in: the in-memory query paths borrow the view straight from the
-/// sketch's table ([`SketchSet::window_corrs_view`], zero copies per query),
-/// and one pair's per-window values (a [`crate::sketch::PairSketch`]) are a
-/// strided column of it. The disk engine materializes an owned
-/// [`TransposedCorrs`] per read batch and takes its [`TransposedCorrs::view`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// [`QueryPlan::block_kernel`] streams. Only a *row* has to be contiguous:
+/// the view addresses window rows, so the table behind it is either one slab
+/// (a sweep's scratch tile, a [`TransposedCorrs`]) or one slice per row —
+/// the shared rows of an in-memory sketch ([`WindowRows`], borrowed by
+/// [`SketchSet::window_corrs_view`]: the built history in one block, every
+/// arriving window in its own) or rows borrowed from a mapped pile, wherever
+/// its segments put them. Rows are immutable once appended, so no backend
+/// copies or gathers anything to hand out a view, and one pair's per-window
+/// values (a [`crate::sketch::PairSketch`]) are a strided column of it.
+#[derive(Debug, Clone, Copy)]
 pub struct CorrView<'a> {
     pairs: usize,
     windows: usize,
-    /// `data[k · pairs + p]` is window `k` of pair `p`.
-    data: &'a [f64],
+    rows: Rows<'a>,
+}
+
+/// Where the rows of a [`CorrView`] live.
+#[derive(Debug, Clone, Copy)]
+enum Rows<'a> {
+    /// One contiguous slab: `data[k · pairs + p]` is window `k` of pair `p`.
+    Slab(&'a [f64]),
+    /// One borrowed slice per window.
+    Borrowed(&'a [&'a [f64]]),
+    /// One shared row per window.
+    Shared(&'a [SharedRow]),
 }
 
 impl<'a> CorrView<'a> {
@@ -616,7 +630,24 @@ impl<'a> CorrView<'a> {
         Self {
             pairs,
             windows,
-            data,
+            rows: Rows::Slab(data),
+        }
+    }
+
+    /// View one borrowed slice of `pairs` correlations per window.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a row does not hold exactly `pairs` values.
+    pub(crate) fn from_rows(rows: &'a [&'a [f64]], pairs: usize) -> Self {
+        assert!(
+            rows.iter().all(|row| row.len() == pairs),
+            "window rows have the wrong width"
+        );
+        Self {
+            pairs,
+            windows: rows.len(),
+            rows: Rows::Borrowed(rows),
         }
     }
 
@@ -632,21 +663,119 @@ impl<'a> CorrView<'a> {
 
     /// The contiguous correlations of all pairs in window `k`.
     pub fn window_row(&self, k: usize) -> &'a [f64] {
-        &self.data[k * self.pairs..(k + 1) * self.pairs]
+        match self.rows {
+            Rows::Slab(data) => &data[k * self.pairs..(k + 1) * self.pairs],
+            Rows::Borrowed(rows) => rows[k],
+            Rows::Shared(rows) => rows[k].values(),
+        }
     }
 
     /// The values of pair `p` in every covered window, oldest first: a
     /// strided read of column `p`, one element per row.
     pub fn pair_column(&self, p: usize) -> impl Iterator<Item = f64> + 'a {
-        let (data, pairs) = (self.data, self.pairs);
-        (0..self.windows).map(move |k| data[k * pairs + p])
+        let view = *self;
+        (0..view.windows).map(move |k| view.window_row(k)[p])
+    }
+}
+
+/// One window's row of a [`WindowRows`] table: a span of a block of values
+/// that is immutable from the moment it is shared.
+#[derive(Clone)]
+struct SharedRow {
+    block: Arc<Vec<f64>>,
+    span: Range<usize>,
+}
+
+impl SharedRow {
+    fn values(&self) -> &[f64] {
+        &self.block[self.span.clone()]
+    }
+}
+
+impl PartialEq for SharedRow {
+    fn eq(&self, other: &Self) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl std::fmt::Debug for SharedRow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.values().fmt(f)
+    }
+}
+
+/// An append-only window-major table of shared immutable rows — the pair
+/// table of the in-memory sketches.
+///
+/// The table takes ownership of the buffers it is given, whole
+/// ([`WindowRows::from_flat`]: every row of a built sketch lies in the one
+/// block the sketching kernel wrote, contiguous as the kernel left it) or one
+/// arriving row at a time ([`WindowRows::push`]), and never writes to them
+/// again. So a clone shares every row (one reference-count bump each, no
+/// value copied), and appending a window adds that window's buffer alone:
+/// nothing stored is copied, moved or regrown. An epoch published as a clone
+/// of a growing sketch therefore costs `O(windows)` whatever the pair count,
+/// and a block is freed when the last table holding one of its rows goes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowRows {
+    pairs: usize,
+    rows: Vec<SharedRow>,
+}
+
+impl WindowRows {
+    /// Take a window-major buffer (`flat[k · pairs + p]`) as the rows of
+    /// `windows` windows, without copying it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the buffer length does not match `pairs · windows`.
+    pub fn from_flat(flat: Vec<f64>, pairs: usize, windows: usize) -> Self {
+        assert_eq!(
+            flat.len(),
+            pairs * windows,
+            "window-major corr buffer has the wrong shape"
+        );
+        let block = Arc::new(flat);
+        let rows = (0..windows)
+            .map(|k| SharedRow {
+                block: Arc::clone(&block),
+                span: k * pairs..(k + 1) * pairs,
+            })
+            .collect();
+        Self { pairs, rows }
+    }
+
+    /// Append `row` as the next window, without copying it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `row` does not hold exactly one value per pair.
+    pub fn push(&mut self, row: Vec<f64>) {
+        assert_eq!(row.len(), self.pairs, "window row has the wrong width");
+        self.rows.push(SharedRow {
+            span: 0..row.len(),
+            block: Arc::new(row),
+        });
+    }
+
+    /// Zero-copy view of the rows of `windows`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `windows` exceeds the stored range.
+    pub fn view(&self, windows: Range<usize>) -> CorrView<'_> {
+        CorrView {
+            pairs: self.pairs,
+            windows: windows.len(),
+            rows: Rows::Shared(&self.rows[windows]),
+        }
     }
 }
 
 /// An owned window-major transposed copy of per-pair per-window correlations
 /// — the buffer behind a [`CorrView`] when there is no long-lived
-/// window-major table to borrow from (e.g. a batch of records just read
-/// from a sketch store by the disk engine).
+/// window-major table to borrow from (a chunk of columns gathered for a
+/// partition, an estimate table mapped from distances).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransposedCorrs {
     pairs: usize,
@@ -656,28 +785,6 @@ pub struct TransposedCorrs {
 }
 
 impl TransposedCorrs {
-    /// Wrap a buffer that is *already* window-major (`data[k · pairs + p]` is
-    /// window `k` of pair `p`), taking ownership. This is the constructor for
-    /// callers that assemble the table by bulk row copies — e.g. gathering
-    /// window rows off a memory-mapped sketch pile — instead of element by
-    /// element through [`TransposedCorrs::from_fn`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the buffer length does not match `pairs · windows`.
-    pub fn from_vec(data: Vec<f64>, pairs: usize, windows: usize) -> Self {
-        assert_eq!(
-            data.len(),
-            pairs * windows,
-            "window-major corr buffer has the wrong shape"
-        );
-        Self {
-            pairs,
-            windows,
-            data,
-        }
-    }
-
     /// Build from a closure `f(p, k)` returning window `k` of pair `p`.
     pub fn from_fn(pairs: usize, windows: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut data = vec![0.0f64; pairs * windows];
@@ -695,11 +802,7 @@ impl TransposedCorrs {
 
     /// The borrowed view the batch kernel consumes.
     pub fn view(&self) -> CorrView<'_> {
-        CorrView {
-            pairs: self.pairs,
-            windows: self.windows,
-            data: &self.data,
-        }
+        CorrView::new(&self.data, self.pairs, self.windows)
     }
 }
 

@@ -31,6 +31,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Error, Result};
+use crate::plan::{CorrView, WindowRows};
 use crate::stats::{normalize_into, pair_corr_from_stats, tiled_pair_corrs_into, WindowStats};
 use crate::timeseries::{SeriesCollection, SeriesId};
 use crate::window::BasicWindowing;
@@ -121,22 +122,26 @@ pub fn unpack_pair_index(p: usize, n: usize) -> (usize, usize) {
 /// per-window correlation of every pair, produced by one pass over the raw
 /// data (Algorithm 1).
 ///
-/// Pair correlations are stored once, in a window-major flat table
-/// (`window_corrs[w·P + p]`, packed pair order): the layout the tiled query
-/// kernel streams without any per-query transposition
+/// Pair correlations are stored once, in a window-major table of one row per
+/// window (row `w` holds `c_w` of every pair in packed order): the layout the
+/// tiled query kernel streams without any per-query transposition
 /// ([`SketchSet::window_corrs_view`] hands out a zero-copy view) and the
-/// layout an arriving basic window extends by one contiguous row
-/// ([`SketchSet::push_window`]). The per-pair [`PairSketch`] the scalar
-/// reference paths slice is a strided read of that table, gathered on demand
-/// by [`SketchSet::pair_sketch`].
+/// layout an arriving basic window extends by one row
+/// ([`SketchSet::push_window`]). A row is immutable once it is in the table
+/// and shared by reference count ([`WindowRows`]), so `clone()` copies the
+/// per-series statistics and bumps one count per window — it never copies a
+/// pair correlation, which is what lets a serving layer publish a clone per
+/// arriving window — and an arriving window never moves the rows before it.
+/// The per-pair [`PairSketch`] the scalar reference paths slice is a strided
+/// read of that table, gathered on demand by [`SketchSet::pair_sketch`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SketchSet {
     basic_window: usize,
     n_series: usize,
     series: Vec<SeriesSketch>,
-    /// All pair correlations, window-major (`ns × P`, row `w` holds `c_w` of
-    /// every pair in packed order).
-    window_corrs: Vec<f64>,
+    /// All pair correlations, window-major (`ns` rows of `P`, row `w` holds
+    /// `c_w` of every pair in packed order).
+    window_corrs: WindowRows,
 }
 
 /// Number of unordered pairs of `n` series (`0` for `n < 2`).
@@ -206,9 +211,9 @@ impl SketchSet {
         // structure-of-arrays scratch (row i is series i, contiguous), then
         // compute all of the window's pair correlations at once, written
         // window-major (flat[w·P + p]) so the kernel streams contiguous
-        // memory. The scratch is O(n·B), reused across windows — only one
-        // window block is ever live, never a normalized copy of the whole
-        // dataset.
+        // memory — in place: the buffer becomes the table's rows as is. The
+        // scratch is O(n·B), reused across windows — only one window block
+        // is ever live, never a normalized copy of the whole dataset.
         let mut z = vec![0.0f64; n * b];
         let mut flat = vec![0.0f64; ns * n_pairs];
         for w in 0..ns {
@@ -227,7 +232,7 @@ impl SketchSet {
             basic_window,
             n_series: n,
             series,
-            window_corrs: flat,
+            window_corrs: WindowRows::from_flat(flat, n_pairs, ns),
         })
     }
 
@@ -345,7 +350,7 @@ impl SketchSet {
             basic_window,
             n_series,
             series,
-            window_corrs,
+            window_corrs: WindowRows::from_flat(window_corrs, n_pairs, ns),
         })
     }
 
@@ -416,8 +421,8 @@ impl SketchSet {
             sketch.push_window(stats);
         }
         // The packed order of `pair_corrs` is exactly one new window-major
-        // row, so the table grows by a contiguous append.
-        self.window_corrs.extend_from_slice(&pair_corrs);
+        // row: the table takes the buffer as that row, nothing stored moves.
+        self.window_corrs.push(pair_corrs);
         Ok(())
     }
 
@@ -429,13 +434,8 @@ impl SketchSet {
     /// # Panics
     ///
     /// Panics when `full` exceeds the sketched window range.
-    pub fn window_corrs_view(&self, full: std::ops::Range<usize>) -> crate::plan::CorrView<'_> {
-        let n_pairs = packed_pairs(self.n_series);
-        crate::plan::CorrView::new(
-            &self.window_corrs[full.start * n_pairs..full.end * n_pairs],
-            n_pairs,
-            full.len(),
-        )
+    pub fn window_corrs_view(&self, full: std::ops::Range<usize>) -> CorrView<'_> {
+        self.window_corrs.view(full)
     }
 
     /// Number of floats stored by the sketch — the paper's space-overhead

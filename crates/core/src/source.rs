@@ -48,29 +48,44 @@ use crate::sketch::{pair_index, SketchSet};
 use crate::stats::WindowStats;
 use crate::sweep::TileSink;
 
-/// A window-major pair table served by a [`CorrSource`]: either a zero-copy
-/// borrow of the backend's own storage (a mapped pile segment, an in-memory
-/// sketch's flat table) or an owned buffer (gathered across pile segments,
-/// or mapped from a distance table). Both present the same [`CorrView`].
+/// A window-major pair table served by a [`CorrSource`]: a zero-copy borrow
+/// of the backend's own storage — a view of an in-memory sketch's shared
+/// rows, or one borrowed slice per row of a mapped pile, wherever its
+/// segments put them — or an owned buffer (a table mapped from distances).
+/// All present the same [`CorrView`].
 pub enum PairTable<'a> {
     /// Zero-copy view straight into the backend's storage.
     Borrowed(CorrView<'a>),
-    /// Rows gathered into an owned window-major buffer.
+    /// Zero-copy too: one slice of `pairs` values per window, borrowed from
+    /// the backend's storage; the table owns only the list of rows.
+    Rows {
+        /// Values per row.
+        pairs: usize,
+        /// The rows, oldest window first.
+        rows: Vec<&'a [f64]>,
+    },
+    /// An owned window-major buffer computed for this request.
     Owned(TransposedCorrs),
 }
 
 impl PairTable<'_> {
     /// The window-major view the sweep kernels consume.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a [`PairTable::Rows`] row is not `pairs` wide.
     pub fn view(&self) -> CorrView<'_> {
         match self {
             PairTable::Borrowed(v) => *v,
+            PairTable::Rows { pairs, rows } => CorrView::from_rows(rows, *pairs),
             PairTable::Owned(t) => t.view(),
         }
     }
 
-    /// Whether this table borrows the backend's storage directly (no copy).
+    /// Whether this table borrows the backend's storage directly (no value
+    /// was copied to build it).
     pub fn is_zero_copy(&self) -> bool {
-        matches!(self, PairTable::Borrowed(_))
+        !matches!(self, PairTable::Owned(_))
     }
 }
 
@@ -91,8 +106,8 @@ pub trait CorrSource: Send + Sync {
     /// is a typed [`Error::SketchMismatch`] from [`check_source_windows`].
     fn window_count(&self, method: PlanMethod) -> usize;
 
-    /// Whether [`CorrSource::full_table`] can borrow storage directly
-    /// (no copy) for single-segment ranges.
+    /// Whether [`CorrSource::full_table`] borrows the backend's storage
+    /// directly (no copy), whatever the range.
     fn zero_copy(&self) -> bool {
         false
     }
@@ -161,11 +176,14 @@ pub trait EstSource: CorrSource {
     fn est_table(&self, windows: Range<usize>) -> Result<TransposedCorrs> {
         match self.full_table(windows.clone(), PlanMethod::Approximate)? {
             Some(PairTable::Owned(t)) => Ok(t),
-            Some(PairTable::Borrowed(v)) => Ok(TransposedCorrs::from_fn(
-                v.pair_count(),
-                v.window_count(),
-                |p, k| v.window_row(k)[p],
-            )),
+            Some(borrowed) => {
+                let v = borrowed.view();
+                Ok(TransposedCorrs::from_fn(
+                    v.pair_count(),
+                    v.window_count(),
+                    |p, k| v.window_row(k)[p],
+                ))
+            }
             None => {
                 let n = self.series_count();
                 let pairs: Vec<(usize, usize)> = (0..n)
@@ -321,6 +339,25 @@ mod tests {
         assert!(check_source_windows(src, &(0..3), PlanMethod::Approximate).is_err());
         assert!(check_source_windows(src, &(2..2), PlanMethod::Exact).is_err());
         assert!(check_source_windows(src, &(0..4), PlanMethod::Exact).is_err());
+    }
+
+    #[test]
+    fn a_table_of_borrowed_rows_presents_the_same_view() {
+        let sk = sketch();
+        let direct = sk.window_corrs_view(0..3);
+        let rows: Vec<&[f64]> = (0..3)
+            .map(|k| sk.window_corrs_view(k..k + 1).window_row(0))
+            .collect();
+        let table = PairTable::Rows { pairs: 6, rows };
+        assert!(table.is_zero_copy());
+        let view = table.view();
+        assert_eq!((view.pair_count(), view.window_count()), (6, 3));
+        for k in 0..3 {
+            assert_eq!(view.window_row(k), direct.window_row(k));
+        }
+        for p in 0..6 {
+            assert!(view.pair_column(p).eq(direct.pair_column(p)));
+        }
     }
 
     #[test]

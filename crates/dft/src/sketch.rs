@@ -16,8 +16,9 @@
 //! distance is a cache-blocked difference-square sweep over contiguous rows
 //! ([`tsubasa_core::stats::tiled_pair_dist_sq_into`], the distance sibling of
 //! the exact sketch's `Z·Zᵀ` kernel). Distances are stored once, in the
-//! window-major flat table the approximate query plan streams
-//! ([`DftSketchSet::window_dists_view`], zero-copy);
+//! window-major table the approximate query plan streams
+//! ([`DftSketchSet::window_dists_view`], zero-copy) — shared immutable rows,
+//! like the exact sketch's correlations;
 //! [`DftSketchSet::pair_distances`] gathers one pair's column of it on
 //! demand. The scalar per-pair path survives as
 //! [`DftSketchSet::build_reference`]; every accumulated term of the tiled
@@ -27,7 +28,7 @@
 use serde::{Deserialize, Serialize};
 use tsubasa_core::capacity::check_dense_budget;
 use tsubasa_core::error::{Error, Result};
-use tsubasa_core::plan::{CorrView, PlanMethod, TransposedCorrs};
+use tsubasa_core::plan::{CorrView, PlanMethod, TransposedCorrs, WindowRows};
 use tsubasa_core::sketch::pair_index;
 use tsubasa_core::source::{check_source_windows, CorrSource, PairTable};
 use tsubasa_core::stats::{
@@ -58,10 +59,11 @@ pub struct DftSketchSet {
     base: SketchSet,
     /// Number of DFT coefficients used when computing distances.
     coefficients: usize,
-    /// All pair distances, window-major (`ns × P`, row `w` holds `d_w` of
-    /// every pair in packed order) — the table [`crate::plan::ApproxPlan`]
-    /// streams, same layout as [`SketchSet`]'s pair correlations.
-    window_dists: Vec<f64>,
+    /// All pair distances, window-major (`ns` rows of `P`, row `w` holds
+    /// `d_w` of every pair in packed order) — the table
+    /// [`crate::plan::ApproxPlan`] streams, in the same shared-row storage as
+    /// [`SketchSet`]'s pair correlations, so a clone copies no distance.
+    window_dists: WindowRows,
 }
 
 /// Flatten the first `n_coeff` complex coefficients into a contiguous real
@@ -132,7 +134,7 @@ impl DftSketchSet {
         Ok(Self {
             base,
             coefficients: n_coeff,
-            window_dists,
+            window_dists: WindowRows::from_flat(window_dists, n_pairs, ns),
         })
     }
 
@@ -153,8 +155,10 @@ impl DftSketchSet {
         let ns = base.window_count();
         let n = collection.len();
 
+        let n_pairs = n * n.saturating_sub(1) / 2;
+
         let planner = DftPlanner::new(basic_window);
-        let mut window_dists = Vec::with_capacity(ns * n * n.saturating_sub(1) / 2);
+        let mut window_dists = Vec::with_capacity(ns * n_pairs);
         for w in 0..ns {
             let span = base.windowing().window_span(w);
             // DFT coefficients of every series' normalized window `w`.
@@ -175,7 +179,7 @@ impl DftSketchSet {
         Ok(Self {
             base,
             coefficients: n_coeff,
-            window_dists,
+            window_dists: WindowRows::from_flat(window_dists, n_pairs, ns),
         })
     }
 
@@ -207,7 +211,7 @@ impl DftSketchSet {
         Ok(Self {
             base,
             coefficients: n_coeff,
-            window_dists,
+            window_dists: WindowRows::from_flat(window_dists, n_pairs, ns),
         })
     }
 
@@ -276,7 +280,7 @@ impl DftSketchSet {
         let dists: Vec<f64> = sq.iter().map(|&s| s.max(0.0).sqrt()).collect();
 
         self.base.push_window(stats, pair_corrs)?;
-        self.window_dists.extend_from_slice(&dists);
+        self.window_dists.push(dists);
         Ok(())
     }
 
@@ -330,13 +334,7 @@ impl DftSketchSet {
     ///
     /// Panics when `windows` exceeds the sketched window range.
     pub fn window_dists_view(&self, windows: std::ops::Range<usize>) -> CorrView<'_> {
-        let n = self.series_count();
-        let n_pairs = n * n.saturating_sub(1) / 2;
-        CorrView::new(
-            &self.window_dists[windows.start * n_pairs..windows.end * n_pairs],
-            n_pairs,
-            windows.len(),
-        )
+        self.window_dists.view(windows)
     }
 
     /// Number of floats stored (core statistics plus distances) — used for

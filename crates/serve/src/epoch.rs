@@ -14,7 +14,10 @@
 //! [`EpochIngest`] is the producing side: a [`StreamBuffer`] accumulates raw
 //! observations, and each released basic-window chunk is folded into a
 //! growing sketch ([`SketchSet::push_window`] /
-//! [`DftSketchSet::push_window`]) whose clone becomes the next epoch.
+//! [`DftSketchSet::push_window`]) whose clone becomes the next epoch. The
+//! clone shares every window row with the epochs before it — a row is
+//! immutable once appended — and copies only the per-series statistics, so
+//! publishing costs the arriving window, not the history.
 //! Networks that maintain sliding state instead
 //! ([`tsubasa_stream::RealTimeNetwork`]) publish through their
 //! `publish_epoch()` hook and [`EpochStore::publish_sketches`].
@@ -22,7 +25,9 @@
 //! For served sets larger than RAM, [`EpochIngest::pile`] appends each
 //! completed window to an on-disk [`SketchPile`] instead of growing an
 //! owned sketch; the published epoch carries a memory-mapped snapshot of
-//! the pile and queries read its window-major tables zero-copy.
+//! the pile ([`PileWriter::snapshot`]: a mapping plus a copy of the writer's
+//! segment index, nothing re-read) and queries read its window-major tables
+//! zero-copy.
 
 use std::collections::VecDeque;
 use std::path::Path;
@@ -234,13 +239,18 @@ impl EpochStore {
             exact_src,
             approx_src,
         });
-        {
+        // The evicted epoch may hold the last reference to its sketch rows or
+        // its mapping, so it is freed when this function returns: after the
+        // lock `get` takes and the one `latest` takes are both released.
+        let _evicted = {
             let mut recent = self.recent.lock().expect("epoch store poisoned");
             recent.push_back(Arc::clone(&epoch));
-            while recent.len() > self.capacity {
-                recent.pop_front();
+            if recent.len() > self.capacity {
+                recent.pop_front()
+            } else {
+                None
             }
-        }
+        };
         *self.latest.write().expect("epoch store poisoned") = Some(Arc::clone(&epoch));
         Ok(epoch)
     }

@@ -82,8 +82,10 @@ unsafe impl Sync for PileMap {}
 
 impl PileMap {
     /// Map the first `len` bytes of `file`. Falls back to an owned
-    /// aligned-buffer read when mapping is unavailable or refused.
-    pub fn map(file: &mut File, len: usize) -> Result<Self> {
+    /// aligned-buffer read when mapping is unavailable or refused; the read
+    /// moves the descriptor's cursor, so a caller that also writes through
+    /// `file` must not rely on where the cursor is.
+    pub fn map(file: &File, len: usize) -> Result<Self> {
         if len == 0 || force_fallback() {
             return Self::read_into_owned(file, len);
         }
@@ -118,7 +120,7 @@ impl PileMap {
         }
     }
 
-    fn read_into_owned(file: &mut File, len: usize) -> Result<Self> {
+    fn read_into_owned(mut file: &File, len: usize) -> Result<Self> {
         let words = len.div_ceil(8);
         let mut buf: Vec<u64> = vec![0; words];
         if len > 0 {
@@ -253,12 +255,12 @@ mod tests {
     fn mmap_and_fallback_agree_bit_for_bit() {
         let path = temp_path("agree");
         let values: Vec<f64> = (0..64).map(|i| (i as f64).sin()).collect();
-        let mut file = write_f64_file(&path, &values);
+        let file = write_f64_file(&path, &values);
         let len = values.len() * 8;
 
-        let mapped = PileMap::map(&mut file, len).unwrap();
-        let mut file2 = File::open(&path).unwrap();
-        let owned = PileMap::read_into_owned(&mut file2, len).unwrap();
+        let mapped = PileMap::map(&file, len).unwrap();
+        let file2 = File::open(&path).unwrap();
+        let owned = PileMap::read_into_owned(&file2, len).unwrap();
         assert!(!owned.is_mmap());
         assert_eq!(mapped.bytes(), owned.bytes());
         assert_eq!(
@@ -272,8 +274,8 @@ mod tests {
     #[test]
     fn empty_map_is_empty() {
         let path = temp_path("empty");
-        let mut file = write_f64_file(&path, &[]);
-        let map = PileMap::map(&mut file, 0).unwrap();
+        let file = write_f64_file(&path, &[]);
+        let map = PileMap::map(&file, 0).unwrap();
         assert!(map.is_empty());
         assert_eq!(map.len(), 0);
         assert_eq!(map.f64s(0, 0).unwrap(), &[] as &[f64]);
@@ -283,8 +285,8 @@ mod tests {
     #[test]
     fn out_of_bounds_and_misaligned_views_are_errors() {
         let path = temp_path("oob");
-        let mut file = write_f64_file(&path, &[1.0, 2.0]);
-        let map = PileMap::map(&mut file, 16).unwrap();
+        let file = write_f64_file(&path, &[1.0, 2.0]);
+        let map = PileMap::map(&file, 16).unwrap();
         assert!(map.f64s(0, 3).is_err());
         assert!(map.f64s(16, 1).is_err());
         assert!(map.f64s(4, 1).is_err(), "offset 4 is not 8-aligned");

@@ -2,15 +2,15 @@
 //!
 //! The pile stores sketches *in the exact in-memory layout the query kernel
 //! consumes*: window-major `f64` tables (`row[k][p]` is window `k` of packed
-//! pair `p` — the `window_corrs` flat-table layout), so a reader maps the
-//! file and hands out zero-copy `CorrView`-style borrows straight into the
-//! tiled sweep. No seek per window range, no per-record decode, no
-//! intermediate vecs, and sketch sets are not capped at RAM.
+//! pair `p` — the in-memory sketch's row layout), so a reader maps the file
+//! and hands the tiled sweep one borrowed slice per window row, wherever the
+//! row's segment lies. No seek per window range, no per-record decode, no
+//! copy of a value, and sketch sets are not capped at RAM.
 //!
 //! # File format
 //!
 //! A pile is a single file: a 64-byte file header followed by append-only
-//! *segments*, each a 64-byte header plus an 8-byte-aligned payload.
+//! *segments*, each a 64-byte header plus a payload of whole `f64` rows.
 //!
 //! ```text
 //! file header (64 B)            segment header (64 B)
@@ -18,7 +18,7 @@
 //!   8..12  version (u32 LE)       4..8   kind (u32 LE; 1 stats, 2 corrs, 3 ests)
 //!   12..16 reserved               8..16  first_window (u64 LE)
 //!   16..24 n_series (u64 LE)      16..24 n_windows (u64 LE)
-//!   24..32 basic_window (u64 LE)  24..32 payload_len (u64 LE, unpadded)
+//!   24..32 basic_window (u64 LE)  24..32 payload_len (u64 LE)
 //!   32..64 reserved (zero)        32..40 FNV-1a-64 checksum of the payload
 //!                                 40..64 reserved (zero)
 //! ```
@@ -34,9 +34,9 @@
 //!   estimates `ĉ = 1 − d²/2` of stored DFT distances, precomputed at write
 //!   time so approximate queries go through the same zero-copy kernel path.
 //!
-//! Alignment: the file header and every segment header are 64 bytes and
-//! payloads are padded to a multiple of 8, so every payload starts at a
-//! multiple of 8 from the start of the file. The mapping base is page-aligned
+//! Alignment: the file header and every segment header are 64 bytes and a
+//! payload is whole `f64`s, so every payload starts at a multiple of 8 from
+//! the start of the file. The mapping base is page-aligned
 //! (mmap) or `Vec<u64>`-aligned (fallback), hence every payload is 8-byte
 //! aligned and `f64` views are valid.
 //!
@@ -50,6 +50,12 @@
 //! [`SketchPile::compact`] rewrites live segments coalesced (one segment per
 //! ≤ 1 MiB run of windows of a kind) through a temp file and an atomic rename
 //! — existing mappings stay valid because the old inode lives until unmapped.
+//!
+//! A segment is never rewritten once appended, so the index of validated
+//! segments only grows: a [`PileWriter`] keeps the index of what
+//! `open_append` validated plus what it wrote itself, and
+//! [`PileWriter::snapshot`] maps the file under a copy of that index without
+//! reading a byte of it.
 
 #[allow(unsafe_code)]
 mod map;
@@ -64,7 +70,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Sender};
 use tsubasa_core::error::{Error, Result};
-use tsubasa_core::plan::{CorrView, PlanMethod, TransposedCorrs};
+use tsubasa_core::plan::PlanMethod;
 use tsubasa_core::source::{CorrSource, PairTable};
 use tsubasa_core::stats::WindowStats;
 
@@ -115,20 +121,18 @@ impl SegmentKind {
     fn index(self) -> usize {
         self.code() as usize - 1
     }
-
-    /// Number of `f64` values per window row for this kind under the given
-    /// series count.
-    fn row_values(self, n_series: usize) -> usize {
-        match self {
-            SegmentKind::SeriesStats => n_series * 3,
-            SegmentKind::PairCorrs | SegmentKind::PairEsts => pair_count(n_series),
-        }
-    }
 }
 
-/// Packed upper-triangle pair count for `n` series.
-fn pair_count(n: usize) -> usize {
-    n * n.saturating_sub(1) / 2
+/// `f64` values per window row of each [`SegmentKind`] (by
+/// [`SegmentKind::index`]) for `n_series` series — `3n` statistics,
+/// `n(n−1)/2` packed pairs — or `None` when a row's byte length does not fit
+/// a `usize`, which only a hostile or bit-flipped header asks for.
+fn row_values(n_series: usize) -> Option<[usize; 3]> {
+    let stats = n_series.checked_mul(3)?;
+    let pairs = n_series.checked_mul(n_series.saturating_sub(1))? / 2;
+    stats.checked_mul(8)?;
+    pairs.checked_mul(8)?;
+    Some([stats, pairs, pairs])
 }
 
 /// FNV-1a 64-bit over a byte slice — the per-segment payload checksum.
@@ -149,8 +153,10 @@ fn read_u64(bytes: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"))
 }
 
-fn pad8(len: usize) -> usize {
-    len.div_ceil(8) * 8
+/// A stored count or length. One that does not fit `usize` cannot be real;
+/// saturating sends it down the same refusal as any other impossible value.
+fn read_count(bytes: &[u8], off: usize) -> usize {
+    usize::try_from(read_u64(bytes, off)).unwrap_or(usize::MAX)
 }
 
 /// One validated segment of a pile (payload location in file coordinates).
@@ -163,14 +169,71 @@ struct Segment {
 }
 
 /// The validated shape of a pile file: its metadata, its segments in file
-/// order, and where the valid prefix ends.
+/// order, and where the valid prefix ends. Grown one segment at a time, by
+/// [`walk`] as it validates a file and by [`PileWriter::append`] as it
+/// writes one — both through [`PileIndex::place`] and [`PileIndex::push`], so
+/// reader and writer cannot disagree on where a segment lies.
 #[derive(Debug, Clone)]
 struct PileIndex {
     n_series: usize,
     basic_window: usize,
+    /// `f64` values per window row, by [`SegmentKind::index`].
+    row_values: [usize; 3],
     segs: Vec<Segment>,
     coverage: [usize; 3],
     valid_len: usize,
+}
+
+impl PileIndex {
+    /// The index of a pile that holds its file header and nothing else.
+    /// A shape with no series or no basic window, or one whose rows do not
+    /// fit the address space, is refused.
+    fn empty(n_series: usize, basic_window: usize) -> Result<Self> {
+        let row_values = row_values(n_series)
+            .filter(|_| n_series > 0 && basic_window > 0)
+            .ok_or_else(|| {
+                Error::Storage(format!(
+                    "pile shape is degenerate: n_series={n_series}, basic_window={basic_window}"
+                ))
+            })?;
+        Ok(Self {
+            n_series,
+            basic_window,
+            row_values,
+            segs: Vec::new(),
+            coverage: [0; 3],
+            valid_len: FILE_HEADER_LEN,
+        })
+    }
+
+    fn row_values(&self, kind: SegmentKind) -> usize {
+        self.row_values[kind.index()]
+    }
+
+    /// The byte range of the payload of a segment of `n_windows` rows of
+    /// `kind` that follows the valid prefix — `None` when it is empty, its
+    /// kind has no rows under this shape, or its extent overflows `usize`.
+    /// The payload is whole `f64` rows, so the header after it stays aligned.
+    fn place(&self, kind: SegmentKind, n_windows: usize) -> Option<Range<usize>> {
+        let len = n_windows.checked_mul(self.row_values(kind) * 8)?;
+        let start = self.valid_len.checked_add(SEG_HEADER_LEN)?;
+        let end = start.checked_add(len)?;
+        (len > 0).then_some(start..end)
+    }
+
+    /// Accept the segment whose payload [`PileIndex::place`] located: it
+    /// extends its kind's coverage gaplessly and moves the valid prefix past
+    /// it.
+    fn push(&mut self, kind: SegmentKind, n_windows: usize, payload: Range<usize>) {
+        self.segs.push(Segment {
+            kind,
+            first_window: self.coverage[kind.index()],
+            n_windows,
+            payload_off: payload.start,
+        });
+        self.coverage[kind.index()] += n_windows;
+        self.valid_len = payload.end;
+    }
 }
 
 /// Walk the mapped bytes of a pile file: check the file header, then accept
@@ -189,62 +252,36 @@ fn walk(bytes: &[u8]) -> Result<PileIndex> {
             "unsupported pile version {version} (expected {FILE_VERSION})"
         )));
     }
-    let n_series = read_u64(bytes, 16) as usize;
-    let basic_window = read_u64(bytes, 24) as usize;
-    if n_series == 0 || basic_window == 0 {
-        return Err(Error::Storage(format!(
-            "pile header has degenerate shape: n_series={n_series}, basic_window={basic_window}"
-        )));
-    }
+    let mut index = PileIndex::empty(read_count(bytes, 16), read_count(bytes, 24))?;
 
-    let mut segs = Vec::new();
-    let mut coverage = [0usize; 3];
-    let mut off = FILE_HEADER_LEN;
     // An incomplete header means a torn tail (or the clean end of the file).
-    while let Some(header) = bytes.get(off..off + SEG_HEADER_LEN) {
+    while let Some(header) = bytes.get(index.valid_len..index.valid_len + SEG_HEADER_LEN) {
         if header[..4] != SEG_MAGIC {
             break;
         }
         let Some(kind) = SegmentKind::from_code(read_u32(header, 4)) else {
             break;
         };
-        let first_window = read_u64(header, 8) as usize;
-        let n_windows = read_u64(header, 16) as usize;
-        let payload_len = read_u64(header, 24) as usize;
-        let checksum = read_u64(header, 32);
-        let row_bytes = kind.row_values(n_series) * 8;
+        let n_windows = read_count(header, 16);
         // Structural checks: non-empty, shape consistent with the file
         // header, and gapless per-kind coverage (append discipline).
-        if n_windows == 0
-            || row_bytes == 0
-            || payload_len != n_windows * row_bytes
-            || first_window != coverage[kind.index()]
+        let Some(at) = index.place(kind, n_windows) else {
+            break;
+        };
+        if read_count(header, 24) != at.len()
+            || read_count(header, 8) != index.coverage[kind.index()]
         {
             break;
         }
-        let payload_off = off + SEG_HEADER_LEN;
-        let Some(payload) = bytes.get(payload_off..payload_off + payload_len) else {
+        let Some(payload) = bytes.get(at.clone()) else {
             break; // payload extends past the file: torn tail
         };
-        if fnv1a64(payload) != checksum {
+        if fnv1a64(payload) != read_u64(header, 32) {
             break;
         }
-        segs.push(Segment {
-            kind,
-            first_window,
-            n_windows,
-            payload_off,
-        });
-        coverage[kind.index()] += n_windows;
-        off = payload_off + pad8(payload_len);
+        index.push(kind, n_windows, at);
     }
-    Ok(PileIndex {
-        n_series,
-        basic_window,
-        segs,
-        coverage,
-        valid_len: off,
-    })
+    Ok(index)
 }
 
 /// Statistics returned by [`SketchPile::compact`].
@@ -253,7 +290,9 @@ pub struct CompactStats {
     /// Segments in the pile before compaction.
     pub segments_before: usize,
     /// Segments after: one per ≤ 1 MiB run of windows of each covered
-    /// [`SegmentKind`] — what reopening the compacted pile counts.
+    /// [`SegmentKind`] — what reopening the compacted pile counts. Fewer
+    /// segments mean fewer headers and a shorter index, not cheaper reads:
+    /// a range is zero-copy however many segments it spans.
     pub segments_after: usize,
     /// Valid bytes before compaction.
     pub bytes_before: u64,
@@ -272,14 +311,17 @@ pub struct CompactStats {
 /// from its coverage counter). Durability is explicit: nothing is fsynced
 /// until [`PileWriter::sync`] or [`PileWriter::finish`] — pair it with
 /// [`PileBatchWriter`] and a [`SyncPolicy`] for the threaded write path.
+///
+/// The writer carries the index of every segment in its file — those
+/// [`PileWriter::open_append`] validated plus those it appended (and
+/// checksummed) itself — which is what [`PileWriter::snapshot`] serves from.
 #[derive(Debug)]
 pub struct PileWriter {
     path: PathBuf,
     file: File,
-    n_series: usize,
-    basic_window: usize,
-    coverage: [usize; 3],
-    end: u64,
+    /// Every segment up to the watermark `index.valid_len`, where the next
+    /// append goes.
+    index: PileIndex,
     scratch: Vec<u8>,
     syncs: usize,
 }
@@ -287,11 +329,7 @@ pub struct PileWriter {
 impl PileWriter {
     /// Create (or truncate) a pile file for the given sketch shape.
     pub fn create(path: &Path, n_series: usize, basic_window: usize) -> Result<Self> {
-        if n_series == 0 || basic_window == 0 {
-            return Err(Error::Storage(format!(
-                "pile shape must be non-degenerate: n_series={n_series}, basic_window={basic_window}"
-            )));
-        }
+        let index = PileIndex::empty(n_series, basic_window)?;
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -309,10 +347,7 @@ impl PileWriter {
         Ok(Self {
             path: path.to_path_buf(),
             file,
-            n_series,
-            basic_window,
-            coverage: [0; 3],
-            end: FILE_HEADER_LEN as u64,
+            index,
             scratch: Vec::new(),
             syncs: 0,
         })
@@ -322,7 +357,7 @@ impl PileWriter {
     /// a torn tail segment (from a crash mid-append) is truncated away, so
     /// appends always resume from the last complete segment.
     pub fn open_append(path: &Path) -> Result<Self> {
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(path)
@@ -332,20 +367,15 @@ impl PileWriter {
                 .metadata()
                 .map_err(|e| Error::Storage(format!("stat pile: {e}")))?
                 .len() as usize;
-            let map = PileMap::map(&mut file, len)?;
+            let map = PileMap::map(&file, len)?;
             walk(map.bytes())?
         };
         file.set_len(index.valid_len as u64)
             .map_err(|e| Error::Storage(format!("truncate torn pile tail: {e}")))?;
-        file.seek(SeekFrom::Start(index.valid_len as u64))
-            .map_err(|e| Error::Storage(format!("seek pile end: {e}")))?;
         Ok(Self {
             path: path.to_path_buf(),
             file,
-            n_series: index.n_series,
-            basic_window: index.basic_window,
-            coverage: index.coverage,
-            end: index.valid_len as u64,
+            index,
             scratch: Vec::new(),
             syncs: 0,
         })
@@ -353,17 +383,17 @@ impl PileWriter {
 
     /// Number of series the pile was created for.
     pub fn n_series(&self) -> usize {
-        self.n_series
+        self.index.n_series
     }
 
     /// Basic-window size the pile was created for.
     pub fn basic_window(&self) -> usize {
-        self.basic_window
+        self.index.basic_window
     }
 
     /// Windows appended so far for `kind`.
     pub fn coverage(&self, kind: SegmentKind) -> usize {
-        self.coverage[kind.index()]
+        self.index.coverage[kind.index()]
     }
 
     /// Path of the pile file.
@@ -373,7 +403,7 @@ impl PileWriter {
 
     /// Bytes in the file (header plus all appended segments).
     pub fn len_bytes(&self) -> u64 {
-        self.end
+        self.index.valid_len as u64
     }
 
     /// Durability syncs issued so far.
@@ -382,14 +412,15 @@ impl PileWriter {
     }
 
     /// Append one segment of window-major rows for `kind`. `rows` must be a
-    /// whole number of rows (`kind.row_values(n_series)` values each); the
-    /// segment's `first_window` is the writer's current coverage for the
-    /// kind. Returns the number of windows appended; empty input is a no-op.
+    /// whole number of rows (`kind`'s row width under the pile's series
+    /// count); the segment's `first_window` is the writer's current coverage
+    /// for the kind. Returns the number of windows appended; empty input is
+    /// a no-op.
     pub fn append(&mut self, kind: SegmentKind, rows: &[f64]) -> Result<usize> {
         if rows.is_empty() {
             return Ok(0);
         }
-        let row_values = kind.row_values(self.n_series);
+        let row_values = self.index.row_values(kind);
         if row_values == 0 || !rows.len().is_multiple_of(row_values) {
             return Err(Error::Storage(format!(
                 "pile append of {} values is not a whole number of {row_values}-value rows",
@@ -397,10 +428,14 @@ impl PileWriter {
             )));
         }
         let n_windows = rows.len() / row_values;
-        let payload_len = rows.len() * 8;
+        let at = self.index.place(kind, n_windows).ok_or_else(|| {
+            Error::Storage(format!(
+                "pile append of {n_windows} windows overflows the file"
+            ))
+        })?;
 
         self.scratch.clear();
-        self.scratch.reserve(payload_len);
+        self.scratch.reserve(at.len());
         for v in rows {
             self.scratch.extend_from_slice(&v.to_le_bytes());
         }
@@ -408,23 +443,20 @@ impl PileWriter {
         let mut header = [0u8; SEG_HEADER_LEN];
         header[..4].copy_from_slice(&SEG_MAGIC);
         header[4..8].copy_from_slice(&kind.code().to_le_bytes());
-        header[8..16].copy_from_slice(&(self.coverage[kind.index()] as u64).to_le_bytes());
+        header[8..16].copy_from_slice(&(self.coverage(kind) as u64).to_le_bytes());
         header[16..24].copy_from_slice(&(n_windows as u64).to_le_bytes());
-        header[24..32].copy_from_slice(&(payload_len as u64).to_le_bytes());
+        header[24..32].copy_from_slice(&(at.len() as u64).to_le_bytes());
         header[32..40].copy_from_slice(&fnv1a64(&self.scratch).to_le_bytes());
 
+        // Every append starts at the watermark, wherever the cursor is: a
+        // snapshot's fallback read shares this descriptor (and its cursor),
+        // and what a failed append left behind is overwritten, not kept.
         self.file
-            .write_all(&header)
+            .seek(SeekFrom::Start(self.index.valid_len as u64))
+            .and_then(|_| self.file.write_all(&header))
             .and_then(|_| self.file.write_all(&self.scratch))
             .map_err(|e| Error::Storage(format!("pile append: {e}")))?;
-        let pad = pad8(payload_len) - payload_len;
-        if pad > 0 {
-            self.file
-                .write_all(&[0u8; 8][..pad])
-                .map_err(|e| Error::Storage(format!("pile append pad: {e}")))?;
-        }
-        self.coverage[kind.index()] += n_windows;
-        self.end += (SEG_HEADER_LEN + pad8(payload_len)) as u64;
+        self.index.push(kind, n_windows, at);
         Ok(n_windows)
     }
 
@@ -440,8 +472,34 @@ impl PileWriter {
     /// Map the pile's current contents as a read-only [`SketchPile`] without
     /// closing the writer — the epoch-publication path: append-only means the
     /// snapshot's prefix never changes underneath the mapping.
+    ///
+    /// A snapshot costs one `fstat`, one mapping of the file up to the
+    /// writer's watermark and a copy of the writer's segment index (32 bytes
+    /// per segment), whatever the file's length: it re-reads and re-checks
+    /// nothing, because every segment below the watermark was either
+    /// validated by [`PileWriter::open_append`]'s walk or written and
+    /// checksummed by this writer. It serves exactly those segments. A file
+    /// that has become shorter than the watermark (truncated by someone
+    /// else) is a typed error, never a mapping past its end.
     pub fn snapshot(&self) -> Result<SketchPile> {
-        SketchPile::open(&self.path)
+        let file_len = self
+            .file
+            .metadata()
+            .map_err(|e| Error::Storage(format!("stat pile: {e}")))?
+            .len();
+        if file_len < self.len_bytes() {
+            return Err(Error::Storage(format!(
+                "pile {} is {file_len} bytes, shorter than the {} its writer appended",
+                self.path.display(),
+                self.len_bytes()
+            )));
+        }
+        Ok(SketchPile {
+            path: self.path.clone(),
+            map: PileMap::map(&self.file, self.index.valid_len)?,
+            index: self.index.clone(),
+            file_len,
+        })
     }
 
     /// Sync and close the writer.
@@ -449,12 +507,11 @@ impl PileWriter {
         self.sync()
     }
 
-    /// Sync, close the writer, and reopen the file as a [`SketchPile`].
+    /// Sync, then hand the file over as a [`SketchPile`]: the last
+    /// [`PileWriter::snapshot`].
     pub fn into_pile(mut self) -> Result<SketchPile> {
         self.sync()?;
-        let path = self.path.clone();
-        drop(self);
-        SketchPile::open(&path)
+        self.snapshot()
     }
 }
 
@@ -462,14 +519,14 @@ impl PileWriter {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// A window-major correlation (or estimate) table served from a pile: either
-/// a zero-copy borrow of the mapping (the requested rows are contiguous in
-/// one segment) or a row-gathered owned buffer (range spans segments). Both
-/// present the same [`CorrView`]; neither ever decodes a record.
+/// A window-major correlation (or estimate) table served from a pile: one
+/// slice per window row, each borrowed straight from the mapping, so a range
+/// is zero-copy whether it lies in one segment or spans many, and no record
+/// is ever decoded.
 ///
 /// This is the backend-agnostic [`tsubasa_core::source::PairTable`] — the
-/// pile's borrowed-or-owned shape became the [`CorrSource`] trait's table
-/// currency, so the historical name survives as an alias.
+/// pile's table shape became the [`CorrSource`] trait's table currency, so
+/// the historical name survives as an alias.
 pub type PileCorrs<'a> = tsubasa_core::source::PairTable<'a>;
 
 /// Read-only handle to a validated, memory-mapped sketch pile.
@@ -502,13 +559,13 @@ impl std::fmt::Debug for SketchPile {
 impl SketchPile {
     /// Open and validate a pile, mapping its valid prefix.
     pub fn open(path: &Path) -> Result<Self> {
-        let mut file = File::open(path)
+        let file = File::open(path)
             .map_err(|e| Error::Storage(format!("open pile {}: {e}", path.display())))?;
         let file_len = file
             .metadata()
             .map_err(|e| Error::Storage(format!("stat pile: {e}")))?
             .len();
-        let map = PileMap::map(&mut file, file_len as usize)?;
+        let map = PileMap::map(&file, file_len as usize)?;
         let index = walk(map.bytes())?;
         Ok(Self {
             path: path.to_path_buf(),
@@ -530,7 +587,7 @@ impl SketchPile {
 
     /// Packed pair count `n(n−1)/2`.
     pub fn pair_count(&self) -> usize {
-        pair_count(self.index.n_series)
+        self.index.row_values(SegmentKind::PairCorrs)
     }
 
     /// Windows covered by segments of `kind`.
@@ -596,7 +653,7 @@ impl SketchPile {
     /// `windows` for `kind`, in window order. Coverage is gapless by the
     /// append discipline, so the runs tile the range exactly.
     fn row_runs(&self, kind: SegmentKind, windows: &Range<usize>) -> Vec<(usize, usize)> {
-        let row_bytes = kind.row_values(self.index.n_series) * 8;
+        let row_bytes = self.index.row_values(kind) * 8;
         let mut runs = Vec::new();
         for seg in self.index.segs.iter().filter(|s| s.kind == kind) {
             let seg_end = seg.first_window + seg.n_windows;
@@ -619,7 +676,7 @@ impl SketchPile {
     pub fn series_stats(&self, windows: Range<usize>) -> Result<Vec<Vec<WindowStats>>> {
         self.check_windows(SegmentKind::SeriesStats, &windows)?;
         let n = self.index.n_series;
-        let row_values = SegmentKind::SeriesStats.row_values(n);
+        let row_values = self.index.row_values(SegmentKind::SeriesStats);
         let mut out: Vec<Vec<WindowStats>> =
             (0..n).map(|_| Vec::with_capacity(windows.len())).collect();
         for (off, n_windows) in self.row_runs(SegmentKind::SeriesStats, &windows) {
@@ -637,8 +694,9 @@ impl SketchPile {
         Ok(out)
     }
 
-    /// The full-width window-major pair table for `windows` — zero-copy when
-    /// the rows are contiguous in one segment, row-gathered otherwise.
+    /// The full-width window-major pair table for `windows`: one slice per
+    /// row, borrowed from the mapping — zero-copy for every range, whichever
+    /// segments its rows lie in.
     /// `kind` must be [`SegmentKind::PairCorrs`] or [`SegmentKind::PairEsts`];
     /// asking for a table the pile does not cover is a typed
     /// [`Error::SketchMismatch`] (e.g. exact queries against an
@@ -651,31 +709,23 @@ impl SketchPile {
         }
         self.check_windows(kind, &windows)?;
         let pairs = self.pair_count();
-        let runs = self.row_runs(kind, &windows);
-        if runs.len() == 1 {
-            let (off, n_windows) = runs[0];
-            debug_assert_eq!(n_windows, windows.len());
-            let data = self.map.f64s(off, n_windows * pairs)?;
-            return Ok(PileCorrs::Borrowed(CorrView::new(data, pairs, n_windows)));
+        let mut rows = Vec::with_capacity(windows.len());
+        for (off, n_windows) in self.row_runs(kind, &windows) {
+            // Covered windows imply `pairs > 0`: `walk` admits no segment of
+            // zero-width rows.
+            rows.extend(self.map.f64s(off, n_windows * pairs)?.chunks_exact(pairs));
         }
-        let mut data = Vec::with_capacity(windows.len() * pairs);
-        for (off, n_windows) in runs {
-            data.extend_from_slice(self.map.f64s(off, n_windows * pairs)?);
-        }
-        Ok(PileCorrs::Owned(TransposedCorrs::from_vec(
-            data,
-            pairs,
-            windows.len(),
-        )))
+        Ok(PileCorrs::Rows { pairs, rows })
     }
 
     /// Rewrite the pile at `path` with live segments coalesced: each kind's
     /// rows are rewritten in chunks of whole windows of at most 1 MiB (the
     /// copy buffer's bound), one segment per chunk — so a kind under 1 MiB
-    /// becomes a single segment and its full-range reads are zero-copy again,
-    /// while a larger kind still spans segments (fewer, larger ones; ranges
-    /// crossing them are gathered). Per-segment header overhead drops
-    /// accordingly. The rewrite goes through a temp file in the same
+    /// becomes a single segment and a larger kind fewer, larger ones.
+    /// Per-segment header overhead and the length of the segment index drop
+    /// accordingly; reads cost the same before and after, since a range is
+    /// served row by row from the mapping however many segments it spans.
+    /// The rewrite goes through a temp file in the same
     /// directory and replaces the original with an atomic rename, so readers
     /// that already mapped the old file keep a valid (old) view and a crash
     /// leaves either the old or the new pile intact.
@@ -695,7 +745,7 @@ impl SketchPile {
             if total == 0 {
                 continue;
             }
-            let row_values = kind.row_values(src.n_series());
+            let row_values = src.index.row_values(kind);
             // Bound the copy buffer: rewrite in chunks of whole windows.
             let chunk_windows = (1usize << 20) / (row_values * 8).max(1);
             let chunk_windows = chunk_windows.clamp(1, total);
@@ -733,7 +783,7 @@ impl SketchPile {
 
 /// The mapped pile as a [`CorrSource`]: per-method capability comes from
 /// segment coverage (an estimates-only pile reports zero exact windows and
-/// vice versa), and full tables are the pile's own zero-copy-or-gathered
+/// vice versa), and full tables are the pile's own zero-copy
 /// [`SketchPile::pair_table`]. No chunked override — the mapping makes the
 /// full table as cheap as any chunk.
 impl CorrSource for SketchPile {
@@ -981,6 +1031,10 @@ mod tests {
         std::env::temp_dir().join(format!("tsubasa-pile-{}-{tag}.pile", std::process::id()))
     }
 
+    fn pair_count(n: usize) -> usize {
+        row_values(n).unwrap()[SegmentKind::PairCorrs.index()]
+    }
+
     fn stats_row(n: usize, w: usize) -> Vec<f64> {
         (0..n)
             .flat_map(|i| [10.0, w as f64 + i as f64 * 0.5, 1.0 + i as f64])
@@ -1029,7 +1083,7 @@ mod tests {
     }
 
     #[test]
-    fn single_segment_reads_are_zero_copy_and_spans_are_gathered() {
+    fn reads_are_zero_copy_within_and_across_segments() {
         let path = temp_pile("zerocopy");
         let n = 3;
         let pairs = pair_count(n);
@@ -1041,20 +1095,18 @@ mod tests {
             writer.append(SegmentKind::PairCorrs, &rows).unwrap();
         }
         let pile = writer.into_pile().unwrap();
-        // Within one segment: zero-copy.
-        assert!(pile
-            .pair_table(0..2, SegmentKind::PairCorrs)
-            .unwrap()
-            .is_zero_copy());
-        assert!(pile
-            .pair_table(2..4, SegmentKind::PairCorrs)
-            .unwrap()
-            .is_zero_copy());
-        // Across the boundary: gathered, same values.
-        let spanning = pile.pair_table(1..3, SegmentKind::PairCorrs).unwrap();
-        assert!(!spanning.is_zero_copy());
-        assert_eq!(spanning.view().window_row(0), &corr_row(pairs, 1)[..]);
-        assert_eq!(spanning.view().window_row(1), &corr_row(pairs, 2)[..]);
+        // Within one segment, across the boundary, over both: every row is
+        // borrowed from the mapping, bit for bit what was appended.
+        for range in [0..2, 2..4, 1..3, 0..4] {
+            let table = pile
+                .pair_table(range.clone(), SegmentKind::PairCorrs)
+                .unwrap();
+            assert!(table.is_zero_copy(), "{range:?}");
+            assert_eq!(table.view().window_count(), range.len());
+            for (k, w) in range.enumerate() {
+                assert_eq!(table.view().window_row(k), &corr_row(pairs, w)[..]);
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -1249,10 +1301,95 @@ mod tests {
         let table = after
             .pair_table(0..windows, SegmentKind::PairCorrs)
             .unwrap();
-        assert!(!table.is_zero_copy(), "the range spans three segments");
+        assert!(
+            table.is_zero_copy(),
+            "spanning three segments costs no copy"
+        );
         for w in 0..windows {
             assert_eq!(table.view().window_row(w), &corr_row(pairs, w)[..]);
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A one-window pile: its only segment header is at `FILE_HEADER_LEN`.
+    fn one_window_pile(tag: &str) -> PathBuf {
+        let path = temp_pile(tag);
+        let mut writer = PileWriter::create(&path, 3, 8).unwrap();
+        writer
+            .append(SegmentKind::PairCorrs, &corr_row(pair_count(3), 0))
+            .unwrap();
+        writer.finish().unwrap();
+        path
+    }
+
+    fn overwrite_u64(path: &Path, off: usize, value: u64) {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn a_header_whose_series_count_overflows_the_row_size_is_refused() {
+        let path = one_window_pile("hostile-series");
+        for n_series in [u64::MAX / 2, u64::MAX, 1 << 62, 1 << 33] {
+            overwrite_u64(&path, 16, n_series);
+            assert!(
+                matches!(SketchPile::open(&path), Err(Error::Storage(_))),
+                "n_series = {n_series}"
+            );
+            assert!(matches!(
+                PileWriter::open_append(&path),
+                Err(Error::Storage(_))
+            ));
+        }
+        assert!(PileWriter::create(&path, usize::MAX / 2, 8).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_segment_whose_window_count_overflows_ends_the_valid_prefix() {
+        let (path, seg) = (one_window_pile("hostile-windows"), FILE_HEADER_LEN);
+        for n_windows in [u64::MAX / 3, u64::MAX, u64::MAX / 24 + 1] {
+            overwrite_u64(&path, seg + 16, n_windows);
+            let pile = SketchPile::open(&path).unwrap();
+            assert_eq!(pile.segment_count(), 0, "n_windows = {n_windows}");
+            assert_eq!(pile.space_bytes(), FILE_HEADER_LEN as u64);
+            assert!(pile.truncated_bytes() > 0);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_segment_whose_payload_runs_past_the_address_space_ends_the_valid_prefix() {
+        let (path, seg) = (one_window_pile("hostile-payload"), FILE_HEADER_LEN);
+        // The largest window count whose payload length still fits a
+        // `usize`: only `payload_off + payload_len` overflows.
+        let n_windows = (usize::MAX / (pair_count(3) * 8)) as u64;
+        overwrite_u64(&path, seg + 16, n_windows);
+        overwrite_u64(&path, seg + 24, n_windows * (pair_count(3) * 8) as u64);
+        let pile = SketchPile::open(&path).unwrap();
+        assert_eq!(pile.segment_count(), 0);
+        assert_eq!(PileWriter::open_append(&path).unwrap().len_bytes(), 64);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn snapshot_refuses_a_file_cut_below_the_watermark() {
+        let path = temp_pile("snapshot-cut");
+        let pairs = pair_count(4);
+        let mut writer = PileWriter::create(&path, 4, 8).unwrap();
+        writer
+            .append(SegmentKind::PairCorrs, &corr_row(pairs, 0))
+            .unwrap();
+        let cut = writer.len_bytes() - 1;
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(cut)
+            .unwrap();
+        assert!(matches!(writer.snapshot(), Err(Error::Storage(_))));
+        assert!(matches!(writer.into_pile(), Err(Error::Storage(_))));
         std::fs::remove_file(&path).ok();
     }
 

@@ -6,8 +6,10 @@
 //! * every pile answer — both sketch methods × matrix/network/top-k × 1/2/8
 //!   workers × three window ranges, 108 cases — is **bit-identical** to the
 //!   same query on an in-memory `SketchSet` rehydrated from the pile's own
-//!   rows (`SketchSet::from_parts`): mapping, segment gathering and worker
-//!   count must not change a single output bit, NaN audit included;
+//!   rows (`SketchSet::from_parts`): mapping, segment boundaries and worker
+//!   count must not change a single output bit, NaN audit included — and
+//!   every table the pile serves, within a segment or across several, is
+//!   zero-copy;
 //! * the rows themselves are within `1e-10` of `SketchSet::build` /
 //!   `DftSketchSet::build` (the engine's sketch kernel and the in-memory one
 //!   sum in different orders, so this is a tolerance, not bit equality);
@@ -166,9 +168,15 @@ fn pile_answers_match_a_memory_sketch_of_its_rows_across_the_grid() {
                     let eng = engine(workers, method);
                     let pile = sketch(&eng, &c, b, &format!("{n}-{b}-{workers}-{qmethod:?}"));
                     let memory = Rehydrated::from_pile(&pile, pmethod);
+                    let kind = match pmethod {
+                        PlanMethod::Exact => SegmentKind::PairCorrs,
+                        PlanMethod::Approximate => SegmentKind::PairEsts,
+                    };
 
                     for windows in [0..WINDOWS, 0..2, 2..WINDOWS] {
                         let tag = format!("n={n} b={b} {qmethod:?} w={workers} {windows:?}");
+                        let table = pile.pair_table(windows.clone(), kind).unwrap();
+                        assert!(table.is_zero_copy(), "copied table {tag}");
                         let (m_memory, _) = eng.query(&memory, windows.clone(), qmethod).unwrap();
                         let (m_pile, _) = eng.query(&pile, windows.clone(), qmethod).unwrap();
                         assert_eq!(m_memory, m_pile, "matrix mismatch {tag}");
@@ -287,6 +295,13 @@ fn planted_nan_rows_audit_identically_on_pile_and_memory() {
     let pile = writer.into_pile().unwrap();
     std::fs::remove_file(&path).ok();
     let memory = Rehydrated::from_pile(&pile, PlanMethod::Exact);
+    // One segment per appended row, so every range below spans segments and
+    // is still served straight from the mapping.
+    assert_eq!(pile.segment_count(), 2 * WINDOWS);
+    for windows in [0..WINDOWS, 1..3, 2..WINDOWS] {
+        let table = pile.pair_table(windows, SegmentKind::PairCorrs).unwrap();
+        assert!(table.is_zero_copy());
+    }
 
     // The exact network audits exhaustively (no pruning): exactly the
     // planted pair is counted, on both backends, and the edge sets still

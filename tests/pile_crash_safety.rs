@@ -12,10 +12,17 @@
 //!   **bit-identically** (headers and checksums are deterministic functions
 //!   of coverage and payload);
 //! * [`SketchPile::compact`] rewrites the segment log without changing a
-//!   single payload bit.
+//!   single payload bit;
+//! * [`PileWriter::snapshot`], which serves from the writer's own index
+//!   without reading the file, equals a validating [`SketchPile::open`] of
+//!   the same file after any history of appends, syncs, reopens and tail
+//!   cuts — and turns into an error, not a mapping past the end, when the
+//!   file is cut under a live writer.
 
 use std::path::PathBuf;
 
+use proptest::prelude::*;
+use tsubasa::core::stats::WindowStats;
 use tsubasa::storage::{PileWriter, SegmentKind, SketchPile};
 
 const N_SERIES: usize = 4;
@@ -166,10 +173,8 @@ fn compaction_round_trips_every_payload_bit() {
     let t = after
         .pair_table(0..WINDOWS, SegmentKind::PairCorrs)
         .unwrap();
-    assert!(
-        t.is_zero_copy(),
-        "a compacted pile must serve the full range from one segment"
-    );
+    assert_eq!(after.segment_count(), 2, "one segment per kind");
+    assert!(t.is_zero_copy());
     let corrs_after: Vec<u64> = (0..WINDOWS)
         .flat_map(|k| {
             t.view()
@@ -181,4 +186,149 @@ fn compaction_round_trips_every_payload_bit() {
         .collect();
     assert_eq!(corrs_after, corrs_before);
     std::fs::remove_file(&path).ok();
+}
+
+/// The row the model appends for window `w` of `kind`.
+fn model_row(kind: SegmentKind, w: usize) -> Vec<f64> {
+    match kind {
+        SegmentKind::SeriesStats => stats_row(w),
+        SegmentKind::PairCorrs => corr_row(w),
+        SegmentKind::PairEsts => corr_row(w).iter().map(|c| 1.0 - c * c / 2.0).collect(),
+    }
+}
+
+/// Everything a pile serves: its shape, and every value as bits.
+#[derive(Debug, PartialEq)]
+struct Served {
+    segments: usize,
+    space_bytes: u64,
+    coverage: [usize; 3],
+    stats: Vec<Vec<WindowStats>>,
+    /// Per pair kind, one `Vec` of bits per covered window.
+    tables: [Vec<Vec<u64>>; 2],
+}
+
+fn served(pile: &SketchPile) -> Served {
+    let table = |kind| {
+        let windows = pile.windows(kind);
+        if windows == 0 {
+            return Vec::new();
+        }
+        let table = pile.pair_table(0..windows, kind).unwrap();
+        assert!(table.is_zero_copy());
+        (0..windows)
+            .map(|k| {
+                table
+                    .view()
+                    .window_row(k)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect()
+            })
+            .collect()
+    };
+    let stats_windows = pile.windows(SegmentKind::SeriesStats);
+    Served {
+        segments: pile.segment_count(),
+        space_bytes: pile.space_bytes(),
+        coverage: SegmentKind::ALL.map(|kind| pile.windows(kind)),
+        stats: if stats_windows == 0 {
+            Vec::new()
+        } else {
+            pile.series_stats(0..stats_windows).unwrap()
+        },
+        tables: [table(SegmentKind::PairCorrs), table(SegmentKind::PairEsts)],
+    }
+}
+
+/// What the model says a pile covering `coverage` windows per kind holds.
+fn model_tables(coverage: [usize; 3]) -> [Vec<Vec<u64>>; 2] {
+    let bits = |kind: SegmentKind, windows| {
+        (0..windows)
+            .map(|w| model_row(kind, w).iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+    [
+        bits(SegmentKind::PairCorrs, coverage[1]),
+        bits(SegmentKind::PairEsts, coverage[2]),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A random history — appends of one to three windows of any kind,
+    /// syncs, snapshots, `finish` + `open_append`, tail cuts — checked
+    /// against a model that is only "window `w` of a kind holds
+    /// `model_row(kind, w)`".
+    #[test]
+    fn a_snapshot_equals_a_validating_open_after_any_history(
+        ops in collection::vec(0usize..1 << 16, 8..40),
+    ) {
+        let path = temp_path("snapshot-model");
+        let mut writer = PileWriter::create(&path, N_SERIES, BASIC_WINDOW).unwrap();
+        // Earlier snapshots, each with what it served when it was taken.
+        let mut held: Vec<(SketchPile, Served)> = Vec::new();
+
+        for op in ops {
+            let (code, arg) = (op % 8, op / 8);
+            match code {
+                0..=3 => {
+                    let kind = SegmentKind::ALL[arg % 3];
+                    let first = writer.coverage(kind);
+                    let rows: Vec<f64> = (first..first + 1 + arg / 3 % 3)
+                        .flat_map(|w| model_row(kind, w))
+                        .collect();
+                    writer.append(kind, &rows).unwrap();
+                }
+                4 => writer.sync().unwrap(),
+                5 => {}
+                6 => {
+                    writer.finish().unwrap();
+                    writer = PileWriter::open_append(&path).unwrap();
+                }
+                _ => {
+                    // A cut rewrites history, so no earlier mapping may
+                    // outlive it: check them one last time and let them go.
+                    for (pile, then) in held.drain(..) {
+                        prop_assert_eq!(served(&pile), then);
+                    }
+                    let len = writer.len_bytes();
+                    writer.finish().unwrap();
+                    let cut = (arg as u64 % 200).min(len - 64);
+                    std::fs::OpenOptions::new()
+                        .write(true)
+                        .open(&path)
+                        .unwrap()
+                        .set_len(len - cut)
+                        .unwrap();
+                    writer = PileWriter::open_append(&path).unwrap();
+                    prop_assert!(writer.len_bytes() <= len - cut);
+                }
+            }
+            if code >= 5 {
+                let snapshot = writer.snapshot().unwrap();
+                let now = served(&snapshot);
+                prop_assert_eq!(&now, &served(&SketchPile::open(&path).unwrap()));
+                prop_assert_eq!(now.coverage, SegmentKind::ALL.map(|k| writer.coverage(k)));
+                prop_assert_eq!(now.space_bytes, writer.len_bytes());
+                prop_assert_eq!(&now.tables, &model_tables(now.coverage));
+                held.push((snapshot, now));
+            }
+        }
+
+        // Later appends never disturbed an earlier snapshot's prefix.
+        for (pile, then) in held.drain(..) {
+            prop_assert_eq!(served(&pile), then);
+        }
+        // A file cut under the live writer is refused, not mapped.
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(writer.len_bytes() - 1)
+            .unwrap();
+        prop_assert!(writer.snapshot().is_err());
+        std::fs::remove_file(&path).ok();
+    }
 }

@@ -1,19 +1,25 @@
 //! "Stored once": the window-major table is the sketch, there is no second
-//! per-pair copy of it.
+//! per-pair copy of it — not in the sketch, and not in its clones.
 //!
 //! Measured with a counting allocator local to this test binary: a built
 //! `SketchSet` holds ψ = ns·(3N + P) eight-byte values (per series and window
 //! a `WindowStats` of three words, per pair and window one `c_j`), a
 //! `DftSketchSet` adds one `ns × P` distance table on top of its base, and an
 //! arriving window extends them with O(N) allocations — one per series'
-//! statistics vector plus one per table — never one per pair.
+//! statistics vector plus one row per table — never one per pair, and never
+//! a regrown table. A clone shares every row, so `k` clones (or `k` published
+//! epochs) of a `W`-window sketch hold `k` copies of the per-series
+//! statistics plus the `k` appended rows, not `k` tables.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use std::sync::Arc;
+
 use tsubasa_core::prelude::*;
 use tsubasa_core::stats::{normalize_into, tiled_pair_corrs_into, WindowStats};
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
+use tsubasa_serve::{EpochIngest, EpochStore};
 
 /// The system allocator with per-thread counters in front of it, so the test
 /// harness's own threads do not disturb a measurement.
@@ -73,6 +79,17 @@ const N: usize = 64;
 const PAIRS: usize = N * (N - 1) / 2;
 const B: usize = 16;
 const WINDOWS: usize = 20;
+/// Bytes of one window row of a pair table.
+const ROW: usize = 8 * PAIRS;
+/// Bytes of one `ns × P` pair table of the built sketches.
+const TABLE: usize = WINDOWS * ROW;
+
+/// Bytes a clone of a `windows`-window sketch owns for itself: per series a
+/// `SeriesSketch` header and `windows` three-word statistics, and per pair
+/// table one three-word handle per shared row.
+fn clone_bytes(windows: usize, tables: usize) -> usize {
+    N * (32 + 24 * windows) + tables * 24 * windows
+}
 
 fn rows(len: usize) -> Vec<Vec<f64>> {
     (0..N)
@@ -87,7 +104,7 @@ fn rows(len: usize) -> Vec<Vec<f64>> {
 #[test]
 fn sketches_store_every_value_once() {
     let c = SeriesCollection::from_rows(rows(WINDOWS * B)).unwrap();
-    let table = 8 * WINDOWS * PAIRS;
+    let table = TABLE;
     let psi = 8 * WINDOWS * 3 * N + table;
 
     let (exact, held, _) = measured(|| SketchSet::build(&c, B).unwrap());
@@ -124,19 +141,115 @@ fn an_arriving_window_costs_allocations_per_series_not_per_pair() {
     }
     let mut corrs = vec![0.0f64; PAIRS];
     tiled_pair_corrs_into(&z, N, B, &mut corrs);
-    let ((), _, calls) = measured(|| exact.push_window(stats, corrs).unwrap());
+    // N statistics vectors grow, the arriving buffer gets its shared handle,
+    // the list of rows grows; what stays allocated is that growth plus the
+    // one row — the table of the earlier windows is not reallocated.
+    let ((), held, calls) = measured(|| exact.push_window(stats, corrs).unwrap());
     assert!(
-        calls <= N + 1,
+        calls <= N + 2,
         "SketchSet::push_window made {calls} allocations for {N} series / {PAIRS} pairs"
+    );
+    let growth = clone_bytes(WINDOWS, 1);
+    assert!(
+        held <= ROW + growth,
+        "SketchSet::push_window kept {held} bytes for one {ROW}-byte row of a {TABLE}-byte table"
     );
 
     // The comparator's append also computes the window (statistics, z rows,
     // DFT coefficients per series), still a per-series count.
     let mut dft = DftSketchSet::build(&c, B, 8, Transform::Fft).unwrap();
-    let ((), _, calls) = measured(|| dft.push_window(&chunk, Transform::Fft).unwrap());
+    let ((), held, calls) = measured(|| dft.push_window(&chunk, Transform::Fft).unwrap());
     assert!(
         calls <= 8 * N,
         "DftSketchSet::push_window made {calls} allocations for {N} series / {PAIRS} pairs"
     );
+    assert!(
+        held <= 2 * ROW + clone_bytes(WINDOWS, 2),
+        "DftSketchSet::push_window kept {held} bytes for two {ROW}-byte rows"
+    );
     assert_eq!(dft.base(), &exact);
+}
+
+#[test]
+fn clones_share_every_row() {
+    const K: usize = 8;
+    let c = SeriesCollection::from_rows(rows(WINDOWS * B)).unwrap();
+
+    let exact = SketchSet::build(&c, B).unwrap();
+    let (clones, held, _) = measured(|| vec![exact.clone(); K]);
+    let own = K * (size_of::<SketchSet>() + clone_bytes(WINDOWS, 1));
+    assert!(
+        held <= own,
+        "{K} SketchSet clones hold {held} bytes: {own} of their own, one table is {TABLE}"
+    );
+    assert!(clones.iter().all(|clone| clone == &exact));
+
+    let dft = DftSketchSet::build(&c, B, 8, Transform::Fft).unwrap();
+    let (clones, held, _) = measured(|| vec![dft.clone(); K]);
+    let own = K * (size_of::<DftSketchSet>() + clone_bytes(WINDOWS, 2));
+    assert!(
+        held <= own,
+        "{K} DftSketchSet clones hold {held} bytes: {own} of their own, one table is {TABLE}"
+    );
+    assert!(clones.iter().all(|clone| clone == &dft));
+}
+
+#[test]
+fn published_epochs_hold_one_new_row_each() {
+    const K: usize = 8;
+    let full = rows((WINDOWS + K) * B);
+    let historical = SeriesCollection::from_rows(rows(WINDOWS * B)).unwrap();
+    let ticks: Vec<Vec<Vec<f64>>> = (0..K)
+        .map(|t| {
+            let at = (WINDOWS + t) * B;
+            full.iter().map(|r| r[at..at + B].to_vec()).collect()
+        })
+        .collect();
+    // Per epoch: the arriving row of each table, the clone's own statistics
+    // and row handles, and the epoch's fixed-size bookkeeping. Once: the
+    // growing sketch's own vectors doubling.
+    let budget = |tables: usize| {
+        K * (tables * ROW + clone_bytes(WINDOWS + K, tables) + 1024)
+            + 2 * clone_bytes(WINDOWS + K, tables)
+    };
+
+    let store = Arc::new(EpochStore::new(K + 1));
+    let (mut ingest, _) = EpochIngest::exact(Arc::clone(&store), &historical, B).unwrap();
+    let ((), held, _) = measured(|| {
+        for tick in &ticks {
+            assert_eq!(ingest.ingest(tick).unwrap().len(), 1);
+        }
+    });
+    assert_eq!(store.published(), 1 + K as u64);
+    assert!(
+        held <= budget(1),
+        "{K} exact epochs hold {held} bytes against a budget of {}; {K} tables are {}",
+        budget(1),
+        K * TABLE
+    );
+    assert!(budget(1) < K * TABLE / 4);
+
+    let store = Arc::new(EpochStore::new(K + 1));
+    let (mut ingest, _) =
+        EpochIngest::dual(Arc::clone(&store), &historical, B, 8, Transform::Fft).unwrap();
+    let ((), held, _) = measured(|| {
+        for tick in &ticks {
+            assert_eq!(ingest.ingest(tick).unwrap().len(), 1);
+        }
+    });
+    assert!(
+        held <= budget(2),
+        "{K} dual epochs hold {held} bytes against a budget of {}; {K} table pairs are {}",
+        budget(2),
+        2 * K * TABLE
+    );
+    let latest = store.latest().unwrap();
+    let rebuilt = DftSketchSet::build(
+        &SeriesCollection::from_rows(full).unwrap(),
+        B,
+        8,
+        Transform::Fft,
+    )
+    .unwrap();
+    assert_eq!(latest.approx().unwrap().as_ref(), &rebuilt);
 }
