@@ -31,7 +31,7 @@ use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
 use crate::plan::{carve_for_workers, row_segments, QueryPlan};
 use crate::runner::{Job, JobRunner, SerialRunner};
 use crate::sketch::{pair_index, SeriesSketch, SketchSet};
-use crate::stats::{clamp_corr, normalize_into, tiled_pair_corrs_into, WindowStats};
+use crate::stats::{clamp_corr, window_corrs_into, WindowStats};
 use crate::timeseries::SeriesCollection;
 
 /// Summary of one series over the current sliding query window, maintained
@@ -300,7 +300,8 @@ struct SlideSweepInputs<'a, F> {
     /// `row_corr`).
     arriving_row: &'a [f64],
     /// Stored value → window correlation: identity for the exact engine,
-    /// `ĉ = 1 − d²/2` for the DFT engine (Equation 6 is Lemma 2 over those).
+    /// the clamp of the stored Equation 3 estimate `ĉ` for the DFT engine
+    /// (Equation 6 is Lemma 2 over those).
     row_corr: F,
     fronts: &'a [WindowStats],
     /// `T` per series (raw length of the old query window).
@@ -378,7 +379,8 @@ pub struct SlidingState {
     basic_window: usize,
     series: Vec<SlidingSeriesState>,
     /// Per basic window inside the query window: the packed per-pair row the
-    /// engine stores (correlations or DFT distances), oldest window first.
+    /// engine stores (correlations `c` or Equation 3 estimates `ĉ`), oldest
+    /// window first.
     pair_windows: VecDeque<Vec<f64>>,
     /// Current packed per-pair correlations over the sliding window.
     corrs: Vec<f64>,
@@ -707,17 +709,11 @@ impl SlidingNetwork {
     /// [`SlidingNetwork::ingest`] for any worker count (each pair's update
     /// reads only shared snapshots and its own slot).
     pub fn ingest_in(&mut self, runner: &dyn JobRunner, chunk: &[Vec<f64>]) -> Result<()> {
-        let (n, b) = (self.series_count(), self.basic_window());
-        // The arriving window's pair correlations come from the tiled batch
-        // kernel: the chunk is z-normalized once (structure-of-arrays, one
-        // contiguous row per series) and every pair collapses to a dot
-        // product. A stored row value is the correlation itself.
+        // The arriving window's row comes from the shared exact window kernel
+        // (inline: `runner` fans out the Lemma 2 sweep only). A stored row
+        // value is the correlation itself.
         let arriving_corrs = |stats: &[WindowStats], row: &mut [f64]| {
-            let mut z = vec![0.0f64; n * b];
-            for (i, points) in chunk.iter().enumerate() {
-                normalize_into(points, &stats[i], &mut z[i * b..(i + 1) * b]);
-            }
-            tiled_pair_corrs_into(&z, n, b, row);
+            window_corrs_into(chunk, stats, &SerialRunner, &mut Vec::new(), row);
         };
         self.state.slide_in(runner, chunk, arriving_corrs, |c| c)
     }

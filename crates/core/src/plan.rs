@@ -469,10 +469,9 @@ impl QueryPlan {
     /// `corrs` is a window-major view of the per-pair sketch correlations
     /// covering exactly the plan's full windows
     /// ([`CorrView::window_count`] `==` [`QueryPlan::full_windows`]`.len()`) —
-    /// borrowed zero-copy from [`SketchSet::window_corrs_view`] by the
-    /// in-memory sweeps, or from a per-batch [`TransposedCorrs`] by the disk
-    /// engine — and `pair_offset` locates pair `(i, j0)` inside its pair
-    /// dimension.
+    /// lent zero-copy by the backend
+    /// ([`SketchSet::window_corrs_view`], a mapped pile's rows) — and
+    /// `pair_offset` locates pair `(i, j0)` inside its pair dimension.
     /// Because the tile shares `i`, the inner loop streams four contiguous
     /// arrays (`σ_j`, `δ_j`, `c_k`, `out`) with an independent accumulator
     /// per pair — no reduction chain, so the backend can vectorize across
@@ -590,7 +589,7 @@ fn transpose(src: &[f64], rows: usize, cols: usize) -> Vec<f64> {
 /// A tile of pairs reads one contiguous run of each row, which is what
 /// [`QueryPlan::block_kernel`] streams. Only a *row* has to be contiguous:
 /// the view addresses window rows, so the table behind it is either one slab
-/// (a sweep's scratch tile, a [`TransposedCorrs`]) or one slice per row —
+/// (a sweep's scratch tile) or one slice per row —
 /// the shared rows of an in-memory sketch ([`WindowRows`], borrowed by
 /// [`SketchSet::window_corrs_view`]: the built history in one block, every
 /// arriving window in its own) or rows borrowed from a mapped pile, wherever
@@ -769,40 +768,6 @@ impl WindowRows {
             windows: windows.len(),
             rows: Rows::Shared(&self.rows[windows]),
         }
-    }
-}
-
-/// An owned window-major transposed copy of per-pair per-window correlations
-/// — the buffer behind a [`CorrView`] when there is no long-lived
-/// window-major table to borrow from (a chunk of columns gathered for a
-/// partition, an estimate table mapped from distances).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TransposedCorrs {
-    pairs: usize,
-    windows: usize,
-    /// `data[k · pairs + p]` is window `k` of pair `p`.
-    data: Vec<f64>,
-}
-
-impl TransposedCorrs {
-    /// Build from a closure `f(p, k)` returning window `k` of pair `p`.
-    pub fn from_fn(pairs: usize, windows: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut data = vec![0.0f64; pairs * windows];
-        for (k, row) in data.chunks_exact_mut(pairs.max(1)).enumerate() {
-            for (p, slot) in row.iter_mut().enumerate() {
-                *slot = f(p, k);
-            }
-        }
-        Self {
-            pairs,
-            windows,
-            data,
-        }
-    }
-
-    /// The borrowed view the batch kernel consumes.
-    pub fn view(&self) -> CorrView<'_> {
-        CorrView::new(&self.data, self.pairs, self.windows)
     }
 }
 
@@ -1187,9 +1152,10 @@ mod tests {
         assert_mirrors(&assembled, &c);
         assert_eq!(assembled.window_corrs_view(6..7).window_row(0), &row[..]);
 
-        let f = TransposedCorrs::from_fn(3, 2, |p, k| (p * 10 + k) as f64);
-        assert_eq!(f.view().window_row(1), &[1.0, 11.0, 21.0]);
-        assert_eq!(f.view().pair_count(), 3);
+        let slab = [0.0, 10.0, 20.0, 1.0, 11.0, 21.0];
+        let f = CorrView::new(&slab, 3, 2);
+        assert_eq!(f.window_row(1), &[1.0, 11.0, 21.0]);
+        assert_eq!(f.pair_count(), 3);
     }
 
     #[test]

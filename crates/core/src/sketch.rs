@@ -32,7 +32,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{Error, Result};
 use crate::plan::{CorrView, WindowRows};
-use crate::stats::{normalize_into, pair_corr_from_stats, tiled_pair_corrs_into, WindowStats};
+use crate::runner::SerialRunner;
+use crate::stats::{pair_corr_from_stats, window_corrs_into, WindowStats};
 use crate::timeseries::{SeriesCollection, SeriesId};
 use crate::window::BasicWindowing;
 
@@ -145,7 +146,7 @@ pub struct SketchSet {
 }
 
 /// Number of unordered pairs of `n` series (`0` for `n < 2`).
-fn packed_pairs(n: usize) -> usize {
+pub fn packed_pairs(n: usize) -> usize {
     n * n.saturating_sub(1) / 2
 }
 
@@ -177,10 +178,10 @@ impl SketchSet {
     /// points (Algorithm 1, statistics-only lines 4–7 and 12).
     ///
     /// The per-series statistics are computed first; the `N(N−1)/2` pair
-    /// passes are then evaluated as a tiled batch kernel: every window of
-    /// every series is z-normalized once into a window-major
-    /// structure-of-arrays buffer, and each window's pair correlations become
-    /// dot products over contiguous rows
+    /// passes are then one call of the shared exact window kernel
+    /// ([`crate::stats::window_corrs_into`]) per window: the window of every
+    /// series is z-normalized once into a structure-of-arrays block and the
+    /// window's pair correlations become dot products over contiguous rows
     /// ([`crate::stats::tiled_pair_corrs_into`]). The result agrees with the
     /// scalar reference path ([`SketchSet::build_reference`]) within `1e-10`
     /// absolute on every correlation (see the module docs for why the two
@@ -200,32 +201,29 @@ impl SketchSet {
         let n = collection.len();
         let n_pairs = packed_pairs(n);
         crate::capacity::check_dense_budget(n_pairs, ns)?;
-        let b = basic_window;
 
         let series: Vec<SeriesSketch> = collection
             .iter_with_ids()
             .map(|(id, s)| SeriesSketch::build(id, s.values(), windowing))
             .collect();
 
-        // Per window: z-normalize one window of every series into the n × B
-        // structure-of-arrays scratch (row i is series i, contiguous), then
-        // compute all of the window's pair correlations at once, written
-        // window-major (flat[w·P + p]) so the kernel streams contiguous
-        // memory — in place: the buffer becomes the table's rows as is. The
-        // scratch is O(n·B), reused across windows — only one window block
-        // is ever live, never a normalized copy of the whole dataset.
-        let mut z = vec![0.0f64; n * b];
+        // One call of the shared window kernel per window, written
+        // window-major (flat[w·P + p]) in place: the buffer becomes the
+        // table's rows as is. The kernel's n × B normalized scratch is reused
+        // across windows — only one window block is ever live, never a
+        // normalized copy of the whole dataset.
+        let mut z = Vec::new();
         let mut flat = vec![0.0f64; ns * n_pairs];
+        let mut window: Vec<&[f64]> = Vec::with_capacity(n);
+        let mut stats: Vec<WindowStats> = Vec::with_capacity(n);
         for w in 0..ns {
             let span = windowing.window_span(w);
-            for (i, s) in collection.iter_with_ids() {
-                normalize_into(
-                    span.slice(s.values()),
-                    &series[i].windows[w],
-                    &mut z[i * b..(i + 1) * b],
-                );
-            }
-            tiled_pair_corrs_into(&z, n, b, &mut flat[w * n_pairs..(w + 1) * n_pairs]);
+            window.clear();
+            window.extend(collection.iter().map(|s| span.slice(s.values())));
+            stats.clear();
+            stats.extend(series.iter().map(|s| s.windows[w]));
+            let row = &mut flat[w * n_pairs..(w + 1) * n_pairs];
+            window_corrs_into(&window, &stats, &SerialRunner, &mut z, row);
         }
 
         Ok(Self {

@@ -8,22 +8,21 @@
 //! * the per-series window statistics of the query range (the input of
 //!   [`QueryPlan::from_window_stats`](crate::plan::QueryPlan::from_window_stats)),
 //!   and
-//! * a window-major per-pair table of correlations (exact) or `1 − d²/2`
-//!   estimates (approximate) for the same range — the layout
+//! * a window-major per-pair table of correlations `c` (exact) or Equation 3
+//!   estimates `ĉ = 1 − d²/2` (approximate) for the same range — the layout
 //!   [`QueryPlan::block_kernel`](crate::plan::QueryPlan::block_kernel)
 //!   streams.
 //!
-//! [`CorrSource`] is exactly that contract, and the table is every backend's
-//! stored layout — a [`SketchSet`]'s only copy of its pair correlations, a
-//! pile's on-disk rows — so serving it converts nothing. A backend serves the
-//! table either **whole** ([`CorrSource::full_table`] — zero-copy for mapped
-//! piles and in-memory sketches) or **chunk at a time**
-//! ([`CorrSource::chunk_table`] — what a DFT sketch falls back to when its
-//! estimate table would exceed the dense budget), and declares its
-//! capabilities per [`PlanMethod`] through [`CorrSource::window_count`]. The
-//! engines are written once against this trait; growing a new backend (tiered
-//! storage, replicas, remote piles) means implementing it, not forking the
-//! pipeline.
+//! [`CorrSource`] is exactly that contract, and both tables are every
+//! backend's stored layout and stored values — a [`SketchSet`]'s only copy of
+//! its pair correlations, a comparator's only copy of its estimates, a pile's
+//! on-disk rows, the same bits on each — so a backend **lends** the table
+//! ([`CorrSource::full_table`]) and never copies or converts a value to serve
+//! it. It declares its capabilities per [`PlanMethod`] through
+//! [`CorrSource::window_count`]. Every query over a source is `series_stats`
+//! → `QueryPlan::from_window_stats` → lent table → sweep → sink, whatever the
+//! method or backend; growing a new backend (tiered storage, replicas, remote
+//! piles) means implementing the trait, not forking the pipeline.
 //!
 //! # The NaN audit
 //!
@@ -32,27 +31,25 @@
 //! values to the `0.0` convention, so a NaN in the method's table would
 //! silently produce a plausible-looking correlation. The audit scans the
 //! chunk's table columns and reports each affected pair to the sink as a
-//! one-slot NaN tile, which the sinks count (never rank or threshold). (The
-//! Equation 3 map `1 − d²/2` is NaN iff the distance is, so auditing the
-//! estimate table audits the distances.) Chunks skipped by Equation 4
-//! pruning are audited only under the engines' opt-in `audit_pruned_chunks`
-//! policy — pruning decides from per-series statistics alone, so the skipped
-//! columns are otherwise never touched (and, on a mapped pile, never faulted
-//! in).
+//! one-slot NaN tile, which the sinks count (never rank or threshold). Chunks
+//! skipped by Equation 4 pruning are audited only under the engines' opt-in
+//! `audit_pruned_chunks` policy — pruning decides from per-series statistics
+//! alone, so the skipped columns are otherwise never touched (and, on a
+//! mapped pile, never faulted in).
 
 use std::ops::Range;
 
 use crate::error::{Error, Result};
-use crate::plan::{CorrView, PlanMethod, TransposedCorrs};
+use crate::plan::{CorrView, PlanMethod};
 use crate::sketch::{pair_index, SketchSet};
 use crate::stats::WindowStats;
 use crate::sweep::TileSink;
 
-/// A window-major pair table served by a [`CorrSource`]: a zero-copy borrow
-/// of the backend's own storage — a view of an in-memory sketch's shared
-/// rows, or one borrowed slice per row of a mapped pile, wherever its
-/// segments put them — or an owned buffer (a table mapped from distances).
-/// All present the same [`CorrView`].
+/// A window-major pair table lent by a [`CorrSource`]: a zero-copy borrow of
+/// the backend's own storage — a view of an in-memory sketch's shared rows,
+/// or one borrowed slice per row of a mapped pile, wherever its segments put
+/// them. Both present the same [`CorrView`]; no table is ever owned.
+#[derive(Debug)]
 pub enum PairTable<'a> {
     /// Zero-copy view straight into the backend's storage.
     Borrowed(CorrView<'a>),
@@ -64,8 +61,6 @@ pub enum PairTable<'a> {
         /// The rows, oldest window first.
         rows: Vec<&'a [f64]>,
     },
-    /// An owned window-major buffer computed for this request.
-    Owned(TransposedCorrs),
 }
 
 impl PairTable<'_> {
@@ -78,14 +73,13 @@ impl PairTable<'_> {
         match self {
             PairTable::Borrowed(v) => *v,
             PairTable::Rows { pairs, rows } => CorrView::from_rows(rows, *pairs),
-            PairTable::Owned(t) => t.view(),
         }
     }
 
-    /// Whether this table borrows the backend's storage directly (no value
-    /// was copied to build it).
+    /// Always `true`: every table is lent, none is copied. Kept for the
+    /// benchmark crate, which reports it per query.
     pub fn is_zero_copy(&self) -> bool {
-        !matches!(self, PairTable::Owned(_))
+        true
     }
 }
 
@@ -106,120 +100,45 @@ pub trait CorrSource: Send + Sync {
     /// is a typed [`Error::SketchMismatch`] from [`check_source_windows`].
     fn window_count(&self, method: PlanMethod) -> usize;
 
-    /// Whether [`CorrSource::full_table`] borrows the backend's storage
-    /// directly (no copy), whatever the range.
-    fn zero_copy(&self) -> bool {
-        false
-    }
-
-    /// Whether any exact-method windows are answerable.
-    fn supports_exact(&self) -> bool {
-        self.window_count(PlanMethod::Exact) > 0
-    }
-
-    /// Whether any approximate-method windows are answerable.
-    fn supports_approx(&self) -> bool {
-        self.window_count(PlanMethod::Approximate) > 0
-    }
-
     /// The per-series window statistics of `windows`, series-major
     /// (`out[series][k]`) — the input of
     /// [`QueryPlan::from_window_stats`](crate::plan::QueryPlan::from_window_stats).
     fn series_stats(&self, windows: Range<usize>) -> Result<Vec<Vec<WindowStats>>>;
 
-    /// The full-width pair table for `windows` under `method`, when the
-    /// backend can serve one — `Ok(None)` when it can only serve chunked
-    /// reads (a DFT sketch whose estimate table would exceed the dense
-    /// budget), which callers answer by streaming
-    /// [`CorrSource::chunk_table`] instead.
+    /// The full-width pair table for `windows` under `method`, lent from the
+    /// backend's storage. Every backend in this workspace returns `Some` for
+    /// any range it covers, whatever its size; the `Option` is the trait's
+    /// frozen signature, and the engines read a foreign `None` through
+    /// [`CorrSource::lent_table`].
     fn full_table(
         &self,
         windows: Range<usize>,
         method: PlanMethod,
     ) -> Result<Option<PairTable<'_>>>;
 
-    /// The window-major table of one contiguous chunk of packed pairs
-    /// (column `p` of the result is `chunk[p]`). The default gathers columns
-    /// from [`CorrSource::full_table`]; backends that may decline the full
-    /// table override it.
-    fn chunk_table(
-        &self,
-        chunk: &[(usize, usize)],
-        windows: Range<usize>,
-        method: PlanMethod,
-    ) -> Result<TransposedCorrs> {
-        let n = self.series_count();
-        let table = self.full_table(windows.clone(), method)?.ok_or_else(|| {
-            Error::Storage("source serves neither full nor chunked pair tables".into())
-        })?;
-        let view = table.view();
-        Ok(TransposedCorrs::from_fn(
-            chunk.len(),
-            windows.len(),
-            |p, k| {
-                let (a, b) = chunk[p];
-                view.window_row(k)[pair_index(a, b, n)]
-            },
-        ))
+    /// [`CorrSource::full_table`] with a declined table (`None`) turned into
+    /// the one typed [`Error::Storage`] — what every engine calls.
+    fn lent_table(&self, windows: Range<usize>, method: PlanMethod) -> Result<PairTable<'_>> {
+        self.full_table(windows, method)?
+            .ok_or_else(|| Error::Storage("source lends no pair table".into()))
     }
 }
-
-/// The Equation 3 estimate side of a source: an owned window-major table of
-/// `1 − d²/2` estimates, the input `ApproxPlan` (in `tsubasa-dft`)
-/// recombines through Equation 5. Blanket-implemented for every
-/// [`CorrSource`] (including `dyn CorrSource`) on top of the approximate
-/// pair table.
-pub trait EstSource: CorrSource {
-    /// The owned estimate table for `windows` — the backing buffer of an
-    /// approximate plan. Bit-identical to the backend's approximate
-    /// [`CorrSource::full_table`] values.
-    fn est_table(&self, windows: Range<usize>) -> Result<TransposedCorrs> {
-        match self.full_table(windows.clone(), PlanMethod::Approximate)? {
-            Some(PairTable::Owned(t)) => Ok(t),
-            Some(borrowed) => {
-                let v = borrowed.view();
-                Ok(TransposedCorrs::from_fn(
-                    v.pair_count(),
-                    v.window_count(),
-                    |p, k| v.window_row(k)[p],
-                ))
-            }
-            None => {
-                let n = self.series_count();
-                let pairs: Vec<(usize, usize)> = (0..n)
-                    .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
-                    .collect();
-                self.chunk_table(&pairs, windows, PlanMethod::Approximate)
-            }
-        }
-    }
-}
-
-impl<T: CorrSource + ?Sized> EstSource for T {}
 
 /// **The** NaN-audit hook shared by every backend: scan a chunk's columns of
-/// a window-major table for NaN windows and report each affected pair to the
-/// sink as a one-slot NaN tile (`sink.consume(a, b, pair, &[NaN])`), which
-/// the sinks count as audit metadata — never rank or threshold.
-///
-/// `view` is either the full-width table (columns addressed by the global
-/// packed pair index) or a chunk-width table from
-/// [`CorrSource::chunk_table`] (columns addressed by chunk position); the
-/// two cases are distinguished by the view's pair count. When the chunk
-/// covers the whole triangle the interpretations coincide, so the
-/// distinction is unambiguous.
+/// a full-width window-major table (column = packed pair index over `n`
+/// series) for NaN windows and report each affected pair to the sink as a
+/// one-slot NaN tile (`sink.consume(a, b, pair, &[NaN])`), which the sinks
+/// count as audit metadata — never rank or threshold.
 pub fn audit_nan_chunk(
     view: CorrView<'_>,
     chunk: &[(usize, usize)],
     n: usize,
     sink: &mut dyn TileSink,
 ) {
-    let full_width = view.pair_count() == n * n.saturating_sub(1) / 2;
     let w = view.window_count();
-    for (idx, &(a, b)) in chunk.iter().enumerate() {
+    for &(a, b) in chunk {
         let p = pair_index(a, b, n);
-        let col = if full_width { p } else { idx };
-        if (0..w).any(|k| view.window_row(k)[col].is_nan()) {
+        if (0..w).any(|k| view.window_row(k)[p].is_nan()) {
             sink.consume(a, b, p, &[f64::NAN]);
         }
     }
@@ -236,10 +155,6 @@ impl CorrSource for SketchSet {
             // The exact sketch stores no coefficient distances.
             PlanMethod::Approximate => 0,
         }
-    }
-
-    fn zero_copy(&self) -> bool {
-        true
     }
 
     fn series_stats(&self, windows: Range<usize>) -> Result<Vec<Vec<WindowStats>>> {
@@ -306,26 +221,13 @@ mod tests {
         assert_eq!(src.series_count(), 4);
         assert_eq!(src.window_count(PlanMethod::Exact), 3);
         assert_eq!(src.window_count(PlanMethod::Approximate), 0);
-        assert!(src.supports_exact() && !src.supports_approx());
-        assert!(src.zero_copy());
 
-        let table = src.full_table(0..3, PlanMethod::Exact).unwrap().unwrap();
+        let table = src.lent_table(0..3, PlanMethod::Exact).unwrap();
         assert!(table.is_zero_copy());
         let view = table.view();
         let direct = sk.window_corrs_view(0..3);
         for k in 0..3 {
             assert_eq!(view.window_row(k), direct.window_row(k));
-        }
-        // Default chunk gather matches the full table's columns.
-        let chunk = [(0usize, 2usize), (0, 3), (1, 2)];
-        let chunked = src.chunk_table(&chunk, 1..3, PlanMethod::Exact).unwrap();
-        for (p, &(a, b)) in chunk.iter().enumerate() {
-            for k in 0..2 {
-                assert_eq!(
-                    chunked.view().window_row(k)[p],
-                    sk.window_corrs_view(1..3).window_row(k)[pair_index(a, b, 4)]
-                );
-            }
         }
         // Stats match the sketch's own windows.
         let stats = src.series_stats(0..3).unwrap();
@@ -361,29 +263,20 @@ mod tests {
     }
 
     #[test]
-    fn nan_audit_counts_identically_on_full_and_chunk_width_views() {
+    fn nan_audit_counts_the_poisoned_pairs_of_a_chunk() {
         let n = 4;
         let pairs = n * (n - 1) / 2;
-        // Full-width table with a NaN in pair (1, 3)'s second window.
-        let poisoned = pair_index(1, 3, n);
-        let full = TransposedCorrs::from_fn(pairs, 2, |p, k| {
-            if p == poisoned && k == 1 {
-                f64::NAN
-            } else {
-                0.5
-            }
-        });
-        let chunk = [(1usize, 2usize), (1, 3), (2, 3)];
-        let mut sink = EdgeSink::new(0.9);
-        audit_nan_chunk(full.view(), &chunk, n, &mut sink);
-        assert_eq!(sink.finish(n).nan_pair_count(), 1);
-
-        // The same chunk served as a chunk-width table (columns by position).
-        let chunk_width = TransposedCorrs::from_fn(chunk.len(), 2, |p, k| {
-            full.view().window_row(k)[pair_index(chunk[p].0, chunk[p].1, n)]
-        });
-        let mut sink = EdgeSink::new(0.9);
-        audit_nan_chunk(chunk_width.view(), &chunk, n, &mut sink);
-        assert_eq!(sink.finish(n).nan_pair_count(), 1);
+        // A NaN in pair (1, 3)'s second window.
+        let mut slab = vec![0.5f64; pairs * 2];
+        slab[pairs + pair_index(1, 3, n)] = f64::NAN;
+        let view = CorrView::new(&slab, pairs, 2);
+        for (chunk, want) in [
+            (&[(1usize, 2usize), (1, 3), (2, 3)][..], 1),
+            (&[(0, 1), (0, 2)][..], 0),
+        ] {
+            let mut sink = EdgeSink::new(0.9);
+            audit_nan_chunk(view, chunk, n, &mut sink);
+            assert_eq!(sink.finish(n).nan_pair_count(), want);
+        }
     }
 }

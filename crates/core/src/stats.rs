@@ -12,7 +12,11 @@
 //!   is defined as `0.0` (the covariance term vanishes; the mean-offset terms
 //!   of Lemma 1 still carry the information that is recoverable).
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
+
+use crate::runner::{Job, JobRunner};
 
 /// Summary statistics of one window of one series: the per-basic-window
 /// sketch entry stored by Algorithm 1.
@@ -454,14 +458,21 @@ fn dist_sq_1x4(a: &[f64], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) -> [f6
 /// squared distances `‖r_i − r_j‖²` in packed upper-triangle order
 /// ([`crate::sketch::pair_index`]). The sweep walks row `i` against 1×4 tiles
 /// of later rows (same shape as the `Z·Zᵀ` sweep) so `r_i` stays cache-hot
-/// while the tile rows stream past.
+/// while the tile rows stream past, fanned out over `runner` by whole
+/// triangle rows (see [`window_corrs_into`]).
 ///
 /// Unlike the correlation kernel there is no per-element normalization or
 /// clamping, and every accumulated term is non-negative, so lane reordering
 /// cannot cancel: agreement with a serial difference-square sum is at the
 /// last-ulp level (the ≤ `1e-10` contract of the tiled suites holds with a
 /// wide margin).
-pub fn tiled_pair_dist_sq_into(rows: &[f64], n: usize, len: usize, out: &mut [f64]) {
+pub fn tiled_pair_dist_sq_in(
+    runner: &dyn JobRunner,
+    rows: &[f64],
+    n: usize,
+    len: usize,
+    out: &mut [f64],
+) {
     debug_assert_eq!(rows.len(), n * len);
     debug_assert_eq!(out.len(), n * n.saturating_sub(1) / 2);
     if len == 0 {
@@ -469,22 +480,24 @@ pub fn tiled_pair_dist_sq_into(rows: &[f64], n: usize, len: usize, out: &mut [f6
         return;
     }
     let row = |r: usize| &rows[r * len..(r + 1) * len];
-    let mut p = 0;
-    for i in 0..n {
-        let ri = row(i);
-        let mut j = i + 1;
-        while j + 4 <= n {
-            let d = dist_sq_1x4(ri, row(j), row(j + 1), row(j + 2), row(j + 3));
-            out[p..p + 4].copy_from_slice(&d);
-            p += 4;
-            j += 4;
+    sweep_triangle_rows(n, runner, out, |triangle_rows, out| {
+        let mut p = 0;
+        for i in triangle_rows {
+            let ri = row(i);
+            let mut j = i + 1;
+            while j + 4 <= n {
+                let d = dist_sq_1x4(ri, row(j), row(j + 1), row(j + 2), row(j + 3));
+                out[p..p + 4].copy_from_slice(&d);
+                p += 4;
+                j += 4;
+            }
+            while j < n {
+                out[p] = dist_sq_unrolled(ri, row(j));
+                p += 1;
+                j += 1;
+            }
         }
-        while j < n {
-            out[p] = dist_sq_unrolled(ri, row(j));
-            p += 1;
-            j += 1;
-        }
-    }
+    });
 }
 
 /// All-pairs window correlations from a block of normalized series rows: the
@@ -502,8 +515,16 @@ pub fn tiled_pair_dist_sq_into(rows: &[f64], n: usize, len: usize, out: &mut [f6
 /// ([`pair_corr_from_stats`] over the raw window) is within `1e-10`
 /// absolute, pinned by the `tiled_kernel_agreement` property suite.
 pub fn tiled_pair_corrs_into(z: &[f64], n: usize, len: usize, out: &mut [f64]) {
-    debug_assert_eq!(z.len(), n * len);
     debug_assert_eq!(out.len(), n * n.saturating_sub(1) / 2);
+    pair_corr_rows(z, n, len, 0..n, out);
+}
+
+/// Triangle rows `rows` of [`tiled_pair_corrs_into`]: the correlations of
+/// every pair `(i, j)`, `i ∈ rows`, `i < j < n`, into `out`. The 1×4 grouping
+/// restarts on every row `i`, so any split into whole rows writes the bits
+/// the full sweep writes.
+fn pair_corr_rows(z: &[f64], n: usize, len: usize, rows: Range<usize>, out: &mut [f64]) {
+    debug_assert_eq!(z.len(), n * len);
     if len == 0 {
         out.fill(0.0);
         return;
@@ -511,7 +532,7 @@ pub fn tiled_pair_corrs_into(z: &[f64], n: usize, len: usize, out: &mut [f64]) {
     let inv = 1.0 / len as f64;
     let row = |r: usize| &z[r * len..(r + 1) * len];
     let mut p = 0;
-    for i in 0..n {
+    for i in rows {
         let zi = row(i);
         let mut j = i + 1;
         while j + 4 <= n {
@@ -531,9 +552,74 @@ pub fn tiled_pair_corrs_into(z: &[f64], n: usize, len: usize, out: &mut [f64]) {
     }
 }
 
+/// Run `rows_into(rows, slice)` over the packed triangle `out` of `n` series,
+/// split into one run of whole triangle rows per worker of `runner` (pair
+/// counts as even as whole rows allow); a single worker runs it inline over
+/// `0..n`. A run never starts inside a row: the tiled kernels group pairs
+/// 1×4 from the start of each row, so a mid-row split would change last bits.
+fn sweep_triangle_rows(
+    n: usize,
+    runner: &dyn JobRunner,
+    out: &mut [f64],
+    rows_into: impl Fn(Range<usize>, &mut [f64]) + Sync,
+) {
+    let workers = runner.worker_count();
+    if workers <= 1 {
+        return rows_into(0..n, out);
+    }
+    let rows_into = &rows_into;
+    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(workers);
+    let (mut rest, mut row, mut done, mut target) = (out, 0, 0, 0);
+    for size in crate::plan::even_sizes(rest.len(), workers) {
+        target += size;
+        let (start, before) = (row, done);
+        while row < n && done < target {
+            done += n - 1 - row;
+            row += 1;
+        }
+        let (slice, tail) = rest.split_at_mut(done - before);
+        rest = tail;
+        if !slice.is_empty() {
+            jobs.push(Box::new(move || rows_into(start..row, slice)));
+        }
+    }
+    runner.run(jobs);
+}
+
+/// **The** exact window kernel: one basic window of every series to that
+/// window's packed row of pair correlations `c`.
+///
+/// `window[i]` holds the window's points of series `i` and `stats[i]` their
+/// statistics. Every series is z-normalized into the scratch `z` (resized to
+/// `n × B` and reusable across windows), then the row is the tiled `Z·Zᵀ`
+/// sweep of [`tiled_pair_corrs_into`], fanned out over `runner` by whole
+/// triangle rows. Every site that sketches a window calls this — batch build,
+/// arriving window, epoch ingest, sliding tick, pile sketching — so a row's
+/// bits do not depend on who minted it or on the worker count.
+pub fn window_corrs_into<S: AsRef<[f64]>>(
+    window: &[S],
+    stats: &[WindowStats],
+    runner: &dyn JobRunner,
+    z: &mut Vec<f64>,
+    out: &mut [f64],
+) {
+    let n = window.len();
+    let b = window.first().map_or(0, |points| points.as_ref().len());
+    debug_assert_eq!(out.len(), n * n.saturating_sub(1) / 2);
+    z.resize(n * b, 0.0);
+    for ((points, stats), row) in window.iter().zip(stats).zip(z.chunks_exact_mut(b.max(1))) {
+        normalize_into(points.as_ref(), stats, row);
+    }
+    let z = z.as_slice();
+    sweep_triangle_rows(n, runner, out, |rows, out| {
+        pair_corr_rows(z, n, b, rows, out)
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{ScopedRunner, SerialRunner};
     use proptest::prelude::*;
 
     fn naive_stats(values: &[f64]) -> (f64, f64) {
@@ -697,7 +783,7 @@ mod tests {
             .map(|t| ((t * 13 + 5) % 19) as f64 * 0.31 - (t as f64 * 0.17).cos())
             .collect();
         let mut out = vec![0.0f64; n * (n - 1) / 2];
-        tiled_pair_dist_sq_into(&rows, n, len, &mut out);
+        tiled_pair_dist_sq_in(&SerialRunner, &rows, n, len, &mut out);
         let mut p = 0;
         for i in 0..n {
             for j in (i + 1)..n {
@@ -717,12 +803,47 @@ mod tests {
         // Identical rows have exactly zero distance (no cancellation noise).
         let two = [1.5, -2.25, 3.0, 1.5, -2.25, 3.0];
         let mut d = vec![9.0f64; 1];
-        tiled_pair_dist_sq_into(&two, 2, 3, &mut d);
+        tiled_pair_dist_sq_in(&SerialRunner, &two, 2, 3, &mut d);
         assert_eq!(d, vec![0.0]);
         // Zero-length rows keep the 0.0 convention.
         let mut empty_out = vec![9.0f64; 1];
-        tiled_pair_dist_sq_into(&[], 2, 0, &mut empty_out);
+        tiled_pair_dist_sq_in(&SerialRunner, &[], 2, 0, &mut empty_out);
         assert_eq!(empty_out, vec![0.0]);
+    }
+
+    #[test]
+    fn window_kernels_write_the_same_bits_for_any_worker_count() {
+        // Splits fall on whole triangle rows only, so the 1×4 grouping — and
+        // with it every last bit — is the serial sweep's, also when there are
+        // more workers than rows or no pairs at all.
+        for n in [0usize, 1, 2, 7, 13] {
+            let len = 23;
+            let window: Vec<Vec<f64>> = (0..n)
+                .map(|s| {
+                    (0..len)
+                        .map(|t| ((t * 3 + s * 7) % 11) as f64 * 0.7 + (t as f64 * 0.21).sin())
+                        .collect()
+                })
+                .collect();
+            let stats: Vec<WindowStats> =
+                window.iter().map(|r| WindowStats::from_values(r)).collect();
+            let pairs = n * n.saturating_sub(1) / 2;
+            let (mut z, mut serial) = (Vec::new(), vec![9.0f64; pairs]);
+            window_corrs_into(&window, &stats, &SerialRunner, &mut z, &mut serial);
+            let mut direct = vec![9.0f64; pairs];
+            tiled_pair_corrs_into(&z, n, len, &mut direct);
+            assert_eq!(serial, direct);
+            let mut serial_sq = vec![9.0f64; pairs];
+            tiled_pair_dist_sq_in(&SerialRunner, &z, n, len, &mut serial_sq);
+            for workers in [2usize, 3, 8, 40] {
+                let runner = ScopedRunner::new(workers);
+                let mut pooled = vec![9.0f64; pairs];
+                window_corrs_into(&window, &stats, &runner, &mut z, &mut pooled);
+                assert_eq!(pooled, serial, "corrs n={n} workers={workers}");
+                tiled_pair_dist_sq_in(&runner, &z, n, len, &mut pooled);
+                assert_eq!(pooled, serial_sq, "dist² n={n} workers={workers}");
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Approximate query-window correlation from per-window DFT distances
-//! (paper Equations 3, 4, 5 and Algorithm 4).
+//! Approximate query-window correlation from per-window Equation 3 estimates
+//! of DFT distances (paper Equations 3, 4, 5 and Algorithm 4).
 //!
 //! Two recombination strategies are implemented:
 //!
@@ -40,23 +40,25 @@ pub fn pruning_radius(theta: f64) -> f64 {
 }
 
 /// One basic window's contribution to the approximate recombination: the two
-/// per-series statistics plus the DFT coefficient distance `d_j` of the pair.
+/// per-series statistics plus the pair's stored Equation 3 estimate
+/// `ĉ_j = 1 − d_j²/2` of the DFT coefficient distance `d_j`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApproxWindow {
     /// Statistics of this window of the first series.
     pub x: WindowStats,
     /// Statistics of this window of the second series.
     pub y: WindowStats,
-    /// DFT coefficient distance of the normalized windows.
-    pub dist: f64,
+    /// Equation 3 estimate of the normalized windows' correlation.
+    pub est: f64,
 }
 
 /// Equation 5 (combined with Equation 3): the approximate correlation of the
-/// query window assembled from per-window statistics and DFT distances.
+/// query window assembled from per-window statistics and estimates.
 ///
 /// Implemented by substituting the per-window correlation estimate
-/// `c_j ≈ 1 − d_j²/2` into the Lemma 1 recombination, which is algebraically
-/// identical to the paper's Equation 5 and numerically more stable.
+/// `c_j ≈ ĉ_j = 1 − d_j²/2` into the Lemma 1 recombination, which is
+/// algebraically identical to the paper's Equation 5 and numerically more
+/// stable.
 ///
 /// Fails with [`Error::DegenerateWindow`] when the recombined window covers
 /// no points at all or has zero variance in either series (a constant
@@ -78,8 +80,7 @@ pub fn query_correlation(parts: &[ApproxWindow]) -> Result<f64> {
         let b = p.x.len as f64;
         let dx = p.x.mean - mean_x;
         let dy = p.y.mean - mean_y;
-        let c_j = 1.0 - p.dist * p.dist / 2.0;
-        num += b * (p.x.std * p.y.std * c_j + dx * dy);
+        num += b * (p.x.std * p.y.std * p.est + dx * dy);
         den_x += b * (p.x.std * p.x.std + dx * dx);
         den_y += b * (p.y.std * p.y.std + dy * dy);
     }
@@ -99,18 +100,16 @@ pub fn query_distance(parts: &[ApproxWindow]) -> Result<f64> {
 }
 
 /// The StatStream heuristic: the query-window correlation is the average of
-/// the per-window correlation estimates `1 − d_j²/2`.
+/// the per-window correlation estimates `ĉ_j = 1 − d_j²/2`.
 ///
 /// Fails with [`Error::DegenerateWindow`] when no windows are supplied —
 /// there is nothing to average, matching the error convention of
 /// [`query_correlation`].
-pub fn statstream_average_correlation(dists: &[f64]) -> Result<f64> {
-    if dists.is_empty() {
+pub fn statstream_average_correlation(ests: &[f64]) -> Result<f64> {
+    if ests.is_empty() {
         return Err(Error::DegenerateWindow { points: 0 });
     }
-    Ok(clamp_corr(
-        dists.iter().map(|&d| 1.0 - d * d / 2.0).sum::<f64>() / dists.len() as f64,
-    ))
+    Ok(clamp_corr(ests.iter().sum::<f64>() / ests.len() as f64))
 }
 
 /// Map the [`Error::DegenerateWindow`] produced by an empty or
@@ -142,12 +141,12 @@ fn gather_parts(
     let base = sketch.base();
     let sx = base.series_sketch(i)?;
     let sy = base.series_sketch(j)?;
-    let dists = sketch.pair_distances(i, j)?;
+    let ests = sketch.pair_estimates(i, j)?;
     Ok(windows
         .map(|w| ApproxWindow {
             x: sx.window(w),
             y: sy.window(w),
-            dist: dists[w],
+            est: ests[w],
         })
         .collect())
 }
@@ -184,9 +183,9 @@ pub fn approximate_pair_correlation(
             degenerate_to_zero(query_correlation(&parts))
         }
         ApproxStrategy::StatStreamAverage => {
-            let dists = sketch.pair_distances(i, j)?;
+            let ests = sketch.pair_estimates(i, j)?;
             degenerate_to_zero(statstream_average_correlation(
-                &dists[windows.start..windows.end],
+                &ests[windows.start..windows.end],
             ))
         }
     }
@@ -203,7 +202,7 @@ pub fn approximate_correlation_matrix(
 ) -> Result<CorrelationMatrix> {
     let plan = ApproxPlan::build(sketch, windows)?;
     match strategy {
-        ApproxStrategy::Equation5 => Ok(plan.correlation_matrix()),
+        ApproxStrategy::Equation5 => plan.correlation_matrix(),
         ApproxStrategy::StatStreamAverage => {
             let n = plan.series_count();
             let mut values = vec![0.0f64; n * n.saturating_sub(1) / 2];
@@ -422,11 +421,13 @@ mod tests {
             statstream_average_correlation(&[]).unwrap_err(),
             Error::DegenerateWindow { points: 0 }
         ));
-        // distances 0 → corr 1 for every window → average 1.
-        assert_eq!(statstream_average_correlation(&[0.0, 0.0]).unwrap(), 1.0);
-        // distance √2 → corr 0.
-        let d = 2f64.sqrt();
-        assert!((statstream_average_correlation(&[d, d]).unwrap() - 0.0).abs() < 1e-12);
+        // The plain mean of the per-window estimates, clamped to [-1, 1].
+        assert_eq!(statstream_average_correlation(&[1.0, 1.0]).unwrap(), 1.0);
+        assert_eq!(
+            statstream_average_correlation(&[0.5, -0.25]).unwrap(),
+            0.125
+        );
+        assert_eq!(statstream_average_correlation(&[1.5, 1.0]).unwrap(), 1.0);
     }
 
     #[test]
@@ -446,12 +447,12 @@ mod tests {
             ApproxWindow {
                 x: constant,
                 y: live,
-                dist: 0.3,
+                est: 0.955,
             },
             ApproxWindow {
                 x: constant,
                 y: live,
-                dist: 0.1,
+                est: 0.995,
             },
         ];
         assert!(matches!(
@@ -477,7 +478,7 @@ mod tests {
         let m = approximate_correlation_matrix(&sk, 0..4, ApproxStrategy::Equation5).unwrap();
         assert_eq!(m.get(0, 1), 0.0);
         // The StatStream average cannot detect a constant series from the
-        // distances alone (a zero-vector window sits at distance 1 from any
+        // estimates alone (a zero-vector window sits at distance 1 from any
         // unit vector → estimate 0.5 per window); only the Equation 5
         // denominator carries that information. Its degenerate case is the
         // empty window range, covered above.

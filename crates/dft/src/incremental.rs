@@ -7,20 +7,13 @@
 //! sweep over every pair, one re-threshold pass if subscribed — so the
 //! accessors, the chunk checks, the sweep and the edge subscription are the
 //! shared type's. This engine supplies the two things that differ. When a new
-//! basic window arrives it
-//!
-//! 1. normalizes the window of every series and computes its DFT coefficients
-//!    (the `O(B²)` step that makes this updater slower than TSUBASA's —
-//!    exactly the effect Figure 5d measures),
-//! 2. computes all pairwise coefficient distances `d_{ns+1}` of the arriving
-//!    window as one tiled difference-square sweep over a coefficient-major
-//!    structure-of-arrays block
-//!    ([`tsubasa_core::stats::tiled_pair_dist_sq_into`], the same kernel the
-//!    batch sketcher uses) and stores that row,
-//!
-//! and it reads a stored distance as the window correlation
-//! `c ≈ 1 − d²/2`, which makes the shared Lemma 2 sweep the algebraic content
-//! of Equation 6.
+//! basic window arrives it computes that window's packed row of Equation 3
+//! estimates `ĉ_{ns+1} = 1 − d²/2` through the comparator's window kernel
+//! ([`ComparatorKernel`] — normalize, transform, one tiled difference-square
+//! sweep; the transform is the step that makes this updater slower than
+//! TSUBASA's, exactly the effect Figure 5d measures) and stores that row, and
+//! it reads a stored estimate as the window correlation by clamping it, which
+//! makes the shared Lemma 2 sweep the algebraic content of Equation 6.
 //!
 //! Initialization goes through the batched [`ApproxPlan`] sweep instead of
 //! per-pair contribution gathering, mirroring the exact updater's plan-based
@@ -32,27 +25,25 @@ use std::ops::{Deref, DerefMut};
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::incremental::SlidingState;
 use tsubasa_core::runner::{JobRunner, SerialRunner};
-use tsubasa_core::stats::{tiled_pair_dist_sq_into, WindowStats};
+use tsubasa_core::stats::{clamp_corr, WindowStats};
 use tsubasa_core::SketchSet;
 
-use crate::approx::corr_from_distance;
-use crate::dft::DftPlanner;
-use crate::normalize::normalize_unit_with_stats;
 use crate::plan::ApproxPlan;
-use crate::sketch::{flatten_coeffs_into, DftSketchSet};
+use crate::sketch::{ComparatorKernel, DftSketchSet, Transform};
 
 /// Incrementally maintained approximate all-pair correlation matrix over a
 /// sliding real-time query window. The shared [`SlidingState`] (which this
-/// type dereferences to) stores one packed row of per-pair DFT *distances*
-/// per basic window; only the arriving-window kernel and the
-/// distance → correlation map are this engine's own.
+/// type dereferences to) stores one packed row of per-pair Equation 3
+/// *estimates* per basic window — the rows a [`DftSketchSet`] holds; only the
+/// arriving-window kernel and the estimate → correlation clamp are this
+/// engine's own.
 #[derive(Debug, Clone)]
 pub struct SlidingApproxNetwork {
     state: SlidingState,
-    coefficients: usize,
-    /// Reusable transform plan for the arriving windows (radix-2 FFT for
-    /// power-of-two basic windows, naive fallback otherwise).
-    planner: DftPlanner,
+    /// The comparator window kernel for the arriving windows (radix-2 FFT
+    /// for power-of-two basic windows, naive fallback otherwise), with its
+    /// reusable transform plan and scratch.
+    kernel: ComparatorKernel,
 }
 
 impl Deref for SlidingApproxNetwork {
@@ -76,7 +67,7 @@ impl SlidingApproxNetwork {
     ///
     /// The initial correlations are evaluated through one shared
     /// [`ApproxPlan`] (batched Equation 5) rather than per-pair contribution
-    /// vectors, and the per-window distance rows are contiguous copies of the
+    /// vectors, and the per-window estimate rows are contiguous copies of the
     /// sketch's window-major table.
     pub fn initialize(sketch: &DftSketchSet, query_len: usize) -> Result<Self> {
         let b = sketch.basic_window();
@@ -98,12 +89,11 @@ impl SlidingApproxNetwork {
         let first = available - ns;
         let n = sketch.series_count();
 
-        // Each stored window's packed per-pair distances are one contiguous
+        // Each stored window's packed per-pair estimates are one contiguous
         // row of the sketch's window-major table.
-        let mut pair_windows = VecDeque::with_capacity(ns);
-        for w in first..available {
-            pair_windows.push_back(sketch.window_dists_view(w..w + 1).window_row(0).to_vec());
-        }
+        let table = sketch.window_ests_view(first..available);
+        let pair_windows: VecDeque<Vec<f64>> =
+            (0..ns).map(|k| table.window_row(k).to_vec()).collect();
 
         let plan = ApproxPlan::build(sketch, first..available)?;
         let mut corrs = vec![0.0f64; n * n.saturating_sub(1) / 2];
@@ -111,8 +101,7 @@ impl SlidingApproxNetwork {
 
         Ok(Self {
             state: SlidingState::new(sketch.base(), first..available, pair_windows, corrs)?,
-            coefficients: sketch.coefficients(),
-            planner: DftPlanner::new(b),
+            kernel: ComparatorKernel::new(b, sketch.coefficients(), Transform::Fft),
         })
     }
 
@@ -134,32 +123,16 @@ impl SlidingApproxNetwork {
     /// identical to the serial path for any worker count (each pair reads
     /// only shared snapshots and its own slot).
     pub fn ingest_in(&mut self, runner: &dyn JobRunner, chunk: &[Vec<f64>]) -> Result<()> {
-        let n = self.state.series_count();
-        let row_len = 2 * self.coefficients;
-        let (coefficients, planner) = (self.coefficients, &self.planner);
-        // The arriving window's DFT coefficients are flattened into a
-        // coefficient-major structure-of-arrays block (one contiguous row per
-        // series), so all of its pair distances come from one tiled
-        // difference-square sweep instead of a per-pair coefficient loop.
-        let arriving_dists = |stats: &[WindowStats], row: &mut [f64]| {
-            let mut rows = vec![0.0f64; n * row_len];
-            for (i, (points, stats)) in chunk.iter().zip(stats).enumerate() {
-                let coeffs = planner.transform(&normalize_unit_with_stats(points, stats));
-                flatten_coeffs_into(
-                    &coeffs,
-                    coefficients,
-                    &mut rows[i * row_len..(i + 1) * row_len],
-                );
-            }
-            tiled_pair_dist_sq_into(&rows, n, row_len, row);
-            for sq in row {
-                *sq = sq.max(0.0).sqrt();
-            }
+        let kernel = &mut self.kernel;
+        // The arriving window's row comes from the shared comparator kernel
+        // (inline: `runner` fans out the Equation 6 sweep only).
+        let arriving_ests = |stats: &[WindowStats], row: &mut [f64]| {
+            kernel.window_ests_into(chunk, stats, &SerialRunner, row);
         };
-        // Equation 6 is Lemma 2 over distance-derived window correlations
-        // (`c = 1 − d²/2`, Equation 4's correspondence).
+        // Equation 6 is Lemma 2 over estimate-derived window correlations
+        // (the stored `ĉ = 1 − d²/2`, clamped into [-1, 1]).
         self.state
-            .slide_in(runner, chunk, arriving_dists, corr_from_distance)
+            .slide_in(runner, chunk, arriving_ests, clamp_corr)
     }
 
     /// Freeze the sliding state into an immutable [`DftSketchSet`] covering
@@ -168,22 +141,22 @@ impl SlidingApproxNetwork {
     /// no storage with the live network, so readers can plan against it
     /// behind an `Arc` while ingestion keeps sliding.
     ///
-    /// The approximate updater maintains per-window coefficient *distances*,
-    /// not the exact per-window pair correlations of the underlying
+    /// The approximate updater maintains per-window *estimates*, not the
+    /// exact per-window pair correlations of the underlying
     /// [`SketchSet`] — so the base sketch's pair correlations are filled with
     /// NaN, the repo-wide marker for method-mismatched sketch data. The
     /// snapshot supports every [`ApproxPlan`] path bit-identically to a
     /// built sketch; exact (Lemma 1) queries against its base are answerable
     /// only through the NaN-auditing sinks and will report every pair.
     pub fn snapshot_sketch(&self) -> Result<DftSketchSet> {
-        let window_dists = self.window_major_rows();
+        let window_ests = self.window_major_rows();
         let base = SketchSet::from_window_major(
             self.basic_window(),
             self.series_count(),
             self.series_sketches(),
-            vec![f64::NAN; window_dists.len()],
+            vec![f64::NAN; window_ests.len()],
         )?;
-        DftSketchSet::from_parts(base, self.coefficients, window_dists)
+        DftSketchSet::from_parts(base, self.kernel.coefficients(), window_ests)
     }
 }
 

@@ -13,11 +13,12 @@
 //!   [`QueryPlan`] built from the base sketch's window statistics, so the
 //!   flat layouts, the window-major σ/δ transposes and the batch
 //!   [`QueryPlan::block_kernel`] are reused wholesale;
-//! * the per-pair **correlation estimates** `ĉ_k = 1 − d_k²/2` (Equation 3
-//!   applied to the sketched DFT coefficient distances) are materialized once
-//!   into a window-major table ([`tsubasa_core::plan::TransposedCorrs`]),
-//!   mapped straight from the sketch's window-major distance table
-//!   ([`crate::sketch::DftSketchSet::window_dists_view`]);
+//! * the per-pair **correlation estimates** `ĉ_k = 1 − d_k²/2` (Equation 3)
+//!   are what every backend stores, so the plan **borrows** the source's
+//!   window-major estimate table ([`CorrSource::full_table`]: the shared rows
+//!   of a [`DftSketchSet`], the mapped `PairEsts` rows of a pile) and copies
+//!   nothing — building a plan costs the per-series tables alone, at any
+//!   table size;
 //! * every pair is then evaluated by the same cache-blocked tiled sweep as
 //!   the exact matrix paths — Equation 5 and Lemma 1 share their
 //!   recombination algebra, only the per-window correlation source differs.
@@ -45,10 +46,10 @@ use std::ops::Range;
 use tsubasa_core::capacity::check_dense_budget;
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::matrix::{AdjacencyMatrix, CorrelationMatrix};
-use tsubasa_core::plan::{carve_for_workers, row_segments, PlanMethod, QueryPlan, TransposedCorrs};
+use tsubasa_core::plan::{carve_for_workers, row_segments, PlanMethod, QueryPlan};
 use tsubasa_core::runner::{Job, JobRunner};
 use tsubasa_core::sketch::pair_index;
-use tsubasa_core::source::EstSource;
+use tsubasa_core::source::{check_source_windows, CorrSource, PairTable};
 use tsubasa_core::stats::clamp_corr;
 use tsubasa_core::sweep::{
     sweep_run, CorrelationBounds, EdgeList, TileSink, TopK, TopKSink, DEFAULT_TILE_PAIRS,
@@ -59,9 +60,16 @@ use crate::approx::{distance_from_corr, pruning_radius};
 use crate::sketch::DftSketchSet;
 
 /// The approximate all-pairs evaluation plan: per-series recombination
-/// tables shared by every pair plus a window-major table of per-pair
-/// correlation estimates, built **once per query window** from a
-/// [`DftSketchSet`]. See the [module docs](self) for the layout story.
+/// tables shared by every pair, built **once per query window**, plus the
+/// source's window-major table of per-pair correlation estimates, borrowed
+/// for the plan's lifetime. See the [module docs](self) for the layout story.
+///
+/// The streamed entry points ([`ApproxPlan::sweep_run`],
+/// [`ApproxPlan::sweep_streamed`], [`ApproxPlan::network_streamed`],
+/// [`ApproxPlan::top_k`]) allocate nothing per pair and never consult the
+/// dense budget; the entry points that materialize the packed `N(N−1)/2`
+/// triangle ([`ApproxPlan::correlation_matrix`] and what sits on it) check it
+/// and fail with [`Error::TooLarge`].
 ///
 /// # Example
 ///
@@ -79,13 +87,13 @@ use crate::sketch::DftSketchSet;
 /// // All 4 coefficients kept → the approximation is exact (Equation 3).
 /// let sketch = DftSketchSet::build(&collection, 4, 4, Transform::Naive).unwrap();
 /// let plan = ApproxPlan::build(&sketch, 0..2).unwrap();
-/// let matrix = plan.correlation_matrix();
+/// let matrix = plan.correlation_matrix().unwrap();
 /// assert!(matrix.get(0, 2) < -0.9); // anti-correlated pair
 /// let network = plan.network(0.8).unwrap();
 /// assert!(network.has_edge(0, 1));
 /// ```
-#[derive(Debug, Clone)]
-pub struct ApproxPlan {
+#[derive(Debug)]
+pub struct ApproxPlan<'a> {
     /// Number of series covered.
     n: usize,
     /// The range of sketched basic windows the plan covers.
@@ -93,8 +101,8 @@ pub struct ApproxPlan {
     /// The per-series half of the Equation 5 recombination — the same flat
     /// tables (and batch kernel) as the exact path's query plan.
     plan: QueryPlan,
-    /// Window-major per-pair correlation estimates `ĉ_k = 1 − d_k²/2`.
-    corrs: TransposedCorrs,
+    /// The source's window-major per-pair estimates `ĉ_k = 1 − d_k²/2`.
+    table: PairTable<'a>,
     /// The recombined packed correlation triangle, swept once on first use —
     /// it is threshold-independent, so probing several θ through one plan
     /// ([`ApproxPlan::network`], [`ApproxPlan::candidate_pairs`],
@@ -102,46 +110,33 @@ pub struct ApproxPlan {
     packed: std::sync::OnceLock<Vec<f64>>,
 }
 
-impl ApproxPlan {
+impl<'a> ApproxPlan<'a> {
     /// Build the plan for an aligned range of sketched basic windows: the
     /// per-series statistic tables come from the base sketch, the per-pair
-    /// correlation estimates from the comparator's window-major distance
-    /// table. No raw data is needed.
-    pub fn build(sketch: &DftSketchSet, windows: Range<usize>) -> Result<Self> {
+    /// correlation estimates are the comparator's own table. No raw data is
+    /// needed.
+    pub fn build(sketch: &'a DftSketchSet, windows: Range<usize>) -> Result<Self> {
         Self::from_source(sketch, windows)
     }
 
-    /// Build the plan from **any** estimate-capable source — an in-memory
-    /// comparator, or a pile whose `PairEsts` segments persist the same
-    /// Equation 3 values. The per-series statistic tables feed
-    /// [`QueryPlan::from_window_stats`]; the per-pair estimates come from
-    /// [`EstSource::est_table`]. Because both backends store (or map to) the
-    /// identical `ĉ = 1 − d²/2` values, plans built from either are
+    /// Build the plan from **any** source that answers
+    /// [`PlanMethod::Approximate`] — an in-memory comparator, or a pile whose
+    /// `PairEsts` segments persist the same Equation 3 values. The
+    /// per-series statistic tables feed [`QueryPlan::from_window_stats`]; the
+    /// estimate table is lent by the source. Every backend stores the
+    /// identical `ĉ = 1 − d²/2` bits, so plans built from any are
     /// bit-identical.
-    pub fn from_source<S: EstSource + ?Sized>(source: &S, windows: Range<usize>) -> Result<Self> {
-        let available = source.window_count(PlanMethod::Approximate);
-        if windows.end > available || windows.is_empty() {
-            return Err(Error::SketchMismatch {
-                requested: format!("basic windows {windows:?}"),
-                available: format!("{available} sketched windows"),
-            });
-        }
-        let n = source.series_count();
+    pub fn from_source<S: CorrSource + ?Sized>(
+        source: &'a S,
+        windows: Range<usize>,
+    ) -> Result<Self> {
+        check_source_windows(source, &windows, PlanMethod::Approximate)?;
         let stats = source.series_stats(windows.clone())?;
-        let plan = QueryPlan::from_window_stats(&stats)?;
-
-        // Equation 3 estimates in the window-major layout the batch kernel
-        // streams. In-memory sources map the distance table (`1 − d²/2`, no
-        // clamping — unit-normalized windows keep `d ≤ 2`, so `c ≥ −1`
-        // already); piles read the identical persisted values back.
-        let n_pairs = n * n.saturating_sub(1) / 2;
-        check_dense_budget(n_pairs, windows.len())?;
-        let corrs = source.est_table(windows.clone())?;
         Ok(Self {
-            n,
+            n: source.series_count(),
+            plan: QueryPlan::from_window_stats(&stats)?,
+            table: source.lent_table(windows.clone(), PlanMethod::Approximate)?,
             windows,
-            plan,
-            corrs,
             packed: std::sync::OnceLock::new(),
         })
     }
@@ -174,7 +169,7 @@ impl ApproxPlan {
     /// at a time — the unit of work of both the serial and the parallel
     /// sweeps (a chunk boundary never changes any pair's arithmetic).
     pub fn correlations_into(&self, start: usize, out: &mut [f64]) {
-        let corrs = self.corrs.view();
+        let corrs = self.table.view();
         let mut cursor = 0;
         for (i, j0, len) in row_segments(start, out.len(), self.n) {
             self.plan.block_kernel(
@@ -190,32 +185,36 @@ impl ApproxPlan {
 
     /// The recombined packed correlation triangle, computed by the tiled
     /// sweep on first use and cached (the values do not depend on any
-    /// threshold).
-    fn packed_correlations(&self) -> &[f64] {
-        self.packed.get_or_init(|| {
+    /// threshold). The one dense allocation of the plan: refused with
+    /// [`Error::TooLarge`] past the dense budget.
+    fn packed_correlations(&self) -> Result<&[f64]> {
+        check_dense_budget(self.pair_count(), 1)?;
+        Ok(self.packed.get_or_init(|| {
             let mut values = vec![0.0f64; self.pair_count()];
             self.correlations_into(0, &mut values);
             values
-        })
+        }))
     }
 
     /// The approximate all-pairs correlation matrix (Equation 5 recombined
     /// through the tiled batch kernel). Degenerate (constant-series) pairs
     /// hold `0.0`, the explicit mapping of [`Error::DegenerateWindow`]
     /// shared with the exact matrix paths.
-    pub fn correlation_matrix(&self) -> CorrelationMatrix {
-        CorrelationMatrix::from_upper_triangle(self.n, self.packed_correlations().to_vec())
+    pub fn correlation_matrix(&self) -> Result<CorrelationMatrix> {
+        let values = self.packed_correlations()?.to_vec();
+        Ok(CorrelationMatrix::from_upper_triangle(self.n, values))
     }
 
     /// [`ApproxPlan::correlation_matrix`] with the packed triangle split into
     /// disjoint contiguous slices evaluated on `runner`'s workers. Identical
     /// to the serial sweep for any worker count.
-    pub fn correlation_matrix_in(&self, runner: &dyn JobRunner) -> CorrelationMatrix {
+    pub fn correlation_matrix_in(&self, runner: &dyn JobRunner) -> Result<CorrelationMatrix> {
         let total = self.pair_count();
         let workers = runner.worker_count().max(1).min(total.max(1));
         if workers <= 1 || total == 0 || self.packed.get().is_some() {
             return self.correlation_matrix();
         }
+        check_dense_budget(total, 1)?;
         let mut values = vec![0.0f64; total];
         let jobs: Vec<Job<'_>> = carve_for_workers(&mut values, workers)
             .into_iter()
@@ -226,7 +225,10 @@ impl ApproxPlan {
         // parallel sweep may seed the shared cache: serial and parallel
         // entries stay exactly equal either way.
         let values = self.packed.get_or_init(|| values);
-        CorrelationMatrix::from_upper_triangle(self.n, values.clone())
+        Ok(CorrelationMatrix::from_upper_triangle(
+            self.n,
+            values.clone(),
+        ))
     }
 
     /// The StatStream-average recombination over the same window-major
@@ -237,10 +239,9 @@ impl ApproxPlan {
     pub fn statstream_correlations_into(&self, out: &mut [f64]) {
         debug_assert_eq!(out.len(), self.pair_count());
         out.fill(0.0);
-        let w = self.windows.len();
+        let (w, view) = (self.windows.len(), self.table.view());
         for k in 0..w {
-            let row = self.corrs.view().window_row(k);
-            for (slot, &c) in out.iter_mut().zip(row) {
+            for (slot, &c) in out.iter_mut().zip(view.window_row(k)) {
                 *slot += c;
             }
         }
@@ -276,7 +277,7 @@ impl ApproxPlan {
             return Err(Error::InvalidThreshold(theta));
         }
         let radius = pruning_radius(theta);
-        let values = self.packed_correlations();
+        let values = self.packed_correlations()?;
         let mut out = Vec::new();
         let mut p = 0;
         for i in 0..self.n {
@@ -320,7 +321,7 @@ impl ApproxPlan {
         tile_len: usize,
         sink: &mut dyn TileSink,
     ) {
-        let view = self.corrs.view();
+        let view = self.table.view();
         sweep_run(&self.plan, &view, bounds, run, tile_len, sink);
     }
 
@@ -454,7 +455,7 @@ mod tests {
         let c = collection(6, 180);
         let sk = DftSketchSet::build(&c, 20, 9, Transform::Naive).unwrap();
         let plan = ApproxPlan::build(&sk, 1..8).unwrap();
-        let m = plan.correlation_matrix();
+        let m = plan.correlation_matrix().unwrap();
         for (i, j) in c.pairs() {
             let reference =
                 approximate_pair_correlation(&sk, 1..8, i, j, ApproxStrategy::Equation5).unwrap();
@@ -474,7 +475,7 @@ mod tests {
         let plan = ApproxPlan::build(&sk, 0..8).unwrap();
         let query = QueryWindow::new(199, 200).unwrap();
         let exact = baseline::correlation_matrix(&c, query).unwrap();
-        assert!(plan.correlation_matrix().max_abs_diff(&exact) < 1e-9);
+        assert!(plan.correlation_matrix().unwrap().max_abs_diff(&exact) < 1e-9);
     }
 
     #[test]
@@ -482,10 +483,14 @@ mod tests {
         let c = collection(7, 240);
         let sk = DftSketchSet::build(&c, 24, 12, Transform::Naive).unwrap();
         let plan = ApproxPlan::build(&sk, 0..10).unwrap();
-        let serial = plan.correlation_matrix();
+        let serial = plan.correlation_matrix().unwrap();
         for workers in [1usize, 3, 8] {
             let runner = ScopedRunner::new(workers);
-            assert_eq!(serial, plan.correlation_matrix_in(&runner), "{workers}");
+            assert_eq!(
+                serial,
+                plan.correlation_matrix_in(&runner).unwrap(),
+                "{workers}"
+            );
         }
     }
 
@@ -517,7 +522,7 @@ mod tests {
         let sk = DftSketchSet::build(&c, 16, 16, Transform::Naive).unwrap();
         let plan = ApproxPlan::build(&sk, 0..5).unwrap();
         assert!(plan.is_degenerate(0));
-        let m = plan.correlation_matrix();
+        let m = plan.correlation_matrix().unwrap();
         for j in 1..4 {
             assert_eq!(m.get(0, j), 0.0);
         }
@@ -558,7 +563,7 @@ mod tests {
         let c = collection(6, 200);
         let sk = DftSketchSet::build(&c, 25, 10, Transform::Naive).unwrap();
         let plan = ApproxPlan::build(&sk, 0..8).unwrap();
-        let dense = plan.correlation_matrix();
+        let dense = plan.correlation_matrix().unwrap();
         let mut all: Vec<(usize, usize, f64)> = dense.iter_pairs().collect();
         all.sort_by(|a, b| {
             b.2.total_cmp(&a.2)

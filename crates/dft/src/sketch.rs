@@ -1,39 +1,48 @@
 //! Sketching for the DFT comparator (the full Algorithm 1, lines 8–10).
 //!
 //! On top of the statistics kept by [`tsubasa_core::SketchSet`] (per-window
-//! mean/σ and per-pair correlation), the comparator stores, per pair and per
-//! basic window, the Euclidean distance of the first `n` DFT coefficients of
-//! the two normalized windows (`d_j`). The number of coefficients is fixed at
-//! sketch time; using all `B` coefficients makes the comparator exact.
+//! mean/σ and per-pair correlation), the comparator keeps one value per pair
+//! and basic window, derived from the Euclidean distance `d_j` of the first
+//! `n` DFT coefficients of the two normalized windows. The number of
+//! coefficients is fixed at sketch time; using all `B` coefficients makes the
+//! comparator exact.
 //!
-//! # The tiled distance sweep
+//! # What is stored: Equation 3's image of `d_j`
 //!
-//! [`DftSketchSet::build`] evaluates the `N(N−1)/2` pair distances of each
-//! window as a batch kernel over a **coefficient-major structure-of-arrays
-//! layout**: the first `n` complex coefficients of every series' normalized
-//! window are flattened into one contiguous real row of `2n` values
-//! (`[re₀, im₀, re₁, im₁, …]`), after which every pair's squared coefficient
-//! distance is a cache-blocked difference-square sweep over contiguous rows
-//! ([`tsubasa_core::stats::tiled_pair_dist_sq_into`], the distance sibling of
-//! the exact sketch's `Z·Zᵀ` kernel). Distances are stored once, in the
-//! window-major table the approximate query plan streams
-//! ([`DftSketchSet::window_dists_view`], zero-copy) — shared immutable rows,
-//! like the exact sketch's correlations;
-//! [`DftSketchSet::pair_distances`] gathers one pair's column of it on
-//! demand. The scalar per-pair path survives as
+//! Algorithm 1 stores `d_j`. Every consumer — Equations 5 and 6, Algorithm 4
+//! — reads it only through Equation 3, `ĉ_j = 1 − d_j²/2`, so this sketch
+//! stores that estimate `ĉ_j` instead: the same float count (Figure 6d is
+//! unchanged), the same bits on every backend (in memory, in a pile, in a
+//! sliding state), and a table a query borrows as is
+//! ([`DftSketchSet::window_ests_view`], zero-copy at any size). The estimate
+//! is kept unclamped, so a NaN stays visible to the NaN audit; callers that
+//! hold a raw distance use [`crate::approx::corr_from_distance`], the clamped
+//! public form. [`DftSketchSet::pair_estimates`] gathers one pair's column on
+//! demand.
+//!
+//! # The window kernel
+//!
+//! [`ComparatorKernel::window_ests_into`] turns one basic window into its
+//! packed row of estimates, and every site that sketches a comparator window
+//! calls it ([`DftSketchSet::build`] and [`DftSketchSet::push_window`], the
+//! sliding updater, the parallel engine's pile sketching). The first `n`
+//! complex coefficients of every series' normalized window are flattened into
+//! one contiguous real row of `2n` values (`[re₀, im₀, re₁, im₁, …]`), every
+//! pair's squared coefficient distance is a cache-blocked difference-square
+//! sweep over those rows ([`tsubasa_core::stats::tiled_pair_dist_sq_in`], the
+//! distance sibling of the exact sketch's `Z·Zᵀ` kernel), and the epilogue
+//! applies Equation 3. The scalar per-pair path survives as
 //! [`DftSketchSet::build_reference`]; every accumulated term of the tiled
 //! sweep is non-negative, so the two agree far inside the `1e-10` tolerance
 //! contract pinned by `tests/approx_plan_agreement.rs`.
 
 use serde::{Deserialize, Serialize};
-use tsubasa_core::capacity::check_dense_budget;
 use tsubasa_core::error::{Error, Result};
-use tsubasa_core::plan::{CorrView, PlanMethod, TransposedCorrs, WindowRows};
-use tsubasa_core::sketch::pair_index;
+use tsubasa_core::plan::{CorrView, PlanMethod, WindowRows};
+use tsubasa_core::runner::{JobRunner, SerialRunner};
+use tsubasa_core::sketch::{packed_pairs, pair_index};
 use tsubasa_core::source::{check_source_windows, CorrSource, PairTable};
-use tsubasa_core::stats::{
-    normalize_into, tiled_pair_corrs_into, tiled_pair_dist_sq_into, WindowStats,
-};
+use tsubasa_core::stats::{tiled_pair_dist_sq_in, window_corrs_into, WindowStats};
 use tsubasa_core::{SeriesCollection, SketchSet};
 
 use crate::dft::{coefficient_distance, naive_dft, Complex, DftPlanner};
@@ -51,25 +60,32 @@ pub enum Transform {
     Fft,
 }
 
-/// The comparator's sketch: the core statistics plus per-pair per-window DFT
-/// coefficient distances in one window-major table (see the
-/// [module docs](self) for the tiled sweep that produces them).
+/// The comparator's sketch: the core statistics plus per-pair per-window
+/// Equation 3 estimates `ĉ = 1 − d²/2` of the DFT coefficient distances, in
+/// one window-major table (see the [module docs](self) for the format and the
+/// kernel that produces it).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DftSketchSet {
     base: SketchSet,
     /// Number of DFT coefficients used when computing distances.
     coefficients: usize,
-    /// All pair distances, window-major (`ns` rows of `P`, row `w` holds
-    /// `d_w` of every pair in packed order) — the table
-    /// [`crate::plan::ApproxPlan`] streams, in the same shared-row storage as
-    /// [`SketchSet`]'s pair correlations, so a clone copies no distance.
-    window_dists: WindowRows,
+    /// All pair estimates, window-major (`ns` rows of `P`, row `w` holds
+    /// `ĉ_w` of every pair in packed order) — the table
+    /// [`crate::plan::ApproxPlan`] borrows, in the same shared-row storage as
+    /// [`SketchSet`]'s pair correlations, so a clone copies no estimate.
+    window_ests: WindowRows,
+}
+
+/// Equation 3, unclamped: the estimate the comparator stores for a
+/// coefficient distance `d`.
+fn estimate_from_distance(d: f64) -> f64 {
+    1.0 - d * d / 2.0
 }
 
 /// Flatten the first `n_coeff` complex coefficients into a contiguous real
 /// row (`[re₀, im₀, re₁, im₁, …]`). The Euclidean distance of two such rows
 /// equals the complex coefficient distance: `|X_k − Y_k|² = Δre² + Δim²`.
-pub(crate) fn flatten_coeffs_into(coeffs: &[Complex], n_coeff: usize, row: &mut [f64]) {
+fn flatten_coeffs_into(coeffs: &[Complex], n_coeff: usize, row: &mut [f64]) {
     debug_assert_eq!(row.len(), 2 * n_coeff);
     for (k, c) in coeffs.iter().take(n_coeff).enumerate() {
         row[2 * k] = c.re;
@@ -77,21 +93,84 @@ pub(crate) fn flatten_coeffs_into(coeffs: &[Complex], n_coeff: usize, row: &mut 
     }
 }
 
+/// **The** comparator window kernel: one basic window of every series to that
+/// window's packed row of Equation 3 estimates `ĉ`. It owns the transform
+/// plan and the coefficient-major scratch, both reused across windows. See
+/// the [module docs](self).
+#[derive(Debug, Clone)]
+pub struct ComparatorKernel {
+    coefficients: usize,
+    transform: Transform,
+    planner: DftPlanner,
+    /// Row `i` holds series `i`'s flattened coefficients of the current
+    /// window, contiguous.
+    rows: Vec<f64>,
+}
+
+impl ComparatorKernel {
+    /// A kernel for windows of `basic_window` points keeping `coefficients`
+    /// coefficients (the `n` of `Dist_n`, clamped to `1..=basic_window`).
+    pub fn new(basic_window: usize, coefficients: usize, transform: Transform) -> Self {
+        Self {
+            coefficients: coefficients.clamp(1, basic_window.max(1)),
+            transform,
+            planner: DftPlanner::new(basic_window),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Number of coefficients kept per window.
+    pub fn coefficients(&self) -> usize {
+        self.coefficients
+    }
+
+    /// Fill `out` with the estimates of one window: `window[i]` holds the
+    /// window's points of series `i`, `stats[i]` their statistics. The tiled
+    /// difference-square sweep is fanned out over `runner` by whole triangle
+    /// rows, so the row's bits do not depend on the worker count; the
+    /// epilogue is the one place sketch data goes through Equation 3.
+    pub fn window_ests_into<S: AsRef<[f64]>>(
+        &mut self,
+        window: &[S],
+        stats: &[WindowStats],
+        runner: &dyn JobRunner,
+        out: &mut [f64],
+    ) {
+        let n = window.len();
+        let row_len = 2 * self.coefficients;
+        self.rows.resize(n * row_len, 0.0);
+        for ((points, stats), row) in window
+            .iter()
+            .zip(stats)
+            .zip(self.rows.chunks_exact_mut(row_len))
+        {
+            let normalized = normalize_unit_with_stats(points.as_ref(), stats);
+            let coeffs = match self.transform {
+                Transform::Naive => naive_dft(&normalized),
+                Transform::Fft => self.planner.transform(&normalized),
+            };
+            flatten_coeffs_into(&coeffs, self.coefficients, row);
+        }
+        tiled_pair_dist_sq_in(runner, &self.rows, n, row_len, out);
+        for slot in out {
+            *slot = estimate_from_distance(slot.max(0.0).sqrt());
+        }
+    }
+}
+
 impl DftSketchSet {
     /// Sketch a collection for the DFT comparator: basic-window statistics,
-    /// per-pair correlations (reused by Equation 5), normalized-window DFT
-    /// coefficients, and the per-pair coefficient distances.
+    /// per-pair correlations (the exact base), and the per-pair Equation 3
+    /// estimates of the normalized windows' coefficient distances.
     ///
     /// `coefficients` is the `n` of `Dist_n`; it is clamped to the basic
     /// window size.
     ///
-    /// Per window, the first `n` coefficients of every series are flattened
-    /// into a coefficient-major structure-of-arrays block and all pair
-    /// distances of the window are evaluated as one tiled difference-square
-    /// sweep ([`tiled_pair_dist_sq_into`]); the coefficients themselves are
-    /// transient (one window block is live at a time), matching the paper's
-    /// space analysis. [`DftSketchSet::build_reference`] keeps the scalar
-    /// per-pair path as the arithmetic yardstick.
+    /// One [`ComparatorKernel`] call per window fills that window's row of
+    /// the table in place; the coefficients themselves are transient (one
+    /// window block is live at a time), matching the paper's space analysis.
+    /// [`DftSketchSet::build_reference`] keeps the scalar per-pair path as
+    /// the arithmetic yardstick.
     pub fn build(
         collection: &SeriesCollection,
         basic_window: usize,
@@ -99,47 +178,33 @@ impl DftSketchSet {
         transform: Transform,
     ) -> Result<Self> {
         let base = SketchSet::build(collection, basic_window)?;
-        let n_coeff = coefficients.clamp(1, basic_window);
+        let mut kernel = ComparatorKernel::new(basic_window, coefficients, transform);
         let ns = base.window_count();
         let n = collection.len();
-        let n_pairs = n * n.saturating_sub(1) / 2;
+        let n_pairs = packed_pairs(n);
 
-        let planner = DftPlanner::new(basic_window);
-        let row_len = 2 * n_coeff;
-        // Coefficient-major scratch: row `i` holds series `i`'s flattened
-        // coefficients of the current window, contiguous. Reused per window.
-        let mut rows = vec![0.0f64; n * row_len];
-        let mut sq = vec![0.0f64; n_pairs];
-        let mut window_dists = vec![0.0f64; ns * n_pairs];
+        let mut window_ests = vec![0.0f64; ns * n_pairs];
+        let mut window: Vec<&[f64]> = Vec::with_capacity(n);
+        let mut stats: Vec<WindowStats> = Vec::with_capacity(n);
         for w in 0..ns {
             let span = base.windowing().window_span(w);
-            for (id, series) in collection.iter_with_ids() {
-                let stats = base.series_sketch(id)?.window(w);
-                let normalized = normalize_unit_with_stats(span.slice(series.values()), &stats);
-                let c = match transform {
-                    Transform::Naive => naive_dft(&normalized),
-                    Transform::Fft => planner.transform(&normalized),
-                };
-                flatten_coeffs_into(&c, n_coeff, &mut rows[id * row_len..(id + 1) * row_len]);
-            }
-            tiled_pair_dist_sq_into(&rows, n, row_len, &mut sq);
-            for (slot, &s) in window_dists[w * n_pairs..(w + 1) * n_pairs]
-                .iter_mut()
-                .zip(&sq)
-            {
-                *slot = s.max(0.0).sqrt();
-            }
+            window.clear();
+            window.extend(collection.iter().map(|s| span.slice(s.values())));
+            stats.clear();
+            stats.extend(base.series_sketches().map(|s| s.window(w)));
+            let row = &mut window_ests[w * n_pairs..(w + 1) * n_pairs];
+            kernel.window_ests_into(&window, &stats, &SerialRunner, row);
         }
 
         Ok(Self {
             base,
-            coefficients: n_coeff,
-            window_dists: WindowRows::from_flat(window_dists, n_pairs, ns),
+            coefficients: kernel.coefficients(),
+            window_ests: WindowRows::from_flat(window_ests, n_pairs, ns),
         })
     }
 
     /// The scalar reference sketch: identical shapes to
-    /// [`DftSketchSet::build`], with every pair-window distance computed by
+    /// [`DftSketchSet::build`], with every pair-window estimate computed from
     /// the per-pair [`coefficient_distance`] pass over per-series coefficient
     /// vectors. This path is the arithmetic yardstick the tiled sweep is
     /// tested against (`tests/approx_plan_agreement.rs`); it is kept for that
@@ -154,11 +219,10 @@ impl DftSketchSet {
         let n_coeff = coefficients.clamp(1, basic_window);
         let ns = base.window_count();
         let n = collection.len();
-
-        let n_pairs = n * n.saturating_sub(1) / 2;
+        let n_pairs = packed_pairs(n);
 
         let planner = DftPlanner::new(basic_window);
-        let mut window_dists = Vec::with_capacity(ns * n_pairs);
+        let mut window_ests = Vec::with_capacity(ns * n_pairs);
         for w in 0..ns {
             let span = base.windowing().window_span(w);
             // DFT coefficients of every series' normalized window `w`.
@@ -172,57 +236,52 @@ impl DftSketchSet {
                 });
             }
             for (i, j) in collection.pairs() {
-                window_dists.push(coefficient_distance(&coeffs[i], &coeffs[j], n_coeff));
+                let d = coefficient_distance(&coeffs[i], &coeffs[j], n_coeff);
+                window_ests.push(estimate_from_distance(d));
             }
         }
 
         Ok(Self {
             base,
             coefficients: n_coeff,
-            window_dists: WindowRows::from_flat(window_dists, n_pairs, ns),
+            window_ests: WindowRows::from_flat(window_ests, n_pairs, ns),
         })
     }
 
     /// Construct a comparator sketch from already-computed parts: the core
-    /// statistics sketch plus a window-major flat table of pair distances
-    /// (`window_dists[w·P + p]`, same packed pair order as `base`), which
+    /// statistics sketch plus a window-major flat table of pair estimates
+    /// (`window_ests[w·P + p]`, same packed pair order as `base`), which
     /// becomes the sketch's table as is. Used by snapshot paths that maintain
-    /// distances incrementally
+    /// estimate rows incrementally
     /// (`SlidingApproxNetwork::snapshot_sketch`) and by any epoch-publication
     /// layer that freezes a growing comparator sketch.
-    pub fn from_parts(
-        base: SketchSet,
-        coefficients: usize,
-        window_dists: Vec<f64>,
-    ) -> Result<Self> {
-        let n = base.series_count();
-        let n_pairs = n * n.saturating_sub(1) / 2;
+    pub fn from_parts(base: SketchSet, coefficients: usize, window_ests: Vec<f64>) -> Result<Self> {
+        let n_pairs = packed_pairs(base.series_count());
         let ns = base.window_count();
-        if window_dists.len() != ns * n_pairs {
+        if window_ests.len() != ns * n_pairs {
             return Err(Error::SketchMismatch {
                 requested: format!(
-                    "{} pair distances ({ns} windows × {n_pairs} pairs)",
+                    "{} pair estimates ({ns} windows × {n_pairs} pairs)",
                     ns * n_pairs
                 ),
-                available: format!("{} pair distances", window_dists.len()),
+                available: format!("{} pair estimates", window_ests.len()),
             });
         }
         let n_coeff = coefficients.clamp(1, base.basic_window());
         Ok(Self {
             base,
             coefficients: n_coeff,
-            window_dists: WindowRows::from_flat(window_dists, n_pairs, ns),
+            window_ests: WindowRows::from_flat(window_ests, n_pairs, ns),
         })
     }
 
     /// Append the sketch of one newly completed basic window from its raw
     /// points (`chunk[i]` holds the `B` new values of series `i`): per-series
-    /// statistics, per-pair correlations (both into the core `base` sketch,
-    /// through the same tiled `Z·Zᵀ` kernel as [`SketchSet::push_window`]'s
-    /// callers), and per-pair DFT coefficient distances.
-    /// This is the real-time ingestion path of the comparator; arithmetic is
-    /// identical to rebuilding with [`DftSketchSet::build`] over the extended
-    /// data, so a grown sketch stays bit-equal to a rebuilt one.
+    /// statistics, per-pair correlations (both into the core `base` sketch)
+    /// and per-pair estimates, through the two shared window kernels
+    /// ([`window_corrs_into`], [`ComparatorKernel`]). This is the real-time
+    /// ingestion path of the comparator; a grown sketch stays bit-equal to
+    /// one rebuilt with [`DftSketchSet::build`] over the extended data.
     pub fn push_window(&mut self, chunk: &[Vec<f64>], transform: Transform) -> Result<()> {
         let n = self.series_count();
         let b = self.basic_window();
@@ -241,46 +300,28 @@ impl DftSketchSet {
                 });
             }
         }
-        let n_pairs = n * n.saturating_sub(1) / 2;
-
         let stats: Vec<WindowStats> = chunk
             .iter()
             .map(|points| WindowStats::from_values(points))
             .collect();
-
-        // Exact half: z-normalize the chunk once and batch all pair
-        // correlations of the arriving window.
-        let mut z = vec![0.0f64; n * b];
-        for (i, points) in chunk.iter().enumerate() {
-            normalize_into(points, &stats[i], &mut z[i * b..(i + 1) * b]);
-        }
-        let mut pair_corrs = vec![0.0f64; n_pairs];
-        tiled_pair_corrs_into(&z, n, b, &mut pair_corrs);
-        drop(z);
-
-        // Comparator half: unit-normalized DFT coefficients, flattened
-        // coefficient-major, then one tiled difference-square sweep.
-        let planner = DftPlanner::new(b);
-        let row_len = 2 * self.coefficients;
-        let mut rows = vec![0.0f64; n * row_len];
-        for (i, points) in chunk.iter().enumerate() {
-            let normalized = normalize_unit_with_stats(points, &stats[i]);
-            let c = match transform {
-                Transform::Naive => naive_dft(&normalized),
-                Transform::Fft => planner.transform(&normalized),
-            };
-            flatten_coeffs_into(
-                &c,
-                self.coefficients,
-                &mut rows[i * row_len..(i + 1) * row_len],
-            );
-        }
-        let mut sq = vec![0.0f64; n_pairs];
-        tiled_pair_dist_sq_into(&rows, n, row_len, &mut sq);
-        let dists: Vec<f64> = sq.iter().map(|&s| s.max(0.0).sqrt()).collect();
+        let mut pair_corrs = vec![0.0f64; packed_pairs(n)];
+        window_corrs_into(
+            chunk,
+            &stats,
+            &SerialRunner,
+            &mut Vec::new(),
+            &mut pair_corrs,
+        );
+        let mut ests = vec![0.0f64; packed_pairs(n)];
+        ComparatorKernel::new(b, self.coefficients, transform).window_ests_into(
+            chunk,
+            &stats,
+            &SerialRunner,
+            &mut ests,
+        );
 
         self.base.push_window(stats, pair_corrs)?;
-        self.window_dists.push(dists);
+        self.window_ests.push(ests);
         Ok(())
     }
 
@@ -289,7 +330,7 @@ impl DftSketchSet {
         &self.base
     }
 
-    /// Number of DFT coefficients the distances were computed with.
+    /// Number of DFT coefficients the estimates were computed with.
     pub fn coefficients(&self) -> usize {
         self.coefficients
     }
@@ -309,50 +350,47 @@ impl DftSketchSet {
         self.base.window_count()
     }
 
-    /// Per-window DFT distances of one unordered pair: column `p` of the
-    /// window-major table, gathered on every call (`O(ns)` strided reads,
+    /// Per-window Equation 3 estimates of one unordered pair: column `p` of
+    /// the window-major table, gathered on every call (`O(ns)` strided reads,
     /// nothing cached).
-    pub fn pair_distances(&self, i: usize, j: usize) -> Result<Vec<f64>> {
+    pub fn pair_estimates(&self, i: usize, j: usize) -> Result<Vec<f64>> {
         let n = self.series_count();
         if i == j || i >= n || j >= n {
             return Err(Error::UnknownSeries(i.max(j)));
         }
         let (a, b) = if i < j { (i, j) } else { (j, i) };
         Ok(self
-            .window_dists_view(0..self.window_count())
+            .window_ests_view(0..self.window_count())
             .pair_column(pair_index(a, b, n))
             .collect())
     }
 
-    /// Zero-copy window-major view of the pair distances over the basic
-    /// windows in `windows` — the table [`crate::plan::ApproxPlan`] maps into
-    /// per-window correlation estimates. Row `k` of the view is
-    /// `d_{windows.start+k}` of every pair in packed order. ([`CorrView`] is
-    /// a layout type, not a semantic one: here its rows hold distances.)
+    /// Zero-copy window-major view of the pair estimates over the basic
+    /// windows in `windows` — the table [`crate::plan::ApproxPlan`] sweeps.
+    /// Row `k` of the view is `ĉ_{windows.start+k}` of every pair in packed
+    /// order.
     ///
     /// # Panics
     ///
     /// Panics when `windows` exceeds the sketched window range.
-    pub fn window_dists_view(&self, windows: std::ops::Range<usize>) -> CorrView<'_> {
-        self.window_dists.view(windows)
+    pub fn window_ests_view(&self, windows: std::ops::Range<usize>) -> CorrView<'_> {
+        self.window_ests.view(windows)
     }
 
-    /// Number of floats stored (core statistics plus distances) — used for
+    /// Number of floats stored (core statistics plus estimates) — used for
     /// the Figure 6d space-overhead comparison.
     pub fn stored_floats(&self) -> usize {
         // The comparator does not need the per-pair correlations of the core
-        // sketch (it has distances instead), so count series stats + dists.
-        let ns = self.window_count();
+        // sketch (it has estimates instead), so count series stats + ests.
         let n = self.series_count();
-        ns * (2 * n + n * (n - 1) / 2)
+        self.window_count() * (2 * n + packed_pairs(n))
     }
 }
 
 /// The comparator as a dual-method [`CorrSource`]: exact tables borrow the
-/// base sketch's window-major correlations, approximate tables map the
-/// window-major distance table through Equation 3 (`ĉ = 1 − d²/2`) — the
-/// exact values `ApproxPlan` recombines, so engine answers over this source
-/// are bit-identical to the in-memory plan's.
+/// base sketch's window-major correlations, approximate tables borrow the
+/// window-major estimate table — the values `ApproxPlan` recombines and a
+/// pile's `PairEsts` rows hold, so answers over any of them are bit-identical.
 impl CorrSource for DftSketchSet {
     fn series_count(&self) -> usize {
         DftSketchSet::series_count(self)
@@ -360,12 +398,8 @@ impl CorrSource for DftSketchSet {
 
     fn window_count(&self, _method: PlanMethod) -> usize {
         // Both tables cover every sketched window: the comparator stores the
-        // base statistics sketch *and* the distance table side by side.
+        // base statistics sketch *and* the estimate table side by side.
         DftSketchSet::window_count(self)
-    }
-
-    fn zero_copy(&self) -> bool {
-        true
     }
 
     fn series_stats(&self, windows: std::ops::Range<usize>) -> Result<Vec<Vec<WindowStats>>> {
@@ -381,48 +415,7 @@ impl CorrSource for DftSketchSet {
             PlanMethod::Exact => CorrSource::full_table(self.base(), windows, method),
             PlanMethod::Approximate => {
                 check_source_windows(self, &windows, method)?;
-                let n = DftSketchSet::series_count(self);
-                let n_pairs = n * n.saturating_sub(1) / 2;
-                // The estimate table is materialized (Equation 3 is a map,
-                // not a view); over the dense budget callers fall back to
-                // chunked reads instead.
-                if check_dense_budget(n_pairs, windows.len()).is_err() {
-                    return Ok(None);
-                }
-                let dists = self.window_dists_view(windows.clone());
-                Ok(Some(PairTable::Owned(TransposedCorrs::from_fn(
-                    n_pairs,
-                    windows.len(),
-                    |p, k| {
-                        let d = dists.window_row(k)[p];
-                        1.0 - d * d / 2.0
-                    },
-                ))))
-            }
-        }
-    }
-
-    fn chunk_table(
-        &self,
-        chunk: &[(usize, usize)],
-        windows: std::ops::Range<usize>,
-        method: PlanMethod,
-    ) -> Result<TransposedCorrs> {
-        check_source_windows(self, &windows, method)?;
-        let n = DftSketchSet::series_count(self);
-        match method {
-            PlanMethod::Exact => CorrSource::chunk_table(self.base(), chunk, windows, method),
-            PlanMethod::Approximate => {
-                let dists = self.window_dists_view(windows.clone());
-                Ok(TransposedCorrs::from_fn(
-                    chunk.len(),
-                    windows.len(),
-                    |p, k| {
-                        let (a, b) = chunk[p];
-                        let d = dists.window_row(k)[pair_index(a, b, n)];
-                        1.0 - d * d / 2.0
-                    },
-                ))
+                Ok(Some(PairTable::Borrowed(self.window_ests_view(windows))))
             }
         }
     }
@@ -456,7 +449,7 @@ mod tests {
         assert_eq!(sk.coefficients(), 10);
         assert_eq!(sk.window_count(), 6);
         assert_eq!(sk.series_count(), 4);
-        assert_eq!(sk.pair_distances(0, 3).unwrap().len(), 6);
+        assert_eq!(sk.pair_estimates(0, 3).unwrap().len(), 6);
         assert!(sk.stored_floats() > 0);
     }
 
@@ -474,17 +467,16 @@ mod tests {
         let c = collection(3, 100);
         let b = 25;
         let sk = DftSketchSet::build(&c, b, b, Transform::Naive).unwrap();
-        // With all coefficients, 1 - d²/2 equals the exact per-window
-        // correlation (Equation 3).
-        let dists = sk.pair_distances(0, 1).unwrap();
-        for (w, &d) in dists.iter().enumerate() {
+        // With all coefficients, the stored estimate 1 - d²/2 equals the
+        // exact per-window correlation (Equation 3).
+        let ests = sk.pair_estimates(0, 1).unwrap();
+        for (w, &est) in ests.iter().enumerate() {
             let x = &c.get(0).unwrap().values()[w * b..(w + 1) * b];
             let y = &c.get(1).unwrap().values()[w * b..(w + 1) * b];
             let expected = pearson(x, y);
             assert!(
-                ((1.0 - d * d / 2.0) - expected).abs() < 1e-9,
-                "window {w}: {} vs {expected}",
-                1.0 - d * d / 2.0
+                (est - expected).abs() < 1e-9,
+                "window {w}: {est} vs {expected}"
             );
         }
     }
@@ -494,12 +486,14 @@ mod tests {
         let c = collection(2, 200);
         let full = DftSketchSet::build(&c, 50, 50, Transform::Naive).unwrap();
         let few = DftSketchSet::build(&c, 50, 5, Transform::Naive).unwrap();
-        let d_full = full.pair_distances(0, 1).unwrap();
-        let d_few = few.pair_distances(0, 1).unwrap();
-        for (a, b) in d_full.iter().zip(&d_few) {
+        // A partial distance never exceeds the full one, so a partial
+        // estimate 1 − d²/2 never falls below the full one.
+        let est_full = full.pair_estimates(0, 1).unwrap();
+        let est_few = few.pair_estimates(0, 1).unwrap();
+        for (a, b) in est_full.iter().zip(&est_few) {
             assert!(
-                b <= &(a + 1e-12),
-                "partial distance must not exceed full distance"
+                b >= &(a - 1e-12),
+                "partial estimate must not fall below the full estimate"
             );
         }
     }
@@ -510,8 +504,8 @@ mod tests {
         let a = DftSketchSet::build(&c, 32, 16, Transform::Naive).unwrap();
         let b = DftSketchSet::build(&c, 32, 16, Transform::Fft).unwrap();
         for (i, j) in c.pairs() {
-            let da = a.pair_distances(i, j).unwrap();
-            let db = b.pair_distances(i, j).unwrap();
+            let da = a.pair_estimates(i, j).unwrap();
+            let db = b.pair_estimates(i, j).unwrap();
             for (x, y) in da.iter().zip(db) {
                 assert!((x - y).abs() < 1e-9);
             }
@@ -527,8 +521,8 @@ mod tests {
                 DftSketchSet::build_reference(&c, b, n_coeff, Transform::Naive).unwrap();
             assert_eq!(tiled.base(), reference.base());
             for (i, j) in c.pairs() {
-                let dt = tiled.pair_distances(i, j).unwrap();
-                let dr = reference.pair_distances(i, j).unwrap();
+                let dt = tiled.pair_estimates(i, j).unwrap();
+                let dr = reference.pair_estimates(i, j).unwrap();
                 for (a, b) in dt.iter().zip(dr) {
                     assert!((a - b).abs() <= 1e-12, "pair ({i},{j}): {a} vs {b}");
                 }
@@ -537,20 +531,20 @@ mod tests {
     }
 
     #[test]
-    fn window_dists_view_mirrors_pair_distances() {
+    fn window_ests_view_mirrors_pair_estimates() {
         // The on-demand pair view is a column of the one table, whichever way
         // the sketch came to be: built, assembled from parts, or grown.
         fn assert_mirrors(sk: &DftSketchSet, c: &SeriesCollection) {
             let ns = sk.window_count();
-            let view = sk.window_dists_view(1..ns);
+            let view = sk.window_ests_view(1..ns);
             assert_eq!(view.pair_count(), 6);
             assert_eq!(view.window_count(), ns - 1);
             for (p, (i, j)) in c.pairs().enumerate() {
-                let dists = sk.pair_distances(i, j).unwrap();
-                assert_eq!(dists, sk.pair_distances(j, i).unwrap());
-                assert_eq!(dists.len(), ns);
+                let ests = sk.pair_estimates(i, j).unwrap();
+                assert_eq!(ests, sk.pair_estimates(j, i).unwrap());
+                assert_eq!(ests.len(), ns);
                 for k in 0..ns - 1 {
-                    assert_eq!(view.window_row(k)[p], dists[1 + k]);
+                    assert_eq!(view.window_row(k)[p], ests[1 + k]);
                 }
             }
         }
@@ -560,7 +554,7 @@ mod tests {
         assert_mirrors(&built, &c);
 
         let table: Vec<f64> = (0..5)
-            .flat_map(|w| built.window_dists_view(w..w + 1).window_row(0).to_vec())
+            .flat_map(|w| built.window_ests_view(w..w + 1).window_row(0).to_vec())
             .collect();
         let mut assembled = DftSketchSet::from_parts(built.base().clone(), 10, table).unwrap();
         assert_eq!(assembled, built);
@@ -576,10 +570,18 @@ mod tests {
     }
 
     #[test]
-    fn pair_distances_rejects_bad_ids() {
+    fn pair_estimates_rejects_bad_ids() {
         let c = collection(3, 60);
         let sk = DftSketchSet::build(&c, 20, 20, Transform::Naive).unwrap();
-        assert!(sk.pair_distances(1, 1).is_err());
-        assert!(sk.pair_distances(0, 9).is_err());
+        assert!(sk.pair_estimates(1, 1).is_err());
+        assert!(sk.pair_estimates(0, 9).is_err());
+    }
+
+    #[test]
+    fn an_empty_sketch_stores_no_floats() {
+        // Zero series: the pair count saturates instead of underflowing.
+        let base = SketchSet::from_window_major(4, 0, vec![], vec![]).unwrap();
+        let empty = DftSketchSet::from_parts(base, 2, vec![]).unwrap();
+        assert_eq!(empty.stored_floats(), 0);
     }
 }

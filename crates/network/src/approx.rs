@@ -72,14 +72,14 @@ impl ApproxNetworkBuilder {
 
     /// The batched evaluation plan for an aligned range of basic windows —
     /// build it once when several thresholds are probed over the same window.
-    pub fn plan(&self, windows: Range<usize>) -> Result<ApproxPlan> {
+    pub fn plan(&self, windows: Range<usize>) -> Result<ApproxPlan<'_>> {
         ApproxPlan::build(&self.sketch, windows)
     }
 
     /// Approximate all-pairs correlation matrix (tiled Equation 5) over an
     /// aligned range of basic windows.
     pub fn correlation_matrix(&self, windows: Range<usize>) -> Result<CorrelationMatrix> {
-        Ok(self.plan(windows)?.correlation_matrix())
+        self.plan(windows)?.correlation_matrix()
     }
 
     /// The Equation 4-pruned approximate climate network at threshold

@@ -1,21 +1,24 @@
 //! The parallel sketch / query engine (paper §3.4).
 //!
-//! Both phases follow the same shape: the unordered pairs are partitioned
-//! across computation workers ([`crate::partition::partition_pairs`]) that
-//! run on the engine's reusable [`WorkerPool`] (no per-call thread spawning).
-//! The engine has one sketch entry point, [`ParallelEngine::sketch_to_pile`]
-//! — the workers fill window-major rows that stream to the single database
-//! worker ([`PileBatchWriter`]) — and one entry point per query
-//! ([`ParallelEngine::query`] / [`ParallelEngine::network`] /
-//! [`ParallelEngine::top_k`]) over any [`CorrSource`]: the mapped pile or an
-//! in-memory sketch. Query workers write correlations straight into their
-//! disjoint slices of the packed result matrix, or drive per-worker sinks.
+//! Both phases run on the engine's reusable [`WorkerPool`] (no per-call
+//! thread spawning). The engine has one sketch entry point,
+//! [`ParallelEngine::sketch_to_pile`] — each window's row comes from the
+//! shared window kernel of the configured method, fanned out over the pool,
+//! and streams to the single database worker ([`PileBatchWriter`]) — and one
+//! entry point per query ([`ParallelEngine::query`] /
+//! [`ParallelEngine::network`] / [`ParallelEngine::top_k`]) over any
+//! [`CorrSource`]: the mapped pile or an in-memory sketch. The unordered
+//! pairs are partitioned across the workers in contiguous packed runs
+//! ([`crate::partition::partition_pairs`]); query workers write correlations
+//! straight into their disjoint slices of the packed result matrix, or drive
+//! per-worker sinks.
 //!
 //! Both hot loops are tiled batch kernels over window-major data: the sketch
-//! phase z-normalizes every basic window once and evaluates each pair-window
-//! correlation as a dot product over contiguous rows
-//! ([`tsubasa_core::stats::normalized_dot_corr`]), and the query phase sweeps
-//! the source's window-major table with [`QueryPlan::block_kernel`].
+//! phase calls [`tsubasa_core::stats::window_corrs_into`] or
+//! [`tsubasa_dft::sketch::ComparatorKernel`] — the kernels every in-memory
+//! sketch is built with, so a pile row equals the in-memory row bit for bit —
+//! and the query phase sweeps the table the source lends with
+//! [`QueryPlan::block_kernel`].
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -23,16 +26,15 @@ use std::time::{Duration, Instant};
 use tsubasa_core::capacity::check_dense_budget;
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::matrix::CorrelationMatrix;
-use tsubasa_core::plan::{row_segments, CorrView, PlanMethod, QueryPlan};
+use tsubasa_core::plan::{carve_for_workers, row_segments, CorrView, PlanMethod, QueryPlan};
 use tsubasa_core::sketch::pair_index;
 use tsubasa_core::source::{audit_nan_chunk, check_source_windows, CorrSource};
-use tsubasa_core::stats::{normalize_into, normalized_dot_corr, WindowStats};
+use tsubasa_core::stats::{window_corrs_into, WindowStats};
 use tsubasa_core::sweep::{CorrelationBounds, EdgeList, EdgeSink, TileSink, TopK, TopKSink};
 use tsubasa_core::window::BasicWindowing;
 use tsubasa_core::Job;
 use tsubasa_core::SeriesCollection;
-use tsubasa_dft::dft::{coefficient_distance, DftPlanner};
-use tsubasa_dft::normalize::normalize_unit_with_stats;
+use tsubasa_dft::sketch::{ComparatorKernel, Transform};
 use tsubasa_storage::pile::{PileBatchWriter, PileSlab, PileWriter, SegmentKind, SketchPile};
 
 use crate::partition::partition_pairs;
@@ -44,9 +46,9 @@ use crate::timing::{QueryReport, SketchReport};
 pub enum SketchMethod {
     /// TSUBASA's exact sketch: per-pair per-window Pearson correlations.
     Exact,
-    /// The DFT comparator's sketch: per-series DFT coefficients of normalized
-    /// windows and per-pair per-window coefficient distances, using the given
-    /// number of coefficients.
+    /// The DFT comparator's sketch: per-pair per-window Equation 3 estimates
+    /// of the distance between the normalized windows' first DFT
+    /// coefficients, using the given number of coefficients.
     Dft {
         /// Number of DFT coefficients (`n` of `Dist_n`).
         coefficients: usize,
@@ -69,9 +71,9 @@ pub struct ParallelConfig {
     /// Number of computation workers (the paper uses 63 plus one database
     /// worker).
     pub workers: usize,
-    /// Number of pairs per query chunk (one pruning decision, one sink tile,
-    /// one [`CorrSource::chunk_table`] read); also the slab queue depth of
-    /// the sketch phase's database worker.
+    /// Number of pairs per streamed query chunk — one pruning decision, one
+    /// NaN audit and at most one sink tile per table row touched; also the
+    /// slab queue depth of the sketch phase's database worker.
     pub batch_pairs: usize,
     /// What the sketch phase computes.
     pub sketch_method: SketchMethod,
@@ -105,6 +107,12 @@ impl Default for ParallelConfig {
 /// [`ParallelEngine::query`] call runs its computation workers on
 /// those long-lived threads, so back-to-back phases (and repeated queries)
 /// pay thread startup once per engine instead of once per call.
+///
+/// Every query is the one pipeline of [`tsubasa_core::source`] —
+/// `series_stats` → [`QueryPlan::from_window_stats`] → the table the source
+/// lends → a partitioned sweep → sinks — whatever the method or backend, so
+/// the answers depend on the stored rows alone, and those are the same bits
+/// on every backend.
 #[derive(Debug)]
 pub struct ParallelEngine {
     config: ParallelConfig,
@@ -134,14 +142,16 @@ impl ParallelEngine {
     /// computation workers plus one database worker, and return the mapped
     /// result alongside the timing breakdown (Figure 6a).
     ///
-    /// The per-series pass computes every window's statistics (and, per
-    /// method, its z-normalized rows or DFT coefficients) once; the pair pass
-    /// proceeds one window at a time, with the computation workers filling
-    /// disjoint carved slices of the full-width window row, which is then
-    /// streamed (in window order) to the pile's database worker as one
-    /// coalescable slab. Under [`SketchMethod::Dft`] the pile stores the
-    /// Equation 3 estimates `1 − d²/2` rather than the distances, which is
-    /// what makes approximate queries zero-copy too.
+    /// The statistics of every window go to the database worker first, as
+    /// one slab. The pair pass then proceeds one window at a time: the
+    /// method's shared window kernel ([`window_corrs_into`] for `c`,
+    /// [`ComparatorKernel`] with the planner's FFT for `ĉ`) fills the
+    /// window's full-width packed row, the pool's workers each sweeping whole
+    /// triangle rows of it, and the row is streamed (in window order, one row
+    /// in flight) to the database worker as one coalescable slab. The rows
+    /// are therefore `SketchSet::build`'s / `DftSketchSet::build`'s own, bit
+    /// for bit, for any worker count. Nothing here is bounded by the dense
+    /// budget: working memory is one window's scratch and one row.
     pub fn sketch_to_pile(
         &self,
         collection: &SeriesCollection,
@@ -172,123 +182,67 @@ impl ParallelEngine {
                 series_len: collection.series_len(),
             });
         }
-        let bw = basic_window;
-        let exact = matches!(self.config.sketch_method, SketchMethod::Exact);
 
         let batch = PileBatchWriter::spawn(writer, self.config.batch_pairs.max(1));
-        let mut compute_time = Duration::ZERO;
-
-        // Per-series pass: window statistics as one window-major slab for
-        // the pile, the window-major z-normalized copy of the data for the
-        // exact tiled kernel (`z[(w·n + i)·B ..]` is basic window `w` of
-        // series `i`, so a pair's window correlation is one dot product over
-        // two contiguous rows), and (for the DFT comparator) the
-        // coefficients of every normalized window. All of it is shared
-        // read-only with the pair workers below.
-        let per_series_start = Instant::now();
-        let mut series_coeffs: Vec<Vec<Vec<tsubasa_dft::dft::Complex>>> = Vec::new();
-        let mut z = vec![0.0f64; if exact { ns * n * bw } else { 0 }];
-        let mut stats_rows = vec![0.0f64; ns * n * 3];
-        let planner = DftPlanner::new(bw);
-        for (id, series) in collection.iter_with_ids() {
-            let values = series.values();
-            let stats: Vec<WindowStats> = (0..ns)
-                .map(|w| WindowStats::from_values(windowing.window_span(w).slice(values)))
-                .collect();
-            for (w, st) in stats.iter().enumerate() {
-                let base = (w * n + id) * 3;
-                stats_rows[base] = st.len as f64;
-                stats_rows[base + 1] = st.mean;
-                stats_rows[base + 2] = st.std;
-            }
-            if exact {
-                for (w, st) in stats.iter().enumerate() {
-                    let span = windowing.window_span(w);
-                    let row = &mut z[(w * n + id) * bw..(w * n + id + 1) * bw];
-                    normalize_into(span.slice(values), st, row);
-                }
-            }
-            if let SketchMethod::Dft { coefficients: _ } = self.config.sketch_method {
-                let coeffs = (0..ns)
-                    .map(|w| {
-                        let span = windowing.window_span(w);
-                        planner.transform(&normalize_unit_with_stats(span.slice(values), &stats[w]))
-                    })
-                    .collect();
-                series_coeffs.push(coeffs);
-            }
-        }
-        compute_time += per_series_start.elapsed();
-        batch
-            .sender()
-            .send(PileSlab::Stats(stats_rows))
-            .map_err(|_| Error::Storage("pile writer hung up".into()))?;
-
-        // Pair pass, window at a time: workers fill disjoint carved slices of
-        // the full-width packed row, preserving the strict window order the
-        // pile's append discipline requires.
-        let partitions = partition_pairs(n, self.config.workers.max(1));
-        let pair_count: usize = partitions.iter().map(|p| p.len()).sum();
-        let method = self.config.sketch_method;
-        let z_ref = &z;
-        let coeffs_ref = &series_coeffs;
-        for w in 0..ns {
-            if pair_count == 0 {
-                break;
-            }
-            let mut row = vec![0.0f64; pair_count];
-            {
-                let slices = tsubasa_core::plan::carve_packed_slices(
-                    &mut row,
-                    partitions.iter().map(|p| p.len()),
-                );
-                let live: Vec<_> = partitions
-                    .iter()
-                    .zip(slices)
-                    .filter(|(p, _)| !p.is_empty())
-                    .collect();
-                let mut outcomes: Vec<Duration> = vec![Duration::ZERO; live.len()];
-                let jobs: Vec<Job<'_>> = live
-                    .into_iter()
-                    .zip(outcomes.iter_mut())
-                    .map(|((part, slice), busy)| {
-                        Box::new(move || {
-                            let start = Instant::now();
-                            for (slot, &(a, b)) in slice.iter_mut().zip(&part.pairs) {
-                                *slot = match method {
-                                    SketchMethod::Exact => {
-                                        let za = &z_ref[(w * n + a) * bw..(w * n + a + 1) * bw];
-                                        let zb = &z_ref[(w * n + b) * bw..(w * n + b + 1) * bw];
-                                        normalized_dot_corr(za, zb)
-                                    }
-                                    SketchMethod::Dft { coefficients } => {
-                                        let d = coefficient_distance(
-                                            &coeffs_ref[a][w],
-                                            &coeffs_ref[b][w],
-                                            coefficients,
-                                        );
-                                        1.0 - d * d / 2.0
-                                    }
-                                };
-                            }
-                            *busy = start.elapsed();
-                        }) as Job<'_>
-                    })
-                    .collect();
-                self.pool.run_jobs(jobs);
-                for busy in outcomes {
-                    compute_time += busy;
-                }
-            }
-            let slab = if exact {
-                PileSlab::Corrs(row)
-            } else {
-                PileSlab::Ests(row)
-            };
+        let send = |slab: PileSlab| {
             batch
                 .sender()
                 .send(slab)
-                .map_err(|_| Error::Storage("pile writer hung up".into()))?;
+                .map_err(|_| Error::Storage("pile writer hung up".into()))
+        };
+
+        // Per-series statistics of every window, window-major: the pile's
+        // statistics slab and the kernels' input.
+        let mut compute_start = Instant::now();
+        let mut stats: Vec<WindowStats> = Vec::with_capacity(ns * n);
+        for w in 0..ns {
+            let span = windowing.window_span(w);
+            stats.extend(
+                collection
+                    .iter()
+                    .map(|s| WindowStats::from_values(span.slice(s.values()))),
+            );
+        }
+        let stats_rows = stats
+            .iter()
+            .flat_map(|st| [st.len as f64, st.mean, st.std])
+            .collect();
+        let mut compute_time = compute_start.elapsed();
+        send(PileSlab::Stats(stats_rows))?;
+
+        // Pair pass, window at a time, in the strict window order the pile's
+        // append discipline requires.
+        let pair_count = n * n.saturating_sub(1) / 2;
+        let mut comparator = match self.config.sketch_method {
+            SketchMethod::Exact => None,
+            SketchMethod::Dft { coefficients } => Some(ComparatorKernel::new(
+                basic_window,
+                coefficients,
+                Transform::Fft,
+            )),
+        };
+        let mut z = Vec::new();
+        let mut window: Vec<&[f64]> = Vec::with_capacity(n);
+        let pair_rows = if pair_count == 0 { 0 } else { ns };
+        for w in 0..pair_rows {
+            compute_start = Instant::now();
+            let span = windowing.window_span(w);
+            window.clear();
+            window.extend(collection.iter().map(|s| span.slice(s.values())));
+            let stats = &stats[w * n..(w + 1) * n];
+            let mut row = vec![0.0f64; pair_count];
+            let slab = match &mut comparator {
+                None => {
+                    window_corrs_into(&window, stats, &self.pool, &mut z, &mut row);
+                    PileSlab::Corrs(row)
+                }
+                Some(kernel) => {
+                    kernel.window_ests_into(&window, stats, &self.pool, &mut row);
+                    PileSlab::Ests(row)
+                }
+            };
+            compute_time += compute_start.elapsed();
+            send(slab)?;
         }
 
         let (writer_stats, writer) = batch.finish()?;
@@ -319,15 +273,15 @@ impl ParallelEngine {
     ///
     /// The per-series statistics are fetched once and folded into a single
     /// read-only [`QueryPlan`] shared by every worker; each worker owns a
-    /// disjoint contiguous slice of the packed upper-triangle result (its
-    /// partition's pairs are contiguous in row-major order), so the matrix is
-    /// assembled without any merge step. Sources that serve a full-width
-    /// window-major table ([`CorrSource::full_table`]: in-memory sketches,
-    /// mapped piles) are swept in place with global pair offsets; chunked
-    /// sources (a DFT sketch whose estimate table exceeds the dense budget)
-    /// are read batch by batch through [`CorrSource::chunk_table`]. The
-    /// kernel's per-pair accumulation is independent of tiling, so the two
-    /// shapes are bit-identical.
+    /// disjoint contiguous slice of the packed upper-triangle result and
+    /// sweeps the table the source lends ([`CorrSource::full_table`]) in
+    /// place with global pair offsets, so the matrix is assembled without any
+    /// copy of the table and without a merge step. The kernel's per-pair
+    /// accumulation is independent of tiling, so the result does not depend
+    /// on the worker count. The packed result is the one dense allocation:
+    /// past the dense budget the call fails with [`Error::TooLarge`] (the
+    /// streamed [`ParallelEngine::network`] / [`ParallelEngine::top_k`] never
+    /// do).
     pub fn query<S: CorrSource + ?Sized>(
         &self,
         source: &S,
@@ -338,137 +292,52 @@ impl ParallelEngine {
         let pm = Self::plan_method(method);
         check_source_windows(source, &windows, pm)?;
         let n = source.series_count();
+        let workers = self.config.workers.max(1);
 
         // Fetch every series' window statistics once up front; they are
         // shared by all pairs of the partitioned workers.
-        let read_start = Instant::now();
         let series_stats = source.series_stats(windows.clone())?;
-        let table = if n >= 2 {
-            source.full_table(windows.clone(), pm)?
-        } else {
-            None
-        };
-        let series_read_time = read_start.elapsed();
-
-        // Precompute the per-series half of the recombination once for all
-        // pairs. Lemma 1 and Equation 5 share their recombination algebra
-        // (only the per-window correlation source differs: sketched Pearson
-        // correlations vs `1 − d²/2` estimates), so both query methods
-        // evaluate through the same plan batch kernel.
-        let plan = if n >= 2 {
-            Some(QueryPlan::from_window_stats(&series_stats)?)
-        } else {
-            None
-        };
-
-        let partitions = partition_pairs(n, self.config.workers.max(1));
-        let pair_count: usize = partitions.iter().map(|p| p.len()).sum();
-
-        // The flat packed upper triangle, carved into one disjoint
-        // contiguous slice per partition (partitions are contiguous in
-        // row-major pair order).
-        check_dense_budget(n * n.saturating_sub(1) / 2, 1)?;
-        let mut values = vec![0.0f64; n * n.saturating_sub(1) / 2];
-        let slices = tsubasa_core::plan::carve_packed_slices(
-            &mut values,
-            partitions.iter().map(|p| p.len()),
-        );
-
-        let plan_ref = plan.as_ref();
-        let view = table.as_ref().map(|t| t.view());
-        let windows_ref = &windows;
-        let batch_pairs = self.config.batch_pairs.max(1);
-
-        #[derive(Default)]
-        struct WorkerOut {
-            read: Duration,
-            compute: Duration,
-        }
-
-        let live: Vec<(&crate::partition::PairPartition, &mut [f64])> = partitions
-            .iter()
-            .zip(slices)
-            .filter(|(part, _)| !part.is_empty())
-            .collect();
-        let mut outcomes: Vec<Result<WorkerOut>> =
-            (0..live.len()).map(|_| Ok(WorkerOut::default())).collect();
-        let jobs: Vec<Job<'_>> = live
-            .into_iter()
-            .zip(outcomes.iter_mut())
-            .map(|((part, slice), outcome)| {
-                Box::new(move || {
-                    *outcome = (|| -> Result<WorkerOut> {
-                        let mut out = WorkerOut::default();
-                        let plan = plan_ref.expect("plan is built for n >= 2 queries");
-                        if let Some(view) = view {
-                            // Full-width table: sweep the shared view in
-                            // place — the kernel's pair offset is the global
-                            // packed pair index.
-                            let t1 = Instant::now();
-                            let (a0, b0) = part.pairs[0];
-                            let mut offset = pair_index(a0, b0, n);
-                            let mut cursor = 0;
-                            for (i, j0, len) in row_segments(offset, part.pairs.len(), n) {
-                                plan.block_kernel(
-                                    i,
-                                    j0,
-                                    view,
-                                    offset,
-                                    &mut slice[cursor..cursor + len],
-                                );
-                                offset += len;
-                                cursor += len;
-                            }
-                            out.compute += t1.elapsed();
-                        } else {
-                            // Chunked source: one `chunk_table` read per
-                            // batch of consecutive pairs; the chunk table
-                            // arrives already window-major for the batch
-                            // kernel.
-                            let mut cursor = 0;
-                            for chunk in part.pairs.chunks(batch_pairs) {
-                                let t0 = Instant::now();
-                                let corrs_t = source.chunk_table(chunk, windows_ref.clone(), pm)?;
-                                out.read += t0.elapsed();
-
-                                let t1 = Instant::now();
-                                let (a0, b0) = chunk[0];
-                                let start = pair_index(a0, b0, n);
-                                let mut offset = 0;
-                                for (i, j0, len) in row_segments(start, chunk.len(), n) {
-                                    plan.block_kernel(
-                                        i,
-                                        j0,
-                                        corrs_t.view(),
-                                        offset,
-                                        &mut slice[cursor..cursor + len],
-                                    );
-                                    offset += len;
-                                    cursor += len;
-                                }
-                                out.compute += t1.elapsed();
-                            }
-                        }
-                        Ok(out)
-                    })();
-                }) as Job<'_>
-            })
-            .collect();
-        self.pool.run_jobs(jobs);
-
-        let matrix = CorrelationMatrix::from_upper_triangle(n, values);
-        let mut read_time = series_read_time;
+        let pair_count = n * n.saturating_sub(1) / 2;
+        check_dense_budget(pair_count, 1)?;
+        let mut values = vec![0.0f64; pair_count];
+        let mut read_time = wall_start.elapsed();
         let mut compute_time = Duration::ZERO;
-        for outcome in outcomes {
-            let out = outcome?;
-            read_time += out.read;
-            compute_time += out.compute;
+
+        if n >= 2 {
+            let table = source.lent_table(windows, pm)?;
+            read_time = wall_start.elapsed();
+            // Lemma 1 and Equation 5 share their recombination algebra (only
+            // the table differs: sketched correlations vs `1 − d²/2`
+            // estimates), so both query methods evaluate through the same
+            // plan batch kernel.
+            let plan = QueryPlan::from_window_stats(&series_stats)?;
+            let (plan, view) = (&plan, table.view());
+            let mut busy = vec![Duration::ZERO; workers];
+            let jobs: Vec<Job<'_>> = carve_for_workers(&mut values, workers)
+                .into_iter()
+                .zip(busy.iter_mut())
+                .filter(|((_, slice), _)| !slice.is_empty())
+                .map(|((start, slice), busy)| {
+                    Box::new(move || {
+                        let t = Instant::now();
+                        let mut cursor = 0;
+                        for (i, j0, len) in row_segments(start, slice.len(), n) {
+                            let tile = &mut slice[cursor..cursor + len];
+                            plan.block_kernel(i, j0, view, start + cursor, tile);
+                            cursor += len;
+                        }
+                        *busy = t.elapsed();
+                    }) as Job<'_>
+                })
+                .collect();
+            self.pool.run_jobs(jobs);
+            compute_time = busy.iter().sum();
         }
 
         Ok((
-            matrix,
+            CorrelationMatrix::from_upper_triangle(n, values),
             QueryReport {
-                workers: self.config.workers.max(1),
+                workers,
                 pairs: pair_count,
                 read_time,
                 compute_time,
@@ -488,12 +357,11 @@ impl ParallelEngine {
     /// On the [`QueryMethod::Approximate`] path, whole chunks are skipped
     /// *before* their table columns are touched when their Equation 4
     /// per-tile correlation upper bound cannot reach θ — the paper's pruning
-    /// radius applied at I/O granularity (a pruned chunk is neither read
-    /// from a chunked source nor faulted in from a mapping). The exact path
-    /// observes every pair, so its NaN audit (NaN table values, counted per
-    /// pair and exposed through [`EdgeList::nan_pair_count`]) is exhaustive;
-    /// pruned approximate chunks are audited only under
-    /// [`ParallelConfig::audit_pruned_chunks`].
+    /// radius applied at I/O granularity (a pruned chunk is never faulted in
+    /// from a mapping). The exact path observes every pair, so its NaN audit
+    /// (NaN table values, counted per pair and exposed through
+    /// [`EdgeList::nan_pair_count`]) is exhaustive; pruned approximate chunks
+    /// are audited only under [`ParallelConfig::audit_pruned_chunks`].
     pub fn network<S: CorrSource + ?Sized>(
         &self,
         source: &S,
@@ -504,10 +372,9 @@ impl ParallelEngine {
         if !(-1.0..=1.0).contains(&theta) {
             return Err(Error::InvalidThreshold(theta));
         }
-        let make = |_: &QueryPlan| EdgeSink::new(theta);
         let prune = matches!(method, QueryMethod::Approximate);
         let (sinks, n, report) =
-            self.streamed_source_query(source, windows, method, prune, make)?;
+            self.streamed_source_query(source, windows, method, prune, || EdgeSink::new(theta))?;
         let mut edges = EdgeList::from_parts(n, Vec::new(), 0);
         for sink in sinks {
             edges.absorb(sink.finish(n));
@@ -532,8 +399,8 @@ impl ParallelEngine {
         method: QueryMethod,
         k: usize,
     ) -> Result<(TopK, QueryReport)> {
-        let make = |_: &QueryPlan| TopKSink::new(k);
-        let (sinks, _, report) = self.streamed_source_query(source, windows, method, true, make)?;
+        let (sinks, _, report) =
+            self.streamed_source_query(source, windows, method, true, || TopKSink::new(k))?;
         let mut merged = TopKSink::new(k);
         for sink in sinks {
             merged.absorb(sink);
@@ -543,214 +410,127 @@ impl ParallelEngine {
 
     /// Shared body of the streamed queries: fetch the per-series statistics
     /// once, build the shared plan (and, when `prune` is set, the Equation 4
-    /// bound components), then fan the partitions out on the worker pool —
-    /// every worker drives its own sink over its own chunks, with per-chunk
-    /// working memory only. Returns the per-partition sinks (in row-major
-    /// partition order) for the caller to merge.
-    ///
-    /// Full-table sources are swept zero-copy off the shared view; chunked
-    /// sources are read batch by batch. Either way the chunks pass through
-    /// the one shared NaN-audit hook
-    /// ([`tsubasa_core::source::audit_nan_chunk`]) before recombination.
-    fn streamed_source_query<S, K, F>(
+    /// bound components), borrow the source's table, then fan the partitions
+    /// out on the worker pool — every worker drives its own sink over its own
+    /// chunks of the shared view, with one output tile of working memory.
+    /// Returns the per-partition sinks (in row-major partition order) for the
+    /// caller to merge.
+    fn streamed_source_query<S: CorrSource + ?Sized, K: TileSink + Send>(
         &self,
         source: &S,
         windows: Range<usize>,
         method: QueryMethod,
         prune: bool,
-        make_sink: F,
-    ) -> Result<(Vec<K>, usize, QueryReport)>
-    where
-        S: CorrSource + ?Sized,
-        K: TileSink + Send,
-        F: Fn(&QueryPlan) -> K,
-    {
+        make_sink: impl Fn() -> K,
+    ) -> Result<(Vec<K>, usize, QueryReport)> {
         let wall_start = Instant::now();
         let pm = Self::plan_method(method);
         check_source_windows(source, &windows, pm)?;
         let n = source.series_count();
+        let mut report = QueryReport {
+            workers: self.config.workers.max(1),
+            ..QueryReport::default()
+        };
 
-        let read_start = Instant::now();
         let series_stats = source.series_stats(windows.clone())?;
-        if n < 2 {
-            return Ok((
-                Vec::new(),
-                n,
-                QueryReport {
-                    workers: self.config.workers.max(1),
-                    pairs: 0,
-                    read_time: read_start.elapsed(),
-                    compute_time: Duration::ZERO,
-                    wall_time: wall_start.elapsed(),
-                },
-            ));
+        let mut sinks: Vec<K> = Vec::new();
+        if n >= 2 {
+            let table = source.lent_table(windows, pm)?;
+            report.read_time = wall_start.elapsed();
+
+            let plan = QueryPlan::from_window_stats(&series_stats)?;
+            let bounds = prune.then(|| CorrelationBounds::from_plan(&plan));
+            let (plan, bounds, view) = (&plan, bounds.as_ref(), table.view());
+            let batch_pairs = self.config.batch_pairs.max(1);
+            let audit_pruned = self.config.audit_pruned_chunks;
+
+            let partitions = partition_pairs(n, report.workers);
+            let live: Vec<_> = partitions.iter().filter(|p| !p.is_empty()).collect();
+            report.pairs = live.iter().map(|p| p.len()).sum();
+            sinks.extend(live.iter().map(|_| make_sink()));
+            let mut busy = vec![Duration::ZERO; live.len()];
+            let jobs: Vec<Job<'_>> = live
+                .into_iter()
+                .zip(sinks.iter_mut().zip(busy.iter_mut()))
+                .map(|(part, (sink, busy))| {
+                    Box::new(move || {
+                        let t = Instant::now();
+                        sweep_source_partition(
+                            plan,
+                            view,
+                            bounds,
+                            batch_pairs,
+                            audit_pruned,
+                            &part.pairs,
+                            sink,
+                        );
+                        *busy = t.elapsed();
+                    }) as Job<'_>
+                })
+                .collect();
+            self.pool.run_jobs(jobs);
+            report.compute_time = busy.iter().sum();
+        } else {
+            report.read_time = wall_start.elapsed();
         }
-        let table = source.full_table(windows.clone(), pm)?;
-        let series_read_time = read_start.elapsed();
-
-        let plan = QueryPlan::from_window_stats(&series_stats)?;
-        let bounds = prune.then(|| CorrelationBounds::from_plan(&plan));
-
-        let partitions = partition_pairs(n, self.config.workers.max(1));
-        let pair_count: usize = partitions.iter().map(|p| p.len()).sum();
-        let batch_pairs = self.config.batch_pairs.max(1);
-        let audit_pruned = self.config.audit_pruned_chunks;
-
-        let plan_ref = &plan;
-        let bounds_ref = bounds.as_ref();
-        let view = table.as_ref().map(|t| t.view());
-        let windows_ref = &windows;
-
-        let live: Vec<&crate::partition::PairPartition> =
-            partitions.iter().filter(|p| !p.is_empty()).collect();
-        let mut sinks: Vec<K> = live.iter().map(|_| make_sink(&plan)).collect();
-        let mut outcomes: Vec<Result<StreamedOut>> = (0..live.len())
-            .map(|_| Ok(StreamedOut::default()))
-            .collect();
-        let jobs: Vec<Job<'_>> = live
-            .iter()
-            .zip(sinks.iter_mut().zip(outcomes.iter_mut()))
-            .map(|(part, (sink, outcome))| {
-                let part = *part;
-                Box::new(move || {
-                    *outcome = sweep_source_partition(
-                        source,
-                        plan_ref,
-                        view,
-                        bounds_ref,
-                        pm,
-                        n,
-                        windows_ref,
-                        batch_pairs,
-                        audit_pruned,
-                        &part.pairs,
-                        sink,
-                    );
-                }) as Job<'_>
-            })
-            .collect();
-        self.pool.run_jobs(jobs);
-
-        let mut read_time = series_read_time;
-        let mut compute_time = Duration::ZERO;
-        for outcome in outcomes {
-            let out = outcome?;
-            read_time += out.read;
-            compute_time += out.compute;
-        }
-
-        Ok((
-            sinks,
-            n,
-            QueryReport {
-                workers: self.config.workers.max(1),
-                pairs: pair_count,
-                read_time,
-                compute_time,
-                wall_time: wall_start.elapsed(),
-            },
-        ))
+        report.wall_time = wall_start.elapsed();
+        Ok((sinks, n, report))
     }
 }
 
-/// Per-worker timing of one streamed partition sweep.
-#[derive(Default)]
-struct StreamedOut {
-    read: Duration,
-    compute: Duration,
-}
-
-/// One worker's streamed sweep of its partition over a [`CorrSource`] — the
-/// single body behind every streamed backend. With a full-width table
-/// (`full` is `Some`: in-memory sketches, mapped piles) the chunks are swept
-/// in place with global pair offsets and nothing is ever copied; without one
-/// (a DFT sketch past the dense budget) each chunk is fetched through
-/// [`CorrSource::chunk_table`] and swept with chunk-local offsets. Working memory is one chunk's table (chunked shape
-/// only) plus one `batch_pairs`-sized output tile — never the partition's
-/// (let alone the triangle's) full size.
+/// One worker's streamed sweep of its partition — the single body behind
+/// every streamed backend. The chunks (`batch_pairs` consecutive pairs) are
+/// swept in place off the table the source lent, with global pair offsets;
+/// nothing is ever copied, and working memory is one `batch_pairs`-sized
+/// output tile — never the partition's (let alone the triangle's) full size.
 ///
 /// Equation 4 chunk pruning is decided from per-series statistics alone: a
 /// skipped chunk's columns are never dereferenced (no page faults on a
-/// mapping) or read (no chunk fetch). Under `audit_pruned` the skipped chunk
-/// is still NaN-audited through the shared hook — the tiles stay skipped,
-/// only the accounting becomes exhaustive, at the cost of the reads pruning
-/// would have saved.
-#[allow(clippy::too_many_arguments)]
-fn sweep_source_partition<S: CorrSource + ?Sized>(
-    source: &S,
+/// mapping). Under `audit_pruned` the skipped chunk is still NaN-audited
+/// through the shared hook — the tiles stay skipped, only the accounting
+/// becomes exhaustive, at the cost of the reads pruning would have saved.
+fn sweep_source_partition(
     plan: &QueryPlan,
-    full: Option<CorrView<'_>>,
+    view: CorrView<'_>,
     bounds: Option<&CorrelationBounds>,
-    method: PlanMethod,
-    n: usize,
-    windows: &Range<usize>,
     batch_pairs: usize,
     audit_pruned: bool,
     pairs: &[(usize, usize)],
     sink: &mut dyn TileSink,
-) -> Result<StreamedOut> {
-    let mut out = StreamedOut::default();
+) {
+    let n = plan.series_count();
     let mut tile = vec![0.0f64; batch_pairs];
     for chunk in pairs.chunks(batch_pairs) {
         let (a0, b0) = chunk[0];
         let first = pair_index(a0, b0, n);
+        let segments = row_segments(first, chunk.len(), n);
 
-        if let Some(b) = bounds {
-            let skippable = row_segments(first, chunk.len(), n)
-                .into_iter()
-                .all(|(i, j0, len)| sink.tile_skippable(b.tile_bound(i, j0, len)));
-            if skippable {
-                if audit_pruned {
-                    match full {
-                        Some(view) => audit_nan_chunk(view, chunk, n, sink),
-                        None => {
-                            let t0 = Instant::now();
-                            let corrs_t = source.chunk_table(chunk, windows.clone(), method)?;
-                            out.read += t0.elapsed();
-                            audit_nan_chunk(corrs_t.view(), chunk, n, sink);
-                        }
-                    }
-                }
-                for (i, j0, len) in row_segments(first, chunk.len(), n) {
-                    sink.tile_skipped(i, j0, len);
-                }
-                continue;
+        let skippable = bounds.is_some_and(|b| {
+            segments
+                .iter()
+                .all(|&(i, j0, len)| sink.tile_skippable(b.tile_bound(i, j0, len)))
+        });
+        if skippable {
+            if audit_pruned {
+                audit_nan_chunk(view, chunk, n, sink);
             }
+            for (i, j0, len) in segments {
+                sink.tile_skipped(i, j0, len);
+            }
+            continue;
         }
 
         // The NaN audit precedes recombination: the kernel clamps NaN window
         // values to the 0.0 convention, so a method-mismatched sketch would
         // otherwise silently produce a plausible-looking correlation.
-        match full {
-            Some(view) => {
-                let t1 = Instant::now();
-                audit_nan_chunk(view, chunk, n, sink);
-                let mut offset = first;
-                for (i, j0, len) in row_segments(first, chunk.len(), n) {
-                    plan.block_kernel(i, j0, view, offset, &mut tile[..len]);
-                    sink.consume(i, j0, offset, &tile[..len]);
-                    offset += len;
-                }
-                out.compute += t1.elapsed();
-            }
-            None => {
-                let t0 = Instant::now();
-                let corrs_t = source.chunk_table(chunk, windows.clone(), method)?;
-                out.read += t0.elapsed();
-
-                let t1 = Instant::now();
-                audit_nan_chunk(corrs_t.view(), chunk, n, sink);
-                let mut offset = 0;
-                for (i, j0, len) in row_segments(first, chunk.len(), n) {
-                    plan.block_kernel(i, j0, corrs_t.view(), offset, &mut tile[..len]);
-                    sink.consume(i, j0, pair_index(i, j0, n), &tile[..len]);
-                    offset += len;
-                }
-                out.compute += t1.elapsed();
-            }
+        audit_nan_chunk(view, chunk, n, sink);
+        let mut offset = first;
+        for (i, j0, len) in segments {
+            plan.block_kernel(i, j0, view, offset, &mut tile[..len]);
+            sink.consume(i, j0, offset, &tile[..len]);
+            offset += len;
         }
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -854,15 +634,15 @@ mod tests {
         assert_eq!(ns, 600 / b);
         assert_eq!(pile.exact_query_windows(), 0);
 
-        // The stored rows are the Equation 3 estimates of the serial
-        // sketch's distances.
+        // The stored rows are the serial sketch's own estimate rows (same
+        // kernel; the naive transform and the engine's FFT agree to rounding).
         let serial = DftSketchSet::build(&c, b, coeff, Transform::Naive).unwrap();
         let table = pile.pair_table(0..ns, SegmentKind::PairEsts).unwrap();
         for (i, j) in c.pairs() {
-            let expected = serial.pair_distances(i, j).unwrap();
-            for (w, d) in expected.iter().enumerate() {
+            let expected = serial.pair_estimates(i, j).unwrap();
+            for (w, est) in expected.iter().enumerate() {
                 let stored = table.view().window_row(w)[pair_index(i, j, c.len())];
-                assert!((stored - (1.0 - d * d / 2.0)).abs() < 1e-9);
+                assert!((stored - est).abs() < 1e-9);
             }
         }
 
@@ -1008,13 +788,13 @@ mod tests {
         // Plant NaN in every window of cross-group pair (0, 3).
         let dft = DftSketchSet::build(&c, b, 10, Transform::Naive).unwrap();
         let pairs = c.pair_count();
-        let mut dists: Vec<f64> = (0..ns)
-            .flat_map(|w| dft.window_dists_view(w..w + 1).window_row(0).to_vec())
+        let mut ests: Vec<f64> = (0..ns)
+            .flat_map(|w| dft.window_ests_view(w..w + 1).window_row(0).to_vec())
             .collect();
         for w in 0..ns {
-            dists[w * pairs + pair_index(0, 3, 4)] = f64::NAN;
+            ests[w * pairs + pair_index(0, 3, 4)] = f64::NAN;
         }
-        let poisoned = DftSketchSet::from_parts(dft.base().clone(), 10, dists).unwrap();
+        let poisoned = DftSketchSet::from_parts(dft.base().clone(), 10, ests).unwrap();
 
         let (silent, _) = eng
             .network(&poisoned, 0..ns, QueryMethod::Approximate, 0.5)

@@ -1,10 +1,10 @@
 //! A small reusable worker pool for the all-pairs sweeps.
 //!
 //! Every parallel path in this workspace used to spawn fresh OS threads per
-//! call (`std::thread::scope` in the in-memory sweep, `crossbeam` scopes in
-//! the disk engine). That is correct but pays thread startup — tens of
-//! microseconds per worker — on *every* query, which dominates once the
-//! tiled kernels push the per-query compute into the same range.
+//! call (scoped threads in both the in-memory sweep and the disk engine).
+//! That is correct but pays thread startup — tens of microseconds per worker
+//! — on *every* query, which dominates once the tiled kernels push the
+//! per-query compute into the same range.
 //! [`WorkerPool`] keeps a fixed set of threads parked on channels across
 //! calls: repeated queries, sketch passes, and sliding-network re-evaluations
 //! reuse the same threads.

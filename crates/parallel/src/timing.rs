@@ -10,24 +10,14 @@ pub struct SketchReport {
     pub workers: usize,
     /// Number of unordered pairs sketched.
     pub pairs: usize,
-    /// Total CPU time spent computing sketches, summed over workers.
+    /// Time the calling thread spent computing sketches: the per-series
+    /// statistics plus every window-kernel call, whose pooled pair sweep
+    /// counts once (its wall time), not once per worker.
     pub compute_time: Duration,
     /// Time the database worker spent inside pile writes.
     pub write_time: Duration,
     /// End-to-end wall-clock time of the sketch phase.
     pub wall_time: Duration,
-}
-
-impl SketchReport {
-    /// Average per-worker computation time — comparable to the per-phase bars
-    /// of Figure 6a when workers are load-balanced.
-    pub fn compute_time_per_worker(&self) -> Duration {
-        if self.workers == 0 {
-            Duration::ZERO
-        } else {
-            self.compute_time / self.workers as u32
-        }
-    }
 }
 
 /// Breakdown of one parallel query (correlation-matrix construction) run.
@@ -37,8 +27,8 @@ pub struct QueryReport {
     pub workers: usize,
     /// Number of unordered pairs evaluated.
     pub pairs: usize,
-    /// Total time spent fetching statistics and pair tables from the source,
-    /// summed over workers.
+    /// Time spent fetching the statistics and borrowing the pair table from
+    /// the source, before the workers start.
     pub read_time: Duration,
     /// Total time spent combining sketches into correlations, summed over
     /// workers.
@@ -73,15 +63,6 @@ mod tests {
 
     #[test]
     fn per_worker_averages() {
-        let s = SketchReport {
-            workers: 4,
-            pairs: 100,
-            compute_time: Duration::from_secs(8),
-            write_time: Duration::from_secs(1),
-            wall_time: Duration::from_secs(3),
-        };
-        assert_eq!(s.compute_time_per_worker(), Duration::from_secs(2));
-
         let q = QueryReport {
             workers: 2,
             pairs: 100,
@@ -95,10 +76,6 @@ mod tests {
 
     #[test]
     fn zero_workers_do_not_divide_by_zero() {
-        assert_eq!(
-            SketchReport::default().compute_time_per_worker(),
-            Duration::ZERO
-        );
         assert_eq!(
             QueryReport::default().read_time_per_worker(),
             Duration::ZERO

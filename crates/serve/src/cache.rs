@@ -1,13 +1,15 @@
 //! The plan cache: built query plans keyed by (epoch id, window range,
 //! method).
 //!
-//! Building a [`QueryPlan`] / [`ApproxPlan`] costs `O(n·ns)` table work per
-//! query window. Because epochs are immutable and a plan is a pure function
-//! of `(epoch, windows, method)` — the [`PlanKey`] defined in
-//! `tsubasa-core` — repeated query windows against the same epoch can reuse
-//! the built plan (and its pruning bounds) without any correctness risk: a
-//! cached plan is **bit-identical** to a freshly built one, which the
-//! `serve_plan_cache` suite pins.
+//! Building a [`QueryPlan`] costs `O(n·ns)` table work per query window.
+//! Because epochs are immutable and a plan is a pure function of
+//! `(epoch, windows, method)` — the [`PlanKey`] defined in `tsubasa-core` —
+//! repeated query windows against the same epoch can reuse the built plan
+//! (and its pruning bounds) without any correctness risk: a cached plan is
+//! **bit-identical** to a freshly built one, which the `serve_plan_cache`
+//! suite pins. An entry holds the per-series tables only, under either
+//! method: the pair table a query sweeps is lent by the epoch's source at
+//! query time and is never copied into the cache.
 //!
 //! Eviction is LRU over an access-stamped map; hit/miss/eviction counters
 //! are exposed for observability and asserted by the cache tests and the
@@ -22,7 +24,6 @@ use tsubasa_core::error::Result;
 use tsubasa_core::plan::PlanKey;
 use tsubasa_core::sweep::CorrelationBounds;
 use tsubasa_core::QueryPlan;
-use tsubasa_dft::ApproxPlan;
 
 /// A built, shareable plan for one `(epoch, windows, method)` coordinate,
 /// together with its per-tile pruning bounds (also pure functions of the
@@ -36,13 +37,25 @@ pub enum CachedPlan {
         /// Equation 4 per-tile pruning bounds of `plan`.
         bounds: Arc<CorrelationBounds>,
     },
-    /// An approximate Equation 5 plan.
+    /// An approximate Equation 5 plan: the same per-series tables, swept
+    /// over the source's estimate table instead of its correlation table.
     Approx {
-        /// The per-series tables plus the window-major estimate table.
-        plan: Arc<ApproxPlan>,
-        /// Equation 4 per-tile pruning bounds of `plan`'s shared tables.
+        /// The per-series recombination tables.
+        plan: Arc<QueryPlan>,
+        /// Equation 4 per-tile pruning bounds of `plan`.
         bounds: Arc<CorrelationBounds>,
     },
+}
+
+impl CachedPlan {
+    /// The per-series tables and their pruning bounds, whichever the method.
+    pub fn into_parts(self) -> (Arc<QueryPlan>, Arc<CorrelationBounds>) {
+        match self {
+            CachedPlan::Exact { plan, bounds } | CachedPlan::Approx { plan, bounds } => {
+                (plan, bounds)
+            }
+        }
+    }
 }
 
 /// Counter snapshot of a [`PlanCache`].

@@ -36,8 +36,9 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::plan::PlanMethod;
+use tsubasa_core::runner::SerialRunner;
 use tsubasa_core::source::CorrSource;
-use tsubasa_core::stats::{normalize_into, tiled_pair_corrs_into, WindowStats};
+use tsubasa_core::stats::{window_corrs_into, WindowStats};
 use tsubasa_core::{SeriesCollection, SketchSet};
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
 use tsubasa_storage::pile::{PileWriter, SegmentKind, SketchPile};
@@ -304,7 +305,7 @@ enum IngestSketch {
 ///   (Lemma 1) queries.
 /// * [`EpochIngest::dual`] grows a [`DftSketchSet`], whose
 ///   [`push_window`](DftSketchSet::push_window) maintains the exact base
-///   correlations alongside the coefficient distances — so every epoch
+///   correlations alongside the Equation 3 estimates — so every epoch
 ///   carries that one sketch and answers both query methods from it.
 /// * [`EpochIngest::pile`] appends each completed window to an on-disk
 ///   [`SketchPile`] instead of growing an owned sketch; epochs carry a
@@ -441,7 +442,7 @@ fn append_window_to_pile(writer: &mut PileWriter, chunk: &[Vec<f64>]) -> Result<
 /// Mirror in-memory sketches into a pile, window by window: the statistics
 /// row, a `PairCorrs` row per window when an exact sketch is given, and a
 /// `PairEsts` row (Eq. 3 estimates `1 − d²/2`) per window when a DFT
-/// comparator is given. The rows are copied verbatim from the sketches, so a
+/// comparator is given. Every row is copied verbatim from the sketches, so a
 /// pile epoch built this way answers both methods bit-identically to the
 /// sketch-backed epoch it mirrors. Call [`PileWriter::sync`] and snapshot
 /// afterwards as usual.
@@ -486,35 +487,28 @@ pub fn mirror_sketches_to_pile(
             )?;
         }
         if let Some(a) = approx {
-            let ests: Vec<f64> = a
-                .window_dists_view(w..w + 1)
-                .window_row(0)
-                .iter()
-                .map(|&d| 1.0 - d * d / 2.0)
-                .collect();
-            writer.append(SegmentKind::PairEsts, &ests)?;
+            writer.append(
+                SegmentKind::PairEsts,
+                a.window_ests_view(w..w + 1).window_row(0),
+            )?;
         }
     }
     Ok(())
 }
 
 /// Sketch one completed basic window: per-series statistics plus the packed
-/// per-pair correlations, through the same z-normalize-then-`Z·Zᵀ` tiled
-/// kernel as [`SketchSet::build`] — a window grown here is bit-identical to
-/// the same window in a from-scratch sketch.
+/// per-pair correlations, through the shared exact window kernel
+/// ([`window_corrs_into`], what [`SketchSet::build`] calls per window) — a
+/// window grown here is bit-identical to the same window in a from-scratch
+/// sketch.
 fn exact_window_parts(chunk: &[Vec<f64>]) -> (Vec<WindowStats>, Vec<f64>) {
     let n = chunk.len();
-    let b = chunk.first().map(|p| p.len()).unwrap_or(0);
     let stats: Vec<WindowStats> = chunk
         .iter()
         .map(|points| WindowStats::from_values(points))
         .collect();
-    let mut z = vec![0.0f64; n * b];
-    for (i, points) in chunk.iter().enumerate() {
-        normalize_into(points, &stats[i], &mut z[i * b..(i + 1) * b]);
-    }
     let mut corrs = vec![0.0f64; n * n.saturating_sub(1) / 2];
-    tiled_pair_corrs_into(&z, n, b, &mut corrs);
+    window_corrs_into(chunk, &stats, &SerialRunner, &mut Vec::new(), &mut corrs);
     (stats, corrs)
 }
 

@@ -8,9 +8,16 @@
 //!   pruning, strict `c > θ` rule, exhaustive NaN audit;
 //! * exact top-k ≡ [`tsubasa_core::exact::top_k_aligned`] — Equation 4
 //!   tile pruning, total [`f64::total_cmp`] ranking;
-//! * approximate network ≡ [`ApproxPlan::network_streamed`] — Equation 4
-//!   radius predicate with tile pruning;
-//! * approximate top-k ≡ [`ApproxPlan::top_k`].
+//! * approximate network ≡ [`tsubasa_dft::ApproxPlan::network_streamed`] —
+//!   Equation 4 radius predicate with tile pruning;
+//! * approximate top-k ≡ [`tsubasa_dft::ApproxPlan::top_k`].
+//!
+//! Every query is the same four steps whatever the method or the epoch's
+//! backend: one plan lookup (the per-series tables, cached), one table lent by
+//! the epoch's source ([`CorrSource::full_table`] — shared sketch rows or
+//! mapped pile rows, never copied), one fan-out of [`sweep_run`] over
+//! contiguous pair runs, and a merge. The method picks the table, the sink
+//! and whether tiles are pruned; nothing else forks.
 //!
 //! The equivalence rests on the PR 6 invariant (tile and run boundaries
 //! never change any pair's arithmetic) plus ordered merging: runs are
@@ -27,11 +34,10 @@ use tsubasa_core::plan::{even_sizes, CorrView, PlanKey, PlanMethod};
 use tsubasa_core::runner::Job;
 use tsubasa_core::source::CorrSource;
 use tsubasa_core::sweep::{
-    sweep_run, CorrelationBounds, EdgeList, EdgeSink, TopK, TopKSink, DEFAULT_TILE_PAIRS,
+    sweep_run, CorrelationBounds, EdgeList, EdgeSink, TileSink, TopK, TopKSink, DEFAULT_TILE_PAIRS,
 };
 use tsubasa_core::QueryPlan;
 use tsubasa_dft::plan::RadiusEdgeSink;
-use tsubasa_dft::ApproxPlan;
 use tsubasa_parallel::WorkerPool;
 use tsubasa_storage::pile::SketchPile;
 use tsubasa_stream::EpochSketches;
@@ -251,44 +257,26 @@ impl QueryEngine {
                 )))?;
         let windows = resolve_windows(source.window_count(method), last_windows, method)?;
         let n = source.series_count();
-        match method {
-            PlanMethod::Exact => {
-                if n < 2 {
-                    return Ok(EdgeSink::new(theta).finish(n));
-                }
-                let (plan, _bounds) = self.exact_plan(epoch.id(), source.as_ref(), &windows)?;
-                let table = source
-                    .full_table(windows, PlanMethod::Exact)?
-                    .ok_or_else(chunked_source_error)?;
-                // Exact network: no pruning, mirroring the serial streamed
-                // path's exhaustive NaN audit.
-                Ok(self.sweep_exact_network(&plan, table.view(), n, theta))
-            }
-            PlanMethod::Approximate => {
-                if n < 2 {
-                    return Ok(RadiusEdgeSink::new(theta)?.finish(n));
-                }
-                let (plan, bounds) = self.approx_plan(epoch.id(), source.as_ref(), &windows)?;
-                let runs = partition_runs(plan.pair_count(), self.pool.size());
-                let mut sinks = runs
-                    .iter()
-                    .map(|_| RadiusEdgeSink::new(theta))
-                    .collect::<tsubasa_core::error::Result<Vec<_>>>()?;
-                let plan_ref: &ApproxPlan = &plan;
-                let bounds_ref: &CorrelationBounds = &bounds;
-                let jobs: Vec<Job<'_>> = runs
-                    .into_iter()
-                    .zip(sinks.iter_mut())
-                    .map(|(run, sink)| {
-                        Box::new(move || {
-                            plan_ref.sweep_run(Some(bounds_ref), run, DEFAULT_TILE_PAIRS, sink);
-                        }) as Job<'_>
-                    })
-                    .collect();
-                self.pool.run_jobs(jobs);
-                Ok(merge_edges(sinks.into_iter().map(|s| s.finish(n))))
-            }
+        if n < 2 {
+            return Ok(EdgeList::from_parts(n, Vec::new(), 0));
         }
+        let (plan, bounds) = self.plan(epoch.id(), source.as_ref(), &windows, method)?;
+        let table = source.lent_table(windows, method)?;
+        Ok(match method {
+            // Exact network: the strict `c > θ` rule and no pruning,
+            // mirroring the serial streamed path's exhaustive NaN audit.
+            PlanMethod::Exact => {
+                let sinks = self.sweep(&plan, table.view(), None, || EdgeSink::new(theta));
+                merge_edges(sinks.into_iter().map(|sink| sink.finish(n)))
+            }
+            // Approximate network: the Equation 4 radius predicate, with
+            // tile pruning.
+            PlanMethod::Approximate => {
+                let sink = RadiusEdgeSink::new(theta)?;
+                let sinks = self.sweep(&plan, table.view(), Some(&bounds), || sink.clone());
+                merge_edges(sinks.into_iter().map(|sink| sink.finish(n)))
+            }
+        })
     }
 
     /// [`QueryEngine::top_k`] against a specific epoch.
@@ -311,151 +299,67 @@ impl QueryEngine {
         if n < 2 {
             return Ok(TopKSink::new(k).finish());
         }
-        match method {
-            PlanMethod::Exact => {
-                let (plan, bounds) = self.exact_plan(epoch.id(), source.as_ref(), &windows)?;
-                let table = source
-                    .full_table(windows, PlanMethod::Exact)?
-                    .ok_or_else(chunked_source_error)?;
-                Ok(self.sweep_exact_top_k(&plan, table.view(), &bounds, n, k))
-            }
-            PlanMethod::Approximate => {
-                let (plan, bounds) = self.approx_plan(epoch.id(), source.as_ref(), &windows)?;
-                let runs = partition_runs(plan.pair_count(), self.pool.size());
-                let mut sinks: Vec<TopKSink> = runs.iter().map(|_| TopKSink::new(k)).collect();
-                let plan_ref: &ApproxPlan = &plan;
-                let bounds_ref: &CorrelationBounds = &bounds;
-                let jobs: Vec<Job<'_>> = runs
-                    .into_iter()
-                    .zip(sinks.iter_mut())
-                    .map(|(run, sink)| {
-                        Box::new(move || {
-                            plan_ref.sweep_run(Some(bounds_ref), run, DEFAULT_TILE_PAIRS, sink);
-                        }) as Job<'_>
-                    })
-                    .collect();
-                self.pool.run_jobs(jobs);
-                Ok(merge_top_k(k, sinks))
-            }
-        }
+        let (plan, bounds) = self.plan(epoch.id(), source.as_ref(), &windows, method)?;
+        let table = source.lent_table(windows, method)?;
+        // Equation 4 tile pruning holds for exact and approximate
+        // recombination alike.
+        let sinks = self.sweep(&plan, table.view(), Some(&bounds), || TopKSink::new(k));
+        Ok(merge_top_k(sinks))
     }
 
-    /// The exact plan for an epoch's source, built from the source's
-    /// window-statistics rows ([`QueryPlan::from_window_stats`] — numerically
-    /// identical tables whichever backend the stats come from) and cached
-    /// under the `(epoch, windows, method)` key.
-    fn exact_plan(
+    /// The plan for an epoch's source under `method`: the per-series tables
+    /// built from the source's window-statistics rows
+    /// ([`QueryPlan::from_window_stats`] — numerically identical whichever
+    /// backend the statistics come from, and the same tables for Lemma 1 and
+    /// Equation 5) plus their pruning bounds, cached under the
+    /// `(epoch, windows, method)` key.
+    fn plan(
         &self,
         epoch_id: u64,
         source: &dyn CorrSource,
         windows: &Range<usize>,
+        method: PlanMethod,
     ) -> Result<(Arc<QueryPlan>, Arc<CorrelationBounds>), QueryError> {
-        let key = PlanKey::new(epoch_id, windows.clone(), PlanMethod::Exact);
+        let key = PlanKey::new(epoch_id, windows.clone(), method);
         let cached = self.cache.get_or_build(key, || {
             let stats = source.series_stats(windows.clone())?;
-            let plan = QueryPlan::from_window_stats(&stats)?;
-            let bounds = CorrelationBounds::from_plan(&plan);
-            Ok(CachedPlan::Exact {
-                plan: Arc::new(plan),
-                bounds: Arc::new(bounds),
+            let plan = Arc::new(QueryPlan::from_window_stats(&stats)?);
+            let bounds = Arc::new(CorrelationBounds::from_plan(&plan));
+            Ok(match method {
+                PlanMethod::Exact => CachedPlan::Exact { plan, bounds },
+                PlanMethod::Approximate => CachedPlan::Approx { plan, bounds },
             })
         })?;
-        match cached {
-            CachedPlan::Exact { plan, bounds } => Ok((plan, bounds)),
-            // Impossible: the key encodes the method.
-            CachedPlan::Approx { .. } => Err(QueryError::Rejected(Error::Storage(
-                "plan cache returned a mismatched method".to_string(),
-            ))),
-        }
+        Ok(cached.into_parts())
     }
 
-    /// The approximate plan for an epoch's source
-    /// ([`ApproxPlan::from_source`] — Eq. 3 estimates served through the
-    /// [`tsubasa_core::source::EstSource`] hook, so a pile's stored
-    /// `PairEsts` rows build the same plan as an in-memory comparator),
-    /// cached under the `(epoch, windows, method)` key.
-    fn approx_plan(
-        &self,
-        epoch_id: u64,
-        source: &dyn CorrSource,
-        windows: &Range<usize>,
-    ) -> Result<(Arc<ApproxPlan>, Arc<CorrelationBounds>), QueryError> {
-        let key = PlanKey::new(epoch_id, windows.clone(), PlanMethod::Approximate);
-        let cached = self.cache.get_or_build(key, || {
-            let plan = ApproxPlan::from_source(source, windows.clone())?;
-            let bounds = plan.tile_bounds();
-            Ok(CachedPlan::Approx {
-                plan: Arc::new(plan),
-                bounds: Arc::new(bounds),
-            })
-        })?;
-        match cached {
-            CachedPlan::Approx { plan, bounds } => Ok((plan, bounds)),
-            CachedPlan::Exact { .. } => Err(QueryError::Rejected(Error::Storage(
-                "plan cache returned a mismatched method".to_string(),
-            ))),
-        }
-    }
-
-    /// Fan an exact thresholded-network sweep over the worker pool. The view
-    /// may borrow an in-memory sketch table or a mapped pile segment — the
-    /// sweep is identical either way.
-    fn sweep_exact_network(
+    /// Fan one streamed sweep over the worker pool: one contiguous ascending
+    /// run of the packed triangle per worker, each into its own sink from
+    /// `make_sink`. The view may borrow an in-memory sketch table or a mapped
+    /// pile's rows — the sweep is identical either way. Returns the sinks in
+    /// run order.
+    fn sweep<K: TileSink + Send>(
         &self,
         plan: &QueryPlan,
         view: CorrView<'_>,
-        n: usize,
-        theta: f64,
-    ) -> EdgeList {
-        let runs = partition_runs(n * (n - 1) / 2, self.pool.size());
-        let mut sinks: Vec<EdgeSink> = runs.iter().map(|_| EdgeSink::new(theta)).collect();
-        let jobs: Vec<Job<'_>> = runs
-            .into_iter()
-            .zip(sinks.iter_mut())
-            .map(|(run, sink)| {
-                // Exact network: no pruning, mirroring the serial streamed
-                // path's exhaustive NaN audit.
-                Box::new(move || {
-                    sweep_run(plan, &view, None, run, DEFAULT_TILE_PAIRS, sink);
-                }) as Job<'_>
-            })
-            .collect();
-        self.pool.run_jobs(jobs);
-        merge_edges(sinks.into_iter().map(|s| s.finish(n)))
-    }
-
-    /// Fan an exact top-k sweep (Equation 4 tile pruning) over the pool.
-    fn sweep_exact_top_k(
-        &self,
-        plan: &QueryPlan,
-        view: CorrView<'_>,
-        bounds: &CorrelationBounds,
-        n: usize,
-        k: usize,
-    ) -> TopK {
-        let runs = partition_runs(n * (n - 1) / 2, self.pool.size());
-        let mut sinks: Vec<TopKSink> = runs.iter().map(|_| TopKSink::new(k)).collect();
+        bounds: Option<&CorrelationBounds>,
+        make_sink: impl Fn() -> K,
+    ) -> Vec<K> {
+        let n = plan.series_count();
+        let runs = partition_runs(n * n.saturating_sub(1) / 2, self.pool.size());
+        let mut sinks: Vec<K> = runs.iter().map(|_| make_sink()).collect();
         let jobs: Vec<Job<'_>> = runs
             .into_iter()
             .zip(sinks.iter_mut())
             .map(|(run, sink)| {
                 Box::new(move || {
-                    sweep_run(plan, &view, Some(bounds), run, DEFAULT_TILE_PAIRS, sink);
+                    sweep_run(plan, &view, bounds, run, DEFAULT_TILE_PAIRS, sink);
                 }) as Job<'_>
             })
             .collect();
         self.pool.run_jobs(jobs);
-        merge_top_k(k, sinks)
+        sinks
     }
-}
-
-/// Epoch sources (in-memory sketches, mapped piles) always serve full pair
-/// tables; hitting a chunked-only source here means a backend was published
-/// that the serving path does not support.
-fn chunked_source_error() -> QueryError {
-    QueryError::Rejected(Error::Storage(
-        "epoch source serves no full pair table".to_string(),
-    ))
 }
 
 /// Merge per-run edge lists in run order. Runs are contiguous ascending pair
@@ -472,7 +376,7 @@ fn merge_edges(parts: impl Iterator<Item = EdgeList>) -> EdgeList {
 
 /// Merge per-run top-k heaps, then rank. The merged heap holds the k best
 /// of the union, identical to the serial single-sink heap.
-fn merge_top_k(_k: usize, sinks: Vec<TopKSink>) -> TopK {
+fn merge_top_k(sinks: Vec<TopKSink>) -> TopK {
     let mut sinks = sinks.into_iter();
     let mut merged = sinks.next().expect("at least one run");
     for sink in sinks {
@@ -487,6 +391,7 @@ mod tests {
     use tsubasa_core::exact;
     use tsubasa_core::SeriesCollection;
     use tsubasa_dft::sketch::{DftSketchSet, Transform};
+    use tsubasa_dft::ApproxPlan;
 
     fn engine(workers: usize) -> (QueryEngine, DftSketchSet) {
         let c = SeriesCollection::from_rows(

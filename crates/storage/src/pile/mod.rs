@@ -31,8 +31,9 @@
 //!   per-window Pearson correlations in packed pair order — exactly what
 //!   `QueryPlan::block_kernel` reads;
 //! * **pair estimates** (kind 3): same shape, holding the Equation 3
-//!   estimates `ĉ = 1 − d²/2` of stored DFT distances, precomputed at write
-//!   time so approximate queries go through the same zero-copy kernel path.
+//!   estimates `ĉ = 1 − d²/2` of DFT coefficient distances — the very rows an
+//!   in-memory comparator sketch stores, so approximate queries go through
+//!   the same zero-copy kernel path.
 //!
 //! Alignment: the file header and every segment header are 64 bytes and a
 //! payload is whole `f64`s, so every payload starts at a multiple of 8 from
@@ -64,11 +65,11 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Sender};
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::plan::PlanMethod;
 use tsubasa_core::source::{CorrSource, PairTable};
@@ -783,9 +784,8 @@ impl SketchPile {
 
 /// The mapped pile as a [`CorrSource`]: per-method capability comes from
 /// segment coverage (an estimates-only pile reports zero exact windows and
-/// vice versa), and full tables are the pile's own zero-copy
-/// [`SketchPile::pair_table`]. No chunked override — the mapping makes the
-/// full table as cheap as any chunk.
+/// vice versa), and the lent tables are the pile's own zero-copy
+/// [`SketchPile::pair_table`]: rows of the mapping, at any size.
 impl CorrSource for SketchPile {
     fn series_count(&self) -> usize {
         self.n_series()
@@ -796,10 +796,6 @@ impl CorrSource for SketchPile {
             PlanMethod::Exact => self.exact_query_windows(),
             PlanMethod::Approximate => self.approx_query_windows(),
         }
-    }
-
-    fn zero_copy(&self) -> bool {
-        true
     }
 
     fn series_stats(&self, windows: Range<usize>) -> Result<Vec<Vec<WindowStats>>> {
@@ -915,7 +911,7 @@ pub struct PileWriterStats {
 /// must be sent in window order per kind (single producer or externally
 /// ordered); the channel preserves that order.
 pub struct PileBatchWriter {
-    sender: Option<Sender<PileSlab>>,
+    sender: Option<SyncSender<PileSlab>>,
     handle: Option<JoinHandle<Result<(PileWriterStats, PileWriter)>>>,
 }
 
@@ -940,7 +936,7 @@ impl PileBatchWriter {
         coalesce_values: usize,
         durability: SyncPolicy,
     ) -> Self {
-        let (tx, rx) = bounded::<PileSlab>(queue_depth.max(1));
+        let (tx, rx) = sync_channel::<PileSlab>(queue_depth.max(1));
         let coalesce = coalesce_values.max(1);
         let handle = std::thread::spawn(move || -> Result<(PileWriterStats, PileWriter)> {
             let mut stats = PileWriterStats::default();
@@ -992,7 +988,7 @@ impl PileBatchWriter {
     }
 
     /// A cloneable sender for submitting slabs.
-    pub fn sender(&self) -> Sender<PileSlab> {
+    pub fn sender(&self) -> SyncSender<PileSlab> {
         self.sender
             .as_ref()
             .expect("pile writer already finished")

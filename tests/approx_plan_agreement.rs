@@ -3,12 +3,12 @@
 //!
 //! Three 256-case property suites:
 //!
-//! * the tiled coefficient-distance sweep of `DftSketchSet::build`
-//!   (coefficient-major structure-of-arrays rows +
-//!   `tiled_pair_dist_sq_into`) agrees with the scalar per-pair
+//! * the comparator window kernel of `DftSketchSet::build`
+//!   (coefficient-major structure-of-arrays rows, `tiled_pair_dist_sq_in`,
+//!   then the Equation 3 epilogue) agrees with the scalar per-pair
 //!   `coefficient_distance` path (`DftSketchSet::build_reference`) within
-//!   `1e-10` absolute on every pair-window distance — the same tolerance
-//!   contract as `tests/tiled_kernel_agreement.rs`;
+//!   `1e-10` absolute on every stored pair-window estimate `1 − d²/2` — the
+//!   same tolerance contract as `tests/tiled_kernel_agreement.rs`;
 //! * the batched `ApproxPlan` Equation 5 sweep (and the StatStream-average
 //!   sweep) agree with the scalar per-pair reference recombination within
 //!   `1e-10` absolute on every correlation;
@@ -52,10 +52,10 @@ fn collection(seed: u64, n: usize, len: usize) -> SeriesCollection {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Tiled sketch distances vs the scalar per-pair reference: every
-    /// pair-window coefficient distance within 1e-10 (in practice the two
-    /// agree at the last-ulp level — the difference-square sweep has no
-    /// cancelling terms), identical base statistics.
+    /// Tiled sketch rows vs the scalar per-pair reference: every stored
+    /// pair-window estimate of the coefficient distance within 1e-10 (in
+    /// practice the two agree at the last-ulp level — the difference-square
+    /// sweep has no cancelling terms), identical base statistics.
     #[test]
     fn prop_tiled_distances_agree_with_scalar(
         seed in 0u64..10_000,
@@ -71,8 +71,8 @@ proptest! {
         prop_assert_eq!(tiled.coefficients(), reference.coefficients());
         prop_assert_eq!(tiled.base(), reference.base());
         for (i, j) in c.pairs() {
-            let dt = tiled.pair_distances(i, j).unwrap();
-            let dr = reference.pair_distances(i, j).unwrap();
+            let dt = tiled.pair_estimates(i, j).unwrap();
+            let dr = reference.pair_estimates(i, j).unwrap();
             for (w, (a, b)) in dt.iter().zip(dr).enumerate() {
                 prop_assert!(
                     (a - b).abs() <= 1e-10,
@@ -101,7 +101,7 @@ proptest! {
         let windows = start..ns;
 
         let plan = ApproxPlan::build(&sk, windows.clone()).unwrap();
-        let m = plan.correlation_matrix();
+        let m = plan.correlation_matrix().unwrap();
         for (i, j) in c.pairs() {
             let reference = approximate_pair_correlation(
                 &sk, windows.clone(), i, j, ApproxStrategy::Equation5,

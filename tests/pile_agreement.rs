@@ -1,28 +1,27 @@
 //! Pile agreement grid.
 //!
 //! What `sketch_to_pile` writes and what the mapped pile answers, pinned
-//! against the in-memory references:
+//! against the in-memory sketch of the same data:
 //!
+//! * the rows themselves — statistics, `PairCorrs` and `PairEsts` — equal the
+//!   rows of `SketchSet::build` / `DftSketchSet::build(.., Transform::Fft)`
+//!   **bit for bit**, at 1, 2 and 8 workers, with and without a NaN
+//!   observation: one window kernel per method mints every row, and a pooled
+//!   sweep splits only on whole triangle rows;
 //! * every pile answer — both sketch methods × matrix/network/top-k × 1/2/8
 //!   workers × three window ranges, 108 cases — is **bit-identical** to the
-//!   same query on an in-memory `SketchSet` rehydrated from the pile's own
-//!   rows (`SketchSet::from_parts`): mapping, segment boundaries and worker
-//!   count must not change a single output bit, NaN audit included — and
-//!   every table the pile serves, within a segment or across several, is
-//!   zero-copy;
-//! * the rows themselves are within `1e-10` of `SketchSet::build` /
-//!   `DftSketchSet::build` (the engine's sketch kernel and the in-memory one
-//!   sum in different orders, so this is a tolerance, not bit equality);
+//!   same query on that in-memory `DftSketchSet`: mapping, segment boundaries
+//!   and worker count must not change a single output bit, NaN audit
+//!   included — and every table the pile serves, within a segment or across
+//!   several, is zero-copy;
 //! * NaN **table values** are counted identically by the exhaustive exact
 //!   audit on both backends;
 //! * a pile that lacks a method's table rejects that method with a typed
 //!   `Error::SketchMismatch`.
 
-use std::ops::Range;
 use std::path::PathBuf;
 
 use tsubasa::core::prelude::*;
-use tsubasa::core::source::check_source_windows;
 use tsubasa::parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
 use tsubasa::storage::{PileWriter, SegmentKind, SketchPile};
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
@@ -77,77 +76,6 @@ fn sketch(eng: &ParallelEngine, c: &SeriesCollection, b: usize, tag: &str) -> Sk
     pile
 }
 
-/// The in-memory reference: a `SketchSet` holding exactly the pile's rows of
-/// one pair kind, answering the method that kind serves. (Lemma 1 and
-/// Equation 5 share one kernel and differ only in the table they read, so
-/// estimate rows rehydrate into the same structure as correlation rows.)
-struct Rehydrated {
-    sketch: SketchSet,
-    method: PlanMethod,
-}
-
-impl Rehydrated {
-    fn from_pile(pile: &SketchPile, method: PlanMethod) -> Self {
-        let kind = match method {
-            PlanMethod::Exact => SegmentKind::PairCorrs,
-            PlanMethod::Approximate => SegmentKind::PairEsts,
-        };
-        let n = pile.n_series();
-        let ns = pile.windows(kind);
-        let table = pile.pair_table(0..ns, kind).unwrap();
-        let view = table.view();
-        let series = pile
-            .series_stats(0..ns)
-            .unwrap()
-            .into_iter()
-            .enumerate()
-            .map(|(series, windows)| SeriesSketch { series, windows })
-            .collect();
-        let pairs = (0..n)
-            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
-            .enumerate()
-            .map(|(p, (a, b))| PairSketch {
-                a,
-                b,
-                corrs: (0..ns).map(|k| view.window_row(k)[p]).collect(),
-            })
-            .collect();
-        Self {
-            sketch: SketchSet::from_parts(pile.basic_window(), n, series, pairs).unwrap(),
-            method,
-        }
-    }
-}
-
-impl CorrSource for Rehydrated {
-    fn series_count(&self) -> usize {
-        self.sketch.series_count()
-    }
-
-    fn window_count(&self, method: PlanMethod) -> usize {
-        if method == self.method {
-            self.sketch.window_count()
-        } else {
-            0
-        }
-    }
-
-    fn series_stats(&self, windows: Range<usize>) -> Result<Vec<Vec<WindowStats>>> {
-        CorrSource::series_stats(&self.sketch, windows)
-    }
-
-    fn full_table(
-        &self,
-        windows: Range<usize>,
-        method: PlanMethod,
-    ) -> Result<Option<PairTable<'_>>> {
-        check_source_windows(self, &windows, method)?;
-        Ok(Some(PairTable::Borrowed(
-            self.sketch.window_corrs_view(windows),
-        )))
-    }
-}
-
 const METHODS: [(SketchMethod, QueryMethod, PlanMethod); 2] = [
     (SketchMethod::Exact, QueryMethod::Exact, PlanMethod::Exact),
     (
@@ -163,11 +91,13 @@ fn pile_answers_match_a_memory_sketch_of_its_rows_across_the_grid() {
     for n in [3usize, 6, 10] {
         for b in [20usize, 50] {
             let c = collection(n, b, true);
+            // The in-memory reference answers both methods: its base holds
+            // the `PairCorrs` rows, its estimate table the `PairEsts` rows.
+            let memory = DftSketchSet::build(&c, b, 8, Transform::Fft).unwrap();
             for (method, qmethod, pmethod) in METHODS {
                 for workers in [1usize, 2, 8] {
                     let eng = engine(workers, method);
                     let pile = sketch(&eng, &c, b, &format!("{n}-{b}-{workers}-{qmethod:?}"));
-                    let memory = Rehydrated::from_pile(&pile, pmethod);
                     let kind = match pmethod {
                         PlanMethod::Exact => SegmentKind::PairCorrs,
                         PlanMethod::Approximate => SegmentKind::PairEsts,
@@ -211,51 +141,36 @@ fn pile_answers_match_a_memory_sketch_of_its_rows_across_the_grid() {
 }
 
 #[test]
-fn pile_rows_are_within_tolerance_of_the_in_memory_sketch_kernels() {
-    for n in [3usize, 6, 10] {
-        for b in [20usize, 50] {
-            let c = collection(n, b, false);
-            let pairs = n * (n - 1) / 2;
-
-            let exact = sketch(
-                &engine(2, SketchMethod::Exact),
-                &c,
-                b,
-                &format!("rows-{n}-{b}"),
-            );
-            let reference = SketchSet::build(&c, b).unwrap();
-            assert_eq!(
-                exact.series_stats(0..WINDOWS).unwrap(),
-                CorrSource::series_stats(&reference, 0..WINDOWS).unwrap()
-            );
-            let table = exact
-                .pair_table(0..WINDOWS, SegmentKind::PairCorrs)
-                .unwrap();
-            let want = reference.window_corrs_view(0..WINDOWS);
-            for w in 0..WINDOWS {
-                for p in 0..pairs {
-                    let (got, want) = (table.view().window_row(w)[p], want.window_row(w)[p]);
-                    assert!((got - want).abs() <= 1e-10, "corr n={n} b={b} w={w} p={p}");
-                }
-            }
-
-            let dft = sketch(
-                &engine(2, SketchMethod::Dft { coefficients: 8 }),
-                &c,
-                b,
-                &format!("rows-dft-{n}-{b}"),
-            );
+fn pile_rows_equal_the_in_memory_sketch_rows_bit_for_bit() {
+    let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for nan in [false, true] {
+        for (n, b) in [(3usize, 20usize), (6, 50), (10, 20), (10, 50)] {
+            let c = collection(n, b, nan);
             let reference = DftSketchSet::build(&c, b, 8, Transform::Fft).unwrap();
-            let table = dft.pair_table(0..WINDOWS, SegmentKind::PairEsts).unwrap();
-            let want = reference.window_dists_view(0..WINDOWS);
-            for w in 0..WINDOWS {
-                for p in 0..pairs {
-                    let d = want.window_row(w)[p];
-                    let got = table.view().window_row(w)[p];
-                    assert!(
-                        (got - (1.0 - d * d / 2.0)).abs() <= 1e-10,
-                        "est n={n} b={b} w={w} p={p}"
-                    );
+            let want_stats = CorrSource::series_stats(&reference, 0..WINDOWS).unwrap();
+            for (method, _, pmethod) in METHODS {
+                let kind = match pmethod {
+                    PlanMethod::Exact => SegmentKind::PairCorrs,
+                    PlanMethod::Approximate => SegmentKind::PairEsts,
+                };
+                let want = reference.lent_table(0..WINDOWS, pmethod).unwrap();
+                for workers in [1usize, 2, 8] {
+                    let tag = format!("nan={nan} n={n} b={b} {kind:?} workers={workers}");
+                    let pile = sketch(&engine(workers, method), &c, b, &format!("rows-{tag}"));
+                    let stats = pile.series_stats(0..WINDOWS).unwrap();
+                    for (got, want) in stats.iter().flatten().zip(want_stats.iter().flatten()) {
+                        assert_eq!(got.len, want.len, "{tag}");
+                        assert_eq!(got.mean.to_bits(), want.mean.to_bits(), "{tag}");
+                        assert_eq!(got.std.to_bits(), want.std.to_bits(), "{tag}");
+                    }
+                    let table = pile.pair_table(0..WINDOWS, kind).unwrap();
+                    for w in 0..WINDOWS {
+                        assert_eq!(
+                            bits(table.view().window_row(w)),
+                            bits(want.view().window_row(w)),
+                            "{tag} window {w}"
+                        );
+                    }
                 }
             }
         }
@@ -265,7 +180,7 @@ fn pile_rows_are_within_tolerance_of_the_in_memory_sketch_kernels() {
 /// NaN **table values** must be observed identically on both backends: the
 /// pile's rows are copied into a second pile with one NaN correlation
 /// planted, and the exact network's exhaustive audit must count it on the
-/// pile and on the sketch rehydrated from it.
+/// pile and on an in-memory sketch carrying the same planted value.
 #[test]
 fn planted_nan_rows_audit_identically_on_pile_and_memory() {
     let n = 6;
@@ -277,6 +192,7 @@ fn planted_nan_rows_audit_identically_on_pile_and_memory() {
     // Copy row by row, planting a NaN correlation in pair (0, 1), window 1.
     let path = temp_path("nan-plant");
     let mut writer = PileWriter::create(&path, n, b).unwrap();
+    let mut planted = Vec::new();
     for w in 0..WINDOWS {
         let stats_row: Vec<f64> = clean
             .series_stats(w..w + 1)
@@ -291,10 +207,16 @@ fn planted_nan_rows_audit_identically_on_pile_and_memory() {
             corr_row[0] = f64::NAN;
         }
         writer.append(SegmentKind::PairCorrs, &corr_row).unwrap();
+        planted.extend(corr_row);
     }
     let pile = writer.into_pile().unwrap();
     std::fs::remove_file(&path).ok();
-    let memory = Rehydrated::from_pile(&pile, PlanMethod::Exact);
+    let series = SketchSet::build(&c, b)
+        .unwrap()
+        .series_sketches()
+        .cloned()
+        .collect();
+    let memory = SketchSet::from_window_major(b, n, series, planted).unwrap();
     // One segment per appended row, so every range below spans segments and
     // is still served straight from the mapping.
     assert_eq!(pile.segment_count(), 2 * WINDOWS);

@@ -1,24 +1,23 @@
 //! Cross-backend [`CorrSource`] agreement grid.
 //!
-//! The tentpole invariant of the unified query pipeline: every backend —
-//! in-memory sketches, the same sketches served chunk by chunk only, the
-//! mapped pile, and the pile with mmap disabled (`TSUBASA_PILE_NO_MMAP=1`) —
-//! answers matrix, network, and top-k queries **bit-identically** under both
-//! query methods, at any worker count. The engine's `query`/`network`/`top_k`
-//! are written once against the trait, so this grid is the proof that the
-//! per-backend adapters (and both sweep arms: full-width table and chunked
-//! reads) feed the kernel the same window-major values: 144 cases of
-//! `{memory, chunked, pile, pile-no-mmap} × {exact, approximate} ×
+//! The tentpole invariant of the unified query pipeline: every backend — an
+//! in-memory sketch built in one block, the same sketch grown window by
+//! window (separately allocated shared rows), the mapped pile, and the pile
+//! with mmap disabled (`TSUBASA_PILE_NO_MMAP=1`) — answers matrix, network,
+//! and top-k queries **bit-identically** under both query methods, at any
+//! worker count. The engine's `query`/`network`/`top_k` are written once
+//! against the trait, so this grid is the proof that every backend lends the
+//! kernel the same window-major values, however its rows are laid out: 144
+//! cases of `{built, grown, pile, pile-no-mmap} × {exact, approximate} ×
 //! {matrix, network(θ), top_k} × {1, 2, 8 workers}` over two window ranges.
 
 use std::ops::Range;
 use std::path::PathBuf;
 
-use tsubasa::core::plan::TransposedCorrs;
 use tsubasa::core::prelude::*;
 use tsubasa::parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
 use tsubasa::serve::mirror_sketches_to_pile;
-use tsubasa::storage::{PileWriter, SegmentKind, SketchPile};
+use tsubasa::storage::{PileWriter, SketchPile};
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
 
 const WINDOWS: usize = 4;
@@ -63,38 +62,6 @@ fn engine(workers: usize) -> ParallelEngine {
     })
 }
 
-/// A source that declines the full-width table, so the engine sweeps it
-/// through the chunked arm (`chunk_table` per batch of pairs) — the arm a
-/// `DftSketchSet` takes by itself only past the dense budget.
-struct ChunkedOnly<S: CorrSource>(S);
-
-impl<S: CorrSource> CorrSource for ChunkedOnly<S> {
-    fn series_count(&self) -> usize {
-        self.0.series_count()
-    }
-
-    fn window_count(&self, method: PlanMethod) -> usize {
-        self.0.window_count(method)
-    }
-
-    fn series_stats(&self, windows: Range<usize>) -> Result<Vec<Vec<WindowStats>>> {
-        self.0.series_stats(windows)
-    }
-
-    fn full_table(&self, _: Range<usize>, _: PlanMethod) -> Result<Option<PairTable<'_>>> {
-        Ok(None)
-    }
-
-    fn chunk_table(
-        &self,
-        chunk: &[(usize, usize)],
-        windows: Range<usize>,
-        method: PlanMethod,
-    ) -> Result<TransposedCorrs> {
-        self.0.chunk_table(chunk, windows, method)
-    }
-}
-
 /// Run all three query kinds on `source` and compare each against the
 /// single-worker in-memory reference. Returns the number of cases covered.
 fn assert_source_matches<S: CorrSource + ?Sized>(
@@ -129,11 +96,11 @@ fn assert_source_matches<S: CorrSource + ?Sized>(
     3
 }
 
-/// `ParallelConfig::audit_pruned_chunks` must behave identically on both
-/// sweep arms: a NaN planted in an Equation-4-prunable chunk is silently
-/// skipped with the default config and counted when the audit is on, with
-/// the **same** counts from the pile (full-width table) and from the same
-/// pile served chunk by chunk — the policy lives in the one shared audit
+/// `ParallelConfig::audit_pruned_chunks` must behave identically on every
+/// backend: a NaN planted in an Equation-4-prunable chunk is silently skipped
+/// with the default config and counted when the audit is on, with the
+/// **same** counts from the pile and from an in-memory comparator carrying
+/// the same planted estimate — the policy lives in the one shared audit
 /// hook, not per backend.
 #[test]
 fn pruned_chunk_nan_audit_is_identical_on_chunked_and_pile() {
@@ -161,37 +128,18 @@ fn pruned_chunk_nan_audit_is_identical_on_chunked_and_pile() {
     let c = SeriesCollection::from_rows(rows).unwrap();
     let dft = DftSketchSet::build(&c, b, 8, Transform::Naive).unwrap();
 
-    // Pile with a NaN estimate planted for the last pair, (n-2, n-1), in
-    // window 2.
+    // A NaN estimate planted for the last pair, (n-2, n-1), in window 2: in
+    // an in-memory comparator, and in the pile that mirrors it.
+    let pairs = n * (n - 1) / 2;
+    let mut ests: Vec<f64> = (0..WINDOWS)
+        .flat_map(|w| dft.window_ests_view(w..w + 1).window_row(0).to_vec())
+        .collect();
+    ests[3 * pairs - 1] = f64::NAN;
+    let memory = DftSketchSet::from_parts(dft.base().clone(), 8, ests).unwrap();
     let path = temp_path("pruned-nan");
     let mut writer = PileWriter::create(&path, n, b).unwrap();
-    let base = dft.base();
-    for w in 0..WINDOWS {
-        let mut stats_row = Vec::with_capacity(n * 3);
-        for i in 0..n {
-            let st = base.series_sketch(i).unwrap().window(w);
-            stats_row.extend_from_slice(&[st.len as f64, st.mean, st.std]);
-        }
-        writer.append(SegmentKind::SeriesStats, &stats_row).unwrap();
-        writer
-            .append(
-                SegmentKind::PairCorrs,
-                base.window_corrs_view(w..w + 1).window_row(0),
-            )
-            .unwrap();
-        let mut ests: Vec<f64> = dft
-            .window_dists_view(w..w + 1)
-            .window_row(0)
-            .iter()
-            .map(|d| 1.0 - d * d / 2.0)
-            .collect();
-        if w == 2 {
-            *ests.last_mut().unwrap() = f64::NAN;
-        }
-        writer.append(SegmentKind::PairEsts, &ests).unwrap();
-    }
+    mirror_sketches_to_pile(&mut writer, Some(memory.base()), Some(&memory)).unwrap();
     let pile = writer.into_pile().unwrap();
-    let chunked = ChunkedOnly(SketchPile::open(&path).unwrap());
 
     let theta = 0.9;
     let mut counts = Vec::new();
@@ -202,19 +150,19 @@ fn pruned_chunk_nan_audit_is_identical_on_chunked_and_pile() {
             sketch_method: SketchMethod::Dft { coefficients: 8 },
             audit_pruned_chunks: audit,
         });
-        let (e_chunked, _) = eng
-            .network(&chunked, 0..WINDOWS, QueryMethod::Approximate, theta)
+        let (e_memory, _) = eng
+            .network(&memory, 0..WINDOWS, QueryMethod::Approximate, theta)
             .unwrap();
         let (e_pile, _) = eng
             .network(&pile, 0..WINDOWS, QueryMethod::Approximate, theta)
             .unwrap();
         assert_eq!(
-            e_chunked.nan_pair_count(),
+            e_memory.nan_pair_count(),
             e_pile.nan_pair_count(),
-            "audit={audit}: chunked and pile must count identically"
+            "audit={audit}: memory and pile must count identically"
         );
-        assert_eq!(e_chunked.edges(), e_pile.edges(), "audit={audit}");
-        counts.push(e_chunked.nan_pair_count());
+        assert_eq!(e_memory.edges(), e_pile.edges(), "audit={audit}");
+        counts.push(e_memory.nan_pair_count());
     }
     // The planted chunk really was pruned: silent mode misses exactly the
     // planted pair, the audit observes it — and only the accounting differs.
@@ -230,10 +178,22 @@ fn all_backends_agree_bit_for_bit_across_the_grid() {
     let c = collection(n, b);
 
     // One in-memory dual sketch is the root of every backend, so the grid
-    // isolates the *serving* path: the chunked adapter and the pile carry
-    // the exact same window values the sketch does.
+    // isolates the *serving* path: the grown sketch and the pile carry the
+    // exact same window values the built sketch does.
     let dft = DftSketchSet::build(&c, b, 8, Transform::Naive).unwrap();
-    let chunked = ChunkedOnly(dft.clone());
+
+    // The same sketch grown from a 2-window prefix: its later rows are
+    // separately allocated, and the one kernel per method makes them the
+    // built sketch's rows bit for bit.
+    let prefix = c.truncate_length(2 * b).unwrap();
+    let mut grown = DftSketchSet::build(&prefix, b, 8, Transform::Naive).unwrap();
+    for w in 2..WINDOWS {
+        let chunk: Vec<Vec<f64>> = c
+            .iter()
+            .map(|s| s.values()[w * b..(w + 1) * b].to_vec())
+            .collect();
+        grown.push_window(&chunk, Transform::Naive).unwrap();
+    }
 
     // Mapped pile with correlation and estimate rows mirrored per window.
     let path = temp_path("grid");
@@ -280,15 +240,15 @@ fn all_backends_agree_bit_for_bit_across_the_grid() {
                     windows.clone(),
                     qm,
                     &reference,
-                    &tag("memory"),
+                    &tag("built"),
                 );
                 cases += assert_source_matches(
                     &eng,
-                    &chunked,
+                    &grown,
                     windows.clone(),
                     qm,
                     &reference,
-                    &tag("chunked"),
+                    &tag("grown"),
                 );
                 cases += assert_source_matches(
                     &eng,

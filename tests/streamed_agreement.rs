@@ -157,7 +157,7 @@ proptest! {
         let sketch = DftSketchSet::build(&c, basic, coeff, Transform::Naive).unwrap();
         let windows = 0..sketch.window_count();
         let plan = ApproxPlan::build(&sketch, windows).unwrap();
-        let all = sorted_pairs(&plan.correlation_matrix());
+        let all = sorted_pairs(&plan.correlation_matrix().unwrap());
         let top = plan.top_k(k);
         prop_assert_eq!(top.edges.len(), k.min(all.len()));
         for (got, want) in top.edges.iter().zip(&all) {
