@@ -13,7 +13,22 @@
 //!
 //! without touching any other data. [`lemma2_update`] is the pure formula;
 //! [`SlidingPair`] maintains one pair and [`SlidingNetwork`] maintains the
-//! complete correlation matrix / climate network.
+//! complete correlation matrix / climate network, whose tick
+//! ([`SlidingState::slide_in`]) evaluates the formula's per-series half once
+//! per series and sweeps only its per-pair half over the pairs.
+//!
+//! # Precondition of the 1e-10 contract: stream anomalies, not raw values
+//!
+//! Lemma 2 rewrites every correlation from its own previous value, so
+//! rounding error accumulates over ticks, and it enters through the
+//! query-window variance `sum_sq/T − mean²`, which cancels (mean/σ)² of its
+//! leading digits. Measured over 10⁵ ticks against from-scratch recomputation
+//! (`tests/sliding_drift.rs`, both engines): on zero-mean anomaly-like series
+//! the worst error is 1.6e-13, growing about as √ticks — inside the 1e-10
+//! contract for any realistic run; on the same series offset by 300 (raw
+//! Kelvin) it is 9.6e-12 after 10 ticks and 4.1e-9 after 10⁵ — outside it
+//! within a thousand ticks. Remove the climatology, or at least the mean,
+//! before streaming.
 //!
 //! One deliberate deviation from the paper's notation: the mean-shift term
 //! `α` is divided by the *new* total length `T' = T − B_1 + B_{ns+1}` rather
@@ -30,7 +45,7 @@ use crate::exact::{self, WindowContribution};
 use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
 use crate::plan::{carve_for_workers, row_segments, QueryPlan};
 use crate::runner::{Job, JobRunner, SerialRunner};
-use crate::sketch::{pair_index, SeriesSketch, SketchSet};
+use crate::sketch::{packed_pairs, pair_index, SeriesSketch, SketchSet};
 use crate::stats::{clamp_corr, window_corrs_into, WindowStats};
 use crate::timeseries::SeriesCollection;
 
@@ -134,6 +149,11 @@ impl SlidingSeriesState {
 
 /// The pure Lemma 2 update: correlation of the slid window from the previous
 /// correlation plus the evicted and arriving basic-window statistics.
+///
+/// This is the scalar form — what [`SlidingPair`] calls — and the oracle of
+/// the all-pair tick: [`SlidingState::slide_in`] hoists every term below that
+/// depends on one series only out of its pair sweep, and a unit test pins the
+/// swept results to this function bit for bit.
 ///
 /// * `total_len` — `T`, the raw length of the previous query window.
 /// * `mean_x`, `mean_y`, `std_x`, `std_y` — statistics of the previous query
@@ -288,74 +308,171 @@ impl SlidingPair {
     }
 }
 
-/// The flat pre-slide snapshots the per-pair sweep reads: per-series
-/// aggregates of the old query window, the evicted and arriving basic-window
-/// statistics, and the two windows' packed per-pair rows with the map that
-/// turns a stored value into a correlation.
-struct SlideSweepInputs<'a, F> {
-    n: usize,
-    /// Stored per-pair row of the evicted basic window (`c_1` after `row_corr`).
-    evicted_row: &'a [f64],
-    /// Stored per-pair row of the arriving basic window (`c_{ns+1}` after
-    /// `row_corr`).
-    arriving_row: &'a [f64],
-    /// Stored value → window correlation: identity for the exact engine,
-    /// the clamp of the stored Equation 3 estimate `ĉ` for the DFT engine
-    /// (Equation 6 is Lemma 2 over those).
-    row_corr: F,
-    fronts: &'a [WindowStats],
-    /// `T` per series (raw length of the old query window).
-    totals: &'a [f64],
-    means: &'a [f64],
-    stds: &'a [f64],
-    arriving_stats: &'a [WindowStats],
+/// The per-series half of Lemma 2 for one tick: every term [`lemma2_update`]
+/// derives from one series alone, evaluated once per series — the same
+/// expressions in the same order — instead of once per pair. The sweep reads
+/// the row side (`i`) as scalars and the column side (`j`) as contiguous
+/// slices.
+///
+/// `T`, `B_1`, `B_{ns+1}` and `T'` are per-tick scalars because
+/// [`SlidingState::new`] and the chunk checks of [`SlidingState::slide_in`]
+/// admit only windows of exactly `basic_window` points: every series covers
+/// the same `T`, and `T' = T − B_1 + B_{ns+1} > 0`.
+struct SeriesTerms {
+    /// `B_1`, points in the evicted basic window.
+    b1: f64,
+    /// `B_{ns+1}`, points in the arriving basic window.
+    bn: f64,
+    /// `σ` of the old query window.
+    std: Vec<f64>,
+    /// `T·σ`.
+    t_std: Vec<f64>,
+    /// `σ` of the evicted and of the arriving basic window.
+    std1: Vec<f64>,
+    stdn: Vec<f64>,
+    /// `δ_1`, `δ_{ns+1}`: the evicted / arriving window mean as an offset
+    /// from the old query-window mean.
+    d1: Vec<f64>,
+    dn: Vec<f64>,
+    /// `α`, the shift of the query-window mean, and `T'·α`.
+    alpha: Vec<f64>,
+    t_alpha: Vec<f64>,
+    /// The variance term (`T'·σ'²`) and its square root.
+    var: Vec<f64>,
+    root: Vec<f64>,
 }
 
-impl<F: Fn(f64) -> f64> SlideSweepInputs<'_, F> {
+impl SeriesTerms {
+    fn new(series: &[SlidingSeriesState], arriving: &[WindowStats], basic_window: usize) -> Self {
+        let n = series.len();
+        let total_len = series.first().map_or(0, |s| s.total_len()) as f64;
+        let b1 = basic_window as f64;
+        let bn = basic_window as f64;
+        let new_total = total_len - b1 + bn;
+        let mut terms = Self {
+            b1,
+            bn,
+            std: Vec::with_capacity(n),
+            t_std: Vec::with_capacity(n),
+            std1: Vec::with_capacity(n),
+            stdn: Vec::with_capacity(n),
+            d1: Vec::with_capacity(n),
+            dn: Vec::with_capacity(n),
+            alpha: Vec::with_capacity(n),
+            t_alpha: Vec::with_capacity(n),
+            var: Vec::with_capacity(n),
+            root: Vec::with_capacity(n),
+        };
+        for (state, arriving) in series.iter().zip(arriving) {
+            let evicted = state.front().expect("validated: a window is never empty");
+            let (mean, std) = (state.mean(), state.std());
+            let d1 = evicted.mean - mean;
+            let dn = arriving.mean - mean;
+            let alpha = (bn * dn - b1 * d1) / new_total;
+            let var = total_len * std * std + bn * (arriving.std.powi(2) + dn * dn)
+                - b1 * (evicted.std.powi(2) + d1 * d1)
+                - new_total * alpha * alpha;
+            terms.std.push(std);
+            terms.t_std.push(total_len * std);
+            terms.std1.push(evicted.std);
+            terms.stdn.push(arriving.std);
+            terms.d1.push(d1);
+            terms.dn.push(dn);
+            terms.alpha.push(alpha);
+            terms.t_alpha.push(new_total * alpha);
+            terms.var.push(var);
+            terms.root.push(var.sqrt());
+        }
+        terms
+    }
+
+    /// Lemma 2 over one same-row run of pairs `(i, j0..j0 + corrs.len())`:
+    /// `corrs` holds the run's correlations (updated in place), `evicted` and
+    /// `arriving` the two windows' stored values of the same pairs. Every
+    /// result equals [`lemma2_update`] bit for bit; the body is one
+    /// expression per pair with selects instead of early returns, so the
+    /// loop vectorises.
     #[inline]
-    fn update_pair(&self, i: usize, j: usize, idx: usize, corr_t: f64) -> f64 {
-        let evicted = WindowContribution {
-            x: self.fronts[i],
-            y: self.fronts[j],
-            corr: (self.row_corr)(self.evicted_row[idx]),
-        };
-        let arriving = WindowContribution {
-            x: self.arriving_stats[i],
-            y: self.arriving_stats[j],
-            corr: (self.row_corr)(self.arriving_row[idx]),
-        };
-        lemma2_update(
-            self.totals[i],
-            self.means[i],
-            self.means[j],
-            self.stds[i],
-            self.stds[j],
-            corr_t,
-            &evicted,
-            &arriving,
-        )
+    fn sweep_row<F: Fn(f64) -> f64>(
+        &self,
+        i: usize,
+        j0: usize,
+        corrs: &mut [f64],
+        evicted: &[f64],
+        arriving: &[f64],
+        row_corr: &F,
+    ) {
+        // Every operand is cut to `len` before the loop, so no bounds check
+        // survives inside it.
+        let len = corrs.len();
+        let (b1, bn) = (self.b1, self.bn);
+        let (t_std_i, std1_i, stdn_i) = (self.t_std[i], self.std1[i], self.stdn[i]);
+        let (d1_i, dn_i, t_alpha_i) = (self.d1[i], self.dn[i], self.t_alpha[i]);
+        let (var_i, root_i) = (self.var[i], self.root[i]);
+        let (evicted, arriving) = (&evicted[..len], &arriving[..len]);
+        let (std, std1, stdn) = (
+            &self.std[j0..j0 + len],
+            &self.std1[j0..j0 + len],
+            &self.stdn[j0..j0 + len],
+        );
+        let (d1, dn, alpha) = (
+            &self.d1[j0..j0 + len],
+            &self.dn[j0..j0 + len],
+            &self.alpha[j0..j0 + len],
+        );
+        let (var, root) = (&self.var[j0..j0 + len], &self.root[j0..j0 + len]);
+        for k in 0..len {
+            let numerator = t_std_i * std[k] * corrs[k]
+                + bn * (stdn_i * stdn[k] * row_corr(arriving[k]) + dn_i * dn[k])
+                - b1 * (std1_i * std1[k] * row_corr(evicted[k]) + d1_i * d1[k])
+                - t_alpha_i * alpha[k];
+            let mut corr = clamp_corr(numerator / (root_i * root[k]));
+            if var_i <= 0.0 || var[k] <= 0.0 {
+                corr = 0.0;
+            }
+            // NaN anywhere in the inputs stays NaN (see `lemma2_update`).
+            if numerator.is_nan() || var_i.is_nan() || var[k].is_nan() {
+                corr = f64::NAN;
+            }
+            corrs[k] = corr;
+        }
     }
 }
 
 /// Apply the per-pair sliding update (Lemma 2 / Equation 6) to every pair of
 /// `corrs`, one disjoint contiguous slice of the packed triangle per worker
-/// of `runner`. Identical to a serial sweep for any worker count: each pair
-/// reads only the shared snapshots and writes its own slot.
+/// of `runner`. `evicted` and `arriving` are the stored packed rows of the
+/// two basic windows and `row_corr` maps a stored value to the window's pair
+/// correlation: identity for the exact engine, the clamp of the stored
+/// Equation 3 estimate `ĉ` for the DFT engine (Equation 6 is Lemma 2 over
+/// those). Identical to a serial sweep for any worker count: each pair reads
+/// only the shared terms and rows and writes its own slot.
 fn slide_pair_sweep<F: Fn(f64) -> f64 + Sync>(
     runner: &dyn JobRunner,
-    inputs: &SlideSweepInputs<'_, F>,
+    terms: &SeriesTerms,
+    evicted: &[f64],
+    arriving: &[f64],
+    row_corr: F,
     corrs: &mut [f64],
 ) {
+    let n = terms.std.len();
+    let row_corr = &row_corr;
     let jobs: Vec<Job<'_>> = carve_for_workers(corrs, runner.worker_count())
         .into_iter()
         .map(|(start, slice)| {
             Box::new(move || {
-                let mut cursor = 0;
-                for (i, j0, len) in row_segments(start, slice.len(), inputs.n) {
-                    for j in j0..j0 + len {
-                        slice[cursor] = inputs.update_pair(i, j, start + cursor, slice[cursor]);
-                        cursor += 1;
-                    }
+                let mut at = 0;
+                for (i, j0, len) in row_segments(start, slice.len(), n) {
+                    let pairs = start + at..start + at + len;
+                    terms.sweep_row(
+                        i,
+                        j0,
+                        &mut slice[at..at + len],
+                        &evicted[pairs.clone()],
+                        &arriving[pairs],
+                        row_corr,
+                    );
+                    at += len;
                 }
             }) as Job<'_>
         })
@@ -371,9 +488,14 @@ fn slide_pair_sweep<F: Fn(f64) -> f64 + Sync>(
 /// dereference to it; they differ only in how a row is computed from an
 /// arriving chunk and in what a stored row value means.
 ///
-/// A tick ([`SlidingState::slide_in`]) is three steps: the arriving window's
-/// row, one Lemma 2 sweep over every pair, and — only with a subscription —
-/// one [`EdgeWatch::observe`] pass over the swept correlations.
+/// A tick ([`SlidingState::slide_in`]) is the arriving window's row (the one
+/// kernel), the per-series terms of Lemma 2 (`O(N)`), one sweep of the
+/// per-pair half over every pair, and — only with a subscription — one
+/// [`EdgeWatch::observe`] pass over the swept correlations; the last two run
+/// at memory speed. Every window the state ever holds covers exactly
+/// `basic_window` points ([`SlidingState::new`] and the chunk checks see to
+/// it), which is what lets the sweep take `T`, `B_1` and `B_{ns+1}` as
+/// per-tick scalars.
 #[derive(Debug, Clone)]
 pub struct SlidingState {
     basic_window: usize,
@@ -393,22 +515,57 @@ impl SlidingState {
     /// per-series statistics come from the sketch, `pair_windows` holds the
     /// engine's stored row of each of those windows (oldest first) and
     /// `corrs` the initial packed correlations over them.
+    ///
+    /// Everything a tick assumes is checked here, once, and answered with
+    /// [`Error::SketchMismatch`]: the window range is non-empty and inside
+    /// every series' sketch, every one of those windows covers exactly
+    /// `basic_window` points (Lemma 2 takes `T`, `B_1` and `B_{ns+1}` from
+    /// one series for both, so a tick is only correct when all series agree
+    /// on them), there is one stored row per window, and every row and
+    /// `corrs` hold one value per pair.
     pub fn new(
         sketch: &SketchSet,
         windows: std::ops::Range<usize>,
         pair_windows: VecDeque<Vec<f64>>,
         corrs: Vec<f64>,
     ) -> Result<Self> {
+        let basic_window = sketch.basic_window();
+        let n_pairs = packed_pairs(sketch.series_count());
+        if windows.is_empty() || pair_windows.len() != windows.len() {
+            return Err(Error::SketchMismatch {
+                requested: format!("one stored pair row per window of the non-empty {windows:?}"),
+                available: format!("{} pair rows", pair_windows.len()),
+            });
+        }
+        if let Some(bad) = pair_windows
+            .iter()
+            .chain([&corrs])
+            .find(|row| row.len() != n_pairs)
+        {
+            return Err(Error::SketchMismatch {
+                requested: format!("{n_pairs} values per pair row and in the correlations"),
+                available: format!("{} values", bad.len()),
+            });
+        }
         let series = (0..sketch.series_count())
             .map(|i| {
                 let sk = sketch.series_sketch(i)?;
-                Ok(SlidingSeriesState::new(
-                    windows.clone().map(|w| sk.window(w)).collect(),
-                ))
+                let stats = sk
+                    .windows
+                    .get(windows.clone())
+                    .filter(|stats| stats.iter().all(|w| w.len == basic_window))
+                    .ok_or_else(|| Error::SketchMismatch {
+                        requested: format!("windows {windows:?} of {basic_window} points each"),
+                        available: format!(
+                            "{} windows for series {i}, short of the range or of another length",
+                            sk.window_count()
+                        ),
+                    })?;
+                Ok(SlidingSeriesState::new(stats.to_vec()))
             })
             .collect::<Result<_>>()?;
         Ok(Self {
-            basic_window: sketch.basic_window(),
+            basic_window,
             series,
             pair_windows,
             corrs,
@@ -436,7 +593,13 @@ impl SlidingState {
     /// differences: `arriving_row` fills the arriving window's stored
     /// packed per-pair row from the chunk's per-series statistics, and
     /// `row_corr` maps a stored row value to that window's pair correlation.
-    /// The update is identical for any worker count of `runner`.
+    ///
+    /// The tick, in order: the arriving row; the per-series terms of Lemma 2
+    /// (`δ`, `α`, the variance term and its root — once per series, from the
+    /// pre-slide state); the pair sweep, which leaves in every slot the bits
+    /// [`lemma2_update`] returns for that pair, for any worker count of
+    /// `runner`; the subscription's re-threshold pass, if any; and only then
+    /// the slide of the per-series state and of the stored rows.
     pub fn slide_in(
         &mut self,
         runner: &dyn JobRunner,
@@ -470,35 +633,23 @@ impl SlidingState {
         let mut arriving = vec![0.0f64; self.corrs.len()];
         arriving_row(&arriving_stats, &mut arriving);
 
-        // Snapshot the per-series sliding state into flat arrays once — the
-        // same precompute-then-sweep shape as the QueryPlan kernel — instead
-        // of re-reading deque fronts and aggregates `n − 1` times per series
-        // inside the pair loop.
-        let fronts: Vec<WindowStats> = self
-            .series
-            .iter()
-            .map(|s| s.front().expect("non-empty"))
-            .collect();
-        let totals: Vec<f64> = self.series.iter().map(|s| s.total_len() as f64).collect();
-        let means: Vec<f64> = self.series.iter().map(|s| s.mean()).collect();
-        let stds: Vec<f64> = self.series.iter().map(|s| s.std()).collect();
-
-        // Apply Lemma 2 to every pair before mutating any per-series state.
-        // The evicted window's row is moved out up front so the sweep can
-        // borrow `self.corrs` mutably alongside it.
-        let evicted = self.pair_windows.pop_front().expect("non-empty window");
-        let inputs = SlideSweepInputs {
-            n,
-            evicted_row: &evicted,
-            arriving_row: &arriving,
+        // The per-series half of Lemma 2, once per series, read from the
+        // pre-slide state; then the per-pair half over every pair. The
+        // evicted window's row is moved out up front so the sweep can borrow
+        // `self.corrs` mutably alongside it.
+        let terms = SeriesTerms::new(&self.series, &arriving_stats, self.basic_window);
+        let evicted = self
+            .pair_windows
+            .pop_front()
+            .expect("validated: the query window is never empty");
+        slide_pair_sweep(
+            runner,
+            &terms,
+            &evicted,
+            &arriving,
             row_corr,
-            fronts: &fronts,
-            totals: &totals,
-            means: &means,
-            stds: &stds,
-            arriving_stats: &arriving_stats,
-        };
-        slide_pair_sweep(runner, &inputs, &mut self.corrs);
+            &mut self.corrs,
+        );
         if let Some(watch) = &mut self.watch {
             watch.observe(&self.corrs);
         }
@@ -947,6 +1098,251 @@ mod tests {
         let chunk: Vec<Vec<f64>> = full.iter().map(|s| s[..b].to_vec()).collect();
         net.ingest(&chunk).unwrap();
         assert!(net.changed_edges().is_none());
+    }
+
+    /// A sketch whose series `s` holds one window of `lens[s][w]` points per
+    /// entry (statistics of seeded noise, zero pair rows).
+    fn sketch_of_window_lens(basic_window: usize, lens: &[Vec<usize>]) -> SketchSet {
+        let n = lens.len();
+        let series = lens
+            .iter()
+            .enumerate()
+            .map(|(s, lens)| SeriesSketch {
+                series: s,
+                windows: lens
+                    .iter()
+                    .enumerate()
+                    .map(|(w, &len)| {
+                        WindowStats::from_values(&lcg_series((s * 16 + w) as u64, len))
+                    })
+                    .collect(),
+            })
+            .collect();
+        let rows = vec![0.0; lens[0].len() * packed_pairs(n)];
+        SketchSet::from_window_major(basic_window, n, series, rows).unwrap()
+    }
+
+    #[test]
+    fn new_rejects_what_a_tick_cannot_run_on() {
+        let full = vec![4usize; 3];
+        let good = sketch_of_window_lens(4, &[full.clone(), full.clone(), full.clone()]);
+        let odd_len = sketch_of_window_lens(4, &[full.clone(), vec![4, 3, 4], full.clone()]);
+        let short = sketch_of_window_lens(4, &[full.clone(), vec![4, 4], full.clone()]);
+        // One row per way to break a tick: sketch, window range, stored rows,
+        // values per row, values in `corrs` (3 series: 3 pairs).
+        let build = |sketch, windows, rows: usize, row_len: usize, corrs_len: usize| {
+            let pair_windows = (0..rows).map(|_| vec![0.1; row_len]).collect();
+            SlidingState::new(sketch, windows, pair_windows, vec![0.2; corrs_len])
+        };
+        assert!(build(&good, 1..3, 2, 3, 3).is_ok());
+        for (what, built) in [
+            (
+                "a 3-point window under B = 4",
+                build(&odd_len, 0..3, 3, 3, 3),
+            ),
+            ("an empty window range", build(&good, 2..2, 0, 3, 3)),
+            ("a series with fewer windows", build(&short, 0..3, 3, 3, 3)),
+            ("a range past the sketch", build(&good, 2..4, 2, 3, 3)),
+            ("fewer rows than windows", build(&good, 0..3, 2, 3, 3)),
+            ("more rows than windows", build(&good, 1..3, 3, 3, 3)),
+            ("a short pair row", build(&good, 0..3, 3, 2, 3)),
+            ("short correlations", build(&good, 0..3, 3, 3, 2)),
+        ] {
+            assert!(
+                matches!(built, Err(Error::SketchMismatch { .. })),
+                "{what}: {built:?}"
+            );
+        }
+
+        // The same sketch through the public bootstrap: a typed error, not a
+        // network that ticks to plausible asymmetric values.
+        let c = SeriesCollection::from_rows((0..3).map(|s| lcg_series(s, 12)).collect()).unwrap();
+        assert!(matches!(
+            SlidingNetwork::initialize(&c, &odd_len, 12),
+            Err(Error::SketchMismatch { .. })
+        ));
+    }
+
+    /// SplitMix64: the seeded case generator of the bit-identity pin.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `[-1, 1)`.
+        fn signed(&mut self) -> f64 {
+            (self.next_u64() >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        }
+
+        fn range(&mut self, lo: usize, hi: usize) -> usize {
+            lo + (self.next_u64() % (hi - lo) as u64) as usize
+        }
+
+        /// `value`, or with probability `1 / one_in` a NaN or an infinity.
+        fn hostile(&mut self, value: f64, one_in: usize) -> f64 {
+            match self.range(0, one_in * 3) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                _ => value,
+            }
+        }
+    }
+
+    /// The tick's oracle: [`lemma2_update`] called pair by pair on the
+    /// pre-tick state.
+    fn lemma2_pair_by_pair(
+        pre: &SlidingState,
+        arriving_stats: &[WindowStats],
+        arriving_row: &[f64],
+        row_corr: impl Fn(f64) -> f64,
+    ) -> Vec<f64> {
+        let n = pre.series.len();
+        let mut out = Vec::with_capacity(pre.corrs.len());
+        for i in 0..n {
+            for j in i + 1..n {
+                let idx = pair_index(i, j, n);
+                let (x, y) = (&pre.series[i], &pre.series[j]);
+                let evicted = WindowContribution {
+                    x: x.front().unwrap(),
+                    y: y.front().unwrap(),
+                    corr: row_corr(pre.pair_windows[0][idx]),
+                };
+                let arriving = WindowContribution {
+                    x: arriving_stats[i],
+                    y: arriving_stats[j],
+                    corr: row_corr(arriving_row[idx]),
+                };
+                out.push(lemma2_update(
+                    x.total_len() as f64,
+                    x.mean(),
+                    y.mean(),
+                    x.std(),
+                    y.std(),
+                    pre.corrs[idx],
+                    &evicted,
+                    &arriving,
+                ));
+            }
+        }
+        out
+    }
+
+    /// One tick of a clone of `pre` under `row_corr` and `workers`, pinned to
+    /// the oracle under `to_bits()`. Returns the post-tick state.
+    fn pinned_tick<F: Fn(f64) -> f64 + Sync + Copy>(
+        pre: &SlidingState,
+        chunk: &[Vec<f64>],
+        arriving_row: &[f64],
+        row_corr: F,
+        workers: usize,
+        label: &str,
+    ) -> SlidingState {
+        let stats: Vec<WindowStats> = chunk.iter().map(|c| WindowStats::from_values(c)).collect();
+        let expected = lemma2_pair_by_pair(pre, &stats, arriving_row, row_corr);
+        let mut state = pre.clone();
+        let runner = crate::runner::ScopedRunner::new(workers);
+        let copy_row = |_: &[WindowStats], row: &mut [f64]| row.copy_from_slice(arriving_row);
+        state.slide_in(&runner, chunk, copy_row, row_corr).unwrap();
+        for (idx, (got, want)) in state.corrs.iter().zip(&expected).enumerate() {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{label}, {workers} workers, pair {idx}: swept {got} vs lemma2_update {want}"
+            );
+        }
+        state
+    }
+
+    #[test]
+    fn sweep_equals_lemma2_update_bit_for_bit() {
+        let mut rng = Rng(0x1e44_a2b1_7c0d_0020);
+        let (mut nan_results, mut zero_results, mut finite_results) = (0usize, 0usize, 0usize);
+        for shape in 0..48usize {
+            let n = rng.range(3, 41);
+            let b = rng.range(4, 13);
+            let windows = rng.range(2, 6);
+            let ticks = 3;
+            let pairs = packed_pairs(n);
+            // Per series: noise around an offset, a constant, noise so large
+            // its variance term is `∞ − ∞`, or just large enough that it is
+            // `∞` (the `∞ / ∞ → 0.0` arm of `clamp_corr`).
+            let kinds: Vec<usize> = (0..n).map(|_| rng.range(0, 8)).collect();
+            let offsets: Vec<f64> = (0..n).map(|_| 300.0 * rng.signed()).collect();
+            // One value in 100 windows' worth is NaN or ±∞: in the stored
+            // windows (the first evicted among them) and in arriving chunks.
+            let window_values = |rng: &mut Rng, s: usize| -> Vec<f64> {
+                (0..b)
+                    .map(|_| {
+                        let v = match kinds[s] {
+                            0 => offsets[s],
+                            1 => 1e160 * rng.signed(),
+                            2 => 1e154 * rng.signed(),
+                            _ => offsets[s] + rng.signed(),
+                        };
+                        rng.hostile(v, 100 * b)
+                    })
+                    .collect()
+            };
+            let series: Vec<SeriesSketch> = (0..n)
+                .map(|s| SeriesSketch {
+                    series: s,
+                    windows: (0..windows)
+                        .map(|_| WindowStats::from_values(&window_values(&mut rng, s)))
+                        .collect(),
+                })
+                .collect();
+            // Stored pair values: one in 60 hostile, and straying past ±1 so
+            // the clamping `row_corr` differs from the identity.
+            let stored_row = |rng: &mut Rng| -> Vec<f64> {
+                (0..pairs)
+                    .map(|_| {
+                        let v = 1.2 * rng.signed();
+                        rng.hostile(v, 60)
+                    })
+                    .collect()
+            };
+            let pair_windows: VecDeque<Vec<f64>> =
+                (0..windows).map(|_| stored_row(&mut rng)).collect();
+            let corrs = stored_row(&mut rng);
+            let sketch =
+                SketchSet::from_window_major(b, n, series, vec![0.0; windows * pairs]).unwrap();
+            let initial = SlidingState::new(&sketch, 0..windows, pair_windows, corrs).unwrap();
+
+            let mut exact = initial.clone();
+            let mut clamped = initial;
+            for tick in 0..ticks {
+                let chunk: Vec<Vec<f64>> = (0..n).map(|s| window_values(&mut rng, s)).collect();
+                let arriving_row = stored_row(&mut rng);
+                let label = format!("shape {shape} (n={n}, b={b}, {windows} windows), tick {tick}");
+                let identity = |c: f64| c;
+                pinned_tick(&exact, &chunk, &arriving_row, identity, 3, &label);
+                exact = pinned_tick(&exact, &chunk, &arriving_row, identity, 1, &label);
+                pinned_tick(&clamped, &chunk, &arriving_row, clamp_corr, 1, &label);
+                clamped = pinned_tick(&clamped, &chunk, &arriving_row, clamp_corr, 3, &label);
+                for c in exact.corrs.iter().chain(&clamped.corrs) {
+                    if c.is_nan() {
+                        nan_results += 1;
+                    } else if *c == 0.0 {
+                        zero_results += 1;
+                    } else {
+                        finite_results += 1;
+                    }
+                }
+            }
+        }
+        assert!(nan_results > 100, "only {nan_results} NaN results");
+        assert!(zero_results > 100, "only {zero_results} 0.0 results");
+        assert!(
+            finite_results > 10_000,
+            "only {finite_results} other results"
+        );
     }
 
     #[test]

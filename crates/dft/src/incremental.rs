@@ -61,6 +61,12 @@ impl DerefMut for SlidingApproxNetwork {
 }
 
 impl SlidingApproxNetwork {
+    /// The transform behind every arriving window's row. A bootstrap sketch
+    /// built with it holds rows bit-identical to the ticks', so one live
+    /// state never mixes rows of two transforms (for power-of-two basic
+    /// windows the radix-2 path and the naive DFT differ in the last bits).
+    pub const TRANSFORM: Transform = Transform::Fft;
+
     /// Build the initial state from a [`DftSketchSet`]: the query window
     /// covers the most recent `query_len` sketched points (`query_len` must
     /// be a positive multiple of the basic window).
@@ -101,7 +107,7 @@ impl SlidingApproxNetwork {
 
         Ok(Self {
             state: SlidingState::new(sketch.base(), first..available, pair_windows, corrs)?,
-            kernel: ComparatorKernel::new(b, sketch.coefficients(), Transform::Fft),
+            kernel: ComparatorKernel::new(b, sketch.coefficients(), Self::TRANSFORM),
         })
     }
 

@@ -56,7 +56,8 @@ pub enum Transform {
     /// Iterative radix-2 FFT through a reusable [`DftPlanner`] (bit-reversal
     /// and twiddle tables built once per sketch, `O(B log B)` per window for
     /// power-of-two `B`, naive fallback otherwise). Used by the `dft_vs_fft`
-    /// ablation and the parallel engine's comparator path.
+    /// ablation, the parallel engine's comparator path and every row of a
+    /// live approximate network (bootstrap and ticks alike).
     Fft,
 }
 

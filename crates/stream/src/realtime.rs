@@ -21,7 +21,7 @@ use tsubasa_core::incremental::{SlidingNetwork, SlidingState};
 use tsubasa_core::matrix::{AdjacencyMatrix, CorrelationMatrix};
 use tsubasa_core::runner::{JobRunner, SerialRunner};
 use tsubasa_core::{SeriesCollection, SketchSet};
-use tsubasa_dft::sketch::{DftSketchSet, Transform};
+use tsubasa_dft::sketch::DftSketchSet;
 use tsubasa_dft::SlidingApproxNetwork;
 
 use crate::buffer::StreamBuffer;
@@ -121,8 +121,14 @@ impl RealTimeNetwork {
                 Updater::Exact(SlidingNetwork::initialize(historical, &sketch, query_len)?)
             }
             UpdateEngine::Approximate { coefficients } => {
-                let sketch =
-                    DftSketchSet::build(historical, basic_window, coefficients, Transform::Naive)?;
+                // The transform every tick's arriving row goes through, so
+                // one transform mints every row the network ever holds.
+                let sketch = DftSketchSet::build(
+                    historical,
+                    basic_window,
+                    coefficients,
+                    SlidingApproxNetwork::TRANSFORM,
+                )?;
                 Updater::Approx(SlidingApproxNetwork::initialize(&sketch, query_len)?)
             }
         };
@@ -264,6 +270,7 @@ mod tests {
     use super::*;
     use tsubasa_core::{baseline, QueryWindow};
     use tsubasa_data::station::{generate_ncea_like, NceaLikeConfig};
+    use tsubasa_dft::sketch::Transform;
 
     fn data(points: usize) -> SeriesCollection {
         generate_ncea_like(&NceaLikeConfig {
@@ -464,6 +471,47 @@ mod tests {
             assert_eq!(serial.correlation_matrix(), pooled.correlation_matrix());
         }
         assert!(serial.updates_applied() > 5);
+    }
+
+    #[test]
+    fn approximate_epochs_hold_fft_rows_before_and_after_ticks() {
+        // Power-of-two B: the radix-2 path and the naive DFT differ in the
+        // last bits, so a bootstrap through another transform than the
+        // ticks' would leave one state holding rows of two.
+        let b = 16;
+        let coefficients = 6;
+        let windows = 5;
+        let hist_len = 12 * b;
+        let full = data(hist_len + 4 * b);
+        let historical = full.truncate_length(hist_len).unwrap();
+        let engine = UpdateEngine::Approximate { coefficients };
+        let mut rt = RealTimeNetwork::new(&historical, b, windows * b, 0.7, engine).unwrap();
+        for ticks in 0..=4 {
+            let now = hist_len + ticks * b;
+            if ticks > 0 {
+                let chunk: Vec<Vec<f64>> = full
+                    .iter()
+                    .map(|s| s.values()[now - b..now].to_vec())
+                    .collect();
+                assert_eq!(rt.ingest(&chunk).unwrap(), 1);
+            }
+            let epoch = rt.publish_epoch().unwrap().approx.unwrap();
+            let seen = full.truncate_length(now).unwrap();
+            let built = DftSketchSet::build(&seen, b, coefficients, Transform::Fft).unwrap();
+            let first = built.window_count() - windows;
+            let (live, fresh) = (
+                epoch.window_ests_view(0..windows),
+                built.window_ests_view(first..first + windows),
+            );
+            for w in 0..windows {
+                let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(live.window_row(w)),
+                    bits(fresh.window_row(w)),
+                    "window {w} of the epoch after {ticks} ticks"
+                );
+            }
+        }
     }
 
     #[test]
