@@ -17,16 +17,17 @@
 //! # The tiled batch kernel
 //!
 //! [`SketchSet::build`] evaluates the `N(N−1)/2` pair passes as a batch
-//! kernel over **window-major, structure-of-arrays data**: every basic window
-//! of every series is z-normalized once (`z = (x − μ)/σ`, stored contiguous
-//! per window), after which each window's pair correlations are plain dot
-//! products over contiguous rows ([`crate::stats::tiled_pair_corrs_into`],
-//! a cache-blocked `Z·Zᵀ` sweep with unrolled accumulator lanes). Dividing by
-//! `σ` per element instead of once at the end reorders the floating-point
-//! operations, so the tiled sketch agrees with the scalar reference within
-//! `1e-10` absolute rather than bit-for-bit; [`SketchSet::build_reference`]
-//! keeps the scalar per-pair path available as the reference implementation,
-//! and the `tiled_kernel_agreement` property suite pins the tolerance.
+//! kernel, one basic window at a time: the window of every series is
+//! z-normalized once (`z = (x − μ)/σ`) into a packed scratch — eight series
+//! to a point-major panel — after which the window's pair correlations are
+//! one register-tiled `Z·Zᵀ` over those panels
+//! ([`crate::stats::window_corrs_into`]; every pair's sum is one serial
+//! chain over the window's points). Dividing by `σ` per element instead of
+//! once at the end reorders the floating-point operations, so the tiled
+//! sketch agrees with the scalar reference within `1e-10` absolute rather
+//! than bit-for-bit; [`SketchSet::build_reference`] keeps the scalar per-pair
+//! path available as the reference implementation, and the
+//! `tiled_kernel_agreement` property suite pins the tolerance.
 
 use serde::{Deserialize, Serialize};
 
@@ -180,9 +181,9 @@ impl SketchSet {
     /// The per-series statistics are computed first; the `N(N−1)/2` pair
     /// passes are then one call of the shared exact window kernel
     /// ([`crate::stats::window_corrs_into`]) per window: the window of every
-    /// series is z-normalized once into a structure-of-arrays block and the
-    /// window's pair correlations become dot products over contiguous rows
-    /// ([`crate::stats::tiled_pair_corrs_into`]). The result agrees with the
+    /// series is z-normalized once into a panel-packed block and the window's
+    /// pair correlations are one register-tiled `Z·Zᵀ` over it. The result
+    /// agrees with the
     /// scalar reference path ([`SketchSet::build_reference`]) within `1e-10`
     /// absolute on every correlation (see the module docs for why the two
     /// are not bit-identical).
@@ -209,7 +210,7 @@ impl SketchSet {
 
         // One call of the shared window kernel per window, written
         // window-major (flat[w·P + p]) in place: the buffer becomes the
-        // table's rows as is. The kernel's n × B normalized scratch is reused
+        // table's rows as is. The kernel's packed normalized scratch is reused
         // across windows — only one window block is ever live, never a
         // normalized copy of the whole dataset.
         let mut z = Vec::new();
@@ -342,6 +343,16 @@ impl SketchSet {
                     series.len(),
                     window_corrs.len()
                 ),
+            });
+        }
+        if let Some((id, ragged)) = series
+            .iter()
+            .enumerate()
+            .find(|(_, s)| s.windows.len() != ns)
+        {
+            return Err(Error::SketchMismatch {
+                requested: format!("{ns} windows per series (the count of series 0)"),
+                available: format!("{} windows for series {id}", ragged.windows.len()),
             });
         }
         Ok(Self {
@@ -613,6 +624,72 @@ mod tests {
             sketch
         );
         assert!(SketchSet::from_parts(4, 4, series, pairs).is_err());
+    }
+
+    #[test]
+    fn ragged_series_are_a_typed_error_not_a_later_index_panic() {
+        // Four windows of three series; the table is sized by series 0, so a
+        // series with another window count used to be accepted and the first
+        // query over it indexed past its statistics.
+        let rows: Vec<Vec<f64>> = (0..3)
+            .map(|s| (0..16).map(|t| ((t * (s + 2)) % 7) as f64).collect())
+            .collect();
+        let c = SeriesCollection::from_rows(rows).unwrap();
+        let sketch = SketchSet::build(&c, 4).unwrap();
+        let series: Vec<SeriesSketch> = sketch.series_sketches().cloned().collect();
+        let table: Vec<f64> = (0..4)
+            .flat_map(|w| sketch.window_corrs_view(w..w + 1).window_row(0).to_vec())
+            .collect();
+        let pairs: Vec<PairSketch> = c
+            .pairs()
+            .map(|(i, j)| sketch.pair_sketch(i, j).unwrap())
+            .collect();
+        let extra = series[0].windows[0];
+        type Bend = fn(&mut Vec<WindowStats>, WindowStats);
+        let cases: [(&str, usize, Bend, usize); 4] = [
+            ("short", 2, |w, _| w.truncate(3), 3),
+            ("long", 1, |w, extra| w.push(extra), 5),
+            ("empty", 2, |w, _| w.clear(), 0),
+            ("short, not the last", 1, |w, _| w.truncate(3), 3),
+        ];
+        for (name, id, bend, found) in cases {
+            let mut ragged = series.clone();
+            bend(&mut ragged[id].windows, extra);
+            for (route, built) in [
+                (
+                    "from_window_major",
+                    SketchSet::from_window_major(4, 3, ragged.clone(), table.clone()),
+                ),
+                (
+                    "from_parts",
+                    SketchSet::from_parts(4, 3, ragged.clone(), pairs.clone()),
+                ),
+            ] {
+                match built {
+                    Err(Error::SketchMismatch {
+                        requested,
+                        available,
+                    }) => {
+                        assert!(
+                            requested.contains("4 windows"),
+                            "{name}/{route}: {requested}"
+                        );
+                        assert_eq!(
+                            available,
+                            format!("{found} windows for series {id}"),
+                            "{name}/{route}"
+                        );
+                    }
+                    other => panic!("{name}/{route}: expected SketchMismatch, got {other:?}"),
+                }
+            }
+        }
+        // The well-formed parts still assemble, both ways.
+        assert_eq!(
+            SketchSet::from_window_major(4, 3, series.clone(), table).unwrap(),
+            sketch
+        );
+        assert_eq!(SketchSet::from_parts(4, 3, series, pairs).unwrap(), sketch);
     }
 
     #[test]

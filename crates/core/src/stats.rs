@@ -16,7 +16,7 @@ use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use crate::runner::{Job, JobRunner};
+use crate::runner::{Job, JobRunner, SerialRunner};
 
 /// Summary statistics of one window of one series: the per-basic-window
 /// sketch entry stored by Algorithm 1.
@@ -269,8 +269,8 @@ pub fn clamp_corr(c: f64) -> f64 {
 /// This is the normalization step of the tiled batch kernels: once every
 /// window of every series is normalized, the Pearson correlation of any
 /// aligned window pair collapses to a plain dot product
-/// (`corr = Σ z_x z_y / B`), which [`tiled_pair_corrs_into`] evaluates with
-/// multiple independent accumulators so the backend can vectorize it.
+/// (`corr = Σ z_x z_y / B`), which the window kernel ([`window_corrs_into`])
+/// evaluates a register tile of pairs at a time.
 ///
 /// A constant window (`σ = 0`) normalizes to an all-zero row, so downstream
 /// dot products yield the `0.0`-correlation convention of [`pearson`] with no
@@ -278,12 +278,18 @@ pub fn clamp_corr(c: f64) -> f64 {
 pub fn normalize_into(values: &[f64], stats: &WindowStats, out: &mut [f64]) {
     debug_assert_eq!(values.len(), out.len());
     debug_assert_eq!(values.len(), stats.len);
+    normalize_each(values, stats, out.iter_mut());
+}
+
+/// [`normalize_into`] over any run of slots: a slice, or one lane of a packed
+/// block ([`packed_lane_mut`]).
+fn normalize_each<'a>(values: &[f64], stats: &WindowStats, out: impl Iterator<Item = &'a mut f64>) {
     if stats.std == 0.0 {
-        out.fill(0.0);
+        out.for_each(|slot| *slot = 0.0);
         return;
     }
     let inv = 1.0 / stats.std;
-    for (slot, &v) in out.iter_mut().zip(values) {
+    for (slot, &v) in out.zip(values) {
         *slot = (v - stats.mean) * inv;
     }
 }
@@ -335,228 +341,200 @@ pub fn normalized_dot_corr(zx: &[f64], zy: &[f64]) -> f64 {
     clamp_corr(dot_unrolled(zx, zy) / zx.len() as f64)
 }
 
-/// One row against a tile of four rows: four dot products sharing every load
-/// of `a`, each with two independent accumulator lanes. This is the inner
-/// kernel of the `Z·Zᵀ` sweep — the 1×4 tile quarters the loop overhead and
-/// the `a`-traffic of four separate [`dot_unrolled`] calls.
-#[inline]
-fn dot_1x4(a: &[f64], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) -> [f64; 4] {
-    let len = a.len();
-    // Re-slice to the shared length so the optimizer can prove every access
-    // below in-bounds (and vectorize) instead of checking per element.
-    let (b0, b1, b2, b3) = (&b0[..len], &b1[..len], &b2[..len], &b3[..len]);
-    let pairs = len / 2 * 2;
-    let mut acc = [[0.0f64; 2]; 4];
-    let mut t = 0;
-    while t < pairs {
-        let a0 = a[t];
-        let a1 = a[t + 1];
-        acc[0][0] += a0 * b0[t];
-        acc[0][1] += a1 * b0[t + 1];
-        acc[1][0] += a0 * b1[t];
-        acc[1][1] += a1 * b1[t + 1];
-        acc[2][0] += a0 * b2[t];
-        acc[2][1] += a1 * b2[t + 1];
-        acc[3][0] += a0 * b3[t];
-        acc[3][1] += a1 * b3[t + 1];
-        t += 2;
-    }
-    if pairs < len {
-        let a0 = a[pairs];
-        acc[0][0] += a0 * b0[pairs];
-        acc[1][0] += a0 * b1[pairs];
-        acc[2][0] += a0 * b2[pairs];
-        acc[3][0] += a0 * b3[pairs];
-    }
-    [
-        acc[0][0] + acc[0][1],
-        acc[1][0] + acc[1][1],
-        acc[2][0] + acc[2][1],
-        acc[3][0] + acc[3][1],
-    ]
+/// Series per panel of the packed layout: one point of eight series is one
+/// 64-byte line, two `ymm` registers.
+const PANEL: usize = 8;
+
+/// Height of the aligned register tile: 4 rows × [`PANEL`] columns are eight
+/// `ymm` accumulator chains, enough to cover the FP-add latency at the
+/// two-port multiply + add peak.
+const TILE_ROWS: usize = 4;
+
+/// Length of a packed block of `n` series of `len` points: the series sit
+/// eight to a point-major panel (`panel[t·8 + lane]`, series `i` in lane
+/// `i % 8` of panel `i / 8`), so one point of a whole panel is one contiguous
+/// load. The unused lanes of the last panel are never read into a stored
+/// pair.
+pub fn packed_len(n: usize, len: usize) -> usize {
+    n.div_ceil(PANEL) * PANEL * len
 }
 
-/// Squared-difference sum with eight independent accumulator lanes — the
-/// distance sibling of [`dot_unrolled`]. Every term is non-negative, so
-/// reordering the accumulation across lanes never cancels; agreement with a
-/// serial left-to-right sum is at the last-ulp level.
-#[inline]
-fn dist_sq_unrolled(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let octs = a.len() / 8 * 8;
-    let mut acc = [0.0f64; 8];
-    for (ca, cb) in a[..octs].chunks_exact(8).zip(b[..octs].chunks_exact(8)) {
-        for lane in 0..8 {
-            let d = ca[lane] - cb[lane];
-            acc[lane] += d * d;
+/// The `len` slots of series `i` in a packed block ([`packed_len`]), in point
+/// order.
+pub fn packed_lane_mut(packed: &mut [f64], i: usize, len: usize) -> impl Iterator<Item = &mut f64> {
+    packed[i / PANEL * PANEL * len..][..PANEL * len]
+        .iter_mut()
+        .skip(i % PANEL)
+        .step_by(PANEL)
+}
+
+/// The register-tiled micro-kernel: `R` rows of one panel (series `i0..i0+R`)
+/// against every column panel from their own on, `acc[r][c] += term(a_r[t],
+/// b_c[t])` over `t`, both operands read from panels. Each pair's sum is one
+/// left-to-right chain over `t` from `0.0` — whatever `R`, lane or panel the
+/// pair falls in. `finish` of the sums of the pairs `(i, j)`, `i < j < n`, go
+/// to `out`, which starts at row `i0` of the packed triangle.
+#[inline(always)]
+fn row_tile_into<const R: usize>(
+    packed: &[f64],
+    n: usize,
+    len: usize,
+    i0: usize,
+    out: &mut [f64],
+    term: impl Fn(f64, f64) -> f64,
+    finish: impl Fn(f64) -> f64,
+) {
+    let panel = |p: usize| &packed[p * PANEL * len..(p + 1) * PANEL * len];
+    let (a, lane) = (panel(i0 / PANEL), i0 % PANEL);
+    // The tile's rows sit in one panel; stated once so `ta[lane + r]` below
+    // needs no check per point.
+    assert!(lane + R <= PANEL);
+    for pb in i0 / PANEL..n.div_ceil(PANEL) {
+        let mut acc = [[0.0f64; PANEL]; R];
+        for (ta, tb) in a.chunks_exact(PANEL).zip(panel(pb).chunks_exact(PANEL)) {
+            let tb: &[f64; PANEL] = tb.try_into().expect("chunks_exact(PANEL)");
+            // Indexed on purpose: this spelling compiles to `R × 2` `ymm`
+            // accumulators, one broadcast per row and two loads per point;
+            // the iterator-`zip` spelling of the same loops came out scalar.
+            for r in 0..R {
+                let x = ta[lane + r];
+                for c in 0..PANEL {
+                    acc[r][c] += term(x, tb[c]);
+                }
+            }
+        }
+        let mut row_start = 0;
+        for (r, acc) in acc.iter().enumerate() {
+            let i = i0 + r;
+            let (first, end) = ((i + 1).max(pb * PANEL), n.min((pb + 1) * PANEL));
+            if first < end {
+                let sums = &acc[first - pb * PANEL..end - pb * PANEL];
+                let slots = &mut out[row_start + first - i - 1..][..sums.len()];
+                for (slot, &sum) in slots.iter_mut().zip(sums) {
+                    *slot = finish(sum);
+                }
+            }
+            row_start += n - 1 - i;
         }
     }
-    let mut tail = 0.0;
-    for (x, y) in a[octs..].iter().zip(&b[octs..]) {
-        let d = x - y;
-        tail += d * d;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
 }
 
-/// One row against a tile of four rows: four squared Euclidean distances
-/// sharing every load of `a` — the distance sibling of [`dot_1x4`], used by
-/// the DFT comparator's coefficient-distance sweep.
-#[inline]
-fn dist_sq_1x4(a: &[f64], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) -> [f64; 4] {
-    let len = a.len();
-    let (b0, b1, b2, b3) = (&b0[..len], &b1[..len], &b2[..len], &b3[..len]);
-    let pairs = len / 2 * 2;
-    let mut acc = [[0.0f64; 2]; 4];
-    let mut t = 0;
-    while t < pairs {
-        let a0 = a[t];
-        let a1 = a[t + 1];
-        let d00 = a0 - b0[t];
-        let d01 = a1 - b0[t + 1];
-        acc[0][0] += d00 * d00;
-        acc[0][1] += d01 * d01;
-        let d10 = a0 - b1[t];
-        let d11 = a1 - b1[t + 1];
-        acc[1][0] += d10 * d10;
-        acc[1][1] += d11 * d11;
-        let d20 = a0 - b2[t];
-        let d21 = a1 - b2[t + 1];
-        acc[2][0] += d20 * d20;
-        acc[2][1] += d21 * d21;
-        let d30 = a0 - b3[t];
-        let d31 = a1 - b3[t + 1];
-        acc[3][0] += d30 * d30;
-        acc[3][1] += d31 * d31;
-        t += 2;
+/// Triangle rows `rows` of [`packed_pairs_into`], into the slice of `out`
+/// that starts at row `rows.start`. Aligned groups of [`TILE_ROWS`] rows run
+/// as one register tile; the rows the range leaves before and after them run
+/// one at a time through the same micro-kernel.
+fn packed_rows_into(
+    packed: &[f64],
+    n: usize,
+    len: usize,
+    rows: Range<usize>,
+    out: &mut [f64],
+    term: impl Fn(f64, f64) -> f64 + Copy,
+    finish: impl Fn(f64) -> f64 + Copy,
+) {
+    let (mut i, mut p) = (rows.start, 0);
+    while i < rows.end {
+        let out = &mut out[p..];
+        let tile = if i % TILE_ROWS == 0 && i + TILE_ROWS <= rows.end {
+            row_tile_into::<TILE_ROWS>(packed, n, len, i, out, term, finish);
+            TILE_ROWS
+        } else {
+            row_tile_into::<1>(packed, n, len, i, out, term, finish);
+            1
+        };
+        p += (i..i + tile).map(|row| n - 1 - row).sum::<usize>();
+        i += tile;
     }
-    if pairs < len {
-        let a0 = a[pairs];
-        let d0 = a0 - b0[pairs];
-        let d1 = a0 - b1[pairs];
-        let d2 = a0 - b2[pairs];
-        let d3 = a0 - b3[pairs];
-        acc[0][0] += d0 * d0;
-        acc[1][0] += d1 * d1;
-        acc[2][0] += d2 * d2;
-        acc[3][0] += d3 * d3;
-    }
-    [
-        acc[0][0] + acc[0][1],
-        acc[1][0] + acc[1][1],
-        acc[2][0] + acc[2][1],
-        acc[3][0] + acc[3][1],
-    ]
 }
 
-/// All-pairs squared Euclidean distances from a block of contiguous rows: the
-/// distance-flavoured generalization of [`tiled_pair_corrs_into`], used by the
-/// DFT comparator's coefficient-distance sweep.
+/// **The** pair kernel: `finish(Σ_t term(r_i[t], r_j[t]))` for every pair
+/// `i < j` of the `n` series of a packed block ([`packed_len`]) into `out`,
+/// in packed upper-triangle order ([`crate::sketch::pair_index`]), fanned out
+/// over `runner` by whole triangle rows.
 ///
-/// `rows` holds `n` rows of `len` values each, contiguous per row
-/// (`rows[i·len .. (i+1)·len]` is row `i`); `out` receives the `n(n−1)/2`
-/// squared distances `‖r_i − r_j‖²` in packed upper-triangle order
-/// ([`crate::sketch::pair_index`]). The sweep walks row `i` against 1×4 tiles
-/// of later rows (same shape as the `Z·Zᵀ` sweep) so `r_i` stays cache-hot
-/// while the tile rows stream past, fanned out over `runner` by whole
-/// triangle rows (see [`window_corrs_into`]).
+/// Every sum is one left-to-right chain over `t` ([`row_tile_into`]), so a
+/// pair's bits depend on nothing but its two series: not on the tile shape,
+/// the panel edge, the row split, the worker count or the target's vector
+/// width. Zero-length rows sum to `0.0`.
+fn packed_pairs_into(
+    runner: &dyn JobRunner,
+    packed: &[f64],
+    n: usize,
+    len: usize,
+    out: &mut [f64],
+    term: impl Fn(f64, f64) -> f64 + Sync + Copy,
+    finish: impl Fn(f64) -> f64 + Sync + Copy,
+) {
+    debug_assert_eq!(packed.len(), packed_len(n, len));
+    debug_assert_eq!(out.len(), n * n.saturating_sub(1) / 2);
+    sweep_triangle_rows(n, runner, out, |rows, out| {
+        packed_rows_into(packed, n, len, rows, out, term, finish)
+    });
+}
+
+/// All-pairs squared Euclidean distances of a packed block: `out` receives
+/// the `n(n−1)/2` squared distances `‖r_i − r_j‖²` in packed upper-triangle
+/// order, each one serial difference-square sum over the `len` points. This
+/// is the shared pair kernel ([`window_corrs_into`]) with `(x − y)²` for
+/// `x·y`, used by the DFT comparator's coefficient-distance sweep.
 ///
-/// Unlike the correlation kernel there is no per-element normalization or
-/// clamping, and every accumulated term is non-negative, so lane reordering
-/// cannot cancel: agreement with a serial difference-square sum is at the
-/// last-ulp level (the ≤ `1e-10` contract of the tiled suites holds with a
-/// wide margin).
+/// `packed` holds the `n` rows in the panel layout of [`packed_len`], filled
+/// through [`packed_lane_mut`]; the sweep is fanned out over `runner` by whole
+/// triangle rows.
 pub fn tiled_pair_dist_sq_in(
     runner: &dyn JobRunner,
-    rows: &[f64],
+    packed: &[f64],
     n: usize,
     len: usize,
     out: &mut [f64],
 ) {
-    debug_assert_eq!(rows.len(), n * len);
-    debug_assert_eq!(out.len(), n * n.saturating_sub(1) / 2);
-    if len == 0 {
-        out.fill(0.0);
-        return;
-    }
-    let row = |r: usize| &rows[r * len..(r + 1) * len];
-    sweep_triangle_rows(n, runner, out, |triangle_rows, out| {
-        let mut p = 0;
-        for i in triangle_rows {
-            let ri = row(i);
-            let mut j = i + 1;
-            while j + 4 <= n {
-                let d = dist_sq_1x4(ri, row(j), row(j + 1), row(j + 2), row(j + 3));
-                out[p..p + 4].copy_from_slice(&d);
-                p += 4;
-                j += 4;
-            }
-            while j < n {
-                out[p] = dist_sq_unrolled(ri, row(j));
-                p += 1;
-                j += 1;
-            }
-        }
-    });
+    let dist_sq = |x: f64, y: f64| (x - y) * (x - y);
+    packed_pairs_into(runner, packed, n, len, out, dist_sq, |sum| sum);
 }
 
-/// All-pairs window correlations from a block of normalized series rows: the
-/// tiled `Z·Zᵀ` kernel of the batch sketching path.
+/// All-pairs window correlations from a block of normalized series rows.
 ///
 /// `z` holds `n` normalized rows of `len` points each, contiguous per series
 /// (`z[i·len .. (i+1)·len]` is series `i`, as filled by [`normalize_into`]);
 /// `out` receives the `n(n−1)/2` correlations of the window in packed
 /// upper-triangle order ([`crate::sketch::pair_index`]).
 ///
-/// The sweep walks row `i` against 1×4 tiles of later rows, so `z_i` stays
-/// cache-hot (and is loaded once per tile instead of once per pair) while
-/// the tile rows stream past; the remainder pairs fall back to the single
-/// unrolled dot. Agreement with the scalar reference
+/// The rows are packed into a temporary panel block and go through the one
+/// pair kernel, so for the same `z` values this writes the bits
+/// [`window_corrs_into`] writes: `clamp_corr(Σ_t z_i[t]·z_j[t] · (1/len))`,
+/// the sum one left-to-right chain. Agreement with the scalar reference
 /// ([`pair_corr_from_stats`] over the raw window) is within `1e-10`
 /// absolute, pinned by the `tiled_kernel_agreement` property suite.
 pub fn tiled_pair_corrs_into(z: &[f64], n: usize, len: usize, out: &mut [f64]) {
-    debug_assert_eq!(out.len(), n * n.saturating_sub(1) / 2);
-    pair_corr_rows(z, n, len, 0..n, out);
+    debug_assert_eq!(z.len(), n * len);
+    let mut packed = vec![0.0f64; packed_len(n, len)];
+    for (i, row) in z.chunks_exact(len.max(1)).enumerate() {
+        for (slot, &v) in packed_lane_mut(&mut packed, i, len).zip(row) {
+            *slot = v;
+        }
+    }
+    corrs_of_packed(&SerialRunner, &packed, n, len, out);
 }
 
-/// Triangle rows `rows` of [`tiled_pair_corrs_into`]: the correlations of
-/// every pair `(i, j)`, `i ∈ rows`, `i < j < n`, into `out`. The 1×4 grouping
-/// restarts on every row `i`, so any split into whole rows writes the bits
-/// the full sweep writes.
-fn pair_corr_rows(z: &[f64], n: usize, len: usize, rows: Range<usize>, out: &mut [f64]) {
-    debug_assert_eq!(z.len(), n * len);
-    if len == 0 {
-        out.fill(0.0);
-        return;
-    }
+/// The correlation face of [`packed_pairs_into`] over normalized rows.
+fn corrs_of_packed(runner: &dyn JobRunner, z: &[f64], n: usize, len: usize, out: &mut [f64]) {
     let inv = 1.0 / len as f64;
-    let row = |r: usize| &z[r * len..(r + 1) * len];
-    let mut p = 0;
-    for i in rows {
-        let zi = row(i);
-        let mut j = i + 1;
-        while j + 4 <= n {
-            let d = dot_1x4(zi, row(j), row(j + 1), row(j + 2), row(j + 3));
-            out[p] = clamp_corr(d[0] * inv);
-            out[p + 1] = clamp_corr(d[1] * inv);
-            out[p + 2] = clamp_corr(d[2] * inv);
-            out[p + 3] = clamp_corr(d[3] * inv);
-            p += 4;
-            j += 4;
-        }
-        while j < n {
-            out[p] = clamp_corr(dot_unrolled(zi, row(j)) * inv);
-            p += 1;
-            j += 1;
-        }
-    }
+    packed_pairs_into(
+        runner,
+        z,
+        n,
+        len,
+        out,
+        |x, y| x * y,
+        move |sum| clamp_corr(sum * inv),
+    );
 }
 
 /// Run `rows_into(rows, slice)` over the packed triangle `out` of `n` series,
 /// split into one run of whole triangle rows per worker of `runner` (pair
 /// counts as even as whole rows allow); a single worker runs it inline over
-/// `0..n`. A run never starts inside a row: the tiled kernels group pairs
-/// 1×4 from the start of each row, so a mid-row split would change last bits.
+/// `0..n`. No pair's bits depend on where a run starts; runs are whole rows
+/// only so that each worker's slice of `out` is contiguous.
 fn sweep_triangle_rows(
     n: usize,
     runner: &dyn JobRunner,
@@ -590,12 +568,15 @@ fn sweep_triangle_rows(
 /// window's packed row of pair correlations `c`.
 ///
 /// `window[i]` holds the window's points of series `i` and `stats[i]` their
-/// statistics. Every series is z-normalized into the scratch `z` (resized to
-/// `n × B` and reusable across windows), then the row is the tiled `Z·Zᵀ`
-/// sweep of [`tiled_pair_corrs_into`], fanned out over `runner` by whole
-/// triangle rows. Every site that sketches a window calls this — batch build,
+/// statistics. Every series is z-normalized straight into its lane of the
+/// packed scratch `z` (resized to [`packed_len`], reusable across windows),
+/// then the row is the register-tiled `Z·Zᵀ` of the shared pair kernel,
+/// fanned out over `runner` by whole triangle rows: every `c` is
+/// `clamp_corr(Σ_t z_i[t]·z_j[t] · (1/B))` with the sum one left-to-right
+/// chain. Every site that sketches a window calls this — batch build,
 /// arriving window, epoch ingest, sliding tick, pile sketching — so a row's
-/// bits do not depend on who minted it or on the worker count.
+/// bits do not depend on who minted it, on the worker count or on the
+/// target's vector width.
 pub fn window_corrs_into<S: AsRef<[f64]>>(
     window: &[S],
     stats: &[WindowStats],
@@ -605,21 +586,17 @@ pub fn window_corrs_into<S: AsRef<[f64]>>(
 ) {
     let n = window.len();
     let b = window.first().map_or(0, |points| points.as_ref().len());
-    debug_assert_eq!(out.len(), n * n.saturating_sub(1) / 2);
-    z.resize(n * b, 0.0);
-    for ((points, stats), row) in window.iter().zip(stats).zip(z.chunks_exact_mut(b.max(1))) {
-        normalize_into(points.as_ref(), stats, row);
+    z.resize(packed_len(n, b), 0.0);
+    for (i, (points, stats)) in window.iter().zip(stats).enumerate() {
+        normalize_each(points.as_ref(), stats, packed_lane_mut(z, i, b));
     }
-    let z = z.as_slice();
-    sweep_triangle_rows(n, runner, out, |rows, out| {
-        pair_corr_rows(z, n, b, rows, out)
-    });
+    corrs_of_packed(runner, z, n, b, out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{ScopedRunner, SerialRunner};
+    use crate::runner::ScopedRunner;
     use proptest::prelude::*;
 
     fn naive_stats(values: &[f64]) -> (f64, f64) {
@@ -627,6 +604,71 @@ mod tests {
         let mean = values.iter().sum::<f64>() / n;
         let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
         (mean, var.sqrt())
+    }
+
+    /// Row-major `rows` in the packed layout, over a dirty scratch: every
+    /// slot no series owns holds NaN, so a kernel that let one reach a stored
+    /// pair would show.
+    fn pack(rows: &[Vec<f64>], len: usize) -> Vec<f64> {
+        let mut packed = vec![f64::NAN; packed_len(rows.len(), len)];
+        for (i, row) in rows.iter().enumerate() {
+            for (slot, &v) in packed_lane_mut(&mut packed, i, len).zip(row) {
+                *slot = v;
+            }
+        }
+        packed
+    }
+
+    /// Advertises `workers` and runs the jobs inline: the grid varies where
+    /// the triangle is split, not which thread runs a split.
+    struct InlineSplit(usize);
+
+    impl JobRunner for InlineSplit {
+        fn worker_count(&self) -> usize {
+            self.0
+        }
+
+        fn run<'env>(&self, jobs: Vec<Job<'env>>) {
+            jobs.into_iter().for_each(|job| job());
+        }
+    }
+
+    /// The oracle of both window kernels: `finish` of one left-to-right
+    /// chain per pair, in packed order.
+    fn serial_chains(
+        rows: &[Vec<f64>],
+        term: impl Fn(f64, f64) -> f64,
+        finish: impl Fn(f64) -> f64,
+    ) -> Vec<f64> {
+        let mut out = Vec::new();
+        for (i, a) in rows.iter().enumerate() {
+            for b in &rows[i + 1..] {
+                let sum = a.iter().zip(b).fold(0.0, |sum, (&x, &y)| sum + term(x, y));
+                out.push(finish(sum));
+            }
+        }
+        out
+    }
+
+    /// `to_bits()` equality, any NaN equal to any NaN (which operand's
+    /// payload survives `NaN − NaN` is the backend's choice).
+    #[track_caller]
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (p, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}, pair {p}: {g:e} vs {w:e}"
+            );
+        }
+    }
+
+    fn dot(x: f64, y: f64) -> f64 {
+        x * y
+    }
+
+    fn dist_sq(x: f64, y: f64) -> f64 {
+        (x - y) * (x - y)
     }
 
     #[test]
@@ -739,8 +781,8 @@ mod tests {
 
     #[test]
     fn tiled_pair_corrs_agree_with_scalar_reference() {
-        // n = 7 exercises both the 1×4 tile and the remainder path; odd
-        // window length exercises the odd-element tail of the kernels.
+        // n = 7 leaves one partly filled panel, a 4-row tile and three single
+        // rows; the odd window length has no role in the serial chain.
         let n = 7;
         let len = 23;
         let rows: Vec<Vec<f64>> = (0..n)
@@ -775,21 +817,24 @@ mod tests {
 
     #[test]
     fn tiled_pair_dist_sq_agrees_with_scalar_reference() {
-        // n = 7 exercises the 1×4 tile and the remainder path; odd row
-        // length exercises the odd-element tail of both kernels.
         let n = 7;
         let len = 23;
-        let rows: Vec<f64> = (0..n * len)
-            .map(|t| ((t * 13 + 5) % 19) as f64 * 0.31 - (t as f64 * 0.17).cos())
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|s| {
+                (0..len)
+                    .map(|t| (s * len + t) as f64)
+                    .map(|k| (k * 13.0 + 5.0) % 19.0 * 0.31 - (k * 0.17).cos())
+                    .collect()
+            })
             .collect();
         let mut out = vec![0.0f64; n * (n - 1) / 2];
-        tiled_pair_dist_sq_in(&SerialRunner, &rows, n, len, &mut out);
+        tiled_pair_dist_sq_in(&SerialRunner, &pack(&rows, len), n, len, &mut out);
         let mut p = 0;
         for i in 0..n {
             for j in (i + 1)..n {
-                let reference: f64 = rows[i * len..(i + 1) * len]
+                let reference: f64 = rows[i]
                     .iter()
-                    .zip(&rows[j * len..(j + 1) * len])
+                    .zip(&rows[j])
                     .map(|(a, b)| (a - b) * (a - b))
                     .sum();
                 assert!(
@@ -801,47 +846,139 @@ mod tests {
             }
         }
         // Identical rows have exactly zero distance (no cancellation noise).
-        let two = [1.5, -2.25, 3.0, 1.5, -2.25, 3.0];
+        let two = pack(&[vec![1.5, -2.25, 3.0], vec![1.5, -2.25, 3.0]], 3);
         let mut d = vec![9.0f64; 1];
         tiled_pair_dist_sq_in(&SerialRunner, &two, 2, 3, &mut d);
         assert_eq!(d, vec![0.0]);
-        // Zero-length rows keep the 0.0 convention.
+        // Zero-length rows keep the 0.0 convention, for both kernels.
         let mut empty_out = vec![9.0f64; 1];
         tiled_pair_dist_sq_in(&SerialRunner, &[], 2, 0, &mut empty_out);
         assert_eq!(empty_out, vec![0.0]);
+        empty_out.fill(9.0);
+        tiled_pair_corrs_into(&[], 2, 0, &mut empty_out);
+        assert_eq!(empty_out, vec![0.0]);
+    }
+
+    /// `n` rows of `len` values with what a window can hold besides finite
+    /// data: an all-zero row (a normalized constant window), NaN, +∞ and −∞
+    /// (so `∞·0`, `∞ − ∞` and NaN chains all occur).
+    fn hostile_rows(n: usize, len: usize) -> Vec<Vec<f64>> {
+        let mut rows: Vec<Vec<f64>> = (0..n)
+            .map(|s| {
+                (0..len)
+                    .map(|t| ((t * 3 + s * 7) % 11) as f64 * 0.7 - 3.1 + (t as f64 * 0.21).sin())
+                    .collect()
+            })
+            .collect();
+        let plant = |rows: &mut Vec<Vec<f64>>, s: usize, t: usize, v: f64| {
+            if let Some(slot) = rows.get_mut(s).and_then(|row| row.get_mut(t)) {
+                *slot = v;
+            }
+        };
+        if let Some(row) = rows.get_mut(3) {
+            row.fill(0.0);
+        }
+        plant(&mut rows, 5, 1, f64::NAN);
+        plant(&mut rows, 6, 0, f64::INFINITY);
+        plant(&mut rows, 10, len.saturating_sub(1), f64::NEG_INFINITY);
+        plant(&mut rows, 12, 2, f64::INFINITY);
+        rows
+    }
+
+    #[test]
+    fn every_pair_is_its_serial_chain_bit_for_bit() {
+        // Both terms, every panel fill around one / two / four / eight
+        // panels, every split a runner can ask for and row ranges starting at
+        // every lane: a pair's bits are those of the obvious serial loop.
+        for n in (0..=21).chain([31, 32, 33, 65]) {
+            for len in [0usize, 1, 2, 3, 23, 120] {
+                let rows = hostile_rows(n, len);
+                let packed = pack(&rows, len);
+                let inv = 1.0 / len as f64;
+                let corr = move |sum: f64| clamp_corr(sum * inv);
+                let want_corr = serial_chains(&rows, dot, corr);
+                let want_sq = serial_chains(&rows, dist_sq, |sum| sum);
+                let pairs = n * n.saturating_sub(1) / 2;
+                assert_eq!(want_corr.len(), pairs);
+                let mut got = vec![9.0f64; pairs];
+                for workers in [1usize, 2, 3, 8, 40] {
+                    let what = format!("n={n} len={len} workers={workers}");
+                    corrs_of_packed(&InlineSplit(workers), &packed, n, len, &mut got);
+                    assert_same_bits(&got, &want_corr, &what);
+                    got.fill(9.0);
+                    tiled_pair_dist_sq_in(&InlineSplit(workers), &packed, n, len, &mut got);
+                    assert_same_bits(&got, &want_sq, &what);
+                    got.fill(9.0);
+                }
+                let row_offset = |i: usize| i * n - i * (i + 1) / 2;
+                for start in 0..n.min(17) {
+                    for end in [start + 1, start + 5, start + 11, n] {
+                        let end = end.min(n);
+                        let what = format!("n={n} len={len} rows {start}..{end}");
+                        let slots = row_offset(start)..row_offset(end);
+                        let got = &mut got[slots.clone()];
+                        packed_rows_into(&packed, n, len, start..end, got, dot, corr);
+                        assert_same_bits(got, &want_corr[slots.clone()], &what);
+                        got.fill(9.0);
+                        packed_rows_into(&packed, n, len, start..end, got, dist_sq, |sum| sum);
+                        assert_same_bits(got, &want_sq[slots], &what);
+                        got.fill(9.0);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn window_kernels_write_the_same_bits_for_any_worker_count() {
-        // Splits fall on whole triangle rows only, so the 1×4 grouping — and
-        // with it every last bit — is the serial sweep's, also when there are
-        // more workers than rows or no pairs at all.
-        for n in [0usize, 1, 2, 7, 13] {
+        // From raw windows this time, on real threads: normalization into the
+        // panel lanes is `normalize_into`'s, and the row is the serial chain
+        // over those z-scores whoever runs which rows — also with more
+        // workers than rows, no pairs at all, a constant series and a scratch
+        // left over from a larger window.
+        for n in [0usize, 1, 2, 7, 13, 33] {
             let len = 23;
             let window: Vec<Vec<f64>> = (0..n)
                 .map(|s| {
                     (0..len)
-                        .map(|t| ((t * 3 + s * 7) % 11) as f64 * 0.7 + (t as f64 * 0.21).sin())
+                        .map(|t| match s {
+                            4 => 2.5,
+                            _ => ((t * 3 + s * 7) % 11) as f64 * 0.7 + (t as f64 * 0.21).sin(),
+                        })
                         .collect()
                 })
                 .collect();
             let stats: Vec<WindowStats> =
                 window.iter().map(|r| WindowStats::from_values(r)).collect();
-            let pairs = n * n.saturating_sub(1) / 2;
-            let (mut z, mut serial) = (Vec::new(), vec![9.0f64; pairs]);
-            window_corrs_into(&window, &stats, &SerialRunner, &mut z, &mut serial);
+            let z_rows: Vec<Vec<f64>> = window
+                .iter()
+                .zip(&stats)
+                .map(|(points, stats)| {
+                    let mut z = vec![9.0; len];
+                    normalize_into(points, stats, &mut z);
+                    z
+                })
+                .collect();
+            let inv = 1.0 / len as f64;
+            let want = serial_chains(&z_rows, dot, |sum| clamp_corr(sum * inv));
+            let want_sq = serial_chains(&z_rows, dist_sq, |sum| sum);
+            let pairs = want.len();
+
             let mut direct = vec![9.0f64; pairs];
-            tiled_pair_corrs_into(&z, n, len, &mut direct);
-            assert_eq!(serial, direct);
-            let mut serial_sq = vec![9.0f64; pairs];
-            tiled_pair_dist_sq_in(&SerialRunner, &z, n, len, &mut serial_sq);
-            for workers in [2usize, 3, 8, 40] {
+            tiled_pair_corrs_into(&z_rows.concat(), n, len, &mut direct);
+            assert_same_bits(&direct, &want, &format!("row-major n={n}"));
+
+            let mut z = vec![f64::NAN; 40 * len];
+            let packed = pack(&z_rows, len);
+            for workers in [1usize, 2, 3, 8, 40] {
                 let runner = ScopedRunner::new(workers);
+                let what = format!("n={n} workers={workers}");
                 let mut pooled = vec![9.0f64; pairs];
                 window_corrs_into(&window, &stats, &runner, &mut z, &mut pooled);
-                assert_eq!(pooled, serial, "corrs n={n} workers={workers}");
-                tiled_pair_dist_sq_in(&runner, &z, n, len, &mut pooled);
-                assert_eq!(pooled, serial_sq, "dist² n={n} workers={workers}");
+                assert_same_bits(&pooled, &want, &what);
+                assert_eq!(z.len(), packed_len(n, len));
+                tiled_pair_dist_sq_in(&runner, &packed, n, len, &mut pooled);
+                assert_same_bits(&pooled, &want_sq, &what);
             }
         }
     }

@@ -27,14 +27,18 @@
 //! calls it ([`DftSketchSet::build`] and [`DftSketchSet::push_window`], the
 //! sliding updater, the parallel engine's pile sketching). The first `n`
 //! complex coefficients of every series' normalized window are flattened into
-//! one contiguous real row of `2n` values (`[re₀, im₀, re₁, im₁, …]`), every
-//! pair's squared coefficient distance is a cache-blocked difference-square
-//! sweep over those rows ([`tsubasa_core::stats::tiled_pair_dist_sq_in`], the
-//! distance sibling of the exact sketch's `Z·Zᵀ` kernel), and the epilogue
-//! applies Equation 3. The scalar per-pair path survives as
-//! [`DftSketchSet::build_reference`]; every accumulated term of the tiled
-//! sweep is non-negative, so the two agree far inside the `1e-10` tolerance
-//! contract pinned by `tests/approx_plan_agreement.rs`.
+//! `2n` real values (`[re₀, im₀, re₁, im₁, …]`) and written to the series'
+//! lane of a packed panel block ([`tsubasa_core::stats::packed_lane_mut`]),
+//! every pair's squared coefficient distance comes from the register-tiled
+//! difference-square sweep over those panels
+//! ([`tsubasa_core::stats::tiled_pair_dist_sq_in`] — the exact sketch's
+//! `Z·Zᵀ` micro-kernel with `(x − y)²` for `x·y`, each sum one serial chain),
+//! and the epilogue applies Equation 3 to the squared distance as it stands:
+//! `ĉ = 1 − max(d², 0)/2`, with no square root taken in between. The scalar
+//! per-pair path survives as [`DftSketchSet::build_reference`], which goes
+//! through `d`; every accumulated term of the sweep is non-negative, so the
+//! two agree far inside the `1e-10` tolerance contract pinned by
+//! `tests/approx_plan_agreement.rs`.
 
 use serde::{Deserialize, Serialize};
 use tsubasa_core::error::{Error, Result};
@@ -42,7 +46,9 @@ use tsubasa_core::plan::{CorrView, PlanMethod, WindowRows};
 use tsubasa_core::runner::{JobRunner, SerialRunner};
 use tsubasa_core::sketch::{packed_pairs, pair_index};
 use tsubasa_core::source::{check_source_windows, CorrSource, PairTable};
-use tsubasa_core::stats::{tiled_pair_dist_sq_in, window_corrs_into, WindowStats};
+use tsubasa_core::stats::{
+    packed_lane_mut, packed_len, tiled_pair_dist_sq_in, window_corrs_into, WindowStats,
+};
 use tsubasa_core::{SeriesCollection, SketchSet};
 
 use crate::dft::{coefficient_distance, naive_dft, Complex, DftPlanner};
@@ -77,34 +83,23 @@ pub struct DftSketchSet {
     window_ests: WindowRows,
 }
 
-/// Equation 3, unclamped: the estimate the comparator stores for a
-/// coefficient distance `d`.
-fn estimate_from_distance(d: f64) -> f64 {
-    1.0 - d * d / 2.0
-}
-
-/// Flatten the first `n_coeff` complex coefficients into a contiguous real
-/// row (`[re₀, im₀, re₁, im₁, …]`). The Euclidean distance of two such rows
-/// equals the complex coefficient distance: `|X_k − Y_k|² = Δre² + Δim²`.
-fn flatten_coeffs_into(coeffs: &[Complex], n_coeff: usize, row: &mut [f64]) {
-    debug_assert_eq!(row.len(), 2 * n_coeff);
-    for (k, c) in coeffs.iter().take(n_coeff).enumerate() {
-        row[2 * k] = c.re;
-        row[2 * k + 1] = c.im;
-    }
+/// Equation 3, unclamped: the estimate `1 − d²/2` the comparator stores for
+/// a squared coefficient distance `d²`.
+fn estimate_from_distance_sq(d_sq: f64) -> f64 {
+    1.0 - d_sq / 2.0
 }
 
 /// **The** comparator window kernel: one basic window of every series to that
 /// window's packed row of Equation 3 estimates `ĉ`. It owns the transform
-/// plan and the coefficient-major scratch, both reused across windows. See
-/// the [module docs](self).
+/// plan and the panel-packed coefficient scratch, both reused across windows.
+/// See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct ComparatorKernel {
     coefficients: usize,
     transform: Transform,
     planner: DftPlanner,
-    /// Row `i` holds series `i`'s flattened coefficients of the current
-    /// window, contiguous.
+    /// Series `i`'s flattened coefficients of the current window, in lane
+    /// `i` of a packed block ([`packed_len`]).
     rows: Vec<f64>,
 }
 
@@ -126,10 +121,11 @@ impl ComparatorKernel {
     }
 
     /// Fill `out` with the estimates of one window: `window[i]` holds the
-    /// window's points of series `i`, `stats[i]` their statistics. The tiled
-    /// difference-square sweep is fanned out over `runner` by whole triangle
-    /// rows, so the row's bits do not depend on the worker count; the
-    /// epilogue is the one place sketch data goes through Equation 3.
+    /// window's points of series `i`, `stats[i]` their statistics. The
+    /// difference-square sweep is fanned out over `runner`; every pair's sum
+    /// is one serial chain, so the row's bits do not depend on the worker
+    /// count. The epilogue is the one place sketch data goes through
+    /// Equation 3, formed from the squared distance directly.
     pub fn window_ests_into<S: AsRef<[f64]>>(
         &mut self,
         window: &[S],
@@ -139,22 +135,24 @@ impl ComparatorKernel {
     ) {
         let n = window.len();
         let row_len = 2 * self.coefficients;
-        self.rows.resize(n * row_len, 0.0);
-        for ((points, stats), row) in window
-            .iter()
-            .zip(stats)
-            .zip(self.rows.chunks_exact_mut(row_len))
-        {
+        self.rows.resize(packed_len(n, row_len), 0.0);
+        for (i, (points, stats)) in window.iter().zip(stats).enumerate() {
             let normalized = normalize_unit_with_stats(points.as_ref(), stats);
             let coeffs = match self.transform {
                 Transform::Naive => naive_dft(&normalized),
                 Transform::Fft => self.planner.transform(&normalized),
             };
-            flatten_coeffs_into(&coeffs, self.coefficients, row);
+            // `[re₀, im₀, re₁, im₁, …]`: the Euclidean distance of two such
+            // rows is the complex coefficient distance, `|X_k − Y_k|² = Δre²
+            // + Δim²`.
+            let flat = coeffs.iter().flat_map(|c| [c.re, c.im]);
+            for (slot, v) in packed_lane_mut(&mut self.rows, i, row_len).zip(flat) {
+                *slot = v;
+            }
         }
         tiled_pair_dist_sq_in(runner, &self.rows, n, row_len, out);
         for slot in out {
-            *slot = estimate_from_distance(slot.max(0.0).sqrt());
+            *slot = estimate_from_distance_sq(slot.max(0.0));
         }
     }
 }
@@ -238,7 +236,7 @@ impl DftSketchSet {
             }
             for (i, j) in collection.pairs() {
                 let d = coefficient_distance(&coeffs[i], &coeffs[j], n_coeff);
-                window_ests.push(estimate_from_distance(d));
+                window_ests.push(estimate_from_distance_sq(d * d));
             }
         }
 

@@ -4,8 +4,8 @@
 //! Three 256-case property suites:
 //!
 //! * the comparator window kernel of `DftSketchSet::build`
-//!   (coefficient-major structure-of-arrays rows, `tiled_pair_dist_sq_in`,
-//!   then the Equation 3 epilogue) agrees with the scalar per-pair
+//!   (panel-packed coefficient rows, `tiled_pair_dist_sq_in`, then the
+//!   Equation 3 epilogue) agrees with the scalar per-pair
 //!   `coefficient_distance` path (`DftSketchSet::build_reference`) within
 //!   `1e-10` absolute on every stored pair-window estimate `1 − d²/2` — the
 //!   same tolerance contract as `tests/tiled_kernel_agreement.rs`;

@@ -6,8 +6,8 @@
 //! * the rows themselves — statistics, `PairCorrs` and `PairEsts` — equal the
 //!   rows of `SketchSet::build` / `DftSketchSet::build(.., Transform::Fft)`
 //!   **bit for bit**, at 1, 2 and 8 workers, with and without a NaN
-//!   observation: one window kernel per method mints every row, and a pooled
-//!   sweep splits only on whole triangle rows;
+//!   observation: one window kernel per method mints every row, and a
+//!   pair's sum is the same serial chain wherever a pooled sweep is split;
 //! * every pile answer — both sketch methods × matrix/network/top-k × 1/2/8
 //!   workers × three window ranges, 108 cases — is **bit-identical** to the
 //!   same query on that in-memory `DftSketchSet`: mapping, segment boundaries

@@ -50,7 +50,7 @@ proptest! {
     #[test]
     fn prop_tiled_sketch_agrees_with_reference(
         seed in 0u64..10_000,
-        n in 2usize..7,
+        n in 2usize..40,
         series_len in 40usize..200,
         basic in 4usize..40,
     ) {
