@@ -855,6 +855,22 @@ pub fn carve_for_workers(values: &mut [f64], workers: usize) -> Vec<(usize, &mut
         .collect()
 }
 
+/// The read-only twin of [`carve_for_workers`], for sweeps that write no
+/// packed buffer: the non-empty contiguous ascending runs of `0..total`, one
+/// per worker ([`even_sizes`]).
+pub fn runs_for_workers(total: usize, workers: usize) -> Vec<Range<usize>> {
+    let mut start = 0;
+    even_sizes(total, workers)
+        .into_iter()
+        .filter(|&size| size > 0)
+        .map(|size| {
+            let run = start..start + size;
+            start = run.end;
+            run
+        })
+        .collect()
+}
+
 /// Which recombination a cached plan evaluates: the exact Lemma 1 kernel
 /// ([`QueryPlan`]) or the approximate Equation 5 kernel (`ApproxPlan` in
 /// `tsubasa-dft`). Part of [`PlanKey`], the cache identity of a built plan.

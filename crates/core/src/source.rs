@@ -26,16 +26,18 @@
 //!
 //! # The NaN audit
 //!
-//! Every backend shares one audit convention, implemented in exactly one
-//! place ([`audit_nan_chunk`]): the recombination kernel clamps NaN window
-//! values to the `0.0` convention, so a NaN in the method's table would
-//! silently produce a plausible-looking correlation. The audit scans the
-//! chunk's table columns and reports each affected pair to the sink as a
-//! one-slot NaN tile, which the sinks count (never rank or threshold). Chunks
-//! skipped by Equation 4 pruning are audited only under the engines' opt-in
-//! `audit_pruned_chunks` policy — pruning decides from per-series statistics
-//! alone, so the skipped columns are otherwise never touched (and, on a
-//! mapped pile, never faulted in).
+//! Every backend shares one audit convention: the recombination kernel clamps
+//! NaN window values to the `0.0` convention, so a NaN in the method's table
+//! would silently produce a plausible-looking correlation. The audit reports
+//! each pair with a NaN window to the sink as a one-slot NaN tile, which the
+//! sinks count (never rank or threshold). Queries run it inside the sweep's
+//! one tile loop ([`crate::sweep::TableAudit`]) as a scan of the row slices
+//! the kernel is about to read; [`audit_nan_chunk`] here is the same audit
+//! pair by pair — the definition that scan is tested against, and a step of
+//! the benchmark ledger's decomposition. Tiles skipped by Equation 4 pruning
+//! are audited only under the engine's opt-in `audit_pruned_chunks` policy —
+//! pruning decides from per-series statistics alone, so the skipped columns
+//! are otherwise never touched (and, on a mapped pile, never faulted in).
 
 use std::ops::Range;
 
@@ -124,11 +126,12 @@ pub trait CorrSource: Send + Sync {
     }
 }
 
-/// **The** NaN-audit hook shared by every backend: scan a chunk's columns of
-/// a full-width window-major table (column = packed pair index over `n`
-/// series) for NaN windows and report each affected pair to the sink as a
-/// one-slot NaN tile (`sink.consume(a, b, pair, &[NaN])`), which the sinks
-/// count as audit metadata — never rank or threshold.
+/// The NaN audit, pair by pair: scan a chunk's columns of a full-width
+/// window-major table (column = packed pair index over `n` series) for NaN
+/// windows and report each affected pair to the sink as a one-slot NaN tile
+/// (`sink.consume(a, b, pair, &[NaN])`), which the sinks count as audit
+/// metadata — never rank or threshold. No query calls this: the sweep's tile
+/// loop runs the equivalent row-slice scan ([`crate::sweep::TableAudit`]).
 pub fn audit_nan_chunk(
     view: CorrView<'_>,
     chunk: &[(usize, usize)],

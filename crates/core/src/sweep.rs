@@ -13,7 +13,8 @@
 //!   recomputed on the fly by [`ZnormSweep`] when not);
 //! * [`sweep_run`] drives [`QueryPlan::block_kernel`] over same-row tiles of
 //!   at most `tile_len` pairs and hands each finished tile to a
-//!   [`TileSink`];
+//!   [`TileSink`]; [`sweep_pooled`] fans that loop over a worker pool, one
+//!   run and one sink per worker (the parallel engine's and the server's);
 //! * the sinks fold tiles into bounded state: [`EdgeSink`] keeps only the
 //!   pairs above a threshold, [`TopKSink`] a k-bounded heap of the strongest
 //!   edges, [`StatsSink`] running aggregates.
@@ -39,18 +40,21 @@
 //! count is surfaced on the result ([`EdgeList::nan_pair_count`],
 //! [`TopK::nan_pairs`]) — the same lenient-with-audit rule as
 //! [`CorrelationMatrix::threshold_lenient`]. Plan-based sweeps cannot
-//! produce NaN (the kernel clamps), but [`sweep_matrix`] streams existing
+//! produce NaN (the kernel clamps; a NaN in the *table* is what
+//! [`TableAudit`] catches), but [`sweep_matrix`] streams existing
 //! matrices — including NaN-bearing ones assembled from store records —
 //! through the same sinks.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
+use std::time::{Duration, Instant};
 
 use crate::error::{Error, Result};
 use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
-use crate::plan::{row_segments, CorrView, QueryPlan};
-use crate::sketch::pair_index;
+use crate::plan::{row_segments, runs_for_workers, CorrView, QueryPlan};
+use crate::runner::{Job, JobRunner};
+use crate::sketch::{packed_pairs, pair_index};
 use crate::stats::{normalize_into, normalized_dot_corr, WindowStats};
 use crate::timeseries::SeriesCollection;
 use crate::window::BasicWindowing;
@@ -162,11 +166,27 @@ impl CorrProvider for CorrView<'_> {
     }
 }
 
+/// Which tiles get the **table NaN audit**: the kernel clamps a NaN window
+/// value to `0.0`, a plausible-looking correlation, so an audited tile's row
+/// slices are scanned before the kernel reads them and each pair with a NaN
+/// window reaches the sink as a one-slot `[NaN]` tile, which sinks count and
+/// never rank. Only a resident table ([`CorrProvider::full_view`]) is audited.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TableAudit {
+    /// No tile.
+    Off,
+    /// Every tile the kernel evaluates.
+    Swept,
+    /// Also the tiles Equation 4 pruning skipped: they stay skipped, only the
+    /// accounting becomes exhaustive, at the cost of the reads pruning saved.
+    SweptAndSkipped,
+}
+
 /// Drive [`QueryPlan::block_kernel`] over the contiguous packed-triangle run
 /// `run`, in same-row tiles of at most `tile_len` pairs, feeding each
 /// finished tile to `sink` and discarding it. With `bounds`, tiles the sink
 /// reports skippable are dropped before any kernel work (Equation 4 tile
-/// pruning).
+/// pruning). The table is not audited ([`TableAudit::Off`]).
 ///
 /// Working memory: one `tile_len` output buffer, plus a
 /// `window_count × tile_len` scratch buffer for providers without a resident
@@ -177,6 +197,19 @@ pub fn sweep_run(
     bounds: Option<&CorrelationBounds>,
     run: Range<usize>,
     tile_len: usize,
+    sink: &mut dyn TileSink,
+) {
+    sweep_tiles(plan, provider, bounds, run, tile_len, TableAudit::Off, sink);
+}
+
+/// The one tile loop of every streamed query: [`sweep_run`] plus `audit`.
+fn sweep_tiles(
+    plan: &QueryPlan,
+    provider: &dyn CorrProvider,
+    bounds: Option<&CorrelationBounds>,
+    run: Range<usize>,
+    tile_len: usize,
+    audit: TableAudit,
     sink: &mut dyn TileSink,
 ) {
     let n = plan.series_count();
@@ -201,13 +234,17 @@ pub fn sweep_run(
             let np = (len - off).min(tile_len);
             let j = j0 + off;
             off += np;
-            if let Some(b) = bounds {
-                if sink.tile_skippable(b.tile_bound(i, j, np)) {
-                    sink.tile_skipped(i, j, np);
-                    continue;
-                }
-            }
             let pair0 = pair_index(i, j, n);
+            let skip = bounds.is_some_and(|b| sink.tile_skippable(b.tile_bound(i, j, np)));
+            let audited =
+                audit == TableAudit::SweptAndSkipped || (!skip && audit == TableAudit::Swept);
+            if let Some(view) = full.filter(|_| audited) {
+                audit_tile(view, i, j, pair0, np, sink);
+            }
+            if skip {
+                sink.tile_skipped(i, j, np);
+                continue;
+            }
             match full {
                 Some(view) => plan.block_kernel(i, j, view, pair0, &mut out[..np]),
                 None => {
@@ -219,6 +256,63 @@ pub fn sweep_run(
             sink.consume(i, j, pair0, &out[..np]);
         }
     }
+}
+
+/// The table NaN audit of the tile `(i, j0 .. j0 + len)` at packed offset
+/// `pair0`: a branch-free (so vectorized) any-NaN reduction over the `w` row
+/// slices the kernel reads, and only on a hit the pair-by-pair walk, which
+/// reports what [`crate::source::audit_nan_chunk`] reports, in its order.
+fn audit_tile(
+    view: CorrView<'_>,
+    i: usize,
+    j0: usize,
+    pair0: usize,
+    len: usize,
+    sink: &mut dyn TileSink,
+) {
+    let w = view.window_count();
+    let slice = |k: usize| &view.window_row(k)[pair0..pair0 + len];
+    if !(0..w).any(|k| slice(k).iter().fold(false, |nan, c| nan | c.is_nan())) {
+        return;
+    }
+    for p in 0..len {
+        if (0..w).any(|k| slice(k)[p].is_nan()) {
+            sink.consume(i, j0 + p, pair0 + p, &[f64::NAN]);
+        }
+    }
+}
+
+/// Fan one streamed sweep of the whole packed triangle over `runner`: one
+/// contiguous ascending run per worker ([`runs_for_workers`]), each driven
+/// through the tile loop of [`sweep_run`] (plus the table audit `audit`) into
+/// its own sink from `make_sink`, off a borrowed view — nothing is copied, no
+/// pair list is built. Returns the sinks in run order (so appended edge lists
+/// are in serial emission order) and the workers' summed busy time.
+pub fn sweep_pooled<K: TileSink + Send>(
+    runner: &dyn JobRunner,
+    plan: &QueryPlan,
+    view: CorrView<'_>,
+    bounds: Option<&CorrelationBounds>,
+    tile_len: usize,
+    audit: TableAudit,
+    make_sink: impl Fn() -> K,
+) -> (Vec<K>, Duration) {
+    let runs = runs_for_workers(packed_pairs(plan.series_count()), runner.worker_count());
+    let mut sinks: Vec<K> = runs.iter().map(|_| make_sink()).collect();
+    let mut busy = vec![Duration::ZERO; runs.len()];
+    let jobs: Vec<Job<'_>> = runs
+        .into_iter()
+        .zip(sinks.iter_mut().zip(busy.iter_mut()))
+        .map(|(run, (sink, busy))| {
+            Box::new(move || {
+                let t = Instant::now();
+                sweep_tiles(plan, &view, bounds, run, tile_len, audit, sink);
+                *busy = t.elapsed();
+            }) as Job<'_>
+        })
+        .collect();
+    runner.run(jobs);
+    (sinks, busy.iter().sum())
 }
 
 /// Stream an existing dense [`CorrelationMatrix`] through a sink, tile by
@@ -805,6 +899,8 @@ mod tests {
     use super::*;
     use crate::exact;
     use crate::sketch::SketchSet;
+    use crate::source::audit_nan_chunk;
+    use proptest::prelude::*;
 
     fn lcg_series(seed: u64, len: usize) -> Vec<f64> {
         let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -995,6 +1091,220 @@ mod tests {
         assert_eq!(sweep.series_count(), 3);
         assert_eq!(sweep.window_count(), 5);
         assert_eq!(sweep.pair_count(), 3);
+    }
+
+    /// What a sink saw, in order: audit tiles, evaluated tiles, skipped tiles.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Seen {
+        Nan(usize, usize, usize),
+        Tile(usize, usize, usize, usize),
+        Skipped(usize, usize, usize),
+    }
+
+    /// Records every call, forwards it to a real [`EdgeSink`], and skips a
+    /// scripted subset of the tiles it is asked about.
+    struct Recorder {
+        script: u64,
+        asked: std::cell::Cell<u64>,
+        seen: Vec<Seen>,
+        inner: EdgeSink,
+    }
+
+    impl Recorder {
+        fn new(script: u64) -> Self {
+            Self {
+                script,
+                asked: std::cell::Cell::new(0),
+                seen: Vec::new(),
+                inner: EdgeSink::new(0.2),
+            }
+        }
+
+        /// Whether the script skips the `t`-th tile a sink is asked about.
+        fn skips(script: u64, t: u64) -> bool {
+            TestRng::new(script ^ t).below(3) == 0
+        }
+    }
+
+    impl TileSink for Recorder {
+        fn consume(&mut self, i: usize, j0: usize, pair0: usize, corrs: &[f64]) {
+            // The kernel clamps, so a NaN slot can only be an audit tile.
+            self.seen.push(if corrs[0].is_nan() {
+                assert_eq!(corrs.len(), 1);
+                Seen::Nan(i, j0, pair0)
+            } else {
+                Seen::Tile(i, j0, pair0, corrs.len())
+            });
+            self.inner.consume(i, j0, pair0, corrs);
+        }
+
+        fn tile_skippable(&self, _upper_bound: f64) -> bool {
+            let t = self.asked.get();
+            self.asked.set(t + 1);
+            Self::skips(self.script, t)
+        }
+
+        fn tile_skipped(&mut self, i: usize, j0: usize, len: usize) {
+            self.seen.push(Seen::Skipped(i, j0, len));
+            self.inner.tile_skipped(i, j0, len);
+        }
+    }
+
+    /// Advertises the given worker count but runs the jobs inline.
+    struct Inline(usize);
+
+    impl JobRunner for Inline {
+        fn worker_count(&self) -> usize {
+            self.0
+        }
+
+        fn run<'env>(&self, jobs: Vec<Job<'env>>) {
+            jobs.into_iter().for_each(|job| job());
+        }
+    }
+
+    const AUDIT_WORKERS: [usize; 4] = [1, 2, 3, 8];
+    const AUDIT_TILES: [usize; 4] = [1, 4, 7, 256];
+
+    /// A random table over `n` series and `w` windows with 0–5 NaNs planted
+    /// where the slice scan has edges: tile starts and ends, row starts and
+    /// ends, run boundaries — mostly in one window only.
+    fn poisoned_table(n: usize, w: usize, rng: &mut TestRng) -> Vec<f64> {
+        let pairs = n * (n - 1) / 2;
+        let mut table: Vec<f64> = (0..pairs * w).map(|_| rng.unit_f64() * 2.0 - 1.0).collect();
+        for _ in 0..rng.below(6) {
+            let p = rng.below(pairs as u64) as usize;
+            let (i, j) = crate::sketch::unpack_pair_index(p, n);
+            let tile = AUDIT_TILES[rng.below(4) as usize];
+            let tile_start = i + 1 + (j - i - 1) / tile * tile;
+            let runs = runs_for_workers(pairs, AUDIT_WORKERS[rng.below(4) as usize]);
+            let run = runs[rng.below(runs.len() as u64) as usize].clone();
+            let p = match rng.below(7) {
+                0 => pair_index(i, i + 1, n),
+                1 => pair_index(i, n - 1, n),
+                2 => run.start,
+                3 => run.end - 1,
+                4 => pair_index(i, tile_start, n),
+                5 => pair_index(i, (tile_start + tile - 1).min(n - 1), n),
+                _ => p,
+            };
+            let k = rng.below(w as u64) as usize;
+            let windows = if rng.below(4) == 0 { 0..w } else { k..k + 1 };
+            for k in windows {
+                table[k * pairs + p] = f64::NAN;
+            }
+        }
+        table
+    }
+
+    /// What the per-pair oracle makes a sink see over `run`: the same tiles
+    /// and scripted skips, with [`audit_nan_chunk`] over each audited tile's
+    /// pairs where the driver runs its slice scan.
+    fn oracle_run(
+        view: CorrView<'_>,
+        n: usize,
+        run: Range<usize>,
+        tile_len: usize,
+        pruned: bool,
+        audit: TableAudit,
+        script: u64,
+    ) -> Recorder {
+        let mut oracle = Recorder::new(script);
+        let mut asked = 0;
+        for (i, j0, len) in row_segments(run.start, run.len(), n) {
+            for j in (j0..j0 + len).step_by(tile_len) {
+                let np = (j0 + len - j).min(tile_len);
+                let skipped = pruned && Recorder::skips(script, asked);
+                asked += 1;
+                let audited = match audit {
+                    TableAudit::Off => false,
+                    TableAudit::Swept => !skipped,
+                    TableAudit::SweptAndSkipped => true,
+                };
+                if audited {
+                    let chunk: Vec<_> = (j..j + np).map(|b| (i, b)).collect();
+                    audit_nan_chunk(view, &chunk, n, &mut oracle);
+                }
+                if skipped {
+                    oracle.tile_skipped(i, j, np);
+                } else {
+                    oracle.seen.push(Seen::Tile(i, j, pair_index(i, j, n), np));
+                }
+            }
+        }
+        oracle
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The driver's table audit against the per-pair oracle: for every
+        /// run split, tile length, pruning script and audit setting, each
+        /// sink sees exactly the oracle's NaN tiles (coordinates, packed
+        /// index, order) around the same evaluated and skipped tiles, and
+        /// counts the same NaN pairs.
+        #[test]
+        fn prop_table_audit_equals_the_per_pair_oracle(
+            n in 2usize..40,
+            w in 1usize..6,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = TestRng::new(seed);
+            let stats: Vec<Vec<WindowStats>> = (0..n)
+                .map(|_| {
+                    (0..w)
+                        .map(|_| WindowStats {
+                            len: 10,
+                            mean: rng.unit_f64(),
+                            std: 0.5 + rng.unit_f64(),
+                        })
+                        .collect()
+                })
+                .collect();
+            let plan = QueryPlan::from_window_stats(&stats).unwrap();
+            let bounds = CorrelationBounds::from_plan(&plan);
+            let pairs = n * (n - 1) / 2;
+            let table = poisoned_table(n, w, &mut rng);
+            let view = CorrView::new(&table, pairs, w);
+            let audits = [TableAudit::Off, TableAudit::Swept, TableAudit::SweptAndSkipped];
+
+            for workers in AUDIT_WORKERS {
+                for tile_len in AUDIT_TILES {
+                    for (bounds, audit) in [None, Some(&bounds)]
+                        .into_iter()
+                        .flat_map(|b| audits.map(|a| (b, a)))
+                    {
+                        let (sinks, _) = sweep_pooled(
+                            &Inline(workers),
+                            &plan,
+                            view,
+                            bounds,
+                            tile_len,
+                            audit,
+                            || Recorder::new(seed),
+                        );
+                        let runs = runs_for_workers(pairs, workers);
+                        prop_assert_eq!(sinks.len(), runs.len());
+                        for (run, sink) in runs.into_iter().zip(sinks) {
+                            let pruned = bounds.is_some();
+                            let oracle =
+                                oracle_run(view, n, run.clone(), tile_len, pruned, audit, seed);
+                            prop_assert!(
+                                sink.seen == oracle.seen,
+                                "workers={workers} tile_len={tile_len} pruned={pruned} \
+                                 {audit:?} run={run:?}:\n {:?}\n vs oracle\n {:?}",
+                                sink.seen,
+                                oracle.seen
+                            );
+                            prop_assert_eq!(
+                                sink.inner.finish(n).nan_pair_count(),
+                                oracle.inner.finish(n).nan_pair_count()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

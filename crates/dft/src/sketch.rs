@@ -34,7 +34,8 @@
 //! ([`tsubasa_core::stats::tiled_pair_dist_sq_in`] — the exact sketch's
 //! `Z·Zᵀ` micro-kernel with `(x − y)²` for `x·y`, each sum one serial chain),
 //! and the epilogue applies Equation 3 to the squared distance as it stands:
-//! `ĉ = 1 − max(d², 0)/2`, with no square root taken in between. The scalar
+//! `ĉ = 1 − max(d², 0)/2` (a NaN `d²` stays NaN), with no square root taken
+//! in between. The scalar
 //! per-pair path survives as [`DftSketchSet::build_reference`], which goes
 //! through `d`; every accumulated term of the sweep is non-negative, so the
 //! two agree far inside the `1e-10` tolerance contract pinned by
@@ -152,7 +153,11 @@ impl ComparatorKernel {
         }
         tiled_pair_dist_sq_in(runner, &self.rows, n, row_len, out);
         for slot in out {
-            *slot = estimate_from_distance_sq(slot.max(0.0));
+            // A comparison, not `f64::max`: `max` drops a NaN operand, and a
+            // NaN `d²` stored as `ĉ = 1.0` is a perfect correlation no audit
+            // can see.
+            let d_sq = if *slot < 0.0 { 0.0 } else { *slot };
+            *slot = estimate_from_distance_sq(d_sq);
         }
     }
 }
@@ -525,6 +530,46 @@ mod tests {
                 for (a, b) in dt.iter().zip(dr) {
                     assert!((a - b).abs() <= 1e-12, "pair ({i},{j}): {a} vs {b}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_distance_is_stored_as_a_nan_estimate() {
+        // Caller-supplied statistics with a NaN σ make one series' normalized
+        // window, coefficients and every squared distance to it NaN. The
+        // kernel must store that NaN (as the scalar reference arithmetic
+        // does), not launder it into the perfect-correlation estimate 1.0.
+        let (n, b, n_coeff, poisoned) = (5usize, 16usize, 6usize, 2usize);
+        let c = collection(n, b);
+        let window: Vec<&[f64]> = c.iter().map(|s| s.values()).collect();
+        let mut stats: Vec<WindowStats> = window
+            .iter()
+            .map(|points| WindowStats::from_values(points))
+            .collect();
+        stats[poisoned].std = f64::NAN;
+
+        let mut row = vec![0.0f64; packed_pairs(n)];
+        ComparatorKernel::new(b, n_coeff, Transform::Naive).window_ests_into(
+            &window,
+            &stats,
+            &SerialRunner,
+            &mut row,
+        );
+
+        let coeffs: Vec<Vec<Complex>> = window
+            .iter()
+            .zip(&stats)
+            .map(|(points, st)| naive_dft(&normalize_unit_with_stats(points, st)))
+            .collect();
+        for (p, (i, j)) in c.pairs().enumerate() {
+            let d = coefficient_distance(&coeffs[i], &coeffs[j], n_coeff);
+            let reference = estimate_from_distance_sq(d * d);
+            if i == poisoned || j == poisoned {
+                assert!(reference.is_nan(), "pair ({i},{j})");
+                assert!(row[p].is_nan(), "pair ({i},{j}): stored {}", row[p]);
+            } else {
+                assert!((row[p] - reference).abs() <= 1e-12, "pair ({i},{j})");
             }
         }
     }

@@ -7,11 +7,11 @@
 //! and streams to the single database worker ([`PileBatchWriter`]) — and one
 //! entry point per query ([`ParallelEngine::query`] /
 //! [`ParallelEngine::network`] / [`ParallelEngine::top_k`]) over any
-//! [`CorrSource`]: the mapped pile or an in-memory sketch. The unordered
-//! pairs are partitioned across the workers in contiguous packed runs
-//! ([`crate::partition::partition_pairs`]); query workers write correlations
-//! straight into their disjoint slices of the packed result matrix, or drive
-//! per-worker sinks.
+//! [`CorrSource`]: the mapped pile or an in-memory sketch. The workers split
+//! the unordered pairs as contiguous runs of the packed triangle — index
+//! ranges, never pair lists: dense-query workers write correlations straight
+//! into their disjoint slices of the packed result ([`carve_for_workers`]),
+//! streamed-query workers drive per-worker sinks ([`sweep_pooled`]).
 //!
 //! Both hot loops are tiled batch kernels over window-major data: the sketch
 //! phase calls [`tsubasa_core::stats::window_corrs_into`] or
@@ -26,18 +26,19 @@ use std::time::{Duration, Instant};
 use tsubasa_core::capacity::check_dense_budget;
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::matrix::CorrelationMatrix;
-use tsubasa_core::plan::{carve_for_workers, row_segments, CorrView, PlanMethod, QueryPlan};
-use tsubasa_core::sketch::pair_index;
-use tsubasa_core::source::{audit_nan_chunk, check_source_windows, CorrSource};
+use tsubasa_core::plan::{carve_for_workers, row_segments, PlanMethod, QueryPlan};
+use tsubasa_core::sketch::packed_pairs;
+use tsubasa_core::source::{check_source_windows, CorrSource};
 use tsubasa_core::stats::{window_corrs_into, WindowStats};
-use tsubasa_core::sweep::{CorrelationBounds, EdgeList, EdgeSink, TileSink, TopK, TopKSink};
+use tsubasa_core::sweep::{
+    sweep_pooled, CorrelationBounds, EdgeList, EdgeSink, TableAudit, TileSink, TopK, TopKSink,
+};
 use tsubasa_core::window::BasicWindowing;
 use tsubasa_core::Job;
 use tsubasa_core::SeriesCollection;
 use tsubasa_dft::sketch::{ComparatorKernel, Transform};
 use tsubasa_storage::pile::{PileBatchWriter, PileSlab, PileWriter, SegmentKind, SketchPile};
 
-use crate::partition::partition_pairs;
 use crate::pool::WorkerPool;
 use crate::timing::{QueryReport, SketchReport};
 
@@ -71,18 +72,18 @@ pub struct ParallelConfig {
     /// Number of computation workers (the paper uses 63 plus one database
     /// worker).
     pub workers: usize,
-    /// Number of pairs per streamed query chunk — one pruning decision, one
-    /// NaN audit and at most one sink tile per table row touched; also the
-    /// slab queue depth of the sketch phase's database worker.
+    /// Largest streamed query tile: consecutive pairs of one triangle row
+    /// that get one pruning decision, one NaN audit and one kernel call; also
+    /// the slab queue depth of the sketch phase's database worker.
     pub batch_pairs: usize,
     /// What the sketch phase computes.
     pub sketch_method: SketchMethod,
-    /// Audit chunks skipped by Equation 4 pruning for NaN table values.
+    /// Audit tiles skipped by Equation 4 pruning for NaN table values
+    /// ([`TableAudit::SweptAndSkipped`]; the name predates per-tile pruning).
     /// Pruning decides from per-series statistics alone, so a NaN hiding in
-    /// a skippable chunk is never read and its pair goes uncounted. With
-    /// this set, skipped chunks are still read and NaN-audited — the tiles
-    /// stay skipped (no recombination work), only the accounting becomes
-    /// exhaustive, at the cost of the reads pruning would have saved.
+    /// a skippable tile is never read and its pair goes uncounted. With this
+    /// set, skipped tiles are still read and audited — they stay skipped, only
+    /// the accounting becomes exhaustive, at the cost of the reads saved.
     pub audit_pruned_chunks: bool,
 }
 
@@ -110,7 +111,7 @@ impl Default for ParallelConfig {
 ///
 /// Every query is the one pipeline of [`tsubasa_core::source`] —
 /// `series_stats` → [`QueryPlan::from_window_stats`] → the table the source
-/// lends → a partitioned sweep → sinks — whatever the method or backend, so
+/// lends → the pooled sweep → sinks — whatever the method or backend, so
 /// the answers depend on the stored rows alone, and those are the same bits
 /// on every backend.
 #[derive(Debug)]
@@ -349,19 +350,18 @@ impl ParallelEngine {
     /// The thresholded network (`c > θ`, matching
     /// `query(..)?.0.threshold(theta)` exactly) computed from any
     /// [`CorrSource`] without ever materializing the packed correlation
-    /// triangle: each partition worker streams its chunks through a
-    /// per-worker [`EdgeSink`] and the per-partition edge lists are
-    /// concatenated (partitions are contiguous in row-major pair order, so
-    /// the merge is a plain append).
+    /// triangle: each worker streams the tiles of its run through its own
+    /// [`EdgeSink`] and the per-run edge lists are appended in run order (runs
+    /// are contiguous in row-major pair order, so that is the whole merge).
     ///
-    /// On the [`QueryMethod::Approximate`] path, whole chunks are skipped
-    /// *before* their table columns are touched when their Equation 4
-    /// per-tile correlation upper bound cannot reach θ — the paper's pruning
-    /// radius applied at I/O granularity (a pruned chunk is never faulted in
-    /// from a mapping). The exact path observes every pair, so its NaN audit
-    /// (NaN table values, counted per pair and exposed through
-    /// [`EdgeList::nan_pair_count`]) is exhaustive; pruned approximate chunks
-    /// are audited only under [`ParallelConfig::audit_pruned_chunks`].
+    /// On the [`QueryMethod::Approximate`] path, a tile is skipped *before*
+    /// its table columns are touched when its Equation 4 correlation upper
+    /// bound cannot reach θ — the paper's pruning radius applied at I/O
+    /// granularity (a pruned tile is never faulted in from a mapping). The
+    /// exact path observes every pair, so its NaN audit (NaN table values,
+    /// counted per pair and exposed through [`EdgeList::nan_pair_count`]) is
+    /// exhaustive; pruned approximate tiles are audited only under
+    /// [`ParallelConfig::audit_pruned_chunks`].
     pub fn network<S: CorrSource + ?Sized>(
         &self,
         source: &S,
@@ -384,7 +384,7 @@ impl ParallelEngine {
 
     /// The `k` strongest edges of the query window, streamed from any
     /// [`CorrSource`] with a per-worker bounded heap ([`TopKSink`]) merged
-    /// across partitions. Chunks whose Equation 4 upper bound cannot beat
+    /// across runs. Tiles whose Equation 4 upper bound cannot beat
     /// the worker's current k-th strength are skipped before their columns
     /// are touched (both query methods — the bound holds for exact and
     /// approximate recombination alike). Ranking is total
@@ -410,11 +410,13 @@ impl ParallelEngine {
 
     /// Shared body of the streamed queries: fetch the per-series statistics
     /// once, build the shared plan (and, when `prune` is set, the Equation 4
-    /// bound components), borrow the source's table, then fan the partitions
-    /// out on the worker pool — every worker drives its own sink over its own
-    /// chunks of the shared view, with one output tile of working memory.
-    /// Returns the per-partition sinks (in row-major partition order) for the
-    /// caller to merge.
+    /// bound components), borrow the source's table, then hand it to the one
+    /// pooled sweep ([`sweep_pooled`]): every worker drives its own sink over
+    /// its own run of the shared view in tiles of at most `batch_pairs`
+    /// pairs. The table NaN audit precedes each tile's recombination — the
+    /// kernel clamps NaN window values to 0.0, so a method-mismatched sketch
+    /// would otherwise yield a plausible-looking correlation. Returns the
+    /// sinks in run order.
     fn streamed_source_query<S: CorrSource + ?Sized, K: TileSink + Send>(
         &self,
         source: &S,
@@ -429,113 +431,43 @@ impl ParallelEngine {
         let n = source.series_count();
         let mut report = QueryReport {
             workers: self.config.workers.max(1),
+            pairs: packed_pairs(n),
             ..QueryReport::default()
         };
 
         let series_stats = source.series_stats(windows.clone())?;
+        let table = (n >= 2)
+            .then(|| source.lent_table(windows, pm))
+            .transpose()?;
+        report.read_time = wall_start.elapsed();
         let mut sinks: Vec<K> = Vec::new();
-        if n >= 2 {
-            let table = source.lent_table(windows, pm)?;
-            report.read_time = wall_start.elapsed();
-
+        if let Some(table) = &table {
             let plan = QueryPlan::from_window_stats(&series_stats)?;
             let bounds = prune.then(|| CorrelationBounds::from_plan(&plan));
-            let (plan, bounds, view) = (&plan, bounds.as_ref(), table.view());
-            let batch_pairs = self.config.batch_pairs.max(1);
-            let audit_pruned = self.config.audit_pruned_chunks;
-
-            let partitions = partition_pairs(n, report.workers);
-            let live: Vec<_> = partitions.iter().filter(|p| !p.is_empty()).collect();
-            report.pairs = live.iter().map(|p| p.len()).sum();
-            sinks.extend(live.iter().map(|_| make_sink()));
-            let mut busy = vec![Duration::ZERO; live.len()];
-            let jobs: Vec<Job<'_>> = live
-                .into_iter()
-                .zip(sinks.iter_mut().zip(busy.iter_mut()))
-                .map(|(part, (sink, busy))| {
-                    Box::new(move || {
-                        let t = Instant::now();
-                        sweep_source_partition(
-                            plan,
-                            view,
-                            bounds,
-                            batch_pairs,
-                            audit_pruned,
-                            &part.pairs,
-                            sink,
-                        );
-                        *busy = t.elapsed();
-                    }) as Job<'_>
-                })
-                .collect();
-            self.pool.run_jobs(jobs);
-            report.compute_time = busy.iter().sum();
-        } else {
-            report.read_time = wall_start.elapsed();
+            let audit = if self.config.audit_pruned_chunks {
+                TableAudit::SweptAndSkipped
+            } else {
+                TableAudit::Swept
+            };
+            (sinks, report.compute_time) = sweep_pooled(
+                &self.pool,
+                &plan,
+                table.view(),
+                bounds.as_ref(),
+                self.config.batch_pairs,
+                audit,
+                make_sink,
+            );
         }
         report.wall_time = wall_start.elapsed();
         Ok((sinks, n, report))
     }
 }
 
-/// One worker's streamed sweep of its partition — the single body behind
-/// every streamed backend. The chunks (`batch_pairs` consecutive pairs) are
-/// swept in place off the table the source lent, with global pair offsets;
-/// nothing is ever copied, and working memory is one `batch_pairs`-sized
-/// output tile — never the partition's (let alone the triangle's) full size.
-///
-/// Equation 4 chunk pruning is decided from per-series statistics alone: a
-/// skipped chunk's columns are never dereferenced (no page faults on a
-/// mapping). Under `audit_pruned` the skipped chunk is still NaN-audited
-/// through the shared hook — the tiles stay skipped, only the accounting
-/// becomes exhaustive, at the cost of the reads pruning would have saved.
-fn sweep_source_partition(
-    plan: &QueryPlan,
-    view: CorrView<'_>,
-    bounds: Option<&CorrelationBounds>,
-    batch_pairs: usize,
-    audit_pruned: bool,
-    pairs: &[(usize, usize)],
-    sink: &mut dyn TileSink,
-) {
-    let n = plan.series_count();
-    let mut tile = vec![0.0f64; batch_pairs];
-    for chunk in pairs.chunks(batch_pairs) {
-        let (a0, b0) = chunk[0];
-        let first = pair_index(a0, b0, n);
-        let segments = row_segments(first, chunk.len(), n);
-
-        let skippable = bounds.is_some_and(|b| {
-            segments
-                .iter()
-                .all(|&(i, j0, len)| sink.tile_skippable(b.tile_bound(i, j0, len)))
-        });
-        if skippable {
-            if audit_pruned {
-                audit_nan_chunk(view, chunk, n, sink);
-            }
-            for (i, j0, len) in segments {
-                sink.tile_skipped(i, j0, len);
-            }
-            continue;
-        }
-
-        // The NaN audit precedes recombination: the kernel clamps NaN window
-        // values to the 0.0 convention, so a method-mismatched sketch would
-        // otherwise silently produce a plausible-looking correlation.
-        audit_nan_chunk(view, chunk, n, sink);
-        let mut offset = first;
-        for (i, j0, len) in segments {
-            plan.block_kernel(i, j0, view, offset, &mut tile[..len]);
-            sink.consume(i, j0, offset, &tile[..len]);
-            offset += len;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsubasa_core::sketch::pair_index;
     use tsubasa_core::{baseline, QueryWindow, SketchSet};
     use tsubasa_data::station::{generate_ncea_like, NceaLikeConfig};
     use tsubasa_dft::sketch::{DftSketchSet, Transform};
@@ -756,7 +688,7 @@ mod tests {
         // Two groups: series 0–1 put all their variance *within* windows
         // (zero-mean oscillation, `s ≈ 1, t ≈ 0`), series 2–3 put it
         // *between* windows (staircase, `s ≈ 0, t ≈ 1`). A cross-group pair
-        // then has Equation 4 bound `s_i s_j + t_i t_j ≈ 0`, so its chunk is
+        // then has Equation 4 bound `s_i s_j + t_i t_j ≈ 0`, so its tile is
         // pruned before its columns are read — and a NaN planted there is
         // invisible to the default audit.
         let len = 120;
@@ -780,7 +712,7 @@ mod tests {
         .unwrap();
         let eng = ParallelEngine::new(ParallelConfig {
             workers: 2,
-            batch_pairs: 1, // isolate every pair in its own chunk
+            batch_pairs: 1, // isolate every pair in its own tile
             sketch_method: SketchMethod::Dft { coefficients: 10 },
             audit_pruned_chunks: false,
         });
@@ -799,7 +731,7 @@ mod tests {
         let (silent, _) = eng
             .network(&poisoned, 0..ns, QueryMethod::Approximate, 0.5)
             .unwrap();
-        // The poisoned chunk was pruned before being read: the NaN goes
+        // The poisoned tile was pruned before being read: the NaN goes
         // uncounted by default.
         assert_eq!(silent.nan_pair_count(), 0);
 
@@ -813,6 +745,45 @@ mod tests {
         assert_eq!(audited.nan_pair_count(), 1);
         // The audit changes accounting only, never the edge set.
         assert_eq!(audited.edges(), silent.edges());
+    }
+
+    #[test]
+    fn a_nan_distance_row_is_counted_by_the_audit() {
+        // A comparator row minted from caller-supplied statistics with a NaN
+        // σ for series 1: the kernel stores NaN estimates for that series'
+        // pairs, and the engine's table audit counts exactly those pairs.
+        let c = small_collection();
+        let (n, b, poisoned) = (c.len(), 60, 1);
+        let dft = DftSketchSet::build(&c, b, 10, Transform::Naive).unwrap();
+        let ns = dft.window_count();
+        let mut ests: Vec<f64> = (0..ns)
+            .flat_map(|w| dft.window_ests_view(w..w + 1).window_row(0).to_vec())
+            .collect();
+        let window: Vec<&[f64]> = c.iter().map(|s| &s.values()[..b]).collect();
+        let mut stats: Vec<WindowStats> = window
+            .iter()
+            .map(|points| WindowStats::from_values(points))
+            .collect();
+        stats[poisoned].std = f64::NAN;
+        let pairs = c.pair_count();
+        ComparatorKernel::new(b, 10, Transform::Naive).window_ests_into(
+            &window,
+            &stats,
+            &tsubasa_core::SerialRunner,
+            &mut ests[..pairs],
+        );
+        let poisoned_sketch = DftSketchSet::from_parts(dft.base().clone(), 10, ests).unwrap();
+
+        let eng = ParallelEngine::new(ParallelConfig {
+            workers: 2,
+            batch_pairs: 8,
+            sketch_method: SketchMethod::Dft { coefficients: 10 },
+            audit_pruned_chunks: true,
+        });
+        let (edges, _) = eng
+            .network(&poisoned_sketch, 0..ns, QueryMethod::Approximate, 0.5)
+            .unwrap();
+        assert_eq!(edges.nan_pair_count(), n - 1);
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! series paired with every later series), processed row by row, so that the
 //! statistics of the row's series stay hot while its pairs are computed. For
 //! load balancing every partition receives (almost) the same number of pairs.
+//!
+//! **No product caller.** The engine's queries sweep the same contiguous runs
+//! as index ranges ([`tsubasa_core::plan::runs_for_workers`]) and never
+//! materialize a pair list; this module is kept for the benchmark ledger's
+//! traced `pile-ooc` decomposition, which imports it, and as the per-pair
+//! oracle of the tests.
 
 use tsubasa_core::plan::even_sizes;
 use tsubasa_core::sketch::unpack_pair_index;

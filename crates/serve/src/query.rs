@@ -5,7 +5,9 @@
 //! same epoch's sketch:
 //!
 //! * exact network ≡ [`tsubasa_core::exact::network_streamed_aligned`] — no
-//!   pruning, strict `c > θ` rule, exhaustive NaN audit;
+//!   pruning, strict `c > θ` rule; like that path it counts NaN *outputs*,
+//!   and the kernel clamps a NaN table value to `0.0`, so the table itself is
+//!   not audited here (the parallel engine's queries do audit it);
 //! * exact top-k ≡ [`tsubasa_core::exact::top_k_aligned`] — Equation 4
 //!   tile pruning, total [`f64::total_cmp`] ranking;
 //! * approximate network ≡ [`tsubasa_dft::ApproxPlan::network_streamed`] —
@@ -15,9 +17,10 @@
 //! Every query is the same four steps whatever the method or the epoch's
 //! backend: one plan lookup (the per-series tables, cached), one table lent by
 //! the epoch's source ([`CorrSource::full_table`] — shared sketch rows or
-//! mapped pile rows, never copied), one fan-out of [`sweep_run`] over
-//! contiguous pair runs, and a merge. The method picks the table, the sink
-//! and whether tiles are pruned; nothing else forks.
+//! mapped pile rows, never copied), one fan-out over contiguous pair runs
+//! ([`sweep_pooled`], the pooled sweep the parallel engine also calls), and a
+//! merge. The method picks the table, the sink and whether tiles are pruned;
+//! nothing else forks.
 //!
 //! The equivalence rests on the PR 6 invariant (tile and run boundaries
 //! never change any pair's arithmetic) plus ordered merging: runs are
@@ -30,11 +33,11 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use tsubasa_core::error::Error;
-use tsubasa_core::plan::{even_sizes, CorrView, PlanKey, PlanMethod};
-use tsubasa_core::runner::Job;
+use tsubasa_core::plan::{CorrView, PlanKey, PlanMethod};
 use tsubasa_core::source::CorrSource;
 use tsubasa_core::sweep::{
-    sweep_run, CorrelationBounds, EdgeList, EdgeSink, TileSink, TopK, TopKSink, DEFAULT_TILE_PAIRS,
+    sweep_pooled, CorrelationBounds, EdgeList, EdgeSink, TableAudit, TileSink, TopK, TopKSink,
+    DEFAULT_TILE_PAIRS,
 };
 use tsubasa_core::QueryPlan;
 use tsubasa_dft::plan::RadiusEdgeSink;
@@ -134,20 +137,6 @@ pub fn resolve_windows(
         }));
     }
     Ok(available - lw..available)
-}
-
-/// Contiguous ascending pair runs of near-equal size, one per worker.
-fn partition_runs(pair_count: usize, parts: usize) -> Vec<Range<usize>> {
-    let mut start = 0usize;
-    even_sizes(pair_count, parts)
-        .into_iter()
-        .filter(|&s| s > 0)
-        .map(|s| {
-            let run = start..start + s;
-            start += s;
-            run
-        })
-        .collect()
 }
 
 /// The serving-side query engine: answers network / top-k requests from the
@@ -263,8 +252,8 @@ impl QueryEngine {
         let (plan, bounds) = self.plan(epoch.id(), source.as_ref(), &windows, method)?;
         let table = source.lent_table(windows, method)?;
         Ok(match method {
-            // Exact network: the strict `c > θ` rule and no pruning,
-            // mirroring the serial streamed path's exhaustive NaN audit.
+            // Exact network: the strict `c > θ` rule and no pruning, as on
+            // the serial streamed path (every pair reaches the sink).
             PlanMethod::Exact => {
                 let sinks = self.sweep(&plan, table.view(), None, || EdgeSink::new(theta));
                 merge_edges(sinks.into_iter().map(|sink| sink.finish(n)))
@@ -333,11 +322,9 @@ impl QueryEngine {
         Ok(cached.into_parts())
     }
 
-    /// Fan one streamed sweep over the worker pool: one contiguous ascending
-    /// run of the packed triangle per worker, each into its own sink from
-    /// `make_sink`. The view may borrow an in-memory sketch table or a mapped
-    /// pile's rows — the sweep is identical either way. Returns the sinks in
-    /// run order.
+    /// Fan one streamed sweep over the worker pool; sinks come back in run
+    /// order. No table audit: the contract is the serial library answer, NaN
+    /// count included, and the serial paths audit outputs only.
     fn sweep<K: TileSink + Send>(
         &self,
         plan: &QueryPlan,
@@ -345,20 +332,8 @@ impl QueryEngine {
         bounds: Option<&CorrelationBounds>,
         make_sink: impl Fn() -> K,
     ) -> Vec<K> {
-        let n = plan.series_count();
-        let runs = partition_runs(n * n.saturating_sub(1) / 2, self.pool.size());
-        let mut sinks: Vec<K> = runs.iter().map(|_| make_sink()).collect();
-        let jobs: Vec<Job<'_>> = runs
-            .into_iter()
-            .zip(sinks.iter_mut())
-            .map(|(run, sink)| {
-                Box::new(move || {
-                    sweep_run(plan, &view, bounds, run, DEFAULT_TILE_PAIRS, sink);
-                }) as Job<'_>
-            })
-            .collect();
-        self.pool.run_jobs(jobs);
-        sinks
+        let (tile, audit) = (DEFAULT_TILE_PAIRS, TableAudit::Off);
+        sweep_pooled(&*self.pool, plan, view, bounds, tile, audit, make_sink).0
     }
 }
 

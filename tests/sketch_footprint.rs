@@ -9,7 +9,9 @@
 //! statistics vector plus one row per table — never one per pair, and never
 //! a regrown table. A clone shares every row, so `k` clones (or `k` published
 //! epochs) of a `W`-window sketch hold `k` copies of the per-series
-//! statistics plus the `k` appended rows, not `k` tables.
+//! statistics plus the `k` appended rows, not `k` tables. A streamed engine
+//! query borrows that table and sweeps it tile by tile: it allocates no
+//! `O(P)` buffer, and no buffer per tile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,6 +21,7 @@ use std::sync::Arc;
 use tsubasa_core::prelude::*;
 use tsubasa_core::stats::{normalize_into, tiled_pair_corrs_into, WindowStats};
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
+use tsubasa_parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
 use tsubasa_serve::{EpochIngest, EpochStore};
 
 /// The system allocator with per-thread counters in front of it, so the test
@@ -27,6 +30,7 @@ struct CountingAlloc;
 
 thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    static GROSS: Cell<usize> = const { Cell::new(0) };
     static CALLS: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -34,6 +38,7 @@ fn count(delta: isize, call: bool) {
     // `try_with`: the allocator also runs while a thread's locals are torn
     // down, when there is nothing left to count into.
     let _ = LIVE.try_with(|l| l.set(l.get() + delta));
+    let _ = GROSS.try_with(|g| g.set(g.get() + delta.max(0) as usize));
     if call {
         let _ = CALLS.try_with(|c| c.set(c.get() + 1));
     }
@@ -75,6 +80,14 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     (value, held, CALLS.get() - calls)
 }
 
+/// Run `f` on this thread; return its value, every byte it allocated
+/// (freed since or not), and the number of `alloc`/`realloc` calls it made.
+fn gross<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let (bytes, calls) = (GROSS.get(), CALLS.get());
+    let value = f();
+    (value, GROSS.get() - bytes, CALLS.get() - calls)
+}
+
 const N: usize = 64;
 const PAIRS: usize = N * (N - 1) / 2;
 const B: usize = 16;
@@ -92,7 +105,11 @@ fn clone_bytes(windows: usize, tables: usize) -> usize {
 }
 
 fn rows(len: usize) -> Vec<Vec<f64>> {
-    (0..N)
+    series_rows(N, len)
+}
+
+fn series_rows(n: usize, len: usize) -> Vec<Vec<f64>> {
+    (0..n)
         .map(|s| {
             (0..len)
                 .map(|i| (i as f64 * 0.19 + s as f64).sin() + ((i * (s + 5)) % 11) as f64 * 0.05)
@@ -252,4 +269,47 @@ fn published_epochs_hold_one_new_row_each() {
     )
     .unwrap();
     assert_eq!(latest.approx().unwrap().as_ref(), &rebuilt);
+}
+
+#[test]
+fn a_streamed_engine_query_allocates_no_per_pair_buffer() {
+    // A 1-worker engine runs its jobs inline, so this thread's counters see
+    // the whole query: statistics, plan and bounds (`O(N · w)`), one output
+    // tile and one short list of row segments per run, the answer. Nothing
+    // is sized by the pair count, and nothing is allocated per tile.
+    const SERIES: usize = 200;
+    const W: usize = 6;
+    let pairs = SERIES * (SERIES - 1) / 2;
+    let c = SeriesCollection::from_rows(series_rows(SERIES, W * B)).unwrap();
+    let sketch = SketchSet::build(&c, B).unwrap();
+
+    let mut calls = Vec::new();
+    for batch_pairs in [16, 4096] {
+        let eng = ParallelEngine::new(ParallelConfig {
+            workers: 1,
+            batch_pairs,
+            sketch_method: SketchMethod::Exact,
+            audit_pruned_chunks: false,
+        });
+        let ((edges, _), net_bytes, net_calls) =
+            gross(|| eng.network(&sketch, 0..W, QueryMethod::Exact, 0.9).unwrap());
+        let ((top, _), top_bytes, top_calls) =
+            gross(|| eng.top_k(&sketch, 0..W, QueryMethod::Exact, 10).unwrap());
+        assert_eq!(top.edges.len(), 10);
+        // The sink's edge vector grows to its final capacity and the merge
+        // copies it once: three times the returned edges bounds both.
+        let answer = 3 * 16 * edges.edge_count();
+        assert!(
+            net_bytes < 8 * pairs + answer && top_bytes < 8 * pairs,
+            "batch_pairs={batch_pairs}: network allocated {net_bytes} bytes ({answer} for \
+             {} edges), top_k {top_bytes}, against {} for one value per pair",
+            edges.edge_count(),
+            8 * pairs
+        );
+        calls.push((net_calls, top_calls));
+    }
+    assert_eq!(
+        calls[0], calls[1],
+        "allocation calls must not depend on pairs / batch_pairs"
+    );
 }
