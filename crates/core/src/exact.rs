@@ -27,16 +27,18 @@
 //! once per query and evaluate the packed triangle row tile by row tile with
 //! the plan's batch kernel ([`QueryPlan::block_kernel`]) against the
 //! sketch's window-major correlation table (borrowed zero-copy through
-//! [`SketchSet::window_corrs_view`]). The batch kernel reorders the
-//! floating-point accumulation, so the matrix paths agree with the per-pair
-//! reference within `1e-10` absolute (the `tiled_kernel_agreement` property
-//! suite pins this) rather than bit-for-bit; the scalar plan kernel
-//! ([`QueryPlan::pair_kernel`]) remains bit-identical to [`pair_correlation`].
+//! [`SketchSet::window_corrs_view`]). The batch kernel takes the
+//! correlations of a partial head/tail window from the window kernel's
+//! z-score products where the per-pair reference centers raw values, so the
+//! matrix paths agree with the reference within `1e-10` absolute (the
+//! `tiled_kernel_agreement` property suite pins this) rather than
+//! bit-for-bit; the scalar plan kernel ([`QueryPlan::pair_kernel`]) remains
+//! bit-identical to [`pair_correlation`].
 
 use crate::capacity::check_dense_budget;
 use crate::error::{Error, Result};
 use crate::matrix::CorrelationMatrix;
-use crate::plan::{row_segments, CorrView, QueryPlan};
+use crate::plan::{row_segments, CorrView, PartialCorrs, QueryPlan};
 use crate::runner::{Job, JobRunner, ScopedRunner};
 use crate::sketch::{pair_index, SketchSet};
 use crate::stats::{clamp_corr, WindowStats};
@@ -401,12 +403,13 @@ fn streamed_sweep(
 }
 
 /// Evaluate the contiguous packed-triangle run `start..start + out.len()`
-/// through the plan's batch kernel, one same-row tile at a time. This is the
-/// unit of work both the serial and the parallel sweeps execute — a worker's
-/// chunk boundary never changes any pair's arithmetic, so the matrix is
-/// independent of the worker count.
+/// through the plan's batch kernel, one same-row tile at a time, with the
+/// run's own partial-window scratch. This is the unit of work both the serial
+/// and the parallel sweeps execute — a worker's chunk boundary never changes
+/// any pair's arithmetic, so the matrix is independent of the worker count.
 fn sweep_packed_run(plan: &QueryPlan, corrs_t: CorrView<'_>, start: usize, out: &mut [f64]) {
     let n = plan.series_count();
+    let mut partial = PartialCorrs::default();
     let mut cursor = 0;
     for (i, j0, len) in row_segments(start, out.len(), n) {
         plan.block_kernel(
@@ -414,6 +417,7 @@ fn sweep_packed_run(plan: &QueryPlan, corrs_t: CorrView<'_>, start: usize, out: 
             j0,
             corrs_t,
             pair_index(i, j0, n),
+            &mut partial,
             &mut out[cursor..cursor + len],
         );
         cursor += len;
@@ -764,6 +768,52 @@ mod tests {
         }
         let aligned = top_k_aligned(&sketch, 0..8, 3).unwrap();
         assert_eq!(aligned.edges.len(), 3);
+    }
+
+    #[test]
+    fn a_collection_of_another_series_count_is_a_sketch_mismatch() {
+        // A sketch of 6 series packs 15 pairs a row; a 4- or 8-series plan
+        // would address it with the wrong stride and answer plausibly.
+        let sketched = test_collection(6, 120);
+        let sketch = SketchSet::build(&sketched, 20).unwrap();
+        type Entry = fn(&SeriesCollection, &SketchSet, QueryWindow) -> Result<()>;
+        let entries: [(&str, Entry); 5] = [
+            ("correlation_matrix", |c, s, q| {
+                correlation_matrix(c, s, q).map(drop)
+            }),
+            ("correlation_matrix_parallel", |c, s, q| {
+                correlation_matrix_parallel(c, s, q, 2).map(drop)
+            }),
+            ("network_streamed", |c, s, q| {
+                network_streamed(c, s, q, 0.2).map(drop)
+            }),
+            ("top_k", |c, s, q| top_k(c, s, q, 3).map(drop)),
+            ("QueryPlan::build", |c, s, q| {
+                QueryPlan::build(c, s, q).map(drop)
+            }),
+        ];
+        let fewer = sketched.take_series(4).unwrap();
+        let more = test_collection(8, 120);
+        for query in [(119, 80), (110, 75)] {
+            let query = QueryWindow::new(query.0, query.1).unwrap();
+            for (name, entry) in entries {
+                assert!(entry(&sketched, &sketch, query).is_ok(), "{name}");
+                for (given, other) in [(4, &fewer), (8, &more)] {
+                    let what = format!("{name}, {given} series on a 6-series sketch, {query:?}");
+                    match entry(other, &sketch, query) {
+                        Err(Error::SketchMismatch {
+                            requested,
+                            available,
+                        }) => assert!(
+                            requested.contains(&format!("{given} series"))
+                                && available.contains("6 series"),
+                            "{what}: requested {requested}, available {available}"
+                        ),
+                        other => panic!("{what}: {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

@@ -28,14 +28,24 @@
 //! corr(i,j) = num / (√den_i √den_j)
 //! ```
 //!
-//! Partial head/tail windows of unaligned queries contribute their raw
-//! centered cross-product through [`crate::stats::pair_corr_from_stats`]
-//! (per-series partial statistics live in the plan), exactly as the
-//! reference path does. Every arithmetic operation is performed with the
-//! same operands in the same order as [`crate::exact::combine`], so the plan
-//! kernel is **bit-for-bit identical** to the reference path — a property the
-//! `flat_kernel_equivalence` test suite asserts over 256 random
-//! configurations.
+//! In the scalar kernel ([`QueryPlan::pair_kernel`]) the partial head/tail
+//! windows of unaligned queries contribute their raw centered cross-product
+//! through [`crate::stats::pair_corr_from_stats`] (per-series partial
+//! statistics live in the plan), exactly as the reference path does. Every
+//! arithmetic operation is performed with the same operands in the same order
+//! as [`crate::exact::combine`], so that kernel is **bit-for-bit identical**
+//! to the reference path — a property the `flat_kernel_equivalence` test
+//! suite asserts over 256 random configurations.
+//!
+//! The tiled kernel of the all-pairs paths ([`QueryPlan::block_kernel`])
+//! treats a partial window as what Lemma 1 says it is: one more plan window,
+//! whose correlation row happens not to be stored. The plan keeps the head's
+//! and the tail's z-scores in the window kernel's packed panel layout
+//! ([`crate::stats::packed_len`]), and the kernel that mints every stored row
+//! mints theirs at query time, one aligned group of four triangle rows at a
+//! time, into the [`PartialCorrs`] scratch the tile driver owns. Such a `c`
+//! is `clamp_corr(Σ_t z_i[t]·z_j[t] · (1/len))`, one left-to-right chain, so
+//! the tiled kernel agrees with the scalar one within `1e-10`, not bit for bit.
 //!
 //! # Example
 //!
@@ -65,9 +75,10 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
-use crate::sketch::SketchSet;
+use crate::sketch::{pair_index, SketchSet};
 use crate::stats::{
-    clamp_corr, normalize_into, normalized_dot_corr, pair_corr_from_stats, WindowStats,
+    clamp_corr, normalize_each, packed_corr_rows_into, packed_lane_mut, packed_len,
+    pair_corr_from_stats, WindowStats, TILE_ROWS,
 };
 use crate::timeseries::{SeriesCollection, SeriesId};
 use crate::window::{QueryWindow, WindowSpan};
@@ -116,25 +127,38 @@ pub struct QueryPlan {
     stds_t: Vec<f64>,
     /// Window-major transpose of `deltas`, companion of `stds_t`.
     deltas_t: Vec<f64>,
-    /// Z-normalized partial-head values, one contiguous row per series
-    /// (`n × head_len`; empty when aligned). Lets the block kernel evaluate
-    /// head contributions as dot products instead of re-centering raw data
-    /// per pair.
+    /// Z-normalized partial-head values in the pair kernel's packed panel
+    /// layout ([`packed_len`]`(n, head_len)`; empty when aligned): the block
+    /// the head's correlation row is minted from, a few triangle rows at a
+    /// time ([`PartialCorrs`]).
     head_z: Vec<f64>,
-    /// Z-normalized partial-tail values (`n × tail_len`; empty when aligned).
+    /// Z-normalized partial-tail values, packed like `head_z`.
     tail_z: Vec<f64>,
 }
 
 impl QueryPlan {
     /// Build the plan for an arbitrary query window: interior basic windows
-    /// come from `sketch`, partial head/tail statistics are computed from the
-    /// raw data in `collection`.
+    /// come from `sketch`; the statistics of a partial head/tail window are
+    /// computed from the raw data in `collection`, and its z-scores go
+    /// straight into the packed block [`QueryPlan::block_kernel`] mints the
+    /// window's correlations from.
+    ///
+    /// A `collection` of another series count than `sketch` is an
+    /// [`Error::SketchMismatch`]: the plan would address the sketch's packed
+    /// pair rows with the wrong stride.
     pub fn build(
         collection: &SeriesCollection,
         sketch: &SketchSet,
         query: QueryWindow,
     ) -> Result<Self> {
         query.validate(collection.series_len())?;
+        let n = collection.len();
+        if n != sketch.series_count() {
+            return Err(Error::SketchMismatch {
+                requested: format!("a plan over a collection of {n} series"),
+                available: format!("a sketch of {} series", sketch.series_count()),
+            });
+        }
         let seg = sketch.windowing().segment(query);
         if seg.full.end > sketch.window_count() {
             return Err(Error::SketchMismatch {
@@ -142,32 +166,27 @@ impl QueryPlan {
                 available: format!("{} sketched windows", sketch.window_count()),
             });
         }
-        let n = collection.len();
         let w = seg.full_count() + seg.head.is_some() as usize + seg.tail.is_some() as usize;
 
         let mut plan = Self::empty(n, w, seg.full.clone(), seg.head, seg.tail);
+        plan.head_z = vec![0.0; seg.head.map_or(0, |head| packed_len(n, head.len()))];
+        plan.tail_z = vec![0.0; seg.tail.map_or(0, |tail| packed_len(n, tail.len()))];
         let mut row: Vec<WindowStats> = Vec::with_capacity(w);
         for (i, series) in collection.iter_with_ids() {
             let values = series.values();
             let sk = sketch.series_sketch(i)?;
             row.clear();
             if let Some(head) = seg.head {
-                let stats = WindowStats::from_values(head.slice(values));
+                let stats = sketch_partial(head, values, i, &mut plan.head_z);
                 plan.head_stats.push(stats);
-                let base = plan.head_z.len();
-                plan.head_z.resize(base + head.len(), 0.0);
-                normalize_into(head.slice(values), &stats, &mut plan.head_z[base..]);
                 row.push(stats);
             }
             for k in seg.full.clone() {
                 row.push(sk.window(k));
             }
             if let Some(tail) = seg.tail {
-                let stats = WindowStats::from_values(tail.slice(values));
+                let stats = sketch_partial(tail, values, i, &mut plan.tail_z);
                 plan.tail_stats.push(stats);
-                let base = plan.tail_z.len();
-                plan.tail_z.resize(base + tail.len(), 0.0);
-                normalize_into(tail.slice(values), &stats, &mut plan.tail_z[base..]);
                 row.push(stats);
             }
             plan.push_series_row(&row);
@@ -475,15 +494,25 @@ impl QueryPlan {
     /// Because the tile shares `i`, the inner loop streams four contiguous
     /// arrays (`σ_j`, `δ_j`, `c_k`, `out`) with an independent accumulator
     /// per pair — no reduction chain, so the backend can vectorize across
-    /// the tile. Partial head/tail windows of unaligned plans contribute via
-    /// dot products over the plan's normalized head/tail rows.
+    /// the tile.
     ///
-    /// Accumulation order differs from [`QueryPlan::pair_kernel`] (full
-    /// windows first, then head/tail; per-element `1/σ` normalization), so
-    /// agreement with the scalar reference is a *tolerance* contract —
-    /// ≤ `1e-10` absolute, pinned by the `tiled_kernel_agreement` suite — not
-    /// bit-equality. Degenerate (constant-series) pairs yield `0.0` as
-    /// everywhere else.
+    /// A partial head or tail window is one more plan window whose `c` row
+    /// is not stored: the first tile evaluated in an aligned group of four
+    /// triangle rows (the pair kernel's register tile) mints the group's head
+    /// and tail `c` into `partial`, with the kernel behind
+    /// [`crate::stats::window_corrs_into`] over the plan's packed z-scores,
+    /// and every tile of the group reads its slice of them. `partial` is the
+    /// caller's, one per run of tiles over this plan ([`PartialCorrs`]); an
+    /// aligned plan never touches it.
+    ///
+    /// A pair's numerator accumulates the `w` plan windows in plan order
+    /// (`[head?, full…, tail?]`, like [`QueryPlan::pair_kernel`]) from `0.0`,
+    /// whatever tile or run the pair falls in. A partial window's `c` is the
+    /// kernel's serial `clamp_corr(Σ_t z_i[t]·z_j[t] · (1/len))` where the
+    /// scalar reference centers raw values per pair, so agreement with it is
+    /// a *tolerance* contract — ≤ `1e-10` absolute, pinned by the
+    /// `tiled_kernel_agreement` suite — not bit-equality. Degenerate
+    /// (constant-series) pairs yield `0.0` as everywhere else.
     ///
     /// # Panics
     ///
@@ -496,6 +525,7 @@ impl QueryPlan {
         j0: SeriesId,
         corrs: CorrView<'_>,
         pair_offset: usize,
+        partial: &mut PartialCorrs,
         out: &mut [f64],
     ) {
         let np = out.len();
@@ -510,50 +540,31 @@ impl QueryPlan {
             self.full.len(),
             "block_kernel needs one transposed correlation row per full plan window"
         );
+        let in_group = if self.is_aligned() {
+            0
+        } else {
+            let group = partial.mint_group_of(self, i);
+            pair_index(i, j0, n) - pair_index(group, group + 1, n)
+        };
         let head_off = usize::from(self.head.is_some());
         out.fill(0.0);
 
-        // Full sketched windows: everything the tile touches is contiguous.
-        for kk in 0..self.full.len() {
-            let k = head_off + kk;
+        // Everything the tile touches is contiguous.
+        for k in 0..self.w {
             let lk = self.lens[k];
             let si = self.stds_t[k * n + i];
             let di = self.deltas_t[k * n + i];
             let st = &self.stds_t[k * n + j0..k * n + j0 + np];
             let dt = &self.deltas_t[k * n + j0..k * n + j0 + np];
-            let c = &corrs.window_row(kk)[pair_offset..pair_offset + np];
+            let c = if k < head_off {
+                &partial.head[in_group..in_group + np]
+            } else if k < head_off + self.full.len() {
+                &corrs.window_row(k - head_off)[pair_offset..pair_offset + np]
+            } else {
+                &partial.tail[in_group..in_group + np]
+            };
             for p in 0..np {
                 out[p] += lk * (si * st[p] * c[p] + di * dt[p]);
-            }
-        }
-
-        // Partial head/tail: per-pair dot products over normalized rows (the
-        // per-series σ/δ of these windows sit at plan-window indices 0 and
-        // w−1 of the transposed tables).
-        if self.head.is_some() {
-            let hl = self.head_z.len() / n;
-            let zi = &self.head_z[i * hl..(i + 1) * hl];
-            let l0 = self.lens[0];
-            for (p, slot) in out.iter_mut().enumerate() {
-                let j = j0 + p;
-                let zj = &self.head_z[j * hl..(j + 1) * hl];
-                let c = normalized_dot_corr(zi, zj);
-                *slot += l0
-                    * (self.stds_t[i] * self.stds_t[j] * c + self.deltas_t[i] * self.deltas_t[j]);
-            }
-        }
-        if self.tail.is_some() {
-            let tl = self.tail_z.len() / n;
-            let zi = &self.tail_z[i * tl..(i + 1) * tl];
-            let k = self.w - 1;
-            let lk = self.lens[k];
-            for (p, slot) in out.iter_mut().enumerate() {
-                let j = j0 + p;
-                let zj = &self.tail_z[j * tl..(j + 1) * tl];
-                let c = normalized_dot_corr(zi, zj);
-                *slot += lk
-                    * (self.stds_t[k * n + i] * self.stds_t[k * n + j] * c
-                        + self.deltas_t[k * n + i] * self.deltas_t[k * n + j]);
             }
         }
 
@@ -567,6 +578,58 @@ impl QueryPlan {
                 clamp_corr(*slot / (den_i.sqrt() * den_j.sqrt()))
             };
         }
+    }
+}
+
+/// Statistics of series `i` over the partial window `span` of its `values`,
+/// the window's z-scores written to lane `i` of the packed block `z`.
+fn sketch_partial(span: WindowSpan, values: &[f64], i: SeriesId, z: &mut [f64]) -> WindowStats {
+    let points = span.slice(values);
+    let stats = WindowStats::from_values(points);
+    normalize_each(points, &stats, packed_lane_mut(z, i, span.len()));
+    stats
+}
+
+/// The scratch of [`QueryPlan::block_kernel`] for unaligned plans: the
+/// correlation rows of the partial head and tail windows over one aligned
+/// group of four triangle rows, in packed order from the group's first row —
+/// at most `2 · 4 · (n − 1)` values, allocated at the first mint.
+///
+/// Whoever drives tiles owns one per run ([`crate::sweep::sweep_run`], each
+/// worker of the dense sweeps) and passes it to every `block_kernel` call of
+/// the run. The kernel re-mints it when a tile's row lies outside the minted
+/// group, so a run in row order mints each group it evaluates once and a
+/// group whose tiles are all pruned never. It remembers the group, not the
+/// plan: use a fresh one ([`Default`], which allocates nothing) per plan.
+#[derive(Debug, Default)]
+pub struct PartialCorrs {
+    /// First triangle row of the minted group.
+    group: Option<usize>,
+    head: Vec<f64>,
+    tail: Vec<f64>,
+}
+
+impl PartialCorrs {
+    /// Make the minted group the one containing triangle row `i` of `plan`;
+    /// returns the group's first row.
+    fn mint_group_of(&mut self, plan: &QueryPlan, i: SeriesId) -> usize {
+        let group = i / TILE_ROWS * TILE_ROWS;
+        if self.group == Some(group) {
+            return group;
+        }
+        let n = plan.n;
+        let rows = group..(group + TILE_ROWS).min(n);
+        for (span, z, c) in [
+            (plan.head, &plan.head_z, &mut self.head),
+            (plan.tail, &plan.tail_z, &mut self.tail),
+        ] {
+            if let Some(span) = span {
+                c.resize(TILE_ROWS * (n - 1), 0.0);
+                packed_corr_rows_into(z, n, span.len(), rows.clone(), c);
+            }
+        }
+        self.group = Some(group);
+        group
     }
 }
 
@@ -1068,6 +1131,7 @@ mod tests {
         let plan = QueryPlan::build_aligned(&sketch, 1..8).unwrap();
         let corrs_t = sketch.window_corrs_view(1..8);
         let n = c.len();
+        let mut partial = PartialCorrs::default();
         for i in 0..n - 1 {
             let mut tile = vec![0.0f64; n - 1 - i];
             plan.block_kernel(
@@ -1075,6 +1139,7 @@ mod tests {
                 i + 1,
                 corrs_t,
                 crate::sketch::pair_index(i, i + 1, n),
+                &mut partial,
                 &mut tile,
             );
             for (p, &got) in tile.iter().enumerate() {
@@ -1098,6 +1163,7 @@ mod tests {
         assert!(!plan.is_aligned());
         let corrs_t = sketch.window_corrs_view(plan.full_windows());
         let n = c.len();
+        let mut partial = PartialCorrs::default();
         for i in 0..n - 1 {
             let mut tile = vec![0.0f64; n - 1 - i];
             plan.block_kernel(
@@ -1105,6 +1171,7 @@ mod tests {
                 i + 1,
                 corrs_t,
                 crate::sketch::pair_index(i, i + 1, n),
+                &mut partial,
                 &mut tile,
             );
             for (p, &got) in tile.iter().enumerate() {
@@ -1118,6 +1185,154 @@ mod tests {
         }
     }
 
+    /// What [`QueryPlan::block_kernel`] must write for pair `(i, j)`, spelled
+    /// one pair at a time: each partial-window `c` the serial fold
+    /// `clamp_corr(Σ_t z_i[t]·z_j[t] · (1/len))` over the window's z-scores,
+    /// the plan windows accumulated in plan order.
+    fn scalar_block(
+        plan: &QueryPlan,
+        c: &SeriesCollection,
+        view: CorrView<'_>,
+        i: usize,
+        j: usize,
+    ) -> f64 {
+        let n = plan.n;
+        let partial_corr = |span: WindowSpan| {
+            let z = |s: usize| {
+                let points = span.slice(c.get(s).unwrap().values());
+                let mut z = vec![9.0; points.len()];
+                normalize_each(points, &WindowStats::from_values(points), z.iter_mut());
+                z
+            };
+            let sum = z(i).iter().zip(&z(j)).fold(0.0, |sum, (x, y)| sum + x * y);
+            clamp_corr(sum * (1.0 / span.len() as f64))
+        };
+        let corrs = (plan.head.map(partial_corr).into_iter())
+            .chain(view.pair_column(pair_index(i, j, n)))
+            .chain(plan.tail.map(partial_corr));
+        let mut num = 0.0;
+        for (k, ck) in corrs.enumerate() {
+            let (si, sj) = (plan.stds_t[k * n + i], plan.stds_t[k * n + j]);
+            let (di, dj) = (plan.deltas_t[k * n + i], plan.deltas_t[k * n + j]);
+            num += plan.lens[k] * (si * sj * ck + di * dj);
+        }
+        if plan.dens[i] <= 0.0 || plan.dens[j] <= 0.0 {
+            return 0.0;
+        }
+        clamp_corr(num / (plan.dens[i].sqrt() * plan.dens[j].sqrt()))
+    }
+
+    /// Copies every tile to its place in the packed triangle.
+    struct Collect(Vec<f64>);
+
+    impl crate::sweep::TileSink for Collect {
+        fn consume(&mut self, _i: usize, _j0: usize, pair0: usize, corrs: &[f64]) {
+            self.0[pair0..pair0 + corrs.len()].copy_from_slice(corrs);
+        }
+    }
+
+    #[test]
+    fn partial_windows_are_position_independent_bit_for_bit() {
+        const B: usize = 12;
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Partial lengths around the panel width, the shortest (one point: a
+        // constant window) and the longest; then a tail only, a head only
+        // and a query inside one basic window.
+        let lengths = [1usize, 2, 7, 8, 9, B - 1];
+        let mut shapes: Vec<(usize, usize)> = lengths
+            .iter()
+            .flat_map(|&head| lengths.map(|tail| (B - head, 4 * B + tail)))
+            .collect();
+        shapes.extend([(B, 4 * B + 7), (B - 7, 4 * B), (B + 1, 2 * B - 3)]);
+
+        for n in [2usize, 3, 5, 8, 9, 17, 33] {
+            let mut rows: Vec<Vec<f64>> = (0..n).map(|s| lcg_series(s as u64 + 1, 5 * B)).collect();
+            // Constant over every head but nowhere else; +∞ inside every tail.
+            rows[1][..B].fill(3.0);
+            if n > 2 {
+                rows[n - 1][4 * B] = f64::INFINITY;
+            }
+            let c = SeriesCollection::from_rows(rows).unwrap();
+            let sketch = SketchSet::build(&c, B).unwrap();
+            let pairs = n * (n - 1) / 2;
+            let mut rng = proptest::prelude::TestRng::new(n as u64);
+
+            for &(start, end) in &shapes {
+                let query = QueryWindow::new(end - 1, end - start).unwrap();
+                let what = format!("n={n} query {start}..{end}");
+                let plan = QueryPlan::build(&c, &sketch, query).unwrap();
+                assert!(!plan.is_aligned(), "{what}");
+                let view = sketch.window_corrs_view(plan.full_windows());
+                let want: Vec<f64> = c
+                    .pairs()
+                    .map(|(i, j)| scalar_block(&plan, &c, view, i, j))
+                    .collect();
+                let truth = crate::baseline::correlation_matrix(&c, query).unwrap();
+                for (p, (i, j)) in c.pairs().enumerate() {
+                    let finite = n == 2 || j != n - 1;
+                    assert!(
+                        !finite || (want[p] - truth.get(i, j)).abs() <= 1e-10,
+                        "{what} pair ({i},{j}): {} vs baseline {}",
+                        want[p],
+                        truth.get(i, j)
+                    );
+                }
+
+                // Streamed: every tile length, the triangle cut anywhere.
+                for tile_len in [1usize, 3, 7, 1024] {
+                    for runs in [1usize, 2, 3, 8] {
+                        let mut cuts: Vec<usize> = (1..runs)
+                            .map(|_| rng.below(pairs as u64) as usize)
+                            .collect();
+                        cuts.extend([0, pairs]);
+                        cuts.sort_unstable();
+                        let mut sink = Collect(vec![f64::NAN; pairs]);
+                        for run in cuts.windows(2) {
+                            crate::sweep::sweep_run(
+                                &plan,
+                                &view,
+                                None,
+                                run[0]..run[1],
+                                tile_len,
+                                &mut sink,
+                            );
+                        }
+                        assert_eq!(
+                            bits(&sink.0),
+                            bits(&want),
+                            "{what} tile_len={tile_len} cuts={cuts:?}"
+                        );
+                    }
+                }
+
+                // One scratch carried across rows in descending order: every
+                // row but the first leaves the minted group or re-enters one.
+                let mut partial = PartialCorrs::default();
+                let mut got = vec![f64::NAN; pairs];
+                for i in (0..n - 1).rev() {
+                    let p0 = pair_index(i, i + 1, n);
+                    let tile = &mut got[p0..p0 + n - 1 - i];
+                    plan.block_kernel(i, i + 1, view, p0, &mut partial, tile);
+                }
+                assert_eq!(bits(&got), bits(&want), "{what} rows descending");
+
+                // Dense, serial and pooled.
+                let dense = exact::correlation_matrix(&c, &sketch, query).unwrap();
+                assert_eq!(bits(dense.upper_triangle()), bits(&want), "{what} dense");
+                for workers in [1usize, 2, 8] {
+                    let runner = crate::runner::ScopedRunner::new(workers);
+                    let pooled =
+                        exact::correlation_matrix_parallel_in(&runner, &c, &sketch, query).unwrap();
+                    assert_eq!(
+                        bits(pooled.upper_triangle()),
+                        bits(&want),
+                        "{what} workers={workers}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn block_kernel_zeroes_degenerate_pairs() {
         let c =
@@ -1127,7 +1342,7 @@ mod tests {
         let plan = QueryPlan::build_aligned(&sketch, 0..6).unwrap();
         let corrs_t = sketch.window_corrs_view(0..6);
         let mut tile = vec![9.0f64; 2];
-        plan.block_kernel(0, 1, corrs_t, 0, &mut tile);
+        plan.block_kernel(0, 1, corrs_t, 0, &mut PartialCorrs::default(), &mut tile);
         assert_eq!(tile, vec![0.0, 0.0]);
     }
 

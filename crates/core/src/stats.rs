@@ -283,7 +283,11 @@ pub fn normalize_into(values: &[f64], stats: &WindowStats, out: &mut [f64]) {
 
 /// [`normalize_into`] over any run of slots: a slice, or one lane of a packed
 /// block ([`packed_lane_mut`]).
-fn normalize_each<'a>(values: &[f64], stats: &WindowStats, out: impl Iterator<Item = &'a mut f64>) {
+pub(crate) fn normalize_each<'a>(
+    values: &[f64],
+    stats: &WindowStats,
+    out: impl Iterator<Item = &'a mut f64>,
+) {
     if stats.std == 0.0 {
         out.for_each(|slot| *slot = 0.0);
         return;
@@ -332,6 +336,11 @@ pub(crate) fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
 /// values: `clamp(Σ z_x z_y / B)`. Rows produced by [`normalize_into`] for
 /// constant windows are all zero, so the convention `corr = 0.0` falls out of
 /// the arithmetic.
+///
+/// The sum is split over eight accumulator lanes, not the packed pair
+/// kernel's serial chain, so the two agree within the `1e-10` contract, not
+/// bit for bit. The only product caller left is the sketch-free provider
+/// [`crate::sweep::ZnormSweep`] (`fill_tile`).
 #[inline]
 pub fn normalized_dot_corr(zx: &[f64], zy: &[f64]) -> f64 {
     debug_assert_eq!(zx.len(), zy.len());
@@ -347,8 +356,10 @@ const PANEL: usize = 8;
 
 /// Height of the aligned register tile: 4 rows × [`PANEL`] columns are eight
 /// `ymm` accumulator chains, enough to cover the FP-add latency at the
-/// two-port multiply + add peak.
-const TILE_ROWS: usize = 4;
+/// two-port multiply + add peak. Also the height of the triangle-row groups a
+/// query plan mints its partial-window correlations by
+/// ([`crate::plan::PartialCorrs`]).
+pub(crate) const TILE_ROWS: usize = 4;
 
 /// Length of a packed block of `n` series of `len` points: the series sit
 /// eight to a point-major panel (`panel[t·8 + lane]`, series `i` in lane
@@ -419,10 +430,18 @@ fn row_tile_into<const R: usize>(
     }
 }
 
-/// Triangle rows `rows` of [`packed_pairs_into`], into the slice of `out`
-/// that starts at row `rows.start`. Aligned groups of [`TILE_ROWS`] rows run
-/// as one register tile; the rows the range leaves before and after them run
-/// one at a time through the same micro-kernel.
+/// **The** pair kernel: `finish(Σ_t term(r_i[t], r_j[t]))` for every pair
+/// `i < j` of triangle rows `rows` of the `n` series of a packed block
+/// ([`packed_len`]), in packed upper-triangle order
+/// ([`crate::sketch::pair_index`]), into the slice of `out` that starts at
+/// row `rows.start`. Aligned groups of [`TILE_ROWS`] rows run as one register
+/// tile; the rows the range leaves before and after them run one at a time
+/// through the same micro-kernel.
+///
+/// Every sum is one left-to-right chain over `t` ([`row_tile_into`]), so a
+/// pair's bits depend on nothing but its two series: not on the tile shape,
+/// the panel edge, the row range, the worker count or the target's vector
+/// width. Zero-length rows sum to `0.0`.
 fn packed_rows_into(
     packed: &[f64],
     n: usize,
@@ -432,6 +451,7 @@ fn packed_rows_into(
     term: impl Fn(f64, f64) -> f64 + Copy,
     finish: impl Fn(f64) -> f64 + Copy,
 ) {
+    debug_assert_eq!(packed.len(), packed_len(n, len));
     let (mut i, mut p) = (rows.start, 0);
     while i < rows.end {
         let out = &mut out[p..];
@@ -445,31 +465,6 @@ fn packed_rows_into(
         p += (i..i + tile).map(|row| n - 1 - row).sum::<usize>();
         i += tile;
     }
-}
-
-/// **The** pair kernel: `finish(Σ_t term(r_i[t], r_j[t]))` for every pair
-/// `i < j` of the `n` series of a packed block ([`packed_len`]) into `out`,
-/// in packed upper-triangle order ([`crate::sketch::pair_index`]), fanned out
-/// over `runner` by whole triangle rows.
-///
-/// Every sum is one left-to-right chain over `t` ([`row_tile_into`]), so a
-/// pair's bits depend on nothing but its two series: not on the tile shape,
-/// the panel edge, the row split, the worker count or the target's vector
-/// width. Zero-length rows sum to `0.0`.
-fn packed_pairs_into(
-    runner: &dyn JobRunner,
-    packed: &[f64],
-    n: usize,
-    len: usize,
-    out: &mut [f64],
-    term: impl Fn(f64, f64) -> f64 + Sync + Copy,
-    finish: impl Fn(f64) -> f64 + Sync + Copy,
-) {
-    debug_assert_eq!(packed.len(), packed_len(n, len));
-    debug_assert_eq!(out.len(), n * n.saturating_sub(1) / 2);
-    sweep_triangle_rows(n, runner, out, |rows, out| {
-        packed_rows_into(packed, n, len, rows, out, term, finish)
-    });
 }
 
 /// All-pairs squared Euclidean distances of a packed block: `out` receives
@@ -489,7 +484,9 @@ pub fn tiled_pair_dist_sq_in(
     out: &mut [f64],
 ) {
     let dist_sq = |x: f64, y: f64| (x - y) * (x - y);
-    packed_pairs_into(runner, packed, n, len, out, dist_sq, |sum| sum);
+    sweep_triangle_rows(n, runner, out, |rows, out| {
+        packed_rows_into(packed, n, len, rows, out, dist_sq, |sum| sum)
+    });
 }
 
 /// All-pairs window correlations from a block of normalized series rows.
@@ -516,14 +513,33 @@ pub fn tiled_pair_corrs_into(z: &[f64], n: usize, len: usize, out: &mut [f64]) {
     corrs_of_packed(&SerialRunner, &packed, n, len, out);
 }
 
-/// The correlation face of [`packed_pairs_into`] over normalized rows.
+/// Every row of [`packed_corr_rows_into`], fanned out over `runner`.
 fn corrs_of_packed(runner: &dyn JobRunner, z: &[f64], n: usize, len: usize, out: &mut [f64]) {
+    sweep_triangle_rows(n, runner, out, |rows, out| {
+        packed_corr_rows_into(z, n, len, rows, out)
+    });
+}
+
+/// Triangle rows `rows` of a window's correlation row, from the packed block
+/// `z` of its `n` z-normalized series ([`packed_len`]), into the slice of
+/// `out` that starts at row `rows.start`: every `c` is
+/// `clamp_corr(Σ_t z_i[t]·z_j[t] · (1/len))`, the sum one left-to-right chain
+/// — the bits [`window_corrs_into`] stores, whichever rows are asked for.
+/// [`crate::plan::QueryPlan::block_kernel`] mints the partial head and tail
+/// windows of an unaligned query through it, a few rows at a time.
+pub(crate) fn packed_corr_rows_into(
+    z: &[f64],
+    n: usize,
+    len: usize,
+    rows: Range<usize>,
+    out: &mut [f64],
+) {
     let inv = 1.0 / len as f64;
-    packed_pairs_into(
-        runner,
+    packed_rows_into(
         z,
         n,
         len,
+        rows,
         out,
         |x, y| x * y,
         move |sum| clamp_corr(sum * inv),
@@ -541,6 +557,7 @@ fn sweep_triangle_rows(
     out: &mut [f64],
     rows_into: impl Fn(Range<usize>, &mut [f64]) + Sync,
 ) {
+    debug_assert_eq!(out.len(), n * n.saturating_sub(1) / 2);
     let workers = runner.worker_count();
     if workers <= 1 {
         return rows_into(0..n, out);

@@ -20,7 +20,9 @@
 //!   edges, [`StatsSink`] running aggregates.
 //!
 //! Working memory is `O(tile)` — two scratch buffers of `tile_len` (times
-//! `w` for providers without a resident table) — independent of `N`.
+//! `w` for providers without a resident table) — independent of `N`, plus,
+//! for an unaligned plan, the `O(N)` partial-window scratch of the run
+//! ([`PartialCorrs`]: head and tail correlations of four triangle rows).
 //!
 //! # Tile pruning (Equation 4)
 //!
@@ -52,7 +54,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::{Error, Result};
 use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
-use crate::plan::{row_segments, runs_for_workers, CorrView, QueryPlan};
+use crate::plan::{row_segments, runs_for_workers, CorrView, PartialCorrs, QueryPlan};
 use crate::runner::{Job, JobRunner};
 use crate::sketch::{packed_pairs, pair_index};
 use crate::stats::{normalize_into, normalized_dot_corr, WindowStats};
@@ -190,7 +192,9 @@ pub enum TableAudit {
 ///
 /// Working memory: one `tile_len` output buffer, plus a
 /// `window_count × tile_len` scratch buffer for providers without a resident
-/// table — independent of the series count.
+/// table — independent of the series count — and the run's [`PartialCorrs`],
+/// which an unaligned plan fills with `2 · 4 · (N − 1)` values for the row
+/// groups whose tiles are actually evaluated.
 pub fn sweep_run(
     plan: &QueryPlan,
     provider: &dyn CorrProvider,
@@ -227,6 +231,7 @@ fn sweep_tiles(
     } else {
         vec![0.0f64; w * tile_len]
     };
+    let mut partial = PartialCorrs::default();
 
     for (i, j0, len) in row_segments(run.start, run.len(), n) {
         let mut off = 0;
@@ -246,11 +251,11 @@ fn sweep_tiles(
                 continue;
             }
             match full {
-                Some(view) => plan.block_kernel(i, j, view, pair0, &mut out[..np]),
+                Some(view) => plan.block_kernel(i, j, view, pair0, &mut partial, &mut out[..np]),
                 None => {
                     provider.fill_tile(i, j, &mut scratch[..w * np]);
                     let view = CorrView::new(&scratch[..w * np], np, w);
-                    plan.block_kernel(i, j, view, 0, &mut out[..np]);
+                    plan.block_kernel(i, j, view, 0, &mut partial, &mut out[..np]);
                 }
             }
             sink.consume(i, j, pair0, &out[..np]);

@@ -46,7 +46,7 @@ use std::ops::Range;
 use tsubasa_core::capacity::check_dense_budget;
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::matrix::{AdjacencyMatrix, CorrelationMatrix};
-use tsubasa_core::plan::{carve_for_workers, row_segments, PlanMethod, QueryPlan};
+use tsubasa_core::plan::{carve_for_workers, row_segments, PartialCorrs, PlanMethod, QueryPlan};
 use tsubasa_core::runner::{Job, JobRunner};
 use tsubasa_core::sketch::pair_index;
 use tsubasa_core::source::{check_source_windows, CorrSource, PairTable};
@@ -170,6 +170,7 @@ impl<'a> ApproxPlan<'a> {
     /// sweeps (a chunk boundary never changes any pair's arithmetic).
     pub fn correlations_into(&self, start: usize, out: &mut [f64]) {
         let corrs = self.table.view();
+        let mut partial = PartialCorrs::default();
         let mut cursor = 0;
         for (i, j0, len) in row_segments(start, out.len(), self.n) {
             self.plan.block_kernel(
@@ -177,6 +178,7 @@ impl<'a> ApproxPlan<'a> {
                 j0,
                 corrs,
                 pair_index(i, j0, self.n),
+                &mut partial,
                 &mut out[cursor..cursor + len],
             );
             cursor += len;

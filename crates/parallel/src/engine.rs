@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use tsubasa_core::capacity::check_dense_budget;
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::matrix::CorrelationMatrix;
-use tsubasa_core::plan::{carve_for_workers, row_segments, PlanMethod, QueryPlan};
+use tsubasa_core::plan::{carve_for_workers, row_segments, PartialCorrs, PlanMethod, QueryPlan};
 use tsubasa_core::sketch::packed_pairs;
 use tsubasa_core::source::{check_source_windows, CorrSource};
 use tsubasa_core::stats::{window_corrs_into, WindowStats};
@@ -321,10 +321,11 @@ impl ParallelEngine {
                 .map(|((start, slice), busy)| {
                     Box::new(move || {
                         let t = Instant::now();
+                        let mut partial = PartialCorrs::default();
                         let mut cursor = 0;
                         for (i, j0, len) in row_segments(start, slice.len(), n) {
                             let tile = &mut slice[cursor..cursor + len];
-                            plan.block_kernel(i, j0, view, start + cursor, tile);
+                            plan.block_kernel(i, j0, view, start + cursor, &mut partial, tile);
                             cursor += len;
                         }
                         *busy = t.elapsed();

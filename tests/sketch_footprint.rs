@@ -11,7 +11,9 @@
 //! epochs) of a `W`-window sketch hold `k` copies of the per-series
 //! statistics plus the `k` appended rows, not `k` tables. A streamed engine
 //! query borrows that table and sweeps it tile by tile: it allocates no
-//! `O(P)` buffer, and no buffer per tile.
+//! `O(P)` buffer, and no buffer per tile. Nor does an unaligned streamed
+//! query: its partial head and tail windows are minted a few triangle rows at
+//! a time into a scratch of `2 · 4 · (N − 1)` values.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,6 +22,7 @@ use std::sync::Arc;
 
 use tsubasa_core::prelude::*;
 use tsubasa_core::stats::{normalize_into, tiled_pair_corrs_into, WindowStats};
+use tsubasa_core::sweep::DEFAULT_TILE_PAIRS;
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
 use tsubasa_parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
 use tsubasa_serve::{EpochIngest, EpochStore};
@@ -311,5 +314,48 @@ fn a_streamed_engine_query_allocates_no_per_pair_buffer() {
     assert_eq!(
         calls[0], calls[1],
         "allocation calls must not depend on pairs / batch_pairs"
+    );
+}
+
+#[test]
+fn an_unaligned_streamed_query_allocates_no_per_pair_buffer() {
+    // What `exact::network_streamed` may allocate on a window that cuts a
+    // head and a tail basic window: the plan's per-series tables (`O(N · w)`),
+    // the z-scores of the two partial windows (`O(N · B)`), the partial
+    // correlations of one group of four triangle rows (`O(N)`), one output
+    // tile, the list of row segments, the answer. The partial windows' `c`
+    // rows are never materialized for all pairs.
+    const SERIES: usize = 200;
+    const W: usize = 6;
+    const HEAD: usize = 11;
+    const TAIL: usize = 9;
+    let pairs = SERIES * (SERIES - 1) / 2;
+    let c = SeriesCollection::from_rows(series_rows(SERIES, W * B)).unwrap();
+    let sketch = SketchSet::build(&c, B).unwrap();
+    // Indices 5..89: the head, basic windows 1..5, the tail.
+    let query = QueryWindow::new(5 * B + TAIL - 1, HEAD + 4 * B + TAIL).unwrap();
+    let (edges, bytes, _) = gross(|| exact::network_streamed(&c, &sketch, query, 0.995).unwrap());
+    assert!(edges.edge_count() > 0);
+
+    // σ, δ and their transposes, means, denominators, lengths; the two
+    // pushed-to vectors of partial-window statistics at up to twice their
+    // length; one series' row of statistics.
+    let plan = 8 * (4 * SERIES * W + 2 * SERIES + W) + 2 * (2 * 24 * SERIES) + 24 * W;
+    let packed_z = 8 * SERIES.div_ceil(8) * 8 * (HEAD + TAIL);
+    let scratch = 8 * 2 * 4 * SERIES;
+    let tile = 8 * DEFAULT_TILE_PAIRS;
+    let segments = 2 * 24 * SERIES;
+    let answer = 3 * 16 * edges.edge_count();
+    let budget = plan + packed_z + scratch + tile + segments + answer;
+    assert!(
+        bytes <= budget,
+        "an unaligned network_streamed allocated {bytes} bytes against {budget}: plan {plan}, \
+         packed z {packed_z}, scratch {scratch}, tile {tile}, segments {segments}, answer {answer}"
+    );
+    assert!(
+        budget < bytes + 8 * pairs,
+        "the budget of {budget} bytes has room for a buffer of one value per pair ({} bytes) \
+         beside the {bytes} allocated",
+        8 * pairs
     );
 }

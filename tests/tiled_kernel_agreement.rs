@@ -75,11 +75,13 @@ proptest! {
 
     /// Block-kernel matrix sweep vs the scalar per-pair reference path on
     /// random (generally unaligned) query windows, over a reference sketch
-    /// so only the query kernel is under test.
+    /// so only the query kernel is under test. `n` reaches past four panels,
+    /// so the partial windows are minted over full panels, full row groups
+    /// followed by a partial one, and a truncated last group.
     #[test]
     fn prop_block_kernel_agrees_with_scalar_reference(
         seed in 0u64..10_000,
-        n in 2usize..7,
+        n in 2usize..40,
         series_len in 60usize..220,
         basic in 5usize..40,
         start_off in 0usize..35,
