@@ -15,6 +15,7 @@ use tsubasa_core::prelude::*;
 use tsubasa_data::prelude::*;
 use tsubasa_dft::approx::{approximate_correlation_matrix_reference, ApproxStrategy};
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
+use tsubasa_ledger::json::{obj, Value};
 use tsubasa_network::ApproxNetworkBuilder;
 
 /// Climate networks are built on *anomaly* series (departure from the usual
@@ -134,31 +135,35 @@ fn main() {
             format!("{:.3}", millis(t_scalar)),
             format!("{:.2}", millis(t_scalar) / millis(t_tiled)),
         ]);
-        json_rows.push(serde_json::json!({
-            "coefficients": coefficients,
-            "approx_edges": cmp.candidate_edges,
-            "exact_edges": cmp.reference_edges,
-            "similarity_ratio": cmp.similarity_ratio,
-            "false_positives": cmp.false_positives,
-            "false_negatives": cmp.false_negatives,
-            "precision": cmp.precision(),
-            "recall": cmp.recall(),
-            "approx_query_tiled_ms": millis(t_tiled),
-            "approx_query_scalar_ms": millis(t_scalar),
-            "approx_query_speedup": millis(t_scalar) / millis(t_tiled),
-        }));
+        json_rows.push(obj([
+            ("coefficients", (coefficients as u64).into()),
+            ("approx_edges", (cmp.candidate_edges as u64).into()),
+            ("exact_edges", (cmp.reference_edges as u64).into()),
+            ("similarity_ratio", cmp.similarity_ratio.into()),
+            ("false_positives", (cmp.false_positives as u64).into()),
+            ("false_negatives", (cmp.false_negatives as u64).into()),
+            ("precision", cmp.precision().into()),
+            ("recall", cmp.recall().into()),
+            ("approx_query_tiled_ms", millis(t_tiled).into()),
+            ("approx_query_scalar_ms", millis(t_scalar).into()),
+            (
+                "approx_query_speedup",
+                (millis(t_scalar) / millis(t_tiled)).into(),
+            ),
+        ]));
     }
 
     table.print("Figure 5a: network accuracy vs number of DFT coefficients");
     tsubasa_bench::write_json(
         "fig5a_accuracy",
-        &serde_json::json!({
-            "stations": stations,
-            "points": points,
-            "basic_window": basic_window,
-            "theta": theta,
-            "exact_edges": exact_net.edge_count(),
-            "rows": json_rows,
-        }),
-    );
+        &obj([
+            ("stations", (stations as u64).into()),
+            ("points", (points as u64).into()),
+            ("basic_window", (basic_window as u64).into()),
+            ("theta", theta.into()),
+            ("exact_edges", (exact_net.edge_count() as u64).into()),
+            ("rows", Value::Arr(json_rows)),
+        ]),
+    )
+    .expect("write fig5a_accuracy results");
 }

@@ -15,6 +15,7 @@ use tsubasa_core::prelude::*;
 use tsubasa_data::prelude::*;
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
 use tsubasa_dft::SlidingApproxNetwork;
+use tsubasa_ledger::json::{obj, Value};
 
 fn main() {
     let stations = scaled(40, 12);
@@ -75,22 +76,23 @@ fn main() {
             fmt_ms(approx_avg),
             format!("{:.1}x", approx_avg / exact_avg.max(1e-9)),
         ]);
-        json_rows.push(serde_json::json!({
-            "basic_window": basic_window,
-            "tsubasa_update_ms": exact_avg,
-            "dft_update_ms": approx_avg,
-            "slowdown": approx_avg / exact_avg.max(1e-9),
-        }));
+        json_rows.push(obj([
+            ("basic_window", (basic_window as u64).into()),
+            ("tsubasa_update_ms", exact_avg.into()),
+            ("dft_update_ms", approx_avg.into()),
+            ("slowdown", (approx_avg / exact_avg.max(1e-9)).into()),
+        ]));
     }
 
     table.print("Figure 5d: network update time vs basic-window size");
     tsubasa_bench::write_json(
         "fig5d_update",
-        &serde_json::json!({
-            "stations": stations,
-            "query_len": query_len,
-            "updates_averaged": updates,
-            "rows": json_rows,
-        }),
-    );
+        &obj([
+            ("stations", (stations as u64).into()),
+            ("query_len", (query_len as u64).into()),
+            ("updates_averaged", (updates as u64).into()),
+            ("rows", Value::Arr(json_rows)),
+        ]),
+    )
+    .expect("write fig5d_update results");
 }

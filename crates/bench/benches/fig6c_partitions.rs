@@ -9,6 +9,7 @@
 
 use tsubasa_bench::{fmt_ms, millis, scaled, Table};
 use tsubasa_data::prelude::*;
+use tsubasa_ledger::json::{obj, Value};
 use tsubasa_parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
 use tsubasa_storage::PileWriter;
 
@@ -57,23 +58,24 @@ fn main() {
             fmt_ms(millis(sketch_report.wall_time)),
             fmt_ms(millis(query_report.wall_time)),
         ]);
-        json_rows.push(serde_json::json!({
-            "partitions": partitions,
-            "sketch_wall_ms": millis(sketch_report.wall_time),
-            "query_wall_ms": millis(query_report.wall_time),
-        }));
+        json_rows.push(obj([
+            ("partitions", (partitions as u64).into()),
+            ("sketch_wall_ms", millis(sketch_report.wall_time).into()),
+            ("query_wall_ms", millis(query_report.wall_time).into()),
+        ]));
         std::fs::remove_file(&path).ok();
     }
 
     table.print("Figure 6c: impact of the number of partitions");
     tsubasa_bench::write_json(
         "fig6c_partitions",
-        &serde_json::json!({
-            "series": n,
-            "points": points,
-            "basic_window": basic_window,
-            "host_cores": max_workers,
-            "rows": json_rows,
-        }),
-    );
+        &obj([
+            ("series", (n as u64).into()),
+            ("points", (points as u64).into()),
+            ("basic_window", (basic_window as u64).into()),
+            ("host_cores", (max_workers as u64).into()),
+            ("rows", Value::Arr(json_rows)),
+        ]),
+    )
+    .expect("write fig6c_partitions results");
 }

@@ -10,6 +10,7 @@
 
 use tsubasa_bench::{scaled, Table};
 use tsubasa_data::prelude::*;
+use tsubasa_ledger::json::{obj, Value};
 use tsubasa_parallel::{ParallelConfig, ParallelEngine};
 use tsubasa_storage::PileWriter;
 
@@ -40,12 +41,12 @@ fn main() {
             format!("{mib:.1}"),
             format!("{mib:.1}"),
         ]);
-        json_rows.push(serde_json::json!({
-            "basic_window": basic_window,
-            "windows": windows,
-            "bytes": bytes,
-            "mib": mib,
-        }));
+        json_rows.push(obj([
+            ("basic_window", (basic_window as u64).into()),
+            ("windows", (windows as u64).into()),
+            ("bytes", bytes.into()),
+            ("mib", mib.into()),
+        ]));
     }
 
     // Validate the analytic formula against an actual on-disk pile at a
@@ -72,10 +73,11 @@ fn main() {
     table.print("Figure 6d: sketch-store size vs basic-window size");
     tsubasa_bench::write_json(
         "fig6d_space",
-        &serde_json::json!({
-            "series": n,
-            "points": points,
-            "rows": json_rows,
-        }),
-    );
+        &obj([
+            ("series", (n as u64).into()),
+            ("points", (points as u64).into()),
+            ("rows", Value::Arr(json_rows)),
+        ]),
+    )
+    .expect("write fig6d_space results");
 }

@@ -1,24 +1,24 @@
-//! Shared harness utilities for the figure-reproduction benchmarks.
+//! Shared harness utilities for the figure-reproduction binaries.
 //!
-//! Every `benches/figNx_*.rs` target is a stand-alone binary (`harness =
-//! false`) that generates its workload, runs the sweep the corresponding
-//! paper figure reports, prints the series as an aligned text table, and
-//! drops a machine-readable JSON copy under `target/bench-results/`. (The
-//! repo's regression benchmark is `crates/ledger`, declared in
-//! `BENCHMARK.json`; these binaries reproduce the paper's figures.)
+//! Every `benches/fig*.rs` target is a stand-alone binary (`harness = false`)
+//! that generates its workload, runs the sweep the corresponding paper figure
+//! reports, prints the series as an aligned text table, and drops a
+//! machine-readable JSON copy under `target/bench-results/`. Only the figures
+//! the ledger does not reproduce live here: 5a (accuracy), 5d (the DFT update
+//! column), 6c (partition sweep) and 6d (space). Timing comparisons belong to
+//! the repo's benchmark, `crates/ledger`, declared in `BENCHMARK.json`.
 //!
-//! Scale knobs:
-//!
-//! * `TSUBASA_BENCH_SCALE` — multiplies dataset sizes (default 1.0; use
-//!   `0.2` for a quick smoke run, `2.0`+ on beefier machines).
-//! * `TSUBASA_BENCH_WORKERS` — overrides the worker count used by the
-//!   parallel benchmarks (default: available cores minus one).
+//! Scale knob: `TSUBASA_BENCH_SCALE` multiplies dataset sizes (default 1.0;
+//! use `0.05` for a smoke run, `2.0`+ on beefier machines).
 
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
+use std::io;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+use tsubasa_ledger::json::Value;
 
 /// Measure the wall-clock time of a closure, returning its result too.
 pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
@@ -44,21 +44,6 @@ pub fn scale() -> f64 {
 /// Apply the scale factor to a count, with a floor so sweeps stay non-trivial.
 pub fn scaled(base: usize, floor: usize) -> usize {
     ((base as f64 * scale()).round() as usize).max(floor)
-}
-
-/// The worker count for parallel benchmarks: `TSUBASA_BENCH_WORKERS` or
-/// available cores minus one (the paper reserves one core for the database
-/// worker).
-pub fn workers() -> usize {
-    std::env::var("TSUBASA_BENCH_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|v| *v > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get().saturating_sub(1).max(1))
-                .unwrap_or(1)
-        })
 }
 
 /// A simple fixed-width table printer for the benchmark output.
@@ -119,17 +104,16 @@ impl Table {
     }
 }
 
-/// Write a JSON result blob under `target/bench-results/<name>.json`.
-pub fn write_json(name: &str, value: &serde_json::Value) {
+/// Write a JSON result blob to `target/bench-results/<name>.json` and say
+/// where; any failure to create the directory or write the file is returned,
+/// not reported as written.
+pub fn write_json(name: &str, value: &Value) -> io::Result<()> {
     let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
+    std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
-    if let Ok(body) = serde_json::to_string_pretty(value) {
-        let _ = std::fs::write(&path, body);
-        println!("(results written to {})", path.display());
-    }
+    std::fs::write(&path, format!("{value}\n"))?;
+    println!("(results written to {})", path.display());
+    Ok(())
 }
 
 /// Directory where benchmark results are persisted.
@@ -217,7 +201,20 @@ mod tests {
     }
 
     #[test]
-    fn workers_is_positive() {
-        assert!(workers() >= 1);
+    fn write_json_reports_a_directory_it_cannot_create() {
+        // A regular file where the target directory should be: creating
+        // `<file>/bench-results` fails, and the failure must surface. No
+        // other test in this binary reads `CARGO_TARGET_DIR`.
+        let file = std::env::temp_dir().join(format!("tsubasa-bench-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let previous = std::env::var_os("CARGO_TARGET_DIR");
+        std::env::set_var("CARGO_TARGET_DIR", &file);
+        let result = write_json("unwritable", &Value::Null);
+        match previous {
+            Some(dir) => std::env::set_var("CARGO_TARGET_DIR", dir),
+            None => std::env::remove_var("CARGO_TARGET_DIR"),
+        }
+        std::fs::remove_file(&file).unwrap();
+        assert!(result.is_err());
     }
 }

@@ -7,12 +7,10 @@
 //! (`O(l*/B + B)` per pair). This module exposes the formulas the paper's
 //! discussion uses so deployments can pick `B` deliberately.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// Description of a planned sketch deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SketchPlan {
     /// Number of series (`N`).
     pub n_series: usize,

@@ -2,8 +2,6 @@
 //! stitch together sketching (Algorithm 1), exact recombination (Lemma 1 /
 //! Algorithm 2), and the bootstrap of the real-time updater (Algorithm 3).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::exact;
 use crate::incremental::SlidingNetwork;
@@ -13,7 +11,7 @@ use crate::timeseries::SeriesCollection;
 use crate::window::QueryWindow;
 
 /// Configuration of a network-construction session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
     /// Basic window size `B` used for sketching.
     pub basic_window: usize,

@@ -90,7 +90,7 @@ pub use runner::{Job, JobRunner, ScopedRunner, SerialRunner};
 pub use sketch::{PairSketch, SeriesSketch, SketchSet};
 pub use source::{audit_nan_chunk, check_source_windows, CorrSource, PairTable};
 pub use stats::WindowStats;
-pub use sweep::{EdgeList, EdgeSink, RankedEdge, StatsSink, TileSink, TopK, TopKSink, ZnormSweep};
+pub use sweep::{EdgeList, EdgeSink, RankedEdge, StatsSink, TileSink, TopK, TopKSink};
 pub use timeseries::{GeoLocation, SeriesCollection, SeriesId, TimeSeries};
 pub use window::{BasicWindowing, QueryWindow, WindowSegmentation, WindowSpan};
 
@@ -110,9 +110,7 @@ pub mod prelude {
     pub use crate::sketch::{PairSketch, SeriesSketch, SketchSet};
     pub use crate::source::{audit_nan_chunk, CorrSource, PairTable};
     pub use crate::stats::{pearson, WindowStats};
-    pub use crate::sweep::{
-        EdgeList, EdgeSink, RankedEdge, StatsSink, TileSink, TopK, TopKSink, ZnormSweep,
-    };
+    pub use crate::sweep::{EdgeList, EdgeSink, RankedEdge, StatsSink, TileSink, TopK, TopKSink};
     pub use crate::timeseries::{GeoLocation, SeriesCollection, SeriesId, TimeSeries};
     pub use crate::window::{BasicWindowing, QueryWindow, WindowSegmentation, WindowSpan};
 }

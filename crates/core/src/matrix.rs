@@ -5,14 +5,12 @@
 //! networks). This halves memory, which matters when `n` reaches the tens of
 //! thousands of grid cells used in the scalability experiments.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::sketch::pair_index;
 
 /// A symmetric all-pair Pearson correlation matrix with an implicit unit
 /// diagonal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorrelationMatrix {
     n: usize,
     /// Packed strict upper triangle, row-major: (0,1), (0,2), ..., (n-2,n-1).
@@ -117,12 +115,6 @@ impl CorrelationMatrix {
         self.apply_threshold(theta, false)
     }
 
-    /// Lenient variant of [`CorrelationMatrix::threshold_abs`]; see
-    /// [`CorrelationMatrix::threshold_lenient`].
-    pub fn threshold_abs_lenient(&self, theta: f64) -> AdjacencyMatrix {
-        self.apply_threshold(theta, true)
-    }
-
     fn apply_threshold(&self, theta: f64, abs: bool) -> AdjacencyMatrix {
         AdjacencyMatrix::threshold_packed(self.n, &self.values, theta, abs)
     }
@@ -165,7 +157,7 @@ impl CorrelationMatrix {
 /// The boolean climate-network matrix obtained by thresholding a
 /// [`CorrelationMatrix`]: `edges[pair] == true` means the two locations are
 /// connected.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdjacencyMatrix {
     n: usize,
     edges: Vec<bool>,
@@ -404,8 +396,6 @@ mod tests {
         assert!(!net.has_edge(0, 2));
         assert_eq!(net.edge_count(), 1);
         assert_eq!(net.nan_pair_count(), 1);
-        let net_abs = m.threshold_abs_lenient(0.5);
-        assert_eq!(net_abs.nan_pair_count(), 1);
     }
 
     #[test]

@@ -29,8 +29,6 @@
 //! path available as the reference implementation, and the
 //! `tiled_kernel_agreement` property suite pins the tolerance.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::plan::{CorrView, WindowRows};
 use crate::runner::SerialRunner;
@@ -39,7 +37,7 @@ use crate::timeseries::{SeriesCollection, SeriesId};
 use crate::window::BasicWindowing;
 
 /// Per-basic-window statistics of one series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeriesSketch {
     /// Which series these statistics describe.
     pub series: SeriesId,
@@ -75,7 +73,7 @@ impl SeriesSketch {
 }
 
 /// Per-basic-window correlations of one unordered pair of series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PairSketch {
     /// The smaller series id of the pair.
     pub a: SeriesId,
@@ -136,7 +134,7 @@ pub fn unpack_pair_index(p: usize, n: usize) -> (usize, usize) {
 /// arriving window — and an arriving window never moves the rows before it.
 /// The per-pair [`PairSketch`] the scalar reference paths slice is a strided
 /// read of that table, gathered on demand by [`SketchSet::pair_sketch`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SketchSet {
     basic_window: usize,
     n_series: usize,

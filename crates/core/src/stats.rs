@@ -14,13 +14,11 @@
 
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use crate::runner::{Job, JobRunner, SerialRunner};
 
 /// Summary statistics of one window of one series: the per-basic-window
 /// sketch entry stored by Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowStats {
     /// Number of points in the window (`B_j`; all equal for the default
     /// equal-size segmentation, different for partial head/tail windows).
@@ -76,7 +74,7 @@ impl WindowStats {
 }
 
 /// Joint statistics of one pair of aligned windows: the per-pair sketch entry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairWindowStats {
     /// Pearson correlation of the two windows (0.0 when either is constant).
     pub corr: f64,
@@ -296,58 +294,6 @@ pub(crate) fn normalize_each<'a>(
     for (slot, &v) in out.zip(values) {
         *slot = (v - stats.mean) * inv;
     }
-}
-
-/// Dot product with four independent accumulator lanes.
-///
-/// The reference correlation loops ([`pearson`], [`pair_corr_from_stats`])
-/// accumulate into a single variable, which chains every addition behind the
-/// previous one; the four lanes here are independent, so the compiler can
-/// keep several floating-point additions in flight (and pack lanes into SIMD
-/// registers). Splitting the sum reorders the additions — callers get the
-/// tolerance contract of the tiled kernels, not bit-equality with the
-/// reference path.
-#[inline]
-pub(crate) fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let octs = a.len() / 8 * 8;
-    // Eight lanes: two 4-wide AVX accumulator chains (or four 2-wide SSE2
-    // chains at the baseline), enough independence to cover the FP-add
-    // latency either way.
-    let mut acc = [0.0f64; 8];
-    for (ca, cb) in a[..octs].chunks_exact(8).zip(b[..octs].chunks_exact(8)) {
-        acc[0] += ca[0] * cb[0];
-        acc[1] += ca[1] * cb[1];
-        acc[2] += ca[2] * cb[2];
-        acc[3] += ca[3] * cb[3];
-        acc[4] += ca[4] * cb[4];
-        acc[5] += ca[5] * cb[5];
-        acc[6] += ca[6] * cb[6];
-        acc[7] += ca[7] * cb[7];
-    }
-    let mut tail = 0.0;
-    for (x, y) in a[octs..].iter().zip(&b[octs..]) {
-        tail += x * y;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
-}
-
-/// Pearson correlation of two windows given their *normalized* (z-scored)
-/// values: `clamp(Σ z_x z_y / B)`. Rows produced by [`normalize_into`] for
-/// constant windows are all zero, so the convention `corr = 0.0` falls out of
-/// the arithmetic.
-///
-/// The sum is split over eight accumulator lanes, not the packed pair
-/// kernel's serial chain, so the two agree within the `1e-10` contract, not
-/// bit for bit. The only product caller left is the sketch-free provider
-/// [`crate::sweep::ZnormSweep`] (`fill_tile`).
-#[inline]
-pub fn normalized_dot_corr(zx: &[f64], zy: &[f64]) -> f64 {
-    debug_assert_eq!(zx.len(), zy.len());
-    if zx.is_empty() {
-        return 0.0;
-    }
-    clamp_corr(dot_unrolled(zx, zy) / zx.len() as f64)
 }
 
 /// Series per panel of the packed layout: one point of eight series is one
@@ -1007,8 +953,6 @@ mod tests {
         let mut z = [9.9; 9];
         normalize_into(&constant, &stats, &mut z);
         assert_eq!(z, [0.0; 9]);
-        assert_eq!(normalized_dot_corr(&z, &z), 0.0);
-        assert_eq!(normalized_dot_corr(&[], &[]), 0.0);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! *answers* — the thresholded network, the strongest edges, aggregates —
 //! not the triangle itself. This module inverts the control flow:
 //!
-//! * a [`CorrProvider`] serves per-window correlations for one tile of pairs
-//!   at a time (zero-copy from a window-major table when one exists,
-//!   recomputed on the fly by [`ZnormSweep`] when not);
+//! * the source is always a borrowed window-major table, a [`CorrView`] over
+//!   the plan's full windows (an in-memory sketch's rows, an epoch's shared
+//!   rows or a pile's mapped segments), read zero-copy;
 //! * [`sweep_run`] drives [`QueryPlan::block_kernel`] over same-row tiles of
 //!   at most `tile_len` pairs and hands each finished tile to a
 //!   [`TileSink`]; [`sweep_pooled`] fans that loop over a worker pool, one
@@ -19,10 +19,10 @@
 //!   pairs above a threshold, [`TopKSink`] a k-bounded heap of the strongest
 //!   edges, [`StatsSink`] running aggregates.
 //!
-//! Working memory is `O(tile)` — two scratch buffers of `tile_len` (times
-//! `w` for providers without a resident table) — independent of `N`, plus,
-//! for an unaligned plan, the `O(N)` partial-window scratch of the run
-//! ([`PartialCorrs`]: head and tail correlations of four triangle rows).
+//! Working memory is `O(tile)` — one output buffer of `tile_len` —
+//! independent of `N`, plus, for an unaligned plan, the `O(N)` partial-window
+//! scratch of the run ([`PartialCorrs`]: head and tail correlations of four
+//! triangle rows).
 //!
 //! # Tile pruning (Equation 4)
 //!
@@ -52,18 +52,14 @@ use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use crate::error::{Error, Result};
 use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
 use crate::plan::{row_segments, runs_for_workers, CorrView, PartialCorrs, QueryPlan};
 use crate::runner::{Job, JobRunner};
 use crate::sketch::{packed_pairs, pair_index};
-use crate::stats::{normalize_into, normalized_dot_corr, WindowStats};
-use crate::timeseries::SeriesCollection;
-use crate::window::BasicWindowing;
 
 /// Default tile size of the streaming sweeps: large enough to amortize the
-/// per-tile dispatch, small enough that two scratch buffers stay deep in
-/// cache.
+/// per-tile dispatch, small enough that the output buffer and the tile's row
+/// slices stay deep in cache.
 pub const DEFAULT_TILE_PAIRS: usize = 1024;
 
 /// Safety pad added to every upper bound: the bound and the kernel reorder
@@ -134,45 +130,11 @@ impl CorrelationBounds {
     }
 }
 
-/// A source of per-window pair correlations for the plan's *full* windows,
-/// served tile by tile.
-pub trait CorrProvider {
-    /// Number of windows served per pair — must equal the driving plan's
-    /// [`QueryPlan::full_windows`]`.len()`.
-    fn window_count(&self) -> usize;
-
-    /// A resident window-major table covering **all** packed pairs, if one
-    /// exists. When this returns `Some`, the driver streams it zero-copy and
-    /// never calls [`CorrProvider::fill_tile`].
-    fn full_view(&self) -> Option<CorrView<'_>> {
-        None
-    }
-
-    /// Fill `out` (window-major, `window_count() × np` where
-    /// `np = out.len() / window_count()`) with the per-window correlations of
-    /// the tile `(i, j0), …, (i, j0 + np − 1)`.
-    fn fill_tile(&self, i: usize, j0: usize, out: &mut [f64]);
-}
-
-impl CorrProvider for CorrView<'_> {
-    fn window_count(&self) -> usize {
-        CorrView::window_count(self)
-    }
-
-    fn full_view(&self) -> Option<CorrView<'_>> {
-        Some(*self)
-    }
-
-    fn fill_tile(&self, _i: usize, _j0: usize, _out: &mut [f64]) {
-        unreachable!("full-view providers are streamed zero-copy")
-    }
-}
-
 /// Which tiles get the **table NaN audit**: the kernel clamps a NaN window
 /// value to `0.0`, a plausible-looking correlation, so an audited tile's row
 /// slices are scanned before the kernel reads them and each pair with a NaN
 /// window reaches the sink as a one-slot `[NaN]` tile, which sinks count and
-/// never rank. Only a resident table ([`CorrProvider::full_view`]) is audited.
+/// never rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableAudit {
     /// No tile.
@@ -188,28 +150,28 @@ pub enum TableAudit {
 /// `run`, in same-row tiles of at most `tile_len` pairs, feeding each
 /// finished tile to `sink` and discarding it. With `bounds`, tiles the sink
 /// reports skippable are dropped before any kernel work (Equation 4 tile
-/// pruning). The table is not audited ([`TableAudit::Off`]).
+/// pruning). `view` is the window-major table of the plan's full windows,
+/// read in place. The table is not audited ([`TableAudit::Off`]).
 ///
-/// Working memory: one `tile_len` output buffer, plus a
-/// `window_count × tile_len` scratch buffer for providers without a resident
-/// table — independent of the series count — and the run's [`PartialCorrs`],
-/// which an unaligned plan fills with `2 · 4 · (N − 1)` values for the row
-/// groups whose tiles are actually evaluated.
+/// Working memory: one `tile_len` output buffer — independent of the series
+/// count — and the run's [`PartialCorrs`], which an unaligned plan fills with
+/// `2 · 4 · (N − 1)` values for the row groups whose tiles are actually
+/// evaluated.
 pub fn sweep_run(
     plan: &QueryPlan,
-    provider: &dyn CorrProvider,
+    view: &CorrView<'_>,
     bounds: Option<&CorrelationBounds>,
     run: Range<usize>,
     tile_len: usize,
     sink: &mut dyn TileSink,
 ) {
-    sweep_tiles(plan, provider, bounds, run, tile_len, TableAudit::Off, sink);
+    sweep_tiles(plan, view, bounds, run, tile_len, TableAudit::Off, sink);
 }
 
 /// The one tile loop of every streamed query: [`sweep_run`] plus `audit`.
 fn sweep_tiles(
     plan: &QueryPlan,
-    provider: &dyn CorrProvider,
+    view: &CorrView<'_>,
     bounds: Option<&CorrelationBounds>,
     run: Range<usize>,
     tile_len: usize,
@@ -217,20 +179,13 @@ fn sweep_tiles(
     sink: &mut dyn TileSink,
 ) {
     let n = plan.series_count();
-    let w = plan.full_windows().len();
     assert_eq!(
-        provider.window_count(),
-        w,
-        "provider must cover the plan's full windows"
+        view.window_count(),
+        plan.full_windows().len(),
+        "the table must cover the plan's full windows"
     );
     let tile_len = tile_len.max(1);
-    let full = provider.full_view();
     let mut out = vec![0.0f64; tile_len];
-    let mut scratch = if full.is_some() {
-        Vec::new()
-    } else {
-        vec![0.0f64; w * tile_len]
-    };
     let mut partial = PartialCorrs::default();
 
     for (i, j0, len) in row_segments(run.start, run.len(), n) {
@@ -243,21 +198,14 @@ fn sweep_tiles(
             let skip = bounds.is_some_and(|b| sink.tile_skippable(b.tile_bound(i, j, np)));
             let audited =
                 audit == TableAudit::SweptAndSkipped || (!skip && audit == TableAudit::Swept);
-            if let Some(view) = full.filter(|_| audited) {
-                audit_tile(view, i, j, pair0, np, sink);
+            if audited {
+                audit_tile(*view, i, j, pair0, np, sink);
             }
             if skip {
                 sink.tile_skipped(i, j, np);
                 continue;
             }
-            match full {
-                Some(view) => plan.block_kernel(i, j, view, pair0, &mut partial, &mut out[..np]),
-                None => {
-                    provider.fill_tile(i, j, &mut scratch[..w * np]);
-                    let view = CorrView::new(&scratch[..w * np], np, w);
-                    plan.block_kernel(i, j, view, 0, &mut partial, &mut out[..np]);
-                }
-            }
+            plan.block_kernel(i, j, *view, pair0, &mut partial, &mut out[..np]);
             sink.consume(i, j, pair0, &out[..np]);
         }
     }
@@ -758,153 +706,15 @@ impl TileSink for StatsSink {
     }
 }
 
-/// A sketch-free, triangle-free exact streaming path: z-normalize every
-/// basic window of every series once (`O(N · L)` memory — the size of the
-/// data itself) and serve each tile's per-window correlations as dot
-/// products over contiguous rows. This is the provider that scales past the
-/// point where even *building* a [`crate::sketch::SketchSet`] would
-/// materialize the pair triangle.
-#[derive(Debug, Clone)]
-pub struct ZnormSweep {
-    n: usize,
-    w: usize,
-    bw: usize,
-    /// `z[(k·n + i)·bw ..]` is window `k` of series `i`, z-scored.
-    z: Vec<f64>,
-    plan: QueryPlan,
-    bounds: CorrelationBounds,
-}
-
-impl ZnormSweep {
-    /// Build the provider for an aligned range of basic windows, computing
-    /// per-window statistics and z-scores straight from the raw data.
-    pub fn build(
-        collection: &SeriesCollection,
-        basic_window: usize,
-        windows: Range<usize>,
-    ) -> Result<Self> {
-        let windowing = BasicWindowing::new(basic_window)?;
-        let complete = windowing.complete_windows(collection.series_len());
-        if windows.is_empty() || windows.end > complete {
-            return Err(Error::SketchMismatch {
-                requested: format!("basic windows {windows:?}"),
-                available: format!("{complete} complete windows"),
-            });
-        }
-        let n = collection.len();
-        let w = windows.len();
-        let mut z = vec![0.0f64; n * w * basic_window];
-        let mut stats: Vec<Vec<WindowStats>> = Vec::with_capacity(n);
-        for (i, series) in collection.iter_with_ids() {
-            let values = series.values();
-            let mut row = Vec::with_capacity(w);
-            for (kk, k) in windows.clone().enumerate() {
-                let span = windowing.window_span(k);
-                let st = WindowStats::from_values(span.slice(values));
-                let slot = &mut z[(kk * n + i) * basic_window..(kk * n + i + 1) * basic_window];
-                normalize_into(span.slice(values), &st, slot);
-                row.push(st);
-            }
-            stats.push(row);
-        }
-        let plan = QueryPlan::from_window_stats(&stats)?;
-        let bounds = CorrelationBounds::from_plan(&plan);
-        Ok(Self {
-            n,
-            w,
-            bw: basic_window,
-            z,
-            plan,
-            bounds,
-        })
-    }
-
-    /// Number of series covered.
-    pub fn series_count(&self) -> usize {
-        self.n
-    }
-
-    /// Number of basic windows covered.
-    pub fn window_count(&self) -> usize {
-        self.w
-    }
-
-    /// The shared per-series recombination plan.
-    pub fn plan(&self) -> &QueryPlan {
-        &self.plan
-    }
-
-    /// The precomputed tile-pruning bounds.
-    pub fn bounds(&self) -> &CorrelationBounds {
-        &self.bounds
-    }
-
-    /// Number of unordered pairs.
-    pub fn pair_count(&self) -> usize {
-        self.n * self.n.saturating_sub(1) / 2
-    }
-
-    /// Run a sweep over all pairs into `sink`, with optional tile pruning.
-    pub fn sweep_into(&self, prune: bool, tile_len: usize, sink: &mut dyn TileSink) {
-        let bounds = prune.then_some(&self.bounds);
-        sweep_run(
-            &self.plan,
-            self,
-            bounds,
-            0..self.pair_count(),
-            tile_len,
-            sink,
-        );
-    }
-
-    /// The thresholded network (`c > θ`, the dense
-    /// [`CorrelationMatrix::threshold`] semantics) as a streamed edge list.
-    /// Every pair is observed — no pruning — so the edge set equals the
-    /// dense path's exactly.
-    pub fn network_streamed(&self, theta: f64) -> Result<EdgeList> {
-        if !(-1.0..=1.0).contains(&theta) {
-            return Err(Error::InvalidThreshold(theta));
-        }
-        let mut sink = EdgeSink::new(theta);
-        self.sweep_into(false, DEFAULT_TILE_PAIRS, &mut sink);
-        Ok(sink.finish(self.n))
-    }
-
-    /// The `k` strongest edges, with tile pruning against the running k-th
-    /// strength.
-    pub fn top_k(&self, k: usize) -> TopK {
-        let mut sink = TopKSink::new(k);
-        self.sweep_into(true, DEFAULT_TILE_PAIRS, &mut sink);
-        sink.finish()
-    }
-}
-
-impl CorrProvider for ZnormSweep {
-    fn window_count(&self) -> usize {
-        self.w
-    }
-
-    fn fill_tile(&self, i: usize, j0: usize, out: &mut [f64]) {
-        let np = out.len() / self.w;
-        for kk in 0..self.w {
-            let base = kk * self.n;
-            let zi = &self.z[(base + i) * self.bw..(base + i + 1) * self.bw];
-            let row = &mut out[kk * np..(kk + 1) * np];
-            for (p, slot) in row.iter_mut().enumerate() {
-                let j = j0 + p;
-                let zj = &self.z[(base + j) * self.bw..(base + j + 1) * self.bw];
-                *slot = normalized_dot_corr(zi, zj);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact;
     use crate::sketch::SketchSet;
     use crate::source::audit_nan_chunk;
+    use crate::stats::WindowStats;
+    use crate::timeseries::SeriesCollection;
+    use crate::window::QueryWindow;
     use proptest::prelude::*;
 
     fn lcg_series(seed: u64, len: usize) -> Vec<f64> {
@@ -1019,83 +829,123 @@ mod tests {
         }
     }
 
-    #[test]
-    fn znorm_sweep_network_matches_dense_threshold() {
-        let c = test_collection(8, 160);
-        let b = 20;
-        let sweep = ZnormSweep::build(&c, b, 0..8).unwrap();
-        let sketch = SketchSet::build(&c, b).unwrap();
-        let dense = exact::correlation_matrix_aligned(&sketch, 0..8).unwrap();
-        for theta in [-0.5, 0.0, 0.3, 0.9] {
-            let streamed = sweep.network_streamed(theta).unwrap();
-            let reference = dense.threshold(theta).unwrap();
-            assert_eq!(streamed.to_adjacency(), reference, "theta={theta}");
-        }
-        assert!(sweep.network_streamed(1.5).is_err());
+    /// The bound tests' inputs: an aligned window, an unaligned window with a
+    /// head and a tail, and an unaligned window over a collection holding a
+    /// constant series (whose bound components are zero). Every third series
+    /// of the unaligned case is a per-window level plus faint noise, so its
+    /// variance lies between windows (`t_i ≈ 1`) while the others' lies
+    /// within them (`s_i ≈ 1`), and the bound of a mixed pair is small.
+    fn bound_cases() -> Vec<(&'static str, SeriesCollection, usize, QueryWindow)> {
+        let levels: Vec<Vec<f64>> = (0..9)
+            .map(|s| {
+                let noise = lcg_series(s + 1, 200);
+                if s % 3 != 0 {
+                    return noise;
+                }
+                let level = |t: usize| ((t / 25 + s as usize) * 7 % 5) as f64;
+                noise
+                    .iter()
+                    .enumerate()
+                    .map(|(t, v)| level(t) + 0.05 * v)
+                    .collect()
+            })
+            .collect();
+        let mut rows: Vec<Vec<f64>> = (0..7).map(|s| lcg_series(s + 1, 160)).collect();
+        rows[3] = vec![5.0; 160];
+        vec![
+            (
+                "aligned",
+                test_collection(6, 180),
+                30,
+                QueryWindow::new(179, 180).unwrap(),
+            ),
+            (
+                "unaligned",
+                SeriesCollection::from_rows(levels).unwrap(),
+                25,
+                QueryWindow::new(188, 182).unwrap(),
+            ),
+            (
+                "constant series",
+                SeriesCollection::from_rows(rows).unwrap(),
+                20,
+                QueryWindow::new(150, 141).unwrap(),
+            ),
+        ]
     }
 
     #[test]
-    fn znorm_sweep_top_k_matches_sorted_dense() {
-        let c = test_collection(7, 120);
-        let b = 15;
-        let sweep = ZnormSweep::build(&c, b, 0..8).unwrap();
-        let sketch = SketchSet::build(&c, b).unwrap();
-        let dense = exact::correlation_matrix_aligned(&sketch, 0..8).unwrap();
-        let mut all: Vec<(usize, usize, f64)> = dense.iter_pairs().collect();
-        all.sort_by(|a, b| {
-            b.2.total_cmp(&a.2)
-                .then_with(|| pair_index(a.0, a.1, 7).cmp(&pair_index(b.0, b.1, 7)))
-        });
-        for k in [0, 1, 5, 21, 100] {
-            let top = sweep.top_k(k);
-            assert_eq!(top.edges.len(), k.min(all.len()), "k={k}");
-            for (got, want) in top.edges.iter().zip(&all) {
-                assert_eq!((got.i, got.j), (want.0, want.1), "k={k}");
-                assert!((got.corr - want.2).abs() <= 1e-10);
+    fn bounds_dominate_every_pair_correlation() {
+        for (name, c, b, query) in bound_cases() {
+            let n = c.len();
+            let sketch = SketchSet::build(&c, b).unwrap();
+            let bounds =
+                CorrelationBounds::from_plan(&QueryPlan::build(&c, &sketch, query).unwrap());
+            let dense = exact::correlation_matrix(&c, &sketch, query).unwrap();
+            for (i, j, corr) in dense.iter_pairs() {
+                let bound = bounds.pair_bound(i, j);
+                assert!(
+                    corr.abs() <= bound,
+                    "{name} pair ({i},{j}): {corr} > {bound}"
+                );
+            }
+            let corrs = dense.upper_triangle();
+            for tile_len in [1, 3, 1024] {
+                for (i, j0, len) in row_segments(0, corrs.len(), n) {
+                    for j in (j0..j0 + len).step_by(tile_len) {
+                        let np = (j0 + len - j).min(tile_len);
+                        let bound = bounds.tile_bound(i, j, np);
+                        let pair0 = pair_index(i, j, n);
+                        for (p, corr) in corrs[pair0..pair0 + np].iter().enumerate() {
+                            assert!(
+                                corr.abs() <= bound,
+                                "{name} tile_len={tile_len} tile ({i},{j}+{np}) pair ({i},{}): \
+                                 {corr} > {bound}",
+                                j + p
+                            );
+                        }
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn bounds_dominate_every_pair_correlation() {
-        let c = test_collection(6, 180);
-        let sweep = ZnormSweep::build(&c, 30, 0..6).unwrap();
-        let sketch = SketchSet::build(&c, 30).unwrap();
-        let dense = exact::correlation_matrix_aligned(&sketch, 0..6).unwrap();
-        let bounds = sweep.bounds();
-        for (i, j, corr) in dense.iter_pairs() {
-            assert!(
-                corr <= bounds.pair_bound(i, j),
-                "pair ({i},{j}): {corr} > {}",
-                bounds.pair_bound(i, j)
-            );
-        }
-    }
-
-    #[test]
     fn pruned_sweep_agrees_with_unpruned_threshold() {
-        let c = test_collection(9, 200);
-        let sweep = ZnormSweep::build(&c, 25, 0..8).unwrap();
-        let theta = 0.4;
-        let mut pruned = EdgeSink::new(theta);
-        sweep.sweep_into(true, 4, &mut pruned);
-        let skipped = pruned.skipped_pairs();
-        let pruned = pruned.finish(9);
-        let unpruned = sweep.network_streamed(theta).unwrap();
-        assert_eq!(pruned.edges(), unpruned.edges());
-        // Audit counts stay consistent: observed + skipped = all pairs.
-        assert!(skipped <= sweep.pair_count());
-    }
-
-    #[test]
-    fn znorm_sweep_validates_inputs() {
-        let c = test_collection(3, 100);
-        assert!(ZnormSweep::build(&c, 20, 0..9).is_err());
-        assert!(ZnormSweep::build(&c, 20, 2..2).is_err());
-        let sweep = ZnormSweep::build(&c, 20, 0..5).unwrap();
-        assert_eq!(sweep.series_count(), 3);
-        assert_eq!(sweep.window_count(), 5);
-        assert_eq!(sweep.pair_count(), 3);
+        let mut skipped_anywhere = 0;
+        for (name, c, b, query) in bound_cases() {
+            let n = c.len();
+            let pairs = packed_pairs(n);
+            let sketch = SketchSet::build(&c, b).unwrap();
+            let plan = QueryPlan::build(&c, &sketch, query).unwrap();
+            let view = sketch.window_corrs_view(plan.full_windows());
+            let bounds = CorrelationBounds::from_plan(&plan);
+            for theta in [0.1, 0.4] {
+                for tile_len in [1, 3, 1024] {
+                    let mut unpruned = EdgeSink::new(theta);
+                    sweep_run(&plan, &view, None, 0..pairs, tile_len, &mut unpruned);
+                    let mut pruned = EdgeSink::new(theta);
+                    sweep_run(&plan, &view, Some(&bounds), 0..pairs, tile_len, &mut pruned);
+                    let skipped = pruned.skipped_pairs();
+                    assert_eq!(
+                        pruned.finish(n).edges(),
+                        unpruned.finish(n).edges(),
+                        "{name} theta={theta} tile_len={tile_len}"
+                    );
+                    assert!(skipped <= pairs);
+                    if tile_len == 1 {
+                        // A one-pair tile is skipped exactly when its pair is.
+                        let prunable = (0..n)
+                            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                            .filter(|&(i, j)| bounds.pair_bound(i, j) <= theta)
+                            .count();
+                        assert_eq!(skipped, prunable, "{name} theta={theta}");
+                    }
+                    skipped_anywhere += skipped;
+                }
+            }
+        }
+        assert!(skipped_anywhere > 0, "the cases must exercise pruning");
     }
 
     /// What a sink saw, in order: audit tiles, evaluated tiles, skipped tiles.

@@ -6,8 +6,6 @@
 //! interpolated and duplicate observations aggregated upstream (see
 //! `tsubasa-data` for those transforms).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// Identifier of a series inside a [`SeriesCollection`] (its index).
@@ -15,7 +13,7 @@ pub type SeriesId = usize;
 
 /// A geographical location attached to a series (grid cell centre or station
 /// position). Latitude/longitude are in degrees.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoLocation {
     /// Latitude in degrees, positive north.
     pub lat: f64,
@@ -51,7 +49,7 @@ impl Default for GeoLocation {
 
 /// A single geo-labeled time-series: the observed values of one climatic
 /// variable at one location, one value per time-resolution tick.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     /// Human-readable name (station id, grid-cell label, ...).
     pub name: String,
@@ -123,7 +121,7 @@ impl TimeSeries {
 ///
 /// Invariant: every series has the same length (the series are synchronized
 /// to a shared time resolution).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeriesCollection {
     series: Vec<TimeSeries>,
 }

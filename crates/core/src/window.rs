@@ -18,13 +18,11 @@
 //! Partial spans are re-sketched from raw data at query time; full windows
 //! reuse the pre-computed statistics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// A user query window `w = (e, l)`: the `l` points ending at index `e`
 /// (inclusive). Indices are 0-based positions in the synchronized stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QueryWindow {
     /// Inclusive end index of the window.
     pub end: usize,
@@ -91,7 +89,7 @@ impl QueryWindow {
 }
 
 /// A half-open index range `[start, end)` over the raw stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WindowSpan {
     /// First index covered (inclusive).
     pub start: usize,
@@ -118,7 +116,7 @@ impl WindowSpan {
 
 /// The basic-window configuration: fixed window size `B` applied from index
 /// zero of the stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BasicWindowing {
     /// Number of points per basic window (`B`).
     pub size: usize,

@@ -17,7 +17,6 @@
 //! The number of cells and points are configurable so the scalability sweeps
 //! (Figure 6) can generate exactly the sizes they need.
 
-use serde::{Deserialize, Serialize};
 use tsubasa_core::error::Result;
 use tsubasa_core::{GeoLocation, SeriesCollection, TimeSeries};
 
@@ -25,7 +24,7 @@ use crate::climatology::CycleModel;
 use crate::noise::{Ar1, GaussianSampler};
 
 /// Configuration of the Berkeley-Earth-like grid generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BerkeleyLikeConfig {
     /// Number of grid cells (series). The full paper dataset has 18,638.
     pub cells: usize,

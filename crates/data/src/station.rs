@@ -16,7 +16,6 @@
 //! * optionally, missing values that are then re-interpolated (so the
 //!   generated collection exercises the same cleaning path as real data).
 
-use serde::{Deserialize, Serialize};
 use tsubasa_core::error::Result;
 use tsubasa_core::{GeoLocation, SeriesCollection, TimeSeries};
 
@@ -25,7 +24,7 @@ use crate::missing::{inject_missing, interpolate_missing};
 use crate::noise::{Ar1, GaussianSampler};
 
 /// Configuration of the NCEA-like station generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NceaLikeConfig {
     /// Number of stations (series). The paper's dataset has 157.
     pub stations: usize,

@@ -6,12 +6,10 @@
 //! provided as an ablation ([`radix2_fft`]) to quantify how much of the
 //! comparator's disadvantage is the transform itself.
 
-use serde::{Deserialize, Serialize};
-
 /// A minimal complex number. We intentionally avoid pulling in an external
 /// complex/FFT crate: the comparator only needs addition, multiplication by a
 //  twiddle factor, and magnitudes.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

@@ -41,7 +41,6 @@
 //! two agree far inside the `1e-10` tolerance contract pinned by
 //! `tests/approx_plan_agreement.rs`.
 
-use serde::{Deserialize, Serialize};
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::plan::{CorrView, PlanMethod, WindowRows};
 use tsubasa_core::runner::{JobRunner, SerialRunner};
@@ -56,7 +55,7 @@ use crate::dft::{coefficient_distance, naive_dft, Complex, DftPlanner};
 use crate::normalize::normalize_unit_with_stats;
 
 /// How the DFT coefficients of a basic window are computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transform {
     /// Naive `O(B²)` DFT — the cost model assumed by the paper.
     Naive,
@@ -72,7 +71,7 @@ pub enum Transform {
 /// Equation 3 estimates `ĉ = 1 − d²/2` of the DFT coefficient distances, in
 /// one window-major table (see the [module docs](self) for the format and the
 /// kernel that produces it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DftSketchSet {
     base: SketchSet,
     /// Number of DFT coefficients used when computing distances.

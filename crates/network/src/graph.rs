@@ -1,6 +1,5 @@
 //! The annotated climate-network graph.
 
-use serde::{Deserialize, Serialize};
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::matrix::{AdjacencyMatrix, CorrelationMatrix};
 use tsubasa_core::sweep::EdgeList;
@@ -8,7 +7,7 @@ use tsubasa_core::{GeoLocation, SeriesCollection};
 
 /// A climate network: the thresholded adjacency matrix plus the geographic
 /// metadata of its nodes. Nodes are identified by their series id.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClimateNetwork {
     adjacency: AdjacencyMatrix,
     names: Vec<String>,

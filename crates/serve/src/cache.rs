@@ -12,9 +12,9 @@
 //! query time and is never copied into the cache.
 //!
 //! Eviction is LRU over an access-stamped map; hit/miss/eviction counters
-//! are exposed for observability and asserted by the cache tests and the
-//! `fig_serve_qps` benchmark (a repeated-window workload must show
-//! hits > misses).
+//! are exposed for observability, asserted by the cache tests (a repeated
+//! key must hit) and reported by the ledger's `serve-live` workload
+//! (`serve.cache.hit_share`).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
