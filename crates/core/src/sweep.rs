@@ -111,22 +111,33 @@ impl CorrelationBounds {
         Self { s, t }
     }
 
-    /// Sound (padded) upper bound on `corr(i, j)`.
+    /// Sound (padded) upper bound on `corr(i, j)`: the one-pair
+    /// [`CorrelationBounds::tile_bound`].
     pub fn pair_bound(&self, i: usize, j: usize) -> f64 {
-        self.s[i] * self.s[j] + self.t[i] * self.t[j] + BOUND_PAD
+        self.tile_bound(i, j, 1)
     }
 
     /// Sound (padded) upper bound over the tile `(i, j0 .. j0 + len)`.
+    ///
+    /// A NaN component — a series whose window statistics hold a NaN — bounds
+    /// nothing: the kernel clamps such a pair to `0.0`, which a NaN-blind
+    /// maximum would let pruning drop. Such a tile's bound is `+∞`.
     pub fn tile_bound(&self, i: usize, j0: usize, len: usize) -> f64 {
         let (si, ti) = (self.s[i], self.t[i]);
         let mut best = f64::NEG_INFINITY;
+        let mut nan = false;
         for p in 0..len {
             let v = si * self.s[j0 + p] + ti * self.t[j0 + p];
+            nan |= v.is_nan();
             if v > best {
                 best = v;
             }
         }
-        best + BOUND_PAD
+        if nan {
+            f64::INFINITY
+        } else {
+            best + BOUND_PAD
+        }
     }
 }
 
@@ -273,8 +284,22 @@ pub fn sweep_pooled<K: TileSink + Send>(
 /// NaN-bearing ones re-hydrated from store records) reuse the streamed
 /// consumers and their NaN accounting.
 pub fn sweep_matrix(matrix: &CorrelationMatrix, tile_len: usize, sink: &mut dyn TileSink) {
-    let n = matrix.len();
-    let values = matrix.upper_triangle();
+    sweep_packed(matrix.len(), matrix.upper_triangle(), tile_len, sink);
+}
+
+/// [`sweep_matrix`] over a bare packed triangle of `n` series (`values[p]`
+/// is pair `p` in [`pair_index`] order): same-row tiles of at most
+/// `tile_len` pairs, in pair order.
+///
+/// # Panics
+///
+/// Panics when `values` is not `n(n−1)/2` long.
+pub fn sweep_packed(n: usize, values: &[f64], tile_len: usize, sink: &mut dyn TileSink) {
+    assert_eq!(
+        values.len(),
+        packed_pairs(n),
+        "a packed triangle of {n} series holds n(n-1)/2 pairs"
+    );
     let tile_len = tile_len.max(1);
     let mut cursor = 0;
     for (i, j0, len) in row_segments(0, values.len(), n) {
@@ -831,7 +856,9 @@ mod tests {
 
     /// The bound tests' inputs: an aligned window, an unaligned window with a
     /// head and a tail, and an unaligned window over a collection holding a
-    /// constant series (whose bound components are zero). Every third series
+    /// constant series (whose bound components are zero), and an aligned
+    /// window over a series with one NaN point (whose bound components are
+    /// NaN while the kernel evaluates its pairs to `0.0`). Every third series
     /// of the unaligned case is a per-window level plus faint noise, so its
     /// variance lies between windows (`t_i ≈ 1`) while the others' lies
     /// within them (`s_i ≈ 1`), and the bound of a mixed pair is small.
@@ -852,6 +879,14 @@ mod tests {
             .collect();
         let mut rows: Vec<Vec<f64>> = (0..7).map(|s| lcg_series(s + 1, 160)).collect();
         rows[3] = vec![5.0; 160];
+        let mut planted: Vec<Vec<f64>> = (0..10)
+            .map(|s| {
+                (0..120)
+                    .map(|i| ((i * (s + 3)) as f64 * 0.37 + s as f64).sin())
+                    .collect()
+            })
+            .collect();
+        planted[3][50] = f64::NAN;
         vec![
             (
                 "aligned",
@@ -870,6 +905,12 @@ mod tests {
                 SeriesCollection::from_rows(rows).unwrap(),
                 20,
                 QueryWindow::new(150, 141).unwrap(),
+            ),
+            (
+                "planted NaN",
+                SeriesCollection::from_rows(planted).unwrap(),
+                20,
+                QueryWindow::new(119, 120).unwrap(),
             ),
         ]
     }
@@ -946,6 +987,24 @@ mod tests {
             }
         }
         assert!(skipped_anywhere > 0, "the cases must exercise pruning");
+    }
+
+    #[test]
+    fn pruned_top_k_agrees_with_unpruned() {
+        for (name, c, b, query) in bound_cases() {
+            let pairs = packed_pairs(c.len());
+            let sketch = SketchSet::build(&c, b).unwrap();
+            let plan = QueryPlan::build(&c, &sketch, query).unwrap();
+            let view = sketch.window_corrs_view(plan.full_windows());
+            let bounds = CorrelationBounds::from_plan(&plan);
+            for k in 0..=pairs {
+                let mut unpruned = TopKSink::new(k);
+                sweep_run(&plan, &view, None, 0..pairs, 3, &mut unpruned);
+                let mut pruned = TopKSink::new(k);
+                sweep_run(&plan, &view, Some(&bounds), 0..pairs, 3, &mut pruned);
+                assert_eq!(pruned.finish(), unpruned.finish(), "{name} k={k}");
+            }
+        }
     }
 
     /// What a sink saw, in order: audit tiles, evaluated tiles, skipped tiles.

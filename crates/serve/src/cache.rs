@@ -1,24 +1,36 @@
-//! The plan cache: built query plans keyed by (epoch id, window range,
-//! method).
+//! The plan cache: per-key plans and correlation views, keyed by (epoch id,
+//! window range, method).
 //!
-//! Building a [`QueryPlan`] costs `O(n·ns)` table work per query window.
-//! Because epochs are immutable and a plan is a pure function of
-//! `(epoch, windows, method)` — the [`PlanKey`] defined in `tsubasa-core` —
-//! repeated query windows against the same epoch can reuse the built plan
-//! (and its pruning bounds) without any correctness risk: a cached plan is
-//! **bit-identical** to a freshly built one, which the `serve_plan_cache`
-//! suite pins. An entry holds the per-series tables only, under either
-//! method: the pair table a query sweeps is lent by the epoch's source at
-//! query time and is never copied into the cache.
+//! Building a [`QueryPlan`] costs `O(n·ns)` table work per query window, and
+//! sweeping it costs `O(P·w)` for `P = N(N−1)/2` pairs. Epochs are immutable,
+//! and both are pure functions of `(epoch, windows, method)` — the
+//! [`PlanKey`] defined in `tsubasa-core` — so an entry holds, per key:
 //!
-//! Eviction is LRU over an access-stamped map; hit/miss/eviction counters
-//! are exposed for observability, asserted by the cache tests (a repeated
-//! key must hit) and reported by the ledger's `serve-live` workload
+//! * the built plan and its pruning bounds ([`CachedPlan`]), built by the
+//!   key's first lookup;
+//! * the key's **view**: its `P` correlations in packed pair order, `8·P`
+//!   bytes, filled once by the first query that reads it. The query engine
+//!   ([`crate::QueryEngine`]) fills it with one
+//!   pooled sweep and answers every network / top-k query on the key with one
+//!   pass over it.
+//!
+//! A cached answer is **bit-identical** to a freshly planned and swept one,
+//! which the `serve_plan_cache` suite pins. The pair table a plan is swept
+//! over is lent by the epoch's source and is never copied into the cache;
+//! only the swept correlations are.
+//!
+//! Lookups are single-flight: the first lookup of a key inserts its entry and
+//! counts the miss; concurrent lookups of that key find the entry, count
+//! hits, and wait for its one plan build — and, in the engine, its one view
+//! fill — instead of repeating them. Eviction is LRU over an access-stamped
+//! map; hit/miss/eviction counters and the resident views' bytes are exposed
+//! for observability ([`CacheStats`]), asserted by the cache tests (a
+//! repeated key must hit) and reported by the ledger's `serve-live` workload
 //! (`serve.cache.hit_share`).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use tsubasa_core::error::Result;
 use tsubasa_core::plan::PlanKey;
@@ -61,19 +73,32 @@ impl CachedPlan {
 /// Counter snapshot of a [`PlanCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Lookups that found their key resident — including lookups that then
+    /// waited for the key's first build, and queries answered from a view.
     pub hits: u64,
-    /// Lookups that had to build a plan.
+    /// Lookups that inserted their key (and built its plan).
     pub misses: u64,
     /// Entries evicted by the LRU policy.
     pub evictions: u64,
     /// Entries currently resident.
     pub len: usize,
+    /// Bytes of the filled views among the resident entries: `8·P` per key
+    /// whose view a query filled.
+    pub view_bytes: usize,
+}
+
+/// What a key holds: its plan, built once, and its view, filled at most once.
+#[derive(Default)]
+struct Slot {
+    /// The first lookup's build outcome; a failed build is handed to every
+    /// lookup that waited for it, then the entry is dropped.
+    plan: OnceLock<Result<CachedPlan>>,
+    view: OnceLock<Arc<[f64]>>,
 }
 
 struct Entry {
     stamp: u64,
-    plan: CachedPlan,
+    slot: Arc<Slot>,
 }
 
 struct Inner {
@@ -81,12 +106,37 @@ struct Inner {
     clock: u64,
 }
 
-/// An LRU cache of built plans keyed by [`PlanKey`]. Thread-safe: lookups
-/// take a short mutex; plan *building* happens outside the lock, so a slow
-/// build never blocks other connections' cache hits. Two threads missing on
-/// the same key concurrently may both build — harmless, since plans for the
-/// same key are bit-identical by construction; one of the two instances is
-/// kept.
+/// One resident key as a lookup hands it out: the built plan, and the slot of
+/// its correlation view. Holding it keeps the view alive after eviction.
+#[derive(Clone)]
+pub(crate) struct CachedEntry {
+    plan: CachedPlan,
+    slot: Arc<Slot>,
+}
+
+impl CachedEntry {
+    /// The key's plan.
+    pub(crate) fn plan(&self) -> &CachedPlan {
+        &self.plan
+    }
+
+    /// The key's correlations in packed pair order, when a query filled them.
+    pub(crate) fn view(&self) -> Option<&Arc<[f64]>> {
+        self.slot.view.get()
+    }
+
+    /// The key's correlations, filled by `fill` when no query has yet.
+    /// Concurrent callers wait for the one fill in flight instead of running
+    /// their own.
+    pub(crate) fn view_or_fill(&self, fill: impl FnOnce() -> Arc<[f64]>) -> &Arc<[f64]> {
+        self.slot.view.get_or_init(fill)
+    }
+}
+
+/// An LRU cache of built plans and their correlation views, keyed by
+/// [`PlanKey`]. Thread-safe: lookups take a short mutex; plan *building*
+/// happens outside the lock, so a slow build never blocks other connections'
+/// cache hits, and only lookups of the key being built wait for it.
 pub struct PlanCache {
     capacity: usize,
     inner: Mutex<Inner>,
@@ -132,46 +182,74 @@ impl PlanCache {
         key: PlanKey,
         build: impl FnOnce() -> Result<CachedPlan>,
     ) -> Result<CachedPlan> {
-        {
+        self.lookup(key, build).map(|entry| entry.plan)
+    }
+
+    /// Look up `key`, counting exactly one hit or miss: its resident entry,
+    /// or a new one whose plan `build` makes. The first lookup of a key runs
+    /// its build outside the cache lock; lookups of the same key meanwhile
+    /// count hits and wait for that build. A failed build is returned to
+    /// every lookup that waited for it and leaves no entry behind.
+    pub(crate) fn lookup(
+        &self,
+        key: PlanKey,
+        build: impl FnOnce() -> Result<CachedPlan>,
+    ) -> Result<CachedEntry> {
+        let slot = {
             let mut inner = self.inner.lock().expect("plan cache poisoned");
             inner.clock += 1;
             let stamp = inner.clock;
             if let Some(entry) = inner.map.get_mut(&key) {
                 entry.stamp = stamp;
-                let plan = entry.plan.clone();
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(plan);
+                Arc::clone(&entry.slot)
+            } else {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                let slot = Arc::new(Slot::default());
+                let entry = Entry {
+                    stamp,
+                    slot: Arc::clone(&slot),
+                };
+                inner.map.insert(key, entry);
+                while inner.map.len() > self.capacity {
+                    // Evict the least recently used entry (never the one just
+                    // inserted: it carries the newest stamp).
+                    let oldest = inner
+                        .map
+                        .iter()
+                        .min_by_key(|(_, e)| e.stamp)
+                        .map(|(k, _)| *k)
+                        .expect("non-empty map");
+                    inner.map.remove(&oldest);
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                }
+                slot
+            }
+        };
+        match slot.plan.get_or_init(build) {
+            Ok(plan) => Ok(CachedEntry {
+                plan: plan.clone(),
+                slot,
+            }),
+            Err(e) => {
+                let mut inner = self.inner.lock().expect("plan cache poisoned");
+                if inner
+                    .map
+                    .get(&key)
+                    .is_some_and(|entry| Arc::ptr_eq(&entry.slot, &slot))
+                {
+                    inner.map.remove(&key);
+                }
+                Err(e.clone())
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = build()?;
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        inner.clock += 1;
-        let stamp = inner.clock;
-        inner.map.insert(
-            key,
-            Entry {
-                stamp,
-                plan: plan.clone(),
-            },
-        );
-        while inner.map.len() > self.capacity {
-            // Evict the least recently used entry.
-            let oldest = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-                .expect("non-empty map");
-            inner.map.remove(&oldest);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(plan)
     }
 
-    /// Drop every cached plan whose epoch id is below `min_epoch` — the
-    /// rollover invalidation matching [`crate::EpochStore::oldest_retained`].
-    /// Dropped entries do not count as evictions (they were invalidated, not
+    /// Drop every cached plan and view whose epoch id is below `min_epoch` —
+    /// the rollover invalidation matching
+    /// [`crate::EpochStore::oldest_retained`], and the query engine's
+    /// retirement of epochs older than the newest it answered on. Dropped
+    /// entries do not count as evictions (they were invalidated, not
     /// displaced).
     pub fn invalidate_below(&self, min_epoch: u64) {
         let mut inner = self.inner.lock().expect("plan cache poisoned");
@@ -180,12 +258,18 @@ impl PlanCache {
 
     /// Current counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        let len = self.inner.lock().expect("plan cache poisoned").map.len();
+        let (len, view_bytes) = {
+            let inner = self.inner.lock().expect("plan cache poisoned");
+            let views = inner.map.values().filter_map(|e| e.slot.view.get());
+            let bytes = views.map(|v| v.len() * std::mem::size_of::<f64>()).sum();
+            (inner.map.len(), bytes)
+        };
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             len,
+            view_bytes,
         }
     }
 }
@@ -193,6 +277,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsubasa_core::error::Error;
     use tsubasa_core::plan::PlanMethod;
     use tsubasa_core::{SeriesCollection, SketchSet};
 
@@ -250,6 +335,24 @@ mod tests {
             .get_or_build(key(1, 1..4), || build_exact(&sk, 1..4))
             .unwrap();
         assert_eq!(cache.stats().misses, 4);
+    }
+
+    #[test]
+    fn a_failed_build_leaves_no_entry() {
+        let sk = sketch();
+        let cache = PlanCache::new(4);
+        let key = PlanKey::new(1, 0..4, PlanMethod::Exact);
+        let failed = cache.lookup(key, || Err(Error::EmptyInput("no statistics")));
+        assert!(matches!(failed, Err(Error::EmptyInput(_))));
+        assert_eq!(cache.stats().len, 0);
+        // The next lookup of the key builds again, and its entry stays.
+        let entry = cache.lookup(key, || build_exact(&sk, 0..4)).unwrap();
+        assert!(entry.view().is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.len), (0, 2, 1));
+        let filled = entry.view_or_fill(|| vec![0.5; 3].into());
+        assert_eq!(filled.len(), 3);
+        assert_eq!(cache.stats().view_bytes, 3 * 8);
     }
 
     #[test]

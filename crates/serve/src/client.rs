@@ -373,4 +373,88 @@ mod tests {
 
         handle.shutdown();
     }
+
+    /// Four subscribers at one θ across three publishes: each replays its
+    /// deltas onto its baseline to every published epoch's serial network,
+    /// and the engine plans and fills one view per epoch between them — one
+    /// miss per epoch, every other lookup a hit.
+    #[test]
+    fn subscribers_at_one_theta_share_one_view_per_epoch() {
+        use std::collections::BTreeSet;
+        use std::sync::mpsc;
+
+        const SUBSCRIBERS: usize = 4;
+        let theta = 0.3;
+        let phases = [0.0, 0.9, 1.7, 2.4];
+        let sketches: Vec<SketchSet> = phases.iter().map(|&p| sketch_with_phase(p)).collect();
+        let store = Arc::new(EpochStore::new(8));
+        store.publish(Some(sketches[0].clone()), None).unwrap();
+        let engine = Arc::new(QueryEngine::new(
+            Arc::clone(&store),
+            Arc::new(PlanCache::new(8)),
+            Arc::new(WorkerPool::new(2)),
+        ));
+        let handle = server::start(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+        let addr = handle.local_addr();
+
+        // Every subscriber reports (epoch, replayed edge set) after its
+        // baseline and after each delta.
+        let (tx, rx) = mpsc::channel::<(u64, BTreeSet<(u32, u32)>)>();
+        let subscribers: Vec<_> = (0..SUBSCRIBERS)
+            .map(|_| {
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    let mut client = ServeClient::connect(addr).unwrap();
+                    client
+                        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+                        .unwrap();
+                    let frames = (phases.len() - 1) as u32;
+                    let baseline = client
+                        .subscribe_deltas(Method::Exact, theta, frames)
+                        .unwrap();
+                    let mut edges: BTreeSet<(u32, u32)> = baseline.edges.into_iter().collect();
+                    tx.send((baseline.epoch, edges.clone())).unwrap();
+                    for _ in 0..frames {
+                        let delta = client.next_delta().unwrap();
+                        for pair in &delta.vanished {
+                            assert!(edges.remove(pair), "vanished edge {pair:?} was absent");
+                        }
+                        for pair in &delta.appeared {
+                            assert!(edges.insert(*pair), "appeared edge {pair:?} was present");
+                        }
+                        tx.send((delta.epoch, edges.clone())).unwrap();
+                    }
+                })
+            })
+            .collect();
+
+        // Publish the next epoch only once every subscriber has reported the
+        // current one, so no two publications collapse into one delta.
+        for (step, sketch) in sketches.iter().enumerate() {
+            if step > 0 {
+                store.publish(Some(sketch.clone()), None).unwrap();
+            }
+            let serial =
+                exact::network_streamed_aligned(sketch, 0..sketch.window_count(), theta).unwrap();
+            let expected: BTreeSet<(u32, u32)> = serial
+                .edges()
+                .iter()
+                .map(|&(i, j)| (i as u32, j as u32))
+                .collect();
+            for _ in 0..SUBSCRIBERS {
+                let (epoch, edges) = rx.recv().unwrap();
+                assert_eq!(epoch, 1 + step as u64);
+                assert_eq!(edges, expected, "epoch {epoch}");
+            }
+        }
+        for subscriber in subscribers {
+            subscriber.join().expect("subscriber panicked");
+        }
+
+        let stats = engine.cache().stats();
+        let lookups = (SUBSCRIBERS * phases.len()) as u64;
+        assert_eq!(stats.misses, phases.len() as u64, "one miss per epoch");
+        assert_eq!(stats.hits, lookups - stats.misses);
+        handle.shutdown();
+    }
 }

@@ -32,7 +32,8 @@
 use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::time::Duration;
 
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::plan::PlanMethod;
@@ -151,11 +152,18 @@ impl Epoch {
 ///
 /// Readers ([`EpochStore::latest`], [`EpochStore::get`]) take a read lock
 /// only long enough to clone an `Arc`; publication takes the write lock only
-/// for the swap. No lock is ever held while a query computes.
+/// for the swap. No lock is ever held while a query computes. Waiters for
+/// the next publication ([`EpochStore::wait_for_newer`]) sleep on a condition
+/// variable that every publication notifies.
 #[derive(Debug)]
 pub struct EpochStore {
     latest: RwLock<Option<Arc<Epoch>>>,
+    /// The retained epochs, oldest first; the back one is `latest`. Ids are
+    /// assigned and `latest` is swapped under this lock, so both advance
+    /// together.
     recent: Mutex<VecDeque<Arc<Epoch>>>,
+    /// Notified, under `recent`, after every publication.
+    published_cv: Condvar,
     capacity: usize,
     published: AtomicU64,
 }
@@ -167,6 +175,7 @@ impl EpochStore {
         Self {
             latest: RwLock::new(None),
             recent: Mutex::new(VecDeque::new()),
+            published_cv: Condvar::new(),
             capacity: capacity.max(1),
             published: AtomicU64::new(0),
         }
@@ -211,7 +220,6 @@ impl EpochStore {
         dual: bool,
         pile: Option<Arc<SketchPile>>,
     ) -> Result<Arc<Epoch>> {
-        let id = self.published.fetch_add(1, Ordering::SeqCst) + 1;
         // Bind each method to its answering source at publication: a carried
         // in-memory sketch wins (a dual comparator answers exact queries
         // through its base), else the pile when its per-kind segment coverage
@@ -231,28 +239,30 @@ impl EpochStore {
             }
             _ => None,
         };
-        let epoch = Arc::new(Epoch {
-            id,
-            exact,
-            approx,
-            dual,
-            pile,
-            exact_src,
-            approx_src,
-        });
         // The evicted epoch may hold the last reference to its sketch rows or
         // its mapping, so it is freed when this function returns: after the
         // lock `get` takes and the one `latest` takes are both released.
-        let _evicted = {
+        let (epoch, _evicted) = {
             let mut recent = self.recent.lock().expect("epoch store poisoned");
+            let epoch = Arc::new(Epoch {
+                id: self.published.fetch_add(1, Ordering::SeqCst) + 1,
+                exact,
+                approx,
+                dual,
+                pile,
+                exact_src,
+                approx_src,
+            });
             recent.push_back(Arc::clone(&epoch));
-            if recent.len() > self.capacity {
+            let evicted = if recent.len() > self.capacity {
                 recent.pop_front()
             } else {
                 None
-            }
+            };
+            *self.latest.write().expect("epoch store poisoned") = Some(Arc::clone(&epoch));
+            self.published_cv.notify_all();
+            (epoch, evicted)
         };
-        *self.latest.write().expect("epoch store poisoned") = Some(Arc::clone(&epoch));
         Ok(epoch)
     }
 
@@ -276,6 +286,20 @@ impl EpochStore {
     /// Total number of epochs published so far.
     pub fn published(&self) -> u64 {
         self.published.load(Ordering::SeqCst)
+    }
+
+    /// Block until an epoch newer than `than` is the latest one, or until
+    /// `timeout` passes; returns whether one is. A publication wakes every
+    /// waiter once [`EpochStore::latest`] returns the new epoch, so a waiter
+    /// that returns `true` is answered from that epoch or a newer one.
+    pub fn wait_for_newer(&self, than: u64, timeout: Duration) -> bool {
+        let newer = |recent: &VecDeque<Arc<Epoch>>| recent.back().is_some_and(|e| e.id > than);
+        let recent = self.recent.lock().expect("epoch store poisoned");
+        let (recent, _) = self
+            .published_cv
+            .wait_timeout_while(recent, timeout, |recent| !newer(recent))
+            .expect("epoch store poisoned");
+        newer(&recent)
     }
 
     /// The oldest epoch id still retained, if any. Epochs below this have
@@ -547,6 +571,31 @@ mod tests {
         assert_eq!(store.oldest_retained(), Some(3));
         assert!(store.get(2).is_none());
         assert_eq!(store.get(4).unwrap().id(), 4);
+    }
+
+    #[test]
+    fn publication_wakes_waiters_for_a_newer_epoch() {
+        let c = collection(3, 60);
+        let store = EpochStore::new(2);
+        assert!(!store.wait_for_newer(0, Duration::from_millis(1)));
+        store
+            .publish(Some(SketchSet::build(&c, 20).unwrap()), None)
+            .unwrap();
+        assert!(store.wait_for_newer(0, Duration::ZERO));
+        assert!(!store.wait_for_newer(1, Duration::from_millis(1)));
+
+        // A waiter with an hour to spare returns once epoch 2 is published,
+        // and finds it as the latest.
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let woke = store.wait_for_newer(1, Duration::from_secs(3600));
+                (woke, store.latest().map(|e| e.id()))
+            });
+            store
+                .publish(Some(SketchSet::build(&c, 20).unwrap()), None)
+                .unwrap();
+            assert_eq!(waiter.join().unwrap(), (true, Some(2)));
+        });
     }
 
     #[test]

@@ -11,14 +11,16 @@
 //!   freezes the sketches into an immutable **epoch** published by an
 //!   atomic `Arc` swap; readers never block writers and every response
 //!   names the epoch it was computed from;
-//! * [`PlanCache`] — built [`tsubasa_core::QueryPlan`]s /
-//!   [`tsubasa_dft::ApproxPlan`]s are pure functions of
-//!   `(epoch, windows, method)`, so repeated query windows reuse them via
-//!   an LRU keyed by [`tsubasa_core::plan::PlanKey`];
+//! * [`PlanCache`] — a built [`tsubasa_core::QueryPlan`] and the `P`
+//!   correlations it recombines are pure functions of
+//!   `(epoch, windows, method)`, so an LRU keyed by
+//!   [`tsubasa_core::plan::PlanKey`] holds both: the first query on a key
+//!   fills its correlation view with one sweep fanned over the shared
+//!   [`tsubasa_parallel::WorkerPool`], and every query on it is one sink
+//!   pass over that view;
 //! * [`server`] / [`ServeClient`] — a std-only length-prefixed binary
-//!   protocol over TCP; a blocking server fans each query over the shared
-//!   [`tsubasa_parallel::WorkerPool`] through streamed tile sinks, so
-//!   responses are edge lists and never dense matrices.
+//!   protocol over TCP; a blocking server answers each query through
+//!   [`QueryEngine`], so responses are edge lists and never dense matrices.
 //!
 //! Every served answer is bit-identical to the corresponding serial library
 //! call against the answering epoch's sketch — the `serve_concurrency`,

@@ -160,9 +160,13 @@ pub struct StatsReply {
     pub errors: u64,
     /// Connections accepted.
     pub connections: u64,
-    /// Plan-cache hits.
+    /// Plan-cache hits: queries whose `(epoch, windows, method)` key was
+    /// resident. Every query makes one lookup, so a query answered from its
+    /// key's correlation view counts one hit.
     pub cache_hits: u64,
-    /// Plan-cache misses.
+    /// Plan-cache misses: queries that built their key's plan — the key's
+    /// first query, which also fills its view when that fits the dense
+    /// budget.
     pub cache_misses: u64,
     /// Plan-cache evictions.
     pub cache_evictions: u64,

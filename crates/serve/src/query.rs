@@ -1,43 +1,69 @@
-//! Query evaluation against a published epoch: plan-cache lookup, then a
-//! partitioned streaming sweep fanned out over a [`WorkerPool`].
+//! Query evaluation against a published epoch: one plan-cache lookup, then
+//! one pass over the key's correlation view.
 //!
 //! Every result is **bit-identical** to the serial library call against the
 //! same epoch's sketch:
 //!
-//! * exact network ≡ [`tsubasa_core::exact::network_streamed_aligned`] — no
-//!   pruning, strict `c > θ` rule; like that path it counts NaN *outputs*,
-//!   and the kernel clamps a NaN table value to `0.0`, so the table itself is
-//!   not audited here (the parallel engine's queries do audit it);
-//! * exact top-k ≡ [`tsubasa_core::exact::top_k_aligned`] — Equation 4
-//!   tile pruning, total [`f64::total_cmp`] ranking;
+//! * exact network ≡ [`tsubasa_core::exact::network_streamed_aligned`] —
+//!   strict `c > θ` rule; like that path it counts NaN *outputs*, and the
+//!   kernel clamps a NaN table value to `0.0`, so the table itself is not
+//!   audited here (the parallel engine's queries do audit it);
+//! * exact top-k ≡ [`tsubasa_core::exact::top_k_aligned`] — total
+//!   [`f64::total_cmp`] ranking, ties by ascending pair index;
 //! * approximate network ≡ [`tsubasa_dft::ApproxPlan::network_streamed`] —
-//!   Equation 4 radius predicate with tile pruning;
+//!   the Equation 4 radius predicate;
 //! * approximate top-k ≡ [`tsubasa_dft::ApproxPlan::top_k`].
 //!
-//! Every query is the same four steps whatever the method or the epoch's
-//! backend: one plan lookup (the per-series tables, cached), one table lent by
-//! the epoch's source ([`CorrSource::full_table`] — shared sketch rows or
-//! mapped pile rows, never copied), one fan-out over contiguous pair runs
-//! ([`sweep_pooled`], the pooled sweep the parallel engine also calls), and a
-//! merge. The method picks the table, the sink and whether tiles are pruned;
-//! nothing else forks.
+//! A query at one `(epoch, method, windows)` key computes the same
+//! `P = N(N−1)/2` correlations as every other query at that key, so it runs
+//! in three steps whatever the method or the epoch's backend:
 //!
-//! The equivalence rests on the PR 6 invariant (tile and run boundaries
-//! never change any pair's arithmetic) plus ordered merging: runs are
-//! contiguous ascending pair ranges, so absorbing per-run edge lists in run
-//! order reproduces the serial emission order, and the top-k heap merge is
-//! order-insensitive by construction. The `serve_concurrency` suite pins
-//! this bit-for-bit across worker counts.
+//! 1. one [`PlanCache`] lookup: the per-series tables, built by the key's
+//!    first query;
+//! 2. on the key's first query only, the **view fill**: one pooled sweep
+//!    ([`sweep_pooled`], the sweep the parallel engine also calls) over the
+//!    table the epoch's source lends ([`CorrSource::lent_table`] — shared
+//!    sketch rows or mapped pile rows, never copied), with no bounds and no
+//!    threshold, each worker writing its contiguous run of pairs in place
+//!    into one `P`-length buffer that the cache entry keeps;
+//! 3. one sink pass over the view on the connection thread
+//!    ([`sweep_packed`]): an [`EdgeSink`] or a [`RadiusEdgeSink`] for a
+//!    network, a [`TopKSink`] for a top-k. The pool is not woken.
+//!
+//! The method picks the table and the sink; nothing else forks. The serial
+//! paths prune tiles under Equation 4 where the sink allows (approximate
+//! network, both top-k); pruning is sound — it drops only tiles no pair of
+//! which could reach the answer — so a pass over every pair gives the same
+//! edges, order, correlation bits and NaN count. The view holds the same
+//! bits as the serial sweep because no tile or run boundary ever changes a
+//! pair's arithmetic.
+//!
+//! A view that would not fit the dense budget
+//! ([`tsubasa_core::capacity::check_dense_budget`]`(P, 1)`) is never
+//! filled: such a query streams the pooled sweep into per-run sinks instead
+//! — pruning tiles like the serial path — and merges them in run order.
+//!
+//! Memory: one `8·P` view per key, for the newest answered epoch only. The
+//! first answer on an epoch newer than any the engine answered on retires
+//! every older key ([`PlanCache::invalidate_below`]), which is safe because
+//! [`QueryEngine::network`] and [`QueryEngine::top_k`] only ever answer the
+//! latest epoch. The `serve_concurrency` suite pins the bit identity across
+//! worker counts under live ingest.
 
+use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use tsubasa_core::capacity::check_dense_budget;
 use tsubasa_core::error::Error;
-use tsubasa_core::plan::{CorrView, PlanKey, PlanMethod};
+use tsubasa_core::plan::{runs_for_workers, CorrView, PlanKey, PlanMethod};
+use tsubasa_core::runner::JobRunner;
+use tsubasa_core::sketch::packed_pairs;
 use tsubasa_core::source::CorrSource;
 use tsubasa_core::sweep::{
-    sweep_pooled, CorrelationBounds, EdgeList, EdgeSink, TableAudit, TileSink, TopK, TopKSink,
-    DEFAULT_TILE_PAIRS,
+    sweep_packed, sweep_pooled, CorrelationBounds, EdgeList, EdgeSink, TableAudit, TileSink, TopK,
+    TopKSink, DEFAULT_TILE_PAIRS,
 };
 use tsubasa_core::QueryPlan;
 use tsubasa_dft::plan::RadiusEdgeSink;
@@ -45,7 +71,7 @@ use tsubasa_parallel::WorkerPool;
 use tsubasa_storage::pile::SketchPile;
 use tsubasa_stream::EpochSketches;
 
-use crate::cache::{CachedPlan, PlanCache};
+use crate::cache::{CachedEntry, CachedPlan, PlanCache};
 use crate::epoch::{Epoch, EpochStore};
 
 /// Why a query could not be answered *yet* — distinct from a rejection:
@@ -140,8 +166,9 @@ pub fn resolve_windows(
 }
 
 /// The serving-side query engine: answers network / top-k requests from the
-/// latest published epoch, reusing built plans through a [`PlanCache`] and
-/// fanning the sweep over a shared [`WorkerPool`].
+/// latest published epoch, each from the correlation view its
+/// `(epoch, method, windows)` key holds in a [`PlanCache`] — filled once per
+/// key by a sweep fanned over a shared [`WorkerPool`].
 ///
 /// All methods take `&self`; the engine is shared across connection threads
 /// behind an `Arc`.
@@ -150,13 +177,20 @@ pub struct QueryEngine {
     store: Arc<EpochStore>,
     cache: Arc<PlanCache>,
     pool: Arc<WorkerPool>,
+    /// The newest epoch id any answer was computed on (0 before the first).
+    newest: AtomicU64,
 }
 
 impl QueryEngine {
-    /// An engine answering from `store`, caching plans in `cache`, sweeping
-    /// on `pool`.
+    /// An engine answering from `store`, caching plans and views in `cache`,
+    /// filling views on `pool`.
     pub fn new(store: Arc<EpochStore>, cache: Arc<PlanCache>, pool: Arc<WorkerPool>) -> Self {
-        Self { store, cache, pool }
+        Self {
+            store,
+            cache,
+            pool,
+            newest: AtomicU64::new(0),
+        }
     }
 
     /// The epoch store answered from.
@@ -169,7 +203,7 @@ impl QueryEngine {
         &self.cache
     }
 
-    /// The worker pool sweeps fan out over.
+    /// The worker pool view fills fan out over.
     pub fn pool(&self) -> &Arc<WorkerPool> {
         &self.pool
     }
@@ -249,20 +283,21 @@ impl QueryEngine {
         if n < 2 {
             return Ok(EdgeList::from_parts(n, Vec::new(), 0));
         }
-        let (plan, bounds) = self.plan(epoch.id(), source.as_ref(), &windows, method)?;
-        let table = source.lent_table(windows, method)?;
+        let id = epoch.id();
         Ok(match method {
             // Exact network: the strict `c > θ` rule and no pruning, as on
-            // the serial streamed path (every pair reaches the sink).
+            // the serial streamed path.
             PlanMethod::Exact => {
-                let sinks = self.sweep(&plan, table.view(), None, || EdgeSink::new(theta));
+                let sinks = self.answer(id, source.as_ref(), windows, method, false, || {
+                    EdgeSink::new(theta)
+                })?;
                 merge_edges(sinks.into_iter().map(|sink| sink.finish(n)))
             }
-            // Approximate network: the Equation 4 radius predicate, with
-            // tile pruning.
+            // Approximate network: the Equation 4 radius predicate.
             PlanMethod::Approximate => {
                 let sink = RadiusEdgeSink::new(theta)?;
-                let sinks = self.sweep(&plan, table.view(), Some(&bounds), || sink.clone());
+                let sinks =
+                    self.answer(id, source.as_ref(), windows, method, true, || sink.clone())?;
                 merge_edges(sinks.into_iter().map(|sink| sink.finish(n)))
             }
         })
@@ -284,33 +319,69 @@ impl QueryEngine {
                     method,
                 )))?;
         let windows = resolve_windows(source.window_count(method), last_windows, method)?;
-        let n = source.series_count();
-        if n < 2 {
+        if source.series_count() < 2 {
             return Ok(TopKSink::new(k).finish());
         }
-        let (plan, bounds) = self.plan(epoch.id(), source.as_ref(), &windows, method)?;
-        let table = source.lent_table(windows, method)?;
-        // Equation 4 tile pruning holds for exact and approximate
-        // recombination alike.
-        let sinks = self.sweep(&plan, table.view(), Some(&bounds), || TopKSink::new(k));
+        let sinks = self.answer(epoch.id(), source.as_ref(), windows, method, true, || {
+            TopKSink::new(k)
+        })?;
         Ok(merge_top_k(sinks))
     }
 
-    /// The plan for an epoch's source under `method`: the per-series tables
-    /// built from the source's window-statistics rows
+    /// Feed one query's sinks every pair of its key, in pair order: one sink
+    /// and one pass over the key's view when the view is held or fits the
+    /// dense budget (the key's first query fills it), else one sink per run
+    /// of the pooled sweep streamed off the lent table, tiles pruned when
+    /// `prune`. The sinks come back in pair order.
+    fn answer<K: TileSink + Send>(
+        &self,
+        epoch_id: u64,
+        source: &dyn CorrSource,
+        windows: Range<usize>,
+        method: PlanMethod,
+        prune: bool,
+        make_sink: impl Fn() -> K,
+    ) -> Result<Vec<K>, QueryError> {
+        let entry = self.lookup(epoch_id, source, &windows, method)?;
+        let (plan, bounds) = entry.plan().clone().into_parts();
+        let n = plan.series_count();
+        let view = match entry.view() {
+            Some(view) => Some(view),
+            None if check_dense_budget(packed_pairs(n), 1).is_ok() => {
+                let table = source.lent_table(windows.clone(), method)?;
+                Some(entry.view_or_fill(|| self.fill_view(&plan, table.view())))
+            }
+            None => None,
+        };
+        if let Some(view) = view {
+            let mut sink = make_sink();
+            sweep_packed(n, view, DEFAULT_TILE_PAIRS, &mut sink);
+            return Ok(vec![sink]);
+        }
+        let table = source.lent_table(windows, method)?;
+        Ok(self.sweep(&plan, table.view(), prune.then_some(&*bounds), make_sink))
+    }
+
+    /// The cache entry of an epoch's source under `method`: the per-series
+    /// tables built from the source's window-statistics rows
     /// ([`QueryPlan::from_window_stats`] — numerically identical whichever
     /// backend the statistics come from, and the same tables for Lemma 1 and
-    /// Equation 5) plus their pruning bounds, cached under the
-    /// `(epoch, windows, method)` key.
-    fn plan(
+    /// Equation 5) plus their pruning bounds, under the
+    /// `(epoch, windows, method)` key. The first lookup on an epoch newer
+    /// than any answered before retires every older key: `network` and
+    /// `top_k` never answer an older epoch again.
+    fn lookup(
         &self,
         epoch_id: u64,
         source: &dyn CorrSource,
         windows: &Range<usize>,
         method: PlanMethod,
-    ) -> Result<(Arc<QueryPlan>, Arc<CorrelationBounds>), QueryError> {
+    ) -> Result<CachedEntry, QueryError> {
+        if self.newest.fetch_max(epoch_id, Ordering::Relaxed) < epoch_id {
+            self.cache.invalidate_below(epoch_id);
+        }
         let key = PlanKey::new(epoch_id, windows.clone(), method);
-        let cached = self.cache.get_or_build(key, || {
+        Ok(self.cache.lookup(key, || {
             let stats = source.series_stats(windows.clone())?;
             let plan = Arc::new(QueryPlan::from_window_stats(&stats)?);
             let bounds = Arc::new(CorrelationBounds::from_plan(&plan));
@@ -318,8 +389,33 @@ impl QueryEngine {
                 PlanMethod::Exact => CachedPlan::Exact { plan, bounds },
                 PlanMethod::Approximate => CachedPlan::Approx { plan, bounds },
             })
-        })?;
-        Ok(cached.into_parts())
+        })?)
+    }
+
+    /// A key's view: the pooled sweep of every pair — no bounds, no
+    /// threshold — with each run's tiles written in place into that run's
+    /// span of one `P`-length buffer.
+    fn fill_view(&self, plan: &QueryPlan, table: CorrView<'_>) -> Arc<[f64]> {
+        let pairs = packed_pairs(plan.series_count());
+        let mut view: Arc<[f64]> = std::iter::repeat_n(0.0, pairs).collect();
+        {
+            let mut rest = Arc::get_mut(&mut view).expect("a fresh view is unshared");
+            let mut spans = Vec::new();
+            // The runs `sweep_pooled` cuts, in the order it asks for sinks.
+            for run in runs_for_workers(pairs, self.pool.worker_count()) {
+                let (out, tail) = std::mem::take(&mut rest).split_at_mut(run.len());
+                spans.push(SpanSink {
+                    start: run.start,
+                    out,
+                });
+                rest = tail;
+            }
+            let spans = RefCell::new(spans.into_iter());
+            self.sweep(plan, table, None, || {
+                spans.borrow_mut().next().expect("one span per run")
+            });
+        }
+        view
     }
 
     /// Fan one streamed sweep over the worker pool; sinks come back in run
@@ -334,6 +430,20 @@ impl QueryEngine {
     ) -> Vec<K> {
         let (tile, audit) = (DEFAULT_TILE_PAIRS, TableAudit::Off);
         sweep_pooled(&*self.pool, plan, view, bounds, tile, audit, make_sink).0
+    }
+}
+
+/// The sink of one run of a view fill: copies each tile to its pairs' slots
+/// of the run's span (`out[p − start]` holds pair `p`).
+struct SpanSink<'a> {
+    start: usize,
+    out: &'a mut [f64],
+}
+
+impl TileSink for SpanSink<'_> {
+    fn consume(&mut self, _i: usize, _j0: usize, pair0: usize, corrs: &[f64]) {
+        let at = pair0 - self.start;
+        self.out[at..at + corrs.len()].copy_from_slice(corrs);
     }
 }
 

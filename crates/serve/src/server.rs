@@ -13,8 +13,9 @@
 //!   and answered as an internal error; no worker thread is left hung.
 //!
 //! Shutdown is cooperative: connections poll an atomic flag between frames
-//! (reads use a short timeout), the accept loop polls it between accepts,
-//! and [`ServerHandle::shutdown`] joins every thread before returning.
+//! (reads use a short timeout, and a subscription waiting for the next epoch
+//! wakes on the same tick), the accept loop polls it between accepts, and
+//! [`ServerHandle::shutdown`] joins every thread before returning.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -32,8 +33,8 @@ use crate::proto::{
 };
 use crate::query::{QueryEngine, QueryError, UnavailableReason};
 
-/// How often blocked reads and the accept loop wake to poll the shutdown
-/// flag.
+/// How often blocked reads, subscriptions waiting for an epoch and the
+/// accept loop wake to poll the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Monotonic serving counters, shared by every connection thread.
@@ -275,6 +276,13 @@ fn answer_error(
 /// observed epoch publication (publications landing between observations
 /// collapse into one cumulative delta against the last streamed epoch).
 ///
+/// Between frames the connection thread sleeps on the store's publication
+/// signal ([`crate::EpochStore::wait_for_newer`]), so a delta leaves one
+/// wake-up after its epoch is published. Each frame's network is an ordinary
+/// [`QueryEngine::network`] call: it reads the epoch's correlation view, so
+/// any number of subscribers at one epoch, method and θ cost one view fill
+/// between them, plus one threshold pass and one diff each.
+///
 /// Returns `Err` only when the transport broke (the caller closes the
 /// connection); query-level rejections are answered with an error frame and
 /// end the exchange with `Ok`, leaving the connection serving. A server
@@ -324,7 +332,8 @@ fn serve_subscription(
     write_frame(stream, &encode_response(&baseline))?;
 
     for _ in 0..max_frames {
-        // Wait for the next epoch publication (or shutdown).
+        // Sleep until the next epoch publication wakes this thread; the
+        // timeout only bounds how long a shutdown goes unnoticed.
         loop {
             if shutdown.load(Ordering::Relaxed) {
                 return Err(io::Error::new(
@@ -332,11 +341,9 @@ fn serve_subscription(
                     "server shutting down",
                 ));
             }
-            let latest = engine.store().latest().map(|e| e.id()).unwrap_or(0);
-            if latest > last_epoch {
+            if engine.store().wait_for_newer(last_epoch, POLL_INTERVAL) {
                 break;
             }
-            thread::sleep(POLL_INTERVAL);
         }
         let (epoch, edges) = match engine.network(plan_method(method), 0, theta) {
             Ok(ok) => ok,

@@ -1,25 +1,32 @@
 //! Plan-cache guards (PR 7).
 //!
-//! A cached plan must be indistinguishable from a freshly built one — the
-//! cache is a pure memoization of `(epoch, windows, method) → plan` — and
-//! the LRU/invalidation machinery must never change results, only counters.
+//! A cache entry must be indistinguishable from a fresh plan and sweep — the
+//! cache is a pure memoization of `(epoch, windows, method) → (plan,
+//! correlations)` — and the LRU/invalidation machinery must never change
+//! results, only counters.
 //!
-//! * a 64-case property suite pins cached-plan answers **bit-equal** to
-//!   fresh-plan answers and to the serial library reference, for both
-//!   methods and both query kinds;
-//! * deterministic tests pin the LRU behavior at capacity 1 (the thrash
-//!   floor), the epoch-rollover invalidation, and the hit/miss/eviction
-//!   counters.
+//! * a 64-case property suite pins that after a key's one miss every
+//!   network and top-k on it is a hit, answered from the key's correlation
+//!   view, **bit-equal** to the serial library reference, for both methods;
+//! * deterministic tests pin the same against epochs with a NaN point or a
+//!   constant series and against a pile-backed epoch, one view fill for
+//!   concurrent first queries, views held for the newest answered epoch
+//!   only, the LRU behavior at capacity 1 (the thrash floor), the
+//!   epoch-rollover invalidation, and the hit/miss/eviction counters.
 
-use std::sync::{Arc, OnceLock};
+use std::ops::Range;
+use std::sync::{Arc, Barrier};
+use std::thread;
 
 use proptest::prelude::*;
 use tsubasa_core::plan::PlanMethod;
+use tsubasa_core::sweep::{EdgeList, TopK};
 use tsubasa_core::{exact, SeriesCollection};
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
 use tsubasa_dft::ApproxPlan;
 use tsubasa_parallel::WorkerPool;
-use tsubasa_serve::{EpochStore, PlanCache, QueryEngine};
+use tsubasa_serve::{mirror_sketches_to_pile, EpochIngest, EpochStore, PlanCache, QueryEngine};
+use tsubasa_storage::pile::PileWriter;
 use tsubasa_stream::EpochSketches;
 
 fn lcg_series(seed: u64, len: usize) -> Vec<f64> {
@@ -35,99 +42,276 @@ fn lcg_series(seed: u64, len: usize) -> Vec<f64> {
         .collect()
 }
 
+fn rows(seed: u64, n: usize, len: usize) -> Vec<Vec<f64>> {
+    (0..n)
+        .map(|s| lcg_series(seed.wrapping_add(s as u64 * 7919), len))
+        .collect()
+}
+
 fn collection(seed: u64, n: usize, len: usize) -> SeriesCollection {
-    SeriesCollection::from_rows(
-        (0..n)
-            .map(|s| lcg_series(seed.wrapping_add(s as u64 * 7919), len))
-            .collect(),
-    )
-    .unwrap()
+    SeriesCollection::from_rows(rows(seed, n, len)).unwrap()
 }
 
 const BASIC: usize = 20;
+/// Pairs of the six-series epochs `engine` publishes.
+const PAIRS: usize = 15;
 
-/// A dual-method epoch (exact base + DFT comparator) published into a fresh
-/// engine.
-fn engine(seed: u64, cache_capacity: usize, store_capacity: usize) -> (QueryEngine, DftSketchSet) {
-    let c = collection(seed, 6, 160);
-    let dft = DftSketchSet::build(&c, BASIC, BASIC, Transform::Naive).unwrap();
+/// A dual-method epoch (exact base + DFT comparator) over `dft` published
+/// into a fresh engine.
+fn engine_over(dft: &DftSketchSet, cache_capacity: usize, store_capacity: usize) -> QueryEngine {
     let store = Arc::new(EpochStore::new(store_capacity));
     store
         .publish(Some(dft.base().clone()), Some(dft.clone()))
         .unwrap();
-    let eng = QueryEngine::new(
+    QueryEngine::new(
         store,
         Arc::new(PlanCache::new(cache_capacity)),
         Arc::new(WorkerPool::new(2)),
-    );
-    (eng, dft)
+    )
 }
 
-fn shared() -> &'static (QueryEngine, DftSketchSet) {
-    static FIXTURE: OnceLock<(QueryEngine, DftSketchSet)> = OnceLock::new();
-    FIXTURE.get_or_init(|| engine(0x5eed, 64, 4))
+/// [`engine_over`] six series of seeded data.
+fn engine(seed: u64, cache_capacity: usize, store_capacity: usize) -> (QueryEngine, DftSketchSet) {
+    let dft =
+        DftSketchSet::build(&collection(seed, 6, 160), BASIC, BASIC, Transform::Naive).unwrap();
+    (engine_over(&dft, cache_capacity, store_capacity), dft)
+}
+
+/// The trailing-window range a served query resolves `last_windows` to.
+fn trailing(window_count: usize, last_windows: u32) -> Range<usize> {
+    if last_windows == 0 {
+        0..window_count
+    } else {
+        window_count - last_windows as usize..window_count
+    }
+}
+
+/// The serial library answers to a served network(θ) and top_k(k).
+fn serial(
+    dft: &DftSketchSet,
+    method: PlanMethod,
+    windows: Range<usize>,
+    theta: f64,
+    k: usize,
+) -> (EdgeList, TopK) {
+    match method {
+        PlanMethod::Exact => (
+            exact::network_streamed_aligned(dft.base(), windows.clone(), theta).unwrap(),
+            exact::top_k_aligned(dft.base(), windows, k).unwrap(),
+        ),
+        PlanMethod::Approximate => {
+            let plan = ApproxPlan::build(dft, windows).unwrap();
+            (plan.network_streamed(theta).unwrap(), plan.top_k(k))
+        }
+    }
+}
+
+/// A top-k answer with its correlations by bit pattern.
+fn ranked(top: &TopK) -> (Vec<(usize, usize, u64)>, usize) {
+    let edges = top.edges.iter().map(|e| (e.i, e.j, e.corr.to_bits()));
+    (edges.collect(), top.nan_pairs)
+}
+
+/// A network answer: its edges in order and its NaN count.
+fn edges(net: &EdgeList) -> (Vec<(usize, usize)>, usize) {
+    (net.edges().to_vec(), net.nan_pair_count())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A query answered from a cached plan is bit-identical to the same
-    /// query answered from a freshly built plan, and both equal the serial
-    /// library reference.
+    /// After a key's one miss, three networks and three top-k on that key
+    /// are all hits, answered from its view, and each equals the serial
+    /// library reference: the same edges in the same order, the same
+    /// correlation bits and the same NaN counts.
     #[test]
     fn prop_cached_plan_results_bit_equal_fresh(
-        theta in -0.9f64..0.9,
+        seed in 0u64..1_000_000,
+        thetas in collection::vec(-0.9f64..0.9, 3),
         last_windows in 0u32..6,
-        k in 0u32..12,
+        ks in collection::vec(0u32..18, 3),
         method_sel in 0u8..2,
     ) {
-        let (eng, dft) = shared();
+        let (eng, dft) = engine(seed, 64, 4);
         let method = if method_sel == 1 { PlanMethod::Approximate } else { PlanMethod::Exact };
-        let wc = dft.window_count();
-        let windows = if last_windows == 0 {
-            0..wc
-        } else {
-            wc - last_windows as usize..wc
-        };
+        let windows = trailing(dft.window_count(), last_windows);
 
-        // First call may miss (builds the plan), second call hits the cache.
-        let (_, first) = eng.network(method, last_windows, theta).unwrap();
-        let hits_before = eng.cache().stats().hits;
-        let (_, second) = eng.network(method, last_windows, theta).unwrap();
-        prop_assert!(eng.cache().stats().hits > hits_before, "repeat must hit");
-        prop_assert_eq!(first.edges(), second.edges());
-        prop_assert_eq!(first.nan_pair_count(), second.nan_pair_count());
+        let (_, first) = eng.network(method, last_windows, thetas[0]).unwrap();
+        let stats = eng.cache().stats();
+        prop_assert_eq!((stats.hits, stats.misses), (0, 1));
+        prop_assert_eq!(stats.view_bytes, 8 * PAIRS);
+        let (want, _) = serial(&dft, method, windows.clone(), thetas[0], 0);
+        prop_assert_eq!(edges(&first), edges(&want));
 
-        let (_, top_a) = eng.top_k(method, last_windows, k).unwrap();
-        let (_, top_b) = eng.top_k(method, last_windows, k).unwrap();
-        prop_assert_eq!(top_a.edges.len(), top_b.edges.len());
-        for (a, b) in top_a.edges.iter().zip(&top_b.edges) {
-            prop_assert_eq!((a.i, a.j, a.corr.to_bits()), (b.i, b.j, b.corr.to_bits()));
+        for (&theta, &k) in thetas.iter().zip(&ks) {
+            let (_, net) = eng.network(method, last_windows, theta).unwrap();
+            let (_, top) = eng.top_k(method, last_windows, k).unwrap();
+            let (want_net, want_top) = serial(&dft, method, windows.clone(), theta, k as usize);
+            prop_assert_eq!(edges(&net), edges(&want_net));
+            prop_assert_eq!(ranked(&top), ranked(&want_top));
         }
+        let stats = eng.cache().stats();
+        // Every repeat on the key hits.
+        prop_assert_eq!((stats.hits, stats.misses, stats.len), (6, 1, 1));
+    }
+}
 
-        // Serial references, freshly planned every time.
-        match method {
-            PlanMethod::Exact => {
-                let net = exact::network_streamed_aligned(dft.base(), windows.clone(), theta).unwrap();
-                prop_assert_eq!(second.edges(), net.edges());
-                let top = exact::top_k_aligned(dft.base(), windows, k as usize).unwrap();
-                prop_assert_eq!(top_b.edges.len(), top.edges.len());
-                for (a, b) in top_b.edges.iter().zip(&top.edges) {
-                    prop_assert_eq!((a.i, a.j, a.corr.to_bits()), (b.i, b.j, b.corr.to_bits()));
+/// Epochs holding a series with a NaN point, or a constant series, answer
+/// like the serial calls too, NaN counts included. `k = 20` of the 28 pairs
+/// reaches the negative correlations, where the serial top-k's pruning meets
+/// the NaN series' bounds.
+#[test]
+fn nan_and_constant_epochs_answer_like_the_serial_calls() {
+    let mut planted = rows(0x0a0a, 8, 160);
+    planted[2][37] = f64::NAN;
+    let mut constant = rows(0x0b0b, 8, 160);
+    constant[5] = vec![3.0; 160];
+    for (name, rows) in [("planted NaN", planted), ("constant series", constant)] {
+        let c = SeriesCollection::from_rows(rows).unwrap();
+        let dft = DftSketchSet::build(&c, BASIC, BASIC, Transform::Naive).unwrap();
+        let eng = engine_over(&dft, 16, 4);
+        for method in [PlanMethod::Exact, PlanMethod::Approximate] {
+            for last_windows in [0u32, 3] {
+                let windows = trailing(dft.window_count(), last_windows);
+                for (theta, k) in [(-0.5, 1u32), (0.0, 5), (0.4, 20), (0.9, 50)] {
+                    let (_, net) = eng.network(method, last_windows, theta).unwrap();
+                    let (_, top) = eng.top_k(method, last_windows, k).unwrap();
+                    let (want_net, want_top) =
+                        serial(&dft, method, windows.clone(), theta, k as usize);
+                    let case = format!("{name} {method:?} last {last_windows} θ {theta} k {k}");
+                    assert_eq!(edges(&net), edges(&want_net), "{case}");
+                    assert_eq!(ranked(&top), ranked(&want_top), "{case}");
                 }
             }
-            PlanMethod::Approximate => {
-                let plan = ApproxPlan::build(dft, windows).unwrap();
-                let net = plan.network_streamed(theta).unwrap();
-                prop_assert_eq!(second.edges(), net.edges());
-                let top = plan.top_k(k as usize);
-                prop_assert_eq!(top_b.edges.len(), top.edges.len());
-                for (a, b) in top_b.edges.iter().zip(&top.edges) {
-                    prop_assert_eq!((a.i, a.j, a.corr.to_bits()), (b.i, b.j, b.corr.to_bits()));
-                }
+        }
+        let stats = eng.cache().stats();
+        assert_eq!((stats.misses, stats.len), (4, 4), "{name}");
+    }
+}
+
+/// A pile epoch mirroring a sketch epoch answers from views of its own, bit
+/// for bit like the sketch epoch, under both methods.
+#[test]
+fn pile_epoch_views_match_the_sketch_epoch() {
+    let (eng, dft) = engine(0xd1ce, 16, 4);
+    let sketch_epoch = eng.store().latest().unwrap();
+    let path = std::env::temp_dir().join(format!(
+        "tsubasa-serve-plan-cache-views-{}.pile",
+        std::process::id()
+    ));
+    let mut writer = PileWriter::create(&path, dft.series_count(), BASIC).unwrap();
+    mirror_sketches_to_pile(&mut writer, Some(dft.base()), Some(&dft)).unwrap();
+    writer.sync().unwrap();
+    let pile_epoch = eng.publish_pile(writer.snapshot().unwrap()).unwrap();
+    assert!(pile_epoch.exact().is_none() && pile_epoch.approx().is_none());
+
+    for method in [PlanMethod::Exact, PlanMethod::Approximate] {
+        for last_windows in [0u32, 2] {
+            for theta in [-0.5, 0.0, 0.15, 0.6] {
+                let from_pile = eng
+                    .network_on(&pile_epoch, method, last_windows, theta)
+                    .unwrap();
+                let from_sketch = eng
+                    .network_on(&sketch_epoch, method, last_windows, theta)
+                    .unwrap();
+                assert_eq!(edges(&from_pile), edges(&from_sketch));
+            }
+            for k in [0u32, 1, 10, 100] {
+                let from_pile = eng.top_k_on(&pile_epoch, method, last_windows, k).unwrap();
+                let from_sketch = eng
+                    .top_k_on(&sketch_epoch, method, last_windows, k)
+                    .unwrap();
+                assert_eq!(ranked(&from_pile), ranked(&from_sketch));
             }
         }
     }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Eight threads making the first query on one key at once share one plan
+/// build and one view fill: one miss, seven hits, one view.
+#[test]
+fn concurrent_first_queries_fill_one_view() {
+    let (eng, dft) = engine(0xfa57, 16, 4);
+    let windows = trailing(dft.window_count(), 0);
+    let start = Barrier::new(8);
+    thread::scope(|scope| {
+        let queries: Vec<_> = (0..8u32)
+            .map(|t| {
+                let (eng, dft, start, windows) = (&eng, &dft, &start, windows.clone());
+                scope.spawn(move || {
+                    let (theta, k) = (f64::from(t) / 10.0 - 0.4, t);
+                    start.wait();
+                    let (want_net, want_top) =
+                        serial(dft, PlanMethod::Exact, windows, theta, k as usize);
+                    if t % 2 == 0 {
+                        let (_, net) = eng.network(PlanMethod::Exact, 0, theta).unwrap();
+                        assert_eq!(edges(&net), edges(&want_net), "thread {t}");
+                    } else {
+                        let (_, top) = eng.top_k(PlanMethod::Exact, 0, k).unwrap();
+                        assert_eq!(ranked(&top), ranked(&want_top), "thread {t}");
+                    }
+                })
+            })
+            .collect();
+        for query in queries {
+            query.join().expect("query thread panicked");
+        }
+    });
+    let stats = eng.cache().stats();
+    assert_eq!((stats.misses, stats.hits, stats.len), (1, 7, 1));
+    assert_eq!(stats.view_bytes, 8 * PAIRS);
+}
+
+/// Epochs published by `EpochIngest` bypass `QueryEngine::publish`, so the
+/// engine retires older keys itself: however many epochs it has answered
+/// on, the cache holds the newest one's keys only, one `8·P` view each.
+#[test]
+fn views_are_held_for_the_newest_answered_epoch_only() {
+    const EPOCHS: usize = 12;
+    let full = collection(0x1d1e, 6, (4 + EPOCHS) * BASIC);
+    let historical = full.truncate_length(4 * BASIC).unwrap();
+    let store = Arc::new(EpochStore::new(4));
+    let (mut ingest, _) = EpochIngest::dual(
+        Arc::clone(&store),
+        &historical,
+        BASIC,
+        BASIC,
+        Transform::Naive,
+    )
+    .unwrap();
+    let eng = QueryEngine::new(
+        store,
+        Arc::new(PlanCache::new(64)),
+        Arc::new(WorkerPool::new(2)),
+    );
+    // Three distinct keys per epoch, each queried twice.
+    let keys = 3;
+    for step in 0..EPOCHS {
+        let lo = (4 + step) * BASIC;
+        let chunk: Vec<Vec<f64>> = full
+            .iter()
+            .map(|s| s.values()[lo..lo + BASIC].to_vec())
+            .collect();
+        let published = ingest.ingest(&chunk).unwrap();
+        assert_eq!(published.len(), 1);
+        for _ in 0..2 {
+            let (epoch, _) = eng.network(PlanMethod::Exact, 0, 0.3).unwrap();
+            assert_eq!(epoch, published[0].id());
+            assert!(eng.cache().stats().len <= keys);
+            eng.top_k(PlanMethod::Exact, 0, 4).unwrap();
+            assert!(eng.cache().stats().len <= keys);
+            eng.network(PlanMethod::Exact, 2, 0.3).unwrap();
+            assert!(eng.cache().stats().len <= keys);
+            eng.top_k(PlanMethod::Approximate, 2, 4).unwrap();
+            assert!(eng.cache().stats().len <= keys);
+        }
+        let stats = eng.cache().stats();
+        assert_eq!(stats.len, keys, "epoch {}", published[0].id());
+        assert_eq!(stats.view_bytes, keys * 8 * PAIRS);
+    }
+    let stats = eng.cache().stats();
+    assert_eq!((stats.misses, stats.evictions), ((keys * EPOCHS) as u64, 0));
 }
 
 /// Capacity-1 LRU: alternating window ranges thrash (every lookup a miss,
