@@ -22,11 +22,14 @@
 //! Lookups are single-flight: the first lookup of a key inserts its entry and
 //! counts the miss; concurrent lookups of that key find the entry, count
 //! hits, and wait for its one plan build — and, in the engine, its one view
-//! fill — instead of repeating them. Eviction is LRU over an access-stamped
-//! map; hit/miss/eviction counters and the resident views' bytes are exposed
-//! for observability ([`CacheStats`]), asserted by the cache tests (a
-//! repeated key must hit) and reported by the ledger's `serve-live` workload
-//! (`serve.cache.hit_share`).
+//! fill — instead of repeating them. The engine's lookups also name their
+//! trailing-window request, and a key inserted for a request supersedes the
+//! older epochs' key of the same request and method: a standing request
+//! holds one view, which each newer epoch's view replaces. Eviction is LRU
+//! over an access-stamped map; hit/miss/eviction counters and the resident
+//! views' bytes are exposed for observability ([`CacheStats`]), asserted by
+//! the cache tests (a repeated key must hit) and reported by the ledger's
+//! `serve-live` workload (`serve.cache.hit_share`).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,6 +101,10 @@ struct Slot {
 
 struct Entry {
     stamp: u64,
+    /// The trailing-window request (`last_windows`) whose lookup inserted
+    /// the entry, when the query engine made it: the same request under the
+    /// same method on a newer epoch supersedes it.
+    trailing: Option<u32>,
     slot: Arc<Slot>,
 }
 
@@ -182,7 +189,7 @@ impl PlanCache {
         key: PlanKey,
         build: impl FnOnce() -> Result<CachedPlan>,
     ) -> Result<CachedPlan> {
-        self.lookup(key, build).map(|entry| entry.plan)
+        self.lookup(key, None, build).map(|entry| entry.plan)
     }
 
     /// Look up `key`, counting exactly one hit or miss: its resident entry,
@@ -190,9 +197,16 @@ impl PlanCache {
     /// its build outside the cache lock; lookups of the same key meanwhile
     /// count hits and wait for that build. A failed build is returned to
     /// every lookup that waited for it and leaves no entry behind.
+    ///
+    /// A lookup made for the trailing-window request `trailing` that inserts
+    /// its key first drops every older epoch's entry inserted for the same
+    /// request and method: one entry per standing request, whose view the
+    /// new key's view replaces. Superseded entries do not count as
+    /// evictions.
     pub(crate) fn lookup(
         &self,
         key: PlanKey,
+        trailing: Option<u32>,
         build: impl FnOnce() -> Result<CachedPlan>,
     ) -> Result<CachedEntry> {
         let slot = {
@@ -205,9 +219,15 @@ impl PlanCache {
                 Arc::clone(&entry.slot)
             } else {
                 self.misses.fetch_add(1, Ordering::Relaxed);
+                if trailing.is_some() {
+                    inner.map.retain(|k, e| {
+                        !(e.trailing == trailing && k.method == key.method && k.epoch < key.epoch)
+                    });
+                }
                 let slot = Arc::new(Slot::default());
                 let entry = Entry {
                     stamp,
+                    trailing,
                     slot: Arc::clone(&slot),
                 };
                 inner.map.insert(key, entry);
@@ -248,8 +268,8 @@ impl PlanCache {
     /// Drop every cached plan and view whose epoch id is below `min_epoch` —
     /// the rollover invalidation matching
     /// [`crate::EpochStore::oldest_retained`], and the query engine's
-    /// retirement of epochs older than the newest it answered on. Dropped
-    /// entries do not count as evictions (they were invalidated, not
+    /// retirement of epochs older than the two newest it answered on.
+    /// Dropped entries do not count as evictions (they were invalidated, not
     /// displaced).
     pub fn invalidate_below(&self, min_epoch: u64) {
         let mut inner = self.inner.lock().expect("plan cache poisoned");
@@ -342,11 +362,11 @@ mod tests {
         let sk = sketch();
         let cache = PlanCache::new(4);
         let key = PlanKey::new(1, 0..4, PlanMethod::Exact);
-        let failed = cache.lookup(key, || Err(Error::EmptyInput("no statistics")));
+        let failed = cache.lookup(key, None, || Err(Error::EmptyInput("no statistics")));
         assert!(matches!(failed, Err(Error::EmptyInput(_))));
         assert_eq!(cache.stats().len, 0);
         // The next lookup of the key builds again, and its entry stays.
-        let entry = cache.lookup(key, || build_exact(&sk, 0..4)).unwrap();
+        let entry = cache.lookup(key, None, || build_exact(&sk, 0..4)).unwrap();
         assert!(entry.view().is_none());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (0, 2, 1));
@@ -376,5 +396,39 @@ mod tests {
             })
             .unwrap();
         assert_eq!(cache.stats().misses, 5);
+    }
+
+    #[test]
+    fn a_newer_epochs_key_supersedes_the_same_request_only() {
+        let sk = sketch();
+        let cache = PlanCache::new(8);
+        let look = |e: u64, w: std::ops::Range<usize>, m: PlanMethod, t: Option<u32>| {
+            let entry = cache.lookup(PlanKey::new(e, w.clone(), m), t, || build_exact(&sk, w));
+            entry.unwrap().view_or_fill(|| vec![0.5; 3].into()).len()
+        };
+        // Epoch 1: trailing-2 and trailing-3 exact, trailing-2 approximate,
+        // and a plain key made outside the engine.
+        look(1, 2..4, PlanMethod::Exact, Some(2));
+        look(1, 1..4, PlanMethod::Exact, Some(3));
+        look(1, 2..4, PlanMethod::Approximate, Some(2));
+        look(1, 0..4, PlanMethod::Exact, None);
+        assert_eq!(cache.stats().len, 4);
+        // Epoch 2's exact trailing-2 key replaces epoch 1's, and only it: the
+        // cache holds as many views as before.
+        look(2, 2..4, PlanMethod::Exact, Some(2));
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.len, stats.view_bytes, stats.evictions),
+            (4, 4 * 3 * 8, 0)
+        );
+        // Epoch 1's trailing-2 key is gone (asking it again misses), and
+        // inserting it again does not drop epoch 2's.
+        look(1, 2..4, PlanMethod::Exact, Some(2));
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.len), (6, 5));
+        // A hit supersedes nothing.
+        look(2, 2..4, PlanMethod::Exact, Some(2));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.len), (1, 5));
     }
 }

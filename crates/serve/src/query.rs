@@ -43,12 +43,18 @@
 //! filled: such a query streams the pooled sweep into per-run sinks instead
 //! — pruning tiles like the serial path — and merges them in run order.
 //!
-//! Memory: one `8·P` view per key, for the newest answered epoch only. The
-//! first answer on an epoch newer than any the engine answered on retires
-//! every older key ([`PlanCache::invalidate_below`]), which is safe because
+//! Memory: one `8·P` view per standing request — a method and a trailing
+//! window count — from the newest answered epoch, or from the one before it
+//! until the request is asked on the newest. A request's first query on a
+//! newer epoch drops the older epochs' key of that request before filling
+//! its own view, and the first answer on an epoch newer than any the engine
+//! answered on retires every key older than the previously newest epoch
+//! ([`PlanCache::invalidate_below`]). Both are safe because
 //! [`QueryEngine::network`] and [`QueryEngine::top_k`] only ever answer the
-//! latest epoch. The `serve_concurrency` suite pins the bit identity across
-//! worker counts under live ingest.
+//! latest epoch. So a new epoch swaps views one for one: what the cache
+//! holds does not depend on how many of the requests the newest epoch has
+//! been asked yet. The `serve_concurrency` suite pins the bit identity
+//! across worker counts under live ingest.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -177,7 +183,7 @@ pub struct QueryEngine {
     store: Arc<EpochStore>,
     cache: Arc<PlanCache>,
     pool: Arc<WorkerPool>,
-    /// The newest epoch id any answer was computed on (0 before the first).
+    /// The newest epoch id any lookup was made on (0 before the first).
     newest: AtomicU64,
 }
 
@@ -283,21 +289,19 @@ impl QueryEngine {
         if n < 2 {
             return Ok(EdgeList::from_parts(n, Vec::new(), 0));
         }
-        let id = epoch.id();
+        let (key, source) = (PlanKey::new(epoch.id(), windows, method), source.as_ref());
         Ok(match method {
             // Exact network: the strict `c > θ` rule and no pruning, as on
             // the serial streamed path.
             PlanMethod::Exact => {
-                let sinks = self.answer(id, source.as_ref(), windows, method, false, || {
-                    EdgeSink::new(theta)
-                })?;
+                let sinks =
+                    self.answer(key, last_windows, source, false, || EdgeSink::new(theta))?;
                 merge_edges(sinks.into_iter().map(|sink| sink.finish(n)))
             }
             // Approximate network: the Equation 4 radius predicate.
             PlanMethod::Approximate => {
                 let sink = RadiusEdgeSink::new(theta)?;
-                let sinks =
-                    self.answer(id, source.as_ref(), windows, method, true, || sink.clone())?;
+                let sinks = self.answer(key, last_windows, source, true, || sink.clone())?;
                 merge_edges(sinks.into_iter().map(|sink| sink.finish(n)))
             }
         })
@@ -322,7 +326,8 @@ impl QueryEngine {
         if source.series_count() < 2 {
             return Ok(TopKSink::new(k).finish());
         }
-        let sinks = self.answer(epoch.id(), source.as_ref(), windows, method, true, || {
+        let key = PlanKey::new(epoch.id(), windows, method);
+        let sinks = self.answer(key, last_windows, source.as_ref(), true, || {
             TopKSink::new(k)
         })?;
         Ok(merge_top_k(sinks))
@@ -332,17 +337,18 @@ impl QueryEngine {
     /// and one pass over the key's view when the view is held or fits the
     /// dense budget (the key's first query fills it), else one sink per run
     /// of the pooled sweep streamed off the lent table, tiles pruned when
-    /// `prune`. The sinks come back in pair order.
+    /// `prune`. The sinks come back in pair order. `last_windows` is the
+    /// trailing-window request the key resolves.
     fn answer<K: TileSink + Send>(
         &self,
-        epoch_id: u64,
+        key: PlanKey,
+        last_windows: u32,
         source: &dyn CorrSource,
-        windows: Range<usize>,
-        method: PlanMethod,
         prune: bool,
         make_sink: impl Fn() -> K,
     ) -> Result<Vec<K>, QueryError> {
-        let entry = self.lookup(epoch_id, source, &windows, method)?;
+        let entry = self.lookup(key, last_windows, source)?;
+        let (windows, method) = (key.windows(), key.method);
         let (plan, bounds) = entry.plan().clone().into_parts();
         let n = plan.series_count();
         let view = match entry.view() {
@@ -362,27 +368,33 @@ impl QueryEngine {
         Ok(self.sweep(&plan, table.view(), prune.then_some(&*bounds), make_sink))
     }
 
-    /// The cache entry of an epoch's source under `method`: the per-series
-    /// tables built from the source's window-statistics rows
+    /// The cache entry of `key` on an epoch's source: the per-series tables
+    /// built from the source's window-statistics rows
     /// ([`QueryPlan::from_window_stats`] — numerically identical whichever
     /// backend the statistics come from, and the same tables for Lemma 1 and
-    /// Equation 5) plus their pruning bounds, under the
-    /// `(epoch, windows, method)` key. The first lookup on an epoch newer
-    /// than any answered before retires every older key: `network` and
-    /// `top_k` never answer an older epoch again.
+    /// Equation 5) plus their pruning bounds.
+    ///
+    /// Retention, so that views do not pile up: a key inserted for a
+    /// trailing-window request supersedes the older epochs' key of the same
+    /// request and method ([`PlanCache`]), and the first lookup on an epoch
+    /// newer than any answered before retires every key older than the
+    /// previously newest epoch — `network` and `top_k` never answer an older
+    /// epoch again. The previously newest epoch's keys stay until their own
+    /// requests replace them, so a new epoch swaps views one for one instead
+    /// of dropping them all at its first answer.
     fn lookup(
         &self,
-        epoch_id: u64,
+        key: PlanKey,
+        last_windows: u32,
         source: &dyn CorrSource,
-        windows: &Range<usize>,
-        method: PlanMethod,
     ) -> Result<CachedEntry, QueryError> {
-        if self.newest.fetch_max(epoch_id, Ordering::Relaxed) < epoch_id {
-            self.cache.invalidate_below(epoch_id);
+        let previous = self.newest.fetch_max(key.epoch, Ordering::Relaxed);
+        if previous < key.epoch {
+            self.cache.invalidate_below(previous);
         }
-        let key = PlanKey::new(epoch_id, windows.clone(), method);
-        Ok(self.cache.lookup(key, || {
-            let stats = source.series_stats(windows.clone())?;
+        let (windows, method) = (key.windows(), key.method);
+        Ok(self.cache.lookup(key, Some(last_windows), || {
+            let stats = source.series_stats(windows)?;
             let plan = Arc::new(QueryPlan::from_window_stats(&stats)?);
             let bounds = Arc::new(CorrelationBounds::from_plan(&plan));
             Ok(match method {

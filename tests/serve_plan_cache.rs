@@ -10,8 +10,8 @@
 //!   view, **bit-equal** to the serial library reference, for both methods;
 //! * deterministic tests pin the same against epochs with a NaN point or a
 //!   constant series and against a pile-backed epoch, one view fill for
-//!   concurrent first queries, views held for the newest answered epoch
-//!   only, the LRU behavior at capacity 1 (the thrash floor), the
+//!   concurrent first queries, one view per standing request as epochs
+//!   advance, the LRU behavior at capacity 1 (the thrash floor), the
 //!   epoch-rollover invalidation, and the hit/miss/eviction counters.
 
 use std::ops::Range;
@@ -265,7 +265,9 @@ fn concurrent_first_queries_fill_one_view() {
 
 /// Epochs published by `EpochIngest` bypass `QueryEngine::publish`, so the
 /// engine retires older keys itself: however many epochs it has answered
-/// on, the cache holds the newest one's keys only, one `8·P` view each.
+/// on, the cache never holds more keys than there are standing requests, and
+/// once every request has been asked on the newest epoch it holds that
+/// epoch's keys only, one `8·P` view each.
 #[test]
 fn views_are_held_for_the_newest_answered_epoch_only() {
     const EPOCHS: usize = 12;
@@ -312,6 +314,59 @@ fn views_are_held_for_the_newest_answered_epoch_only() {
     }
     let stats = eng.cache().stats();
     assert_eq!((stats.misses, stats.evictions), ((keys * EPOCHS) as u64, 0));
+}
+
+/// A newer epoch swaps views one for one: while only some standing requests
+/// have been asked on it, the cache holds as many views as before, so what
+/// it holds does not depend on how far the newest epoch has been asked. A
+/// request not asked for two epochs retires.
+#[test]
+fn a_new_epoch_swaps_views_one_for_one() {
+    let full = collection(0x5a5a, 6, 8 * BASIC);
+    let historical = full.truncate_length(4 * BASIC).unwrap();
+    let store = Arc::new(EpochStore::new(4));
+    let (mut ingest, _) = EpochIngest::exact(Arc::clone(&store), &historical, BASIC).unwrap();
+    let eng = QueryEngine::new(
+        store,
+        Arc::new(PlanCache::new(64)),
+        Arc::new(WorkerPool::new(2)),
+    );
+    let mut publish = |step: usize| {
+        let lo = (4 + step) * BASIC;
+        let chunk: Vec<Vec<f64>> = full
+            .iter()
+            .map(|s| s.values()[lo..lo + BASIC].to_vec())
+            .collect();
+        ingest.ingest(&chunk).unwrap()[0].id()
+    };
+    let held = |eng: &QueryEngine| {
+        let stats = eng.cache().stats();
+        (stats.len, stats.view_bytes)
+    };
+    let two_views = (2, 2 * 8 * PAIRS);
+
+    // Epoch 1: two standing requests, every window and the trailing two.
+    eng.network(PlanMethod::Exact, 0, 0.3).unwrap();
+    eng.top_k(PlanMethod::Exact, 2, 3).unwrap();
+    assert_eq!(held(&eng), two_views);
+
+    // Epoch 2: its first answer replaces one view; the second, the other.
+    assert_eq!(publish(0), 2);
+    assert_eq!(eng.network(PlanMethod::Exact, 2, 0.3).unwrap().0, 2);
+    assert_eq!(held(&eng), two_views);
+    eng.network(PlanMethod::Exact, 0, 0.3).unwrap();
+    assert_eq!(held(&eng), two_views);
+
+    // Epochs 3 and 4 are asked the trailing two only: epoch 2's
+    // every-window key stays through epoch 3 and retires at epoch 4.
+    publish(1);
+    eng.network(PlanMethod::Exact, 2, 0.3).unwrap();
+    assert_eq!(held(&eng), two_views);
+    publish(2);
+    eng.network(PlanMethod::Exact, 2, 0.3).unwrap();
+    assert_eq!(held(&eng), (1, 8 * PAIRS));
+    let stats = eng.cache().stats();
+    assert_eq!((stats.misses, stats.evictions), (6, 0));
 }
 
 /// Capacity-1 LRU: alternating window ranges thrash (every lookup a miss,
