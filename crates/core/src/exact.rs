@@ -21,29 +21,35 @@
 //! head and tail are re-sketched from raw data, the interior windows come
 //! from the pre-computed sketch.
 //!
-//! The all-pairs entry points ([`correlation_matrix`],
-//! [`correlation_matrix_aligned`], [`correlation_matrix_parallel`]) do *not*
-//! loop over [`pair_correlation`]: they build a [`crate::plan::QueryPlan`]
-//! once per query and evaluate the packed triangle row tile by row tile with
-//! the plan's batch kernel ([`QueryPlan::block_kernel`]) against the
-//! sketch's window-major correlation table (borrowed zero-copy through
-//! [`SketchSet::window_corrs_view`]). The batch kernel takes the
+//! The all-pairs entry points do *not* loop over [`pair_correlation`]: they
+//! build a [`crate::plan::QueryPlan`] once per query and hand it to one of
+//! the two loops every correlation in the workspace comes from. The matrix
+//! entry points ([`correlation_matrix`], [`correlation_matrix_aligned`],
+//! [`correlation_matrix_parallel`]) call the **dense fill**
+//! ([`crate::sweep::fill_packed`]), which writes the packed triangle in place
+//! on a serial or scoped runner; the streamed ones ([`network_streamed`],
+//! [`top_k`] and their `_aligned` twins) call the **streamed tile loop**
+//! ([`crate::sweep::sweep_run`]) into a sink. Both evaluate the plan's batch
+//! kernel ([`QueryPlan::block_kernel`]) against the sketch's window-major
+//! correlation table (borrowed zero-copy through
+//! [`SketchSet::window_corrs_view`]). On an aligned window that kernel is bit
+//! for bit the scalar plan kernel ([`QueryPlan::pair_kernel`]), itself
+//! bit-identical to [`pair_correlation`]. On an unaligned window it takes the
 //! correlations of a partial head/tail window from the window kernel's
 //! z-score products where the per-pair reference centers raw values, so the
 //! matrix paths agree with the reference within `1e-10` absolute (the
 //! `tiled_kernel_agreement` property suite pins this) rather than
-//! bit-for-bit; the scalar plan kernel ([`QueryPlan::pair_kernel`]) remains
-//! bit-identical to [`pair_correlation`].
+//! bit-for-bit.
 
-use crate::capacity::check_dense_budget;
 use crate::error::{Error, Result};
 use crate::matrix::CorrelationMatrix;
-use crate::plan::{row_segments, CorrView, PartialCorrs, QueryPlan};
-use crate::runner::{Job, JobRunner, ScopedRunner};
-use crate::sketch::{pair_index, SketchSet};
+use crate::plan::QueryPlan;
+use crate::runner::{JobRunner, ScopedRunner, SerialRunner};
+use crate::sketch::SketchSet;
 use crate::stats::{clamp_corr, WindowStats};
 use crate::sweep::{
-    sweep_run, CorrelationBounds, EdgeList, EdgeSink, TopK, TopKSink, DEFAULT_TILE_PAIRS,
+    fill_packed, sweep_run, CorrelationBounds, EdgeList, EdgeSink, TopK, TopKSink,
+    DEFAULT_TILE_PAIRS,
 };
 use crate::timeseries::{SeriesCollection, SeriesId};
 use crate::window::QueryWindow;
@@ -277,16 +283,8 @@ pub fn correlation_matrix(
     sketch: &SketchSet,
     query: QueryWindow,
 ) -> Result<CorrelationMatrix> {
-    let n = collection.len();
     let plan = QueryPlan::build(collection, sketch, query)?;
-    if n < 2 {
-        return Ok(CorrelationMatrix::identity(n));
-    }
-    check_dense_budget(n * (n - 1) / 2, 1)?;
-    let corrs_t = sketch.window_corrs_view(plan.full_windows());
-    let mut values = vec![0.0f64; n * (n - 1) / 2];
-    sweep_packed_run(&plan, corrs_t, 0, &mut values);
-    Ok(CorrelationMatrix::from_upper_triangle(n, values))
+    dense_matrix(&SerialRunner, sketch, plan)
 }
 
 /// All-pair correlation matrix over an aligned range of basic windows, using
@@ -296,16 +294,8 @@ pub fn correlation_matrix_aligned(
     sketch: &SketchSet,
     windows: std::ops::Range<usize>,
 ) -> Result<CorrelationMatrix> {
-    let n = sketch.series_count();
     let plan = QueryPlan::build_aligned(sketch, windows)?;
-    if n < 2 {
-        return Ok(CorrelationMatrix::identity(n));
-    }
-    check_dense_budget(n * (n - 1) / 2, 1)?;
-    let corrs_t = sketch.window_corrs_view(plan.full_windows());
-    let mut values = vec![0.0f64; n * (n - 1) / 2];
-    sweep_packed_run(&plan, corrs_t, 0, &mut values);
-    Ok(CorrelationMatrix::from_upper_triangle(n, values))
+    dense_matrix(&SerialRunner, sketch, plan)
 }
 
 /// The thresholded network (`c > θ`, the semantics of
@@ -402,80 +392,40 @@ fn streamed_sweep(
     );
 }
 
-/// Evaluate the contiguous packed-triangle run `start..start + out.len()`
-/// through the plan's batch kernel, one same-row tile at a time, with the
-/// run's own partial-window scratch. This is the unit of work both the serial
-/// and the parallel sweeps execute — a worker's chunk boundary never changes
-/// any pair's arithmetic, so the matrix is independent of the worker count.
-fn sweep_packed_run(plan: &QueryPlan, corrs_t: CorrView<'_>, start: usize, out: &mut [f64]) {
-    let n = plan.series_count();
-    let mut partial = PartialCorrs::default();
-    let mut cursor = 0;
-    for (i, j0, len) in row_segments(start, out.len(), n) {
-        plan.block_kernel(
-            i,
-            j0,
-            corrs_t,
-            pair_index(i, j0, n),
-            &mut partial,
-            &mut out[cursor..cursor + len],
-        );
-        cursor += len;
-    }
-}
-
-/// Multi-threaded in-memory all-pairs sweep: the same batch kernel as
-/// [`correlation_matrix`], with the packed upper triangle split into
-/// contiguous disjoint slices evaluated by `workers` threads that share the
+/// Multi-threaded in-memory all-pairs sweep: the dense fill of
+/// [`correlation_matrix`] with the packed upper triangle split into one
+/// contiguous run per worker, the `workers` scoped threads sharing the
 /// read-only plan.
 ///
 /// The result is identical to [`correlation_matrix`] regardless of the
-/// worker count (every pair's accumulation is independent, so chunk
+/// worker count (every pair's accumulation is independent, so run
 /// boundaries don't change the arithmetic). `workers == 0` is clamped to 1;
 /// counts above the number of pairs are clamped down.
 ///
 /// This convenience wrapper spawns scoped threads on every call
 /// ([`ScopedRunner`]); query-heavy callers should build a reusable
-/// `tsubasa_parallel::WorkerPool` once and call
-/// [`correlation_matrix_parallel_in`] to stop paying thread startup per
-/// query.
+/// `tsubasa_parallel::WorkerPool` once and hand it to
+/// [`fill_packed`] to stop paying thread startup per query.
 pub fn correlation_matrix_parallel(
     collection: &SeriesCollection,
     sketch: &SketchSet,
     query: QueryWindow,
     workers: usize,
 ) -> Result<CorrelationMatrix> {
-    correlation_matrix_parallel_in(&ScopedRunner::new(workers), collection, sketch, query)
+    let plan = QueryPlan::build(collection, sketch, query)?;
+    dense_matrix(&ScopedRunner::new(workers), sketch, plan)
 }
 
-/// [`correlation_matrix_parallel`] on a caller-provided [`JobRunner`] — pass
-/// a reusable worker pool to amortize thread startup across repeated
-/// queries.
-pub fn correlation_matrix_parallel_in(
+/// The dense fill of `plan` over the sketch's rows of its full windows, on
+/// `runner`, as a matrix.
+fn dense_matrix(
     runner: &dyn JobRunner,
-    collection: &SeriesCollection,
     sketch: &SketchSet,
-    query: QueryWindow,
+    plan: QueryPlan,
 ) -> Result<CorrelationMatrix> {
-    let n = collection.len();
-    let total = n * n.saturating_sub(1) / 2;
-    let workers = runner.worker_count().max(1).min(total.max(1));
-    if workers <= 1 || total == 0 {
-        return correlation_matrix(collection, sketch, query);
-    }
-    check_dense_budget(total, 1)?;
-    let plan = QueryPlan::build(collection, sketch, query)?;
-    let corrs_t = sketch.window_corrs_view(plan.full_windows());
-    let mut values = vec![0.0f64; total];
-
-    let plan_ref = &plan;
-    let jobs: Vec<Job<'_>> = crate::plan::carve_for_workers(&mut values, workers)
-        .into_iter()
-        .map(|(start, chunk)| {
-            Box::new(move || sweep_packed_run(plan_ref, corrs_t, start, chunk)) as Job<'_>
-        })
-        .collect();
-    runner.run(jobs);
+    let view = sketch.window_corrs_view(plan.full_windows());
+    let (values, _) = fill_packed(runner, &plan, view)?;
+    let n = plan.series_count();
     Ok(CorrelationMatrix::from_upper_triangle(n, values))
 }
 
@@ -483,6 +433,7 @@ pub fn correlation_matrix_parallel_in(
 mod tests {
     use super::*;
     use crate::baseline;
+    use crate::sketch::pair_index;
     use crate::stats::pearson;
     use proptest::prelude::*;
 

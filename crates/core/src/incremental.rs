@@ -47,6 +47,7 @@ use crate::plan::{carve_for_workers, row_segments, QueryPlan};
 use crate::runner::{Job, JobRunner, SerialRunner};
 use crate::sketch::{packed_pairs, pair_index, SeriesSketch, SketchSet};
 use crate::stats::{clamp_corr, window_corrs_into, WindowStats};
+use crate::sweep::fill_packed;
 use crate::timeseries::SeriesCollection;
 
 /// Summary of one series over the current sliding query window, maintained
@@ -741,8 +742,8 @@ impl SlidingState {
 /// Incrementally maintained all-pair correlation matrix and climate network
 /// over a sliding real-time query window (Algorithm 3's update step).
 ///
-/// Initialization reuses the flat [`QueryPlan`] kernel over the historical
-/// sketch; every [`SlidingNetwork::ingest`] then applies Lemma 2 to all
+/// Initialization is the dense fill ([`fill_packed`]) of a [`QueryPlan`]
+/// over the historical sketch; every [`SlidingNetwork::ingest`] then applies Lemma 2 to all
 /// pairs. Everything but the arriving-window kernel lives in the shared
 /// [`SlidingState`], which this type dereferences to.
 ///
@@ -818,26 +819,16 @@ impl SlidingNetwork {
             });
         }
 
-        // Each basic window's packed per-pair correlations are one contiguous
-        // row of the sketch's window-major table.
-        let table = sketch.window_corrs_view(first_window..available);
-        let rows: Vec<&[f64]> = (0..ns).map(|k| table.window_row(k)).collect();
-        let pair_windows: VecDeque<Vec<f64>> = rows.iter().map(|row| row.to_vec()).collect();
-
         // One shared QueryPlan computes the per-series half of Lemma 1 once;
-        // the scalar per-pair kernel then runs over each pair's column of the
-        // table (bit-identical to `exact::pair_correlation_aligned`). Pairs
-        // are walked in packed order through one reused column buffer, so the
-        // `ns` strided row streams advance sequentially and stay
-        // cache-resident.
+        // the dense fill runs its batch kernel over the sketch's window-major
+        // table (on aligned windows bit-identical to the scalar
+        // `exact::pair_correlation_aligned`). The stored rows are contiguous
+        // copies of that table's rows.
         let plan = QueryPlan::build_aligned(sketch, first_window..available)?;
-        let mut column = Vec::with_capacity(ns);
-        let mut corrs = Vec::with_capacity(table.pair_count());
-        for (p, (i, j)) in collection.pairs().enumerate() {
-            column.clear();
-            column.extend(rows.iter().map(|row| row[p]));
-            corrs.push(plan.pair_kernel(i, j, &column, None));
-        }
+        let table = sketch.window_corrs_view(first_window..available);
+        let (corrs, _) = fill_packed(&SerialRunner, &plan, table)?;
+        let pair_windows: VecDeque<Vec<f64>> =
+            (0..ns).map(|k| table.window_row(k).to_vec()).collect();
 
         let state = SlidingState::new(sketch, first_window..available, pair_windows, corrs)?;
         Ok(Self { state })

@@ -10,11 +10,11 @@
 //! scratch `Vec` of window contributions.
 //!
 //! [`QueryPlan`] factors that waste out. Built **once per query window**, it
-//! stores flat `Vec<f64>` tables (row = series, column = window of the plan,
-//! in `[head?, full basic windows…, tail?]` order):
+//! stores flat window-major `Vec<f64>` tables (row = window of the plan, in
+//! `[head?, full basic windows…, tail?]` order, column = series):
 //!
-//! * `stds[i·w + k]` — `σ` of series `i` in plan window `k`,
-//! * `deltas[i·w + k]` — `δ = mean_k − x̄_i`,
+//! * `stds_t[k·n + i]` — `σ` of series `i` in plan window `k`,
+//! * `deltas_t[k·n + i]` — `δ = mean_k − x̄_i`,
 //! * per series: the query-window mean `x̄_i` and the full denominator
 //!   `den_i = Σ_k B_k (σ² + δ²)`,
 //! * shared: the window lengths `B_k` and the total query length `T`.
@@ -108,10 +108,6 @@ pub struct QueryPlan {
     lens: Vec<f64>,
     /// Total raw points covered (`T = Σ B_k`).
     total: f64,
-    /// `σ` per series per plan window, row-major (`n × w`).
-    stds: Vec<f64>,
-    /// `δ = mean_k − x̄_i` per series per plan window, row-major (`n × w`).
-    deltas: Vec<f64>,
     /// Length-weighted query-window mean per series.
     means: Vec<f64>,
     /// Denominator `Σ_k B_k (σ² + δ²)` per series (`T ·` population variance).
@@ -121,11 +117,12 @@ pub struct QueryPlan {
     head_stats: Vec<WindowStats>,
     /// Per-series statistics of the partial tail window (empty when aligned).
     tail_stats: Vec<WindowStats>,
-    /// Window-major transpose of `stds` (`stds_t[k·n + i] = stds[i·w + k]`),
-    /// built by `finalize` for the tiled [`QueryPlan::block_kernel`]: a tile
-    /// of pairs `(i, j0..)` reads `σ_j` of one window as a contiguous slice.
+    /// `σ` per plan window per series, window-major (`stds_t[k·n + i]`): a
+    /// tile of pairs `(i, j0..)` of [`QueryPlan::block_kernel`] reads `σ_j` of
+    /// one window as a contiguous slice.
     stds_t: Vec<f64>,
-    /// Window-major transpose of `deltas`, companion of `stds_t`.
+    /// `δ = mean_k − x̄_i` per plan window per series, window-major like
+    /// `stds_t`.
     deltas_t: Vec<f64>,
     /// Z-normalized partial-head values in the pair kernel's packed panel
     /// layout ([`packed_len`]`(n, head_len)`; empty when aligned): the block
@@ -255,20 +252,19 @@ impl QueryPlan {
             tail,
             lens: Vec::with_capacity(w),
             total: 0.0,
-            stds: Vec::with_capacity(n * w),
-            deltas: Vec::with_capacity(n * w),
             means: Vec::with_capacity(n),
             dens: Vec::with_capacity(n),
             head_stats: Vec::new(),
             tail_stats: Vec::new(),
-            stds_t: Vec::new(),
-            deltas_t: Vec::new(),
+            stds_t: vec![0.0; n * w],
+            deltas_t: vec![0.0; n * w],
             head_z: Vec::new(),
             tail_z: Vec::new(),
         }
     }
 
-    /// Fold one series' window-statistics sequence into the flat tables.
+    /// Fold the next series' window-statistics sequence into the flat tables
+    /// (its column of the window-major `σ` / `δ` tables).
     ///
     /// The arithmetic mirrors [`crate::exact::combine`] operation for
     /// operation (same iterator `sum` for `T` and the weighted mean, same
@@ -281,27 +277,23 @@ impl QueryPlan {
             self.total = row.iter().map(|s| s.len as f64).sum();
         }
         let mean = row.iter().map(|s| s.len as f64 * s.mean).sum::<f64>() / self.total;
+        let (i, n) = (self.means.len(), self.n);
         let mut den = 0.0;
-        for s in row {
+        for (k, s) in row.iter().enumerate() {
             let b = s.len as f64;
             let d = s.mean - mean;
-            self.stds.push(s.std);
-            self.deltas.push(d);
+            self.stds_t[k * n + i] = s.std;
+            self.deltas_t[k * n + i] = d;
             den += b * (s.std * s.std + d * d);
         }
         self.means.push(mean);
         self.dens.push(den);
     }
 
-    fn finalize(mut self) -> Result<Self> {
+    fn finalize(self) -> Result<Self> {
         if self.total == 0.0 {
             return Err(Error::DegenerateWindow { points: 0 });
         }
-        // Window-major transposes for the block kernel: one allocation each,
-        // filled once per query — every tile evaluation then streams
-        // contiguous `σ_j` / `δ_j` slices instead of striding per-series rows.
-        self.stds_t = transpose(&self.stds, self.n, self.w);
-        self.deltas_t = transpose(&self.deltas, self.n, self.w);
         Ok(self)
     }
 
@@ -370,8 +362,8 @@ impl QueryPlan {
             let mut tt = 0.0;
             for k in 0..self.w {
                 let b = self.lens[k];
-                let sd = self.stds[i * self.w + k];
-                let dl = self.deltas[i * self.w + k];
+                let sd = self.stds_t[k * self.n + i];
+                let dl = self.deltas_t[k * self.n + i];
                 ss += b * sd * sd;
                 tt += b * dl * dl;
             }
@@ -407,15 +399,9 @@ impl QueryPlan {
             self.full.len(),
             "pair_kernel needs one correlation per full plan window"
         );
-        let w = self.w;
-        let (sx, sy) = (
-            &self.stds[i * w..(i + 1) * w],
-            &self.stds[j * w..(j + 1) * w],
-        );
-        let (dx, dy) = (
-            &self.deltas[i * w..(i + 1) * w],
-            &self.deltas[j * w..(j + 1) * w],
-        );
+        let n = self.n;
+        let sd = |k: usize| (self.stds_t[k * n + i], self.stds_t[k * n + j]);
+        let dd = |k: usize| self.deltas_t[k * n + i] * self.deltas_t[k * n + j];
 
         let mut num = 0.0;
         let mut k = 0;
@@ -423,18 +409,19 @@ impl QueryPlan {
             let (xs, ys) = raw.expect("unaligned plan kernel requires raw series data");
             let (hx, hy) = (&self.head_stats[i], &self.head_stats[j]);
             let c = pair_corr_from_stats(head.slice(xs), head.slice(ys), hx, hy);
-            num += self.lens[k] * (hx.std * hy.std * c + dx[k] * dy[k]);
+            num += self.lens[k] * (hx.std * hy.std * c + dd(k));
             k += 1;
         }
         for &c in full_corrs {
-            num += self.lens[k] * (sx[k] * sy[k] * c + dx[k] * dy[k]);
+            let (sx, sy) = sd(k);
+            num += self.lens[k] * (sx * sy * c + dd(k));
             k += 1;
         }
         if let Some(tail) = self.tail {
             let (xs, ys) = raw.expect("unaligned plan kernel requires raw series data");
             let (tx, ty) = (&self.tail_stats[i], &self.tail_stats[j]);
             let c = pair_corr_from_stats(tail.slice(xs), tail.slice(ys), tx, ty);
-            num += self.lens[k] * (tx.std * ty.std * c + dx[k] * dy[k]);
+            num += self.lens[k] * (tx.std * ty.std * c + dd(k));
         }
 
         let (den_x, den_y) = (self.dens[i], self.dens[j]);
@@ -595,11 +582,12 @@ fn sketch_partial(span: WindowSpan, values: &[f64], i: SeriesId, z: &mut [f64]) 
 /// group of four triangle rows, in packed order from the group's first row —
 /// at most `2 · 4 · (n − 1)` values, allocated at the first mint.
 ///
-/// Whoever drives tiles owns one per run ([`crate::sweep::sweep_run`], each
-/// worker of the dense sweeps) and passes it to every `block_kernel` call of
-/// the run. The kernel re-mints it when a tile's row lies outside the minted
-/// group, so a run in row order mints each group it evaluates once and a
-/// group whose tiles are all pruned never. It remembers the group, not the
+/// Whoever drives tiles owns one per run (each run of
+/// [`crate::sweep::sweep_run`] and of [`crate::sweep::fill_packed`]) and
+/// passes it to every `block_kernel` call of the run. The kernel re-mints it
+/// when a tile's row lies outside the minted group, so a run in row order
+/// mints each group it evaluates once and a group whose tiles are all pruned
+/// never. It remembers the group, not the
 /// plan: use a fresh one ([`Default`], which allocates nothing) per plan.
 #[derive(Debug, Default)]
 pub struct PartialCorrs {
@@ -631,18 +619,6 @@ impl PartialCorrs {
         self.group = Some(group);
         group
     }
-}
-
-/// Transpose a row-major `rows × cols` table into `cols × rows`.
-fn transpose(src: &[f64], rows: usize, cols: usize) -> Vec<f64> {
-    debug_assert_eq!(src.len(), rows * cols);
-    let mut out = vec![0.0f64; src.len()];
-    for r in 0..rows {
-        for (c, &v) in src[r * cols..(r + 1) * cols].iter().enumerate() {
-            out[c * rows + r] = v;
-        }
-    }
-    out
 }
 
 /// A borrowed window-major view of per-pair per-window correlations:
@@ -858,10 +834,9 @@ pub fn row_segments(start: usize, count: usize, n: usize) -> Vec<(usize, usize, 
 }
 
 /// Split `total` work items into `parts` contiguous runs whose sizes differ
-/// by at most one — the partition policy shared by
-/// [`crate::exact::correlation_matrix_parallel`] and the parallel engine's
-/// `partition_pairs`, and the contiguity contract [`carve_packed_slices`]
-/// relies on. `parts == 0` is clamped to 1.
+/// by at most one — the partition policy shared by [`carve_for_workers`],
+/// [`runs_for_workers`] and the parallel engine's `partition_pairs`.
+/// `parts == 0` is clamped to 1.
 pub fn even_sizes(total: usize, parts: usize) -> Vec<usize> {
     let parts = parts.max(1);
     let base = total / parts;
@@ -871,51 +846,26 @@ pub fn even_sizes(total: usize, parts: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Carve a flat packed-triangle buffer into disjoint contiguous mutable
-/// slices of the given `sizes`, in order.
+/// Carve a flat packed-triangle buffer into one disjoint contiguous mutable
+/// slice per worker ([`even_sizes`], in order), each tagged with the packed
+/// index of its first pair so the worker can recover `(i, j)` coordinates via
+/// [`row_segments`].
 ///
-/// This is the sharing primitive of the parallel all-pairs sweeps: because
+/// This is the sharing primitive of the writing sweeps — the dense fill
+/// ([`crate::sweep::fill_packed`]) and the sliding-network update: because
 /// pair partitions are contiguous runs of the row-major packed upper
-/// triangle, each worker can own one of these slices and write its
-/// correlations without synchronization or a merge step. Used by
-/// [`crate::exact::correlation_matrix_parallel`] and the parallel disk
-/// engine.
-///
-/// # Panics
-///
-/// Panics if the sizes sum to more than `values.len()`.
-pub fn carve_packed_slices(
-    mut values: &mut [f64],
-    sizes: impl IntoIterator<Item = usize>,
-) -> Vec<&mut [f64]> {
+/// triangle, each worker owns one slice and writes its correlations without
+/// synchronization or a merge step.
+pub fn carve_for_workers(mut values: &mut [f64], workers: usize) -> Vec<(usize, &mut [f64])> {
+    let mut start = 0;
     let mut out = Vec::new();
-    for size in sizes {
-        let (chunk, rest) = values.split_at_mut(size);
-        out.push(chunk);
+    for size in even_sizes(values.len(), workers) {
+        let (chunk, rest) = std::mem::take(&mut values).split_at_mut(size);
+        out.push((start, chunk));
+        start += size;
         values = rest;
     }
     out
-}
-
-/// The fan-out prologue shared by the parallel matrix sweep and the
-/// sliding-network update: split a packed-triangle buffer into one
-/// contiguous slice per worker ([`even_sizes`] + [`carve_packed_slices`]),
-/// each tagged with the packed index of its first pair so the worker can
-/// recover `(i, j)` coordinates via [`row_segments`].
-pub fn carve_for_workers(values: &mut [f64], workers: usize) -> Vec<(usize, &mut [f64])> {
-    let sizes = even_sizes(values.len(), workers);
-    let starts: Vec<usize> = sizes
-        .iter()
-        .scan(0, |acc, s| {
-            let start = *acc;
-            *acc += s;
-            Some(start)
-        })
-        .collect();
-    starts
-        .into_iter()
-        .zip(carve_packed_slices(values, sizes.iter().copied()))
-        .collect()
 }
 
 /// The read-only twin of [`carve_for_workers`], for sweeps that write no
@@ -1078,8 +1028,8 @@ mod tests {
         // tables must agree.
         assert_eq!(from_stats.dens, aligned.dens);
         assert_eq!(from_stats.means, aligned.means);
-        assert_eq!(from_stats.stds, aligned.stds);
-        assert_eq!(from_stats.deltas, aligned.deltas);
+        assert_eq!(from_stats.stds_t, aligned.stds_t);
+        assert_eq!(from_stats.deltas_t, aligned.deltas_t);
     }
 
     #[test]
@@ -1106,22 +1056,30 @@ mod tests {
     }
 
     #[test]
-    fn carve_packed_slices_covers_disjoint_ranges() {
+    fn carve_for_workers_covers_disjoint_ranges() {
         let mut values = vec![0.0; 10];
-        let chunks = carve_packed_slices(&mut values, [4, 0, 3, 3]);
+        let chunks = carve_for_workers(&mut values, 3);
         assert_eq!(
-            chunks.iter().map(|c| c.len()).collect::<Vec<_>>(),
-            vec![4, 0, 3, 3]
+            chunks
+                .iter()
+                .map(|(start, c)| (*start, c.len()))
+                .collect::<Vec<_>>(),
+            vec![(0, 4), (4, 3), (7, 3)]
         );
-        for (w, chunk) in chunks.into_iter().enumerate() {
-            for slot in chunk.iter_mut() {
-                *slot = w as f64;
-            }
+        for (w, (_, chunk)) in chunks.into_iter().enumerate() {
+            chunk.fill(w as f64);
         }
         assert_eq!(
             values,
-            vec![0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0]
+            vec![0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
         );
+        // More workers than values: the surplus slices are empty.
+        let mut few = vec![0.0; 2];
+        let sizes: Vec<usize> = carve_for_workers(&mut few, 4)
+            .iter()
+            .map(|(_, c)| c.len())
+            .collect();
+        assert_eq!(sizes, vec![1, 1, 0, 0]);
     }
 
     #[test]
@@ -1321,13 +1279,8 @@ mod tests {
                 assert_eq!(bits(dense.upper_triangle()), bits(&want), "{what} dense");
                 for workers in [1usize, 2, 8] {
                     let runner = crate::runner::ScopedRunner::new(workers);
-                    let pooled =
-                        exact::correlation_matrix_parallel_in(&runner, &c, &sketch, query).unwrap();
-                    assert_eq!(
-                        bits(pooled.upper_triangle()),
-                        bits(&want),
-                        "{what} workers={workers}"
-                    );
+                    let (pooled, _) = crate::sweep::fill_packed(&runner, &plan, view).unwrap();
+                    assert_eq!(bits(&pooled), bits(&want), "{what} workers={workers}");
                 }
             }
         }

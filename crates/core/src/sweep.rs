@@ -1,12 +1,19 @@
-//! The streaming tile-at-a-time sweep layer: produce [`QueryPlan::block_kernel`]
-//! tiles, hand them to a consumer, discard them — never materializing the
-//! `N(N−1)/2` pair triangle.
+//! The two loops every correlation in the workspace comes from, both over
+//! [`QueryPlan::block_kernel`]:
 //!
-//! Every dense query path (matrix construction, thresholding, ranking)
-//! allocates the full packed triangle: ~50 GB of `f64` per window layer at
-//! `N = 100 000`. The paper's national-scale scenarios (§4.3) need the
-//! *answers* — the thresholded network, the strongest edges, aggregates —
-//! not the triangle itself. This module inverts the control flow:
+//! * the **streamed tile loop** ([`sweep_run`], fanned over a worker pool by
+//!   [`sweep_pooled`]): produce tiles, hand them to a consumer, discard
+//!   them — never materializing the `N(N−1)/2` pair triangle;
+//! * the **dense fill** ([`fill_packed`]): write the whole packed triangle
+//!   in place into one budget-checked buffer, one contiguous run per
+//!   worker — the matrix builders, the approximate plan's cached triangle,
+//!   the parallel engine's dense query, the served views and both sliding
+//!   inits.
+//!
+//! A dense triangle is ~50 GB of `f64` per window layer at `N = 100 000`.
+//! The paper's national-scale scenarios (§4.3) need the *answers* — the
+//! thresholded network, the strongest edges, aggregates — not the triangle
+//! itself. The streamed loop inverts the control flow:
 //!
 //! * the source is always a borrowed window-major table, a [`CorrView`] over
 //!   the plan's full windows (an in-memory sketch's rows, an epoch's shared
@@ -52,8 +59,12 @@ use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
+use crate::capacity::check_dense_budget;
+use crate::error::Result;
 use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
-use crate::plan::{row_segments, runs_for_workers, CorrView, PartialCorrs, QueryPlan};
+use crate::plan::{
+    carve_for_workers, row_segments, runs_for_workers, CorrView, PartialCorrs, QueryPlan,
+};
 use crate::runner::{Job, JobRunner};
 use crate::sketch::{packed_pairs, pair_index};
 
@@ -277,6 +288,49 @@ pub fn sweep_pooled<K: TileSink + Send>(
         .collect();
     runner.run(jobs);
     (sinks, busy.iter().sum())
+}
+
+/// The one dense fill: every packed correlation triangle in the workspace is
+/// minted here. Checks the dense budget for the `P = N(N−1)/2` values of
+/// `plan` ([`Error::TooLarge`](crate::error::Error::TooLarge) past it),
+/// allocates them, and cuts them into one contiguous run per worker of
+/// `runner` ([`carve_for_workers`]); each run writes
+/// [`QueryPlan::block_kernel`] output in place, row segment by row segment,
+/// with its own [`PartialCorrs`] — no tile buffer, no copy. `view` is the
+/// window-major table of the plan's full windows, read in place. A run
+/// boundary never changes a pair's arithmetic, so the triangle is the same
+/// bits for any worker count. Returns the triangle and the workers' summed
+/// busy time.
+pub fn fill_packed(
+    runner: &dyn JobRunner,
+    plan: &QueryPlan,
+    view: CorrView<'_>,
+) -> Result<(Vec<f64>, Duration)> {
+    let n = plan.series_count();
+    check_dense_budget(packed_pairs(n), 1)?;
+    let mut values = vec![0.0f64; packed_pairs(n)];
+    let workers = runner.worker_count().max(1);
+    let mut busy = vec![Duration::ZERO; workers];
+    let jobs: Vec<Job<'_>> = carve_for_workers(&mut values, workers)
+        .into_iter()
+        .filter(|(_, out)| !out.is_empty())
+        .zip(busy.iter_mut())
+        .map(|((start, out), busy)| {
+            Box::new(move || {
+                let t = Instant::now();
+                let mut partial = PartialCorrs::default();
+                let mut at = 0;
+                for (i, j0, len) in row_segments(start, out.len(), n) {
+                    let tile = &mut out[at..at + len];
+                    plan.block_kernel(i, j0, view, start + at, &mut partial, tile);
+                    at += len;
+                }
+                *busy = t.elapsed();
+            }) as Job<'_>
+        })
+        .collect();
+    runner.run(jobs);
+    Ok((values, busy.iter().sum()))
 }
 
 /// Stream an existing dense [`CorrelationMatrix`] through a sink, tile by

@@ -15,8 +15,9 @@
 //! it reads a stored estimate as the window correlation by clamping it, which
 //! makes the shared Lemma 2 sweep the algebraic content of Equation 6.
 //!
-//! Initialization goes through the batched [`ApproxPlan`] sweep instead of
-//! per-pair contribution gathering, mirroring the exact updater's plan-based
+//! Initialization is the dense fill ([`fill_packed`]) of an [`ApproxPlan`]'s
+//! per-series tables over the estimate table instead of per-pair
+//! contribution gathering, mirroring the exact updater's plan-based
 //! bootstrap.
 
 use std::collections::VecDeque;
@@ -26,6 +27,7 @@ use tsubasa_core::error::{Error, Result};
 use tsubasa_core::incremental::SlidingState;
 use tsubasa_core::runner::{JobRunner, SerialRunner};
 use tsubasa_core::stats::{clamp_corr, WindowStats};
+use tsubasa_core::sweep::fill_packed;
 use tsubasa_core::SketchSet;
 
 use crate::plan::ApproxPlan;
@@ -71,10 +73,11 @@ impl SlidingApproxNetwork {
     /// covers the most recent `query_len` sketched points (`query_len` must
     /// be a positive multiple of the basic window).
     ///
-    /// The initial correlations are evaluated through one shared
+    /// The initial correlations are the dense fill of one shared
     /// [`ApproxPlan`] (batched Equation 5) rather than per-pair contribution
-    /// vectors, and the per-window estimate rows are contiguous copies of the
-    /// sketch's window-major table.
+    /// vectors — refused with [`Error::TooLarge`] past the dense budget — and
+    /// the per-window estimate rows are contiguous copies of the sketch's
+    /// window-major table.
     pub fn initialize(sketch: &DftSketchSet, query_len: usize) -> Result<Self> {
         let b = sketch.basic_window();
         if query_len == 0 || !query_len.is_multiple_of(b) {
@@ -93,17 +96,14 @@ impl SlidingApproxNetwork {
             });
         }
         let first = available - ns;
-        let n = sketch.series_count();
 
-        // Each stored window's packed per-pair estimates are one contiguous
-        // row of the sketch's window-major table.
+        // The dense fill over the estimate table; each stored window's
+        // packed per-pair estimates are one contiguous row of that table.
+        let plan = ApproxPlan::build(sketch, first..available)?;
         let table = sketch.window_ests_view(first..available);
+        let (corrs, _) = fill_packed(&SerialRunner, plan.query_plan(), table)?;
         let pair_windows: VecDeque<Vec<f64>> =
             (0..ns).map(|k| table.window_row(k).to_vec()).collect();
-
-        let plan = ApproxPlan::build(sketch, first..available)?;
-        let mut corrs = vec![0.0f64; n * n.saturating_sub(1) / 2];
-        plan.correlations_into(0, &mut corrs);
 
         Ok(Self {
             state: SlidingState::new(sketch.base(), first..available, pair_windows, corrs)?,

@@ -11,8 +11,8 @@
 //! * the **per-series window-stat tables** (σ/mean/len, δ offsets, means and
 //!   denominators) are computed once per query window — they are literally a
 //!   [`QueryPlan`] built from the base sketch's window statistics, so the
-//!   flat layouts, the window-major σ/δ transposes and the batch
-//!   [`QueryPlan::block_kernel`] are reused wholesale;
+//!   window-major σ/δ tables, the batch [`QueryPlan::block_kernel`] and the
+//!   dense fill ([`fill_packed`]) are reused wholesale;
 //! * the per-pair **correlation estimates** `ĉ_k = 1 − d_k²/2` (Equation 3)
 //!   are what every backend stores, so the plan **borrows** the source's
 //!   window-major estimate table ([`CorrSource::full_table`]: the shared rows
@@ -43,16 +43,15 @@
 
 use std::ops::Range;
 
-use tsubasa_core::capacity::check_dense_budget;
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::matrix::{AdjacencyMatrix, CorrelationMatrix};
-use tsubasa_core::plan::{carve_for_workers, row_segments, PartialCorrs, PlanMethod, QueryPlan};
-use tsubasa_core::runner::{Job, JobRunner};
-use tsubasa_core::sketch::pair_index;
+use tsubasa_core::plan::{PlanMethod, QueryPlan};
+use tsubasa_core::runner::SerialRunner;
 use tsubasa_core::source::{check_source_windows, CorrSource, PairTable};
 use tsubasa_core::stats::clamp_corr;
 use tsubasa_core::sweep::{
-    sweep_run, CorrelationBounds, EdgeList, TileSink, TopK, TopKSink, DEFAULT_TILE_PAIRS,
+    fill_packed, sweep_run, CorrelationBounds, EdgeList, TileSink, TopK, TopKSink,
+    DEFAULT_TILE_PAIRS,
 };
 use tsubasa_core::SeriesId;
 
@@ -103,10 +102,10 @@ pub struct ApproxPlan<'a> {
     plan: QueryPlan,
     /// The source's window-major per-pair estimates `ĉ_k = 1 − d_k²/2`.
     table: PairTable<'a>,
-    /// The recombined packed correlation triangle, swept once on first use —
+    /// The recombined packed correlation triangle, filled once on first use —
     /// it is threshold-independent, so probing several θ through one plan
-    /// ([`ApproxPlan::network`], [`ApproxPlan::candidate_pairs`],
-    /// [`ApproxPlan::correlation_matrix`]) pays the tiled sweep once.
+    /// ([`ApproxPlan::network`], [`ApproxPlan::candidate_pairs`]) pays the
+    /// dense fill once.
     packed: std::sync::OnceLock<Vec<f64>>,
 }
 
@@ -164,73 +163,26 @@ impl<'a> ApproxPlan<'a> {
         self.plan.is_degenerate(i)
     }
 
-    /// Evaluate the contiguous packed-triangle run `start..start + out.len()`
-    /// of Equation 5 correlations through the batch kernel, one same-row tile
-    /// at a time — the unit of work of both the serial and the parallel
-    /// sweeps (a chunk boundary never changes any pair's arithmetic).
-    pub fn correlations_into(&self, start: usize, out: &mut [f64]) {
-        let corrs = self.table.view();
-        let mut partial = PartialCorrs::default();
-        let mut cursor = 0;
-        for (i, j0, len) in row_segments(start, out.len(), self.n) {
-            self.plan.block_kernel(
-                i,
-                j0,
-                corrs,
-                pair_index(i, j0, self.n),
-                &mut partial,
-                &mut out[cursor..cursor + len],
-            );
-            cursor += len;
-        }
-    }
-
-    /// The recombined packed correlation triangle, computed by the tiled
-    /// sweep on first use and cached (the values do not depend on any
-    /// threshold). The one dense allocation of the plan: refused with
+    /// The recombined packed correlation triangle, minted by the dense fill
+    /// ([`fill_packed`]) on first use and cached (the values do not depend on
+    /// any threshold). The one dense allocation of the plan: refused with
     /// [`Error::TooLarge`] past the dense budget.
     fn packed_correlations(&self) -> Result<&[f64]> {
-        check_dense_budget(self.pair_count(), 1)?;
-        Ok(self.packed.get_or_init(|| {
-            let mut values = vec![0.0f64; self.pair_count()];
-            self.correlations_into(0, &mut values);
-            values
-        }))
+        if let Some(values) = self.packed.get() {
+            return Ok(values);
+        }
+        let (values, _) = fill_packed(&SerialRunner, &self.plan, self.table.view())?;
+        Ok(self.packed.get_or_init(|| values))
     }
 
     /// The approximate all-pairs correlation matrix (Equation 5 recombined
-    /// through the tiled batch kernel). Degenerate (constant-series) pairs
-    /// hold `0.0`, the explicit mapping of [`Error::DegenerateWindow`]
-    /// shared with the exact matrix paths.
+    /// through the tiled batch kernel): the dense fill's own buffer, refused
+    /// with [`Error::TooLarge`] past the dense budget. Degenerate
+    /// (constant-series) pairs hold `0.0`, the explicit mapping of
+    /// [`Error::DegenerateWindow`] shared with the exact matrix paths.
     pub fn correlation_matrix(&self) -> Result<CorrelationMatrix> {
-        let values = self.packed_correlations()?.to_vec();
+        let (values, _) = fill_packed(&SerialRunner, &self.plan, self.table.view())?;
         Ok(CorrelationMatrix::from_upper_triangle(self.n, values))
-    }
-
-    /// [`ApproxPlan::correlation_matrix`] with the packed triangle split into
-    /// disjoint contiguous slices evaluated on `runner`'s workers. Identical
-    /// to the serial sweep for any worker count.
-    pub fn correlation_matrix_in(&self, runner: &dyn JobRunner) -> Result<CorrelationMatrix> {
-        let total = self.pair_count();
-        let workers = runner.worker_count().max(1).min(total.max(1));
-        if workers <= 1 || total == 0 || self.packed.get().is_some() {
-            return self.correlation_matrix();
-        }
-        check_dense_budget(total, 1)?;
-        let mut values = vec![0.0f64; total];
-        let jobs: Vec<Job<'_>> = carve_for_workers(&mut values, workers)
-            .into_iter()
-            .map(|(start, chunk)| Box::new(move || self.correlations_into(start, chunk)) as Job<'_>)
-            .collect();
-        runner.run(jobs);
-        // Chunk boundaries never change any pair's arithmetic, so the
-        // parallel sweep may seed the shared cache: serial and parallel
-        // entries stay exactly equal either way.
-        let values = self.packed.get_or_init(|| values);
-        Ok(CorrelationMatrix::from_upper_triangle(
-            self.n,
-            values.clone(),
-        ))
     }
 
     /// The StatStream-average recombination over the same window-major
@@ -329,7 +281,7 @@ impl<'a> ApproxPlan<'a> {
 
     /// Run a streaming sweep over all pairs into `sink`: each batch-kernel
     /// tile is recombined, consumed, and discarded — the packed triangle
-    /// cache behind [`ApproxPlan::correlation_matrix`] is never touched.
+    /// cache behind [`ApproxPlan::network`] is never touched.
     /// With `prune`, tiles the sink reports skippable under the Equation 4
     /// per-tile upper bound are dropped before any kernel work.
     pub fn sweep_streamed(&self, prune: bool, tile_len: usize, sink: &mut dyn TileSink) {
@@ -434,6 +386,7 @@ mod tests {
     use crate::approx::{approximate_pair_correlation, ApproxStrategy};
     use crate::sketch::Transform;
     use tsubasa_core::runner::ScopedRunner;
+    use tsubasa_core::sketch::pair_index;
     use tsubasa_core::{baseline, QueryWindow, SeriesCollection};
 
     fn collection(n: usize, len: usize) -> SeriesCollection {
@@ -488,11 +441,8 @@ mod tests {
         let serial = plan.correlation_matrix().unwrap();
         for workers in [1usize, 3, 8] {
             let runner = ScopedRunner::new(workers);
-            assert_eq!(
-                serial,
-                plan.correlation_matrix_in(&runner).unwrap(),
-                "{workers}"
-            );
+            let (pooled, _) = fill_packed(&runner, &plan.plan, plan.table.view()).unwrap();
+            assert_eq!(serial.upper_triangle(), &pooled[..], "{workers}");
         }
     }
 

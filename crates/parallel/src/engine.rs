@@ -9,9 +9,10 @@
 //! [`ParallelEngine::network`] / [`ParallelEngine::top_k`]) over any
 //! [`CorrSource`]: the mapped pile or an in-memory sketch. The workers split
 //! the unordered pairs as contiguous runs of the packed triangle — index
-//! ranges, never pair lists: dense-query workers write correlations straight
-//! into their disjoint slices of the packed result ([`carve_for_workers`]),
-//! streamed-query workers drive per-worker sinks ([`sweep_pooled`]).
+//! ranges, never pair lists: the dense query is the one dense fill
+//! ([`fill_packed`]), each worker writing its disjoint slice of the packed
+//! result in place; streamed-query workers drive per-worker sinks
+//! ([`sweep_pooled`]).
 //!
 //! Both hot loops are tiled batch kernels over window-major data: the sketch
 //! phase calls [`tsubasa_core::stats::window_corrs_into`] or
@@ -23,18 +24,17 @@
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use tsubasa_core::capacity::check_dense_budget;
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::matrix::CorrelationMatrix;
-use tsubasa_core::plan::{carve_for_workers, row_segments, PartialCorrs, PlanMethod, QueryPlan};
+use tsubasa_core::plan::{PlanMethod, QueryPlan};
 use tsubasa_core::sketch::packed_pairs;
 use tsubasa_core::source::{check_source_windows, CorrSource};
 use tsubasa_core::stats::{window_corrs_into, WindowStats};
 use tsubasa_core::sweep::{
-    sweep_pooled, CorrelationBounds, EdgeList, EdgeSink, TableAudit, TileSink, TopK, TopKSink,
+    fill_packed, sweep_pooled, CorrelationBounds, EdgeList, EdgeSink, TableAudit, TileSink, TopK,
+    TopKSink,
 };
 use tsubasa_core::window::BasicWindowing;
-use tsubasa_core::Job;
 use tsubasa_core::SeriesCollection;
 use tsubasa_dft::sketch::{ComparatorKernel, Transform};
 use tsubasa_storage::pile::{PileBatchWriter, PileSlab, PileWriter, SegmentKind, SketchPile};
@@ -273,16 +273,16 @@ impl ParallelEngine {
     /// pile — and report the read/compute breakdown (Figure 6b).
     ///
     /// The per-series statistics are fetched once and folded into a single
-    /// read-only [`QueryPlan`] shared by every worker; each worker owns a
-    /// disjoint contiguous slice of the packed upper-triangle result and
-    /// sweeps the table the source lends ([`CorrSource::full_table`]) in
-    /// place with global pair offsets, so the matrix is assembled without any
-    /// copy of the table and without a merge step. The kernel's per-pair
-    /// accumulation is independent of tiling, so the result does not depend
-    /// on the worker count. The packed result is the one dense allocation:
-    /// past the dense budget the call fails with [`Error::TooLarge`] (the
-    /// streamed [`ParallelEngine::network`] / [`ParallelEngine::top_k`] never
-    /// do).
+    /// read-only [`QueryPlan`] shared by every worker; the dense fill
+    /// ([`fill_packed`]) on the engine's pool gives each worker a disjoint
+    /// contiguous slice of the packed upper-triangle result to write from the
+    /// table the source lends ([`CorrSource::full_table`]) in place, so the
+    /// matrix is assembled without any copy of the table and without a merge
+    /// step, the same bits for any worker count. The report's compute time
+    /// is the workers' summed busy time. The packed result is the one dense
+    /// allocation: past the dense budget the call fails with
+    /// [`Error::TooLarge`] (the streamed [`ParallelEngine::network`] /
+    /// [`ParallelEngine::top_k`] never do).
     pub fn query<S: CorrSource + ?Sized>(
         &self,
         source: &S,
@@ -298,43 +298,19 @@ impl ParallelEngine {
         // Fetch every series' window statistics once up front; they are
         // shared by all pairs of the partitioned workers.
         let series_stats = source.series_stats(windows.clone())?;
-        let pair_count = n * n.saturating_sub(1) / 2;
-        check_dense_budget(pair_count, 1)?;
-        let mut values = vec![0.0f64; pair_count];
+        let pair_count = packed_pairs(n);
         let mut read_time = wall_start.elapsed();
-        let mut compute_time = Duration::ZERO;
-
-        if n >= 2 {
+        let (values, compute_time) = if n >= 2 {
             let table = source.lent_table(windows, pm)?;
             read_time = wall_start.elapsed();
             // Lemma 1 and Equation 5 share their recombination algebra (only
             // the table differs: sketched correlations vs `1 − d²/2`
-            // estimates), so both query methods evaluate through the same
-            // plan batch kernel.
+            // estimates), so both query methods are the one dense fill.
             let plan = QueryPlan::from_window_stats(&series_stats)?;
-            let (plan, view) = (&plan, table.view());
-            let mut busy = vec![Duration::ZERO; workers];
-            let jobs: Vec<Job<'_>> = carve_for_workers(&mut values, workers)
-                .into_iter()
-                .zip(busy.iter_mut())
-                .filter(|((_, slice), _)| !slice.is_empty())
-                .map(|((start, slice), busy)| {
-                    Box::new(move || {
-                        let t = Instant::now();
-                        let mut partial = PartialCorrs::default();
-                        let mut cursor = 0;
-                        for (i, j0, len) in row_segments(start, slice.len(), n) {
-                            let tile = &mut slice[cursor..cursor + len];
-                            plan.block_kernel(i, j0, view, start + cursor, &mut partial, tile);
-                            cursor += len;
-                        }
-                        *busy = t.elapsed();
-                    }) as Job<'_>
-                })
-                .collect();
-            self.pool.run_jobs(jobs);
-            compute_time = busy.iter().sum();
-        }
+            fill_packed(&self.pool, &plan, table.view())?
+        } else {
+            (Vec::new(), Duration::ZERO)
+        };
 
         Ok((
             CorrelationMatrix::from_upper_triangle(n, values),

@@ -10,7 +10,8 @@
 //! reuse the same threads.
 //!
 //! The pool implements [`tsubasa_core::runner::JobRunner`], so anything that
-//! accepts a runner — [`tsubasa_core::exact::correlation_matrix_parallel_in`],
+//! accepts a runner — the dense fill [`tsubasa_core::sweep::fill_packed`],
+//! the streamed [`tsubasa_core::sweep::sweep_pooled`],
 //! [`tsubasa_core::incremental::SlidingNetwork::ingest_in`], the engine in
 //! this crate — can be handed one pool and share it.
 //!

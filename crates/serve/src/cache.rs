@@ -96,7 +96,9 @@ struct Slot {
     /// The first lookup's build outcome; a failed build is handed to every
     /// lookup that waited for it, then the entry is dropped.
     plan: OnceLock<Result<CachedPlan>>,
-    view: OnceLock<Arc<[f64]>>,
+    /// The key's view once a query filled it; `None` when the fill refused
+    /// (past the dense budget).
+    view: OnceLock<Option<Vec<f64>>>,
 }
 
 struct Entry {
@@ -128,15 +130,16 @@ impl CachedEntry {
     }
 
     /// The key's correlations in packed pair order, when a query filled them.
-    pub(crate) fn view(&self) -> Option<&Arc<[f64]>> {
-        self.slot.view.get()
+    pub(crate) fn view(&self) -> Option<&[f64]> {
+        self.slot.view.get()?.as_deref()
     }
 
-    /// The key's correlations, filled by `fill` when no query has yet.
+    /// The key's correlations, filled by `fill` when no query has tried yet
+    /// (`None`: the fill refused, and the key stays without a view).
     /// Concurrent callers wait for the one fill in flight instead of running
     /// their own.
-    pub(crate) fn view_or_fill(&self, fill: impl FnOnce() -> Arc<[f64]>) -> &Arc<[f64]> {
-        self.slot.view.get_or_init(fill)
+    pub(crate) fn view_or_fill(&self, fill: impl FnOnce() -> Option<Vec<f64>>) -> Option<&[f64]> {
+        self.slot.view.get_or_init(fill).as_deref()
     }
 }
 
@@ -280,7 +283,10 @@ impl PlanCache {
     pub fn stats(&self) -> CacheStats {
         let (len, view_bytes) = {
             let inner = self.inner.lock().expect("plan cache poisoned");
-            let views = inner.map.values().filter_map(|e| e.slot.view.get());
+            let views = inner
+                .map
+                .values()
+                .filter_map(|e| e.slot.view.get()?.as_ref());
             let bytes = views.map(|v| v.len() * std::mem::size_of::<f64>()).sum();
             (inner.map.len(), bytes)
         };
@@ -370,7 +376,7 @@ mod tests {
         assert!(entry.view().is_none());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (0, 2, 1));
-        let filled = entry.view_or_fill(|| vec![0.5; 3].into());
+        let filled = entry.view_or_fill(|| Some(vec![0.5; 3])).unwrap();
         assert_eq!(filled.len(), 3);
         assert_eq!(cache.stats().view_bytes, 3 * 8);
     }
@@ -404,7 +410,8 @@ mod tests {
         let cache = PlanCache::new(8);
         let look = |e: u64, w: std::ops::Range<usize>, m: PlanMethod, t: Option<u32>| {
             let entry = cache.lookup(PlanKey::new(e, w.clone(), m), t, || build_exact(&sk, w));
-            entry.unwrap().view_or_fill(|| vec![0.5; 3].into()).len()
+            let entry = entry.unwrap();
+            entry.view_or_fill(|| Some(vec![0.5; 3])).unwrap().len()
         };
         // Epoch 1: trailing-2 and trailing-3 exact, trailing-2 approximate,
         // and a plain key made outside the engine.

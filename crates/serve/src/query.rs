@@ -20,12 +20,12 @@
 //!
 //! 1. one [`PlanCache`] lookup: the per-series tables, built by the key's
 //!    first query;
-//! 2. on the key's first query only, the **view fill**: one pooled sweep
-//!    ([`sweep_pooled`], the sweep the parallel engine also calls) over the
-//!    table the epoch's source lends ([`CorrSource::lent_table`] — shared
-//!    sketch rows or mapped pile rows, never copied), with no bounds and no
-//!    threshold, each worker writing its contiguous run of pairs in place
-//!    into one `P`-length buffer that the cache entry keeps;
+//! 2. on the key's first query only, the **view fill**: the dense fill
+//!    ([`fill_packed`], which the parallel engine's dense query also calls)
+//!    on the pool over the table the epoch's source lends
+//!    ([`CorrSource::lent_table`] — shared sketch rows or mapped pile rows,
+//!    never copied), each worker writing its contiguous run of pairs in
+//!    place into one `P`-length buffer, which moves into the cache entry;
 //! 3. one sink pass over the view on the connection thread
 //!    ([`sweep_packed`]): an [`EdgeSink`] or a [`RadiusEdgeSink`] for a
 //!    network, a [`TopKSink`] for a top-k. The pool is not woken.
@@ -38,10 +38,11 @@
 //! bits as the serial sweep because no tile or run boundary ever changes a
 //! pair's arithmetic.
 //!
-//! A view that would not fit the dense budget
-//! ([`tsubasa_core::capacity::check_dense_budget`]`(P, 1)`) is never
-//! filled: such a query streams the pooled sweep into per-run sinks instead
-//! — pruning tiles like the serial path — and merges them in run order.
+//! A view the dense fill refuses — past the dense budget
+//! ([`tsubasa_core::capacity::check_dense_budget`]`(P, 1)`) — is never held:
+//! such a query streams the pooled sweep ([`sweep_pooled`]) into per-run
+//! sinks instead — pruning tiles like the serial path — and merges them in
+//! run order.
 //!
 //! Memory: one `8·P` view per standing request — a method and a trailing
 //! window count — from the newest answered epoch, or from the one before it
@@ -56,20 +57,16 @@
 //! been asked yet. The `serve_concurrency` suite pins the bit identity
 //! across worker counts under live ingest.
 
-use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tsubasa_core::capacity::check_dense_budget;
 use tsubasa_core::error::Error;
-use tsubasa_core::plan::{runs_for_workers, CorrView, PlanKey, PlanMethod};
-use tsubasa_core::runner::JobRunner;
-use tsubasa_core::sketch::packed_pairs;
+use tsubasa_core::plan::{PlanKey, PlanMethod};
 use tsubasa_core::source::CorrSource;
 use tsubasa_core::sweep::{
-    sweep_packed, sweep_pooled, CorrelationBounds, EdgeList, EdgeSink, TableAudit, TileSink, TopK,
-    TopKSink, DEFAULT_TILE_PAIRS,
+    fill_packed, sweep_packed, sweep_pooled, CorrelationBounds, EdgeList, EdgeSink, TableAudit,
+    TileSink, TopK, TopKSink, DEFAULT_TILE_PAIRS,
 };
 use tsubasa_core::QueryPlan;
 use tsubasa_dft::plan::RadiusEdgeSink;
@@ -351,21 +348,31 @@ impl QueryEngine {
         let (windows, method) = (key.windows(), key.method);
         let (plan, bounds) = entry.plan().clone().into_parts();
         let n = plan.series_count();
-        let view = match entry.view() {
-            Some(view) => Some(view),
-            None if check_dense_budget(packed_pairs(n), 1).is_ok() => {
-                let table = source.lent_table(windows.clone(), method)?;
-                Some(entry.view_or_fill(|| self.fill_view(&plan, table.view())))
-            }
-            None => None,
-        };
-        if let Some(view) = view {
+        let pass = |view: &[f64]| {
             let mut sink = make_sink();
             sweep_packed(n, view, DEFAULT_TILE_PAIRS, &mut sink);
-            return Ok(vec![sink]);
+            vec![sink]
+        };
+        if let Some(view) = entry.view() {
+            return Ok(pass(view));
         }
         let table = source.lent_table(windows, method)?;
-        Ok(self.sweep(&plan, table.view(), prune.then_some(&*bounds), make_sink))
+        // The dense fill refuses only past the dense budget: such a key holds
+        // no view.
+        let filled = entry.view_or_fill(|| {
+            fill_packed(&*self.pool, &plan, table.view())
+                .ok()
+                .map(|(values, _)| values)
+        });
+        if let Some(view) = filled {
+            return Ok(pass(view));
+        }
+        // No table audit: the contract is the serial library answer, NaN
+        // count included, and the serial paths audit outputs only.
+        let bounds = prune.then_some(&*bounds);
+        let (tile, audit) = (DEFAULT_TILE_PAIRS, TableAudit::Off);
+        let view = table.view();
+        Ok(sweep_pooled(&*self.pool, &plan, view, bounds, tile, audit, &make_sink).0)
     }
 
     /// The cache entry of `key` on an epoch's source: the per-series tables
@@ -402,60 +409,6 @@ impl QueryEngine {
                 PlanMethod::Approximate => CachedPlan::Approx { plan, bounds },
             })
         })?)
-    }
-
-    /// A key's view: the pooled sweep of every pair — no bounds, no
-    /// threshold — with each run's tiles written in place into that run's
-    /// span of one `P`-length buffer.
-    fn fill_view(&self, plan: &QueryPlan, table: CorrView<'_>) -> Arc<[f64]> {
-        let pairs = packed_pairs(plan.series_count());
-        let mut view: Arc<[f64]> = std::iter::repeat_n(0.0, pairs).collect();
-        {
-            let mut rest = Arc::get_mut(&mut view).expect("a fresh view is unshared");
-            let mut spans = Vec::new();
-            // The runs `sweep_pooled` cuts, in the order it asks for sinks.
-            for run in runs_for_workers(pairs, self.pool.worker_count()) {
-                let (out, tail) = std::mem::take(&mut rest).split_at_mut(run.len());
-                spans.push(SpanSink {
-                    start: run.start,
-                    out,
-                });
-                rest = tail;
-            }
-            let spans = RefCell::new(spans.into_iter());
-            self.sweep(plan, table, None, || {
-                spans.borrow_mut().next().expect("one span per run")
-            });
-        }
-        view
-    }
-
-    /// Fan one streamed sweep over the worker pool; sinks come back in run
-    /// order. No table audit: the contract is the serial library answer, NaN
-    /// count included, and the serial paths audit outputs only.
-    fn sweep<K: TileSink + Send>(
-        &self,
-        plan: &QueryPlan,
-        view: CorrView<'_>,
-        bounds: Option<&CorrelationBounds>,
-        make_sink: impl Fn() -> K,
-    ) -> Vec<K> {
-        let (tile, audit) = (DEFAULT_TILE_PAIRS, TableAudit::Off);
-        sweep_pooled(&*self.pool, plan, view, bounds, tile, audit, make_sink).0
-    }
-}
-
-/// The sink of one run of a view fill: copies each tile to its pairs' slots
-/// of the run's span (`out[p − start]` holds pair `p`).
-struct SpanSink<'a> {
-    start: usize,
-    out: &'a mut [f64],
-}
-
-impl TileSink for SpanSink<'_> {
-    fn consume(&mut self, _i: usize, _j0: usize, pair0: usize, corrs: &[f64]) {
-        let at = pair0 - self.start;
-        self.out[at..at + corrs.len()].copy_from_slice(corrs);
     }
 }
 

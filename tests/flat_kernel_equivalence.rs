@@ -7,12 +7,15 @@
 //! the plan's precomputed tables no longer mirror the Lemma 1 arithmetic
 //! operation-for-operation.
 //!
-//! The matrix sweeps (`correlation_matrix`, `correlation_matrix_parallel`,
-//! `correlation_matrix_aligned`) run the *tiled* batch kernel, which
-//! normalizes per element and accumulates in a different order — their
-//! contract is agreement within `1e-10` absolute (see
+//! The matrix entry points (`correlation_matrix`, `correlation_matrix_parallel`,
+//! `correlation_matrix_aligned`) are the dense fill (`sweep::fill_packed`)
+//! of the *tiled* batch kernel. On an aligned window that kernel performs
+//! the scalar kernel's operations in the same order, so the aligned matrix
+//! is pinned **bit for bit** to the reference too; on an unaligned window it
+//! mints the partial head/tail correlations from z-score products, so there
+//! the contract is agreement within `1e-10` absolute (see
 //! `tiled_kernel_agreement.rs` for the dedicated suites), while serial and
-//! parallel sweeps must still agree with *each other* exactly for any worker
+//! parallel fills must still agree with *each other* exactly for any worker
 //! count.
 
 use proptest::prelude::*;
@@ -80,8 +83,8 @@ proptest! {
     }
 
     /// Aligned windows take the sketch-only path (no raw data); the scalar
-    /// kernel must be bit-identical to the reference aligned helper, the
-    /// tiled aligned sweep within tolerance of it.
+    /// kernel and the dense fill of the aligned matrix must both be
+    /// bit-identical to the reference aligned helper.
     #[test]
     fn prop_aligned_kernel_matches_reference(
         seed in 0u64..10_000,
@@ -103,7 +106,7 @@ proptest! {
             let reference = exact::pair_correlation_aligned(&sketch, range.clone(), i, j).unwrap();
             let kernel = plan.pair_correlation_aligned(&sketch, i, j).unwrap();
             prop_assert_eq!(kernel.to_bits(), reference.to_bits());
-            prop_assert!((matrix.get(i, j) - reference).abs() <= 1e-10);
+            prop_assert_eq!(matrix.get(i, j).to_bits(), reference.to_bits());
         }
     }
 }

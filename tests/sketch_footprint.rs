@@ -337,10 +337,10 @@ fn an_unaligned_streamed_query_allocates_no_per_pair_buffer() {
     let (edges, bytes, _) = gross(|| exact::network_streamed(&c, &sketch, query, 0.995).unwrap());
     assert!(edges.edge_count() > 0);
 
-    // σ, δ and their transposes, means, denominators, lengths; the two
+    // The window-major σ and δ tables, means, denominators, lengths; the two
     // pushed-to vectors of partial-window statistics at up to twice their
     // length; one series' row of statistics.
-    let plan = 8 * (4 * SERIES * W + 2 * SERIES + W) + 2 * (2 * 24 * SERIES) + 24 * W;
+    let plan = 8 * (2 * SERIES * W + 2 * SERIES + W) + 2 * (2 * 24 * SERIES) + 24 * W;
     let packed_z = 8 * SERIES.div_ceil(8) * 8 * (HEAD + TAIL);
     let scratch = 8 * 2 * 4 * SERIES;
     let tile = 8 * DEFAULT_TILE_PAIRS;

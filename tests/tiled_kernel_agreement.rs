@@ -10,14 +10,16 @@
 //! (`SketchSet::build_reference`, `exact::pair_correlation`) kept alive as
 //! the yardstick.
 //!
-//! The worker-pool suites assert the orthogonal invariant: fanning either
-//! sweep out over a reusable `WorkerPool` changes *nothing* — matrices are
-//! identical across 1/2/8 workers and across repeated queries on one pool.
+//! The worker-pool suites assert the orthogonal invariant: fanning the dense
+//! fill (`sweep::fill_packed`) or the sliding update out over a reusable
+//! `WorkerPool` changes *nothing* — matrices are identical across 1/2/8
+//! workers and across repeated queries on one pool.
 
 use proptest::prelude::*;
 use tsubasa_core::plan::QueryPlan;
 use tsubasa_core::prelude::*;
 use tsubasa_core::runner::JobRunner;
+use tsubasa_core::sweep::fill_packed;
 use tsubasa_parallel::WorkerPool;
 
 fn lcg_series(seed: u64, len: usize) -> Vec<f64> {
@@ -40,6 +42,19 @@ fn collection(seed: u64, n: usize, len: usize) -> SeriesCollection {
             .collect(),
     )
     .unwrap()
+}
+
+/// The dense fill of `query` on `pool`, as a matrix.
+fn pooled_matrix(
+    pool: &WorkerPool,
+    c: &SeriesCollection,
+    sketch: &SketchSet,
+    query: QueryWindow,
+) -> CorrelationMatrix {
+    let plan = QueryPlan::build(c, sketch, query).unwrap();
+    let view = sketch.window_corrs_view(plan.full_windows());
+    let (values, _) = fill_packed(pool, &plan, view).unwrap();
+    CorrelationMatrix::from_upper_triangle(c.len(), values)
 }
 
 proptest! {
@@ -118,7 +133,7 @@ fn pool_worker_count_does_not_change_the_matrix() {
     let serial = exact::correlation_matrix(&c, &sketch, query).unwrap();
     for workers in [1usize, 2, 8] {
         let pool = WorkerPool::new(workers);
-        let pooled = exact::correlation_matrix_parallel_in(&pool, &c, &sketch, query).unwrap();
+        let pooled = pooled_matrix(&pool, &c, &sketch, query);
         assert_eq!(serial, pooled, "workers={workers}");
     }
 }
@@ -133,7 +148,7 @@ fn one_pool_serves_many_queries_without_respawning() {
     // ingest) back to back; each result must equal its fresh-thread twin.
     for (end, len) in [(399usize, 300usize), (349, 200), (374, 175), (399, 100)] {
         let query = QueryWindow::new(end, len).unwrap();
-        let pooled = exact::correlation_matrix_parallel_in(&pool, &c, &sketch, query).unwrap();
+        let pooled = pooled_matrix(&pool, &c, &sketch, query);
         let serial = exact::correlation_matrix(&c, &sketch, query).unwrap();
         assert_eq!(pooled, serial, "query ({end},{len})");
     }
