@@ -43,10 +43,12 @@ use crate::delta::{EdgeDelta, EdgeWatch};
 use crate::error::{Error, Result};
 use crate::exact::{self, WindowContribution};
 use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
-use crate::plan::{carve_for_workers, row_segments, QueryPlan};
+use crate::plan::{carve_for_workers, row_segments, CorrView, QueryPlan, WindowRows};
 use crate::runner::{Job, JobRunner, SerialRunner};
-use crate::sketch::{packed_pairs, pair_index, SeriesSketch, SketchSet};
-use crate::stats::{clamp_corr, window_corrs_into, WindowStats};
+use crate::sketch::{
+    arriving_corrs, arriving_window, packed_pairs, pair_index, SeriesSketch, SketchSet,
+};
+use crate::stats::{clamp_corr, WindowStats};
 use crate::sweep::fill_packed;
 use crate::timeseries::SeriesCollection;
 
@@ -67,8 +69,10 @@ impl SlidingSeriesState {
     /// Build the state from the per-window statistics of the initial query
     /// window (oldest first).
     pub fn new(windows: Vec<WindowStats>) -> Self {
+        // Exactly as many slots as windows: a slide pops one and pushes one,
+        // so the ring never grows, and no series holds slack.
         let mut state = Self {
-            windows: VecDeque::new(),
+            windows: VecDeque::with_capacity(windows.len()),
             sum: 0.0,
             sum_sq: 0.0,
             total: 0,
@@ -138,13 +142,6 @@ impl SlidingSeriesState {
     /// Number of basic windows currently covered (`ns`).
     pub fn window_count(&self) -> usize {
         self.windows.len()
-    }
-
-    /// Statistics of every basic window currently inside the query window,
-    /// oldest first. Snapshot paths ([`SlidingState::series_sketches`]) use
-    /// this to rebuild a [`SeriesSketch`] from the live sliding state.
-    pub fn window_stats(&self) -> impl Iterator<Item = WindowStats> + '_ {
-        self.windows.iter().copied()
     }
 }
 
@@ -316,9 +313,9 @@ impl SlidingPair {
 /// slices.
 ///
 /// `T`, `B_1`, `B_{ns+1}` and `T'` are per-tick scalars because
-/// [`SlidingState::new`] and the chunk checks of [`SlidingState::slide_in`]
-/// admit only windows of exactly `basic_window` points: every series covers
-/// the same `T`, and `T' = T − B_1 + B_{ns+1} > 0`.
+/// [`SlidingState::new`] and [`SlidingState::slide_in`] admit only windows of
+/// exactly `basic_window` points: every series covers the same `T`, and
+/// `T' = T − B_1 + B_{ns+1} > 0`.
 struct SeriesTerms {
     /// `B_1`, points in the evicted basic window.
     b1: f64,
@@ -486,25 +483,29 @@ fn slide_pair_sweep<F: Fn(f64) -> f64 + Sync>(
 /// window, the current packed correlations and the optional edge
 /// subscription. [`SlidingNetwork`] (exact, Lemma 2) and
 /// `tsubasa_dft::SlidingApproxNetwork` (Equation 6) each hold one and
-/// dereference to it; they differ only in how a row is computed from an
-/// arriving chunk and in what a stored row value means.
+/// dereference to it; they differ only in which kernel mints an arriving
+/// window's row and in what a stored row value means.
 ///
-/// A tick ([`SlidingState::slide_in`]) is the arriving window's row (the one
-/// kernel), the per-series terms of Lemma 2 (`O(N)`), one sweep of the
-/// per-pair half over every pair, and — only with a subscription — one
+/// A tick ([`SlidingState::slide_in`]) takes the arriving window's statistics
+/// and row (the arrival step, [`arriving_window`], and the engine's one
+/// kernel), evaluates the per-series terms of Lemma 2 (`O(N)`), sweeps the
+/// per-pair half over every pair, and — only with a subscription — runs one
 /// [`EdgeWatch::observe`] pass over the swept correlations; the last two run
 /// at memory speed. Every window the state ever holds covers exactly
-/// `basic_window` points ([`SlidingState::new`] and the chunk checks see to
-/// it), which is what lets the sweep take `T`, `B_1` and `B_{ns+1}` as
+/// `basic_window` points ([`SlidingState::new`] and the tick's shape check
+/// see to it), which is what lets the sweep take `T`, `B_1` and `B_{ns+1}` as
 /// per-tick scalars.
+///
+/// An epoch of the query window shares the stored rows
+/// ([`SlidingState::window_sketch`]).
 #[derive(Debug, Clone)]
 pub struct SlidingState {
     basic_window: usize,
     series: Vec<SlidingSeriesState>,
     /// Per basic window inside the query window: the packed per-pair row the
     /// engine stores (correlations `c` or Equation 3 estimates `ĉ`), oldest
-    /// window first.
-    pair_windows: VecDeque<Vec<f64>>,
+    /// window first, one buffer per row.
+    pair_windows: WindowRows,
     /// Current packed per-pair correlations over the sliding window.
     corrs: Vec<f64>,
     /// Active edge subscription ([`SlidingState::subscribe_edges`]).
@@ -513,9 +514,10 @@ pub struct SlidingState {
 
 impl SlidingState {
     /// Assemble the state over basic windows `windows` of `sketch`: the
-    /// per-series statistics come from the sketch, `pair_windows` holds the
-    /// engine's stored row of each of those windows (oldest first) and
-    /// `corrs` the initial packed correlations over them.
+    /// per-series statistics come from the sketch, `table` holds the engine's
+    /// stored row of each of those windows (oldest first) and `corrs` the
+    /// initial packed correlations over them. Each row is copied into a
+    /// buffer of its own, freed once it has slid out and no epoch shares it.
     ///
     /// Everything a tick assumes is checked here, once, and answered with
     /// [`Error::SketchMismatch`]: the window range is non-empty and inside
@@ -527,26 +529,23 @@ impl SlidingState {
     pub fn new(
         sketch: &SketchSet,
         windows: std::ops::Range<usize>,
-        pair_windows: VecDeque<Vec<f64>>,
+        table: CorrView<'_>,
         corrs: Vec<f64>,
     ) -> Result<Self> {
         let basic_window = sketch.basic_window();
         let n_pairs = packed_pairs(sketch.series_count());
-        if windows.is_empty() || pair_windows.len() != windows.len() {
+        let shape = (table.window_count(), table.pair_count(), corrs.len());
+        if windows.is_empty() || shape != (windows.len(), n_pairs, n_pairs) {
             return Err(Error::SketchMismatch {
-                requested: format!("one stored pair row per window of the non-empty {windows:?}"),
-                available: format!("{} pair rows", pair_windows.len()),
+                requested: format!(
+                    "a row of {n_pairs} values per window of {windows:?} and as many correlations"
+                ),
+                available: format!("(rows, values per row, correlations) = {shape:?}"),
             });
         }
-        if let Some(bad) = pair_windows
-            .iter()
-            .chain([&corrs])
-            .find(|row| row.len() != n_pairs)
-        {
-            return Err(Error::SketchMismatch {
-                requested: format!("{n_pairs} values per pair row and in the correlations"),
-                available: format!("{} values", bad.len()),
-            });
+        let mut pair_windows = WindowRows::from_flat(Vec::new(), n_pairs, 0);
+        for k in 0..table.window_count() {
+            pair_windows.push(table.window_row(k).to_vec());
         }
         let series = (0..sketch.series_count())
             .map(|i| {
@@ -586,67 +585,47 @@ impl SlidingState {
 
     /// Number of basic windows in the sliding query window.
     pub fn window_count(&self) -> usize {
-        self.pair_windows.len()
+        self.pair_windows.window_count()
     }
 
-    /// Slide forward by one basic window; `chunk[i]` holds the `B` newly
-    /// observed points of series `i`. The engine supplies its two
-    /// differences: `arriving_row` fills the arriving window's stored
-    /// packed per-pair row from the chunk's per-series statistics, and
-    /// `row_corr` maps a stored row value to that window's pair correlation.
+    /// Slide forward by one basic window: `stats[i]` are the arriving
+    /// window's statistics of series `i` and `arriving` its packed per-pair
+    /// row, both as the arrival step ([`arriving_window`]) and the engine's
+    /// kernel minted them; `row_corr` maps a stored row value to that
+    /// window's pair correlation. Statistics of another series count or
+    /// window length, or a row of another width, are an
+    /// [`Error::SketchMismatch`] and leave the state as it was.
     ///
-    /// The tick, in order: the arriving row; the per-series terms of Lemma 2
-    /// (`δ`, `α`, the variance term and its root — once per series, from the
-    /// pre-slide state); the pair sweep, which leaves in every slot the bits
+    /// The tick, in order: the per-series terms of Lemma 2 (`δ`, `α`, the
+    /// variance term and its root — once per series, from the pre-slide
+    /// state); the pair sweep, which leaves in every slot the bits
     /// [`lemma2_update`] returns for that pair, for any worker count of
     /// `runner`; the subscription's re-threshold pass, if any; and only then
-    /// the slide of the per-series state and of the stored rows.
+    /// the slide of the per-series state and of the stored rows, which takes
+    /// `arriving` as the newest row without copying it.
     pub fn slide_in(
         &mut self,
         runner: &dyn JobRunner,
-        chunk: &[Vec<f64>],
-        arriving_row: impl FnOnce(&[WindowStats], &mut [f64]),
+        stats: &[WindowStats],
+        arriving: Vec<f64>,
         row_corr: impl Fn(f64) -> f64 + Sync,
     ) -> Result<()> {
-        let n = self.series.len();
-        if chunk.len() != n {
-            return Err(Error::UnalignedSeries {
-                expected: n,
-                found: chunk.len(),
-                index: 0,
+        let (n, b, pairs) = (self.series.len(), self.basic_window, self.corrs.len());
+        if stats.len() != n || stats.iter().any(|s| s.len != b) || arriving.len() != pairs {
+            return Err(Error::SketchMismatch {
+                requested: format!("{n} windows of {b} points and {pairs} pair values"),
+                available: format!("{} windows and {} pair values", stats.len(), arriving.len()),
             });
         }
-        for points in chunk {
-            if points.len() != self.basic_window {
-                return Err(Error::ChunkSizeMismatch {
-                    expected: self.basic_window,
-                    found: points.len(),
-                });
-            }
-        }
-
-        // Sketch the arriving basic window: per-series statistics, then the
-        // engine's per-pair row.
-        let arriving_stats: Vec<WindowStats> = chunk
-            .iter()
-            .map(|points| WindowStats::from_values(points))
-            .collect();
-        let mut arriving = vec![0.0f64; self.corrs.len()];
-        arriving_row(&arriving_stats, &mut arriving);
 
         // The per-series half of Lemma 2, once per series, read from the
-        // pre-slide state; then the per-pair half over every pair. The
-        // evicted window's row is moved out up front so the sweep can borrow
-        // `self.corrs` mutably alongside it.
-        let terms = SeriesTerms::new(&self.series, &arriving_stats, self.basic_window);
-        let evicted = self
-            .pair_windows
-            .pop_front()
-            .expect("validated: the query window is never empty");
+        // pre-slide state; then the per-pair half over every pair.
+        let terms = SeriesTerms::new(&self.series, stats, b);
+        let held = self.pair_windows.view(0..self.pair_windows.window_count());
         slide_pair_sweep(
             runner,
             &terms,
-            &evicted,
+            held.window_row(0),
             &arriving,
             row_corr,
             &mut self.corrs,
@@ -655,10 +634,11 @@ impl SlidingState {
             watch.observe(&self.corrs);
         }
 
-        for (state, stats) in self.series.iter_mut().zip(&arriving_stats) {
+        for (state, stats) in self.series.iter_mut().zip(stats) {
             state.slide(*stats);
         }
-        self.pair_windows.push_back(arriving);
+        self.pair_windows.drop_oldest();
+        self.pair_windows.push(arriving);
         Ok(())
     }
 
@@ -714,28 +694,27 @@ impl SlidingState {
         self.watch = None;
     }
 
-    /// Per-series statistics of every basic window inside the query window
-    /// (oldest first, series ids re-indexed from 0) — the series half of a
-    /// snapshot sketch.
-    pub fn series_sketches(&self) -> Vec<SeriesSketch> {
-        self.series
+    /// The stored per-pair rows, one per basic window inside the query
+    /// window, oldest first. A clone shares every row.
+    pub fn rows(&self) -> &WindowRows {
+        &self.pair_windows
+    }
+
+    /// The query window as a sketch over `rows` (one per window, oldest
+    /// first; re-indexed from 0), its statistics copied (`O(N·W)`). An epoch
+    /// is this over a clone of [`SlidingState::rows`] (`O(W)` count bumps),
+    /// which no later tick changes: a tick never writes to a stored row.
+    pub fn window_sketch(&self, rows: WindowRows) -> Result<SketchSet> {
+        let series = self
+            .series
             .iter()
             .enumerate()
             .map(|(series, state)| SeriesSketch {
                 series,
-                windows: state.window_stats().collect(),
+                windows: state.windows.iter().copied().collect(),
             })
-            .collect()
-    }
-
-    /// The stored per-pair rows flattened window-major (oldest window
-    /// first): the pair table of a snapshot sketch, copied as is.
-    pub fn window_major_rows(&self) -> Vec<f64> {
-        let mut flat = Vec::with_capacity(self.pair_windows.len() * self.corrs.len());
-        for row in &self.pair_windows {
-            flat.extend_from_slice(row);
-        }
-        flat
+            .collect();
+        SketchSet::from_window_major(self.basic_window, self.series.len(), series, rows)
     }
 }
 
@@ -822,15 +801,12 @@ impl SlidingNetwork {
         // One shared QueryPlan computes the per-series half of Lemma 1 once;
         // the dense fill runs its batch kernel over the sketch's window-major
         // table (on aligned windows bit-identical to the scalar
-        // `exact::pair_correlation_aligned`). The stored rows are contiguous
-        // copies of that table's rows.
+        // `exact::pair_correlation_aligned`). The stored rows are copies of
+        // that table's rows.
         let plan = QueryPlan::build_aligned(sketch, first_window..available)?;
         let table = sketch.window_corrs_view(first_window..available);
         let (corrs, _) = fill_packed(&SerialRunner, &plan, table)?;
-        let pair_windows: VecDeque<Vec<f64>> =
-            (0..ns).map(|k| table.window_row(k).to_vec()).collect();
-
-        let state = SlidingState::new(sketch, first_window..available, pair_windows, corrs)?;
+        let state = SlidingState::new(sketch, first_window..available, table, corrs)?;
         Ok(Self { state })
     }
 
@@ -851,30 +827,12 @@ impl SlidingNetwork {
     /// [`SlidingNetwork::ingest`] for any worker count (each pair's update
     /// reads only shared snapshots and its own slot).
     pub fn ingest_in(&mut self, runner: &dyn JobRunner, chunk: &[Vec<f64>]) -> Result<()> {
-        // The arriving window's row comes from the shared exact window kernel
-        // (inline: `runner` fans out the Lemma 2 sweep only). A stored row
-        // value is the correlation itself.
-        let arriving_corrs = |stats: &[WindowStats], row: &mut [f64]| {
-            window_corrs_into(chunk, stats, &SerialRunner, &mut Vec::new(), row);
-        };
-        self.state.slide_in(runner, chunk, arriving_corrs, |c| c)
-    }
-
-    /// Freeze the sliding state into an immutable [`SketchSet`] covering
-    /// exactly the basic windows currently inside the query window (oldest
-    /// first, re-indexed from 0). The snapshot shares no storage with the
-    /// live network, so an epoch-publication layer can hand it out behind an
-    /// `Arc` while ingestion keeps sliding. Queries planned against the
-    /// snapshot are bit-identical to planning against the original sketch
-    /// over the same windows: per-window statistics and correlations are
-    /// copied, never recomputed.
-    pub fn snapshot_sketch(&self) -> Result<SketchSet> {
-        SketchSet::from_window_major(
-            self.basic_window(),
-            self.series_count(),
-            self.series_sketches(),
-            self.window_major_rows(),
-        )
+        // The arrival step, then the arriving row from the shared exact
+        // window kernel (inline: `runner` fans out the Lemma 2 sweep only).
+        // A stored row value is the correlation itself.
+        let stats = arriving_window(chunk, self.series_count(), self.basic_window())?;
+        let row = arriving_corrs(chunk, &stats);
+        self.state.slide_in(runner, &stats, row, |c| c)
     }
 }
 
@@ -1109,7 +1067,8 @@ mod tests {
                     .collect(),
             })
             .collect();
-        let rows = vec![0.0; lens[0].len() * packed_pairs(n)];
+        let (windows, pairs) = (lens[0].len(), packed_pairs(n));
+        let rows = WindowRows::from_flat(vec![0.0; windows * pairs], pairs, windows);
         SketchSet::from_window_major(basic_window, n, series, rows)
     }
 
@@ -1128,8 +1087,9 @@ mod tests {
         // One row per way to break a tick: sketch, window range, stored rows,
         // values per row, values in `corrs` (3 series: 3 pairs).
         let build = |sketch, windows, rows: usize, row_len: usize, corrs_len: usize| {
-            let pair_windows = (0..rows).map(|_| vec![0.1; row_len]).collect();
-            SlidingState::new(sketch, windows, pair_windows, vec![0.2; corrs_len])
+            let table = vec![0.1; rows * row_len];
+            let table = CorrView::new(&table, row_len, rows);
+            SlidingState::new(sketch, windows, table, vec![0.2; corrs_len])
         };
         assert!(build(&good, 1..3, 2, 3, 3).is_ok());
         for (what, built) in [
@@ -1208,7 +1168,7 @@ mod tests {
                 let evicted = WindowContribution {
                     x: x.front().unwrap(),
                     y: y.front().unwrap(),
-                    corr: row_corr(pre.pair_windows[0][idx]),
+                    corr: row_corr(pre.pair_windows.view(0..1).window_row(0)[idx]),
                 };
                 let arriving = WindowContribution {
                     x: arriving_stats[i],
@@ -1244,8 +1204,9 @@ mod tests {
         let expected = lemma2_pair_by_pair(pre, &stats, arriving_row, row_corr);
         let mut state = pre.clone();
         let runner = crate::runner::ScopedRunner::new(workers);
-        let copy_row = |_: &[WindowStats], row: &mut [f64]| row.copy_from_slice(arriving_row);
-        state.slide_in(&runner, chunk, copy_row, row_corr).unwrap();
+        state
+            .slide_in(&runner, &stats, arriving_row.to_vec(), row_corr)
+            .unwrap();
         for (idx, (got, want)) in state.corrs.iter().zip(&expected).enumerate() {
             assert_eq!(
                 got.to_bits(),
@@ -1304,12 +1265,12 @@ mod tests {
                     })
                     .collect()
             };
-            let pair_windows: VecDeque<Vec<f64>> =
-                (0..windows).map(|_| stored_row(&mut rng)).collect();
+            let table: Vec<f64> = (0..windows).flat_map(|_| stored_row(&mut rng)).collect();
             let corrs = stored_row(&mut rng);
-            let sketch =
-                SketchSet::from_window_major(b, n, series, vec![0.0; windows * pairs]).unwrap();
-            let initial = SlidingState::new(&sketch, 0..windows, pair_windows, corrs).unwrap();
+            let zeros = WindowRows::from_flat(vec![0.0; windows * pairs], pairs, windows);
+            let sketch = SketchSet::from_window_major(b, n, series, zeros).unwrap();
+            let table = CorrView::new(&table, pairs, windows);
+            let initial = SlidingState::new(&sketch, 0..windows, table, corrs).unwrap();
 
             let mut exact = initial.clone();
             let mut clamped = initial;
@@ -1359,6 +1320,27 @@ mod tests {
         assert!(net
             .ingest(&[vec![0.0; 5], vec![0.0; 5], vec![0.0; 5]])
             .is_err());
+    }
+
+    #[test]
+    fn slide_in_rejects_values_of_another_shape() {
+        let (_, mut net) = build_network(3, 100, 10, 50);
+        let before = net.correlation_matrix();
+        let stats = [WindowStats::from_values(&[1.0; 10]); 3];
+        let short = [WindowStats::from_values(&[1.0; 9]); 3];
+        for (what, stats, row) in [
+            ("two series", &stats[..2], vec![0.0; 3]),
+            ("a 9-point window", &short[..], vec![0.0; 3]),
+            ("a short row", &stats[..], vec![0.0; 2]),
+        ] {
+            let sliding = net.slide_in(&SerialRunner, stats, row, |c| c);
+            assert!(
+                matches!(sliding, Err(Error::SketchMismatch { .. })),
+                "{what}: {sliding:?}"
+            );
+        }
+        assert_eq!(net.correlation_matrix(), before);
+        assert_eq!(net.window_count(), 5);
     }
 
     #[test]

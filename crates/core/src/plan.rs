@@ -742,8 +742,8 @@ impl std::fmt::Debug for SharedRow {
     }
 }
 
-/// An append-only window-major table of shared immutable rows — the pair
-/// table of the in-memory sketches.
+/// A window-major table of shared immutable rows — the pair table of the
+/// in-memory sketches and of the sliding state.
 ///
 /// The table takes ownership of the buffers it is given, whole
 /// ([`WindowRows::from_flat`]: every row of a built sketch lies in the one
@@ -752,8 +752,9 @@ impl std::fmt::Debug for SharedRow {
 /// again. So a clone shares every row (one reference-count bump each, no
 /// value copied), and appending a window adds that window's buffer alone:
 /// nothing stored is copied, moved or regrown. An epoch published as a clone
-/// of a growing sketch therefore costs `O(windows)` whatever the pair count,
-/// and a block is freed when the last table holding one of its rows goes.
+/// of a growing sketch or of a sliding state's rows therefore costs
+/// `O(windows)` whatever the pair count, and a block is freed when the last
+/// table holding one of its rows goes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowRows {
     pairs: usize,
@@ -761,6 +762,14 @@ pub struct WindowRows {
 }
 
 impl WindowRows {
+    /// `windows` windows that all share the one buffer `row`.
+    pub fn repeated(row: Vec<f64>, windows: usize) -> Self {
+        let pairs = row.len();
+        let mut table = Self::from_flat(row, pairs, 1);
+        table.rows = vec![table.rows[0].clone(); windows];
+        table
+    }
+
     /// Take a window-major buffer (`flat[k · pairs + p]`) as the rows of
     /// `windows` windows, without copying it.
     ///
@@ -794,6 +803,24 @@ impl WindowRows {
             span: 0..row.len(),
             block: Arc::new(row),
         });
+    }
+
+    /// Let go of the oldest window's row; its buffer is freed unless another
+    /// table still shares it.
+    pub fn drop_oldest(&mut self) {
+        if !self.rows.is_empty() {
+            self.rows.remove(0);
+        }
+    }
+
+    /// Number of windows held.
+    pub fn window_count(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Number of values in every row.
+    pub fn pair_count(&self) -> usize {
+        self.pairs
     }
 
     /// Zero-copy view of the rows of `windows`.

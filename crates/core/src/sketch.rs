@@ -149,6 +149,38 @@ pub fn packed_pairs(n: usize) -> usize {
     n * n.saturating_sub(1) / 2
 }
 
+/// The arrival step of Algorithm 3, the one way a completed basic window
+/// enters a sketch, a pile or a sliding state: check that `chunk` holds `b`
+/// points of each of `n` series ([`Error::UnalignedSeries`] /
+/// [`Error::ChunkSizeMismatch`]) and summarize each series once. The
+/// window's row then comes from its method's one kernel ([`arriving_corrs`],
+/// or the comparator's), and every consumer takes both as they are.
+pub fn arriving_window(chunk: &[Vec<f64>], n: usize, b: usize) -> Result<Vec<WindowStats>> {
+    if chunk.len() != n {
+        return Err(Error::UnalignedSeries {
+            expected: n,
+            found: chunk.len(),
+            index: 0,
+        });
+    }
+    if let Some(points) = chunk.iter().find(|points| points.len() != b) {
+        return Err(Error::ChunkSizeMismatch {
+            expected: b,
+            found: points.len(),
+        });
+    }
+    Ok(chunk.iter().map(|p| WindowStats::from_values(p)).collect())
+}
+
+/// The packed correlation row of an arriving window: the exact window kernel
+/// ([`window_corrs_into`]) on the calling thread, so the row is the one
+/// [`SketchSet::build`] stores for the same window, bit for bit.
+pub fn arriving_corrs(chunk: &[Vec<f64>], stats: &[WindowStats]) -> Vec<f64> {
+    let mut row = vec![0.0; packed_pairs(chunk.len())];
+    window_corrs_into(chunk, stats, &SerialRunner, &mut Vec::new(), &mut row);
+    row
+}
+
 /// Pair-block size of the cache-blocked scatter: one tile fills a contiguous
 /// 512-byte run of a window row while keeping 64 per-pair read streams open,
 /// instead of striding the whole `ns × P` table per pair.
@@ -307,20 +339,20 @@ impl SketchSet {
                 ),
             });
         }
-        let window_corrs = scatter_pair_rows(&pairs, ns);
+        let window_corrs = WindowRows::from_flat(scatter_pair_rows(&pairs, ns), n_pairs, ns);
         Self::from_window_major(basic_window, n_series, series, window_corrs)
     }
 
     /// Construct a sketch set from per-series statistics plus the
-    /// window-major pair-correlation table itself (`window_corrs[w·P + p]`,
-    /// packed pair order, one row per window of `series`), taking ownership
-    /// of both — no layout conversion. Snapshot paths that already hold
-    /// window-major rows (`SlidingNetwork::snapshot_sketch`) use this.
+    /// window-major pair-correlation table itself (one row of `P` packed
+    /// correlations per window of `series`), taken as it is: rows shared with
+    /// another table stay shared, so a realtime epoch is this over a clone of
+    /// the sliding state's rows.
     pub fn from_window_major(
         basic_window: usize,
         n_series: usize,
         series: Vec<SeriesSketch>,
-        window_corrs: Vec<f64>,
+        window_corrs: WindowRows,
     ) -> Result<Self> {
         if basic_window == 0 {
             return Err(Error::InvalidBasicWindow {
@@ -330,17 +362,11 @@ impl SketchSet {
         }
         let n_pairs = packed_pairs(n_series);
         let ns = series.first().map_or(0, |s| s.windows.len());
-        if series.len() != n_series || window_corrs.len() != ns * n_pairs {
+        let (rows, width) = (window_corrs.window_count(), window_corrs.pair_count());
+        if series.len() != n_series || rows != ns || width != n_pairs {
             return Err(Error::SketchMismatch {
-                requested: format!(
-                    "{n_series} series / {} pair correlations ({ns} windows × {n_pairs} pairs)",
-                    ns * n_pairs
-                ),
-                available: format!(
-                    "{} series / {} pair correlations",
-                    series.len(),
-                    window_corrs.len()
-                ),
+                requested: format!("{n_series} series / {ns} windows × {n_pairs} pairs"),
+                available: format!("{} series / {rows} windows × {width} pairs", series.len()),
             });
         }
         if let Some((id, ragged)) = series
@@ -357,7 +383,7 @@ impl SketchSet {
             basic_window,
             n_series,
             series,
-            window_corrs: WindowRows::from_flat(window_corrs, n_pairs, ns),
+            window_corrs,
         })
     }
 
@@ -635,9 +661,13 @@ mod tests {
         let c = SeriesCollection::from_rows(rows).unwrap();
         let sketch = SketchSet::build(&c, 4).unwrap();
         let series: Vec<SeriesSketch> = sketch.series_sketches().cloned().collect();
-        let table: Vec<f64> = (0..4)
-            .flat_map(|w| sketch.window_corrs_view(w..w + 1).window_row(0).to_vec())
-            .collect();
+        let table = WindowRows::from_flat(
+            (0..4)
+                .flat_map(|w| sketch.window_corrs_view(w..w + 1).window_row(0).to_vec())
+                .collect(),
+            3,
+            4,
+        );
         let pairs: Vec<PairSketch> = c
             .pairs()
             .map(|(i, j)| sketch.pair_sketch(i, j).unwrap())

@@ -5,8 +5,8 @@
 //! [`tsubasa_core::incremental::SlidingNetwork`]. Both hold the same
 //! [`SlidingState`] and run the same tick — arriving-window row, one Lemma 2
 //! sweep over every pair, one re-threshold pass if subscribed — so the
-//! accessors, the chunk checks, the sweep and the edge subscription are the
-//! shared type's. This engine supplies the two things that differ. When a new
+//! accessors, the arrival step, the sweep and the edge subscription are
+//! shared. This engine supplies the two things that differ. When a new
 //! basic window arrives it computes that window's packed row of Equation 3
 //! estimates `ĉ_{ns+1} = 1 − d²/2` through the comparator's window kernel
 //! ([`ComparatorKernel`] — normalize, transform, one tiled difference-square
@@ -20,15 +20,14 @@
 //! contribution gathering, mirroring the exact updater's plan-based
 //! bootstrap.
 
-use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::incremental::SlidingState;
 use tsubasa_core::runner::{JobRunner, SerialRunner};
-use tsubasa_core::stats::{clamp_corr, WindowStats};
+use tsubasa_core::sketch::arriving_window;
+use tsubasa_core::stats::clamp_corr;
 use tsubasa_core::sweep::fill_packed;
-use tsubasa_core::SketchSet;
 
 use crate::plan::ApproxPlan;
 use crate::sketch::{ComparatorKernel, DftSketchSet, Transform};
@@ -97,18 +96,20 @@ impl SlidingApproxNetwork {
         }
         let first = available - ns;
 
-        // The dense fill over the estimate table; each stored window's
-        // packed per-pair estimates are one contiguous row of that table.
+        // The dense fill over the estimate table; the stored rows are copies
+        // of that table's rows.
         let plan = ApproxPlan::build(sketch, first..available)?;
         let table = sketch.window_ests_view(first..available);
         let (corrs, _) = fill_packed(&SerialRunner, plan.query_plan(), table)?;
-        let pair_windows: VecDeque<Vec<f64>> =
-            (0..ns).map(|k| table.window_row(k).to_vec()).collect();
-
         Ok(Self {
-            state: SlidingState::new(sketch.base(), first..available, pair_windows, corrs)?,
+            state: SlidingState::new(sketch.base(), first..available, table, corrs)?,
             kernel: ComparatorKernel::new(b, sketch.coefficients(), Self::TRANSFORM),
         })
+    }
+
+    /// Number of DFT coefficients behind every stored estimate.
+    pub fn coefficients(&self) -> usize {
+        self.kernel.coefficients()
     }
 
     /// Slide forward by one basic window given the newly arrived chunk
@@ -129,40 +130,14 @@ impl SlidingApproxNetwork {
     /// identical to the serial path for any worker count (each pair reads
     /// only shared snapshots and its own slot).
     pub fn ingest_in(&mut self, runner: &dyn JobRunner, chunk: &[Vec<f64>]) -> Result<()> {
-        let kernel = &mut self.kernel;
-        // The arriving window's row comes from the shared comparator kernel
-        // (inline: `runner` fans out the Equation 6 sweep only).
-        let arriving_ests = |stats: &[WindowStats], row: &mut [f64]| {
-            kernel.window_ests_into(chunk, stats, &SerialRunner, row);
-        };
+        // The arrival step, then the arriving row from the comparator kernel
+        // this engine keeps (inline: `runner` fans out the Equation 6 sweep
+        // only).
+        let stats = arriving_window(chunk, self.series_count(), self.basic_window())?;
+        let row = self.kernel.arriving_ests(chunk, &stats);
         // Equation 6 is Lemma 2 over estimate-derived window correlations
         // (the stored `ĉ = 1 − d²/2`, clamped into [-1, 1]).
-        self.state
-            .slide_in(runner, chunk, arriving_ests, clamp_corr)
-    }
-
-    /// Freeze the sliding state into an immutable [`DftSketchSet`] covering
-    /// exactly the basic windows currently inside the query window (oldest
-    /// first, re-indexed from 0), for epoch publication: the snapshot shares
-    /// no storage with the live network, so readers can plan against it
-    /// behind an `Arc` while ingestion keeps sliding.
-    ///
-    /// The approximate updater maintains per-window *estimates*, not the
-    /// exact per-window pair correlations of the underlying
-    /// [`SketchSet`] — so the base sketch's pair correlations are filled with
-    /// NaN, the repo-wide marker for method-mismatched sketch data. The
-    /// snapshot supports every [`ApproxPlan`] path bit-identically to a
-    /// built sketch; exact (Lemma 1) queries against its base are answerable
-    /// only through the NaN-auditing sinks and will report every pair.
-    pub fn snapshot_sketch(&self) -> Result<DftSketchSet> {
-        let window_ests = self.window_major_rows();
-        let base = SketchSet::from_window_major(
-            self.basic_window(),
-            self.series_count(),
-            self.series_sketches(),
-            vec![f64::NAN; window_ests.len()],
-        )?;
-        DftSketchSet::from_parts(base, self.kernel.coefficients(), window_ests)
+        self.state.slide_in(runner, &stats, row, clamp_corr)
     }
 }
 

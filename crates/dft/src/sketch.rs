@@ -24,8 +24,10 @@
 //!
 //! [`ComparatorKernel::window_ests_into`] turns one basic window into its
 //! packed row of estimates, and every site that sketches a comparator window
-//! calls it ([`DftSketchSet::build`] and [`DftSketchSet::push_window`], the
-//! sliding updater, the parallel engine's pile sketching). The first `n`
+//! calls it ([`DftSketchSet::build`], the parallel engine's pile sketching,
+//! and [`ComparatorKernel::arriving_ests`] for every arriving window of a
+//! dual epoch ingest or a sliding updater, each holding one kernel across
+//! windows). The first `n`
 //! complex coefficients of every series' normalized window are flattened into
 //! `2n` real values (`[re₀, im₀, re₁, im₁, …]`) and written to the series'
 //! lane of a packed panel block ([`tsubasa_core::stats::packed_lane_mut`]),
@@ -46,9 +48,7 @@ use tsubasa_core::plan::{CorrView, PlanMethod, WindowRows};
 use tsubasa_core::runner::{JobRunner, SerialRunner};
 use tsubasa_core::sketch::{packed_pairs, pair_index};
 use tsubasa_core::source::{check_source_windows, CorrSource, PairTable};
-use tsubasa_core::stats::{
-    packed_lane_mut, packed_len, tiled_pair_dist_sq_in, window_corrs_into, WindowStats,
-};
+use tsubasa_core::stats::{packed_lane_mut, packed_len, tiled_pair_dist_sq_in, WindowStats};
 use tsubasa_core::{SeriesCollection, SketchSet};
 
 use crate::dft::{coefficient_distance, naive_dft, Complex, DftPlanner};
@@ -159,6 +159,14 @@ impl ComparatorKernel {
             *slot = estimate_from_distance_sq(d_sq);
         }
     }
+
+    /// The packed estimate row of an arriving window
+    /// ([`tsubasa_core::sketch::arriving_window`]), on the calling thread.
+    pub fn arriving_ests(&mut self, chunk: &[Vec<f64>], stats: &[WindowStats]) -> Vec<f64> {
+        let mut row = vec![0.0; packed_pairs(chunk.len())];
+        self.window_ests_into(chunk, stats, &SerialRunner, &mut row);
+        row
+    }
 }
 
 impl DftSketchSet {
@@ -252,77 +260,47 @@ impl DftSketchSet {
     }
 
     /// Construct a comparator sketch from already-computed parts: the core
-    /// statistics sketch plus a window-major flat table of pair estimates
-    /// (`window_ests[w·P + p]`, same packed pair order as `base`), which
-    /// becomes the sketch's table as is. Used by snapshot paths that maintain
-    /// estimate rows incrementally
-    /// (`SlidingApproxNetwork::snapshot_sketch`) and by any epoch-publication
-    /// layer that freezes a growing comparator sketch.
-    pub fn from_parts(base: SketchSet, coefficients: usize, window_ests: Vec<f64>) -> Result<Self> {
+    /// statistics sketch plus the window-major table of pair estimates (one
+    /// row of `P` per window of `base`, same packed pair order), taken as it
+    /// is: rows shared with another table stay shared, so a realtime epoch of
+    /// the approximate engine is this over a clone of the sliding state's
+    /// rows.
+    pub fn from_parts(base: SketchSet, coefficients: usize, ests: WindowRows) -> Result<Self> {
         let n_pairs = packed_pairs(base.series_count());
         let ns = base.window_count();
-        if window_ests.len() != ns * n_pairs {
+        let (rows, width) = (ests.window_count(), ests.pair_count());
+        if rows != ns || width != n_pairs {
             return Err(Error::SketchMismatch {
-                requested: format!(
-                    "{} pair estimates ({ns} windows × {n_pairs} pairs)",
-                    ns * n_pairs
-                ),
-                available: format!("{} pair estimates", window_ests.len()),
+                requested: format!("{ns} windows × {n_pairs} pair estimates"),
+                available: format!("{rows} windows × {width} pair estimates"),
             });
         }
-        let n_coeff = coefficients.clamp(1, base.basic_window());
         Ok(Self {
+            coefficients: coefficients.clamp(1, base.basic_window()),
             base,
-            coefficients: n_coeff,
-            window_ests: WindowRows::from_flat(window_ests, n_pairs, ns),
+            window_ests: ests,
         })
     }
 
-    /// Append the sketch of one newly completed basic window from its raw
-    /// points (`chunk[i]` holds the `B` new values of series `i`): per-series
-    /// statistics, per-pair correlations (both into the core `base` sketch)
-    /// and per-pair estimates, through the two shared window kernels
-    /// ([`window_corrs_into`], [`ComparatorKernel`]). This is the real-time
-    /// ingestion path of the comparator; a grown sketch stays bit-equal to
-    /// one rebuilt with [`DftSketchSet::build`] over the extended data.
-    pub fn push_window(&mut self, chunk: &[Vec<f64>], transform: Transform) -> Result<()> {
-        let n = self.series_count();
-        let b = self.basic_window();
-        if chunk.len() != n {
-            return Err(Error::UnalignedSeries {
-                expected: n,
-                found: chunk.len(),
-                index: 0,
+    /// Append one newly completed basic window — its per-series statistics
+    /// and pair correlations (into `base`) and its pair estimates, as the
+    /// arrival step ([`tsubasa_core::sketch::arriving_window`]) and the two
+    /// window kernels minted them — so a grown sketch stays bit-equal to one
+    /// rebuilt with [`DftSketchSet::build`]. Parts of the wrong arity are an
+    /// [`Error::SketchMismatch`] and append nothing.
+    pub fn push_window(
+        &mut self,
+        stats: Vec<WindowStats>,
+        pair_corrs: Vec<f64>,
+        ests: Vec<f64>,
+    ) -> Result<()> {
+        let n_pairs = packed_pairs(self.series_count());
+        if ests.len() != n_pairs {
+            return Err(Error::SketchMismatch {
+                requested: format!("{} pair estimates", ests.len()),
+                available: format!("{n_pairs} pairs"),
             });
         }
-        for points in chunk {
-            if points.len() != b {
-                return Err(Error::ChunkSizeMismatch {
-                    expected: b,
-                    found: points.len(),
-                });
-            }
-        }
-        let stats: Vec<WindowStats> = chunk
-            .iter()
-            .map(|points| WindowStats::from_values(points))
-            .collect();
-        let mut pair_corrs = vec![0.0f64; packed_pairs(n)];
-        window_corrs_into(
-            chunk,
-            &stats,
-            &SerialRunner,
-            &mut Vec::new(),
-            &mut pair_corrs,
-        );
-        let mut ests = vec![0.0f64; packed_pairs(n)];
-        ComparatorKernel::new(b, self.coefficients, transform).window_ests_into(
-            chunk,
-            &stats,
-            &SerialRunner,
-            &mut ests,
-        );
-
         self.base.push_window(stats, pair_corrs)?;
         self.window_ests.push(ests);
         Ok(())
@@ -427,6 +405,7 @@ impl CorrSource for DftSketchSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsubasa_core::sketch::{arriving_corrs, arriving_window};
     use tsubasa_core::stats::pearson;
 
     fn collection(n: usize, len: usize) -> SeriesCollection {
@@ -599,12 +578,16 @@ mod tests {
         let table: Vec<f64> = (0..5)
             .flat_map(|w| built.window_ests_view(w..w + 1).window_row(0).to_vec())
             .collect();
+        let table = WindowRows::from_flat(table, 6, 5);
         let mut assembled = DftSketchSet::from_parts(built.base().clone(), 10, table).unwrap();
         assert_eq!(assembled, built);
         assert_mirrors(&assembled, &c);
 
         let chunk: Vec<Vec<f64>> = full.iter().map(|s| s.values()[100..].to_vec()).collect();
-        assembled.push_window(&chunk, Transform::Naive).unwrap();
+        let stats = arriving_window(&chunk, 4, 20).unwrap();
+        let corrs = arriving_corrs(&chunk, &stats);
+        let ests = ComparatorKernel::new(20, 10, Transform::Naive).arriving_ests(&chunk, &stats);
+        assembled.push_window(stats, corrs, ests).unwrap();
         assert_mirrors(&assembled, &full);
         assert_eq!(
             assembled,
@@ -623,8 +606,9 @@ mod tests {
     #[test]
     fn an_empty_sketch_stores_no_floats() {
         // Zero series: the pair count saturates instead of underflowing.
-        let base = SketchSet::from_window_major(4, 0, vec![], vec![]).unwrap();
-        let empty = DftSketchSet::from_parts(base, 2, vec![]).unwrap();
+        let base = SketchSet::from_window_major(4, 0, vec![], WindowRows::from_flat(vec![], 0, 0));
+        let empty = DftSketchSet::from_parts(base.unwrap(), 2, WindowRows::from_flat(vec![], 0, 0));
+        let empty = empty.unwrap();
         assert_eq!(empty.stored_floats(), 0);
     }
 }

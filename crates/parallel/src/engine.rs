@@ -37,7 +37,9 @@ use tsubasa_core::sweep::{
 use tsubasa_core::window::BasicWindowing;
 use tsubasa_core::SeriesCollection;
 use tsubasa_dft::sketch::{ComparatorKernel, Transform};
-use tsubasa_storage::pile::{PileBatchWriter, PileSlab, PileWriter, SegmentKind, SketchPile};
+use tsubasa_storage::pile::{
+    encode_series_stats, PileBatchWriter, PileSlab, PileWriter, SegmentKind, SketchPile,
+};
 
 use crate::pool::WorkerPool;
 use crate::timing::{QueryReport, SketchReport};
@@ -204,10 +206,7 @@ impl ParallelEngine {
                     .map(|s| WindowStats::from_values(span.slice(s.values()))),
             );
         }
-        let stats_rows = stats
-            .iter()
-            .flat_map(|st| [st.len as f64, st.mean, st.std])
-            .collect();
+        let stats_rows = encode_series_stats(&stats);
         let mut compute_time = compute_start.elapsed();
         send(PileSlab::Stats(stats_rows))?;
 
@@ -444,6 +443,7 @@ impl ParallelEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsubasa_core::plan::WindowRows;
     use tsubasa_core::sketch::pair_index;
     use tsubasa_core::{baseline, QueryWindow, SketchSet};
     use tsubasa_data::station::{generate_ncea_like, NceaLikeConfig};
@@ -703,6 +703,7 @@ mod tests {
         for w in 0..ns {
             ests[w * pairs + pair_index(0, 3, 4)] = f64::NAN;
         }
+        let ests = WindowRows::from_flat(ests, pairs, ns);
         let poisoned = DftSketchSet::from_parts(dft.base().clone(), 10, ests).unwrap();
 
         let (silent, _) = eng
@@ -749,6 +750,7 @@ mod tests {
             &tsubasa_core::SerialRunner,
             &mut ests[..pairs],
         );
+        let ests = WindowRows::from_flat(ests, pairs, ns);
         let poisoned_sketch = DftSketchSet::from_parts(dft.base().clone(), 10, ests).unwrap();
 
         let eng = ParallelEngine::new(ParallelConfig {

@@ -12,15 +12,16 @@
 //! exactly the snapshot that produced it.
 //!
 //! [`EpochIngest`] is the producing side: a [`StreamBuffer`] accumulates raw
-//! observations, and each released basic-window chunk is folded into a
-//! growing sketch ([`SketchSet::push_window`] /
+//! observations, and each released basic-window chunk goes through the one
+//! arrival step ([`arriving_window`], then each method's one kernel) and is
+//! folded into a growing sketch ([`SketchSet::push_window`] /
 //! [`DftSketchSet::push_window`]) whose clone becomes the next epoch. The
 //! clone shares every window row with the epochs before it — a row is
 //! immutable once appended — and copies only the per-series statistics, so
-//! publishing costs the arriving window, not the history.
-//! Networks that maintain sliding state instead
+//! publishing costs the arriving window, not the history. Sliding networks
 //! ([`tsubasa_stream::RealTimeNetwork`]) publish through their
-//! `publish_epoch()` hook and [`EpochStore::publish_sketches`].
+//! `publish_epoch()` hook and [`EpochStore::publish_sketches`], sharing
+//! their rows the same way.
 //!
 //! For served sets larger than RAM, [`EpochIngest::pile`] appends each
 //! completed window to an on-disk [`SketchPile`] instead of growing an
@@ -37,12 +38,11 @@ use std::time::Duration;
 
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::plan::PlanMethod;
-use tsubasa_core::runner::SerialRunner;
+use tsubasa_core::sketch::{arriving_corrs, arriving_window};
 use tsubasa_core::source::CorrSource;
-use tsubasa_core::stats::{window_corrs_into, WindowStats};
 use tsubasa_core::{SeriesCollection, SketchSet};
-use tsubasa_dft::sketch::{DftSketchSet, Transform};
-use tsubasa_storage::pile::{PileWriter, SegmentKind, SketchPile};
+use tsubasa_dft::sketch::{ComparatorKernel, DftSketchSet, Transform};
+use tsubasa_storage::pile::{encode_series_stats, PileWriter, SegmentKind, SketchPile};
 use tsubasa_stream::{EpochSketches, StreamBuffer};
 
 /// One immutable published snapshot: the sketches covering every basic
@@ -312,11 +312,40 @@ impl EpochStore {
 
 enum IngestSketch {
     Exact(SketchSet),
-    Dual {
-        sketch: DftSketchSet,
-        transform: Transform,
-    },
+    /// The comparator sketch and the one kernel that mints every arriving
+    /// window's estimate row.
+    Dual(DftSketchSet, ComparatorKernel),
     Pile(PileWriter),
+}
+
+impl IngestSketch {
+    /// Fold one completed basic window in: the arrival step, the kernel of
+    /// each method this flavor stores, and the push or append of what they
+    /// minted.
+    fn absorb(&mut self, chunk: &[Vec<f64>], n_series: usize, basic_window: usize) -> Result<()> {
+        let stats = arriving_window(chunk, n_series, basic_window)?;
+        let corrs = arriving_corrs(chunk, &stats);
+        match self {
+            IngestSketch::Exact(sketch) => sketch.push_window(stats, corrs),
+            IngestSketch::Dual(sketch, kernel) => {
+                let ests = kernel.arriving_ests(chunk, &stats);
+                sketch.push_window(stats, corrs, ests)
+            }
+            IngestSketch::Pile(writer) => {
+                writer.append(SegmentKind::SeriesStats, &encode_series_stats(&stats))?;
+                writer.append(SegmentKind::PairCorrs, &corrs).map(drop)
+            }
+        }
+    }
+
+    /// Publish the sketch as it stands as the next epoch of `store`.
+    fn publish(&self, store: &EpochStore) -> Result<Arc<Epoch>> {
+        match self {
+            IngestSketch::Exact(sketch) => store.publish(Some(sketch.clone()), None),
+            IngestSketch::Dual(sketch, _) => store.publish_dual(sketch.clone()),
+            IngestSketch::Pile(writer) => store.publish_pile(writer.snapshot()?),
+        }
+    }
 }
 
 /// The producing side of epoch publication: buffer raw observations, fold
@@ -334,9 +363,12 @@ enum IngestSketch {
 /// * [`EpochIngest::pile`] appends each completed window to an on-disk
 ///   [`SketchPile`] instead of growing an owned sketch; epochs carry a
 ///   memory-mapped snapshot of the pile, so the served set can exceed RAM.
-///   The appended rows go through the same `exact_window_parts` kernel as
-///   the exact flavor, so pile-served answers are bit-identical to
-///   sketch-served ones.
+///   The appended rows are the ones the exact flavor pushes, so pile-served
+///   answers are bit-identical to sketch-served ones.
+///
+/// Every flavor buffers the history's unsketched tail
+/// ([`StreamBuffer::after`]) and takes each completed window through the one
+/// arrival step ([`arriving_window`]) and its methods' kernels.
 pub struct EpochIngest {
     store: Arc<EpochStore>,
     buffer: StreamBuffer,
@@ -352,15 +384,7 @@ impl EpochIngest {
         basic_window: usize,
     ) -> Result<(Self, Arc<Epoch>)> {
         let sketch = SketchSet::build(historical, basic_window)?;
-        let first = store.publish(Some(sketch.clone()), None)?;
-        Ok((
-            Self {
-                store,
-                buffer: StreamBuffer::new(historical.len(), basic_window)?,
-                sketch: IngestSketch::Exact(sketch),
-            },
-            first,
-        ))
+        Self::start(store, historical, basic_window, IngestSketch::Exact(sketch))
     }
 
     /// Bootstrap dual-method ingestion (exact base + DFT comparator) from
@@ -373,15 +397,13 @@ impl EpochIngest {
         transform: Transform,
     ) -> Result<(Self, Arc<Epoch>)> {
         let sketch = DftSketchSet::build(historical, basic_window, coefficients, transform)?;
-        let first = store.publish_dual(sketch.clone())?;
-        Ok((
-            Self {
-                store,
-                buffer: StreamBuffer::new(historical.len(), basic_window)?,
-                sketch: IngestSketch::Dual { sketch, transform },
-            },
-            first,
-        ))
+        let kernel = ComparatorKernel::new(basic_window, coefficients, transform);
+        Self::start(
+            store,
+            historical,
+            basic_window,
+            IngestSketch::Dual(sketch, kernel),
+        )
     }
 
     /// Bootstrap pile-backed ingestion: sketch every complete basic window
@@ -393,26 +415,39 @@ impl EpochIngest {
         basic_window: usize,
         path: &Path,
     ) -> Result<(Self, Arc<Epoch>)> {
-        let buffer = StreamBuffer::new(historical.len(), basic_window)?;
-        let mut writer = PileWriter::create(path, historical.len(), basic_window)?;
-        let complete = historical.series_len() / basic_window;
-        for k in 0..complete {
+        let (n, b) = (historical.len(), basic_window);
+        let mut sketch = IngestSketch::Pile(PileWriter::create(path, n, b)?);
+        // One window at a time, through the same step as a streamed window:
+        // working memory is one window's rows, never the history's table.
+        for k in 0..historical.series_len() / b {
             let chunk: Vec<Vec<f64>> = historical
                 .iter()
-                .map(|s| s.values()[k * basic_window..(k + 1) * basic_window].to_vec())
+                .map(|s| s.values()[k * b..(k + 1) * b].to_vec())
                 .collect();
-            append_window_to_pile(&mut writer, &chunk)?;
+            sketch.absorb(&chunk, n, b)?;
         }
-        writer.sync()?;
-        let first = store.publish_pile(writer.snapshot()?)?;
-        Ok((
-            Self {
-                store,
-                buffer,
-                sketch: IngestSketch::Pile(writer),
-            },
-            first,
-        ))
+        if let IngestSketch::Pile(writer) = &mut sketch {
+            writer.sync()?;
+        }
+        Self::start(store, historical, b, sketch)
+    }
+
+    /// Buffer the history's unsketched tail and publish the bootstrapped
+    /// sketch as the first epoch.
+    fn start(
+        store: Arc<EpochStore>,
+        historical: &SeriesCollection,
+        basic_window: usize,
+        sketch: IngestSketch,
+    ) -> Result<(Self, Arc<Epoch>)> {
+        let buffer = StreamBuffer::after(historical, basic_window)?;
+        let first = sketch.publish(&store)?;
+        let ingest = Self {
+            store,
+            buffer,
+            sketch,
+        };
+        Ok((ingest, first))
     }
 
     /// The store this ingest publishes into.
@@ -426,41 +461,14 @@ impl EpochIngest {
     /// published by this call, oldest first.
     pub fn ingest(&mut self, updates: &[Vec<f64>]) -> Result<Vec<Arc<Epoch>>> {
         let chunks = self.buffer.push(updates)?;
+        let (n, b) = (self.buffer.series_count(), self.buffer.basic_window());
         let mut published = Vec::with_capacity(chunks.len());
         for chunk in chunks {
-            match &mut self.sketch {
-                IngestSketch::Exact(sketch) => {
-                    let (stats, corrs) = exact_window_parts(&chunk);
-                    sketch.push_window(stats, corrs)?;
-                    published.push(self.store.publish(Some(sketch.clone()), None)?);
-                }
-                IngestSketch::Dual { sketch, transform } => {
-                    sketch.push_window(&chunk, *transform)?;
-                    published.push(self.store.publish_dual(sketch.clone())?);
-                }
-                IngestSketch::Pile(writer) => {
-                    append_window_to_pile(writer, &chunk)?;
-                    published.push(self.store.publish_pile(writer.snapshot()?)?);
-                }
-            }
+            self.sketch.absorb(&chunk, n, b)?;
+            published.push(self.sketch.publish(&self.store)?);
         }
         Ok(published)
     }
-}
-
-/// Append one completed basic window to a pile: the `(len, mean, std)`
-/// statistics row plus the packed pair-correlation row, both produced by
-/// [`exact_window_parts`] — so the pile rows are bit-identical to the same
-/// window in an owned [`SketchSet`].
-fn append_window_to_pile(writer: &mut PileWriter, chunk: &[Vec<f64>]) -> Result<()> {
-    let (stats, corrs) = exact_window_parts(chunk);
-    let mut stats_row = Vec::with_capacity(stats.len() * 3);
-    for st in &stats {
-        stats_row.extend_from_slice(&[st.len as f64, st.mean, st.std]);
-    }
-    writer.append(SegmentKind::SeriesStats, &stats_row)?;
-    writer.append(SegmentKind::PairCorrs, &corrs)?;
-    Ok(())
 }
 
 /// Mirror in-memory sketches into a pile, window by window: the statistics
@@ -496,14 +504,9 @@ pub fn mirror_sketches_to_pile(
             });
         }
     }
-    let n = base.series_count();
     for w in 0..base.window_count() {
-        let mut stats_row = Vec::with_capacity(n * 3);
-        for i in 0..n {
-            let st = base.series_sketch(i)?.window(w);
-            stats_row.extend_from_slice(&[st.len as f64, st.mean, st.std]);
-        }
-        writer.append(SegmentKind::SeriesStats, &stats_row)?;
+        let stats: Vec<_> = base.series_sketches().map(|s| s.window(w)).collect();
+        writer.append(SegmentKind::SeriesStats, &encode_series_stats(&stats))?;
         if let Some(s) = exact {
             writer.append(
                 SegmentKind::PairCorrs,
@@ -518,22 +521,6 @@ pub fn mirror_sketches_to_pile(
         }
     }
     Ok(())
-}
-
-/// Sketch one completed basic window: per-series statistics plus the packed
-/// per-pair correlations, through the shared exact window kernel
-/// ([`window_corrs_into`], what [`SketchSet::build`] calls per window) — a
-/// window grown here is bit-identical to the same window in a from-scratch
-/// sketch.
-fn exact_window_parts(chunk: &[Vec<f64>]) -> (Vec<WindowStats>, Vec<f64>) {
-    let n = chunk.len();
-    let stats: Vec<WindowStats> = chunk
-        .iter()
-        .map(|points| WindowStats::from_values(points))
-        .collect();
-    let mut corrs = vec![0.0f64; n * n.saturating_sub(1) / 2];
-    window_corrs_into(chunk, &stats, &SerialRunner, &mut Vec::new(), &mut corrs);
-    (stats, corrs)
 }
 
 #[cfg(test)]
@@ -664,6 +651,53 @@ mod tests {
         for (i, row) in stats.iter().enumerate() {
             for (k, st) in row.iter().enumerate() {
                 assert_eq!(*st, rebuilt.series_sketch(i).unwrap().window(k));
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_history_tail_is_buffered_not_dropped() {
+        // 67 points at B = 20: three windows are sketched and the last 7
+        // points begin the fourth, which the first 13 streamed points
+        // complete. Every flavor must grow into the sketch of the
+        // contiguous data, not one with a gap.
+        let full = collection(4, 120);
+        let historical = full.truncate_length(67).unwrap();
+        let rest: Vec<Vec<f64>> = full.iter().map(|s| s.values()[67..].to_vec()).collect();
+        let rebuilt = DftSketchSet::build(&full, 20, 20, Transform::Naive).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "tsubasa-serve-tail-ingest-{}.pile",
+            std::process::id()
+        ));
+        for flavor in ["exact", "dual", "pile"] {
+            let store = Arc::new(EpochStore::new(8));
+            let (mut ingest, first) = match flavor {
+                "exact" => EpochIngest::exact(Arc::clone(&store), &historical, 20),
+                "dual" => {
+                    EpochIngest::dual(Arc::clone(&store), &historical, 20, 20, Transform::Naive)
+                }
+                _ => EpochIngest::pile(Arc::clone(&store), &historical, 20, &path),
+            }
+            .unwrap();
+            assert_eq!(first.window_count(), 3, "{flavor}");
+            let published = ingest.ingest(&rest).unwrap();
+            assert_eq!(published.len(), 3, "{flavor}");
+            let last = &published[2];
+            assert_eq!(last.window_count(), 6, "{flavor}");
+            match (last.exact(), last.pile()) {
+                (Some(exact), _) => assert_eq!(exact, rebuilt.base(), "{flavor}"),
+                (None, Some(pile)) => {
+                    let table = pile.pair_table(0..6, SegmentKind::PairCorrs).unwrap();
+                    let built = rebuilt.base().window_corrs_view(0..6);
+                    for k in 0..6 {
+                        assert_eq!(table.view().window_row(k), built.window_row(k), "pile");
+                    }
+                }
+                _ => unreachable!("every flavor answers exact queries"),
+            }
+            if let Some(approx) = last.approx() {
+                assert_eq!(approx.as_ref(), &rebuilt, "{flavor}");
             }
         }
         std::fs::remove_file(&path).ok();

@@ -27,6 +27,6 @@
 pub mod pile;
 
 pub use pile::{
-    default_batch_pairs, CompactStats, PileBatchWriter, PileCorrs, PileSlab, PileWriter,
-    PileWriterStats, SegmentKind, SketchPile, SyncPolicy,
+    default_batch_pairs, encode_series_stats, CompactStats, PileBatchWriter, PileCorrs, PileSlab,
+    PileWriter, PileWriterStats, SegmentKind, SketchPile, SyncPolicy,
 };

@@ -530,6 +530,18 @@ impl PileWriter {
 /// the historical name survives as an alias.
 pub type PileCorrs<'a> = tsubasa_core::source::PairTable<'a>;
 
+/// Encode window statistics as [`SegmentKind::SeriesStats`] rows, the layout
+/// [`SketchPile::series_stats`] decodes: one `(len, mean, std)` triple per
+/// entry, so one window's per-series statistics make one row (several
+/// windows', window-major, that many). Values are stored as they are — a NaN
+/// mean, a zero σ — so a round trip is bit-exact.
+pub fn encode_series_stats(stats: &[WindowStats]) -> Vec<f64> {
+    stats
+        .iter()
+        .flat_map(|st| [st.len as f64, st.mean, st.std])
+        .collect()
+}
+
 /// Read-only handle to a validated, memory-mapped sketch pile.
 ///
 /// Opening validates segments in order (structure, append discipline,
@@ -683,6 +695,7 @@ impl SketchPile {
         for (off, n_windows) in self.row_runs(SegmentKind::SeriesStats, &windows) {
             let rows = self.map.f64s(off, n_windows * row_values)?;
             for row in rows.chunks_exact(row_values) {
+                // The triples `encode_series_stats` wrote.
                 for (i, stats) in out.iter_mut().enumerate() {
                     stats.push(WindowStats {
                         len: row[i * 3] as usize,
@@ -1101,6 +1114,55 @@ mod tests {
             assert_eq!(table.view().window_count(), range.len());
             for (k, w) in range.enumerate() {
                 assert_eq!(table.view().window_row(k), &corr_row(pairs, w)[..]);
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn encoded_stats_round_trip_bit_for_bit() {
+        // Per series: an ordinary window, a NaN mean, a zero σ (a constant
+        // window), a negative zero and the smallest subnormal.
+        let path = temp_pile("stats-codec");
+        let window = |w: usize| {
+            vec![
+                WindowStats {
+                    len: 16,
+                    mean: 0.25 * w as f64 - 3.0,
+                    std: 1.5,
+                },
+                WindowStats {
+                    len: 16,
+                    mean: f64::NAN,
+                    std: 0.75,
+                },
+                WindowStats {
+                    len: 16,
+                    mean: 7.0,
+                    std: 0.0,
+                },
+                WindowStats {
+                    len: 16,
+                    mean: -0.0,
+                    std: f64::from_bits(1),
+                },
+            ]
+        };
+        let mut writer = PileWriter::create(&path, 4, 16).unwrap();
+        writer
+            .append(SegmentKind::SeriesStats, &encode_series_stats(&window(0)))
+            .unwrap();
+        // Two windows in one segment, window-major.
+        let two: Vec<WindowStats> = window(1).into_iter().chain(window(2)).collect();
+        writer
+            .append(SegmentKind::SeriesStats, &encode_series_stats(&two))
+            .unwrap();
+        let decoded = writer.into_pile().unwrap().series_stats(0..3).unwrap();
+        let bits = |st: &WindowStats| (st.len, st.mean.to_bits(), st.std.to_bits());
+        for (i, series) in decoded.iter().enumerate() {
+            assert_eq!(series.len(), 3);
+            for (w, st) in series.iter().enumerate() {
+                assert_eq!(bits(st), bits(&window(w)[i]), "series {i}, window {w}");
             }
         }
         std::fs::remove_file(&path).ok();

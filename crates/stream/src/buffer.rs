@@ -1,6 +1,7 @@
 //! Accumulation of raw real-time observations into basic-window chunks.
 
 use tsubasa_core::error::{Error, Result};
+use tsubasa_core::SeriesCollection;
 
 /// Buffers per-series observations until a complete basic window (`B` points
 /// for every series) is available, then releases it as one chunk — the
@@ -28,6 +29,20 @@ impl StreamBuffer {
             basic_window,
             buffers: vec![Vec::new(); n_series],
         })
+    }
+
+    /// A buffer that continues `historical`, whose sketch covers its complete
+    /// basic windows only: the `L mod B` points past them start out pending,
+    /// so the first streamed points complete that window instead of leaving
+    /// a gap. Every bootstrap that sketches a history and then streams
+    /// starts here.
+    pub fn after(historical: &SeriesCollection, basic_window: usize) -> Result<Self> {
+        let mut buffer = Self::new(historical.len(), basic_window)?;
+        let sketched = historical.series_len() / basic_window * basic_window;
+        for (buf, series) in buffer.buffers.iter_mut().zip(historical.iter()) {
+            buf.extend_from_slice(&series.values()[sketched..]);
+        }
+        Ok(buffer)
     }
 
     /// Number of series being buffered.
@@ -128,6 +143,23 @@ mod tests {
         assert!(buf.push(&[vec![1.0], vec![1.0, 2.0]]).is_err());
         // State unchanged after the failed pushes.
         assert_eq!(buf.pending(), 0);
+    }
+
+    #[test]
+    fn a_buffer_after_a_history_holds_its_unsketched_tail() {
+        let historical =
+            SeriesCollection::from_rows(vec![(0..10).map(f64::from).collect(), vec![5.0; 10]])
+                .unwrap();
+        let mut buf = StreamBuffer::after(&historical, 4).unwrap();
+        assert_eq!(buf.pending(), 2);
+        let chunks = buf.push(&[vec![10.0, 11.0], vec![6.0, 7.0]]).unwrap();
+        assert_eq!(chunks.len(), 1);
+        assert_eq!(chunks[0][0], vec![8.0, 9.0, 10.0, 11.0]);
+        assert_eq!(chunks[0][1], vec![5.0, 5.0, 6.0, 7.0]);
+        // A history of whole windows leaves nothing pending.
+        let whole = historical.truncate_length(8).unwrap();
+        assert_eq!(StreamBuffer::after(&whole, 4).unwrap().pending(), 0);
+        assert!(StreamBuffer::after(&historical, 0).is_err());
     }
 
     #[test]

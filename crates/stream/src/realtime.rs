@@ -19,7 +19,9 @@ use tsubasa_core::delta::EdgeDelta;
 use tsubasa_core::error::Result;
 use tsubasa_core::incremental::{SlidingNetwork, SlidingState};
 use tsubasa_core::matrix::{AdjacencyMatrix, CorrelationMatrix};
+use tsubasa_core::plan::WindowRows;
 use tsubasa_core::runner::{JobRunner, SerialRunner};
+use tsubasa_core::sketch::packed_pairs;
 use tsubasa_core::{SeriesCollection, SketchSet};
 use tsubasa_dft::sketch::DftSketchSet;
 use tsubasa_dft::SlidingApproxNetwork;
@@ -41,10 +43,12 @@ pub enum UpdateEngine {
 
 enum Updater {
     Exact(SlidingNetwork),
-    Approx(SlidingApproxNetwork),
+    /// The approximate engine, and the NaN pair table of its epochs' base
+    /// sketch: one NaN row shared by every window of every epoch.
+    Approx(SlidingApproxNetwork, WindowRows),
 }
 
-/// Everything but the arriving-window kernel and the epoch snapshot is the
+/// Everything but the arriving-window kernel and the epoch's method is the
 /// engines' shared [`SlidingState`].
 impl Deref for Updater {
     type Target = SlidingState;
@@ -52,7 +56,7 @@ impl Deref for Updater {
     fn deref(&self) -> &SlidingState {
         match self {
             Updater::Exact(net) => net,
-            Updater::Approx(net) => net,
+            Updater::Approx(net, _) => net,
         }
     }
 }
@@ -61,15 +65,16 @@ impl DerefMut for Updater {
     fn deref_mut(&mut self) -> &mut SlidingState {
         match self {
             Updater::Exact(net) => net,
-            Updater::Approx(net) => net,
+            Updater::Approx(net, _) => net,
         }
     }
 }
 
-/// The sketches frozen from the current sliding query window by
-/// [`RealTimeNetwork::publish_epoch`] — an immutable snapshot a publication
+/// The sketches of the current sliding query window published by
+/// [`RealTimeNetwork::publish_epoch`] — an immutable epoch a publication
 /// layer (e.g. `tsubasa-serve`'s `EpochStore`) can hand to readers behind an
-/// `Arc` while ingestion keeps sliding.
+/// `Arc` while ingestion keeps sliding; it shares the network's rows, which
+/// no tick writes to.
 ///
 /// Exactly one field is populated, matching the network's [`UpdateEngine`]:
 /// the exact engine yields a [`SketchSet`], the approximate engine a
@@ -102,8 +107,10 @@ pub struct RealTimeNetwork {
 
 impl RealTimeNetwork {
     /// Bootstrap from historical data: sketch `historical`, build the initial
-    /// network over its most recent `query_len` points (which must be a
-    /// multiple of `basic_window`), and prepare for streaming ingestion.
+    /// network over the most recent `query_len` points of its complete basic
+    /// windows (`query_len` must be a multiple of `basic_window`), and
+    /// prepare for streaming ingestion: the points past the last complete
+    /// window are buffered, so the first streamed points complete it.
     ///
     /// The exact path initializes all pairs through one shared
     /// [`tsubasa_core::plan::QueryPlan`] rather than per-pair contribution
@@ -129,11 +136,14 @@ impl RealTimeNetwork {
                     coefficients,
                     SlidingApproxNetwork::TRANSFORM,
                 )?;
-                Updater::Approx(SlidingApproxNetwork::initialize(&sketch, query_len)?)
+                let net = SlidingApproxNetwork::initialize(&sketch, query_len)?;
+                let nan = vec![f64::NAN; packed_pairs(net.series_count())];
+                let nan_rows = WindowRows::repeated(nan, net.window_count());
+                Updater::Approx(net, nan_rows)
             }
         };
         Ok(Self {
-            buffer: StreamBuffer::new(historical.len(), basic_window)?,
+            buffer: StreamBuffer::after(historical, basic_window)?,
             updater,
             threshold,
             observed: historical.series_len(),
@@ -167,7 +177,7 @@ impl RealTimeNetwork {
         for chunk in chunks {
             match &mut self.updater {
                 Updater::Exact(net) => net.ingest_in(runner, &chunk)?,
-                Updater::Approx(net) => net.ingest_in(runner, &chunk)?,
+                Updater::Approx(net, _) => net.ingest_in(runner, &chunk)?,
             }
             // A subscribed engine emits one delta per tick.
             self.pending_deltas
@@ -245,29 +255,34 @@ impl RealTimeNetwork {
         self.updater.window_count()
     }
 
-    /// Freeze the current sliding query window into an immutable
-    /// [`EpochSketches`] snapshot (basic windows re-indexed from 0, oldest
-    /// first). Call after each applied update to publish one epoch per
-    /// completed basic window; the snapshot shares no storage with the live
-    /// network, so readers can plan and query against it while subsequent
-    /// [`RealTimeNetwork::ingest`] calls keep sliding.
+    /// Publish the current sliding query window as an immutable
+    /// [`EpochSketches`] (basic windows re-indexed from 0, oldest first);
+    /// call after each applied update for one epoch per basic window. It
+    /// copies the per-series statistics (`O(N·W)`) and shares the network's
+    /// rows (`O(W)` reference-count bumps), which no later
+    /// [`RealTimeNetwork::ingest`] writes to.
     pub fn publish_epoch(&self) -> Result<EpochSketches> {
-        match &self.updater {
-            Updater::Exact(net) => Ok(EpochSketches {
-                exact: Some(net.snapshot_sketch()?),
+        let rows = self.updater.rows().clone();
+        Ok(match &self.updater {
+            Updater::Exact(net) => EpochSketches {
+                exact: Some(net.window_sketch(rows)?),
                 approx: None,
-            }),
-            Updater::Approx(net) => Ok(EpochSketches {
-                exact: None,
-                approx: Some(net.snapshot_sketch()?),
-            }),
-        }
+            },
+            Updater::Approx(net, nan_rows) => {
+                let base = net.window_sketch(nan_rows.clone())?;
+                EpochSketches {
+                    exact: None,
+                    approx: Some(DftSketchSet::from_parts(base, net.coefficients(), rows)?),
+                }
+            }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsubasa_core::plan::CorrView;
     use tsubasa_core::{baseline, QueryWindow};
     use tsubasa_data::station::{generate_ncea_like, NceaLikeConfig};
     use tsubasa_dft::sketch::Transform;
@@ -477,40 +492,97 @@ mod tests {
     fn approximate_epochs_hold_fft_rows_before_and_after_ticks() {
         // Power-of-two B: the radix-2 path and the naive DFT differ in the
         // last bits, so a bootstrap through another transform than the
-        // ticks' would leave one state holding rows of two.
+        // ticks' would leave one state holding rows of two. The exact leg
+        // holds its epochs to `SketchSet::build` the same way.
         let b = 16;
         let coefficients = 6;
         let windows = 5;
         let hist_len = 12 * b;
         let full = data(hist_len + 4 * b);
         let historical = full.truncate_length(hist_len).unwrap();
-        let engine = UpdateEngine::Approximate { coefficients };
-        let mut rt = RealTimeNetwork::new(&historical, b, windows * b, 0.7, engine).unwrap();
-        for ticks in 0..=4 {
-            let now = hist_len + ticks * b;
-            if ticks > 0 {
-                let chunk: Vec<Vec<f64>> = full
+        let bits = |view: CorrView<'_>| -> Vec<Vec<u64>> {
+            (0..windows)
+                .map(|w| view.window_row(w).iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        for engine in [
+            UpdateEngine::Exact,
+            UpdateEngine::Approximate { coefficients },
+        ] {
+            let mut rt = RealTimeNetwork::new(&historical, b, windows * b, 0.7, engine).unwrap();
+            for ticks in 0..=4 {
+                let now = hist_len + ticks * b;
+                if ticks > 0 {
+                    let chunk: Vec<Vec<f64>> = full
+                        .iter()
+                        .map(|s| s.values()[now - b..now].to_vec())
+                        .collect();
+                    assert_eq!(rt.ingest(&chunk).unwrap(), 1);
+                }
+                let epoch = rt.publish_epoch().unwrap();
+                let seen = full.truncate_length(now).unwrap();
+                let first = seen.series_len() / b - windows;
+                let held = first..first + windows;
+                let (live, fresh, base, built_base) = match engine {
+                    UpdateEngine::Exact => {
+                        let live = epoch.exact.unwrap();
+                        let built = SketchSet::build(&seen, b).unwrap();
+                        let rows = bits(live.window_corrs_view(0..windows));
+                        (rows, bits(built.window_corrs_view(held)), live, built)
+                    }
+                    UpdateEngine::Approximate { .. } => {
+                        let live = epoch.approx.unwrap();
+                        let built =
+                            DftSketchSet::build(&seen, b, coefficients, Transform::Fft).unwrap();
+                        let rows = bits(live.window_ests_view(0..windows));
+                        let fresh = bits(built.window_ests_view(held));
+                        (rows, fresh, live.base().clone(), built.base().clone())
+                    }
+                };
+                let label = format!("{engine:?}, the epoch after {ticks} ticks");
+                assert_eq!(live, fresh, "{label}");
+                for i in 0..6 {
+                    assert_eq!(
+                        base.series_sketch(i).unwrap().windows,
+                        built_base.series_sketch(i).unwrap().windows[first..],
+                        "{label}, series {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_history_tail_is_buffered_not_dropped() {
+        // 410 points at B = 25: the sketch covers 16 windows, and the last
+        // 10 points are the start of the 17th, which the first 15 streamed
+        // points complete. Dropping them would splice the stream in after a
+        // gap.
+        let (total, hist_len, b, query_len) = (700, 410, 25, 200);
+        let full = data(total);
+        let historical = full.truncate_length(hist_len).unwrap();
+        for engine in [
+            UpdateEngine::Exact,
+            UpdateEngine::Approximate { coefficients: b },
+        ] {
+            let mut rt = RealTimeNetwork::new(&historical, b, query_len, 0.7, engine).unwrap();
+            assert_eq!(rt.pending_points(), hist_len % b);
+            let mut now = hist_len;
+            while now + 11 <= total {
+                let updates: Vec<Vec<f64>> = full
                     .iter()
-                    .map(|s| s.values()[now - b..now].to_vec())
+                    .map(|s| s.values()[now..now + 11].to_vec())
                     .collect();
-                assert_eq!(rt.ingest(&chunk).unwrap(), 1);
+                rt.ingest(&updates).unwrap();
+                now += 11;
             }
-            let epoch = rt.publish_epoch().unwrap().approx.unwrap();
-            let seen = full.truncate_length(now).unwrap();
-            let built = DftSketchSet::build(&seen, b, coefficients, Transform::Fft).unwrap();
-            let first = built.window_count() - windows;
-            let (live, fresh) = (
-                epoch.window_ests_view(0..windows),
-                built.window_ests_view(first..first + windows),
-            );
-            for w in 0..windows {
-                let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(live.window_row(w)),
-                    bits(fresh.window_row(w)),
-                    "window {w} of the epoch after {ticks} ticks"
-                );
-            }
+            let completed = (hist_len / b + rt.updates_applied()) * b;
+            assert_eq!(completed + rt.pending_points(), now, "{engine:?}");
+            let truncated = full.truncate_length(completed).unwrap();
+            let query = QueryWindow::latest(completed, query_len).unwrap();
+            let expected = baseline::correlation_matrix(&truncated, query).unwrap();
+            let diff = rt.correlation_matrix().max_abs_diff(&expected);
+            assert!(diff < 1e-6, "{engine:?}: {diff} off the contiguous data");
         }
     }
 

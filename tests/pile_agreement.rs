@@ -21,9 +21,10 @@
 
 use std::path::PathBuf;
 
+use tsubasa::core::plan::WindowRows;
 use tsubasa::core::prelude::*;
 use tsubasa::parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
-use tsubasa::storage::{PileWriter, SegmentKind, SketchPile};
+use tsubasa::storage::{encode_series_stats, PileWriter, SegmentKind, SketchPile};
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
 
 const WINDOWS: usize = 4;
@@ -194,13 +195,15 @@ fn planted_nan_rows_audit_identically_on_pile_and_memory() {
     let mut writer = PileWriter::create(&path, n, b).unwrap();
     let mut planted = Vec::new();
     for w in 0..WINDOWS {
-        let stats_row: Vec<f64> = clean
+        let stats: Vec<WindowStats> = clean
             .series_stats(w..w + 1)
             .unwrap()
             .iter()
-            .flat_map(|s| [s[0].len as f64, s[0].mean, s[0].std])
+            .map(|s| s[0])
             .collect();
-        writer.append(SegmentKind::SeriesStats, &stats_row).unwrap();
+        writer
+            .append(SegmentKind::SeriesStats, &encode_series_stats(&stats))
+            .unwrap();
         let table = clean.pair_table(w..w + 1, SegmentKind::PairCorrs).unwrap();
         let mut corr_row = table.view().window_row(0).to_vec();
         if w == 1 {
@@ -216,6 +219,7 @@ fn planted_nan_rows_audit_identically_on_pile_and_memory() {
         .series_sketches()
         .cloned()
         .collect();
+    let planted = WindowRows::from_flat(planted, n * (n - 1) / 2, WINDOWS);
     let memory = SketchSet::from_window_major(b, n, series, planted).unwrap();
     // One segment per appended row, so every range below spans segments and
     // is still served straight from the mapping.

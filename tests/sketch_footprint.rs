@@ -9,7 +9,8 @@
 //! statistics vector plus one row per table — never one per pair, and never
 //! a regrown table. A clone shares every row, so `k` clones (or `k` published
 //! epochs) of a `W`-window sketch hold `k` copies of the per-series
-//! statistics plus the `k` appended rows, not `k` tables. A streamed engine
+//! statistics plus the `k` appended rows, not `k` tables — and so do `k`
+//! epochs a sliding network publishes, which share its rows. A streamed engine
 //! query borrows that table and sweeps it tile by tile: it allocates no
 //! `O(P)` buffer, and no buffer per tile. Nor does an unaligned streamed
 //! query: its partial head and tail windows are minted a few triangle rows at
@@ -21,11 +22,13 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use tsubasa_core::prelude::*;
+use tsubasa_core::sketch::{arriving_corrs, arriving_window};
 use tsubasa_core::stats::{normalize_into, tiled_pair_corrs_into, WindowStats};
 use tsubasa_core::sweep::DEFAULT_TILE_PAIRS;
-use tsubasa_dft::sketch::{DftSketchSet, Transform};
+use tsubasa_dft::sketch::{ComparatorKernel, DftSketchSet, Transform};
 use tsubasa_parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
 use tsubasa_serve::{EpochIngest, EpochStore};
+use tsubasa_stream::{RealTimeNetwork, UpdateEngine};
 
 /// The system allocator with per-thread counters in front of it, so the test
 /// harness's own threads do not disturb a measurement.
@@ -175,10 +178,16 @@ fn an_arriving_window_costs_allocations_per_series_not_per_pair() {
         "SketchSet::push_window kept {held} bytes for one {ROW}-byte row of a {TABLE}-byte table"
     );
 
-    // The comparator's append also computes the window (statistics, z rows,
-    // DFT coefficients per series), still a per-series count.
+    // The comparator's append, measured with the minting of what it takes
+    // (statistics, z rows, a kernel and its DFT coefficients per series), is
+    // still a per-series count.
     let mut dft = DftSketchSet::build(&c, B, 8, Transform::Fft).unwrap();
-    let ((), held, calls) = measured(|| dft.push_window(&chunk, Transform::Fft).unwrap());
+    let ((), held, calls) = measured(|| {
+        let stats = arriving_window(&chunk, N, B).unwrap();
+        let corrs = arriving_corrs(&chunk, &stats);
+        let ests = ComparatorKernel::new(B, 8, Transform::Fft).arriving_ests(&chunk, &stats);
+        dft.push_window(stats, corrs, ests).unwrap()
+    });
     assert!(
         calls <= 8 * N,
         "DftSketchSet::push_window made {calls} allocations for {N} series / {PAIRS} pairs"
@@ -272,6 +281,38 @@ fn published_epochs_hold_one_new_row_each() {
     )
     .unwrap();
     assert_eq!(latest.approx().unwrap().as_ref(), &rebuilt);
+
+    // A realtime epoch shares the live network's rows. K ticks and K epochs
+    // hold the K arriving rows, which the network mints and keeps anyway,
+    // plus per epoch its own statistics and row handles (an approximate
+    // epoch has two tables of handles: its estimates and the one shared NaN
+    // row of its base) and, once, the comparator kernel's coefficient
+    // scratch — no `P`-length row of an epoch's own.
+    let kernel_scratch = 8 * N.div_ceil(8) * 8 * 2 * 8;
+    for (engine, tables) in [
+        (UpdateEngine::Exact, 1),
+        (UpdateEngine::Approximate { coefficients: 8 }, 2),
+    ] {
+        let mut rt = RealTimeNetwork::new(&historical, B, WINDOWS * B, 0.5, engine).unwrap();
+        let (epochs, held, _) = measured(|| {
+            ticks
+                .iter()
+                .map(|tick| {
+                    assert_eq!(rt.ingest(tick).unwrap(), 1);
+                    rt.publish_epoch().unwrap()
+                })
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(epochs.len(), K);
+        let budget = K * (ROW + clone_bytes(WINDOWS, tables) + 1024) + kernel_scratch;
+        assert!(
+            held <= budget,
+            "{engine:?}: {K} ticks and epochs hold {held} bytes against a budget of {budget}; \
+             {K} copied tables are {}",
+            K * TABLE
+        );
+        assert!(budget < K * TABLE / 4);
+    }
 }
 
 #[test]

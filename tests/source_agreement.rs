@@ -14,11 +14,13 @@
 use std::ops::Range;
 use std::path::PathBuf;
 
+use tsubasa::core::plan::WindowRows;
 use tsubasa::core::prelude::*;
+use tsubasa::core::sketch::{arriving_corrs, arriving_window};
 use tsubasa::parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
 use tsubasa::serve::mirror_sketches_to_pile;
 use tsubasa::storage::{PileWriter, SketchPile};
-use tsubasa_dft::sketch::{DftSketchSet, Transform};
+use tsubasa_dft::sketch::{ComparatorKernel, DftSketchSet, Transform};
 
 const WINDOWS: usize = 4;
 const THETA: f64 = 0.3;
@@ -135,6 +137,7 @@ fn pruned_chunk_nan_audit_is_identical_on_chunked_and_pile() {
         .flat_map(|w| dft.window_ests_view(w..w + 1).window_row(0).to_vec())
         .collect();
     ests[3 * pairs - 1] = f64::NAN;
+    let ests = WindowRows::from_flat(ests, pairs, WINDOWS);
     let memory = DftSketchSet::from_parts(dft.base().clone(), 8, ests).unwrap();
     let path = temp_path("pruned-nan");
     let mut writer = PileWriter::create(&path, n, b).unwrap();
@@ -187,12 +190,18 @@ fn all_backends_agree_bit_for_bit_across_the_grid() {
     // built sketch's rows bit for bit.
     let prefix = c.truncate_length(2 * b).unwrap();
     let mut grown = DftSketchSet::build(&prefix, b, 8, Transform::Naive).unwrap();
+    let mut kernel = ComparatorKernel::new(b, 8, Transform::Naive);
     for w in 2..WINDOWS {
         let chunk: Vec<Vec<f64>> = c
             .iter()
             .map(|s| s.values()[w * b..(w + 1) * b].to_vec())
             .collect();
-        grown.push_window(&chunk, Transform::Naive).unwrap();
+        let stats = arriving_window(&chunk, n, b).unwrap();
+        let (corrs, ests) = (
+            arriving_corrs(&chunk, &stats),
+            kernel.arriving_ests(&chunk, &stats),
+        );
+        grown.push_window(stats, corrs, ests).unwrap();
     }
 
     // Mapped pile with correlation and estimate rows mirrored per window.
