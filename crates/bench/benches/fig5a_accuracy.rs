@@ -15,8 +15,8 @@ use tsubasa_core::prelude::*;
 use tsubasa_data::prelude::*;
 use tsubasa_dft::approx::{approximate_correlation_matrix_reference, ApproxStrategy};
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
+use tsubasa_dft::ApproxPlan;
 use tsubasa_ledger::json::{obj, Value};
-use tsubasa_network::ApproxNetworkBuilder;
 
 /// Climate networks are built on *anomaly* series (departure from the usual
 /// behaviour, paper §1). Remove the diurnal climatology and a 30-day moving
@@ -97,21 +97,21 @@ fn main() {
     for coefficients in [50usize, 100, 150, 200] {
         let sketch = DftSketchSet::build(&collection, basic_window, coefficients, Transform::Naive)
             .expect("dft sketch");
-        let builder = ApproxNetworkBuilder::from_sketch(sketch);
         // Tiled batched path (ApproxPlan + Equation 4 pruning) vs the scalar
         // per-pair reference recombination — the same-binary speedup, at
         // the Figure 5a shape.
+        let network = || {
+            let plan = ApproxPlan::build(&sketch, 0..n_windows).unwrap();
+            plan.network_streamed(theta).unwrap().to_adjacency()
+        };
         // Best-of-3: single-shot sub-ms timings swing ~2× on a busy box.
-        let approx_net = builder.network(0..n_windows, theta).unwrap();
-        let t_tiled = (0..3)
-            .map(|_| time(|| builder.network(0..n_windows, theta).unwrap()).1)
-            .min()
-            .unwrap();
+        let approx_net = network();
+        let t_tiled = (0..3).map(|_| time(network).1).min().unwrap();
         let t_scalar = (0..3)
             .map(|_| {
                 time(|| {
                     approximate_correlation_matrix_reference(
-                        builder.sketch(),
+                        &sketch,
                         0..n_windows,
                         ApproxStrategy::Equation5,
                     )

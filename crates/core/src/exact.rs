@@ -24,12 +24,13 @@
 //! The all-pairs entry points do *not* loop over [`pair_correlation`]: they
 //! build a [`crate::plan::QueryPlan`] once per query and hand it to one of
 //! the two loops every correlation in the workspace comes from. The matrix
-//! entry points ([`correlation_matrix`], [`correlation_matrix_aligned`],
-//! [`correlation_matrix_parallel`]) call the **dense fill**
-//! ([`crate::sweep::fill_packed`]), which writes the packed triangle in place
-//! on a serial or scoped runner; the streamed ones ([`network_streamed`],
-//! [`top_k`] and their `_aligned` twins) call the **streamed tile loop**
-//! ([`crate::sweep::sweep_run`]) into a sink. Both evaluate the plan's batch
+//! entry points ([`correlation_matrix`], [`correlation_matrix_parallel`])
+//! call the **dense fill** ([`crate::sweep::fill_packed`]), which writes the
+//! packed triangle in place on a serial or scoped runner; the streamed ones
+//! ([`network_streamed`], [`top_k`]) call the **streamed tile loop**
+//! ([`crate::sweep::sweep_run`]) into a sink. Queries over an aligned range
+//! of basic windows need no raw data and go through the one plan over a
+//! source, [`crate::source::SourcePlan`]. Both loops evaluate the plan's batch
 //! kernel ([`QueryPlan::block_kernel`]) against the sketch's window-major
 //! correlation table (borrowed zero-copy through
 //! [`SketchSet::window_corrs_view`]). On an aligned window that kernel is bit
@@ -43,7 +44,7 @@
 
 use crate::error::{Error, Result};
 use crate::matrix::CorrelationMatrix;
-use crate::plan::QueryPlan;
+use crate::plan::{PlanMethod, QueryPlan};
 use crate::runner::{JobRunner, ScopedRunner, SerialRunner};
 use crate::sketch::SketchSet;
 use crate::stats::{clamp_corr, WindowStats};
@@ -231,8 +232,8 @@ pub fn pair_correlation(
 
 /// Exact correlation of a pair using *only* the sketch, for a query window
 /// aligned to basic-window boundaries given as a range of basic-window
-/// indices. This is the path the disk-based/parallel engine uses (no raw data
-/// required at query time).
+/// indices (no raw data required) — the per-pair reference of the aligned
+/// all-pairs queries of [`crate::source::SourcePlan`].
 pub fn pair_correlation_aligned(
     sketch: &SketchSet,
     windows: std::ops::Range<usize>,
@@ -287,17 +288,6 @@ pub fn correlation_matrix(
     dense_matrix(&SerialRunner, sketch, plan)
 }
 
-/// All-pair correlation matrix over an aligned range of basic windows, using
-/// only the sketch (shared [`QueryPlan`] evaluated through the batch kernel,
-/// no raw data touched).
-pub fn correlation_matrix_aligned(
-    sketch: &SketchSet,
-    windows: std::ops::Range<usize>,
-) -> Result<CorrelationMatrix> {
-    let plan = QueryPlan::build_aligned(sketch, windows)?;
-    dense_matrix(&SerialRunner, sketch, plan)
-}
-
 /// The thresholded network (`c > θ`, the semantics of
 /// [`CorrelationMatrix::threshold`]) computed through the streaming sweep:
 /// the packed triangle is never materialized; each
@@ -312,29 +302,10 @@ pub fn network_streamed(
     query: QueryWindow,
     theta: f64,
 ) -> Result<EdgeList> {
-    if !(-1.0..=1.0).contains(&theta) {
-        return Err(Error::InvalidThreshold(theta));
-    }
+    let mut sink = EdgeSink::for_method(PlanMethod::Exact, theta)?;
     let plan = QueryPlan::build(collection, sketch, query)?;
-    let mut sink = EdgeSink::new(theta);
     streamed_sweep(sketch, &plan, None, &mut sink);
     Ok(sink.finish(collection.len()))
-}
-
-/// [`network_streamed`] for an aligned range of basic windows (sketch-only,
-/// no raw data touched).
-pub fn network_streamed_aligned(
-    sketch: &SketchSet,
-    windows: std::ops::Range<usize>,
-    theta: f64,
-) -> Result<EdgeList> {
-    if !(-1.0..=1.0).contains(&theta) {
-        return Err(Error::InvalidThreshold(theta));
-    }
-    let plan = QueryPlan::build_aligned(sketch, windows)?;
-    let mut sink = EdgeSink::new(theta);
-    streamed_sweep(sketch, &plan, None, &mut sink);
-    Ok(sink.finish(sketch.series_count()))
 }
 
 /// The `k` strongest edges of the query window, streamed: a k-bounded heap
@@ -349,19 +320,6 @@ pub fn top_k(
     k: usize,
 ) -> Result<TopK> {
     let plan = QueryPlan::build(collection, sketch, query)?;
-    let bounds = CorrelationBounds::from_plan(&plan);
-    let mut sink = TopKSink::new(k);
-    streamed_sweep(sketch, &plan, Some(&bounds), &mut sink);
-    Ok(sink.finish())
-}
-
-/// [`top_k`] for an aligned range of basic windows (sketch-only).
-pub fn top_k_aligned(
-    sketch: &SketchSet,
-    windows: std::ops::Range<usize>,
-    k: usize,
-) -> Result<TopK> {
-    let plan = QueryPlan::build_aligned(sketch, windows)?;
     let bounds = CorrelationBounds::from_plan(&plan);
     let mut sink = TopKSink::new(k);
     streamed_sweep(sketch, &plan, Some(&bounds), &mut sink);
@@ -689,15 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn network_streamed_aligned_matches_dense() {
-        let c = test_collection(6, 180);
-        let sketch = SketchSet::build(&c, 20).unwrap();
-        let dense = correlation_matrix_aligned(&sketch, 1..8).unwrap();
-        let streamed = network_streamed_aligned(&sketch, 1..8, 0.25).unwrap();
-        assert_eq!(streamed.to_adjacency(), dense.threshold(0.25).unwrap());
-    }
-
-    #[test]
     fn top_k_matches_sorted_dense_matrix() {
         let c = test_collection(6, 200);
         let sketch = SketchSet::build(&c, 25).unwrap();
@@ -717,8 +666,6 @@ mod tests {
                 assert_eq!(got.corr, want.2, "k={k}");
             }
         }
-        let aligned = top_k_aligned(&sketch, 0..8, 3).unwrap();
-        assert_eq!(aligned.edges.len(), 3);
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub use matrix::{AdjacencyMatrix, CorrelationMatrix};
 pub use plan::{PlanKey, PlanMethod, QueryPlan};
 pub use runner::{Job, JobRunner, ScopedRunner, SerialRunner};
 pub use sketch::{PairSketch, SeriesSketch, SketchSet};
-pub use source::{audit_nan_chunk, check_source_windows, CorrSource, PairTable};
+pub use source::{audit_nan_chunk, check_source_windows, CorrSource, PairTable, SourcePlan};
 pub use stats::WindowStats;
 pub use sweep::{EdgeList, EdgeSink, RankedEdge, StatsSink, TileSink, TopK, TopKSink};
 pub use timeseries::{GeoLocation, SeriesCollection, SeriesId, TimeSeries};
@@ -108,7 +108,7 @@ pub mod prelude {
     pub use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
     pub use crate::plan::{PlanKey, PlanMethod, QueryPlan};
     pub use crate::sketch::{PairSketch, SeriesSketch, SketchSet};
-    pub use crate::source::{audit_nan_chunk, CorrSource, PairTable};
+    pub use crate::source::{audit_nan_chunk, CorrSource, PairTable, SourcePlan};
     pub use crate::stats::{pearson, WindowStats};
     pub use crate::sweep::{EdgeList, EdgeSink, RankedEdge, StatsSink, TileSink, TopK, TopKSink};
     pub use crate::timeseries::{GeoLocation, SeriesCollection, SeriesId, TimeSeries};

@@ -40,12 +40,18 @@
 //! are otherwise never touched (and, on a mapped pile, never faulted in).
 
 use std::ops::Range;
+use std::time::Duration;
 
 use crate::error::{Error, Result};
-use crate::plan::{CorrView, PlanMethod};
+use crate::matrix::CorrelationMatrix;
+use crate::plan::{CorrView, PlanMethod, QueryPlan};
+use crate::runner::JobRunner;
 use crate::sketch::{pair_index, SketchSet};
 use crate::stats::WindowStats;
-use crate::sweep::TileSink;
+use crate::sweep::{
+    fill_packed, sweep_pooled, CorrelationBounds, EdgeList, EdgeSink, TableAudit, TileSink, TopK,
+    TopKSink,
+};
 
 /// A window-major pair table lent by a [`CorrSource`]: a zero-copy borrow of
 /// the backend's own storage — a view of an in-memory sketch's shared rows,
@@ -197,10 +203,176 @@ pub fn check_source_windows<S: CorrSource + ?Sized>(
     Ok(())
 }
 
+/// The one query plan over a source, for both methods: the per-series
+/// recombination tables of an aligned window range
+/// ([`QueryPlan::from_window_stats`] over [`CorrSource::series_stats`]) and
+/// the method's window-major table, lent by the source for the plan's
+/// lifetime. Lemma 1 (exact) and Equation 5 (approximate) share the
+/// recombination, so the method picks only the table, the network's edge
+/// rule ([`EdgeSink::for_method`]) and whether a network prunes tiles —
+/// approximate networks do (Equation 4), exact networks observe every pair
+/// so their NaN audit is exhaustive; top-k always prunes.
+///
+/// Every answer runs on any [`JobRunner`] and returns the workers' summed
+/// busy time beside it. A run boundary never changes a pair's arithmetic, so
+/// the answers are the same bits for any worker count, and the same bits on
+/// every backend that stores the same rows.
+///
+/// ```
+/// use tsubasa_core::prelude::*;
+/// use tsubasa_core::runner::SerialRunner;
+/// use tsubasa_core::source::SourcePlan;
+/// use tsubasa_core::sweep::{TableAudit, DEFAULT_TILE_PAIRS};
+///
+/// let collection = SeriesCollection::from_rows(vec![
+///     vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 9.0],
+///     vec![2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 17.0],
+///     vec![9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 1.0],
+/// ])
+/// .unwrap();
+/// let sketch = SketchSet::build(&collection, 4).unwrap();
+/// let plan = SourcePlan::new(&sketch, 0..2, PlanMethod::Exact).unwrap();
+/// let (matrix, _) = plan.correlation_matrix(&SerialRunner).unwrap();
+/// assert!(matrix.get(0, 2) < -0.9);
+/// let (edges, _) = plan
+///     .network(&SerialRunner, 0.9, DEFAULT_TILE_PAIRS, TableAudit::Off)
+///     .unwrap();
+/// assert_eq!(edges.edges(), &[(0, 1)]);
+/// ```
+#[derive(Debug)]
+pub struct SourcePlan<'a> {
+    method: PlanMethod,
+    windows: Range<usize>,
+    plan: QueryPlan,
+    table: PairTable<'a>,
+}
+
+impl<'a> SourcePlan<'a> {
+    /// Plan `method` over the aligned basic windows `windows` of `source`:
+    /// validate the range ([`check_source_windows`]), build the per-series
+    /// tables from the source's statistics, and borrow its table.
+    pub fn new<S: CorrSource + ?Sized>(
+        source: &'a S,
+        windows: Range<usize>,
+        method: PlanMethod,
+    ) -> Result<Self> {
+        check_source_windows(source, &windows, method)?;
+        let plan = QueryPlan::from_window_stats(&source.series_stats(windows.clone())?)?;
+        Ok(Self {
+            method,
+            table: source.lent_table(windows.clone(), method)?,
+            windows,
+            plan,
+        })
+    }
+
+    /// Number of series covered.
+    pub fn series_count(&self) -> usize {
+        self.plan.series_count()
+    }
+
+    /// The range of sketched basic windows the plan covers.
+    pub fn windows(&self) -> Range<usize> {
+        self.windows.clone()
+    }
+
+    /// The per-series recombination tables.
+    pub fn query_plan(&self) -> &QueryPlan {
+        &self.plan
+    }
+
+    /// The lent window-major table: correlations (exact) or Equation 3
+    /// estimates (approximate), oldest window first.
+    pub fn table(&self) -> CorrView<'_> {
+        self.table.view()
+    }
+
+    /// The all-pairs correlation matrix: the dense fill ([`fill_packed`]) on
+    /// `runner`, refused with [`Error::TooLarge`] past the dense budget.
+    /// Degenerate (constant-series) pairs hold `0.0`.
+    pub fn correlation_matrix(
+        &self,
+        runner: &dyn JobRunner,
+    ) -> Result<(CorrelationMatrix, Duration)> {
+        let (values, busy) = fill_packed(runner, &self.plan, self.table())?;
+        let matrix = CorrelationMatrix::from_upper_triangle(self.series_count(), values);
+        Ok((matrix, busy))
+    }
+
+    /// The thresholded network under the method's edge rule
+    /// ([`EdgeSink::for_method`]; θ outside `[-1, 1]` is
+    /// [`Error::InvalidThreshold`]), streamed on `runner` in tiles of at most
+    /// `tile_len` pairs with the table audit `audit` — the packed triangle is
+    /// never materialized. An approximate network skips tiles whose Equation
+    /// 4 bound falls outside the radius before any kernel work (or table
+    /// read); the edge set is the rule applied to
+    /// [`SourcePlan::correlation_matrix`], in pair order.
+    pub fn network(
+        &self,
+        runner: &dyn JobRunner,
+        theta: f64,
+        tile_len: usize,
+        audit: TableAudit,
+    ) -> Result<(EdgeList, Duration)> {
+        let sink = EdgeSink::for_method(self.method, theta)?;
+        let prune = self.method == PlanMethod::Approximate;
+        let (sinks, busy) = self.sweep(runner, prune, tile_len, audit, || sink.clone());
+        let n = self.series_count();
+        let mut edges = sink.finish(n);
+        for run in sinks {
+            edges.absorb(run.finish(n));
+        }
+        Ok((edges, busy))
+    }
+
+    /// The `k` strongest pairs, streamed like [`SourcePlan::network`], with
+    /// tiles skipped once their Equation 4 bound cannot beat a run's current
+    /// k-th strength. Ranking is total ([`f64::total_cmp`], ties by ascending
+    /// pair index) and equals the sorted dense matrix's top k.
+    pub fn top_k(
+        &self,
+        runner: &dyn JobRunner,
+        k: usize,
+        tile_len: usize,
+        audit: TableAudit,
+    ) -> (TopK, Duration) {
+        let (sinks, busy) = self.sweep(runner, true, tile_len, audit, || TopKSink::new(k));
+        let mut merged = TopKSink::new(k);
+        for sink in sinks {
+            merged.absorb(sink);
+        }
+        (merged.finish(), busy)
+    }
+
+    /// The pooled streamed sweep ([`sweep_pooled`]) into one sink per run,
+    /// in run order, pruning with the plan's Equation 4 bounds when `prune`.
+    fn sweep<K: TileSink + Send>(
+        &self,
+        runner: &dyn JobRunner,
+        prune: bool,
+        tile_len: usize,
+        audit: TableAudit,
+        make_sink: impl Fn() -> K,
+    ) -> (Vec<K>, Duration) {
+        let bounds = prune.then(|| CorrelationBounds::from_plan(&self.plan));
+        let view = self.table();
+        sweep_pooled(
+            runner,
+            &self.plan,
+            view,
+            bounds.as_ref(),
+            tile_len,
+            audit,
+            make_sink,
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::EdgeSink;
+    use crate::runner::{ScopedRunner, SerialRunner};
+    use crate::sweep::DEFAULT_TILE_PAIRS;
     use crate::SeriesCollection;
 
     fn sketch() -> SketchSet {
@@ -244,6 +416,48 @@ mod tests {
         assert!(check_source_windows(src, &(0..3), PlanMethod::Approximate).is_err());
         assert!(check_source_windows(src, &(2..2), PlanMethod::Exact).is_err());
         assert!(check_source_windows(src, &(0..4), PlanMethod::Exact).is_err());
+    }
+
+    #[test]
+    fn source_plan_network_matches_the_dense_threshold() {
+        let c = SeriesCollection::from_rows(
+            (0..6)
+                .map(|s| {
+                    (0..180)
+                        .map(|i| (i as f64 * 0.13 + s as f64).sin() + ((i * (s + 3)) % 7) as f64)
+                        .collect()
+                })
+                .collect(),
+        )
+        .unwrap();
+        let sk = SketchSet::build(&c, 20).unwrap();
+        let plan = SourcePlan::new(&sk, 1..8, PlanMethod::Exact).unwrap();
+        assert_eq!((plan.series_count(), plan.windows()), (6, 1..8));
+        let (dense, _) = plan.correlation_matrix(&SerialRunner).unwrap();
+        let tiles = (DEFAULT_TILE_PAIRS, TableAudit::Off);
+        for theta in [-0.5, 0.0, 0.25, 0.9] {
+            let (edges, _) = plan
+                .network(&SerialRunner, theta, tiles.0, tiles.1)
+                .unwrap();
+            assert_eq!(edges.to_adjacency(), dense.threshold(theta).unwrap());
+            for workers in [2, 5] {
+                let runner = ScopedRunner::new(workers);
+                assert_eq!(plan.correlation_matrix(&runner).unwrap().0, dense);
+                let (pooled, _) = plan.network(&runner, theta, 3, TableAudit::Swept).unwrap();
+                assert_eq!(pooled, edges, "{workers}");
+            }
+        }
+        let (top, _) = plan.top_k(&SerialRunner, 3, tiles.0, tiles.1);
+        let mut all: Vec<f64> = dense.iter_pairs().map(|(_, _, c)| c).collect();
+        all.sort_by(|a, b| b.total_cmp(a));
+        let got: Vec<f64> = top.edges.iter().map(|e| e.corr).collect();
+        assert_eq!(got, all[..3]);
+        assert!(matches!(
+            plan.network(&SerialRunner, 1.5, tiles.0, tiles.1),
+            Err(Error::InvalidThreshold(_))
+        ));
+        assert!(SourcePlan::new(&sk, 0..10, PlanMethod::Exact).is_err());
+        assert!(SourcePlan::new(&sk, 0..3, PlanMethod::Approximate).is_err());
     }
 
     #[test]

@@ -73,13 +73,6 @@ impl WindowStats {
     }
 }
 
-/// Joint statistics of one pair of aligned windows: the per-pair sketch entry.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PairWindowStats {
-    /// Pearson correlation of the two windows (0.0 when either is constant).
-    pub corr: f64,
-}
-
 /// Pearson's correlation coefficient of two equally-long slices
 /// (paper Equation 1), computed directly from the raw values.
 ///
@@ -259,6 +252,19 @@ pub fn clamp_corr(c: f64) -> f64 {
     } else {
         c.clamp(-1.0, 1.0)
     }
+}
+
+/// Inverse of Equation 3: the normalized distance `√(2(1 − c))` of two
+/// unit-normalized windows whose correlation is `c`.
+pub fn distance_from_corr(c: f64) -> f64 {
+    (2.0 * (1.0 - c.clamp(-1.0, 1.0))).max(0.0).sqrt()
+}
+
+/// Equation 4's pruning radius `√(2(1−θ))`: pairs whose coefficient distance
+/// is at most this value form a superset of the pairs with `corr ≥ θ` (no
+/// false negatives, possibly false positives).
+pub fn pruning_radius(theta: f64) -> f64 {
+    distance_from_corr(theta)
 }
 
 /// Write the z-scores of one window into `out`: `z_t = (x_t − μ) / σ` under

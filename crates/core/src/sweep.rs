@@ -6,9 +6,9 @@
 //!   them — never materializing the `N(N−1)/2` pair triangle;
 //! * the **dense fill** ([`fill_packed`]): write the whole packed triangle
 //!   in place into one budget-checked buffer, one contiguous run per
-//!   worker — the matrix builders, the approximate plan's cached triangle,
-//!   the parallel engine's dense query, the served views and both sliding
-//!   inits.
+//!   worker — the matrix builders, [`crate::source::SourcePlan`]'s matrix
+//!   (both methods, the parallel engine's dense query), the served views
+//!   and both sliding inits.
 //!
 //! A dense triangle is ~50 GB of `f64` per window layer at `N = 100 000`.
 //! The paper's national-scale scenarios (§4.3) need the *answers* — the
@@ -60,13 +60,15 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use crate::capacity::check_dense_budget;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
 use crate::plan::{
-    carve_for_workers, row_segments, runs_for_workers, CorrView, PartialCorrs, QueryPlan,
+    carve_for_workers, row_segments, runs_for_workers, CorrView, PartialCorrs, PlanMethod,
+    QueryPlan,
 };
 use crate::runner::{Job, JobRunner};
 use crate::sketch::{packed_pairs, pair_index};
+use crate::stats::{distance_from_corr, pruning_radius};
 
 /// Default tile size of the streaming sweeps: large enough to amortize the
 /// per-tile dispatch, small enough that the output buffer and the tile's row
@@ -292,7 +294,7 @@ pub fn sweep_pooled<K: TileSink + Send>(
 
 /// The one dense fill: every packed correlation triangle in the workspace is
 /// minted here. Checks the dense budget for the `P = N(N−1)/2` values of
-/// `plan` ([`Error::TooLarge`](crate::error::Error::TooLarge) past it),
+/// `plan` ([`Error::TooLarge`] past it),
 /// allocates them, and cuts them into one contiguous run per worker of
 /// `runner` ([`carve_for_workers`]); each run writes
 /// [`QueryPlan::block_kernel`] output in place, row segment by row segment,
@@ -373,15 +375,14 @@ pub fn sweep_packed(n: usize, values: &[f64], tile_len: usize, sink: &mut dyn Ti
 }
 
 /// How [`EdgeSink`] compares a correlation against its threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum EdgeRule {
-    /// `c > θ` — the dense [`CorrelationMatrix::threshold`] semantics.
+    /// `c > θ` — the exact networks' rule, the dense
+    /// [`CorrelationMatrix::threshold`] semantics.
     Greater,
-    /// `c ≥ θ` — the approximate path's in-radius semantics
-    /// (`√(2(1−c)) ≤ √(2(1−θ))`).
-    AtLeast,
-    /// `|c| > θ` — the dense [`CorrelationMatrix::threshold_abs`] semantics.
-    AbsGreater,
+    /// Equation 4: `distance_from_corr(c) ≤ radius`, the approximate
+    /// networks' in-radius rule (`radius = √(2(1−θ))`).
+    WithinRadius(f64),
 }
 
 /// Threshold sink: keeps only the `(i, j)` pairs whose correlation passes
@@ -403,16 +404,22 @@ impl EdgeSink {
         Self::with_rule(theta, EdgeRule::Greater)
     }
 
-    /// At-least sink (`c ≥ θ`), matching the approximate path's pruning
-    /// radius (`distance ≤ √(2(1−θ))`).
-    pub fn new_inclusive(theta: f64) -> Self {
-        Self::with_rule(theta, EdgeRule::AtLeast)
-    }
-
-    /// Absolute-value sink (`|c| > θ`), matching
-    /// [`CorrelationMatrix::threshold_abs`].
-    pub fn new_abs(theta: f64) -> Self {
-        Self::with_rule(theta, EdgeRule::AbsGreater)
+    /// The network sink of `method` at `theta` (validated to `[-1, 1]`) —
+    /// the one place a method picks its edge rule. [`PlanMethod::Exact`]
+    /// keeps `c > θ` ([`EdgeSink::new`]); [`PlanMethod::Approximate`] keeps
+    /// the pairs within the Equation 4 radius,
+    /// `distance_from_corr(c) ≤ pruning_radius(θ)` — both sides on the same
+    /// `sqrt` roundings, so a pair whose correlation is exactly θ is an edge.
+    pub fn for_method(method: PlanMethod, theta: f64) -> Result<Self> {
+        if !(-1.0..=1.0).contains(&theta) {
+            return Err(Error::InvalidThreshold(theta));
+        }
+        Ok(match method {
+            PlanMethod::Exact => Self::new(theta),
+            PlanMethod::Approximate => {
+                Self::with_rule(theta, EdgeRule::WithinRadius(pruning_radius(theta)))
+            }
+        })
     }
 
     fn with_rule(theta: f64, rule: EdgeRule) -> Self {
@@ -442,15 +449,17 @@ impl EdgeSink {
 
 impl TileSink for EdgeSink {
     fn consume(&mut self, i: usize, j0: usize, _pair0: usize, corrs: &[f64]) {
+        // The rule is read once per tile, not once per pair: the edge pushes
+        // would otherwise make the compiler reload it every iteration.
+        let (rule, theta) = (self.rule, self.theta);
         for (p, &c) in corrs.iter().enumerate() {
             if c.is_nan() {
                 self.nan_pairs += 1;
                 continue;
             }
-            let hit = match self.rule {
-                EdgeRule::Greater => c > self.theta,
-                EdgeRule::AtLeast => c >= self.theta,
-                EdgeRule::AbsGreater => c.abs() > self.theta,
+            let hit = match rule {
+                EdgeRule::Greater => c > theta,
+                EdgeRule::WithinRadius(radius) => distance_from_corr(c) <= radius,
             };
             if hit {
                 self.edges.push((i, j0 + p));
@@ -459,11 +468,15 @@ impl TileSink for EdgeSink {
     }
 
     fn tile_skippable(&self, upper_bound: f64) -> bool {
-        // `|corr| ≤ s_i s_j + t_i t_j` too (every |c_k| ≤ 1), so the same
-        // bound is sound for the absolute rule.
         match self.rule {
-            EdgeRule::Greater | EdgeRule::AbsGreater => upper_bound <= self.theta,
-            EdgeRule::AtLeast => upper_bound < self.theta,
+            EdgeRule::Greater => upper_bound <= self.theta,
+            // `distance_from_corr` is monotone non-increasing, so every
+            // correlation under the bound lies at least
+            // `distance_from_corr(upper_bound)` away: strictly outside the
+            // radius, no pair of the tile is an edge. A padded bound above 1
+            // clamps to distance 0, never skippable — conservative, not
+            // wrong.
+            EdgeRule::WithinRadius(radius) => distance_from_corr(upper_bound) > radius,
         }
     }
 
@@ -822,13 +835,25 @@ mod tests {
         assert_eq!(list.edges(), &[(0, 1)]);
         assert_eq!(list.nan_pair_count(), 1);
 
-        let mut incl = EdgeSink::new_inclusive(0.5);
-        incl.consume(0, 1, 0, &[0.9, f64::NAN, 0.5, 0.2]);
-        assert_eq!(incl.finish(5).edges(), &[(0, 1), (0, 3)]);
+        let mut exact = EdgeSink::for_method(PlanMethod::Exact, 0.5).unwrap();
+        exact.consume(0, 1, 0, &[0.9, f64::NAN, 0.5, 0.2]);
+        assert_eq!(exact.finish(5).edges(), &[(0, 1)]);
 
-        let mut abs = EdgeSink::new_abs(0.5);
-        abs.consume(0, 1, 0, &[-0.9, f64::NAN, 0.5, 0.2]);
-        assert_eq!(abs.finish(5).edges(), &[(0, 1)]);
+        // The radius rule keeps a pair at exactly θ.
+        let mut radius = EdgeSink::for_method(PlanMethod::Approximate, 0.5).unwrap();
+        radius.consume(0, 1, 0, &[0.9, f64::NAN, 0.5, 0.2]);
+        let list = radius.finish(5);
+        assert_eq!(list.edges(), &[(0, 1), (0, 3)]);
+        assert_eq!(list.nan_pair_count(), 1);
+
+        for method in [PlanMethod::Exact, PlanMethod::Approximate] {
+            for theta in [1.5, -1.01, f64::NAN] {
+                assert!(matches!(
+                    EdgeSink::for_method(method, theta),
+                    Err(Error::InvalidThreshold(_))
+                ));
+            }
+        }
     }
 
     #[test]
@@ -836,9 +861,10 @@ mod tests {
         let strict = EdgeSink::new(0.5);
         assert!(strict.tile_skippable(0.5)); // c > 0.5 impossible when ub == 0.5
         assert!(!strict.tile_skippable(0.6));
-        let incl = EdgeSink::new_inclusive(0.5);
-        assert!(!incl.tile_skippable(0.5)); // c == 0.5 is an edge
-        assert!(incl.tile_skippable(0.4999));
+        let radius = EdgeSink::for_method(PlanMethod::Approximate, 0.5).unwrap();
+        assert!(!radius.tile_skippable(0.5)); // c == 0.5 is an edge
+        assert!(radius.tile_skippable(0.4999));
+        assert!(!radius.tile_skippable(1.0 + 1e-9)); // a padded bound never skips
     }
 
     #[test]

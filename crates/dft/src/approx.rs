@@ -15,7 +15,11 @@
 
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::matrix::{AdjacencyMatrix, CorrelationMatrix};
+use tsubasa_core::plan::PlanMethod;
+use tsubasa_core::sketch::packed_pairs;
 use tsubasa_core::stats::{clamp_corr, WindowStats};
+pub use tsubasa_core::stats::{distance_from_corr, pruning_radius};
+use tsubasa_core::sweep::{sweep_packed, EdgeSink, DEFAULT_TILE_PAIRS};
 
 use crate::plan::ApproxPlan;
 use crate::sketch::DftSketchSet;
@@ -24,19 +28,6 @@ use crate::sketch::DftSketchSet;
 /// Euclidean (or DFT coefficient) distance.
 pub fn corr_from_distance(d: f64) -> f64 {
     clamp_corr(1.0 - d * d / 2.0)
-}
-
-/// Inverse of Equation 3: the normalized distance corresponding to a
-/// correlation value.
-pub fn distance_from_corr(c: f64) -> f64 {
-    (2.0 * (1.0 - c.clamp(-1.0, 1.0))).max(0.0).sqrt()
-}
-
-/// Equation 4's pruning radius: pairs whose coefficient distance is at most
-/// this value form a superset of the pairs with `corr ≥ θ` (no false
-/// negatives, possibly false positives).
-pub fn pruning_radius(theta: f64) -> f64 {
-    distance_from_corr(theta)
 }
 
 /// One basic window's contribution to the approximate recombination: the two
@@ -205,7 +196,7 @@ pub fn approximate_correlation_matrix(
         ApproxStrategy::Equation5 => plan.correlation_matrix(),
         ApproxStrategy::StatStreamAverage => {
             let n = plan.series_count();
-            let mut values = vec![0.0f64; n * n.saturating_sub(1) / 2];
+            let mut values = vec![0.0f64; packed_pairs(n)];
             plan.statstream_correlations_into(&mut values);
             Ok(CorrelationMatrix::from_upper_triangle(n, values))
         }
@@ -249,44 +240,40 @@ pub fn approximate_correlation_matrix_reference(
 /// radius for θ — a superset of the exact network (false positives possible,
 /// false negatives not, assuming distances are not over-estimated).
 ///
-/// The Equation 5 strategy delegates to [`ApproxPlan::network`] (tiled
-/// sweep + pruning radius); the StatStream strategy thresholds the averaged
-/// estimates by the same radius.
+/// The Equation 5 strategy is [`ApproxPlan::network_streamed`] (tiled sweep,
+/// Equation 4 tile pruning); the StatStream strategy streams the averaged
+/// estimates through the same radius sink ([`EdgeSink::for_method`]).
 pub fn approximate_network(
     sketch: &DftSketchSet,
     windows: std::ops::Range<usize>,
     theta: f64,
     strategy: ApproxStrategy,
 ) -> Result<AdjacencyMatrix> {
-    if !(-1.0..=1.0).contains(&theta) {
-        return Err(Error::InvalidThreshold(theta));
-    }
+    // Making the sink checks θ before the windows; the Equation 5 sweep
+    // makes its own.
+    let mut sink = EdgeSink::for_method(PlanMethod::Approximate, theta)?;
     let plan = ApproxPlan::build(sketch, windows)?;
-    match strategy {
-        ApproxStrategy::Equation5 => plan.network(theta),
+    let edges = match strategy {
+        ApproxStrategy::Equation5 => plan.network_streamed(theta)?,
         ApproxStrategy::StatStreamAverage => {
-            let radius = pruning_radius(theta);
             let n = plan.series_count();
-            let mut values = vec![0.0f64; n * n.saturating_sub(1) / 2];
+            let mut values = vec![0.0f64; packed_pairs(n)];
             plan.statstream_correlations_into(&mut values);
-            let mut net = AdjacencyMatrix::empty(n);
-            let mut p = 0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    net.set_edge(i, j, distance_from_corr(values[p]) <= radius);
-                    p += 1;
-                }
-            }
-            Ok(net)
+            sweep_packed(n, &values, DEFAULT_TILE_PAIRS, &mut sink);
+            sink.finish(n)
         }
-    }
+    };
+    Ok(edges.to_adjacency())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sketch::Transform;
-    use tsubasa_core::{baseline, QueryWindow, SeriesCollection};
+    use tsubasa_core::runner::SerialRunner;
+    use tsubasa_core::source::SourcePlan;
+    use tsubasa_core::sweep::TableAudit;
+    use tsubasa_core::{baseline, QueryWindow, SeriesCollection, SketchSet};
 
     fn collection(n: usize, len: usize) -> SeriesCollection {
         SeriesCollection::from_rows(
@@ -387,6 +374,51 @@ mod tests {
             }
         }
         assert!(approx_net.edge_count() >= exact_net.edge_count());
+    }
+
+    #[test]
+    fn exact_vs_approx_with_all_coefficients_agrees_perfectly() {
+        // All coefficients kept: the approximate network is the exact one.
+        let c = collection(5, 200);
+        let b = 25;
+        let (theta, windows) = (0.7, 0..8);
+        let exact = SketchSet::build(&c, b).unwrap();
+        let (exact_net, _) = SourcePlan::new(&exact, windows.clone(), PlanMethod::Exact)
+            .unwrap()
+            .network(&SerialRunner, theta, DEFAULT_TILE_PAIRS, TableAudit::Off)
+            .unwrap();
+        assert!(exact_net.edge_count() > 0);
+        let sk = DftSketchSet::build(&c, b, b, Transform::Naive).unwrap();
+        let approx_net = approximate_network(&sk, windows, theta, ApproxStrategy::Equation5);
+        assert_eq!(approx_net.unwrap(), exact_net.to_adjacency());
+    }
+
+    #[test]
+    fn entry_points_validate_inputs() {
+        let c = collection(3, 100);
+        assert!(DftSketchSet::build(&c, 0, 25, Transform::Naive).is_err());
+        let sk = DftSketchSet::build(&c, 25, 25, Transform::Naive).unwrap();
+        for windows in [0..9usize, 2..2] {
+            assert!(matches!(
+                ApproxPlan::build(&sk, windows).unwrap_err(),
+                Error::SketchMismatch { .. }
+            ));
+        }
+        let plan = ApproxPlan::build(&sk, 0..4).unwrap();
+        assert_eq!(plan.series_count(), 3);
+        assert!(matches!(
+            plan.network_streamed(1.5).unwrap_err(),
+            Error::InvalidThreshold(_)
+        ));
+        // A cloned sketch answers identically.
+        let clone = sk.clone();
+        assert_eq!(
+            ApproxPlan::build(&clone, 0..4)
+                .unwrap()
+                .network_streamed(0.5)
+                .unwrap(),
+            plan.network_streamed(0.5).unwrap()
+        );
     }
 
     #[test]

@@ -15,11 +15,14 @@
 //! For real-time data the query-window distance is updated incrementally
 //! (Equation 6): only the arriving basic window needs new DFT coefficients.
 //!
-//! All-pairs queries go through the batched [`plan::ApproxPlan`] layer (the
-//! approximate sibling of `tsubasa_core::plan::QueryPlan`): per-series
-//! recombination tables shared across pairs, a window-major table of
-//! `1 − d²/2` estimates swept by the tiled batch kernel, and Equation 4
-//! pruning for thresholded networks.
+//! All-pairs queries go through [`plan::ApproxPlan`], the comparator's face
+//! of `tsubasa_core::source::SourcePlan` (the one query plan over a source
+//! for both methods): per-series recombination tables shared across pairs,
+//! a window-major table of `1 − d²/2` estimates swept by the tiled batch
+//! kernel, and Equation 4 pruning for thresholded networks. The Equation 3/4
+//! helpers [`distance_from_corr`] and [`pruning_radius`] live in
+//! `tsubasa_core::stats`, beside the one edge rule that uses them, and are
+//! re-exported here.
 //!
 //! The approximation becomes exact when all `B` coefficients are used —
 //! the property the paper's Figure 5a verifies and that the tests in this

@@ -1,5 +1,6 @@
-//! The precomputed all-pairs evaluation plan of the *approximate* query path
-//! — the DFT-comparator sibling of [`tsubasa_core::plan::QueryPlan`].
+//! The approximate query path's plan — the DFT-comparator face of
+//! [`tsubasa_core::source::SourcePlan`], the one query plan over a source
+//! for both methods.
 //!
 //! The scalar approximate path ([`crate::approx::approximate_pair_correlation`])
 //! re-derives, for every one of the `N(N−1)/2` pairs, the per-series half of
@@ -11,14 +12,12 @@
 //! * the **per-series window-stat tables** (σ/mean/len, δ offsets, means and
 //!   denominators) are computed once per query window — they are literally a
 //!   [`QueryPlan`] built from the base sketch's window statistics, so the
-//!   window-major σ/δ tables, the batch [`QueryPlan::block_kernel`] and the
-//!   dense fill ([`fill_packed`]) are reused wholesale;
+//!   window-major σ/δ tables, the batch [`QueryPlan::block_kernel`], the
+//!   dense fill and the streamed tile loop are the exact path's own;
 //! * the per-pair **correlation estimates** `ĉ_k = 1 − d_k²/2` (Equation 3)
 //!   are what every backend stores, so the plan **borrows** the source's
-//!   window-major estimate table ([`CorrSource::full_table`]: the shared rows
-//!   of a [`DftSketchSet`], the mapped `PairEsts` rows of a pile) and copies
-//!   nothing — building a plan costs the per-series tables alone, at any
-//!   table size;
+//!   window-major estimate table and copies nothing — building a plan costs
+//!   the per-series tables alone, at any table size;
 //! * every pair is then evaluated by the same cache-blocked tiled sweep as
 //!   the exact matrix paths — Equation 5 and Lemma 1 share their
 //!   recombination algebra, only the per-window correlation source differs.
@@ -30,45 +29,43 @@
 //!
 //! # Equation 4 pruning
 //!
-//! [`ApproxPlan::network`] builds the thresholded approximate network of
-//! Algorithm 4: a pair is an edge when its recombined query-window distance
-//! is within the Equation 4 pruning radius `radius(θ) = √(2(1−θ))`. Because
-//! partial-coefficient distances never over-estimate (`d̂_j ≤ d_j`), the
-//! estimated per-window correlations — and with them the recombined
-//! query-window correlation — never under-estimate, so the in-radius pair set
-//! is a **superset of the exact network**: false positives possible, false
-//! negatives not. [`ApproxPlan::candidate_pairs`] exposes that in-radius set
-//! directly for callers that want to pay exact verification only for the
-//! surviving candidates.
+//! [`ApproxPlan::network_streamed`] builds the thresholded approximate
+//! network of Algorithm 4: a pair is an edge when its recombined query-window
+//! distance is within the Equation 4 pruning radius `radius(θ) = √(2(1−θ))`
+//! — the approximate rule of [`EdgeSink::for_method`], which every
+//! approximate network in the workspace (the parallel engine's and the
+//! served ones too) applies. Because partial-coefficient distances never
+//! over-estimate (`d̂_j ≤ d_j`), the estimated per-window correlations — and
+//! with them the recombined query-window correlation — never under-estimate,
+//! so the in-radius pair set is a **superset of the exact network**: false
+//! positives possible, false negatives not. The sweep skips whole tiles
+//! whose Equation 4 correlation bound lies outside the radius before any
+//! kernel work.
 
 use std::ops::Range;
 
-use tsubasa_core::error::{Error, Result};
-use tsubasa_core::matrix::{AdjacencyMatrix, CorrelationMatrix};
+use tsubasa_core::error::Result;
+use tsubasa_core::matrix::CorrelationMatrix;
 use tsubasa_core::plan::{PlanMethod, QueryPlan};
 use tsubasa_core::runner::SerialRunner;
-use tsubasa_core::source::{check_source_windows, CorrSource, PairTable};
+use tsubasa_core::source::SourcePlan;
 use tsubasa_core::stats::clamp_corr;
-use tsubasa_core::sweep::{
-    fill_packed, sweep_run, CorrelationBounds, EdgeList, TileSink, TopK, TopKSink,
-    DEFAULT_TILE_PAIRS,
-};
-use tsubasa_core::SeriesId;
+#[cfg(doc)]
+use tsubasa_core::sweep::EdgeSink;
+use tsubasa_core::sweep::{EdgeList, TableAudit, TopK, DEFAULT_TILE_PAIRS};
 
-use crate::approx::{distance_from_corr, pruning_radius};
 use crate::sketch::DftSketchSet;
 
-/// The approximate all-pairs evaluation plan: per-series recombination
-/// tables shared by every pair, built **once per query window**, plus the
-/// source's window-major table of per-pair correlation estimates, borrowed
-/// for the plan's lifetime. See the [module docs](self) for the layout story.
+/// The approximate all-pairs evaluation plan over a comparator sketch: a
+/// [`SourcePlan`] of [`PlanMethod::Approximate`], answered on the calling
+/// thread in tiles of [`DEFAULT_TILE_PAIRS`] with no table audit. See the
+/// [module docs](self).
 ///
-/// The streamed entry points ([`ApproxPlan::sweep_run`],
-/// [`ApproxPlan::sweep_streamed`], [`ApproxPlan::network_streamed`],
+/// The streamed entry points ([`ApproxPlan::network_streamed`],
 /// [`ApproxPlan::top_k`]) allocate nothing per pair and never consult the
-/// dense budget; the entry points that materialize the packed `N(N−1)/2`
-/// triangle ([`ApproxPlan::correlation_matrix`] and what sits on it) check it
-/// and fail with [`Error::TooLarge`].
+/// dense budget; [`ApproxPlan::correlation_matrix`] materializes the packed
+/// `N(N−1)/2` triangle and fails with
+/// [`Error::TooLarge`](tsubasa_core::error::Error::TooLarge) past it.
 ///
 /// # Example
 ///
@@ -88,26 +85,11 @@ use crate::sketch::DftSketchSet;
 /// let plan = ApproxPlan::build(&sketch, 0..2).unwrap();
 /// let matrix = plan.correlation_matrix().unwrap();
 /// assert!(matrix.get(0, 2) < -0.9); // anti-correlated pair
-/// let network = plan.network(0.8).unwrap();
-/// assert!(network.has_edge(0, 1));
+/// let network = plan.network_streamed(0.8).unwrap();
+/// assert_eq!(network.edges(), &[(0, 1)]);
 /// ```
 #[derive(Debug)]
-pub struct ApproxPlan<'a> {
-    /// Number of series covered.
-    n: usize,
-    /// The range of sketched basic windows the plan covers.
-    windows: Range<usize>,
-    /// The per-series half of the Equation 5 recombination — the same flat
-    /// tables (and batch kernel) as the exact path's query plan.
-    plan: QueryPlan,
-    /// The source's window-major per-pair estimates `ĉ_k = 1 − d_k²/2`.
-    table: PairTable<'a>,
-    /// The recombined packed correlation triangle, filled once on first use —
-    /// it is threshold-independent, so probing several θ through one plan
-    /// ([`ApproxPlan::network`], [`ApproxPlan::candidate_pairs`]) pays the
-    /// dense fill once.
-    packed: std::sync::OnceLock<Vec<f64>>,
-}
+pub struct ApproxPlan<'a>(SourcePlan<'a>);
 
 impl<'a> ApproxPlan<'a> {
     /// Build the plan for an aligned range of sketched basic windows: the
@@ -115,74 +97,32 @@ impl<'a> ApproxPlan<'a> {
     /// correlation estimates are the comparator's own table. No raw data is
     /// needed.
     pub fn build(sketch: &'a DftSketchSet, windows: Range<usize>) -> Result<Self> {
-        Self::from_source(sketch, windows)
-    }
-
-    /// Build the plan from **any** source that answers
-    /// [`PlanMethod::Approximate`] — an in-memory comparator, or a pile whose
-    /// `PairEsts` segments persist the same Equation 3 values. The
-    /// per-series statistic tables feed [`QueryPlan::from_window_stats`]; the
-    /// estimate table is lent by the source. Every backend stores the
-    /// identical `ĉ = 1 − d²/2` bits, so plans built from any are
-    /// bit-identical.
-    pub fn from_source<S: CorrSource + ?Sized>(
-        source: &'a S,
-        windows: Range<usize>,
-    ) -> Result<Self> {
-        check_source_windows(source, &windows, PlanMethod::Approximate)?;
-        let stats = source.series_stats(windows.clone())?;
-        Ok(Self {
-            n: source.series_count(),
-            plan: QueryPlan::from_window_stats(&stats)?,
-            table: source.lent_table(windows.clone(), PlanMethod::Approximate)?,
-            windows,
-            packed: std::sync::OnceLock::new(),
-        })
+        SourcePlan::new(sketch, windows, PlanMethod::Approximate).map(Self)
     }
 
     /// Number of series covered by the plan.
     pub fn series_count(&self) -> usize {
-        self.n
+        self.0.series_count()
     }
 
     /// The range of sketched basic windows the plan covers.
     pub fn windows(&self) -> Range<usize> {
-        self.windows.clone()
+        self.0.windows()
     }
 
     /// The shared per-series recombination tables (the exact path's plan
     /// type, reused verbatim).
     pub fn query_plan(&self) -> &QueryPlan {
-        &self.plan
-    }
-
-    /// True when series `i` is constant over the query window, i.e. every
-    /// pair involving it is degenerate and evaluates to the explicit `0.0`
-    /// convention.
-    pub fn is_degenerate(&self, i: SeriesId) -> bool {
-        self.plan.is_degenerate(i)
-    }
-
-    /// The recombined packed correlation triangle, minted by the dense fill
-    /// ([`fill_packed`]) on first use and cached (the values do not depend on
-    /// any threshold). The one dense allocation of the plan: refused with
-    /// [`Error::TooLarge`] past the dense budget.
-    fn packed_correlations(&self) -> Result<&[f64]> {
-        if let Some(values) = self.packed.get() {
-            return Ok(values);
-        }
-        let (values, _) = fill_packed(&SerialRunner, &self.plan, self.table.view())?;
-        Ok(self.packed.get_or_init(|| values))
+        self.0.query_plan()
     }
 
     /// The approximate all-pairs correlation matrix (Equation 5 recombined
-    /// through the tiled batch kernel): the dense fill's own buffer, refused
-    /// with [`Error::TooLarge`] past the dense budget. Degenerate
-    /// (constant-series) pairs hold `0.0`, the explicit mapping of
-    /// [`Error::DegenerateWindow`] shared with the exact matrix paths.
+    /// through the tiled batch kernel): [`SourcePlan::correlation_matrix`].
+    /// Degenerate (constant-series) pairs hold `0.0`, the explicit mapping of
+    /// [`tsubasa_core::error::Error::DegenerateWindow`] shared with the
+    /// exact matrix paths.
     pub fn correlation_matrix(&self) -> Result<CorrelationMatrix> {
-        let (values, _) = fill_packed(&SerialRunner, &self.plan, self.table.view())?;
-        Ok(CorrelationMatrix::from_upper_triangle(self.n, values))
+        Ok(self.0.correlation_matrix(&SerialRunner)?.0)
     }
 
     /// The StatStream-average recombination over the same window-major
@@ -191,9 +131,10 @@ impl<'a> ApproxPlan<'a> {
     /// [`crate::approx::statstream_average_correlation`] is within the tiled
     /// tolerance contract.
     pub fn statstream_correlations_into(&self, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.pair_count());
+        let view = self.0.table();
+        debug_assert_eq!(out.len(), view.pair_count());
         out.fill(0.0);
-        let (w, view) = (self.windows.len(), self.table.view());
+        let w = view.window_count();
         for k in 0..w {
             for (slot, &c) in out.iter_mut().zip(view.window_row(k)) {
                 *slot += c;
@@ -205,178 +146,26 @@ impl<'a> ApproxPlan<'a> {
         }
     }
 
-    /// Algorithm 4: the thresholded approximate network under Equation 4
-    /// pruning. Every pair's query-window distance is recombined by the tiled
-    /// Equation 5 sweep, and only pairs within the pruning radius
-    /// `√(2(1−θ))` become edges — a superset of the exact network (false
-    /// positives possible, false negatives not, as long as coefficient
-    /// distances are not over-estimated; see the [module docs](self)).
-    pub fn network(&self, theta: f64) -> Result<AdjacencyMatrix> {
-        let mut net = AdjacencyMatrix::empty(self.n);
-        for (i, j) in self.candidate_pairs(theta)? {
-            net.set_edge(i, j, true);
-        }
-        Ok(net)
-    }
-
-    /// The Equation 4 candidate set: the pairs whose recombined query-window
-    /// distance is within the pruning radius for `theta` — exactly the edges
-    /// of [`ApproxPlan::network`], as an explicit pair list. Downstream
-    /// callers that need the *exact* network pay full Lemma 1 verification
-    /// only for these survivors instead of all `N(N−1)/2` pairs. The
-    /// underlying correlations are threshold-independent and cached, so
-    /// probing several θ sweeps once.
-    pub fn candidate_pairs(&self, theta: f64) -> Result<Vec<(SeriesId, SeriesId)>> {
-        if !(-1.0..=1.0).contains(&theta) {
-            return Err(Error::InvalidThreshold(theta));
-        }
-        let radius = pruning_radius(theta);
-        let values = self.packed_correlations()?;
-        let mut out = Vec::new();
-        let mut p = 0;
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                if distance_from_corr(values[p]) <= radius {
-                    out.push((i, j));
-                }
-                p += 1;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Number of packed pairs (`N(N−1)/2`) the plan covers — the length of
-    /// the packed correlation triangle, and the exclusive upper bound of the
-    /// runs accepted by [`ApproxPlan::sweep_run`].
-    pub fn pair_count(&self) -> usize {
-        self.n * self.n.saturating_sub(1) / 2
-    }
-
-    /// The Equation 4 per-tile pruning bounds of this plan's per-series
-    /// tables. Build once and share across the [`ApproxPlan::sweep_run`]
-    /// calls of a partitioned sweep — the bounds depend only on the plan.
-    pub fn tile_bounds(&self) -> CorrelationBounds {
-        CorrelationBounds::from_plan(&self.plan)
-    }
-
-    /// Run the streaming sweep over one contiguous run of the packed pair
-    /// triangle into `sink` — the restriction of
-    /// [`ApproxPlan::sweep_streamed`] to `run`, and the unit of work of a
-    /// partitioned parallel sweep (a run boundary never changes any pair's
-    /// arithmetic, exactly like the exact path's
-    /// [`tsubasa_core::sweep::sweep_run`], which this wraps). Pass
-    /// `Some(bounds)` (from [`ApproxPlan::tile_bounds`]) to drop tiles the
-    /// sink reports skippable under the Equation 4 per-tile upper bound
-    /// before any kernel work.
-    pub fn sweep_run(
-        &self,
-        bounds: Option<&CorrelationBounds>,
-        run: Range<usize>,
-        tile_len: usize,
-        sink: &mut dyn TileSink,
-    ) {
-        let view = self.table.view();
-        sweep_run(&self.plan, &view, bounds, run, tile_len, sink);
-    }
-
-    /// Run a streaming sweep over all pairs into `sink`: each batch-kernel
-    /// tile is recombined, consumed, and discarded — the packed triangle
-    /// cache behind [`ApproxPlan::network`] is never touched.
-    /// With `prune`, tiles the sink reports skippable under the Equation 4
-    /// per-tile upper bound are dropped before any kernel work.
-    pub fn sweep_streamed(&self, prune: bool, tile_len: usize, sink: &mut dyn TileSink) {
-        let bounds = prune.then(|| self.tile_bounds());
-        self.sweep_run(bounds.as_ref(), 0..self.pair_count(), tile_len, sink);
-    }
-
-    /// [`ApproxPlan::network`] through the streaming sweep: the same
-    /// Equation 4 in-radius edge set (`distance ≤ √(2(1−θ))`, applied to the
-    /// identical batch-kernel outputs), but tile by tile with whole tiles
-    /// skipped when their per-tile correlation upper bound falls outside the
-    /// pruning radius — and no `N(N−1)/2` result buffer.
+    /// Algorithm 4: the approximate network at `theta` under the Equation 4
+    /// radius rule ([`SourcePlan::network`]), tiles outside the radius
+    /// skipped — a superset of the exact network (false positives possible,
+    /// false negatives not; see the [module docs](self)) with no
+    /// `N(N−1)/2` result buffer.
     pub fn network_streamed(&self, theta: f64) -> Result<EdgeList> {
-        let mut sink = RadiusEdgeSink::new(theta)?;
-        self.sweep_streamed(true, DEFAULT_TILE_PAIRS, &mut sink);
-        Ok(sink.finish(self.n))
+        let (edges, _) =
+            self.0
+                .network(&SerialRunner, theta, DEFAULT_TILE_PAIRS, TableAudit::Off)?;
+        Ok(edges)
     }
 
-    /// The `k` strongest approximate edges, streamed: a k-bounded heap
-    /// ranked by [`f64::total_cmp`] (ties by ascending pair index), with
-    /// tiles skipped once their Equation 4 upper bound cannot beat the
-    /// current k-th strength. Equals the sorted dense
+    /// The `k` strongest approximate edges, streamed
+    /// ([`SourcePlan::top_k`]): equals the sorted dense
     /// [`ApproxPlan::correlation_matrix`] top k.
     pub fn top_k(&self, k: usize) -> TopK {
-        let mut sink = TopKSink::new(k);
-        self.sweep_streamed(true, DEFAULT_TILE_PAIRS, &mut sink);
-        sink.finish()
-    }
-}
-
-/// The approximate path's threshold sink: a pair is an edge when its
-/// recombined correlation lies within the Equation 4 pruning radius —
-/// `distance_from_corr(c) ≤ √(2(1−θ))`, the *identical* predicate (same
-/// `sqrt` roundings) as the dense [`ApproxPlan::candidate_pairs`], so the
-/// streamed edge set matches the dense one exactly. NaN correlations are
-/// counted, never silently dropped.
-#[derive(Debug, Clone)]
-pub struct RadiusEdgeSink {
-    radius: f64,
-    edges: Vec<(usize, usize)>,
-    nan_pairs: usize,
-    skipped_pairs: usize,
-}
-
-impl RadiusEdgeSink {
-    /// A sink thresholding at `theta` (validated to `[-1, 1]`).
-    pub fn new(theta: f64) -> Result<Self> {
-        if !(-1.0..=1.0).contains(&theta) {
-            return Err(Error::InvalidThreshold(theta));
-        }
-        Ok(Self {
-            radius: pruning_radius(theta),
-            edges: Vec::new(),
-            nan_pairs: 0,
-            skipped_pairs: 0,
-        })
-    }
-
-    /// Pairs dropped by Equation 4 tile pruning without being evaluated.
-    pub fn skipped_pairs(&self) -> usize {
-        self.skipped_pairs
-    }
-
-    /// Finish the sweep: the accumulated edge list over `n` nodes.
-    pub fn finish(self, n: usize) -> EdgeList {
-        EdgeList::from_parts(n, self.edges, self.nan_pairs)
-    }
-}
-
-impl TileSink for RadiusEdgeSink {
-    fn consume(&mut self, i: usize, j0: usize, _pair0: usize, corrs: &[f64]) {
-        for (p, &c) in corrs.iter().enumerate() {
-            if c.is_nan() {
-                self.nan_pairs += 1;
-                continue;
-            }
-            if distance_from_corr(c) <= self.radius {
-                self.edges.push((i, j0 + p));
-            }
-        }
-    }
-
-    fn tile_skippable(&self, upper_bound: f64) -> bool {
-        // `distance_from_corr` is monotone non-increasing, so every
-        // correlation under the bound maps to a distance at least
-        // `distance_from_corr(upper_bound)`: strictly outside the radius
-        // means no pair in the tile can be an edge. A padded bound above 1
-        // clamps to distance 0, which is never skippable — conservative, not
-        // wrong. The θ comparison would be equivalent in exact arithmetic;
-        // the distance framing keeps both sides on the same sqrt roundings.
-        distance_from_corr(upper_bound) > self.radius
-    }
-
-    fn tile_skipped(&mut self, _i: usize, _j0: usize, len: usize) {
-        self.skipped_pairs += len;
+        let (top, _) = self
+            .0
+            .top_k(&SerialRunner, k, DEFAULT_TILE_PAIRS, TableAudit::Off);
+        top
     }
 }
 
@@ -387,6 +176,8 @@ mod tests {
     use crate::sketch::Transform;
     use tsubasa_core::runner::ScopedRunner;
     use tsubasa_core::sketch::pair_index;
+    use tsubasa_core::stats::{distance_from_corr, pruning_radius};
+    use tsubasa_core::sweep::{sweep_run, CorrelationBounds, EdgeSink};
     use tsubasa_core::{baseline, QueryWindow, SeriesCollection};
 
     fn collection(n: usize, len: usize) -> SeriesCollection {
@@ -439,27 +230,22 @@ mod tests {
         let sk = DftSketchSet::build(&c, 24, 12, Transform::Naive).unwrap();
         let plan = ApproxPlan::build(&sk, 0..10).unwrap();
         let serial = plan.correlation_matrix().unwrap();
+        let network = plan.network_streamed(0.3).unwrap();
+        let top = plan.top_k(9);
         for workers in [1usize, 3, 8] {
             let runner = ScopedRunner::new(workers);
-            let (pooled, _) = fill_packed(&runner, &plan.plan, plan.table.view()).unwrap();
-            assert_eq!(serial.upper_triangle(), &pooled[..], "{workers}");
+            let (pooled, _) = plan.0.correlation_matrix(&runner).unwrap();
+            assert_eq!(serial, pooled, "{workers}");
+            for tile_len in [1, 5, DEFAULT_TILE_PAIRS] {
+                let (edges, _) = plan
+                    .0
+                    .network(&runner, 0.3, tile_len, TableAudit::Off)
+                    .unwrap();
+                assert_eq!(edges, network, "{workers} {tile_len}");
+                let (pooled, _) = plan.0.top_k(&runner, 9, tile_len, TableAudit::Off);
+                assert_eq!(pooled, top, "{workers} {tile_len}");
+            }
         }
-    }
-
-    #[test]
-    fn network_edges_are_the_candidate_pairs() {
-        let c = collection(6, 240);
-        let sk = DftSketchSet::build(&c, 40, 6, Transform::Naive).unwrap();
-        let plan = ApproxPlan::build(&sk, 0..6).unwrap();
-        let theta = 0.6;
-        let net = plan.network(theta).unwrap();
-        let candidates = plan.candidate_pairs(theta).unwrap();
-        assert_eq!(net.edge_count(), candidates.len());
-        for (i, j) in candidates {
-            assert!(net.has_edge(i, j));
-        }
-        assert!(plan.network(1.5).is_err());
-        assert!(plan.candidate_pairs(-2.0).is_err());
     }
 
     #[test]
@@ -473,7 +259,7 @@ mod tests {
         let c = SeriesCollection::from_rows(rows).unwrap();
         let sk = DftSketchSet::build(&c, 16, 16, Transform::Naive).unwrap();
         let plan = ApproxPlan::build(&sk, 0..5).unwrap();
-        assert!(plan.is_degenerate(0));
+        assert!(plan.query_plan().is_degenerate(0));
         let m = plan.correlation_matrix().unwrap();
         for j in 1..4 {
             assert_eq!(m.get(0, j), 0.0);
@@ -485,10 +271,17 @@ mod tests {
         let c = collection(7, 240);
         let sk = DftSketchSet::build(&c, 24, 12, Transform::Naive).unwrap();
         let plan = ApproxPlan::build(&sk, 0..10).unwrap();
+        let dense = plan.correlation_matrix().unwrap();
         for theta in [-0.3, 0.0, 0.55, 0.9] {
             let streamed = plan.network_streamed(theta).unwrap();
-            let dense = plan.network(theta).unwrap();
-            assert_eq!(streamed.to_adjacency(), dense, "theta={theta}");
+            // The Equation 4 radius predicate over the dense matrix.
+            let radius = pruning_radius(theta);
+            let want: Vec<(usize, usize)> = dense
+                .iter_pairs()
+                .filter(|&(_, _, c)| distance_from_corr(c) <= radius)
+                .map(|(i, j, _)| (i, j))
+                .collect();
+            assert_eq!(streamed.edges(), &want[..], "theta={theta}");
             assert_eq!(streamed.nan_pair_count(), 0);
         }
         assert!(plan.network_streamed(1.5).is_err());
@@ -500,14 +293,19 @@ mod tests {
         let sk = DftSketchSet::build(&c, 40, 8, Transform::Naive).unwrap();
         let plan = ApproxPlan::build(&sk, 0..6).unwrap();
         let theta = 0.95;
-        let mut pruned = RadiusEdgeSink::new(theta).unwrap();
-        plan.sweep_streamed(true, 2, &mut pruned);
-        let skipped = pruned.skipped_pairs();
+        let (qp, view) = (plan.query_plan(), plan.0.table());
+        let bounds = CorrelationBounds::from_plan(qp);
+        let sweep = |bounds: Option<&CorrelationBounds>| {
+            let mut sink = EdgeSink::for_method(PlanMethod::Approximate, theta).unwrap();
+            sweep_run(qp, &view, bounds, 0..28, 2, &mut sink);
+            sink
+        };
+        let (pruned, full) = (sweep(Some(&bounds)), sweep(None));
+        assert!(pruned.skipped_pairs() <= 28);
+        assert_eq!(full.skipped_pairs(), 0);
         let pruned = pruned.finish(8);
-        let mut full = RadiusEdgeSink::new(theta).unwrap();
-        plan.sweep_streamed(false, 2, &mut full);
         assert_eq!(pruned.edges(), full.finish(8).edges());
-        assert!(skipped <= 28);
+        assert_eq!(pruned, plan.network_streamed(theta).unwrap());
     }
 
     #[test]

@@ -11,17 +11,15 @@
 //! * [`communities`] — deterministic label-propagation community detection.
 //! * [`similarity`] — the edge-count / similarity-ratio comparisons of the
 //!   paper's accuracy experiment (Figure 5a), plus precision/recall of an
-//!   approximate network against the exact one.
-//! * [`approx`] — end-to-end approximate network construction through the
-//!   batched `ApproxPlan` (tiled Equation 5, Equation 4 pruning) and the
-//!   one-call exact-vs-approximate comparison behind Figure 5a.
+//!   approximate network against the exact one. The networks themselves come
+//!   from the query paths: `tsubasa_core::source::SourcePlan` (exact) and
+//!   `tsubasa_dft::ApproxPlan` (approximate, Equation 4).
 //! * [`export`] — edge-list CSV and Graphviz DOT export.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_code)]
 
-pub mod approx;
 pub mod communities;
 pub mod components;
 pub mod dynamics;
@@ -30,7 +28,6 @@ pub mod graph;
 pub mod metrics;
 pub mod similarity;
 
-pub use approx::{exact_vs_approx, ApproxNetworkBuilder};
 pub use dynamics::{DynamicsBuilder, DynamicsTracker, SnapshotDelta};
 pub use graph::ClimateNetwork;
 pub use similarity::NetworkComparison;

@@ -7,33 +7,31 @@
 //! and streams to the single database worker ([`PileBatchWriter`]) — and one
 //! entry point per query ([`ParallelEngine::query`] /
 //! [`ParallelEngine::network`] / [`ParallelEngine::top_k`]) over any
-//! [`CorrSource`]: the mapped pile or an in-memory sketch. The workers split
-//! the unordered pairs as contiguous runs of the packed triangle — index
-//! ranges, never pair lists: the dense query is the one dense fill
-//! ([`fill_packed`]), each worker writing its disjoint slice of the packed
-//! result in place; streamed-query workers drive per-worker sinks
-//! ([`sweep_pooled`]).
+//! [`CorrSource`]: the mapped pile or an in-memory sketch. Each query is the
+//! one plan over a source ([`SourcePlan`]) on the engine's pool. The workers
+//! split the unordered pairs as contiguous runs of the packed triangle —
+//! index ranges, never pair lists: the dense query is the one dense fill
+//! ([`tsubasa_core::sweep::fill_packed`]), each worker writing its disjoint
+//! slice of the packed result in place; streamed-query workers drive
+//! per-worker sinks ([`tsubasa_core::sweep::sweep_pooled`]).
 //!
 //! Both hot loops are tiled batch kernels over window-major data: the sketch
 //! phase calls [`tsubasa_core::stats::window_corrs_into`] or
 //! [`tsubasa_dft::sketch::ComparatorKernel`] — the kernels every in-memory
 //! sketch is built with, so a pile row equals the in-memory row bit for bit —
 //! and the query phase sweeps the table the source lends with
-//! [`QueryPlan::block_kernel`].
+//! [`tsubasa_core::QueryPlan::block_kernel`].
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::matrix::CorrelationMatrix;
-use tsubasa_core::plan::{PlanMethod, QueryPlan};
+use tsubasa_core::plan::PlanMethod;
 use tsubasa_core::sketch::packed_pairs;
-use tsubasa_core::source::{check_source_windows, CorrSource};
+use tsubasa_core::source::{CorrSource, SourcePlan};
 use tsubasa_core::stats::{window_corrs_into, WindowStats};
-use tsubasa_core::sweep::{
-    fill_packed, sweep_pooled, CorrelationBounds, EdgeList, EdgeSink, TableAudit, TileSink, TopK,
-    TopKSink,
-};
+use tsubasa_core::sweep::{EdgeList, TableAudit, TopK};
 use tsubasa_core::window::BasicWindowing;
 use tsubasa_core::SeriesCollection;
 use tsubasa_dft::sketch::{ComparatorKernel, Transform};
@@ -111,11 +109,10 @@ impl Default for ParallelConfig {
 /// those long-lived threads, so back-to-back phases (and repeated queries)
 /// pay thread startup once per engine instead of once per call.
 ///
-/// Every query is the one pipeline of [`tsubasa_core::source`] —
-/// `series_stats` → [`QueryPlan::from_window_stats`] → the table the source
-/// lends → the pooled sweep → sinks — whatever the method or backend, so
-/// the answers depend on the stored rows alone, and those are the same bits
-/// on every backend.
+/// Every query is one [`SourcePlan`] — `series_stats` →
+/// `QueryPlan::from_window_stats` → the table the source lends → the pooled
+/// sweep → sinks — whatever the method or backend, so the answers depend on
+/// the stored rows alone, and those are the same bits on every backend.
 #[derive(Debug)]
 pub struct ParallelEngine {
     config: ParallelConfig,
@@ -271,15 +268,16 @@ impl ParallelEngine {
     /// windows from **any** [`CorrSource`] — in-memory sketches or a mapped
     /// pile — and report the read/compute breakdown (Figure 6b).
     ///
-    /// The per-series statistics are fetched once and folded into a single
-    /// read-only [`QueryPlan`] shared by every worker; the dense fill
-    /// ([`fill_packed`]) on the engine's pool gives each worker a disjoint
-    /// contiguous slice of the packed upper-triangle result to write from the
-    /// table the source lends ([`CorrSource::full_table`]) in place, so the
-    /// matrix is assembled without any copy of the table and without a merge
-    /// step, the same bits for any worker count. The report's compute time
-    /// is the workers' summed busy time. The packed result is the one dense
-    /// allocation: past the dense budget the call fails with
+    /// The query is [`SourcePlan::correlation_matrix`] on the engine's pool:
+    /// the per-series statistics are fetched once into one read-only plan,
+    /// and the dense fill ([`tsubasa_core::sweep::fill_packed`]) gives each
+    /// worker a disjoint contiguous slice of the packed upper-triangle result
+    /// to write from the table the source lends ([`CorrSource::full_table`])
+    /// in place — no copy of the table, no merge step, the same bits for any
+    /// worker count. The
+    /// report's read time covers the plan (statistics, tables, lent table),
+    /// its compute time the workers' summed busy time. The packed result is
+    /// the one dense allocation: past the dense budget the call fails with
     /// [`Error::TooLarge`] (the streamed [`ParallelEngine::network`] /
     /// [`ParallelEngine::top_k`] never do).
     pub fn query<S: CorrSource + ?Sized>(
@@ -288,55 +286,29 @@ impl ParallelEngine {
         windows: Range<usize>,
         method: QueryMethod,
     ) -> Result<(CorrelationMatrix, QueryReport)> {
-        let wall_start = Instant::now();
-        let pm = Self::plan_method(method);
-        check_source_windows(source, &windows, pm)?;
-        let n = source.series_count();
-        let workers = self.config.workers.max(1);
-
-        // Fetch every series' window statistics once up front; they are
-        // shared by all pairs of the partitioned workers.
-        let series_stats = source.series_stats(windows.clone())?;
-        let pair_count = packed_pairs(n);
-        let mut read_time = wall_start.elapsed();
-        let (values, compute_time) = if n >= 2 {
-            let table = source.lent_table(windows, pm)?;
-            read_time = wall_start.elapsed();
-            // Lemma 1 and Equation 5 share their recombination algebra (only
-            // the table differs: sketched correlations vs `1 − d²/2`
-            // estimates), so both query methods are the one dense fill.
-            let plan = QueryPlan::from_window_stats(&series_stats)?;
-            fill_packed(&self.pool, &plan, table.view())?
-        } else {
-            (Vec::new(), Duration::ZERO)
-        };
-
-        Ok((
-            CorrelationMatrix::from_upper_triangle(n, values),
-            QueryReport {
-                workers,
-                pairs: pair_count,
-                read_time,
-                compute_time,
-                wall_time: wall_start.elapsed(),
-            },
-        ))
+        self.answer(source, windows, method, |plan| {
+            plan.correlation_matrix(&self.pool)
+        })
     }
 
-    /// The thresholded network (`c > θ`, matching
-    /// `query(..)?.0.threshold(theta)` exactly) computed from any
+    /// The thresholded network under the method's edge rule
+    /// ([`tsubasa_core::EdgeSink::for_method`]): `c > θ` for [`QueryMethod::Exact`],
+    /// matching `query(..)?.0.threshold(theta)` exactly, and the Equation 4
+    /// radius `distance_from_corr(c) ≤ √(2(1−θ))` for
+    /// [`QueryMethod::Approximate`], matching
+    /// `tsubasa_dft::ApproxPlan::network_streamed` exactly. Computed from any
     /// [`CorrSource`] without ever materializing the packed correlation
-    /// triangle: each worker streams the tiles of its run through its own
-    /// [`EdgeSink`] and the per-run edge lists are appended in run order (runs
-    /// are contiguous in row-major pair order, so that is the whole merge).
+    /// triangle ([`SourcePlan::network`]): each worker streams the tiles of
+    /// its run, at most [`ParallelConfig::batch_pairs`] pairs each, through
+    /// its own sink, and the per-run edge lists are appended in run order.
     ///
-    /// On the [`QueryMethod::Approximate`] path, a tile is skipped *before*
-    /// its table columns are touched when its Equation 4 correlation upper
-    /// bound cannot reach θ — the paper's pruning radius applied at I/O
-    /// granularity (a pruned tile is never faulted in from a mapping). The
-    /// exact path observes every pair, so its NaN audit (NaN table values,
-    /// counted per pair and exposed through [`EdgeList::nan_pair_count`]) is
-    /// exhaustive; pruned approximate tiles are audited only under
+    /// On the approximate path a tile is skipped *before* its table columns
+    /// are touched when its Equation 4 correlation upper bound lies outside
+    /// the radius — the paper's pruning applied at I/O granularity (a pruned
+    /// tile is never faulted in from a mapping). The exact path observes
+    /// every pair, so its NaN audit (NaN table values, counted per pair and
+    /// exposed through [`EdgeList::nan_pair_count`]) is exhaustive; pruned
+    /// approximate tiles are audited only under
     /// [`ParallelConfig::audit_pruned_chunks`].
     pub fn network<S: CorrSource + ?Sized>(
         &self,
@@ -345,25 +317,17 @@ impl ParallelEngine {
         method: QueryMethod,
         theta: f64,
     ) -> Result<(EdgeList, QueryReport)> {
-        if !(-1.0..=1.0).contains(&theta) {
-            return Err(Error::InvalidThreshold(theta));
-        }
-        let prune = matches!(method, QueryMethod::Approximate);
-        let (sinks, n, report) =
-            self.streamed_source_query(source, windows, method, prune, || EdgeSink::new(theta))?;
-        let mut edges = EdgeList::from_parts(n, Vec::new(), 0);
-        for sink in sinks {
-            edges.absorb(sink.finish(n));
-        }
-        Ok((edges, report))
+        self.answer(source, windows, method, |plan| {
+            plan.network(&self.pool, theta, self.config.batch_pairs, self.audit())
+        })
     }
 
     /// The `k` strongest edges of the query window, streamed from any
-    /// [`CorrSource`] with a per-worker bounded heap ([`TopKSink`]) merged
-    /// across runs. Tiles whose Equation 4 upper bound cannot beat
-    /// the worker's current k-th strength are skipped before their columns
-    /// are touched (both query methods — the bound holds for exact and
-    /// approximate recombination alike). Ranking is total
+    /// [`CorrSource`] with a per-worker bounded heap merged across runs
+    /// ([`SourcePlan::top_k`]). Tiles whose Equation 4 upper bound cannot
+    /// beat the worker's current k-th strength are skipped before their
+    /// columns are touched (both query methods — the bound holds for exact
+    /// and approximate recombination alike). Ranking is total
     /// ([`f64::total_cmp`], ties by ascending pair index) and equals the
     /// sorted dense matrix's top k; sketches with NaN windows rank as the
     /// kernel's `0.0` convention and are counted in [`TopK::nan_pairs`] as
@@ -375,68 +339,43 @@ impl ParallelEngine {
         method: QueryMethod,
         k: usize,
     ) -> Result<(TopK, QueryReport)> {
-        let (sinks, _, report) =
-            self.streamed_source_query(source, windows, method, true, || TopKSink::new(k))?;
-        let mut merged = TopKSink::new(k);
-        for sink in sinks {
-            merged.absorb(sink);
-        }
-        Ok((merged.finish(), report))
+        self.answer(source, windows, method, |plan| {
+            Ok(plan.top_k(&self.pool, k, self.config.batch_pairs, self.audit()))
+        })
     }
 
-    /// Shared body of the streamed queries: fetch the per-series statistics
-    /// once, build the shared plan (and, when `prune` is set, the Equation 4
-    /// bound components), borrow the source's table, then hand it to the one
-    /// pooled sweep ([`sweep_pooled`]): every worker drives its own sink over
-    /// its own run of the shared view in tiles of at most `batch_pairs`
-    /// pairs. The table NaN audit precedes each tile's recombination — the
-    /// kernel clamps NaN window values to 0.0, so a method-mismatched sketch
-    /// would otherwise yield a plausible-looking correlation. Returns the
-    /// sinks in run order.
-    fn streamed_source_query<S: CorrSource + ?Sized, K: TileSink + Send>(
+    /// The table NaN audit of the streamed queries: every evaluated tile,
+    /// plus the pruned ones under [`ParallelConfig::audit_pruned_chunks`].
+    fn audit(&self) -> TableAudit {
+        if self.config.audit_pruned_chunks {
+            TableAudit::SweptAndSkipped
+        } else {
+            TableAudit::Swept
+        }
+    }
+
+    /// Shared body of the queries: plan `method` over `windows` of `source`
+    /// ([`SourcePlan::new`] — the read phase), run `query` on it, and report
+    /// the timings.
+    fn answer<S: CorrSource + ?Sized, T>(
         &self,
         source: &S,
         windows: Range<usize>,
         method: QueryMethod,
-        prune: bool,
-        make_sink: impl Fn() -> K,
-    ) -> Result<(Vec<K>, usize, QueryReport)> {
+        query: impl FnOnce(&SourcePlan<'_>) -> Result<(T, Duration)>,
+    ) -> Result<(T, QueryReport)> {
         let wall_start = Instant::now();
-        let pm = Self::plan_method(method);
-        check_source_windows(source, &windows, pm)?;
-        let n = source.series_count();
-        let mut report = QueryReport {
+        let plan = SourcePlan::new(source, windows, Self::plan_method(method))?;
+        let read_time = wall_start.elapsed();
+        let (answer, compute_time) = query(&plan)?;
+        let report = QueryReport {
             workers: self.config.workers.max(1),
-            pairs: packed_pairs(n),
-            ..QueryReport::default()
+            pairs: packed_pairs(plan.series_count()),
+            read_time,
+            compute_time,
+            wall_time: wall_start.elapsed(),
         };
-
-        let series_stats = source.series_stats(windows.clone())?;
-        let table = (n >= 2)
-            .then(|| source.lent_table(windows, pm))
-            .transpose()?;
-        report.read_time = wall_start.elapsed();
-        let mut sinks: Vec<K> = Vec::new();
-        if let Some(table) = &table {
-            let plan = QueryPlan::from_window_stats(&series_stats)?;
-            let bounds = prune.then(|| CorrelationBounds::from_plan(&plan));
-            let audit = if self.config.audit_pruned_chunks {
-                TableAudit::SweptAndSkipped
-            } else {
-                TableAudit::Swept
-            };
-            (sinks, report.compute_time) = sweep_pooled(
-                &self.pool,
-                &plan,
-                table.view(),
-                bounds.as_ref(),
-                self.config.batch_pairs,
-                audit,
-                make_sink,
-            );
-        }
-        report.wall_time = wall_start.elapsed();
-        Ok((sinks, n, report))
+        Ok((answer, report))
     }
 }
 
@@ -445,6 +384,7 @@ mod tests {
     use super::*;
     use tsubasa_core::plan::WindowRows;
     use tsubasa_core::sketch::pair_index;
+    use tsubasa_core::stats::{distance_from_corr, pruning_radius};
     use tsubasa_core::{baseline, QueryWindow, SketchSet};
     use tsubasa_data::station::{generate_ncea_like, NceaLikeConfig};
     use tsubasa_dft::sketch::{DftSketchSet, Transform};
@@ -624,18 +564,25 @@ mod tests {
         let eng = engine(2, SketchMethod::Dft { coefficients: 10 });
         let (_, pile) = sketch(&eng, &c, 60, "approx-network");
         let (dense, _) = eng.query(&pile, 0..10, QueryMethod::Approximate).unwrap();
-        for theta in [0.0, 0.5, 0.99] {
+        // A pair's own correlation sits on the radius boundary: an edge.
+        for theta in [0.0, 0.5, 0.99, dense.get(2, 7)] {
             let (streamed, _) = eng
                 .network(&pile, 0..10, QueryMethod::Approximate, theta)
                 .unwrap();
             // Chunk pruning may skip reads, never edges: the edge set equals
-            // the dense strict threshold exactly.
-            assert_eq!(
-                streamed.to_adjacency(),
-                dense.threshold(theta).unwrap(),
-                "theta={theta}"
-            );
+            // the Equation 4 radius predicate over the dense matrix exactly.
+            let radius = pruning_radius(theta);
+            let want: Vec<(usize, usize)> = dense
+                .iter_pairs()
+                .filter(|&(_, _, c)| distance_from_corr(c) <= radius)
+                .map(|(i, j, _)| (i, j))
+                .collect();
+            assert_eq!(streamed.edges(), &want[..], "theta={theta}");
         }
+        let boundary = eng
+            .network(&pile, 0..10, QueryMethod::Approximate, dense.get(2, 7))
+            .unwrap();
+        assert!(boundary.0.edges().contains(&(2, 7)));
     }
 
     #[test]

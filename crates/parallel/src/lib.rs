@@ -5,8 +5,9 @@
 //! The all-pair workload is embarrassingly parallel: the `N(N−1)/2` unordered
 //! pairs are split into contiguous runs of the packed triangle processed by
 //! independent computation workers, while a single dedicated database worker
-//! persists sketches (see [`tsubasa_storage::PileBatchWriter`]). At query time
-//! the per-series statistics are folded into one read-only
+//! persists sketches (see [`tsubasa_storage::PileBatchWriter`]). A query is
+//! one [`tsubasa_core::source::SourcePlan`] on the engine's pool: the
+//! per-series statistics are folded into one read-only
 //! [`tsubasa_core::plan::QueryPlan`] shared by every worker; each worker
 //! sweeps its run's columns of the source's window-major table and either
 //! writes correlations straight into its disjoint contiguous slice of the

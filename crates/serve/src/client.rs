@@ -233,10 +233,31 @@ mod tests {
     use crate::query::QueryEngine;
     use crate::server;
     use std::sync::Arc;
-    use tsubasa_core::exact;
+    use tsubasa_core::plan::PlanMethod;
+    use tsubasa_core::runner::SerialRunner;
+    use tsubasa_core::source::SourcePlan;
+    use tsubasa_core::sweep::{EdgeList, TableAudit, TopK, DEFAULT_TILE_PAIRS};
     use tsubasa_core::SeriesCollection;
     use tsubasa_core::SketchSet;
     use tsubasa_parallel::WorkerPool;
+
+    /// The serial exact plan over every window of `sketch`.
+    fn serial(sketch: &SketchSet) -> SourcePlan<'_> {
+        SourcePlan::new(sketch, 0..sketch.window_count(), PlanMethod::Exact).unwrap()
+    }
+
+    fn serial_network(sketch: &SketchSet, theta: f64) -> EdgeList {
+        let plan = serial(sketch);
+        plan.network(&SerialRunner, theta, DEFAULT_TILE_PAIRS, TableAudit::Off)
+            .unwrap()
+            .0
+    }
+
+    fn serial_top_k(sketch: &SketchSet, k: usize) -> TopK {
+        let plan = serial(sketch);
+        plan.top_k(&SerialRunner, k, DEFAULT_TILE_PAIRS, TableAudit::Off)
+            .0
+    }
 
     fn sketch_with_phase(phase: f64) -> SketchSet {
         let c = SeriesCollection::from_rows(
@@ -275,8 +296,7 @@ mod tests {
 
         let net = client.network(Method::Exact, 0, 0.3).unwrap();
         assert_eq!(net.epoch, 1);
-        let serial =
-            exact::network_streamed_aligned(&sketch, 0..sketch.window_count(), 0.3).unwrap();
+        let serial = serial_network(&sketch, 0.3);
         let expected: Vec<(u32, u32)> = serial
             .edges()
             .iter()
@@ -286,7 +306,7 @@ mod tests {
         assert_eq!(net.nodes as usize, serial.node_count());
 
         let top = client.top_k(Method::Exact, 0, 4).unwrap();
-        let serial = exact::top_k_aligned(&sketch, 0..sketch.window_count(), 4).unwrap();
+        let serial = serial_top_k(&sketch, 4);
         assert_eq!(top.edges.len(), serial.edges.len());
         for (got, want) in top.edges.iter().zip(&serial.edges) {
             assert_eq!(
@@ -434,8 +454,7 @@ mod tests {
             if step > 0 {
                 store.publish(Some(sketch.clone()), None).unwrap();
             }
-            let serial =
-                exact::network_streamed_aligned(sketch, 0..sketch.window_count(), theta).unwrap();
+            let serial = serial_network(sketch, theta);
             let expected: BTreeSet<(u32, u32)> = serial
                 .edges()
                 .iter()

@@ -1,18 +1,15 @@
 //! Query evaluation against a published epoch: one plan-cache lookup, then
 //! one pass over the key's correlation view.
 //!
-//! Every result is **bit-identical** to the serial library call against the
-//! same epoch's sketch:
-//!
-//! * exact network ≡ [`tsubasa_core::exact::network_streamed_aligned`] —
-//!   strict `c > θ` rule; like that path it counts NaN *outputs*, and the
-//!   kernel clamps a NaN table value to `0.0`, so the table itself is not
-//!   audited here (the parallel engine's queries do audit it);
-//! * exact top-k ≡ [`tsubasa_core::exact::top_k_aligned`] — total
-//!   [`f64::total_cmp`] ranking, ties by ascending pair index;
-//! * approximate network ≡ [`tsubasa_dft::ApproxPlan::network_streamed`] —
-//!   the Equation 4 radius predicate;
-//! * approximate top-k ≡ [`tsubasa_dft::ApproxPlan::top_k`].
+//! Every result is **bit-identical** to the serial [`SourcePlan`] of the same
+//! epoch's source, method and windows — network
+//! ([`SourcePlan::network`], the method's edge rule of
+//! [`EdgeSink::for_method`]: `c > θ` exact, the Equation 4 radius
+//! approximate) and top-k ([`SourcePlan::top_k`], total [`f64::total_cmp`]
+//! ranking, ties by ascending pair index), on a serial runner with the
+//! table audit off. Like those calls it counts NaN *outputs*; the kernel
+//! clamps a NaN table value to `0.0`, so the table itself is not audited
+//! here (the parallel engine's queries do audit it).
 //!
 //! A query at one `(epoch, method, windows)` key computes the same
 //! `P = N(N−1)/2` correlations as every other query at that key, so it runs
@@ -27,22 +24,19 @@
 //!    never copied), each worker writing its contiguous run of pairs in
 //!    place into one `P`-length buffer, which moves into the cache entry;
 //! 3. one sink pass over the view on the connection thread
-//!    ([`sweep_packed`]): an [`EdgeSink`] or a [`RadiusEdgeSink`] for a
+//!    ([`sweep_packed`]): the method's [`EdgeSink::for_method`] for a
 //!    network, a [`TopKSink`] for a top-k. The pool is not woken.
 //!
-//! The method picks the table and the sink; nothing else forks. The serial
-//! paths prune tiles under Equation 4 where the sink allows (approximate
-//! network, both top-k); pruning is sound — it drops only tiles no pair of
-//! which could reach the answer — so a pass over every pair gives the same
-//! edges, order, correlation bits and NaN count. The view holds the same
-//! bits as the serial sweep because no tile or run boundary ever changes a
-//! pair's arithmetic.
+//! The serial plan prunes tiles under Equation 4 where the sink allows
+//! (approximate network, both top-k); pruning is sound — it drops only tiles
+//! no pair of which could reach the answer — so a pass over every pair gives
+//! the same edges, order, correlation bits and NaN count. The view holds the
+//! same bits as the serial sweep because no tile or run boundary ever
+//! changes a pair's arithmetic.
 //!
 //! A view the dense fill refuses — past the dense budget
 //! ([`tsubasa_core::capacity::check_dense_budget`]`(P, 1)`) — is never held:
-//! such a query streams the pooled sweep ([`sweep_pooled`]) into per-run
-//! sinks instead — pruning tiles like the serial path — and merges them in
-//! run order.
+//! such a query is the key's [`SourcePlan`] answered on the pool.
 //!
 //! Memory: one `8·P` view per standing request — a method and a trailing
 //! window count — from the newest answered epoch, or from the one before it
@@ -63,13 +57,12 @@ use std::sync::Arc;
 
 use tsubasa_core::error::Error;
 use tsubasa_core::plan::{PlanKey, PlanMethod};
-use tsubasa_core::source::CorrSource;
+use tsubasa_core::source::{CorrSource, SourcePlan};
 use tsubasa_core::sweep::{
-    fill_packed, sweep_packed, sweep_pooled, CorrelationBounds, EdgeList, EdgeSink, TableAudit,
-    TileSink, TopK, TopKSink, DEFAULT_TILE_PAIRS,
+    fill_packed, sweep_packed, CorrelationBounds, EdgeList, EdgeSink, TableAudit, TopK, TopKSink,
+    DEFAULT_TILE_PAIRS,
 };
 use tsubasa_core::QueryPlan;
-use tsubasa_dft::plan::RadiusEdgeSink;
 use tsubasa_parallel::WorkerPool;
 use tsubasa_storage::pile::SketchPile;
 use tsubasa_stream::EpochSketches;
@@ -272,9 +265,7 @@ impl QueryEngine {
         last_windows: u32,
         theta: f64,
     ) -> Result<EdgeList, QueryError> {
-        if !(-1.0..=1.0).contains(&theta) {
-            return Err(QueryError::Rejected(Error::InvalidThreshold(theta)));
-        }
+        let sink = EdgeSink::for_method(method, theta)?;
         let source =
             epoch
                 .source(method)
@@ -284,24 +275,24 @@ impl QueryEngine {
         let windows = resolve_windows(source.window_count(method), last_windows, method)?;
         let n = source.series_count();
         if n < 2 {
-            return Ok(EdgeList::from_parts(n, Vec::new(), 0));
+            return Ok(sink.finish(n));
         }
-        let (key, source) = (PlanKey::new(epoch.id(), windows, method), source.as_ref());
-        Ok(match method {
-            // Exact network: the strict `c > θ` rule and no pruning, as on
-            // the serial streamed path.
-            PlanMethod::Exact => {
-                let sinks =
-                    self.answer(key, last_windows, source, false, || EdgeSink::new(theta))?;
-                merge_edges(sinks.into_iter().map(|sink| sink.finish(n)))
-            }
-            // Approximate network: the Equation 4 radius predicate.
-            PlanMethod::Approximate => {
-                let sink = RadiusEdgeSink::new(theta)?;
-                let sinks = self.answer(key, last_windows, source, true, || sink.clone())?;
-                merge_edges(sinks.into_iter().map(|sink| sink.finish(n)))
-            }
-        })
+        let key = PlanKey::new(epoch.id(), windows, method);
+        self.answer(
+            key,
+            last_windows,
+            source.as_ref(),
+            |view| {
+                let mut sink = sink;
+                sweep_packed(n, view, DEFAULT_TILE_PAIRS, &mut sink);
+                sink.finish(n)
+            },
+            |plan| {
+                Ok(plan
+                    .network(&*self.pool, theta, DEFAULT_TILE_PAIRS, TableAudit::Off)?
+                    .0)
+            },
+        )
     }
 
     /// [`QueryEngine::top_k`] against a specific epoch.
@@ -320,43 +311,50 @@ impl QueryEngine {
                     method,
                 )))?;
         let windows = resolve_windows(source.window_count(method), last_windows, method)?;
-        if source.series_count() < 2 {
+        let n = source.series_count();
+        if n < 2 {
             return Ok(TopKSink::new(k).finish());
         }
         let key = PlanKey::new(epoch.id(), windows, method);
-        let sinks = self.answer(key, last_windows, source.as_ref(), true, || {
-            TopKSink::new(k)
-        })?;
-        Ok(merge_top_k(sinks))
+        self.answer(
+            key,
+            last_windows,
+            source.as_ref(),
+            |view| {
+                let mut sink = TopKSink::new(k);
+                sweep_packed(n, view, DEFAULT_TILE_PAIRS, &mut sink);
+                sink.finish()
+            },
+            |plan| {
+                Ok(plan
+                    .top_k(&*self.pool, k, DEFAULT_TILE_PAIRS, TableAudit::Off)
+                    .0)
+            },
+        )
     }
 
-    /// Feed one query's sinks every pair of its key, in pair order: one sink
-    /// and one pass over the key's view when the view is held or fits the
-    /// dense budget (the key's first query fills it), else one sink per run
-    /// of the pooled sweep streamed off the lent table, tiles pruned when
-    /// `prune`. The sinks come back in pair order. `last_windows` is the
-    /// trailing-window request the key resolves.
-    fn answer<K: TileSink + Send>(
+    /// Answer one query of `key` from the key's view — one `pass` over it,
+    /// when the view is held or fits the dense budget (the key's first query
+    /// fills it) — or else `stream` it: the [`SourcePlan`] of the key,
+    /// answered by the pooled streamed sweep off the lent table. No table
+    /// audit on either path: the contract is the serial library answer, NaN
+    /// count included, and the serial paths audit outputs only.
+    /// `last_windows` is the trailing-window request the key resolves.
+    fn answer<T>(
         &self,
         key: PlanKey,
         last_windows: u32,
         source: &dyn CorrSource,
-        prune: bool,
-        make_sink: impl Fn() -> K,
-    ) -> Result<Vec<K>, QueryError> {
+        pass: impl FnOnce(&[f64]) -> T,
+        stream: impl FnOnce(&SourcePlan<'_>) -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
         let entry = self.lookup(key, last_windows, source)?;
-        let (windows, method) = (key.windows(), key.method);
-        let (plan, bounds) = entry.plan().clone().into_parts();
-        let n = plan.series_count();
-        let pass = |view: &[f64]| {
-            let mut sink = make_sink();
-            sweep_packed(n, view, DEFAULT_TILE_PAIRS, &mut sink);
-            vec![sink]
-        };
         if let Some(view) = entry.view() {
             return Ok(pass(view));
         }
-        let table = source.lent_table(windows, method)?;
+        let (windows, method) = (key.windows(), key.method);
+        let table = source.lent_table(windows.clone(), method)?;
+        let (plan, _) = entry.plan().clone().into_parts();
         // The dense fill refuses only past the dense budget: such a key holds
         // no view.
         let filled = entry.view_or_fill(|| {
@@ -364,15 +362,10 @@ impl QueryEngine {
                 .ok()
                 .map(|(values, _)| values)
         });
-        if let Some(view) = filled {
-            return Ok(pass(view));
+        match filled {
+            Some(view) => Ok(pass(view)),
+            None => stream(&SourcePlan::new(source, windows, method)?),
         }
-        // No table audit: the contract is the serial library answer, NaN
-        // count included, and the serial paths audit outputs only.
-        let bounds = prune.then_some(&*bounds);
-        let (tile, audit) = (DEFAULT_TILE_PAIRS, TableAudit::Off);
-        let view = table.view();
-        Ok(sweep_pooled(&*self.pool, &plan, view, bounds, tile, audit, &make_sink).0)
     }
 
     /// The cache entry of `key` on an epoch's source: the per-series tables
@@ -412,36 +405,12 @@ impl QueryEngine {
     }
 }
 
-/// Merge per-run edge lists in run order. Runs are contiguous ascending pair
-/// ranges, so appending in order reproduces the serial emission order
-/// exactly.
-fn merge_edges(parts: impl Iterator<Item = EdgeList>) -> EdgeList {
-    let mut parts = parts;
-    let mut merged = parts.next().expect("at least one run");
-    for part in parts {
-        merged.absorb(part);
-    }
-    merged
-}
-
-/// Merge per-run top-k heaps, then rank. The merged heap holds the k best
-/// of the union, identical to the serial single-sink heap.
-fn merge_top_k(sinks: Vec<TopKSink>) -> TopK {
-    let mut sinks = sinks.into_iter();
-    let mut merged = sinks.next().expect("at least one run");
-    for sink in sinks {
-        merged.absorb(sink);
-    }
-    merged.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsubasa_core::exact;
+    use tsubasa_core::runner::SerialRunner;
     use tsubasa_core::SeriesCollection;
     use tsubasa_dft::sketch::{DftSketchSet, Transform};
-    use tsubasa_dft::ApproxPlan;
 
     fn engine(workers: usize) -> (QueryEngine, DftSketchSet) {
         let c = SeriesCollection::from_rows(
@@ -482,26 +451,31 @@ mod tests {
             let (eng, dft) = engine(workers);
             let base = dft.base();
 
+            let wc = base.window_count();
+            let serial = |windows, method| SourcePlan::new(&dft, windows, method).unwrap();
             let (epoch, net) = eng.network(PlanMethod::Exact, 0, 0.2).unwrap();
             assert_eq!(epoch, 1);
-            let serial =
-                exact::network_streamed_aligned(base, 0..base.window_count(), 0.2).unwrap();
-            assert_edges_eq(&net, &serial);
+            let (serial_net, _) = serial(0..wc, PlanMethod::Exact)
+                .network(&SerialRunner, 0.2, DEFAULT_TILE_PAIRS, TableAudit::Off)
+                .unwrap();
+            assert_edges_eq(&net, &serial_net);
 
             let (_, trailing) = eng.network(PlanMethod::Exact, 2, 0.2).unwrap();
-            let serial = exact::network_streamed_aligned(
-                base,
-                base.window_count() - 2..base.window_count(),
-                0.2,
-            )
-            .unwrap();
-            assert_edges_eq(&trailing, &serial);
+            let (serial_net, _) = serial(wc - 2..wc, PlanMethod::Exact)
+                .network(&SerialRunner, 0.2, DEFAULT_TILE_PAIRS, TableAudit::Off)
+                .unwrap();
+            assert_edges_eq(&trailing, &serial_net);
 
             let (_, top) = eng.top_k(PlanMethod::Exact, 0, 7).unwrap();
-            let serial = exact::top_k_aligned(base, 0..base.window_count(), 7).unwrap();
-            assert_eq!(top.edges, serial.edges);
+            let (serial_top, _) = serial(0..wc, PlanMethod::Exact).top_k(
+                &SerialRunner,
+                7,
+                DEFAULT_TILE_PAIRS,
+                TableAudit::Off,
+            );
+            assert_eq!(top.edges, serial_top.edges);
 
-            let plan = ApproxPlan::build(&dft, 0..dft.window_count()).unwrap();
+            let plan = tsubasa_dft::ApproxPlan::build(&dft, 0..dft.window_count()).unwrap();
             let (_, net) = eng.network(PlanMethod::Approximate, 0, 0.2).unwrap();
             assert_edges_eq(&net, &plan.network_streamed(0.2).unwrap());
             let (_, top) = eng.top_k(PlanMethod::Approximate, 0, 5).unwrap();

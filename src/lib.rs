@@ -37,9 +37,7 @@ pub mod prelude {
     pub use tsubasa_core::prelude::*;
     pub use tsubasa_data::prelude::*;
     pub use tsubasa_dft::{ApproxPlan, DftSketchSet, SlidingApproxNetwork};
-    pub use tsubasa_network::{
-        ApproxNetworkBuilder, ClimateNetwork, DynamicsBuilder, NetworkComparison,
-    };
+    pub use tsubasa_network::{ClimateNetwork, DynamicsBuilder, NetworkComparison};
     pub use tsubasa_parallel::{ParallelConfig, ParallelEngine};
     pub use tsubasa_serve::{
         EpochIngest, EpochStore, PlanCache, QueryEngine, ServeClient, UnavailableReason,

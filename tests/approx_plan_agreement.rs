@@ -18,7 +18,7 @@
 //!   series and random thresholds.
 
 use proptest::prelude::*;
-use tsubasa_core::{exact, SeriesCollection, SketchSet};
+use tsubasa_core::{PlanMethod, SerialRunner, SeriesCollection, SketchSet, SourcePlan};
 use tsubasa_dft::approx::{
     approximate_correlation_matrix, approximate_correlation_matrix_reference,
     approximate_pair_correlation, ApproxStrategy,
@@ -140,11 +140,18 @@ proptest! {
         // Equation 4 radius prunes nothing that the exact network keeps.
         let sk = DftSketchSet::build(&c, basic, basic, Transform::Naive).unwrap();
         let ns = sk.window_count();
-        let approx_net = ApproxPlan::build(&sk, 0..ns).unwrap().network(theta).unwrap();
+        let approx_net = ApproxPlan::build(&sk, 0..ns)
+            .unwrap()
+            .network_streamed(theta)
+            .unwrap()
+            .to_adjacency();
 
         let exact_sketch = SketchSet::build(&c, basic).unwrap();
-        let exact_net = exact::correlation_matrix_aligned(&exact_sketch, 0..ns)
+        let exact_net = SourcePlan::new(&exact_sketch, 0..ns, PlanMethod::Exact)
             .unwrap()
+            .correlation_matrix(&SerialRunner)
+            .unwrap()
+            .0
             .threshold(theta)
             .unwrap();
 

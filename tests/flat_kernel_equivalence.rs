@@ -8,8 +8,8 @@
 //! operation-for-operation.
 //!
 //! The matrix entry points (`correlation_matrix`, `correlation_matrix_parallel`,
-//! `correlation_matrix_aligned`) are the dense fill (`sweep::fill_packed`)
-//! of the *tiled* batch kernel. On an aligned window that kernel performs
+//! the aligned `SourcePlan::correlation_matrix`) are the dense fill
+//! (`sweep::fill_packed`) of the *tiled* batch kernel. On an aligned window that kernel performs
 //! the scalar kernel's operations in the same order, so the aligned matrix
 //! is pinned **bit for bit** to the reference too; on an unaligned window it
 //! mints the partial head/tail correlations from z-score products, so there
@@ -21,6 +21,7 @@
 use proptest::prelude::*;
 use tsubasa_core::plan::QueryPlan;
 use tsubasa_core::prelude::*;
+use tsubasa_core::runner::SerialRunner;
 
 fn lcg_series(seed: u64, len: usize) -> Vec<f64> {
     let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -101,7 +102,10 @@ proptest! {
         let range = skip_front..windows_total - skip_back;
 
         let plan = QueryPlan::build_aligned(&sketch, range.clone()).unwrap();
-        let matrix = exact::correlation_matrix_aligned(&sketch, range.clone()).unwrap();
+        let (matrix, _) = SourcePlan::new(&sketch, range.clone(), PlanMethod::Exact)
+            .unwrap()
+            .correlation_matrix(&SerialRunner)
+            .unwrap();
         for (i, j) in c.pairs() {
             let reference = exact::pair_correlation_aligned(&sketch, range.clone(), i, j).unwrap();
             let kernel = plan.pair_correlation_aligned(&sketch, i, j).unwrap();

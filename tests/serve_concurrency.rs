@@ -20,9 +20,11 @@ use std::thread;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use tsubasa_core::{exact, SeriesCollection};
+use tsubasa_core::runner::SerialRunner;
+use tsubasa_core::source::SourcePlan;
+use tsubasa_core::sweep::{TableAudit, DEFAULT_TILE_PAIRS};
+use tsubasa_core::{PlanMethod, SeriesCollection};
 use tsubasa_dft::sketch::Transform;
-use tsubasa_dft::ApproxPlan;
 use tsubasa_parallel::WorkerPool;
 use tsubasa_serve::client::{NetworkReply, TopKReply};
 use tsubasa_serve::{
@@ -69,6 +71,18 @@ fn chunk(seed: u64, step: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// The serial plan of `method` over `windows` of the epoch's in-memory
+/// sketch — what every served answer must equal bit for bit.
+fn serial_plan(epoch: &Epoch, method: Method, windows: std::ops::Range<usize>) -> SourcePlan<'_> {
+    match method {
+        Method::Exact => SourcePlan::new(epoch.exact().unwrap(), windows, PlanMethod::Exact),
+        Method::Approximate => {
+            SourcePlan::new(&**epoch.approx().unwrap(), windows, PlanMethod::Approximate)
+        }
+    }
+    .unwrap()
+}
+
 /// Serially recompute a network reply against the epoch that answered it and
 /// require bit-identity.
 fn verify_network(
@@ -85,15 +99,9 @@ fn verify_network(
     } else {
         wc - last_windows as usize..wc
     };
-    let serial = match method {
-        Method::Exact => {
-            exact::network_streamed_aligned(epoch.exact().unwrap(), windows, theta).unwrap()
-        }
-        Method::Approximate => ApproxPlan::build(epoch.approx().unwrap(), windows)
-            .unwrap()
-            .network_streamed(theta)
-            .unwrap(),
-    };
+    let (serial, _) = serial_plan(epoch, method, windows)
+        .network(&SerialRunner, theta, DEFAULT_TILE_PAIRS, TableAudit::Off)
+        .unwrap();
     assert_eq!(got.nodes as usize, serial.node_count());
     assert_eq!(got.nan_pairs, serial.nan_pair_count() as u64);
     let expect: Vec<(u32, u32)> = serial
@@ -119,12 +127,12 @@ fn verify_top_k(epoch: &Epoch, method: Method, last_windows: u32, k: u32, got: &
     } else {
         wc - last_windows as usize..wc
     };
-    let serial = match method {
-        Method::Exact => exact::top_k_aligned(epoch.exact().unwrap(), windows, k as usize).unwrap(),
-        Method::Approximate => ApproxPlan::build(epoch.approx().unwrap(), windows)
-            .unwrap()
-            .top_k(k as usize),
-    };
+    let (serial, _) = serial_plan(epoch, method, windows).top_k(
+        &SerialRunner,
+        k as usize,
+        DEFAULT_TILE_PAIRS,
+        TableAudit::Off,
+    );
     assert_eq!(got.nan_pairs, serial.nan_pairs as u64);
     assert_eq!(got.edges.len(), serial.edges.len());
     for (a, b) in got.edges.iter().zip(&serial.edges) {

@@ -2,8 +2,9 @@
 //!
 //! A served key's correlation view is `8·P` bytes, so the engine fills one
 //! only when it fits the dense budget. Past it, nothing is materialized:
-//! every query streams the pooled sweep, answers bit-identically to the
-//! serial library calls, and the cache holds plans but no view.
+//! every query is its key's `SourcePlan` streamed on the pool, answers
+//! bit-identically to the serial `SourcePlan`, and the cache holds plans but
+//! no view.
 //!
 //! One `#[test]` in its own binary: it sets `TSUBASA_DENSE_LIMIT_BYTES`
 //! process-wide.
@@ -11,6 +12,8 @@
 use std::sync::Arc;
 
 use tsubasa::core::prelude::*;
+use tsubasa::core::sweep::{TableAudit, DEFAULT_TILE_PAIRS};
+use tsubasa::core::SerialRunner;
 use tsubasa::dft::sketch::Transform;
 use tsubasa::parallel::WorkerPool;
 use tsubasa::prelude::*;
@@ -58,20 +61,12 @@ fn served_queries_past_the_dense_budget_stream_without_a_view() {
             for (theta, k) in [(-0.2, 1u32), (0.35, 9), (0.8, 40)] {
                 let (_, net) = served.network(method, last, theta).unwrap();
                 let (_, top) = served.top_k(method, last, k).unwrap();
-                let (want_net, want_top) = match method {
-                    PlanMethod::Exact => (
-                        exact::network_streamed_aligned(dft.base(), windows.clone(), theta)
-                            .unwrap(),
-                        exact::top_k_aligned(dft.base(), windows.clone(), k as usize).unwrap(),
-                    ),
-                    PlanMethod::Approximate => {
-                        let plan = ApproxPlan::build(&dft, windows.clone()).unwrap();
-                        (
-                            plan.network_streamed(theta).unwrap(),
-                            plan.top_k(k as usize),
-                        )
-                    }
-                };
+                let plan = SourcePlan::new(&dft, windows.clone(), method).unwrap();
+                let tiles = DEFAULT_TILE_PAIRS;
+                let (want_net, _) = plan
+                    .network(&SerialRunner, theta, tiles, TableAudit::Off)
+                    .unwrap();
+                let (want_top, _) = plan.top_k(&SerialRunner, k as usize, tiles, TableAudit::Off);
                 let case = format!("{method:?} last {last} θ {theta} k {k}");
                 assert_eq!(net.edges(), want_net.edges(), "{case}");
                 assert_eq!(net.nan_pair_count(), want_net.nan_pair_count(), "{case}");

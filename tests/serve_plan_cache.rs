@@ -20,10 +20,9 @@ use std::thread;
 
 use proptest::prelude::*;
 use tsubasa_core::plan::PlanMethod;
-use tsubasa_core::sweep::{EdgeList, TopK};
-use tsubasa_core::{exact, SeriesCollection};
+use tsubasa_core::sweep::{EdgeList, TableAudit, TopK, DEFAULT_TILE_PAIRS};
+use tsubasa_core::{SerialRunner, SeriesCollection, SourcePlan};
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
-use tsubasa_dft::ApproxPlan;
 use tsubasa_parallel::WorkerPool;
 use tsubasa_serve::{mirror_sketches_to_pile, EpochIngest, EpochStore, PlanCache, QueryEngine};
 use tsubasa_storage::pile::PileWriter;
@@ -94,16 +93,12 @@ fn serial(
     theta: f64,
     k: usize,
 ) -> (EdgeList, TopK) {
-    match method {
-        PlanMethod::Exact => (
-            exact::network_streamed_aligned(dft.base(), windows.clone(), theta).unwrap(),
-            exact::top_k_aligned(dft.base(), windows, k).unwrap(),
-        ),
-        PlanMethod::Approximate => {
-            let plan = ApproxPlan::build(dft, windows).unwrap();
-            (plan.network_streamed(theta).unwrap(), plan.top_k(k))
-        }
-    }
+    let plan = SourcePlan::new(dft, windows, method).unwrap();
+    let (net, _) = plan
+        .network(&SerialRunner, theta, DEFAULT_TILE_PAIRS, TableAudit::Off)
+        .unwrap();
+    let (top, _) = plan.top_k(&SerialRunner, k, DEFAULT_TILE_PAIRS, TableAudit::Off);
+    (net, top)
 }
 
 /// A top-k answer with its correlations by bit pattern.
@@ -380,8 +375,7 @@ fn capacity_one_cache_thrashes_without_wrong_answers() {
     for round in 0..3 {
         for lw in [2u32, 4] {
             let (_, net) = eng.network(PlanMethod::Exact, lw, 0.3).unwrap();
-            let serial =
-                exact::network_streamed_aligned(dft.base(), wc - lw as usize..wc, 0.3).unwrap();
+            let (serial, _) = serial(&dft, PlanMethod::Exact, wc - lw as usize..wc, 0.3, 0);
             assert_eq!(net.edges(), serial.edges(), "round {round} lw {lw}");
         }
     }
@@ -439,7 +433,7 @@ fn epoch_rollover_invalidates_stale_plans() {
     assert_eq!(epoch, 3);
     assert_eq!(eng.cache().stats().misses, misses_before + 1);
     let wc = dft.window_count();
-    let serial = exact::network_streamed_aligned(dft.base(), 0..wc, 0.2).unwrap();
+    let (serial, _) = serial(&dft, PlanMethod::Exact, 0..wc, 0.2, 0);
     assert_eq!(net.edges(), serial.edges());
 }
 

@@ -10,17 +10,22 @@
 //! kernel the same window-major values, however its rows are laid out: 144
 //! cases of `{built, grown, pile, pile-no-mmap} × {exact, approximate} ×
 //! {matrix, network(θ), top_k} × {1, 2, 8 workers}` over two window ranges.
+//! A third test holds the engine's approximate network to the serial
+//! `ApproxPlan` and the served answer at radius-boundary thresholds.
 
 use std::ops::Range;
 use std::path::PathBuf;
 
+use std::sync::Arc;
+
 use tsubasa::core::plan::WindowRows;
 use tsubasa::core::prelude::*;
 use tsubasa::core::sketch::{arriving_corrs, arriving_window};
-use tsubasa::parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
-use tsubasa::serve::mirror_sketches_to_pile;
+use tsubasa::parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod, WorkerPool};
+use tsubasa::serve::{mirror_sketches_to_pile, EpochStore, PlanCache, QueryEngine};
 use tsubasa::storage::{PileWriter, SketchPile};
 use tsubasa_dft::sketch::{ComparatorKernel, DftSketchSet, Transform};
+use tsubasa_dft::ApproxPlan;
 
 const WINDOWS: usize = 4;
 const THETA: f64 = 0.3;
@@ -283,4 +288,65 @@ fn all_backends_agree_bit_for_bit_across_the_grid() {
         cases >= 144,
         "agreement grid must cover >= 144 cases, ran {cases}"
     );
+}
+
+/// Every approximate network applies the one Equation 4 edge rule,
+/// `distance_from_corr(c) ≤ √(2(1−θ))`, so a pair whose approximate
+/// correlation is exactly θ is an edge on every entry point. With θ set to
+/// each pair's own correlation in turn (45 pairs, from the engine's dense
+/// query), the engine's network over memory and over the pile, at 1, 2 and 8
+/// workers, equals `ApproxPlan::network_streamed(θ)` and the served answer —
+/// edges, order and NaN count.
+#[test]
+fn approximate_networks_agree_at_the_radius_boundary() {
+    let (n, b, windows) = (10, 60, 0..10);
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|s| {
+            (0..windows.end * b)
+                .map(|i| {
+                    (i as f64 * 0.07 + s as f64 * 0.9).sin() + ((i * (s + 3)) % 17) as f64 * 0.04
+                })
+                .collect()
+        })
+        .collect();
+    let c = SeriesCollection::from_rows(rows).unwrap();
+    let dft = DftSketchSet::build(&c, b, 20, Transform::Naive).unwrap();
+    let path = temp_path("radius-boundary");
+    let mut writer = PileWriter::create(&path, n, b).unwrap();
+    mirror_sketches_to_pile(&mut writer, Some(dft.base()), Some(&dft)).unwrap();
+    let pile = writer.into_pile().unwrap();
+    let store = Arc::new(EpochStore::new(2));
+    let epoch = store
+        .publish(Some(dft.base().clone()), Some(dft.clone()))
+        .unwrap();
+    let served = QueryEngine::new(
+        store,
+        Arc::new(PlanCache::new(4)),
+        Arc::new(WorkerPool::new(2)),
+    );
+    let engines: Vec<ParallelEngine> = [1, 2, 8].into_iter().map(engine).collect();
+    let approx = QueryMethod::Approximate;
+    let (dense, _) = engines[0].query(&dft, windows.clone(), approx).unwrap();
+    let plan = ApproxPlan::build(&dft, windows.clone()).unwrap();
+
+    let mut cases = 0;
+    for (i, j, theta) in dense.iter_pairs() {
+        let want = plan.network_streamed(theta).unwrap();
+        assert!(want.edges().contains(&(i, j)), "({i}, {j}) at θ = {theta}");
+        let last = windows.len() as u32;
+        let got = served
+            .network_on(&epoch, PlanMethod::Approximate, last, theta)
+            .unwrap();
+        assert_eq!(got, want, "served, ({i}, {j}) at θ = {theta}");
+        for eng in &engines {
+            let workers = eng.config().workers;
+            for (label, source) in [("memory", &dft as &dyn CorrSource), ("pile", &pile)] {
+                let (got, _) = eng.network(source, windows.clone(), approx, theta).unwrap();
+                assert_eq!(got, want, "{label} w={workers}, ({i}, {j}) at θ = {theta}");
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(cases, 45 * 6);
+    std::fs::remove_file(&path).ok();
 }

@@ -10,9 +10,9 @@
 //!   the total-order (`f64::total_cmp` descending, packed pair index
 //!   ascending), with bit-equal correlations;
 //! * approximate `ApproxPlan::network_streamed(θ)` produces exactly the
-//!   edge set of the dense Equation 4-pruned `ApproxPlan::network(θ)`,
-//!   even though the streamed path skips whole tiles via per-tile upper
-//!   bounds;
+//!   pairs of the dense `ApproxPlan::correlation_matrix()` within the
+//!   Equation 4 radius (`distance_from_corr(c) ≤ √(2(1−θ))`), even though
+//!   the streamed path skips whole tiles via per-tile upper bounds;
 //! * approximate `ApproxPlan::top_k(k)` matches the sorted dense
 //!   approximate matrix the same way.
 //!
@@ -120,8 +120,9 @@ proptest! {
     }
 
     /// Approximate path: the streamed Equation 4-pruned network equals the
-    /// dense `ApproxPlan::network(θ)` edge set exactly, including at tiny
-    /// coefficient counts where pruning skips many tiles.
+    /// radius predicate, spelled out here, over the dense approximate matrix
+    /// — in pair order — including at tiny coefficient counts where pruning
+    /// skips many tiles.
     #[test]
     fn prop_approx_streamed_network_matches_dense(
         seed in 0u64..10_000,
@@ -137,7 +138,15 @@ proptest! {
         let windows = 0..sketch.window_count();
         let plan = ApproxPlan::build(&sketch, windows).unwrap();
         let streamed = plan.network_streamed(theta).unwrap();
-        prop_assert_eq!(streamed.to_adjacency(), plan.network(theta).unwrap());
+        let radius = (2.0 * (1.0 - theta)).sqrt();
+        let dense: Vec<(usize, usize)> = plan
+            .correlation_matrix()
+            .unwrap()
+            .iter_pairs()
+            .filter(|&(_, _, c)| (2.0 * (1.0 - c.clamp(-1.0, 1.0))).max(0.0).sqrt() <= radius)
+            .map(|(i, j, _)| (i, j))
+            .collect();
+        prop_assert_eq!(streamed.edges(), &dense[..]);
         prop_assert_eq!(streamed.nan_pair_count(), 0);
     }
 
