@@ -144,21 +144,34 @@ impl EdgeWatch {
             total_pairs: corrs.len(),
             ..EdgeDelta::default()
         };
-        let mut slots = self.edges.iter_mut().zip(corrs);
-        for i in 0..self.nodes {
-            for (j, (edge, &c)) in (i + 1..self.nodes).zip(&mut slots) {
-                delta.nan_pairs += usize::from(c.is_nan());
-                // NaN compares false: a NaN pair is never an edge.
-                let now = c > self.theta;
-                if now != *edge {
-                    *edge = now;
-                    if now {
-                        delta.appeared.push((i, j));
-                    } else {
-                        delta.vanished.push((i, j));
-                    }
-                }
+        // Branch-free over each chunk of a triangle row; only the set bits of
+        // its flip mask are walked, and a tick flips few pairs.
+        let mut scan = |i: usize, j0: usize, edges: &mut [bool], corrs: &[f64]| {
+            let (mut flips, nans) = chunk_flips(edges, corrs, self.theta);
+            delta.nan_pairs += nans;
+            while flips != 0 {
+                let bit = flips.trailing_zeros() as usize;
+                flips &= flips - 1;
+                edges[bit] = !edges[bit];
+                let pairs = match edges[bit] {
+                    true => &mut delta.appeared,
+                    false => &mut delta.vanished,
+                };
+                pairs.push((i, j0 + bit));
             }
+        };
+        let mut start = 0;
+        for i in 0..self.nodes {
+            let row = start..start + self.nodes - 1 - i;
+            start = row.end;
+            let mut chunks = self.edges[row.clone()].chunks_exact_mut(CHUNK);
+            let mut corr_chunks = corrs[row].chunks_exact(CHUNK);
+            let mut j0 = i + 1;
+            for (edges, corrs) in (&mut chunks).zip(&mut corr_chunks) {
+                scan(i, j0, edges, corrs);
+                j0 += CHUNK;
+            }
+            scan(i, j0, chunks.into_remainder(), corr_chunks.remainder());
         }
         self.last.insert(delta)
     }
@@ -173,6 +186,22 @@ impl EdgeWatch {
     pub fn last(&self) -> Option<&EdgeDelta> {
         self.last.as_ref()
     }
+}
+
+/// Pairs per chunk of [`EdgeWatch::observe`]'s scan.
+const CHUNK: usize = 16;
+
+/// The flip mask of one chunk of at most [`CHUNK`] pairs (bit `k` set when
+/// `c_k > θ` differs from edge bit `k`; NaN compares false, so a NaN pair is
+/// never an edge) and its NaN count.
+#[inline(always)]
+fn chunk_flips(edges: &[bool], corrs: &[f64], theta: f64) -> (u32, usize) {
+    let (mut flips, mut nans) = (0u32, 0usize);
+    for (k, (&edge, &c)) in edges.iter().zip(corrs).enumerate() {
+        flips |= u32::from((c > theta) != edge) << k;
+        nans += usize::from(c.is_nan());
+    }
+    (flips, nans)
 }
 
 #[cfg(test)]
@@ -224,6 +253,75 @@ mod tests {
         let quiet = watch.observe(&after);
         assert!(quiet.is_empty());
         assert_eq!(quiet.nan_pairs, 2);
+    }
+
+    /// The one-pair-at-a-time scan `observe` ran before its chunked
+    /// flip-mask rewrite: the oracle of the property test below.
+    fn serial_observe(edges: &mut [bool], nodes: usize, theta: f64, corrs: &[f64]) -> EdgeDelta {
+        let mut delta = EdgeDelta {
+            nodes,
+            total_pairs: corrs.len(),
+            ..EdgeDelta::default()
+        };
+        let mut slots = edges.iter_mut().zip(corrs);
+        for i in 0..nodes {
+            for (j, (edge, &c)) in (i + 1..nodes).zip(&mut slots) {
+                delta.nan_pairs += usize::from(c.is_nan());
+                let now = c > theta;
+                if now != *edge {
+                    *edge = now;
+                    if now {
+                        delta.appeared.push((i, j));
+                    } else {
+                        delta.vanished.push((i, j));
+                    }
+                }
+            }
+        }
+        delta
+    }
+
+    #[test]
+    fn observe_equals_the_serial_scan() {
+        // Values on a coarse grid, so θ equals stored values (and sits one
+        // ulp below one) as well as between them; NaN planted at the 16-pair
+        // chunk edges and at the ends of rows, and moved every tick.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = move |m: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        let grid = [-0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 0.25f64.next_up()];
+        for nodes in (2..=40).chain([65]) {
+            let pairs = nodes * (nodes - 1) / 2;
+            let row_start = |i: usize| i * nodes - i * (i + 1) / 2;
+            for theta in [0.25, 0.3, -0.5, 0.75, 1.0, -1.0] {
+                let mut corrs: Vec<f64> = (0..pairs).map(|_| grid[below(grid.len())]).collect();
+                let (mut watch, _) = EdgeWatch::new(theta, nodes, &corrs).unwrap();
+                let mut oracle = watch.edges.clone();
+                for tick in 0..6 {
+                    for c in corrs.iter_mut() {
+                        if below(4) == 0 {
+                            *c = grid[below(grid.len())];
+                        }
+                    }
+                    for i in 0..nodes - 1 {
+                        let row_len = nodes - 1 - i;
+                        for at in [0, 15, 16, 31, 32, row_len - 1] {
+                            if at < row_len && below(3) == 0 {
+                                corrs[row_start(i) + at] = f64::NAN;
+                            }
+                        }
+                    }
+                    let want = serial_observe(&mut oracle, nodes, theta, &corrs);
+                    let got = watch.observe(&corrs);
+                    assert_eq!(got, &want, "nodes {nodes} θ {theta} tick {tick}");
+                    assert_eq!(watch.edges, oracle, "nodes {nodes} θ {theta} tick {tick}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -72,8 +72,8 @@ impl WindowContribution {
     /// Sketch a raw (partial) window pair on the fly: per-series statistics
     /// first, then the centered cross-product for the correlation
     /// ([`crate::stats::pair_corr_from_stats`]). Within this function that
-    /// split is not a saving — it makes three passes where the old fused
-    /// Welford pass made one — but it keeps every per-window correlation in
+    /// split is not a saving — five passes over the window where one fused
+    /// pass would do — but it keeps every per-window correlation in
     /// the workspace (sketch build, plan head/tail handling, sliding
     /// updates) on the *same* arithmetic, which is what the bit-for-bit
     /// equivalence between the reference path and the

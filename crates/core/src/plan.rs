@@ -44,8 +44,9 @@
 //! ([`crate::stats::packed_len`]), and the kernel that mints every stored row
 //! mints theirs at query time, one aligned group of four triangle rows at a
 //! time, into the [`PartialCorrs`] scratch the tile driver owns. Such a `c`
-//! is `clamp_corr(Σ_t z_i[t]·z_j[t] · (1/len))`, one left-to-right chain, so
-//! the tiled kernel agrees with the scalar one within `1e-10`, not bit for bit.
+//! is `clamp_corr(Σ_t z_i[t]·z_j[t] · (1/len))`, one left-to-right fused
+//! chain, so the tiled kernel agrees with the scalar one within `1e-10`, not
+//! bit for bit.
 //!
 //! # Example
 //!
@@ -1171,7 +1172,7 @@ mod tests {
     }
 
     /// What [`QueryPlan::block_kernel`] must write for pair `(i, j)`, spelled
-    /// one pair at a time: each partial-window `c` the serial fold
+    /// one pair at a time: each partial-window `c` the serial fused fold
     /// `clamp_corr(Σ_t z_i[t]·z_j[t] · (1/len))` over the window's z-scores,
     /// the plan windows accumulated in plan order.
     fn scalar_block(
@@ -1189,7 +1190,10 @@ mod tests {
                 normalize_each(points, &WindowStats::from_values(points), z.iter_mut());
                 z
             };
-            let sum = z(i).iter().zip(&z(j)).fold(0.0, |sum, (x, y)| sum + x * y);
+            let sum = z(i)
+                .iter()
+                .zip(&z(j))
+                .fold(0.0, |sum, (x, y)| x.mul_add(*y, sum));
             clamp_corr(sum * (1.0 / span.len() as f64))
         };
         let corrs = (plan.head.map(partial_corr).into_iter())

@@ -3,8 +3,8 @@
 //! Everything in TSUBASA reduces to three numbers per basic window and series
 //! (length, mean, standard deviation) plus one number per basic window and
 //! pair (the within-window Pearson correlation). This module computes those
-//! statistics in a single pass and defines the numerical conventions used by
-//! the rest of the workspace:
+//! statistics in two vectorised passes and defines the numerical conventions
+//! used by the rest of the workspace:
 //!
 //! * standard deviations are *population* (1/N) standard deviations — this is
 //!   what makes the Lemma 1 recombination exact;
@@ -30,23 +30,35 @@ pub struct WindowStats {
 }
 
 impl WindowStats {
-    /// Compute the statistics of one window in a single pass.
+    /// Compute the statistics of one window in two vectorisable passes.
     ///
-    /// Uses Welford's algorithm so that very long windows with large means do
-    /// not lose precision to catastrophic cancellation.
+    /// The first pass sums `x − x₀` (offsets from the first point, so data
+    /// far from zero does not cancel and a constant window sums to exactly
+    /// `0`) in eight chains for the mean `μ`; the second sums `x − μ` and
+    /// `(x − μ)²` the same way, and the variance is
+    /// `(Σ(x−μ)² − (Σ(x−μ))²/n) / n`, the first sum correcting the rounding of
+    /// `μ`. A constant window is exactly `σ = 0`, `μ = x₀`. A window holding
+    /// NaN or ±∞ has `σ = 0`, and its mean is NaN unless its only non-finite
+    /// point is its last, which is then the mean (a finite window whose sum
+    /// leaves the `f64` range: `σ = 0`, `μ = ±∞`).
     pub fn from_values(values: &[f64]) -> Self {
-        let mut mean = 0.0f64;
-        let mut m2 = 0.0f64;
-        for (i, &v) in values.iter().enumerate() {
-            let delta = v - mean;
-            mean += delta / (i as f64 + 1.0);
-            m2 += delta * (v - mean);
-        }
-        let len = values.len();
-        let std = if len == 0 {
-            0.0
+        let (len, x0) = (values.len(), values.first().copied().unwrap_or(0.0));
+        let n = len.max(1) as f64;
+        let [shift] = lane_sums(values, |x| [x - x0]);
+        let mean = x0 + shift / n;
+        let (mean, std) = if mean.is_finite() {
+            let [dev, dev_sq] = lane_sums(values, |x| {
+                let d = x - mean;
+                [d, d * d]
+            });
+            (mean, ((dev_sq - dev * dev / n) / n).max(0.0).sqrt())
         } else {
-            (m2 / len as f64).max(0.0).sqrt()
+            let mean = match values.iter().position(|v| !v.is_finite()) {
+                Some(k) if k + 1 < len => f64::NAN,
+                Some(k) => values[k],
+                None => mean,
+            };
+            (mean, 0.0)
         };
         Self { len, mean, std }
     }
@@ -71,6 +83,34 @@ impl WindowStats {
     pub fn is_constant(&self) -> bool {
         self.std == 0.0
     }
+}
+
+/// Independent accumulator chains of [`WindowStats::from_values`]: two
+/// `ymm` registers per sum.
+const LANES: usize = 8;
+
+/// `Σ f(x)` over `values`, each of the `K` sums in [`LANES`] chains (chain
+/// `l` takes points `l, l + LANES, …`) added up chain 0 first, so the bits
+/// depend on the values alone, not on the target's vector width.
+#[inline(always)]
+fn lane_sums<const K: usize>(values: &[f64], f: impl Fn(f64) -> [f64; K]) -> [f64; K] {
+    let mut acc = [[0.0f64; LANES]; K];
+    let mut add = |l: usize, x: f64| {
+        for (acc, term) in acc.iter_mut().zip(f(x)) {
+            acc[l] += term;
+        }
+    };
+    let chunks = values.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (l, &x) in chunk.iter().enumerate() {
+            add(l, x);
+        }
+    }
+    for (l, &x) in tail.iter().enumerate() {
+        add(l, x);
+    }
+    acc.map(|lanes| lanes.iter().fold(0.0, |sum, &x| sum + x))
 }
 
 /// Pearson's correlation coefficient of two equally-long slices
@@ -119,116 +159,32 @@ pub fn covariance(x: &[f64], y: &[f64]) -> f64 {
         / n as f64
 }
 
-/// One-pass computation of the window statistics of two aligned windows.
-/// Slightly cheaper than two separate [`WindowStats::from_values`] calls
-/// because the loop is shared; used on the hot sketching path.
+/// The window statistics of two aligned windows:
+/// [`WindowStats::from_values`] of each.
 pub fn joint_stats(x: &[f64], y: &[f64]) -> (WindowStats, WindowStats) {
     debug_assert_eq!(x.len(), y.len());
-    let mut mean_x = 0.0f64;
-    let mut m2_x = 0.0f64;
-    let mut mean_y = 0.0f64;
-    let mut m2_y = 0.0f64;
-    for i in 0..x.len() {
-        let k = i as f64 + 1.0;
-        let dx = x[i] - mean_x;
-        mean_x += dx / k;
-        m2_x += dx * (x[i] - mean_x);
-        let dy = y[i] - mean_y;
-        mean_y += dy / k;
-        m2_y += dy * (y[i] - mean_y);
-    }
-    let n = x.len();
-    let nf = n as f64;
-    let std_x = if n == 0 {
-        0.0
-    } else {
-        (m2_x / nf).max(0.0).sqrt()
-    };
-    let std_y = if n == 0 {
-        0.0
-    } else {
-        (m2_y / nf).max(0.0).sqrt()
-    };
-    (
-        WindowStats {
-            len: n,
-            mean: mean_x,
-            std: std_x,
-        },
-        WindowStats {
-            len: n,
-            mean: mean_y,
-            std: std_y,
-        },
-    )
+    (WindowStats::from_values(x), WindowStats::from_values(y))
 }
 
-/// Compute both window statistics and the Pearson correlation of a pair of
-/// aligned windows in a single fused pass — the workhorse of Algorithm 1 and
-/// of partial-window handling at query time.
+/// Both window statistics and the Pearson correlation of a pair of aligned
+/// windows: [`joint_stats`], then [`pair_corr_from_stats`].
 pub fn sketch_pair(x: &[f64], y: &[f64]) -> (WindowStats, WindowStats, f64) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len();
-    let mut mean_x = 0.0f64;
-    let mut m2_x = 0.0f64;
-    let mut mean_y = 0.0f64;
-    let mut m2_y = 0.0f64;
-    let mut cov = 0.0f64;
-    for i in 0..n {
-        let k = i as f64 + 1.0;
-        let dx = x[i] - mean_x;
-        mean_x += dx / k;
-        let dy = y[i] - mean_y;
-        mean_y += dy / k;
-        m2_x += dx * (x[i] - mean_x);
-        m2_y += dy * (y[i] - mean_y);
-        // Co-moment update (Welford-style covariance).
-        cov += dx * (y[i] - mean_y);
-    }
-    let nf = n as f64;
-    let (std_x, std_y, corr) = if n == 0 {
-        (0.0, 0.0, 0.0)
-    } else {
-        let var_x = (m2_x / nf).max(0.0);
-        let var_y = (m2_y / nf).max(0.0);
-        let std_x = var_x.sqrt();
-        let std_y = var_y.sqrt();
-        let corr = if std_x == 0.0 || std_y == 0.0 {
-            0.0
-        } else {
-            clamp_corr((cov / nf) / (std_x * std_y))
-        };
-        (std_x, std_y, corr)
-    };
-    (
-        WindowStats {
-            len: n,
-            mean: mean_x,
-            std: std_x,
-        },
-        WindowStats {
-            len: n,
-            mean: mean_y,
-            std: std_y,
-        },
-        corr,
-    )
+    let (sx, sy) = joint_stats(x, y);
+    let corr = pair_corr_from_stats(x, y, &sx, &sy);
+    (sx, sy, corr)
 }
 
 /// Pearson correlation of two aligned windows whose per-series statistics
 /// have already been computed.
 ///
-/// This is the hot-path sibling of [`sketch_pair`] used wherever per-series
+/// This is the hot-path sibling of [`pearson`] used wherever per-series
 /// window statistics are shared across many pairs (sketching all `N(N−1)/2`
-/// pairs, streaming ingestion): instead of re-running the full Welford pass
-/// per pair, only the centered cross-product `Σ (x_t − x̄)(y_t − ȳ)` remains
-/// to be computed — one multiply-add per point instead of two divisions and
-/// five multiply-adds.
+/// pairs, streaming ingestion): only the centered cross-product
+/// `Σ (x_t − x̄)(y_t − ȳ)` remains to be computed per pair.
 ///
 /// The result is bit-identical to [`pearson`] when `sx`/`sy` were produced by
-/// [`WindowStats::from_values`] (or the per-series half of [`sketch_pair`] /
-/// [`joint_stats`]) over the same slices, because `pearson` centers with the
-/// same Welford means.
+/// [`WindowStats::from_values`] over the same slices, because `pearson`
+/// centers with the same means.
 pub fn pair_corr_from_stats(x: &[f64], y: &[f64], sx: &WindowStats, sy: &WindowStats) -> f64 {
     debug_assert_eq!(x.len(), y.len());
     debug_assert_eq!(x.len(), sx.len);
@@ -332,10 +288,10 @@ pub fn packed_lane_mut(packed: &mut [f64], i: usize, len: usize) -> impl Iterato
 }
 
 /// The register-tiled micro-kernel: `R` rows of one panel (series `i0..i0+R`)
-/// against every column panel from their own on, `acc[r][c] += term(a_r[t],
-/// b_c[t])` over `t`, both operands read from panels. Each pair's sum is one
-/// left-to-right chain over `t` from `0.0` — whatever `R`, lane or panel the
-/// pair falls in. `finish` of the sums of the pairs `(i, j)`, `i < j < n`, go
+/// against every column panel from their own on, `acc[r][c] = step(acc[r][c],
+/// a_r[t], b_c[t])` over `t`, both operands read from panels. Each pair's sum
+/// is one left-to-right chain over `t` from `0.0` — whatever `R`, lane or
+/// panel the pair falls in. `finish` of the sums of the pairs `(i, j)`, `i < j < n`, go
 /// to `out`, which starts at row `i0` of the packed triangle.
 #[inline(always)]
 fn row_tile_into<const R: usize>(
@@ -344,7 +300,7 @@ fn row_tile_into<const R: usize>(
     len: usize,
     i0: usize,
     out: &mut [f64],
-    term: impl Fn(f64, f64) -> f64,
+    step: impl Fn(f64, f64, f64) -> f64,
     finish: impl Fn(f64) -> f64,
 ) {
     let panel = |p: usize| &packed[p * PANEL * len..(p + 1) * PANEL * len];
@@ -362,7 +318,7 @@ fn row_tile_into<const R: usize>(
             for r in 0..R {
                 let x = ta[lane + r];
                 for c in 0..PANEL {
-                    acc[r][c] += term(x, tb[c]);
+                    acc[r][c] = step(acc[r][c], x, tb[c]);
                 }
             }
         }
@@ -382,7 +338,8 @@ fn row_tile_into<const R: usize>(
     }
 }
 
-/// **The** pair kernel: `finish(Σ_t term(r_i[t], r_j[t]))` for every pair
+/// **The** pair kernel: `finish` of the chain `sum = step(sum, r_i[t],
+/// r_j[t])` over `t` from `0.0` for every pair
 /// `i < j` of triangle rows `rows` of the `n` series of a packed block
 /// ([`packed_len`]), in packed upper-triangle order
 /// ([`crate::sketch::pair_index`]), into the slice of `out` that starts at
@@ -400,7 +357,7 @@ fn packed_rows_into(
     len: usize,
     rows: Range<usize>,
     out: &mut [f64],
-    term: impl Fn(f64, f64) -> f64 + Copy,
+    step: impl Fn(f64, f64, f64) -> f64 + Copy,
     finish: impl Fn(f64) -> f64 + Copy,
 ) {
     debug_assert_eq!(packed.len(), packed_len(n, len));
@@ -408,10 +365,10 @@ fn packed_rows_into(
     while i < rows.end {
         let out = &mut out[p..];
         let tile = if i % TILE_ROWS == 0 && i + TILE_ROWS <= rows.end {
-            row_tile_into::<TILE_ROWS>(packed, n, len, i, out, term, finish);
+            row_tile_into::<TILE_ROWS>(packed, n, len, i, out, step, finish);
             TILE_ROWS
         } else {
-            row_tile_into::<1>(packed, n, len, i, out, term, finish);
+            row_tile_into::<1>(packed, n, len, i, out, step, finish);
             1
         };
         p += (i..i + tile).map(|row| n - 1 - row).sum::<usize>();
@@ -421,9 +378,10 @@ fn packed_rows_into(
 
 /// All-pairs squared Euclidean distances of a packed block: `out` receives
 /// the `n(n−1)/2` squared distances `‖r_i − r_j‖²` in packed upper-triangle
-/// order, each one serial difference-square sum over the `len` points. This
-/// is the shared pair kernel ([`window_corrs_into`]) with `(x − y)²` for
-/// `x·y`, used by the DFT comparator's coefficient-distance sweep.
+/// order, each one serial chain of fused difference-square steps
+/// `d.mul_add(d, sum)`, `d = x − y`, over the `len` points. This is the
+/// shared pair kernel ([`window_corrs_into`]) with `(x − y)²` for `x·y`, used
+/// by the DFT comparator's coefficient-distance sweep.
 ///
 /// `packed` holds the `n` rows in the panel layout of [`packed_len`], filled
 /// through [`packed_lane_mut`]; the sweep is fanned out over `runner` by whole
@@ -435,7 +393,7 @@ pub fn tiled_pair_dist_sq_in(
     len: usize,
     out: &mut [f64],
 ) {
-    let dist_sq = |x: f64, y: f64| (x - y) * (x - y);
+    let dist_sq = |sum: f64, x: f64, y: f64| (x - y).mul_add(x - y, sum);
     sweep_triangle_rows(n, runner, out, |rows, out| {
         packed_rows_into(packed, n, len, rows, out, dist_sq, |sum| sum)
     });
@@ -451,7 +409,7 @@ pub fn tiled_pair_dist_sq_in(
 /// The rows are packed into a temporary panel block and go through the one
 /// pair kernel, so for the same `z` values this writes the bits
 /// [`window_corrs_into`] writes: `clamp_corr(Σ_t z_i[t]·z_j[t] · (1/len))`,
-/// the sum one left-to-right chain. Agreement with the scalar reference
+/// the sum one left-to-right chain of fused multiply-adds. Agreement with the scalar reference
 /// ([`pair_corr_from_stats`] over the raw window) is within `1e-10`
 /// absolute, pinned by the `tiled_kernel_agreement` property suite.
 pub fn tiled_pair_corrs_into(z: &[f64], n: usize, len: usize, out: &mut [f64]) {
@@ -476,7 +434,7 @@ fn corrs_of_packed(runner: &dyn JobRunner, z: &[f64], n: usize, len: usize, out:
 /// `z` of its `n` z-normalized series ([`packed_len`]), into the slice of
 /// `out` that starts at row `rows.start`: every `c` is
 /// `clamp_corr(Σ_t z_i[t]·z_j[t] · (1/len))`, the sum one left-to-right chain
-/// — the bits [`window_corrs_into`] stores, whichever rows are asked for.
+/// of `z_i[t].mul_add(z_j[t], sum)` steps — the bits [`window_corrs_into`] stores, whichever rows are asked for.
 /// [`crate::plan::QueryPlan::block_kernel`] mints the partial head and tail
 /// windows of an unaligned query through it, a few rows at a time.
 pub(crate) fn packed_corr_rows_into(
@@ -493,7 +451,7 @@ pub(crate) fn packed_corr_rows_into(
         len,
         rows,
         out,
-        |x, y| x * y,
+        |sum, x: f64, y| x.mul_add(y, sum),
         move |sum| clamp_corr(sum * inv),
     );
 }
@@ -542,7 +500,7 @@ fn sweep_triangle_rows(
 /// then the row is the register-tiled `Z·Zᵀ` of the shared pair kernel,
 /// fanned out over `runner` by whole triangle rows: every `c` is
 /// `clamp_corr(Σ_t z_i[t]·z_j[t] · (1/B))` with the sum one left-to-right
-/// chain. Every site that sketches a window calls this — batch build,
+/// chain of fused multiply-adds. Every site that sketches a window calls this — batch build,
 /// arriving window, epoch ingest, sliding tick, pile sketching — so a row's
 /// bits do not depend on who minted it, on the worker count or on the
 /// target's vector width.
@@ -603,16 +561,16 @@ mod tests {
     }
 
     /// The oracle of both window kernels: `finish` of one left-to-right
-    /// chain per pair, in packed order.
+    /// chain of `step`s per pair, in packed order.
     fn serial_chains(
         rows: &[Vec<f64>],
-        term: impl Fn(f64, f64) -> f64,
+        step: impl Fn(f64, f64, f64) -> f64,
         finish: impl Fn(f64) -> f64,
     ) -> Vec<f64> {
         let mut out = Vec::new();
         for (i, a) in rows.iter().enumerate() {
             for b in &rows[i + 1..] {
-                let sum = a.iter().zip(b).fold(0.0, |sum, (&x, &y)| sum + term(x, y));
+                let sum = a.iter().zip(b).fold(0.0, |sum, (&x, &y)| step(sum, x, y));
                 out.push(finish(sum));
             }
         }
@@ -632,12 +590,12 @@ mod tests {
         }
     }
 
-    fn dot(x: f64, y: f64) -> f64 {
-        x * y
+    fn dot(sum: f64, x: f64, y: f64) -> f64 {
+        x.mul_add(y, sum)
     }
 
-    fn dist_sq(x: f64, y: f64) -> f64 {
-        (x - y) * (x - y)
+    fn dist_sq(sum: f64, x: f64, y: f64) -> f64 {
+        (x - y).mul_add(x - y, sum)
     }
 
     #[test]
@@ -660,6 +618,87 @@ mod tests {
         assert_eq!(s.mean, 42.0);
         assert_eq!(s.std, 0.0);
         assert!(s.is_constant());
+    }
+
+    #[test]
+    fn from_values_contract_table() {
+        // The outputs of the Welford loop `from_values` ran before its
+        // two-pass rewrite, recorded bit for bit (any NaN for NaN).
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let cases: [(&[f64], f64, f64); 17] = [
+            (&[], 0.0, 0.0),
+            (&[42.0], 42.0, 0.0),
+            (&[0.1], 0.1, 0.0),
+            (&[0.1; 120], 0.1, 0.0),
+            (&[-3.7; 7], -3.7, 0.0),
+            (&[300.25; 121], 300.25, 0.0),
+            (&[nan], nan, 0.0),
+            (&[1.0, nan, 3.0], nan, 0.0),
+            (&[1.0, 2.0, nan], nan, 0.0),
+            (&[inf], inf, 0.0),
+            (&[1.0, inf, 3.0], nan, 0.0),
+            (&[1.0, 2.0, inf], inf, 0.0),
+            (&[-inf], -inf, 0.0),
+            (&[1.0, -inf, 3.0], nan, 0.0),
+            (&[1.0, 2.0, -inf], -inf, 0.0),
+            (&[inf, inf], nan, 0.0),
+            (&[inf, -inf], nan, 0.0),
+        ];
+        // The summed mean of 0.1 × 120 is not 0.1: a constant window's mean
+        // is its point, not its sum over its length.
+        assert_ne!([0.1; 120].iter().sum::<f64>() / 120.0, 0.1);
+        for (values, mean, std) in cases {
+            let s = WindowStats::from_values(values);
+            assert_eq!(s.len, values.len());
+            assert_same_bits(&[s.mean, s.std], &[mean, std], &format!("{values:?}"));
+        }
+    }
+
+    /// Welford's running mean and population σ, the loop `from_values` ran
+    /// before its two-pass rewrite: the accuracy yardstick.
+    fn welford(values: &[f64]) -> (f64, f64) {
+        let (mut mean, mut m2) = (0.0f64, 0.0f64);
+        for (i, &v) in values.iter().enumerate() {
+            let delta = v - mean;
+            mean += delta / (i as f64 + 1.0);
+            m2 += delta * (v - mean);
+        }
+        (mean, (m2 / values.len() as f64).max(0.0).sqrt())
+    }
+
+    #[test]
+    fn from_values_is_at_least_as_accurate_as_welford_on_offset_data() {
+        // x_t = 300 + k_t·2⁻²⁰ for integers k_t: every difference of two
+        // points and every partial sum of them is exact, and the true mean
+        // and variance are exact rationals from i128 arithmetic. Errors are
+        // measured exactly for the mean (`(μ − 300)·2²⁰·n − Σk` is exact) and
+        // against the correctly rounded root of the exact variance for σ.
+        let step = 2f64.powi(-20);
+        for (case, len) in [2usize, 7, 8, 9, 23, 120, 365, 1000, 4099]
+            .into_iter()
+            .enumerate()
+        {
+            let k: Vec<i64> = (0..len)
+                .map(|t| ((t * 7919 + case * 104_729) % 1021) as i64 - 300)
+                .collect();
+            let x: Vec<f64> = k.iter().map(|&k| 300.0 + k as f64 * step).collect();
+            let n = len as i128;
+            let s1: i128 = k.iter().map(|&k| i128::from(k)).sum();
+            let s2: i128 = k.iter().map(|&k| i128::from(k).pow(2)).sum();
+            let true_std = ((n * s2 - s1 * s1) as f64).sqrt() / len as f64 * step;
+            let errors = |(mean, std): (f64, f64)| {
+                let mean_err = ((mean - 300.0) / step * len as f64 - s1 as f64).abs();
+                [mean_err / len as f64, ((std - true_std) / true_std).abs()]
+            };
+            let s = WindowStats::from_values(&x);
+            let (got, yardstick) = (errors((s.mean, s.std)), errors(welford(&x)));
+            for m in 0..2 {
+                assert!(
+                    got[m] <= yardstick[m],
+                    "len {len}: {got:?} vs Welford {yardstick:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -746,6 +785,25 @@ mod tests {
         let c = [2.0; 7];
         let sc = WindowStats::from_values(&c);
         assert_eq!(pair_corr_from_stats(&c, &y, &sc, &sy), 0.0);
+        // Offset rows (Kelvin-like and far from zero, both signs) and hostile
+        // ones (a zero row, NaN, ±∞), at lengths on and off the lane width.
+        for len in [2usize, 7, 8, 23, 120] {
+            let hostile = hostile_rows(13, len);
+            let offset: Vec<Vec<f64>> = hostile[..5]
+                .iter()
+                .zip([300.0, -1e4, 273.15, 1e6, 0.0])
+                .map(|(row, offset)| row.iter().map(|v| v + offset).collect())
+                .collect();
+            for rows in [&hostile, &offset] {
+                for x in rows.iter() {
+                    for y in rows.iter() {
+                        let (sx, sy) = (WindowStats::from_values(x), WindowStats::from_values(y));
+                        let fast = pair_corr_from_stats(x, y, &sx, &sy);
+                        assert_same_bits(&[fast], &[pearson(x, y)], &format!("{x:?} {y:?}"));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
