@@ -7,6 +7,7 @@ use crate::exact;
 use crate::incremental::SlidingNetwork;
 use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
 use crate::sketch::SketchSet;
+use crate::sweep::EdgeRule;
 use crate::timeseries::SeriesCollection;
 use crate::window::QueryWindow;
 
@@ -23,12 +24,9 @@ pub struct NetworkConfig {
 impl NetworkConfig {
     /// Create a configuration, validating the threshold range.
     pub fn new(basic_window: usize, threshold: f64) -> Result<Self> {
-        if !(-1.0..=1.0).contains(&threshold) {
-            return Err(Error::InvalidThreshold(threshold));
-        }
         Ok(Self {
             basic_window,
-            threshold,
+            threshold: EdgeRule::check_theta(threshold)?,
         })
     }
 }
@@ -113,9 +111,7 @@ impl HistoricalBuilder {
         query: QueryWindow,
         theta: f64,
     ) -> Result<AdjacencyMatrix> {
-        if !(-1.0..=1.0).contains(&theta) {
-            return Err(Error::InvalidThreshold(theta));
-        }
+        EdgeRule::check_theta(theta)?;
         self.correlation_matrix(query)?.threshold(theta)
     }
 

@@ -1,41 +1,44 @@
-//! Edge subscriptions over the sliding updaters: the per-tick change of the
-//! θ-thresholded network.
+//! Edge watches: the change of a θ-network from one scan of its
+//! correlations to the next.
 //!
-//! A sliding tick ([`crate::incremental::SlidingState::slide_in`]) is one
-//! Lemma 2 sweep that leaves every pair's post-tick correlation in the packed
-//! `corrs` triangle. A subscribed engine then hands that triangle to
-//! [`EdgeWatch::observe`]: one pass that re-thresholds every pair against the
-//! edge bit the watch holds and records the pairs that flipped as an
-//! [`EdgeDelta`]. The consumer never clones a matrix or diffs two snapshots,
-//! and what reaches it is proportional to the edges that changed. The tick
-//! itself stays `O(N²)`: the sweep must compute every `c_new` (it feeds the
-//! next tick's recursion), and once it has, `c_new > θ` answers the edge
-//! question in one compare.
+//! An [`EdgeWatch`] holds one edge bit per pair and an [`EdgeRule`], and is
+//! a [`TileSink`], so any sweep can feed it: a sliding tick's or a served
+//! epoch's packed triangle ([`EdgeWatch::observe`]), or a plan's pooled
+//! streamed sweep, one run of the watch per worker
+//! ([`SourcePlan::scan`](crate::source::SourcePlan::scan)). A scan re-tests
+//! every pair against its held bit and records the pairs that flipped as an
+//! [`EdgeDelta`]. A watch starts with no edge,
+//! so its first scan's `appeared` list is the whole network, in ascending
+//! order. The consumer never clones a matrix or diffs two snapshots, and
+//! what reaches it is proportional to the edges that changed.
+
+use std::ops::Range;
 
 use crate::error::{Error, Result};
 use crate::matrix::AdjacencyMatrix;
+use crate::sketch::{packed_pairs, pair_index};
+use crate::sweep::{sweep_packed, EdgeRule, TileSink};
 
-/// The edge-level change of one ingest tick, as emitted by a subscribed
-/// sliding updater: applying `appeared`/`vanished` to the previous snapshot
-/// reproduces a full re-threshold of the post-tick correlations exactly
-/// (same edge set, same NaN audit).
+/// The edge-level change of one scan, as an [`EdgeWatch`] records it:
+/// applying `appeared`/`vanished` to the network of the previous scan
+/// reproduces a full re-threshold of the scanned correlations exactly (same
+/// edge set, same NaN audit).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EdgeDelta {
     /// Node (series) count of the network the delta applies to.
     pub nodes: usize,
-    /// Pairs `(i, j)`, `i < j`, that became edges this tick, in ascending
-    /// packed-pair order.
-    pub appeared: Vec<(usize, usize)>,
-    /// Pairs that stopped being edges this tick, in ascending packed-pair
+    /// Pairs `(i, j)`, `i < j`, that became edges, in ascending packed-pair
     /// order.
+    pub appeared: Vec<(usize, usize)>,
+    /// Pairs that stopped being edges, in ascending packed-pair order.
     pub vanished: Vec<(usize, usize)>,
-    /// Pairs whose post-tick correlation is NaN (audited, never silently
+    /// Pairs whose scanned correlation is NaN (audited, never silently
     /// skipped) — the `nan_pair_count` a full lenient re-threshold would
     /// report.
     pub nan_pairs: usize,
     /// Always 0: no bound, nothing re-checked; kept for the benchmark crate.
     pub rechecked_pairs: usize,
-    /// Total pairs swept this tick (`N(N−1)/2`).
+    /// Total pairs scanned (`N(N−1)/2`).
     pub total_pairs: usize,
 }
 
@@ -93,133 +96,187 @@ impl EdgeDelta {
     }
 }
 
-/// A θ-pinned subscription over a sliding updater's edge set: holds the
-/// current edge bits and, after every ingest tick, the [`EdgeDelta`] that
-/// [`EdgeWatch::observe`] found.
+/// A subscription to a θ-network under one [`EdgeRule`]: the current edge
+/// bits from pair `first` on (pair 0, but for a run of a pooled scan) and
+/// the [`EdgeDelta`] of the latest scan. As a [`TileSink`], it takes one
+/// scan's tiles in ascending pair order.
 #[derive(Debug, Clone)]
 pub struct EdgeWatch {
-    theta: f64,
-    nodes: usize,
+    rule: EdgeRule,
+    first: usize,
     edges: Vec<bool>,
-    last: Option<EdgeDelta>,
+    delta: EdgeDelta,
 }
 
 impl EdgeWatch {
-    /// Subscribe at threshold `theta` over the current packed correlations:
-    /// an empty watch that observes `corrs` once. Returns the watch plus the
-    /// baseline snapshot (identical to a lenient re-threshold of `corrs`, NaN
-    /// audit included) that subsequent deltas advance.
-    pub fn new(theta: f64, nodes: usize, corrs: &[f64]) -> Result<(Self, AdjacencyMatrix)> {
-        if !(-1.0..=1.0).contains(&theta) {
-            return Err(Error::InvalidThreshold(theta));
+    /// A watch under `rule` over the pairs of `nodes` series, holding no edge
+    /// yet: its first scan's `appeared` list is every edge.
+    pub fn new(rule: EdgeRule, nodes: usize) -> Self {
+        let delta = EdgeDelta::none(nodes);
+        let edges = vec![false; delta.total_pairs];
+        Self {
+            rule,
+            first: 0,
+            edges,
+            delta,
         }
-        let mut watch = Self {
-            theta,
-            nodes,
-            edges: vec![false; corrs.len()],
-            last: None,
-        };
-        let nan_pairs = watch.observe(corrs).nan_pairs;
-        watch.last = None;
-        let mut baseline = AdjacencyMatrix::from_upper_triangle(nodes, watch.edges.clone());
-        baseline.set_nan_pair_count(nan_pairs);
-        Ok((watch, baseline))
     }
 
-    /// Re-threshold the post-tick packed correlations against the held edge
-    /// bits, with the lenient semantics of
+    /// One scan over a packed triangle of correlations. The returned delta
+    /// holds the pairs whose bit flipped, in ascending order, with the
+    /// lenient semantics of
     /// [`CorrelationMatrix::threshold_lenient`](crate::matrix::CorrelationMatrix::threshold_lenient):
-    /// a NaN pair is counted in `nan_pairs` and is never an edge, any other
-    /// pair is an edge iff `c > θ`. Pairs whose bit flipped are recorded in
-    /// ascending packed order; the resulting delta is returned and kept as
-    /// [`EdgeWatch::last`].
+    /// a NaN pair is counted in `nan_pairs` and is never an edge.
     ///
     /// # Panics
     ///
-    /// If `corrs` is not the packed triangle the watch was created over.
+    /// If `corrs` is not the packed triangle of the watch's node count.
     pub fn observe(&mut self, corrs: &[f64]) -> &EdgeDelta {
         assert_eq!(corrs.len(), self.edges.len(), "packed triangle size");
-        let mut delta = EdgeDelta {
-            nodes: self.nodes,
-            total_pairs: corrs.len(),
-            ..EdgeDelta::default()
-        };
-        // Branch-free over each chunk of a triangle row; only the set bits of
-        // its flip mask are walked, and a tick flips few pairs.
-        let mut scan = |i: usize, j0: usize, edges: &mut [bool], corrs: &[f64]| {
-            let (mut flips, nans) = chunk_flips(edges, corrs, self.theta);
-            delta.nan_pairs += nans;
-            while flips != 0 {
-                let bit = flips.trailing_zeros() as usize;
-                flips &= flips - 1;
-                edges[bit] = !edges[bit];
-                let pairs = match edges[bit] {
-                    true => &mut delta.appeared,
-                    false => &mut delta.vanished,
-                };
-                pairs.push((i, j0 + bit));
-            }
-        };
-        let mut start = 0;
-        for i in 0..self.nodes {
-            let row = start..start + self.nodes - 1 - i;
-            start = row.end;
-            let mut chunks = self.edges[row.clone()].chunks_exact_mut(CHUNK);
-            let mut corr_chunks = corrs[row].chunks_exact(CHUNK);
-            let mut j0 = i + 1;
-            for (edges, corrs) in (&mut chunks).zip(&mut corr_chunks) {
-                scan(i, j0, edges, corrs);
-                j0 += CHUNK;
-            }
-            scan(i, j0, chunks.into_remainder(), corr_chunks.remainder());
+        self.take_delta();
+        sweep_packed(self.delta.nodes, corrs, usize::MAX, self);
+        &self.delta
+    }
+
+    /// The delta of the latest scan (empty before the first).
+    pub fn delta(&self) -> &EdgeDelta {
+        &self.delta
+    }
+
+    /// Move the latest scan's delta out, leaving an empty one.
+    pub fn take_delta(&mut self) -> EdgeDelta {
+        let none = EdgeDelta::none(self.delta.nodes);
+        std::mem::replace(&mut self.delta, none)
+    }
+
+    /// A watch over the pairs `run` only, with their bits: one sink of a
+    /// pooled scan, handed back through [`EdgeWatch::absorb`].
+    pub(crate) fn run(&self, run: Range<usize>) -> Self {
+        Self {
+            rule: self.rule,
+            first: run.start,
+            edges: self.edges[run].to_vec(),
+            delta: EdgeDelta::none(self.delta.nodes),
         }
-        self.last.insert(delta)
     }
 
-    /// The subscribed threshold θ.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
-    /// The delta of the most recent [`EdgeWatch::observe`] (`None` before the
-    /// first tick after subscribing).
-    pub fn last(&self) -> Option<&EdgeDelta> {
-        self.last.as_ref()
+    /// Take back a run's bits and append its delta, runs in ascending order.
+    pub(crate) fn absorb(&mut self, run: Self) {
+        self.edges[run.first..][..run.edges.len()].copy_from_slice(&run.edges);
+        self.delta.appeared.extend(run.delta.appeared);
+        self.delta.vanished.extend(run.delta.vanished);
+        self.delta.nan_pairs += run.delta.nan_pairs;
     }
 }
 
-/// Pairs per chunk of [`EdgeWatch::observe`]'s scan.
+impl TileSink for EdgeWatch {
+    fn consume(&mut self, i: usize, j0: usize, pair0: usize, corrs: &[f64]) {
+        let edges = &mut self.edges[pair0 - self.first..][..corrs.len()];
+        flip_scan(edges, corrs, i, j0, self.rule, &mut self.delta);
+    }
+
+    fn tile_skippable(&self, upper_bound: f64) -> bool {
+        !self.rule.passes(upper_bound)
+    }
+
+    /// No pair of a skipped tile passes: the edges held there vanish.
+    fn tile_skipped(&mut self, i: usize, j0: usize, len: usize) {
+        let pair0 = pair_index(i, j0, self.delta.nodes) - self.first;
+        for (j, edge) in (j0..).zip(&mut self.edges[pair0..pair0 + len]) {
+            if std::mem::take(edge) {
+                self.delta.vanished.push((i, j));
+            }
+        }
+    }
+}
+
+impl EdgeDelta {
+    /// The delta of a scan over `nodes` series that flipped nothing.
+    fn none(nodes: usize) -> Self {
+        let total_pairs = packed_pairs(nodes);
+        Self {
+            nodes,
+            total_pairs,
+            ..Self::default()
+        }
+    }
+}
+
+/// Pairs per chunk of [`flip_scan`].
 const CHUNK: usize = 16;
 
-/// The flip mask of one chunk of at most [`CHUNK`] pairs (bit `k` set when
-/// `c_k > θ` differs from edge bit `k`; NaN compares false, so a NaN pair is
-/// never an edge) and its NaN count.
-#[inline(always)]
-fn chunk_flips(edges: &[bool], corrs: &[f64], theta: f64) -> (u32, usize) {
-    let (mut flips, mut nans) = (0u32, 0usize);
-    for (k, (&edge, &c)) in edges.iter().zip(corrs).enumerate() {
-        flips |= u32::from((c > theta) != edge) << k;
-        nans += usize::from(c.is_nan());
+/// Re-test the tile `(i, j0), …` against its edge bits under `rule`, one
+/// chunk of at most [`CHUNK`] pairs at a time: a chunk yields its flip mask
+/// (bit `k` set when `rule.passes(c_k)` differs from edge bit `k`; NaN never
+/// passes) and NaN count without a branch, and only the mask's set bits are
+/// walked (a scan flips few pairs), flipped pairs recorded in ascending
+/// order.
+#[inline(never)]
+fn flip_scan(
+    edges: &mut [bool],
+    corrs: &[f64],
+    i: usize,
+    j0: usize,
+    rule: EdgeRule,
+    delta: &mut EdgeDelta,
+) {
+    let mut scan = |j0: usize, edges: &mut [bool], corrs: &[f64]| {
+        let (mut flips, mut nans) = (0u32, 0usize);
+        for (k, (&edge, &c)) in edges.iter().zip(corrs).enumerate() {
+            flips |= u32::from(rule.passes(c) != edge) << k;
+            nans += usize::from(c.is_nan());
+        }
+        delta.nan_pairs += nans;
+        while flips != 0 {
+            let bit = flips.trailing_zeros() as usize;
+            flips &= flips - 1;
+            edges[bit] = !edges[bit];
+            let pairs = match edges[bit] {
+                true => &mut delta.appeared,
+                false => &mut delta.vanished,
+            };
+            pairs.push((i, j0 + bit));
+        }
+    };
+    let mut chunks = edges.chunks_exact_mut(CHUNK);
+    let mut corr_chunks = corrs.chunks_exact(CHUNK);
+    let mut j = j0;
+    for (edges, corrs) in (&mut chunks).zip(&mut corr_chunks) {
+        scan(j, edges, corrs);
+        j += CHUNK;
     }
-    (flips, nans)
+    scan(j, chunks.into_remainder(), corr_chunks.remainder());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matrix::CorrelationMatrix;
+    use crate::plan::PlanMethod;
+
+    /// An exact watch after its first scan over `corrs`, and the network
+    /// that scan's delta builds from no edges.
+    fn exact_watch(theta: f64, nodes: usize, corrs: &[f64]) -> (EdgeWatch, AdjacencyMatrix) {
+        let mut watch = EdgeWatch::new(EdgeRule::new(PlanMethod::Exact, theta), nodes);
+        let mut baseline = AdjacencyMatrix::empty(nodes);
+        watch.observe(corrs).apply_to(&mut baseline).unwrap();
+        (watch, baseline)
+    }
 
     #[test]
     fn watch_baseline_matches_lenient_threshold() {
         let corrs = vec![0.9, -0.2, f64::NAN, 0.31, 0.3, 0.8];
         for theta in [0.3, -1.0, 1.0] {
-            let (watch, baseline) = EdgeWatch::new(theta, 4, &corrs).unwrap();
+            assert!(EdgeWatch::new(EdgeRule::new(PlanMethod::Exact, theta), 4)
+                .delta()
+                .is_empty());
+            // The first scan's `appeared` list is the whole network.
+            let (watch, baseline) = exact_watch(theta, 4, &corrs);
             let expected =
                 CorrelationMatrix::from_upper_triangle(4, corrs.clone()).threshold_lenient(theta);
+            assert!(watch.delta().vanished.is_empty());
             assert_eq!(baseline, expected);
             assert_eq!(baseline.nan_pair_count(), expected.nan_pair_count());
-            assert_eq!(watch.theta(), theta);
-            assert!(watch.last().is_none());
         }
     }
 
@@ -227,7 +284,7 @@ mod tests {
     fn observe_reports_flips_in_packed_order_with_lenient_nan_semantics() {
         // Packed order over 4 nodes: (0,1) (0,2) (0,3) (1,2) (1,3) (2,3).
         let before = [0.9, 0.1, f64::NAN, 0.8, 0.2, 0.7];
-        let (mut watch, mut snapshot) = EdgeWatch::new(0.5, 4, &before).unwrap();
+        let (mut watch, mut snapshot) = exact_watch(0.5, 4, &before);
         // (0,1): edge turns NaN; (0,2): appears; (0,3): NaN turns finite above
         // θ; (1,2): stays an edge; (1,3): stays absent; (2,3): vanishes.
         let after = [f64::NAN, 0.6, 0.9, 0.8, f64::NAN, 0.5];
@@ -243,7 +300,7 @@ mod tests {
                 total_pairs: 6,
             }
         );
-        assert_eq!(watch.last(), Some(&delta));
+        assert_eq!(watch.delta(), &delta);
         delta.apply_to(&mut snapshot).unwrap();
         let full = CorrelationMatrix::from_upper_triangle(4, after.to_vec()).threshold_lenient(0.5);
         assert_eq!(snapshot, full);
@@ -256,8 +313,14 @@ mod tests {
     }
 
     /// The one-pair-at-a-time scan `observe` ran before its chunked
-    /// flip-mask rewrite: the oracle of the property test below.
-    fn serial_observe(edges: &mut [bool], nodes: usize, theta: f64, corrs: &[f64]) -> EdgeDelta {
+    /// flip-mask rewrite, with the edge test spelled out by the caller: the
+    /// oracle of the property test below.
+    fn serial_observe(
+        edges: &mut [bool],
+        nodes: usize,
+        passes: impl Fn(f64) -> bool,
+        corrs: &[f64],
+    ) -> EdgeDelta {
         let mut delta = EdgeDelta {
             nodes,
             total_pairs: corrs.len(),
@@ -267,7 +330,7 @@ mod tests {
         for i in 0..nodes {
             for (j, (edge, &c)) in (i + 1..nodes).zip(&mut slots) {
                 delta.nan_pairs += usize::from(c.is_nan());
-                let now = c > theta;
+                let now = passes(c);
                 if now != *edge {
                     *edge = now;
                     if now {
@@ -285,7 +348,8 @@ mod tests {
     fn observe_equals_the_serial_scan() {
         // Values on a coarse grid, so θ equals stored values (and sits one
         // ulp below one) as well as between them; NaN planted at the 16-pair
-        // chunk edges and at the ends of rows, and moved every tick.
+        // chunk edges and at the ends of rows, and moved every tick. Both
+        // rules, each spelled out for the oracle.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut below = move |m: usize| {
             state ^= state << 13;
@@ -297,58 +361,123 @@ mod tests {
         for nodes in (2..=40).chain([65]) {
             let pairs = nodes * (nodes - 1) / 2;
             let row_start = |i: usize| i * nodes - i * (i + 1) / 2;
-            for theta in [0.25, 0.3, -0.5, 0.75, 1.0, -1.0] {
-                let mut corrs: Vec<f64> = (0..pairs).map(|_| grid[below(grid.len())]).collect();
-                let (mut watch, _) = EdgeWatch::new(theta, nodes, &corrs).unwrap();
-                let mut oracle = watch.edges.clone();
-                for tick in 0..6 {
-                    for c in corrs.iter_mut() {
-                        if below(4) == 0 {
-                            *c = grid[below(grid.len())];
+            for theta in [0.25f64, 0.3, -0.5, 0.75, 1.0, -1.0] {
+                let radius = (2.0 * (1.0 - theta)).sqrt();
+                let within = move |c: f64| {
+                    !c.is_nan() && (2.0 * (1.0 - c.clamp(-1.0, 1.0))).max(0.0).sqrt() <= radius
+                };
+                for method in [PlanMethod::Exact, PlanMethod::Approximate] {
+                    let passes = |c: f64| match method {
+                        PlanMethod::Exact => c > theta,
+                        PlanMethod::Approximate => within(c),
+                    };
+                    let mut corrs: Vec<f64> = (0..pairs).map(|_| grid[below(grid.len())]).collect();
+                    let mut watch = EdgeWatch::new(EdgeRule::new(method, theta), nodes);
+                    let mut oracle = vec![false; pairs];
+                    for tick in 0..6 {
+                        let want = serial_observe(&mut oracle, nodes, passes, &corrs);
+                        let got = watch.observe(&corrs);
+                        let label = format!("{method:?} nodes {nodes} θ {theta} tick {tick}");
+                        assert_eq!(got, &want, "{label}");
+                        assert_eq!(watch.edges, oracle, "{label}");
+                        for c in corrs.iter_mut() {
+                            if below(4) == 0 {
+                                *c = grid[below(grid.len())];
+                            }
                         }
-                    }
-                    for i in 0..nodes - 1 {
-                        let row_len = nodes - 1 - i;
-                        for at in [0, 15, 16, 31, 32, row_len - 1] {
-                            if at < row_len && below(3) == 0 {
-                                corrs[row_start(i) + at] = f64::NAN;
+                        for i in 0..nodes - 1 {
+                            let row_len = nodes - 1 - i;
+                            for at in [0, 15, 16, 31, 32, row_len - 1] {
+                                if at < row_len && below(3) == 0 {
+                                    corrs[row_start(i) + at] = f64::NAN;
+                                }
                             }
                         }
                     }
-                    let want = serial_observe(&mut oracle, nodes, theta, &corrs);
-                    let got = watch.observe(&corrs);
-                    assert_eq!(got, &want, "nodes {nodes} θ {theta} tick {tick}");
-                    assert_eq!(watch.edges, oracle, "nodes {nodes} θ {theta} tick {tick}");
                 }
             }
         }
     }
 
     #[test]
+    fn a_scan_in_runs_equals_one_pass() {
+        // Three runs fed by hand, as a pooled sweep feeds them, skipping each
+        // row segment that Equation 4 pruning may skip (every value fails,
+        // none is NaN): absorbed in order, they equal one pass.
+        use crate::plan::row_segments;
+        let nodes = 7;
+        let pairs = packed_pairs(nodes);
+        let before: Vec<f64> = (0..pairs).map(|p| (p as f64 * 0.7).sin()).collect();
+        let mut after: Vec<f64> = before.iter().map(|c| (c * 2.9).cos()).collect();
+        after[2] = f64::NAN;
+        after[pair_index(4, 5, nodes)..pair_index(5, 6, nodes)].fill(-1.0);
+        let rule = EdgeRule::new(PlanMethod::Approximate, 0.3);
+        let mut one = EdgeWatch::new(rule, nodes);
+        one.observe(&before);
+        let mut pooled = one.clone();
+        let want = one.observe(&after).clone();
+        let mut skipped = 0;
+        let runs: Vec<EdgeWatch> = [0..5, 5..12, 12..pairs]
+            .into_iter()
+            .map(|run| {
+                let mut sink = pooled.run(run.clone());
+                for (i, j0, len) in row_segments(run.start, run.len(), nodes) {
+                    let p0 = pair_index(i, j0, nodes);
+                    let tile = &after[p0..p0 + len];
+                    if tile.iter().all(|&c| !c.is_nan() && sink.tile_skippable(c)) {
+                        sink.tile_skipped(i, j0, len);
+                        skipped += 1;
+                    } else {
+                        sink.consume(i, j0, p0, tile);
+                    }
+                }
+                sink
+            })
+            .collect();
+        pooled.take_delta();
+        for run in runs {
+            pooled.absorb(run);
+        }
+        assert_eq!(pooled.delta(), &want);
+        assert!(skipped > 0 && !want.vanished.is_empty());
+        assert_eq!(pooled.edges, one.edges);
+    }
+
+    #[test]
     fn observe_threshold_boundaries() {
         // θ = 1.0: `c > θ` never holds, not even for a perfect correlation.
-        let (mut top, baseline) = EdgeWatch::new(1.0, 3, &[1.0, 0.99, -1.0]).unwrap();
+        let (mut top, baseline) = exact_watch(1.0, 3, &[1.0, 0.99, -1.0]);
         assert_eq!(baseline.edge_count(), 0);
         assert!(top.observe(&[1.0, 1.0, 1.0]).is_empty());
         // θ = −1.0: everything but an exact −1.0 (and NaN) is an edge.
-        let (mut bottom, baseline) = EdgeWatch::new(-1.0, 3, &[-1.0, -0.99, 1.0]).unwrap();
+        let (mut bottom, baseline) = exact_watch(-1.0, 3, &[-1.0, -0.99, 1.0]);
         assert_eq!(baseline.iter_edges().collect::<Vec<_>>(), [(0, 2), (1, 2)]);
         let delta = bottom.observe(&[-0.5, -1.0, f64::NAN]);
         assert_eq!(delta.appeared, [(0, 1)]);
         assert_eq!(delta.vanished, [(0, 2), (1, 2)]);
         assert_eq!(delta.nan_pairs, 1);
+        // The radius rule keeps a pair at exactly θ, and at θ = 1.0 a perfect
+        // correlation.
+        let mut radius = EdgeWatch::new(EdgeRule::new(PlanMethod::Approximate, 0.5), 3);
+        assert_eq!(
+            radius.observe(&[0.5, 0.4999, 1.0]).appeared,
+            [(0, 1), (1, 2)]
+        );
+        let mut top = EdgeWatch::new(EdgeRule::new(PlanMethod::Approximate, 1.0), 3);
+        assert_eq!(top.observe(&[1.0, 0.99, -1.0]).appeared, [(0, 1)]);
     }
 
     #[test]
     fn watch_rejects_invalid_theta() {
-        assert!(matches!(
-            EdgeWatch::new(1.5, 3, &[0.0; 3]),
-            Err(Error::InvalidThreshold(_))
-        ));
-        assert!(matches!(
-            EdgeWatch::new(f64::NAN, 3, &[0.0; 3]),
-            Err(Error::InvalidThreshold(_))
-        ));
+        // A watch takes a rule, and a method's rule refuses θ outside [-1, 1].
+        for method in [PlanMethod::Exact, PlanMethod::Approximate] {
+            for theta in [1.5, -1.01, f64::NAN] {
+                assert!(matches!(
+                    EdgeRule::for_method(method, theta).map(|rule| EdgeWatch::new(rule, 3)),
+                    Err(Error::InvalidThreshold(_))
+                ));
+            }
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ use crate::runner::{JobRunner, ScopedRunner, SerialRunner};
 use crate::sketch::SketchSet;
 use crate::stats::{clamp_corr, WindowStats};
 use crate::sweep::{
-    fill_packed, sweep_run, CorrelationBounds, EdgeList, EdgeSink, TopK, TopKSink,
+    fill_packed, sweep_run, CorrelationBounds, EdgeList, EdgeRule, EdgeSink, TopK, TopKSink,
     DEFAULT_TILE_PAIRS,
 };
 use crate::timeseries::{SeriesCollection, SeriesId};
@@ -302,7 +302,7 @@ pub fn network_streamed(
     query: QueryWindow,
     theta: f64,
 ) -> Result<EdgeList> {
-    let mut sink = EdgeSink::for_method(PlanMethod::Exact, theta)?;
+    let mut sink = EdgeSink::with_rule(EdgeRule::for_method(PlanMethod::Exact, theta)?);
     let plan = QueryPlan::build(collection, sketch, query)?;
     streamed_sweep(sketch, &plan, None, &mut sink);
     Ok(sink.finish(collection.len()))

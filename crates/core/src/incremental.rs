@@ -43,13 +43,13 @@ use crate::delta::{EdgeDelta, EdgeWatch};
 use crate::error::{Error, Result};
 use crate::exact::{self, WindowContribution};
 use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
-use crate::plan::{carve_for_workers, row_segments, CorrView, QueryPlan, WindowRows};
+use crate::plan::{carve_for_workers, row_segments, CorrView, PlanMethod, QueryPlan, WindowRows};
 use crate::runner::{Job, JobRunner, SerialRunner};
 use crate::sketch::{
     arriving_corrs, arriving_window, packed_pairs, pair_index, SeriesSketch, SketchSet,
 };
 use crate::stats::{clamp_corr, WindowStats};
-use crate::sweep::fill_packed;
+use crate::sweep::{fill_packed, EdgeRule};
 use crate::timeseries::SeriesCollection;
 
 /// Summary of one series over the current sliding query window, maintained
@@ -508,16 +508,19 @@ pub struct SlidingState {
     pair_windows: WindowRows,
     /// Current packed per-pair correlations over the sliding window.
     corrs: Vec<f64>,
+    /// The engine's method, which picks its [`EdgeRule`].
+    method: PlanMethod,
     /// Active edge subscription ([`SlidingState::subscribe_edges`]).
     watch: Option<EdgeWatch>,
 }
 
 impl SlidingState {
-    /// Assemble the state over basic windows `windows` of `sketch`: the
-    /// per-series statistics come from the sketch, `table` holds the engine's
-    /// stored row of each of those windows (oldest first) and `corrs` the
-    /// initial packed correlations over them. Each row is copied into a
-    /// buffer of its own, freed once it has slid out and no epoch shares it.
+    /// Assemble the state of a `method` engine over basic windows `windows`
+    /// of `sketch`: the per-series statistics come from the sketch, `table`
+    /// holds the engine's stored row of each of those windows (oldest first)
+    /// and `corrs` the initial packed correlations over them. Each row is
+    /// copied into a buffer of its own, freed once it has slid out and no
+    /// epoch shares it.
     ///
     /// Everything a tick assumes is checked here, once, and answered with
     /// [`Error::SketchMismatch`]: the window range is non-empty and inside
@@ -531,6 +534,7 @@ impl SlidingState {
         windows: std::ops::Range<usize>,
         table: CorrView<'_>,
         corrs: Vec<f64>,
+        method: PlanMethod,
     ) -> Result<Self> {
         let basic_window = sketch.basic_window();
         let n_pairs = packed_pairs(sketch.series_count());
@@ -569,6 +573,7 @@ impl SlidingState {
             series,
             pair_windows,
             corrs,
+            method,
             watch: None,
         })
     }
@@ -600,7 +605,7 @@ impl SlidingState {
     /// variance term and its root — once per series, from the pre-slide
     /// state); the pair sweep, which leaves in every slot the bits
     /// [`lemma2_update`] returns for that pair, for any worker count of
-    /// `runner`; the subscription's re-threshold pass, if any; and only then
+    /// `runner`; the subscription's watch scan, if any; and only then
     /// the slide of the per-series state and of the stored rows, which takes
     /// `arriving` as the newest row without copying it.
     pub fn slide_in(
@@ -656,40 +661,44 @@ impl SlidingState {
         CorrelationMatrix::from_upper_triangle(self.series.len(), self.corrs.clone())
     }
 
-    /// Snapshot of the current climate network at threshold `theta`. The
-    /// lenient thresholding keeps this path infallible: NaN correlations
-    /// (possible once NaN observations are ingested — the sliding
-    /// recombination deliberately keeps them NaN instead of fabricating a
-    /// value) are counted on the returned matrix's
+    /// Snapshot of the current climate network under the engine's
+    /// [`EdgeRule::for_method`] at `theta`, θ unchecked. The lenient
+    /// thresholding keeps this path infallible: NaN correlations (possible
+    /// once NaN observations are ingested — the sliding recombination
+    /// deliberately keeps them NaN instead of fabricating a value) are
+    /// counted on the returned matrix's
     /// [`nan_pair_count`](AdjacencyMatrix::nan_pair_count), never silently
     /// dropped.
     pub fn network(&self, theta: f64) -> AdjacencyMatrix {
-        AdjacencyMatrix::threshold_packed(self.series.len(), &self.corrs, theta, false)
+        let rule = EdgeRule::new(self.method, theta);
+        AdjacencyMatrix::threshold_packed(self.series.len(), &self.corrs, rule)
     }
 
-    /// Subscribe to edge-level changes of the θ-thresholded network: returns
-    /// the baseline snapshot (identical to [`SlidingState::network`] at
-    /// `theta`, NaN audit included), and from the next ingest on,
-    /// [`SlidingState::changed_edges`] carries the [`EdgeDelta`] of the
-    /// latest tick — the pairs one re-threshold pass over the swept
-    /// correlations found flipped. Applying each delta to the previous
-    /// snapshot reproduces a full re-threshold bit for bit. Re-subscribing
-    /// replaces any previous subscription.
+    /// Subscribe an [`EdgeWatch`] under the engine's rule at `theta`
+    /// (checked) to the θ-network: returns its first scan's network, equal to
+    /// [`SlidingState::network`] (NaN audit included), and from then on
+    /// [`SlidingState::changed_edges`] carries the [`EdgeDelta`] of each
+    /// ingest tick's scan. Applying each delta to the previous snapshot
+    /// reproduces a full re-threshold bit for bit. Re-subscribing replaces
+    /// any previous subscription.
     pub fn subscribe_edges(&mut self, theta: f64) -> Result<AdjacencyMatrix> {
-        let (watch, baseline) = EdgeWatch::new(theta, self.series.len(), &self.corrs)?;
+        let (rule, n) = (EdgeRule::for_method(self.method, theta)?, self.series.len());
+        let mut watch = EdgeWatch::new(rule, n);
+        watch.observe(&self.corrs);
+        let mut baseline = AdjacencyMatrix::empty(n);
+        watch.take_delta().apply_to(&mut baseline)?;
         self.watch = Some(watch);
         Ok(baseline)
     }
 
-    /// The [`EdgeDelta`] emitted by the most recent ingest tick, or `None`
-    /// when there is no active subscription or no tick has happened since
-    /// subscribing.
+    /// The [`EdgeDelta`] of the most recent ingest tick (empty right after
+    /// subscribing), or `None` without a subscription.
     pub fn changed_edges(&self) -> Option<&EdgeDelta> {
-        self.watch.as_ref().and_then(|w| w.last())
+        self.watch.as_ref().map(EdgeWatch::delta)
     }
 
     /// Drop the active edge subscription, if any, so subsequent ingests skip
-    /// the re-threshold pass.
+    /// the watch scan.
     pub fn unsubscribe_edges(&mut self) {
         self.watch = None;
     }
@@ -789,7 +798,7 @@ impl SlidingNetwork {
                 available: format!("{available} sketched windows"),
             });
         }
-        let first_window = available - ns;
+        let windows = available - ns..available;
         let n = sketch.series_count();
         if collection.len() != n {
             return Err(Error::SketchMismatch {
@@ -803,10 +812,10 @@ impl SlidingNetwork {
         // table (on aligned windows bit-identical to the scalar
         // `exact::pair_correlation_aligned`). The stored rows are copies of
         // that table's rows.
-        let plan = QueryPlan::build_aligned(sketch, first_window..available)?;
-        let table = sketch.window_corrs_view(first_window..available);
+        let plan = QueryPlan::build_aligned(sketch, windows.clone())?;
+        let table = sketch.window_corrs_view(windows.clone());
         let (corrs, _) = fill_packed(&SerialRunner, &plan, table)?;
-        let state = SlidingState::new(sketch, first_window..available, table, corrs)?;
+        let state = SlidingState::new(sketch, windows, table, corrs, PlanMethod::Exact)?;
         Ok(Self { state })
     }
 
@@ -1089,7 +1098,13 @@ mod tests {
         let build = |sketch, windows, rows: usize, row_len: usize, corrs_len: usize| {
             let table = vec![0.1; rows * row_len];
             let table = CorrView::new(&table, row_len, rows);
-            SlidingState::new(sketch, windows, table, vec![0.2; corrs_len])
+            SlidingState::new(
+                sketch,
+                windows,
+                table,
+                vec![0.2; corrs_len],
+                PlanMethod::Exact,
+            )
         };
         assert!(build(&good, 1..3, 2, 3, 3).is_ok());
         for (what, built) in [
@@ -1270,7 +1285,8 @@ mod tests {
             let zeros = WindowRows::from_flat(vec![0.0; windows * pairs], pairs, windows);
             let sketch = SketchSet::from_window_major(b, n, series, zeros).unwrap();
             let table = CorrView::new(&table, pairs, windows);
-            let initial = SlidingState::new(&sketch, 0..windows, table, corrs).unwrap();
+            let initial =
+                SlidingState::new(&sketch, 0..windows, table, corrs, PlanMethod::Exact).unwrap();
 
             let mut exact = initial.clone();
             let mut clamped = initial;

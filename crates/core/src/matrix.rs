@@ -6,7 +6,9 @@
 //! thousands of grid cells used in the scalability experiments.
 
 use crate::error::{Error, Result};
+use crate::plan::PlanMethod::Exact;
 use crate::sketch::pair_index;
+use crate::sweep::EdgeRule;
 
 /// A symmetric all-pair Pearson correlation matrix with an implicit unit
 /// diagonal.
@@ -84,13 +86,7 @@ impl CorrelationMatrix {
     /// silently yield a plausible-looking but wrong network. Callers that
     /// accept missing pairs use [`CorrelationMatrix::threshold_lenient`].
     pub fn threshold(&self, theta: f64) -> Result<AdjacencyMatrix> {
-        let net = self.apply_threshold(theta, false);
-        if net.nan_pairs > 0 {
-            return Err(Error::NanCorrelations {
-                pairs: net.nan_pairs,
-            });
-        }
-        Ok(net)
+        Self::without_nan(self.threshold_lenient(theta))
     }
 
     /// Threshold on the absolute correlation: edge iff `|corr(i,j)| > θ`.
@@ -98,13 +94,8 @@ impl CorrelationMatrix {
     /// information flow use this variant. Same NaN policy as
     /// [`CorrelationMatrix::threshold`].
     pub fn threshold_abs(&self, theta: f64) -> Result<AdjacencyMatrix> {
-        let net = self.apply_threshold(theta, true);
-        if net.nan_pairs > 0 {
-            return Err(Error::NanCorrelations {
-                pairs: net.nan_pairs,
-            });
-        }
-        Ok(net)
+        let abs = |c: f64| c.abs() > theta;
+        Self::without_nan(AdjacencyMatrix::threshold_with(self.n, &self.values, abs))
     }
 
     /// Lenient variant of [`CorrelationMatrix::threshold`]: NaN entries get
@@ -112,11 +103,15 @@ impl CorrelationMatrix {
     /// ([`AdjacencyMatrix::nan_pair_count`]) so the caller can audit how many
     /// pairs were skipped.
     pub fn threshold_lenient(&self, theta: f64) -> AdjacencyMatrix {
-        self.apply_threshold(theta, false)
+        AdjacencyMatrix::threshold_packed(self.n, &self.values, EdgeRule::new(Exact, theta))
     }
 
-    fn apply_threshold(&self, theta: f64, abs: bool) -> AdjacencyMatrix {
-        AdjacencyMatrix::threshold_packed(self.n, &self.values, theta, abs)
+    /// `net`, or [`Error::NanCorrelations`] when it counted a NaN pair.
+    fn without_nan(net: AdjacencyMatrix) -> Result<AdjacencyMatrix> {
+        match net.nan_pairs {
+            0 => Ok(net),
+            pairs => Err(Error::NanCorrelations { pairs }),
+        }
     }
 
     /// Maximum absolute difference to another matrix of the same size —
@@ -198,24 +193,18 @@ impl AdjacencyMatrix {
     }
 
     /// Lenient threshold of a packed strict upper triangle of correlations
-    /// (`|c| > θ` when `abs`, else `c > θ`): NaN entries get no edge and are
-    /// counted. The one thresholding loop behind every
-    /// `CorrelationMatrix::threshold*` and the sliding engines' `network`.
-    pub(crate) fn threshold_packed(n: usize, values: &[f64], theta: f64, abs: bool) -> Self {
-        let mut nan_pairs = 0usize;
-        let edges = values
-            .iter()
-            .map(|&c| {
-                if c.is_nan() {
-                    nan_pairs += 1;
-                    false
-                } else if abs {
-                    c.abs() > theta
-                } else {
-                    c > theta
-                }
-            })
-            .collect();
+    /// under `rule`: NaN entries get no edge and are counted. The one
+    /// thresholding pass behind every `CorrelationMatrix::threshold*` and
+    /// the sliding engines' `network`.
+    pub(crate) fn threshold_packed(n: usize, values: &[f64], rule: EdgeRule) -> Self {
+        Self::threshold_with(n, values, |c| rule.passes(c))
+    }
+
+    /// [`AdjacencyMatrix::threshold_packed`] with the test spelled out, for
+    /// `|c| > θ`.
+    fn threshold_with(n: usize, values: &[f64], edge: impl Fn(f64) -> bool) -> Self {
+        let edges = values.iter().map(|&c| edge(c)).collect();
+        let nan_pairs = values.iter().filter(|c| c.is_nan()).count();
         Self {
             n,
             edges,

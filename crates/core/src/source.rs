@@ -42,6 +42,7 @@
 use std::ops::Range;
 use std::time::Duration;
 
+use crate::delta::EdgeWatch;
 use crate::error::{Error, Result};
 use crate::matrix::CorrelationMatrix;
 use crate::plan::{CorrView, PlanMethod, QueryPlan};
@@ -49,8 +50,8 @@ use crate::runner::JobRunner;
 use crate::sketch::{pair_index, SketchSet};
 use crate::stats::WindowStats;
 use crate::sweep::{
-    fill_packed, sweep_pooled, CorrelationBounds, EdgeList, EdgeSink, TableAudit, TileSink, TopK,
-    TopKSink,
+    fill_packed, sweep_pooled, CorrelationBounds, EdgeList, EdgeRule, EdgeSink, TableAudit,
+    TileSink, TopK, TopKSink,
 };
 
 /// A window-major pair table lent by a [`CorrSource`]: a zero-copy borrow of
@@ -209,7 +210,7 @@ pub fn check_source_windows<S: CorrSource + ?Sized>(
 /// the method's window-major table, lent by the source for the plan's
 /// lifetime. Lemma 1 (exact) and Equation 5 (approximate) share the
 /// recombination, so the method picks only the table, the network's edge
-/// rule ([`EdgeSink::for_method`]) and whether a network prunes tiles —
+/// rule ([`EdgeRule::for_method`]) and whether a network prunes tiles —
 /// approximate networks do (Equation 4), exact networks observe every pair
 /// so their NaN audit is exhaustive; top-k always prunes.
 ///
@@ -300,7 +301,7 @@ impl<'a> SourcePlan<'a> {
     }
 
     /// The thresholded network under the method's edge rule
-    /// ([`EdgeSink::for_method`]; θ outside `[-1, 1]` is
+    /// ([`EdgeRule::for_method`]; θ outside `[-1, 1]` is
     /// [`Error::InvalidThreshold`]), streamed on `runner` in tiles of at most
     /// `tile_len` pairs with the table audit `audit` — the packed triangle is
     /// never materialized. An approximate network skips tiles whose Equation
@@ -314,15 +315,29 @@ impl<'a> SourcePlan<'a> {
         tile_len: usize,
         audit: TableAudit,
     ) -> Result<(EdgeList, Duration)> {
-        let sink = EdgeSink::for_method(self.method, theta)?;
+        let sink = EdgeSink::with_rule(EdgeRule::for_method(self.method, theta)?);
         let prune = self.method == PlanMethod::Approximate;
-        let (sinks, busy) = self.sweep(runner, prune, tile_len, audit, || sink.clone());
+        let (sinks, busy) = self.sweep(runner, prune, tile_len, audit, |_| sink.clone());
         let n = self.series_count();
         let mut edges = sink.finish(n);
         for run in sinks {
             edges.absorb(run.finish(n));
         }
         Ok((edges, busy))
+    }
+
+    /// One scan of `watch` ([`EdgeWatch`], under this plan's method's rule)
+    /// streamed like [`SourcePlan::network`], one run of the watch per
+    /// worker, without the table audit: its network becomes that network,
+    /// NaN count included.
+    pub fn scan(&self, runner: &dyn JobRunner, watch: &mut EdgeWatch, tile_len: usize) {
+        let prune = self.method == PlanMethod::Approximate;
+        let off = TableAudit::Off;
+        let (runs, _) = self.sweep(runner, prune, tile_len, off, |run| watch.run(run));
+        watch.take_delta();
+        for run in runs {
+            watch.absorb(run);
+        }
     }
 
     /// The `k` strongest pairs, streamed like [`SourcePlan::network`], with
@@ -336,7 +351,7 @@ impl<'a> SourcePlan<'a> {
         tile_len: usize,
         audit: TableAudit,
     ) -> (TopK, Duration) {
-        let (sinks, busy) = self.sweep(runner, true, tile_len, audit, || TopKSink::new(k));
+        let (sinks, busy) = self.sweep(runner, true, tile_len, audit, |_| TopKSink::new(k));
         let mut merged = TopKSink::new(k);
         for sink in sinks {
             merged.absorb(sink);
@@ -352,7 +367,7 @@ impl<'a> SourcePlan<'a> {
         prune: bool,
         tile_len: usize,
         audit: TableAudit,
-        make_sink: impl Fn() -> K,
+        make_sink: impl FnMut(Range<usize>) -> K,
     ) -> (Vec<K>, Duration) {
         let bounds = prune.then(|| CorrelationBounds::from_plan(&self.plan));
         let view = self.table();

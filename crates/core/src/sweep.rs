@@ -262,9 +262,10 @@ fn audit_tile(
 /// Fan one streamed sweep of the whole packed triangle over `runner`: one
 /// contiguous ascending run per worker ([`runs_for_workers`]), each driven
 /// through the tile loop of [`sweep_run`] (plus the table audit `audit`) into
-/// its own sink from `make_sink`, off a borrowed view — nothing is copied, no
-/// pair list is built. Returns the sinks in run order (so appended edge lists
-/// are in serial emission order) and the workers' summed busy time.
+/// its own sink, made by `make_sink` from the run, off a borrowed view —
+/// nothing is copied, no pair list is built. Returns the sinks in run order
+/// (so appended edge lists are in serial emission order) and the workers'
+/// summed busy time.
 pub fn sweep_pooled<K: TileSink + Send>(
     runner: &dyn JobRunner,
     plan: &QueryPlan,
@@ -272,10 +273,10 @@ pub fn sweep_pooled<K: TileSink + Send>(
     bounds: Option<&CorrelationBounds>,
     tile_len: usize,
     audit: TableAudit,
-    make_sink: impl Fn() -> K,
+    mut make_sink: impl FnMut(Range<usize>) -> K,
 ) -> (Vec<K>, Duration) {
     let runs = runs_for_workers(packed_pairs(plan.series_count()), runner.worker_count());
-    let mut sinks: Vec<K> = runs.iter().map(|_| make_sink()).collect();
+    let mut sinks: Vec<K> = runs.iter().map(|run| make_sink(run.clone())).collect();
     let mut busy = vec![Duration::ZERO; runs.len()];
     let jobs: Vec<Job<'_>> = runs
         .into_iter()
@@ -374,23 +375,81 @@ pub fn sweep_packed(n: usize, values: &[f64], tile_len: usize, sink: &mut dyn Ti
     }
 }
 
-/// How [`EdgeSink`] compares a correlation against its threshold.
+/// The one edge rule: a pair is an edge of the θ-network when its
+/// correlation is at least the rule's floor, `c ≥ floor` — one compare,
+/// which NaN never passes. Every sink, watch and threshold pass asks it, and
+/// a method picks its floor in one place ([`EdgeRule::for_method`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum EdgeRule {
-    /// `c > θ` — the exact networks' rule, the dense
-    /// [`CorrelationMatrix::threshold`] semantics.
-    Greater,
-    /// Equation 4: `distance_from_corr(c) ≤ radius`, the approximate
-    /// networks' in-radius rule (`radius = √(2(1−θ))`).
-    WithinRadius(f64),
+pub struct EdgeRule {
+    floor: f64,
 }
 
-/// Threshold sink: keeps only the `(i, j)` pairs whose correlation passes
-/// the threshold, counts NaN pairs, and drops whole tiles whose upper bound
-/// cannot pass.
+impl EdgeRule {
+    /// The workspace's one θ check: `theta` when it lies in `[-1, 1]`, else
+    /// [`Error::InvalidThreshold`].
+    pub fn check_theta(theta: f64) -> Result<f64> {
+        let valid = (-1.0..=1.0).contains(&theta);
+        valid.then_some(theta).ok_or(Error::InvalidThreshold(theta))
+    }
+
+    /// The rule of `method` at `theta`, checked ([`EdgeRule::check_theta`]).
+    /// [`PlanMethod::Exact`] keeps `c > θ`, the dense
+    /// [`CorrelationMatrix::threshold`] semantics; [`PlanMethod::Approximate`]
+    /// keeps the pairs within the Equation 4 radius,
+    /// `distance_from_corr(c) ≤ pruning_radius(θ)` — both sides on the same
+    /// `sqrt` roundings, so a pair whose correlation is exactly θ is an edge.
+    pub fn for_method(method: PlanMethod, theta: f64) -> Result<Self> {
+        Self::check_theta(theta).map(|theta| Self::new(method, theta))
+    }
+
+    /// [`EdgeRule::for_method`] without the θ check, for the infallible
+    /// sliding snapshots. Both tests are monotone in `c`, so each is `c ≥`
+    /// its least passing value, found here once: no scan takes a root.
+    pub(crate) fn new(method: PlanMethod, theta: f64) -> Self {
+        let floor = match method {
+            PlanMethod::Exact => least_passing(|c| c > theta),
+            PlanMethod::Approximate => {
+                let radius = pruning_radius(theta);
+                least_passing(|c| distance_from_corr(c) <= radius)
+            }
+        };
+        Self { floor }
+    }
+
+    /// Whether a pair whose correlation is `c` is an edge; NaN never is.
+    #[inline(always)]
+    pub fn passes(self, c: f64) -> bool {
+        c >= self.floor
+    }
+}
+
+/// The least `f64` at which the monotone test `passes` holds, NaN when it
+/// holds at none: a binary search over the non-NaN values, whose total order
+/// is that of their integer keys (the [`f64::total_cmp`] map, its own
+/// inverse).
+fn least_passing(passes: impl Fn(f64) -> bool) -> f64 {
+    let flip = |k: i64| k ^ (((k >> 63) as u64) >> 1) as i64;
+    let value = |k: i64| f64::from_bits(flip(k) as u64);
+    let key = |c: f64| flip(c.to_bits() as i64);
+    let (mut lo, mut hi) = (key(f64::NEG_INFINITY), key(f64::INFINITY));
+    if !passes(f64::INFINITY) {
+        return f64::NAN;
+    }
+    while lo < hi {
+        let mid = ((i128::from(lo) + i128::from(hi)) >> 1) as i64;
+        if passes(value(mid)) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    value(hi)
+}
+
+/// Threshold sink: keeps only the `(i, j)` pairs its [`EdgeRule`] passes,
+/// counts NaN pairs, and drops whole tiles whose upper bound cannot pass.
 #[derive(Debug, Clone)]
 pub struct EdgeSink {
-    theta: f64,
     rule: EdgeRule,
     edges: Vec<(usize, usize)>,
     nan_pairs: usize,
@@ -401,30 +460,13 @@ impl EdgeSink {
     /// Strict-greater sink (`c > θ`), matching
     /// [`CorrelationMatrix::threshold`].
     pub fn new(theta: f64) -> Self {
-        Self::with_rule(theta, EdgeRule::Greater)
+        Self::with_rule(EdgeRule::new(PlanMethod::Exact, theta))
     }
 
-    /// The network sink of `method` at `theta` (validated to `[-1, 1]`) —
-    /// the one place a method picks its edge rule. [`PlanMethod::Exact`]
-    /// keeps `c > θ` ([`EdgeSink::new`]); [`PlanMethod::Approximate`] keeps
-    /// the pairs within the Equation 4 radius,
-    /// `distance_from_corr(c) ≤ pruning_radius(θ)` — both sides on the same
-    /// `sqrt` roundings, so a pair whose correlation is exactly θ is an edge.
-    pub fn for_method(method: PlanMethod, theta: f64) -> Result<Self> {
-        if !(-1.0..=1.0).contains(&theta) {
-            return Err(Error::InvalidThreshold(theta));
-        }
-        Ok(match method {
-            PlanMethod::Exact => Self::new(theta),
-            PlanMethod::Approximate => {
-                Self::with_rule(theta, EdgeRule::WithinRadius(pruning_radius(theta)))
-            }
-        })
-    }
-
-    fn with_rule(theta: f64, rule: EdgeRule) -> Self {
+    /// A sink keeping the pairs `rule` passes — a method's network sink is
+    /// `EdgeSink::with_rule(EdgeRule::for_method(method, θ)?)`.
+    pub fn with_rule(rule: EdgeRule) -> Self {
         Self {
-            theta,
             rule,
             edges: Vec::new(),
             nan_pairs: 0,
@@ -451,33 +493,21 @@ impl TileSink for EdgeSink {
     fn consume(&mut self, i: usize, j0: usize, _pair0: usize, corrs: &[f64]) {
         // The rule is read once per tile, not once per pair: the edge pushes
         // would otherwise make the compiler reload it every iteration.
-        let (rule, theta) = (self.rule, self.theta);
+        let rule = self.rule;
         for (p, &c) in corrs.iter().enumerate() {
             if c.is_nan() {
                 self.nan_pairs += 1;
-                continue;
-            }
-            let hit = match rule {
-                EdgeRule::Greater => c > theta,
-                EdgeRule::WithinRadius(radius) => distance_from_corr(c) <= radius,
-            };
-            if hit {
+            } else if rule.passes(c) {
                 self.edges.push((i, j0 + p));
             }
         }
     }
 
     fn tile_skippable(&self, upper_bound: f64) -> bool {
-        match self.rule {
-            EdgeRule::Greater => upper_bound <= self.theta,
-            // `distance_from_corr` is monotone non-increasing, so every
-            // correlation under the bound lies at least
-            // `distance_from_corr(upper_bound)` away: strictly outside the
-            // radius, no pair of the tile is an edge. A padded bound above 1
-            // clamps to distance 0, never skippable — conservative, not
-            // wrong.
-            EdgeRule::WithinRadius(radius) => distance_from_corr(upper_bound) > radius,
-        }
+        // `c ≥ floor` fails at the bound, so it fails under it too. A padded
+        // bound above 1 passes the radius rule (its floor is at most 1):
+        // never skippable — conservative, not wrong.
+        !self.rule.passes(upper_bound)
     }
 
     fn tile_skipped(&mut self, _i: usize, _j0: usize, len: usize) {
@@ -835,12 +865,13 @@ mod tests {
         assert_eq!(list.edges(), &[(0, 1)]);
         assert_eq!(list.nan_pair_count(), 1);
 
-        let mut exact = EdgeSink::for_method(PlanMethod::Exact, 0.5).unwrap();
+        let mut exact = EdgeSink::with_rule(EdgeRule::for_method(PlanMethod::Exact, 0.5).unwrap());
         exact.consume(0, 1, 0, &[0.9, f64::NAN, 0.5, 0.2]);
         assert_eq!(exact.finish(5).edges(), &[(0, 1)]);
 
         // The radius rule keeps a pair at exactly θ.
-        let mut radius = EdgeSink::for_method(PlanMethod::Approximate, 0.5).unwrap();
+        let mut radius =
+            EdgeSink::with_rule(EdgeRule::for_method(PlanMethod::Approximate, 0.5).unwrap());
         radius.consume(0, 1, 0, &[0.9, f64::NAN, 0.5, 0.2]);
         let list = radius.finish(5);
         assert_eq!(list.edges(), &[(0, 1), (0, 3)]);
@@ -849,11 +880,61 @@ mod tests {
         for method in [PlanMethod::Exact, PlanMethod::Approximate] {
             for theta in [1.5, -1.01, f64::NAN] {
                 assert!(matches!(
-                    EdgeSink::for_method(method, theta),
+                    EdgeRule::for_method(method, theta),
                     Err(Error::InvalidThreshold(_))
                 ));
             }
         }
+    }
+
+    /// The floor answers each method's test as spelled, `c > θ` and
+    /// `distance_from_corr(c) ≤ pruning_radius(θ)`, for every non-NaN `c`:
+    /// both tests are monotone, so it is enough that the floor passes and
+    /// the value just below it does not. NaN never passes.
+    #[test]
+    fn edge_rule_floor_is_the_least_passing_correlation() {
+        let mut thetas = vec![
+            -1.0,
+            -0.5,
+            -0.0,
+            0.0,
+            0.3,
+            0.5,
+            0.7,
+            1.0,
+            1.0f64.next_down(),
+        ];
+        thetas.extend((0..200).map(|k| -1.0 + k as f64 * 0.01 + 1e-4 * (k as f64).sin()));
+        for theta in thetas {
+            let radius = pruning_radius(theta);
+            let exact = |c: f64| c > theta;
+            let approximate = |c: f64| distance_from_corr(c) <= radius;
+            for (method, spelled) in [
+                (PlanMethod::Exact, &exact as &dyn Fn(f64) -> bool),
+                (PlanMethod::Approximate, &approximate),
+            ] {
+                let rule = EdgeRule::for_method(method, theta).unwrap();
+                let label = format!("{method:?} θ {theta}");
+                assert!(spelled(rule.floor), "{label}");
+                if rule.floor > f64::NEG_INFINITY {
+                    assert!(!spelled(rule.floor.next_down()), "{label}");
+                }
+                for c in [
+                    theta,
+                    theta.next_up(),
+                    theta.next_down(),
+                    -2.0,
+                    2.0,
+                    f64::INFINITY,
+                ] {
+                    assert_eq!(rule.passes(c), spelled(c), "{label} c {c}");
+                }
+                assert!(!rule.passes(f64::NAN), "{label}");
+            }
+        }
+        // Past the checked range: no floor passes, or every non-NaN value.
+        assert!(!EdgeRule::new(PlanMethod::Exact, f64::INFINITY).passes(f64::INFINITY));
+        assert!(EdgeRule::new(PlanMethod::Approximate, -1.5).passes(f64::NEG_INFINITY));
     }
 
     #[test]
@@ -861,7 +942,8 @@ mod tests {
         let strict = EdgeSink::new(0.5);
         assert!(strict.tile_skippable(0.5)); // c > 0.5 impossible when ub == 0.5
         assert!(!strict.tile_skippable(0.6));
-        let radius = EdgeSink::for_method(PlanMethod::Approximate, 0.5).unwrap();
+        let radius =
+            EdgeSink::with_rule(EdgeRule::for_method(PlanMethod::Approximate, 0.5).unwrap());
         assert!(!radius.tile_skippable(0.5)); // c == 0.5 is an edge
         assert!(radius.tile_skippable(0.4999));
         assert!(!radius.tile_skippable(1.0 + 1e-9)); // a padded bound never skips
@@ -1275,7 +1357,7 @@ mod tests {
                             bounds,
                             tile_len,
                             audit,
-                            || Recorder::new(seed),
+                            |_| Recorder::new(seed),
                         );
                         let runs = runs_for_workers(pairs, workers);
                         prop_assert_eq!(sinks.len(), runs.len());

@@ -19,7 +19,7 @@ use tsubasa_core::plan::PlanMethod;
 use tsubasa_core::sketch::packed_pairs;
 use tsubasa_core::stats::{clamp_corr, WindowStats};
 pub use tsubasa_core::stats::{distance_from_corr, pruning_radius};
-use tsubasa_core::sweep::{sweep_packed, EdgeSink, DEFAULT_TILE_PAIRS};
+use tsubasa_core::sweep::{sweep_packed, EdgeRule, EdgeSink, DEFAULT_TILE_PAIRS};
 
 use crate::plan::ApproxPlan;
 use crate::sketch::DftSketchSet;
@@ -242,16 +242,16 @@ pub fn approximate_correlation_matrix_reference(
 ///
 /// The Equation 5 strategy is [`ApproxPlan::network_streamed`] (tiled sweep,
 /// Equation 4 tile pruning); the StatStream strategy streams the averaged
-/// estimates through the same radius sink ([`EdgeSink::for_method`]).
+/// estimates through the same radius rule ([`EdgeRule::for_method`]).
 pub fn approximate_network(
     sketch: &DftSketchSet,
     windows: std::ops::Range<usize>,
     theta: f64,
     strategy: ApproxStrategy,
 ) -> Result<AdjacencyMatrix> {
-    // Making the sink checks θ before the windows; the Equation 5 sweep
-    // makes its own.
-    let mut sink = EdgeSink::for_method(PlanMethod::Approximate, theta)?;
+    // The rule checks θ before the windows; the Equation 5 sweep makes its
+    // own.
+    let rule = EdgeRule::for_method(PlanMethod::Approximate, theta)?;
     let plan = ApproxPlan::build(sketch, windows)?;
     let edges = match strategy {
         ApproxStrategy::Equation5 => plan.network_streamed(theta)?,
@@ -259,6 +259,7 @@ pub fn approximate_network(
             let n = plan.series_count();
             let mut values = vec![0.0f64; packed_pairs(n)];
             plan.statstream_correlations_into(&mut values);
+            let mut sink = EdgeSink::with_rule(rule);
             sweep_packed(n, &values, DEFAULT_TILE_PAIRS, &mut sink);
             sink.finish(n)
         }

@@ -4,7 +4,7 @@
 //! [`SlidingApproxNetwork`] is the DFT comparator of
 //! [`tsubasa_core::incremental::SlidingNetwork`]. Both hold the same
 //! [`SlidingState`] and run the same tick — arriving-window row, one Lemma 2
-//! sweep over every pair, one re-threshold pass if subscribed — so the
+//! sweep over every pair, one edge-watch scan if subscribed — so the
 //! accessors, the arrival step, the sweep and the edge subscription are
 //! shared. This engine supplies the two things that differ. When a new
 //! basic window arrives it computes that window's packed row of Equation 3
@@ -24,6 +24,7 @@ use std::ops::{Deref, DerefMut};
 
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::incremental::SlidingState;
+use tsubasa_core::plan::PlanMethod;
 use tsubasa_core::runner::{JobRunner, SerialRunner};
 use tsubasa_core::sketch::arriving_window;
 use tsubasa_core::stats::clamp_corr;
@@ -94,15 +95,16 @@ impl SlidingApproxNetwork {
                 available: format!("{available} sketched windows"),
             });
         }
-        let first = available - ns;
+        let windows = available - ns..available;
 
         // The dense fill over the estimate table; the stored rows are copies
         // of that table's rows.
-        let plan = ApproxPlan::build(sketch, first..available)?;
-        let table = sketch.window_ests_view(first..available);
+        let plan = ApproxPlan::build(sketch, windows.clone())?;
+        let table = sketch.window_ests_view(windows.clone());
         let (corrs, _) = fill_packed(&SerialRunner, plan.query_plan(), table)?;
+        let method = PlanMethod::Approximate;
         Ok(Self {
-            state: SlidingState::new(sketch.base(), first..available, table, corrs)?,
+            state: SlidingState::new(sketch.base(), windows, table, corrs, method)?,
             kernel: ComparatorKernel::new(b, sketch.coefficients(), Self::TRANSFORM),
         })
     }
@@ -302,6 +304,41 @@ mod tests {
         assert!(sliding.changed_edges().is_none());
     }
 
+    /// A NaN observation makes its series' pairs NaN: they are counted on
+    /// the network and in every delta, and are never an edge, in the
+    /// snapshot as in the replayed subscription.
+    #[test]
+    fn nan_pairs_are_counted_and_never_edges() {
+        let (n, b, hist, theta) = (4, 16, 160, 0.3);
+        let data = full_data(n, hist + 3 * b);
+        let c =
+            SeriesCollection::from_rows(data.iter().map(|s| s[..hist].to_vec()).collect()).unwrap();
+        let sk = DftSketchSet::build(&c, b, b / 2, Transform::Naive).unwrap();
+        let mut sliding = SlidingApproxNetwork::initialize(&sk, 96).unwrap();
+        let mut snapshot = sliding.subscribe_edges(theta).unwrap();
+        let radius = (2.0f64 * (1.0 - theta)).sqrt();
+        for (tick, now) in (hist..).step_by(b).take(3).enumerate() {
+            let mut chunk: Vec<Vec<f64>> = data.iter().map(|s| s[now..now + b].to_vec()).collect();
+            if tick == 1 {
+                chunk[2][5] = f64::NAN;
+            }
+            sliding.ingest(&chunk).unwrap();
+            let delta = sliding.changed_edges().expect("subscribed");
+            delta.apply_to(&mut snapshot).unwrap();
+            let (m, net) = (sliding.correlation_matrix(), sliding.network(theta));
+            let mut nan_pairs = 0;
+            for (i, j, c) in m.iter_pairs() {
+                nan_pairs += usize::from(c.is_nan());
+                let within = !c.is_nan() && (2.0 * (1.0 - c.clamp(-1.0, 1.0))).sqrt() <= radius;
+                assert_eq!(net.has_edge(i, j), within, "({i}, {j}) at {c}, tick {tick}");
+            }
+            assert_eq!(nan_pairs > 0, tick >= 1, "tick {tick}");
+            assert_eq!(net.nan_pair_count(), nan_pairs);
+            assert_eq!(snapshot, net, "tick {tick}");
+            assert_eq!(snapshot.nan_pair_count(), nan_pairs);
+        }
+    }
+
     #[test]
     fn ingest_validates_chunk_shape() {
         let data = full_data(3, 120);
@@ -333,9 +370,12 @@ mod tests {
         let sliding = SlidingApproxNetwork::initialize(&sk, 120).unwrap();
         let m = sliding.correlation_matrix();
         let g = sliding.network(0.5);
+        // The approximate rule: within the Equation 4 radius of θ.
+        let radius = (2.0f64 * (1.0 - 0.5)).sqrt();
         for i in 0..4 {
             for j in (i + 1)..4 {
-                assert_eq!(g.has_edge(i, j), m.get(i, j) > 0.5);
+                let distance = (2.0 * (1.0 - m.get(i, j).clamp(-1.0, 1.0))).sqrt();
+                assert_eq!(g.has_edge(i, j), distance <= radius);
                 assert_eq!(sliding.correlation(i, j), m.get(i, j));
             }
         }

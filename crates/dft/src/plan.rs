@@ -32,7 +32,7 @@
 //! [`ApproxPlan::network_streamed`] builds the thresholded approximate
 //! network of Algorithm 4: a pair is an edge when its recombined query-window
 //! distance is within the Equation 4 pruning radius `radius(θ) = √(2(1−θ))`
-//! — the approximate rule of [`EdgeSink::for_method`], which every
+//! — the approximate rule of [`EdgeRule::for_method`], which every
 //! approximate network in the workspace (the parallel engine's and the
 //! served ones too) applies. Because partial-coefficient distances never
 //! over-estimate (`d̂_j ≤ d_j`), the estimated per-window correlations — and
@@ -51,7 +51,7 @@ use tsubasa_core::runner::SerialRunner;
 use tsubasa_core::source::SourcePlan;
 use tsubasa_core::stats::clamp_corr;
 #[cfg(doc)]
-use tsubasa_core::sweep::EdgeSink;
+use tsubasa_core::sweep::EdgeRule;
 use tsubasa_core::sweep::{EdgeList, TableAudit, TopK, DEFAULT_TILE_PAIRS};
 
 use crate::sketch::DftSketchSet;
@@ -177,7 +177,7 @@ mod tests {
     use tsubasa_core::runner::ScopedRunner;
     use tsubasa_core::sketch::pair_index;
     use tsubasa_core::stats::{distance_from_corr, pruning_radius};
-    use tsubasa_core::sweep::{sweep_run, CorrelationBounds, EdgeSink};
+    use tsubasa_core::sweep::{sweep_run, CorrelationBounds, EdgeRule, EdgeSink};
     use tsubasa_core::{baseline, QueryWindow, SeriesCollection};
 
     fn collection(n: usize, len: usize) -> SeriesCollection {
@@ -296,7 +296,8 @@ mod tests {
         let (qp, view) = (plan.query_plan(), plan.0.table());
         let bounds = CorrelationBounds::from_plan(qp);
         let sweep = |bounds: Option<&CorrelationBounds>| {
-            let mut sink = EdgeSink::for_method(PlanMethod::Approximate, theta).unwrap();
+            let mut sink =
+                EdgeSink::with_rule(EdgeRule::for_method(PlanMethod::Approximate, theta).unwrap());
             sweep_run(qp, &view, bounds, 0..28, 2, &mut sink);
             sink
         };

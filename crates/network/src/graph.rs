@@ -2,7 +2,7 @@
 
 use tsubasa_core::error::{Error, Result};
 use tsubasa_core::matrix::{AdjacencyMatrix, CorrelationMatrix};
-use tsubasa_core::sweep::EdgeList;
+use tsubasa_core::sweep::{EdgeList, EdgeRule};
 use tsubasa_core::{GeoLocation, SeriesCollection};
 
 /// A climate network: the thresholded adjacency matrix plus the geographic
@@ -29,9 +29,7 @@ impl ClimateNetwork {
                 available: format!("{}x{} matrix", matrix.len(), matrix.len()),
             });
         }
-        if !(-1.0..=1.0).contains(&threshold) {
-            return Err(Error::InvalidThreshold(threshold));
-        }
+        EdgeRule::check_theta(threshold)?;
         Ok(Self {
             adjacency: matrix.threshold(threshold)?,
             names: collection.iter().map(|s| s.name.clone()).collect(),
@@ -55,9 +53,7 @@ impl ClimateNetwork {
                 available: format!("{} edge-list nodes", edges.node_count()),
             });
         }
-        if !(-1.0..=1.0).contains(&threshold) {
-            return Err(Error::InvalidThreshold(threshold));
-        }
+        EdgeRule::check_theta(threshold)?;
         Ok(Self {
             adjacency: edges.to_adjacency(),
             names: collection.iter().map(|s| s.name.clone()).collect(),

@@ -292,7 +292,7 @@ impl ParallelEngine {
     }
 
     /// The thresholded network under the method's edge rule
-    /// ([`tsubasa_core::EdgeSink::for_method`]): `c > θ` for [`QueryMethod::Exact`],
+    /// ([`tsubasa_core::sweep::EdgeRule::for_method`]): `c > θ` for [`QueryMethod::Exact`],
     /// matching `query(..)?.0.threshold(theta)` exactly, and the Equation 4
     /// radius `distance_from_corr(c) ≤ √(2(1−θ))` for
     /// [`QueryMethod::Approximate`], matching

@@ -239,6 +239,7 @@ mod tests {
     use tsubasa_core::sweep::{EdgeList, TableAudit, TopK, DEFAULT_TILE_PAIRS};
     use tsubasa_core::SeriesCollection;
     use tsubasa_core::SketchSet;
+    use tsubasa_dft::sketch::{DftSketchSet, Transform};
     use tsubasa_parallel::WorkerPool;
 
     /// The serial exact plan over every window of `sketch`.
@@ -259,8 +260,8 @@ mod tests {
             .0
     }
 
-    fn sketch_with_phase(phase: f64) -> SketchSet {
-        let c = SeriesCollection::from_rows(
+    fn collection_with_phase(phase: f64) -> SeriesCollection {
+        SeriesCollection::from_rows(
             (0..5)
                 .map(|s| {
                     (0..100)
@@ -272,8 +273,11 @@ mod tests {
                 })
                 .collect(),
         )
-        .unwrap();
-        SketchSet::build(&c, 20).unwrap()
+        .unwrap()
+    }
+
+    fn sketch_with_phase(phase: f64) -> SketchSet {
+        SketchSet::build(&collection_with_phase(phase), 20).unwrap()
     }
 
     fn loopback() -> (server::ServerHandle, SketchSet) {
@@ -474,6 +478,75 @@ mod tests {
         let lookups = (SUBSCRIBERS * phases.len()) as u64;
         assert_eq!(stats.misses, phases.len() as u64, "one miss per epoch");
         assert_eq!(stats.hits, lookups - stats.misses);
+        handle.shutdown();
+    }
+
+    /// An approximate subscription at θ on one pair's estimate, so that pair
+    /// sits on the Equation 4 radius: the baseline and each replayed delta
+    /// equal the served approximate network of the epoch they name, edges
+    /// and NaN count.
+    #[test]
+    fn approximate_subscription_replays_to_each_served_network() {
+        use std::collections::BTreeSet;
+
+        let dft_with_phase = |phase| {
+            DftSketchSet::build(&collection_with_phase(phase), 20, 6, Transform::Naive).unwrap()
+        };
+        let store = Arc::new(EpochStore::new(8));
+        let first = dft_with_phase(0.0);
+        store
+            .publish(Some(first.base().clone()), Some(first.clone()))
+            .unwrap();
+        let engine = Arc::new(QueryEngine::new(
+            Arc::clone(&store),
+            Arc::new(PlanCache::new(8)),
+            Arc::new(WorkerPool::new(2)),
+        ));
+        let windows = 0..first.window_count();
+        let (estimates, _) = SourcePlan::new(&first, windows, PlanMethod::Approximate)
+            .unwrap()
+            .correlation_matrix(&SerialRunner)
+            .unwrap();
+        let theta = estimates.get(0, 1);
+        let handle = server::start(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+        let mut client = ServeClient::connect(handle.local_addr()).unwrap();
+
+        let served = |epoch: u64| {
+            let epoch = store.get(epoch).unwrap();
+            let net = engine
+                .network_on(&epoch, PlanMethod::Approximate, 0, theta)
+                .unwrap();
+            let edges: BTreeSet<(u32, u32)> = net
+                .edges()
+                .iter()
+                .map(|&(i, j)| (i as u32, j as u32))
+                .collect();
+            (edges, net.nan_pair_count() as u64)
+        };
+        let baseline = client
+            .subscribe_deltas(Method::Approximate, theta, 2)
+            .unwrap();
+        let mut edges: BTreeSet<(u32, u32)> = baseline.edges.iter().copied().collect();
+        assert!(edges.contains(&(0, 1)), "the pair at θ is an edge");
+        assert_eq!((edges.clone(), baseline.nan_pairs), served(1));
+
+        let mut flips = 0;
+        for phase in [0.9, 1.7] {
+            let next = dft_with_phase(phase);
+            store
+                .publish(Some(next.base().clone()), Some(next))
+                .unwrap();
+            let delta = client.next_delta().unwrap();
+            for pair in &delta.vanished {
+                assert!(edges.remove(pair), "vanished edge {pair:?} was absent");
+            }
+            for pair in &delta.appeared {
+                assert!(edges.insert(*pair), "appeared edge {pair:?} was present");
+            }
+            flips += delta.appeared.len() + delta.vanished.len();
+            assert_eq!((edges.clone(), delta.nan_pairs), served(delta.epoch));
+        }
+        assert!(flips > 0, "the epochs must flip edges");
         handle.shutdown();
     }
 }

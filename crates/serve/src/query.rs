@@ -4,7 +4,7 @@
 //! Every result is **bit-identical** to the serial [`SourcePlan`] of the same
 //! epoch's source, method and windows — network
 //! ([`SourcePlan::network`], the method's edge rule of
-//! [`EdgeSink::for_method`]: `c > θ` exact, the Equation 4 radius
+//! [`EdgeRule::for_method`]: `c > θ` exact, the Equation 4 radius
 //! approximate) and top-k ([`SourcePlan::top_k`], total [`f64::total_cmp`]
 //! ranking, ties by ascending pair index), on a serial runner with the
 //! table audit off. Like those calls it counts NaN *outputs*; the kernel
@@ -24,8 +24,10 @@
 //!    never copied), each worker writing its contiguous run of pairs in
 //!    place into one `P`-length buffer, which moves into the cache entry;
 //! 3. one sink pass over the view on the connection thread
-//!    ([`sweep_packed`]): the method's [`EdgeSink::for_method`] for a
-//!    network, a [`TopKSink`] for a top-k. The pool is not woken.
+//!    ([`sweep_packed`]): an [`EdgeSink`] under the method's rule for a
+//!    network, a [`TopKSink`] for a top-k, one scan of the subscriber's
+//!    [`EdgeWatch`] for a subscription frame ([`QueryEngine::observe`]).
+//!    The pool is not woken.
 //!
 //! The serial plan prunes tiles under Equation 4 where the sink allows
 //! (approximate network, both top-k); pruning is sound — it drops only tiles
@@ -55,12 +57,13 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use tsubasa_core::delta::EdgeWatch;
 use tsubasa_core::error::Error;
 use tsubasa_core::plan::{PlanKey, PlanMethod};
 use tsubasa_core::source::{CorrSource, SourcePlan};
 use tsubasa_core::sweep::{
-    fill_packed, sweep_packed, CorrelationBounds, EdgeList, EdgeSink, TableAudit, TopK, TopKSink,
-    DEFAULT_TILE_PAIRS,
+    fill_packed, sweep_packed, CorrelationBounds, EdgeList, EdgeRule, EdgeSink, TableAudit, TopK,
+    TopKSink, DEFAULT_TILE_PAIRS,
 };
 use tsubasa_core::QueryPlan;
 use tsubasa_parallel::WorkerPool;
@@ -159,6 +162,14 @@ pub fn resolve_windows(
         }));
     }
     Ok(available - lw..available)
+}
+
+/// Where a query's correlations come from ([`QueryEngine::answer`]).
+enum Corrs<'a> {
+    /// The key's view: its `P` correlations in packed pair order.
+    View(&'a [f64]),
+    /// The key's plan, for a key past the dense budget.
+    Plan(&'a SourcePlan<'a>),
 }
 
 /// The serving-side query engine: answers network / top-k requests from the
@@ -265,34 +276,17 @@ impl QueryEngine {
         last_windows: u32,
         theta: f64,
     ) -> Result<EdgeList, QueryError> {
-        let sink = EdgeSink::for_method(method, theta)?;
-        let source =
-            epoch
-                .source(method)
-                .ok_or(QueryError::Unavailable(UnavailableReason::for_method(
-                    method,
-                )))?;
-        let windows = resolve_windows(source.window_count(method), last_windows, method)?;
-        let n = source.series_count();
-        if n < 2 {
-            return Ok(sink.finish(n));
-        }
-        let key = PlanKey::new(epoch.id(), windows, method);
-        self.answer(
-            key,
-            last_windows,
-            source.as_ref(),
-            |view| {
-                let mut sink = sink;
+        let rule = EdgeRule::for_method(method, theta)?;
+        self.answer(epoch, method, last_windows, |n, corrs| match corrs {
+            Corrs::View(view) => {
+                let mut sink = EdgeSink::with_rule(rule);
                 sweep_packed(n, view, DEFAULT_TILE_PAIRS, &mut sink);
-                sink.finish(n)
-            },
-            |plan| {
-                Ok(plan
-                    .network(&*self.pool, theta, DEFAULT_TILE_PAIRS, TableAudit::Off)?
-                    .0)
-            },
-        )
+                Ok(sink.finish(n))
+            }
+            Corrs::Plan(plan) => Ok(plan
+                .network(&*self.pool, theta, DEFAULT_TILE_PAIRS, TableAudit::Off)?
+                .0),
+        })
     }
 
     /// [`QueryEngine::top_k`] against a specific epoch.
@@ -304,6 +298,61 @@ impl QueryEngine {
         k: u32,
     ) -> Result<TopK, QueryError> {
         let k = k as usize;
+        self.answer(epoch, method, last_windows, |n, corrs| match corrs {
+            Corrs::View(view) => {
+                let mut sink = TopKSink::new(k);
+                sweep_packed(n, view, DEFAULT_TILE_PAIRS, &mut sink);
+                Ok(sink.finish())
+            }
+            Corrs::Plan(plan) => Ok(plan
+                .top_k(&*self.pool, k, DEFAULT_TILE_PAIRS, TableAudit::Off)
+                .0),
+        })
+    }
+
+    /// One scan of `watch`, under `method`'s rule, over the latest epoch's
+    /// trailing windows: of the key's view ([`EdgeWatch::observe`]), or past
+    /// the dense budget the pooled [`SourcePlan::scan`]. The watch's delta is
+    /// then the change from its previous scan, and its network equals
+    /// [`QueryEngine::network`]'s on the same epoch. Returns the scanned
+    /// epoch's id; an epoch of another node count than the watch's is
+    /// [`Error::Mismatch`].
+    pub fn observe(
+        &self,
+        watch: &mut EdgeWatch,
+        method: PlanMethod,
+        last_windows: u32,
+    ) -> Result<u64, QueryError> {
+        let epoch = self.latest()?;
+        let expected = watch.delta().nodes;
+        self.answer(&epoch, method, last_windows, |found, corrs| {
+            if found != expected {
+                return Err(Error::Mismatch { expected, found }.into());
+            }
+            match corrs {
+                Corrs::View(view) => {
+                    watch.observe(view);
+                }
+                Corrs::Plan(plan) => plan.scan(&*self.pool, watch, DEFAULT_TILE_PAIRS),
+            }
+            Ok(epoch.id())
+        })
+    }
+
+    /// Answer one query of `method` over the trailing `last_windows` of
+    /// `epoch`: `answer` gets the series count and the key's correlations —
+    /// its view, when held or within the dense budget (the key's first query
+    /// fills it), or else the key's [`SourcePlan`], which the caller sweeps
+    /// off the lent table. Fewer than two series are an empty view. No table
+    /// audit on either path: the contract is the serial library answer, NaN
+    /// count included, and the serial paths audit outputs only.
+    fn answer<T>(
+        &self,
+        epoch: &Epoch,
+        method: PlanMethod,
+        last_windows: u32,
+        answer: impl FnOnce(usize, Corrs<'_>) -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
         let source =
             epoch
                 .source(method)
@@ -313,46 +362,13 @@ impl QueryEngine {
         let windows = resolve_windows(source.window_count(method), last_windows, method)?;
         let n = source.series_count();
         if n < 2 {
-            return Ok(TopKSink::new(k).finish());
+            return answer(n, Corrs::View(&[]));
         }
-        let key = PlanKey::new(epoch.id(), windows, method);
-        self.answer(
-            key,
-            last_windows,
-            source.as_ref(),
-            |view| {
-                let mut sink = TopKSink::new(k);
-                sweep_packed(n, view, DEFAULT_TILE_PAIRS, &mut sink);
-                sink.finish()
-            },
-            |plan| {
-                Ok(plan
-                    .top_k(&*self.pool, k, DEFAULT_TILE_PAIRS, TableAudit::Off)
-                    .0)
-            },
-        )
-    }
-
-    /// Answer one query of `key` from the key's view — one `pass` over it,
-    /// when the view is held or fits the dense budget (the key's first query
-    /// fills it) — or else `stream` it: the [`SourcePlan`] of the key,
-    /// answered by the pooled streamed sweep off the lent table. No table
-    /// audit on either path: the contract is the serial library answer, NaN
-    /// count included, and the serial paths audit outputs only.
-    /// `last_windows` is the trailing-window request the key resolves.
-    fn answer<T>(
-        &self,
-        key: PlanKey,
-        last_windows: u32,
-        source: &dyn CorrSource,
-        pass: impl FnOnce(&[f64]) -> T,
-        stream: impl FnOnce(&SourcePlan<'_>) -> Result<T, QueryError>,
-    ) -> Result<T, QueryError> {
-        let entry = self.lookup(key, last_windows, source)?;
+        let key = PlanKey::new(epoch.id(), windows.clone(), method);
+        let entry = self.lookup(key, last_windows, source.as_ref())?;
         if let Some(view) = entry.view() {
-            return Ok(pass(view));
+            return answer(n, Corrs::View(view));
         }
-        let (windows, method) = (key.windows(), key.method);
         let table = source.lent_table(windows.clone(), method)?;
         let (plan, _) = entry.plan().clone().into_parts();
         // The dense fill refuses only past the dense budget: such a key holds
@@ -363,8 +379,11 @@ impl QueryEngine {
                 .map(|(values, _)| values)
         });
         match filled {
-            Some(view) => Ok(pass(view)),
-            None => stream(&SourcePlan::new(source, windows, method)?),
+            Some(view) => answer(n, Corrs::View(view)),
+            None => answer(
+                n,
+                Corrs::Plan(&SourcePlan::new(&**source, windows, method)?),
+            ),
         }
     }
 

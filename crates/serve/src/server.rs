@@ -25,7 +25,9 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
+use tsubasa_core::delta::EdgeWatch;
 use tsubasa_core::plan::PlanMethod;
+use tsubasa_core::sweep::EdgeRule;
 
 use crate::proto::{
     decode_request, encode_response, read_frame, write_frame, DeltaReply, ErrorCode, Method,
@@ -278,10 +280,13 @@ fn answer_error(
 ///
 /// Between frames the connection thread sleeps on the store's publication
 /// signal ([`crate::EpochStore::wait_for_newer`]), so a delta leaves one
-/// wake-up after its epoch is published. Each frame's network is an ordinary
-/// [`QueryEngine::network`] call: it reads the epoch's correlation view, so
-/// any number of subscribers at one epoch, method and θ cost one view fill
-/// between them, plus one threshold pass and one diff each.
+/// wake-up after its epoch is published. The connection holds one
+/// [`EdgeWatch`] under the method's rule at θ, and each frame is one
+/// [`QueryEngine::observe`] scan of it: the baseline is the first scan's
+/// `appeared` list (every edge, ascending), each delta frame the next
+/// epoch's flips. The scan reads the epoch's correlation view, so any number
+/// of subscribers at one epoch, method and θ cost one view fill between
+/// them, plus one scan each.
 ///
 /// Returns `Err` only when the transport broke (the caller closes the
 /// connection); query-level rejections are answered with an error frame and
@@ -312,83 +317,58 @@ fn serve_subscription(
             },
         );
     }
-
-    // Baseline: the full edge list of the latest epoch, exactly as a network
-    // request would answer it.
-    let (mut last_epoch, mut last_edges) = match engine.network(plan_method(method), 0, theta) {
-        Ok(ok) => ok,
-        Err(e) => return fail(stats, stream, error_response(e)),
+    let method = plan_method(method);
+    let rule = match EdgeRule::for_method(method, theta) {
+        Ok(rule) => rule,
+        Err(e) => return fail(stats, stream, error_response(e.into())),
     };
-    let baseline = Response::Network {
-        epoch: last_epoch,
-        nodes: last_edges.node_count() as u32,
-        nan_pairs: last_edges.nan_pair_count() as u64,
-        edges: last_edges
-            .edges()
-            .iter()
-            .map(|&(i, j)| (i as u32, j as u32))
-            .collect(),
-    };
-    write_frame(stream, &encode_response(&baseline))?;
-
-    for _ in 0..max_frames {
-        // Sleep until the next epoch publication wakes this thread; the
-        // timeout only bounds how long a shutdown goes unnoticed.
-        loop {
+    let nodes = engine
+        .store()
+        .latest()
+        .map_or(0, |epoch| epoch.series_count());
+    let mut watch = EdgeWatch::new(rule, nodes);
+    let mut last_epoch = 0;
+    for frame in 0..=max_frames {
+        // After the baseline, sleep until the next epoch publication wakes
+        // this thread; the timeout only bounds how long a shutdown goes
+        // unnoticed.
+        while frame > 0 && !engine.store().wait_for_newer(last_epoch, POLL_INTERVAL) {
             if shutdown.load(Ordering::Relaxed) {
                 return Err(io::Error::new(
                     io::ErrorKind::Interrupted,
                     "server shutting down",
                 ));
             }
-            if engine.store().wait_for_newer(last_epoch, POLL_INTERVAL) {
-                break;
-            }
         }
-        let (epoch, edges) = match engine.network(plan_method(method), 0, theta) {
-            Ok(ok) => ok,
+        last_epoch = match engine.observe(&mut watch, method, 0) {
+            Ok(epoch) => epoch,
             Err(e) => return fail(stats, stream, error_response(e)),
         };
-        // Ordered merge-diff of the two ascending edge lists.
-        let mut delta = DeltaReply {
-            epoch,
-            nodes: edges.node_count() as u32,
-            nan_pairs: edges.nan_pair_count() as u64,
-            appeared: Vec::new(),
-            vanished: Vec::new(),
+        let delta = watch.take_delta();
+        let (nodes, nan_pairs) = (delta.nodes as u32, delta.nan_pairs as u64);
+        let response = match frame {
+            0 => Response::Network {
+                epoch: last_epoch,
+                nodes,
+                nan_pairs,
+                edges: wire_pairs(&delta.appeared),
+            },
+            _ => Response::Delta(DeltaReply {
+                epoch: last_epoch,
+                nodes,
+                nan_pairs,
+                appeared: wire_pairs(&delta.appeared),
+                vanished: wire_pairs(&delta.vanished),
+            }),
         };
-        let (old, new) = (last_edges.edges(), edges.edges());
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < old.len() || b < new.len() {
-            match (old.get(a), new.get(b)) {
-                (Some(&o), Some(&n)) if o == n => {
-                    a += 1;
-                    b += 1;
-                }
-                (Some(&o), Some(&n)) if o < n => {
-                    delta.vanished.push((o.0 as u32, o.1 as u32));
-                    a += 1;
-                }
-                (Some(_), Some(&n)) => {
-                    delta.appeared.push((n.0 as u32, n.1 as u32));
-                    b += 1;
-                }
-                (Some(&o), None) => {
-                    delta.vanished.push((o.0 as u32, o.1 as u32));
-                    a += 1;
-                }
-                (None, Some(&n)) => {
-                    delta.appeared.push((n.0 as u32, n.1 as u32));
-                    b += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
-            }
-        }
-        write_frame(stream, &encode_response(&Response::Delta(delta)))?;
-        last_epoch = epoch;
-        last_edges = edges;
+        write_frame(stream, &encode_response(&response))?;
     }
     Ok(())
+}
+
+/// Node pairs as the wire carries them.
+fn wire_pairs(pairs: &[(usize, usize)]) -> Vec<(u32, u32)> {
+    pairs.iter().map(|&(i, j)| (i as u32, j as u32)).collect()
 }
 
 fn plan_method(method: Method) -> PlanMethod {
@@ -426,11 +406,7 @@ fn dispatch(engine: &QueryEngine, stats: &ServerStats, request: &Request) -> Res
                 epoch,
                 nodes: edges.node_count() as u32,
                 nan_pairs: edges.nan_pair_count() as u64,
-                edges: edges
-                    .edges()
-                    .iter()
-                    .map(|&(i, j)| (i as u32, j as u32))
-                    .collect(),
+                edges: wire_pairs(edges.edges()),
             },
             Err(e) => error_response(e),
         },

@@ -66,7 +66,6 @@ use std::io::{Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -1027,10 +1026,6 @@ impl Drop for PileBatchWriter {
         }
     }
 }
-
-/// Convenience used by tests and benches: `Arc` a pile for sharing across
-/// query threads.
-pub type SharedPile = Arc<SketchPile>;
 
 #[cfg(test)]
 mod tests {

@@ -14,6 +14,7 @@
 //!   advance, the LRU behavior at capacity 1 (the thrash floor), the
 //!   epoch-rollover invalidation, and the hit/miss/eviction counters.
 
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -24,7 +25,9 @@ use tsubasa_core::sweep::{EdgeList, TableAudit, TopK, DEFAULT_TILE_PAIRS};
 use tsubasa_core::{SerialRunner, SeriesCollection, SourcePlan};
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
 use tsubasa_parallel::WorkerPool;
-use tsubasa_serve::{mirror_sketches_to_pile, EpochIngest, EpochStore, PlanCache, QueryEngine};
+use tsubasa_serve::{
+    mirror_sketches_to_pile, EpochIngest, EpochStore, Method, PlanCache, QueryEngine, ServeClient,
+};
 use tsubasa_storage::pile::PileWriter;
 use tsubasa_stream::EpochSketches;
 
@@ -182,6 +185,63 @@ fn nan_and_constant_epochs_answer_like_the_serial_calls() {
         let stats = eng.cache().stats();
         assert_eq!((stats.misses, stats.len), (4, 4), "{name}");
     }
+}
+
+/// A delta subscription per method over the planted-NaN epoch, then over a
+/// clean one: the baseline and the replayed delta equal `network_on` of the
+/// epoch each frame names, NaN count included. (The kernel clamps the NaN
+/// table values, so a served view holds no NaN pair.)
+#[test]
+fn subscriptions_over_a_nan_epoch_replay_to_the_served_network() {
+    let mut planted = rows(0x0a0a, 8, 160);
+    planted[2][37] = f64::NAN;
+    let build = |rows| {
+        let c = SeriesCollection::from_rows(rows).unwrap();
+        DftSketchSet::build(&c, BASIC, BASIC, Transform::Naive).unwrap()
+    };
+    let (nan_epoch, clean) = (build(planted), build(rows(0x0c0c, 8, 160)));
+    let eng = Arc::new(engine_over(&nan_epoch, 16, 4));
+    let handle = tsubasa_serve::start(Arc::clone(&eng), "127.0.0.1:0").unwrap();
+    let theta = 0.2;
+    let served = |epoch: u64, method| {
+        let epoch = eng.store().get(epoch).unwrap();
+        edges(&eng.network_on(&epoch, method, 0, theta).unwrap())
+    };
+    let wire_pair = |&(i, j): &(u32, u32)| (i as usize, j as usize);
+    let mut subscriptions = Vec::new();
+    for (wire, method) in [
+        (Method::Exact, PlanMethod::Exact),
+        (Method::Approximate, PlanMethod::Approximate),
+    ] {
+        let mut client = ServeClient::connect(handle.local_addr()).unwrap();
+        let baseline = client.subscribe_deltas(wire, theta, 1).unwrap();
+        let net: BTreeSet<_> = baseline.edges.iter().map(wire_pair).collect();
+        let want = served(baseline.epoch, method);
+        let got = (net.iter().copied().collect(), baseline.nan_pairs as usize);
+        assert_eq!(got, want, "{method:?} baseline");
+        subscriptions.push((client, net, method));
+    }
+    eng.store()
+        .publish(Some(clean.base().clone()), Some(clean.clone()))
+        .unwrap();
+    for (mut client, mut net, method) in subscriptions {
+        let delta = client.next_delta().unwrap();
+        for pair in delta.vanished.iter().map(wire_pair) {
+            assert!(
+                net.remove(&pair),
+                "{method:?}: vanished {pair:?} was absent"
+            );
+        }
+        for pair in delta.appeared.iter().map(wire_pair) {
+            assert!(
+                net.insert(pair),
+                "{method:?}: appeared {pair:?} was present"
+            );
+        }
+        let got = (net.into_iter().collect(), delta.nan_pairs as usize);
+        assert_eq!(got, served(delta.epoch, method), "{method:?} delta");
+    }
+    handle.shutdown();
 }
 
 /// A pile epoch mirroring a sketch epoch answers from views of its own, bit

@@ -11,7 +11,8 @@
 //! cases of `{built, grown, pile, pile-no-mmap} × {exact, approximate} ×
 //! {matrix, network(θ), top_k} × {1, 2, 8 workers}` over two window ranges.
 //! A third test holds the engine's approximate network to the serial
-//! `ApproxPlan` and the served answer at radius-boundary thresholds.
+//! `ApproxPlan` and the served answer at radius-boundary thresholds, and a
+//! fourth holds the sliding approximate networks to the same answer.
 
 use std::ops::Range;
 use std::path::PathBuf;
@@ -25,7 +26,8 @@ use tsubasa::parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMetho
 use tsubasa::serve::{mirror_sketches_to_pile, EpochStore, PlanCache, QueryEngine};
 use tsubasa::storage::{PileWriter, SketchPile};
 use tsubasa_dft::sketch::{ComparatorKernel, DftSketchSet, Transform};
-use tsubasa_dft::ApproxPlan;
+use tsubasa_dft::{ApproxPlan, SlidingApproxNetwork};
+use tsubasa_stream::{RealTimeNetwork, UpdateEngine};
 
 const WINDOWS: usize = 4;
 const THETA: f64 = 0.3;
@@ -349,4 +351,52 @@ fn approximate_networks_agree_at_the_radius_boundary() {
     }
     assert_eq!(cases, 45 * 6);
     std::fs::remove_file(&path).ok();
+}
+
+/// The sliding approximate networks apply the same Equation 4 rule: with θ
+/// set to each pair's own sliding estimate ĉ right after initialize (15
+/// pairs), `SlidingApproxNetwork::network(θ)`, its `subscribe_edges(θ)`
+/// baseline and the approximate `RealTimeNetwork`'s
+/// `network_with_threshold(θ)` all equal `ApproxPlan::network_streamed(θ)`
+/// over the same windows — a pair at exactly θ is an edge on every path.
+#[test]
+fn sliding_approximate_networks_agree_at_the_radius_boundary() {
+    let (n, b, coefficients, windows) = (6, 40, 4, 5);
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|s| {
+            (0..windows * b)
+                .map(|i| {
+                    (i as f64 * 0.09 + s as f64 * 0.8).sin() + ((i * (s + 5)) % 19) as f64 * 0.03
+                })
+                .collect()
+        })
+        .collect();
+    let c = SeriesCollection::from_rows(rows).unwrap();
+    let dft = DftSketchSet::build(&c, b, coefficients, SlidingApproxNetwork::TRANSFORM).unwrap();
+    let plan = ApproxPlan::build(&dft, 0..windows).unwrap();
+    let mut sliding = SlidingApproxNetwork::initialize(&dft, windows * b).unwrap();
+    let engine = UpdateEngine::Approximate { coefficients };
+    let realtime = RealTimeNetwork::new(&c, b, windows * b, 0.5, engine).unwrap();
+
+    let mut cases = 0;
+    for i in 0..n {
+        for j in i + 1..n {
+            let theta = sliding.correlation(i, j);
+            let want = plan.network_streamed(theta).unwrap();
+            assert!(want.edges().contains(&(i, j)), "({i}, {j}) at θ = {theta}");
+            let want = want.to_adjacency();
+            let label = format!("({i}, {j}) at θ = {theta}");
+            assert_eq!(sliding.network(theta), want, "network, {label}");
+            assert_eq!(
+                realtime.network_with_threshold(theta),
+                want,
+                "realtime, {label}"
+            );
+            let baseline = sliding.subscribe_edges(theta).unwrap();
+            assert_eq!(baseline, want, "subscription baseline, {label}");
+            assert_eq!(baseline.nan_pair_count(), want.nan_pair_count());
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, 15);
 }
