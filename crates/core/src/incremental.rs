@@ -45,9 +45,7 @@ use crate::exact::{self, WindowContribution};
 use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
 use crate::plan::{carve_for_workers, row_segments, CorrView, PlanMethod, QueryPlan, WindowRows};
 use crate::runner::{Job, JobRunner, SerialRunner};
-use crate::sketch::{
-    arriving_corrs, arriving_window, packed_pairs, pair_index, SeriesSketch, SketchSet,
-};
+use crate::sketch::{arriving_corrs, arriving_window, packed_pairs, pair_index, SketchSet};
 use crate::stats::{clamp_corr, WindowStats};
 use crate::sweep::{fill_packed, EdgeRule};
 use crate::timeseries::SeriesCollection;
@@ -495,9 +493,6 @@ fn slide_pair_sweep<F: Fn(f64) -> f64 + Sync>(
 /// `basic_window` points ([`SlidingState::new`] and the tick's shape check
 /// see to it), which is what lets the sweep take `T`, `B_1` and `B_{ns+1}` as
 /// per-tick scalars.
-///
-/// An epoch of the query window shares the stored rows
-/// ([`SlidingState::window_sketch`]).
 #[derive(Debug, Clone)]
 pub struct SlidingState {
     basic_window: usize,
@@ -519,8 +514,7 @@ impl SlidingState {
     /// of `sketch`: the per-series statistics come from the sketch, `table`
     /// holds the engine's stored row of each of those windows (oldest first)
     /// and `corrs` the initial packed correlations over them. Each row is
-    /// copied into a buffer of its own, freed once it has slid out and no
-    /// epoch shares it.
+    /// copied into a buffer of its own, freed once it has slid out.
     ///
     /// Everything a tick assumes is checked here, once, and answered with
     /// [`Error::SketchMismatch`]: the window range is non-empty and inside
@@ -704,26 +698,9 @@ impl SlidingState {
     }
 
     /// The stored per-pair rows, one per basic window inside the query
-    /// window, oldest first. A clone shares every row.
+    /// window, oldest first.
     pub fn rows(&self) -> &WindowRows {
         &self.pair_windows
-    }
-
-    /// The query window as a sketch over `rows` (one per window, oldest
-    /// first; re-indexed from 0), its statistics copied (`O(N·W)`). An epoch
-    /// is this over a clone of [`SlidingState::rows`] (`O(W)` count bumps),
-    /// which no later tick changes: a tick never writes to a stored row.
-    pub fn window_sketch(&self, rows: WindowRows) -> Result<SketchSet> {
-        let series = self
-            .series
-            .iter()
-            .enumerate()
-            .map(|(series, state)| SeriesSketch {
-                series,
-                windows: state.windows.iter().copied().collect(),
-            })
-            .collect();
-        SketchSet::from_window_major(self.basic_window, self.series.len(), series, rows)
     }
 }
 
@@ -849,6 +826,7 @@ impl SlidingNetwork {
 mod tests {
     use super::*;
     use crate::baseline;
+    use crate::sketch::SeriesSketch;
     use crate::window::QueryWindow;
     use proptest::prelude::*;
 

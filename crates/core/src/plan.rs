@@ -753,9 +753,9 @@ impl std::fmt::Debug for SharedRow {
 /// again. So a clone shares every row (one reference-count bump each, no
 /// value copied), and appending a window adds that window's buffer alone:
 /// nothing stored is copied, moved or regrown. An epoch published as a clone
-/// of a growing sketch or of a sliding state's rows therefore costs
-/// `O(windows)` whatever the pair count, and a block is freed when the last
-/// table holding one of its rows goes.
+/// of a live sketch therefore costs `O(windows)` whatever the pair count, and
+/// a block is freed when the last table holding one of its rows goes (or
+/// lets it go, [`WindowRows::drop_oldest`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowRows {
     pairs: usize,
@@ -763,14 +763,6 @@ pub struct WindowRows {
 }
 
 impl WindowRows {
-    /// `windows` windows that all share the one buffer `row`.
-    pub fn repeated(row: Vec<f64>, windows: usize) -> Self {
-        let pairs = row.len();
-        let mut table = Self::from_flat(row, pairs, 1);
-        table.rows = vec![table.rows[0].clone(); windows];
-        table
-    }
-
     /// Take a window-major buffer (`flat[k · pairs + p]`) as the rows of
     /// `windows` windows, without copying it.
     ///

@@ -346,8 +346,7 @@ impl SketchSet {
     /// Construct a sketch set from per-series statistics plus the
     /// window-major pair-correlation table itself (one row of `P` packed
     /// correlations per window of `series`), taken as it is: rows shared with
-    /// another table stay shared, so a realtime epoch is this over a clone of
-    /// the sliding state's rows.
+    /// another table stay shared.
     pub fn from_window_major(
         basic_window: usize,
         n_series: usize,
@@ -457,6 +456,20 @@ impl SketchSet {
         // row: the table takes the buffer as that row, nothing stored moves.
         self.window_corrs.push(pair_corrs);
         Ok(())
+    }
+
+    /// Let go of the oldest basic window: its per-series statistics and its
+    /// row of pair correlations ([`WindowRows::drop_oldest`]; the row is freed
+    /// unless a clone still shares it). The windows after it are re-indexed
+    /// from 0, so a sketch that pushes one window and drops one slides the
+    /// real-time query window of Algorithm 3 forward by one.
+    pub fn drop_oldest_window(&mut self) {
+        for sketch in &mut self.series {
+            if !sketch.windows.is_empty() {
+                sketch.windows.remove(0);
+            }
+        }
+        self.window_corrs.drop_oldest();
     }
 
     /// Zero-copy window-major view of the pair correlations over the basic

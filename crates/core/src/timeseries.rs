@@ -89,12 +89,6 @@ impl TimeSeries {
         &self.values
     }
 
-    /// Mutable access to the observed values (used by the streaming layer to
-    /// append newly ingested points).
-    pub fn values_mut(&mut self) -> &mut Vec<f64> {
-        &mut self.values
-    }
-
     /// The sub-sequence selected by a query window (start..=end, inclusive).
     ///
     /// Returns an error if the window does not fit in the series.
@@ -257,11 +251,6 @@ impl SeriesCollection {
             .map(|s| TimeSeries::new(s.name.clone(), s.location, s.values()[..len].to_vec()))
             .collect();
         Self::new(series)
-    }
-
-    /// Consume the collection and return the underlying series.
-    pub fn into_inner(self) -> Vec<TimeSeries> {
-        self.series
     }
 }
 

@@ -109,11 +109,6 @@ impl SlidingApproxNetwork {
         })
     }
 
-    /// Number of DFT coefficients behind every stored estimate.
-    pub fn coefficients(&self) -> usize {
-        self.kernel.coefficients()
-    }
-
     /// Slide forward by one basic window given the newly arrived chunk
     /// (`chunk[i]` holds the `B` new points of series `i`). This is the
     /// Equation 6 update: the only new DFT work is for the arriving window.

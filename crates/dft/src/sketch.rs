@@ -26,8 +26,8 @@
 //! packed row of estimates, and every site that sketches a comparator window
 //! calls it ([`DftSketchSet::build`], the parallel engine's pile sketching,
 //! and [`ComparatorKernel::arriving_ests`] for every arriving window of a
-//! dual epoch ingest or a sliding updater, each holding one kernel across
-//! windows). The first `n`
+//! dual-method epoch ingest or a sliding updater, each holding one kernel
+//! across windows). The first `n`
 //! complex coefficients of every series' normalized window are flattened into
 //! `2n` real values (`[re₀, im₀, re₁, im₁, …]`) and written to the series'
 //! lane of a packed panel block ([`tsubasa_core::stats::packed_lane_mut`]),
@@ -262,9 +262,7 @@ impl DftSketchSet {
     /// Construct a comparator sketch from already-computed parts: the core
     /// statistics sketch plus the window-major table of pair estimates (one
     /// row of `P` per window of `base`, same packed pair order), taken as it
-    /// is: rows shared with another table stay shared, so a realtime epoch of
-    /// the approximate engine is this over a clone of the sliding state's
-    /// rows.
+    /// is: rows shared with another table stay shared.
     pub fn from_parts(base: SketchSet, coefficients: usize, ests: WindowRows) -> Result<Self> {
         let n_pairs = packed_pairs(base.series_count());
         let ns = base.window_count();
@@ -304,6 +302,13 @@ impl DftSketchSet {
         self.base.push_window(stats, pair_corrs)?;
         self.window_ests.push(ests);
         Ok(())
+    }
+
+    /// Let go of the oldest basic window: its statistics and correlations
+    /// ([`SketchSet::drop_oldest_window`]) and its row of estimates.
+    pub fn drop_oldest_window(&mut self) {
+        self.base.drop_oldest_window();
+        self.window_ests.drop_oldest();
     }
 
     /// The underlying statistics sketch.

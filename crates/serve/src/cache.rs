@@ -269,9 +269,8 @@ impl PlanCache {
     }
 
     /// Drop every cached plan and view whose epoch id is below `min_epoch` —
-    /// the rollover invalidation matching
-    /// [`crate::EpochStore::oldest_retained`], and the query engine's
-    /// retirement of epochs older than the two newest it answered on.
+    /// the query engine's retirement of epochs older than the two newest it
+    /// answered on, or a rollover at [`crate::EpochStore::oldest_retained`].
     /// Dropped entries do not count as evictions (they were invalidated, not
     /// displaced).
     pub fn invalidate_below(&self, min_epoch: u64) {

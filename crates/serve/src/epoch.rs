@@ -11,23 +11,25 @@
 //! order, so a response tagged with an epoch id can be re-checked against
 //! exactly the snapshot that produced it.
 //!
-//! [`EpochIngest`] is the producing side: a [`StreamBuffer`] accumulates raw
-//! observations, and each released basic-window chunk goes through the one
-//! arrival step ([`arriving_window`], then each method's one kernel) and is
-//! folded into a growing sketch ([`SketchSet::push_window`] /
+//! [`EpochIngest`] is the one producer of live epochs: a [`StreamBuffer`]
+//! accumulates raw observations, and each released basic-window chunk goes
+//! through the one arrival step ([`arriving_window`], then each method's one
+//! kernel) and is folded into the live sketch ([`SketchSet::push_window`] /
 //! [`DftSketchSet::push_window`]) whose clone becomes the next epoch. The
 //! clone shares every window row with the epochs before it — a row is
 //! immutable once appended — and copies only the per-series statistics, so
-//! publishing costs the arriving window, not the history. Sliding networks
-//! ([`tsubasa_stream::RealTimeNetwork`]) publish through their
-//! `publish_epoch()` hook and [`EpochStore::publish_sketches`], sharing
-//! their rows the same way.
+//! publishing costs the arriving window and the horizon's statistics, not
+//! the history.
 //!
-//! For served sets larger than RAM, [`EpochIngest::pile`] appends each
-//! completed window to an on-disk [`SketchPile`] instead of growing an
-//! owned sketch; the published epoch carries a memory-mapped snapshot of
-//! the pile ([`PileWriter::snapshot`]: a mapping plus a copy of the writer's
-//! segment index, nothing re-read) and queries read its window-major tables
+//! RAM holds a horizon, the pile holds history. An in-memory sketch keeps
+//! the real-time query window `("now", m)` of Algorithm 3: as many basic
+//! windows as the bootstrap history completed, the arriving window evicting
+//! the oldest ([`SketchSet::drop_oldest_window`]). For served sets larger
+//! than RAM, or history that must stay queryable, [`EpochIngest::pile`]
+//! appends each completed window to an on-disk [`SketchPile`] instead; the
+//! published epoch carries a memory-mapped snapshot of the pile
+//! ([`PileWriter::snapshot`]: a mapping plus a copy of the writer's segment
+//! index, nothing re-read) and queries read its window-major tables
 //! zero-copy.
 
 use std::collections::VecDeque;
@@ -43,15 +45,15 @@ use tsubasa_core::source::CorrSource;
 use tsubasa_core::{SeriesCollection, SketchSet};
 use tsubasa_dft::sketch::{ComparatorKernel, DftSketchSet, Transform};
 use tsubasa_storage::pile::{encode_series_stats, PileWriter, SegmentKind, SketchPile};
-use tsubasa_stream::{EpochSketches, StreamBuffer};
+use tsubasa_stream::StreamBuffer;
 
 /// One immutable published snapshot: the sketches covering every basic
 /// window completed up to its publication, identified by a 1-based id.
 ///
 /// An epoch may carry an exact [`SketchSet`], a [`DftSketchSet`], both, or a
-/// memory-mapped [`SketchPile`] snapshot. A **dual** epoch
-/// ([`EpochIngest::dual`]) carries one [`DftSketchSet`] whose base holds the
-/// real exact correlations, and answers both methods from it — the exact
+/// memory-mapped [`SketchPile`] snapshot. A comparator's base holds the exact
+/// correlations, so an epoch carrying only a [`DftSketchSet`] (as
+/// [`EpochIngest::dual`] publishes) answers both methods from it — the exact
 /// table is published once, not once per method. At publication each payload is
 /// also bound as a per-method [`CorrSource`] ([`Epoch::source`]) — the query
 /// engine answers through that trait alone, so a pile whose `PairEsts`
@@ -63,10 +65,6 @@ pub struct Epoch {
     id: u64,
     exact: Option<Arc<SketchSet>>,
     approx: Option<Arc<DftSketchSet>>,
-    /// The comparator's base sketch holds real exact correlations, so
-    /// `approx` answers exact queries too. (A comparator snapshot of an
-    /// approximate-only sliding network has a NaN-filled base and does not.)
-    dual: bool,
     pile: Option<Arc<SketchPile>>,
     exact_src: Option<Arc<dyn CorrSource>>,
     approx_src: Option<Arc<dyn CorrSource>>,
@@ -78,7 +76,6 @@ impl std::fmt::Debug for Epoch {
             .field("id", &self.id)
             .field("exact", &self.exact)
             .field("approx", &self.approx)
-            .field("dual", &self.dual)
             .field("pile", &self.pile)
             .field("exact_capable", &self.exact_src.is_some())
             .field("approx_capable", &self.approx_src.is_some())
@@ -93,13 +90,11 @@ impl Epoch {
     }
 
     /// The exact sketch snapshot, when this epoch carries one — its own, or
-    /// the base of a dual epoch's comparator.
+    /// the base of its comparator.
     pub fn exact(&self) -> Option<&SketchSet> {
-        match (&self.exact, &self.approx) {
-            (Some(s), _) => Some(s),
-            (None, Some(a)) if self.dual => Some(a.base()),
-            _ => None,
-        }
+        self.exact
+            .as_deref()
+            .or_else(|| self.approx.as_deref().map(DftSketchSet::base))
     }
 
     /// The DFT comparator snapshot, when this epoch carries one.
@@ -191,13 +186,7 @@ impl EpochStore {
         if exact.is_none() && approx.is_none() {
             return Err(Error::EmptyInput("an epoch needs at least one sketch"));
         }
-        self.publish_epoch(exact.map(Arc::new), approx.map(Arc::new), false, None)
-    }
-
-    /// Publish a comparator sketch whose base holds real exact correlations
-    /// as the single payload of a dual epoch, answering both methods.
-    fn publish_dual(&self, sketch: DftSketchSet) -> Result<Arc<Epoch>> {
-        self.publish_epoch(None, Some(Arc::new(sketch)), true, None)
+        self.publish_parts(exact.map(Arc::new), approx.map(Arc::new), None)
     }
 
     /// Publish the next epoch from a memory-mapped pile snapshot. The pile
@@ -210,23 +199,22 @@ impl EpochStore {
                 "a pile epoch needs at least one queryable window",
             ));
         }
-        self.publish_epoch(None, None, false, Some(Arc::new(pile)))
+        self.publish_parts(None, None, Some(Arc::new(pile)))
     }
 
-    fn publish_epoch(
+    fn publish_parts(
         &self,
         exact: Option<Arc<SketchSet>>,
         approx: Option<Arc<DftSketchSet>>,
-        dual: bool,
         pile: Option<Arc<SketchPile>>,
     ) -> Result<Arc<Epoch>> {
         // Bind each method to its answering source at publication: a carried
-        // in-memory sketch wins (a dual comparator answers exact queries
-        // through its base), else the pile when its per-kind segment coverage
+        // in-memory sketch wins (a comparator answers exact queries through
+        // its base), else the pile when its per-kind segment coverage
         // supports the method.
         let exact_src: Option<Arc<dyn CorrSource>> = match (&exact, &approx, &pile) {
             (Some(s), _, _) => Some(Arc::clone(s) as Arc<dyn CorrSource>),
-            (None, Some(a), _) if dual => Some(Arc::clone(a) as Arc<dyn CorrSource>),
+            (None, Some(a), _) => Some(Arc::clone(a) as Arc<dyn CorrSource>),
             (None, _, Some(p)) if p.exact_query_windows() > 0 => {
                 Some(Arc::clone(p) as Arc<dyn CorrSource>)
             }
@@ -248,7 +236,6 @@ impl EpochStore {
                 id: self.published.fetch_add(1, Ordering::SeqCst) + 1,
                 exact,
                 approx,
-                dual,
                 pile,
                 exact_src,
                 approx_src,
@@ -264,11 +251,6 @@ impl EpochStore {
             (epoch, evicted)
         };
         Ok(epoch)
-    }
-
-    /// Publish a [`tsubasa_stream::RealTimeNetwork::publish_epoch`] payload.
-    pub fn publish_sketches(&self, sketches: EpochSketches) -> Result<Arc<Epoch>> {
-        self.publish(sketches.exact, sketches.approx)
     }
 
     /// The most recently published epoch, if any.
@@ -321,50 +303,63 @@ enum IngestSketch {
 impl IngestSketch {
     /// Fold one completed basic window in: the arrival step, the kernel of
     /// each method this flavor stores, and the push or append of what they
-    /// minted.
+    /// minted. An in-memory sketch then lets go of its oldest window, so it
+    /// keeps the window count it was bootstrapped with: the horizon.
     fn absorb(&mut self, chunk: &[Vec<f64>], n_series: usize, basic_window: usize) -> Result<()> {
         let stats = arriving_window(chunk, n_series, basic_window)?;
         let corrs = arriving_corrs(chunk, &stats);
         match self {
-            IngestSketch::Exact(sketch) => sketch.push_window(stats, corrs),
+            IngestSketch::Exact(sketch) => {
+                sketch.push_window(stats, corrs)?;
+                sketch.drop_oldest_window();
+            }
             IngestSketch::Dual(sketch, kernel) => {
                 let ests = kernel.arriving_ests(chunk, &stats);
-                sketch.push_window(stats, corrs, ests)
+                sketch.push_window(stats, corrs, ests)?;
+                sketch.drop_oldest_window();
             }
             IngestSketch::Pile(writer) => {
                 writer.append(SegmentKind::SeriesStats, &encode_series_stats(&stats))?;
-                writer.append(SegmentKind::PairCorrs, &corrs).map(drop)
+                writer.append(SegmentKind::PairCorrs, &corrs)?;
             }
         }
+        Ok(())
     }
 
     /// Publish the sketch as it stands as the next epoch of `store`.
     fn publish(&self, store: &EpochStore) -> Result<Arc<Epoch>> {
         match self {
             IngestSketch::Exact(sketch) => store.publish(Some(sketch.clone()), None),
-            IngestSketch::Dual(sketch, _) => store.publish_dual(sketch.clone()),
+            IngestSketch::Dual(sketch, _) => store.publish(None, Some(sketch.clone())),
             IngestSketch::Pile(writer) => store.publish_pile(writer.snapshot()?),
         }
     }
 }
 
 /// The producing side of epoch publication: buffer raw observations, fold
-/// each completed basic window into a growing sketch, and publish one epoch
+/// each completed basic window into the live sketch, and publish one epoch
 /// per completed window.
 ///
 /// Three flavors:
 ///
-/// * [`EpochIngest::exact`] grows a plain [`SketchSet`]; epochs answer exact
+/// * [`EpochIngest::exact`] keeps a plain [`SketchSet`]; epochs answer exact
 ///   (Lemma 1) queries.
-/// * [`EpochIngest::dual`] grows a [`DftSketchSet`], whose
+/// * [`EpochIngest::dual`] keeps a [`DftSketchSet`], whose
 ///   [`push_window`](DftSketchSet::push_window) maintains the exact base
 ///   correlations alongside the Equation 3 estimates — so every epoch
 ///   carries that one sketch and answers both query methods from it.
 /// * [`EpochIngest::pile`] appends each completed window to an on-disk
-///   [`SketchPile`] instead of growing an owned sketch; epochs carry a
+///   [`SketchPile`] instead of keeping an owned sketch; epochs carry a
 ///   memory-mapped snapshot of the pile, so the served set can exceed RAM.
 ///   The appended rows are the ones the exact flavor pushes, so pile-served
 ///   answers are bit-identical to sketch-served ones.
+///
+/// The two in-memory flavors hold a **horizon**: the complete basic windows
+/// of the bootstrap history, `⌊L / B⌋`. Each arriving window evicts the
+/// oldest, so every epoch covers the most recent `⌊L / B⌋` windows and the
+/// live state stays `⌊L / B⌋` rows per table plus statistics, however long
+/// the stream runs; a request for every window (`last = 0`) is a request for
+/// the horizon. The pile flavor keeps every window.
 ///
 /// Every flavor buffers the history's unsketched tail
 /// ([`StreamBuffer::after`]) and takes each completed window through the one
@@ -377,7 +372,7 @@ pub struct EpochIngest {
 
 impl EpochIngest {
     /// Bootstrap exact-only ingestion from historical data and publish the
-    /// first epoch covering it.
+    /// first epoch covering it; its complete windows are the horizon.
     pub fn exact(
         store: Arc<EpochStore>,
         historical: &SeriesCollection,
@@ -388,7 +383,8 @@ impl EpochIngest {
     }
 
     /// Bootstrap dual-method ingestion (exact base + DFT comparator) from
-    /// historical data and publish the first epoch covering it.
+    /// historical data and publish the first epoch covering it; its complete
+    /// windows are the horizon.
     pub fn dual(
         store: Arc<EpochStore>,
         historical: &SeriesCollection,
@@ -456,9 +452,10 @@ impl EpochIngest {
     }
 
     /// Feed newly observed points (`updates[i]` are the new points of series
-    /// `i`, any length). Every completed basic window extends the sketch and
-    /// publishes one epoch; leftovers stay buffered. Returns the epochs
-    /// published by this call, oldest first.
+    /// `i`, any length). Every completed basic window enters the sketch (and
+    /// an in-memory sketch's oldest window leaves it) and publishes one
+    /// epoch; leftovers stay buffered. Returns the epochs published by this
+    /// call, oldest first.
     pub fn ingest(&mut self, updates: &[Vec<f64>]) -> Result<Vec<Arc<Epoch>>> {
         let chunks = self.buffer.push(updates)?;
         let (n, b) = (self.buffer.series_count(), self.buffer.basic_window());
@@ -585,8 +582,17 @@ mod tests {
         });
     }
 
+    /// The last `windows` basic windows of `full`, as a collection of their
+    /// own.
+    fn trailing(full: &SeriesCollection, windows: usize, b: usize) -> SeriesCollection {
+        let from = full.series_len() / b * b - windows * b;
+        let to = from + windows * b;
+        SeriesCollection::from_rows(full.iter().map(|s| s.values()[from..to].to_vec()).collect())
+            .unwrap()
+    }
+
     #[test]
-    fn exact_ingest_grows_windows_and_matches_rebuild() {
+    fn exact_ingest_keeps_its_horizon_and_matches_rebuild() {
         let full = collection(4, 100);
         let historical = full.truncate_length(60).unwrap();
         let store = Arc::new(EpochStore::new(8));
@@ -602,11 +608,16 @@ mod tests {
         let published = ingest.ingest(&push(73, 100)).unwrap();
         assert_eq!(published.len(), 2);
         assert_eq!(published[1].id(), 3);
-        assert_eq!(published[1].window_count(), 5);
 
-        // The grown sketch is bit-identical to a from-scratch build.
-        let rebuilt = SketchSet::build(&full, 20).unwrap();
-        assert_eq!(published[1].exact().unwrap(), &rebuilt);
+        // Each epoch holds the bootstrap's three windows, the newest three,
+        // bit-identical to a from-scratch build of them; the bootstrap epoch
+        // still holds the windows it was published with.
+        for (epoch, end) in [(&first, 60), (&published[0], 80), (&published[1], 100)] {
+            assert_eq!(epoch.window_count(), 3);
+            let seen = full.truncate_length(end).unwrap();
+            let rebuilt = SketchSet::build(&trailing(&seen, 3, 20), 20).unwrap();
+            assert_eq!(epoch.exact().unwrap(), &rebuilt, "epoch {}", epoch.id());
+        }
     }
 
     #[test]
@@ -660,12 +671,15 @@ mod tests {
     fn a_history_tail_is_buffered_not_dropped() {
         // 67 points at B = 20: three windows are sketched and the last 7
         // points begin the fourth, which the first 13 streamed points
-        // complete. Every flavor must grow into the sketch of the
-        // contiguous data, not one with a gap.
+        // complete. Every flavor must hold the sketch of the contiguous
+        // data, not one with a gap: the pile all six windows, the in-memory
+        // flavors their horizon, the last three.
         let full = collection(4, 120);
         let historical = full.truncate_length(67).unwrap();
         let rest: Vec<Vec<f64>> = full.iter().map(|s| s.values()[67..].to_vec()).collect();
         let rebuilt = DftSketchSet::build(&full, 20, 20, Transform::Naive).unwrap();
+        let horizon = DftSketchSet::build(&trailing(&full, 3, 20), 20, 20, Transform::Naive);
+        let horizon = horizon.unwrap();
         let path = std::env::temp_dir().join(format!(
             "tsubasa-serve-tail-ingest-{}.pile",
             std::process::id()
@@ -684,10 +698,13 @@ mod tests {
             let published = ingest.ingest(&rest).unwrap();
             assert_eq!(published.len(), 3, "{flavor}");
             let last = &published[2];
-            assert_eq!(last.window_count(), 6, "{flavor}");
             match (last.exact(), last.pile()) {
-                (Some(exact), _) => assert_eq!(exact, rebuilt.base(), "{flavor}"),
+                (Some(exact), _) => {
+                    assert_eq!(last.window_count(), 3, "{flavor}");
+                    assert_eq!(exact, horizon.base(), "{flavor}");
+                }
                 (None, Some(pile)) => {
+                    assert_eq!(last.window_count(), 6, "{flavor}");
                     let table = pile.pair_table(0..6, SegmentKind::PairCorrs).unwrap();
                     let built = rebuilt.base().window_corrs_view(0..6);
                     for k in 0..6 {
@@ -697,7 +714,7 @@ mod tests {
                 _ => unreachable!("every flavor answers exact queries"),
             }
             if let Some(approx) = last.approx() {
-                assert_eq!(approx.as_ref(), &rebuilt, "{flavor}");
+                assert_eq!(approx.as_ref(), &horizon, "{flavor}");
             }
         }
         std::fs::remove_file(&path).ok();
@@ -716,9 +733,10 @@ mod tests {
         let published = ingest.ingest(&push).unwrap();
         assert_eq!(published.len(), 2);
         let last = &published[1];
-        assert_eq!(last.window_count(), 4);
+        assert_eq!(last.window_count(), 2);
 
-        let rebuilt = DftSketchSet::build(&full, 20, 20, Transform::Naive).unwrap();
+        let rebuilt = DftSketchSet::build(&trailing(&full, 2, 20), 20, 20, Transform::Naive);
+        let rebuilt = rebuilt.unwrap();
         assert_eq!(last.approx().unwrap().as_ref(), &rebuilt);
         assert_eq!(last.exact().unwrap(), rebuilt.base());
 
@@ -729,10 +747,11 @@ mod tests {
             Arc::as_ptr(exact_src),
             Arc::as_ptr(approx_src)
         ));
-        // A comparator published on its own is not a dual epoch: its base is
-        // not vouched for, so exact queries stay unanswerable.
-        let approx_only = store.publish(None, Some(rebuilt)).unwrap();
-        assert!(approx_only.exact().is_none());
-        assert!(approx_only.source(PlanMethod::Exact).is_none());
+        // A comparator published on its own is the same kind of epoch: its
+        // base answers exact queries.
+        let approx_only = store.publish(None, Some(rebuilt.clone())).unwrap();
+        assert_eq!(approx_only.exact(), Some(rebuilt.base()));
+        let exact_src = approx_only.source(PlanMethod::Exact).unwrap();
+        assert_eq!(exact_src.window_count(PlanMethod::Exact), 2);
     }
 }

@@ -67,8 +67,6 @@ use tsubasa_core::sweep::{
 };
 use tsubasa_core::QueryPlan;
 use tsubasa_parallel::WorkerPool;
-use tsubasa_storage::pile::SketchPile;
-use tsubasa_stream::EpochSketches;
 
 use crate::cache::{CachedEntry, CachedPlan, PlanCache};
 use crate::epoch::{Epoch, EpochStore};
@@ -213,26 +211,6 @@ impl QueryEngine {
     /// The worker pool view fills fan out over.
     pub fn pool(&self) -> &Arc<WorkerPool> {
         &self.pool
-    }
-
-    /// Publish the next epoch and drop cached plans for epochs that rolled
-    /// out of retention.
-    pub fn publish(&self, sketches: EpochSketches) -> tsubasa_core::error::Result<Arc<Epoch>> {
-        let epoch = self.store.publish_sketches(sketches)?;
-        if let Some(oldest) = self.store.oldest_retained() {
-            self.cache.invalidate_below(oldest);
-        }
-        Ok(epoch)
-    }
-
-    /// Publish the next epoch from a memory-mapped pile snapshot, with the
-    /// same cache invalidation as [`QueryEngine::publish`].
-    pub fn publish_pile(&self, pile: SketchPile) -> tsubasa_core::error::Result<Arc<Epoch>> {
-        let epoch = self.store.publish_pile(pile)?;
-        if let Some(oldest) = self.store.oldest_retained() {
-            self.cache.invalidate_below(oldest);
-        }
-        Ok(epoch)
     }
 
     fn latest(&self) -> Result<Arc<Epoch>, QueryError> {

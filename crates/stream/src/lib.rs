@@ -24,5 +24,5 @@ pub mod realtime;
 pub mod replay;
 
 pub use buffer::StreamBuffer;
-pub use realtime::{EpochSketches, RealTimeNetwork, UpdateEngine};
+pub use realtime::{RealTimeNetwork, UpdateEngine};
 pub use replay::StreamReplay;

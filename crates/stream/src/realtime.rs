@@ -19,9 +19,7 @@ use tsubasa_core::delta::EdgeDelta;
 use tsubasa_core::error::Result;
 use tsubasa_core::incremental::{SlidingNetwork, SlidingState};
 use tsubasa_core::matrix::{AdjacencyMatrix, CorrelationMatrix};
-use tsubasa_core::plan::WindowRows;
 use tsubasa_core::runner::{JobRunner, SerialRunner};
-use tsubasa_core::sketch::packed_pairs;
 use tsubasa_core::{SeriesCollection, SketchSet};
 use tsubasa_dft::sketch::DftSketchSet;
 use tsubasa_dft::SlidingApproxNetwork;
@@ -43,20 +41,18 @@ pub enum UpdateEngine {
 
 enum Updater {
     Exact(SlidingNetwork),
-    /// The approximate engine, and the NaN pair table of its epochs' base
-    /// sketch: one NaN row shared by every window of every epoch.
-    Approx(SlidingApproxNetwork, WindowRows),
+    Approx(SlidingApproxNetwork),
 }
 
-/// Everything but the arriving-window kernel and the epoch's method is the
-/// engines' shared [`SlidingState`].
+/// Everything but the arriving-window kernel is the engines' shared
+/// [`SlidingState`].
 impl Deref for Updater {
     type Target = SlidingState;
 
     fn deref(&self) -> &SlidingState {
         match self {
             Updater::Exact(net) => net,
-            Updater::Approx(net, _) => net,
+            Updater::Approx(net) => net,
         }
     }
 }
@@ -65,30 +61,9 @@ impl DerefMut for Updater {
     fn deref_mut(&mut self) -> &mut SlidingState {
         match self {
             Updater::Exact(net) => net,
-            Updater::Approx(net, _) => net,
+            Updater::Approx(net) => net,
         }
     }
-}
-
-/// The sketches of the current sliding query window published by
-/// [`RealTimeNetwork::publish_epoch`] — an immutable epoch a publication
-/// layer (e.g. `tsubasa-serve`'s `EpochStore`) can hand to readers behind an
-/// `Arc` while ingestion keeps sliding; it shares the network's rows, which
-/// no tick writes to.
-///
-/// Exactly one field is populated, matching the network's [`UpdateEngine`]:
-/// the exact engine yields a [`SketchSet`], the approximate engine a
-/// [`DftSketchSet`] (whose base pair correlations are NaN — the repo-wide
-/// marker for method-mismatched sketch data — so exact queries against an
-/// approximate epoch are answerable only through the NaN-auditing sinks).
-#[derive(Debug, Clone)]
-pub struct EpochSketches {
-    /// Exact per-window statistics and pair correlations, when the network
-    /// runs the exact (Lemma 2) updater.
-    pub exact: Option<SketchSet>,
-    /// The DFT comparator sketch, when the network runs the approximate
-    /// (Equation 6) updater.
-    pub approx: Option<DftSketchSet>,
 }
 
 /// A continuously maintained climate network over the `m` most recent
@@ -136,10 +111,7 @@ impl RealTimeNetwork {
                     coefficients,
                     SlidingApproxNetwork::TRANSFORM,
                 )?;
-                let net = SlidingApproxNetwork::initialize(&sketch, query_len)?;
-                let nan = vec![f64::NAN; packed_pairs(net.series_count())];
-                let nan_rows = WindowRows::repeated(nan, net.window_count());
-                Updater::Approx(net, nan_rows)
+                Updater::Approx(SlidingApproxNetwork::initialize(&sketch, query_len)?)
             }
         };
         Ok(Self {
@@ -177,7 +149,7 @@ impl RealTimeNetwork {
         for chunk in chunks {
             match &mut self.updater {
                 Updater::Exact(net) => net.ingest_in(runner, &chunk)?,
-                Updater::Approx(net, _) => net.ingest_in(runner, &chunk)?,
+                Updater::Approx(net) => net.ingest_in(runner, &chunk)?,
             }
             // A subscribed engine emits one delta per tick.
             self.pending_deltas
@@ -249,33 +221,9 @@ impl RealTimeNetwork {
         self.pending_deltas.clear();
     }
 
-    /// Number of basic windows inside the sliding query window — the window
-    /// count of every sketch [`RealTimeNetwork::publish_epoch`] freezes.
+    /// Number of basic windows inside the sliding query window.
     pub fn window_count(&self) -> usize {
         self.updater.window_count()
-    }
-
-    /// Publish the current sliding query window as an immutable
-    /// [`EpochSketches`] (basic windows re-indexed from 0, oldest first);
-    /// call after each applied update for one epoch per basic window. It
-    /// copies the per-series statistics (`O(N·W)`) and shares the network's
-    /// rows (`O(W)` reference-count bumps), which no later
-    /// [`RealTimeNetwork::ingest`] writes to.
-    pub fn publish_epoch(&self) -> Result<EpochSketches> {
-        let rows = self.updater.rows().clone();
-        Ok(match &self.updater {
-            Updater::Exact(net) => EpochSketches {
-                exact: Some(net.window_sketch(rows)?),
-                approx: None,
-            },
-            Updater::Approx(net, nan_rows) => {
-                let base = net.window_sketch(nan_rows.clone())?;
-                EpochSketches {
-                    exact: None,
-                    approx: Some(DftSketchSet::from_parts(base, net.coefficients(), rows)?),
-                }
-            }
-        })
     }
 }
 
@@ -489,11 +437,11 @@ mod tests {
     }
 
     #[test]
-    fn approximate_epochs_hold_fft_rows_before_and_after_ticks() {
+    fn approximate_rows_are_fft_rows_before_and_after_ticks() {
         // Power-of-two B: the radix-2 path and the naive DFT differ in the
         // last bits, so a bootstrap through another transform than the
         // ticks' would leave one state holding rows of two. The exact leg
-        // holds its epochs to `SketchSet::build` the same way.
+        // holds its rows to `SketchSet::build` the same way.
         let b = 16;
         let coefficients = 6;
         let windows = 5;
@@ -519,35 +467,21 @@ mod tests {
                         .collect();
                     assert_eq!(rt.ingest(&chunk).unwrap(), 1);
                 }
-                let epoch = rt.publish_epoch().unwrap();
                 let seen = full.truncate_length(now).unwrap();
                 let first = seen.series_len() / b - windows;
                 let held = first..first + windows;
-                let (live, fresh, base, built_base) = match engine {
+                let live = bits(rt.updater.rows().view(0..windows));
+                let fresh = match engine {
                     UpdateEngine::Exact => {
-                        let live = epoch.exact.unwrap();
-                        let built = SketchSet::build(&seen, b).unwrap();
-                        let rows = bits(live.window_corrs_view(0..windows));
-                        (rows, bits(built.window_corrs_view(held)), live, built)
+                        bits(SketchSet::build(&seen, b).unwrap().window_corrs_view(held))
                     }
                     UpdateEngine::Approximate { .. } => {
-                        let live = epoch.approx.unwrap();
                         let built =
                             DftSketchSet::build(&seen, b, coefficients, Transform::Fft).unwrap();
-                        let rows = bits(live.window_ests_view(0..windows));
-                        let fresh = bits(built.window_ests_view(held));
-                        (rows, fresh, live.base().clone(), built.base().clone())
+                        bits(built.window_ests_view(held))
                     }
                 };
-                let label = format!("{engine:?}, the epoch after {ticks} ticks");
-                assert_eq!(live, fresh, "{label}");
-                for i in 0..6 {
-                    assert_eq!(
-                        base.series_sketch(i).unwrap().windows,
-                        built_base.series_sketch(i).unwrap().windows[first..],
-                        "{label}, series {i}"
-                    );
-                }
+                assert_eq!(live, fresh, "{engine:?}, the rows after {ticks} ticks");
             }
         }
     }

@@ -2,8 +2,9 @@
 //! top-k queries over TCP — the full `tsubasa-serve` stack on 127.0.0.1.
 //!
 //! An [`EpochIngest`](tsubasa::serve::EpochIngest) folds each completed
-//! basic window into a growing dual-method sketch and publishes an immutable
-//! epoch snapshot; a [`QueryEngine`](tsubasa::serve::QueryEngine) answers
+//! basic window into a dual-method sketch of the history's window count (the
+//! arriving window evicts the oldest) and publishes an immutable epoch
+//! snapshot; a [`QueryEngine`](tsubasa::serve::QueryEngine) answers
 //! from the latest epoch through a plan cache and a worker pool; the
 //! length-prefixed binary protocol carries queries and edge lists over a
 //! real socket. Every response echoes the id of the epoch that answered it.
@@ -33,7 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let historical = world.truncate_length(2_000)?;
     let basic_window = 100;
 
-    // Ingest side: epoch 1 covers the history; every completed basic window
+    // Ingest side: epoch 1 covers the history's 20 basic windows, the
+    // horizon; every completed basic window slides it forward by one and
     // publishes the next immutable snapshot (exact base + DFT comparator).
     let store = Arc::new(EpochStore::new(16));
     let (mut ingest, first) = EpochIngest::dual(
@@ -62,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut client = ServeClient::connect(handle.local_addr())?;
     client.set_read_timeout(Some(Duration::from_secs(10)))?;
 
-    // Exact θ-network over everything, then the approximate comparator over
+    // Exact θ-network over the horizon, then the approximate comparator over
     // the trailing 8 windows, then the 5 strongest pairs.
     let net = client.network(Method::Exact, 0, 0.7)?;
     println!(

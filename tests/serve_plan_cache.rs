@@ -29,7 +29,6 @@ use tsubasa_serve::{
     mirror_sketches_to_pile, EpochIngest, EpochStore, Method, PlanCache, QueryEngine, ServeClient,
 };
 use tsubasa_storage::pile::PileWriter;
-use tsubasa_stream::EpochSketches;
 
 fn lcg_series(seed: u64, len: usize) -> Vec<f64> {
     let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -257,7 +256,10 @@ fn pile_epoch_views_match_the_sketch_epoch() {
     let mut writer = PileWriter::create(&path, dft.series_count(), BASIC).unwrap();
     mirror_sketches_to_pile(&mut writer, Some(dft.base()), Some(&dft)).unwrap();
     writer.sync().unwrap();
-    let pile_epoch = eng.publish_pile(writer.snapshot().unwrap()).unwrap();
+    let pile_epoch = eng
+        .store()
+        .publish_pile(writer.snapshot().unwrap())
+        .unwrap();
     assert!(pile_epoch.exact().is_none() && pile_epoch.approx().is_none());
 
     for method in [PlanMethod::Exact, PlanMethod::Approximate] {
@@ -452,9 +454,10 @@ fn capacity_one_cache_thrashes_without_wrong_answers() {
     assert_eq!(eng.cache().stats().hits, 1);
 }
 
-/// Epoch rollover: cached plans for epochs that leave the retention window
-/// are invalidated (not counted as evictions), and the next query against
-/// the new epoch is a miss that still answers correctly.
+/// Epoch rollover: publication leaves the cache alone, and the first lookup
+/// on a newer epoch retires the keys of epochs older than the previously
+/// newest one (not counted as evictions); a query against the new epoch is a
+/// miss that still answers correctly.
 #[test]
 fn epoch_rollover_invalidates_stale_plans() {
     let (eng, dft) = engine(0xfeed, 16, 2);
@@ -466,35 +469,36 @@ fn epoch_rollover_invalidates_stale_plans() {
     assert_eq!(eng.cache().stats().len, 1);
     assert_eq!(eng.cache().stats().hits, 1);
 
-    // Publishing epoch 2 keeps epoch 1 retained (capacity 2): nothing
-    // invalidated yet.
-    let publish = |eng: &QueryEngine| {
-        eng.publish(EpochSketches {
-            exact: Some(dft.base().clone()),
-            approx: None,
-        })
-        .unwrap()
-    };
-    publish(&eng);
+    // Publishing epoch 2 touches no cache entry, nor does epoch 3 rolling
+    // epoch 1 out of the store.
+    let publish = || eng.store().publish(Some(dft.base().clone()), None).unwrap();
+    publish();
     assert_eq!(eng.store().oldest_retained(), Some(1));
     assert_eq!(eng.cache().stats().len, 1);
-
-    // Epoch 3 rolls epoch 1 out: its cached plan is dropped.
-    publish(&eng);
+    publish();
     assert_eq!(eng.store().oldest_retained(), Some(2));
-    let stats = eng.cache().stats();
-    assert_eq!(stats.len, 0);
-    assert_eq!(stats.evictions, 0, "invalidation is not an eviction");
+    assert_eq!(eng.cache().stats().len, 1);
 
-    // The next query misses, plans against epoch 3, and still matches the
-    // serial reference.
-    let misses_before = eng.cache().stats().misses;
-    let (epoch, net) = eng.network(PlanMethod::Exact, 0, 0.2).unwrap();
-    assert_eq!(epoch, 3);
-    assert_eq!(eng.cache().stats().misses, misses_before + 1);
+    // Epoch 3's first answer, for another request, leaves epoch 1's key:
+    // epoch 1 was the newest answered before it.
     let wc = dft.window_count();
-    let (serial, _) = serial(&dft, PlanMethod::Exact, 0..wc, 0.2, 0);
-    assert_eq!(net.edges(), serial.edges());
+    let (epoch, net) = eng.network(PlanMethod::Exact, 2, 0.2).unwrap();
+    assert_eq!(epoch, 3);
+    let (serial_net, _) = serial(&dft, PlanMethod::Exact, wc - 2..wc, 0.2, 0);
+    assert_eq!(net.edges(), serial_net.edges());
+    assert_eq!(eng.cache().stats().len, 2);
+
+    // Epoch 4's first answer retires every key below epoch 3, so epoch 1's
+    // plan is dropped, and its request supersedes epoch 3's key.
+    publish();
+    let misses_before = eng.cache().stats().misses;
+    let (epoch, net) = eng.network(PlanMethod::Exact, 2, 0.2).unwrap();
+    assert_eq!(epoch, 4);
+    let stats = eng.cache().stats();
+    assert_eq!(stats.misses, misses_before + 1);
+    assert_eq!(stats.len, 1);
+    assert_eq!(stats.evictions, 0, "invalidation is not an eviction");
+    assert_eq!(net.edges(), serial_net.edges());
 }
 
 /// The exact and approximate plans for the same (epoch, windows) coordinate

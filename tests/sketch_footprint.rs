@@ -9,8 +9,11 @@
 //! statistics vector plus one row per table — never one per pair, and never
 //! a regrown table. A clone shares every row, so `k` clones (or `k` published
 //! epochs) of a `W`-window sketch hold `k` copies of the per-series
-//! statistics plus the `k` appended rows, not `k` tables — and so do `k`
-//! epochs a sliding network publishes, which share its rows. A streamed engine
+//! statistics plus the `k` appended rows, not `k` tables. A live in-memory
+//! ingest keeps its bootstrap's horizon of windows, so what it and the
+//! store's retained epochs hold stays flat however many windows stream
+//! through, and each epoch is the from-scratch sketch of the trailing
+//! horizon windows. A streamed engine
 //! query borrows that table and sweeps it tile by tile: it allocates no
 //! `O(P)` buffer, and no buffer per tile. Nor does an unaligned streamed
 //! query: its partial head and tail windows are minted a few triangle rows at
@@ -28,7 +31,7 @@ use tsubasa_core::sweep::DEFAULT_TILE_PAIRS;
 use tsubasa_dft::sketch::{ComparatorKernel, DftSketchSet, Transform};
 use tsubasa_parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
 use tsubasa_serve::{EpochIngest, EpochStore};
-use tsubasa_stream::{RealTimeNetwork, UpdateEngine};
+use tsubasa_storage::pile::SegmentKind;
 
 /// The system allocator with per-thread counters in front of it, so the test
 /// harness's own threads do not disturb a measurement.
@@ -235,11 +238,10 @@ fn published_epochs_hold_one_new_row_each() {
         })
         .collect();
     // Per epoch: the arriving row of each table, the clone's own statistics
-    // and row handles, and the epoch's fixed-size bookkeeping. Once: the
-    // growing sketch's own vectors doubling.
+    // and row handles over the horizon, and the epoch's fixed-size
+    // bookkeeping. Once: the live sketch's own vectors doubling.
     let budget = |tables: usize| {
-        K * (tables * ROW + clone_bytes(WINDOWS + K, tables) + 1024)
-            + 2 * clone_bytes(WINDOWS + K, tables)
+        K * (tables * ROW + clone_bytes(WINDOWS, tables) + 1024) + 2 * clone_bytes(WINDOWS, tables)
     };
 
     let store = Arc::new(EpochStore::new(K + 1));
@@ -273,45 +275,175 @@ fn published_epochs_hold_one_new_row_each() {
         2 * K * TABLE
     );
     let latest = store.latest().unwrap();
-    let rebuilt = DftSketchSet::build(
-        &SeriesCollection::from_rows(full).unwrap(),
-        B,
-        8,
-        Transform::Fft,
-    )
-    .unwrap();
+    let horizon: Vec<Vec<f64>> = full.iter().map(|r| r[K * B..].to_vec()).collect();
+    let horizon = SeriesCollection::from_rows(horizon).unwrap();
+    let rebuilt = DftSketchSet::build(&horizon, B, 8, Transform::Fft).unwrap();
     assert_eq!(latest.approx().unwrap().as_ref(), &rebuilt);
 
-    // A realtime epoch shares the live network's rows. K ticks and K epochs
-    // hold the K arriving rows, which the network mints and keeps anyway,
-    // plus per epoch its own statistics and row handles (an approximate
-    // epoch has two tables of handles: its estimates and the one shared NaN
-    // row of its base) and, once, the comparator kernel's coefficient
-    // scratch — no `P`-length row of an epoch's own.
-    let kernel_scratch = 8 * N.div_ceil(8) * 8 * 2 * 8;
-    for (engine, tables) in [
-        (UpdateEngine::Exact, 1),
-        (UpdateEngine::Approximate { coefficients: 8 }, 2),
-    ] {
-        let mut rt = RealTimeNetwork::new(&historical, B, WINDOWS * B, 0.5, engine).unwrap();
-        let (epochs, held, _) = measured(|| {
-            ticks
-                .iter()
-                .map(|tick| {
-                    assert_eq!(rt.ingest(tick).unwrap(), 1);
-                    rt.publish_epoch().unwrap()
-                })
-                .collect::<Vec<_>>()
+    // The pile keeps the history: its last epoch holds every window.
+    let path = std::env::temp_dir().join(format!(
+        "tsubasa-footprint-pile-{}.pile",
+        std::process::id()
+    ));
+    let store = Arc::new(EpochStore::new(K + 1));
+    let (mut ingest, _) = EpochIngest::pile(Arc::clone(&store), &historical, B, &path).unwrap();
+    for tick in &ticks {
+        assert_eq!(ingest.ingest(tick).unwrap().len(), 1);
+    }
+    let pile = Arc::clone(store.latest().unwrap().pile().unwrap());
+    let everything = SeriesCollection::from_rows(full).unwrap();
+    let rebuilt = SketchSet::build(&everything, B).unwrap();
+    let table = pile
+        .pair_table(0..WINDOWS + K, SegmentKind::PairCorrs)
+        .unwrap();
+    let built = rebuilt.window_corrs_view(0..WINDOWS + K);
+    for k in 0..WINDOWS + K {
+        assert_eq!(
+            table.view().window_row(k),
+            built.window_row(k),
+            "window {k}"
+        );
+    }
+    drop((ingest, store, pile));
+    std::fs::remove_file(&path).ok();
+}
+
+/// Points `t0..t0 + len` of the soak stream's series `s`: seeded noise on a
+/// slow cycle, so no window is constant.
+fn soak_points(s: usize, t0: usize, len: usize) -> Vec<f64> {
+    (t0..t0 + len)
+        .map(|t| {
+            let h = (t as u64 ^ (s as u64) << 40).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            (t as f64 * 0.07 + s as f64).sin() + (h >> 11) as f64 / (1u64 << 53) as f64
+        })
+        .collect()
+}
+
+/// The soak stream's points `t0..t0 + len`, every series.
+fn soak_rows(t0: usize, len: usize) -> Vec<Vec<f64>> {
+    (0..N).map(|s| soak_points(s, t0, len)).collect()
+}
+
+#[test]
+fn a_live_ingest_holds_its_horizon_however_long_it_runs() {
+    // Ten thousand windows through each in-memory flavor. After a warm-up
+    // that evicts the bootstrap's block, every tick allocates one row per
+    // table and the oldest retained epoch frees one: the bytes held by the
+    // ingest and the store stay where they were, within the horizon's rows
+    // plus the retained epochs' own statistics.
+    const HORIZON: usize = 4;
+    const RETAINED: usize = 3;
+    const TICKS: usize = 10_000;
+    const WARM_UP: usize = 2 * (HORIZON + RETAINED);
+    let historical = SeriesCollection::from_rows(soak_rows(0, HORIZON * B)).unwrap();
+    for (flavor, tables) in [("exact", 1), ("dual", 2)] {
+        let (result, held, _) = measured(|| {
+            let store = Arc::new(EpochStore::new(RETAINED));
+            let (mut ingest, _) = match flavor {
+                "exact" => EpochIngest::exact(Arc::clone(&store), &historical, B),
+                _ => EpochIngest::dual(Arc::clone(&store), &historical, B, 8, Transform::Fft),
+            }
+            .unwrap();
+            let mut warm = 0isize;
+            let mut drift = Vec::with_capacity(TICKS / 1000);
+            for tick in 0..TICKS {
+                let chunk = soak_rows((HORIZON + tick) * B, B);
+                assert_eq!(ingest.ingest(&chunk).unwrap().len(), 1);
+                if tick + 1 == WARM_UP {
+                    warm = LIVE.get();
+                } else if tick + 1 > WARM_UP && (tick + 1) % 1000 == 0 {
+                    drift.push(LIVE.get() - warm);
+                }
+            }
+            (store.latest().unwrap(), ingest, store, drift)
         });
-        assert_eq!(epochs.len(), K);
-        let budget = K * (ROW + clone_bytes(WINDOWS, tables) + 1024) + kernel_scratch;
+        let (latest, _ingest, _store, drift) = result;
+        assert!(
+            drift.iter().all(|&d| d == 0),
+            "{flavor}: live bytes moved after warm-up, every 1000 ticks: {drift:?}"
+        );
+        // The horizon's rows and one more per retained epoch, each epoch's
+        // own statistics and handles, the live sketch's vectors at twice
+        // their length, the kernel's scratch and the buffer's points.
+        let budget = (HORIZON + RETAINED) * tables * ROW
+            + (RETAINED + 2) * (clone_bytes(HORIZON, tables) + 1024)
+            + tables * 8 * N.div_ceil(8) * 8 * 2 * 8
+            + N * (24 + 8 * 2 * B);
         assert!(
             held <= budget,
-            "{engine:?}: {K} ticks and epochs hold {held} bytes against a budget of {budget}; \
-             {K} copied tables are {}",
-            K * TABLE
+            "{flavor}: {held} bytes held after {TICKS} windows against a budget of {budget}"
         );
-        assert!(budget < K * TABLE / 4);
+
+        // The last epoch is the from-scratch sketch of the trailing horizon.
+        let trailing = SeriesCollection::from_rows(soak_rows(TICKS * B, HORIZON * B)).unwrap();
+        assert_eq!(latest.window_count(), HORIZON, "{flavor}");
+        assert_eq!(
+            latest.exact().unwrap(),
+            &SketchSet::build(&trailing, B).unwrap(),
+            "{flavor}"
+        );
+        if let Some(approx) = latest.approx() {
+            let built = DftSketchSet::build(&trailing, B, 8, Transform::Fft).unwrap();
+            assert_eq!(approx.as_ref(), &built);
+        }
+    }
+}
+
+#[test]
+fn every_evicted_epoch_is_the_sketch_of_its_trailing_horizon() {
+    // A history of 5 windows and a 7-point tail, then odd-sized pushes: the
+    // first streamed points complete the tail's window, and every epoch
+    // after it, exact and dual, equals the from-scratch build of the five
+    // windows that end at its last completed point.
+    const HORIZON: usize = 5;
+    const TAIL: usize = 7;
+    let total = (HORIZON + 9) * B + 3;
+    let full = series_rows(6, total);
+    let historical: Vec<Vec<f64>> = full
+        .iter()
+        .map(|r| r[..HORIZON * B + TAIL].to_vec())
+        .collect();
+    let historical = SeriesCollection::from_rows(historical).unwrap();
+    for flavor in ["exact", "dual"] {
+        let store = Arc::new(EpochStore::new(2));
+        let (mut ingest, _) = match flavor {
+            "exact" => EpochIngest::exact(Arc::clone(&store), &historical, B),
+            _ => EpochIngest::dual(Arc::clone(&store), &historical, B, 6, Transform::Fft),
+        }
+        .unwrap();
+        let (mut now, mut completed, mut epochs) = (HORIZON * B + TAIL, HORIZON, 0);
+        for step in [5usize, 21, 3, 40, 17, 33, 9].iter().cycle() {
+            let step = (*step).min(total - now);
+            if step == 0 {
+                break;
+            }
+            let push: Vec<Vec<f64>> = full.iter().map(|r| r[now..now + step].to_vec()).collect();
+            now += step;
+            for epoch in ingest.ingest(&push).unwrap() {
+                completed += 1;
+                epochs += 1;
+                let from = (completed - HORIZON) * B;
+                let window: Vec<Vec<f64>> = full
+                    .iter()
+                    .map(|r| r[from..completed * B].to_vec())
+                    .collect();
+                let window = SeriesCollection::from_rows(window).unwrap();
+                let label = format!("{flavor}, epoch {}", epoch.id());
+                assert_eq!(epoch.window_count(), HORIZON, "{label}");
+                match epoch.approx() {
+                    Some(approx) => {
+                        let built = DftSketchSet::build(&window, B, 6, Transform::Fft).unwrap();
+                        assert_eq!(approx.as_ref(), &built, "{label}");
+                        assert_eq!(epoch.exact().unwrap(), built.base(), "{label}");
+                    }
+                    None => {
+                        let built = SketchSet::build(&window, B).unwrap();
+                        assert_eq!(epoch.exact().unwrap(), &built, "{label}");
+                    }
+                }
+            }
+        }
+        assert_eq!(epochs, (total - HORIZON * B) / B, "{flavor}");
     }
 }
 
