@@ -15,11 +15,12 @@
 //! ```text
 //! file header (64 B)            segment header (64 B)
 //!   0..8   magic "TSUBPILE"       0..4   magic "PSEG"
-//!   8..12  version (u32 LE)       4..8   kind (u32 LE; 1 stats, 2 corrs, 3 ests)
+//!   8..12  version (u32 LE, 2)    4..8   kind (u32 LE; 1 stats, 2 corrs, 3 ests)
 //!   12..16 reserved               8..16  first_window (u64 LE)
 //!   16..24 n_series (u64 LE)      16..24 n_windows (u64 LE)
 //!   24..32 basic_window (u64 LE)  24..32 payload_len (u64 LE)
-//!   32..64 reserved (zero)        32..40 FNV-1a-64 checksum of the payload
+//!   32..64 reserved (zero)        32..40 checksum: XXH64 (seed 0) of
+//!                                        bytes 0..32, then the payload
 //!                                 40..64 reserved (zero)
 //! ```
 //!
@@ -77,10 +78,12 @@ use tsubasa_core::stats::WindowStats;
 pub use map::PileMap;
 
 const FILE_MAGIC: [u8; 8] = *b"TSUBPILE";
-const FILE_VERSION: u32 = 1;
+const FILE_VERSION: u32 = 2;
 const FILE_HEADER_LEN: usize = 64;
 const SEG_HEADER_LEN: usize = 64;
 const SEG_MAGIC: [u8; 4] = *b"PSEG";
+/// The leading segment-header bytes the checksum covers (see [`checksum`]).
+const SEG_CHECKED_LEN: usize = 32;
 
 /// What a pile segment stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -135,14 +138,65 @@ fn row_values(n_series: usize) -> Option<[usize; 3]> {
     Some([stats, pairs, pairs])
 }
 
-/// FNV-1a 64-bit over a byte slice — the per-segment payload checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+
+fn xxh_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+fn xxh_merge(h: u64, lane: u64) -> u64 {
+    (h ^ xxh_round(0, lane))
+        .wrapping_mul(XXH_P1)
+        .wrapping_add(XXH_P4)
+}
+
+/// A segment's checksum: XXH64 with seed 0 over the first 32 bytes of its
+/// header (magic, kind, first window, window count, payload length) followed
+/// by its payload, so a flipped kind cannot relabel a pair segment whose
+/// payload is intact. Those 32 bytes are exactly the first stripe, and a
+/// payload is whole `f64`s whose little-endian words are `f64::to_bits`, so
+/// the hash runs four independent word lanes per 32-byte stripe, and the
+/// short-input start and 4- and 1-byte tails of XXH64 never occur. The writer
+/// hashes the rows it is given and [`walk`] the mapped rows, both here.
+fn checksum(head: &[u8], values: &[f64]) -> u64 {
+    let mut lanes = [
+        XXH_P1.wrapping_add(XXH_P2),
+        XXH_P2,
+        0,
+        XXH_P1.wrapping_neg(),
+    ];
+    for (lane, at) in lanes.iter_mut().zip([0, 8, 16, 24]) {
+        *lane = xxh_round(*lane, read_u64(head, at));
     }
-    h
+    let stripes = values.chunks_exact(4);
+    let tail = stripes.remainder();
+    for stripe in stripes {
+        for (lane, v) in lanes.iter_mut().zip(stripe) {
+            *lane = xxh_round(*lane, v.to_bits());
+        }
+    }
+    let mut h = lanes
+        .iter()
+        .zip([1, 7, 12, 18])
+        .fold(0, |h: u64, (lane, r)| h.wrapping_add(lane.rotate_left(r)));
+    h = lanes.into_iter().fold(h, xxh_merge);
+    h = h.wrapping_add((SEG_CHECKED_LEN + 8 * values.len()) as u64);
+    for v in tail {
+        h = (h ^ xxh_round(0, v.to_bits()))
+            .rotate_left(27)
+            .wrapping_mul(XXH_P1)
+            .wrapping_add(XXH_P4);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
 }
 
 fn read_u32(bytes: &[u8], off: usize) -> u32 {
@@ -236,11 +290,12 @@ impl PileIndex {
     }
 }
 
-/// Walk the mapped bytes of a pile file: check the file header, then accept
-/// segments in order while their structure, append discipline, and payload
-/// checksum all hold. The first violation marks the torn tail; everything
-/// before it is the valid prefix.
-fn walk(bytes: &[u8]) -> Result<PileIndex> {
+/// Walk a mapped pile file: check the file header, then accept segments in
+/// order while their structure, append discipline, and checksum all hold.
+/// The first violation marks the torn tail; everything before it is the valid
+/// prefix.
+fn walk(map: &PileMap) -> Result<PileIndex> {
+    let bytes = map.bytes();
     if bytes.len() < FILE_HEADER_LEN || bytes[..8] != FILE_MAGIC {
         return Err(Error::Storage(
             "not a sketch pile (missing TSUBPILE header)".into(),
@@ -273,10 +328,11 @@ fn walk(bytes: &[u8]) -> Result<PileIndex> {
         {
             break;
         }
-        let Some(payload) = bytes.get(at.clone()) else {
+        if at.end > bytes.len() {
             break; // payload extends past the file: torn tail
-        };
-        if fnv1a64(payload) != read_u64(header, 32) {
+        }
+        let payload = map.f64s(at.start, at.len() / 8)?;
+        if checksum(&header[..SEG_CHECKED_LEN], payload) != read_u64(header, 32) {
             break;
         }
         index.push(kind, n_windows, at);
@@ -368,7 +424,7 @@ impl PileWriter {
                 .map_err(|e| Error::Storage(format!("stat pile: {e}")))?
                 .len() as usize;
             let map = PileMap::map(&file, len)?;
-            walk(map.bytes())?
+            walk(&map)?
         };
         file.set_len(index.valid_len as u64)
             .map_err(|e| Error::Storage(format!("truncate torn pile tail: {e}")))?;
@@ -435,10 +491,8 @@ impl PileWriter {
         })?;
 
         self.scratch.clear();
-        self.scratch.reserve(at.len());
-        for v in rows {
-            self.scratch.extend_from_slice(&v.to_le_bytes());
-        }
+        self.scratch
+            .extend(rows.iter().flat_map(|v| v.to_le_bytes()));
 
         let mut header = [0u8; SEG_HEADER_LEN];
         header[..4].copy_from_slice(&SEG_MAGIC);
@@ -446,7 +500,8 @@ impl PileWriter {
         header[8..16].copy_from_slice(&(self.coverage(kind) as u64).to_le_bytes());
         header[16..24].copy_from_slice(&(n_windows as u64).to_le_bytes());
         header[24..32].copy_from_slice(&(at.len() as u64).to_le_bytes());
-        header[32..40].copy_from_slice(&fnv1a64(&self.scratch).to_le_bytes());
+        let sum = checksum(&header[..SEG_CHECKED_LEN], rows);
+        header[32..40].copy_from_slice(&sum.to_le_bytes());
 
         // Every append starts at the watermark, wherever the cursor is: a
         // snapshot's fallback read shares this descriptor (and its cursor),
@@ -544,7 +599,7 @@ pub fn encode_series_stats(stats: &[WindowStats]) -> Vec<f64> {
 /// Read-only handle to a validated, memory-mapped sketch pile.
 ///
 /// Opening validates segments in order (structure, append discipline,
-/// payload checksum) in one streaming pass and *logically* truncates a torn
+/// checksum) in one streaming pass and *logically* truncates a torn
 /// tail: the mapping covers the valid prefix only, and
 /// [`SketchPile::truncated_bytes`] reports what was ignored. The file itself
 /// is never modified by a reader — [`PileWriter::open_append`] performs the
@@ -578,7 +633,7 @@ impl SketchPile {
             .map_err(|e| Error::Storage(format!("stat pile: {e}")))?
             .len();
         let map = PileMap::map(&file, file_len as usize)?;
-        let index = walk(map.bytes())?;
+        let index = walk(&map)?;
         Ok(Self {
             path: path.to_path_buf(),
             map,
@@ -1479,9 +1534,95 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+    /// XXH64 as its specification spells it: byte input, seed 0, the
+    /// 32-byte stripe loop and the 8-, 4- and 1-byte tails.
+    fn xxh64_reference(bytes: &[u8]) -> u64 {
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let half = |at: usize| u64::from(u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()));
+        let mut at = 0;
+        let mut h = if bytes.len() >= 32 {
+            let mut v = [
+                XXH_P1.wrapping_add(XXH_P2),
+                XXH_P2,
+                0,
+                XXH_P1.wrapping_neg(),
+            ];
+            while at + 32 <= bytes.len() {
+                for (lane, v) in v.iter_mut().enumerate() {
+                    *v = xxh_round(*v, word(at + 8 * lane));
+                }
+                at += 32;
+            }
+            let mut h = v[0]
+                .rotate_left(1)
+                .wrapping_add(v[1].rotate_left(7))
+                .wrapping_add(v[2].rotate_left(12))
+                .wrapping_add(v[3].rotate_left(18));
+            for lane in v {
+                h = xxh_merge(h, lane);
+            }
+            h
+        } else {
+            XXH_P5
+        };
+        h = h.wrapping_add(bytes.len() as u64);
+        while at + 8 <= bytes.len() {
+            h ^= xxh_round(0, word(at));
+            h = h.rotate_left(27).wrapping_mul(XXH_P1).wrapping_add(XXH_P4);
+            at += 8;
+        }
+        if at + 4 <= bytes.len() {
+            h ^= half(at).wrapping_mul(XXH_P1);
+            h = h.rotate_left(23).wrapping_mul(XXH_P2).wrapping_add(XXH_P3);
+            at += 4;
+        }
+        for &b in &bytes[at..] {
+            h ^= u64::from(b).wrapping_mul(XXH_P5);
+            h = h.rotate_left(11).wrapping_mul(XXH_P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(XXH_P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(XXH_P3);
+        h ^ (h >> 32)
+    }
+
     #[test]
-    fn fnv_checksum_is_the_reference_function() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    fn checksum_is_xxh64_over_the_header_stripe_and_the_little_endian_payload() {
+        assert_eq!(xxh64_reference(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64_reference(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64_reference(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(
+            xxh64_reference(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+
+        // Every length from empty through three stripes and a tail, over
+        // arbitrary bit patterns (NaNs, subnormals and infinities included).
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let values: Vec<f64> = (0..=100)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                f64::from_bits(state)
+            })
+            .collect();
+        let head: Vec<u8> = (0..32u8).map(|b| b.wrapping_mul(157) ^ 0xA5).collect();
+        for len in 0..=values.len() {
+            let values = &values[..len];
+            let bytes: Vec<u8> = head
+                .iter()
+                .copied()
+                .chain(values.iter().flat_map(|v| v.to_le_bytes()))
+                .collect();
+            assert_eq!(
+                checksum(&head, values),
+                xxh64_reference(&bytes),
+                "{len} values"
+            );
+        }
     }
 }

@@ -17,11 +17,18 @@
 //!   without reading the file, equals a validating [`SketchPile::open`] of
 //!   the same file after any history of appends, syncs, reopens and tail
 //!   cuts — and turns into an error, not a mapping past the end, when the
-//!   file is cut under a live writer.
+//!   file is cut under a live writer;
+//! * a flip of **any single bit** of a small pile opens as a typed error
+//!   (file header) or as a prefix of its segments with every value exact, and
+//!   a flip in a checksummed or structural byte of segment *k* drops *k* and
+//!   everything after it;
+//! * a pile of another format version is refused by every opener, which
+//!   leaves the file as it was.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
+use tsubasa::core::error::Error;
 use tsubasa::core::stats::WindowStats;
 use tsubasa::storage::{PileWriter, SegmentKind, SketchPile};
 
@@ -185,6 +192,141 @@ fn compaction_round_trips_every_payload_bit() {
         })
         .collect();
     assert_eq!(corrs_after, corrs_before);
+    std::fs::remove_file(&path).ok();
+}
+
+/// Where a single-bit flip lands in a pile, and what opening it may do.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum FlipSite {
+    /// File magic or version: the open is a typed error.
+    Identity,
+    /// `n_series` or `basic_window`: a typed error, or a pile whose shape
+    /// shows the flip.
+    Shape,
+    /// A reserved byte of the file header: everything is served.
+    FileReserved,
+    /// A checksummed or structural byte of segment `k`: `k` and everything
+    /// after it are dropped.
+    Checked(usize),
+    /// A reserved byte of segment `k`: dropped from `k` on, or kept whole.
+    SegReserved(usize),
+}
+
+fn flip_site(byte: usize, seg_starts: &[usize]) -> FlipSite {
+    match byte {
+        0..12 => FlipSite::Identity,
+        12..16 | 32..64 => FlipSite::FileReserved,
+        16..32 => FlipSite::Shape,
+        _ => {
+            let k = seg_starts.iter().rposition(|&at| at <= byte).unwrap();
+            match byte - seg_starts[k] {
+                40..64 => FlipSite::SegReserved(k),
+                _ => FlipSite::Checked(k),
+            }
+        }
+    }
+}
+
+#[test]
+fn every_bit_flip_is_refused_or_serves_an_exact_prefix() {
+    // Three segments under 1 KiB: two windows of statistics, one of
+    // correlations, then two more of correlations.
+    let path = temp_path("bit-flips");
+    let mut writer = PileWriter::create(&path, N_SERIES, BASIC_WINDOW).unwrap();
+    let mut seg_starts = Vec::new();
+    for (kind, windows) in [
+        (SegmentKind::SeriesStats, 0..2),
+        (SegmentKind::PairCorrs, 0..1),
+        (SegmentKind::PairCorrs, 1..3),
+    ] {
+        seg_starts.push(writer.len_bytes() as usize);
+        let rows: Vec<f64> = windows.flat_map(|w| model_row(kind, w)).collect();
+        writer.append(kind, &rows).unwrap();
+    }
+    writer.finish().unwrap();
+    let original = std::fs::read(&path).unwrap();
+    assert!(original.len() < 1024, "{} bytes", original.len());
+
+    // What a pile holding the first `k` segments serves: the file cut there.
+    let flipped_path = temp_path("bit-flips-work");
+    let prefixes: Vec<Served> = seg_starts
+        .iter()
+        .chain([&original.len()])
+        .map(|&end| {
+            std::fs::write(&flipped_path, &original[..end]).unwrap();
+            served(&SketchPile::open(&flipped_path).unwrap())
+        })
+        .collect();
+    let whole = prefixes.len() - 1;
+    assert_eq!(prefixes[whole].segments, 3);
+    assert_eq!(prefixes[whole].tables, model_tables([2, 3, 0]));
+
+    for bit in 0..original.len() * 8 {
+        let (byte, site) = (bit / 8, flip_site(bit / 8, &seg_starts));
+        let mut bytes = original.clone();
+        bytes[byte] ^= 1 << (bit % 8);
+        std::fs::write(&flipped_path, &bytes).unwrap();
+        let pile = match SketchPile::open(&flipped_path) {
+            Ok(pile) => pile,
+            Err(Error::Storage(_)) if matches!(site, FlipSite::Identity | FlipSite::Shape) => {
+                continue
+            }
+            Err(e) => panic!("bit {bit} ({site:?}): {e}"),
+        };
+        let now = served(&pile);
+        let reshaped = (pile.n_series(), pile.basic_window()) != (N_SERIES, BASIC_WINDOW);
+        let kept = match site {
+            FlipSite::Identity => panic!("bit {bit} ({site:?}) opened"),
+            FlipSite::Shape => {
+                assert!(reshaped, "bit {bit}: a shape flip left the shape");
+                // A new series count fits no segment; a new basic window
+                // leaves every segment valid.
+                if pile.n_series() == N_SERIES {
+                    whole
+                } else {
+                    0
+                }
+            }
+            FlipSite::FileReserved => whole,
+            FlipSite::Checked(k) => k,
+            FlipSite::SegReserved(k) if now.segments == k => k,
+            FlipSite::SegReserved(_) => whole,
+        };
+        assert!(
+            matches!(site, FlipSite::Shape) || !reshaped,
+            "bit {bit} ({site:?}) changed the shape"
+        );
+        assert_eq!(now, prefixes[kept], "bit {bit} ({site:?})");
+    }
+    std::fs::remove_file(&flipped_path).ok();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_pile_of_another_version_is_refused_and_left_as_it_was() {
+    let (path, _) = build_reference("version");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let refused = |what: &str, err: Option<Error>| match err {
+        Some(Error::Storage(msg)) => {
+            assert!(
+                msg.contains("version 1") && msg.contains("expected 2"),
+                "{what}: {msg}"
+            );
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                bytes,
+                "{what} changed the file"
+            );
+        }
+        other => panic!("{what}: {other:?}"),
+    };
+    refused("open", SketchPile::open(&path).err());
+    refused("open_append", PileWriter::open_append(&path).err());
+    refused("compact", SketchPile::compact(&path).err());
+    assert!(!path.with_extension("pile-compact-tmp").exists());
     std::fs::remove_file(&path).ok();
 }
 
