@@ -23,12 +23,14 @@
 //!
 //! The all-pairs entry points do *not* loop over [`pair_correlation`]: they
 //! build a [`crate::plan::QueryPlan`] once per query and hand it to one of
-//! the two loops every correlation in the workspace comes from. The matrix
-//! entry points ([`correlation_matrix`], [`correlation_matrix_parallel`])
-//! call the **dense fill** ([`crate::sweep::fill_packed`]), which writes the
-//! packed triangle in place on a serial or scoped runner; the streamed ones
-//! ([`network_streamed`], [`top_k`]) call the **streamed tile loop**
-//! ([`crate::sweep::sweep_run`]) into a sink. Queries over an aligned range
+//! the two loops every correlation in the workspace comes from, fanned over
+//! the machine's hardware threads ([`ScopedRunner::machine`]; the sweep is
+//! memory-latency-bound, so a second hardware thread hides its stalls). The
+//! matrix entry point ([`correlation_matrix`]) calls the **dense fill**
+//! ([`crate::sweep::fill_packed`]), which writes the packed triangle in
+//! place; the streamed ones ([`network_streamed`], [`top_k`]) call the
+//! **streamed tile loop** ([`crate::sweep::sweep_pooled`]) into one sink per
+//! run, merged in run order. Queries over an aligned range
 //! of basic windows need no raw data and go through the one plan over a
 //! source, [`crate::source::SourcePlan`]. Both loops evaluate the plan's batch
 //! kernel ([`QueryPlan::block_kernel`]) against the sketch's window-major
@@ -42,15 +44,17 @@
 //! `tiled_kernel_agreement` property suite pins this) rather than
 //! bit-for-bit.
 
+use std::ops::Range;
+
 use crate::error::{Error, Result};
 use crate::matrix::CorrelationMatrix;
 use crate::plan::{PlanMethod, QueryPlan};
-use crate::runner::{JobRunner, ScopedRunner, SerialRunner};
-use crate::sketch::SketchSet;
+use crate::runner::{JobRunner, ScopedRunner};
+use crate::sketch::{packed_pairs, SketchSet};
 use crate::stats::{clamp_corr, WindowStats};
 use crate::sweep::{
-    fill_packed, sweep_run, CorrelationBounds, EdgeList, EdgeRule, EdgeSink, TopK, TopKSink,
-    DEFAULT_TILE_PAIRS,
+    fill_packed, sweep_pooled, CorrelationBounds, EdgeList, EdgeRule, EdgeSink, TableAudit,
+    TileSink, TopK, TopKSink, DEFAULT_TILE_PAIRS,
 };
 use crate::timeseries::{SeriesCollection, SeriesId};
 use crate::window::QueryWindow;
@@ -209,8 +213,8 @@ fn gather_contributions(
 /// of the sketch's window-major table ([`SketchSet::pair_sketch`]),
 /// materializes the [`WindowContribution`]s of the pair and recombines them
 /// with [`combine`].
-/// The all-pairs entry points ([`correlation_matrix`],
-/// [`correlation_matrix_parallel`]) instead share a precomputed
+/// The all-pairs entry points ([`correlation_matrix`] and the streamed ones)
+/// instead share a precomputed
 /// [`crate::plan::QueryPlan`] across pairs and produce bit-identical values;
 /// the equality is asserted by the `flat_kernel_equivalence` property tests.
 ///
@@ -264,7 +268,9 @@ pub fn pair_correlation_aligned(
 
 /// Exact all-pair correlation matrix on `query` (the correlation-matrix step
 /// of Algorithm 2), recombined from the sketch through a shared
-/// [`QueryPlan`].
+/// [`QueryPlan`]: the dense fill on the machine's hardware threads. A run
+/// boundary never changes a pair's arithmetic, so the matrix is the same
+/// bits as a single-run fill.
 ///
 /// ```
 /// use tsubasa_core::prelude::*;
@@ -285,7 +291,8 @@ pub fn correlation_matrix(
     query: QueryWindow,
 ) -> Result<CorrelationMatrix> {
     let plan = QueryPlan::build(collection, sketch, query)?;
-    dense_matrix(&SerialRunner, sketch, plan)
+    let runner = ScopedRunner::machine(packed_pairs(plan.series_count()));
+    dense_matrix(&runner, sketch, plan)
 }
 
 /// The thresholded network (`c > θ`, the semantics of
@@ -293,26 +300,33 @@ pub fn correlation_matrix(
 /// the packed triangle is never materialized; each
 /// [`QueryPlan::block_kernel`] tile is thresholded and discarded. The edge
 /// set equals `correlation_matrix(..)?.threshold(theta)` exactly — same
-/// kernel, same values, tile boundaries don't change any pair's arithmetic —
-/// at `O(tile + edges)` memory. Every pair is observed (no pruning), so NaN
-/// accounting is exhaustive.
+/// kernel, same values, tile and run boundaries don't change any pair's
+/// arithmetic, and the runs' edges are appended in run order — at
+/// `O(tile + edges)` memory per hardware thread. Every pair is observed (no
+/// pruning), so NaN accounting is exhaustive.
 pub fn network_streamed(
     collection: &SeriesCollection,
     sketch: &SketchSet,
     query: QueryWindow,
     theta: f64,
 ) -> Result<EdgeList> {
-    let mut sink = EdgeSink::with_rule(EdgeRule::for_method(PlanMethod::Exact, theta)?);
+    let sink = EdgeSink::with_rule(EdgeRule::for_method(PlanMethod::Exact, theta)?);
     let plan = QueryPlan::build(collection, sketch, query)?;
-    streamed_sweep(sketch, &plan, None, &mut sink);
-    Ok(sink.finish(collection.len()))
+    let n = plan.series_count();
+    let runs = pooled_sweep(sketch, &plan, None, |_| sink.clone());
+    let mut edges = sink.finish(n);
+    for run in runs {
+        edges.absorb(run.finish(n));
+    }
+    Ok(edges)
 }
 
 /// The `k` strongest edges of the query window, streamed: a k-bounded heap
-/// replaces the dense triangle, and tiles whose Equation-4 upper bound
-/// cannot beat the current k-th strength are skipped before any kernel work.
-/// Ranking is total ([`f64::total_cmp`], ties by ascending pair index) and
-/// equals the sorted dense matrix's top k.
+/// per run replaces the dense triangle, and tiles whose Equation-4 upper
+/// bound cannot beat the run's current k-th strength are skipped before any
+/// kernel work; the runs' heaps merge into the global top k. Ranking is total
+/// ([`f64::total_cmp`], ties by ascending pair index) and equals the sorted
+/// dense matrix's top k.
 pub fn top_k(
     collection: &SeriesCollection,
     sketch: &SketchSet,
@@ -321,57 +335,27 @@ pub fn top_k(
 ) -> Result<TopK> {
     let plan = QueryPlan::build(collection, sketch, query)?;
     let bounds = CorrelationBounds::from_plan(&plan);
-    let mut sink = TopKSink::new(k);
-    streamed_sweep(sketch, &plan, Some(&bounds), &mut sink);
-    Ok(sink.finish())
+    let mut merged = TopKSink::new(k);
+    for run in pooled_sweep(sketch, &plan, Some(&bounds), |_| TopKSink::new(k)) {
+        merged.absorb(run);
+    }
+    Ok(merged.finish())
 }
 
-/// Shared body of the streamed entry points: borrow the sketch's
-/// window-major table for the plan's full windows and sweep all pairs into
-/// the sink.
-fn streamed_sweep(
+/// Shared body of the streamed entry points: the pooled tile loop
+/// ([`sweep_pooled`]) over the sketch's window-major table of the plan's
+/// full windows, on the machine's hardware threads, one sink per run, in run
+/// order.
+fn pooled_sweep<K: TileSink + Send>(
     sketch: &SketchSet,
     plan: &QueryPlan,
     bounds: Option<&CorrelationBounds>,
-    sink: &mut dyn crate::sweep::TileSink,
-) {
-    let n = plan.series_count();
-    if n < 2 {
-        return;
-    }
-    let corrs_t = sketch.window_corrs_view(plan.full_windows());
-    sweep_run(
-        plan,
-        &corrs_t,
-        bounds,
-        0..n * (n - 1) / 2,
-        DEFAULT_TILE_PAIRS,
-        sink,
-    );
-}
-
-/// Multi-threaded in-memory all-pairs sweep: the dense fill of
-/// [`correlation_matrix`] with the packed upper triangle split into one
-/// contiguous run per worker, the `workers` scoped threads sharing the
-/// read-only plan.
-///
-/// The result is identical to [`correlation_matrix`] regardless of the
-/// worker count (every pair's accumulation is independent, so run
-/// boundaries don't change the arithmetic). `workers == 0` is clamped to 1;
-/// counts above the number of pairs are clamped down.
-///
-/// This convenience wrapper spawns scoped threads on every call
-/// ([`ScopedRunner`]); query-heavy callers should build a reusable
-/// `tsubasa_parallel::WorkerPool` once and hand it to
-/// [`fill_packed`] to stop paying thread startup per query.
-pub fn correlation_matrix_parallel(
-    collection: &SeriesCollection,
-    sketch: &SketchSet,
-    query: QueryWindow,
-    workers: usize,
-) -> Result<CorrelationMatrix> {
-    let plan = QueryPlan::build(collection, sketch, query)?;
-    dense_matrix(&ScopedRunner::new(workers), sketch, plan)
+    make_sink: impl FnMut(Range<usize>) -> K,
+) -> Vec<K> {
+    let runner = ScopedRunner::machine(packed_pairs(plan.series_count()));
+    let view = sketch.window_corrs_view(plan.full_windows());
+    let (tile, audit) = (DEFAULT_TILE_PAIRS, TableAudit::Off);
+    sweep_pooled(&runner, plan, view, bounds, tile, audit, make_sink).0
 }
 
 /// The dense fill of `plan` over the sketch's rows of its full windows, on
@@ -391,6 +375,7 @@ fn dense_matrix(
 mod tests {
     use super::*;
     use crate::baseline;
+    use crate::runner::SerialRunner;
     use crate::sketch::pair_index;
     use crate::stats::pearson;
     use proptest::prelude::*;
@@ -564,15 +549,19 @@ mod tests {
         // Unaligned window so the partial-window path is exercised too.
         let query = QueryWindow::new(233, 180).unwrap();
         let serial = correlation_matrix(&c, &sketch, query).unwrap();
-        for workers in [1, 2, 3, 8, 100] {
-            let parallel = correlation_matrix_parallel(&c, &sketch, query, workers).unwrap();
-            assert_eq!(serial, parallel, "workers={workers}");
+        let fill = |runner: &dyn JobRunner| {
+            let plan = QueryPlan::build(&c, &sketch, query).unwrap();
+            dense_matrix(runner, &sketch, plan).unwrap()
+        };
+        assert_eq!(fill(&SerialRunner), serial);
+        // workers == 0 is clamped to 1, counts above the pairs are clamped down.
+        for workers in [0, 1, 2, 3, 8, 100] {
+            assert_eq!(
+                fill(&ScopedRunner::new(workers)),
+                serial,
+                "workers={workers}"
+            );
         }
-        // workers == 0 is clamped, not an error.
-        assert_eq!(
-            correlation_matrix_parallel(&c, &sketch, query, 0).unwrap(),
-            serial
-        );
     }
 
     #[test]
@@ -679,8 +668,8 @@ mod tests {
             ("correlation_matrix", |c, s, q| {
                 correlation_matrix(c, s, q).map(drop)
             }),
-            ("correlation_matrix_parallel", |c, s, q| {
-                correlation_matrix_parallel(c, s, q, 2).map(drop)
+            ("fill_packed on 2 workers", |c, s, q| {
+                dense_matrix(&ScopedRunner::new(2), s, QueryPlan::build(c, s, q)?).map(drop)
             }),
             ("network_streamed", |c, s, q| {
                 network_streamed(c, s, q, 0.2).map(drop)

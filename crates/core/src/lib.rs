@@ -17,8 +17,8 @@
 //! * **Query planning** — all-pairs queries precompute the per-series half of
 //!   the Lemma 1 recombination once per query window into a flat
 //!   [`plan::QueryPlan`] table, then evaluate every pair with an
-//!   allocation-free kernel (optionally across threads with
-//!   [`exact::correlation_matrix_parallel`]). See [`plan`].
+//!   allocation-free kernel, across the machine's hardware threads
+//!   ([`runner::ScopedRunner::machine`]). See [`plan`].
 //! * **Incremental update (Lemma 2)** — for real-time sliding windows the
 //!   correlation after a new basic window arrives is derived from the previous
 //!   value plus the statistics of the evicted and arriving windows only.

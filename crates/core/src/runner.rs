@@ -8,9 +8,10 @@
 //!
 //! * [`SerialRunner`] runs jobs inline on the calling thread — the reference
 //!   execution, also what single-worker configurations collapse to.
-//! * [`ScopedRunner`] spawns one scoped OS thread per job
-//!   ([`std::thread::scope`]) — correct and dependency-free, but it pays
-//!   thread startup on every call.
+//! * [`ScopedRunner`] runs the first job on the calling thread and spawns one
+//!   scoped OS thread ([`std::thread::scope`]) per other job — dependency-free,
+//!   paying one thread startup per extra job on every call;
+//!   [`ScopedRunner::machine`] sizes it to the machine for one sweep.
 //! * `tsubasa_parallel::WorkerPool` (in the parallel crate) keeps a fixed set
 //!   of threads alive across calls, so repeated queries and sliding-network
 //!   re-evaluations stop paying that startup cost.
@@ -19,6 +20,10 @@
 //! every job has finished executing.** Jobs may borrow from the caller's
 //! stack (`Job<'env>`); the blocking contract is what makes those borrows
 //! sound for implementations that move jobs to other threads.
+
+use std::sync::OnceLock;
+
+use crate::sweep::DEFAULT_TILE_PAIRS;
 
 /// A unit of work: a closure that owns (or borrows, for the duration of the
 /// `run` call) everything it needs. Jobs produced by the sweeps write results
@@ -56,10 +61,11 @@ impl JobRunner for SerialRunner {
     }
 }
 
-/// Spawns one scoped thread per job on every call — the zero-state reference
-/// implementation behind [`crate::exact::correlation_matrix_parallel`]. A
-/// reusable pool (`tsubasa_parallel::WorkerPool`) amortizes the per-call
-/// thread startup this runner pays.
+/// Runs job 0 on the calling thread and spawns one scoped thread per other
+/// job, on every call — the zero-state runner of the in-memory query entry
+/// points ([`ScopedRunner::machine`]). A reusable pool
+/// (`tsubasa_parallel::WorkerPool`) amortizes the per-call thread startup
+/// (≈ 25 µs a thread) this runner pays.
 #[derive(Debug, Clone, Copy)]
 pub struct ScopedRunner {
     workers: usize,
@@ -72,6 +78,19 @@ impl ScopedRunner {
             workers: workers.max(1),
         }
     }
+
+    /// The runner of one sweep over `pairs` packed pairs on this machine:
+    /// one worker per hardware thread ([`std::thread::available_parallelism`],
+    /// which honours the process's CPU affinity and cgroup quota, read once
+    /// per process), but no more than one per tile of
+    /// [`DEFAULT_TILE_PAIRS`], so a sweep of less than one tile per worker
+    /// runs inline on the calling thread.
+    pub fn machine(pairs: usize) -> Self {
+        static THREADS: OnceLock<usize> = OnceLock::new();
+        let threads =
+            *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
+        Self::new(threads.min(pairs.div_ceil(DEFAULT_TILE_PAIRS)))
+    }
 }
 
 impl JobRunner for ScopedRunner {
@@ -79,21 +98,24 @@ impl JobRunner for ScopedRunner {
         self.workers
     }
 
+    /// Job 0 runs on the calling thread while the others run on spawned
+    /// threads. A panic in any job propagates once every job has finished
+    /// (a panic in job 0 once the scope has joined the spawned ones).
     fn run<'env>(&self, jobs: Vec<Job<'env>>) {
-        if jobs.len() <= 1 {
-            for job in jobs {
-                job();
-            }
+        let mut jobs = jobs.into_iter();
+        let Some(first) = jobs.next() else {
+            return;
+        };
+        if jobs.as_slice().is_empty() {
+            first();
             return;
         }
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(jobs.len());
-            for job in jobs {
-                handles.push(scope.spawn(job));
-            }
+            let handles: Vec<_> = jobs.map(|job| scope.spawn(job)).collect();
+            first();
             for h in handles {
-                if let Err(panic) = h.join() {
-                    std::panic::resume_unwind(panic);
+                if let Err(payload) = h.join() {
+                    std::panic::resume_unwind(payload);
                 }
             }
         });
@@ -103,7 +125,11 @@ impl JobRunner for ScopedRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Mutex};
+    use std::thread;
+    use std::time::Duration;
 
     fn counting_jobs(counter: &AtomicUsize, jobs: usize) -> Vec<Job<'_>> {
         (0..jobs)
@@ -150,5 +176,61 @@ mod tests {
             ScopedRunner::new(2).run(vec![Box::new(|| {}), Box::new(|| panic!("job exploded"))]);
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn scoped_runner_runs_job_zero_on_the_calling_thread_only() {
+        let threads = Mutex::new(vec![None; 4]);
+        let jobs: Vec<Job<'_>> = (0..4)
+            .map(|k| {
+                let threads = &threads;
+                Box::new(move || threads.lock().unwrap()[k] = Some(thread::current().id()))
+                    as Job<'_>
+            })
+            .collect();
+        ScopedRunner::new(4).run(jobs);
+        let caller = thread::current().id();
+        let threads = threads.into_inner().unwrap();
+        assert_eq!(threads[0], Some(caller));
+        for (k, id) in threads.iter().enumerate().skip(1) {
+            assert!(id.is_some_and(|id| id != caller), "job {k} ran on {id:?}");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_the_inline_job_waits_for_the_spawned_ones() {
+        let finished = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel::<()>();
+        let rx = Mutex::new(rx);
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            // Each spawned job is still running when the inline job panics:
+            // it waits for the panic's unwinding to drop the sender, and
+            // then lingers, so a runner that returned early would miss it.
+            let spawned = || {
+                assert!(rx.lock().unwrap().recv().is_err());
+                thread::sleep(Duration::from_millis(20));
+                finished.fetch_add(1, Ordering::SeqCst);
+            };
+            ScopedRunner::new(3).run(vec![
+                Box::new(move || {
+                    let _sender = tx;
+                    panic!("inline job exploded")
+                }),
+                Box::new(spawned),
+                Box::new(spawned),
+            ]);
+        }));
+        assert!(result.is_err());
+        assert_eq!(finished.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn a_machine_runner_spawns_nothing_below_one_tile_per_worker() {
+        assert_eq!(ScopedRunner::machine(0).worker_count(), 1);
+        assert_eq!(ScopedRunner::machine(DEFAULT_TILE_PAIRS).worker_count(), 1);
+        let threads = thread::available_parallelism().map_or(1, usize::from);
+        let two = ScopedRunner::machine(DEFAULT_TILE_PAIRS + 1).worker_count();
+        assert_eq!(two, threads.min(2));
+        assert_eq!(ScopedRunner::machine(usize::MAX).worker_count(), threads);
     }
 }

@@ -47,7 +47,8 @@ use std::ops::Range;
 use tsubasa_core::error::Result;
 use tsubasa_core::matrix::CorrelationMatrix;
 use tsubasa_core::plan::{PlanMethod, QueryPlan};
-use tsubasa_core::runner::SerialRunner;
+use tsubasa_core::runner::ScopedRunner;
+use tsubasa_core::sketch::packed_pairs;
 use tsubasa_core::source::SourcePlan;
 use tsubasa_core::stats::clamp_corr;
 #[cfg(doc)]
@@ -57,9 +58,10 @@ use tsubasa_core::sweep::{EdgeList, TableAudit, TopK, DEFAULT_TILE_PAIRS};
 use crate::sketch::DftSketchSet;
 
 /// The approximate all-pairs evaluation plan over a comparator sketch: a
-/// [`SourcePlan`] of [`PlanMethod::Approximate`], answered on the calling
-/// thread in tiles of [`DEFAULT_TILE_PAIRS`] with no table audit. See the
-/// [module docs](self).
+/// [`SourcePlan`] of [`PlanMethod::Approximate`], answered on the machine's
+/// hardware threads ([`ScopedRunner::machine`]) in tiles of
+/// [`DEFAULT_TILE_PAIRS`] with no table audit — the same bits as a single
+/// run. See the [module docs](self).
 ///
 /// The streamed entry points ([`ApproxPlan::network_streamed`],
 /// [`ApproxPlan::top_k`]) allocate nothing per pair and never consult the
@@ -122,7 +124,7 @@ impl<'a> ApproxPlan<'a> {
     /// [`tsubasa_core::error::Error::DegenerateWindow`] shared with the
     /// exact matrix paths.
     pub fn correlation_matrix(&self) -> Result<CorrelationMatrix> {
-        Ok(self.0.correlation_matrix(&SerialRunner)?.0)
+        Ok(self.0.correlation_matrix(&self.runner())?.0)
     }
 
     /// The StatStream-average recombination over the same window-major
@@ -152,9 +154,10 @@ impl<'a> ApproxPlan<'a> {
     /// false negatives not; see the [module docs](self)) with no
     /// `N(N−1)/2` result buffer.
     pub fn network_streamed(&self, theta: f64) -> Result<EdgeList> {
-        let (edges, _) =
-            self.0
-                .network(&SerialRunner, theta, DEFAULT_TILE_PAIRS, TableAudit::Off)?;
+        let runner = self.runner();
+        let (edges, _) = self
+            .0
+            .network(&runner, theta, DEFAULT_TILE_PAIRS, TableAudit::Off)?;
         Ok(edges)
     }
 
@@ -164,8 +167,13 @@ impl<'a> ApproxPlan<'a> {
     pub fn top_k(&self, k: usize) -> TopK {
         let (top, _) = self
             .0
-            .top_k(&SerialRunner, k, DEFAULT_TILE_PAIRS, TableAudit::Off);
+            .top_k(&self.runner(), k, DEFAULT_TILE_PAIRS, TableAudit::Off);
         top
+    }
+
+    /// The runner of one sweep over this plan's pairs on this machine.
+    fn runner(&self) -> ScopedRunner {
+        ScopedRunner::machine(packed_pairs(self.series_count()))
     }
 }
 
@@ -174,7 +182,7 @@ mod tests {
     use super::*;
     use crate::approx::{approximate_pair_correlation, ApproxStrategy};
     use crate::sketch::Transform;
-    use tsubasa_core::runner::ScopedRunner;
+    use tsubasa_core::runner::SerialRunner;
     use tsubasa_core::sketch::pair_index;
     use tsubasa_core::stats::{distance_from_corr, pruning_radius};
     use tsubasa_core::sweep::{sweep_run, CorrelationBounds, EdgeRule, EdgeSink};
@@ -229,9 +237,16 @@ mod tests {
         let c = collection(7, 240);
         let sk = DftSketchSet::build(&c, 24, 12, Transform::Naive).unwrap();
         let plan = ApproxPlan::build(&sk, 0..10).unwrap();
-        let serial = plan.correlation_matrix().unwrap();
-        let network = plan.network_streamed(0.3).unwrap();
-        let top = plan.top_k(9);
+        let (serial, _) = plan.0.correlation_matrix(&SerialRunner).unwrap();
+        let off = TableAudit::Off;
+        let (network, _) = plan
+            .0
+            .network(&SerialRunner, 0.3, DEFAULT_TILE_PAIRS, off)
+            .unwrap();
+        let (top, _) = plan.0.top_k(&SerialRunner, 9, DEFAULT_TILE_PAIRS, off);
+        assert_eq!(plan.correlation_matrix().unwrap(), serial);
+        assert_eq!(plan.network_streamed(0.3).unwrap(), network);
+        assert_eq!(plan.top_k(9), top);
         for workers in [1usize, 3, 8] {
             let runner = ScopedRunner::new(workers);
             let (pooled, _) = plan.0.correlation_matrix(&runner).unwrap();

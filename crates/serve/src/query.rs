@@ -29,11 +29,11 @@
 //!    [`EdgeWatch`] for a subscription frame ([`QueryEngine::observe`]).
 //!    The pool is not woken.
 //!
-//! The serial plan prunes tiles under Equation 4 where the sink allows
-//! (approximate network, both top-k); pruning is sound — it drops only tiles
-//! no pair of which could reach the answer — so a pass over every pair gives
-//! the same edges, order, correlation bits and NaN count. The view holds the
-//! same bits as the serial sweep because no tile or run boundary ever
+//! A single-run sweep (`sweep_run`) prunes tiles under Equation 4 where the
+//! sink allows (approximate network, both top-k); pruning is sound — it drops
+//! only tiles no pair of which could reach the answer — so a pass over every
+//! pair gives the same edges, order, correlation bits and NaN count. The view
+//! holds the same bits as that sweep because no tile or run boundary ever
 //! changes a pair's arithmetic.
 //!
 //! A view the dense fill refuses — past the dense budget
@@ -322,8 +322,8 @@ impl QueryEngine {
     /// its view, when held or within the dense budget (the key's first query
     /// fills it), or else the key's [`SourcePlan`], which the caller sweeps
     /// off the lent table. Fewer than two series are an empty view. No table
-    /// audit on either path: the contract is the serial library answer, NaN
-    /// count included, and the serial paths audit outputs only.
+    /// audit on either path: the contract is the single-run library answer,
+    /// NaN count included, and the library paths audit outputs only.
     fn answer<T>(
         &self,
         epoch: &Epoch,

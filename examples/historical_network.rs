@@ -9,6 +9,8 @@
 use std::time::Instant;
 
 use tsubasa::core::prelude::*;
+use tsubasa::core::sweep::fill_packed;
+use tsubasa::core::{JobRunner, ScopedRunner, SerialRunner};
 use tsubasa::data::prelude::*;
 use tsubasa::dft::approx::{approximate_network, ApproxStrategy};
 use tsubasa::dft::sketch::{DftSketchSet, Transform};
@@ -63,17 +65,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             windows.full_count(),
             windows.is_aligned()
         );
-        // The multi-threaded in-memory sweep shares one read-only QueryPlan
-        // across workers and is bit-identical to the serial path.
-        let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+        // The query fans its dense fill over the machine's hardware threads,
+        // which share one read-only QueryPlan; a single run on the calling
+        // thread fills the same plan bit for bit.
+        let threads = ScopedRunner::machine(usize::MAX).worker_count();
         let t = Instant::now();
-        let parallel_matrix =
-            exact::correlation_matrix_parallel(&collection, builder.sketch(), query, workers)?;
-        let parallel_time = t.elapsed();
-        assert_eq!(parallel_matrix, exact_matrix);
+        let plan = QueryPlan::build(&collection, builder.sketch(), query)?;
+        let view = builder.sketch().window_corrs_view(plan.full_windows());
+        let (single_run, _) = fill_packed(&SerialRunner, &plan, view)?;
+        let single_time = t.elapsed();
+        let single_matrix = CorrelationMatrix::from_upper_triangle(collection.len(), single_run);
+        assert_eq!(single_matrix, exact_matrix);
 
         println!(
-            "  TSUBASA query {exact_time:>10?}   parallel x{workers} {parallel_time:>10?}   \
+            "  TSUBASA query x{threads} {exact_time:>10?}   single run {single_time:>10?}   \
              baseline {baseline_time:>10?}   max diff {:.2e}",
             exact_matrix.max_abs_diff(&baseline_matrix)
         );

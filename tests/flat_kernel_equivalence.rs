@@ -7,8 +7,8 @@
 //! the plan's precomputed tables no longer mirror the Lemma 1 arithmetic
 //! operation-for-operation.
 //!
-//! The matrix entry points (`correlation_matrix`, `correlation_matrix_parallel`,
-//! the aligned `SourcePlan::correlation_matrix`) are the dense fill
+//! The matrix entry points (`correlation_matrix`, the aligned
+//! `SourcePlan::correlation_matrix`) are the dense fill
 //! (`sweep::fill_packed`) of the *tiled* batch kernel. On an aligned window that kernel performs
 //! the scalar kernel's operations in the same order, so the aligned matrix
 //! is pinned **bit for bit** to the reference too; on an unaligned window it
@@ -21,7 +21,8 @@
 use proptest::prelude::*;
 use tsubasa_core::plan::QueryPlan;
 use tsubasa_core::prelude::*;
-use tsubasa_core::runner::SerialRunner;
+use tsubasa_core::runner::{ScopedRunner, SerialRunner};
+use tsubasa_core::sweep::fill_packed;
 
 fn lcg_series(seed: u64, len: usize) -> Vec<f64> {
     let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -72,7 +73,9 @@ proptest! {
 
         let plan = QueryPlan::build(&c, &sketch, query).unwrap();
         let serial = exact::correlation_matrix(&c, &sketch, query).unwrap();
-        let parallel = exact::correlation_matrix_parallel(&c, &sketch, query, workers).unwrap();
+        let view = sketch.window_corrs_view(plan.full_windows());
+        let (parallel, _) = fill_packed(&ScopedRunner::new(workers), &plan, view).unwrap();
+        let parallel = CorrelationMatrix::from_upper_triangle(n, parallel);
 
         for (i, j) in c.pairs() {
             let reference = exact::pair_correlation(&c, &sketch, query, i, j).unwrap();

@@ -19,13 +19,21 @@
 //! Deterministic companions cover the degenerate shapes property inputs
 //! rarely hit: constant (zero-variance) series, two-series collections, and
 //! NaN-bearing user matrices streamed through `sweep_matrix` (NaN pairs are
-//! audited, never silently dropped, and never become edges).
+//! audited, never silently dropped, and never become edges). One more pins
+//! the entry points, which fan their sweep over the machine's hardware
+//! threads, to a single run of the same loop bit for bit.
 
 use proptest::prelude::*;
 use tsubasa_core::matrix::CorrelationMatrix;
-use tsubasa_core::sketch::pair_index;
-use tsubasa_core::sweep::{sweep_matrix, EdgeSink, TopKSink};
-use tsubasa_core::{exact, QueryWindow, SeriesCollection, SketchSet};
+use tsubasa_core::plan::{runs_for_workers, CorrView, QueryPlan};
+use tsubasa_core::sketch::{packed_pairs, pair_index, unpack_pair_index};
+use tsubasa_core::sweep::{
+    fill_packed, sweep_matrix, sweep_run, CorrelationBounds, EdgeList, EdgeRule, EdgeSink, TopK,
+    TopKSink, DEFAULT_TILE_PAIRS,
+};
+use tsubasa_core::{
+    exact, PlanMethod, QueryWindow, SerialRunner, SeriesCollection, SketchSet, SourcePlan,
+};
 use tsubasa_dft::plan::ApproxPlan;
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
 
@@ -248,4 +256,157 @@ fn nan_bearing_matrix_is_audited_not_dropped() {
     assert_eq!(top.edges.len(), 8, "10 pairs minus 2 NaN");
     assert_eq!((top.edges[0].i, top.edges[0].j), (0, 1));
     assert!(top.edges.iter().all(|e| !e.corr.is_nan()));
+}
+
+/// The single-run answers of one plan over one table: the dense fill on the
+/// calling thread, and one `sweep_run` of the whole triangle into one sink.
+struct SingleRun {
+    matrix: Vec<f64>,
+    edges: Vec<(f64, EdgeList)>,
+    top: Vec<(usize, TopK)>,
+}
+
+impl SingleRun {
+    fn of(plan: &QueryPlan, view: CorrView<'_>, method: PlanMethod, thetas: &[f64]) -> Self {
+        let n = plan.series_count();
+        let all = 0..packed_pairs(n);
+        let bounds = CorrelationBounds::from_plan(plan);
+        // Exact networks observe every pair; approximate ones prune (Equation 4).
+        let prune = (method == PlanMethod::Approximate).then_some(&bounds);
+        let tile = DEFAULT_TILE_PAIRS;
+        let edges = thetas
+            .iter()
+            .map(|&theta| {
+                let rule = EdgeRule::for_method(method, theta).unwrap();
+                let mut sink = EdgeSink::with_rule(rule);
+                sweep_run(plan, &view, prune, all.clone(), tile, &mut sink);
+                (theta, sink.finish(n))
+            })
+            .collect();
+        // k = 2000 keeps every pair: 48 series have 1 128.
+        let top = [0, 1, 5, 40, 2000]
+            .into_iter()
+            .map(|k| {
+                let mut sink = TopKSink::new(k);
+                sweep_run(plan, &view, Some(&bounds), all.clone(), tile, &mut sink);
+                (k, sink.finish())
+            })
+            .collect();
+        Self {
+            matrix: fill_packed(&SerialRunner, plan, view).unwrap().0,
+            edges,
+            top,
+        }
+    }
+
+    fn check(
+        &self,
+        what: &str,
+        matrix: &CorrelationMatrix,
+        network: impl Fn(f64) -> EdgeList,
+        top_k: impl Fn(usize) -> TopK,
+    ) {
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(matrix.upper_triangle()), bits(&self.matrix), "{what}");
+        for (theta, want) in &self.edges {
+            let got = network(*theta);
+            assert_eq!(got.edges(), want.edges(), "{what} theta={theta}");
+            assert_eq!(got.nan_pair_count(), want.nan_pair_count(), "{what}");
+            assert_eq!(got.node_count(), want.node_count(), "{what}");
+        }
+        for (k, want) in &self.top {
+            let got = top_k(*k);
+            let ranked = |t: &TopK| -> Vec<(usize, usize, u64)> {
+                t.edges
+                    .iter()
+                    .map(|e| (e.i, e.j, e.corr.to_bits()))
+                    .collect()
+            };
+            assert_eq!(ranked(&got), ranked(want), "{what} k={k}");
+            assert_eq!(got.nan_pairs, want.nan_pairs, "{what} k={k}");
+        }
+    }
+}
+
+/// Thresholds that hit the rule's boundary: three stored correlations
+/// (the strongest, the median, the weakest non-NaN value) and one plain value.
+fn boundary_thetas(values: &[f64]) -> Vec<f64> {
+    let mut sorted: Vec<f64> = values.iter().copied().filter(|c| !c.is_nan()).collect();
+    sorted.sort_by(f64::total_cmp);
+    let mut thetas = vec![0.3];
+    if let (Some(&lo), Some(&hi)) = (sorted.first(), sorted.last()) {
+        thetas.extend([lo, sorted[sorted.len() / 2], hi]);
+    }
+    thetas
+}
+
+/// The exact entry points and `ApproxPlan`'s answers run on the machine's
+/// hardware threads; they equal a single run of the same loops bit for bit —
+/// correlations, edge order, NaN counts — on aligned and unaligned windows,
+/// for series counts that collapse to one inline run and (at 48 series,
+/// 1 128 pairs: more than one tile per worker) ones that spawn, whose run
+/// cut then falls inside a four-row partial-window group. One series is
+/// constant, one holds a NaN in one basic window, and every network is also
+/// asked at a θ equal to a stored correlation.
+#[test]
+fn pooled_entry_points_equal_a_single_run_bit_for_bit() {
+    const B: usize = 16;
+    // The two-run cut of 48 series falls inside row 13 — inside the aligned
+    // four-row group 12..16, mid-row.
+    let cut = runs_for_workers(packed_pairs(48), 2)[1].start;
+    let (row, col) = unpack_pair_index(cut, 48);
+    assert!(row % 4 != 0 && col > row + 1, "cut at ({row}, {col})");
+
+    for n in [1usize, 2, 7, 9, 33, 48] {
+        let mut rows: Vec<Vec<f64>> = (0..n)
+            .map(|s| lcg_series(s as u64 * 31 + 5, 10 * B))
+            .collect();
+        if n > 2 {
+            rows[1].fill(2.5);
+            rows[n - 1][5 * B + 3] = f64::NAN;
+        }
+        let c = SeriesCollection::from_rows(rows).unwrap();
+        let sketch = SketchSet::build(&c, B).unwrap();
+
+        // Unaligned on both ends and aligned, with and without the NaN window.
+        for (end, len) in [
+            (10 * B - 6, 7 * B + 3),
+            (10 * B - 1, 4 * B),
+            (6 * B - 1, 5 * B),
+        ] {
+            let query = QueryWindow::new(end, len).unwrap();
+            let what = format!("exact n={n} query ({end}, {len})");
+            let plan = QueryPlan::build(&c, &sketch, query).unwrap();
+            let view = sketch.window_corrs_view(plan.full_windows());
+            let matrix = exact::correlation_matrix(&c, &sketch, query).unwrap();
+            let thetas = boundary_thetas(matrix.upper_triangle());
+            SingleRun::of(&plan, view, PlanMethod::Exact, &thetas).check(
+                &what,
+                &matrix,
+                |theta| exact::network_streamed(&c, &sketch, query, theta).unwrap(),
+                |k| exact::top_k(&c, &sketch, query, k).unwrap(),
+            );
+        }
+
+        let dft = DftSketchSet::build(&c, B, 6, Transform::Naive).unwrap();
+        for windows in [0..10, 2..7, 6..10] {
+            let what = format!("approximate n={n} windows {windows:?}");
+            let source = SourcePlan::new(&dft, windows.clone(), PlanMethod::Approximate).unwrap();
+            let plan = ApproxPlan::build(&dft, windows).unwrap();
+            let matrix = plan.correlation_matrix().unwrap();
+            let thetas = boundary_thetas(matrix.upper_triangle());
+            let single = SingleRun::of(
+                source.query_plan(),
+                source.table(),
+                PlanMethod::Approximate,
+                &thetas,
+            );
+            single.check(
+                &what,
+                &matrix,
+                |theta| plan.network_streamed(theta).unwrap(),
+                |k| plan.top_k(k),
+            );
+        }
+    }
 }
