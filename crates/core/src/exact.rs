@@ -29,8 +29,9 @@
 //! matrix entry point ([`correlation_matrix`]) calls the **dense fill**
 //! ([`crate::sweep::fill_packed`]), which writes the packed triangle in
 //! place; the streamed ones ([`network_streamed`], [`top_k`]) call the
-//! **streamed tile loop** ([`crate::sweep::sweep_pooled`]) into one sink per
-//! run, merged in run order. Queries over an aligned range
+//! **streamed tile loop** ([`crate::sweep::network_pooled`],
+//! [`crate::sweep::top_k_pooled`]) into one sink per run, merged in run
+//! order. Queries over an aligned range
 //! of basic windows need no raw data and go through the one plan over a
 //! source, [`crate::source::SourcePlan`]. Both loops evaluate the plan's batch
 //! kernel ([`QueryPlan::block_kernel`]) against the sketch's window-major
@@ -44,17 +45,15 @@
 //! `tiled_kernel_agreement` property suite pins this) rather than
 //! bit-for-bit.
 
-use std::ops::Range;
-
 use crate::error::{Error, Result};
 use crate::matrix::CorrelationMatrix;
 use crate::plan::{PlanMethod, QueryPlan};
 use crate::runner::{JobRunner, ScopedRunner};
-use crate::sketch::{packed_pairs, SketchSet};
+use crate::sketch::SketchSet;
 use crate::stats::{clamp_corr, WindowStats};
 use crate::sweep::{
-    fill_packed, sweep_pooled, CorrelationBounds, EdgeList, EdgeRule, EdgeSink, TableAudit,
-    TileSink, TopK, TopKSink, DEFAULT_TILE_PAIRS,
+    fill_packed, network_pooled, top_k_pooled, CorrelationBounds, EdgeList, EdgeRule, TableAudit,
+    TopK, DEFAULT_TILE_PAIRS,
 };
 use crate::timeseries::{SeriesCollection, SeriesId};
 use crate::window::QueryWindow;
@@ -291,8 +290,7 @@ pub fn correlation_matrix(
     query: QueryWindow,
 ) -> Result<CorrelationMatrix> {
     let plan = QueryPlan::build(collection, sketch, query)?;
-    let runner = ScopedRunner::machine(packed_pairs(plan.series_count()));
-    dense_matrix(&runner, sketch, plan)
+    dense_matrix(&ScopedRunner::machine(&plan), sketch, plan)
 }
 
 /// The thresholded network (`c > θ`, the semantics of
@@ -310,15 +308,12 @@ pub fn network_streamed(
     query: QueryWindow,
     theta: f64,
 ) -> Result<EdgeList> {
-    let sink = EdgeSink::with_rule(EdgeRule::for_method(PlanMethod::Exact, theta)?);
+    let rule = EdgeRule::for_method(PlanMethod::Exact, theta)?;
     let plan = QueryPlan::build(collection, sketch, query)?;
-    let n = plan.series_count();
-    let runs = pooled_sweep(sketch, &plan, None, |_| sink.clone());
-    let mut edges = sink.finish(n);
-    for run in runs {
-        edges.absorb(run.finish(n));
-    }
-    Ok(edges)
+    let view = sketch.window_corrs_view(plan.full_windows());
+    let runner = ScopedRunner::machine(&plan);
+    let tile = DEFAULT_TILE_PAIRS;
+    Ok(network_pooled(&runner, &plan, view, None, rule, tile, TableAudit::Off).0)
 }
 
 /// The `k` strongest edges of the query window, streamed: a k-bounded heap
@@ -335,27 +330,10 @@ pub fn top_k(
 ) -> Result<TopK> {
     let plan = QueryPlan::build(collection, sketch, query)?;
     let bounds = CorrelationBounds::from_plan(&plan);
-    let mut merged = TopKSink::new(k);
-    for run in pooled_sweep(sketch, &plan, Some(&bounds), |_| TopKSink::new(k)) {
-        merged.absorb(run);
-    }
-    Ok(merged.finish())
-}
-
-/// Shared body of the streamed entry points: the pooled tile loop
-/// ([`sweep_pooled`]) over the sketch's window-major table of the plan's
-/// full windows, on the machine's hardware threads, one sink per run, in run
-/// order.
-fn pooled_sweep<K: TileSink + Send>(
-    sketch: &SketchSet,
-    plan: &QueryPlan,
-    bounds: Option<&CorrelationBounds>,
-    make_sink: impl FnMut(Range<usize>) -> K,
-) -> Vec<K> {
-    let runner = ScopedRunner::machine(packed_pairs(plan.series_count()));
     let view = sketch.window_corrs_view(plan.full_windows());
+    let runner = ScopedRunner::machine(&plan);
     let (tile, audit) = (DEFAULT_TILE_PAIRS, TableAudit::Off);
-    sweep_pooled(&runner, plan, view, bounds, tile, audit, make_sink).0
+    Ok(top_k_pooled(&runner, &plan, view, Some(&bounds), k, tile, audit).0)
 }
 
 /// The dense fill of `plan` over the sketch's rows of its full windows, on

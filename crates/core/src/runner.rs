@@ -11,7 +11,8 @@
 //! * [`ScopedRunner`] runs the first job on the calling thread and spawns one
 //!   scoped OS thread ([`std::thread::scope`]) per other job — dependency-free,
 //!   paying one thread startup per extra job on every call;
-//!   [`ScopedRunner::machine`] sizes it to the machine for one sweep.
+//!   [`ScopedRunner::machine`] sizes it to the machine and to the work of
+//!   one query sweep.
 //! * `tsubasa_parallel::WorkerPool` (in the parallel crate) keeps a fixed set
 //!   of threads alive across calls, so repeated queries and sliding-network
 //!   re-evaluations stop paying that startup cost.
@@ -23,7 +24,8 @@
 
 use std::sync::OnceLock;
 
-use crate::sweep::DEFAULT_TILE_PAIRS;
+use crate::plan::QueryPlan;
+use crate::sketch::packed_pairs;
 
 /// A unit of work: a closure that owns (or borrows, for the duration of the
 /// `run` call) everything it needs. Jobs produced by the sweeps write results
@@ -79,18 +81,34 @@ impl ScopedRunner {
         }
     }
 
-    /// The runner of one sweep over `pairs` packed pairs on this machine:
-    /// one worker per hardware thread ([`std::thread::available_parallelism`],
-    /// which honours the process's CPU affinity and cgroup quota, read once
-    /// per process), but no more than one per tile of
-    /// [`DEFAULT_TILE_PAIRS`], so a sweep of less than one tile per worker
-    /// runs inline on the calling thread.
-    pub fn machine(pairs: usize) -> Self {
+    /// The runner of one sweep of `plan` on this machine: one worker per
+    /// hardware thread ([`std::thread::available_parallelism`], which
+    /// honours the process's CPU affinity and cgroup quota, read once per
+    /// process), but no more than the sweep's work pays for (one per
+    /// 150 000 pair-windows: pairs × plan windows), so a small query runs
+    /// inline on the calling thread.
+    pub fn machine(plan: &QueryPlan) -> Self {
         static THREADS: OnceLock<usize> = OnceLock::new();
         let threads =
             *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
-        Self::new(threads.min(pairs.div_ceil(DEFAULT_TILE_PAIRS)))
+        let pair_windows = packed_pairs(plan.series_count()).saturating_mul(plan.window_count());
+        Self::new(sweep_workers(threads, pair_windows))
     }
+}
+
+/// Pair-windows of sweep work that pay for one more worker. A second run
+/// saves half a sweep of ≈ 0.8 ns a pair-window, and its spawn plus the
+/// wake-up of an idle hardware thread costs ≈ 120 µs: on a 2-vCPU x86-64 VM
+/// with the second vCPU free (`examples/query_runner_probe.rs`) two runs
+/// broke even at ≈ 300 000 pair-windows (N = 200, 15 windows) and won from
+/// ≈ 490 000 (N = 256).
+const PAIR_WINDOWS_PER_WORKER: usize = 150_000;
+
+/// Workers for a sweep of `pair_windows` (pairs × plan windows) on
+/// `threads` hardware threads: one per [`PAIR_WINDOWS_PER_WORKER`], at least
+/// one, at most `threads`.
+fn sweep_workers(threads: usize, pair_windows: usize) -> usize {
+    threads.min(pair_windows / PAIR_WINDOWS_PER_WORKER).max(1)
 }
 
 impl JobRunner for ScopedRunner {
@@ -225,12 +243,16 @@ mod tests {
     }
 
     #[test]
-    fn a_machine_runner_spawns_nothing_below_one_tile_per_worker() {
-        assert_eq!(ScopedRunner::machine(0).worker_count(), 1);
-        assert_eq!(ScopedRunner::machine(DEFAULT_TILE_PAIRS).worker_count(), 1);
-        let threads = thread::available_parallelism().map_or(1, usize::from);
-        let two = ScopedRunner::machine(DEFAULT_TILE_PAIRS + 1).worker_count();
-        assert_eq!(two, threads.min(2));
-        assert_eq!(ScopedRunner::machine(usize::MAX).worker_count(), threads);
+    fn a_sweep_spawns_only_the_workers_its_work_pays_for() {
+        let per = PAIR_WINDOWS_PER_WORKER;
+        assert_eq!(sweep_workers(2, 0), 1);
+        assert_eq!(sweep_workers(2, 2 * per - 1), 1);
+        assert_eq!(sweep_workers(2, 2 * per), 2);
+        assert_eq!(sweep_workers(2, usize::MAX), 2);
+        assert_eq!(sweep_workers(8, 5 * per), 5);
+        // One hardware thread (a process pinned to one CPU): always inline.
+        assert_eq!(sweep_workers(1, 0), 1);
+        assert_eq!(sweep_workers(1, usize::MAX), 1);
+        assert_eq!(sweep_workers(0, usize::MAX), 1);
     }
 }

@@ -50,8 +50,8 @@ use crate::runner::JobRunner;
 use crate::sketch::{pair_index, SketchSet};
 use crate::stats::WindowStats;
 use crate::sweep::{
-    fill_packed, sweep_pooled, CorrelationBounds, EdgeList, EdgeRule, EdgeSink, TableAudit,
-    TileSink, TopK, TopKSink,
+    fill_packed, network_pooled, sweep_pooled, top_k_pooled, CorrelationBounds, EdgeList, EdgeRule,
+    TableAudit, TileSink, TopK,
 };
 
 /// A window-major pair table lent by a [`CorrSource`]: a zero-copy borrow of
@@ -315,15 +315,11 @@ impl<'a> SourcePlan<'a> {
         tile_len: usize,
         audit: TableAudit,
     ) -> Result<(EdgeList, Duration)> {
-        let sink = EdgeSink::with_rule(EdgeRule::for_method(self.method, theta)?);
-        let prune = self.method == PlanMethod::Approximate;
-        let (sinks, busy) = self.sweep(runner, prune, tile_len, audit, |_| sink.clone());
-        let n = self.series_count();
-        let mut edges = sink.finish(n);
-        for run in sinks {
-            edges.absorb(run.finish(n));
-        }
-        Ok((edges, busy))
+        let rule = EdgeRule::for_method(self.method, theta)?;
+        let bounds = self.bounds(self.method == PlanMethod::Approximate);
+        let (plan, view) = (&self.plan, self.table());
+        let edges = network_pooled(runner, plan, view, bounds.as_ref(), rule, tile_len, audit);
+        Ok(edges)
     }
 
     /// One scan of `watch` ([`EdgeWatch`], under this plan's method's rule)
@@ -331,9 +327,10 @@ impl<'a> SourcePlan<'a> {
     /// worker, without the table audit: its network becomes that network,
     /// NaN count included.
     pub fn scan(&self, runner: &dyn JobRunner, watch: &mut EdgeWatch, tile_len: usize) {
-        let prune = self.method == PlanMethod::Approximate;
-        let off = TableAudit::Off;
-        let (runs, _) = self.sweep(runner, prune, tile_len, off, |run| watch.run(run));
+        let bounds = self.bounds(self.method == PlanMethod::Approximate);
+        let (plan, view, off) = (&self.plan, self.table(), TableAudit::Off);
+        let make_run = |run| watch.run(run);
+        let (runs, _) = sweep_pooled(runner, plan, view, bounds.as_ref(), tile_len, off, make_run);
         watch.take_delta();
         for run in runs {
             watch.absorb(run);
@@ -351,35 +348,21 @@ impl<'a> SourcePlan<'a> {
         tile_len: usize,
         audit: TableAudit,
     ) -> (TopK, Duration) {
-        let (sinks, busy) = self.sweep(runner, true, tile_len, audit, |_| TopKSink::new(k));
-        let mut merged = TopKSink::new(k);
-        for sink in sinks {
-            merged.absorb(sink);
-        }
-        (merged.finish(), busy)
-    }
-
-    /// The pooled streamed sweep ([`sweep_pooled`]) into one sink per run,
-    /// in run order, pruning with the plan's Equation 4 bounds when `prune`.
-    fn sweep<K: TileSink + Send>(
-        &self,
-        runner: &dyn JobRunner,
-        prune: bool,
-        tile_len: usize,
-        audit: TableAudit,
-        make_sink: impl FnMut(Range<usize>) -> K,
-    ) -> (Vec<K>, Duration) {
-        let bounds = prune.then(|| CorrelationBounds::from_plan(&self.plan));
-        let view = self.table();
-        sweep_pooled(
+        let (bounds, view) = (self.bounds(true), self.table());
+        top_k_pooled(
             runner,
             &self.plan,
             view,
             bounds.as_ref(),
+            k,
             tile_len,
             audit,
-            make_sink,
         )
+    }
+
+    /// The plan's Equation 4 tile bounds when `prune`.
+    fn bounds(&self, prune: bool) -> Option<CorrelationBounds> {
+        prune.then(|| CorrelationBounds::from_plan(&self.plan))
     }
 }
 
@@ -387,7 +370,7 @@ impl<'a> SourcePlan<'a> {
 mod tests {
     use super::*;
     use crate::runner::{ScopedRunner, SerialRunner};
-    use crate::sweep::DEFAULT_TILE_PAIRS;
+    use crate::sweep::{EdgeSink, DEFAULT_TILE_PAIRS};
     use crate::SeriesCollection;
 
     fn sketch() -> SketchSet {

@@ -21,7 +21,8 @@
 //! * [`sweep_run`] drives [`QueryPlan::block_kernel`] over same-row tiles of
 //!   at most `tile_len` pairs and hands each finished tile to a
 //!   [`TileSink`]; [`sweep_pooled`] fans that loop over a worker pool, one
-//!   run and one sink per worker (the parallel engine's and the server's);
+//!   run and one sink per worker, and [`network_pooled`] / [`top_k_pooled`]
+//!   merge the runs' sinks in run order;
 //! * the sinks fold tiles into bounded state: [`EdgeSink`] keeps only the
 //!   pairs above a threshold, [`TopKSink`] a k-bounded heap of the strongest
 //!   edges, [`StatsSink`] running aggregates.
@@ -291,6 +292,52 @@ pub fn sweep_pooled<K: TileSink + Send>(
         .collect();
     runner.run(jobs);
     (sinks, busy.iter().sum())
+}
+
+/// The thresholded network under `rule`, streamed by [`sweep_pooled`] into
+/// one [`EdgeSink`] per run: the runs' edges appended in run order are the
+/// edges of a single run, in pair order, NaN count included. Returns the
+/// edges and the workers' summed busy time.
+pub fn network_pooled(
+    runner: &dyn JobRunner,
+    plan: &QueryPlan,
+    view: CorrView<'_>,
+    bounds: Option<&CorrelationBounds>,
+    rule: EdgeRule,
+    tile_len: usize,
+    audit: TableAudit,
+) -> (EdgeList, Duration) {
+    let sink = EdgeSink::with_rule(rule);
+    let make_sink = |_| sink.clone();
+    let (runs, busy) = sweep_pooled(runner, plan, view, bounds, tile_len, audit, make_sink);
+    let n = plan.series_count();
+    let mut edges = sink.finish(n);
+    for run in runs {
+        edges.absorb(run.finish(n));
+    }
+    (edges, busy)
+}
+
+/// The `k` strongest pairs, streamed by [`sweep_pooled`] into one
+/// [`TopKSink`] per run (each skipping the tiles whose `bounds` cannot beat
+/// its current k-th strength), merged into the global top k. Returns the
+/// ranking and the workers' summed busy time.
+pub fn top_k_pooled(
+    runner: &dyn JobRunner,
+    plan: &QueryPlan,
+    view: CorrView<'_>,
+    bounds: Option<&CorrelationBounds>,
+    k: usize,
+    tile_len: usize,
+    audit: TableAudit,
+) -> (TopK, Duration) {
+    let make_sink = |_| TopKSink::new(k);
+    let (runs, busy) = sweep_pooled(runner, plan, view, bounds, tile_len, audit, make_sink);
+    let mut merged = TopKSink::new(k);
+    for run in runs {
+        merged.absorb(run);
+    }
+    (merged.finish(), busy)
 }
 
 /// The one dense fill: every packed correlation triangle in the workspace is

@@ -48,7 +48,6 @@ use tsubasa_core::error::Result;
 use tsubasa_core::matrix::CorrelationMatrix;
 use tsubasa_core::plan::{PlanMethod, QueryPlan};
 use tsubasa_core::runner::ScopedRunner;
-use tsubasa_core::sketch::packed_pairs;
 use tsubasa_core::source::SourcePlan;
 use tsubasa_core::stats::clamp_corr;
 #[cfg(doc)]
@@ -173,7 +172,7 @@ impl<'a> ApproxPlan<'a> {
 
     /// The runner of one sweep over this plan's pairs on this machine.
     fn runner(&self) -> ScopedRunner {
-        ScopedRunner::machine(packed_pairs(self.series_count()))
+        ScopedRunner::machine(self.0.query_plan())
     }
 }
 

@@ -65,12 +65,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             windows.full_count(),
             windows.is_aligned()
         );
-        // The query fans its dense fill over the machine's hardware threads,
-        // which share one read-only QueryPlan; a single run on the calling
-        // thread fills the same plan bit for bit.
-        let threads = ScopedRunner::machine(usize::MAX).worker_count();
+        // The query fans its dense fill over as many of the machine's
+        // hardware threads as its work pays for (one here, below 300 000
+        // pair-windows), sharing one read-only QueryPlan; a single run on
+        // the calling thread fills the same plan bit for bit.
         let t = Instant::now();
         let plan = QueryPlan::build(&collection, builder.sketch(), query)?;
+        let threads = ScopedRunner::machine(&plan).worker_count();
         let view = builder.sketch().window_corrs_view(plan.full_windows());
         let (single_run, _) = fill_packed(&SerialRunner, &plan, view)?;
         let single_time = t.elapsed();

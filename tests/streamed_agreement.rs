@@ -28,11 +28,12 @@ use tsubasa_core::matrix::CorrelationMatrix;
 use tsubasa_core::plan::{runs_for_workers, CorrView, QueryPlan};
 use tsubasa_core::sketch::{packed_pairs, pair_index, unpack_pair_index};
 use tsubasa_core::sweep::{
-    fill_packed, sweep_matrix, sweep_run, CorrelationBounds, EdgeList, EdgeRule, EdgeSink, TopK,
-    TopKSink, DEFAULT_TILE_PAIRS,
+    fill_packed, network_pooled, sweep_matrix, sweep_run, top_k_pooled, CorrelationBounds,
+    EdgeList, EdgeRule, EdgeSink, TableAudit, TopK, TopKSink, DEFAULT_TILE_PAIRS,
 };
 use tsubasa_core::{
-    exact, PlanMethod, QueryWindow, SerialRunner, SeriesCollection, SketchSet, SourcePlan,
+    exact, JobRunner, PlanMethod, QueryWindow, ScopedRunner, SerialRunner, SeriesCollection,
+    SketchSet, SourcePlan,
 };
 use tsubasa_dft::plan::ApproxPlan;
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
@@ -341,11 +342,10 @@ fn boundary_thetas(values: &[f64]) -> Vec<f64> {
 }
 
 /// The exact entry points and `ApproxPlan`'s answers run on the machine's
-/// hardware threads; they equal a single run of the same loops bit for bit —
-/// correlations, edge order, NaN counts — on aligned and unaligned windows,
-/// for series counts that collapse to one inline run and (at 48 series,
-/// 1 128 pairs: more than one tile per worker) ones that spawn, whose run
-/// cut then falls inside a four-row partial-window group. One series is
+/// hardware threads; they, and the loops they call on two and three runs,
+/// equal a single run of the same loops bit for bit — correlations, edge
+/// order, NaN counts — on aligned and unaligned windows. At 48 series the
+/// two-run cut falls inside a four-row partial-window group. One series is
 /// constant, one holds a NaN in one basic window, and every network is also
 /// asked at a θ equal to a stored correlation.
 #[test]
@@ -380,12 +380,28 @@ fn pooled_entry_points_equal_a_single_run_bit_for_bit() {
             let view = sketch.window_corrs_view(plan.full_windows());
             let matrix = exact::correlation_matrix(&c, &sketch, query).unwrap();
             let thetas = boundary_thetas(matrix.upper_triangle());
-            SingleRun::of(&plan, view, PlanMethod::Exact, &thetas).check(
+            let single = SingleRun::of(&plan, view, PlanMethod::Exact, &thetas);
+            single.check(
                 &what,
                 &matrix,
                 |theta| exact::network_streamed(&c, &sketch, query, theta).unwrap(),
                 |k| exact::top_k(&c, &sketch, query, k).unwrap(),
             );
+            // The entry points' loops on more runs than a small query gets.
+            let bounds = CorrelationBounds::from_plan(&plan);
+            let (tile, off) = (DEFAULT_TILE_PAIRS, TableAudit::Off);
+            for runner in [ScopedRunner::new(2), ScopedRunner::new(3)] {
+                let values = fill_packed(&runner, &plan, view).unwrap().0;
+                single.check(
+                    &format!("{what} on {} runs", runner.worker_count()),
+                    &CorrelationMatrix::from_upper_triangle(n, values),
+                    |theta| {
+                        let rule = EdgeRule::for_method(PlanMethod::Exact, theta).unwrap();
+                        network_pooled(&runner, &plan, view, None, rule, tile, off).0
+                    },
+                    |k| top_k_pooled(&runner, &plan, view, Some(&bounds), k, tile, off).0,
+                );
+            }
         }
 
         let dft = DftSketchSet::build(&c, B, 6, Transform::Naive).unwrap();
@@ -407,6 +423,15 @@ fn pooled_entry_points_equal_a_single_run_bit_for_bit() {
                 |theta| plan.network_streamed(theta).unwrap(),
                 |k| plan.top_k(k),
             );
+            let (tile, off) = (DEFAULT_TILE_PAIRS, TableAudit::Off);
+            for runner in [ScopedRunner::new(2), ScopedRunner::new(3)] {
+                single.check(
+                    &format!("{what} on {} runs", runner.worker_count()),
+                    &source.correlation_matrix(&runner).unwrap().0,
+                    |theta| source.network(&runner, theta, tile, off).unwrap().0,
+                    |k| source.top_k(&runner, k, tile, off).0,
+                );
+            }
         }
     }
 }
