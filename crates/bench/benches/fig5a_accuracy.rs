@@ -97,7 +97,7 @@ fn main() {
     for coefficients in [50usize, 100, 150, 200] {
         let sketch = DftSketchSet::build(&collection, basic_window, coefficients, Transform::Naive)
             .expect("dft sketch");
-        // Tiled batched path (ApproxPlan + Equation 4 pruning) vs the scalar
+        // Tiled batched path (ApproxPlan, Equation 4 radius) vs the scalar
         // per-pair reference recombination — the same-binary speedup, at
         // the Figure 5a shape.
         let network = || {

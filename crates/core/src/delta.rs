@@ -16,7 +16,7 @@ use std::ops::Range;
 
 use crate::error::{Error, Result};
 use crate::matrix::AdjacencyMatrix;
-use crate::sketch::{packed_pairs, pair_index};
+use crate::sketch::packed_pairs;
 use crate::sweep::{sweep_packed, EdgeRule, TileSink};
 
 /// The edge-level change of one scan, as an [`EdgeWatch`] records it:
@@ -174,20 +174,6 @@ impl TileSink for EdgeWatch {
         let edges = &mut self.edges[pair0 - self.first..][..corrs.len()];
         flip_scan(edges, corrs, i, j0, self.rule, &mut self.delta);
     }
-
-    fn tile_skippable(&self, upper_bound: f64) -> bool {
-        !self.rule.passes(upper_bound)
-    }
-
-    /// No pair of a skipped tile passes: the edges held there vanish.
-    fn tile_skipped(&mut self, i: usize, j0: usize, len: usize) {
-        let pair0 = pair_index(i, j0, self.delta.nodes) - self.first;
-        for (j, edge) in (j0..).zip(&mut self.edges[pair0..pair0 + len]) {
-            if std::mem::take(edge) {
-                self.delta.vanished.push((i, j));
-            }
-        }
-    }
 }
 
 impl EdgeDelta {
@@ -253,6 +239,7 @@ mod tests {
     use super::*;
     use crate::matrix::CorrelationMatrix;
     use crate::plan::PlanMethod;
+    use crate::sketch::pair_index;
 
     /// An exact watch after its first scan over `corrs`, and the network
     /// that scan's delta builds from no edges.
@@ -401,9 +388,8 @@ mod tests {
 
     #[test]
     fn a_scan_in_runs_equals_one_pass() {
-        // Three runs fed by hand, as a pooled sweep feeds them, skipping each
-        // row segment that Equation 4 pruning may skip (every value fails,
-        // none is NaN): absorbed in order, they equal one pass.
+        // Three runs fed by hand, as a pooled sweep feeds them, one row
+        // segment per tile: absorbed in order, they equal one pass.
         use crate::plan::row_segments;
         let nodes = 7;
         let pairs = packed_pairs(nodes);
@@ -416,20 +402,13 @@ mod tests {
         one.observe(&before);
         let mut pooled = one.clone();
         let want = one.observe(&after).clone();
-        let mut skipped = 0;
         let runs: Vec<EdgeWatch> = [0..5, 5..12, 12..pairs]
             .into_iter()
             .map(|run| {
                 let mut sink = pooled.run(run.clone());
                 for (i, j0, len) in row_segments(run.start, run.len(), nodes) {
                     let p0 = pair_index(i, j0, nodes);
-                    let tile = &after[p0..p0 + len];
-                    if tile.iter().all(|&c| !c.is_nan() && sink.tile_skippable(c)) {
-                        sink.tile_skipped(i, j0, len);
-                        skipped += 1;
-                    } else {
-                        sink.consume(i, j0, p0, tile);
-                    }
+                    sink.consume(i, j0, p0, &after[p0..p0 + len]);
                 }
                 sink
             })
@@ -439,7 +418,7 @@ mod tests {
             pooled.absorb(run);
         }
         assert_eq!(pooled.delta(), &want);
-        assert!(skipped > 0 && !want.vanished.is_empty());
+        assert!(!want.vanished.is_empty());
         assert_eq!(pooled.edges, one.edges);
     }
 

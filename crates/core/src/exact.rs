@@ -52,8 +52,8 @@ use crate::runner::{JobRunner, ScopedRunner};
 use crate::sketch::SketchSet;
 use crate::stats::{clamp_corr, WindowStats};
 use crate::sweep::{
-    fill_packed, network_pooled, top_k_pooled, CorrelationBounds, EdgeList, EdgeRule, TableAudit,
-    TopK, DEFAULT_TILE_PAIRS,
+    fill_packed, network_pooled, top_k_pooled, EdgeList, EdgeRule, TableAudit, TopK,
+    DEFAULT_TILE_PAIRS,
 };
 use crate::timeseries::{SeriesCollection, SeriesId};
 use crate::window::QueryWindow;
@@ -300,8 +300,7 @@ pub fn correlation_matrix(
 /// set equals `correlation_matrix(..)?.threshold(theta)` exactly — same
 /// kernel, same values, tile and run boundaries don't change any pair's
 /// arithmetic, and the runs' edges are appended in run order — at
-/// `O(tile + edges)` memory per hardware thread. Every pair is observed (no
-/// pruning), so NaN accounting is exhaustive.
+/// `O(tile + edges)` memory per hardware thread.
 pub fn network_streamed(
     collection: &SeriesCollection,
     sketch: &SketchSet,
@@ -313,13 +312,12 @@ pub fn network_streamed(
     let view = sketch.window_corrs_view(plan.full_windows());
     let runner = ScopedRunner::machine(&plan);
     let tile = DEFAULT_TILE_PAIRS;
-    Ok(network_pooled(&runner, &plan, view, None, rule, tile, TableAudit::Off).0)
+    Ok(network_pooled(&runner, &plan, view, rule, tile, TableAudit::Off).0)
 }
 
 /// The `k` strongest edges of the query window, streamed: a k-bounded heap
-/// per run replaces the dense triangle, and tiles whose Equation-4 upper
-/// bound cannot beat the run's current k-th strength are skipped before any
-/// kernel work; the runs' heaps merge into the global top k. Ranking is total
+/// per run replaces the dense triangle, and the runs' heaps merge into the
+/// global top k ([`top_k_pooled`]; `k = 0` sweeps nothing). Ranking is total
 /// ([`f64::total_cmp`], ties by ascending pair index) and equals the sorted
 /// dense matrix's top k.
 pub fn top_k(
@@ -329,11 +327,10 @@ pub fn top_k(
     k: usize,
 ) -> Result<TopK> {
     let plan = QueryPlan::build(collection, sketch, query)?;
-    let bounds = CorrelationBounds::from_plan(&plan);
     let view = sketch.window_corrs_view(plan.full_windows());
     let runner = ScopedRunner::machine(&plan);
     let (tile, audit) = (DEFAULT_TILE_PAIRS, TableAudit::Off);
-    Ok(top_k_pooled(&runner, &plan, view, Some(&bounds), k, tile, audit).0)
+    Ok(top_k_pooled(&runner, &plan, view, k, tile, audit).0)
 }
 
 /// The dense fill of `plan` over the sketch's rows of its full windows, on

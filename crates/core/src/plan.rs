@@ -346,8 +346,8 @@ impl QueryPlan {
     /// `i`, `s_i = √(Σ_k B_k σ_ik² / den_i)` and
     /// `t_i = √(Σ_k B_k δ_ik² / den_i)` (so `s_i² + t_i² = 1`). Because every
     /// per-window correlation is ≤ 1,
-    /// `corr(i,j) ≤ s_i s_j + t_i t_j` — the per-tile upper bound behind the
-    /// streamed sweep's Equation 4 pruning (see [`crate::sweep`]). Degenerate
+    /// `corr(i,j) ≤ s_i s_j + t_i t_j` — the per-tile upper bound behind
+    /// `sweep_run`'s Equation 4 tile pruning (see [`crate::sweep`]). Degenerate
     /// series get `(0, 0)`, matching their `corr = 0` convention.
     pub(crate) fn bound_components(&self) -> (Vec<f64>, Vec<f64>) {
         let mut s = Vec::with_capacity(self.n);

@@ -34,10 +34,9 @@
 //! one tile loop ([`crate::sweep::TableAudit`]) as a scan of the row slices
 //! the kernel is about to read; [`audit_nan_chunk`] here is the same audit
 //! pair by pair — the definition that scan is tested against, and a step of
-//! the benchmark ledger's decomposition. Tiles skipped by Equation 4 pruning
-//! are audited only under the engine's opt-in `audit_pruned_chunks` policy —
-//! pruning decides from per-series statistics alone, so the skipped columns
-//! are otherwise never touched (and, on a mapped pile, never faulted in).
+//! the benchmark ledger's decomposition. No query prunes tiles (the Equation
+//! 4 bound decides none on anomaly data, see [`crate::sweep`]), so an
+//! audited sweep reads every pair's columns and its count is exhaustive.
 
 use std::ops::Range;
 use std::time::Duration;
@@ -50,8 +49,8 @@ use crate::runner::JobRunner;
 use crate::sketch::{pair_index, SketchSet};
 use crate::stats::WindowStats;
 use crate::sweep::{
-    fill_packed, network_pooled, sweep_pooled, top_k_pooled, CorrelationBounds, EdgeList, EdgeRule,
-    TableAudit, TileSink, TopK,
+    fill_packed, network_pooled, sweep_pooled, top_k_pooled, EdgeList, EdgeRule, TableAudit,
+    TileSink, TopK,
 };
 
 /// A window-major pair table lent by a [`CorrSource`]: a zero-copy borrow of
@@ -209,10 +208,9 @@ pub fn check_source_windows<S: CorrSource + ?Sized>(
 /// ([`QueryPlan::from_window_stats`] over [`CorrSource::series_stats`]) and
 /// the method's window-major table, lent by the source for the plan's
 /// lifetime. Lemma 1 (exact) and Equation 5 (approximate) share the
-/// recombination, so the method picks only the table, the network's edge
-/// rule ([`EdgeRule::for_method`]) and whether a network prunes tiles —
-/// approximate networks do (Equation 4), exact networks observe every pair
-/// so their NaN audit is exhaustive; top-k always prunes.
+/// recombination, so the method picks only the table and the network's edge
+/// rule ([`EdgeRule::for_method`]). Every answer observes every pair, so its
+/// NaN audit is exhaustive.
 ///
 /// Every answer runs on any [`JobRunner`] and returns the workers' summed
 /// busy time beside it. A run boundary never changes a pair's arithmetic, so
@@ -304,9 +302,7 @@ impl<'a> SourcePlan<'a> {
     /// ([`EdgeRule::for_method`]; θ outside `[-1, 1]` is
     /// [`Error::InvalidThreshold`]), streamed on `runner` in tiles of at most
     /// `tile_len` pairs with the table audit `audit` — the packed triangle is
-    /// never materialized. An approximate network skips tiles whose Equation
-    /// 4 bound falls outside the radius before any kernel work (or table
-    /// read); the edge set is the rule applied to
+    /// never materialized. The edge set is the rule applied to
     /// [`SourcePlan::correlation_matrix`], in pair order.
     pub fn network(
         &self,
@@ -316,10 +312,8 @@ impl<'a> SourcePlan<'a> {
         audit: TableAudit,
     ) -> Result<(EdgeList, Duration)> {
         let rule = EdgeRule::for_method(self.method, theta)?;
-        let bounds = self.bounds(self.method == PlanMethod::Approximate);
         let (plan, view) = (&self.plan, self.table());
-        let edges = network_pooled(runner, plan, view, bounds.as_ref(), rule, tile_len, audit);
-        Ok(edges)
+        Ok(network_pooled(runner, plan, view, rule, tile_len, audit))
     }
 
     /// One scan of `watch` ([`EdgeWatch`], under this plan's method's rule)
@@ -327,20 +321,19 @@ impl<'a> SourcePlan<'a> {
     /// worker, without the table audit: its network becomes that network,
     /// NaN count included.
     pub fn scan(&self, runner: &dyn JobRunner, watch: &mut EdgeWatch, tile_len: usize) {
-        let bounds = self.bounds(self.method == PlanMethod::Approximate);
         let (plan, view, off) = (&self.plan, self.table(), TableAudit::Off);
         let make_run = |run| watch.run(run);
-        let (runs, _) = sweep_pooled(runner, plan, view, bounds.as_ref(), tile_len, off, make_run);
+        let (runs, _) = sweep_pooled(runner, plan, view, tile_len, off, make_run);
         watch.take_delta();
         for run in runs {
             watch.absorb(run);
         }
     }
 
-    /// The `k` strongest pairs, streamed like [`SourcePlan::network`], with
-    /// tiles skipped once their Equation 4 bound cannot beat a run's current
-    /// k-th strength. Ranking is total ([`f64::total_cmp`], ties by ascending
-    /// pair index) and equals the sorted dense matrix's top k.
+    /// The `k` strongest pairs, streamed like [`SourcePlan::network`]
+    /// ([`top_k_pooled`]; `k = 0` sweeps nothing). Ranking is total
+    /// ([`f64::total_cmp`], ties by ascending pair index) and equals the
+    /// sorted dense matrix's top k.
     pub fn top_k(
         &self,
         runner: &dyn JobRunner,
@@ -348,21 +341,7 @@ impl<'a> SourcePlan<'a> {
         tile_len: usize,
         audit: TableAudit,
     ) -> (TopK, Duration) {
-        let (bounds, view) = (self.bounds(true), self.table());
-        top_k_pooled(
-            runner,
-            &self.plan,
-            view,
-            bounds.as_ref(),
-            k,
-            tile_len,
-            audit,
-        )
-    }
-
-    /// The plan's Equation 4 tile bounds when `prune`.
-    fn bounds(&self, prune: bool) -> Option<CorrelationBounds> {
-        prune.then(|| CorrelationBounds::from_plan(&self.plan))
+        top_k_pooled(runner, &self.plan, self.table(), k, tile_len, audit)
     }
 }
 
@@ -456,6 +435,49 @@ mod tests {
         ));
         assert!(SourcePlan::new(&sk, 0..10, PlanMethod::Exact).is_err());
         assert!(SourcePlan::new(&sk, 0..3, PlanMethod::Approximate).is_err());
+    }
+
+    #[test]
+    fn a_zero_k_top_k_is_empty_and_sweeps_nothing() {
+        // A NaN planted in pair 4's second window: an audited sweep counts it.
+        let c = SeriesCollection::from_rows(
+            (0..5)
+                .map(|s| {
+                    (0..60)
+                        .map(|i| (i * (s + 2)) as f64 * 0.3)
+                        .map(f64::sin)
+                        .collect()
+                })
+                .collect(),
+        )
+        .unwrap();
+        let built = SketchSet::build(&c, 20).unwrap();
+        let view = built.window_corrs_view(0..3);
+        let pairs = (0..10)
+            .map(|p| {
+                let (a, b) = crate::sketch::unpack_pair_index(p, 5);
+                let mut corrs: Vec<f64> = view.pair_column(p).collect();
+                corrs[1] = if p == 4 { f64::NAN } else { corrs[1] };
+                crate::sketch::PairSketch { a, b, corrs }
+            })
+            .collect();
+        let series = built.series_sketches().cloned().collect();
+        let sk = SketchSet::from_parts(20, 5, series, pairs).unwrap();
+        let plan = SourcePlan::new(&sk, 0..3, PlanMethod::Exact).unwrap();
+        let (one, _) = plan.top_k(&SerialRunner, 1, 4, TableAudit::Swept);
+        assert!(one.nan_pairs > 0, "the table must hold NaN");
+        let empty = TopK {
+            edges: Vec::new(),
+            nan_pairs: 0,
+        };
+        for runner in [&SerialRunner as &dyn JobRunner, &ScopedRunner::new(3)] {
+            for audit in [TableAudit::Off, TableAudit::Swept] {
+                let got = plan.top_k(runner, 0, 4, audit);
+                assert_eq!(got, (empty.clone(), Duration::ZERO), "{audit:?}");
+            }
+        }
+        let query = crate::QueryWindow::new(59, 60).unwrap();
+        assert_eq!(crate::exact::top_k(&c, &sk, query, 0).unwrap(), empty);
     }
 
     #[test]

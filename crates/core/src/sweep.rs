@@ -32,17 +32,17 @@
 //! scratch of the run ([`PartialCorrs`]: head and tail correlations of four
 //! triangle rows).
 //!
-//! # Tile pruning (Equation 4)
+//! # Tile pruning (Equation 4), not on the query path
 //!
-//! [`CorrelationBounds`] precomputes, per series, the Cauchy–Schwarz split
+//! [`CorrelationBounds`] holds, per series, the Cauchy–Schwarz split
 //! `s_i = √(Σ_k B_k σ_ik² / den_i)`, `t_i = √(Σ_k B_k δ_ik² / den_i)` of the
-//! Lemma 1 denominator. Since every per-window correlation is clamped to
-//! `≤ 1`, `corr(i, j) ≤ s_i s_j + t_i t_j` — an `O(1)`-per-pair sound upper
-//! bound. When the driver is given bounds and the sink reports a tile's
-//! bound as skippable ([`TileSink::tile_skippable`]), the whole tile is
-//! dropped without evaluating a single kernel — the tile-granular analogue
-//! of the paper's Equation 4 pruning radius `√(2(1−θ))` (a bound `b < θ`
-//! is exactly a distance `√(2(1−b))` outside the radius).
+//! Lemma 1 denominator, so `corr(i, j) ≤ s_i s_j + t_i t_j` — the
+//! tile-granular analogue of the Equation 4 radius. No product query uses
+//! it: on the anomaly series the paper builds networks from, every pair's
+//! bound is ≥ 0.71 while θ is 0.11–0.13 and the 100th-strongest pair
+//! 0.68–0.74, so it decides no tile (the tile-bound probe under `bench/`).
+//! The pooled sweeps therefore evaluate every tile. Only [`sweep_run`] still
+//! takes bounds, for the benchmark ledger's frozen decomposition.
 //!
 //! # NaN policy
 //!
@@ -92,8 +92,9 @@ pub trait TileSink {
     fn consume(&mut self, i: usize, j0: usize, pair0: usize, corrs: &[f64]);
 
     /// Whether a tile whose correlations are all `≤ upper_bound` can be
-    /// dropped without being evaluated. Default: never (sinks that need to
-    /// observe every pair keep it that way).
+    /// dropped without being evaluated. Asked only by [`sweep_run`] given
+    /// bounds, which the benchmark ledger's decomposition calls; no product
+    /// query prunes. Default: never.
     fn tile_skippable(&self, upper_bound: f64) -> bool {
         let _ = upper_bound;
         false
@@ -110,7 +111,8 @@ pub trait TileSink {
 /// Per-series upper-bound components for tile pruning: for any pair,
 /// `corr(i, j) ≤ s_i s_j + t_i t_j` (see the [module docs](self) for the
 /// derivation). Built once per query plan in `O(N · w)`; each tile bound is
-/// then `O(tile)`.
+/// then `O(tile)`. Only [`sweep_run`] reads it, and the type stays because
+/// the benchmark ledger builds it ([`CorrelationBounds::from_plan`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorrelationBounds {
     s: Vec<f64>,
@@ -164,19 +166,17 @@ impl CorrelationBounds {
 pub enum TableAudit {
     /// No tile.
     Off,
-    /// Every tile the kernel evaluates.
+    /// Every tile.
     Swept,
-    /// Also the tiles Equation 4 pruning skipped: they stay skipped, only the
-    /// accounting becomes exhaustive, at the cost of the reads pruning saved.
-    SweptAndSkipped,
 }
 
 /// Drive [`QueryPlan::block_kernel`] over the contiguous packed-triangle run
 /// `run`, in same-row tiles of at most `tile_len` pairs, feeding each
 /// finished tile to `sink` and discarding it. With `bounds`, tiles the sink
 /// reports skippable are dropped before any kernel work (Equation 4 tile
-/// pruning). `view` is the window-major table of the plan's full windows,
-/// read in place. The table is not audited ([`TableAudit::Off`]).
+/// pruning) — the one pruning sweep left, kept for the benchmark ledger's
+/// decomposition. `view` is the window-major table of the plan's full
+/// windows, read in place. The table is not audited ([`TableAudit::Off`]).
 ///
 /// Working memory: one `tile_len` output buffer — independent of the series
 /// count — and the run's [`PartialCorrs`], which an unaligned plan fills with
@@ -193,7 +193,8 @@ pub fn sweep_run(
     sweep_tiles(plan, view, bounds, run, tile_len, TableAudit::Off, sink);
 }
 
-/// The one tile loop of every streamed query: [`sweep_run`] plus `audit`.
+/// The one tile loop of every streamed query: [`sweep_run`] plus `audit`
+/// (the pooled sweeps pass no bounds, [`sweep_run`] no audit).
 fn sweep_tiles(
     plan: &QueryPlan,
     view: &CorrView<'_>,
@@ -220,15 +221,12 @@ fn sweep_tiles(
             let j = j0 + off;
             off += np;
             let pair0 = pair_index(i, j, n);
-            let skip = bounds.is_some_and(|b| sink.tile_skippable(b.tile_bound(i, j, np)));
-            let audited =
-                audit == TableAudit::SweptAndSkipped || (!skip && audit == TableAudit::Swept);
-            if audited {
-                audit_tile(*view, i, j, pair0, np, sink);
-            }
-            if skip {
+            if bounds.is_some_and(|b| sink.tile_skippable(b.tile_bound(i, j, np))) {
                 sink.tile_skipped(i, j, np);
                 continue;
+            }
+            if audit == TableAudit::Swept {
+                audit_tile(*view, i, j, pair0, np, sink);
             }
             plan.block_kernel(i, j, *view, pair0, &mut partial, &mut out[..np]);
             sink.consume(i, j, pair0, &out[..np]);
@@ -262,16 +260,15 @@ fn audit_tile(
 
 /// Fan one streamed sweep of the whole packed triangle over `runner`: one
 /// contiguous ascending run per worker ([`runs_for_workers`]), each driven
-/// through the tile loop of [`sweep_run`] (plus the table audit `audit`) into
-/// its own sink, made by `make_sink` from the run, off a borrowed view —
-/// nothing is copied, no pair list is built. Returns the sinks in run order
-/// (so appended edge lists are in serial emission order) and the workers'
-/// summed busy time.
+/// through the tile loop of [`sweep_run`] (plus the table audit `audit`, and
+/// no pruning: every tile is evaluated) into its own sink, made by
+/// `make_sink` from the run, off a borrowed view — nothing is copied, no
+/// pair list is built. Returns the sinks in run order (so appended edge
+/// lists are in serial emission order) and the workers' summed busy time.
 pub fn sweep_pooled<K: TileSink + Send>(
     runner: &dyn JobRunner,
     plan: &QueryPlan,
     view: CorrView<'_>,
-    bounds: Option<&CorrelationBounds>,
     tile_len: usize,
     audit: TableAudit,
     mut make_sink: impl FnMut(Range<usize>) -> K,
@@ -285,7 +282,7 @@ pub fn sweep_pooled<K: TileSink + Send>(
         .map(|(run, (sink, busy))| {
             Box::new(move || {
                 let t = Instant::now();
-                sweep_tiles(plan, &view, bounds, run, tile_len, audit, sink);
+                sweep_tiles(plan, &view, None, run, tile_len, audit, sink);
                 *busy = t.elapsed();
             }) as Job<'_>
         })
@@ -302,14 +299,13 @@ pub fn network_pooled(
     runner: &dyn JobRunner,
     plan: &QueryPlan,
     view: CorrView<'_>,
-    bounds: Option<&CorrelationBounds>,
     rule: EdgeRule,
     tile_len: usize,
     audit: TableAudit,
 ) -> (EdgeList, Duration) {
     let sink = EdgeSink::with_rule(rule);
     let make_sink = |_| sink.clone();
-    let (runs, busy) = sweep_pooled(runner, plan, view, bounds, tile_len, audit, make_sink);
+    let (runs, busy) = sweep_pooled(runner, plan, view, tile_len, audit, make_sink);
     let n = plan.series_count();
     let mut edges = sink.finish(n);
     for run in runs {
@@ -319,20 +315,22 @@ pub fn network_pooled(
 }
 
 /// The `k` strongest pairs, streamed by [`sweep_pooled`] into one
-/// [`TopKSink`] per run (each skipping the tiles whose `bounds` cannot beat
-/// its current k-th strength), merged into the global top k. Returns the
-/// ranking and the workers' summed busy time.
+/// [`TopKSink`] per run, merged into the global top k. Returns the ranking
+/// and the workers' summed busy time. `k = 0` sweeps nothing: the answer is
+/// empty, NaN count included.
 pub fn top_k_pooled(
     runner: &dyn JobRunner,
     plan: &QueryPlan,
     view: CorrView<'_>,
-    bounds: Option<&CorrelationBounds>,
     k: usize,
     tile_len: usize,
     audit: TableAudit,
 ) -> (TopK, Duration) {
+    if k == 0 {
+        return (TopKSink::new(0).finish(), Duration::ZERO);
+    }
     let make_sink = |_| TopKSink::new(k);
-    let (runs, busy) = sweep_pooled(runner, plan, view, bounds, tile_len, audit, make_sink);
+    let (runs, busy) = sweep_pooled(runner, plan, view, tile_len, audit, make_sink);
     let mut merged = TopKSink::new(k);
     for run in runs {
         merged.absorb(run);
@@ -493,8 +491,9 @@ fn least_passing(passes: impl Fn(f64) -> bool) -> f64 {
     value(hi)
 }
 
-/// Threshold sink: keeps only the `(i, j)` pairs its [`EdgeRule`] passes,
-/// counts NaN pairs, and drops whole tiles whose upper bound cannot pass.
+/// Threshold sink: keeps only the `(i, j)` pairs its [`EdgeRule`] passes and
+/// counts NaN pairs; under [`sweep_run`] with bounds it drops whole tiles
+/// whose upper bound cannot pass.
 #[derive(Debug, Clone)]
 pub struct EdgeSink {
     rule: EdgeRule,
@@ -521,7 +520,8 @@ impl EdgeSink {
         }
     }
 
-    /// Pairs dropped by tile pruning without being evaluated.
+    /// Pairs dropped by tile pruning without being evaluated: 0 unless
+    /// swept by [`sweep_run`] with bounds.
     pub fn skipped_pairs(&self) -> usize {
         self.skipped_pairs
     }
@@ -673,9 +673,9 @@ impl PartialEq for HeapEdge {
 impl Eq for HeapEdge {}
 
 /// Top-k sink: a k-bounded min-heap of the strongest edges. NaN
-/// correlations are excluded from ranking and counted. With bounds, tiles
-/// whose upper bound cannot beat the current k-th strongest edge are
-/// dropped.
+/// correlations are excluded from ranking and counted. Under [`sweep_run`]
+/// with bounds (the benchmark ledger's reference top-k), tiles whose upper
+/// bound cannot beat the current k-th strongest edge are dropped.
 #[derive(Debug, Clone)]
 pub struct TopKSink {
     k: usize,
@@ -695,7 +695,8 @@ impl TopKSink {
         }
     }
 
-    /// Pairs dropped by tile pruning without being evaluated.
+    /// Pairs dropped by tile pruning without being evaluated: 0 unless
+    /// swept by [`sweep_run`] with bounds.
     pub fn skipped_pairs(&self) -> usize {
         self.skipped_pairs
     }
@@ -786,13 +787,12 @@ pub struct TopK {
 }
 
 /// Aggregate sink: running count / sum / min / max over every observed
-/// correlation, with NaN and pruning audit counts — network statistics
-/// without any per-pair storage at all.
+/// correlation, with the NaN audit count — network statistics without any
+/// per-pair storage at all.
 #[derive(Debug, Clone)]
 pub struct StatsSink {
     count: usize,
     nan_pairs: usize,
-    skipped_pairs: usize,
     sum: f64,
     min: f64,
     max: f64,
@@ -810,7 +810,6 @@ impl StatsSink {
         Self {
             count: 0,
             nan_pairs: 0,
-            skipped_pairs: 0,
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
@@ -845,11 +844,6 @@ impl StatsSink {
     pub fn nan_pair_count(&self) -> usize {
         self.nan_pairs
     }
-
-    /// Pairs dropped by tile pruning.
-    pub fn skipped_pairs(&self) -> usize {
-        self.skipped_pairs
-    }
 }
 
 impl TileSink for StatsSink {
@@ -868,10 +862,6 @@ impl TileSink for StatsSink {
                 self.max = c;
             }
         }
-    }
-
-    fn tile_skipped(&mut self, _i: usize, _j0: usize, len: usize) {
-        self.skipped_pairs += len;
     }
 }
 
@@ -1037,10 +1027,8 @@ mod tests {
     fn stats_sink_aggregates_and_counts() {
         let mut sink = StatsSink::new();
         sink.consume(0, 1, 0, &[0.5, f64::NAN, -0.25]);
-        sink.tile_skipped(1, 2, 10);
         assert_eq!(sink.count(), 2);
         assert_eq!(sink.nan_pair_count(), 1);
-        assert_eq!(sink.skipped_pairs(), 10);
         assert!((sink.mean() - 0.125).abs() < 1e-15);
         assert_eq!(sink.min(), -0.25);
         assert_eq!(sink.max(), 0.5);
@@ -1216,36 +1204,25 @@ mod tests {
         }
     }
 
-    /// What a sink saw, in order: audit tiles, evaluated tiles, skipped tiles.
+    /// What a sink saw, in order: audit tiles and evaluated tiles.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Seen {
         Nan(usize, usize, usize),
         Tile(usize, usize, usize, usize),
-        Skipped(usize, usize, usize),
     }
 
-    /// Records every call, forwards it to a real [`EdgeSink`], and skips a
-    /// scripted subset of the tiles it is asked about.
+    /// Records every call and forwards it to a real [`EdgeSink`].
     struct Recorder {
-        script: u64,
-        asked: std::cell::Cell<u64>,
         seen: Vec<Seen>,
         inner: EdgeSink,
     }
 
     impl Recorder {
-        fn new(script: u64) -> Self {
+        fn new() -> Self {
             Self {
-                script,
-                asked: std::cell::Cell::new(0),
                 seen: Vec::new(),
                 inner: EdgeSink::new(0.2),
             }
-        }
-
-        /// Whether the script skips the `t`-th tile a sink is asked about.
-        fn skips(script: u64, t: u64) -> bool {
-            TestRng::new(script ^ t).below(3) == 0
         }
     }
 
@@ -1259,17 +1236,6 @@ mod tests {
                 Seen::Tile(i, j0, pair0, corrs.len())
             });
             self.inner.consume(i, j0, pair0, corrs);
-        }
-
-        fn tile_skippable(&self, _upper_bound: f64) -> bool {
-            let t = self.asked.get();
-            self.asked.set(t + 1);
-            Self::skips(self.script, t)
-        }
-
-        fn tile_skipped(&mut self, i: usize, j0: usize, len: usize) {
-            self.seen.push(Seen::Skipped(i, j0, len));
-            self.inner.tile_skipped(i, j0, len);
         }
     }
 
@@ -1320,39 +1286,25 @@ mod tests {
         table
     }
 
-    /// What the per-pair oracle makes a sink see over `run`: the same tiles
-    /// and scripted skips, with [`audit_nan_chunk`] over each audited tile's
-    /// pairs where the driver runs its slice scan.
+    /// What the per-pair oracle makes a sink see over `run`: the same tiles,
+    /// with [`audit_nan_chunk`] over each tile's pairs where the tile loop
+    /// runs its slice scan.
     fn oracle_run(
         view: CorrView<'_>,
         n: usize,
         run: Range<usize>,
         tile_len: usize,
-        pruned: bool,
         audit: TableAudit,
-        script: u64,
     ) -> Recorder {
-        let mut oracle = Recorder::new(script);
-        let mut asked = 0;
+        let mut oracle = Recorder::new();
         for (i, j0, len) in row_segments(run.start, run.len(), n) {
             for j in (j0..j0 + len).step_by(tile_len) {
                 let np = (j0 + len - j).min(tile_len);
-                let skipped = pruned && Recorder::skips(script, asked);
-                asked += 1;
-                let audited = match audit {
-                    TableAudit::Off => false,
-                    TableAudit::Swept => !skipped,
-                    TableAudit::SweptAndSkipped => true,
-                };
-                if audited {
+                if audit == TableAudit::Swept {
                     let chunk: Vec<_> = (j..j + np).map(|b| (i, b)).collect();
                     audit_nan_chunk(view, &chunk, n, &mut oracle);
                 }
-                if skipped {
-                    oracle.tile_skipped(i, j, np);
-                } else {
-                    oracle.seen.push(Seen::Tile(i, j, pair_index(i, j, n), np));
-                }
+                oracle.seen.push(Seen::Tile(i, j, pair_index(i, j, n), np));
             }
         }
         oracle
@@ -1362,10 +1314,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The driver's table audit against the per-pair oracle: for every
-        /// run split, tile length, pruning script and audit setting, each
-        /// sink sees exactly the oracle's NaN tiles (coordinates, packed
-        /// index, order) around the same evaluated and skipped tiles, and
-        /// counts the same NaN pairs.
+        /// run split, tile length and audit setting, each sink sees exactly
+        /// the oracle's NaN tiles (coordinates, packed index, order) around
+        /// the same evaluated tiles — every tile of its run — and counts the
+        /// same NaN pairs.
         #[test]
         fn prop_table_audit_equals_the_per_pair_oracle(
             n in 2usize..40,
@@ -1385,37 +1337,29 @@ mod tests {
                 })
                 .collect();
             let plan = QueryPlan::from_window_stats(&stats).unwrap();
-            let bounds = CorrelationBounds::from_plan(&plan);
             let pairs = n * (n - 1) / 2;
             let table = poisoned_table(n, w, &mut rng);
             let view = CorrView::new(&table, pairs, w);
-            let audits = [TableAudit::Off, TableAudit::Swept, TableAudit::SweptAndSkipped];
 
             for workers in AUDIT_WORKERS {
                 for tile_len in AUDIT_TILES {
-                    for (bounds, audit) in [None, Some(&bounds)]
-                        .into_iter()
-                        .flat_map(|b| audits.map(|a| (b, a)))
-                    {
+                    for audit in [TableAudit::Off, TableAudit::Swept] {
                         let (sinks, _) = sweep_pooled(
                             &Inline(workers),
                             &plan,
                             view,
-                            bounds,
                             tile_len,
                             audit,
-                            |_| Recorder::new(seed),
+                            |_| Recorder::new(),
                         );
                         let runs = runs_for_workers(pairs, workers);
                         prop_assert_eq!(sinks.len(), runs.len());
                         for (run, sink) in runs.into_iter().zip(sinks) {
-                            let pruned = bounds.is_some();
-                            let oracle =
-                                oracle_run(view, n, run.clone(), tile_len, pruned, audit, seed);
+                            let oracle = oracle_run(view, n, run.clone(), tile_len, audit);
                             prop_assert!(
                                 sink.seen == oracle.seen,
-                                "workers={workers} tile_len={tile_len} pruned={pruned} \
-                                 {audit:?} run={run:?}:\n {:?}\n vs oracle\n {:?}",
+                                "workers={workers} tile_len={tile_len} {audit:?} \
+                                 run={run:?}:\n {:?}\n vs oracle\n {:?}",
                                 sink.seen,
                                 oracle.seen
                             );

@@ -240,8 +240,8 @@ pub fn approximate_correlation_matrix_reference(
 /// radius for θ — a superset of the exact network (false positives possible,
 /// false negatives not, assuming distances are not over-estimated).
 ///
-/// The Equation 5 strategy is [`ApproxPlan::network_streamed`] (tiled sweep,
-/// Equation 4 tile pruning); the StatStream strategy streams the averaged
+/// The Equation 5 strategy is [`ApproxPlan::network_streamed`] (tiled sweep
+/// of every pair); the StatStream strategy streams the averaged
 /// estimates through the same radius rule ([`EdgeRule::for_method`]).
 pub fn approximate_network(
     sketch: &DftSketchSet,

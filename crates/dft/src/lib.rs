@@ -19,7 +19,7 @@
 //! of `tsubasa_core::source::SourcePlan` (the one query plan over a source
 //! for both methods): per-series recombination tables shared across pairs,
 //! a window-major table of `1 − d²/2` estimates swept by the tiled batch
-//! kernel, and Equation 4 pruning for thresholded networks. The Equation 3/4
+//! kernel, and the Equation 4 radius for thresholded networks. The Equation 3/4
 //! helpers [`distance_from_corr`] and [`pruning_radius`] live in
 //! `tsubasa_core::stats`, beside the one edge rule that uses them, and are
 //! re-exported here.

@@ -73,19 +73,18 @@ pub struct ParallelConfig {
     /// worker).
     pub workers: usize,
     /// Largest streamed query tile: consecutive pairs of one triangle row
-    /// that get one pruning decision, one NaN audit and one kernel call; also
-    /// the slab queue depth of the sketch phase's database worker.
+    /// that get one NaN audit and one kernel call; also the slab queue depth
+    /// of the sketch phase's database worker. Default 256.
     pub batch_pairs: usize,
     /// What the sketch phase computes.
     pub sketch_method: SketchMethod,
-    /// Audit tiles skipped by Equation 4 pruning for NaN table values
-    /// ([`TableAudit::SweptAndSkipped`]; the name predates per-tile pruning).
-    /// Pruning decides from per-series statistics alone, so a NaN hiding in
-    /// a skippable tile is never read and its pair goes uncounted. With this
-    /// set, skipped tiles are still read and audited — they stay skipped, only
-    /// the accounting becomes exhaustive, at the cost of the reads saved.
+    /// No effect: queries prune no tile, so the NaN audit is always
+    /// exhaustive. The field stays because the benchmark ledger sets it.
     pub audit_pruned_chunks: bool,
 }
+
+/// [`ParallelConfig::batch_pairs`] by default.
+const BATCH_PAIRS: usize = 256;
 
 impl Default for ParallelConfig {
     fn default() -> Self {
@@ -94,7 +93,7 @@ impl Default for ParallelConfig {
             .unwrap_or(1);
         Self {
             workers,
-            batch_pairs: tsubasa_storage::default_batch_pairs(),
+            batch_pairs: BATCH_PAIRS,
             sketch_method: SketchMethod::Exact,
             audit_pruned_chunks: false,
         }
@@ -301,15 +300,9 @@ impl ParallelEngine {
     /// triangle ([`SourcePlan::network`]): each worker streams the tiles of
     /// its run, at most [`ParallelConfig::batch_pairs`] pairs each, through
     /// its own sink, and the per-run edge lists are appended in run order.
-    ///
-    /// On the approximate path a tile is skipped *before* its table columns
-    /// are touched when its Equation 4 correlation upper bound lies outside
-    /// the radius — the paper's pruning applied at I/O granularity (a pruned
-    /// tile is never faulted in from a mapping). The exact path observes
-    /// every pair, so its NaN audit (NaN table values, counted per pair and
-    /// exposed through [`EdgeList::nan_pair_count`]) is exhaustive; pruned
-    /// approximate tiles are audited only under
-    /// [`ParallelConfig::audit_pruned_chunks`].
+    /// Every tile is read and audited, so the NaN audit (NaN table values,
+    /// counted per pair and exposed through [`EdgeList::nan_pair_count`]) is
+    /// exhaustive on both paths.
     pub fn network<S: CorrSource + ?Sized>(
         &self,
         source: &S,
@@ -317,17 +310,15 @@ impl ParallelEngine {
         method: QueryMethod,
         theta: f64,
     ) -> Result<(EdgeList, QueryReport)> {
+        let (tile, audit) = (self.config.batch_pairs, TableAudit::Swept);
         self.answer(source, windows, method, |plan| {
-            plan.network(&self.pool, theta, self.config.batch_pairs, self.audit())
+            plan.network(&self.pool, theta, tile, audit)
         })
     }
 
     /// The `k` strongest edges of the query window, streamed from any
     /// [`CorrSource`] with a per-worker bounded heap merged across runs
-    /// ([`SourcePlan::top_k`]). Tiles whose Equation 4 upper bound cannot
-    /// beat the worker's current k-th strength are skipped before their
-    /// columns are touched (both query methods — the bound holds for exact
-    /// and approximate recombination alike). Ranking is total
+    /// ([`SourcePlan::top_k`]), every tile audited. Ranking is total
     /// ([`f64::total_cmp`], ties by ascending pair index) and equals the
     /// sorted dense matrix's top k; sketches with NaN windows rank as the
     /// kernel's `0.0` convention and are counted in [`TopK::nan_pairs`] as
@@ -339,19 +330,10 @@ impl ParallelEngine {
         method: QueryMethod,
         k: usize,
     ) -> Result<(TopK, QueryReport)> {
+        let (tile, audit) = (self.config.batch_pairs, TableAudit::Swept);
         self.answer(source, windows, method, |plan| {
-            Ok(plan.top_k(&self.pool, k, self.config.batch_pairs, self.audit()))
+            Ok(plan.top_k(&self.pool, k, tile, audit))
         })
-    }
-
-    /// The table NaN audit of the streamed queries: every evaluated tile,
-    /// plus the pruned ones under [`ParallelConfig::audit_pruned_chunks`].
-    fn audit(&self) -> TableAudit {
-        if self.config.audit_pruned_chunks {
-            TableAudit::SweptAndSkipped
-        } else {
-            TableAudit::Swept
-        }
     }
 
     /// Shared body of the queries: plan `method` over `windows` of `source`
@@ -569,8 +551,8 @@ mod tests {
             let (streamed, _) = eng
                 .network(&pile, 0..10, QueryMethod::Approximate, theta)
                 .unwrap();
-            // Chunk pruning may skip reads, never edges: the edge set equals
-            // the Equation 4 radius predicate over the dense matrix exactly.
+            // The edge set equals the Equation 4 radius predicate over the
+            // dense matrix exactly.
             let radius = pruning_radius(theta);
             let want: Vec<(usize, usize)> = dense
                 .iter_pairs()
@@ -608,13 +590,13 @@ mod tests {
     }
 
     #[test]
-    fn pruned_chunk_nan_audit_is_opt_in() {
+    fn a_nan_in_a_prunable_tile_is_counted_whatever_the_audit_setting() {
         // Two groups: series 0–1 put all their variance *within* windows
         // (zero-mean oscillation, `s ≈ 1, t ≈ 0`), series 2–3 put it
         // *between* windows (staircase, `s ≈ 0, t ≈ 1`). A cross-group pair
-        // then has Equation 4 bound `s_i s_j + t_i t_j ≈ 0`, so its tile is
-        // pruned before its columns are read — and a NaN planted there is
-        // invisible to the default audit.
+        // then has Equation 4 bound `s_i s_j + t_i t_j ≈ 0`, which a pruning
+        // sweep would skip unread. Queries do not prune, so a NaN planted
+        // there is counted, with `audit_pruned_chunks` on or off.
         let len = 120;
         let b = 20;
         let ns = len / b;
@@ -653,12 +635,10 @@ mod tests {
         let ests = WindowRows::from_flat(ests, pairs, ns);
         let poisoned = DftSketchSet::from_parts(dft.base().clone(), 10, ests).unwrap();
 
-        let (silent, _) = eng
+        let (default, _) = eng
             .network(&poisoned, 0..ns, QueryMethod::Approximate, 0.5)
             .unwrap();
-        // The poisoned tile was pruned before being read: the NaN goes
-        // uncounted by default.
-        assert_eq!(silent.nan_pair_count(), 0);
+        assert_eq!(default.nan_pair_count(), 1);
 
         let auditor = ParallelEngine::new(ParallelConfig {
             audit_pruned_chunks: true,
@@ -667,9 +647,12 @@ mod tests {
         let (audited, _) = auditor
             .network(&poisoned, 0..ns, QueryMethod::Approximate, 0.5)
             .unwrap();
-        assert_eq!(audited.nan_pair_count(), 1);
-        // The audit changes accounting only, never the edge set.
-        assert_eq!(audited.edges(), silent.edges());
+        assert_eq!(audited, default);
+        // The NaN pair is not an edge, and the edges are the clean sketch's.
+        let (clean, _) = eng
+            .network(&dft, 0..ns, QueryMethod::Approximate, 0.5)
+            .unwrap();
+        assert_eq!(audited.edges(), clean.edges());
     }
 
     #[test]

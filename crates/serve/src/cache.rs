@@ -6,8 +6,7 @@
 //! and both are pure functions of `(epoch, windows, method)` — the
 //! [`PlanKey`] defined in `tsubasa-core` — so an entry holds, per key:
 //!
-//! * the built plan and its pruning bounds ([`CachedPlan`]), built by the
-//!   key's first lookup;
+//! * the built plan ([`CachedPlan`]), built by the key's first lookup;
 //! * the key's **view**: its `P` correlations in packed pair order, `8·P`
 //!   bytes, filled once by the first query that reads it. The query engine
 //!   ([`crate::QueryEngine`]) fills it with one
@@ -40,16 +39,17 @@ use tsubasa_core::plan::PlanKey;
 use tsubasa_core::sweep::CorrelationBounds;
 use tsubasa_core::QueryPlan;
 
-/// A built, shareable plan for one `(epoch, windows, method)` coordinate,
-/// together with its per-tile pruning bounds (also pure functions of the
-/// plan, so cached alongside it).
+/// A built, shareable plan for one `(epoch, windows, method)` coordinate.
+/// Its `bounds` are the plan's Equation 4 tile bounds, which no query reads
+/// (queries do not prune); the field stays because the benchmark ledger
+/// builds this type.
 #[derive(Debug, Clone)]
 pub enum CachedPlan {
     /// An exact Lemma 1 plan.
     Exact {
         /// The per-series recombination tables.
         plan: Arc<QueryPlan>,
-        /// Equation 4 per-tile pruning bounds of `plan`.
+        /// Equation 4 tile bounds of `plan`, unread.
         bounds: Arc<CorrelationBounds>,
     },
     /// An approximate Equation 5 plan: the same per-series tables, swept
@@ -57,18 +57,16 @@ pub enum CachedPlan {
     Approx {
         /// The per-series recombination tables.
         plan: Arc<QueryPlan>,
-        /// Equation 4 per-tile pruning bounds of `plan`.
+        /// Equation 4 tile bounds of `plan`, unread.
         bounds: Arc<CorrelationBounds>,
     },
 }
 
 impl CachedPlan {
-    /// The per-series tables and their pruning bounds, whichever the method.
-    pub fn into_parts(self) -> (Arc<QueryPlan>, Arc<CorrelationBounds>) {
+    /// The per-series tables, whichever the method.
+    pub fn plan(&self) -> &Arc<QueryPlan> {
         match self {
-            CachedPlan::Exact { plan, bounds } | CachedPlan::Approx { plan, bounds } => {
-                (plan, bounds)
-            }
+            CachedPlan::Exact { plan, .. } | CachedPlan::Approx { plan, .. } => plan,
         }
     }
 }

@@ -29,12 +29,9 @@
 //!    [`EdgeWatch`] for a subscription frame ([`QueryEngine::observe`]).
 //!    The pool is not woken.
 //!
-//! A single-run sweep (`sweep_run`) prunes tiles under Equation 4 where the
-//! sink allows (approximate network, both top-k); pruning is sound — it drops
-//! only tiles no pair of which could reach the answer — so a pass over every
-//! pair gives the same edges, order, correlation bits and NaN count. The view
-//! holds the same bits as that sweep because no tile or run boundary ever
-//! changes a pair's arithmetic.
+//! The view holds the same bits as a single-run sweep because no tile or run
+//! boundary ever changes a pair's arithmetic, so a pass over it gives the
+//! same edges, order, correlation bits and NaN count.
 //!
 //! A view the dense fill refuses — past the dense budget
 //! ([`tsubasa_core::capacity::check_dense_budget`]`(P, 1)`) — is never held:
@@ -348,11 +345,11 @@ impl QueryEngine {
             return answer(n, Corrs::View(view));
         }
         let table = source.lent_table(windows.clone(), method)?;
-        let (plan, _) = entry.plan().clone().into_parts();
+        let plan = entry.plan().plan();
         // The dense fill refuses only past the dense budget: such a key holds
         // no view.
         let filled = entry.view_or_fill(|| {
-            fill_packed(&*self.pool, &plan, table.view())
+            fill_packed(&*self.pool, plan, table.view())
                 .ok()
                 .map(|(values, _)| values)
         });
@@ -369,7 +366,7 @@ impl QueryEngine {
     /// built from the source's window-statistics rows
     /// ([`QueryPlan::from_window_stats`] — numerically identical whichever
     /// backend the statistics come from, and the same tables for Lemma 1 and
-    /// Equation 5) plus their pruning bounds.
+    /// Equation 5), with the bounds [`CachedPlan`] holds unread.
     ///
     /// Retention, so that views do not pile up: a key inserted for a
     /// trailing-window request supersedes the older epochs' key of the same

@@ -921,18 +921,6 @@ impl PileSlab {
     }
 }
 
-/// The default `ParallelConfig::batch_pairs` of the parallel engine — pairs
-/// per query chunk, and the slab queue depth of its [`PileBatchWriter`]: the
-/// `TSUBASA_DB_BATCH` environment variable when set to a positive integer,
-/// otherwise 256.
-pub fn default_batch_pairs() -> usize {
-    std::env::var("TSUBASA_DB_BATCH")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|v| *v > 0)
-        .unwrap_or(256)
-}
-
 /// When the database worker forces written data down to the device.
 ///
 /// Syncing only once, after the channel closes, means a crash mid-sketch can

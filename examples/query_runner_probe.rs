@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let plan = QueryPlan::build(&collection, &sketch, query)?;
             let view = sketch.window_corrs_view(plan.full_windows());
             let (tile, audit) = (DEFAULT_TILE_PAIRS, TableAudit::Off);
-            let (edges, _) = network_pooled(runner, &plan, view, None, rule, tile, audit);
+            let (edges, _) = network_pooled(runner, &plan, view, rule, tile, audit);
             Ok((edges, t.elapsed().as_secs_f64() * 1e6))
         };
         let plan = QueryPlan::build(&collection, &sketch, query)?;

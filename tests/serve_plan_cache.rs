@@ -155,8 +155,8 @@ proptest! {
 
 /// Epochs holding a series with a NaN point, or a constant series, answer
 /// like the serial calls too, NaN counts included. `k = 20` of the 28 pairs
-/// reaches the negative correlations, where the serial top-k's pruning meets
-/// the NaN series' bounds.
+/// reaches the negative correlations, where a pruning top-k would meet the
+/// NaN series' bounds.
 #[test]
 fn nan_and_constant_epochs_answer_like_the_serial_calls() {
     let mut planted = rows(0x0a0a, 8, 160);

@@ -102,8 +102,7 @@ proptest! {
     }
 
     /// Exact path: `top_k(k)` is exactly the sorted dense prefix —
-    /// bit-equal correlations, identical tie-breaks — even with the
-    /// bound-based tile pruning active.
+    /// bit-equal correlations, identical tie-breaks.
     #[test]
     fn prop_exact_top_k_matches_sorted_dense(
         seed in 0u64..10_000,
@@ -128,10 +127,9 @@ proptest! {
         }
     }
 
-    /// Approximate path: the streamed Equation 4-pruned network equals the
-    /// radius predicate, spelled out here, over the dense approximate matrix
-    /// — in pair order — including at tiny coefficient counts where pruning
-    /// skips many tiles.
+    /// Approximate path: the streamed Equation 4 network equals the radius
+    /// predicate, spelled out here, over the dense approximate matrix — in
+    /// pair order — including at tiny coefficient counts.
     #[test]
     fn prop_approx_streamed_network_matches_dense(
         seed in 0u64..10_000,
@@ -272,7 +270,8 @@ impl SingleRun {
         let n = plan.series_count();
         let all = 0..packed_pairs(n);
         let bounds = CorrelationBounds::from_plan(plan);
-        // Exact networks observe every pair; approximate ones prune (Equation 4).
+        // The reference prunes approximate networks and every top-k (Equation
+        // 4); the entry points prune nothing, so this also pins pruning sound.
         let prune = (method == PlanMethod::Approximate).then_some(&bounds);
         let tile = DEFAULT_TILE_PAIRS;
         let edges = thetas
@@ -388,7 +387,6 @@ fn pooled_entry_points_equal_a_single_run_bit_for_bit() {
                 |k| exact::top_k(&c, &sketch, query, k).unwrap(),
             );
             // The entry points' loops on more runs than a small query gets.
-            let bounds = CorrelationBounds::from_plan(&plan);
             let (tile, off) = (DEFAULT_TILE_PAIRS, TableAudit::Off);
             for runner in [ScopedRunner::new(2), ScopedRunner::new(3)] {
                 let values = fill_packed(&runner, &plan, view).unwrap().0;
@@ -397,9 +395,9 @@ fn pooled_entry_points_equal_a_single_run_bit_for_bit() {
                     &CorrelationMatrix::from_upper_triangle(n, values),
                     |theta| {
                         let rule = EdgeRule::for_method(PlanMethod::Exact, theta).unwrap();
-                        network_pooled(&runner, &plan, view, None, rule, tile, off).0
+                        network_pooled(&runner, &plan, view, rule, tile, off).0
                     },
-                    |k| top_k_pooled(&runner, &plan, view, Some(&bounds), k, tile, off).0,
+                    |k| top_k_pooled(&runner, &plan, view, k, tile, off).0,
                 );
             }
         }
