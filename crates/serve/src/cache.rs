@@ -40,16 +40,17 @@ use tsubasa_core::sweep::CorrelationBounds;
 use tsubasa_core::QueryPlan;
 
 /// A built, shareable plan for one `(epoch, windows, method)` coordinate.
-/// Its `bounds` are the plan's Equation 4 tile bounds, which no query reads
-/// (queries do not prune); the field stays because the benchmark ledger
-/// builds this type.
+/// Its `bounds` are never read (queries do not prune): the query engine
+/// shares one empty value across all its entries, and the field stays
+/// because the benchmark ledger builds this type with a plan's Equation 4
+/// tile bounds.
 #[derive(Debug, Clone)]
 pub enum CachedPlan {
     /// An exact Lemma 1 plan.
     Exact {
         /// The per-series recombination tables.
         plan: Arc<QueryPlan>,
-        /// Equation 4 tile bounds of `plan`, unread.
+        /// Unread; see the type's docs.
         bounds: Arc<CorrelationBounds>,
     },
     /// An approximate Equation 5 plan: the same per-series tables, swept
@@ -57,7 +58,7 @@ pub enum CachedPlan {
     Approx {
         /// The per-series recombination tables.
         plan: Arc<QueryPlan>,
-        /// Equation 4 tile bounds of `plan`, unread.
+        /// Unread; see the type's docs.
         bounds: Arc<CorrelationBounds>,
     },
 }

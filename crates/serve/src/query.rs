@@ -27,7 +27,10 @@
 //!    ([`sweep_packed`]): an [`EdgeSink`] under the method's rule for a
 //!    network, a [`TopKSink`] for a top-k, one scan of the subscriber's
 //!    [`EdgeWatch`] for a subscription frame ([`QueryEngine::observe`]).
-//!    The pool is not woken.
+//!    Each consumer scans 64-pair chunks into a branch-free pass mask and a
+//!    NaN count, and only the mask's set bits reach its per-pair work: an
+//!    edge push, a heap push (gated at the weakest kept correlation), a
+//!    flip. The pool is not woken.
 //!
 //! The view holds the same bits as a single-run sweep because no tile or run
 //! boundary ever changes a pair's arithmetic, so a pass over it gives the
@@ -35,7 +38,8 @@
 //!
 //! A view the dense fill refuses — past the dense budget
 //! ([`tsubasa_core::capacity::check_dense_budget`]`(P, 1)`) — is never held:
-//! such a query is the key's [`SourcePlan`] answered on the pool.
+//! such a query is the key's [`SourcePlan`] answered on the pool (a
+//! one-worker pool runs its one sweep inline on the connection thread).
 //!
 //! Memory: one `8·P` view per standing request — a method and a trailing
 //! window count — from the newest answered epoch, or from the one before it
@@ -181,6 +185,9 @@ pub struct QueryEngine {
     pool: Arc<WorkerPool>,
     /// The newest epoch id any lookup was made on (0 before the first).
     newest: AtomicU64,
+    /// The one `bounds` value of every [`CachedPlan`] this engine builds:
+    /// no query reads it, so no miss computes one.
+    unread_bounds: Arc<CorrelationBounds>,
 }
 
 impl QueryEngine {
@@ -192,6 +199,7 @@ impl QueryEngine {
             cache,
             pool,
             newest: AtomicU64::new(0),
+            unread_bounds: Arc::default(),
         }
     }
 
@@ -366,7 +374,7 @@ impl QueryEngine {
     /// built from the source's window-statistics rows
     /// ([`QueryPlan::from_window_stats`] — numerically identical whichever
     /// backend the statistics come from, and the same tables for Lemma 1 and
-    /// Equation 5), with the bounds [`CachedPlan`] holds unread.
+    /// Equation 5), with the engine's one shared, unread `bounds` value.
     ///
     /// Retention, so that views do not pile up: a key inserted for a
     /// trailing-window request supersedes the older epochs' key of the same
@@ -390,7 +398,7 @@ impl QueryEngine {
         Ok(self.cache.lookup(key, Some(last_windows), || {
             let stats = source.series_stats(windows)?;
             let plan = Arc::new(QueryPlan::from_window_stats(&stats)?);
-            let bounds = Arc::new(CorrelationBounds::from_plan(&plan));
+            let bounds = Arc::clone(&self.unread_bounds);
             Ok(match method {
                 PlanMethod::Exact => CachedPlan::Exact { plan, bounds },
                 PlanMethod::Approximate => CachedPlan::Approx { plan, bounds },

@@ -2,9 +2,9 @@
 //!
 //! A served key's correlation view is `8·P` bytes, so the engine fills one
 //! only when it fits the dense budget. Past it, nothing is materialized:
-//! every query is its key's `SourcePlan` streamed on the pool, answers
-//! bit-identically to the serial `SourcePlan`, and the cache holds plans but
-//! no view. A delta subscription past the budget scans each epoch by one
+//! every query is its key's `SourcePlan` streamed on the pool (on a
+//! one-worker pool, one run on the calling thread), answers bit-identically
+//! to the serial `SourcePlan`, and the cache holds plans but no view. A delta subscription past the budget scans each epoch by one
 //! streamed sweep, and its replayed deltas equal every epoch's serial
 //! network.
 //!
@@ -48,6 +48,22 @@ fn served_queries_past_the_dense_budget_stream_without_a_view() {
     // besides the view. The later epochs feed the subscription leg.
     let dft = dual_sketch(0.0);
     let later: Vec<DftSketchSet> = [0.4, 0.9].into_iter().map(dual_sketch).collect();
+
+    // One view is `8·P` bytes: one value short of it.
+    let pairs = N * (N - 1) / 2;
+    std::env::set_var("TSUBASA_DENSE_LIMIT_BYTES", (pairs * 8 - 8).to_string());
+
+    // Two runs of each sweep on the pool, and one inline on the calling
+    // thread: a one-worker pool is never woken.
+    for workers in [2, 1] {
+        serve_past_the_budget(&dft, &later, workers);
+    }
+}
+
+/// Every query and subscription of an engine with a `workers`-thread pool
+/// over `dft` and then the `later` epochs, past the dense budget, against
+/// the serial `SourcePlan`.
+fn serve_past_the_budget(dft: &DftSketchSet, later: &[DftSketchSet], workers: usize) {
     let store = Arc::new(EpochStore::new(4));
     store
         .publish(Some(dft.base().clone()), Some(dft.clone()))
@@ -55,12 +71,8 @@ fn served_queries_past_the_dense_budget_stream_without_a_view() {
     let served = Arc::new(QueryEngine::new(
         Arc::clone(&store),
         Arc::new(PlanCache::new(8)),
-        Arc::new(WorkerPool::new(2)),
+        Arc::new(WorkerPool::new(workers)),
     ));
-
-    // One view is `8·P` bytes: one value short of it.
-    let pairs = N * (N - 1) / 2;
-    std::env::set_var("TSUBASA_DENSE_LIMIT_BYTES", (pairs * 8 - 8).to_string());
 
     let ranked = |top: &TopK| {
         let edges = top.edges.iter().map(|e| (e.i, e.j, e.corr.to_bits()));
@@ -72,13 +84,13 @@ fn served_queries_past_the_dense_budget_stream_without_a_view() {
             for (theta, k) in [(-0.2, 1u32), (0.35, 9), (0.8, 40)] {
                 let (_, net) = served.network(method, last, theta).unwrap();
                 let (_, top) = served.top_k(method, last, k).unwrap();
-                let plan = SourcePlan::new(&dft, windows.clone(), method).unwrap();
+                let plan = SourcePlan::new(dft, windows.clone(), method).unwrap();
                 let tiles = DEFAULT_TILE_PAIRS;
                 let (want_net, _) = plan
                     .network(&SerialRunner, theta, tiles, TableAudit::Off)
                     .unwrap();
                 let (want_top, _) = plan.top_k(&SerialRunner, k as usize, tiles, TableAudit::Off);
-                let case = format!("{method:?} last {last} θ {theta} k {k}");
+                let case = format!("{workers} workers {method:?} last {last} θ {theta} k {k}");
                 assert_eq!(net.edges(), want_net.edges(), "{case}");
                 assert_eq!(net.nan_pair_count(), want_net.nan_pair_count(), "{case}");
                 assert_eq!(ranked(&top), ranked(&want_top), "{case}");
@@ -119,7 +131,7 @@ fn served_queries_past_the_dense_budget_stream_without_a_view() {
         .collect();
     let methods = [PlanMethod::Exact, PlanMethod::Approximate];
     for ((_, edges, nan_pairs), method) in clients.iter().zip(methods) {
-        assert_eq!((edges.clone(), *nan_pairs), serial(&dft, method, theta));
+        assert_eq!((edges.clone(), *nan_pairs), serial(dft, method, theta));
     }
     let mut flips = 0;
     for (step, next) in later.iter().enumerate() {
@@ -136,7 +148,7 @@ fn served_queries_past_the_dense_budget_stream_without_a_view() {
                 assert!(edges.insert(*pair), "appeared edge {pair:?} was present");
             }
             flips += delta.appeared.len() + delta.vanished.len();
-            let case = format!("{method:?} epoch {}", delta.epoch);
+            let case = format!("{workers} workers {method:?} epoch {}", delta.epoch);
             let want = serial(next, method, theta);
             assert_eq!((edges.clone(), delta.nan_pairs), want, "{case}");
         }
