@@ -19,11 +19,11 @@ pub fn pair_correlation(
     i: SeriesId,
     j: SeriesId,
 ) -> Result<f64> {
+    let x = collection.get(i)?.slice(query)?;
+    let y = collection.get(j)?.slice(query)?;
     if i == j {
         return Ok(1.0);
     }
-    let x = collection.get(i)?.slice(query)?;
-    let y = collection.get(j)?.slice(query)?;
     Ok(pearson(x, y))
 }
 
@@ -44,6 +44,7 @@ pub fn correlation_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
 
     #[test]
     fn baseline_matrix_matches_pairwise_calls() {
@@ -74,5 +75,23 @@ mod tests {
             SeriesCollection::from_rows(vec![vec![1.0, 2.0, 3.0], vec![3.0, 1.0, 2.0]]).unwrap();
         let w = QueryWindow::new(2, 3).unwrap();
         assert_eq!(pair_correlation(&c, w, 0, 0).unwrap(), 1.0);
+    }
+
+    #[test]
+    fn the_diagonal_is_validated_like_any_pair() {
+        let c =
+            SeriesCollection::from_rows(vec![vec![1.0, 2.0, 3.0], vec![3.0, 1.0, 2.0]]).unwrap();
+        let (ok, bad) = (
+            QueryWindow::new(2, 3).unwrap(),
+            QueryWindow::new(5, 2).unwrap(),
+        );
+        assert!(matches!(
+            pair_correlation(&c, bad, 1, 1),
+            Err(Error::InvalidQueryWindow { .. })
+        ));
+        assert!(matches!(
+            pair_correlation(&c, ok, 9, 9),
+            Err(Error::UnknownSeries(9))
+        ));
     }
 }

@@ -37,8 +37,7 @@
 //! kernel ([`QueryPlan::block_kernel`]) against the sketch's window-major
 //! correlation table (borrowed zero-copy through
 //! [`SketchSet::window_corrs_view`]). On an aligned window that kernel is bit
-//! for bit the scalar plan kernel ([`QueryPlan::pair_kernel`]), itself
-//! bit-identical to [`pair_correlation`]. On an unaligned window it takes the
+//! for bit [`pair_correlation`]. On an unaligned window it takes the
 //! correlations of a partial head/tail window from the window kernel's
 //! z-score products where the per-pair reference centers raw values, so the
 //! matrix paths agree with the reference within `1e-10` absolute (the
@@ -74,13 +73,10 @@ pub struct WindowContribution {
 impl WindowContribution {
     /// Sketch a raw (partial) window pair on the fly: per-series statistics
     /// first, then the centered cross-product for the correlation
-    /// ([`crate::stats::pair_corr_from_stats`]). Within this function that
-    /// split is not a saving — five passes over the window where one fused
-    /// pass would do — but it keeps every per-window correlation in
-    /// the workspace (sketch build, plan head/tail handling, sliding
-    /// updates) on the *same* arithmetic, which is what the bit-for-bit
-    /// equivalence between the reference path and the
-    /// [`crate::plan::QueryPlan`] kernel rests on.
+    /// ([`crate::stats::pair_corr_from_stats`]) — how [`pair_correlation`]
+    /// handles the partial head/tail of an unaligned query. (The all-pairs
+    /// kernel mints those correlations from z-scores instead, which is why
+    /// it agrees with the reference within `1e-10` there.)
     pub fn from_raw(x: &[f64], y: &[f64]) -> Self {
         let sx = WindowStats::from_values(x);
         let sy = WindowStats::from_values(y);
@@ -158,32 +154,46 @@ pub fn combined_variance(parts: &[WindowStats]) -> f64 {
         / total
 }
 
-/// Gather the [`WindowContribution`]s of one pair for one query window,
-/// combining sketched interior windows with raw partial head/tail windows.
-fn gather_contributions(
+/// Exact Pearson correlation of series `i` and `j` on `query`, recombined
+/// from the sketch (Lemma 1). Arbitrary query windows are supported; the
+/// partial head/tail, if any, are sketched from the raw data in `collection`.
+///
+/// This is the *reference* per-pair path and the one scalar Lemma 1 in the
+/// workspace: it reads the pair's strided column of the sketch's
+/// window-major table ([`SketchSet::pair_sketch`]), materializes the
+/// [`WindowContribution`]s of the pair and recombines them with
+/// [`combine`]. The all-pairs entry points ([`correlation_matrix`] and the
+/// streamed ones) instead share a precomputed [`crate::plan::QueryPlan`]
+/// across pairs and produce bit-identical values on aligned windows; the
+/// equality is asserted by the `flat_kernel_equivalence` property tests.
+///
+/// The query window and both series ids are validated before anything else,
+/// the diagonal (`i == j`, correlation `1.0`) included. A constant series
+/// yields `0.0` (the [`crate::stats::pearson`] convention), mapped
+/// explicitly from [`Error::DegenerateWindow`].
+pub fn pair_correlation(
     collection: &SeriesCollection,
     sketch: &SketchSet,
     query: QueryWindow,
     i: SeriesId,
     j: SeriesId,
-) -> Result<Vec<WindowContribution>> {
+) -> Result<f64> {
     query.validate(collection.series_len())?;
-    let windowing = sketch.windowing();
-    let seg = windowing.segment(query);
+    let seg = sketch.windowing().segment(query);
     if seg.full.end > sketch.window_count() {
         return Err(Error::SketchMismatch {
             requested: format!("basic windows up to {}", seg.full.end),
             available: format!("{} sketched windows", sketch.window_count()),
         });
     }
-
-    let xs = collection.get(i)?.values();
-    let ys = collection.get(j)?.values();
-    let series_x = sketch.series_sketch(i)?;
-    let series_y = sketch.series_sketch(j)?;
-    let pair = sketch.pair_sketch(i, j)?;
+    let (xs, ys) = (collection.get(i)?.values(), collection.get(j)?.values());
+    let (series_x, series_y) = (sketch.series_sketch(i)?, sketch.series_sketch(j)?);
+    if i == j {
+        return Ok(1.0);
+    }
     // When the caller passes (i, j) with i > j the pair sketch still refers
     // to (min, max); correlation is symmetric so the value is unaffected.
+    let pair = sketch.pair_sketch(i, j)?;
 
     let mut parts = Vec::with_capacity(
         seg.full_count() + seg.head.is_some() as usize + seg.tail.is_some() as usize,
@@ -201,67 +211,6 @@ fn gather_contributions(
     if let Some(tail) = seg.tail {
         parts.push(WindowContribution::from_raw(tail.slice(xs), tail.slice(ys)));
     }
-    Ok(parts)
-}
-
-/// Exact Pearson correlation of series `i` and `j` on `query`, recombined
-/// from the sketch (Lemma 1). Arbitrary query windows are supported; the
-/// partial head/tail, if any, are sketched from the raw data in `collection`.
-///
-/// This is the *reference* per-pair path: it reads the pair's strided column
-/// of the sketch's window-major table ([`SketchSet::pair_sketch`]),
-/// materializes the [`WindowContribution`]s of the pair and recombines them
-/// with [`combine`].
-/// The all-pairs entry points ([`correlation_matrix`] and the streamed ones)
-/// instead share a precomputed
-/// [`crate::plan::QueryPlan`] across pairs and produce bit-identical values;
-/// the equality is asserted by the `flat_kernel_equivalence` property tests.
-///
-/// A constant series yields `0.0` (the [`crate::stats::pearson`]
-/// convention), mapped explicitly from [`Error::DegenerateWindow`].
-pub fn pair_correlation(
-    collection: &SeriesCollection,
-    sketch: &SketchSet,
-    query: QueryWindow,
-    i: SeriesId,
-    j: SeriesId,
-) -> Result<f64> {
-    if i == j {
-        return Ok(1.0);
-    }
-    let parts = gather_contributions(collection, sketch, query, i, j)?;
-    degenerate_to_zero(combine(&parts))
-}
-
-/// Exact correlation of a pair using *only* the sketch, for a query window
-/// aligned to basic-window boundaries given as a range of basic-window
-/// indices (no raw data required) — the per-pair reference of the aligned
-/// all-pairs queries of [`crate::source::SourcePlan`].
-pub fn pair_correlation_aligned(
-    sketch: &SketchSet,
-    windows: std::ops::Range<usize>,
-    i: SeriesId,
-    j: SeriesId,
-) -> Result<f64> {
-    if i == j {
-        return Ok(1.0);
-    }
-    if windows.end > sketch.window_count() || windows.is_empty() {
-        return Err(Error::SketchMismatch {
-            requested: format!("basic windows {windows:?}"),
-            available: format!("{} sketched windows", sketch.window_count()),
-        });
-    }
-    let sx = sketch.series_sketch(i)?;
-    let sy = sketch.series_sketch(j)?;
-    let pair = sketch.pair_sketch(i, j)?;
-    let parts: Vec<WindowContribution> = windows
-        .map(|w| WindowContribution {
-            x: sx.window(w),
-            y: sy.window(w),
-            corr: pair.corrs[w],
-        })
-        .collect();
     degenerate_to_zero(combine(&parts))
 }
 
@@ -352,6 +301,7 @@ mod tests {
     use crate::baseline;
     use crate::runner::SerialRunner;
     use crate::sketch::pair_index;
+    use crate::source::SourcePlan;
     use crate::stats::pearson;
     use proptest::prelude::*;
 
@@ -486,21 +436,48 @@ mod tests {
     }
 
     #[test]
+    fn the_diagonal_is_validated_like_any_pair() {
+        let c = test_collection(3, 100);
+        let sketch = SketchSet::build(&c, 20).unwrap();
+        let query = QueryWindow::new(99, 80).unwrap();
+        let bad_window = QueryWindow::new(200, 10).unwrap();
+        let pair = |q, i| pair_correlation(&c, &sketch, q, i, i);
+        assert!(matches!(
+            pair(bad_window, 1),
+            Err(Error::InvalidQueryWindow { .. })
+        ));
+        assert!(matches!(pair(query, 99), Err(Error::UnknownSeries(99))));
+        assert!(matches!(
+            pair_correlation(&c, &sketch, query, 0, 99),
+            Err(Error::UnknownSeries(99))
+        ));
+    }
+
+    #[test]
     fn aligned_helper_matches_full_path() {
+        // The aligned plan over a source (sketch only) answers the reference
+        // path's bits.
         let c = test_collection(4, 120);
         let sketch = SketchSet::build(&c, 20).unwrap();
         let query = QueryWindow::new(119, 80).unwrap(); // windows 2..6
-        let a = pair_correlation_aligned(&sketch, 2..6, 0, 3).unwrap();
-        let b = pair_correlation(&c, &sketch, query, 0, 3).unwrap();
-        assert!((a - b).abs() < 1e-12);
+        let plan = SourcePlan::new(&sketch, 2..6, PlanMethod::Exact).unwrap();
+        let (m, _) = plan.correlation_matrix(&SerialRunner).unwrap();
+        for (i, j) in c.pairs() {
+            let b = pair_correlation(&c, &sketch, query, i, j).unwrap();
+            assert_eq!(m.get(i, j).to_bits(), b.to_bits(), "pair ({i},{j})");
+        }
     }
 
     #[test]
     fn aligned_helper_rejects_bad_range() {
         let c = test_collection(3, 100);
         let sketch = SketchSet::build(&c, 20).unwrap();
-        assert!(pair_correlation_aligned(&sketch, 0..9, 0, 1).is_err());
-        assert!(pair_correlation_aligned(&sketch, 2..2, 0, 1).is_err());
+        for windows in [0..9, 2..2] {
+            assert!(matches!(
+                SourcePlan::new(&sketch, windows, PlanMethod::Exact),
+                Err(Error::SketchMismatch { .. })
+            ));
+        }
     }
 
     #[test]

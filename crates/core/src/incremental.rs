@@ -43,9 +43,10 @@ use crate::delta::{EdgeDelta, EdgeWatch};
 use crate::error::{Error, Result};
 use crate::exact::{self, WindowContribution};
 use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
-use crate::plan::{carve_for_workers, row_segments, CorrView, PlanMethod, QueryPlan, WindowRows};
+use crate::plan::{carve_for_workers, row_segments, CorrView, PlanMethod, WindowRows};
 use crate::runner::{Job, JobRunner, SerialRunner};
 use crate::sketch::{arriving_corrs, arriving_window, packed_pairs, pair_index, SketchSet};
+use crate::source::SourcePlan;
 use crate::stats::{clamp_corr, WindowStats};
 use crate::sweep::{fill_packed, EdgeRule};
 use crate::timeseries::SeriesCollection;
@@ -707,7 +708,7 @@ impl SlidingState {
 /// Incrementally maintained all-pair correlation matrix and climate network
 /// over a sliding real-time query window (Algorithm 3's update step).
 ///
-/// Initialization is the dense fill ([`fill_packed`]) of a [`QueryPlan`]
+/// Initialization is the dense fill ([`fill_packed`]) of a [`SourcePlan`]
 /// over the historical sketch; every [`SlidingNetwork::ingest`] then applies Lemma 2 to all
 /// pairs. Everything but the arriving-window kernel lives in the shared
 /// [`SlidingState`], which this type dereferences to.
@@ -784,15 +785,14 @@ impl SlidingNetwork {
             });
         }
 
-        // One shared QueryPlan computes the per-series half of Lemma 1 once;
-        // the dense fill runs its batch kernel over the sketch's window-major
-        // table (on aligned windows bit-identical to the scalar
-        // `exact::pair_correlation_aligned`). The stored rows are copies of
-        // that table's rows.
-        let plan = QueryPlan::build_aligned(sketch, windows.clone())?;
-        let table = sketch.window_corrs_view(windows.clone());
-        let (corrs, _) = fill_packed(&SerialRunner, &plan, table)?;
-        let state = SlidingState::new(sketch, windows, table, corrs, PlanMethod::Exact)?;
+        // The one aligned plan over a source, as the approximate network's
+        // `ApproxPlan`: the dense fill runs its batch kernel over the sketch's
+        // lent window-major table (on aligned windows bit-identical to
+        // `exact::pair_correlation`). The stored rows are copies of that
+        // table's rows.
+        let plan = SourcePlan::new(sketch, windows.clone(), PlanMethod::Exact)?;
+        let (corrs, _) = fill_packed(&SerialRunner, plan.query_plan(), plan.table())?;
+        let state = SlidingState::new(sketch, windows, plan.table(), corrs, PlanMethod::Exact)?;
         Ok(Self { state })
     }
 

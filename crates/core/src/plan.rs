@@ -19,39 +19,38 @@
 //!   `den_i = Σ_k B_k (σ² + δ²)`,
 //! * shared: the window lengths `B_k` and the total query length `T`.
 //!
-//! The per-pair kernel that remains is allocation-free and touches only
-//! cache-friendly flat rows plus the pair's contiguous per-window correlation
-//! slice from the sketch:
+//! The kernel that remains, [`QueryPlan::block_kernel`], is allocation-free
+//! and evaluates a tile of pairs `(i, j0..)` from cache-friendly flat rows
+//! plus one contiguous run of each window row of the sketch's window-major
+//! correlation table:
 //!
 //! ```text
 //! num(i,j) = Σ_k B_k (σ_ik σ_jk c_k + δ_ik δ_jk)
 //! corr(i,j) = num / (√den_i √den_j)
 //! ```
 //!
-//! In the scalar kernel ([`QueryPlan::pair_kernel`]) the partial head/tail
-//! windows of unaligned queries contribute their raw centered cross-product
-//! through [`crate::stats::pair_corr_from_stats`] (per-series partial
-//! statistics live in the plan), exactly as the reference path does. Every
-//! arithmetic operation is performed with the same operands in the same order
-//! as [`crate::exact::combine`], so that kernel is **bit-for-bit identical**
-//! to the reference path — a property the `flat_kernel_equivalence` test
-//! suite asserts over 256 random configurations.
+//! The tables are folded with the same operands in the same order as
+//! [`crate::exact::combine`], and each pair accumulates its windows in plan
+//! order, so on an aligned window the kernel is **bit-for-bit identical** to
+//! the reference path — a property the `flat_kernel_equivalence` test suite
+//! asserts over 256 random configurations.
 //!
-//! The tiled kernel of the all-pairs paths ([`QueryPlan::block_kernel`])
-//! treats a partial window as what Lemma 1 says it is: one more plan window,
-//! whose correlation row happens not to be stored. The plan keeps the head's
-//! and the tail's z-scores in the window kernel's packed panel layout
-//! ([`crate::stats::packed_len`]), and the kernel that mints every stored row
-//! mints theirs at query time, one aligned group of four triangle rows at a
-//! time, into the [`PartialCorrs`] scratch the tile driver owns. Such a `c`
-//! is `clamp_corr(Σ_t z_i[t]·z_j[t] · (1/len))`, one left-to-right fused
-//! chain, so the tiled kernel agrees with the scalar one within `1e-10`, not
-//! bit for bit.
+//! A partial head or tail window of an unaligned query is what Lemma 1 says
+//! it is: one more plan window, whose correlation row happens not to be
+//! stored. The plan keeps the head's and the tail's z-scores in the window
+//! kernel's packed panel layout ([`crate::stats::packed_len`]), and the
+//! kernel that mints every stored row mints theirs at query time, one
+//! aligned group of four triangle rows at a time, into the [`PartialCorrs`]
+//! scratch the tile driver owns. Such a `c` is
+//! `clamp_corr(Σ_t z_i[t]·z_j[t] · (1/len))`, one left-to-right fused chain,
+//! where the reference centers raw values per pair, so on an unaligned
+//! window the kernel agrees with the reference within `1e-10`, not bit for
+//! bit.
 //!
 //! # Example
 //!
 //! ```
-//! use tsubasa_core::plan::QueryPlan;
+//! use tsubasa_core::plan::{PartialCorrs, QueryPlan};
 //! use tsubasa_core::{exact, QueryWindow, SeriesCollection, SketchSet};
 //!
 //! let collection = SeriesCollection::from_rows(vec![
@@ -67,9 +66,12 @@
 //! let query = QueryWindow::new(6, 6).unwrap();
 //! let plan = QueryPlan::build(&collection, &sketch, query).unwrap();
 //!
-//! let fast = plan.pair_correlation(&collection, &sketch, 0, 1).unwrap();
+//! // Row 0 of the packed triangle: pairs (0, 1) and (0, 2).
+//! let view = sketch.window_corrs_view(plan.full_windows());
+//! let mut row = [0.0; 2];
+//! plan.block_kernel(0, 1, view, 0, &mut PartialCorrs::default(), &mut row);
 //! let reference = exact::pair_correlation(&collection, &sketch, query, 0, 1).unwrap();
-//! assert_eq!(fast.to_bits(), reference.to_bits());
+//! assert!((row[0] - reference).abs() <= 1e-10);
 //! ```
 
 use std::ops::Range;
@@ -78,8 +80,8 @@ use std::sync::Arc;
 use crate::error::{Error, Result};
 use crate::sketch::{pair_index, SketchSet};
 use crate::stats::{
-    clamp_corr, normalize_each, packed_corr_rows_into, packed_lane_mut, packed_len,
-    pair_corr_from_stats, WindowStats, TILE_ROWS,
+    clamp_corr, normalize_each, packed_corr_rows_into, packed_lane_mut, packed_len, WindowStats,
+    TILE_ROWS,
 };
 use crate::timeseries::{SeriesCollection, SeriesId};
 use crate::window::{QueryWindow, WindowSpan};
@@ -88,10 +90,9 @@ use crate::window::{QueryWindow, WindowSpan};
 /// precomputed half of the Lemma 1 recombination, shared by all pairs.
 ///
 /// Built with [`QueryPlan::build`] (arbitrary query windows, needs raw data
-/// for partial head/tail), [`QueryPlan::build_aligned`] (sketch-only, for
-/// windows aligned to basic-window boundaries) or
-/// [`QueryPlan::from_window_stats`] (from statistics read back from a
-/// [`tsubasa-storage`-style](crate::sketch) store). See the [module
+/// for partial head/tail) or [`QueryPlan::from_window_stats`] (sketch-only,
+/// for windows aligned to basic-window boundaries, from the statistics any
+/// source serves — see [`crate::source::SourcePlan`]). See the [module
 /// documentation](crate::plan) for the layout and an example.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
@@ -113,11 +114,6 @@ pub struct QueryPlan {
     means: Vec<f64>,
     /// Denominator `Σ_k B_k (σ² + δ²)` per series (`T ·` population variance).
     dens: Vec<f64>,
-    /// Per-series statistics of the partial head window (empty when aligned);
-    /// the kernel combines them with the raw cross-product per pair.
-    head_stats: Vec<WindowStats>,
-    /// Per-series statistics of the partial tail window (empty when aligned).
-    tail_stats: Vec<WindowStats>,
     /// `σ` per plan window per series, window-major (`stds_t[k·n + i]`): a
     /// tile of pairs `(i, j0..)` of [`QueryPlan::block_kernel`] reads `σ_j` of
     /// one window as a contiguous slice.
@@ -125,7 +121,7 @@ pub struct QueryPlan {
     /// `δ = mean_k − x̄_i` per plan window per series, window-major like
     /// `stds_t`.
     deltas_t: Vec<f64>,
-    /// Z-normalized partial-head values in the pair kernel's packed panel
+    /// Z-normalized partial-head values in the window kernel's packed panel
     /// layout ([`packed_len`]`(n, head_len)`; empty when aligned): the block
     /// the head's correlation row is minted from, a few triangle rows at a
     /// time ([`PartialCorrs`]).
@@ -175,41 +171,14 @@ impl QueryPlan {
             let sk = sketch.series_sketch(i)?;
             row.clear();
             if let Some(head) = seg.head {
-                let stats = sketch_partial(head, values, i, &mut plan.head_z);
-                plan.head_stats.push(stats);
-                row.push(stats);
+                row.push(sketch_partial(head, values, i, &mut plan.head_z));
             }
             for k in seg.full.clone() {
                 row.push(sk.window(k));
             }
             if let Some(tail) = seg.tail {
-                let stats = sketch_partial(tail, values, i, &mut plan.tail_z);
-                plan.tail_stats.push(stats);
-                row.push(stats);
+                row.push(sketch_partial(tail, values, i, &mut plan.tail_z));
             }
-            plan.push_series_row(&row);
-        }
-        plan.finalize()
-    }
-
-    /// Build a sketch-only plan over a range of basic-window indices — the
-    /// aligned "special case" of Lemma 1 used by Algorithms 1–3. No raw data
-    /// is needed.
-    pub fn build_aligned(sketch: &SketchSet, windows: Range<usize>) -> Result<Self> {
-        if windows.end > sketch.window_count() || windows.is_empty() {
-            return Err(Error::SketchMismatch {
-                requested: format!("basic windows {windows:?}"),
-                available: format!("{} sketched windows", sketch.window_count()),
-            });
-        }
-        let n = sketch.series_count();
-        let w = windows.len();
-        let mut plan = Self::empty(n, w, windows.clone(), None, None);
-        let mut row: Vec<WindowStats> = Vec::with_capacity(w);
-        for i in 0..n {
-            let sk = sketch.series_sketch(i)?;
-            row.clear();
-            row.extend(windows.clone().map(|k| sk.window(k)));
             plan.push_series_row(&row);
         }
         plan.finalize()
@@ -255,8 +224,6 @@ impl QueryPlan {
             total: 0.0,
             means: Vec::with_capacity(n),
             dens: Vec::with_capacity(n),
-            head_stats: Vec::new(),
-            tail_stats: Vec::new(),
             stds_t: vec![0.0; n * w],
             deltas_t: vec![0.0; n * w],
             head_z: Vec::new(),
@@ -374,102 +341,6 @@ impl QueryPlan {
         (s, t)
     }
 
-    /// The allocation-free all-pairs kernel: correlation of series `i` and
-    /// `j` given the pair's per-window correlations for the plan's *full*
-    /// windows (`full_corrs.len() == full_windows().len()`) and, for
-    /// unaligned plans, the raw series values for the partial head/tail.
-    ///
-    /// Returns `0.0` for a degenerate (constant-series) pair, matching the
-    /// convention of the matrix paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `full_corrs` has the wrong length or when `raw` is `None`
-    /// for an unaligned plan — both are programming errors that would
-    /// otherwise produce a plausible but wrong correlation. The length check
-    /// is one branch per pair, negligible next to the per-window loop.
-    pub fn pair_kernel(
-        &self,
-        i: SeriesId,
-        j: SeriesId,
-        full_corrs: &[f64],
-        raw: Option<(&[f64], &[f64])>,
-    ) -> f64 {
-        assert_eq!(
-            full_corrs.len(),
-            self.full.len(),
-            "pair_kernel needs one correlation per full plan window"
-        );
-        let n = self.n;
-        let sd = |k: usize| (self.stds_t[k * n + i], self.stds_t[k * n + j]);
-        let dd = |k: usize| self.deltas_t[k * n + i] * self.deltas_t[k * n + j];
-
-        let mut num = 0.0;
-        let mut k = 0;
-        if let Some(head) = self.head {
-            let (xs, ys) = raw.expect("unaligned plan kernel requires raw series data");
-            let (hx, hy) = (&self.head_stats[i], &self.head_stats[j]);
-            let c = pair_corr_from_stats(head.slice(xs), head.slice(ys), hx, hy);
-            num += self.lens[k] * (hx.std * hy.std * c + dd(k));
-            k += 1;
-        }
-        for &c in full_corrs {
-            let (sx, sy) = sd(k);
-            num += self.lens[k] * (sx * sy * c + dd(k));
-            k += 1;
-        }
-        if let Some(tail) = self.tail {
-            let (xs, ys) = raw.expect("unaligned plan kernel requires raw series data");
-            let (tx, ty) = (&self.tail_stats[i], &self.tail_stats[j]);
-            let c = pair_corr_from_stats(tail.slice(xs), tail.slice(ys), tx, ty);
-            num += self.lens[k] * (tx.std * ty.std * c + dd(k));
-        }
-
-        let (den_x, den_y) = (self.dens[i], self.dens[j]);
-        if den_x <= 0.0 || den_y <= 0.0 {
-            return 0.0;
-        }
-        clamp_corr(num / (den_x.sqrt() * den_y.sqrt()))
-    }
-
-    /// Correlation of one pair through the plan, gathering the pair's
-    /// per-window correlations (a strided column of the sketch's table) from
-    /// `sketch` and (for unaligned plans) the raw values from `collection`.
-    pub fn pair_correlation(
-        &self,
-        collection: &SeriesCollection,
-        sketch: &SketchSet,
-        i: SeriesId,
-        j: SeriesId,
-    ) -> Result<f64> {
-        if i == j {
-            return Ok(1.0);
-        }
-        let pair = sketch.pair_sketch(i, j)?;
-        let corrs = &pair.corrs[self.full.clone()];
-        let raw = if self.is_aligned() {
-            None
-        } else {
-            Some((collection.get(i)?.values(), collection.get(j)?.values()))
-        };
-        Ok(self.pair_kernel(i, j, corrs, raw))
-    }
-
-    /// Correlation of one pair of an *aligned* plan using only the sketch.
-    pub fn pair_correlation_aligned(
-        &self,
-        sketch: &SketchSet,
-        i: SeriesId,
-        j: SeriesId,
-    ) -> Result<f64> {
-        if i == j {
-            return Ok(1.0);
-        }
-        debug_assert!(self.is_aligned(), "aligned kernel on an unaligned plan");
-        let pair = sketch.pair_sketch(i, j)?;
-        Ok(self.pair_kernel(i, j, &pair.corrs[self.full.clone()], None))
-    }
-
     /// The tiled batch kernel: correlations of the contiguous pair tile
     /// `(i, j0), (i, j0+1), …, (i, j0+out.len()−1)` written into `out`.
     ///
@@ -486,7 +357,7 @@ impl QueryPlan {
     ///
     /// A partial head or tail window is one more plan window whose `c` row
     /// is not stored: the first tile evaluated in an aligned group of four
-    /// triangle rows (the pair kernel's register tile) mints the group's head
+    /// triangle rows (the window kernel's register tile) mints the group's head
     /// and tail `c` into `partial`, with the kernel behind
     /// [`crate::stats::window_corrs_into`] over the plan's packed z-scores,
     /// and every tile of the group reads its slice of them. `partial` is the
@@ -494,7 +365,7 @@ impl QueryPlan {
     /// aligned plan never touches it.
     ///
     /// A pair's numerator accumulates the `w` plan windows in plan order
-    /// (`[head?, full…, tail?]`, like [`QueryPlan::pair_kernel`]) from `0.0`,
+    /// (`[head?, full…, tail?]`, like [`crate::exact::combine`]) from `0.0`,
     /// whatever tile or run the pair falls in. A partial window's `c` is the
     /// kernel's serial `clamp_corr(Σ_t z_i[t]·z_j[t] · (1/len))` where the
     /// scalar reference centers raw values per pair, so agreement with it is
@@ -989,46 +860,61 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn plan_matches_reference_path_bitwise_aligned() {
-        let c = test_collection(5, 200);
-        let sketch = SketchSet::build(&c, 25).unwrap();
-        let query = QueryWindow::new(199, 150).unwrap();
-        let plan = QueryPlan::build(&c, &sketch, query).unwrap();
-        assert!(plan.is_aligned());
-        for (i, j) in c.pairs() {
-            let fast = plan.pair_correlation(&c, &sketch, i, j).unwrap();
-            let reference = exact::pair_correlation(&c, &sketch, query, i, j).unwrap();
-            assert_eq!(fast.to_bits(), reference.to_bits(), "pair ({i},{j})");
+    /// The packed triangle as [`QueryPlan::block_kernel`] writes it, one
+    /// whole row per tile, one scratch for the plan.
+    fn kernel_triangle(plan: &QueryPlan, sketch: &SketchSet) -> Vec<f64> {
+        let (n, view) = (plan.n, sketch.window_corrs_view(plan.full_windows()));
+        let mut partial = PartialCorrs::default();
+        let mut out = vec![f64::NAN; n * (n - 1) / 2];
+        for i in 0..n - 1 {
+            let p0 = pair_index(i, i + 1, n);
+            plan.block_kernel(
+                i,
+                i + 1,
+                view,
+                p0,
+                &mut partial,
+                &mut out[p0..p0 + n - 1 - i],
+            );
         }
+        out
+    }
+
+    fn assert_same_tables(a: &QueryPlan, b: &QueryPlan) {
+        assert_eq!((a.n, a.w, &a.lens, a.total), (b.n, b.w, &b.lens, b.total));
+        assert_eq!((&a.means, &a.dens), (&b.means, &b.dens));
+        assert_eq!((&a.stds_t, &a.deltas_t), (&b.stds_t, &b.deltas_t));
     }
 
     #[test]
-    fn plan_matches_reference_path_bitwise_unaligned() {
-        let c = test_collection(4, 200);
-        let sketch = SketchSet::build(&c, 30).unwrap();
-        // Both boundaries unaligned: indices 37..=171.
-        let query = QueryWindow::new(171, 135).unwrap();
+    fn plan_matches_reference_path_bitwise_aligned() {
+        let c = test_collection(6, 180);
+        let sketch = SketchSet::build(&c, 20).unwrap();
+        let query = QueryWindow::new(159, 140).unwrap(); // windows 1..8
         let plan = QueryPlan::build(&c, &sketch, query).unwrap();
-        assert!(!plan.is_aligned());
-        for (i, j) in c.pairs() {
-            let fast = plan.pair_correlation(&c, &sketch, i, j).unwrap();
+        assert!(plan.is_aligned());
+        let got = kernel_triangle(&plan, &sketch);
+        for (p, (i, j)) in c.pairs().enumerate() {
             let reference = exact::pair_correlation(&c, &sketch, query, i, j).unwrap();
-            assert_eq!(fast.to_bits(), reference.to_bits(), "pair ({i},{j})");
+            assert_eq!(got[p].to_bits(), reference.to_bits(), "pair ({i},{j})");
         }
     }
 
     #[test]
     fn aligned_builder_matches_general_builder() {
+        // The sketch-only plan of an aligned range (through the source's
+        // statistics) is the general plan of the same query window.
         let c = test_collection(4, 120);
         let sketch = SketchSet::build(&c, 20).unwrap();
         let query = QueryWindow::new(119, 80).unwrap(); // windows 2..6
         let from_query = QueryPlan::build(&c, &sketch, query).unwrap();
-        let from_range = QueryPlan::build_aligned(&sketch, 2..6).unwrap();
-        assert_eq!(from_query, from_range);
-        let a = from_range.pair_correlation_aligned(&sketch, 0, 3).unwrap();
+        let source = crate::source::SourcePlan::new(&sketch, 2..6, PlanMethod::Exact).unwrap();
+        assert_same_tables(source.query_plan(), &from_query);
+        let (m, _) = source
+            .correlation_matrix(&crate::runner::SerialRunner)
+            .unwrap();
         let b = exact::pair_correlation(&c, &sketch, query, 0, 3).unwrap();
-        assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(m.get(0, 3).to_bits(), b.to_bits());
     }
 
     #[test]
@@ -1043,13 +929,11 @@ mod tests {
             })
             .collect();
         let from_stats = QueryPlan::from_window_stats(&stats).unwrap();
-        let aligned = QueryPlan::build_aligned(&sketch, 2..8).unwrap();
+        let query = QueryWindow::new(79, 60).unwrap(); // windows 2..8
+        let aligned = QueryPlan::build(&c, &sketch, query).unwrap();
         // `full` ranges differ (store plans are 0-based) but the numeric
         // tables must agree.
-        assert_eq!(from_stats.dens, aligned.dens);
-        assert_eq!(from_stats.means, aligned.means);
-        assert_eq!(from_stats.stds_t, aligned.stds_t);
-        assert_eq!(from_stats.deltas_t, aligned.deltas_t);
+        assert_same_tables(&from_stats, &aligned);
     }
 
     #[test]
@@ -1069,10 +953,11 @@ mod tests {
     fn degenerate_series_yield_zero_pairs() {
         let c = SeriesCollection::from_rows(vec![vec![5.0; 60], lcg_series(1, 60)]).unwrap();
         let sketch = SketchSet::build(&c, 10).unwrap();
-        let plan = QueryPlan::build_aligned(&sketch, 1..5).unwrap();
+        let query = QueryWindow::new(49, 40).unwrap(); // windows 1..5
+        let plan = QueryPlan::build(&c, &sketch, query).unwrap();
         assert!(plan.is_degenerate(0));
         assert!(!plan.is_degenerate(1));
-        assert_eq!(plan.pair_correlation_aligned(&sketch, 0, 1).unwrap(), 0.0);
+        assert_eq!(kernel_triangle(&plan, &sketch), vec![0.0]);
     }
 
     #[test]
@@ -1103,63 +988,21 @@ mod tests {
     }
 
     #[test]
-    fn block_kernel_matches_scalar_kernel_aligned() {
-        let c = test_collection(6, 180);
-        let sketch = SketchSet::build(&c, 20).unwrap();
-        let plan = QueryPlan::build_aligned(&sketch, 1..8).unwrap();
-        let corrs_t = sketch.window_corrs_view(1..8);
-        let n = c.len();
-        let mut partial = PartialCorrs::default();
-        for i in 0..n - 1 {
-            let mut tile = vec![0.0f64; n - 1 - i];
-            plan.block_kernel(
-                i,
-                i + 1,
-                corrs_t,
-                crate::sketch::pair_index(i, i + 1, n),
-                &mut partial,
-                &mut tile,
-            );
-            for (p, &got) in tile.iter().enumerate() {
-                let j = i + 1 + p;
-                let reference = plan.pair_correlation_aligned(&sketch, i, j).unwrap();
-                assert!(
-                    (got - reference).abs() <= 1e-10,
-                    "pair ({i},{j}): {got} vs {reference}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn block_kernel_matches_scalar_kernel_unaligned() {
         let c = test_collection(5, 200);
         let sketch = SketchSet::build(&c, 30).unwrap();
-        // Head and tail both partial.
+        // Head and tail both partial: indices 37..=171.
         let query = QueryWindow::new(171, 135).unwrap();
         let plan = QueryPlan::build(&c, &sketch, query).unwrap();
         assert!(!plan.is_aligned());
-        let corrs_t = sketch.window_corrs_view(plan.full_windows());
-        let n = c.len();
-        let mut partial = PartialCorrs::default();
-        for i in 0..n - 1 {
-            let mut tile = vec![0.0f64; n - 1 - i];
-            plan.block_kernel(
-                i,
-                i + 1,
-                corrs_t,
-                crate::sketch::pair_index(i, i + 1, n),
-                &mut partial,
-                &mut tile,
+        let got = kernel_triangle(&plan, &sketch);
+        for (p, (i, j)) in c.pairs().enumerate() {
+            let reference = exact::pair_correlation(&c, &sketch, query, i, j).unwrap();
+            assert!(
+                (got[p] - reference).abs() <= 1e-10,
+                "pair ({i},{j}): {} vs {reference}",
+                got[p]
             );
-            for (p, &got) in tile.iter().enumerate() {
-                let j = i + 1 + p;
-                let reference = plan.pair_correlation(&c, &sketch, i, j).unwrap();
-                assert!(
-                    (got - reference).abs() <= 1e-10,
-                    "pair ({i},{j}): {got} vs {reference}"
-                );
-            }
         }
     }
 
@@ -1315,7 +1158,7 @@ mod tests {
             SeriesCollection::from_rows(vec![vec![5.0; 60], lcg_series(1, 60), lcg_series(2, 60)])
                 .unwrap();
         let sketch = SketchSet::build(&c, 10).unwrap();
-        let plan = QueryPlan::build_aligned(&sketch, 0..6).unwrap();
+        let plan = QueryPlan::build(&c, &sketch, QueryWindow::new(59, 60).unwrap()).unwrap();
         let corrs_t = sketch.window_corrs_view(0..6);
         let mut tile = vec![9.0f64; 2];
         plan.block_kernel(0, 1, corrs_t, 0, &mut PartialCorrs::default(), &mut tile);
@@ -1391,8 +1234,6 @@ mod tests {
     fn builders_validate_inputs() {
         let c = test_collection(3, 100);
         let sketch = SketchSet::build(&c, 20).unwrap();
-        assert!(QueryPlan::build_aligned(&sketch, 0..9).is_err());
-        assert!(QueryPlan::build_aligned(&sketch, 2..2).is_err());
         assert!(QueryPlan::from_window_stats(&[]).is_err());
         let ragged = vec![
             vec![WindowStats::from_values(&[1.0, 2.0]); 3],

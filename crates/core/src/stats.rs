@@ -166,14 +166,6 @@ pub fn joint_stats(x: &[f64], y: &[f64]) -> (WindowStats, WindowStats) {
     (WindowStats::from_values(x), WindowStats::from_values(y))
 }
 
-/// Both window statistics and the Pearson correlation of a pair of aligned
-/// windows: [`joint_stats`], then [`pair_corr_from_stats`].
-pub fn sketch_pair(x: &[f64], y: &[f64]) -> (WindowStats, WindowStats, f64) {
-    let (sx, sy) = joint_stats(x, y);
-    let corr = pair_corr_from_stats(x, y, &sx, &sy);
-    (sx, sy, corr)
-}
-
 /// Pearson correlation of two aligned windows whose per-series statistics
 /// have already been computed.
 ///
@@ -741,18 +733,6 @@ mod tests {
         // Negative scaling flips the sign.
         let xn: Vec<f64> = x.iter().map(|v| -2.0 * v).collect();
         assert!((pearson(&xn, &y) + c0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sketch_pair_agrees_with_separate_computation() {
-        let x = [0.3, 1.7, -2.2, 5.0, 4.4, 0.0, 1.0];
-        let y = [1.3, -0.7, 2.2, 3.0, -4.4, 2.0, 0.5];
-        let (sx, sy, c) = sketch_pair(&x, &y);
-        let ex = WindowStats::from_values(&x);
-        let ey = WindowStats::from_values(&y);
-        assert!((sx.mean - ex.mean).abs() < 1e-12);
-        assert!((sy.std - ey.std).abs() < 1e-12);
-        assert!((c - pearson(&x, &y)).abs() < 1e-12);
     }
 
     #[test]

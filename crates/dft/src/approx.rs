@@ -14,10 +14,11 @@
 //!   this is the source of the spurious edges in Figure 5a.
 
 use tsubasa_core::error::{Error, Result};
+use tsubasa_core::exact::{self, WindowContribution};
 use tsubasa_core::matrix::{AdjacencyMatrix, CorrelationMatrix};
 use tsubasa_core::plan::PlanMethod;
 use tsubasa_core::sketch::packed_pairs;
-use tsubasa_core::stats::{clamp_corr, WindowStats};
+use tsubasa_core::stats::clamp_corr;
 pub use tsubasa_core::stats::{distance_from_corr, pruning_radius};
 use tsubasa_core::sweep::{sweep_packed, EdgeRule, EdgeSink, DEFAULT_TILE_PAIRS};
 
@@ -30,88 +31,17 @@ pub fn corr_from_distance(d: f64) -> f64 {
     clamp_corr(1.0 - d * d / 2.0)
 }
 
-/// One basic window's contribution to the approximate recombination: the two
-/// per-series statistics plus the pair's stored Equation 3 estimate
-/// `ĉ_j = 1 − d_j²/2` of the DFT coefficient distance `d_j`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ApproxWindow {
-    /// Statistics of this window of the first series.
-    pub x: WindowStats,
-    /// Statistics of this window of the second series.
-    pub y: WindowStats,
-    /// Equation 3 estimate of the normalized windows' correlation.
-    pub est: f64,
-}
-
-/// Equation 5 (combined with Equation 3): the approximate correlation of the
-/// query window assembled from per-window statistics and estimates.
-///
-/// Implemented by substituting the per-window correlation estimate
-/// `c_j ≈ ĉ_j = 1 − d_j²/2` into the Lemma 1 recombination, which is
-/// algebraically identical to the paper's Equation 5 and numerically more
-/// stable.
-///
-/// Fails with [`Error::DegenerateWindow`] when the recombined window covers
-/// no points at all or has zero variance in either series (a constant
-/// series) — Pearson correlation is undefined there, the same contract as
-/// the exact path's [`tsubasa_core::exact::combine`]. Callers that want the
-/// classic "constant ⇒ 0.0" convention map the error explicitly, as
-/// [`approximate_pair_correlation`] does.
-pub fn query_correlation(parts: &[ApproxWindow]) -> Result<f64> {
-    let total: f64 = parts.iter().map(|p| p.x.len as f64).sum();
-    if total == 0.0 {
-        return Err(Error::DegenerateWindow { points: 0 });
-    }
-    let mean_x = parts.iter().map(|p| p.x.len as f64 * p.x.mean).sum::<f64>() / total;
-    let mean_y = parts.iter().map(|p| p.y.len as f64 * p.y.mean).sum::<f64>() / total;
-    let mut num = 0.0;
-    let mut den_x = 0.0;
-    let mut den_y = 0.0;
-    for p in parts {
-        let b = p.x.len as f64;
-        let dx = p.x.mean - mean_x;
-        let dy = p.y.mean - mean_y;
-        num += b * (p.x.std * p.y.std * p.est + dx * dy);
-        den_x += b * (p.x.std * p.x.std + dx * dx);
-        den_y += b * (p.y.std * p.y.std + dy * dy);
-    }
-    if den_x <= 0.0 || den_y <= 0.0 {
-        return Err(Error::DegenerateWindow {
-            points: total as usize,
-        });
-    }
-    Ok(clamp_corr(num / (den_x.sqrt() * den_y.sqrt())))
-}
-
-/// Equation 5 expressed as a distance (`Dist_n(X̂, Ŷ)` of the whole query
-/// window): `Dist² = 2(1 − corr)`. Propagates
-/// [`Error::DegenerateWindow`] from [`query_correlation`].
-pub fn query_distance(parts: &[ApproxWindow]) -> Result<f64> {
-    Ok(distance_from_corr(query_correlation(parts)?))
-}
-
 /// The StatStream heuristic: the query-window correlation is the average of
 /// the per-window correlation estimates `ĉ_j = 1 − d_j²/2`.
 ///
 /// Fails with [`Error::DegenerateWindow`] when no windows are supplied —
 /// there is nothing to average, matching the error convention of
-/// [`query_correlation`].
+/// [`exact::combine`].
 pub fn statstream_average_correlation(ests: &[f64]) -> Result<f64> {
     if ests.is_empty() {
         return Err(Error::DegenerateWindow { points: 0 });
     }
     Ok(clamp_corr(ests.iter().sum::<f64>() / ests.len() as f64))
-}
-
-/// Map the [`Error::DegenerateWindow`] produced by an empty or
-/// constant-series window to the `0.0` correlation convention of
-/// [`tsubasa_core::stats::pearson`], passing every other error through —
-/// the approximate twin of the exact path's explicit mapping.
-fn degenerate_to_zero(r: Result<f64>) -> Result<f64> {
-    match r {
-        Err(Error::DegenerateWindow { .. }) => Ok(0.0),
-        other => other,
-    }
 }
 
 /// Which recombination the approximate matrix / network construction uses.
@@ -123,35 +53,21 @@ pub enum ApproxStrategy {
     StatStreamAverage,
 }
 
-fn gather_parts(
-    sketch: &DftSketchSet,
-    windows: std::ops::Range<usize>,
-    i: usize,
-    j: usize,
-) -> Result<Vec<ApproxWindow>> {
-    let base = sketch.base();
-    let sx = base.series_sketch(i)?;
-    let sy = base.series_sketch(j)?;
-    let ests = sketch.pair_estimates(i, j)?;
-    Ok(windows
-        .map(|w| ApproxWindow {
-            x: sx.window(w),
-            y: sy.window(w),
-            est: ests[w],
-        })
-        .collect())
-}
-
 /// Approximate correlation of one pair over an aligned range of basic
 /// windows.
 ///
-/// This is the *reference* per-pair path: it materializes the pair's
-/// [`ApproxWindow`] contributions and recombines them scalar-ly; the
-/// all-pairs entry points share an [`ApproxPlan`] instead and agree with
-/// this path within `1e-10` absolute. A degenerate (empty or
-/// constant-series) window maps [`Error::DegenerateWindow`] to the classic
-/// `0.0` convention, exactly as the exact path's
-/// [`tsubasa_core::exact::pair_correlation`] does.
+/// This is the *reference* per-pair path. Its Equation 5 is Equation 3
+/// substituted into Lemma 1: the pair's per-window contributions carry the
+/// stored estimate `ĉ_j = 1 − d_j²/2` as their correlation and are
+/// recombined by the exact path's [`exact::combine`] — algebraically the
+/// paper's Equation 5 and numerically more stable. The all-pairs entry
+/// points share an [`ApproxPlan`] instead and produce the same bits.
+///
+/// The window range and both series ids are validated before anything else,
+/// the diagonal (`i == j`, correlation `1.0`) included. A degenerate (empty
+/// or constant-series) window maps [`Error::DegenerateWindow`] to the
+/// classic `0.0` convention, exactly as the exact path's
+/// [`exact::pair_correlation`] does.
 pub fn approximate_pair_correlation(
     sketch: &DftSketchSet,
     windows: std::ops::Range<usize>,
@@ -159,26 +75,33 @@ pub fn approximate_pair_correlation(
     j: usize,
     strategy: ApproxStrategy,
 ) -> Result<f64> {
-    if i == j {
-        return Ok(1.0);
-    }
     if windows.end > sketch.window_count() || windows.is_empty() {
         return Err(Error::SketchMismatch {
             requested: format!("basic windows {windows:?}"),
             available: format!("{} sketched windows", sketch.window_count()),
         });
     }
-    match strategy {
-        ApproxStrategy::Equation5 => {
-            let parts = gather_parts(sketch, windows, i, j)?;
-            degenerate_to_zero(query_correlation(&parts))
-        }
-        ApproxStrategy::StatStreamAverage => {
-            let ests = sketch.pair_estimates(i, j)?;
-            degenerate_to_zero(statstream_average_correlation(
-                &ests[windows.start..windows.end],
-            ))
-        }
+    let base = sketch.base();
+    let (sx, sy) = (base.series_sketch(i)?, base.series_sketch(j)?);
+    if i == j {
+        return Ok(1.0);
+    }
+    let ests = sketch.pair_estimates(i, j)?;
+    let corr = match strategy {
+        ApproxStrategy::Equation5 => exact::combine(
+            &windows
+                .map(|w| WindowContribution {
+                    x: sx.window(w),
+                    y: sy.window(w),
+                    corr: ests[w],
+                })
+                .collect::<Vec<_>>(),
+        ),
+        ApproxStrategy::StatStreamAverage => statstream_average_correlation(&ests[windows]),
+    };
+    match corr {
+        Err(Error::DegenerateWindow { .. }) => Ok(0.0),
+        other => other,
     }
 }
 
@@ -273,6 +196,7 @@ mod tests {
     use crate::sketch::Transform;
     use tsubasa_core::runner::SerialRunner;
     use tsubasa_core::source::SourcePlan;
+    use tsubasa_core::stats::WindowStats;
     use tsubasa_core::sweep::TableAudit;
     use tsubasa_core::{baseline, QueryWindow, SeriesCollection, SketchSet};
 
@@ -465,34 +389,34 @@ mod tests {
 
     #[test]
     fn query_correlation_rejects_degenerate_windows() {
-        // No windows at all → points: 0, the exact path's `combine(&[])`
-        // convention.
-        assert!(matches!(
-            query_correlation(&[]).unwrap_err(),
-            Error::DegenerateWindow { points: 0 }
-        ));
-        // A constant series has zero variance across every window: the
-        // denominator vanishes and the correlation is undefined — a typed
-        // error carrying the covered point count, not a silent 0.0.
+        // Equation 5 is Lemma 1 over the estimates, so it inherits
+        // `exact::combine`'s contract: a constant series has zero variance
+        // across every window, the denominator vanishes and the correlation
+        // is undefined — a typed error carrying the covered point count, not
+        // a silent 0.0.
         let constant = WindowStats::from_values(&[5.0; 30]);
         let live = WindowStats::from_values(&(0..30).map(|i| i as f64).collect::<Vec<_>>());
-        let parts = [
-            ApproxWindow {
-                x: constant,
-                y: live,
-                est: 0.955,
-            },
-            ApproxWindow {
-                x: constant,
-                y: live,
-                est: 0.995,
-            },
-        ];
+        let parts = [0.955, 0.995].map(|corr| WindowContribution {
+            x: constant,
+            y: live,
+            corr,
+        });
         assert!(matches!(
-            query_correlation(&parts).unwrap_err(),
+            exact::combine(&parts).unwrap_err(),
             Error::DegenerateWindow { points: 60 }
         ));
-        assert!(query_distance(&parts).is_err());
+    }
+
+    #[test]
+    fn the_diagonal_is_validated_like_any_pair() {
+        let c = collection(3, 100);
+        let sk = DftSketchSet::build(&c, 25, 25, Transform::Naive).unwrap();
+        for strategy in [ApproxStrategy::Equation5, ApproxStrategy::StatStreamAverage] {
+            let pair = |windows, i| approximate_pair_correlation(&sk, windows, i, i, strategy);
+            assert!(matches!(pair(0..9, 1), Err(Error::SketchMismatch { .. })));
+            assert!(matches!(pair(0..4, 99), Err(Error::UnknownSeries(99))));
+            assert_eq!(pair(0..4, 2).unwrap(), 1.0);
+        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The comparator in the paper assumes the *naive* `O(k²)` DFT (its
 //! complexity analysis and Figures 5b/5d hinge on that quadratic cost), so
-//! [`naive_dft`] is the default used by the sketching path. A radix-2 FFT is
-//! provided as an ablation ([`radix2_fft`]) to quantify how much of the
-//! comparator's disadvantage is the transform itself.
+//! [`naive_dft`] is the reference transform. [`DftPlanner`] is the one fast
+//! transform: a radix-2 FFT planned once per window size, which the
+//! comparator's sketches and its arriving windows run.
 
 /// A minimal complex number. We intentionally avoid pulling in an external
 /// complex/FFT crate: the comparator only needs addition, multiplication by a
@@ -96,52 +96,6 @@ pub fn naive_dft(x: &[f64]) -> Vec<Complex> {
         .collect()
 }
 
-/// Unitary radix-2 FFT. Falls back to [`naive_dft`] when the length is not a
-/// power of two (the sketching path never depends on power-of-two basic
-/// windows). Provided for the `dft_vs_fft` ablation benchmark.
-pub fn radix2_fft(x: &[f64]) -> Vec<Complex> {
-    let k = x.len();
-    if k == 0 {
-        return Vec::new();
-    }
-    if !k.is_power_of_two() || k == 1 {
-        return naive_dft(x);
-    }
-    let mut buf: Vec<Complex> = x.iter().map(|&v| Complex::new(v, 0.0)).collect();
-
-    // Bit-reversal permutation.
-    let bits = k.trailing_zeros();
-    for i in 0..k {
-        let j = (i as u32).reverse_bits() >> (32 - bits);
-        let j = j as usize;
-        if j > i {
-            buf.swap(i, j);
-        }
-    }
-
-    // Iterative Cooley–Tukey butterflies.
-    let mut len = 2;
-    while len <= k {
-        let angle = -2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::from_angle(angle);
-        for start in (0..k).step_by(len) {
-            let mut w = Complex::new(1.0, 0.0);
-            for off in 0..len / 2 {
-                let a = buf[start + off];
-                let b = buf[start + off + len / 2] * w;
-                buf[start + off] = a + b;
-                buf[start + off + len / 2] = a - b;
-                w = w * wlen;
-            }
-        }
-        len <<= 1;
-    }
-
-    let scale = 1.0 / (k as f64).sqrt();
-    buf.iter_mut().for_each(|c| *c = c.scale(scale));
-    buf
-}
-
 /// A reusable transform plan: the iterative radix-2 FFT with its
 /// bit-reversal permutation and per-stage twiddle factors precomputed once
 /// per window size, falling back to the naive `O(B²)` DFT for non-power-of-
@@ -149,12 +103,11 @@ pub fn radix2_fft(x: &[f64]) -> Vec<Complex> {
 ///
 /// The sketching paths transform *every basic window of every series* at the
 /// same length `B`, so the planner amortizes the table setup across the
-/// whole sweep and replaces the sequential `w ← w·w_len` twiddle recurrence
-/// of [`radix2_fft`] with table lookups. For power-of-two `B` this turns the
-/// comparator's per-window cost from `O(B²)` into `O(B log B)`; otherwise
-/// the plan degenerates to [`naive_dft`] so behaviour (and the paper's cost
-/// model) is unchanged. Agreement with [`naive_dft`] is unit-tested at both
-/// parities.
+/// whole sweep and reads every twiddle factor from a table. For power-of-two
+/// `B` this turns the comparator's per-window cost from `O(B²)` into
+/// `O(B log B)`; otherwise the plan degenerates to [`naive_dft`] so behaviour
+/// (and the paper's cost model) is unchanged. Agreement with [`naive_dft`] is
+/// unit-tested at both parities.
 #[derive(Debug, Clone)]
 pub struct DftPlanner {
     size: usize,
@@ -209,11 +162,11 @@ impl DftPlanner {
     }
 
     /// Transform one window. Inputs of a different length than the planned
-    /// size (or a non-power-of-two plan) take the fallback path
-    /// ([`radix2_fft`], which itself degrades to [`naive_dft`]).
+    /// size, and every input of a non-power-of-two plan, take
+    /// [`naive_dft`].
     pub fn transform(&self, x: &[f64]) -> Vec<Complex> {
         if x.len() != self.size || !self.uses_fft() {
-            return radix2_fft(x);
+            return naive_dft(x);
         }
         let k = self.size;
         let mut buf: Vec<Complex> = (0..k)
@@ -304,7 +257,7 @@ mod tests {
             .map(|i| (i as f64 * 0.7).sin() + 0.3 * i as f64)
             .collect();
         let a = naive_dft(&x);
-        let b = radix2_fft(&x);
+        let b = DftPlanner::new(16).transform(&x);
         for (u, v) in a.iter().zip(&b) {
             assert!((u.re - v.re).abs() < 1e-9 && (u.im - v.im).abs() < 1e-9);
         }
@@ -312,11 +265,11 @@ mod tests {
 
     #[test]
     fn fft_falls_back_on_non_power_of_two() {
+        // An unplanned length runs the naive transform itself, bit for bit,
+        // whether or not the plan's own size is a power of two.
         let x: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        let a = naive_dft(&x);
-        let b = radix2_fft(&x);
-        for (u, v) in a.iter().zip(&b) {
-            assert!((u.re - v.re).abs() < 1e-9);
+        for plan in [DftPlanner::new(16), DftPlanner::new(12)] {
+            assert_eq!(plan.transform(&x), naive_dft(&x));
         }
     }
 
@@ -350,7 +303,6 @@ mod tests {
     #[test]
     fn empty_input_yields_empty_output() {
         assert!(naive_dft(&[]).is_empty());
-        assert!(radix2_fft(&[]).is_empty());
         assert!(DftPlanner::new(0).transform(&[]).is_empty());
     }
 
@@ -390,13 +342,11 @@ mod tests {
 
     #[test]
     fn planner_handles_mismatched_input_length() {
+        // A power-of-two length the plan was not built for is not
+        // transformed by the FFT: it takes the naive transform, bit for bit.
         let plan = DftPlanner::new(16);
         let x: Vec<f64> = (0..8).map(|i| i as f64).collect();
-        let fast = plan.transform(&x); // falls back to the unplanned path
-        let reference = naive_dft(&x);
-        for (u, v) in fast.iter().zip(&reference) {
-            assert!((u.re - v.re).abs() < 1e-9);
-        }
+        assert_eq!(plan.transform(&x), naive_dft(&x));
     }
 
     proptest! {
@@ -415,12 +365,19 @@ mod tests {
     }
 
     proptest! {
+        /// Every power-of-two plan runs the FFT and agrees with the naive
+        /// transform (`prop_planner_equals_naive` draws a length at random,
+        /// so it reaches the FFT only for seven lengths).
         #[test]
         fn prop_fft_equals_naive(
-            x in proptest::collection::vec(-100.0f64..100.0, 1..65),
+            bits in 1u32..9,
+            x in proptest::collection::vec(-100.0f64..100.0, 256),
         ) {
-            let a = naive_dft(&x);
-            let b = radix2_fft(&x);
+            let x = &x[..1 << bits];
+            let plan = DftPlanner::new(x.len());
+            prop_assert!(plan.uses_fft());
+            let a = naive_dft(x);
+            let b = plan.transform(x);
             for (u, v) in a.iter().zip(&b) {
                 prop_assert!((u.re - v.re).abs() < 1e-6);
                 prop_assert!((u.im - v.im).abs() < 1e-6);

@@ -41,10 +41,9 @@ pub mod sketch;
 
 pub use approx::{
     approximate_correlation_matrix, approximate_correlation_matrix_reference, approximate_network,
-    corr_from_distance, distance_from_corr, pruning_radius, query_distance,
-    statstream_average_correlation,
+    corr_from_distance, distance_from_corr, pruning_radius, statstream_average_correlation,
 };
-pub use dft::{naive_dft, radix2_fft, Complex};
+pub use dft::{naive_dft, Complex};
 pub use incremental::SlidingApproxNetwork;
 pub use normalize::normalize_unit;
 pub use plan::ApproxPlan;

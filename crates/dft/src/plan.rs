@@ -6,8 +6,9 @@
 //! re-derives, for every one of the `N(N−1)/2` pairs, the per-series half of
 //! the Equation 5 recombination (length-weighted query mean, mean offsets δ,
 //! the denominator `Σ_j B_j (σ² + δ²)`) and allocates a scratch `Vec` of
-//! [`crate::approx::ApproxWindow`] contributions per pair. [`ApproxPlan`]
-//! factors that waste out, exactly as `QueryPlan` did for the exact path:
+//! window contributions per pair for `tsubasa_core::exact::combine`.
+//! [`ApproxPlan`] factors that waste out, exactly as `QueryPlan` did for the
+//! exact path:
 //!
 //! * the **per-series window-stat tables** (σ/mean/len, δ offsets, means and
 //!   denominators) are computed once per query window — they are literally a
@@ -22,10 +23,11 @@
 //!   the exact matrix paths — Equation 5 and Lemma 1 share their
 //!   recombination algebra, only the per-window correlation source differs.
 //!
-//! The scalar per-pair path survives as the arithmetic yardstick; the tiled
-//! sweep reorders floating-point accumulation, so agreement is the workspace's
-//! usual **≤ 1e-10 absolute tolerance contract**, pinned over 256 random
-//! configurations by `tests/approx_plan_agreement.rs`.
+//! The scalar per-pair path survives as the arithmetic yardstick. The plan's
+//! tables fold the statistics as `exact::combine` does and every pair
+//! accumulates its windows in the same order, so the matrix is the scalar
+//! path's **bits**, pinned over 256 random configurations by
+//! `tests/approx_plan_agreement.rs`.
 //!
 //! # Equation 4 pruning
 //!
@@ -211,11 +213,7 @@ mod tests {
         for (i, j) in c.pairs() {
             let reference =
                 approximate_pair_correlation(&sk, 1..8, i, j, ApproxStrategy::Equation5).unwrap();
-            assert!(
-                (m.get(i, j) - reference).abs() <= 1e-10,
-                "pair ({i},{j}): {} vs {reference}",
-                m.get(i, j)
-            );
+            assert_eq!(m.get(i, j).to_bits(), reference.to_bits(), "pair ({i},{j})");
         }
     }
 

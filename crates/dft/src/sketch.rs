@@ -61,9 +61,9 @@ pub enum Transform {
     Naive,
     /// Iterative radix-2 FFT through a reusable [`DftPlanner`] (bit-reversal
     /// and twiddle tables built once per sketch, `O(B log B)` per window for
-    /// power-of-two `B`, naive fallback otherwise). Used by the `dft_vs_fft`
-    /// ablation, the parallel engine's comparator path and every row of a
-    /// live approximate network (bootstrap and ticks alike).
+    /// power-of-two `B`, naive fallback otherwise). Used by the parallel
+    /// engine's comparator path and every row of a live approximate network
+    /// (bootstrap and ticks alike).
     Fft,
 }
 

@@ -303,6 +303,7 @@ mod tests {
     use super::*;
     use tsubasa_core::error::Error;
     use tsubasa_core::plan::PlanMethod;
+    use tsubasa_core::source::CorrSource;
     use tsubasa_core::{SeriesCollection, SketchSet};
 
     fn sketch() -> SketchSet {
@@ -316,7 +317,7 @@ mod tests {
     }
 
     fn build_exact(sk: &SketchSet, windows: std::ops::Range<usize>) -> Result<CachedPlan> {
-        let plan = QueryPlan::build_aligned(sk, windows)?;
+        let plan = QueryPlan::from_window_stats(&sk.series_stats(windows)?)?;
         let bounds = CorrelationBounds::from_plan(&plan);
         Ok(CachedPlan::Exact {
             plan: Arc::new(plan),

@@ -1,5 +1,4 @@
-//! Tolerance and pruning guards for the approximate plan layer (PR 5
-//! tentpole).
+//! Tolerance and pruning guards for the approximate plan layer.
 //!
 //! Three 256-case property suites:
 //!
@@ -9,16 +8,22 @@
 //!   `coefficient_distance` path (`DftSketchSet::build_reference`) within
 //!   `1e-10` absolute on every stored pair-window estimate `1 − d²/2` — the
 //!   same tolerance contract as `tests/tiled_kernel_agreement.rs`;
-//! * the batched `ApproxPlan` Equation 5 sweep (and the StatStream-average
-//!   sweep) agree with the scalar per-pair reference recombination within
-//!   `1e-10` absolute on every correlation;
+//! * the batched `ApproxPlan` Equation 5 sweep equals the scalar per-pair
+//!   reference recombination (`exact::combine` over the stored estimates)
+//!   **bit for bit** on every correlation — the same kernel, the same
+//!   operations in the same order, as the exact path's aligned matrix —
+//!   and the StatStream-average sweep agrees with its reference within
+//!   `1e-10` absolute;
 //! * the Equation 4 pruning guarantee holds end-to-end: with all
 //!   coefficients kept, the pruned approximate network misses no edge of the
 //!   exact network (`NetworkComparison::has_no_false_negatives`) for random
 //!   series and random thresholds.
 
+mod support;
+
 use proptest::prelude::*;
-use tsubasa_core::{PlanMethod, SerialRunner, SeriesCollection, SketchSet, SourcePlan};
+use support::Generator;
+use tsubasa_core::{PlanMethod, SerialRunner, SketchSet, SourcePlan};
 use tsubasa_dft::approx::{
     approximate_correlation_matrix, approximate_correlation_matrix_reference,
     approximate_pair_correlation, ApproxStrategy,
@@ -27,27 +32,11 @@ use tsubasa_dft::plan::ApproxPlan;
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
 use tsubasa_network::NetworkComparison;
 
-fn lcg_series(seed: u64, len: usize) -> Vec<f64> {
-    let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-    (0..len)
-        .map(|i| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let noise = (state >> 33) as f64 / (1u64 << 31) as f64 - 1.0;
-            (i as f64 * 0.19).sin() * 2.0 + noise
-        })
-        .collect()
-}
-
-fn collection(seed: u64, n: usize, len: usize) -> SeriesCollection {
-    SeriesCollection::from_rows(
-        (0..n)
-            .map(|s| lcg_series(seed.wrapping_add(s as u64 * 613), len))
-            .collect(),
-    )
-    .unwrap()
-}
+const SERIES: Generator = Generator {
+    freq: 0.19,
+    amp: 2.0,
+    stride: 613,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -65,7 +54,7 @@ proptest! {
         coeff in 1usize..16,
     ) {
         prop_assume!(basic <= series_len);
-        let c = collection(seed, n, series_len);
+        let c = SERIES.collection(seed, n, series_len);
         let tiled = DftSketchSet::build(&c, basic, coeff, Transform::Naive).unwrap();
         let reference = DftSketchSet::build_reference(&c, basic, coeff, Transform::Naive).unwrap();
         prop_assert_eq!(tiled.coefficients(), reference.coefficients());
@@ -83,7 +72,8 @@ proptest! {
     }
 
     /// Batched ApproxPlan sweep vs the scalar per-pair recombination, on
-    /// random window subranges and coefficient counts, for both strategies.
+    /// random window subranges and coefficient counts, for both strategies:
+    /// Equation 5 bit for bit, the StatStream average within 1e-10.
     #[test]
     fn prop_approx_plan_agrees_with_scalar_reference(
         seed in 0u64..10_000,
@@ -94,7 +84,7 @@ proptest! {
         start_frac in 0usize..3,
     ) {
         prop_assume!(basic <= series_len);
-        let c = collection(seed.wrapping_add(7), n, series_len);
+        let c = SERIES.collection(seed.wrapping_add(7), n, series_len);
         let sk = DftSketchSet::build(&c, basic, coeff, Transform::Naive).unwrap();
         let ns = sk.window_count();
         let start = (start_frac * ns / 4).min(ns - 1);
@@ -107,7 +97,7 @@ proptest! {
                 &sk, windows.clone(), i, j, ApproxStrategy::Equation5,
             ).unwrap();
             prop_assert!(
-                (m.get(i, j) - reference).abs() <= 1e-10,
+                m.get(i, j).to_bits() == reference.to_bits(),
                 "pair ({},{}): {} vs {}", i, j, m.get(i, j), reference
             );
         }
@@ -134,7 +124,7 @@ proptest! {
     ) {
         prop_assume!(basic <= series_len);
         let theta = theta_step as f64 * 0.05;
-        let c = collection(seed.wrapping_add(29), n, series_len);
+        let c = SERIES.collection(seed.wrapping_add(29), n, series_len);
 
         // All coefficients kept: distances are exact (up to FP), so the
         // Equation 4 radius prunes nothing that the exact network keeps.

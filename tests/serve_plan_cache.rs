@@ -14,12 +14,15 @@
 //!   advance, the LRU behavior at capacity 1 (the thrash floor), the
 //!   epoch-rollover invalidation, and the hit/miss/eviction counters.
 
+mod support;
+
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::{Arc, Barrier};
 use std::thread;
 
 use proptest::prelude::*;
+use support::Generator;
 use tsubasa_core::plan::PlanMethod;
 use tsubasa_core::sweep::{EdgeList, TableAudit, TopK, DEFAULT_TILE_PAIRS};
 use tsubasa_core::{SerialRunner, SeriesCollection, SourcePlan};
@@ -30,28 +33,11 @@ use tsubasa_serve::{
 };
 use tsubasa_storage::pile::PileWriter;
 
-fn lcg_series(seed: u64, len: usize) -> Vec<f64> {
-    let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-    (0..len)
-        .map(|i| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let noise = (state >> 33) as f64 / (1u64 << 31) as f64 - 1.0;
-            (i as f64 * 0.23).sin() * 1.5 + noise
-        })
-        .collect()
-}
-
-fn rows(seed: u64, n: usize, len: usize) -> Vec<Vec<f64>> {
-    (0..n)
-        .map(|s| lcg_series(seed.wrapping_add(s as u64 * 7919), len))
-        .collect()
-}
-
-fn collection(seed: u64, n: usize, len: usize) -> SeriesCollection {
-    SeriesCollection::from_rows(rows(seed, n, len)).unwrap()
-}
+const SERIES: Generator = Generator {
+    freq: 0.23,
+    amp: 1.5,
+    stride: 7919,
+};
 
 const BASIC: usize = 20;
 /// Pairs of the six-series epochs `engine` publishes.
@@ -73,8 +59,13 @@ fn engine_over(dft: &DftSketchSet, cache_capacity: usize, store_capacity: usize)
 
 /// [`engine_over`] six series of seeded data.
 fn engine(seed: u64, cache_capacity: usize, store_capacity: usize) -> (QueryEngine, DftSketchSet) {
-    let dft =
-        DftSketchSet::build(&collection(seed, 6, 160), BASIC, BASIC, Transform::Naive).unwrap();
+    let dft = DftSketchSet::build(
+        &SERIES.collection(seed, 6, 160),
+        BASIC,
+        BASIC,
+        Transform::Naive,
+    )
+    .unwrap();
     (engine_over(&dft, cache_capacity, store_capacity), dft)
 }
 
@@ -159,9 +150,9 @@ proptest! {
 /// NaN series' bounds.
 #[test]
 fn nan_and_constant_epochs_answer_like_the_serial_calls() {
-    let mut planted = rows(0x0a0a, 8, 160);
+    let mut planted = SERIES.rows(0x0a0a, 8, 160);
     planted[2][37] = f64::NAN;
-    let mut constant = rows(0x0b0b, 8, 160);
+    let mut constant = SERIES.rows(0x0b0b, 8, 160);
     constant[5] = vec![3.0; 160];
     for (name, rows) in [("planted NaN", planted), ("constant series", constant)] {
         let c = SeriesCollection::from_rows(rows).unwrap();
@@ -192,13 +183,13 @@ fn nan_and_constant_epochs_answer_like_the_serial_calls() {
 /// table values, so a served view holds no NaN pair.)
 #[test]
 fn subscriptions_over_a_nan_epoch_replay_to_the_served_network() {
-    let mut planted = rows(0x0a0a, 8, 160);
+    let mut planted = SERIES.rows(0x0a0a, 8, 160);
     planted[2][37] = f64::NAN;
     let build = |rows| {
         let c = SeriesCollection::from_rows(rows).unwrap();
         DftSketchSet::build(&c, BASIC, BASIC, Transform::Naive).unwrap()
     };
-    let (nan_epoch, clean) = (build(planted), build(rows(0x0c0c, 8, 160)));
+    let (nan_epoch, clean) = (build(planted), build(SERIES.rows(0x0c0c, 8, 160)));
     let eng = Arc::new(engine_over(&nan_epoch, 16, 4));
     let handle = tsubasa_serve::start(Arc::clone(&eng), "127.0.0.1:0").unwrap();
     let theta = 0.2;
@@ -328,7 +319,7 @@ fn concurrent_first_queries_fill_one_view() {
 #[test]
 fn views_are_held_for_the_newest_answered_epoch_only() {
     const EPOCHS: usize = 12;
-    let full = collection(0x1d1e, 6, (4 + EPOCHS) * BASIC);
+    let full = SERIES.collection(0x1d1e, 6, (4 + EPOCHS) * BASIC);
     let historical = full.truncate_length(4 * BASIC).unwrap();
     let store = Arc::new(EpochStore::new(4));
     let (mut ingest, _) = EpochIngest::dual(
@@ -379,7 +370,7 @@ fn views_are_held_for_the_newest_answered_epoch_only() {
 /// request not asked for two epochs retires.
 #[test]
 fn a_new_epoch_swaps_views_one_for_one() {
-    let full = collection(0x5a5a, 6, 8 * BASIC);
+    let full = SERIES.collection(0x5a5a, 6, 8 * BASIC);
     let historical = full.truncate_length(4 * BASIC).unwrap();
     let store = Arc::new(EpochStore::new(4));
     let (mut ingest, _) = EpochIngest::exact(Arc::clone(&store), &historical, BASIC).unwrap();

@@ -23,7 +23,10 @@
 //! the entry points, which fan their sweep over the machine's hardware
 //! threads, to a single run of the same loop bit for bit.
 
+mod support;
+
 use proptest::prelude::*;
+use support::Generator;
 use tsubasa_core::matrix::CorrelationMatrix;
 use tsubasa_core::plan::{runs_for_workers, CorrView, QueryPlan};
 use tsubasa_core::sketch::{packed_pairs, pair_index, unpack_pair_index};
@@ -38,27 +41,11 @@ use tsubasa_core::{
 use tsubasa_dft::plan::ApproxPlan;
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
 
-fn lcg_series(seed: u64, len: usize) -> Vec<f64> {
-    let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-    (0..len)
-        .map(|i| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let noise = (state >> 33) as f64 / (1u64 << 31) as f64 - 1.0;
-            (i as f64 * 0.23).sin() * 1.5 + noise
-        })
-        .collect()
-}
-
-fn collection(seed: u64, n: usize, len: usize) -> SeriesCollection {
-    SeriesCollection::from_rows(
-        (0..n)
-            .map(|s| lcg_series(seed.wrapping_add(s as u64 * 7919), len))
-            .collect(),
-    )
-    .unwrap()
-}
+const SERIES: Generator = Generator {
+    freq: 0.23,
+    amp: 1.5,
+    stride: 7919,
+};
 
 /// Dense pairs sorted under the top-k total order: correlation descending
 /// by `total_cmp`, ties broken by ascending packed pair index.
@@ -88,7 +75,7 @@ proptest! {
         theta in -0.95f64..0.95,
     ) {
         prop_assume!(basic * 2 <= series_len);
-        let c = collection(seed, n, series_len);
+        let c = SERIES.collection(seed, n, series_len);
         let sketch = SketchSet::build(&c, basic).unwrap();
         // Unaligned query so head/tail partial windows are exercised.
         let end = series_len - 1 - (seed as usize % 7).min(series_len / 8);
@@ -112,7 +99,7 @@ proptest! {
         k in 0usize..40,
     ) {
         prop_assume!(basic * 2 <= series_len);
-        let c = collection(seed, n, series_len);
+        let c = SERIES.collection(seed, n, series_len);
         let sketch = SketchSet::build(&c, basic).unwrap();
         let end = series_len - 1 - (seed as usize % 5).min(series_len / 8);
         let query = QueryWindow::new(end, end / 2 + 1).unwrap();
@@ -140,7 +127,7 @@ proptest! {
         theta in -0.95f64..0.95,
     ) {
         prop_assume!(basic * 2 <= series_len);
-        let c = collection(seed, n, series_len);
+        let c = SERIES.collection(seed, n, series_len);
         let sketch = DftSketchSet::build(&c, basic, coeff, Transform::Naive).unwrap();
         let windows = 0..sketch.window_count();
         let plan = ApproxPlan::build(&sketch, windows).unwrap();
@@ -169,7 +156,7 @@ proptest! {
         k in 0usize..40,
     ) {
         prop_assume!(basic * 2 <= series_len);
-        let c = collection(seed, n, series_len);
+        let c = SERIES.collection(seed, n, series_len);
         let sketch = DftSketchSet::build(&c, basic, coeff, Transform::Naive).unwrap();
         let windows = 0..sketch.window_count();
         let plan = ApproxPlan::build(&sketch, windows).unwrap();
@@ -190,9 +177,9 @@ proptest! {
 fn degenerate_constant_series_agree_on_both_paths() {
     let c = SeriesCollection::from_rows(vec![
         vec![3.0; 120],
-        lcg_series(7, 120),
+        SERIES.series(7, 120),
         vec![-1.5; 120],
-        lcg_series(11, 120),
+        SERIES.series(11, 120),
     ])
     .unwrap();
     let sketch = SketchSet::build(&c, 15).unwrap();
@@ -211,7 +198,7 @@ fn degenerate_constant_series_agree_on_both_paths() {
 /// Two series is the smallest non-trivial sweep: one pair, one tile.
 #[test]
 fn degenerate_two_series_single_pair() {
-    let c = collection(3, 2, 100);
+    let c = SERIES.collection(3, 2, 100);
     let sketch = SketchSet::build(&c, 20).unwrap();
     let query = QueryWindow::new(99, 80).unwrap();
     let dense = exact::correlation_matrix(&c, &sketch, query).unwrap();
@@ -357,9 +344,11 @@ fn pooled_entry_points_equal_a_single_run_bit_for_bit() {
     assert!(row % 4 != 0 && col > row + 1, "cut at ({row}, {col})");
 
     for n in [1usize, 2, 7, 9, 33, 48] {
-        let mut rows: Vec<Vec<f64>> = (0..n)
-            .map(|s| lcg_series(s as u64 * 31 + 5, 10 * B))
-            .collect();
+        let mut rows = Generator {
+            stride: 31,
+            ..SERIES
+        }
+        .rows(5, n, 10 * B);
         if n > 2 {
             rows[1].fill(2.5);
             rows[n - 1][5 * B + 3] = f64::NAN;

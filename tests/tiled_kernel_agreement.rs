@@ -1,4 +1,4 @@
-//! Tolerance guard for the tiled batch kernels (PR 4 tentpole).
+//! Tolerance guard for the tiled batch kernels.
 //!
 //! The tiled sketch (`SketchSet::build`, window-major z-normalized rows +
 //! `Z·Zᵀ` dot products) and the tiled query sweep
@@ -15,34 +15,21 @@
 //! `WorkerPool` changes *nothing* — matrices are identical across 1/2/8
 //! workers and across repeated queries on one pool.
 
+mod support;
+
 use proptest::prelude::*;
+use support::Generator;
 use tsubasa_core::plan::QueryPlan;
 use tsubasa_core::prelude::*;
 use tsubasa_core::runner::JobRunner;
 use tsubasa_core::sweep::fill_packed;
 use tsubasa_parallel::WorkerPool;
 
-fn lcg_series(seed: u64, len: usize) -> Vec<f64> {
-    let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-    (0..len)
-        .map(|i| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let noise = (state >> 33) as f64 / (1u64 << 31) as f64 - 1.0;
-            (i as f64 * 0.23).sin() * 2.0 + noise
-        })
-        .collect()
-}
-
-fn collection(seed: u64, n: usize, len: usize) -> SeriesCollection {
-    SeriesCollection::from_rows(
-        (0..n)
-            .map(|s| lcg_series(seed.wrapping_add(s as u64 * 977), len))
-            .collect(),
-    )
-    .unwrap()
-}
+const SERIES: Generator = Generator {
+    freq: 0.23,
+    amp: 2.0,
+    stride: 977,
+};
 
 /// The dense fill of `query` on `pool`, as a matrix.
 fn pooled_matrix(
@@ -70,7 +57,7 @@ proptest! {
         basic in 4usize..40,
     ) {
         prop_assume!(basic <= series_len);
-        let c = collection(seed, n, series_len);
+        let c = SERIES.collection(seed, n, series_len);
         let tiled = SketchSet::build(&c, basic).unwrap();
         let reference = SketchSet::build_reference(&c, basic).unwrap();
         for (i, j) in c.pairs() {
@@ -102,7 +89,7 @@ proptest! {
         start_off in 0usize..35,
         end_off in 0usize..35,
     ) {
-        let c = collection(seed.wrapping_add(13), n, series_len);
+        let c = SERIES.collection(seed.wrapping_add(13), n, series_len);
         let sketch = SketchSet::build_reference(&c, basic).unwrap();
         let start = start_off.min(series_len - 2);
         let end = series_len - 1 - end_off.min(series_len - 2 - start);
@@ -110,23 +97,19 @@ proptest! {
         let query = QueryWindow::new(end, end - start + 1).unwrap();
 
         let matrix = exact::correlation_matrix(&c, &sketch, query).unwrap();
-        let plan = QueryPlan::build(&c, &sketch, query).unwrap();
         for (i, j) in c.pairs() {
             let reference = exact::pair_correlation(&c, &sketch, query, i, j).unwrap();
             prop_assert!(
                 (matrix.get(i, j) - reference).abs() <= 1e-10,
                 "pair ({i},{j}): {} vs {}", matrix.get(i, j), reference
             );
-            // The scalar plan kernel stays bit-identical to the reference.
-            let kernel = plan.pair_correlation(&c, &sketch, i, j).unwrap();
-            prop_assert_eq!(kernel.to_bits(), reference.to_bits());
         }
     }
 }
 
 #[test]
 fn pool_worker_count_does_not_change_the_matrix() {
-    let c = collection(42, 9, 360);
+    let c = SERIES.collection(42, 9, 360);
     let sketch = SketchSet::build(&c, 30).unwrap();
     // Unaligned query so the head/tail tiles run under the pool too.
     let query = QueryWindow::new(343, 250).unwrap();
@@ -140,7 +123,7 @@ fn pool_worker_count_does_not_change_the_matrix() {
 
 #[test]
 fn one_pool_serves_many_queries_without_respawning() {
-    let c = collection(7, 8, 400);
+    let c = SERIES.collection(7, 8, 400);
     let sketch = SketchSet::build(&c, 25).unwrap();
     let pool = WorkerPool::new(4);
     assert_eq!(pool.worker_count(), 4);
@@ -153,7 +136,11 @@ fn one_pool_serves_many_queries_without_respawning() {
         assert_eq!(pooled, serial, "query ({end},{len})");
     }
     let mut net = SlidingNetwork::initialize(&c, &sketch, 200).unwrap();
-    let chunk: Vec<Vec<f64>> = (0..8).map(|s| lcg_series(s as u64 + 500, 25)).collect();
+    let chunk = Generator {
+        stride: 1,
+        ..SERIES
+    }
+    .rows(500, 8, 25);
     let mut twin = net.clone();
     net.ingest_in(&pool, &chunk).unwrap();
     twin.ingest(&chunk).unwrap();
