@@ -26,9 +26,14 @@
 //! connection returns to normal request–response. See
 //! [`crate::server`] for the streaming loop.
 //!
+//! A frame leaves in one write and its prefix is taken in one read. Each pair
+//! array (`0x81`, `0x82`, `0x84`) is coded in bulk: fixed-width slots after one
+//! grow, and one bounds check for all `count × width` bytes before anything is
+//! allocated. Golden payloads in this module's tests pin the layout above.
+//!
 //! Decoding is strict: a body shorter or longer than its layout demands is a
 //! [`ProtoError::BadPayload`], never a panic or a silent truncation — the
-//! `serve_faults` suite drives this with generated malformed frames.
+//! `serve_faults` suite drives this with malformed requests and responses.
 
 use std::io::{self, Read, Write};
 
@@ -319,28 +324,26 @@ fn is_timeout(e: &io::Error) -> bool {
 
 /// Read exactly `buf.len()` bytes, tolerating up to [`MID_FRAME_STALL_BUDGET`]
 /// consecutive read timeouts. `started` reports whether any frame byte had
-/// already been consumed (distinguishes clean close from truncation).
+/// already been consumed (distinguishes clean close from truncation); while
+/// it is false, a timeout before the first byte returns `Ok(false)`: no frame
+/// has begun.
 fn read_exact_patient(
     r: &mut impl Read,
     buf: &mut [u8],
     mut started: bool,
-) -> Result<(), ProtoError> {
+) -> Result<bool, ProtoError> {
     let mut filled = 0usize;
     let mut stalls = 0u32;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(if started || filled > 0 {
-                    ProtoError::Truncated
-                } else {
-                    ProtoError::Closed
-                });
-            }
+            Ok(0) if started => return Err(ProtoError::Truncated),
+            Ok(0) => return Err(ProtoError::Closed),
             Ok(n) => {
                 filled += n;
                 started = true;
                 stalls = 0;
             }
+            Err(e) if is_timeout(&e) && !started => return Ok(false),
             Err(e) if is_timeout(&e) => {
                 stalls += 1;
                 if stalls >= MID_FRAME_STALL_BUDGET {
@@ -351,7 +354,7 @@ fn read_exact_patient(
             Err(e) => return Err(ProtoError::Io(e)),
         }
     }
-    Ok(())
+    Ok(true)
 }
 
 /// Read one frame's payload. Returns `Ok(None)` when the connection is idle:
@@ -362,17 +365,9 @@ fn read_exact_patient(
 /// [`ProtoError::Stalled`].
 pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Option<Vec<u8>>, ProtoError> {
     let mut prefix = [0u8; 4];
-    // First byte: an idle timeout is not an error.
-    loop {
-        match r.read(&mut prefix[..1]) {
-            Ok(0) => return Err(ProtoError::Closed),
-            Ok(_) => break,
-            Err(e) if is_timeout(&e) => return Ok(None),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtoError::Io(e)),
-        }
+    if !read_exact_patient(r, &mut prefix, false)? {
+        return Ok(None);
     }
-    read_exact_patient(r, &mut prefix[1..], true)?;
     let len = u32::from_le_bytes(prefix);
     if len > max_len {
         return Err(ProtoError::Oversized { len, max: max_len });
@@ -385,12 +380,12 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Option<Vec<u8>>, Pr
     Ok(Some(payload))
 }
 
-/// Write one frame (length prefix + payload).
+/// Write one frame (length prefix + payload) in one `write_all`: on a
+/// `TCP_NODELAY` socket a separate prefix write is a segment of its own.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    w.write_all(&[&len.to_le_bytes()[..], payload].concat())?;
     w.flush()
 }
 
@@ -404,6 +399,26 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append a pair array: its `u32` count, then one `W`-byte slot per item.
+fn put_slots<T, const W: usize>(out: &mut Vec<u8>, items: &[T], bytes: impl Fn(&T) -> [u8; W]) {
+    put_u32(out, items.len() as u32);
+    let start = out.len();
+    out.resize(start + items.len() * W, 0);
+    for (slot, item) in out[start..].chunks_exact_mut(W).zip(items) {
+        slot.copy_from_slice(&bytes(item));
+    }
+}
+
+/// `(i, j)` as two little-endian `u32`s.
+fn pair_bytes(&(i, j): &(u32, u32)) -> [u8; 8] {
+    ((u64::from(j) << 32) | u64::from(i)).to_le_bytes()
+}
+
+/// `(i, j, corr)` as two little-endian `u32`s and the `f64`'s raw bits.
+fn ranked_bytes(&(i, j, corr): &(u32, u32, f64)) -> [u8; 16] {
+    ((u128::from(corr.to_bits()) << 64) | (u128::from(j) << 32) | u128::from(i)).to_le_bytes()
 }
 
 /// Encode a request into a frame payload (no length prefix).
@@ -463,11 +478,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             put_u64(&mut out, *epoch);
             put_u32(&mut out, *nodes);
             put_u64(&mut out, *nan_pairs);
-            put_u32(&mut out, edges.len() as u32);
-            for &(i, j) in edges {
-                put_u32(&mut out, i);
-                put_u32(&mut out, j);
-            }
+            put_slots(&mut out, edges, pair_bytes);
             out
         }
         Response::TopK {
@@ -479,12 +490,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             out.push(OP_TOP_K_REPLY);
             put_u64(&mut out, *epoch);
             put_u64(&mut out, *nan_pairs);
-            put_u32(&mut out, edges.len() as u32);
-            for &(i, j, corr) in edges {
-                put_u32(&mut out, i);
-                put_u32(&mut out, j);
-                put_u64(&mut out, corr.to_bits());
-            }
+            put_slots(&mut out, edges, ranked_bytes);
             out
         }
         Response::Stats(s) => {
@@ -508,16 +514,8 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             put_u64(&mut out, d.epoch);
             put_u32(&mut out, d.nodes);
             put_u64(&mut out, d.nan_pairs);
-            put_u32(&mut out, d.appeared.len() as u32);
-            for &(i, j) in &d.appeared {
-                put_u32(&mut out, i);
-                put_u32(&mut out, j);
-            }
-            put_u32(&mut out, d.vanished.len() as u32);
-            for &(i, j) in &d.vanished {
-                put_u32(&mut out, i);
-                put_u32(&mut out, j);
-            }
+            put_slots(&mut out, &d.appeared, pair_bytes);
+            put_slots(&mut out, &d.vanished, pair_bytes);
             out
         }
         Response::Error { code, message } => {
@@ -558,7 +556,7 @@ impl<'a> Cursor<'a> {
                 ProtoError::BadPayload(format!(
                     "body ends at byte {} but layout needs {} more",
                     self.buf.len(),
-                    self.pos + n - self.buf.len()
+                    n - (self.buf.len() - self.pos)
                 ))
             })?;
         let s = &self.buf[self.pos..end];
@@ -578,6 +576,14 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Read a pair array: its `u32` count, then `count` slots of `W` bytes.
+    fn slots<T, const W: usize>(&mut self, f: impl Fn([u8; W]) -> T) -> Result<Vec<T>, ProtoError> {
+        let count = self.u32()? as usize;
+        let body = self.take(count.saturating_mul(W))?;
+        let slot = |s: &[u8]| f(s.try_into().expect("chunks_exact(W)"));
+        Ok(body.chunks_exact(W).map(slot).collect())
+    }
+
     fn finish(self) -> Result<(), ProtoError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -588,6 +594,16 @@ impl<'a> Cursor<'a> {
             )))
         }
     }
+}
+
+fn pair_of(slot: [u8; 8]) -> (u32, u32) {
+    let v = u64::from_le_bytes(slot);
+    (v as u32, (v >> 32) as u32)
+}
+
+fn ranked_of(slot: [u8; 16]) -> (u32, u32, f64) {
+    let v = u128::from_le_bytes(slot);
+    (v as u32, (v >> 32) as u32, f64::from_bits((v >> 64) as u64))
 }
 
 /// Decode a request frame payload.
@@ -626,11 +642,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
             let epoch = c.u64()?;
             let nodes = c.u32()?;
             let nan_pairs = c.u64()?;
-            let count = c.u32()? as usize;
-            let mut edges = Vec::with_capacity(count.min(1 << 20));
-            for _ in 0..count {
-                edges.push((c.u32()?, c.u32()?));
-            }
+            let edges = c.slots(pair_of)?;
             Response::Network {
                 epoch,
                 nodes,
@@ -641,11 +653,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
         OP_TOP_K_REPLY => {
             let epoch = c.u64()?;
             let nan_pairs = c.u64()?;
-            let count = c.u32()? as usize;
-            let mut edges = Vec::with_capacity(count.min(1 << 20));
-            for _ in 0..count {
-                edges.push((c.u32()?, c.u32()?, f64::from_bits(c.u64()?)));
-            }
+            let edges = c.slots(ranked_of)?;
             Response::TopK {
                 epoch,
                 nan_pairs,
@@ -668,16 +676,8 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
             let epoch = c.u64()?;
             let nodes = c.u32()?;
             let nan_pairs = c.u64()?;
-            let appeared_count = c.u32()? as usize;
-            let mut appeared = Vec::with_capacity(appeared_count.min(1 << 20));
-            for _ in 0..appeared_count {
-                appeared.push((c.u32()?, c.u32()?));
-            }
-            let vanished_count = c.u32()? as usize;
-            let mut vanished = Vec::with_capacity(vanished_count.min(1 << 20));
-            for _ in 0..vanished_count {
-                vanished.push((c.u32()?, c.u32()?));
-            }
+            let appeared = c.slots(pair_of)?;
+            let vanished = c.slots(pair_of)?;
             Response::Delta(DeltaReply {
                 epoch,
                 nodes,
@@ -860,5 +860,423 @@ mod tests {
             read_frame(&mut ok, MAX_REQUEST_FRAME).unwrap().unwrap(),
             vec![OP_STATS]
         );
+    }
+
+    /// The per-value encoder the bulk slots replaced, kept as the layout's
+    /// reference: `encode_response` must produce exactly its bytes.
+    fn reference_encode_response(resp: &Response) -> Vec<u8> {
+        let mut out = Vec::new();
+        let pairs = |out: &mut Vec<u8>, pairs: &[(u32, u32)]| {
+            put_u32(out, pairs.len() as u32);
+            for &(i, j) in pairs {
+                put_u32(out, i);
+                put_u32(out, j);
+            }
+        };
+        match resp {
+            Response::Network {
+                epoch,
+                nodes,
+                nan_pairs,
+                edges,
+            } => {
+                out.push(OP_NETWORK_REPLY);
+                put_u64(&mut out, *epoch);
+                put_u32(&mut out, *nodes);
+                put_u64(&mut out, *nan_pairs);
+                pairs(&mut out, edges);
+            }
+            Response::TopK {
+                epoch,
+                nan_pairs,
+                edges,
+            } => {
+                out.push(OP_TOP_K_REPLY);
+                put_u64(&mut out, *epoch);
+                put_u64(&mut out, *nan_pairs);
+                put_u32(&mut out, edges.len() as u32);
+                for &(i, j, corr) in edges {
+                    put_u32(&mut out, i);
+                    put_u32(&mut out, j);
+                    put_u64(&mut out, corr.to_bits());
+                }
+            }
+            Response::Stats(s) => {
+                out.push(OP_STATS_REPLY);
+                put_u64(&mut out, s.epoch);
+                put_u64(&mut out, s.published);
+                put_u32(&mut out, s.series);
+                put_u32(&mut out, s.windows);
+                for v in [
+                    s.requests,
+                    s.errors,
+                    s.connections,
+                    s.cache_hits,
+                    s.cache_misses,
+                    s.cache_evictions,
+                ] {
+                    put_u64(&mut out, v);
+                }
+            }
+            Response::Delta(d) => {
+                out.push(OP_DELTA_REPLY);
+                put_u64(&mut out, d.epoch);
+                put_u32(&mut out, d.nodes);
+                put_u64(&mut out, d.nan_pairs);
+                pairs(&mut out, &d.appeared);
+                pairs(&mut out, &d.vanished);
+            }
+            Response::Error { code, message } => {
+                out.push(OP_ERROR);
+                out.push(code.to_wire());
+                put_u32(&mut out, message.len() as u32);
+                out.extend_from_slice(message.as_bytes());
+            }
+        }
+        out
+    }
+
+    /// Bytes from a hex string; whitespace separates fields for the reader.
+    fn hex(s: &str) -> Vec<u8> {
+        let digits: Vec<u8> = s.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        digits
+            .chunks(2)
+            .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn golden_request_payloads() {
+        let golden = [
+            (
+                Request::Network {
+                    method: Method::Exact,
+                    last_windows: 12,
+                    theta: 0.7,
+                },
+                "01 00 0c000000 666666666666e63f",
+            ),
+            (
+                Request::TopK {
+                    method: Method::Approximate,
+                    last_windows: 3,
+                    k: 10,
+                },
+                "02 01 03000000 0a000000",
+            ),
+            (Request::Stats, "03"),
+            (
+                Request::SubscribeDeltas {
+                    method: Method::Approximate,
+                    theta: -0.25,
+                    max_frames: 4,
+                },
+                "04 01 000000000000d0bf 04000000",
+            ),
+        ];
+        for (req, wire) in &golden {
+            assert_eq!(encode_request(req), hex(wire), "{req:?}");
+            assert_eq!(&decode_request(&hex(wire)).unwrap(), req);
+        }
+    }
+
+    #[test]
+    fn golden_response_payloads() {
+        let golden = [
+            (
+                Response::Network {
+                    epoch: 7,
+                    nodes: 5,
+                    nan_pairs: 2,
+                    edges: vec![(0, 1), (2, 0x0102_0304)],
+                },
+                "81 0700000000000000 05000000 0200000000000000 02000000
+                 00000000 01000000  02000000 04030201",
+            ),
+            (
+                Response::Network {
+                    epoch: 1,
+                    nodes: 0,
+                    nan_pairs: 0,
+                    edges: vec![],
+                },
+                "81 0100000000000000 00000000 0000000000000000 00000000",
+            ),
+            (
+                Response::TopK {
+                    epoch: 9,
+                    nan_pairs: 0,
+                    edges: vec![(1, 3, -0.5), (0, u32::MAX, 1.0)],
+                },
+                "82 0900000000000000 0000000000000000 02000000
+                 01000000 03000000 000000000000e0bf
+                 00000000 ffffffff 000000000000f03f",
+            ),
+            (
+                Response::Stats(StatsReply {
+                    epoch: 3,
+                    published: 3,
+                    series: 8,
+                    windows: 6,
+                    requests: 100,
+                    errors: 1,
+                    connections: 4,
+                    cache_hits: 40,
+                    cache_misses: 6,
+                    cache_evictions: 2,
+                }),
+                "83 0300000000000000 0300000000000000 08000000 06000000
+                 6400000000000000 0100000000000000 0400000000000000
+                 2800000000000000 0600000000000000 0200000000000000",
+            ),
+            (
+                Response::Delta(DeltaReply {
+                    epoch: 12,
+                    nodes: 6,
+                    nan_pairs: 1,
+                    appeared: vec![(0, 3)],
+                    vanished: vec![(1, 4), (2, 5)],
+                }),
+                "84 0c00000000000000 06000000 0100000000000000
+                 01000000 00000000 03000000
+                 02000000 01000000 04000000  02000000 05000000",
+            ),
+            (
+                Response::Delta(DeltaReply::default()),
+                "84 0000000000000000 00000000 0000000000000000 00000000 00000000",
+            ),
+            (
+                Response::Error {
+                    code: ErrorCode::Query,
+                    message: "no".to_string(),
+                },
+                "ee 03 02000000 6e6f",
+            ),
+        ];
+        for (resp, wire) in &golden {
+            assert_eq!(encode_response(resp), hex(wire), "{resp:?}");
+            assert_eq!(reference_encode_response(resp), hex(wire), "{resp:?}");
+            assert_eq!(&decode_response(&hex(wire)).unwrap(), resp);
+        }
+    }
+
+    /// An index drawn from a word: the edges of the `u32` range, or the
+    /// word's low half.
+    fn index(w: u64) -> u32 {
+        match w >> 61 {
+            0 => 0,
+            1 => u32::MAX,
+            2 => u32::MAX - 1,
+            _ => w as u32,
+        }
+    }
+
+    /// A correlation drawn from a word: NaN with a payload, `-0.0`, `±∞`, or
+    /// any bit pattern at all.
+    fn corr(w: u64) -> f64 {
+        match w >> 60 {
+            0 => f64::from_bits(0x7ff0_0000_0000_0001 | (w & 0xf_ffff)),
+            1 => f64::from_bits(0xfff8_0000_0000_0000 | (w & 0xff)),
+            2 => -0.0,
+            3 => f64::INFINITY,
+            4 => f64::NEG_INFINITY,
+            _ => f64::from_bits(w.rotate_left(7)),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The bulk codec writes the reference's bytes and reads them back
+        /// bit for bit, for every pair-array opcode.
+        #[test]
+        fn prop_bulk_codec_equals_reference(
+            epoch in 0u64..u64::MAX,
+            nan_pairs in 0u64..u64::MAX,
+            node_sel in 0usize..4,
+            words in proptest::collection::vec(0u64..u64::MAX, 0..64),
+            split in 0usize..64,
+            empty in 0u8..4,
+        ) {
+            let nodes = [0u32, 1, 2, 256][node_sel];
+            let words = if empty == 0 { &[][..] } else { &words[..] };
+            let pairs: Vec<(u32, u32)> =
+                words.iter().map(|&w| (index(w), index(w.rotate_left(29)))).collect();
+            let ranked: Vec<(u32, u32, f64)> =
+                words.iter().map(|&w| (index(w), index(w.swap_bytes()), corr(w))).collect();
+            let cut = split.min(pairs.len());
+            let resps = [
+                Response::Network { epoch, nodes, nan_pairs, edges: pairs.clone() },
+                Response::TopK { epoch, nan_pairs, edges: ranked },
+                Response::Delta(DeltaReply {
+                    epoch,
+                    nodes,
+                    nan_pairs,
+                    appeared: pairs[..cut].to_vec(),
+                    vanished: pairs[cut..].to_vec(),
+                }),
+            ];
+            for resp in &resps {
+                let bytes = encode_response(resp);
+                proptest::prop_assert_eq!(&bytes, &reference_encode_response(resp));
+                // The reference writes every `f64` by its bits, so equal
+                // bytes mean a bit-exact round trip, NaN payloads included.
+                let back = decode_response(&bytes).unwrap();
+                proptest::prop_assert_eq!(reference_encode_response(&back), bytes);
+            }
+        }
+    }
+
+    /// A writer that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_is_one_write_per_frame() {
+        let request = encode_request(&Request::Network {
+            method: Method::Exact,
+            last_windows: 0,
+            theta: 0.5,
+        });
+        let reply = encode_response(&Response::Network {
+            epoch: 1,
+            nodes: 256,
+            nan_pairs: 0,
+            edges: (0..2_560).map(|k| (k / 256, k % 256)).collect(),
+        });
+        assert!(reply.len() > 20_000);
+        for payload in [&request, &reply] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "one write for a {}-byte frame", payload.len());
+            assert_eq!(w.bytes[..4], (payload.len() as u32).to_le_bytes());
+            assert_eq!(&w.bytes[4..], &payload[..]);
+        }
+    }
+
+    /// One step of a scripted peer: some bytes, or a read timeout.
+    enum Step {
+        Bytes(Vec<u8>),
+        Timeout,
+    }
+
+    /// A reader that plays `steps` (a `Bytes` step may be consumed over
+    /// several reads) and then either times out forever or reports EOF.
+    struct Script {
+        steps: std::collections::VecDeque<Step>,
+        then_timeout: bool,
+        reads: usize,
+    }
+
+    impl Script {
+        fn new(steps: Vec<Step>, then_timeout: bool) -> Self {
+            Self {
+                steps: steps.into(),
+                then_timeout,
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            match self.steps.pop_front() {
+                Some(Step::Bytes(mut bytes)) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.steps.push_front(Step::Bytes(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+                Some(Step::Timeout) => Err(io::ErrorKind::WouldBlock.into()),
+                None if self.then_timeout => Err(io::ErrorKind::TimedOut.into()),
+                None => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn frame_reader_takes_any_split_of_one_frame() {
+        let payload = encode_request(&Request::TopK {
+            method: Method::Exact,
+            last_windows: 2,
+            k: 5,
+        });
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        let read = |steps: Vec<Step>| {
+            let mut r = Script::new(steps, false);
+            let got = read_frame(&mut r, MAX_REQUEST_FRAME).map(|p| p.unwrap());
+            (got.unwrap(), r.reads)
+        };
+
+        // Prefix and payload in one read: one read for the prefix, one for
+        // the payload.
+        assert_eq!(read(vec![Step::Bytes(wire.clone())]), (payload.clone(), 2));
+        // One byte at a time.
+        let bytes = wire.iter().map(|&b| Step::Bytes(vec![b])).collect();
+        assert_eq!(read(bytes).0, payload);
+        // A timeout after two prefix bytes is patience, not idleness.
+        let split = vec![
+            Step::Bytes(wire[..2].to_vec()),
+            Step::Timeout,
+            Step::Bytes(wire[2..].to_vec()),
+        ];
+        assert_eq!(read(split).0, payload);
+    }
+
+    #[test]
+    fn frame_reader_keeps_its_typed_errors() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &[OP_STATS]).unwrap();
+        let prefix_half = || Step::Bytes(wire[..2].to_vec());
+
+        // A timeout before any byte is idleness; the frame still follows.
+        let mut r = Script::new(vec![Step::Timeout, Step::Bytes(wire.clone())], false);
+        assert!(matches!(read_frame(&mut r, MAX_REQUEST_FRAME), Ok(None)));
+        assert_eq!(
+            read_frame(&mut r, MAX_REQUEST_FRAME).unwrap(),
+            Some(vec![OP_STATS])
+        );
+
+        // Two prefix bytes, a timeout, then EOF: truncated.
+        let mut r = Script::new(vec![prefix_half(), Step::Timeout], false);
+        assert!(matches!(
+            read_frame(&mut r, MAX_REQUEST_FRAME),
+            Err(ProtoError::Truncated)
+        ));
+
+        // Two prefix bytes, then nothing but timeouts: stalled after the
+        // budget.
+        let mut r = Script::new(vec![prefix_half()], true);
+        assert!(matches!(
+            read_frame(&mut r, MAX_REQUEST_FRAME),
+            Err(ProtoError::Stalled)
+        ));
+        assert_eq!(r.reads, 1 + MID_FRAME_STALL_BUDGET as usize);
+
+        // EOF before any byte: a clean close.
+        let mut r = Script::new(vec![], false);
+        assert!(matches!(
+            read_frame(&mut r, MAX_REQUEST_FRAME),
+            Err(ProtoError::Closed)
+        ));
     }
 }

@@ -7,7 +7,10 @@
 //! snapshot; a [`QueryEngine`](tsubasa::serve::QueryEngine) answers
 //! from the latest epoch through a plan cache and a worker pool; the
 //! length-prefixed binary protocol carries queries and edge lists over a
-//! real socket. Every response echoes the id of the epoch that answered it.
+//! real socket. Every response echoes the id of the epoch that answered it,
+//! and every served network and top-k is checked bit for bit against the
+//! same engine's in-process answer (`QueryEngine::{network, top_k}`): a
+//! mismatch — a codec or framing fault — exits non-zero.
 //!
 //! ```bash
 //! cargo run --release --example serve_loopback
@@ -16,12 +19,67 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use tsubasa::core::PlanMethod;
 use tsubasa::data::prelude::*;
 use tsubasa::dft::sketch::Transform;
 use tsubasa::parallel::WorkerPool;
 use tsubasa::serve::{
-    server, EpochIngest, EpochStore, Method, PlanCache, QueryEngine, ServeClient,
+    server, EpochIngest, EpochStore, Method, NetworkReply, PlanCache, QueryEngine, ServeClient,
+    TopKReply,
 };
+
+type Checked = Result<(), Box<dyn std::error::Error>>;
+
+/// The served network must be the engine's in-process answer, bit for bit.
+fn check_network(
+    engine: &QueryEngine,
+    got: &NetworkReply,
+    method: PlanMethod,
+    last: u32,
+    theta: f64,
+) -> Checked {
+    let (epoch, net) = engine.network(method, last, theta)?;
+    let want = NetworkReply {
+        epoch,
+        nodes: net.node_count() as u32,
+        nan_pairs: net.nan_pair_count() as u64,
+        edges: net
+            .edges()
+            .iter()
+            .map(|&(i, j)| (i as u32, j as u32))
+            .collect(),
+    };
+    if *got != want {
+        return Err(format!("served {method:?} network differs from the in-process answer").into());
+    }
+    Ok(())
+}
+
+/// The served top-k must be the engine's in-process answer, correlations
+/// compared by their bits.
+fn check_top_k(
+    engine: &QueryEngine,
+    got: &TopKReply,
+    method: PlanMethod,
+    last: u32,
+    k: u32,
+) -> Checked {
+    let (epoch, ranked) = engine.top_k(method, last, k)?;
+    let served: Vec<_> = got
+        .edges
+        .iter()
+        .map(|&(i, j, c)| (i as usize, j as usize, c.to_bits()))
+        .collect();
+    let local: Vec<_> = ranked
+        .edges
+        .iter()
+        .map(|e| (e.i, e.j, e.corr.to_bits()))
+        .collect();
+    if (got.epoch, got.nan_pairs, served) != (epoch, ranked.nan_pairs as u64, local) {
+        return Err(format!("served {method:?} top-k differs from the in-process answer").into());
+    }
+    Ok(())
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A year's history for 20 stations; the tail arrives as a stream.
@@ -58,7 +116,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Arc::new(PlanCache::new(32)),
         Arc::new(WorkerPool::new(2)),
     ));
-    let handle = server::start(engine, "127.0.0.1:0")?;
+    let handle = server::start(Arc::clone(&engine), "127.0.0.1:0")?;
     println!("serving on {}", handle.local_addr());
 
     let mut client = ServeClient::connect(handle.local_addr())?;
@@ -67,6 +125,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Exact θ-network over the horizon, then the approximate comparator over
     // the trailing 8 windows, then the 5 strongest pairs.
     let net = client.network(Method::Exact, 0, 0.7)?;
+    check_network(&engine, &net, PlanMethod::Exact, 0, 0.7)?;
     println!(
         "epoch {}: exact network theta=0.7 -> {} edges over {} nodes",
         net.epoch,
@@ -74,12 +133,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         net.nodes
     );
     let approx = client.network(Method::Approximate, 8, 0.7)?;
+    check_network(&engine, &approx, PlanMethod::Approximate, 8, 0.7)?;
     println!(
         "epoch {}: approximate network (last 8 windows) -> {} edges",
         approx.epoch,
         approx.edges.len()
     );
     let top = client.top_k(Method::Exact, 0, 5)?;
+    check_top_k(&engine, &top, PlanMethod::Exact, 0, 5)?;
     for (rank, (i, j, corr)) in top.edges.iter().enumerate() {
         println!("  #{} pair ({i}, {j}) corr {corr:.4}", rank + 1);
     }
@@ -95,6 +156,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("streamed 400 points -> {} new epochs", published.len());
 
     let net = client.network(Method::Exact, 0, 0.7)?;
+    check_network(&engine, &net, PlanMethod::Exact, 0, 0.7)?;
+    let top = client.top_k(Method::Approximate, 0, 50)?;
+    check_top_k(&engine, &top, PlanMethod::Approximate, 0, 50)?;
     println!(
         "epoch {}: exact network now {} edges over {} basic windows",
         net.epoch,

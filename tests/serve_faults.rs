@@ -9,7 +9,12 @@
 //! * deterministic tests pin each fault class and the exact error code it
 //!   maps to;
 //! * a 64-case property suite drives a malformed-frame generator (mutation
-//!   of a valid request) against one long-lived server.
+//!   of a valid request) against one long-lived server;
+//! * the client side gets the same treatment without a socket: mutated valid
+//!   response payloads (every truncation, an inflated count, trailing bytes,
+//!   a random body under each opcode) decode to a typed error or to the very
+//!   response their bytes spell, and a hostile pair count fails before the
+//!   decoder allocates for it.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -21,12 +26,19 @@ use tsubasa_core::SeriesCollection;
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
 use tsubasa_parallel::WorkerPool;
 use tsubasa_serve::proto::{
-    decode_response, encode_request, read_frame, write_frame, MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME,
+    decode_response, encode_request, encode_response, read_frame, write_frame, MAX_REQUEST_FRAME,
+    MAX_RESPONSE_FRAME,
 };
 use tsubasa_serve::{
-    server, EpochStore, ErrorCode, Method, PlanCache, QueryEngine, Request, Response, ServeClient,
-    ServerHandle,
+    server, DeltaReply, EpochStore, ErrorCode, Method, PlanCache, ProtoError, QueryEngine, Request,
+    Response, ServeClient, ServerHandle, StatsReply,
 };
+
+// Counts each thread's allocations, for the hostile-count guards below.
+#[path = "support/counting_alloc.rs"]
+#[allow(dead_code)]
+mod counting_alloc;
+use counting_alloc::gross;
 
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -288,5 +300,206 @@ proptest! {
 
         // The fault above must not have taken the server down.
         assert_still_serving();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Response payloads: the client's decoder faces the same hostile bytes.
+// ---------------------------------------------------------------------------
+
+/// `head`, then a pair count claiming `u32::MAX` pairs, then only `tail`
+/// body bytes.
+fn hostile(head: &[u8], tail: usize) -> Vec<u8> {
+    let mut p = head.to_vec();
+    p.extend_from_slice(&u32::MAX.to_le_bytes());
+    p.extend(std::iter::repeat_n(0xA5u8, tail));
+    p
+}
+
+/// Everything but the count of a `0x81`/`0x84` header: opcode, epoch,
+/// nodes, nan.
+fn pair_header(op: u8) -> Vec<u8> {
+    let mut h = vec![op];
+    h.extend_from_slice(&7u64.to_le_bytes());
+    h.extend_from_slice(&256u32.to_le_bytes());
+    h.extend_from_slice(&0u64.to_le_bytes());
+    h
+}
+
+fn assert_hostile_count_refused(payload: &[u8]) {
+    let (decoded, allocated, _) = gross(|| decode_response(payload));
+    assert!(
+        matches!(decoded, Err(ProtoError::BadPayload(_))),
+        "a count of u32::MAX over a short body must be BadPayload, got {decoded:?}"
+    );
+    assert!(
+        allocated < 4096,
+        "the decoder allocated {allocated} bytes before refusing a hostile count"
+    );
+}
+
+#[test]
+fn hostile_network_count_fails_before_allocating() {
+    assert_hostile_count_refused(&hostile(&pair_header(0x81), 16));
+}
+
+#[test]
+fn hostile_top_k_count_fails_before_allocating() {
+    let mut head = vec![0x82];
+    head.extend_from_slice(&9u64.to_le_bytes());
+    head.extend_from_slice(&0u64.to_le_bytes());
+    assert_hostile_count_refused(&hostile(&head, 16));
+}
+
+#[test]
+fn hostile_delta_counts_fail_before_allocating() {
+    // Appeared count hostile.
+    assert_hostile_count_refused(&hostile(&pair_header(0x84), 12));
+    // Appeared list honest (one pair), vanished count hostile.
+    let mut head = pair_header(0x84);
+    head.extend_from_slice(&1u32.to_le_bytes());
+    head.extend_from_slice(&[1, 0, 0, 0, 2, 0, 0, 0]);
+    assert_hostile_count_refused(&hostile(&head, 8));
+}
+
+/// A valid response of each opcode, drawn from `words`.
+fn sample_response(kind: u8, words: &[u64]) -> Response {
+    let w = |k: usize| words.get(k).copied().unwrap_or(k as u64);
+    let pairs: Vec<(u32, u32)> = words
+        .iter()
+        .map(|&x| (x as u32, (x >> 32) as u32))
+        .collect();
+    match kind {
+        0 => Response::Network {
+            epoch: w(0),
+            nodes: w(1) as u32,
+            nan_pairs: w(2),
+            edges: pairs,
+        },
+        1 => Response::TopK {
+            epoch: w(0),
+            nan_pairs: w(1),
+            edges: words
+                .iter()
+                .map(|&x| (x as u32, x.rotate_left(13) as u32, f64::from_bits(x)))
+                .collect(),
+        },
+        2 => Response::Stats(StatsReply {
+            epoch: w(0),
+            published: w(1),
+            series: w(2) as u32,
+            windows: w(3) as u32,
+            requests: w(4),
+            errors: w(5),
+            connections: w(6),
+            cache_hits: w(7),
+            cache_misses: w(8),
+            cache_evictions: w(9),
+        }),
+        3 => {
+            let cut = (w(0) as usize) % (pairs.len() + 1);
+            Response::Delta(DeltaReply {
+                epoch: w(1),
+                nodes: w(2) as u32,
+                nan_pairs: w(3),
+                appeared: pairs[..cut].to_vec(),
+                vanished: pairs[cut..].to_vec(),
+            })
+        }
+        _ => Response::Error {
+            code: ErrorCode::Query,
+            message: format!("window {} out of range", w(0)),
+        },
+    }
+}
+
+/// Byte offsets of the counts in a valid payload (pair counts and the error
+/// message length), read off the payload itself.
+fn count_offsets(payload: &[u8]) -> Vec<usize> {
+    let at = |o: usize| u32::from_le_bytes(payload[o..o + 4].try_into().unwrap()) as usize;
+    match payload[0] {
+        0x81 => vec![21],
+        0x82 => vec![17],
+        0x84 => vec![21, 25 + 8 * at(21)],
+        0xEE => vec![2],
+        _ => vec![],
+    }
+}
+
+/// A decoded response is only acceptable if it is exactly what the bytes
+/// spell: encoding it again gives the same payload.
+fn typed_or_faithful(payload: &[u8]) -> Result<(), TestCaseError> {
+    match decode_response(payload) {
+        Ok(resp) => prop_assert_eq!(encode_response(&resp), payload.to_vec()),
+        Err(ProtoError::BadPayload(_) | ProtoError::UnknownOpcode(_)) => {}
+        Err(other) => prop_assert!(false, "decoding a payload gave {other:?}"),
+    }
+    Ok(())
+}
+
+const RESP_TRUNCATE: u8 = 0;
+const RESP_INFLATE_COUNT: u8 = 1;
+const RESP_TRAILING: u8 = 2;
+const RESP_RANDOM_BODY: u8 = 3;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Response-side malformed-payload generator: mutate a valid response
+    /// payload and require a typed error or a faithful decode — never a
+    /// panic.
+    #[test]
+    fn prop_malformed_responses_are_typed_errors(
+        kind in 0u8..5,
+        words in collection::vec(0u64..u64::MAX, 0..24),
+        mutation in 0u8..4,
+        pick in 0usize..4,
+        inflate in 1u32..u32::MAX,
+        body in collection::vec(0u8..255, 0..96),
+    ) {
+        let payload = encode_response(&sample_response(kind, &words));
+        match mutation {
+            RESP_TRUNCATE => {
+                // Every strict prefix is short of its own layout.
+                for cut in 0..payload.len() {
+                    let cut_payload = &payload[..cut];
+                    prop_assert!(
+                        matches!(decode_response(cut_payload), Err(ProtoError::BadPayload(_))),
+                        "prefix of {cut} bytes did not fail as BadPayload"
+                    );
+                }
+            }
+            RESP_INFLATE_COUNT => {
+                let offsets = count_offsets(&payload);
+                if let Some(&o) = offsets.get(pick % offsets.len().max(1)) {
+                    let mut p = payload.clone();
+                    let old = u32::from_le_bytes(p[o..o + 4].try_into().unwrap());
+                    p[o..o + 4].copy_from_slice(&old.wrapping_add(inflate).to_le_bytes());
+                    typed_or_faithful(&p)?;
+                    if offsets.last() == Some(&o) && old.checked_add(inflate).is_some() {
+                        // The last array now claims more than the body holds.
+                        prop_assert!(
+                            matches!(decode_response(&p), Err(ProtoError::BadPayload(_))),
+                            "an inflated count was accepted"
+                        );
+                    }
+                }
+            }
+            RESP_TRAILING => {
+                let mut p = payload.clone();
+                p.extend_from_slice(&body);
+                p.push(0);
+                prop_assert!(
+                    matches!(decode_response(&p), Err(ProtoError::BadPayload(_))),
+                    "trailing bytes were accepted"
+                );
+            }
+            RESP_RANDOM_BODY => {
+                let mut p = vec![payload[0]];
+                p.extend_from_slice(&body);
+                typed_or_faithful(&p)?;
+            }
+            _ => unreachable!("mutation selector out of range"),
+        }
     }
 }

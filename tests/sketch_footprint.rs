@@ -19,9 +19,6 @@
 //! query: its partial head and tail windows are minted a few triangle rows at
 //! a time into a scratch of `2 · 4 · (N − 1)` values.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use std::sync::Arc;
 
 use tsubasa_core::prelude::*;
@@ -33,69 +30,9 @@ use tsubasa_parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod
 use tsubasa_serve::{EpochIngest, EpochStore};
 use tsubasa_storage::pile::SegmentKind;
 
-/// The system allocator with per-thread counters in front of it, so the test
-/// harness's own threads do not disturb a measurement.
-struct CountingAlloc;
-
-thread_local! {
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static GROSS: Cell<usize> = const { Cell::new(0) };
-    static CALLS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count(delta: isize, call: bool) {
-    // `try_with`: the allocator also runs while a thread's locals are torn
-    // down, when there is nothing left to count into.
-    let _ = LIVE.try_with(|l| l.set(l.get() + delta));
-    let _ = GROSS.try_with(|g| g.set(g.get() + delta.max(0) as usize));
-    if call {
-        let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-    }
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counters are const-initialized `Cell`s without
-// destructors, so touching them never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size() as isize, true);
-        // SAFETY: the caller's `layout` is passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(-(layout.size() as isize), false);
-        // SAFETY: `ptr` was returned by `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size as isize - layout.size() as isize, true);
-        // SAFETY: `ptr`/`layout` come from this allocator, `new_size` from
-        // the caller, exactly as `System.realloc` requires.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Run `f` on this thread; return its value, the heap bytes it left
-/// allocated, and the number of `alloc`/`realloc` calls it made.
-fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    let (live, calls) = (LIVE.get(), CALLS.get());
-    let value = f();
-    let held = usize::try_from(LIVE.get() - live).expect("the measured closure frees nothing");
-    (value, held, CALLS.get() - calls)
-}
-
-/// Run `f` on this thread; return its value, every byte it allocated
-/// (freed since or not), and the number of `alloc`/`realloc` calls it made.
-fn gross<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    let (bytes, calls) = (GROSS.get(), CALLS.get());
-    let value = f();
-    (value, GROSS.get() - bytes, CALLS.get() - calls)
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{gross, measured, LIVE};
 
 const N: usize = 64;
 const PAIRS: usize = N * (N - 1) / 2;
