@@ -734,6 +734,8 @@ impl SlidingState {
 #[derive(Debug, Clone)]
 pub struct SlidingNetwork {
     state: SlidingState,
+    /// The arriving window kernel's packed scratch, kept across ticks.
+    z: Vec<f64>,
 }
 
 impl Deref for SlidingNetwork {
@@ -793,7 +795,10 @@ impl SlidingNetwork {
         let plan = SourcePlan::new(sketch, windows.clone(), PlanMethod::Exact)?;
         let (corrs, _) = fill_packed(&SerialRunner, plan.query_plan(), plan.table())?;
         let state = SlidingState::new(sketch, windows, plan.table(), corrs, PlanMethod::Exact)?;
-        Ok(Self { state })
+        Ok(Self {
+            state,
+            z: Vec::new(),
+        })
     }
 
     /// Slide the network forward by one basic window. `chunk[i]` holds the
@@ -817,7 +822,7 @@ impl SlidingNetwork {
         // window kernel (inline: `runner` fans out the Lemma 2 sweep only).
         // A stored row value is the correlation itself.
         let stats = arriving_window(chunk, self.series_count(), self.basic_window())?;
-        let row = arriving_corrs(chunk, &stats);
+        let row = arriving_corrs(chunk, &stats, &mut self.z);
         self.state.slide_in(runner, &stats, row, |c| c)
     }
 }

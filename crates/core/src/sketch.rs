@@ -174,10 +174,12 @@ pub fn arriving_window(chunk: &[Vec<f64>], n: usize, b: usize) -> Result<Vec<Win
 
 /// The packed correlation row of an arriving window: the exact window kernel
 /// ([`window_corrs_into`]) on the calling thread, so the row is the one
-/// [`SketchSet::build`] stores for the same window, bit for bit.
-pub fn arriving_corrs(chunk: &[Vec<f64>], stats: &[WindowStats]) -> Vec<f64> {
+/// [`SketchSet::build`] stores for the same window, bit for bit. `z` is the
+/// kernel's packed scratch: a consumer may keep one across windows, so a tick
+/// does not allocate and zero a fresh `N × B` block.
+pub fn arriving_corrs(chunk: &[Vec<f64>], stats: &[WindowStats], z: &mut Vec<f64>) -> Vec<f64> {
     let mut row = vec![0.0; packed_pairs(chunk.len())];
-    window_corrs_into(chunk, stats, &SerialRunner, &mut Vec::new(), &mut row);
+    window_corrs_into(chunk, stats, &SerialRunner, z, &mut row);
     row
 }
 

@@ -12,9 +12,14 @@
 //!   is defined as `0.0` (the covariance term vanishes; the mean-offset terms
 //!   of Lemma 1 still carry the information that is recoverable).
 
+use std::array::from_fn;
 use std::ops::Range;
 
 use crate::runner::{Job, JobRunner, SerialRunner};
+
+#[allow(unsafe_code)]
+mod zmm;
+use zmm::{Zmm, ACCUMULATORS};
 
 /// Summary statistics of one window of one series: the per-basic-window
 /// sketch entry stored by Algorithm 1.
@@ -251,7 +256,7 @@ pub(crate) fn normalize_each<'a>(
 }
 
 /// Series per panel of the packed layout: one point of eight series is one
-/// 64-byte line, two `ymm` registers.
+/// 64-byte line, two `ymm` registers or one `zmm`.
 const PANEL: usize = 8;
 
 /// Height of the aligned register tile: 4 rows × [`PANEL`] columns are eight
@@ -314,30 +319,107 @@ fn row_tile_into<const R: usize>(
                 }
             }
         }
-        let mut row_start = 0;
-        for (r, acc) in acc.iter().enumerate() {
-            let i = i0 + r;
-            let (first, end) = ((i + 1).max(pb * PANEL), n.min((pb + 1) * PANEL));
-            if first < end {
-                let sums = &acc[first - pb * PANEL..end - pb * PANEL];
-                let slots = &mut out[row_start + first - i - 1..][..sums.len()];
-                for (slot, &sum) in slots.iter_mut().zip(sums) {
-                    *slot = finish(sum);
-                }
-            }
-            row_start += n - 1 - i;
-        }
+        store_panel(&acc, n, i0, pb, out, &finish);
     }
 }
 
-/// **The** pair kernel: `finish` of the chain `sum = step(sum, r_i[t],
-/// r_j[t])` over `t` from `0.0` for every pair
+/// [`row_tile_into`] of the dot step on `zmm` registers: `R` rows of one
+/// panel against up to `ACCUMULATORS / R` column panels at a time
+/// ([`Zmm::sums`]), the same chains and so the same bits.
+fn zmm_tile_into<const R: usize>(
+    zmm: Zmm,
+    packed: &[f64],
+    n: usize,
+    len: usize,
+    i0: usize,
+    out: &mut [f64],
+    finish: impl Fn(f64) -> f64 + Copy,
+) {
+    let panel = |p: usize| &packed[p * PANEL * len..(p + 1) * PANEL * len];
+    let (a, lane) = (panel(i0 / PANEL), i0 % PANEL);
+    let (mut pb, panels) = (i0 / PANEL, n.div_ceil(PANEL));
+    while pb < panels {
+        let q = (panels - pb).min(ACCUMULATORS / R);
+        let cols = |k| panel(pb + k);
+        let mut store = |sums: &[[[f64; PANEL]; R]]| {
+            for (k, acc) in sums.iter().enumerate() {
+                store_panel(acc, n, i0, pb + k, out, finish);
+            }
+        };
+        // Widest first, so that the arms past `ACCUMULATORS / R` are dead code.
+        match q {
+            4 => store(&zmm.sums::<R, 4>(a, lane, from_fn(cols))),
+            3 => store(&zmm.sums::<R, 3>(a, lane, from_fn(cols))),
+            2 => store(&zmm.sums::<R, 2>(a, lane, from_fn(cols))),
+            _ => store(&zmm.sums::<R, 1>(a, lane, from_fn(cols))),
+        }
+        pb += q;
+    }
+}
+
+/// `finish` of the sums `acc[r][c]` of rows `i0 + r` against the columns of
+/// panel `pb`, for the pairs `(i, j)`, `i < j < n`, into `out`, which starts
+/// at row `i0` of the packed triangle.
+#[inline(always)]
+fn store_panel<const R: usize>(
+    acc: &[[f64; PANEL]; R],
+    n: usize,
+    i0: usize,
+    pb: usize,
+    out: &mut [f64],
+    finish: impl Fn(f64) -> f64,
+) {
+    let mut row_start = 0;
+    for (r, acc) in acc.iter().enumerate() {
+        let i = i0 + r;
+        let (first, end) = ((i + 1).max(pb * PANEL), n.min((pb + 1) * PANEL));
+        if first < end {
+            let sums = &acc[first - pb * PANEL..end - pb * PANEL];
+            let slots = &mut out[row_start + first - i - 1..][..sums.len()];
+            for (slot, &sum) in slots.iter_mut().zip(sums) {
+                *slot = finish(sum);
+            }
+        }
+        row_start += n - 1 - i;
+    }
+}
+
+/// The register tiles that cover triangle rows `rows` of `n`, in order:
+/// `(i, height, p)` for tile rows `i..i + height`, whose pairs start `p`
+/// slots after those of row `rows.start`. Each tile is the tallest of
+/// `heights` (descending, ending in 1) that starts on a multiple of itself —
+/// so its rows sit in one panel — and ends inside the range.
+fn row_tiles(
+    n: usize,
+    rows: Range<usize>,
+    heights: &[usize],
+) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    let (mut i, mut p) = (rows.start, 0);
+    std::iter::from_fn(move || {
+        let height = *heights
+            .iter()
+            .find(|&&h| i.is_multiple_of(h) && i + h <= rows.end)?;
+        let tile = (i, height, p);
+        p += (i..i + height).map(|row| n - 1 - row).sum::<usize>();
+        i += height;
+        Some(tile)
+    })
+}
+
+/// The pair kernel's dot step: the left-to-right chain of a correlation.
+fn dot(sum: f64, x: f64, y: f64) -> f64 {
+    x.mul_add(y, sum)
+}
+
+/// **The** pair kernel on the portable tile: `finish` of the chain `sum =
+/// step(sum, r_i[t], r_j[t])` over `t` from `0.0` for every pair
 /// `i < j` of triangle rows `rows` of the `n` series of a packed block
 /// ([`packed_len`]), in packed upper-triangle order
 /// ([`crate::sketch::pair_index`]), into the slice of `out` that starts at
 /// row `rows.start`. Aligned groups of [`TILE_ROWS`] rows run as one register
 /// tile; the rows the range leaves before and after them run one at a time
-/// through the same micro-kernel.
+/// through the same micro-kernel. Where the CPU has `avx512f` the dot step
+/// runs on [`zmm_rows_into`] instead, with the same bits.
 ///
 /// Every sum is one left-to-right chain over `t` ([`row_tile_into`]), so a
 /// pair's bits depend on nothing but its two series: not on the tile shape,
@@ -353,18 +435,37 @@ fn packed_rows_into(
     finish: impl Fn(f64) -> f64 + Copy,
 ) {
     debug_assert_eq!(packed.len(), packed_len(n, len));
-    let (mut i, mut p) = (rows.start, 0);
-    while i < rows.end {
+    for (i, height, p) in row_tiles(n, rows, &[TILE_ROWS, 1]) {
         let out = &mut out[p..];
-        let tile = if i % TILE_ROWS == 0 && i + TILE_ROWS <= rows.end {
-            row_tile_into::<TILE_ROWS>(packed, n, len, i, out, step, finish);
-            TILE_ROWS
-        } else {
-            row_tile_into::<1>(packed, n, len, i, out, step, finish);
-            1
-        };
-        p += (i..i + tile).map(|row| n - 1 - row).sum::<usize>();
-        i += tile;
+        match height {
+            TILE_ROWS => row_tile_into::<TILE_ROWS>(packed, n, len, i, out, step, finish),
+            _ => row_tile_into::<1>(packed, n, len, i, out, step, finish),
+        }
+    }
+}
+
+/// [`packed_rows_into`] of the dot step on `zmm` registers: whole panels of
+/// rows as `8 × 2`-panel tiles, aligned [`TILE_ROWS`]-row groups (the rows
+/// around a worker's range, the groups [`crate::plan::PartialCorrs`] mints)
+/// as `4 × 4`-panel tiles, and the single rows a range leaves at its ends on
+/// the portable one-row tile. Bit for bit [`packed_rows_into`] with [`dot`].
+fn zmm_rows_into(
+    zmm: Zmm,
+    packed: &[f64],
+    n: usize,
+    len: usize,
+    rows: Range<usize>,
+    out: &mut [f64],
+    finish: impl Fn(f64) -> f64 + Copy,
+) {
+    debug_assert_eq!(packed.len(), packed_len(n, len));
+    for (i, height, p) in row_tiles(n, rows, &[PANEL, TILE_ROWS, 1]) {
+        let out = &mut out[p..];
+        match height {
+            PANEL => zmm_tile_into::<PANEL>(zmm, packed, n, len, i, out, finish),
+            TILE_ROWS => zmm_tile_into::<TILE_ROWS>(zmm, packed, n, len, i, out, finish),
+            _ => row_tile_into::<1>(packed, n, len, i, out, dot, finish),
+        }
     }
 }
 
@@ -437,15 +538,11 @@ pub(crate) fn packed_corr_rows_into(
     out: &mut [f64],
 ) {
     let inv = 1.0 / len as f64;
-    packed_rows_into(
-        z,
-        n,
-        len,
-        rows,
-        out,
-        |sum, x: f64, y| x.mul_add(y, sum),
-        move |sum| clamp_corr(sum * inv),
-    );
+    let finish = move |sum| clamp_corr(sum * inv);
+    match Zmm::detect() {
+        Some(zmm) => zmm_rows_into(zmm, z, n, len, rows, out, finish),
+        None => packed_rows_into(z, n, len, rows, out, dot, finish),
+    }
 }
 
 /// Run `rows_into(rows, slice)` over the packed triangle `out` of `n` series,
@@ -580,10 +677,6 @@ mod tests {
                 "{what}, pair {p}: {g:e} vs {w:e}"
             );
         }
-    }
-
-    fn dot(sum: f64, x: f64, y: f64) -> f64 {
-        x.mul_add(y, sum)
     }
 
     fn dist_sq(sum: f64, x: f64, y: f64) -> f64 {
@@ -931,6 +1024,60 @@ mod tests {
                         assert_same_bits(got, &want_sq[slots], &what);
                         got.fill(9.0);
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zmm_and_portable_tiles_are_the_serial_chain_bit_for_bit() {
+        // The two spellings of the dot step, each called directly: every
+        // row range a caller makes (whole triangles, runs starting off an 8-
+        // and a 4-row boundary, the 4-row groups `PartialCorrs` mints, the
+        // splits of 1, 3 and 8 workers) over values holding NaN and ±∞, with
+        // NaN in every lane no series owns.
+        let zmm = Zmm::detect();
+        if zmm.is_none() {
+            // Straight to the process's stderr: libtest would capture
+            // `eprintln!` of a passing test.
+            let note =
+                "stats: this CPU lacks avx512f, so the zmm half of the tile grid did not run\n";
+            std::io::Write::write_all(&mut std::io::stderr(), note.as_bytes()).expect("stderr");
+        }
+        for n in [1usize, 2, 7, 8, 9, 15, 16, 17, 24, 33, 65] {
+            for len in [0usize, 1, 3, 120] {
+                let rows = hostile_rows(n, len);
+                let packed = pack(&rows, len);
+                let inv = 1.0 / len as f64;
+                let corr = move |sum: f64| clamp_corr(sum * inv);
+                let want = serial_chains(&rows, dot, corr);
+                let mut got = vec![9.0f64; want.len()];
+                let mut check =
+                    |what: &str, rows_into: &(dyn Fn(Range<usize>, &mut [f64]) + Sync)| {
+                        let row_offset = |i: usize| i * n - i * (i + 1) / 2;
+                        let mints = (0..n).step_by(TILE_ROWS).map(|g| g..(g + TILE_ROWS).min(n));
+                        let runs = [0..n, 1..n, 3..n, 4..n, 5..n.min(13), 9..n, 12..n.min(23)];
+                        for rows in mints.chain(runs).filter(|rows| rows.start < rows.end) {
+                            let slots = row_offset(rows.start)..row_offset(rows.end);
+                            let what = format!("{what} n={n} len={len} rows {rows:?}");
+                            rows_into(rows, &mut got[slots.clone()]);
+                            assert_same_bits(&got[slots.clone()], &want[slots], &what);
+                            got.fill(9.0);
+                        }
+                        for workers in [1usize, 3, 8] {
+                            let what = format!("{what} n={n} len={len} workers={workers}");
+                            sweep_triangle_rows(n, &InlineSplit(workers), &mut got, rows_into);
+                            assert_same_bits(&got, &want, &what);
+                            got.fill(9.0);
+                        }
+                    };
+                check("portable", &|rows, out| {
+                    packed_rows_into(&packed, n, len, rows, out, dot, corr)
+                });
+                if let Some(zmm) = zmm {
+                    check("zmm", &|rows, out| {
+                        zmm_rows_into(zmm, &packed, n, len, rows, out, corr)
+                    });
                 }
             }
         }

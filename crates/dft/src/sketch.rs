@@ -590,7 +590,7 @@ mod tests {
 
         let chunk: Vec<Vec<f64>> = full.iter().map(|s| s.values()[100..].to_vec()).collect();
         let stats = arriving_window(&chunk, 4, 20).unwrap();
-        let corrs = arriving_corrs(&chunk, &stats);
+        let corrs = arriving_corrs(&chunk, &stats, &mut Vec::new());
         let ests = ComparatorKernel::new(20, 10, Transform::Naive).arriving_ests(&chunk, &stats);
         assembled.push_window(stats, corrs, ests).unwrap();
         assert_mirrors(&assembled, &full);

@@ -304,10 +304,17 @@ impl IngestSketch {
     /// Fold one completed basic window in: the arrival step, the kernel of
     /// each method this flavor stores, and the push or append of what they
     /// minted. An in-memory sketch then lets go of its oldest window, so it
-    /// keeps the window count it was bootstrapped with: the horizon.
-    fn absorb(&mut self, chunk: &[Vec<f64>], n_series: usize, basic_window: usize) -> Result<()> {
+    /// keeps the window count it was bootstrapped with: the horizon. `z` is
+    /// the exact kernel's packed scratch, reused across windows.
+    fn absorb(
+        &mut self,
+        chunk: &[Vec<f64>],
+        n_series: usize,
+        basic_window: usize,
+        z: &mut Vec<f64>,
+    ) -> Result<()> {
         let stats = arriving_window(chunk, n_series, basic_window)?;
-        let corrs = arriving_corrs(chunk, &stats);
+        let corrs = arriving_corrs(chunk, &stats, z);
         match self {
             IngestSketch::Exact(sketch) => {
                 sketch.push_window(stats, corrs)?;
@@ -415,12 +422,13 @@ impl EpochIngest {
         let mut sketch = IngestSketch::Pile(PileWriter::create(path, n, b)?);
         // One window at a time, through the same step as a streamed window:
         // working memory is one window's rows, never the history's table.
+        let mut z = Vec::new();
         for k in 0..historical.series_len() / b {
             let chunk: Vec<Vec<f64>> = historical
                 .iter()
                 .map(|s| s.values()[k * b..(k + 1) * b].to_vec())
                 .collect();
-            sketch.absorb(&chunk, n, b)?;
+            sketch.absorb(&chunk, n, b, &mut z)?;
         }
         if let IngestSketch::Pile(writer) = &mut sketch {
             writer.sync()?;
@@ -460,8 +468,11 @@ impl EpochIngest {
         let chunks = self.buffer.push(updates)?;
         let (n, b) = (self.buffer.series_count(), self.buffer.basic_window());
         let mut published = Vec::with_capacity(chunks.len());
+        // One kernel scratch per call, not per ingest: kept between calls it
+        // would be an `N × B` block held beside every live sketch.
+        let mut z = Vec::new();
         for chunk in chunks {
-            self.sketch.absorb(&chunk, n, b)?;
+            self.sketch.absorb(&chunk, n, b, &mut z)?;
             published.push(self.sketch.publish(&self.store)?);
         }
         Ok(published)

@@ -47,7 +47,8 @@ pub const MAX_REQUEST_FRAME: u32 = 4096;
 pub const MAX_RESPONSE_FRAME: u32 = 1 << 30;
 
 /// Consecutive mid-frame read timeouts tolerated before the peer is declared
-/// stalled. With the ~25 ms poll interval used by the server this is a
+/// stalled; the server gives a reply write that makes no progress the same
+/// budget. With the ~25 ms poll interval used by the server this is a
 /// multi-second budget — generous for a loopback test harness, finite for a
 /// wedged peer.
 pub const MID_FRAME_STALL_BUDGET: u32 = 400;
@@ -315,7 +316,7 @@ impl From<io::Error> for ProtoError {
 // Frame transport
 // ---------------------------------------------------------------------------
 
-fn is_timeout(e: &io::Error) -> bool {
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut

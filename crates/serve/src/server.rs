@@ -15,9 +15,13 @@
 //! Shutdown is cooperative: connections poll an atomic flag between frames
 //! (reads use a short timeout, and a subscription waiting for the next epoch
 //! wakes on the same tick), the accept loop polls it between accepts, and
-//! [`ServerHandle::shutdown`] joins every thread before returning.
+//! [`ServerHandle::shutdown`] joins every thread before returning. Writes
+//! time out on the same tick and poll the flag too, so a client that
+//! pipelines requests and never reads its replies can stall a reply for at
+//! most [`MID_FRAME_STALL_BUDGET`] polls before its connection is closed, and
+//! cannot stall a shutdown.
 
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,13 +34,13 @@ use tsubasa_core::plan::PlanMethod;
 use tsubasa_core::sweep::EdgeRule;
 
 use crate::proto::{
-    decode_request, encode_response, read_frame, write_frame, DeltaReply, ErrorCode, Method,
-    ProtoError, Request, Response, StatsReply, MAX_REQUEST_FRAME,
+    decode_request, encode_response, is_timeout, read_frame, write_frame, DeltaReply, ErrorCode,
+    Method, ProtoError, Request, Response, StatsReply, MAX_REQUEST_FRAME, MID_FRAME_STALL_BUDGET,
 };
 use crate::query::{QueryEngine, QueryError, UnavailableReason};
 
-/// How often blocked reads, subscriptions waiting for an epoch and the
-/// accept loop wake to poll the shutdown flag.
+/// How often blocked reads and writes, subscriptions waiting for an epoch and
+/// the accept loop wake to poll the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Monotonic serving counters, shared by every connection thread.
@@ -183,6 +187,7 @@ fn handle_connection(
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    let _ = stream.set_write_timeout(Some(POLL_INTERVAL));
 
     while !shutdown.load(Ordering::Relaxed) {
         let payload = match read_frame(&mut stream, MAX_REQUEST_FRAME) {
@@ -191,7 +196,7 @@ fn handle_connection(
             Err(ProtoError::Closed) => break,
             Err(ProtoError::BadPayload(msg)) => {
                 // An empty frame: fully consumed, framing still in sync.
-                if answer_error(&mut stream, stats, ErrorCode::Malformed, &msg).is_err() {
+                if answer_error(&stream, stats, shutdown, ErrorCode::Malformed, &msg).is_err() {
                     break;
                 }
                 continue;
@@ -200,7 +205,7 @@ fn handle_connection(
                 // The prefix itself is garbage; we cannot resync, so answer
                 // (best effort) and close this connection.
                 let msg = format!("frame length {len} exceeds maximum {max}");
-                let _ = answer_error(&mut stream, stats, ErrorCode::Malformed, &msg);
+                let _ = answer_error(&stream, stats, shutdown, ErrorCode::Malformed, &msg);
                 break;
             }
             // Truncated / Stalled / Io: the transport is gone or desynced.
@@ -218,13 +223,7 @@ fn handle_connection(
                 // requested number of delta frames inline, then fall back to
                 // request–response on this same connection.
                 match serve_subscription(
-                    &mut stream,
-                    engine,
-                    stats,
-                    shutdown,
-                    method,
-                    theta,
-                    max_frames,
+                    &stream, engine, stats, shutdown, method, theta, max_frames,
                 ) {
                     Ok(()) => continue,
                     Err(_) => break,
@@ -251,16 +250,64 @@ fn handle_connection(
         if matches!(response, Response::Error { .. }) {
             stats.errors.fetch_add(1, Ordering::Relaxed);
         }
-        if write_frame(&mut stream, &encode_response(&response)).is_err() {
+        if send(&stream, shutdown, &response).is_err() {
             break;
         }
     }
 }
 
+/// Send one reply frame on a connection whose writes time out every
+/// [`POLL_INTERVAL`]. A client that pipelines requests and never reads fills
+/// both socket buffers, and a plain `write_all` would then block for good,
+/// with the connection thread (and so [`ServerHandle::shutdown`]) waiting on
+/// it. Here each timeout without progress polls the shutdown flag, and
+/// [`MID_FRAME_STALL_BUDGET`] of them in a row give up on the peer: the
+/// error closes the connection.
+fn send(stream: &TcpStream, shutdown: &AtomicBool, response: &Response) -> io::Result<()> {
+    write_frame(
+        &mut Patient { stream, shutdown },
+        &encode_response(response),
+    )
+}
+
+/// The write side of [`send`].
+struct Patient<'a> {
+    stream: &'a TcpStream,
+    shutdown: &'a AtomicBool,
+}
+
+impl Write for Patient<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        for _ in 0..MID_FRAME_STALL_BUDGET {
+            match self.stream.write(buf) {
+                Err(e) if is_timeout(&e) => {
+                    if self.shutdown.load(Ordering::Relaxed) {
+                        // Not `Interrupted`: `write_all` would retry that.
+                        return Err(io::Error::new(
+                            io::ErrorKind::ConnectionAborted,
+                            "server shutting down",
+                        ));
+                    }
+                }
+                done => return done,
+            }
+        }
+        Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            "peer took no reply bytes within the stall budget",
+        ))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
 /// Count and send an error frame for a request that never reached dispatch.
 fn answer_error(
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     stats: &ServerStats,
+    shutdown: &AtomicBool,
     code: ErrorCode,
     message: &str,
 ) -> io::Result<()> {
@@ -270,7 +317,7 @@ fn answer_error(
         code,
         message: message.to_string(),
     };
-    write_frame(stream, &encode_response(&response))
+    send(stream, shutdown, &response)
 }
 
 /// Serve one `subscribe_deltas` exchange: a baseline network frame for the
@@ -295,7 +342,7 @@ fn answer_error(
 /// subscriber sees the connection close, the repo-wide signal for "server
 /// gone".
 fn serve_subscription(
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     engine: &QueryEngine,
     stats: &ServerStats,
     shutdown: &AtomicBool,
@@ -303,9 +350,9 @@ fn serve_subscription(
     theta: f64,
     max_frames: u32,
 ) -> io::Result<()> {
-    let fail = |stats: &ServerStats, stream: &mut TcpStream, response: Response| {
+    let fail = |stats: &ServerStats, stream: &TcpStream, response: Response| {
         stats.errors.fetch_add(1, Ordering::Relaxed);
-        write_frame(stream, &encode_response(&response))
+        send(stream, shutdown, &response)
     };
     if max_frames == 0 {
         return fail(
@@ -361,7 +408,7 @@ fn serve_subscription(
                 vanished: wire_pairs(&delta.vanished),
             }),
         };
-        write_frame(stream, &encode_response(&response))?;
+        send(stream, shutdown, &response)?;
     }
     Ok(())
 }

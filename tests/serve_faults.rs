@@ -14,20 +14,24 @@
 //!   response payloads (every truncation, an inflated count, trailing bytes,
 //!   a random body under each opcode) decode to a typed error or to the very
 //!   response their bytes spell, and a hostile pair count fails before the
-//!   decoder allocates for it.
+//!   decoder allocates for it;
+//! * a client that pipelines requests and never reads its replies can stall
+//!   neither a shutdown nor, past the write stall budget, its own connection
+//!   thread.
 
-use std::io::Write;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, OnceLock};
+use std::thread;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use tsubasa_core::SeriesCollection;
+use tsubasa_core::{SeriesCollection, SketchSet};
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
 use tsubasa_parallel::WorkerPool;
 use tsubasa_serve::proto::{
     decode_response, encode_request, encode_response, read_frame, write_frame, MAX_REQUEST_FRAME,
-    MAX_RESPONSE_FRAME,
+    MAX_RESPONSE_FRAME, MID_FRAME_STALL_BUDGET,
 };
 use tsubasa_serve::{
     server, DeltaReply, EpochStore, ErrorCode, Method, PlanCache, ProtoError, QueryEngine, Request,
@@ -179,6 +183,124 @@ fn mid_request_disconnect_does_not_wedge_the_server() {
     drop(s);
 
     assert_still_serving();
+}
+
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// A server of its own (so it can be shut down) over 256 series, and a raw
+/// client that pipelines one request with a 261 KB reply (θ = −1: every pair
+/// is an edge) and never reads. It writes until its own send times out: the
+/// server has stopped reading, because its reply write is blocked on the
+/// full socket buffers.
+fn wedged_server() -> (ServerHandle, TcpStream) {
+    let rows = (0..256).map(|s| lcg_series(300 + s, 40)).collect();
+    let c = SeriesCollection::from_rows(rows).unwrap();
+    let store = Arc::new(EpochStore::new(2));
+    store
+        .publish(Some(SketchSet::build(&c, 20).unwrap()), None)
+        .unwrap();
+    let engine = Arc::new(QueryEngine::new(
+        store,
+        Arc::new(PlanCache::new(4)),
+        Arc::new(WorkerPool::new(1)),
+    ));
+    let server = server::start(engine, "127.0.0.1:0").unwrap();
+    let mut client = TcpStream::connect(server.local_addr()).unwrap();
+    client
+        .set_write_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let request = encode_request(&Request::Network {
+        method: Method::Exact,
+        last_windows: 0,
+        theta: -1.0,
+    });
+    let mut frames = Vec::new();
+    for _ in 0..512 {
+        write_frame(&mut frames, &request).unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        match client.write_all(&frames) {
+            Ok(()) => assert!(
+                Instant::now() < deadline,
+                "the server kept reading a client that never reads"
+            ),
+            Err(e) if is_timeout(&e) => return (server, client),
+            Err(e) => panic!("pipelining client: {e}"),
+        }
+    }
+}
+
+/// Whether the server closed `client`'s connection: draining what the
+/// kernel buffered ends in EOF or a reset, not in a read timeout.
+fn drains_to_close(client: &mut TcpStream) -> bool {
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut buf = vec![0u8; 1 << 16];
+    loop {
+        match client.read(&mut buf) {
+            Ok(0) => return true,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => return true,
+            Err(e) if is_timeout(&e) => return false,
+            Err(e) => panic!("draining a stalled connection: {e}"),
+        }
+    }
+}
+
+#[test]
+fn shutdown_returns_while_a_client_never_reads() {
+    let (server, mut client) = wedged_server();
+    let (done, finished) = mpsc::channel();
+    thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    // One write poll to see the flag, one read poll for the accept loop.
+    finished
+        .recv_timeout(Duration::from_secs(5))
+        .expect("shutdown still waits on a reply to a client that never reads");
+    assert!(
+        drains_to_close(&mut client),
+        "the stalled connection is still open"
+    );
+}
+
+#[test]
+fn a_client_that_never_reads_is_dropped_after_the_stall_budget() {
+    let (server, mut client) = wedged_server();
+    // The server closes the connection once its reply has made no progress
+    // for the stall budget's polls (≈ 10 s); from then on this client's
+    // sends fail instead of timing out.
+    client
+        .set_write_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let patience = Duration::from_millis(25) * MID_FRAME_STALL_BUDGET;
+    let deadline = Instant::now() + 3 * patience;
+    let closed = loop {
+        match client.write(&[0]) {
+            Err(e) if is_timeout(&e) && Instant::now() < deadline => {}
+            Err(e) if is_timeout(&e) => break false,
+            Ok(_) => {}
+            Err(_) => break true,
+        }
+    };
+    if !closed {
+        // Dropping the handle would join the wedged connection thread.
+        std::mem::forget(server);
+        panic!("the server is still blocked on a client that never reads");
+    }
+    let mut other = ServeClient::connect(server.local_addr()).unwrap();
+    other.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+    assert_eq!(other.stats().unwrap().epoch, 1);
+    drop(other);
+    server.shutdown();
 }
 
 #[test]

@@ -124,7 +124,7 @@ fn an_arriving_window_costs_allocations_per_series_not_per_pair() {
     let mut dft = DftSketchSet::build(&c, B, 8, Transform::Fft).unwrap();
     let ((), held, calls) = measured(|| {
         let stats = arriving_window(&chunk, N, B).unwrap();
-        let corrs = arriving_corrs(&chunk, &stats);
+        let corrs = arriving_corrs(&chunk, &stats, &mut Vec::new());
         let ests = ComparatorKernel::new(B, 8, Transform::Fft).arriving_ests(&chunk, &stats);
         dft.push_window(stats, corrs, ests).unwrap()
     });

@@ -198,6 +198,7 @@ fn all_backends_agree_bit_for_bit_across_the_grid() {
     let prefix = c.truncate_length(2 * b).unwrap();
     let mut grown = DftSketchSet::build(&prefix, b, 8, Transform::Naive).unwrap();
     let mut kernel = ComparatorKernel::new(b, 8, Transform::Naive);
+    let mut z = Vec::new();
     for w in 2..WINDOWS {
         let chunk: Vec<Vec<f64>> = c
             .iter()
@@ -205,7 +206,7 @@ fn all_backends_agree_bit_for_bit_across_the_grid() {
             .collect();
         let stats = arriving_window(&chunk, n, b).unwrap();
         let (corrs, ests) = (
-            arriving_corrs(&chunk, &stats),
+            arriving_corrs(&chunk, &stats, &mut z),
             kernel.arriving_ests(&chunk, &stats),
         );
         grown.push_window(stats, corrs, ests).unwrap();
