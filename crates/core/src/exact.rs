@@ -187,7 +187,9 @@ pub fn pair_correlation(
         });
     }
     let (xs, ys) = (collection.get(i)?.values(), collection.get(j)?.values());
-    let (series_x, series_y) = (sketch.series_sketch(i)?, sketch.series_sketch(j)?);
+    if let Some(&id) = [i, j].iter().find(|&&id| id >= sketch.series_count()) {
+        return Err(Error::UnknownSeries(id));
+    }
     if i == j {
         return Ok(1.0);
     }
@@ -202,9 +204,10 @@ pub fn pair_correlation(
         parts.push(WindowContribution::from_raw(head.slice(xs), head.slice(ys)));
     }
     for w in seg.full.clone() {
+        let stats = sketch.stats_rows().row(w);
         parts.push(WindowContribution {
-            x: series_x.window(w),
-            y: series_y.window(w),
+            x: stats[i],
+            y: stats[j],
             corr: pair.corrs[w],
         });
     }

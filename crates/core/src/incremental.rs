@@ -43,7 +43,7 @@ use crate::delta::{EdgeDelta, EdgeWatch};
 use crate::error::{Error, Result};
 use crate::exact::{self, WindowContribution};
 use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
-use crate::plan::{carve_for_workers, row_segments, CorrView, PlanMethod, WindowRows};
+use crate::plan::{carve_for_workers, row_segments, PlanMethod, WindowRows};
 use crate::runner::{Job, JobRunner, SerialRunner};
 use crate::sketch::{arriving_corrs, arriving_window, packed_pairs, pair_index, SketchSet};
 use crate::source::SourcePlan;
@@ -52,10 +52,10 @@ use crate::sweep::{fill_packed, EdgeRule};
 use crate::timeseries::SeriesCollection;
 
 /// Summary of one series over the current sliding query window, maintained
-/// incrementally from per-basic-window statistics.
+/// incrementally from per-basic-window statistics that the engine holds and
+/// hands back on eviction ([`SlidingSeriesState::slide`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlidingSeriesState {
-    windows: VecDeque<WindowStats>,
     /// Σ_j B_j · mean_j  (= sum of all raw values in the window).
     sum: f64,
     /// Σ_j B_j · (σ_j² + mean_j²)  (= sum of squared raw values).
@@ -67,42 +67,31 @@ pub struct SlidingSeriesState {
 impl SlidingSeriesState {
     /// Build the state from the per-window statistics of the initial query
     /// window (oldest first).
-    pub fn new(windows: Vec<WindowStats>) -> Self {
-        // Exactly as many slots as windows: a slide pops one and pushes one,
-        // so the ring never grows, and no series holds slack.
+    pub fn new<'a>(windows: impl IntoIterator<Item = &'a WindowStats>) -> Self {
         let mut state = Self {
-            windows: VecDeque::with_capacity(windows.len()),
             sum: 0.0,
             sum_sq: 0.0,
             total: 0,
         };
         for w in windows {
-            state.push_back(w);
+            state.add(w);
         }
         state
     }
 
-    fn push_back(&mut self, stats: WindowStats) {
+    fn add(&mut self, stats: &WindowStats) {
         self.sum += stats.sum();
         self.sum_sq += stats.sum_of_squares();
         self.total += stats.len;
-        self.windows.push_back(stats);
     }
 
-    fn pop_front(&mut self) -> Option<WindowStats> {
-        let evicted = self.windows.pop_front()?;
+    /// Slide the window: take out the oldest basic window, `evicted`, then
+    /// add the arriving one.
+    pub fn slide(&mut self, evicted: &WindowStats, arriving: &WindowStats) {
         self.sum -= evicted.sum();
         self.sum_sq -= evicted.sum_of_squares();
         self.total -= evicted.len;
-        Some(evicted)
-    }
-
-    /// Slide the window: evict the oldest basic window, append the new one.
-    /// Returns the evicted statistics.
-    pub fn slide(&mut self, arriving: WindowStats) -> Option<WindowStats> {
-        let evicted = self.pop_front();
-        self.push_back(arriving);
-        evicted
+        self.add(arriving);
     }
 
     /// Number of raw points currently covered (`T`).
@@ -131,16 +120,6 @@ impl SlidingSeriesState {
     /// Population standard deviation of the current query window.
     pub fn std(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Statistics of the oldest basic window still inside the query window.
-    pub fn front(&self) -> Option<WindowStats> {
-        self.windows.front().copied()
-    }
-
-    /// Number of basic windows currently covered (`ns`).
-    pub fn window_count(&self) -> usize {
-        self.windows.len()
     }
 }
 
@@ -220,7 +199,8 @@ pub fn lemma2_update(
 pub struct SlidingPair {
     x: SlidingSeriesState,
     y: SlidingSeriesState,
-    pair_corrs: VecDeque<f64>,
+    /// The basic windows inside the query window, oldest first.
+    windows: VecDeque<WindowContribution>,
     corr: f64,
 }
 
@@ -241,26 +221,18 @@ impl SlidingPair {
                 found: x.len(),
             });
         }
-        let ns = x.len() / basic_window;
-        let mut xw = Vec::with_capacity(ns);
-        let mut yw = Vec::with_capacity(ns);
-        let mut corrs = VecDeque::with_capacity(ns);
-        let mut parts = Vec::with_capacity(ns);
-        for j in 0..ns {
-            let range = j * basic_window..(j + 1) * basic_window;
-            let part = WindowContribution::from_raw(&x[range.clone()], &y[range]);
-            xw.push(part.x);
-            yw.push(part.y);
-            corrs.push_back(part.corr);
-            parts.push(part);
-        }
+        let parts: Vec<WindowContribution> = x
+            .chunks(basic_window)
+            .zip(y.chunks(basic_window))
+            .map(|(x, y)| WindowContribution::from_raw(x, y))
+            .collect();
         // Keep the pearson convention: a constant window starts at 0.0
         // (only `DegenerateWindow` is mapped; other errors would propagate).
         let corr = exact::degenerate_to_zero(exact::combine(&parts))?;
         Ok(Self {
-            x: SlidingSeriesState::new(xw),
-            y: SlidingSeriesState::new(yw),
-            pair_corrs: corrs,
+            x: SlidingSeriesState::new(parts.iter().map(|p| &p.x)),
+            y: SlidingSeriesState::new(parts.iter().map(|p| &p.y)),
+            windows: parts.into(),
             corr,
         })
     }
@@ -273,7 +245,8 @@ impl SlidingPair {
     /// Slide the window by one basic window given the newly arrived chunk of
     /// raw points (`chunk_x.len() == chunk_y.len() == B`).
     pub fn ingest(&mut self, chunk_x: &[f64], chunk_y: &[f64]) -> Result<f64> {
-        let expected = self.x.front().map(|w| w.len).unwrap_or(0);
+        let evicted = *self.windows.front().expect("non-empty window");
+        let expected = evicted.x.len;
         if chunk_x.len() != expected || chunk_y.len() != expected {
             return Err(Error::ChunkSizeMismatch {
                 expected,
@@ -281,12 +254,6 @@ impl SlidingPair {
             });
         }
         let arriving = WindowContribution::from_raw(chunk_x, chunk_y);
-        let (sx, sy, c_new) = (arriving.x, arriving.y, arriving.corr);
-        let evicted = WindowContribution {
-            x: self.x.front().expect("non-empty window"),
-            y: self.y.front().expect("non-empty window"),
-            corr: *self.pair_corrs.front().expect("non-empty window"),
-        };
         self.corr = lemma2_update(
             self.x.total_len() as f64,
             self.x.mean(),
@@ -297,10 +264,10 @@ impl SlidingPair {
             &evicted,
             &arriving,
         );
-        self.x.slide(sx);
-        self.y.slide(sy);
-        self.pair_corrs.pop_front();
-        self.pair_corrs.push_back(c_new);
+        self.x.slide(&evicted.x, &arriving.x);
+        self.y.slide(&evicted.y, &arriving.y);
+        self.windows.pop_front();
+        self.windows.push_back(arriving);
         Ok(self.corr)
     }
 }
@@ -340,7 +307,12 @@ struct SeriesTerms {
 }
 
 impl SeriesTerms {
-    fn new(series: &[SlidingSeriesState], arriving: &[WindowStats], basic_window: usize) -> Self {
+    fn new(
+        series: &[SlidingSeriesState],
+        evicted: &[WindowStats],
+        arriving: &[WindowStats],
+        basic_window: usize,
+    ) -> Self {
         let n = series.len();
         let total_len = series.first().map_or(0, |s| s.total_len()) as f64;
         let b1 = basic_window as f64;
@@ -360,8 +332,7 @@ impl SeriesTerms {
             var: Vec::with_capacity(n),
             root: Vec::with_capacity(n),
         };
-        for (state, arriving) in series.iter().zip(arriving) {
-            let evicted = state.front().expect("validated: a window is never empty");
+        for ((state, evicted), arriving) in series.iter().zip(evicted).zip(arriving) {
             let (mean, std) = (state.mean(), state.std());
             let d1 = evicted.mean - mean;
             let dn = arriving.mean - mean;
@@ -477,13 +448,18 @@ fn slide_pair_sweep<F: Fn(f64) -> f64 + Sync>(
     runner.run(jobs);
 }
 
-/// The state and the tick both sliding engines share: per-series sliding
-/// aggregates, one stored per-pair row per basic window inside the query
-/// window, the current packed correlations and the optional edge
-/// subscription. [`SlidingNetwork`] (exact, Lemma 2) and
+/// The state and the tick both sliding engines share: the held windows'
+/// rows, per-series sliding aggregates, the current packed correlations and
+/// the optional edge subscription. [`SlidingNetwork`] (exact, Lemma 2) and
 /// `tsubasa_dft::SlidingApproxNetwork` (Equation 6) each hold one and
 /// dereference to it; they differ only in which kernel mints an arriving
 /// window's row and in what a stored row value means.
+///
+/// Per basic window inside the query window it holds a row of per-series
+/// statistics and a row of stored per-pair values (`c`, or Equation 3's
+/// `ĉ`), shared with its bootstrap sketch ([`SlidingState::store`]): the rows
+/// a fresh sketch of the window holds. A built sketch's rows share one block,
+/// which lives until its last row held anywhere has slid out.
 ///
 /// A tick ([`SlidingState::slide_in`]) takes the arriving window's statistics
 /// and row (the arrival step, [`arriving_window`], and the engine's one
@@ -497,10 +473,11 @@ fn slide_pair_sweep<F: Fn(f64) -> f64 + Sync>(
 #[derive(Debug, Clone)]
 pub struct SlidingState {
     basic_window: usize,
+    /// The running aggregates of each series over the held windows.
     series: Vec<SlidingSeriesState>,
-    /// Per basic window inside the query window: the packed per-pair row the
-    /// engine stores (correlations `c` or Equation 3 estimates `ĉ`), oldest
-    /// window first, one buffer per row.
+    /// Per held window, the statistics of every series.
+    stats: WindowRows<WindowStats>,
+    /// Per held window, the packed per-pair row the engine stores.
     pair_windows: WindowRows,
     /// Current packed per-pair correlations over the sliding window.
     corrs: Vec<f64>,
@@ -511,29 +488,56 @@ pub struct SlidingState {
 }
 
 impl SlidingState {
+    /// The trailing `query_len / B` of `available` sketched windows: a query
+    /// length that is no positive multiple of `B` is an
+    /// [`Error::InvalidQueryWindow`] ending at the last sketched point, one
+    /// longer than the sketch an [`Error::SketchMismatch`].
+    pub fn trailing_windows(
+        basic_window: usize,
+        available: usize,
+        query_len: usize,
+    ) -> Result<std::ops::Range<usize>> {
+        let sketched = available * basic_window;
+        if query_len == 0 || !query_len.is_multiple_of(basic_window) {
+            return Err(Error::InvalidQueryWindow {
+                end: sketched.saturating_sub(1),
+                len: query_len,
+                series_len: sketched,
+            });
+        }
+        let ns = query_len / basic_window;
+        if ns > available {
+            return Err(Error::SketchMismatch {
+                requested: format!("{ns} basic windows"),
+                available: format!("{available} sketched windows"),
+            });
+        }
+        Ok(available - ns..available)
+    }
+
     /// Assemble the state of a `method` engine over basic windows `windows`
-    /// of `sketch`: the per-series statistics come from the sketch, `table`
-    /// holds the engine's stored row of each of those windows (oldest first)
-    /// and `corrs` the initial packed correlations over them. Each row is
-    /// copied into a buffer of its own, freed once it has slid out.
+    /// of `sketch`: the per-series statistics rows are the sketch's own,
+    /// `table` holds the engine's stored row of each of those windows
+    /// (oldest first) and `corrs` the initial packed correlations over them.
+    /// Both tables are shared, not copied.
     ///
     /// Everything a tick assumes is checked here, once, and answered with
     /// [`Error::SketchMismatch`]: the window range is non-empty and inside
-    /// every series' sketch, every one of those windows covers exactly
-    /// `basic_window` points (Lemma 2 takes `T`, `B_1` and `B_{ns+1}` from
+    /// the sketch, every one of those windows covers exactly `basic_window`
+    /// points for every series (Lemma 2 takes `T`, `B_1` and `B_{ns+1}` from
     /// one series for both, so a tick is only correct when all series agree
     /// on them), there is one stored row per window, and every row and
     /// `corrs` hold one value per pair.
     pub fn new(
         sketch: &SketchSet,
         windows: std::ops::Range<usize>,
-        table: CorrView<'_>,
+        table: WindowRows,
         corrs: Vec<f64>,
         method: PlanMethod,
     ) -> Result<Self> {
         let basic_window = sketch.basic_window();
         let n_pairs = packed_pairs(sketch.series_count());
-        let shape = (table.window_count(), table.pair_count(), corrs.len());
+        let shape = (table.window_count(), table.width(), corrs.len());
         if windows.is_empty() || shape != (windows.len(), n_pairs, n_pairs) {
             return Err(Error::SketchMismatch {
                 requested: format!(
@@ -542,31 +546,26 @@ impl SlidingState {
                 available: format!("(rows, values per row, correlations) = {shape:?}"),
             });
         }
-        let mut pair_windows = WindowRows::from_flat(Vec::new(), n_pairs, 0);
-        for k in 0..table.window_count() {
-            pair_windows.push(table.window_row(k).to_vec());
+        let sketched = sketch.stats_rows();
+        let whole = |w: usize| sketched.row(w).iter().all(|s| s.len == basic_window);
+        if windows.end > sketched.window_count() || !windows.clone().all(whole) {
+            return Err(Error::SketchMismatch {
+                requested: format!("windows {windows:?} of {basic_window} points each"),
+                available: format!(
+                    "{} sketched windows, short of the range or of another length",
+                    sketched.window_count()
+                ),
+            });
         }
+        let stats = sketched.range(windows);
         let series = (0..sketch.series_count())
-            .map(|i| {
-                let sk = sketch.series_sketch(i)?;
-                let stats = sk
-                    .windows
-                    .get(windows.clone())
-                    .filter(|stats| stats.iter().all(|w| w.len == basic_window))
-                    .ok_or_else(|| Error::SketchMismatch {
-                        requested: format!("windows {windows:?} of {basic_window} points each"),
-                        available: format!(
-                            "{} windows for series {i}, short of the range or of another length",
-                            sk.window_count()
-                        ),
-                    })?;
-                Ok(SlidingSeriesState::new(stats.to_vec()))
-            })
-            .collect::<Result<_>>()?;
+            .map(|i| SlidingSeriesState::new((0..stats.window_count()).map(|k| &stats.row(k)[i])))
+            .collect();
         Ok(Self {
             basic_window,
             series,
-            pair_windows,
+            stats,
+            pair_windows: table,
             corrs,
             method,
             watch: None,
@@ -601,12 +600,12 @@ impl SlidingState {
     /// state); the pair sweep, which leaves in every slot the bits
     /// [`lemma2_update`] returns for that pair, for any worker count of
     /// `runner`; the subscription's watch scan, if any; and only then
-    /// the slide of the per-series state and of the stored rows, which takes
-    /// `arriving` as the newest row without copying it.
+    /// the slide of the per-series aggregates and of the held rows, which
+    /// takes `stats` and `arriving` as the newest rows without copying them.
     pub fn slide_in(
         &mut self,
         runner: &dyn JobRunner,
-        stats: &[WindowStats],
+        stats: Vec<WindowStats>,
         arriving: Vec<f64>,
         row_corr: impl Fn(f64) -> f64 + Sync,
     ) -> Result<()> {
@@ -620,12 +619,12 @@ impl SlidingState {
 
         // The per-series half of Lemma 2, once per series, read from the
         // pre-slide state; then the per-pair half over every pair.
-        let terms = SeriesTerms::new(&self.series, stats, b);
-        let held = self.pair_windows.view(0..self.pair_windows.window_count());
+        let evicted = self.stats.row(0);
+        let terms = SeriesTerms::new(&self.series, evicted, &stats, b);
         slide_pair_sweep(
             runner,
             &terms,
-            held.window_row(0),
+            self.pair_windows.row(0),
             &arriving,
             row_corr,
             &mut self.corrs,
@@ -634,9 +633,11 @@ impl SlidingState {
             watch.observe(&self.corrs);
         }
 
-        for (state, stats) in self.series.iter_mut().zip(stats) {
-            state.slide(*stats);
+        for ((state, evicted), arriving) in self.series.iter_mut().zip(evicted).zip(&stats) {
+            state.slide(evicted, arriving);
         }
+        self.stats.drop_oldest();
+        self.stats.push(stats);
         self.pair_windows.drop_oldest();
         self.pair_windows.push(arriving);
         Ok(())
@@ -698,10 +699,11 @@ impl SlidingState {
         self.watch = None;
     }
 
-    /// The stored per-pair rows, one per basic window inside the query
-    /// window, oldest first.
-    pub fn rows(&self) -> &WindowRows {
-        &self.pair_windows
+    /// The held windows of the live window store, oldest first: per basic
+    /// window inside the query window, the row of per-series statistics and
+    /// the engine's stored per-pair row.
+    pub fn store(&self) -> (&WindowRows<WindowStats>, &WindowRows) {
+        (&self.stats, &self.pair_windows)
     }
 }
 
@@ -762,23 +764,8 @@ impl SlidingNetwork {
         sketch: &SketchSet,
         query_len: usize,
     ) -> Result<Self> {
-        let b = sketch.basic_window();
-        if query_len == 0 || !query_len.is_multiple_of(b) {
-            return Err(Error::InvalidQueryWindow {
-                end: collection.series_len().saturating_sub(1),
-                len: query_len,
-                series_len: collection.series_len(),
-            });
-        }
-        let ns = query_len / b;
-        let available = sketch.window_count();
-        if ns > available {
-            return Err(Error::SketchMismatch {
-                requested: format!("{ns} basic windows"),
-                available: format!("{available} sketched windows"),
-            });
-        }
-        let windows = available - ns..available;
+        let (b, available) = (sketch.basic_window(), sketch.window_count());
+        let windows = SlidingState::trailing_windows(b, available, query_len)?;
         let n = sketch.series_count();
         if collection.len() != n {
             return Err(Error::SketchMismatch {
@@ -790,11 +777,11 @@ impl SlidingNetwork {
         // The one aligned plan over a source, as the approximate network's
         // `ApproxPlan`: the dense fill runs its batch kernel over the sketch's
         // lent window-major table (on aligned windows bit-identical to
-        // `exact::pair_correlation`). The stored rows are copies of that
-        // table's rows.
+        // `exact::pair_correlation`). The state shares that table's rows.
         let plan = SourcePlan::new(sketch, windows.clone(), PlanMethod::Exact)?;
         let (corrs, _) = fill_packed(&SerialRunner, plan.query_plan(), plan.table())?;
-        let state = SlidingState::new(sketch, windows, plan.table(), corrs, PlanMethod::Exact)?;
+        let table = sketch.corr_rows().range(windows.clone());
+        let state = SlidingState::new(sketch, windows, table, corrs, PlanMethod::Exact)?;
         Ok(Self {
             state,
             z: Vec::new(),
@@ -823,7 +810,7 @@ impl SlidingNetwork {
         // A stored row value is the correlation itself.
         let stats = arriving_window(chunk, self.series_count(), self.basic_window())?;
         let row = arriving_corrs(chunk, &stats, &mut self.z);
-        self.state.slide_in(runner, &stats, row, |c| c)
+        self.state.slide_in(runner, stats, row, |c| c)
     }
 }
 
@@ -856,7 +843,7 @@ mod tests {
         let windows: Vec<WindowStats> = (0..3)
             .map(|j| WindowStats::from_values(&data[j * 20..(j + 1) * 20]))
             .collect();
-        let state = SlidingSeriesState::new(windows);
+        let state = SlidingSeriesState::new(&windows);
         let direct = WindowStats::from_values(&data[0..60]);
         assert_eq!(state.total_len(), 60);
         assert!((state.mean() - direct.mean).abs() < 1e-10);
@@ -866,18 +853,16 @@ mod tests {
     #[test]
     fn sliding_series_state_slide_updates_aggregates() {
         let data = lcg_series(6, 80);
-        let mut state = SlidingSeriesState::new(
-            (0..3)
-                .map(|j| WindowStats::from_values(&data[j * 20..(j + 1) * 20]))
-                .collect(),
-        );
+        let windows: Vec<WindowStats> = (0..3)
+            .map(|j| WindowStats::from_values(&data[j * 20..(j + 1) * 20]))
+            .collect();
+        let mut state = SlidingSeriesState::new(&windows);
         let arriving = WindowStats::from_values(&data[60..80]);
-        let evicted = state.slide(arriving).unwrap();
-        assert_eq!(evicted.len, 20);
+        state.slide(&windows[0], &arriving);
         let direct = WindowStats::from_values(&data[20..80]);
         assert!((state.mean() - direct.mean).abs() < 1e-10);
         assert!((state.std() - direct.std).abs() < 1e-10);
-        assert_eq!(state.window_count(), 3);
+        assert_eq!(state.total_len(), 3 * 20);
     }
 
     #[test]
@@ -1079,8 +1064,7 @@ mod tests {
         // One row per way to break a tick: sketch, window range, stored rows,
         // values per row, values in `corrs` (3 series: 3 pairs).
         let build = |sketch, windows, rows: usize, row_len: usize, corrs_len: usize| {
-            let table = vec![0.1; rows * row_len];
-            let table = CorrView::new(&table, row_len, rows);
+            let table = WindowRows::from_flat(vec![0.1; rows * row_len], row_len, rows);
             SlidingState::new(
                 sketch,
                 windows,
@@ -1164,9 +1148,9 @@ mod tests {
                 let idx = pair_index(i, j, n);
                 let (x, y) = (&pre.series[i], &pre.series[j]);
                 let evicted = WindowContribution {
-                    x: x.front().unwrap(),
-                    y: y.front().unwrap(),
-                    corr: row_corr(pre.pair_windows.view(0..1).window_row(0)[idx]),
+                    x: pre.stats.row(0)[i],
+                    y: pre.stats.row(0)[j],
+                    corr: row_corr(pre.pair_windows.row(0)[idx]),
                 };
                 let arriving = WindowContribution {
                     x: arriving_stats[i],
@@ -1203,7 +1187,7 @@ mod tests {
         let mut state = pre.clone();
         let runner = crate::runner::ScopedRunner::new(workers);
         state
-            .slide_in(&runner, &stats, arriving_row.to_vec(), row_corr)
+            .slide_in(&runner, stats, arriving_row.to_vec(), row_corr)
             .unwrap();
         for (idx, (got, want)) in state.corrs.iter().zip(&expected).enumerate() {
             assert_eq!(
@@ -1267,7 +1251,7 @@ mod tests {
             let corrs = stored_row(&mut rng);
             let zeros = WindowRows::from_flat(vec![0.0; windows * pairs], pairs, windows);
             let sketch = SketchSet::from_window_major(b, n, series, zeros).unwrap();
-            let table = CorrView::new(&table, pairs, windows);
+            let table = WindowRows::from_flat(table, pairs, windows);
             let initial =
                 SlidingState::new(&sketch, 0..windows, table, corrs, PlanMethod::Exact).unwrap();
 
@@ -1332,7 +1316,7 @@ mod tests {
             ("a 9-point window", &short[..], vec![0.0; 3]),
             ("a short row", &stats[..], vec![0.0; 2]),
         ] {
-            let sliding = net.slide_in(&SerialRunner, stats, row, |c| c);
+            let sliding = net.slide_in(&SerialRunner, stats.to_vec(), row, |c| c);
             assert!(
                 matches!(sliding, Err(Error::SketchMismatch { .. })),
                 "{what}: {sliding:?}"

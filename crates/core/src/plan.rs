@@ -166,16 +166,14 @@ impl QueryPlan {
         plan.head_z = vec![0.0; seg.head.map_or(0, |head| packed_len(n, head.len()))];
         plan.tail_z = vec![0.0; seg.tail.map_or(0, |tail| packed_len(n, tail.len()))];
         let mut row: Vec<WindowStats> = Vec::with_capacity(w);
+        let stats = sketch.stats_rows();
         for (i, series) in collection.iter_with_ids() {
             let values = series.values();
-            let sk = sketch.series_sketch(i)?;
             row.clear();
             if let Some(head) = seg.head {
                 row.push(sketch_partial(head, values, i, &mut plan.head_z));
             }
-            for k in seg.full.clone() {
-                row.push(sk.window(k));
-            }
+            row.extend(seg.full.clone().map(|k| stats.row(k)[i]));
             if let Some(tail) = seg.tail {
                 row.push(sketch_partial(tail, values, i, &mut plan.tail_z));
             }
@@ -522,7 +520,7 @@ enum Rows<'a> {
     /// One borrowed slice per window.
     Borrowed(&'a [&'a [f64]]),
     /// One shared row per window.
-    Shared(&'a [SharedRow]),
+    Shared(&'a [SharedRow<f64>]),
 }
 
 impl<'a> CorrView<'a> {
@@ -591,86 +589,86 @@ impl<'a> CorrView<'a> {
 /// One window's row of a [`WindowRows`] table: a span of a block of values
 /// that is immutable from the moment it is shared.
 #[derive(Clone)]
-struct SharedRow {
-    block: Arc<Vec<f64>>,
+struct SharedRow<T> {
+    block: Arc<Vec<T>>,
     span: Range<usize>,
 }
 
-impl SharedRow {
-    fn values(&self) -> &[f64] {
+impl<T> SharedRow<T> {
+    fn values(&self) -> &[T] {
         &self.block[self.span.clone()]
     }
 }
 
-impl PartialEq for SharedRow {
+impl<T: PartialEq> PartialEq for SharedRow<T> {
     fn eq(&self, other: &Self) -> bool {
         self.values() == other.values()
     }
 }
 
-impl std::fmt::Debug for SharedRow {
+impl<T: std::fmt::Debug> std::fmt::Debug for SharedRow<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.values().fmt(f)
     }
 }
 
-/// A window-major table of shared immutable rows — the pair table of the
-/// in-memory sketches and of the sliding state.
+/// A window-major table of shared immutable rows — the live window store:
+/// pair rows (`c` or `ĉ` in packed order) as `WindowRows<f64>`, per-series
+/// statistics as `WindowRows<WindowStats>`.
 ///
 /// The table takes ownership of the buffers it is given, whole
 /// ([`WindowRows::from_flat`]: every row of a built sketch lies in the one
-/// block the sketching kernel wrote, contiguous as the kernel left it) or one
-/// arriving row at a time ([`WindowRows::push`]), and never writes to them
-/// again. So a clone shares every row (one reference-count bump each, no
-/// value copied), and appending a window adds that window's buffer alone:
-/// nothing stored is copied, moved or regrown. An epoch published as a clone
-/// of a live sketch therefore costs `O(windows)` whatever the pair count, and
-/// a block is freed when the last table holding one of its rows goes (or
-/// lets it go, [`WindowRows::drop_oldest`]).
+/// block the sketching pass wrote) or one arriving row at a time
+/// ([`WindowRows::push`]), and never writes to them again. So a clone, or a
+/// cut to a range of windows ([`WindowRows::range`]), shares every row it
+/// holds and copies no value, and appending a window adds that window's
+/// buffer alone. An epoch published as a clone of a live sketch therefore
+/// costs `O(windows)` whatever `N`, and a block is freed when the last table
+/// holding one of its rows goes (or lets it go, [`WindowRows::drop_oldest`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct WindowRows {
-    pairs: usize,
-    rows: Vec<SharedRow>,
+pub struct WindowRows<T = f64> {
+    width: usize,
+    rows: Vec<SharedRow<T>>,
 }
 
-impl WindowRows {
-    /// Take a window-major buffer (`flat[k · pairs + p]`) as the rows of
+impl<T> WindowRows<T> {
+    /// Take a window-major buffer (`flat[k · width + v]`) as the rows of
     /// `windows` windows, without copying it.
     ///
     /// # Panics
     ///
-    /// Panics when the buffer length does not match `pairs · windows`.
-    pub fn from_flat(flat: Vec<f64>, pairs: usize, windows: usize) -> Self {
+    /// Panics when the buffer length does not match `width · windows`.
+    pub fn from_flat(flat: Vec<T>, width: usize, windows: usize) -> Self {
         assert_eq!(
             flat.len(),
-            pairs * windows,
-            "window-major corr buffer has the wrong shape"
+            width * windows,
+            "window-major buffer has the wrong shape"
         );
         let block = Arc::new(flat);
         let rows = (0..windows)
             .map(|k| SharedRow {
                 block: Arc::clone(&block),
-                span: k * pairs..(k + 1) * pairs,
+                span: k * width..(k + 1) * width,
             })
             .collect();
-        Self { pairs, rows }
+        Self { width, rows }
     }
 
     /// Append `row` as the next window, without copying it.
     ///
     /// # Panics
     ///
-    /// Panics when `row` does not hold exactly one value per pair.
-    pub fn push(&mut self, row: Vec<f64>) {
-        assert_eq!(row.len(), self.pairs, "window row has the wrong width");
+    /// Panics when `row` does not hold exactly `width` values.
+    pub fn push(&mut self, row: Vec<T>) {
+        assert_eq!(row.len(), self.width, "window row has the wrong width");
         self.rows.push(SharedRow {
             span: 0..row.len(),
             block: Arc::new(row),
         });
     }
 
-    /// Let go of the oldest window's row; its buffer is freed unless another
-    /// table still shares it.
+    /// Let go of the oldest window's row; its buffer is freed once no table
+    /// holds a row of it.
     pub fn drop_oldest(&mut self) {
         if !self.rows.is_empty() {
             self.rows.remove(0);
@@ -683,10 +681,35 @@ impl WindowRows {
     }
 
     /// Number of values in every row.
-    pub fn pair_count(&self) -> usize {
-        self.pairs
+    pub fn width(&self) -> usize {
+        self.width
     }
 
+    /// The values of window `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k` is past the held windows.
+    pub fn row(&self, k: usize) -> &[T] {
+        self.rows[k].values()
+    }
+}
+
+impl<T: Clone> WindowRows<T> {
+    /// The rows of `windows` as a table of their own, sharing every row.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `windows` exceeds the held range.
+    pub fn range(&self, windows: Range<usize>) -> Self {
+        Self {
+            width: self.width,
+            rows: self.rows[windows].to_vec(),
+        }
+    }
+}
+
+impl WindowRows {
     /// Zero-copy view of the rows of `windows`.
     ///
     /// # Panics
@@ -694,7 +717,7 @@ impl WindowRows {
     /// Panics when `windows` exceeds the stored range.
     pub fn view(&self, windows: Range<usize>) -> CorrView<'_> {
         CorrView {
-            pairs: self.pairs,
+            pairs: self.width,
             windows: windows.len(),
             rows: Rows::Shared(&self.rows[windows]),
         }
@@ -1191,7 +1214,9 @@ mod tests {
             .pairs()
             .map(|(i, j)| built.pair_sketch(i, j).unwrap())
             .collect();
-        let series = built.series_sketches().cloned().collect();
+        let series = (0..built.series_count())
+            .map(|i| built.series_sketch(i).unwrap())
+            .collect();
         let mut assembled = SketchSet::from_parts(20, 4, series, pairs).unwrap();
         assert_eq!(assembled, built);
         assert_mirrors(&assembled, &c);

@@ -46,15 +46,6 @@ pub struct SeriesSketch {
 }
 
 impl SeriesSketch {
-    /// Sketch one series under the given basic-window configuration.
-    pub fn build(series: SeriesId, values: &[f64], windowing: BasicWindowing) -> Self {
-        let ns = windowing.complete_windows(values.len());
-        let windows = (0..ns)
-            .map(|j| WindowStats::from_values(windowing.window_span(j).slice(values)))
-            .collect();
-        Self { series, windows }
-    }
-
     /// Number of sketched basic windows.
     pub fn window_count(&self) -> usize {
         self.windows.len()
@@ -63,12 +54,6 @@ impl SeriesSketch {
     /// Statistics of basic window `j`.
     pub fn window(&self, j: usize) -> WindowStats {
         self.windows[j]
-    }
-
-    /// Append the statistics of one newly completed basic window (real-time
-    /// ingestion path).
-    pub fn push_window(&mut self, stats: WindowStats) {
-        self.windows.push(stats);
     }
 }
 
@@ -118,29 +103,30 @@ pub fn unpack_pair_index(p: usize, n: usize) -> (usize, usize) {
     }
 }
 
-/// The complete sketch of a collection: every [`SeriesSketch`] plus the
-/// per-window correlation of every pair, produced by one pass over the raw
-/// data (Algorithm 1).
+/// The complete sketch of a collection: the statistics of every series and
+/// the correlation of every pair in every basic window, produced by one pass
+/// over the raw data (Algorithm 1).
 ///
-/// Pair correlations are stored once, in a window-major table of one row per
-/// window (row `w` holds `c_w` of every pair in packed order): the layout the
-/// tiled query kernel streams without any per-query transposition
-/// ([`SketchSet::window_corrs_view`] hands out a zero-copy view) and the
-/// layout an arriving basic window extends by one row
-/// ([`SketchSet::push_window`]). A row is immutable once it is in the table
-/// and shared by reference count ([`WindowRows`]), so `clone()` copies the
-/// per-series statistics and bumps one count per window — it never copies a
-/// pair correlation, which is what lets a serving layer publish a clone per
-/// arriving window — and an arriving window never moves the rows before it.
-/// The per-pair [`PairSketch`] the scalar reference paths slice is a strided
-/// read of that table, gathered on demand by [`SketchSet::pair_sketch`].
+/// Both are stored once, window-major, one row per window: row `w` of the
+/// statistics table holds window `w` of every series in id order, row `w` of
+/// the pair table `c_w` of every pair in packed order. That is the layout
+/// the window kernel writes, the tiled query kernel streams without any
+/// per-query transposition ([`SketchSet::window_corrs_view`] hands out a
+/// zero-copy view) and an arriving basic window extends by one row per table
+/// ([`SketchSet::push_window`]). A row is immutable once it is in its table
+/// and shared by reference count ([`WindowRows`]), so `clone()` bumps two
+/// counts per window and copies no value — which is what lets a serving
+/// layer publish a clone per arriving window — and an arriving window never
+/// moves the rows before it. A series' run of statistics ([`SeriesSketch`])
+/// and a pair's run of correlations ([`PairSketch`]) are strided reads of
+/// the tables, gathered on demand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SketchSet {
     basic_window: usize,
     n_series: usize,
-    series: Vec<SeriesSketch>,
-    /// All pair correlations, window-major (`ns` rows of `P`, row `w` holds
-    /// `c_w` of every pair in packed order).
+    /// All per-series statistics, window-major (`ns` rows of `N`).
+    stats: WindowRows<WindowStats>,
+    /// All pair correlations, window-major (`ns` rows of `P`).
     window_corrs: WindowRows,
 }
 
@@ -189,9 +175,9 @@ pub fn arriving_corrs(chunk: &[Vec<f64>], stats: &[WindowStats], z: &mut Vec<f64
 const LAYOUT_TILE: usize = 64;
 
 /// Cache-blocked scatter of pair-major [`PairSketch`] vectors into a
-/// window-major flat table (`flat[w·P + p] = pairs[p].corrs[w]`) — the one
+/// window-major table (`flat[w·P + p] = pairs[p].corrs[w]`) — the one
 /// pair-major → window-major conversion, behind [`SketchSet::from_parts`].
-fn scatter_pair_rows(pairs: &[PairSketch], ns: usize) -> Vec<f64> {
+fn scatter_pair_rows(pairs: &[PairSketch], ns: usize) -> WindowRows {
     let n_pairs = pairs.len();
     let mut flat = vec![0.0f64; n_pairs * ns];
     for p0 in (0..n_pairs).step_by(LAYOUT_TILE) {
@@ -203,25 +189,58 @@ fn scatter_pair_rows(pairs: &[PairSketch], ns: usize) -> Vec<f64> {
             }
         }
     }
-    flat
+    WindowRows::from_flat(flat, n_pairs, ns)
 }
 
 impl SketchSet {
     /// Sketch an entire collection with basic windows of `basic_window`
     /// points (Algorithm 1, statistics-only lines 4–7 and 12).
     ///
-    /// The per-series statistics are computed first; the `N(N−1)/2` pair
-    /// passes are then one call of the shared exact window kernel
-    /// ([`crate::stats::window_corrs_into`]) per window: the window of every
-    /// series is z-normalized once into a panel-packed block and the window's
-    /// pair correlations are one register-tiled `Z·Zᵀ` over it. The result
-    /// agrees with the
+    /// Per window, the statistics of every series, then one call of the
+    /// shared exact window kernel ([`crate::stats::window_corrs_into`]): the
+    /// window of every series is z-normalized once into a panel-packed block
+    /// and the window's pair correlations are one register-tiled `Z·Zᵀ` over
+    /// it. The result agrees with the
     /// scalar reference path ([`SketchSet::build_reference`]) within `1e-10`
     /// absolute on every correlation (see the module docs for why the two
     /// are not bit-identical).
     ///
     /// Fails if the basic window is zero or longer than the series.
     pub fn build(collection: &SeriesCollection, basic_window: usize) -> Result<Self> {
+        // The kernel's packed normalized scratch is reused across windows —
+        // only one window block is ever live, never a normalized copy of the
+        // whole dataset.
+        let mut z = Vec::new();
+        Self::build_rows(collection, basic_window, |window, stats, row| {
+            window_corrs_into(window, stats, &SerialRunner, &mut z, row);
+        })
+    }
+
+    /// The scalar reference sketch: identical shapes and statistics to
+    /// [`SketchSet::build`], with every pair correlation computed by the
+    /// reference centered-cross-product pass ([`pair_corr_from_stats`]) over
+    /// the raw window slices.
+    ///
+    /// This path is the arithmetic yardstick the tiled kernel is tested
+    /// against (≤ `1e-10` absolute per correlation); it is kept for that
+    /// role, not for speed.
+    pub fn build_reference(collection: &SeriesCollection, basic_window: usize) -> Result<Self> {
+        Self::build_rows(collection, basic_window, |window, stats, row| {
+            for (slot, (i, j)) in row.iter_mut().zip(collection.pairs()) {
+                *slot = pair_corr_from_stats(window[i], window[j], &stats[i], &stats[j]);
+            }
+        })
+    }
+
+    /// The one pass of both builders: per basic window, the statistics of
+    /// every series and the packed pair row `pair_row` writes from the
+    /// window's slices and statistics, each table written window-major in
+    /// place into one block that becomes its rows as is.
+    fn build_rows(
+        collection: &SeriesCollection,
+        basic_window: usize,
+        mut pair_row: impl FnMut(&[&[f64]], &[WindowStats], &mut [f64]),
+    ) -> Result<Self> {
         let series_len = collection.series_len();
         if basic_window == 0 || basic_window > series_len {
             return Err(Error::InvalidBasicWindow {
@@ -235,87 +254,29 @@ impl SketchSet {
         let n_pairs = packed_pairs(n);
         crate::capacity::check_dense_budget(n_pairs, ns)?;
 
-        let series: Vec<SeriesSketch> = collection
-            .iter_with_ids()
-            .map(|(id, s)| SeriesSketch::build(id, s.values(), windowing))
-            .collect();
-
-        // One call of the shared window kernel per window, written
-        // window-major (flat[w·P + p]) in place: the buffer becomes the
-        // table's rows as is. The kernel's packed normalized scratch is reused
-        // across windows — only one window block is ever live, never a
-        // normalized copy of the whole dataset.
-        let mut z = Vec::new();
-        let mut flat = vec![0.0f64; ns * n_pairs];
+        let mut stats = Vec::with_capacity(ns * n);
+        let mut corrs = vec![0.0f64; ns * n_pairs];
         let mut window: Vec<&[f64]> = Vec::with_capacity(n);
-        let mut stats: Vec<WindowStats> = Vec::with_capacity(n);
         for w in 0..ns {
             let span = windowing.window_span(w);
             window.clear();
             window.extend(collection.iter().map(|s| span.slice(s.values())));
-            stats.clear();
-            stats.extend(series.iter().map(|s| s.windows[w]));
-            let row = &mut flat[w * n_pairs..(w + 1) * n_pairs];
-            window_corrs_into(&window, &stats, &SerialRunner, &mut z, row);
+            stats.extend(window.iter().map(|v| WindowStats::from_values(v)));
+            let row = &mut corrs[w * n_pairs..(w + 1) * n_pairs];
+            pair_row(&window, &stats[w * n..], row);
         }
-
         Ok(Self {
             basic_window,
             n_series: n,
-            series,
-            window_corrs: WindowRows::from_flat(flat, n_pairs, ns),
+            stats: WindowRows::from_flat(stats, n, ns),
+            window_corrs: WindowRows::from_flat(corrs, n_pairs, ns),
         })
     }
 
-    /// The scalar reference sketch: identical shapes and statistics to
-    /// [`SketchSet::build`], with every pair correlation computed by the
-    /// reference centered-cross-product pass ([`pair_corr_from_stats`]) over
-    /// the raw window slices.
-    ///
-    /// This path is the arithmetic yardstick the tiled kernel is tested
-    /// against (≤ `1e-10` absolute per correlation); it is kept for that
-    /// role, not for speed.
-    pub fn build_reference(collection: &SeriesCollection, basic_window: usize) -> Result<Self> {
-        let series_len = collection.series_len();
-        if basic_window == 0 || basic_window > series_len {
-            return Err(Error::InvalidBasicWindow {
-                window: basic_window,
-                series_len,
-            });
-        }
-        let windowing = BasicWindowing::new(basic_window)?;
-        let ns = windowing.complete_windows(series_len);
-        let n = collection.len();
-
-        let series: Vec<SeriesSketch> = collection
-            .iter_with_ids()
-            .map(|(id, s)| SeriesSketch::build(id, s.values(), windowing))
-            .collect();
-
-        let mut pairs = Vec::with_capacity(packed_pairs(n));
-        for (i, j) in collection.pairs() {
-            let x = collection.get(i)?.values();
-            let y = collection.get(j)?.values();
-            let mut corrs = Vec::with_capacity(ns);
-            for w in 0..ns {
-                let span = windowing.window_span(w);
-                let c = pair_corr_from_stats(
-                    span.slice(x),
-                    span.slice(y),
-                    &series[i].windows[w],
-                    &series[j].windows[w],
-                );
-                corrs.push(c);
-            }
-            pairs.push(PairSketch { a: i, b: j, corrs });
-        }
-        Self::from_parts(basic_window, n, series, pairs)
-    }
-
     /// Construct a sketch set from pair-major parts (one [`PairSketch`] per
-    /// pair, packed order). Used when re-hydrating a sketch from pile rows
-    /// and by the scalar reference builder; the pair vectors are scattered
-    /// once into the window-major table and dropped.
+    /// pair, packed order). Used when re-hydrating a sketch from pile rows;
+    /// the pair vectors are scattered once into the window-major table and
+    /// dropped.
     pub fn from_parts(
         basic_window: usize,
         n_series: usize,
@@ -341,14 +302,18 @@ impl SketchSet {
                 ),
             });
         }
-        let window_corrs = WindowRows::from_flat(scatter_pair_rows(&pairs, ns), n_pairs, ns);
-        Self::from_window_major(basic_window, n_series, series, window_corrs)
+        Self::from_window_major(
+            basic_window,
+            n_series,
+            series,
+            scatter_pair_rows(&pairs, ns),
+        )
     }
 
-    /// Construct a sketch set from per-series statistics plus the
-    /// window-major pair-correlation table itself (one row of `P` packed
-    /// correlations per window of `series`), taken as it is: rows shared with
-    /// another table stay shared.
+    /// Construct a sketch set from per-series statistics, turned once into
+    /// window-major rows, plus the window-major pair-correlation table itself
+    /// (one row of `P` packed correlations per window of `series`), taken as
+    /// it is: rows shared with another table stay shared.
     pub fn from_window_major(
         basic_window: usize,
         n_series: usize,
@@ -363,7 +328,7 @@ impl SketchSet {
         }
         let n_pairs = packed_pairs(n_series);
         let ns = series.first().map_or(0, |s| s.windows.len());
-        let (rows, width) = (window_corrs.window_count(), window_corrs.pair_count());
+        let (rows, width) = (window_corrs.window_count(), window_corrs.width());
         if series.len() != n_series || rows != ns || width != n_pairs {
             return Err(Error::SketchMismatch {
                 requested: format!("{n_series} series / {ns} windows × {n_pairs} pairs"),
@@ -380,10 +345,11 @@ impl SketchSet {
                 available: format!("{} windows for series {id}", ragged.windows.len()),
             });
         }
+        let stats = (0..ns).flat_map(|w| series.iter().map(move |s| s.windows[w]));
         Ok(Self {
             basic_window,
             n_series,
-            series,
+            stats: WindowRows::from_flat(stats.collect(), n_series, ns),
             window_corrs,
         })
     }
@@ -407,12 +373,33 @@ impl SketchSet {
 
     /// Number of sketched basic windows per series.
     pub fn window_count(&self) -> usize {
-        self.series.first().map_or(0, |s| s.windows.len())
+        self.stats.window_count()
     }
 
-    /// Per-window statistics of one series.
-    pub fn series_sketch(&self, id: SeriesId) -> Result<&SeriesSketch> {
-        self.series.get(id).ok_or(Error::UnknownSeries(id))
+    /// Per-window statistics of one series: column `id` of the statistics
+    /// table, gathered on every call (`O(ns)` strided reads, nothing cached).
+    pub fn series_sketch(&self, id: SeriesId) -> Result<SeriesSketch> {
+        if id >= self.n_series {
+            return Err(Error::UnknownSeries(id));
+        }
+        let windows = (0..self.window_count())
+            .map(|w| self.stats.row(w)[id])
+            .collect();
+        Ok(SeriesSketch {
+            series: id,
+            windows,
+        })
+    }
+
+    /// The statistics table: row `w` holds window `w` of every series, in
+    /// id order.
+    pub fn stats_rows(&self) -> &WindowRows<WindowStats> {
+        &self.stats
+    }
+
+    /// The pair table: row `w` holds `c_w` of every pair, in packed order.
+    pub fn corr_rows(&self) -> &WindowRows {
+        &self.window_corrs
     }
 
     /// Per-window correlations of one unordered pair (order of the arguments
@@ -431,14 +418,11 @@ impl SketchSet {
         Ok(PairSketch { a, b, corrs })
     }
 
-    /// Iterate over all series sketches.
-    pub fn series_sketches(&self) -> impl Iterator<Item = &SeriesSketch> {
-        self.series.iter()
-    }
-
     /// Append the sketch of one newly completed basic window: per-series
     /// statistics and per-pair correlations, in the same packed order as the
-    /// stored sketches. Used by the streaming layer.
+    /// stored sketches. Each buffer becomes its table's new row as it is.
+    /// Used by the streaming layer. A sketch of no series holds no windows,
+    /// so it accepts the empty parts and stays empty.
     pub fn push_window(
         &mut self,
         series_stats: Vec<WindowStats>,
@@ -451,26 +435,19 @@ impl SketchSet {
                 available: format!("{} series / {n_pairs} pairs", self.n_series),
             });
         }
-        for (sketch, stats) in self.series.iter_mut().zip(series_stats) {
-            sketch.push_window(stats);
+        if self.n_series > 0 {
+            self.stats.push(series_stats);
+            self.window_corrs.push(pair_corrs);
         }
-        // The packed order of `pair_corrs` is exactly one new window-major
-        // row: the table takes the buffer as that row, nothing stored moves.
-        self.window_corrs.push(pair_corrs);
         Ok(())
     }
 
-    /// Let go of the oldest basic window: its per-series statistics and its
-    /// row of pair correlations ([`WindowRows::drop_oldest`]; the row is freed
-    /// unless a clone still shares it). The windows after it are re-indexed
+    /// Let go of the oldest basic window: its row of statistics and its row
+    /// of pair correlations ([`WindowRows::drop_oldest`]). The windows after it are re-indexed
     /// from 0, so a sketch that pushes one window and drops one slides the
     /// real-time query window of Algorithm 3 forward by one.
     pub fn drop_oldest_window(&mut self) {
-        for sketch in &mut self.series {
-            if !sketch.windows.is_empty() {
-                sketch.windows.remove(0);
-            }
-        }
+        self.stats.drop_oldest();
         self.window_corrs.drop_oldest();
     }
 
@@ -586,7 +563,7 @@ mod tests {
             let tiled = SketchSet::build(&c, b).unwrap();
             let reference = SketchSet::build_reference(&c, b).unwrap();
             // Per-series statistics share the same code path: identical.
-            assert_eq!(tiled.series, reference.series);
+            assert_eq!(tiled.stats, reference.stats);
             for (i, j) in c.pairs() {
                 let t = tiled.pair_sketch(i, j).unwrap();
                 let r = reference.pair_sketch(i, j).unwrap();
@@ -653,7 +630,7 @@ mod tests {
     fn from_parts_validates_counts() {
         let c = collection();
         let sketch = SketchSet::build(&c, 4).unwrap();
-        let series: Vec<_> = sketch.series_sketches().cloned().collect();
+        let series: Vec<_> = (0..3).map(|i| sketch.series_sketch(i).unwrap()).collect();
         let pairs: Vec<_> = c
             .pairs()
             .map(|(i, j)| sketch.pair_sketch(i, j).unwrap())
@@ -675,7 +652,7 @@ mod tests {
             .collect();
         let c = SeriesCollection::from_rows(rows).unwrap();
         let sketch = SketchSet::build(&c, 4).unwrap();
-        let series: Vec<SeriesSketch> = sketch.series_sketches().cloned().collect();
+        let series: Vec<SeriesSketch> = (0..3).map(|i| sketch.series_sketch(i).unwrap()).collect();
         let table = WindowRows::from_flat(
             (0..4)
                 .flat_map(|w| sketch.window_corrs_view(w..w + 1).window_row(0).to_vec())

@@ -168,12 +168,10 @@ impl CorrSource for SketchSet {
 
     fn series_stats(&self, windows: Range<usize>) -> Result<Vec<Vec<WindowStats>>> {
         check_source_windows(self, &windows, PlanMethod::Exact)?;
-        (0..SketchSet::series_count(self))
-            .map(|i| {
-                let sk = self.series_sketch(i)?;
-                Ok(windows.clone().map(|w| sk.window(w)).collect())
-            })
-            .collect()
+        let stats = self.stats_rows();
+        Ok((0..SketchSet::series_count(self))
+            .map(|i| windows.clone().map(|w| stats.row(w)[i]).collect())
+            .collect())
     }
 
     fn full_table(
@@ -461,7 +459,9 @@ mod tests {
                 crate::sketch::PairSketch { a, b, corrs }
             })
             .collect();
-        let series = built.series_sketches().cloned().collect();
+        let series = (0..built.series_count())
+            .map(|i| built.series_sketch(i).unwrap())
+            .collect();
         let sk = SketchSet::from_parts(20, 5, series, pairs).unwrap();
         let plan = SourcePlan::new(&sk, 0..3, PlanMethod::Exact).unwrap();
         let (one, _) = plan.top_k(&SerialRunner, 1, 4, TableAudit::Swept);

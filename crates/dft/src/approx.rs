@@ -81,8 +81,10 @@ pub fn approximate_pair_correlation(
             available: format!("{} sketched windows", sketch.window_count()),
         });
     }
-    let base = sketch.base();
-    let (sx, sy) = (base.series_sketch(i)?, base.series_sketch(j)?);
+    let stats = sketch.base().stats_rows();
+    if let Some(&id) = [i, j].iter().find(|&&id| id >= sketch.series_count()) {
+        return Err(Error::UnknownSeries(id));
+    }
     if i == j {
         return Ok(1.0);
     }
@@ -91,8 +93,8 @@ pub fn approximate_pair_correlation(
         ApproxStrategy::Equation5 => exact::combine(
             &windows
                 .map(|w| WindowContribution {
-                    x: sx.window(w),
-                    y: sy.window(w),
+                    x: stats.row(w)[i],
+                    y: stats.row(w)[j],
                     corr: ests[w],
                 })
                 .collect::<Vec<_>>(),

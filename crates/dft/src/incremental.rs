@@ -22,7 +22,7 @@
 
 use std::ops::{Deref, DerefMut};
 
-use tsubasa_core::error::{Error, Result};
+use tsubasa_core::error::Result;
 use tsubasa_core::incremental::SlidingState;
 use tsubasa_core::plan::PlanMethod;
 use tsubasa_core::runner::{JobRunner, SerialRunner};
@@ -75,33 +75,22 @@ impl SlidingApproxNetwork {
     ///
     /// The initial correlations are the dense fill of one shared
     /// [`ApproxPlan`] (batched Equation 5) rather than per-pair contribution
-    /// vectors — refused with [`Error::TooLarge`] past the dense budget — and
-    /// the per-window estimate rows are contiguous copies of the sketch's
-    /// window-major table.
+    /// vectors — refused with [`Error::TooLarge`](tsubasa_core::error::Error::TooLarge) past the dense budget — and
+    /// the state shares the sketch's statistics and estimate rows of those
+    /// windows.
     pub fn initialize(sketch: &DftSketchSet, query_len: usize) -> Result<Self> {
-        let b = sketch.basic_window();
-        if query_len == 0 || !query_len.is_multiple_of(b) {
-            return Err(Error::InvalidQueryWindow {
-                end: 0,
-                len: query_len,
-                series_len: sketch.window_count() * b,
-            });
-        }
-        let ns = query_len / b;
-        let available = sketch.window_count();
-        if ns > available {
-            return Err(Error::SketchMismatch {
-                requested: format!("{ns} basic windows"),
-                available: format!("{available} sketched windows"),
-            });
-        }
-        let windows = available - ns..available;
+        let (b, available) = (sketch.basic_window(), sketch.window_count());
+        let windows = SlidingState::trailing_windows(b, available, query_len)?;
 
-        // The dense fill over the estimate table; the stored rows are copies
-        // of that table's rows.
+        // The dense fill over the estimate table, whose rows the state
+        // shares.
         let plan = ApproxPlan::build(sketch, windows.clone())?;
-        let table = sketch.window_ests_view(windows.clone());
-        let (corrs, _) = fill_packed(&SerialRunner, plan.query_plan(), table)?;
+        let table = sketch.ests_rows().range(windows.clone());
+        let (corrs, _) = fill_packed(
+            &SerialRunner,
+            plan.query_plan(),
+            table.view(0..windows.len()),
+        )?;
         let method = PlanMethod::Approximate;
         Ok(Self {
             state: SlidingState::new(sketch.base(), windows, table, corrs, method)?,
@@ -134,7 +123,7 @@ impl SlidingApproxNetwork {
         let row = self.kernel.arriving_ests(chunk, &stats);
         // Equation 6 is Lemma 2 over estimate-derived window correlations
         // (the stored `ĉ = 1 − d²/2`, clamped into [-1, 1]).
-        self.state.slide_in(runner, &stats, row, clamp_corr)
+        self.state.slide_in(runner, stats, row, clamp_corr)
     }
 }
 
@@ -142,6 +131,8 @@ impl SlidingApproxNetwork {
 mod tests {
     use super::*;
     use crate::sketch::Transform;
+    use tsubasa_core::error::Error;
+    use tsubasa_core::incremental::SlidingNetwork;
     use tsubasa_core::{baseline, QueryWindow, SeriesCollection};
 
     fn series(seed: usize, len: usize) -> Vec<f64> {
@@ -232,6 +223,37 @@ mod tests {
         for (_, _, c) in sliding.correlation_matrix().iter_pairs() {
             assert!((-1.0..=1.0).contains(&c));
         }
+    }
+
+    #[test]
+    fn both_initializers_reject_a_trailing_window_with_the_same_error() {
+        // 130 points at B = 20: six sketched windows (points 0..120) and a
+        // 10-point tail, which no real-time query window covers yet.
+        let c = SeriesCollection::from_rows(full_data(3, 130)).unwrap();
+        let exact = tsubasa_core::SketchSet::build(&c, 20).unwrap();
+        let approx = DftSketchSet::build(&c, 20, 8, Transform::Naive).unwrap();
+        let misaligned = |len| Error::InvalidQueryWindow {
+            end: 119,
+            len,
+            series_len: 120,
+        };
+        for (len, expected) in [
+            (0, misaligned(0)),
+            (50, misaligned(50)),
+            (
+                140,
+                Error::SketchMismatch {
+                    requested: "7 basic windows".into(),
+                    available: "6 sketched windows".into(),
+                },
+            ),
+        ] {
+            let exact = SlidingNetwork::initialize(&c, &exact, len).unwrap_err();
+            assert_eq!(exact, expected, "exact engine, query length {len}");
+            let approx = SlidingApproxNetwork::initialize(&approx, len).unwrap_err();
+            assert_eq!(approx, expected, "approximate engine, query length {len}");
+        }
+        assert!(SlidingApproxNetwork::initialize(&approx, 120).is_ok());
     }
 
     #[test]

@@ -191,20 +191,16 @@ impl DftSketchSet {
         let base = SketchSet::build(collection, basic_window)?;
         let mut kernel = ComparatorKernel::new(basic_window, coefficients, transform);
         let ns = base.window_count();
-        let n = collection.len();
-        let n_pairs = packed_pairs(n);
+        let n_pairs = packed_pairs(collection.len());
 
         let mut window_ests = vec![0.0f64; ns * n_pairs];
-        let mut window: Vec<&[f64]> = Vec::with_capacity(n);
-        let mut stats: Vec<WindowStats> = Vec::with_capacity(n);
+        let mut window: Vec<&[f64]> = Vec::with_capacity(collection.len());
         for w in 0..ns {
             let span = base.windowing().window_span(w);
             window.clear();
             window.extend(collection.iter().map(|s| span.slice(s.values())));
-            stats.clear();
-            stats.extend(base.series_sketches().map(|s| s.window(w)));
             let row = &mut window_ests[w * n_pairs..(w + 1) * n_pairs];
-            kernel.window_ests_into(&window, &stats, &SerialRunner, row);
+            kernel.window_ests_into(&window, base.stats_rows().row(w), &SerialRunner, row);
         }
 
         Ok(Self {
@@ -239,8 +235,8 @@ impl DftSketchSet {
             // DFT coefficients of every series' normalized window `w`.
             let mut coeffs: Vec<Vec<Complex>> = Vec::with_capacity(n);
             for (id, series) in collection.iter_with_ids() {
-                let stats = base.series_sketch(id)?.window(w);
-                let normalized = normalize_unit_with_stats(span.slice(series.values()), &stats);
+                let stats = &base.stats_rows().row(w)[id];
+                let normalized = normalize_unit_with_stats(span.slice(series.values()), stats);
                 coeffs.push(match transform {
                     Transform::Naive => naive_dft(&normalized),
                     Transform::Fft => planner.transform(&normalized),
@@ -266,7 +262,7 @@ impl DftSketchSet {
     pub fn from_parts(base: SketchSet, coefficients: usize, ests: WindowRows) -> Result<Self> {
         let n_pairs = packed_pairs(base.series_count());
         let ns = base.window_count();
-        let (rows, width) = (ests.window_count(), ests.pair_count());
+        let (rows, width) = (ests.window_count(), ests.width());
         if rows != ns || width != n_pairs {
             return Err(Error::SketchMismatch {
                 requested: format!("{ns} windows × {n_pairs} pair estimates"),
@@ -314,6 +310,12 @@ impl DftSketchSet {
     /// The underlying statistics sketch.
     pub fn base(&self) -> &SketchSet {
         &self.base
+    }
+
+    /// The estimate table: row `w` holds `ĉ_w` of every pair, in packed
+    /// order.
+    pub fn ests_rows(&self) -> &WindowRows {
+        &self.window_ests
     }
 
     /// Number of DFT coefficients the estimates were computed with.

@@ -16,10 +16,10 @@
 //! through the one arrival step ([`arriving_window`], then each method's one
 //! kernel) and is folded into the live sketch ([`SketchSet::push_window`] /
 //! [`DftSketchSet::push_window`]) whose clone becomes the next epoch. The
-//! clone shares every window row with the epochs before it — a row is
-//! immutable once appended — and copies only the per-series statistics, so
-//! publishing costs the arriving window and the horizon's statistics, not
-//! the history.
+//! clone shares every window row with the epochs before it, statistics
+//! included — a row is immutable once appended — and copies no value, so
+//! publishing costs the arriving window and one handle per window and
+//! table, not the horizon's values.
 //!
 //! RAM holds a horizon, the pile holds history. An in-memory sketch keeps
 //! the real-time query window `("now", m)` of Algorithm 3: as many basic
@@ -364,7 +364,7 @@ impl IngestSketch {
 /// The two in-memory flavors hold a **horizon**: the complete basic windows
 /// of the bootstrap history, `⌊L / B⌋`. Each arriving window evicts the
 /// oldest, so every epoch covers the most recent `⌊L / B⌋` windows and the
-/// live state stays `⌊L / B⌋` rows per table plus statistics, however long
+/// live state stays `⌊L / B⌋` rows per table, statistics included, however long
 /// the stream runs; a request for every window (`last = 0`) is a request for
 /// the horizon. The pile flavor keeps every window.
 ///
@@ -513,8 +513,8 @@ pub fn mirror_sketches_to_pile(
         }
     }
     for w in 0..base.window_count() {
-        let stats: Vec<_> = base.series_sketches().map(|s| s.window(w)).collect();
-        writer.append(SegmentKind::SeriesStats, &encode_series_stats(&stats))?;
+        let stats = base.stats_rows().row(w);
+        writer.append(SegmentKind::SeriesStats, &encode_series_stats(stats))?;
         if let Some(s) = exact {
             writer.append(
                 SegmentKind::PairCorrs,

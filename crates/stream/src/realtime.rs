@@ -66,6 +66,17 @@ impl DerefMut for Updater {
     }
 }
 
+/// The last `len` sketched points of `history`, all a query window of `len`
+/// points covers; `None` for the whole history, or a length the
+/// initializers reject (they report it against the whole history).
+fn trailing_points(history: &SeriesCollection, b: usize, len: usize) -> Option<SeriesCollection> {
+    let end = history.series_len() / b.max(1) * b;
+    (len > 0 && len.is_multiple_of(b) && len < end).then(|| {
+        let rows = history.iter().map(|s| s.values()[end - len..end].to_vec());
+        SeriesCollection::from_rows(rows.collect()).expect("a window of every series")
+    })
+}
+
 /// A continuously maintained climate network over the `m` most recent
 /// observations of a collection of streams.
 pub struct RealTimeNetwork {
@@ -90,6 +101,8 @@ impl RealTimeNetwork {
     /// The exact path initializes all pairs through one shared
     /// [`tsubasa_core::plan::QueryPlan`] rather than per-pair contribution
     /// vectors, so bootstrap cost is dominated by the sketch pass itself.
+    /// Only the query window's windows are sketched: the engine shares the
+    /// sketch's rows, so it holds no other window of the history.
     pub fn new(
         historical: &SeriesCollection,
         basic_window: usize,
@@ -97,16 +110,18 @@ impl RealTimeNetwork {
         threshold: f64,
         engine: UpdateEngine,
     ) -> Result<Self> {
+        let trailing = trailing_points(historical, basic_window, query_len);
+        let window = trailing.as_ref().unwrap_or(historical);
         let updater = match engine {
             UpdateEngine::Exact => {
-                let sketch = SketchSet::build(historical, basic_window)?;
-                Updater::Exact(SlidingNetwork::initialize(historical, &sketch, query_len)?)
+                let sketch = SketchSet::build(window, basic_window)?;
+                Updater::Exact(SlidingNetwork::initialize(window, &sketch, query_len)?)
             }
             UpdateEngine::Approximate { coefficients } => {
                 // The transform every tick's arriving row goes through, so
                 // one transform mints every row the network ever holds.
                 let sketch = DftSketchSet::build(
-                    historical,
+                    window,
                     basic_window,
                     coefficients,
                     SlidingApproxNetwork::TRANSFORM,
@@ -230,7 +245,9 @@ impl RealTimeNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsubasa_core::plan::CorrView;
+    use tsubasa_core::plan::{CorrView, QueryPlan};
+    use tsubasa_core::stats::WindowStats;
+    use tsubasa_core::sweep::fill_packed;
     use tsubasa_core::{baseline, QueryWindow};
     use tsubasa_data::station::{generate_ncea_like, NceaLikeConfig};
     use tsubasa_dft::sketch::Transform;
@@ -441,16 +458,26 @@ mod tests {
         // Power-of-two B: the radix-2 path and the naive DFT differ in the
         // last bits, so a bootstrap through another transform than the
         // ticks' would leave one state holding rows of two. The exact leg
-        // holds its rows to `SketchSet::build` the same way.
+        // holds its rows to `SketchSet::build` the same way. Both engines'
+        // statistics rows are a fresh sketch's too, so the exact store is
+        // the whole input of a fresh bootstrap of the held window: a plan
+        // from its statistics and a dense fill over its rows give that
+        // bootstrap's correlations, bit for bit.
         let b = 16;
         let coefficients = 6;
         let windows = 5;
         let hist_len = 12 * b;
         let full = data(hist_len + 4 * b);
+        let n = full.len();
         let historical = full.truncate_length(hist_len).unwrap();
         let bits = |view: CorrView<'_>| -> Vec<Vec<u64>> {
             (0..windows)
                 .map(|w| view.window_row(w).iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let stat_bits = |row: &[WindowStats]| -> Vec<(usize, u64, u64)> {
+            row.iter()
+                .map(|s| (s.len, s.mean.to_bits(), s.std.to_bits()))
                 .collect()
         };
         for engine in [
@@ -470,18 +497,49 @@ mod tests {
                 let seen = full.truncate_length(now).unwrap();
                 let first = seen.series_len() / b - windows;
                 let held = first..first + windows;
-                let live = bits(rt.updater.rows().view(0..windows));
+                let built = SketchSet::build(&seen, b).unwrap();
+                let (stats, rows) = rt.updater.store();
+                for (k, w) in held.clone().enumerate() {
+                    assert_eq!(
+                        stat_bits(stats.row(k)),
+                        stat_bits(built.stats_rows().row(w)),
+                        "{engine:?}, the statistics of window {w} after {ticks} ticks"
+                    );
+                }
+                let live = bits(rows.view(0..windows));
                 let fresh = match engine {
-                    UpdateEngine::Exact => {
-                        bits(SketchSet::build(&seen, b).unwrap().window_corrs_view(held))
-                    }
+                    UpdateEngine::Exact => bits(built.window_corrs_view(held.clone())),
                     UpdateEngine::Approximate { .. } => {
                         let built =
                             DftSketchSet::build(&seen, b, coefficients, Transform::Fft).unwrap();
-                        bits(built.window_ests_view(held))
+                        bits(built.window_ests_view(held.clone()))
                     }
                 };
                 assert_eq!(live, fresh, "{engine:?}, the rows after {ticks} ticks");
+
+                if engine == UpdateEngine::Exact {
+                    let series: Vec<Vec<WindowStats>> = (0..n)
+                        .map(|i| (0..windows).map(|k| stats.row(k)[i]).collect())
+                        .collect();
+                    let plan = QueryPlan::from_window_stats(&series).unwrap();
+                    let (anchored, _) =
+                        fill_packed(&SerialRunner, &plan, rows.view(0..windows)).unwrap();
+                    let window: Vec<Vec<f64>> = full
+                        .iter()
+                        .map(|s| s.values()[first * b..now].to_vec())
+                        .collect();
+                    let window = SeriesCollection::from_rows(window).unwrap();
+                    let sketch = SketchSet::build(&window, b).unwrap();
+                    let bootstrap = SlidingNetwork::initialize(&window, &sketch, windows * b);
+                    let bootstrap = bootstrap.unwrap().correlation_matrix();
+                    let anchored: Vec<u64> = anchored.iter().map(|c| c.to_bits()).collect();
+                    let expected: Vec<u64> = bootstrap
+                        .upper_triangle()
+                        .iter()
+                        .map(|c| c.to_bits())
+                        .collect();
+                    assert_eq!(anchored, expected, "the re-anchor after {ticks} ticks");
+                }
             }
         }
     }

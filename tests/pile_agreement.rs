@@ -214,11 +214,8 @@ fn planted_nan_rows_audit_identically_on_pile_and_memory() {
     }
     let pile = writer.into_pile().unwrap();
     std::fs::remove_file(&path).ok();
-    let series = SketchSet::build(&c, b)
-        .unwrap()
-        .series_sketches()
-        .cloned()
-        .collect();
+    let built = SketchSet::build(&c, b).unwrap();
+    let series = (0..n).map(|i| built.series_sketch(i).unwrap()).collect();
     let planted = WindowRows::from_flat(planted, n * (n - 1) / 2, WINDOWS);
     let memory = SketchSet::from_window_major(b, n, series, planted).unwrap();
     // One segment per appended row, so every range below spans segments and

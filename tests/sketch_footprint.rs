@@ -5,15 +5,20 @@
 //! `SketchSet` holds ψ = ns·(3N + P) eight-byte values (per series and window
 //! a `WindowStats` of three words, per pair and window one `c_j`), a
 //! `DftSketchSet` adds one `ns × P` distance table on top of its base, and an
-//! arriving window extends them with O(N) allocations — one per series'
-//! statistics vector plus one row per table — never one per pair, and never
-//! a regrown table. A clone shares every row, so `k` clones (or `k` published
-//! epochs) of a `W`-window sketch hold `k` copies of the per-series
-//! statistics plus the `k` appended rows, not `k` tables. A live in-memory
+//! arriving window extends them with a constant number of allocations — one
+//! row per table and the growth of each table's list of rows — never one per
+//! series or per pair, and never a regrown table. A clone shares every row of
+//! every table, statistics included, so `k` clones (or `k` published epochs)
+//! of a `W`-window sketch own `k` lists of `W` row handles per table plus the
+//! `k` appended rows, not `k` tables and no statistics. A live in-memory
 //! ingest keeps its bootstrap's horizon of windows, so what it and the
 //! store's retained epochs hold stays flat however many windows stream
 //! through, and each epoch is the from-scratch sketch of the trailing
-//! horizon windows. A streamed engine
+//! horizon windows. A sliding engine shares the rows of its query window
+//! with the sketch it was bootstrapped from; a real-time network sketches
+//! only that window, so it holds its own window's rows, never the
+//! history's, and an engine bootstrapped from a longer sketch holds that
+//! sketch's block only until its shared rows have slid out. A streamed engine
 //! query borrows that table and sweeps it tile by tile: it allocates no
 //! `O(P)` buffer, and no buffer per tile. Nor does an unaligned streamed
 //! query: its partial head and tail windows are minted a few triangle rows at
@@ -29,6 +34,7 @@ use tsubasa_dft::sketch::{ComparatorKernel, DftSketchSet, Transform};
 use tsubasa_parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
 use tsubasa_serve::{EpochIngest, EpochStore};
 use tsubasa_storage::pile::SegmentKind;
+use tsubasa_stream::{RealTimeNetwork, UpdateEngine};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -40,14 +46,19 @@ const B: usize = 16;
 const WINDOWS: usize = 20;
 /// Bytes of one window row of a pair table.
 const ROW: usize = 8 * PAIRS;
+/// Bytes of one window row of the statistics table.
+const STATS_ROW: usize = 24 * N;
+/// Bytes the table allocates beside a row's values: the shared handle's
+/// reference counts and the row vector's header.
+const ROW_HEADER: usize = 40;
 /// Bytes of one `ns × P` pair table of the built sketches.
 const TABLE: usize = WINDOWS * ROW;
 
-/// Bytes a clone of a `windows`-window sketch owns for itself: per series a
-/// `SeriesSketch` header and `windows` three-word statistics, and per pair
-/// table one three-word handle per shared row.
+/// Bytes a clone of a `windows`-window sketch owns for itself: one
+/// three-word handle per shared row of its statistics table and of each of
+/// its `tables` pair tables.
 fn clone_bytes(windows: usize, tables: usize) -> usize {
-    N * (32 + 24 * windows) + tables * 24 * windows
+    (1 + tables) * 24 * windows
 }
 
 fn rows(len: usize) -> Vec<Vec<f64>> {
@@ -87,7 +98,7 @@ fn sketches_store_every_value_once() {
 }
 
 #[test]
-fn an_arriving_window_costs_allocations_per_series_not_per_pair() {
+fn an_arriving_window_costs_a_constant_number_of_allocations() {
     let c = SeriesCollection::from_rows(rows(WINDOWS * B)).unwrap();
     let chunk: Vec<Vec<f64>> = rows((WINDOWS + 1) * B)
         .into_iter()
@@ -104,18 +115,19 @@ fn an_arriving_window_costs_allocations_per_series_not_per_pair() {
     }
     let mut corrs = vec![0.0f64; PAIRS];
     tiled_pair_corrs_into(&z, N, B, &mut corrs);
-    // N statistics vectors grow, the arriving buffer gets its shared handle,
-    // the list of rows grows; what stays allocated is that growth plus the
-    // one row — the table of the earlier windows is not reallocated.
+    // Each arriving buffer gets its shared handle and each table's list of
+    // rows may grow: what stays allocated is that growth and the handles —
+    // no statistics vector per series, and the rows of the earlier windows
+    // are not reallocated.
     let ((), held, calls) = measured(|| exact.push_window(stats, corrs).unwrap());
     assert!(
-        calls <= N + 2,
+        calls <= 4,
         "SketchSet::push_window made {calls} allocations for {N} series / {PAIRS} pairs"
     );
-    let growth = clone_bytes(WINDOWS, 1);
+    let growth = clone_bytes(WINDOWS, 1) + 2 * ROW_HEADER;
     assert!(
-        held <= ROW + growth,
-        "SketchSet::push_window kept {held} bytes for one {ROW}-byte row of a {TABLE}-byte table"
+        held <= growth,
+        "SketchSet::push_window kept {held} bytes beside its two rows, against {growth}"
     );
 
     // The comparator's append, measured with the minting of what it takes
@@ -132,9 +144,11 @@ fn an_arriving_window_costs_allocations_per_series_not_per_pair() {
         calls <= 8 * N,
         "DftSketchSet::push_window made {calls} allocations for {N} series / {PAIRS} pairs"
     );
+    let rows = 2 * ROW + STATS_ROW + 3 * ROW_HEADER;
     assert!(
-        held <= 2 * ROW + clone_bytes(WINDOWS, 2),
-        "DftSketchSet::push_window kept {held} bytes for two {ROW}-byte rows"
+        held <= rows + clone_bytes(WINDOWS, 2),
+        "DftSketchSet::push_window kept {held} bytes for two {ROW}-byte rows and one \
+         {STATS_ROW}-byte row of statistics"
     );
     assert_eq!(dft.base(), &exact);
 }
@@ -174,11 +188,15 @@ fn published_epochs_hold_one_new_row_each() {
             full.iter().map(|r| r[at..at + B].to_vec()).collect()
         })
         .collect();
-    // Per epoch: the arriving row of each table, the clone's own statistics
-    // and row handles over the horizon, and the epoch's fixed-size
-    // bookkeeping. Once: the live sketch's own vectors doubling.
+    // Per epoch: the arriving row of each table, statistics included, the
+    // clone's own row handles over the horizon, and the epoch's fixed-size
+    // bookkeeping. Once: the live sketch's lists of rows doubling, and the
+    // stream buffer's points.
     let budget = |tables: usize| {
-        K * (tables * ROW + clone_bytes(WINDOWS, tables) + 1024) + 2 * clone_bytes(WINDOWS, tables)
+        let rows = tables * ROW + STATS_ROW;
+        K * (rows + clone_bytes(WINDOWS, tables) + 1024)
+            + 2 * clone_bytes(WINDOWS, tables)
+            + N * (24 + 8 * 2 * B)
     };
 
     let store = Arc::new(EpochStore::new(K + 1));
@@ -264,10 +282,10 @@ fn soak_rows(t0: usize, len: usize) -> Vec<Vec<f64>> {
 #[test]
 fn a_live_ingest_holds_its_horizon_however_long_it_runs() {
     // Ten thousand windows through each in-memory flavor. After a warm-up
-    // that evicts the bootstrap's block, every tick allocates one row per
+    // that evicts the bootstrap's rows, every tick allocates one row per
     // table and the oldest retained epoch frees one: the bytes held by the
     // ingest and the store stay where they were, within the horizon's rows
-    // plus the retained epochs' own statistics.
+    // plus the retained epochs' row handles.
     const HORIZON: usize = 4;
     const RETAINED: usize = 3;
     const TICKS: usize = 10_000;
@@ -299,10 +317,11 @@ fn a_live_ingest_holds_its_horizon_however_long_it_runs() {
             drift.iter().all(|&d| d == 0),
             "{flavor}: live bytes moved after warm-up, every 1000 ticks: {drift:?}"
         );
-        // The horizon's rows and one more per retained epoch, each epoch's
-        // own statistics and handles, the live sketch's vectors at twice
-        // their length, the kernel's scratch and the buffer's points.
-        let budget = (HORIZON + RETAINED) * tables * ROW
+        // The horizon's rows and one more per retained epoch but the latest
+        // (which holds the live rows), statistics included, each epoch's own
+        // handles, the live sketch's lists of rows at twice their length, the
+        // kernel's scratch and the buffer's points.
+        let budget = (HORIZON + RETAINED - 1) * (tables * ROW + STATS_ROW)
             + (RETAINED + 2) * (clone_bytes(HORIZON, tables) + 1024)
             + tables * 8 * N.div_ceil(8) * 8 * 2 * 8
             + N * (24 + 8 * 2 * B);
@@ -324,6 +343,86 @@ fn a_live_ingest_holds_its_horizon_however_long_it_runs() {
             assert_eq!(approx.as_ref(), &built);
         }
     }
+}
+
+#[test]
+fn a_sliding_engine_holds_its_query_window_not_its_history() {
+    // A bootstrap over ten query windows of history, then W ticks. An engine
+    // shares its bootstrap sketch's rows, which lie in one block per table,
+    // and a block lives while any of its rows is held: until the W-th tick
+    // the engine holds the block and the rows that arrived since, and from
+    // then on its W windows' rows alone. A real-time network sketches only
+    // its query window, so its block is those W windows; a `SlidingNetwork`
+    // bootstrapped from a sketch of the whole history holds all of it, after
+    // the sketch is dropped, until the last shared row has slid out.
+    const W: usize = 8;
+    let total = 11 * W * B;
+    let full = rows(total);
+    let history: Vec<Vec<f64>> = full.iter().map(|r| r[..10 * W * B].to_vec()).collect();
+    let history = SeriesCollection::from_rows(history).unwrap();
+    let ticks: Vec<Vec<Vec<f64>>> = (10 * W..11 * W)
+        .map(|w| {
+            full.iter()
+                .map(|r| r[w * B..(w + 1) * B].to_vec())
+                .collect()
+        })
+        .collect();
+    // Per held window a row of each table with its handle; the correlations
+    // and the per-series aggregates; one arriving window's rows; the kernel's
+    // packed scratch (exact `z`, or the comparator's coefficient lanes and
+    // transform tables) and the stream buffer's points.
+    let budget = W * (ROW + STATS_ROW + 2 * 24)
+        + 2 * ROW_HEADER
+        + ROW
+        + STATS_ROW
+        + (ROW + STATS_ROW + 2 * ROW_HEADER)
+        + 8 * N.div_ceil(8) * 8 * B * 2
+        + N * (24 + 8 * 2 * B)
+        + 4096;
+    assert!(budget < 2 * W * ROW, "the budget has room for W more rows");
+    // After `t` ticks from a bootstrap block of `block` windows.
+    let window = ROW + STATS_ROW + 2 * ROW_HEADER;
+    let limit = |block: usize, t: usize| {
+        if t < W {
+            budget + (block - W + t) * window
+        } else {
+            budget
+        }
+    };
+    let check = |engine: &str, held: isize, block: usize, t: usize| {
+        let limit = limit(block, t);
+        assert!(
+            held <= limit as isize,
+            "{engine}: {held} bytes held after {t} ticks, against {limit} (its {W} windows: {budget})"
+        );
+    };
+
+    for engine in [
+        UpdateEngine::Exact,
+        UpdateEngine::Approximate { coefficients: 8 },
+    ] {
+        let label = format!("RealTimeNetwork {engine:?}");
+        let start = LIVE.get();
+        let mut net = RealTimeNetwork::new(&history, B, W * B, 0.7, engine).unwrap();
+        check(&label, LIVE.get() - start, W, 0);
+        for (t, tick) in ticks.iter().enumerate() {
+            assert_eq!(net.ingest(tick).unwrap(), 1);
+            check(&label, LIVE.get() - start, W, t + 1);
+        }
+        assert_eq!(net.window_count(), W);
+    }
+
+    let start = LIVE.get();
+    let mut sliding = {
+        let sketch = SketchSet::build(&history, B).unwrap();
+        SlidingNetwork::initialize(&history, &sketch, W * B).unwrap()
+    };
+    check("SlidingNetwork", LIVE.get() - start, 10 * W, 0);
+    for (t, tick) in ticks.iter().enumerate() {
+        sliding.ingest(tick).unwrap();
+        check("SlidingNetwork", LIVE.get() - start, 10 * W, t + 1);
+    }
+    assert_eq!(sliding.window_count(), W);
 }
 
 #[test]
