@@ -6,9 +6,11 @@
 //! approximation via Equation 6 with 75% of the coefficients. The basic
 //! window size is swept.
 //!
-//! Expected shape (paper): TSUBASA is at least an order of magnitude faster,
-//! and the gap widens with B because the approximation must compute O(B²)
-//! DFT coefficients for every arriving basic window.
+//! Expected shape (the paper's expectation, not asserted here): TSUBASA is at
+//! least an order of magnitude faster, and the gap widens with B because the
+//! approximation's direct sums cost B·c multiply-adds per series for every
+//! arriving basic window (¾·B² at 75 % of the coefficients). The bench reports
+//! the update times and their ratio as it measures them.
 
 use tsubasa_bench::{fmt_ms, millis, scaled, time, Table};
 use tsubasa_core::prelude::*;

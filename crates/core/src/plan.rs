@@ -74,6 +74,7 @@
 //! assert!((row[0] - reference).abs() <= 1e-10);
 //! ```
 
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -163,22 +164,27 @@ impl QueryPlan {
         let w = seg.full_count() + seg.head.is_some() as usize + seg.tail.is_some() as usize;
 
         let mut plan = Self::empty(n, w, seg.full.clone(), seg.head, seg.tail);
-        plan.head_z = vec![0.0; seg.head.map_or(0, |head| packed_len(n, head.len()))];
-        plan.tail_z = vec![0.0; seg.tail.map_or(0, |tail| packed_len(n, tail.len()))];
-        let mut row: Vec<WindowStats> = Vec::with_capacity(w);
+        // The partial windows' statistics of every series, their z-scores
+        // packed as they go; the interior rows are the sketch's own.
+        let partial = |span: Option<WindowSpan>, z: &mut Vec<f64>| {
+            span.map(|span| {
+                *z = vec![0.0; packed_len(n, span.len())];
+                collection
+                    .iter_with_ids()
+                    .map(|(i, series)| sketch_partial(span, series.values(), i, z))
+                    .collect::<Vec<_>>()
+            })
+        };
+        let head = partial(seg.head, &mut plan.head_z);
+        let tail = partial(seg.tail, &mut plan.tail_z);
         let stats = sketch.stats_rows();
-        for (i, series) in collection.iter_with_ids() {
-            let values = series.values();
-            row.clear();
-            if let Some(head) = seg.head {
-                row.push(sketch_partial(head, values, i, &mut plan.head_z));
-            }
-            row.extend(seg.full.clone().map(|k| stats.row(k)[i]));
-            if let Some(tail) = seg.tail {
-                row.push(sketch_partial(tail, values, i, &mut plan.tail_z));
-            }
-            plan.push_series_row(&row);
-        }
+        let rows: Vec<&[WindowStats]> = head
+            .as_deref()
+            .into_iter()
+            .chain(seg.full.clone().map(|k| stats.row(k)))
+            .chain(tail.as_deref())
+            .collect();
+        plan.fold_windows(|k| rows[k].iter());
         plan.finalize()
     }
 
@@ -199,9 +205,7 @@ impl QueryPlan {
             });
         }
         let mut plan = Self::empty(n, w, 0..w, None, None);
-        for row in stats {
-            plan.push_series_row(row);
-        }
+        plan.fold_windows(|k| stats.iter().map(move |row| &row[k]));
         plan.finalize()
     }
 
@@ -218,42 +222,58 @@ impl QueryPlan {
             full,
             head,
             tail,
-            lens: Vec::with_capacity(w),
+            lens: Vec::new(),
             total: 0.0,
-            means: Vec::with_capacity(n),
-            dens: Vec::with_capacity(n),
-            stds_t: vec![0.0; n * w],
-            deltas_t: vec![0.0; n * w],
+            means: Vec::new(),
+            dens: Vec::new(),
+            stds_t: Vec::new(),
+            deltas_t: Vec::new(),
             head_z: Vec::new(),
             tail_z: Vec::new(),
         }
     }
 
-    /// Fold the next series' window-statistics sequence into the flat tables
-    /// (its column of the window-major `σ` / `δ` tables).
+    /// Fold the plan windows' statistics into the flat tables, one window at
+    /// a time: `window(k)` yields plan window `k`'s statistics of every
+    /// series, in series order.
     ///
-    /// The arithmetic mirrors [`crate::exact::combine`] operation for
-    /// operation (same iterator `sum` for `T` and the weighted mean, same
-    /// accumulation expression and order for the denominator) so the kernel
-    /// stays bit-identical to the reference path.
-    fn push_series_row(&mut self, row: &[WindowStats]) {
-        debug_assert_eq!(row.len(), self.w);
-        if self.lens.is_empty() {
-            self.lens.extend(row.iter().map(|s| s.len as f64));
-            self.total = row.iter().map(|s| s.len as f64).sum();
+    /// Per series the arithmetic mirrors [`crate::exact::combine`] operation
+    /// for operation (`T` and the weighted mean summed in window order from
+    /// [`Iterator::sum`]'s start, the same accumulation expression and order
+    /// for the denominator) so the kernel stays bit-identical to the
+    /// reference path.
+    fn fold_windows<'a, I>(&mut self, window: impl Fn(usize) -> I)
+    where
+        I: Iterator<Item = &'a WindowStats>,
+    {
+        let (n, w) = (self.n, self.w);
+        self.lens = (0..w)
+            .map(|k| window(k).next().map_or(0.0, |s| s.len as f64))
+            .collect();
+        self.total = self.lens.iter().sum();
+        let start: f64 = std::iter::empty::<f64>().sum();
+        let mut means = vec![start; n];
+        for k in 0..w {
+            for (mean, s) in means.iter_mut().zip(window(k)) {
+                *mean += s.len as f64 * s.mean;
+            }
         }
-        let mean = row.iter().map(|s| s.len as f64 * s.mean).sum::<f64>() / self.total;
-        let (i, n) = (self.means.len(), self.n);
-        let mut den = 0.0;
-        for (k, s) in row.iter().enumerate() {
-            let b = s.len as f64;
-            let d = s.mean - mean;
-            self.stds_t[k * n + i] = s.std;
-            self.deltas_t[k * n + i] = d;
-            den += b * (s.std * s.std + d * d);
+        means.iter_mut().for_each(|mean| *mean /= self.total);
+        let mut dens = vec![0.0; n];
+        // Window-major, so the `σ` / `δ` tables are written in order.
+        self.stds_t = Vec::with_capacity(n * w);
+        self.deltas_t = Vec::with_capacity(n * w);
+        for k in 0..w {
+            for ((&mean, den), s) in means.iter().zip(&mut dens).zip(window(k)) {
+                let b = s.len as f64;
+                let d = s.mean - mean;
+                self.stds_t.push(s.std);
+                self.deltas_t.push(d);
+                *den += b * (s.std * s.std + d * d);
+            }
         }
-        self.means.push(mean);
-        self.dens.push(den);
+        self.means = means;
+        self.dens = dens;
     }
 
     fn finalize(self) -> Result<Self> {
@@ -619,10 +639,11 @@ impl<T: std::fmt::Debug> std::fmt::Debug for SharedRow<T> {
 /// The table takes ownership of the buffers it is given, whole
 /// ([`WindowRows::from_flat`]: every row of a built sketch lies in the one
 /// block the sketching pass wrote) or one arriving row at a time
-/// ([`WindowRows::push`]), and never writes to them again. So a clone, or a
-/// cut to a range of windows ([`WindowRows::range`]), shares every row it
-/// holds and copies no value, and appending a window adds that window's
-/// buffer alone. An epoch published as a clone of a live sketch therefore
+/// ([`WindowRows::push`]), and never writes to them again. So a clone shares
+/// every row it holds and copies no value, a cut to a range of windows
+/// ([`WindowRows::range`]) shares every row whose block lies inside the range
+/// (and copies the others once, so it never keeps a longer table's block
+/// alive), and appending a window adds that window's buffer alone. An epoch published as a clone of a live sketch therefore
 /// costs `O(windows)` whatever `N`, and a block is freed when the last table
 /// holding one of its rows goes (or lets it go, [`WindowRows::drop_oldest`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -696,15 +717,46 @@ impl<T> WindowRows<T> {
 }
 
 impl<T: Clone> WindowRows<T> {
-    /// The rows of `windows` as a table of their own, sharing every row.
+    /// The rows of `windows` as a table of their own, which holds no value of
+    /// a window outside `windows`: a row whose block lies wholly inside the
+    /// range stays shared, and the rows whose block reaches outside it are
+    /// copied, together, into one block of the table's own. A cut to the
+    /// whole of a built table copies nothing; a cut into it copies its rows
+    /// once, so the longer table's block is not kept alive by the cut.
     ///
     /// # Panics
     ///
     /// Panics when `windows` exceeds the held range.
     pub fn range(&self, windows: Range<usize>) -> Self {
+        let rows = &self.rows[windows];
+        let mut held: HashMap<*const Vec<T>, usize> = HashMap::new();
+        for row in rows {
+            *held.entry(Arc::as_ptr(&row.block)).or_default() += row.span.len();
+        }
+        let reaches_out = |row: &SharedRow<T>| held[&Arc::as_ptr(&row.block)] < row.block.len();
+        let copied: Vec<T> = rows
+            .iter()
+            .filter(|row| reaches_out(row))
+            .flat_map(|row| row.values().iter().cloned())
+            .collect();
+        let block = (!copied.is_empty()).then(|| Arc::new(copied));
+        let mut next = 0..0;
+        let rows = rows
+            .iter()
+            .map(|row| match &block {
+                Some(block) if reaches_out(row) => {
+                    next = next.end..next.end + row.span.len();
+                    SharedRow {
+                        block: Arc::clone(block),
+                        span: next.clone(),
+                    }
+                }
+                _ => row.clone(),
+            })
+            .collect();
         Self {
             width: self.width,
-            rows: self.rows[windows].to_vec(),
+            rows,
         }
     }
 }
@@ -907,6 +959,81 @@ mod tests {
         assert_eq!((a.n, a.w, &a.lens, a.total), (b.n, b.w, &b.lens, b.total));
         assert_eq!((&a.means, &a.dens), (&b.means, &b.dens));
         assert_eq!((&a.stds_t, &a.deltas_t), (&b.stds_t, &b.deltas_t));
+    }
+
+    #[test]
+    fn window_fold_is_the_series_major_arithmetic_bit_for_bit() {
+        // Windows of two lengths (a partial head's and full ones), means of
+        // both signs, and a series whose every mean is −0.0: its weighted
+        // mean is −0.0 only when the fold starts where `Iterator::sum` does.
+        let lens = [7usize, 20, 20, 20, 13];
+        let stats: Vec<Vec<WindowStats>> = (0..6)
+            .map(|i| {
+                lens.iter()
+                    .enumerate()
+                    .map(|(k, &len)| WindowStats {
+                        len,
+                        mean: if i == 5 {
+                            -0.0
+                        } else {
+                            ((i * 7 + k * 3) as f64 * 0.61).sin() * 1e3
+                        },
+                        std: ((i + k) % 3) as f64 * 0.37,
+                    })
+                    .collect()
+            })
+            .collect();
+        let plan = QueryPlan::from_window_stats(&stats).unwrap();
+        let n = stats.len();
+        for (i, row) in stats.iter().enumerate() {
+            let total: f64 = row.iter().map(|s| s.len as f64).sum();
+            let mean = row.iter().map(|s| s.len as f64 * s.mean).sum::<f64>() / total;
+            let mut den = 0.0;
+            for (k, s) in row.iter().enumerate() {
+                let d = s.mean - mean;
+                assert_eq!(plan.stds_t[k * n + i].to_bits(), s.std.to_bits());
+                assert_eq!(plan.deltas_t[k * n + i].to_bits(), d.to_bits());
+                den += s.len as f64 * (s.std * s.std + d * d);
+            }
+            assert_eq!(plan.total_len().to_bits(), total.to_bits());
+            assert_eq!(plan.mean(i).to_bits(), mean.to_bits(), "series {i}");
+            assert_eq!(plan.denominator(i).to_bits(), den.to_bits(), "series {i}");
+        }
+        assert!(plan.mean(5).is_sign_negative());
+    }
+
+    #[test]
+    fn a_range_shares_whole_blocks_and_copies_the_rest() {
+        let shares = |a: &WindowRows, k: usize, b: &WindowRows, l: usize| {
+            Arc::ptr_eq(&a.rows[k].block, &b.rows[l].block)
+        };
+        let mut rows = WindowRows::from_flat((0..12).map(f64::from).collect(), 2, 6);
+        rows.push(vec![12.0, 13.0]);
+        rows.push(vec![14.0, 15.0]);
+
+        // The whole built block and the pushed rows: every row shared.
+        let whole = rows.range(0..8);
+        assert_eq!(whole, rows);
+        assert!((0..8).all(|k| shares(&whole, k, &rows, k)));
+
+        // Rows 4 and 5 of the built block are copied into one block of their
+        // own; the pushed rows stay shared.
+        let cut = rows.range(4..8);
+        assert_eq!(
+            cut,
+            WindowRows::from_flat((8..16).map(f64::from).collect(), 2, 4)
+        );
+        assert!(!shares(&cut, 0, &rows, 4) && !shares(&cut, 1, &rows, 5));
+        assert!(shares(&cut, 0, &cut, 1) && cut.rows[0].block.len() == 4);
+        assert!(shares(&cut, 2, &rows, 6) && shares(&cut, 3, &rows, 7));
+
+        // A cut of the cut: the copied block lies wholly inside 0..2.
+        let again = cut.range(0..2);
+        assert!(shares(&again, 0, &cut, 0) && shares(&again, 1, &cut, 1));
+        let straddle = cut.range(1..3);
+        assert_eq!(straddle.row(0), &[10.0, 11.0]);
+        assert!(!shares(&straddle, 0, &cut, 1) && shares(&straddle, 1, &rows, 6));
+        assert_eq!(straddle.rows[0].block.len(), 2);
     }
 
     #[test]

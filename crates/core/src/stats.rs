@@ -255,9 +255,9 @@ pub(crate) fn normalize_each<'a>(
     }
 }
 
-/// Series per panel of the packed layout: one point of eight series is one
-/// 64-byte line, two `ymm` registers or one `zmm`.
-const PANEL: usize = 8;
+/// Series per panel of the packed layout ([`packed_len`]): one point of
+/// eight series is one 64-byte line, two `ymm` registers or one `zmm`.
+pub const PANEL: usize = 8;
 
 /// Height of the aligned register tile: 4 rows × [`PANEL`] columns are eight
 /// `ymm` accumulator chains, enough to cover the FP-add latency at the

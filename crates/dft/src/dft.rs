@@ -1,10 +1,20 @@
 //! Discrete Fourier Transform primitives.
 //!
-//! The comparator in the paper assumes the *naive* `O(k²)` DFT (its
-//! complexity analysis and Figures 5b/5d hinge on that quadratic cost), so
-//! [`naive_dft`] is the reference transform. [`DftPlanner`] is the one fast
+//! The comparator in the paper assumes the *naive* `O(k²)` DFT: a direct sum
+//! per coefficient, `B` multiply-adds each (its complexity analysis and
+//! Figures 5b/5d hinge on that cost). The sketch keeps only the first `c`
+//! coefficients of every series-window, so its direct sums are `B·c`
+//! multiply-adds per series-window — `B²` when all are kept.
+//!
+//! [`window_dft_into`] is the direct-sum transform the comparator's window
+//! kernel runs: a whole window at once, series eight to a packed panel, one
+//! twiddle row of `B` values per kept frequency per window, each
+//! coefficient bit-identical to [`naive_dft`]'s. [`naive_dft`] is the
+//! per-series reference it is pinned to. [`DftPlanner`] is the one fast
 //! transform: a radix-2 FFT planned once per window size, which the
-//! comparator's sketches and its arriving windows run.
+//! comparator runs for power-of-two windows under `Transform::Fft`.
+
+use tsubasa_core::stats::PANEL;
 
 /// A minimal complex number. We intentionally avoid pulling in an external
 /// complex/FFT crate: the comparator only needs addition, multiplication by a
@@ -77,6 +87,11 @@ impl std::ops::Mul for Complex {
 /// The unitary DFT of `x` computed naively in `O(k²)` — paper Equation 2,
 /// including the `1/√k` factor so that Parseval's theorem holds exactly
 /// (`Σ|X_f|² = Σ|x_i|²`) and Euclidean distances are preserved.
+///
+/// The per-series reference: every coefficient is a direct sum with its
+/// twiddle factors computed in the innermost loop. The comparator's kernel
+/// runs [`window_dft_into`], which sums the same terms in the same order
+/// and so returns the same bits.
 pub fn naive_dft(x: &[f64]) -> Vec<Complex> {
     let k = x.len();
     if k == 0 {
@@ -96,18 +111,82 @@ pub fn naive_dft(x: &[f64]) -> Vec<Complex> {
         .collect()
 }
 
+/// The first `coefficients` coefficients of the unitary DFT of every series
+/// of one window of `len` points, as direct sums over whole panels.
+///
+/// `z` holds the series in the packed panel layout
+/// ([`tsubasa_core::stats::packed_len`]`(n, len)`, series `i` in lane
+/// `i % 8` of panel `i / 8`); `out` receives, in the same layout with `2 ·
+/// coefficients` slots per lane, every series' `[re₀, im₀, re₁, im₁, …]`.
+/// Frequency by frequency, one row of `len` twiddle factors is computed
+/// (the expression [`naive_dft`] evaluates) and every panel sums it against
+/// its eight lanes: `len` multiply-adds per series and coefficient, trig
+/// `coefficients · len` times per window. Each lane's sum is
+/// [`naive_dft`]'s chain — from `+0.0`, point by point, a multiply then an
+/// add, then `· 1/√len` — so every coefficient has [`naive_dft`]'s bits.
+///
+/// # Panics
+///
+/// Panics when `z` is not whole panels of `len` points, `out` not the same
+/// panels of `2 · coefficients` slots, or `coefficients > len`.
+pub fn window_dft_into(z: &[f64], len: usize, coefficients: usize, out: &mut [f64]) {
+    let row_len = 2 * coefficients;
+    let panels = z.len().checked_div(PANEL * len).unwrap_or(0);
+    assert!(
+        z.len() == panels * PANEL * len && out.len() == panels * PANEL * row_len,
+        "window_dft_into: {} inputs and {} outputs are not whole panels of {len} points and {row_len} slots",
+        z.len(),
+        out.len()
+    );
+    assert!(
+        coefficients <= len,
+        "window_dft_into: {coefficients} coefficients of {len} points"
+    );
+    if panels == 0 {
+        return;
+    }
+    let scale = 1.0 / (len as f64).sqrt();
+    let base = -2.0 * std::f64::consts::PI / len as f64;
+    let mut twiddles = Vec::with_capacity(len);
+    for f in 0..coefficients {
+        twiddles.clear();
+        twiddles.extend((0..len).map(|i| Complex::from_angle(base * (f as f64) * (i as f64))));
+        for (zp, op) in z
+            .chunks_exact(PANEL * len)
+            .zip(out.chunks_exact_mut(PANEL * row_len))
+        {
+            let mut re = [0.0f64; PANEL];
+            let mut im = [0.0f64; PANEL];
+            for (t, w) in zp.chunks_exact(PANEL).zip(&twiddles) {
+                let t: &[f64; PANEL] = t.try_into().expect("chunks_exact(PANEL)");
+                for l in 0..PANEL {
+                    re[l] += w.re * t[l];
+                    im[l] += w.im * t[l];
+                }
+            }
+            let (re_out, im_out) = op[2 * f * PANEL..(2 * f + 2) * PANEL].split_at_mut(PANEL);
+            for l in 0..PANEL {
+                re_out[l] = re[l] * scale;
+                im_out[l] = im[l] * scale;
+            }
+        }
+    }
+}
+
 /// A reusable transform plan: the iterative radix-2 FFT with its
 /// bit-reversal permutation and per-stage twiddle factors precomputed once
-/// per window size, falling back to the naive `O(B²)` DFT for non-power-of-
-/// two sizes.
+/// per window size, falling back to the naive DFT for non-power-of-two
+/// sizes.
 ///
 /// The sketching paths transform *every basic window of every series* at the
 /// same length `B`, so the planner amortizes the table setup across the
 /// whole sweep and reads every twiddle factor from a table. For power-of-two
-/// `B` this turns the comparator's per-window cost from `O(B²)` into
-/// `O(B log B)`; otherwise the plan degenerates to [`naive_dft`] so behaviour
-/// (and the paper's cost model) is unchanged. Agreement with [`naive_dft`] is
-/// unit-tested at both parities.
+/// `B` this turns the comparator's per-series-window cost from the direct
+/// sums' `B·c` multiply-adds into `O(B log B)`. Where the plan has no FFT,
+/// [`DftPlanner::transform`] is [`naive_dft`] (the per-series yardstick),
+/// and the comparator's kernel runs the direct sums of [`window_dft_into`]
+/// instead, with the same bits and the paper's cost model. Agreement with
+/// [`naive_dft`] is unit-tested at both parities.
 #[derive(Debug, Clone)]
 pub struct DftPlanner {
     size: usize,
@@ -212,7 +291,9 @@ pub fn coefficient_distance(x: &[Complex], y: &[Complex], n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::normalize::normalize_unit_with_stats;
     use proptest::prelude::*;
+    use tsubasa_core::stats::{packed_lane_mut, packed_len, WindowStats};
 
     fn euclid(a: &[f64], b: &[f64]) -> f64 {
         a.iter()
@@ -347,6 +428,75 @@ mod tests {
         let plan = DftPlanner::new(16);
         let x: Vec<f64> = (0..8).map(|i| i as f64).collect();
         assert_eq!(plan.transform(&x), naive_dft(&x));
+    }
+
+    /// Series `i`'s window and statistics under lane kind `kind`: finite,
+    /// a NaN σ, ±∞ points under finite statistics, or a constant window.
+    fn grid_series(kind: usize, i: usize, b: usize) -> (Vec<f64>, WindowStats) {
+        let mut values: Vec<f64> = (0..b)
+            .map(|t| ((t * 7 + i * 13) as f64 * 0.37).sin() * (1.0 + i as f64) + 0.25 * t as f64)
+            .collect();
+        let mut stats = WindowStats::from_values(&values);
+        match kind {
+            0 => {}
+            1 => stats.std = f64::NAN,
+            2 => {
+                values[b / 2] = f64::INFINITY;
+                values[b - 1] = f64::NEG_INFINITY;
+            }
+            _ => {
+                values.fill(4.5);
+                stats = WindowStats::from_values(&values);
+            }
+        }
+        (values, stats)
+    }
+
+    #[test]
+    fn window_dft_equals_naive_dft_bit_for_bit() {
+        // Window sizes at and off powers of two, kept counts from one to
+        // all, series counts at the edges of a panel; every lane kind at
+        // every lane position, and NaN in the unused lanes of the last panel.
+        for b in [1usize, 2, 3, 7, 12, 16, 50, 120, 128] {
+            for n in [1usize, 7, 8, 9, 33] {
+                for offset in 0..4 {
+                    let mut z = vec![f64::NAN; packed_len(n, b)];
+                    let mut expected = Vec::with_capacity(n);
+                    for i in 0..n {
+                        let (values, stats) = grid_series((i + offset) % 4, i, b);
+                        let normalized = normalize_unit_with_stats(&values, &stats);
+                        for (slot, &v) in packed_lane_mut(&mut z, i, b).zip(&normalized) {
+                            *slot = v;
+                        }
+                        expected.push(naive_dft(&normalized));
+                    }
+                    for c in [1, b.div_ceil(4), (3 * b).div_ceil(4), b] {
+                        let mut out = vec![0.0; packed_len(n, 2 * c)];
+                        window_dft_into(&z, b, c, &mut out);
+                        for (i, coeffs) in expected.iter().enumerate() {
+                            let got: Vec<u64> = packed_lane_mut(&mut out, i, 2 * c)
+                                .map(|v| v.to_bits())
+                                .collect();
+                            let want: Vec<u64> = coeffs[..c]
+                                .iter()
+                                .flat_map(|x| [x.re.to_bits(), x.im.to_bits()])
+                                .collect();
+                            let kind = (i + offset) % 4;
+                            assert_eq!(
+                                got, want,
+                                "B = {b}, c = {c}, N = {n}, series {i} of kind {kind}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not whole panels")]
+    fn window_dft_refuses_partial_panels() {
+        window_dft_into(&vec![0.0; packed_len(3, 5)], 5, 2, &mut [0.0; 7]);
     }
 
     proptest! {

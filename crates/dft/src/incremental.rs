@@ -43,8 +43,9 @@ use crate::sketch::{ComparatorKernel, DftSketchSet, Transform};
 pub struct SlidingApproxNetwork {
     state: SlidingState,
     /// The comparator window kernel for the arriving windows (radix-2 FFT
-    /// for power-of-two basic windows, naive fallback otherwise), with its
-    /// reusable transform plan and scratch.
+    /// for power-of-two basic windows, the direct sums of
+    /// [`crate::dft::window_dft_into`] otherwise), with its reusable
+    /// transform plan and scratch.
     kernel: ComparatorKernel,
 }
 
@@ -66,7 +67,8 @@ impl SlidingApproxNetwork {
     /// The transform behind every arriving window's row. A bootstrap sketch
     /// built with it holds rows bit-identical to the ticks', so one live
     /// state never mixes rows of two transforms (for power-of-two basic
-    /// windows the radix-2 path and the naive DFT differ in the last bits).
+    /// windows the radix-2 path and the naive DFT differ in the last bits;
+    /// for other sizes both run the same direct sums).
     pub const TRANSFORM: Transform = Transform::Fft;
 
     /// Build the initial state from a [`DftSketchSet`]: the query window

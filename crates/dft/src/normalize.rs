@@ -16,12 +16,28 @@ use tsubasa_core::stats::WindowStats;
 
 /// Normalize a window to unit norm using its (pre-computed) statistics.
 pub fn normalize_unit_with_stats(values: &[f64], stats: &WindowStats) -> Vec<f64> {
-    let k = values.len() as f64;
-    if stats.std == 0.0 || values.is_empty() {
-        return vec![0.0; values.len()];
+    let mut out = vec![0.0; values.len()];
+    normalize_unit_into(values, stats, out.iter_mut());
+    out
+}
+
+/// [`normalize_unit_with_stats`] into any run of slots, one per value: a
+/// slice, or one lane of a packed block
+/// ([`tsubasa_core::stats::packed_lane_mut`]), the input of
+/// [`crate::dft::window_dft_into`].
+pub fn normalize_unit_into<'a>(
+    values: &[f64],
+    stats: &WindowStats,
+    out: impl Iterator<Item = &'a mut f64>,
+) {
+    if stats.std == 0.0 {
+        out.for_each(|slot| *slot = 0.0);
+        return;
     }
-    let denom = stats.std * k.sqrt();
-    values.iter().map(|&v| (v - stats.mean) / denom).collect()
+    let denom = stats.std * (values.len() as f64).sqrt();
+    for (slot, &v) in out.zip(values) {
+        *slot = (v - stats.mean) / denom;
+    }
 }
 
 /// Normalize a window to unit norm, computing its statistics on the fly.

@@ -29,8 +29,12 @@
 //! dual-method epoch ingest or a sliding updater, each holding one kernel
 //! across windows). The first `n`
 //! complex coefficients of every series' normalized window are flattened into
-//! `2n` real values (`[re₀, im₀, re₁, im₁, …]`) and written to the series'
-//! lane of a packed panel block ([`tsubasa_core::stats::packed_lane_mut`]),
+//! `2n` real values (`[re₀, im₀, re₁, im₁, …]`) in the series' lane of a
+//! packed panel block ([`tsubasa_core::stats::packed_lane_mut`]) — computed
+//! for the whole window at once by the direct sums of
+//! [`crate::dft::window_dft_into`] (`B·n` multiply-adds per series, twiddles
+//! once per window, [`naive_dft`]'s bits) unless a power-of-two
+//! [`Transform::Fft`] runs the radix-2 FFT per series —
 //! every pair's squared coefficient distance comes from the register-tiled
 //! difference-square sweep over those panels
 //! ([`tsubasa_core::stats::tiled_pair_dist_sq_in`] — the exact sketch's
@@ -51,19 +55,23 @@ use tsubasa_core::source::{check_source_windows, CorrSource, PairTable};
 use tsubasa_core::stats::{packed_lane_mut, packed_len, tiled_pair_dist_sq_in, WindowStats};
 use tsubasa_core::{SeriesCollection, SketchSet};
 
-use crate::dft::{coefficient_distance, naive_dft, Complex, DftPlanner};
-use crate::normalize::normalize_unit_with_stats;
+use crate::dft::{coefficient_distance, naive_dft, window_dft_into, Complex, DftPlanner};
+use crate::normalize::{normalize_unit_into, normalize_unit_with_stats};
 
 /// How the DFT coefficients of a basic window are computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transform {
-    /// Naive `O(B²)` DFT — the cost model assumed by the paper.
+    /// The naive DFT's direct sums — the cost model assumed by the paper:
+    /// `B·c` multiply-adds per series-window for the `c` kept coefficients
+    /// (`B²` when all are kept), run a window at a time
+    /// ([`crate::dft::window_dft_into`], twiddles computed once per window)
+    /// with [`naive_dft`]'s bits.
     Naive,
     /// Iterative radix-2 FFT through a reusable [`DftPlanner`] (bit-reversal
     /// and twiddle tables built once per sketch, `O(B log B)` per window for
-    /// power-of-two `B`, naive fallback otherwise). Used by the parallel
-    /// engine's comparator path and every row of a live approximate network
-    /// (bootstrap and ticks alike).
+    /// power-of-two `B`; otherwise the direct sums of [`Transform::Naive`],
+    /// bit for bit). Used by the parallel engine's comparator path and every
+    /// row of a live approximate network (bootstrap and ticks alike).
     Fft,
 }
 
@@ -89,17 +97,39 @@ fn estimate_from_distance_sq(d_sq: f64) -> f64 {
     1.0 - d_sq / 2.0
 }
 
+/// The kernel's epilogue: every squared distance of a row to its estimate
+/// `ĉ = 1 − max(d², 0)/2`, in place.
+fn ests_from_dist_sq(row: &mut [f64]) {
+    for slot in row {
+        // A comparison, not `f64::max`: `max` drops a NaN operand, and a NaN
+        // `d²` stored as `ĉ = 1.0` is a perfect correlation no audit can see.
+        let d_sq = if *slot < 0.0 { 0.0 } else { *slot };
+        *slot = estimate_from_distance_sq(d_sq);
+    }
+}
+
 /// **The** comparator window kernel: one basic window of every series to that
 /// window's packed row of Equation 3 estimates `ĉ`. It owns the transform
-/// plan and the panel-packed coefficient scratch, both reused across windows.
-/// See the [module docs](self).
+/// plan and the panel-packed scratch, reused across windows.
+///
+/// Under [`Transform::Naive`], and under [`Transform::Fft`] wherever the
+/// [`DftPlanner`] has no FFT (a window size that is not a power of two), the
+/// window's series are normalized into panel lanes and transformed together
+/// by the direct sums of [`window_dft_into`]: `B·c` multiply-adds per
+/// series-window for the `c` kept coefficients, twiddles computed once per
+/// window, each coefficient bit-identical to [`naive_dft`]'s. Power-of-two
+/// [`Transform::Fft`] runs the planner's radix-2 FFT per series. See the
+/// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct ComparatorKernel {
     coefficients: usize,
     transform: Transform,
     planner: DftPlanner,
+    /// Series `i`'s unit-normalized window in lane `i` of a packed block
+    /// ([`packed_len`]): the direct sums' input (unused by the FFT).
+    z: Vec<f64>,
     /// Series `i`'s flattened coefficients of the current window, in lane
-    /// `i` of a packed block ([`packed_len`]).
+    /// `i` of a packed block.
     rows: Vec<f64>,
 }
 
@@ -111,6 +141,7 @@ impl ComparatorKernel {
             coefficients: coefficients.clamp(1, basic_window.max(1)),
             transform,
             planner: DftPlanner::new(basic_window),
+            z: Vec::new(),
             rows: Vec::new(),
         }
     }
@@ -121,11 +152,15 @@ impl ComparatorKernel {
     }
 
     /// Fill `out` with the estimates of one window: `window[i]` holds the
-    /// window's points of series `i`, `stats[i]` their statistics. The
+    /// window's `B` points of series `i`, `stats[i]` their statistics. The
     /// difference-square sweep is fanned out over `runner`; every pair's sum
     /// is one serial chain, so the row's bits do not depend on the worker
     /// count. The epilogue is the one place sketch data goes through
     /// Equation 3, formed from the squared distance directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a series' window is not `B` points long.
     pub fn window_ests_into<S: AsRef<[f64]>>(
         &mut self,
         window: &[S],
@@ -133,31 +168,35 @@ impl ComparatorKernel {
         runner: &dyn JobRunner,
         out: &mut [f64],
     ) {
-        let n = window.len();
+        let (n, b) = (window.len(), self.planner.size());
         let row_len = 2 * self.coefficients;
         self.rows.resize(packed_len(n, row_len), 0.0);
-        for (i, (points, stats)) in window.iter().zip(stats).enumerate() {
-            let normalized = normalize_unit_with_stats(points.as_ref(), stats);
-            let coeffs = match self.transform {
-                Transform::Naive => naive_dft(&normalized),
-                Transform::Fft => self.planner.transform(&normalized),
-            };
-            // `[re₀, im₀, re₁, im₁, …]`: the Euclidean distance of two such
-            // rows is the complex coefficient distance, `|X_k − Y_k|² = Δre²
-            // + Δim²`.
-            let flat = coeffs.iter().flat_map(|c| [c.re, c.im]);
-            for (slot, v) in packed_lane_mut(&mut self.rows, i, row_len).zip(flat) {
-                *slot = v;
+        // `[re₀, im₀, re₁, im₁, …]` in every lane: the Euclidean distance of
+        // two such rows is the complex coefficient distance, `|X_k − Y_k|² =
+        // Δre² + Δim²`.
+        if self.transform == Transform::Fft && self.planner.uses_fft() {
+            for (i, (points, stats)) in window.iter().zip(stats).enumerate() {
+                let points = points.as_ref();
+                assert_eq!(points.len(), b, "series {i}: a window of {b} points");
+                let coeffs = self
+                    .planner
+                    .transform(&normalize_unit_with_stats(points, stats));
+                let flat = coeffs.iter().flat_map(|c| [c.re, c.im]);
+                for (slot, v) in packed_lane_mut(&mut self.rows, i, row_len).zip(flat) {
+                    *slot = v;
+                }
             }
+        } else {
+            self.z.resize(packed_len(n, b), 0.0);
+            for (i, (points, stats)) in window.iter().zip(stats).enumerate() {
+                let points = points.as_ref();
+                assert_eq!(points.len(), b, "series {i}: a window of {b} points");
+                normalize_unit_into(points, stats, packed_lane_mut(&mut self.z, i, b));
+            }
+            window_dft_into(&self.z, b, self.coefficients, &mut self.rows);
         }
         tiled_pair_dist_sq_in(runner, &self.rows, n, row_len, out);
-        for slot in out {
-            // A comparison, not `f64::max`: `max` drops a NaN operand, and a
-            // NaN `d²` stored as `ĉ = 1.0` is a perfect correlation no audit
-            // can see.
-            let d_sq = if *slot < 0.0 { 0.0 } else { *slot };
-            *slot = estimate_from_distance_sq(d_sq);
-        }
+        ests_from_dist_sq(out);
     }
 
     /// The packed estimate row of an arriving window
@@ -514,6 +553,86 @@ mod tests {
                 let dr = reference.pair_estimates(i, j).unwrap();
                 for (a, b) in dt.iter().zip(dr) {
                     assert!((a - b).abs() <= 1e-12, "pair ({i},{j}): {a} vs {b}");
+                }
+            }
+        }
+    }
+
+    /// The per-series path the kernel's direct sums replaced: each series'
+    /// normalized window through [`naive_dft`] (or the planner), its first
+    /// `c` coefficients into its lane, then the kernel's sweep and epilogue.
+    fn per_series_row(
+        window: &[Vec<f64>],
+        stats: &[WindowStats],
+        c: usize,
+        transform: Transform,
+    ) -> Vec<f64> {
+        let (n, b) = (window.len(), window[0].len());
+        let planner = DftPlanner::new(b);
+        let mut rows = vec![0.0; packed_len(n, 2 * c)];
+        for (i, (points, st)) in window.iter().zip(stats).enumerate() {
+            let normalized = normalize_unit_with_stats(points, st);
+            let coeffs = match transform {
+                Transform::Naive => naive_dft(&normalized),
+                Transform::Fft => planner.transform(&normalized),
+            };
+            let flat = coeffs.iter().flat_map(|x| [x.re, x.im]);
+            for (slot, v) in packed_lane_mut(&mut rows, i, 2 * c).zip(flat) {
+                *slot = v;
+            }
+        }
+        let mut row = vec![0.0; packed_pairs(n)];
+        tiled_pair_dist_sq_in(&SerialRunner, &rows, n, 2 * c, &mut row);
+        ests_from_dist_sq(&mut row);
+        row
+    }
+
+    #[test]
+    fn kernel_rows_equal_the_per_series_path_bit_for_bit() {
+        // Both transforms at and off powers of two (off them `Fft` has no
+        // FFT and runs the direct sums too), series counts at the edges of a
+        // panel, and in every panel finite lanes beside a NaN σ, ±∞ points
+        // under finite statistics and a constant window.
+        for b in [1usize, 3, 12, 16, 50, 120, 128] {
+            for n in [1usize, 7, 8, 9, 33] {
+                let mut window = Vec::with_capacity(n);
+                let mut stats = Vec::with_capacity(n);
+                for i in 0..n {
+                    let mut points: Vec<f64> = (0..b)
+                        .map(|t| ((t * 5 + i * 11) as f64 * 0.29).cos() * (1.0 + i as f64 * 0.1))
+                        .collect();
+                    let mut st = WindowStats::from_values(&points);
+                    match i % 8 {
+                        2 => st.std = f64::NAN,
+                        4 => {
+                            points[b / 2] = f64::INFINITY;
+                            points[b - 1] = f64::NEG_INFINITY;
+                        }
+                        6 => {
+                            points.fill(-2.0);
+                            st = WindowStats::from_values(&points);
+                        }
+                        _ => {}
+                    }
+                    window.push(points);
+                    stats.push(st);
+                }
+                for c in [1, b.div_ceil(4), b] {
+                    for transform in [Transform::Naive, Transform::Fft] {
+                        let mut kernel = ComparatorKernel::new(b, c, transform);
+                        // Twice through one kernel: its scratch carries over.
+                        for _ in 0..2 {
+                            let mut row = vec![0.0; packed_pairs(n)];
+                            kernel.window_ests_into(&window, &stats, &SerialRunner, &mut row);
+                            let bits =
+                                |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(
+                                bits(&row),
+                                bits(&per_series_row(&window, &stats, c, transform)),
+                                "{transform:?}, B = {b}, c = {c}, N = {n}"
+                            );
+                        }
+                    }
                 }
             }
         }

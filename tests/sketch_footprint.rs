@@ -348,13 +348,13 @@ fn a_live_ingest_holds_its_horizon_however_long_it_runs() {
 #[test]
 fn a_sliding_engine_holds_its_query_window_not_its_history() {
     // A bootstrap over ten query windows of history, then W ticks. An engine
-    // shares its bootstrap sketch's rows, which lie in one block per table,
-    // and a block lives while any of its rows is held: until the W-th tick
-    // the engine holds the block and the rows that arrived since, and from
-    // then on its W windows' rows alone. A real-time network sketches only
-    // its query window, so its block is those W windows; a `SlidingNetwork`
-    // bootstrapped from a sketch of the whole history holds all of it, after
-    // the sketch is dropped, until the last shared row has slid out.
+    // holds its query window's rows in one block per table, and a block
+    // lives while any of its rows is held: until the W-th tick the engine
+    // holds the block and the rows that arrived since, and from then on its
+    // W windows' rows alone. A real-time network sketches only its query
+    // window and shares that sketch's block; a `SlidingNetwork` bootstrapped
+    // from a sketch of the whole history holds a copy of its window's rows
+    // (`WindowRows::range`), never the history's block.
     const W: usize = 8;
     let total = 11 * W * B;
     let full = rows(total);
@@ -380,17 +380,11 @@ fn a_sliding_engine_holds_its_query_window_not_its_history() {
         + N * (24 + 8 * 2 * B)
         + 4096;
     assert!(budget < 2 * W * ROW, "the budget has room for W more rows");
-    // After `t` ticks from a bootstrap block of `block` windows.
+    // After `t` ticks from a bootstrap block of the W windows.
     let window = ROW + STATS_ROW + 2 * ROW_HEADER;
-    let limit = |block: usize, t: usize| {
-        if t < W {
-            budget + (block - W + t) * window
-        } else {
-            budget
-        }
-    };
-    let check = |engine: &str, held: isize, block: usize, t: usize| {
-        let limit = limit(block, t);
+    let limit = |t: usize| if t < W { budget + t * window } else { budget };
+    let check = |engine: &str, held: isize, t: usize| {
+        let limit = limit(t);
         assert!(
             held <= limit as isize,
             "{engine}: {held} bytes held after {t} ticks, against {limit} (its {W} windows: {budget})"
@@ -404,10 +398,10 @@ fn a_sliding_engine_holds_its_query_window_not_its_history() {
         let label = format!("RealTimeNetwork {engine:?}");
         let start = LIVE.get();
         let mut net = RealTimeNetwork::new(&history, B, W * B, 0.7, engine).unwrap();
-        check(&label, LIVE.get() - start, W, 0);
+        check(&label, LIVE.get() - start, 0);
         for (t, tick) in ticks.iter().enumerate() {
             assert_eq!(net.ingest(tick).unwrap(), 1);
-            check(&label, LIVE.get() - start, W, t + 1);
+            check(&label, LIVE.get() - start, t + 1);
         }
         assert_eq!(net.window_count(), W);
     }
@@ -417,10 +411,10 @@ fn a_sliding_engine_holds_its_query_window_not_its_history() {
         let sketch = SketchSet::build(&history, B).unwrap();
         SlidingNetwork::initialize(&history, &sketch, W * B).unwrap()
     };
-    check("SlidingNetwork", LIVE.get() - start, 10 * W, 0);
+    check("SlidingNetwork", LIVE.get() - start, 0);
     for (t, tick) in ticks.iter().enumerate() {
         sliding.ingest(tick).unwrap();
-        check("SlidingNetwork", LIVE.get() - start, 10 * W, t + 1);
+        check("SlidingNetwork", LIVE.get() - start, t + 1);
     }
     assert_eq!(sliding.window_count(), W);
 }
