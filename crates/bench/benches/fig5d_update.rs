@@ -9,8 +9,10 @@
 //! Expected shape (the paper's expectation, not asserted here): TSUBASA is at
 //! least an order of magnitude faster, and the gap widens with B because the
 //! approximation's direct sums cost B·c multiply-adds per series for every
-//! arriving basic window (¾·B² at 75 % of the coefficients). The bench reports
-//! the update times and their ratio as it measures them.
+//! arriving basic window (¾·B² at 75 % of the coefficients). The comparator
+//! has no other transform, so the ratio is the paper's at every `B`, a power
+//! of two included. The bench reports the update times and their ratio as it
+//! measures them.
 
 use tsubasa_bench::{fmt_ms, millis, scaled, time, Table};
 use tsubasa_core::prelude::*;

@@ -10,15 +10,15 @@
 //! kernel runs: a whole window at once, series eight to a packed panel, one
 //! twiddle row of `B` values per kept frequency per window, each
 //! coefficient bit-identical to [`naive_dft`]'s. [`naive_dft`] is the
-//! per-series reference it is pinned to. [`DftPlanner`] is the one fast
-//! transform: a radix-2 FFT planned once per window size, which the
-//! comparator runs for power-of-two windows under `Transform::Fft`.
+//! per-series reference it is pinned to. There is no fast transform: every
+//! coefficient the comparator stores is one of these direct sums, at every
+//! window size.
 
 use tsubasa_core::stats::PANEL;
 
 /// A minimal complex number. We intentionally avoid pulling in an external
-/// complex/FFT crate: the comparator only needs addition, multiplication by a
-//  twiddle factor, and magnitudes.
+/// complex crate: the comparator only needs addition, scaling of a twiddle
+/// factor by a point, and magnitudes.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
@@ -70,17 +70,6 @@ impl std::ops::Sub for Complex {
 
     fn sub(self, other: Complex) -> Complex {
         Complex::new(self.re - other.re, self.im - other.im)
-    }
-}
-
-impl std::ops::Mul for Complex {
-    type Output = Complex;
-
-    fn mul(self, other: Complex) -> Complex {
-        Complex::new(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
     }
 }
 
@@ -173,105 +162,6 @@ pub fn window_dft_into(z: &[f64], len: usize, coefficients: usize, out: &mut [f6
     }
 }
 
-/// A reusable transform plan: the iterative radix-2 FFT with its
-/// bit-reversal permutation and per-stage twiddle factors precomputed once
-/// per window size, falling back to the naive DFT for non-power-of-two
-/// sizes.
-///
-/// The sketching paths transform *every basic window of every series* at the
-/// same length `B`, so the planner amortizes the table setup across the
-/// whole sweep and reads every twiddle factor from a table. For power-of-two
-/// `B` this turns the comparator's per-series-window cost from the direct
-/// sums' `B·c` multiply-adds into `O(B log B)`. Where the plan has no FFT,
-/// [`DftPlanner::transform`] is [`naive_dft`] (the per-series yardstick),
-/// and the comparator's kernel runs the direct sums of [`window_dft_into`]
-/// instead, with the same bits and the paper's cost model. Agreement with
-/// [`naive_dft`] is unit-tested at both parities.
-#[derive(Debug, Clone)]
-pub struct DftPlanner {
-    size: usize,
-    /// Bit-reversal permutation of `0..size`; empty when the plan falls back
-    /// to the naive transform.
-    bitrev: Vec<usize>,
-    /// `twiddles[s][off] = e^{-2πi·off/len}` for stage `len = 2^(s+1)`.
-    twiddles: Vec<Vec<Complex>>,
-}
-
-impl DftPlanner {
-    /// Plan transforms of length `size`.
-    pub fn new(size: usize) -> Self {
-        if !size.is_power_of_two() || size < 2 {
-            return Self {
-                size,
-                bitrev: Vec::new(),
-                twiddles: Vec::new(),
-            };
-        }
-        let bits = size.trailing_zeros();
-        let bitrev = (0..size)
-            .map(|i| ((i as u32).reverse_bits() >> (32 - bits)) as usize)
-            .collect();
-        let mut twiddles = Vec::with_capacity(bits as usize);
-        let mut len = 2;
-        while len <= size {
-            let angle = -2.0 * std::f64::consts::PI / len as f64;
-            twiddles.push(
-                (0..len / 2)
-                    .map(|off| Complex::from_angle(angle * off as f64))
-                    .collect(),
-            );
-            len <<= 1;
-        }
-        Self {
-            size,
-            bitrev,
-            twiddles,
-        }
-    }
-
-    /// The window size this plan was built for.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// True when the plan runs the radix-2 FFT (power-of-two size); false
-    /// when it falls back to the naive transform.
-    pub fn uses_fft(&self) -> bool {
-        !self.bitrev.is_empty()
-    }
-
-    /// Transform one window. Inputs of a different length than the planned
-    /// size, and every input of a non-power-of-two plan, take
-    /// [`naive_dft`].
-    pub fn transform(&self, x: &[f64]) -> Vec<Complex> {
-        if x.len() != self.size || !self.uses_fft() {
-            return naive_dft(x);
-        }
-        let k = self.size;
-        let mut buf: Vec<Complex> = (0..k)
-            .map(|i| Complex::new(x[self.bitrev[i]], 0.0))
-            .collect();
-        let mut len = 2;
-        let mut stage = 0;
-        while len <= k {
-            let tw = &self.twiddles[stage];
-            for start in (0..k).step_by(len) {
-                for (off, &w) in tw.iter().enumerate() {
-                    let a = buf[start + off];
-                    let b = buf[start + off + len / 2] * w;
-                    buf[start + off] = a + b;
-                    buf[start + off + len / 2] = a - b;
-                }
-            }
-            len <<= 1;
-            stage += 1;
-        }
-        let scale = 1.0 / (k as f64).sqrt();
-        buf.iter_mut().for_each(|c| *c = c.scale(scale));
-        buf
-    }
-}
-
 /// Euclidean distance between the first `n` coefficients of two DFT
 /// coefficient vectors — the paper's `Dist_n(X̂, Ŷ)`.
 ///
@@ -309,7 +199,6 @@ mod tests {
         let b = Complex::new(3.0, -1.0);
         assert_eq!(a + b, Complex::new(4.0, 1.0));
         assert_eq!(a - b, Complex::new(-2.0, 3.0));
-        assert_eq!(a * b, Complex::new(5.0, 5.0));
         assert!((Complex::new(3.0, 4.0).abs() - 5.0).abs() < 1e-12);
     }
 
@@ -330,28 +219,6 @@ mod tests {
         let energy_time: f64 = x.iter().map(|v| v * v).sum();
         let energy_freq: f64 = naive_dft(&x).iter().map(|c| c.norm_sq()).sum();
         assert!((energy_time - energy_freq).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fft_matches_naive_dft_on_power_of_two() {
-        let x: Vec<f64> = (0..16)
-            .map(|i| (i as f64 * 0.7).sin() + 0.3 * i as f64)
-            .collect();
-        let a = naive_dft(&x);
-        let b = DftPlanner::new(16).transform(&x);
-        for (u, v) in a.iter().zip(&b) {
-            assert!((u.re - v.re).abs() < 1e-9 && (u.im - v.im).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn fft_falls_back_on_non_power_of_two() {
-        // An unplanned length runs the naive transform itself, bit for bit,
-        // whether or not the plan's own size is a power of two.
-        let x: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        for plan in [DftPlanner::new(16), DftPlanner::new(12)] {
-            assert_eq!(plan.transform(&x), naive_dft(&x));
-        }
     }
 
     #[test]
@@ -384,50 +251,6 @@ mod tests {
     #[test]
     fn empty_input_yields_empty_output() {
         assert!(naive_dft(&[]).is_empty());
-        assert!(DftPlanner::new(0).transform(&[]).is_empty());
-    }
-
-    #[test]
-    fn planner_matches_naive_dft_on_power_of_two() {
-        for k in [2usize, 8, 32, 128] {
-            let plan = DftPlanner::new(k);
-            assert!(plan.uses_fft());
-            assert_eq!(plan.size(), k);
-            let x: Vec<f64> = (0..k)
-                .map(|i| (i as f64 * 0.37).sin() * 2.0 + 0.1 * i as f64)
-                .collect();
-            let fast = plan.transform(&x);
-            let reference = naive_dft(&x);
-            for (u, v) in fast.iter().zip(&reference) {
-                assert!(
-                    (u.re - v.re).abs() < 1e-9 && (u.im - v.im).abs() < 1e-9,
-                    "k={k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn planner_falls_back_to_naive_on_other_sizes() {
-        for k in [1usize, 3, 12, 50] {
-            let plan = DftPlanner::new(k);
-            assert!(!plan.uses_fft());
-            let x: Vec<f64> = (0..k).map(|i| i as f64 * 0.5 - 1.0).collect();
-            let fast = plan.transform(&x);
-            let reference = naive_dft(&x);
-            for (u, v) in fast.iter().zip(&reference) {
-                assert!((u.re - v.re).abs() < 1e-9 && (u.im - v.im).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn planner_handles_mismatched_input_length() {
-        // A power-of-two length the plan was not built for is not
-        // transformed by the FFT: it takes the naive transform, bit for bit.
-        let plan = DftPlanner::new(16);
-        let x: Vec<f64> = (0..8).map(|i| i as f64).collect();
-        assert_eq!(plan.transform(&x), naive_dft(&x));
     }
 
     /// Series `i`'s window and statistics under lane kind `kind`: finite,
@@ -500,40 +323,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_planner_equals_naive(
-            x in proptest::collection::vec(-100.0f64..100.0, 1..130),
-        ) {
-            let plan = DftPlanner::new(x.len());
-            let a = naive_dft(&x);
-            let b = plan.transform(&x);
-            for (u, v) in a.iter().zip(&b) {
-                prop_assert!((u.re - v.re).abs() < 1e-6);
-                prop_assert!((u.im - v.im).abs() < 1e-6);
-            }
-        }
-    }
-
-    proptest! {
-        /// Every power-of-two plan runs the FFT and agrees with the naive
-        /// transform (`prop_planner_equals_naive` draws a length at random,
-        /// so it reaches the FFT only for seven lengths).
-        #[test]
-        fn prop_fft_equals_naive(
-            bits in 1u32..9,
-            x in proptest::collection::vec(-100.0f64..100.0, 256),
-        ) {
-            let x = &x[..1 << bits];
-            let plan = DftPlanner::new(x.len());
-            prop_assert!(plan.uses_fft());
-            let a = naive_dft(x);
-            let b = plan.transform(x);
-            for (u, v) in a.iter().zip(&b) {
-                prop_assert!((u.re - v.re).abs() < 1e-6);
-                prop_assert!((u.im - v.im).abs() < 1e-6);
-            }
-        }
-
         #[test]
         fn prop_parseval(
             x in proptest::collection::vec(-50.0f64..50.0, 1..50),

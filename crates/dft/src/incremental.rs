@@ -9,9 +9,10 @@
 //! shared. This engine supplies the two things that differ. When a new
 //! basic window arrives it computes that window's packed row of Equation 3
 //! estimates `ĉ_{ns+1} = 1 − d²/2` through the comparator's window kernel
-//! ([`ComparatorKernel`] — normalize, transform, one tiled difference-square
-//! sweep; the transform is the step that makes this updater slower than
-//! TSUBASA's, exactly the effect Figure 5d measures) and stores that row, and
+//! ([`ComparatorKernel`] — normalize, the naive DFT's direct sums, one tiled
+//! difference-square sweep; the `B·c` direct sums are the step that makes
+//! this updater slower than TSUBASA's, exactly the effect Figure 5d measures,
+//! at every window size) and stores that row, and
 //! it reads a stored estimate as the window correlation by clamping it, which
 //! makes the shared Lemma 2 sweep the algebraic content of Equation 6.
 //!
@@ -31,7 +32,7 @@ use tsubasa_core::stats::clamp_corr;
 use tsubasa_core::sweep::fill_packed;
 
 use crate::plan::ApproxPlan;
-use crate::sketch::{ComparatorKernel, DftSketchSet, Transform};
+use crate::sketch::{ComparatorKernel, DftSketchSet};
 
 /// Incrementally maintained approximate all-pair correlation matrix over a
 /// sliding real-time query window. The shared [`SlidingState`] (which this
@@ -42,10 +43,9 @@ use crate::sketch::{ComparatorKernel, DftSketchSet, Transform};
 #[derive(Debug, Clone)]
 pub struct SlidingApproxNetwork {
     state: SlidingState,
-    /// The comparator window kernel for the arriving windows (radix-2 FFT
-    /// for power-of-two basic windows, the direct sums of
-    /// [`crate::dft::window_dft_into`] otherwise), with its reusable
-    /// transform plan and scratch.
+    /// The comparator window kernel for the arriving windows (the direct
+    /// sums of [`crate::dft::window_dft_into`], the kernel that minted every
+    /// [`DftSketchSet`] row), with its reusable scratch.
     kernel: ComparatorKernel,
 }
 
@@ -64,13 +64,6 @@ impl DerefMut for SlidingApproxNetwork {
 }
 
 impl SlidingApproxNetwork {
-    /// The transform behind every arriving window's row. A bootstrap sketch
-    /// built with it holds rows bit-identical to the ticks', so one live
-    /// state never mixes rows of two transforms (for power-of-two basic
-    /// windows the radix-2 path and the naive DFT differ in the last bits;
-    /// for other sizes both run the same direct sums).
-    pub const TRANSFORM: Transform = Transform::Fft;
-
     /// Build the initial state from a [`DftSketchSet`]: the query window
     /// covers the most recent `query_len` sketched points (`query_len` must
     /// be a positive multiple of the basic window).
@@ -96,7 +89,7 @@ impl SlidingApproxNetwork {
         let method = PlanMethod::Approximate;
         Ok(Self {
             state: SlidingState::new(sketch.base(), windows, table, corrs, method)?,
-            kernel: ComparatorKernel::new(b, sketch.coefficients(), Self::TRANSFORM),
+            kernel: ComparatorKernel::new(b, sketch.coefficients()),
         })
     }
 
@@ -166,6 +159,9 @@ mod tests {
 
     #[test]
     fn full_coefficient_updates_track_exact_baseline() {
+        // Power-of-two B. Every tick's row is also a fresh sketch's row of
+        // the same window, bit for bit: one kernel mints the bootstrap's rows
+        // and the ticks'.
         let n = 3;
         let b = 16;
         let total = 400;
@@ -188,6 +184,19 @@ mod tests {
             let exact = baseline::correlation_matrix(&cur, query).unwrap();
             let diff = sliding.correlation_matrix().max_abs_diff(&exact);
             assert!(diff < 1e-6, "drift {diff} at now={now}");
+
+            let fresh = DftSketchSet::build(&cur, b, b, Transform::Naive).unwrap();
+            let held = query_len / b;
+            let first = fresh.window_count() - held;
+            let (_, rows) = sliding.store();
+            for k in 0..held {
+                let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(rows.row(k)),
+                    bits(fresh.ests_rows().row(first + k)),
+                    "held window {k} at now={now}"
+                );
+            }
         }
     }
 

@@ -33,9 +33,8 @@
 //! packed panel block ([`tsubasa_core::stats::packed_lane_mut`]) — computed
 //! for the whole window at once by the direct sums of
 //! [`crate::dft::window_dft_into`] (`B·n` multiply-adds per series, twiddles
-//! once per window, [`naive_dft`]'s bits) unless a power-of-two
-//! [`Transform::Fft`] runs the radix-2 FFT per series —
-//! every pair's squared coefficient distance comes from the register-tiled
+//! once per window, [`naive_dft`]'s bits, at every window size) — every
+//! pair's squared coefficient distance comes from the register-tiled
 //! difference-square sweep over those panels
 //! ([`tsubasa_core::stats::tiled_pair_dist_sq_in`] — the exact sketch's
 //! `Z·Zᵀ` micro-kernel with `(x − y)²` for `x·y`, each sum one serial chain),
@@ -55,10 +54,13 @@ use tsubasa_core::source::{check_source_windows, CorrSource, PairTable};
 use tsubasa_core::stats::{packed_lane_mut, packed_len, tiled_pair_dist_sq_in, WindowStats};
 use tsubasa_core::{SeriesCollection, SketchSet};
 
-use crate::dft::{coefficient_distance, naive_dft, window_dft_into, Complex, DftPlanner};
+use crate::dft::{coefficient_distance, naive_dft, window_dft_into, Complex};
 use crate::normalize::{normalize_unit_into, normalize_unit_with_stats};
 
-/// How the DFT coefficients of a basic window are computed.
+/// How the DFT coefficients of a basic window are computed: always by the
+/// naive DFT's direct sums. The one variant remains only because
+/// [`DftSketchSet::build`]'s signature names it; no other entry point takes a
+/// transform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transform {
     /// The naive DFT's direct sums — the cost model assumed by the paper:
@@ -67,12 +69,6 @@ pub enum Transform {
     /// ([`crate::dft::window_dft_into`], twiddles computed once per window)
     /// with [`naive_dft`]'s bits.
     Naive,
-    /// Iterative radix-2 FFT through a reusable [`DftPlanner`] (bit-reversal
-    /// and twiddle tables built once per sketch, `O(B log B)` per window for
-    /// power-of-two `B`; otherwise the direct sums of [`Transform::Naive`],
-    /// bit for bit). Used by the parallel engine's comparator path and every
-    /// row of a live approximate network (bootstrap and ticks alike).
-    Fft,
 }
 
 /// The comparator's sketch: the core statistics plus per-pair per-window
@@ -109,24 +105,20 @@ fn ests_from_dist_sq(row: &mut [f64]) {
 }
 
 /// **The** comparator window kernel: one basic window of every series to that
-/// window's packed row of Equation 3 estimates `ĉ`. It owns the transform
-/// plan and the panel-packed scratch, reused across windows.
+/// window's packed row of Equation 3 estimates `ĉ`. It owns the panel-packed
+/// scratch, reused across windows.
 ///
-/// Under [`Transform::Naive`], and under [`Transform::Fft`] wherever the
-/// [`DftPlanner`] has no FFT (a window size that is not a power of two), the
-/// window's series are normalized into panel lanes and transformed together
-/// by the direct sums of [`window_dft_into`]: `B·c` multiply-adds per
-/// series-window for the `c` kept coefficients, twiddles computed once per
-/// window, each coefficient bit-identical to [`naive_dft`]'s. Power-of-two
-/// [`Transform::Fft`] runs the planner's radix-2 FFT per series. See the
+/// The window's series are normalized into panel lanes and transformed
+/// together by the direct sums of [`window_dft_into`]: `B·c` multiply-adds
+/// per series-window for the `c` kept coefficients, twiddles computed once
+/// per window, each coefficient bit-identical to [`naive_dft`]'s. See the
 /// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct ComparatorKernel {
+    basic_window: usize,
     coefficients: usize,
-    transform: Transform,
-    planner: DftPlanner,
     /// Series `i`'s unit-normalized window in lane `i` of a packed block
-    /// ([`packed_len`]): the direct sums' input (unused by the FFT).
+    /// ([`packed_len`]): the direct sums' input.
     z: Vec<f64>,
     /// Series `i`'s flattened coefficients of the current window, in lane
     /// `i` of a packed block.
@@ -136,11 +128,10 @@ pub struct ComparatorKernel {
 impl ComparatorKernel {
     /// A kernel for windows of `basic_window` points keeping `coefficients`
     /// coefficients (the `n` of `Dist_n`, clamped to `1..=basic_window`).
-    pub fn new(basic_window: usize, coefficients: usize, transform: Transform) -> Self {
+    pub fn new(basic_window: usize, coefficients: usize) -> Self {
         Self {
+            basic_window,
             coefficients: coefficients.clamp(1, basic_window.max(1)),
-            transform,
-            planner: DftPlanner::new(basic_window),
             z: Vec::new(),
             rows: Vec::new(),
         }
@@ -168,33 +159,19 @@ impl ComparatorKernel {
         runner: &dyn JobRunner,
         out: &mut [f64],
     ) {
-        let (n, b) = (window.len(), self.planner.size());
-        let row_len = 2 * self.coefficients;
-        self.rows.resize(packed_len(n, row_len), 0.0);
+        let (n, b) = (window.len(), self.basic_window);
+        self.z.resize(packed_len(n, b), 0.0);
+        for (i, (points, stats)) in window.iter().zip(stats).enumerate() {
+            let points = points.as_ref();
+            assert_eq!(points.len(), b, "series {i}: a window of {b} points");
+            normalize_unit_into(points, stats, packed_lane_mut(&mut self.z, i, b));
+        }
         // `[re₀, im₀, re₁, im₁, …]` in every lane: the Euclidean distance of
         // two such rows is the complex coefficient distance, `|X_k − Y_k|² =
         // Δre² + Δim²`.
-        if self.transform == Transform::Fft && self.planner.uses_fft() {
-            for (i, (points, stats)) in window.iter().zip(stats).enumerate() {
-                let points = points.as_ref();
-                assert_eq!(points.len(), b, "series {i}: a window of {b} points");
-                let coeffs = self
-                    .planner
-                    .transform(&normalize_unit_with_stats(points, stats));
-                let flat = coeffs.iter().flat_map(|c| [c.re, c.im]);
-                for (slot, v) in packed_lane_mut(&mut self.rows, i, row_len).zip(flat) {
-                    *slot = v;
-                }
-            }
-        } else {
-            self.z.resize(packed_len(n, b), 0.0);
-            for (i, (points, stats)) in window.iter().zip(stats).enumerate() {
-                let points = points.as_ref();
-                assert_eq!(points.len(), b, "series {i}: a window of {b} points");
-                normalize_unit_into(points, stats, packed_lane_mut(&mut self.z, i, b));
-            }
-            window_dft_into(&self.z, b, self.coefficients, &mut self.rows);
-        }
+        let row_len = 2 * self.coefficients;
+        self.rows.resize(packed_len(n, row_len), 0.0);
+        window_dft_into(&self.z, b, self.coefficients, &mut self.rows);
         tiled_pair_dist_sq_in(runner, &self.rows, n, row_len, out);
         ests_from_dist_sq(out);
     }
@@ -225,10 +202,10 @@ impl DftSketchSet {
         collection: &SeriesCollection,
         basic_window: usize,
         coefficients: usize,
-        transform: Transform,
+        _transform: Transform,
     ) -> Result<Self> {
         let base = SketchSet::build(collection, basic_window)?;
-        let mut kernel = ComparatorKernel::new(basic_window, coefficients, transform);
+        let mut kernel = ComparatorKernel::new(basic_window, coefficients);
         let ns = base.window_count();
         let n_pairs = packed_pairs(collection.len());
 
@@ -252,14 +229,13 @@ impl DftSketchSet {
     /// The scalar reference sketch: identical shapes to
     /// [`DftSketchSet::build`], with every pair-window estimate computed from
     /// the per-pair [`coefficient_distance`] pass over per-series coefficient
-    /// vectors. This path is the arithmetic yardstick the tiled sweep is
-    /// tested against (`tests/approx_plan_agreement.rs`); it is kept for that
-    /// role, not for speed.
+    /// vectors from [`naive_dft`]. This path is the arithmetic yardstick the
+    /// tiled sweep is tested against (`tests/approx_plan_agreement.rs`); it
+    /// is kept for that role, not for speed.
     pub fn build_reference(
         collection: &SeriesCollection,
         basic_window: usize,
         coefficients: usize,
-        transform: Transform,
     ) -> Result<Self> {
         let base = SketchSet::build(collection, basic_window)?;
         let n_coeff = coefficients.clamp(1, basic_window);
@@ -267,7 +243,6 @@ impl DftSketchSet {
         let n = collection.len();
         let n_pairs = packed_pairs(n);
 
-        let planner = DftPlanner::new(basic_window);
         let mut window_ests = Vec::with_capacity(ns * n_pairs);
         for w in 0..ns {
             let span = base.windowing().window_span(w);
@@ -276,10 +251,7 @@ impl DftSketchSet {
             for (id, series) in collection.iter_with_ids() {
                 let stats = &base.stats_rows().row(w)[id];
                 let normalized = normalize_unit_with_stats(span.slice(series.values()), stats);
-                coeffs.push(match transform {
-                    Transform::Naive => naive_dft(&normalized),
-                    Transform::Fft => planner.transform(&normalized),
-                });
+                coeffs.push(naive_dft(&normalized));
             }
             for (i, j) in collection.pairs() {
                 let d = coefficient_distance(&coeffs[i], &coeffs[j], n_coeff);
@@ -527,26 +499,11 @@ mod tests {
     }
 
     #[test]
-    fn fft_and_naive_sketches_agree() {
-        let c = collection(3, 128);
-        let a = DftSketchSet::build(&c, 32, 16, Transform::Naive).unwrap();
-        let b = DftSketchSet::build(&c, 32, 16, Transform::Fft).unwrap();
-        for (i, j) in c.pairs() {
-            let da = a.pair_estimates(i, j).unwrap();
-            let db = b.pair_estimates(i, j).unwrap();
-            for (x, y) in da.iter().zip(db) {
-                assert!((x - y).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
     fn tiled_build_matches_reference_path() {
         let c = collection(7, 130);
         for (b, n_coeff) in [(13usize, 13usize), (20, 7), (32, 32)] {
             let tiled = DftSketchSet::build(&c, b, n_coeff, Transform::Naive).unwrap();
-            let reference =
-                DftSketchSet::build_reference(&c, b, n_coeff, Transform::Naive).unwrap();
+            let reference = DftSketchSet::build_reference(&c, b, n_coeff).unwrap();
             assert_eq!(tiled.base(), reference.base());
             for (i, j) in c.pairs() {
                 let dt = tiled.pair_estimates(i, j).unwrap();
@@ -559,23 +516,14 @@ mod tests {
     }
 
     /// The per-series path the kernel's direct sums replaced: each series'
-    /// normalized window through [`naive_dft`] (or the planner), its first
-    /// `c` coefficients into its lane, then the kernel's sweep and epilogue.
-    fn per_series_row(
-        window: &[Vec<f64>],
-        stats: &[WindowStats],
-        c: usize,
-        transform: Transform,
-    ) -> Vec<f64> {
-        let (n, b) = (window.len(), window[0].len());
-        let planner = DftPlanner::new(b);
+    /// normalized window through [`naive_dft`], its first `c` coefficients
+    /// into its lane, then the kernel's sweep and epilogue.
+    fn per_series_row(window: &[Vec<f64>], stats: &[WindowStats], c: usize) -> Vec<f64> {
+        let n = window.len();
         let mut rows = vec![0.0; packed_len(n, 2 * c)];
         for (i, (points, st)) in window.iter().zip(stats).enumerate() {
             let normalized = normalize_unit_with_stats(points, st);
-            let coeffs = match transform {
-                Transform::Naive => naive_dft(&normalized),
-                Transform::Fft => planner.transform(&normalized),
-            };
+            let coeffs = naive_dft(&normalized);
             let flat = coeffs.iter().flat_map(|x| [x.re, x.im]);
             for (slot, v) in packed_lane_mut(&mut rows, i, 2 * c).zip(flat) {
                 *slot = v;
@@ -589,9 +537,8 @@ mod tests {
 
     #[test]
     fn kernel_rows_equal_the_per_series_path_bit_for_bit() {
-        // Both transforms at and off powers of two (off them `Fft` has no
-        // FFT and runs the direct sums too), series counts at the edges of a
-        // panel, and in every panel finite lanes beside a NaN σ, ±∞ points
+        // Window sizes at and off powers of two, series counts at the edges
+        // of a panel, and in every panel finite lanes beside a NaN σ, ±∞ points
         // under finite statistics and a constant window.
         for b in [1usize, 3, 12, 16, 50, 120, 128] {
             for n in [1usize, 7, 8, 9, 33] {
@@ -618,20 +565,17 @@ mod tests {
                     stats.push(st);
                 }
                 for c in [1, b.div_ceil(4), b] {
-                    for transform in [Transform::Naive, Transform::Fft] {
-                        let mut kernel = ComparatorKernel::new(b, c, transform);
-                        // Twice through one kernel: its scratch carries over.
-                        for _ in 0..2 {
-                            let mut row = vec![0.0; packed_pairs(n)];
-                            kernel.window_ests_into(&window, &stats, &SerialRunner, &mut row);
-                            let bits =
-                                |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                            assert_eq!(
-                                bits(&row),
-                                bits(&per_series_row(&window, &stats, c, transform)),
-                                "{transform:?}, B = {b}, c = {c}, N = {n}"
-                            );
-                        }
+                    let mut kernel = ComparatorKernel::new(b, c);
+                    // Twice through one kernel: its scratch carries over.
+                    for _ in 0..2 {
+                        let mut row = vec![0.0; packed_pairs(n)];
+                        kernel.window_ests_into(&window, &stats, &SerialRunner, &mut row);
+                        let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&row),
+                            bits(&per_series_row(&window, &stats, c)),
+                            "B = {b}, c = {c}, N = {n}"
+                        );
                     }
                 }
             }
@@ -654,7 +598,7 @@ mod tests {
         stats[poisoned].std = f64::NAN;
 
         let mut row = vec![0.0f64; packed_pairs(n)];
-        ComparatorKernel::new(b, n_coeff, Transform::Naive).window_ests_into(
+        ComparatorKernel::new(b, n_coeff).window_ests_into(
             &window,
             &stats,
             &SerialRunner,
@@ -712,7 +656,7 @@ mod tests {
         let chunk: Vec<Vec<f64>> = full.iter().map(|s| s.values()[100..].to_vec()).collect();
         let stats = arriving_window(&chunk, 4, 20).unwrap();
         let corrs = arriving_corrs(&chunk, &stats, &mut Vec::new());
-        let ests = ComparatorKernel::new(20, 10, Transform::Naive).arriving_ests(&chunk, &stats);
+        let ests = ComparatorKernel::new(20, 10).arriving_ests(&chunk, &stats);
         assembled.push_window(stats, corrs, ests).unwrap();
         assert_mirrors(&assembled, &full);
         assert_eq!(

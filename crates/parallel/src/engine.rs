@@ -34,7 +34,7 @@ use tsubasa_core::stats::{window_corrs_into, WindowStats};
 use tsubasa_core::sweep::{EdgeList, TableAudit, TopK};
 use tsubasa_core::window::BasicWindowing;
 use tsubasa_core::SeriesCollection;
-use tsubasa_dft::sketch::{ComparatorKernel, Transform};
+use tsubasa_dft::sketch::ComparatorKernel;
 use tsubasa_storage::pile::{
     encode_series_stats, PileBatchWriter, PileSlab, PileWriter, SegmentKind, SketchPile,
 };
@@ -144,7 +144,7 @@ impl ParallelEngine {
     /// The statistics of every window go to the database worker first, as
     /// one slab. The pair pass then proceeds one window at a time: the
     /// method's shared window kernel ([`window_corrs_into`] for `c`,
-    /// [`ComparatorKernel`] with the planner's FFT for `ĉ`) fills the
+    /// [`ComparatorKernel`] for `ĉ`) fills the
     /// window's full-width packed row, the pool's workers each sweeping whole
     /// triangle rows of it, and the row is streamed (in window order, one row
     /// in flight) to the database worker as one coalescable slab. The rows
@@ -211,11 +211,9 @@ impl ParallelEngine {
         let pair_count = n * n.saturating_sub(1) / 2;
         let mut comparator = match self.config.sketch_method {
             SketchMethod::Exact => None,
-            SketchMethod::Dft { coefficients } => Some(ComparatorKernel::new(
-                basic_window,
-                coefficients,
-                Transform::Fft,
-            )),
+            SketchMethod::Dft { coefficients } => {
+                Some(ComparatorKernel::new(basic_window, coefficients))
+            }
         };
         let mut z = Vec::new();
         let mut window: Vec<&[f64]> = Vec::with_capacity(n);
@@ -465,15 +463,15 @@ mod tests {
         assert_eq!(ns, 600 / b);
         assert_eq!(pile.exact_query_windows(), 0);
 
-        // The stored rows are the serial sketch's own estimate rows (same
-        // kernel; the naive transform and the engine's FFT agree to rounding).
+        // The stored rows are the serial sketch's own estimate rows, bit for
+        // bit (same kernel, same direct-sum transform).
         let serial = DftSketchSet::build(&c, b, coeff, Transform::Naive).unwrap();
         let table = pile.pair_table(0..ns, SegmentKind::PairEsts).unwrap();
         for (i, j) in c.pairs() {
             let expected = serial.pair_estimates(i, j).unwrap();
             for (w, est) in expected.iter().enumerate() {
                 let stored = table.view().window_row(w)[pair_index(i, j, c.len())];
-                assert!((stored - est).abs() < 1e-9);
+                assert_eq!(stored.to_bits(), est.to_bits());
             }
         }
 
@@ -674,7 +672,7 @@ mod tests {
             .collect();
         stats[poisoned].std = f64::NAN;
         let pairs = c.pair_count();
-        ComparatorKernel::new(b, 10, Transform::Naive).window_ests_into(
+        ComparatorKernel::new(b, 10).window_ests_into(
             &window,
             &stats,
             &tsubasa_core::SerialRunner,

@@ -397,10 +397,9 @@ impl EpochIngest {
         historical: &SeriesCollection,
         basic_window: usize,
         coefficients: usize,
-        transform: Transform,
     ) -> Result<(Self, Arc<Epoch>)> {
-        let sketch = DftSketchSet::build(historical, basic_window, coefficients, transform)?;
-        let kernel = ComparatorKernel::new(basic_window, coefficients, transform);
+        let sketch = DftSketchSet::build(historical, basic_window, coefficients, Transform::Naive)?;
+        let kernel = ComparatorKernel::new(basic_window, coefficients);
         Self::start(
             store,
             historical,
@@ -699,9 +698,7 @@ mod tests {
             let store = Arc::new(EpochStore::new(8));
             let (mut ingest, first) = match flavor {
                 "exact" => EpochIngest::exact(Arc::clone(&store), &historical, 20),
-                "dual" => {
-                    EpochIngest::dual(Arc::clone(&store), &historical, 20, 20, Transform::Naive)
-                }
+                "dual" => EpochIngest::dual(Arc::clone(&store), &historical, 20, 20),
                 _ => EpochIngest::pile(Arc::clone(&store), &historical, 20, &path),
             }
             .unwrap();
@@ -737,7 +734,7 @@ mod tests {
         let historical = full.truncate_length(40).unwrap();
         let store = Arc::new(EpochStore::new(8));
         let (mut ingest, first) =
-            EpochIngest::dual(Arc::clone(&store), &historical, 20, 20, Transform::Naive).unwrap();
+            EpochIngest::dual(Arc::clone(&store), &historical, 20, 20).unwrap();
         assert!(first.exact().is_some() && first.approx().is_some());
 
         let push: Vec<Vec<f64>> = full.iter().map(|s| s.values()[40..80].to_vec()).collect();

@@ -21,7 +21,7 @@ use tsubasa_core::incremental::{SlidingNetwork, SlidingState};
 use tsubasa_core::matrix::{AdjacencyMatrix, CorrelationMatrix};
 use tsubasa_core::runner::{JobRunner, SerialRunner};
 use tsubasa_core::{SeriesCollection, SketchSet};
-use tsubasa_dft::sketch::DftSketchSet;
+use tsubasa_dft::sketch::{DftSketchSet, Transform};
 use tsubasa_dft::SlidingApproxNetwork;
 
 use crate::buffer::StreamBuffer;
@@ -118,14 +118,8 @@ impl RealTimeNetwork {
                 Updater::Exact(SlidingNetwork::initialize(window, &sketch, query_len)?)
             }
             UpdateEngine::Approximate { coefficients } => {
-                // The transform every tick's arriving row goes through, so
-                // one transform mints every row the network ever holds.
-                let sketch = DftSketchSet::build(
-                    window,
-                    basic_window,
-                    coefficients,
-                    SlidingApproxNetwork::TRANSFORM,
-                )?;
+                let sketch =
+                    DftSketchSet::build(window, basic_window, coefficients, Transform::Naive)?;
                 Updater::Approx(SlidingApproxNetwork::initialize(&sketch, query_len)?)
             }
         };
@@ -250,7 +244,6 @@ mod tests {
     use tsubasa_core::sweep::fill_packed;
     use tsubasa_core::{baseline, QueryWindow};
     use tsubasa_data::station::{generate_ncea_like, NceaLikeConfig};
-    use tsubasa_dft::sketch::Transform;
 
     fn data(points: usize) -> SeriesCollection {
         generate_ncea_like(&NceaLikeConfig {
@@ -454,11 +447,10 @@ mod tests {
     }
 
     #[test]
-    fn approximate_rows_are_fft_rows_before_and_after_ticks() {
-        // Power-of-two B: the radix-2 path and the naive DFT differ in the
-        // last bits, so a bootstrap through another transform than the
-        // ticks' would leave one state holding rows of two. The exact leg
-        // holds its rows to `SketchSet::build` the same way. Both engines'
+    fn approximate_rows_are_fresh_sketch_rows_before_and_after_ticks() {
+        // Power-of-two B: the bootstrap's rows and every tick's come from
+        // the one direct-sum kernel, so one state never holds rows minted
+        // two ways. The exact leg holds its rows to `SketchSet::build` the same way. Both engines'
         // statistics rows are a fresh sketch's too, so the exact store is
         // the whole input of a fresh bootstrap of the held window: a plan
         // from its statistics and a dense fill over its rows give that
@@ -511,7 +503,7 @@ mod tests {
                     UpdateEngine::Exact => bits(built.window_corrs_view(held.clone())),
                     UpdateEngine::Approximate { .. } => {
                         let built =
-                            DftSketchSet::build(&seen, b, coefficients, Transform::Fft).unwrap();
+                            DftSketchSet::build(&seen, b, coefficients, Transform::Naive).unwrap();
                         bits(built.window_ests_view(held.clone()))
                     }
                 };

@@ -21,7 +21,6 @@ use std::time::Duration;
 
 use tsubasa::core::PlanMethod;
 use tsubasa::data::prelude::*;
-use tsubasa::dft::sketch::Transform;
 use tsubasa::parallel::WorkerPool;
 use tsubasa::serve::{
     server, EpochIngest, EpochStore, Method, NetworkReply, PlanCache, QueryEngine, ServeClient,
@@ -96,13 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // horizon; every completed basic window slides it forward by one and
     // publishes the next immutable snapshot (exact base + DFT comparator).
     let store = Arc::new(EpochStore::new(16));
-    let (mut ingest, first) = EpochIngest::dual(
-        Arc::clone(&store),
-        &historical,
-        basic_window,
-        16,
-        Transform::Fft,
-    )?;
+    let (mut ingest, first) = EpochIngest::dual(Arc::clone(&store), &historical, basic_window, 16)?;
     println!(
         "epoch {} published: {} series x {} basic windows",
         first.id(),

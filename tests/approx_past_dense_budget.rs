@@ -77,10 +77,9 @@ fn streamed_answers(
 fn streamed_approximate_queries_ignore_the_dense_budget() {
     // Build every sketch first: building is the one step the budget governs.
     let c = collection();
-    let dft = DftSketchSet::build(&c, BASIC, 8, Transform::Fft).unwrap();
+    let dft = DftSketchSet::build(&c, BASIC, 8, Transform::Naive).unwrap();
     let store = Arc::new(EpochStore::new(2));
-    let (_ingest, epoch) =
-        EpochIngest::dual(Arc::clone(&store), &c, BASIC, 8, Transform::Fft).unwrap();
+    let (_ingest, epoch) = EpochIngest::dual(Arc::clone(&store), &c, BASIC, 8).unwrap();
     let served = QueryEngine::new(
         store,
         Arc::new(PlanCache::new(8)),

@@ -56,7 +56,7 @@ proptest! {
         prop_assume!(basic <= series_len);
         let c = SERIES.collection(seed, n, series_len);
         let tiled = DftSketchSet::build(&c, basic, coeff, Transform::Naive).unwrap();
-        let reference = DftSketchSet::build_reference(&c, basic, coeff, Transform::Naive).unwrap();
+        let reference = DftSketchSet::build_reference(&c, basic, coeff).unwrap();
         prop_assert_eq!(tiled.coefficients(), reference.coefficients());
         prop_assert_eq!(tiled.base(), reference.base());
         for (i, j) in c.pairs() {

@@ -4,7 +4,7 @@
 //! against the in-memory sketch of the same data:
 //!
 //! * the rows themselves — statistics, `PairCorrs` and `PairEsts` — equal the
-//!   rows of `SketchSet::build` / `DftSketchSet::build(.., Transform::Fft)`
+//!   rows of `SketchSet::build` / `DftSketchSet::build(.., Transform::Naive)`
 //!   **bit for bit**, at 1, 2 and 8 workers, with and without a NaN
 //!   observation: one window kernel per method mints every row, and a
 //!   pair's sum is the same serial chain wherever a pooled sweep is split;
@@ -94,7 +94,7 @@ fn pile_answers_match_a_memory_sketch_of_its_rows_across_the_grid() {
             let c = collection(n, b, true);
             // The in-memory reference answers both methods: its base holds
             // the `PairCorrs` rows, its estimate table the `PairEsts` rows.
-            let memory = DftSketchSet::build(&c, b, 8, Transform::Fft).unwrap();
+            let memory = DftSketchSet::build(&c, b, 8, Transform::Naive).unwrap();
             for (method, qmethod, pmethod) in METHODS {
                 for workers in [1usize, 2, 8] {
                     let eng = engine(workers, method);
@@ -147,7 +147,7 @@ fn pile_rows_equal_the_in_memory_sketch_rows_bit_for_bit() {
     for nan in [false, true] {
         for (n, b) in [(3usize, 20usize), (6, 50), (10, 20), (10, 50)] {
             let c = collection(n, b, nan);
-            let reference = DftSketchSet::build(&c, b, 8, Transform::Fft).unwrap();
+            let reference = DftSketchSet::build(&c, b, 8, Transform::Naive).unwrap();
             let want_stats = CorrSource::series_stats(&reference, 0..WINDOWS).unwrap();
             for (method, _, pmethod) in METHODS {
                 let kind = match pmethod {

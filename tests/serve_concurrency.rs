@@ -24,7 +24,6 @@ use tsubasa_core::runner::SerialRunner;
 use tsubasa_core::source::SourcePlan;
 use tsubasa_core::sweep::{TableAudit, DEFAULT_TILE_PAIRS};
 use tsubasa_core::{PlanMethod, SeriesCollection};
-use tsubasa_dft::sketch::Transform;
 use tsubasa_parallel::WorkerPool;
 use tsubasa_serve::client::{NetworkReply, TopKReply};
 use tsubasa_serve::{
@@ -177,14 +176,8 @@ fn query_and_verify(client: &mut ServeClient, store: &EpochStore, sel: u64) {
 fn run_concurrent_readers(workers: usize) {
     let seed = 0xA5A5 ^ workers as u64;
     let store = Arc::new(EpochStore::new(64)); // retain everything published here
-    let (mut ingest, first) = EpochIngest::dual(
-        Arc::clone(&store),
-        &historical(seed),
-        BASIC,
-        BASIC,
-        Transform::Naive,
-    )
-    .unwrap();
+    let (mut ingest, first) =
+        EpochIngest::dual(Arc::clone(&store), &historical(seed), BASIC, BASIC).unwrap();
     assert_eq!(first.id(), 1);
     let engine = Arc::new(QueryEngine::new(
         Arc::clone(&store),
@@ -247,14 +240,8 @@ fn shared() -> &'static (ServerHandle, SocketAddr) {
     FIXTURE.get_or_init(|| {
         let seed = 0xBEEF;
         let store = Arc::new(EpochStore::new(64));
-        let (mut ingest, _) = EpochIngest::dual(
-            Arc::clone(&store),
-            &historical(seed),
-            BASIC,
-            BASIC,
-            Transform::Naive,
-        )
-        .unwrap();
+        let (mut ingest, _) =
+            EpochIngest::dual(Arc::clone(&store), &historical(seed), BASIC, BASIC).unwrap();
         let engine = Arc::new(QueryEngine::new(
             store,
             Arc::new(PlanCache::new(32)),

@@ -39,7 +39,7 @@ fn dual_sketch(phase: f64) -> DftSketchSet {
         })
         .collect();
     let c = SeriesCollection::from_rows(rows).unwrap();
-    DftSketchSet::build(&c, BASIC, 8, Transform::Fft).unwrap()
+    DftSketchSet::build(&c, BASIC, 8, Transform::Naive).unwrap()
 }
 
 #[test]

@@ -322,14 +322,7 @@ fn views_are_held_for_the_newest_answered_epoch_only() {
     let full = SERIES.collection(0x1d1e, 6, (4 + EPOCHS) * BASIC);
     let historical = full.truncate_length(4 * BASIC).unwrap();
     let store = Arc::new(EpochStore::new(4));
-    let (mut ingest, _) = EpochIngest::dual(
-        Arc::clone(&store),
-        &historical,
-        BASIC,
-        BASIC,
-        Transform::Naive,
-    )
-    .unwrap();
+    let (mut ingest, _) = EpochIngest::dual(Arc::clone(&store), &historical, BASIC, BASIC).unwrap();
     let eng = QueryEngine::new(
         store,
         Arc::new(PlanCache::new(64)),

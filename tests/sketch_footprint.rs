@@ -88,7 +88,7 @@ fn sketches_store_every_value_once() {
         "a built SketchSet holds {held} bytes for ψ = {psi} bytes of sketch"
     );
 
-    let (dft, held_dft, _) = measured(|| DftSketchSet::build(&c, B, 8, Transform::Fft).unwrap());
+    let (dft, held_dft, _) = measured(|| DftSketchSet::build(&c, B, 8, Transform::Naive).unwrap());
     assert_eq!(dft.base(), &exact);
     assert!(
         (held_dft - held) as f64 <= 1.05 * table as f64,
@@ -131,18 +131,15 @@ fn an_arriving_window_costs_a_constant_number_of_allocations() {
     );
 
     // The comparator's append, measured with the minting of what it takes
-    // (statistics, z rows, a kernel and its DFT coefficients per series), is
-    // still a per-series count.
-    let mut dft = DftSketchSet::build(&c, B, 8, Transform::Fft).unwrap();
-    let ((), held, calls) = measured(|| {
-        let stats = arriving_window(&chunk, N, B).unwrap();
-        let corrs = arriving_corrs(&chunk, &stats, &mut Vec::new());
-        let ests = ComparatorKernel::new(B, 8, Transform::Fft).arriving_ests(&chunk, &stats);
-        dft.push_window(stats, corrs, ests).unwrap()
-    });
+    // (statistics, z rows, a kernel with its panel scratch and twiddle row):
+    // a constant count, the same for 8 series as for 64 — no allocation per
+    // series.
+    let (dft, held, calls) = comparator_append(N);
+    let (_, _, calls_8) = comparator_append(8);
     assert!(
-        calls <= 8 * N,
-        "DftSketchSet::push_window made {calls} allocations for {N} series / {PAIRS} pairs"
+        calls == calls_8 && calls <= COMPARATOR_APPEND_CALLS,
+        "DftSketchSet::push_window made {calls} allocations for {N} series / {PAIRS} pairs \
+         and {calls_8} for 8 series, against {COMPARATOR_APPEND_CALLS}"
     );
     let rows = 2 * ROW + STATS_ROW + 3 * ROW_HEADER;
     assert!(
@@ -151,6 +148,29 @@ fn an_arriving_window_costs_a_constant_number_of_allocations() {
          {STATS_ROW}-byte row of statistics"
     );
     assert_eq!(dft.base(), &exact);
+}
+
+/// Allocation calls a comparator append may make, whatever the series count.
+const COMPARATOR_APPEND_CALLS: usize = 13;
+
+/// A comparator sketch of `n` series over `WINDOWS` windows, grown by one
+/// arriving window: the grown sketch, and the bytes and allocation calls the
+/// arrival (statistics, correlations, estimates and the append) left held
+/// and made.
+fn comparator_append(n: usize) -> (DftSketchSet, usize, usize) {
+    let c = SeriesCollection::from_rows(series_rows(n, WINDOWS * B)).unwrap();
+    let chunk: Vec<Vec<f64>> = series_rows(n, (WINDOWS + 1) * B)
+        .into_iter()
+        .map(|r| r[WINDOWS * B..].to_vec())
+        .collect();
+    let mut dft = DftSketchSet::build(&c, B, 8, Transform::Naive).unwrap();
+    let ((), held, calls) = measured(|| {
+        let stats = arriving_window(&chunk, n, B).unwrap();
+        let corrs = arriving_corrs(&chunk, &stats, &mut Vec::new());
+        let ests = ComparatorKernel::new(B, 8).arriving_ests(&chunk, &stats);
+        dft.push_window(stats, corrs, ests).unwrap()
+    });
+    (dft, held, calls)
 }
 
 #[test]
@@ -167,7 +187,7 @@ fn clones_share_every_row() {
     );
     assert!(clones.iter().all(|clone| clone == &exact));
 
-    let dft = DftSketchSet::build(&c, B, 8, Transform::Fft).unwrap();
+    let dft = DftSketchSet::build(&c, B, 8, Transform::Naive).unwrap();
     let (clones, held, _) = measured(|| vec![dft.clone(); K]);
     let own = K * (size_of::<DftSketchSet>() + clone_bytes(WINDOWS, 2));
     assert!(
@@ -216,8 +236,7 @@ fn published_epochs_hold_one_new_row_each() {
     assert!(budget(1) < K * TABLE / 4);
 
     let store = Arc::new(EpochStore::new(K + 1));
-    let (mut ingest, _) =
-        EpochIngest::dual(Arc::clone(&store), &historical, B, 8, Transform::Fft).unwrap();
+    let (mut ingest, _) = EpochIngest::dual(Arc::clone(&store), &historical, B, 8).unwrap();
     let ((), held, _) = measured(|| {
         for tick in &ticks {
             assert_eq!(ingest.ingest(tick).unwrap().len(), 1);
@@ -232,7 +251,7 @@ fn published_epochs_hold_one_new_row_each() {
     let latest = store.latest().unwrap();
     let horizon: Vec<Vec<f64>> = full.iter().map(|r| r[K * B..].to_vec()).collect();
     let horizon = SeriesCollection::from_rows(horizon).unwrap();
-    let rebuilt = DftSketchSet::build(&horizon, B, 8, Transform::Fft).unwrap();
+    let rebuilt = DftSketchSet::build(&horizon, B, 8, Transform::Naive).unwrap();
     assert_eq!(latest.approx().unwrap().as_ref(), &rebuilt);
 
     // The pile keeps the history: its last epoch holds every window.
@@ -296,7 +315,7 @@ fn a_live_ingest_holds_its_horizon_however_long_it_runs() {
             let store = Arc::new(EpochStore::new(RETAINED));
             let (mut ingest, _) = match flavor {
                 "exact" => EpochIngest::exact(Arc::clone(&store), &historical, B),
-                _ => EpochIngest::dual(Arc::clone(&store), &historical, B, 8, Transform::Fft),
+                _ => EpochIngest::dual(Arc::clone(&store), &historical, B, 8),
             }
             .unwrap();
             let mut warm = 0isize;
@@ -339,7 +358,7 @@ fn a_live_ingest_holds_its_horizon_however_long_it_runs() {
             "{flavor}"
         );
         if let Some(approx) = latest.approx() {
-            let built = DftSketchSet::build(&trailing, B, 8, Transform::Fft).unwrap();
+            let built = DftSketchSet::build(&trailing, B, 8, Transform::Naive).unwrap();
             assert_eq!(approx.as_ref(), &built);
         }
     }
@@ -369,15 +388,14 @@ fn a_sliding_engine_holds_its_query_window_not_its_history() {
         .collect();
     // Per held window a row of each table with its handle; the correlations
     // and the per-series aggregates; one arriving window's rows; the kernel's
-    // packed scratch (exact `z`, or the comparator's coefficient lanes and
-    // transform tables) and the stream buffer's points.
+    // packed scratch (exact `z`, or the comparator's `z` and coefficient
+    // lanes) and the stream buffer's points.
     let budget = W * (ROW + STATS_ROW + 2 * 24)
         + 2 * ROW_HEADER
         + ROW
         + STATS_ROW
         + (ROW + STATS_ROW + 2 * ROW_HEADER)
         + 8 * N.div_ceil(8) * 8 * B * 2
-        + N * (24 + 8 * 2 * B)
         + 4096;
     assert!(budget < 2 * W * ROW, "the budget has room for W more rows");
     // After `t` ticks from a bootstrap block of the W windows.
@@ -438,7 +456,7 @@ fn every_evicted_epoch_is_the_sketch_of_its_trailing_horizon() {
         let store = Arc::new(EpochStore::new(2));
         let (mut ingest, _) = match flavor {
             "exact" => EpochIngest::exact(Arc::clone(&store), &historical, B),
-            _ => EpochIngest::dual(Arc::clone(&store), &historical, B, 6, Transform::Fft),
+            _ => EpochIngest::dual(Arc::clone(&store), &historical, B, 6),
         }
         .unwrap();
         let (mut now, mut completed, mut epochs) = (HORIZON * B + TAIL, HORIZON, 0);
@@ -462,7 +480,7 @@ fn every_evicted_epoch_is_the_sketch_of_its_trailing_horizon() {
                 assert_eq!(epoch.window_count(), HORIZON, "{label}");
                 match epoch.approx() {
                     Some(approx) => {
-                        let built = DftSketchSet::build(&window, B, 6, Transform::Fft).unwrap();
+                        let built = DftSketchSet::build(&window, B, 6, Transform::Naive).unwrap();
                         assert_eq!(approx.as_ref(), &built, "{label}");
                         assert_eq!(epoch.exact().unwrap(), built.base(), "{label}");
                     }

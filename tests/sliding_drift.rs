@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 
 use tsubasa::core::prelude::*;
 use tsubasa::data::prelude::Ar1;
-use tsubasa::dft::sketch::DftSketchSet;
+use tsubasa::dft::sketch::{DftSketchSet, Transform};
 use tsubasa::dft::SlidingApproxNetwork;
 
 const SERIES: usize = 6;
@@ -86,13 +86,8 @@ fn worst_drift(offset: f64) -> (f64, f64) {
     let history = raw(&window);
     let sketch = SketchSet::build(&history, BASIC_WINDOW).unwrap();
     let mut exact = SlidingNetwork::initialize(&history, &sketch, query_len).unwrap();
-    let dft_sketch = DftSketchSet::build(
-        &history,
-        BASIC_WINDOW,
-        BASIC_WINDOW,
-        SlidingApproxNetwork::TRANSFORM,
-    )
-    .unwrap();
+    let dft_sketch =
+        DftSketchSet::build(&history, BASIC_WINDOW, BASIC_WINDOW, Transform::Naive).unwrap();
     let mut dft = SlidingApproxNetwork::initialize(&dft_sketch, query_len).unwrap();
 
     let (mut worst_exact, mut worst_dft) = (0.0f64, 0.0f64);

@@ -197,7 +197,7 @@ fn all_backends_agree_bit_for_bit_across_the_grid() {
     // built sketch's rows bit for bit.
     let prefix = c.truncate_length(2 * b).unwrap();
     let mut grown = DftSketchSet::build(&prefix, b, 8, Transform::Naive).unwrap();
-    let mut kernel = ComparatorKernel::new(b, 8, Transform::Naive);
+    let mut kernel = ComparatorKernel::new(b, 8);
     let mut z = Vec::new();
     for w in 2..WINDOWS {
         let chunk: Vec<Vec<f64>> = c
@@ -373,7 +373,7 @@ fn sliding_approximate_networks_agree_at_the_radius_boundary() {
         })
         .collect();
     let c = SeriesCollection::from_rows(rows).unwrap();
-    let dft = DftSketchSet::build(&c, b, coefficients, SlidingApproxNetwork::TRANSFORM).unwrap();
+    let dft = DftSketchSet::build(&c, b, coefficients, Transform::Naive).unwrap();
     let plan = ApproxPlan::build(&dft, 0..windows).unwrap();
     let mut sliding = SlidingApproxNetwork::initialize(&dft, windows * b).unwrap();
     let engine = UpdateEngine::Approximate { coefficients };
