@@ -17,7 +17,7 @@ use std::ops::Range;
 use crate::error::{Error, Result};
 use crate::matrix::AdjacencyMatrix;
 use crate::sketch::packed_pairs;
-use crate::sweep::{pass_mask, set_bits, sweep_packed, EdgeRule, TileSink, MASK_CHUNK};
+use crate::sweep::{pass_mask, set_bits, EdgeRule, TileSink, MASK_CHUNK};
 
 /// The edge-level change of one scan, as an [`EdgeWatch`] records it:
 /// applying `appeared`/`vanished` to the network of the previous scan
@@ -97,14 +97,18 @@ impl EdgeDelta {
 }
 
 /// A subscription to a θ-network under one [`EdgeRule`]: the current edge
-/// bits from pair `first` on (pair 0, but for a run of a pooled scan) and
-/// the [`EdgeDelta`] of the latest scan. As a [`TileSink`], it takes one
-/// scan's tiles in ascending pair order.
+/// bits of its pairs (every pair, but for a run of a pooled scan) and the
+/// [`EdgeDelta`] of the latest scan. As a [`TileSink`], it takes one scan's
+/// tiles in ascending pair order.
+///
+/// The bits are a `u64` bitset over the packed triangle: pair `p` is bit
+/// `p % 64` of word `p / 64` (counted from the word of the watch's first
+/// pair), so a scan compares 64 pairs' pass mask with one word.
 #[derive(Debug, Clone)]
 pub struct EdgeWatch {
     rule: EdgeRule,
-    first: usize,
-    edges: Vec<bool>,
+    pairs: Range<usize>,
+    edges: Vec<u64>,
     delta: EdgeDelta,
 }
 
@@ -113,11 +117,11 @@ impl EdgeWatch {
     /// yet: its first scan's `appeared` list is every edge.
     pub fn new(rule: EdgeRule, nodes: usize) -> Self {
         let delta = EdgeDelta::none(nodes);
-        let edges = vec![false; delta.total_pairs];
+        let pairs = 0..delta.total_pairs;
         Self {
             rule,
-            first: 0,
-            edges,
+            edges: vec![0; words(&pairs).len()],
+            pairs,
             delta,
         }
     }
@@ -128,13 +132,17 @@ impl EdgeWatch {
     /// [`CorrelationMatrix::threshold_lenient`](crate::matrix::CorrelationMatrix::threshold_lenient):
     /// a NaN pair is counted in `nan_pairs` and is never an edge.
     ///
+    /// The triangle is scanned flat, 64 pairs to a word whatever rows they
+    /// belong to; a flipped pair's `(i, j)` is recovered from its index.
+    ///
     /// # Panics
     ///
     /// If `corrs` is not the packed triangle of the watch's node count.
     pub fn observe(&mut self, corrs: &[f64]) -> &EdgeDelta {
-        assert_eq!(corrs.len(), self.edges.len(), "packed triangle size");
+        assert_eq!(corrs.len(), self.delta.total_pairs, "packed triangle size");
         self.take_delta();
-        sweep_packed(self.delta.nodes, corrs, usize::MAX, self);
+        let (rule, rows) = (self.rule, RowCursor::at(self.delta.nodes, 0, 0));
+        flip_scan(&mut self.edges, corrs, 0, rows, rule, &mut self.delta);
         &self.delta
     }
 
@@ -149,20 +157,29 @@ impl EdgeWatch {
         std::mem::replace(&mut self.delta, none)
     }
 
-    /// A watch over the pairs `run` only, with their bits: one sink of a
-    /// pooled scan, handed back through [`EdgeWatch::absorb`].
+    /// A watch over the pairs `run` only, with their bits (the whole words
+    /// that hold them): one sink of a pooled scan, handed back through
+    /// [`EdgeWatch::absorb`].
     pub(crate) fn run(&self, run: Range<usize>) -> Self {
+        let (held, own) = (words(&self.pairs), words(&run));
         Self {
             rule: self.rule,
-            first: run.start,
-            edges: self.edges[run].to_vec(),
+            edges: self.edges[own.start - held.start..own.end - held.start].to_vec(),
+            pairs: run,
             delta: EdgeDelta::none(self.delta.nodes),
         }
     }
 
-    /// Take back a run's bits and append its delta, runs in ascending order.
+    /// Take back a run's bits (those of its pairs only: a word it shares
+    /// with a neighbouring run keeps that run's bits) and append its delta,
+    /// runs in ascending order.
     pub(crate) fn absorb(&mut self, run: Self) {
-        self.edges[run.first..][..run.edges.len()].copy_from_slice(&run.edges);
+        let (held, own) = (words(&self.pairs), words(&run.pairs));
+        for (w, bits) in own.zip(run.edges) {
+            let mask = span_mask(&run.pairs, w);
+            let word = &mut self.edges[w - held.start];
+            *word = (*word & !mask) | (bits & mask);
+        }
         self.delta.appeared.extend(run.delta.appeared);
         self.delta.vanished.extend(run.delta.vanished);
         self.delta.nan_pairs += run.delta.nan_pairs;
@@ -171,8 +188,17 @@ impl EdgeWatch {
 
 impl TileSink for EdgeWatch {
     fn consume(&mut self, i: usize, j0: usize, pair0: usize, corrs: &[f64]) {
-        let edges = &mut self.edges[pair0 - self.first..][..corrs.len()];
-        flip_scan(edges, corrs, i, j0, self.rule, &mut self.delta);
+        debug_assert!(pair0 >= self.pairs.start && pair0 + corrs.len() <= self.pairs.end);
+        let base = words(&self.pairs).start * WORD;
+        // A tile lies in one row, so its cursor never moves.
+        let rows = RowCursor {
+            nodes: self.delta.nodes,
+            i,
+            start: pair0 + i + 1 - j0,
+            end: pair0 + corrs.len(),
+        };
+        let edges = &mut self.edges[(pair0 - base) / WORD..];
+        flip_scan(edges, corrs, pair0, rows, self.rule, &mut self.delta);
     }
 }
 
@@ -188,49 +214,106 @@ impl EdgeDelta {
     }
 }
 
-/// Re-test the tile `(i, j0), …` against its edge bits under `rule`, one
-/// [`MASK_CHUNK`] of pairs at a time: a chunk's pass mask ([`pass_mask`]:
-/// `rule.passes` per pair, NaN never passes) XOR its held edge bits is its
-/// flip mask, both built without a branch, and only the flip mask's set bits
-/// are walked (a scan flips few pairs), flipped pairs recorded in ascending
-/// order.
-#[inline(never)]
-fn flip_scan(
-    edges: &mut [bool],
-    corrs: &[f64],
+/// Pairs per word of an [`EdgeWatch`]'s bitset: one [`MASK_CHUNK`].
+const WORD: usize = MASK_CHUNK;
+
+/// The bitset words that hold the bits of `pairs`.
+fn words(pairs: &Range<usize>) -> Range<usize> {
+    pairs.start / WORD..pairs.end.div_ceil(WORD)
+}
+
+/// The bits of word `w` that belong to `pairs`.
+fn span_mask(pairs: &Range<usize>, w: usize) -> u64 {
+    let lo = pairs.start.clamp(w * WORD, (w + 1) * WORD) - w * WORD;
+    let hi = pairs.end.clamp(w * WORD, (w + 1) * WORD) - w * WORD;
+    low_bits(hi) & !low_bits(lo)
+}
+
+/// The mask of bits `0..k`, `k ≤ 64`.
+#[inline(always)]
+fn low_bits(k: usize) -> u64 {
+    u64::MAX.checked_shr((WORD - k) as u32).unwrap_or(0)
+}
+
+/// The row of the packed triangle of `nodes` series that holds a pair
+/// index, moved forward only: `(i, j)` of ascending pairs at `O(1)` each
+/// plus one step per row passed.
+#[derive(Debug, Clone, Copy)]
+struct RowCursor {
+    nodes: usize,
+    /// Row `i` and its pairs `start..end`.
     i: usize,
-    j0: usize,
-    rule: EdgeRule,
-    delta: &mut EdgeDelta,
-) {
-    let chunks = edges.chunks_mut(MASK_CHUNK).zip(corrs.chunks(MASK_CHUNK));
-    for (at, (edges, corrs)) in (j0..).step_by(MASK_CHUNK).zip(chunks) {
-        let (pass, nans) = pass_mask(corrs, rule.floor());
-        let held = match <&[bool; MASK_CHUNK]>::try_from(&*edges) {
-            Ok(full) => bits(full),
-            Err(_) => bits(edges),
-        };
-        delta.nan_pairs += nans;
-        for bit in set_bits(pass ^ held) {
-            edges[bit] = !edges[bit];
-            let pairs = match edges[bit] {
-                true => &mut delta.appeared,
-                false => &mut delta.vanished,
-            };
-            pairs.push((i, at + bit));
+    start: usize,
+    end: usize,
+}
+
+impl RowCursor {
+    /// The cursor at row `i`, whose first pair is `start`.
+    fn at(nodes: usize, i: usize, start: usize) -> Self {
+        let end = start + nodes.saturating_sub(i + 1);
+        Self {
+            nodes,
+            i,
+            start,
+            end,
         }
+    }
+
+    /// `(i, j)` of pair `p`, no lower than the last pair asked for.
+    #[inline(always)]
+    fn pair(&mut self, p: usize) -> (usize, usize) {
+        while p >= self.end {
+            *self = Self::at(self.nodes, self.i + 1, self.end);
+        }
+        (self.i, self.i + 1 + p - self.start)
     }
 }
 
-/// The held edge bits of a chunk as a mask, bit `k` for `edges[k]`.
-#[inline(always)]
-fn bits(edges: &[bool]) -> u64 {
-    let bit = |(k, &edge): (usize, &bool)| u64::from(edge) << k;
-    edges
-        .iter()
-        .enumerate()
-        .map(bit)
-        .fold(0, |held, b| held | b)
+/// Re-test the pairs `pair0..` of `corrs` against their edge bits under
+/// `rule`, word by word: `edges[0]` is the word that holds `pair0`, and a
+/// chunk ends where its word does. A chunk's pass mask ([`pass_mask`]:
+/// `rule.passes` per pair, NaN never passes) XOR its held bits is its flip
+/// mask, both built without a branch, and only the flip mask's set bits are
+/// walked (a scan flips few pairs), their `(i, j)` from `rows`, flipped pairs
+/// recorded in ascending order. A scan from a word's first pair runs every
+/// chunk but the last at the full 64 pairs.
+#[inline(never)]
+fn flip_scan(
+    edges: &mut [u64],
+    corrs: &[f64],
+    pair0: usize,
+    mut rows: RowCursor,
+    rule: EdgeRule,
+    delta: &mut EdgeDelta,
+) {
+    let offset = pair0 % WORD;
+    let (head, rest) = corrs.split_at((WORD - offset).min(corrs.len()));
+    let chunks = std::iter::once((head, offset)).chain(rest.chunks(WORD).map(|c| (c, 0)));
+    let mut first = pair0;
+    for (word, (chunk, offset)) in edges.iter_mut().zip(chunks) {
+        let (pass, nans) = pass_mask(chunk, rule.floor());
+        let flips = pass ^ ((*word >> offset) & low_bits(chunk.len()));
+        *word ^= flips << offset;
+        delta.nan_pairs += nans;
+        for bit in set_bits(flips) {
+            let pairs = match pass >> bit & 1 {
+                1 => &mut delta.appeared,
+                _ => &mut delta.vanished,
+            };
+            pairs.push(rows.pair(first + bit));
+        }
+        first += chunk.len();
+    }
+}
+
+#[cfg(test)]
+impl EdgeWatch {
+    /// The held edge bit of every pair of the watch, in pair order.
+    pub(crate) fn edge_bits(&self) -> Vec<bool> {
+        let base = words(&self.pairs).start * WORD;
+        let bit = |p: usize| self.edges[(p - base) / WORD] >> (p % WORD) & 1 == 1;
+        self.pairs.clone().map(bit).collect()
+    }
 }
 
 #[cfg(test)]
@@ -365,7 +448,7 @@ mod tests {
                         let got = watch.observe(&corrs);
                         let label = format!("{method:?} nodes {nodes} θ {theta} tick {tick}");
                         assert_eq!(got, &want, "{label}");
-                        assert_eq!(watch.edges, oracle, "{label}");
+                        assert_eq!(watch.edge_bits(), oracle, "{label}");
                         for c in corrs.iter_mut() {
                             if below(4) == 0 {
                                 *c = grid[below(grid.len())];

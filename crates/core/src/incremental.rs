@@ -45,9 +45,9 @@ use crate::exact::{self, WindowContribution};
 use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
 use crate::plan::{carve_for_workers, row_segments, PlanMethod, WindowRows};
 use crate::runner::{Job, JobRunner, SerialRunner};
-use crate::sketch::{arriving_corrs, arriving_window, packed_pairs, pair_index, SketchSet};
+use crate::sketch::{arriving_window, packed_pairs, pair_index, SketchSet};
 use crate::source::SourcePlan;
-use crate::stats::{clamp_corr, WindowStats};
+use crate::stats::{clamp_corr, window_corrs_into, WindowStats};
 use crate::sweep::{fill_packed, EdgeRule};
 use crate::timeseries::SeriesCollection;
 
@@ -485,6 +485,10 @@ pub struct SlidingState {
     method: PlanMethod,
     /// Active edge subscription ([`SlidingState::subscribe_edges`]).
     watch: Option<EdgeWatch>,
+    /// The buffer of the pair row the last tick evicted, when no other
+    /// table held that row: the next arriving row is minted into it
+    /// ([`SlidingState::row_buffer`]).
+    spare: Option<Vec<f64>>,
 }
 
 impl SlidingState {
@@ -569,6 +573,7 @@ impl SlidingState {
             corrs,
             method,
             watch: None,
+            spare: None,
         })
     }
 
@@ -638,9 +643,18 @@ impl SlidingState {
         }
         self.stats.drop_oldest();
         self.stats.push(stats);
-        self.pair_windows.drop_oldest();
+        self.spare = self.pair_windows.drop_oldest();
         self.pair_windows.push(arriving);
         Ok(())
+    }
+
+    /// The buffer the engine mints the next arriving pair row into, one
+    /// value per pair: the evicted row's when the last tick freed one, so a
+    /// steady tick allocates and zeroes no row, else a fresh zeroed one. The
+    /// kernel overwrites every value.
+    pub fn row_buffer(&mut self) -> Vec<f64> {
+        let pairs = self.corrs.len();
+        self.spare.take().unwrap_or_else(|| vec![0.0; pairs])
     }
 
     /// Current correlation of one pair.
@@ -806,10 +820,12 @@ impl SlidingNetwork {
     /// reads only shared snapshots and its own slot).
     pub fn ingest_in(&mut self, runner: &dyn JobRunner, chunk: &[Vec<f64>]) -> Result<()> {
         // The arrival step, then the arriving row from the shared exact
-        // window kernel (inline: `runner` fans out the Lemma 2 sweep only).
-        // A stored row value is the correlation itself.
+        // window kernel (inline: `runner` fans out the Lemma 2 sweep only),
+        // minted as `arriving_corrs` mints it but into the buffer the last
+        // tick freed. A stored row value is the correlation itself.
         let stats = arriving_window(chunk, self.series_count(), self.basic_window())?;
-        let row = arriving_corrs(chunk, &stats, &mut self.z);
+        let mut row = self.state.row_buffer();
+        window_corrs_into(chunk, &stats, &SerialRunner, &mut self.z, &mut row);
         self.state.slide_in(runner, stats, row, |c| c)
     }
 }

@@ -689,11 +689,18 @@ impl<T> WindowRows<T> {
     }
 
     /// Let go of the oldest window's row; its buffer is freed once no table
-    /// holds a row of it.
-    pub fn drop_oldest(&mut self) {
-        if !self.rows.is_empty() {
-            self.rows.remove(0);
+    /// holds a row of it. When this table held the last handle to a buffer
+    /// that is that row alone (a [`WindowRows::push`]ed row no clone
+    /// shares), the buffer is handed back instead, for the caller to mint a
+    /// later row into.
+    pub fn drop_oldest(&mut self) -> Option<Vec<T>> {
+        if self.rows.is_empty() {
+            return None;
         }
+        let SharedRow { block, span } = self.rows.remove(0);
+        Arc::try_unwrap(block)
+            .ok()
+            .filter(|block| block.len() == span.len())
     }
 
     /// Number of windows held.
@@ -781,21 +788,27 @@ impl WindowRows {
 /// same-row segments `(i, j_start, len)` — the tiles
 /// [`QueryPlan::block_kernel`] consumes. Both matrix sweeps and the disk
 /// engine partition pairs into contiguous packed runs, so every partition is
-/// a short list of these segments.
+/// a short list of these segments, allocated once at its length.
 pub fn row_segments(start: usize, count: usize, n: usize) -> Vec<(usize, usize, usize)> {
-    let mut out = Vec::new();
-    if count == 0 {
-        return out;
-    }
-    let (mut i, mut j) = crate::sketch::unpack_pair_index(start, n);
-    let mut remaining = count;
-    while remaining > 0 {
-        let take = (n - j).min(remaining);
-        out.push((i, j, take));
-        remaining -= take;
-        i += 1;
-        j = i + 1;
-    }
+    let first = match count {
+        0 => (0, 0),
+        _ => crate::sketch::unpack_pair_index(start, n),
+    };
+    let segments = || {
+        let ((mut i, mut j), mut remaining) = (first, count);
+        std::iter::from_fn(move || {
+            (remaining > 0).then(|| {
+                let take = (n - j).min(remaining);
+                let segment = (i, j, take);
+                remaining -= take;
+                i += 1;
+                j = i + 1;
+                segment
+            })
+        })
+    };
+    let mut out = Vec::with_capacity(segments().count());
+    out.extend(segments());
     out
 }
 

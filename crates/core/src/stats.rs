@@ -323,9 +323,11 @@ fn row_tile_into<const R: usize>(
     }
 }
 
-/// [`row_tile_into`] of the dot step on `zmm` registers: `R` rows of one
-/// panel against up to `ACCUMULATORS / R` column panels at a time
-/// ([`Zmm::sums`]), the same chains and so the same bits.
+/// [`row_tile_into`] of the correlation row on `zmm` registers: `R` rows of
+/// one panel against up to `ACCUMULATORS / R` column panels at a time
+/// ([`Zmm::corrs`]), the same chains finished by the same
+/// `clamp_corr(sum · inv)` in registers, and so the same bits; whole
+/// eight-lane rows are then copied out.
 fn zmm_tile_into<const R: usize>(
     zmm: Zmm,
     packed: &[f64],
@@ -333,7 +335,7 @@ fn zmm_tile_into<const R: usize>(
     len: usize,
     i0: usize,
     out: &mut [f64],
-    finish: impl Fn(f64) -> f64 + Copy,
+    inv: f64,
 ) {
     let panel = |p: usize| &packed[p * PANEL * len..(p + 1) * PANEL * len];
     let (a, lane) = (panel(i0 / PANEL), i0 % PANEL);
@@ -341,17 +343,17 @@ fn zmm_tile_into<const R: usize>(
     while pb < panels {
         let q = (panels - pb).min(ACCUMULATORS / R);
         let cols = |k| panel(pb + k);
-        let mut store = |sums: &[[[f64; PANEL]; R]]| {
-            for (k, acc) in sums.iter().enumerate() {
-                store_panel(acc, n, i0, pb + k, out, finish);
+        let mut store = |corrs: &[[[f64; PANEL]; R]]| {
+            for (k, corrs) in corrs.iter().enumerate() {
+                store_panel(corrs, n, i0, pb + k, out, |c| c);
             }
         };
         // Widest first, so that the arms past `ACCUMULATORS / R` are dead code.
         match q {
-            4 => store(&zmm.sums::<R, 4>(a, lane, from_fn(cols))),
-            3 => store(&zmm.sums::<R, 3>(a, lane, from_fn(cols))),
-            2 => store(&zmm.sums::<R, 2>(a, lane, from_fn(cols))),
-            _ => store(&zmm.sums::<R, 1>(a, lane, from_fn(cols))),
+            4 => store(&zmm.corrs::<R, 4>(a, lane, from_fn(cols), inv)),
+            3 => store(&zmm.corrs::<R, 3>(a, lane, from_fn(cols), inv)),
+            2 => store(&zmm.corrs::<R, 2>(a, lane, from_fn(cols), inv)),
+            _ => store(&zmm.corrs::<R, 1>(a, lane, from_fn(cols), inv)),
         }
         pb += q;
     }
@@ -359,7 +361,8 @@ fn zmm_tile_into<const R: usize>(
 
 /// `finish` of the sums `acc[r][c]` of rows `i0 + r` against the columns of
 /// panel `pb`, for the pairs `(i, j)`, `i < j < n`, into `out`, which starts
-/// at row `i0` of the packed triangle.
+/// at row `i0` of the packed triangle. The `zmm` tile hands over finished
+/// values and the identity.
 #[inline(always)]
 fn store_panel<const R: usize>(
     acc: &[[f64; PANEL]; R],
@@ -376,8 +379,19 @@ fn store_panel<const R: usize>(
         if first < end {
             let sums = &acc[first - pb * PANEL..end - pb * PANEL];
             let slots = &mut out[row_start + first - i - 1..][..sums.len()];
-            for (slot, &sum) in slots.iter_mut().zip(sums) {
-                *slot = finish(sum);
+            // A whole eight-lane row at its constant length: one vector
+            // store (or a vectorised finish) instead of a run-time loop.
+            match <&mut [f64; PANEL]>::try_from(&mut *slots) {
+                Ok(row) => {
+                    for (slot, &sum) in row.iter_mut().zip(acc) {
+                        *slot = finish(sum);
+                    }
+                }
+                Err(_) => {
+                    for (slot, &sum) in slots.iter_mut().zip(sums) {
+                        *slot = finish(sum);
+                    }
+                }
             }
         }
         row_start += n - 1 - i;
@@ -444,11 +458,13 @@ fn packed_rows_into(
     }
 }
 
-/// [`packed_rows_into`] of the dot step on `zmm` registers: whole panels of
-/// rows as `8 × 2`-panel tiles, aligned [`TILE_ROWS`]-row groups (the rows
-/// around a worker's range, the groups [`crate::plan::PartialCorrs`] mints)
-/// as `4 × 4`-panel tiles, and the single rows a range leaves at its ends on
-/// the portable one-row tile. Bit for bit [`packed_rows_into`] with [`dot`].
+/// [`packed_rows_into`] of the correlation row, `clamp_corr(sum · inv)` of
+/// the dot step's chains, on `zmm` registers: whole panels of rows as `8 ×
+/// 2`-panel tiles, aligned [`TILE_ROWS`]-row groups (the rows around a
+/// worker's range, the groups [`crate::plan::PartialCorrs`] mints) as `4 ×
+/// 4`-panel tiles, both finished in registers, and the single rows a range
+/// leaves at its ends on the portable one-row tile. Bit for bit
+/// [`packed_rows_into`] with [`dot`] and that finish.
 fn zmm_rows_into(
     zmm: Zmm,
     packed: &[f64],
@@ -456,14 +472,15 @@ fn zmm_rows_into(
     len: usize,
     rows: Range<usize>,
     out: &mut [f64],
-    finish: impl Fn(f64) -> f64 + Copy,
+    inv: f64,
 ) {
     debug_assert_eq!(packed.len(), packed_len(n, len));
+    let finish = move |sum| clamp_corr(sum * inv);
     for (i, height, p) in row_tiles(n, rows, &[PANEL, TILE_ROWS, 1]) {
         let out = &mut out[p..];
         match height {
-            PANEL => zmm_tile_into::<PANEL>(zmm, packed, n, len, i, out, finish),
-            TILE_ROWS => zmm_tile_into::<TILE_ROWS>(zmm, packed, n, len, i, out, finish),
+            PANEL => zmm_tile_into::<PANEL>(zmm, packed, n, len, i, out, inv),
+            TILE_ROWS => zmm_tile_into::<TILE_ROWS>(zmm, packed, n, len, i, out, inv),
             _ => row_tile_into::<1>(packed, n, len, i, out, dot, finish),
         }
     }
@@ -538,10 +555,9 @@ pub(crate) fn packed_corr_rows_into(
     out: &mut [f64],
 ) {
     let inv = 1.0 / len as f64;
-    let finish = move |sum| clamp_corr(sum * inv);
     match Zmm::detect() {
-        Some(zmm) => zmm_rows_into(zmm, z, n, len, rows, out, finish),
-        None => packed_rows_into(z, n, len, rows, out, dot, finish),
+        Some(zmm) => zmm_rows_into(zmm, z, n, len, rows, out, inv),
+        None => packed_rows_into(z, n, len, rows, out, dot, move |sum| clamp_corr(sum * inv)),
     }
 }
 
@@ -603,10 +619,42 @@ pub fn window_corrs_into<S: AsRef<[f64]>>(
     let n = window.len();
     let b = window.first().map_or(0, |points| points.as_ref().len());
     z.resize(packed_len(n, b), 0.0);
-    for (i, (points, stats)) in window.iter().zip(stats).enumerate() {
-        normalize_each(points.as_ref(), stats, packed_lane_mut(z, i, b));
-    }
+    normalize_panels(window, stats, b, z);
     corrs_of_packed(runner, z, n, b, out);
+}
+
+/// [`normalize_into`] of every series of a window into its lane of the
+/// packed block `z` ([`packed_len`]), a panel at a time: per point, the
+/// panel's eight values are read from their series and written as one
+/// contiguous run, where a series at a time would write every eighth slot.
+/// Each value is `(x − μ) · (1/σ)` as [`normalize_each`] computes it, and a
+/// constant window's lane is all `+0.0`; the unused lanes of the last panel
+/// get `0.0`.
+fn normalize_panels<S: AsRef<[f64]>>(window: &[S], stats: &[WindowStats], b: usize, z: &mut [f64]) {
+    let panels = z.chunks_exact_mut(PANEL * b.max(1));
+    for (panel, (window, stats)) in panels.zip(window.chunks(PANEL).zip(stats.chunks(PANEL))) {
+        // Unused lanes read the first series and are written as constant.
+        let mut points = [window[0].as_ref(); PANEL];
+        let (mut mean, mut inv, mut varies) = ([0.0; PANEL], [0.0; PANEL], [false; PANEL]);
+        for (l, (series, stats)) in window.iter().zip(stats).enumerate() {
+            points[l] = series.as_ref();
+            (mean[l], inv[l], varies[l]) = (stats.mean, 1.0 / stats.std, stats.std != 0.0);
+        }
+        assert!(
+            points.iter().all(|p| p.len() == b),
+            "a window's series share one length"
+        );
+        for (t, out) in panel.chunks_exact_mut(PANEL).enumerate() {
+            let out: &mut [f64; PANEL] = out.try_into().expect("chunks_exact_mut(PANEL)");
+            for l in 0..PANEL {
+                out[l] = if varies[l] {
+                    (points[l][t] - mean[l]) * inv[l]
+                } else {
+                    0.0
+                };
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1035,7 +1083,9 @@ mod tests {
         // row range a caller makes (whole triangles, runs starting off an 8-
         // and a 4-row boundary, the 4-row groups `PartialCorrs` mints, the
         // splits of 1, 3 and 8 workers) over values holding NaN and ±∞, with
-        // NaN in every lane no series owns.
+        // NaN in every lane no series owns; then over sums that reach every
+        // branch of the finish the `zmm` tile runs in registers (NaN to
+        // `+0.0`, `±∞` and `|c| > 1` to `±1`, `±0.0` kept with its sign).
         let zmm = Zmm::detect();
         if zmm.is_none() {
             // Straight to the process's stderr: libtest would capture
@@ -1044,13 +1094,44 @@ mod tests {
                 "stats: this CPU lacks avx512f, so the zmm half of the tile grid did not run\n";
             std::io::Write::write_all(&mut std::io::stderr(), note.as_bytes()).expect("stderr");
         }
-        for n in [1usize, 2, 7, 8, 9, 15, 16, 17, 24, 33, 65] {
-            for len in [0usize, 1, 3, 120] {
-                let rows = hostile_rows(n, len);
+        // [NaN, ±∞, finite past ±1, −0.0, +0.0]: the finished values
+        // `sum · 1/len` of the clamp grid's serial chains.
+        let hits = std::cell::Cell::new([0usize; 5]);
+        let hostile = (hostile_rows as fn(usize, usize) -> Vec<Vec<f64>>, false);
+        let grids = [
+            (
+                hostile,
+                &[1usize, 2, 7, 8, 9, 15, 16, 17, 24, 33, 65][..],
+                &[0usize, 1, 3, 120][..],
+            ),
+            (
+                (clamp_rows, true),
+                &[1, 2, 7, 8, 9, 15, 16, 17, 33],
+                &[1, 8, 120],
+            ),
+        ];
+        for ((rows_of, count), ns, lens) in grids {
+            for (&n, &len) in ns.iter().flat_map(|n| lens.iter().map(move |len| (n, len))) {
+                let rows = rows_of(n, len);
                 let packed = pack(&rows, len);
                 let inv = 1.0 / len as f64;
                 let corr = move |sum: f64| clamp_corr(sum * inv);
-                let want = serial_chains(&rows, dot, corr);
+                let want = serial_chains(&rows, dot, |sum| {
+                    let c = sum * inv;
+                    let branch = [
+                        c.is_nan(),
+                        c.is_infinite(),
+                        c.is_finite() && c.abs() > 1.0,
+                        c == 0.0 && c.is_sign_negative(),
+                        c == 0.0 && c.is_sign_positive(),
+                    ];
+                    if let (true, Some(k)) = (count, branch.iter().position(|&b| b)) {
+                        let mut seen = hits.get();
+                        seen[k] += 1;
+                        hits.set(seen);
+                    }
+                    corr(sum)
+                });
                 let mut got = vec![9.0f64; want.len()];
                 let mut check =
                     |what: &str, rows_into: &(dyn Fn(Range<usize>, &mut [f64]) + Sync)| {
@@ -1076,11 +1157,48 @@ mod tests {
                 });
                 if let Some(zmm) = zmm {
                     check("zmm", &|rows, out| {
-                        zmm_rows_into(zmm, &packed, n, len, rows, out, corr)
+                        zmm_rows_into(zmm, &packed, n, len, rows, out, inv)
                     });
                 }
             }
         }
+        let hits = hits.get();
+        assert!(
+            hits.iter().all(|&hit| hit > 0),
+            "clamp branches hit: {hits:?}"
+        );
+    }
+
+    /// `n` rows of `len` values whose dot products reach every branch of
+    /// [`clamp_corr`] after the `· 1/len` finish, series `s` of kind
+    /// `s % 10`: `±(1 + 2⁻³⁰)` (finite sums just past `±len`, so `|c| > 1`
+    /// after rounding), `±10²⁰⁰` (products past the `f64` range, `±∞`), the
+    /// two alternating (`∞ − ∞`, NaN), `±10⁻²⁰⁰` (products that underflow to
+    /// `±0.0`, so chains that end in `−0.0` or `+0.0`), a NaN point, zeros
+    /// and ordinary values.
+    fn clamp_rows(n: usize, len: usize) -> Vec<Vec<f64>> {
+        let big = 1e200;
+        let over = 1.0 + 2f64.powi(-30);
+        (0..n)
+            .map(|s| {
+                (0..len)
+                    .map(|t| match s % 10 {
+                        0 => over,
+                        1 => -over,
+                        2 => big,
+                        3 => -big,
+                        4 if t % 2 == 0 => big,
+                        4 => -big,
+                        5 => 1e-200,
+                        6 => -1e-200,
+                        7 if t == 0 => f64::NAN,
+                        7 => 0.5,
+                        8 => 0.0,
+                        _ => (t as f64 * 0.37 + s as f64).sin(),
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! into the function compiled for `avx512f`. Everything outside works with a
 //! [`Zmm`], which exists only once the running CPU has been seen to execute
 //! `avx512f` instructions, and with safe panel slices whose bounds
-//! [`Zmm::sums`] checks once, before the tile's loop.
+//! [`Zmm::corrs`] checks once, before the tile's loop.
 //!
 //! Each lane of an accumulator is one pair's chain: `_mm512_fmadd_pd` rounds
 //! `x·y + sum` once, exactly as the portable step `x.mul_add(y, sum)` does,
-//! so a sum's bits do not depend on which tile produced it.
+//! so a sum's bits do not depend on which tile produced it. The tile also
+//! finishes its sums in registers, `clamp_corr(sum · inv)` as one multiply,
+//! a select of `+0.0` for NaN and a max/min pair, the operations
+//! [`clamp_corr`](super::clamp_corr) spells one pair at a time.
 
 use super::PANEL;
 
@@ -38,20 +41,22 @@ impl Zmm {
         None
     }
 
-    /// The sums of `R` rows of panel `a` (lanes `lane..lane + R`) against
-    /// each of the `Q` column panels `b`, all of `len = a.len() / PANEL`
-    /// points: `sums[q][r][c]` is the chain `sum = a[t·PANEL + lane +
-    /// r].mul_add(b[q][t·PANEL + c], sum)` over `t` from `0.0`, on `R·Q` (at
-    /// most [`ACCUMULATORS`]) `zmm` accumulators.
-    pub(super) fn sums<const R: usize, const Q: usize>(
+    /// The finished correlations of `R` rows of panel `a` (lanes from
+    /// `lane` on) against each of the `Q` column panels `b`, all of
+    /// `len = a.len() / PANEL` points: `corrs[q][r][c]` is
+    /// `clamp_corr(sum · inv)` of the chain
+    /// `sum = a[t·PANEL + lane + r].mul_add(b[q][t·PANEL + c], sum)` over `t`
+    /// from `0.0`, on `R·Q` (at most [`ACCUMULATORS`]) `zmm` accumulators.
+    pub(super) fn corrs<const R: usize, const Q: usize>(
         self,
         a: &[f64],
         lane: usize,
         b: [&[f64]; Q],
+        inv: f64,
     ) -> [[[f64; PANEL]; R]; Q] {
         #[cfg(not(target_arch = "x86_64"))]
         {
-            let _ = (a, lane, b);
+            let _ = (a, lane, b, inv);
             match self.0 {}
         }
         #[cfg(target_arch = "x86_64")]
@@ -65,10 +70,11 @@ impl Zmm {
             // asserts; panel `q` reads `b[q][t·PANEL..(t + 1)·PANEL]`, inside
             // `b[q]` by the third. With `len = 0` nothing is read.
             unsafe {
-                x86::sums::<R, Q>(
+                x86::corrs::<R, Q>(
                     a.as_ptr().wrapping_add(lane),
                     b.map(<[f64]>::as_ptr),
                     a.len() / PANEL,
+                    inv,
                 )
             }
         }
@@ -78,14 +84,16 @@ impl Zmm {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use std::arch::x86_64::{
-        __m512d, _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_set1_pd, _mm512_setzero_pd,
-        _mm512_storeu_pd,
+        __m512d, _mm512_cmp_pd_mask, _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_maskz_mov_pd,
+        _mm512_max_pd, _mm512_min_pd, _mm512_mul_pd, _mm512_set1_pd, _mm512_setzero_pd,
+        _mm512_storeu_pd, _CMP_ORD_Q,
     };
 
     use super::PANEL;
 
     /// The tile's loop on `R·Q` accumulators: per point, `Q` panel loads and
-    /// `R` broadcasts feed `R·Q` fused multiply-adds.
+    /// `R` broadcasts feed `R·Q` fused multiply-adds; then each accumulator
+    /// is finished in its register and stored once.
     ///
     /// # Safety
     ///
@@ -93,10 +101,11 @@ mod x86 {
     /// `r < R` and `b[q].add(t·PANEL + c)` for `c < PANEL` are readable
     /// `f64`s.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn sums<const R: usize, const Q: usize>(
+    pub(super) unsafe fn corrs<const R: usize, const Q: usize>(
         a: *const f64,
         b: [*const f64; Q],
         len: usize,
+        inv: f64,
     ) -> [[[f64; PANEL]; R]; Q] {
         let mut acc: [[__m512d; R]; Q] = [[_mm512_setzero_pd(); R]; Q];
         for t in 0..len {
@@ -113,13 +122,24 @@ mod x86 {
                 }
             }
         }
-        let mut sums = [[[0.0; PANEL]; R]; Q];
-        for (sums, acc) in sums.iter_mut().zip(&acc) {
-            for (sum, &acc) in sums.iter_mut().zip(acc) {
-                // SAFETY: `sum` is eight writable `f64`s.
-                unsafe { _mm512_storeu_pd(sum.as_mut_ptr(), acc) };
+        // `clamp_corr(sum · inv)`: NaN lanes (unordered with themselves)
+        // become `+0.0`; `max` then `min` against ±1 keep every other value,
+        // `±0.0` included, and clamp `±∞`, as `f64::clamp` does.
+        let (inv, lo, hi) = (
+            _mm512_set1_pd(inv),
+            _mm512_set1_pd(-1.0),
+            _mm512_set1_pd(1.0),
+        );
+        let mut corrs = [[[0.0; PANEL]; R]; Q];
+        for (corrs, acc) in corrs.iter_mut().zip(&acc) {
+            for (corr, &acc) in corrs.iter_mut().zip(acc) {
+                let c = _mm512_mul_pd(acc, inv);
+                let c = _mm512_maskz_mov_pd(_mm512_cmp_pd_mask::<_CMP_ORD_Q>(c, c), c);
+                let c = _mm512_min_pd(_mm512_max_pd(c, lo), hi);
+                // SAFETY: `corr` is eight writable `f64`s.
+                unsafe { _mm512_storeu_pd(corr.as_mut_ptr(), c) };
             }
         }
-        sums
+        corrs
     }
 }

@@ -1278,6 +1278,201 @@ mod tests {
         }
     }
 
+    /// A scan's `appeared` and `vanished` pairs and its NaN count.
+    type Flips = (Vec<(usize, usize)>, Vec<(usize, usize)>, usize);
+
+    /// The per-pair oracle of a watch over a real triangle of `n` series:
+    /// flips of `values` against `held` (updated), with their `(i, j)`, and
+    /// the NaN count.
+    fn watch_oracle(rule: EdgeRule, n: usize, held: &mut [bool], values: &[f64]) -> Flips {
+        let (mut appeared, mut vanished, mut nans) = (vec![], vec![], 0);
+        let pairs = (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j)));
+        for ((held, &c), pair) in held.iter_mut().zip(values).zip(pairs) {
+            nans += usize::from(c.is_nan());
+            if rule.passes(c) != *held {
+                *held = !*held;
+                let list = if *held { &mut appeared } else { &mut vanished };
+                list.push(pair);
+            }
+        }
+        (appeared, vanished, nans)
+    }
+
+    /// `pairs` values on the mask grid's coarse steps, with its specials
+    /// planted at every 64-pair word edge and at the triangle's ends.
+    fn word_edge_values(rule: EdgeRule, pairs: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed;
+        let mut values: Vec<f64> = (0..pairs)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 59) as f64 - 16.0) / 16.0
+            })
+            .collect();
+        let floor = rule.floor();
+        let specials = [f64::NAN, floor, floor.next_down(), 0.0, -0.0, f64::INFINITY];
+        let edges = (0..pairs)
+            .step_by(64)
+            .flat_map(|w| [w.saturating_sub(1), w, w + 1]);
+        let at = edges
+            .chain([pairs.saturating_sub(1)])
+            .filter(|&p| p < pairs);
+        for (k, p) in at.enumerate() {
+            if (k + seed as usize).is_multiple_of(3) {
+                values[p] = specials[(k / 3) % specials.len()];
+            }
+        }
+        values
+    }
+
+    #[test]
+    fn chunked_watch_equals_the_per_pair_oracle_on_whole_triangles() {
+        // Triangles whose pair count is 1, 63 or 0 past a multiple of 64, so
+        // the flat scan ends on a one-pair word, a 63-pair word and a whole
+        // one: `observe`, and the same scan as row tiles through `consume`
+        // in runs cut off a word edge, each equal to the per-pair oracle,
+        // `(i, j)` recovered from the flat index.
+        for n in [2usize, 38, 127, 128] {
+            let pairs = packed_pairs(n);
+            assert!([0, 1, 63].contains(&(pairs % 64)), "{n} series");
+            for rule in grid_rules() {
+                let inputs = [1u64, 2, 1].map(|seed| word_edge_values(rule, pairs, seed));
+                let mut watch = EdgeWatch::new(rule, n);
+                let mut tiled = watch.clone();
+                let mut held = vec![false; pairs];
+                let mut cuts = [0, pairs / 3 + 1, pairs / 3 + 2, pairs - pairs / 5, pairs]
+                    .map(|cut| cut.min(pairs))
+                    .to_vec();
+                cuts.dedup();
+                for values in &inputs {
+                    let want = watch_oracle(rule, n, &mut held, values);
+                    let case = format!("{rule:?} n {n}");
+                    let got = watch.observe(values);
+                    let got = (got.appeared.clone(), got.vanished.clone(), got.nan_pairs);
+                    assert_eq!(got, want, "observe, {case}");
+                    assert_eq!(watch.edge_bits(), held, "observe, {case}");
+
+                    let runs: Vec<EdgeWatch> = cuts
+                        .windows(2)
+                        .map(|cut| {
+                            let mut run = tiled.run(cut[0]..cut[1]);
+                            for (i, j0, len) in row_segments(cut[0], cut[1] - cut[0], n) {
+                                let p0 = pair_index(i, j0, n);
+                                for at in (0..len).step_by(37) {
+                                    let tile = &values[p0 + at..p0 + len.min(at + 37)];
+                                    run.consume(i, j0 + at, p0 + at, tile);
+                                }
+                            }
+                            run
+                        })
+                        .collect();
+                    tiled.take_delta();
+                    runs.into_iter().for_each(|run| tiled.absorb(run));
+                    let got = tiled.delta();
+                    let got = (got.appeared.clone(), got.vanished.clone(), got.nan_pairs);
+                    assert_eq!(got, want, "runs, {case}");
+                    assert_eq!(tiled.edge_bits(), held, "runs, {case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pooled_scan_off_word_edges_equals_one_observe() {
+        // `SourcePlan::scan` over 703 pairs (63 past a multiple of 64) on
+        // three workers: its runs start at pairs 235 and 469, inside words,
+        // and every tile length cuts rows elsewhere. Two query windows in
+        // turn, so edges flip both ways; each scan equals `observe` of the
+        // dense fill of the same plan.
+        use crate::source::SourcePlan;
+        let n = 38;
+        let sketch = SketchSet::build(&test_collection(n, 200), 20).unwrap();
+        let runner = crate::runner::ScopedRunner::new(3);
+        let plans = [0..6, 3..10, 0..6].map(|windows| {
+            let plan = SourcePlan::new(&sketch, windows, PlanMethod::Exact).unwrap();
+            let (dense, _) = fill_packed(
+                &crate::runner::SerialRunner,
+                plan.query_plan(),
+                plan.table(),
+            )
+            .unwrap();
+            (plan, dense)
+        });
+        let mut sorted = plans[0].1.clone();
+        sorted.sort_by(f64::total_cmp);
+        let theta = sorted[sorted.len() / 2];
+        let rule = EdgeRule::for_method(PlanMethod::Exact, theta).unwrap();
+        assert_eq!(runs_for_workers(packed_pairs(n), 3)[1].start, 235);
+        for tile_len in [1, 7, 64, 100, DEFAULT_TILE_PAIRS] {
+            let (mut pooled, mut dense) = (EdgeWatch::new(rule, n), EdgeWatch::new(rule, n));
+            for (plan, values) in &plans {
+                plan.scan(&runner, &mut pooled, tile_len);
+                let want = dense.observe(values);
+                assert_eq!(pooled.delta(), want, "tile {tile_len}");
+                assert_eq!(pooled.edge_bits(), dense.edge_bits(), "tile {tile_len}");
+            }
+            assert!(!dense.delta().vanished.is_empty() && !dense.delta().appeared.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_long_subscription_replays_to_the_network_after_every_tick() {
+        // 2 000 ticks of a 33-series sliding network (528 pairs: eight whole
+        // words and 16 pairs) at θ near the median correlation, so every
+        // tick flips edges both ways and rows are recycled throughout: the
+        // replayed deltas equal `network(θ)` after every tick, NaN audit
+        // included.
+        use crate::incremental::SlidingNetwork;
+        let (n, b, windows) = (33, 8, 4);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut point = move |s: usize, t: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let noise = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            (t as f64 * 0.05 + (s % 5) as f64).sin() + noise
+        };
+        let history: Vec<Vec<f64>> = (0..n)
+            .map(|s| (0..windows * b).map(|t| point(s, t)).collect())
+            .collect();
+        let history = SeriesCollection::from_rows(history).unwrap();
+        let sketch = SketchSet::build(&history, b).unwrap();
+        let mut net = SlidingNetwork::initialize(&history, &sketch, windows * b).unwrap();
+        let mut sorted = net.correlation_matrix().upper_triangle().to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let theta = sorted[sorted.len() / 2];
+        let mut snapshot = net.subscribe_edges(theta).unwrap();
+        let (mut appeared, mut vanished) = (0, 0);
+        for tick in 0..2000 {
+            let t0 = (windows + tick) * b;
+            let mut chunk: Vec<Vec<f64>> = (0..n)
+                .map(|s| (t0..t0 + b).map(|t| point(s, t)).collect())
+                .collect();
+            if tick % 500 == 7 {
+                chunk[tick % n][3] = f64::NAN;
+            }
+            net.ingest(&chunk).unwrap();
+            let delta = net.changed_edges().expect("subscribed");
+            (appeared, vanished) = (
+                appeared + delta.appeared.len(),
+                vanished + delta.vanished.len(),
+            );
+            delta.apply_to(&mut snapshot).unwrap();
+            let network = net.network(theta);
+            assert_eq!(snapshot, network, "tick {tick}");
+            assert_eq!(
+                snapshot.nan_pair_count(),
+                network.nan_pair_count(),
+                "tick {tick}"
+            );
+        }
+        assert!(
+            appeared > 2000 && vanished > 2000,
+            "{appeared} / {vanished} flips"
+        );
+    }
+
     #[test]
     fn stats_sink_aggregates_and_counts() {
         let mut sink = StatsSink::new();

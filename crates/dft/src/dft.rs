@@ -8,8 +8,9 @@
 //!
 //! [`window_dft_into`] is the direct-sum transform the comparator's window
 //! kernel runs: a whole window at once, series eight to a packed panel, one
-//! twiddle row of `B` values per kept frequency per window, each
-//! coefficient bit-identical to [`naive_dft`]'s. [`naive_dft`] is the
+//! twiddle row of `B` values per kept frequency from a table the kernel
+//! builds once ([`Twiddles`]), each coefficient bit-identical to
+//! [`naive_dft`]'s. [`naive_dft`] is the
 //! per-series reference it is pinned to. There is no fast transform: every
 //! coefficient the comparator stores is one of these direct sums, at every
 //! window size.
@@ -100,25 +101,70 @@ pub fn naive_dft(x: &[f64]) -> Vec<Complex> {
         .collect()
 }
 
-/// The first `coefficients` coefficients of the unitary DFT of every series
-/// of one window of `len` points, as direct sums over whole panels.
+/// The twiddle factors of the first `coefficients` frequencies of a
+/// `len`-point DFT: row `f` holds `e^{−2πi·f·t/len}` for `t < len`, each the
+/// expression [`naive_dft`] evaluates in its inner loop. A comparator kernel
+/// builds one table for its `(B, c)` and hands it to every window's
+/// [`window_dft_into`], so a window computes no trig and allocates nothing.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Twiddles {
+    len: usize,
+    coefficients: usize,
+    table: Vec<Complex>,
+}
+
+impl Twiddles {
+    /// The `coefficients · len` twiddles of a `len`-point window.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `coefficients > len`.
+    pub fn new(len: usize, coefficients: usize) -> Self {
+        assert!(
+            coefficients <= len,
+            "window_dft_into: {coefficients} coefficients of {len} points"
+        );
+        #[cfg(test)]
+        tests::TWIDDLE_TABLES.with(|built| built.set(built.get() + 1));
+        let base = -2.0 * std::f64::consts::PI / len as f64;
+        let mut table = Vec::with_capacity(coefficients * len);
+        for f in 0..coefficients {
+            table.extend((0..len).map(|i| Complex::from_angle(base * (f as f64) * (i as f64))));
+        }
+        Self {
+            len,
+            coefficients,
+            table,
+        }
+    }
+
+    /// Frequencies kept.
+    pub fn coefficients(&self) -> usize {
+        self.coefficients
+    }
+}
+
+/// The first `twiddles.coefficients()` coefficients of the unitary DFT of
+/// every series of one window of `len = twiddles.len()` points, as direct
+/// sums over whole panels.
 ///
 /// `z` holds the series in the packed panel layout
 /// ([`tsubasa_core::stats::packed_len`]`(n, len)`, series `i` in lane
 /// `i % 8` of panel `i / 8`); `out` receives, in the same layout with `2 ·
 /// coefficients` slots per lane, every series' `[re₀, im₀, re₁, im₁, …]`.
-/// Frequency by frequency, one row of `len` twiddle factors is computed
-/// (the expression [`naive_dft`] evaluates) and every panel sums it against
-/// its eight lanes: `len` multiply-adds per series and coefficient, trig
-/// `coefficients · len` times per window. Each lane's sum is
-/// [`naive_dft`]'s chain — from `+0.0`, point by point, a multiply then an
-/// add, then `· 1/√len` — so every coefficient has [`naive_dft`]'s bits.
+/// Frequency by frequency, every panel sums that frequency's row of `len`
+/// twiddles ([`Twiddles`], built once per kernel) against its eight lanes:
+/// `len` multiply-adds per series and coefficient, and no trig. Each lane's
+/// sum is [`naive_dft`]'s chain — from `+0.0`, point by point, a multiply
+/// then an add, then `· 1/√len` — so every coefficient has [`naive_dft`]'s
+/// bits.
 ///
 /// # Panics
 ///
-/// Panics when `z` is not whole panels of `len` points, `out` not the same
-/// panels of `2 · coefficients` slots, or `coefficients > len`.
-pub fn window_dft_into(z: &[f64], len: usize, coefficients: usize, out: &mut [f64]) {
+/// Panics when `z` is not whole panels of `len` points or `out` not the
+/// same panels of `2 · coefficients` slots.
+pub fn window_dft_into(z: &[f64], twiddles: &Twiddles, out: &mut [f64]) {
+    let (len, coefficients) = (twiddles.len, twiddles.coefficients);
     let row_len = 2 * coefficients;
     let panels = z.len().checked_div(PANEL * len).unwrap_or(0);
     assert!(
@@ -127,26 +173,18 @@ pub fn window_dft_into(z: &[f64], len: usize, coefficients: usize, out: &mut [f6
         z.len(),
         out.len()
     );
-    assert!(
-        coefficients <= len,
-        "window_dft_into: {coefficients} coefficients of {len} points"
-    );
     if panels == 0 {
         return;
     }
     let scale = 1.0 / (len as f64).sqrt();
-    let base = -2.0 * std::f64::consts::PI / len as f64;
-    let mut twiddles = Vec::with_capacity(len);
-    for f in 0..coefficients {
-        twiddles.clear();
-        twiddles.extend((0..len).map(|i| Complex::from_angle(base * (f as f64) * (i as f64))));
+    for (f, twiddles) in twiddles.table.chunks_exact(len).enumerate() {
         for (zp, op) in z
             .chunks_exact(PANEL * len)
             .zip(out.chunks_exact_mut(PANEL * row_len))
         {
             let mut re = [0.0f64; PANEL];
             let mut im = [0.0f64; PANEL];
-            for (t, w) in zp.chunks_exact(PANEL).zip(&twiddles) {
+            for (t, w) in zp.chunks_exact(PANEL).zip(twiddles) {
                 let t: &[f64; PANEL] = t.try_into().expect("chunks_exact(PANEL)");
                 for l in 0..PANEL {
                     re[l] += w.re * t[l];
@@ -179,9 +217,16 @@ pub fn coefficient_distance(x: &[Complex], y: &[Complex], n: usize) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::normalize::normalize_unit_with_stats;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Twiddle tables this thread has built: every trig call of the
+        /// comparator's transform is made building one.
+        pub(crate) static TWIDDLE_TABLES: Cell<usize> = const { Cell::new(0) };
+    }
     use proptest::prelude::*;
     use tsubasa_core::stats::{packed_lane_mut, packed_len, WindowStats};
 
@@ -295,7 +340,7 @@ mod tests {
                     }
                     for c in [1, b.div_ceil(4), (3 * b).div_ceil(4), b] {
                         let mut out = vec![0.0; packed_len(n, 2 * c)];
-                        window_dft_into(&z, b, c, &mut out);
+                        window_dft_into(&z, &Twiddles::new(b, c), &mut out);
                         for (i, coeffs) in expected.iter().enumerate() {
                             let got: Vec<u64> = packed_lane_mut(&mut out, i, 2 * c)
                                 .map(|v| v.to_bits())
@@ -319,7 +364,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "not whole panels")]
     fn window_dft_refuses_partial_panels() {
-        window_dft_into(&vec![0.0; packed_len(3, 5)], 5, 2, &mut [0.0; 7]);
+        window_dft_into(
+            &vec![0.0; packed_len(3, 5)],
+            &Twiddles::new(5, 2),
+            &mut [0.0; 7],
+        );
     }
 
     proptest! {

@@ -113,9 +113,12 @@ impl SlidingApproxNetwork {
     pub fn ingest_in(&mut self, runner: &dyn JobRunner, chunk: &[Vec<f64>]) -> Result<()> {
         // The arrival step, then the arriving row from the comparator kernel
         // this engine keeps (inline: `runner` fans out the Equation 6 sweep
-        // only).
+        // only), minted as `arriving_ests` mints it but into the buffer the
+        // last tick freed.
         let stats = arriving_window(chunk, self.series_count(), self.basic_window())?;
-        let row = self.kernel.arriving_ests(chunk, &stats);
+        let mut row = self.state.row_buffer();
+        self.kernel
+            .window_ests_into(chunk, &stats, &SerialRunner, &mut row);
         // Equation 6 is Lemma 2 over estimate-derived window correlations
         // (the stored `ĉ = 1 − d²/2`, clamped into [-1, 1]).
         self.state.slide_in(runner, stats, row, clamp_corr)

@@ -33,7 +33,8 @@
 //! packed panel block ([`tsubasa_core::stats::packed_lane_mut`]) — computed
 //! for the whole window at once by the direct sums of
 //! [`crate::dft::window_dft_into`] (`B·n` multiply-adds per series, twiddles
-//! once per window, [`naive_dft`]'s bits, at every window size) — every
+//! from a table the kernel builds once, [`naive_dft`]'s bits, at every window
+//! size) — every
 //! pair's squared coefficient distance comes from the register-tiled
 //! difference-square sweep over those panels
 //! ([`tsubasa_core::stats::tiled_pair_dist_sq_in`] — the exact sketch's
@@ -54,7 +55,7 @@ use tsubasa_core::source::{check_source_windows, CorrSource, PairTable};
 use tsubasa_core::stats::{packed_lane_mut, packed_len, tiled_pair_dist_sq_in, WindowStats};
 use tsubasa_core::{SeriesCollection, SketchSet};
 
-use crate::dft::{coefficient_distance, naive_dft, window_dft_into, Complex};
+use crate::dft::{coefficient_distance, naive_dft, window_dft_into, Complex, Twiddles};
 use crate::normalize::{normalize_unit_into, normalize_unit_with_stats};
 
 /// How the DFT coefficients of a basic window are computed: always by the
@@ -66,7 +67,7 @@ pub enum Transform {
     /// The naive DFT's direct sums — the cost model assumed by the paper:
     /// `B·c` multiply-adds per series-window for the `c` kept coefficients
     /// (`B²` when all are kept), run a window at a time
-    /// ([`crate::dft::window_dft_into`], twiddles computed once per window)
+    /// ([`crate::dft::window_dft_into`], twiddles computed once per kernel)
     /// with [`naive_dft`]'s bits.
     Naive,
 }
@@ -110,13 +111,14 @@ fn ests_from_dist_sq(row: &mut [f64]) {
 ///
 /// The window's series are normalized into panel lanes and transformed
 /// together by the direct sums of [`window_dft_into`]: `B·c` multiply-adds
-/// per series-window for the `c` kept coefficients, twiddles computed once
-/// per window, each coefficient bit-identical to [`naive_dft`]'s. See the
-/// [module docs](self).
+/// per series-window for the `c` kept coefficients, over a table of twiddles
+/// the kernel computes once for its `(B, c)`, each coefficient bit-identical
+/// to [`naive_dft`]'s. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct ComparatorKernel {
     basic_window: usize,
-    coefficients: usize,
+    /// The `c · B` twiddle factors of every window's direct sums.
+    twiddles: Twiddles,
     /// Series `i`'s unit-normalized window in lane `i` of a packed block
     /// ([`packed_len`]): the direct sums' input.
     z: Vec<f64>,
@@ -129,9 +131,10 @@ impl ComparatorKernel {
     /// A kernel for windows of `basic_window` points keeping `coefficients`
     /// coefficients (the `n` of `Dist_n`, clamped to `1..=basic_window`).
     pub fn new(basic_window: usize, coefficients: usize) -> Self {
+        let coefficients = coefficients.clamp(1, basic_window.max(1)).min(basic_window);
         Self {
             basic_window,
-            coefficients: coefficients.clamp(1, basic_window.max(1)),
+            twiddles: Twiddles::new(basic_window, coefficients),
             z: Vec::new(),
             rows: Vec::new(),
         }
@@ -139,7 +142,7 @@ impl ComparatorKernel {
 
     /// Number of coefficients kept per window.
     pub fn coefficients(&self) -> usize {
-        self.coefficients
+        self.twiddles.coefficients()
     }
 
     /// Fill `out` with the estimates of one window: `window[i]` holds the
@@ -169,9 +172,9 @@ impl ComparatorKernel {
         // `[re₀, im₀, re₁, im₁, …]` in every lane: the Euclidean distance of
         // two such rows is the complex coefficient distance, `|X_k − Y_k|² =
         // Δre² + Δim²`.
-        let row_len = 2 * self.coefficients;
+        let row_len = 2 * self.twiddles.coefficients();
         self.rows.resize(packed_len(n, row_len), 0.0);
-        window_dft_into(&self.z, b, self.coefficients, &mut self.rows);
+        window_dft_into(&self.z, &self.twiddles, &mut self.rows);
         tiled_pair_dist_sq_in(runner, &self.rows, n, row_len, out);
         ests_from_dist_sq(out);
     }
@@ -579,6 +582,39 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_kernel_computes_its_twiddles_once() {
+        // Building a kernel builds its one twiddle table; every window it
+        // then transforms, the first and every later one, computes no trig
+        // (the table is the only place the transform takes a sine or a
+        // cosine) and writes the bits a fresh kernel writes.
+        use crate::dft::tests::TWIDDLE_TABLES;
+        let tables = || TWIDDLE_TABLES.with(std::cell::Cell::get);
+        let (n, b, coefficients) = (9usize, 24usize, 7usize);
+        let c = collection(n, 3 * b);
+        let before = tables();
+        let mut kernel = ComparatorKernel::new(b, coefficients);
+        assert_eq!(tables(), before + 1, "a kernel builds one table");
+        for w in 0..3 {
+            let window: Vec<&[f64]> = c.iter().map(|s| &s.values()[w * b..(w + 1) * b]).collect();
+            let stats: Vec<WindowStats> =
+                window.iter().map(|p| WindowStats::from_values(p)).collect();
+            let mut fresh = vec![0.0; packed_pairs(n)];
+            ComparatorKernel::new(b, coefficients).window_ests_into(
+                &window,
+                &stats,
+                &SerialRunner,
+                &mut fresh,
+            );
+            let before = tables();
+            let mut row = vec![0.0; packed_pairs(n)];
+            kernel.window_ests_into(&window, &stats, &SerialRunner, &mut row);
+            assert_eq!(tables(), before, "window {w} computed twiddles");
+            let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&row), bits(&fresh), "window {w}");
         }
     }
 

@@ -454,12 +454,15 @@ mod tests {
         // statistics rows are a fresh sketch's too, so the exact store is
         // the whole input of a fresh bootstrap of the held window: a plan
         // from its statistics and a dense fill over its rows give that
-        // bootstrap's correlations, bit for bit.
+        // bootstrap's correlations, bit for bit. Past `windows + 1` ticks
+        // every row is minted into the buffer of a row an earlier tick
+        // evicted, and is still a fresh sketch's row.
         let b = 16;
         let coefficients = 6;
         let windows = 5;
+        let ticks_run = 2 * windows + 2;
         let hist_len = 12 * b;
-        let full = data(hist_len + 4 * b);
+        let full = data(hist_len + ticks_run * b);
         let n = full.len();
         let historical = full.truncate_length(hist_len).unwrap();
         let bits = |view: CorrView<'_>| -> Vec<Vec<u64>> {
@@ -477,7 +480,7 @@ mod tests {
             UpdateEngine::Approximate { coefficients },
         ] {
             let mut rt = RealTimeNetwork::new(&historical, b, windows * b, 0.7, engine).unwrap();
-            for ticks in 0..=4 {
+            for ticks in 0..=ticks_run {
                 let now = hist_len + ticks * b;
                 if ticks > 0 {
                     let chunk: Vec<Vec<f64>> = full

@@ -18,7 +18,10 @@
 //! with the sketch it was bootstrapped from; a real-time network sketches
 //! only that window, so it holds its own window's rows, never the
 //! history's, and an engine bootstrapped from a longer sketch holds that
-//! sketch's block only until its shared rows have slid out. A streamed engine
+//! sketch's block only until its shared rows have slid out. Once its own
+//! rows are sliding out, a tick mints the arriving row into the row the
+//! previous tick evicted: no allocation of a row's size, and the same number
+//! of calls at every `N`. A streamed engine
 //! query borrows that table and sweeps it tile by tile: it allocates no
 //! `O(P)` buffer, and no buffer per tile. Nor does an unaligned streamed
 //! query: its partial head and tail windows are minted a few triangle rows at
@@ -31,6 +34,7 @@ use tsubasa_core::sketch::{arriving_corrs, arriving_window};
 use tsubasa_core::stats::{normalize_into, tiled_pair_corrs_into, WindowStats};
 use tsubasa_core::sweep::DEFAULT_TILE_PAIRS;
 use tsubasa_dft::sketch::{ComparatorKernel, DftSketchSet, Transform};
+use tsubasa_dft::SlidingApproxNetwork;
 use tsubasa_parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
 use tsubasa_serve::{EpochIngest, EpochStore};
 use tsubasa_storage::pile::SegmentKind;
@@ -38,7 +42,7 @@ use tsubasa_stream::{RealTimeNetwork, UpdateEngine};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::{gross, measured, LIVE};
+use counting_alloc::{gross, largest, measured, LIVE};
 
 const N: usize = 64;
 const PAIRS: usize = N * (N - 1) / 2;
@@ -435,6 +439,78 @@ fn a_sliding_engine_holds_its_query_window_not_its_history() {
         check("SlidingNetwork", LIVE.get() - start, t + 1);
     }
     assert_eq!(sliding.window_count(), W);
+}
+
+#[test]
+fn a_steady_sliding_tick_allocates_no_row() {
+    // Bootstrapped over W windows, both engines hold those windows' rows in
+    // the bootstrap's block and no spare row: the bytes held right after
+    // `initialize` are the W windows, the correlations, the per-series
+    // aggregates and the handles (and the comparator kernel's twiddles),
+    // short of one more row. After W + 1 ticks every evicted row is one the
+    // engine minted and no clone shares, so each tick mints its arriving
+    // row into the row the previous tick evicted: a tick makes no
+    // allocation of a row's `P · 8` bytes or more, and as many allocation
+    // calls at 8, 64 and 128 series, none per series or per pair.
+    const W: usize = 4;
+    const COEFFICIENTS: usize = 6;
+    let mut calls = Vec::new();
+    for n in [8usize, 64, 128] {
+        let row = 8 * n * (n - 1) / 2;
+        let full = series_rows(n, (2 * W + 2) * B);
+        let window = |w: usize| -> Vec<Vec<f64>> {
+            full.iter()
+                .map(|r| r[w * B..(w + 1) * B].to_vec())
+                .collect()
+        };
+        let history: Vec<Vec<f64>> = full.iter().map(|r| r[..W * B].to_vec()).collect();
+        let history = SeriesCollection::from_rows(history).unwrap();
+        // Per table a block handle and a three-word handle per window.
+        let handles = 2 * (ROW_HEADER + 24 * W);
+        let own = (W + 1) * row + (W + 1) * 24 * n + handles;
+        let twiddles = 16 * COEFFICIENTS * B;
+
+        let start = LIVE.get();
+        let mut exact = {
+            let sketch = SketchSet::build(&history, B).unwrap();
+            SlidingNetwork::initialize(&history, &sketch, W * B).unwrap()
+        };
+        let exact_held = (LIVE.get() - start) as usize;
+        let start = LIVE.get();
+        let mut approx = {
+            let sketch = DftSketchSet::build(&history, B, COEFFICIENTS, Transform::Naive).unwrap();
+            SlidingApproxNetwork::initialize(&sketch, W * B).unwrap()
+        };
+        let approx_held = (LIVE.get() - start) as usize;
+        for (engine, held, budget) in [
+            ("exact", exact_held, own),
+            ("approximate", approx_held, own + twiddles),
+        ] {
+            assert!(
+                held <= budget && budget < held + row,
+                "{engine}, N = {n}: {held} bytes held after initialize, against {budget}"
+            );
+        }
+
+        for w in W..2 * W + 1 {
+            exact.ingest(&window(w)).unwrap();
+            approx.ingest(&window(w)).unwrap();
+        }
+        let tick = window(2 * W + 1);
+        let ((), exact_largest, exact_calls) = largest(|| exact.ingest(&tick).unwrap());
+        let ((), approx_largest, approx_calls) = largest(|| approx.ingest(&tick).unwrap());
+        for (engine, largest) in [("exact", exact_largest), ("approximate", approx_largest)] {
+            assert!(
+                largest < row,
+                "{engine}, N = {n}: a steady tick allocated {largest} bytes at once, a row is {row}"
+            );
+        }
+        calls.push((exact_calls, approx_calls));
+    }
+    assert!(
+        calls.iter().all(|&c| c == calls[0]),
+        "allocation calls of a steady (exact, approximate) tick at N = 8, 64, 128: {calls:?}"
+    );
 }
 
 #[test]

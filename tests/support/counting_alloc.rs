@@ -15,15 +15,19 @@ thread_local! {
     pub static LIVE: Cell<isize> = const { Cell::new(0) };
     static GROSS: Cell<usize> = const { Cell::new(0) };
     static CALLS: Cell<usize> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count(delta: isize, call: bool) {
+/// Count a change of `delta` held bytes, made by an `alloc`/`realloc` call
+/// asking for `request` bytes, or by a `dealloc`.
+fn count(delta: isize, request: Option<usize>) {
     // `try_with`: the allocator also runs while a thread's locals are torn
     // down, when there is nothing left to count into.
     let _ = LIVE.try_with(|l| l.set(l.get() + delta));
     let _ = GROSS.try_with(|g| g.set(g.get() + delta.max(0) as usize));
-    if call {
+    if let Some(request) = request {
         let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+        let _ = LARGEST.try_with(|l| l.set(l.get().max(request)));
     }
 }
 
@@ -32,19 +36,19 @@ fn count(delta: isize, call: bool) {
 // destructors, so touching them never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size() as isize, true);
+        count(layout.size() as isize, Some(layout.size()));
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(-(layout.size() as isize), false);
+        count(-(layout.size() as isize), None);
         // SAFETY: `ptr` was returned by `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size as isize - layout.size() as isize, true);
+        count(new_size as isize - layout.size() as isize, Some(new_size));
         // SAFETY: `ptr`/`layout` come from this allocator, `new_size` from
         // the caller, exactly as `System.realloc` requires.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -69,4 +73,14 @@ pub fn gross<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     let (bytes, calls) = (GROSS.get(), CALLS.get());
     let value = f();
     (value, GROSS.get() - bytes, CALLS.get() - calls)
+}
+
+/// Run `f` on this thread; return its value, the largest single
+/// `alloc`/`realloc` request it made (in bytes, 0 for none), and the number
+/// of such calls.
+pub fn largest<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let (outer, calls) = (LARGEST.replace(0), CALLS.get());
+    let value = f();
+    let largest = LARGEST.replace(outer.max(LARGEST.get()));
+    (value, largest, CALLS.get() - calls)
 }
