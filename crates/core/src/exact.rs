@@ -139,8 +139,9 @@ pub(crate) fn degenerate_to_zero(r: Result<f64>) -> Result<f64> {
 
 /// Variance-recombination identity used in the proof of Lemma 1: the
 /// population variance of the concatenation of windows is
-/// `Σ B_i (σ_i² + δ_i²) / T`. Exposed because the incremental updater and the
-/// property tests rely on it.
+/// `Σ B_i (σ_i² + δ_i²) / T`. Kept as the paper's identity with its unit
+/// test; no product path calls it (the sliding engines keep raw sums,
+/// `SlidingSeriesState`).
 pub fn combined_variance(parts: &[WindowStats]) -> f64 {
     let total: f64 = parts.iter().map(|p| p.len as f64).sum();
     if total == 0.0 {

@@ -43,8 +43,8 @@ use crate::delta::{EdgeDelta, EdgeWatch};
 use crate::error::{Error, Result};
 use crate::exact::{self, WindowContribution};
 use crate::matrix::{AdjacencyMatrix, CorrelationMatrix};
-use crate::plan::{carve_for_workers, row_segments, PlanMethod, WindowRows};
-use crate::runner::{Job, JobRunner, SerialRunner};
+use crate::plan::{PlanMethod, WindowRows};
+use crate::runner::SerialRunner;
 use crate::sketch::{arriving_window, packed_pairs, pair_index, SketchSet};
 use crate::source::SourcePlan;
 use crate::stats::{clamp_corr, window_corrs_into, WindowStats};
@@ -278,15 +278,14 @@ impl SlidingPair {
 /// the row side (`i`) as scalars and the column side (`j`) as contiguous
 /// slices.
 ///
-/// `T`, `B_1`, `B_{ns+1}` and `T'` are per-tick scalars because
-/// [`SlidingState::new`] and [`SlidingState::slide_in`] admit only windows of
-/// exactly `basic_window` points: every series covers the same `T`, and
-/// `T' = T − B_1 + B_{ns+1} > 0`.
+/// `T` and `B` are per-tick scalars because [`SlidingState::new`] and
+/// [`SlidingState::slide_in`] admit only windows of exactly `basic_window`
+/// points: every series covers the same `T`, and the evicted and the
+/// arriving window both hold `B` points (`B_1 = B_{ns+1} = B`), so
+/// `T' = T − B + B = T`, exactly, for integer lengths below 2⁵³.
 struct SeriesTerms {
-    /// `B_1`, points in the evicted basic window.
-    b1: f64,
-    /// `B_{ns+1}`, points in the arriving basic window.
-    bn: f64,
+    /// `B`, points in the evicted and in the arriving basic window.
+    b: f64,
     /// `σ` of the old query window.
     std: Vec<f64>,
     /// `T·σ`.
@@ -315,12 +314,10 @@ impl SeriesTerms {
     ) -> Self {
         let n = series.len();
         let total_len = series.first().map_or(0, |s| s.total_len()) as f64;
-        let b1 = basic_window as f64;
-        let bn = basic_window as f64;
-        let new_total = total_len - b1 + bn;
+        let b = basic_window as f64;
+        let new_total = total_len;
         let mut terms = Self {
-            b1,
-            bn,
+            b,
             std: Vec::with_capacity(n),
             t_std: Vec::with_capacity(n),
             std1: Vec::with_capacity(n),
@@ -336,9 +333,9 @@ impl SeriesTerms {
             let (mean, std) = (state.mean(), state.std());
             let d1 = evicted.mean - mean;
             let dn = arriving.mean - mean;
-            let alpha = (bn * dn - b1 * d1) / new_total;
-            let var = total_len * std * std + bn * (arriving.std.powi(2) + dn * dn)
-                - b1 * (evicted.std.powi(2) + d1 * d1)
+            let alpha = (b * dn - b * d1) / new_total;
+            let var = total_len * std * std + b * (arriving.std.powi(2) + dn * dn)
+                - b * (evicted.std.powi(2) + d1 * d1)
                 - new_total * alpha * alpha;
             terms.std.push(std);
             terms.t_std.push(total_len * std);
@@ -354,17 +351,16 @@ impl SeriesTerms {
         terms
     }
 
-    /// Lemma 2 over one same-row run of pairs `(i, j0..j0 + corrs.len())`:
-    /// `corrs` holds the run's correlations (updated in place), `evicted` and
-    /// `arriving` the two windows' stored values of the same pairs. Every
-    /// result equals [`lemma2_update`] bit for bit; the body is one
-    /// expression per pair with selects instead of early returns, so the
-    /// loop vectorises.
+    /// Lemma 2 over row `i` of the packed triangle, the pairs
+    /// `(i, i + 1..n)`: `corrs` holds the row's correlations (updated in
+    /// place), `evicted` and `arriving` the two windows' stored values of
+    /// the same pairs. Every result equals [`lemma2_update`] bit for bit;
+    /// the body is one expression per pair with selects instead of early
+    /// returns, so the loop vectorises.
     #[inline]
     fn sweep_row<F: Fn(f64) -> f64>(
         &self,
         i: usize,
-        j0: usize,
         corrs: &mut [f64],
         evicted: &[f64],
         arriving: &[f64],
@@ -372,8 +368,8 @@ impl SeriesTerms {
     ) {
         // Every operand is cut to `len` before the loop, so no bounds check
         // survives inside it.
-        let len = corrs.len();
-        let (b1, bn) = (self.b1, self.bn);
+        let (len, j0) = (corrs.len(), i + 1);
+        let b = self.b;
         let (t_std_i, std1_i, stdn_i) = (self.t_std[i], self.std1[i], self.stdn[i]);
         let (d1_i, dn_i, t_alpha_i) = (self.d1[i], self.dn[i], self.t_alpha[i]);
         let (var_i, root_i) = (self.var[i], self.root[i]);
@@ -391,8 +387,8 @@ impl SeriesTerms {
         let (var, root) = (&self.var[j0..j0 + len], &self.root[j0..j0 + len]);
         for k in 0..len {
             let numerator = t_std_i * std[k] * corrs[k]
-                + bn * (stdn_i * stdn[k] * row_corr(arriving[k]) + dn_i * dn[k])
-                - b1 * (std1_i * std1[k] * row_corr(evicted[k]) + d1_i * d1[k])
+                + b * (stdn_i * stdn[k] * row_corr(arriving[k]) + dn_i * dn[k])
+                - b * (std1_i * std1[k] * row_corr(evicted[k]) + d1_i * d1[k])
                 - t_alpha_i * alpha[k];
             let mut corr = clamp_corr(numerator / (root_i * root[k]));
             if var_i <= 0.0 || var[k] <= 0.0 {
@@ -405,47 +401,6 @@ impl SeriesTerms {
             corrs[k] = corr;
         }
     }
-}
-
-/// Apply the per-pair sliding update (Lemma 2 / Equation 6) to every pair of
-/// `corrs`, one disjoint contiguous slice of the packed triangle per worker
-/// of `runner`. `evicted` and `arriving` are the stored packed rows of the
-/// two basic windows and `row_corr` maps a stored value to the window's pair
-/// correlation: identity for the exact engine, the clamp of the stored
-/// Equation 3 estimate `ĉ` for the DFT engine (Equation 6 is Lemma 2 over
-/// those). Identical to a serial sweep for any worker count: each pair reads
-/// only the shared terms and rows and writes its own slot.
-fn slide_pair_sweep<F: Fn(f64) -> f64 + Sync>(
-    runner: &dyn JobRunner,
-    terms: &SeriesTerms,
-    evicted: &[f64],
-    arriving: &[f64],
-    row_corr: F,
-    corrs: &mut [f64],
-) {
-    let n = terms.std.len();
-    let row_corr = &row_corr;
-    let jobs: Vec<Job<'_>> = carve_for_workers(corrs, runner.worker_count())
-        .into_iter()
-        .map(|(start, slice)| {
-            Box::new(move || {
-                let mut at = 0;
-                for (i, j0, len) in row_segments(start, slice.len(), n) {
-                    let pairs = start + at..start + at + len;
-                    terms.sweep_row(
-                        i,
-                        j0,
-                        &mut slice[at..at + len],
-                        &evicted[pairs.clone()],
-                        &arriving[pairs],
-                        row_corr,
-                    );
-                    at += len;
-                }
-            }) as Job<'_>
-        })
-        .collect();
-    runner.run(jobs);
 }
 
 /// The state and the tick both sliding engines share: the held windows'
@@ -466,10 +421,10 @@ fn slide_pair_sweep<F: Fn(f64) -> f64 + Sync>(
 /// kernel), evaluates the per-series terms of Lemma 2 (`O(N)`), sweeps the
 /// per-pair half over every pair, and — only with a subscription — runs one
 /// [`EdgeWatch::observe`] pass over the swept correlations; the last two run
-/// at memory speed. Every window the state ever holds covers exactly
-/// `basic_window` points ([`SlidingState::new`] and the tick's shape check
-/// see to it), which is what lets the sweep take `T`, `B_1` and `B_{ns+1}` as
-/// per-tick scalars.
+/// at memory speed, all of it on the calling thread. Every window the state
+/// ever holds covers exactly `basic_window` points ([`SlidingState::new`] and
+/// the tick's shape check see to it), which is what lets the sweep take `T`
+/// and `B` as per-tick scalars.
 #[derive(Debug, Clone)]
 pub struct SlidingState {
     basic_window: usize,
@@ -596,23 +551,25 @@ impl SlidingState {
     /// window's statistics of series `i` and `arriving` its packed per-pair
     /// row, both as the arrival step ([`arriving_window`]) and the engine's
     /// kernel minted them; `row_corr` maps a stored row value to that
-    /// window's pair correlation. Statistics of another series count or
-    /// window length, or a row of another width, are an
+    /// window's pair correlation (identity for the exact engine, the clamp
+    /// of the stored Equation 3 estimate `ĉ` for the DFT engine, whose
+    /// Equation 6 is Lemma 2 over those). Statistics of another series
+    /// count or window length, or a row of another width, are an
     /// [`Error::SketchMismatch`] and leave the state as it was.
     ///
-    /// The tick, in order: the per-series terms of Lemma 2 (`δ`, `α`, the
-    /// variance term and its root — once per series, from the pre-slide
-    /// state); the pair sweep, which leaves in every slot the bits
-    /// [`lemma2_update`] returns for that pair, for any worker count of
-    /// `runner`; the subscription's watch scan, if any; and only then
-    /// the slide of the per-series aggregates and of the held rows, which
-    /// takes `stats` and `arriving` as the newest rows without copying them.
+    /// The tick, in order and on the calling thread: the per-series terms
+    /// of Lemma 2 (`δ`, `α`, the variance term and its root — once per
+    /// series, from the pre-slide state); the pair sweep, one pass over the
+    /// triangle's rows that leaves in every slot the bits [`lemma2_update`]
+    /// returns for that pair; the subscription's watch scan, if any; and
+    /// only then the slide of the per-series aggregates and of the held
+    /// rows, which takes `stats` and `arriving` as the newest rows without
+    /// copying them.
     pub fn slide_in(
         &mut self,
-        runner: &dyn JobRunner,
         stats: Vec<WindowStats>,
         arriving: Vec<f64>,
-        row_corr: impl Fn(f64) -> f64 + Sync,
+        row_corr: impl Fn(f64) -> f64,
     ) -> Result<()> {
         let (n, b, pairs) = (self.series.len(), self.basic_window, self.corrs.len());
         if stats.len() != n || stats.iter().any(|s| s.len != b) || arriving.len() != pairs {
@@ -623,17 +580,18 @@ impl SlidingState {
         }
 
         // The per-series half of Lemma 2, once per series, read from the
-        // pre-slide state; then the per-pair half over every pair.
+        // pre-slide state; then the per-pair half over every pair, row by
+        // row of the packed triangle.
         let evicted = self.stats.row(0);
         let terms = SeriesTerms::new(&self.series, evicted, &stats, b);
-        slide_pair_sweep(
-            runner,
-            &terms,
-            self.pair_windows.row(0),
-            &arriving,
-            row_corr,
-            &mut self.corrs,
-        );
+        let evicted_row = self.pair_windows.row(0);
+        let mut at = 0;
+        for i in 0..n {
+            let len = n - 1 - i;
+            let corrs = &mut self.corrs[at..at + len];
+            terms.sweep_row(i, corrs, &evicted_row[at..], &arriving[at..], &row_corr);
+            at += len;
+        }
         if let Some(watch) = &mut self.watch {
             watch.observe(&self.corrs);
         }
@@ -805,28 +763,16 @@ impl SlidingNetwork {
     /// Slide the network forward by one basic window. `chunk[i]` holds the
     /// `B` newly observed points of series `i`. This is the
     /// `UpdateNetwork` step of Algorithm 3 (Lemma 2 applied to every pair),
-    /// run inline on the calling thread; [`SlidingNetwork::ingest_in`] is the
-    /// same update fanned out over a [`JobRunner`].
+    /// run on the calling thread.
     pub fn ingest(&mut self, chunk: &[Vec<f64>]) -> Result<()> {
-        self.ingest_in(&SerialRunner, chunk)
-    }
-
-    /// [`SlidingNetwork::ingest`] with the per-pair Lemma 2 sweep split into
-    /// disjoint contiguous slices of the packed correlation triangle, one per
-    /// worker of `runner`. Hand the same reusable pool
-    /// (`tsubasa_parallel::WorkerPool`) to every call so repeated slides stop
-    /// paying thread startup. The result is identical to the serial
-    /// [`SlidingNetwork::ingest`] for any worker count (each pair's update
-    /// reads only shared snapshots and its own slot).
-    pub fn ingest_in(&mut self, runner: &dyn JobRunner, chunk: &[Vec<f64>]) -> Result<()> {
         // The arrival step, then the arriving row from the shared exact
-        // window kernel (inline: `runner` fans out the Lemma 2 sweep only),
-        // minted as `arriving_corrs` mints it but into the buffer the last
-        // tick freed. A stored row value is the correlation itself.
+        // window kernel, minted as `arriving_corrs` mints it but into the
+        // buffer the last tick freed. A stored row value is the correlation
+        // itself.
         let stats = arriving_window(chunk, self.series_count(), self.basic_window())?;
         let mut row = self.state.row_buffer();
         window_corrs_into(chunk, &stats, &SerialRunner, &mut self.z, &mut row);
-        self.state.slide_in(runner, stats, row, |c| c)
+        self.state.slide_in(stats, row, |c| c)
     }
 }
 
@@ -969,38 +915,6 @@ mod tests {
             now > hist_len + 10 * b,
             "the loop must have exercised many slides"
         );
-    }
-
-    #[test]
-    fn ingest_in_is_identical_across_worker_counts() {
-        use crate::runner::ScopedRunner;
-        let n = 5;
-        let b = 10;
-        let total = 260;
-        let full: Vec<Vec<f64>> = (0..n)
-            .map(|s| lcg_series(s as u64 * 3 + 2, total))
-            .collect();
-        let hist = 160;
-        let c =
-            SeriesCollection::from_rows(full.iter().map(|s| s[..hist].to_vec()).collect()).unwrap();
-        let sketch = SketchSet::build(&c, b).unwrap();
-        let serial = SlidingNetwork::initialize(&c, &sketch, 80).unwrap();
-        let mut nets = [serial.clone(), serial.clone(), serial];
-        let runners: Vec<ScopedRunner> = [1usize, 3, 8]
-            .iter()
-            .map(|&w| ScopedRunner::new(w))
-            .collect();
-        let mut now = hist;
-        while now + b <= total {
-            let chunk: Vec<Vec<f64>> = full.iter().map(|s| s[now..now + b].to_vec()).collect();
-            for (net, runner) in nets.iter_mut().zip(&runners) {
-                net.ingest_in(runner, &chunk).unwrap();
-            }
-            now += b;
-            let m0 = nets[0].correlation_matrix();
-            assert_eq!(m0, nets[1].correlation_matrix());
-            assert_eq!(m0, nets[2].correlation_matrix());
-        }
     }
 
     #[test]
@@ -1188,28 +1102,26 @@ mod tests {
         out
     }
 
-    /// One tick of a clone of `pre` under `row_corr` and `workers`, pinned to
-    /// the oracle under `to_bits()`. Returns the post-tick state.
-    fn pinned_tick<F: Fn(f64) -> f64 + Sync + Copy>(
+    /// One tick of a clone of `pre` under `row_corr`, pinned to the oracle
+    /// under `to_bits()`. Returns the post-tick state.
+    fn pinned_tick<F: Fn(f64) -> f64 + Copy>(
         pre: &SlidingState,
         chunk: &[Vec<f64>],
         arriving_row: &[f64],
         row_corr: F,
-        workers: usize,
         label: &str,
     ) -> SlidingState {
         let stats: Vec<WindowStats> = chunk.iter().map(|c| WindowStats::from_values(c)).collect();
         let expected = lemma2_pair_by_pair(pre, &stats, arriving_row, row_corr);
         let mut state = pre.clone();
-        let runner = crate::runner::ScopedRunner::new(workers);
         state
-            .slide_in(&runner, stats, arriving_row.to_vec(), row_corr)
+            .slide_in(stats, arriving_row.to_vec(), row_corr)
             .unwrap();
         for (idx, (got, want)) in state.corrs.iter().zip(&expected).enumerate() {
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
-                "{label}, {workers} workers, pair {idx}: swept {got} vs lemma2_update {want}"
+                "{label}, pair {idx}: swept {got} vs lemma2_update {want}"
             );
         }
         state
@@ -1277,11 +1189,8 @@ mod tests {
                 let chunk: Vec<Vec<f64>> = (0..n).map(|s| window_values(&mut rng, s)).collect();
                 let arriving_row = stored_row(&mut rng);
                 let label = format!("shape {shape} (n={n}, b={b}, {windows} windows), tick {tick}");
-                let identity = |c: f64| c;
-                pinned_tick(&exact, &chunk, &arriving_row, identity, 3, &label);
-                exact = pinned_tick(&exact, &chunk, &arriving_row, identity, 1, &label);
-                pinned_tick(&clamped, &chunk, &arriving_row, clamp_corr, 1, &label);
-                clamped = pinned_tick(&clamped, &chunk, &arriving_row, clamp_corr, 3, &label);
+                exact = pinned_tick(&exact, &chunk, &arriving_row, |c| c, &label);
+                clamped = pinned_tick(&clamped, &chunk, &arriving_row, clamp_corr, &label);
                 for c in exact.corrs.iter().chain(&clamped.corrs) {
                     if c.is_nan() {
                         nan_results += 1;
@@ -1332,7 +1241,7 @@ mod tests {
             ("a 9-point window", &short[..], vec![0.0; 3]),
             ("a short row", &stats[..], vec![0.0; 2]),
         ] {
-            let sliding = net.slide_in(&SerialRunner, stats.to_vec(), row, |c| c);
+            let sliding = net.slide_in(stats.to_vec(), row, |c| c);
             assert!(
                 matches!(sliding, Err(Error::SketchMismatch { .. })),
                 "{what}: {sliding:?}"

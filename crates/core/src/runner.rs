@@ -14,8 +14,12 @@
 //!   [`ScopedRunner::machine`] sizes it to the machine and to the work of
 //!   one query sweep.
 //! * `tsubasa_parallel::WorkerPool` (in the parallel crate) keeps a fixed set
-//!   of threads alive across calls, so repeated queries and sliding-network
-//!   re-evaluations stop paying that startup cost.
+//!   of threads alive across calls, so repeated queries and engine phases
+//!   stop paying that startup cost.
+//!
+//! The sliding tick ([`crate::incremental::SlidingState::slide_in`]) takes
+//! no runner: its Lemma 2 sweep is one pass over the pairs at memory speed,
+//! run on the caller's thread.
 //!
 //! The contract every implementation must honor: **`run` returns only after
 //! every job has finished executing.** Jobs may borrow from the caller's

@@ -83,11 +83,6 @@ impl WindowStats {
     pub fn sum_of_squares(&self) -> f64 {
         self.len as f64 * (self.variance() + self.mean * self.mean)
     }
-
-    /// True when the window is (numerically) constant.
-    pub fn is_constant(&self) -> bool {
-        self.std == 0.0
-    }
 }
 
 /// Independent accumulator chains of [`WindowStats::from_values`]: two
@@ -750,7 +745,6 @@ mod tests {
         let s = WindowStats::from_values(&[42.0]);
         assert_eq!(s.mean, 42.0);
         assert_eq!(s.std, 0.0);
-        assert!(s.is_constant());
     }
 
     #[test]

@@ -651,12 +651,6 @@ impl EdgeList {
         self.nan_pairs
     }
 
-    /// Add externally observed NaN pairs to the audit count (the disk
-    /// engine counts method-mismatched store records before recombination).
-    pub fn add_nan_pairs(&mut self, extra: usize) {
-        self.nan_pairs += extra;
-    }
-
     /// Append another partition's edges (parallel merge). Panics when the
     /// node counts disagree.
     pub fn absorb(&mut self, other: EdgeList) {
@@ -1829,13 +1823,12 @@ mod tests {
         let mut a = EdgeList::from_parts(5, vec![(0, 1)], 1);
         let b = EdgeList::from_parts(5, vec![(2, 4)], 2);
         a.absorb(b);
-        a.add_nan_pairs(1);
         assert_eq!(a.edge_count(), 2);
-        assert_eq!(a.nan_pair_count(), 4);
+        assert_eq!(a.nan_pair_count(), 3);
         assert_eq!(a.node_count(), 5);
         let adj = a.to_adjacency();
         assert!(adj.has_edge(0, 1));
         assert!(adj.has_edge(4, 2));
-        assert_eq!(adj.nan_pair_count(), 4);
+        assert_eq!(adj.nan_pair_count(), 3);
     }
 }

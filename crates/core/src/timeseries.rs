@@ -104,11 +104,6 @@ impl TimeSeries {
         let start = window.start();
         Ok(&self.values[start..=window.end])
     }
-
-    /// Append newly observed points (real-time ingestion).
-    pub fn extend_from_slice(&mut self, new_points: &[f64]) {
-        self.values.extend_from_slice(new_points);
-    }
 }
 
 /// A synchronized collection of time-series — the paper's `L`.
@@ -199,34 +194,6 @@ impl SeriesCollection {
         n * (n - 1) / 2
     }
 
-    /// Append one chunk of newly observed values to every series.
-    ///
-    /// `chunk[i]` is appended to series `i`; all chunks must have the same
-    /// length to keep the collection synchronized.
-    pub fn ingest_chunk(&mut self, chunk: &[Vec<f64>]) -> Result<()> {
-        if chunk.len() != self.series.len() {
-            return Err(Error::UnalignedSeries {
-                expected: self.series.len(),
-                found: chunk.len(),
-                index: 0,
-            });
-        }
-        let expected = chunk[0].len();
-        for (index, points) in chunk.iter().enumerate() {
-            if points.len() != expected {
-                return Err(Error::UnalignedSeries {
-                    expected,
-                    found: points.len(),
-                    index,
-                });
-            }
-        }
-        for (series, points) in self.series.iter_mut().zip(chunk) {
-            series.extend_from_slice(points);
-        }
-        Ok(())
-    }
-
     /// Restrict the collection to the first `n` series (used by the
     /// scalability experiments, which sweep the number of series).
     pub fn take_series(&self, n: usize) -> Result<Self> {
@@ -307,28 +274,6 @@ mod tests {
         let c = sample();
         let w = QueryWindow::new(10, 2).unwrap();
         assert!(c.get(0).unwrap().slice(w).is_err());
-    }
-
-    #[test]
-    fn ingest_chunk_appends_to_every_series() {
-        let mut c = sample();
-        c.ingest_chunk(&[vec![5.0], vec![0.0], vec![1.0]]).unwrap();
-        assert_eq!(c.series_len(), 5);
-        assert_eq!(c.get(0).unwrap().values()[4], 5.0);
-    }
-
-    #[test]
-    fn ingest_chunk_rejects_wrong_series_count() {
-        let mut c = sample();
-        assert!(c.ingest_chunk(&[vec![1.0]]).is_err());
-    }
-
-    #[test]
-    fn ingest_chunk_rejects_ragged_chunk() {
-        let mut c = sample();
-        assert!(c
-            .ingest_chunk(&[vec![1.0], vec![1.0, 2.0], vec![1.0]])
-            .is_err());
     }
 
     #[test]

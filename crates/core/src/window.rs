@@ -77,15 +77,6 @@ impl QueryWindow {
         }
         Ok(())
     }
-
-    /// Slide the window forward by `step` points, keeping its length. This is
-    /// the real-time `("now", l)` window after `step` new points arrive.
-    pub fn advanced(&self, step: usize) -> QueryWindow {
-        QueryWindow {
-            end: self.end + step,
-            len: self.len,
-        }
-    }
 }
 
 /// A half-open index range `[start, end)` over the raw stream.
@@ -148,11 +139,6 @@ impl BasicWindowing {
             start: j * self.size,
             end: (j + 1) * self.size,
         }
-    }
-
-    /// Index of the basic window containing raw index `i`.
-    pub fn window_of(&self, i: usize) -> usize {
-        i / self.size
     }
 
     /// Decompose a query window into partial head / full windows / partial
@@ -285,14 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn advanced_slides_forward() {
-        let w = QueryWindow::new(9, 4).unwrap();
-        let v = w.advanced(5);
-        assert_eq!(v.end, 14);
-        assert_eq!(v.len, 4);
-    }
-
-    #[test]
     fn basic_windowing_rejects_zero() {
         assert!(BasicWindowing::new(0).is_err());
     }
@@ -388,7 +366,8 @@ mod tests {
     fn window_of_and_window_span_agree() {
         let b = BasicWindowing::new(7).unwrap();
         for i in 0..100 {
-            let j = b.window_of(i);
+            // The basic window holding raw index `i`.
+            let j = i / b.size;
             let span = b.window_span(j);
             assert!(span.start <= i && i < span.end);
         }

@@ -26,7 +26,7 @@ use std::ops::{Deref, DerefMut};
 use tsubasa_core::error::Result;
 use tsubasa_core::incremental::SlidingState;
 use tsubasa_core::plan::PlanMethod;
-use tsubasa_core::runner::{JobRunner, SerialRunner};
+use tsubasa_core::runner::SerialRunner;
 use tsubasa_core::sketch::arriving_window;
 use tsubasa_core::stats::clamp_corr;
 use tsubasa_core::sweep::fill_packed;
@@ -96,32 +96,19 @@ impl SlidingApproxNetwork {
     /// Slide forward by one basic window given the newly arrived chunk
     /// (`chunk[i]` holds the `B` new points of series `i`). This is the
     /// Equation 6 update: the only new DFT work is for the arriving window.
-    /// Runs inline on the calling thread; [`SlidingApproxNetwork::ingest_in`]
-    /// is the same update fanned out over a [`JobRunner`].
+    /// Runs on the calling thread, through the very sweep of the exact
+    /// updater's [`tsubasa_core::incremental::SlidingNetwork::ingest`].
     pub fn ingest(&mut self, chunk: &[Vec<f64>]) -> Result<()> {
-        self.ingest_in(&SerialRunner, chunk)
-    }
-
-    /// [`SlidingApproxNetwork::ingest`] with the per-pair Equation 6 sweep
-    /// split into disjoint contiguous slices of the packed correlation
-    /// triangle, one per worker of `runner` — the very sweep of the exact
-    /// updater's [`tsubasa_core::incremental::SlidingNetwork::ingest_in`].
-    /// Hand the same reusable pool (`tsubasa_parallel::WorkerPool`) to every
-    /// call so repeated slides stop paying thread startup; the result is
-    /// identical to the serial path for any worker count (each pair reads
-    /// only shared snapshots and its own slot).
-    pub fn ingest_in(&mut self, runner: &dyn JobRunner, chunk: &[Vec<f64>]) -> Result<()> {
         // The arrival step, then the arriving row from the comparator kernel
-        // this engine keeps (inline: `runner` fans out the Equation 6 sweep
-        // only), minted as `arriving_ests` mints it but into the buffer the
-        // last tick freed.
+        // this engine keeps, minted as `arriving_ests` mints it but into the
+        // buffer the last tick freed.
         let stats = arriving_window(chunk, self.series_count(), self.basic_window())?;
         let mut row = self.state.row_buffer();
         self.kernel
             .window_ests_into(chunk, &stats, &SerialRunner, &mut row);
         // Equation 6 is Lemma 2 over estimate-derived window correlations
         // (the stored `ĉ = 1 − d²/2`, clamped into [-1, 1]).
-        self.state.slide_in(runner, stats, row, clamp_corr)
+        self.state.slide_in(stats, row, clamp_corr)
     }
 }
 
@@ -268,37 +255,6 @@ mod tests {
             assert_eq!(approx, expected, "approximate engine, query length {len}");
         }
         assert!(SlidingApproxNetwork::initialize(&approx, 120).is_ok());
-    }
-
-    #[test]
-    fn ingest_in_is_identical_across_worker_counts() {
-        use tsubasa_core::runner::ScopedRunner;
-        let n = 5;
-        let b = 15;
-        let total = 330;
-        let hist = 180;
-        let data = full_data(n, total);
-        let c =
-            SeriesCollection::from_rows(data.iter().map(|s| s[..hist].to_vec()).collect()).unwrap();
-        let sk = DftSketchSet::build(&c, b, b, Transform::Naive).unwrap();
-        let serial = SlidingApproxNetwork::initialize(&sk, 90).unwrap();
-        let mut nets = [serial.clone(), serial.clone(), serial];
-        let runners: Vec<ScopedRunner> = [1usize, 3, 8]
-            .iter()
-            .map(|&w| ScopedRunner::new(w))
-            .collect();
-        let mut now = hist;
-        while now + b <= total {
-            let chunk: Vec<Vec<f64>> = data.iter().map(|s| s[now..now + b].to_vec()).collect();
-            for (net, runner) in nets.iter_mut().zip(&runners) {
-                net.ingest_in(runner, &chunk).unwrap();
-            }
-            now += b;
-            let m0 = nets[0].correlation_matrix();
-            assert_eq!(m0, nets[1].correlation_matrix());
-            assert_eq!(m0, nets[2].correlation_matrix());
-        }
-        assert!(now > hist + 5 * b);
     }
 
     #[test]

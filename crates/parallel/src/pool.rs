@@ -6,14 +6,12 @@
 //! — on *every* query, which dominates once the tiled kernels push the
 //! per-query compute into the same range.
 //! [`WorkerPool`] keeps a fixed set of threads parked on channels across
-//! calls: repeated queries, sketch passes, and sliding-network re-evaluations
-//! reuse the same threads.
+//! calls: repeated queries and sketch passes reuse the same threads.
 //!
 //! The pool implements [`tsubasa_core::runner::JobRunner`], so anything that
 //! accepts a runner — the dense fill [`tsubasa_core::sweep::fill_packed`],
-//! the streamed [`tsubasa_core::sweep::sweep_pooled`],
-//! [`tsubasa_core::incremental::SlidingNetwork::ingest_in`], the engine in
-//! this crate — can be handed one pool and share it.
+//! the streamed [`tsubasa_core::sweep::sweep_pooled`], the engine in this
+//! crate — can be handed one pool and share it.
 //!
 //! # Safety
 //!
@@ -99,15 +97,6 @@ impl WorkerPool {
             handles.push(handle);
         }
         Self { senders, handles }
-    }
-
-    /// A pool sized like the paper's configuration: all available cores minus
-    /// one (reserved for the database worker).
-    pub fn with_default_size() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get().saturating_sub(1).max(1))
-            .unwrap_or(1);
-        Self::new(workers)
     }
 
     /// Number of worker threads.
@@ -252,7 +241,6 @@ mod tests {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.size(), 1);
         pool.run_jobs(Vec::new());
-        assert!(WorkerPool::with_default_size().size() >= 1);
     }
 
     #[test]

@@ -19,7 +19,6 @@ use tsubasa_core::delta::EdgeDelta;
 use tsubasa_core::error::Result;
 use tsubasa_core::incremental::{SlidingNetwork, SlidingState};
 use tsubasa_core::matrix::{AdjacencyMatrix, CorrelationMatrix};
-use tsubasa_core::runner::{JobRunner, SerialRunner};
 use tsubasa_core::{SeriesCollection, SketchSet};
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
 use tsubasa_dft::SlidingApproxNetwork;
@@ -137,28 +136,18 @@ impl RealTimeNetwork {
     /// `i`, any length). Complete basic windows are applied immediately;
     /// leftovers stay buffered. Returns the number of network updates applied
     /// by this call.
-    pub fn ingest(&mut self, updates: &[Vec<f64>]) -> Result<usize> {
-        self.ingest_in(&SerialRunner, updates)
-    }
-
-    /// [`RealTimeNetwork::ingest`] with the per-pair update sweep (Lemma 2
-    /// for the exact engine, Equation 6 for the approximate one) fanned out
-    /// over `runner`. Hand the same reusable worker pool
-    /// (`tsubasa_parallel::WorkerPool`) to every call so continuous
-    /// re-evaluations stop paying thread startup per arriving basic window;
-    /// the result is identical to the serial path for any worker count.
     ///
     /// One `push` may complete several basic windows at once (e.g. after a
     /// burst of buffered observations): every released chunk is applied,
     /// oldest first, and counts as one applied update.
-    pub fn ingest_in(&mut self, runner: &dyn JobRunner, updates: &[Vec<f64>]) -> Result<usize> {
+    pub fn ingest(&mut self, updates: &[Vec<f64>]) -> Result<usize> {
         let new_points = updates.first().map(|u| u.len()).unwrap_or(0);
         let chunks = self.buffer.push(updates)?;
         let applied = chunks.len();
         for chunk in chunks {
             match &mut self.updater {
-                Updater::Exact(net) => net.ingest_in(runner, &chunk)?,
-                Updater::Approx(net) => net.ingest_in(runner, &chunk)?,
+                Updater::Exact(net) => net.ingest(&chunk)?,
+                Updater::Approx(net) => net.ingest(&chunk)?,
             }
             // A subscribed engine emits one delta per tick.
             self.pending_deltas
@@ -240,6 +229,7 @@ impl RealTimeNetwork {
 mod tests {
     use super::*;
     use tsubasa_core::plan::{CorrView, QueryPlan};
+    use tsubasa_core::runner::SerialRunner;
     use tsubasa_core::stats::WindowStats;
     use tsubasa_core::sweep::fill_packed;
     use tsubasa_core::{baseline, QueryWindow};
@@ -336,33 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ingest_matches_serial_ingest_exactly() {
-        use tsubasa_core::runner::ScopedRunner;
-        let total = 520;
-        let hist_len = 300;
-        let b = 20;
-        let full = data(total);
-        let historical = full.truncate_length(hist_len).unwrap();
-        let mut serial =
-            RealTimeNetwork::new(&historical, b, 160, 0.7, UpdateEngine::Exact).unwrap();
-        let mut pooled =
-            RealTimeNetwork::new(&historical, b, 160, 0.7, UpdateEngine::Exact).unwrap();
-        let runner = ScopedRunner::new(4);
-        let mut now = hist_len;
-        while now + 13 <= total {
-            let updates: Vec<Vec<f64>> = full
-                .iter()
-                .map(|s| s.values()[now..now + 13].to_vec())
-                .collect();
-            serial.ingest(&updates).unwrap();
-            pooled.ingest_in(&runner, &updates).unwrap();
-            now += 13;
-            assert_eq!(serial.correlation_matrix(), pooled.correlation_matrix());
-        }
-        assert!(serial.updates_applied() > 5);
-    }
-
-    #[test]
     fn one_push_releasing_many_chunks_applies_them_oldest_first() {
         // A burst delivery: one `ingest` call carries several basic windows'
         // worth of points, so `StreamBuffer::push` releases multiple complete
@@ -418,32 +381,6 @@ mod tests {
                 "engine {engine:?}"
             );
         }
-    }
-
-    #[test]
-    fn approximate_parallel_ingest_matches_serial_ingest() {
-        use tsubasa_core::runner::ScopedRunner;
-        let total = 500;
-        let hist_len = 300;
-        let b = 20;
-        let full = data(total);
-        let historical = full.truncate_length(hist_len).unwrap();
-        let engine = UpdateEngine::Approximate { coefficients: b };
-        let mut serial = RealTimeNetwork::new(&historical, b, 160, 0.7, engine).unwrap();
-        let mut pooled = RealTimeNetwork::new(&historical, b, 160, 0.7, engine).unwrap();
-        let runner = ScopedRunner::new(4);
-        let mut now = hist_len;
-        while now + b <= total {
-            let updates: Vec<Vec<f64>> = full
-                .iter()
-                .map(|s| s.values()[now..now + b].to_vec())
-                .collect();
-            serial.ingest(&updates).unwrap();
-            pooled.ingest_in(&runner, &updates).unwrap();
-            now += b;
-            assert_eq!(serial.correlation_matrix(), pooled.correlation_matrix());
-        }
-        assert!(serial.updates_applied() > 5);
     }
 
     #[test]

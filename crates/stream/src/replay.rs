@@ -44,11 +44,6 @@ impl<'a> StreamReplay<'a> {
     pub fn position(&self) -> usize {
         self.cursor
     }
-
-    /// Number of full chunks still available.
-    pub fn remaining_chunks(&self) -> usize {
-        (self.collection.series_len() - self.cursor) / self.chunk
-    }
 }
 
 impl Iterator for StreamReplay<'_> {
@@ -86,7 +81,6 @@ mod tests {
     fn replay_walks_the_collection_in_chunks() {
         let c = collection();
         let mut replay = StreamReplay::new(&c, 10, 4).unwrap();
-        assert_eq!(replay.remaining_chunks(), 2);
         let first = replay.next().unwrap();
         assert_eq!(first[0], vec![10.0, 11.0, 12.0, 13.0]);
         assert_eq!(first[1], vec![-10.0, -11.0, -12.0, -13.0]);

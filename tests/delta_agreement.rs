@@ -1,5 +1,5 @@
 //! Property suite for the delta-maintained network layer: across both
-//! sliding engines, 1/2/8 workers, and randomized ingest sequences, replaying
+//! sliding engines and randomized ingest sequences, replaying
 //! the per-tick [`EdgeDelta`]s onto the subscription baseline must reproduce
 //! the full re-threshold bit for bit — same edge set and the same
 //! NaN-audited pair count — at a random threshold, and no NaN pair is ever
@@ -9,10 +9,8 @@
 use std::ops::DerefMut;
 
 use tsubasa::core::prelude::*;
-use tsubasa::core::runner::{JobRunner, SerialRunner};
 use tsubasa::dft::sketch::{DftSketchSet, Transform};
 use tsubasa::dft::SlidingApproxNetwork;
-use tsubasa::parallel::WorkerPool;
 
 /// SplitMix64: deterministic, dependency-free case generator.
 struct Rng(u64);
@@ -39,18 +37,18 @@ impl Rng {
 /// Both engines dereference to the shared [`SlidingState`] (subscription,
 /// deltas, network); only the ingest differs.
 trait DeltaEngine: DerefMut<Target = SlidingState> {
-    fn slide(&mut self, runner: &dyn JobRunner, chunk: &[Vec<f64>]) -> Result<()>;
+    fn slide(&mut self, chunk: &[Vec<f64>]) -> Result<()>;
 }
 
 impl DeltaEngine for SlidingNetwork {
-    fn slide(&mut self, runner: &dyn JobRunner, chunk: &[Vec<f64>]) -> Result<()> {
-        self.ingest_in(runner, chunk)
+    fn slide(&mut self, chunk: &[Vec<f64>]) -> Result<()> {
+        self.ingest(chunk)
     }
 }
 
 impl DeltaEngine for SlidingApproxNetwork {
-    fn slide(&mut self, runner: &dyn JobRunner, chunk: &[Vec<f64>]) -> Result<()> {
-        self.ingest_in(runner, chunk)
+    fn slide(&mut self, chunk: &[Vec<f64>]) -> Result<()> {
+        self.ingest(chunk)
     }
 }
 
@@ -59,7 +57,6 @@ impl DeltaEngine for SlidingApproxNetwork {
 #[allow(clippy::too_many_arguments)]
 fn run_case(
     engine: &mut dyn DeltaEngine,
-    runner: &dyn JobRunner,
     rng: &mut Rng,
     rows: &[Vec<f64>],
     basic: usize,
@@ -88,7 +85,7 @@ fn run_case(
             let point = rng.range(0, basic);
             chunk[series][point] = f64::NAN;
         }
-        engine.slide(runner, &chunk).unwrap();
+        engine.slide(&chunk).unwrap();
 
         let delta = engine
             .changed_edges()
@@ -115,8 +112,6 @@ fn run_case(
 
 #[test]
 fn replayed_deltas_match_full_rethreshold_256_cases() {
-    let pool2 = WorkerPool::new(2);
-    let pool8 = WorkerPool::new(8);
     let mut rng = Rng(0x7a5b_a5a1_d317_0001);
 
     for case in 0..256usize {
@@ -150,19 +145,11 @@ fn replayed_deltas_match_full_rethreshold_256_cases() {
         let initial: Vec<Vec<f64>> = rows.iter().map(|r| r[..query_len].to_vec()).collect();
         let collection = SeriesCollection::from_rows(initial).unwrap();
 
-        let runner: &dyn JobRunner = match case % 3 {
-            0 => &SerialRunner,
-            1 => &pool2,
-            _ => &pool8,
-        };
-        let workers = runner.worker_count();
-
         if case % 2 == 0 {
             let sketch = SketchSet::build(&collection, basic).unwrap();
             let mut net = SlidingNetwork::initialize(&collection, &sketch, query_len).unwrap();
             run_case(
                 &mut net,
-                runner,
                 &mut rng,
                 &rows,
                 basic,
@@ -170,7 +157,7 @@ fn replayed_deltas_match_full_rethreshold_256_cases() {
                 slides,
                 theta,
                 inject_nan,
-                &format!("case {case} (exact, {workers} workers, theta={theta:.3})"),
+                &format!("case {case} (exact, theta={theta:.3})"),
             );
         } else {
             let coefficients = (basic / 2).max(1);
@@ -179,7 +166,6 @@ fn replayed_deltas_match_full_rethreshold_256_cases() {
             let mut net = SlidingApproxNetwork::initialize(&sketch, query_len).unwrap();
             run_case(
                 &mut net,
-                runner,
                 &mut rng,
                 &rows,
                 basic,
@@ -187,7 +173,7 @@ fn replayed_deltas_match_full_rethreshold_256_cases() {
                 slides,
                 theta,
                 inject_nan,
-                &format!("case {case} (approx, {workers} workers, theta={theta:.3})"),
+                &format!("case {case} (approx, theta={theta:.3})"),
             );
         }
     }

@@ -450,8 +450,9 @@ fn a_steady_sliding_tick_allocates_no_row() {
     // short of one more row. After W + 1 ticks every evicted row is one the
     // engine minted and no clone shares, so each tick mints its arriving
     // row into the row the previous tick evicted: a tick makes no
-    // allocation of a row's `P · 8` bytes or more, and as many allocation
-    // calls at 8, 64 and 128 series, none per series or per pair.
+    // allocation of a row's `P · 8` bytes or more, and
+    // `STEADY_TICK_CALLS` allocation calls at 8, 64 and 128 series, none per
+    // series or per pair.
     const W: usize = 4;
     const COEFFICIENTS: usize = 6;
     let mut calls = Vec::new();
@@ -508,10 +509,22 @@ fn a_steady_sliding_tick_allocates_no_row() {
         calls.push((exact_calls, approx_calls));
     }
     assert!(
-        calls.iter().all(|&c| c == calls[0]),
-        "allocation calls of a steady (exact, approximate) tick at N = 8, 64, 128: {calls:?}"
+        calls
+            .iter()
+            .all(|&c| c == (STEADY_TICK_CALLS, STEADY_TICK_CALLS)),
+        "allocation calls of a steady (exact, approximate) tick at N = 8, 64, 128: {calls:?}, \
+         against {STEADY_TICK_CALLS} each"
     );
 }
+
+/// Allocation calls of a steady sliding tick, on either engine, whatever
+/// the series count: the arrival step's statistics `Vec` (1), the ten
+/// per-series columns of Lemma 2's terms (`σ`, `T·σ`, `σ_1`, `σ_{ns+1}`,
+/// `δ_1`, `δ_{ns+1}`, `α`, `T'·α`, the variance term and its root: 10), and
+/// the shared handles of the two rows the tick pushes, its statistics and
+/// its pair row (2). The pair sweep runs on the calling thread and
+/// allocates nothing.
+const STEADY_TICK_CALLS: usize = 13;
 
 #[test]
 fn every_evicted_epoch_is_the_sketch_of_its_trailing_horizon() {

@@ -11,9 +11,9 @@
 //! the yardstick.
 //!
 //! The worker-pool suites assert the orthogonal invariant: fanning the dense
-//! fill (`sweep::fill_packed`) or the sliding update out over a reusable
-//! `WorkerPool` changes *nothing* — matrices are identical across 1/2/8
-//! workers and across repeated queries on one pool.
+//! fill (`sweep::fill_packed`) out over a reusable `WorkerPool` changes
+//! *nothing* — matrices are identical across 1/2/8 workers and across
+//! repeated queries on one pool.
 
 mod support;
 
@@ -127,22 +127,12 @@ fn one_pool_serves_many_queries_without_respawning() {
     let sketch = SketchSet::build(&c, 25).unwrap();
     let pool = WorkerPool::new(4);
     assert_eq!(pool.worker_count(), 4);
-    // The same pool instance is handed to every query (and a sliding-network
-    // ingest) back to back; each result must equal its fresh-thread twin.
+    // The same pool instance is handed to every query back to back; each
+    // result must equal its fresh-thread twin.
     for (end, len) in [(399usize, 300usize), (349, 200), (374, 175), (399, 100)] {
         let query = QueryWindow::new(end, len).unwrap();
         let pooled = pooled_matrix(&pool, &c, &sketch, query);
         let serial = exact::correlation_matrix(&c, &sketch, query).unwrap();
         assert_eq!(pooled, serial, "query ({end},{len})");
     }
-    let mut net = SlidingNetwork::initialize(&c, &sketch, 200).unwrap();
-    let chunk = Generator {
-        stride: 1,
-        ..SERIES
-    }
-    .rows(500, 8, 25);
-    let mut twin = net.clone();
-    net.ingest_in(&pool, &chunk).unwrap();
-    twin.ingest(&chunk).unwrap();
-    assert_eq!(net.correlation_matrix(), twin.correlation_matrix());
 }
